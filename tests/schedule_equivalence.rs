@@ -593,3 +593,415 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Frozen goldens: simulated time and message count of every plan
+// variant, measured from the hand-written programs at the last commit
+// that carried them.
+
+use hbsp::collectives::alltoall::AllToAllRun;
+use hbsp::core::topology;
+use hbsp_sim::SimOutcome;
+
+/// `(kind/variant, machine, total_time.to_bits(), messages_delivered)`.
+///
+/// The machines' speeds pass through `ln`/`exp` (`bytemark`'s geometric
+/// mean), so the bits are those of the libm the table was frozen on.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, u64, u64)] = &[
+    ("gather/flat/Equal", "campus", 0x40f029fe147ae148, 7),
+    ("gather/hier/Equal", "campus", 0x40f121b4a3d70a3d, 7),
+    ("gather/flat/Balanced", "campus", 0x40f0116f5c28f5c3, 7),
+    ("gather/hier/Balanced", "campus", 0x40f0878851eb851f, 7),
+    ("gather/flat/Equal", "grid3", 0x411ec8ff0a3d70a4, 8),
+    ("gather/hier/Equal", "grid3", 0x41216edb2e147ae1, 8),
+    ("gather/flat/Balanced", "grid3", 0x411eca82b851eb85, 8),
+    ("gather/hier/Balanced", "grid3", 0x41215e3670a3d70a, 8),
+    ("gather/flat/Equal", "testbed10", 0x40c00f8f5c28f5c2, 9),
+    ("gather/hier/Equal", "testbed10", 0x40b58f599999999a, 9),
+    ("gather/flat/Balanced", "testbed10", 0x40bec6147ae147ad, 9),
+    ("gather/hier/Balanced", "testbed10", 0x40b559a666666666, 9),
+    ("broadcast/flat-one/Equal", "campus", 0x40fe482ccccccccc, 7),
+    ("broadcast/flat-two/Equal", "campus", 0x41021a5e66666666, 63),
+    ("broadcast/hier-one-one/Equal", "campus", 0x40f865a3d70a3d70, 7),
+    ("broadcast/hier-one-two/Equal", "campus", 0x40f7f2b0a3d70a3e, 31),
+    ("broadcast/hier-two-one/Equal", "campus", 0x41039eab70a3d70a, 9),
+    ("broadcast/hier-two-two/Equal", "campus", 0x41036531d70a3d71, 33),
+    ("broadcast/flat-one/Balanced", "campus", 0x40fe482ccccccccc, 7),
+    ("broadcast/flat-two/Balanced", "campus", 0x41016b7333333333, 63),
+    ("broadcast/hier-one-one/Balanced", "campus", 0x40f865a3d70a3d70, 7),
+    ("broadcast/hier-one-two/Balanced", "campus", 0x40f77d53d70a3d71, 31),
+    ("broadcast/hier-two-one/Balanced", "campus", 0x410387b28f5c28f6, 9),
+    ("broadcast/hier-two-two/Balanced", "campus", 0x4103138a8f5c28f6, 33),
+    ("broadcast/flat-one/Equal", "grid3", 0x4120d10ee147ae14, 8),
+    ("broadcast/flat-two/Equal", "grid3", 0x412f430028f5c28c, 80),
+    ("broadcast/hier-one-one/Equal", "grid3", 0x4122611acccccccd, 8),
+    ("broadcast/hier-one-two/Equal", "grid3", 0x41244cebf0a3d70c, 24),
+    ("broadcast/hier-two-one/Equal", "grid3", 0x4130d6c6ee147ae2, 10),
+    ("broadcast/hier-two-two/Equal", "grid3", 0x4131ccaf80000000, 26),
+    ("broadcast/flat-one/Balanced", "grid3", 0x4120d10ee147ae14, 8),
+    ("broadcast/flat-two/Balanced", "grid3", 0x412f3c53cccccccd, 80),
+    ("broadcast/hier-one-one/Balanced", "grid3", 0x4122611acccccccd, 8),
+    ("broadcast/hier-one-two/Balanced", "grid3", 0x41244ebec7ae147c, 24),
+    ("broadcast/hier-two-one/Balanced", "grid3", 0x4130d5e711eb851f, 10),
+    ("broadcast/hier-two-two/Balanced", "grid3", 0x4131ccb90f5c28f6, 26),
+    ("broadcast/flat-one/Equal", "testbed10", 0x40f3aaa000000000, 9),
+    ("broadcast/flat-two/Equal", "testbed10", 0x40e475d333333331, 99),
+    ("broadcast/hier-one-one/Equal", "testbed10", 0x40e4d9f333333333, 9),
+    ("broadcast/hier-one-two/Equal", "testbed10", 0x40e4d9f333333333, 9),
+    ("broadcast/hier-two-one/Equal", "testbed10", 0x40e2984ccccccccc, 99),
+    ("broadcast/hier-two-two/Equal", "testbed10", 0x40e2984ccccccccc, 99),
+    ("broadcast/flat-one/Balanced", "testbed10", 0x40f3aaa000000000, 9),
+    ("broadcast/flat-two/Balanced", "testbed10", 0x40e5286666666666, 99),
+    ("broadcast/hier-one-one/Balanced", "testbed10", 0x40e4d9f333333333, 9),
+    ("broadcast/hier-one-two/Balanced", "testbed10", 0x40e4d9f333333333, 9),
+    ("broadcast/hier-two-one/Balanced", "testbed10", 0x40e368accccccccc, 99),
+    ("broadcast/hier-two-two/Balanced", "testbed10", 0x40e368accccccccc, 99),
+    ("scatter/Equal", "campus", 0x40f0b0e000000000, 7),
+    ("scatter/Balanced", "campus", 0x40f0552000000000, 7),
+    ("scatter/Equal", "grid3", 0x411ee3570a3d70a4, 8),
+    ("scatter/Balanced", "grid3", 0x411ed7731eb851ec, 8),
+    ("scatter/Equal", "testbed10", 0x40c42d3333333333, 9),
+    ("scatter/Balanced", "testbed10", 0x40c1c6cccccccccc, 9),
+    ("allgather/flat/Equal", "campus", 0x40f383dccccccccd, 56),
+    ("allgather/flat/Balanced", "campus", 0x40f281c666666666, 56),
+    ("allgather/flat/Equal", "grid3", 0x411fa2a947ae147b, 72),
+    ("allgather/flat/Balanced", "grid3", 0x411fa1347ae147ae, 72),
+    ("allgather/flat/Equal", "testbed10", 0x40ded50cccccccce, 90),
+    ("allgather/flat/Balanced", "testbed10", 0x40e0b6b333333334, 90),
+    ("alltoall/flat", "campus", 0x40ed992000000000, 56),
+    ("alltoall/hier", "campus", 0x40f0002000000000, 74),
+    ("alltoall/flat", "grid3", 0x411e8edb33333333, 72),
+    ("alltoall/hier", "grid3", 0x411edc607ae147ae, 90),
+    ("alltoall/flat", "testbed10", 0x40a5be0000000000, 90),
+    ("alltoall/hier", "testbed10", 0x40ba7f0000000000, 90),
+    ("reduce/flat/Sum", "campus", 0x40ee14db99d5dced, 7),
+    ("reduce/hier/Sum", "campus", 0x40eed923d70a3d71, 7),
+    ("reduce/flat/Min", "campus", 0x40ee14db99d5dced, 7),
+    ("reduce/hier/Min", "campus", 0x40eed923d70a3d71, 7),
+    ("reduce/flat/Max", "campus", 0x40ee14db99d5dced, 7),
+    ("reduce/hier/Max", "campus", 0x40eed923d70a3d71, 7),
+    ("reduce/flat/Sum", "grid3", 0x411e9d96fe898232, 8),
+    ("reduce/hier/Sum", "grid3", 0x412130b8f13579be, 8),
+    ("reduce/flat/Min", "grid3", 0x411e9d96fe898232, 8),
+    ("reduce/hier/Min", "grid3", 0x412130b8f13579be, 8),
+    ("reduce/flat/Max", "grid3", 0x411e9d96fe898232, 8),
+    ("reduce/hier/Max", "grid3", 0x412130b8f13579be, 8),
+    ("reduce/flat/Sum", "testbed10", 0x40af5ee147ae147b, 9),
+    ("reduce/hier/Sum", "testbed10", 0x40aa3d999999999a, 9),
+    ("reduce/flat/Min", "testbed10", 0x40af5ee147ae147b, 9),
+    ("reduce/hier/Min", "testbed10", 0x40aa3d999999999a, 9),
+    ("reduce/flat/Max", "testbed10", 0x40af5ee147ae147b, 9),
+    ("reduce/hier/Max", "testbed10", 0x40aa3d999999999a, 9),
+    ("scan/Sum", "campus", 0x40ef20be7e7e7e7e, 28),
+    ("scan/Sum", "grid3", 0x411ec10777777778, 36),
+    ("scan/Sum", "testbed10", 0x40bfb53333333334, 45),
+];
+
+fn golden_machines() -> Vec<(&'static str, MachineTree)> {
+    let file = |name: &str| {
+        let path = format!("{}/machines/{name}.hbsp", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("shipped machine file exists");
+        topology::parse(&text).expect("shipped machine file is valid")
+    };
+    vec![
+        ("campus", file("campus")),
+        ("grid3", file("grid3")),
+        (
+            "testbed10",
+            hbsp::bench::testbed(10).expect("testbed builds"),
+        ),
+    ]
+}
+
+const GOLDEN_WORKLOADS: [WorkloadPolicy; 2] = [WorkloadPolicy::Equal, WorkloadPolicy::Balanced];
+const GOLDEN_OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max];
+const GOLDEN_ROOT: ProcId = ProcId(1);
+
+fn golden_items() -> Vec<u32> {
+    (0..3001u32).map(|i| i.wrapping_mul(2654435761)).collect()
+}
+
+fn golden_vectors(p: usize) -> Vec<Vec<u32>> {
+    (0..p)
+        .map(|i| (0..64).map(|j| (i * 131 + j * 7) as u32).collect())
+        .collect()
+}
+
+fn golden_blocks(p: usize) -> Vec<Vec<Vec<u32>>> {
+    (0..p)
+        .map(|i| {
+            (0..p)
+                .map(|j| vec![(i * p + j) as u32; (i + 2 * j) % 5])
+                .collect()
+        })
+        .collect()
+}
+
+/// One measured plan variant: label, the interpreter's outcome, the
+/// hand-written program's outcome.
+type Measured = (String, SimOutcome, SimOutcome);
+
+/// Measure every variant of `kind` on the three golden machines and
+/// compare, row by row and in order, with `kind`'s slice of [`GOLDEN`].
+fn check_golden(kind: &str, measure: impl Fn(&MachineTree) -> Vec<Measured>) {
+    let want: Vec<_> = GOLDEN
+        .iter()
+        .filter(|row| row.0.split('/').next() == Some(kind))
+        .collect();
+    let mut got = Vec::new();
+    for (machine, tree) in golden_machines() {
+        for (variant, sim, legacy) in measure(&tree) {
+            let label = format!("{kind}/{variant}");
+            assert_eq!(
+                sim.messages_delivered, legacy.messages_delivered,
+                "{label} on {machine}: interpreter vs legacy message count"
+            );
+            if label == "alltoall/hier" {
+                assert!(
+                    (sim.total_time - legacy.total_time).abs() <= 0.01 * legacy.total_time,
+                    "{label} on {machine}: {} vs legacy {}",
+                    sim.total_time,
+                    legacy.total_time
+                );
+            } else {
+                assert_eq!(
+                    sim.total_time.to_bits(),
+                    legacy.total_time.to_bits(),
+                    "{label} on {machine}: interpreter vs legacy time"
+                );
+            }
+            got.push((
+                label,
+                machine,
+                sim.total_time.to_bits(),
+                sim.messages_delivered,
+            ));
+        }
+    }
+    let rendered: String = got
+        .iter()
+        .map(|(l, m, t, n)| format!("    (\"{l}\", \"{m}\", {t:#018x}, {n}),\n"))
+        .collect();
+    assert_eq!(got.len(), want.len(), "{kind}: measured rows:\n{rendered}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(
+            (g.0.as_str(), g.1, g.2, g.3),
+            *w,
+            "{kind}: measured rows:\n{rendered}"
+        );
+    }
+}
+
+#[test]
+fn golden_gather() {
+    check_golden("gather", |m| {
+        let items = golden_items();
+        let mut rows = Vec::new();
+        for workload in GOLDEN_WORKLOADS {
+            let shares = Arc::new(shares_for(m, &items, workload));
+            let plan = GatherPlan {
+                root: RootPolicy::Rank(GOLDEN_ROOT.0),
+                workload,
+                strategy: PlanStrategy::Flat,
+            };
+            rows.push((
+                format!("flat/{workload:?}"),
+                simulate_gather(m, &items, plan).expect("gather runs").sim,
+                run_legacy(m, &FlatGather::new(GOLDEN_ROOT, Arc::clone(&shares))).0,
+            ));
+            let plan = GatherPlan::hierarchical().with_workload(workload);
+            rows.push((
+                format!("hier/{workload:?}"),
+                simulate_gather(m, &items, plan).expect("gather runs").sim,
+                run_legacy(m, &HierarchicalGather::new(shares)).0,
+            ));
+        }
+        rows
+    });
+}
+
+#[test]
+fn golden_broadcast() {
+    const PHASES: [(PhasePolicy, &str); 2] = [
+        (PhasePolicy::OnePhase, "one"),
+        (PhasePolicy::TwoPhase, "two"),
+    ];
+    check_golden("broadcast", |m| {
+        let items = golden_items();
+        let arc_items = Arc::new(items.clone());
+        let mut rows = Vec::new();
+        for workload in GOLDEN_WORKLOADS {
+            for (phase, name) in PHASES {
+                let plan = BroadcastPlan {
+                    root: RootPolicy::Rank(GOLDEN_ROOT.0),
+                    strategy: PlanStrategy::Flat,
+                    top_phase: phase,
+                    cluster_phase: phase,
+                    workload,
+                };
+                rows.push((
+                    format!("flat-{name}/{workload:?}"),
+                    simulate_broadcast(m, &items, plan)
+                        .expect("broadcast runs")
+                        .sim,
+                    run_legacy(
+                        m,
+                        &FlatBroadcast::new(GOLDEN_ROOT, phase, workload, Arc::clone(&arc_items)),
+                    )
+                    .0,
+                ));
+            }
+            for (top, top_name) in PHASES {
+                for (cluster, cluster_name) in PHASES {
+                    let plan = BroadcastPlan {
+                        root: RootPolicy::Fastest,
+                        strategy: PlanStrategy::Hierarchical,
+                        top_phase: top,
+                        cluster_phase: cluster,
+                        workload,
+                    };
+                    rows.push((
+                        format!("hier-{top_name}-{cluster_name}/{workload:?}"),
+                        simulate_broadcast(m, &items, plan)
+                            .expect("broadcast runs")
+                            .sim,
+                        run_legacy(
+                            m,
+                            &HierarchicalBroadcast::new(
+                                top,
+                                cluster,
+                                workload,
+                                Arc::clone(&arc_items),
+                            ),
+                        )
+                        .0,
+                    ));
+                }
+            }
+        }
+        rows
+    });
+}
+
+#[test]
+fn golden_scatter() {
+    check_golden("scatter", |m| {
+        let items = golden_items();
+        GOLDEN_WORKLOADS
+            .into_iter()
+            .map(|workload| {
+                let shares = Arc::new(shares_for(m, &items, workload));
+                (
+                    format!("{workload:?}"),
+                    simulate_scatter(m, &items, RootPolicy::Rank(GOLDEN_ROOT.0), workload)
+                        .expect("scatter runs")
+                        .sim,
+                    run_legacy(m, &Scatter::new(GOLDEN_ROOT, shares)).0,
+                )
+            })
+            .collect()
+    });
+}
+
+#[test]
+fn golden_allgather() {
+    check_golden("allgather", |m| {
+        let items = golden_items();
+        GOLDEN_WORKLOADS
+            .into_iter()
+            .map(|workload| {
+                let shares = Arc::new(shares_for(m, &items, workload));
+                (
+                    format!("flat/{workload:?}"),
+                    simulate_allgather(m, &items, workload, PlanStrategy::Flat)
+                        .expect("allgather runs")
+                        .sim,
+                    run_legacy(m, &FlatAllGather::new(shares)).0,
+                )
+            })
+            .collect()
+    });
+}
+
+#[test]
+fn golden_alltoall() {
+    check_golden("alltoall", |m| {
+        let blocks = golden_blocks(m.num_procs());
+        let arc_blocks = Arc::new(blocks.clone());
+        let sim = |run: AllToAllRun| run.sim;
+        vec![
+            (
+                "flat".to_string(),
+                sim(simulate_alltoall(m, blocks.clone()).expect("alltoall runs")),
+                run_legacy(m, &AllToAll::new(Arc::clone(&arc_blocks))).0,
+            ),
+            // The one row where the two programs differ: the legacy
+            // program fanned stage-3 pieces out in message-arrival
+            // order, the schedule posts them per member — identical
+            // traffic, slightly different NIC pipelining. The frozen
+            // value is the interpreter's.
+            (
+                "hier".to_string(),
+                sim(simulate_alltoall_hier(m, blocks).expect("alltoall runs")),
+                run_legacy(m, &HierarchicalAllToAll::new(arc_blocks)).0,
+            ),
+        ]
+    });
+}
+
+#[test]
+fn golden_reduce() {
+    check_golden("reduce", |m| {
+        let vectors = golden_vectors(m.num_procs());
+        let arc_vectors = Arc::new(vectors.clone());
+        let mut rows = Vec::new();
+        for op in GOLDEN_OPS {
+            rows.push((
+                format!("flat/{op:?}"),
+                simulate_reduce(
+                    m,
+                    vectors.clone(),
+                    op,
+                    RootPolicy::Rank(GOLDEN_ROOT.0),
+                    PlanStrategy::Flat,
+                )
+                .expect("reduce runs")
+                .sim,
+                run_legacy(
+                    m,
+                    &FlatReduce::new(GOLDEN_ROOT, op, Arc::clone(&arc_vectors)),
+                )
+                .0,
+            ));
+            rows.push((
+                format!("hier/{op:?}"),
+                simulate_reduce(
+                    m,
+                    vectors.clone(),
+                    op,
+                    RootPolicy::Fastest,
+                    PlanStrategy::Hierarchical,
+                )
+                .expect("reduce runs")
+                .sim,
+                run_legacy(m, &HierarchicalReduce::new(op, Arc::clone(&arc_vectors))).0,
+            ));
+        }
+        rows
+    });
+}
+
+#[test]
+fn golden_scan() {
+    check_golden("scan", |m| {
+        let vectors = golden_vectors(m.num_procs());
+        vec![(
+            "Sum".to_string(),
+            simulate_scan(m, vectors.clone(), ReduceOp::Sum)
+                .expect("scan runs")
+                .sim,
+            run_legacy(m, &Scan::new(ReduceOp::Sum, Arc::new(vectors))).0,
+        )]
+    });
+}
