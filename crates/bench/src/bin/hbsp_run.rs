@@ -17,7 +17,8 @@
 //!   --workload <w>     equal | balanced | commaware    (default equal)
 //!   --strategy <s>     flat | hier                     (default flat)
 //!   --phase <p>        one | two      (broadcast only; default two)
-//!   --trace            print a Gantt chart of the run
+//!   --trace            print a Gantt chart of the run (gather only; for
+//!                      other operations use `hbsp_trace --gantt`)
 //!   --json             emit one machine-readable JSON line instead
 //! ```
 //!
@@ -28,20 +29,19 @@
 //! cargo run -p hbsp-bench --bin hbsp_run -- machines/campus.hbsp broadcast --strategy hier
 //! ```
 
+use hbsp_bench::experiments::traced_gather;
 use hbsp_bench::testbed::{hbsp2_testbed, input_kb, testbed};
 use hbsp_collectives::allgather::simulate_allgather;
 use hbsp_collectives::alltoall::{simulate_alltoall, simulate_alltoall_hier};
 use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp_collectives::gather::{simulate_gather, FlatGather, GatherPlan};
+use hbsp_collectives::gather::{simulate_gather, GatherPlan};
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::{simulate_reduce, ReduceOp};
 use hbsp_collectives::scan::simulate_scan;
 use hbsp_collectives::scatter::simulate_scatter;
-use hbsp_collectives::shares_for;
 use hbsp_core::{topology, MachineTree};
-use hbsp_sim::{ascii_gantt, SimOutcome, Simulator, TraceSummary};
+use hbsp_sim::{ascii_gantt, SimOutcome, TraceSummary};
 use std::process::exit;
-use std::sync::Arc;
 
 struct Options {
     kb: usize,
@@ -188,6 +188,10 @@ fn main() {
     let tree = parse_machine(&args[0]);
     let op = args[1].as_str();
     let o = parse_options(&args[2..]);
+    if o.trace && op != "gather" {
+        eprintln!("--trace charts gather only; use `hbsp_trace --gantt` for other operations");
+        usage();
+    }
     let items = input_kb(o.kb);
     if !o.json {
         println!(
@@ -208,11 +212,7 @@ fn main() {
                 strategy: o.strategy,
             };
             if o.trace {
-                // Traced run via the raw simulator for timeline capture.
-                let shares = Arc::new(shares_for(&tree, &items, o.workload));
-                let root = o.root.resolve(&tree).expect("valid root rank");
-                let sim = Simulator::new(Arc::new(tree.clone())).trace(true);
-                sim.run(&FlatGather::new(root, shares)).expect("run")
+                traced_gather(&tree, &items, plan).expect("run")
             } else {
                 simulate_gather(&tree, &items, plan).expect("run").sim
             }

@@ -3,11 +3,14 @@
 
 use crate::testbed::{input_kb, testbed};
 use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp_collectives::gather::{simulate_gather, GatherPlan};
+use hbsp_collectives::gather::{lower_gather, simulate_gather, GatherPlan};
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, WorkloadPolicy};
 use hbsp_collectives::predict;
+use hbsp_collectives::schedule::{run_on_simulator, share_inits, ScheduleProgram};
 use hbsp_collectives::CollectiveError;
 use hbsp_core::{CostReport, Level, MachineTree, SuperstepCost};
+use hbsp_sim::{SimOutcome, Simulator};
+use std::sync::Arc;
 
 /// One point of a Figure-3/4-style plot: processor count, problem size
 /// (KB), and the improvement factor `T_A / T_B`.
@@ -414,27 +417,46 @@ pub struct AccuracyRow {
     pub simulated: f64,
 }
 
-/// Price the real gather/broadcast programs with the generic
+/// Wrap the schedule `lower_gather` returns for `plan` — root, workload
+/// and strategy honoured — in the interpreter program, with `items`
+/// pre-split as the plan's workload policy dictates.
+fn gather_program(
+    tree: &MachineTree,
+    items: &[u32],
+    plan: GatherPlan,
+) -> Result<ScheduleProgram, CollectiveError> {
+    let (sched, _root) = lower_gather(tree, items.len() as u64, plan)?;
+    let init = share_inits(tree, items, plan.workload);
+    Ok(ScheduleProgram::new(Arc::new(sched), Arc::new(init), None))
+}
+
+/// Run the gather `plan` asks for on a tracing simulator: the outcome
+/// carries the per-processor timelines a Gantt chart is drawn from.
+pub fn traced_gather(
+    tree: &MachineTree,
+    items: &[u32],
+    plan: GatherPlan,
+) -> Result<SimOutcome, CollectiveError> {
+    let prog = gather_program(tree, items, plan)?;
+    let sim = Simulator::new(Arc::new(tree.clone())).trace(true);
+    Ok(run_on_simulator(&sim, &prog)?.0)
+}
+
+/// Price the gather program that actually runs with the generic
 /// [`hbsp_sim::ModelEvaluator`] and compare against the closed forms —
 /// the two prediction paths must agree (up to the few header words per
 /// message the closed forms don't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {
-    use hbsp_collectives::data::shares_for;
-    use hbsp_collectives::gather::FlatGather;
-    use std::sync::Arc;
-
     let tree = testbed(p).expect("testbed builds");
     let items = input_kb(kb);
     let n = items.len() as u64;
-    let root = RootPolicy::Fastest
-        .resolve(&tree)
-        .expect("fastest root always resolves");
+    let root = tree.fastest_proc();
     let mut pairs = Vec::new();
     for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
         let closed = predict::gather_flat(&tree, n, root, wl).total();
-        let shares = Arc::new(shares_for(&tree, &items, wl));
+        let prog = gather_program(&tree, &items, GatherPlan::fast_root().with_workload(wl))?;
         let evaluated = hbsp_sim::ModelEvaluator::new(Arc::new(tree.clone()))
-            .run(&FlatGather::new(root, shares))?
+            .run(&prog)?
             .total();
         pairs.push((closed, evaluated));
     }
@@ -641,6 +663,23 @@ mod tests {
                 "closed {closed} vs evaluated {evaluated}"
             );
         }
+    }
+
+    #[test]
+    fn traced_gather_runs_the_strategy_it_was_asked_for() {
+        let tree = crate::testbed::hbsp2_testbed(60_000.0).unwrap();
+        let items = input_kb(10);
+        let barriered = |plan| {
+            let out = traced_gather(&tree, &items, plan).unwrap();
+            assert!(out.timelines.is_some(), "tracing was on");
+            out.num_steps() - 1 // the last step is the barrier-free drain
+        };
+        assert_eq!(barriered(GatherPlan::fast_root()), 1);
+        assert_eq!(
+            barriered(GatherPlan::hierarchical()),
+            tree.height() as usize,
+            "one super^i-step per level"
+        );
     }
 
     #[test]

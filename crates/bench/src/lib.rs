@@ -16,9 +16,8 @@
 //!   accuracy);
 //! * [`figures`] — plain-text table/series rendering for the binaries.
 //!
-//! Each experiment is also wrapped in a criterion bench (`benches/`)
-//! and a standalone binary (`src/bin/`) that prints the regenerated
-//! figure.
+//! The `hbsp_experiments` binary (`src/bin/`) prints any of them as a
+//! regenerated figure or table.
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,5 @@
-//! End-to-end tests of the `hbsp_run`, `hbsp_chaos`, and
-//! `hbsp_postmortem` CLI binaries.
+//! End-to-end tests of the `hbsp_run`, `hbsp_experiments`, `hbsp_chaos`,
+//! and `hbsp_postmortem` CLI binaries.
 
 use std::process::Command;
 
@@ -33,6 +33,25 @@ fn traced_gather_prints_gantt() {
 }
 
 #[test]
+fn trace_honours_the_strategy_and_rejects_other_operations() {
+    let (stdout, _, ok) = run(&[
+        "testbed2",
+        "gather",
+        "--strategy",
+        "hier",
+        "--kb",
+        "10",
+        "--trace",
+    ]);
+    assert!(ok);
+    assert!(stdout.contains("scope Level(1)"), "{stdout}");
+    assert!(stdout.contains("P0 |"), "{stdout}");
+    let (_, stderr, ok) = run(&["testbed:4", "scatter", "--trace"]);
+    assert!(!ok);
+    assert!(stderr.contains("hbsp_trace --gantt"), "{stderr}");
+}
+
+#[test]
 fn hierarchical_reduce_on_testbed2() {
     let (stdout, _, ok) = run(&["testbed2", "reduce", "--strategy", "hier", "--kb", "20"]);
     assert!(ok);
@@ -57,6 +76,25 @@ fn missing_machine_file_reports_cleanly() {
     let (_, stderr, ok) = run(&["/nonexistent/machine.hbsp", "gather"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read machine file"), "{stderr}");
+}
+
+#[test]
+fn experiments_are_selected_by_number() {
+    let experiments = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hbsp_experiments"))
+            .args(args)
+            .output()
+            .expect("binary runs")
+    };
+    let out = experiments(&["E5"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("Table 1"), "{stdout}");
+    for bad in [&[][..], &["E12"], &["E5", "--level", "2"]] {
+        let out = experiments(bad);
+        assert!(!out.status.success(), "{bad:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
 }
 
 fn chaos(args: &[&str]) -> (String, String, bool) {

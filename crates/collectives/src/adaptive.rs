@@ -25,7 +25,7 @@
 //! [`Role::Partial`]: crate::schedule::Role::Partial
 
 use crate::drift::predicted_steps;
-use crate::schedule::{share_inits, CommSchedule, ProcInit, ScheduleProgram, UnitId};
+use crate::schedule::{seeded_inits, CommSchedule, ScheduleProgram, ScheduleStep};
 use crate::tune::{best_plan, CollectiveKind};
 use hbsp_core::MachineTree;
 use hbsplib::{AdaptivePlan, Planned};
@@ -50,21 +50,6 @@ impl RepeatedCollective {
     pub fn new(kind: CollectiveKind, n: u64, seed: u64) -> Self {
         RepeatedCollective { kind, n, seed }
     }
-}
-
-/// Deterministic payload words (the same LCG `hbsp-sched` uses for
-/// its job payloads, duplicated here because it is an implementation
-/// detail of neither crate's public API).
-fn words(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 32) as u32
-        })
-        .collect()
 }
 
 impl AdaptivePlan for RepeatedCollective {
@@ -100,38 +85,11 @@ impl AdaptivePlan for RepeatedCollective {
                 repeated.push(step.clone());
             }
         }
-        repeated.push(crate::schedule::ScheduleStep::drain());
+        repeated.push(ScheduleStep::drain());
         // Initial data per the tuner's workload split on *this* tree:
         // re-lowering after a re-calibration re-partitions the
         // c_{i,j} shares by the freshly observed speeds.
-        let p = tree.num_procs();
-        let n_items = self.n as usize;
-        let mut init = vec![ProcInit::default(); p];
-        match self.kind {
-            CollectiveKind::Gather | CollectiveKind::Allgather => {
-                init = share_inits(tree, &words(self.seed, n_items), choice.workload);
-            }
-            CollectiveKind::Broadcast | CollectiveKind::Scatter => {
-                let root = choice.root.expect("rooted collective resolves a root");
-                init[root.rank()]
-                    .units
-                    .push((UnitId::new(0, self.n as u32), words(self.seed, n_items)));
-            }
-            CollectiveKind::Alltoall => {
-                for (src, pi) in init.iter_mut().enumerate() {
-                    for dst in 0..p {
-                        if src == dst {
-                            continue;
-                        }
-                        pi.units.push((
-                            UnitId::new((src * p + dst) as u32, self.n as u32),
-                            words(self.seed ^ ((src * p + dst) as u64), n_items),
-                        ));
-                    }
-                }
-            }
-            CollectiveKind::Reduce | CollectiveKind::Scan => unreachable!("rejected above"),
-        }
+        let (init, op) = seeded_inits(tree, &choice, self.n, self.seed);
         let predicted = predicted_steps(tree, &repeated);
         // The root is part of the tag: a re-calibration that inflates
         // a straggling root's r̂ adapts by *migrating the root* even
@@ -150,7 +108,7 @@ impl AdaptivePlan for RepeatedCollective {
             body_end
         );
         Ok(Planned {
-            prog: ScheduleProgram::new(Arc::new(repeated), Arc::new(init), None),
+            prog: ScheduleProgram::new(Arc::new(repeated), Arc::new(init), op),
             predicted,
             strategy,
         })
@@ -160,7 +118,7 @@ impl AdaptivePlan for RepeatedCollective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::check_states;
+    use crate::schedule::{check_states, UnitId};
     use hbsp_core::{ProcId, TreeBuilder};
     use hbsp_sim::FaultPlan;
     use hbsplib::{Action, AdaptiveConfig, AdaptiveExecutor, Executor};

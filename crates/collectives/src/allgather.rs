@@ -5,70 +5,16 @@
 //! to cheap links.
 
 use crate::broadcast::lower_hierarchical_broadcast;
-use crate::data::{decode_bundle, encode_bundle, partition_for, reassemble, Piece};
+use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::gather::lower_hierarchical_gather;
 use crate::plan::{PhasePolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
     self, share_unit, CommSchedule, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
 use std::sync::Arc;
-
-const TAG_ALLGATHER: u32 = 0x6D01;
-
-/// The hand-written flat all-gather (every processor sends its piece to
-/// every other), kept as the reference implementation the schedule
-/// interpreter is property-tested against.
-pub struct FlatAllGather {
-    shares: Arc<Vec<Piece>>,
-}
-
-impl FlatAllGather {
-    /// All-gather with `shares[rank]` as each processor's contribution.
-    pub fn new(shares: Arc<Vec<Piece>>) -> Self {
-        FlatAllGather { shares }
-    }
-}
-
-impl SpmdProgram for FlatAllGather {
-    type State = Vec<u32>;
-
-    fn init(&self, _env: &ProcEnv) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<u32>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        match step {
-            0 => {
-                let mine = &self.shares[env.pid.rank()];
-                let bundle = encode_bundle(std::slice::from_ref(mine));
-                for j in 0..env.nprocs {
-                    let q = ProcId(j as u32);
-                    if q != env.pid {
-                        ctx.send(q, TAG_ALLGATHER, &bundle);
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                let mut pieces = vec![self.shares[env.pid.rank()].clone()];
-                for m in ctx.messages() {
-                    pieces.extend(decode_bundle(m.payload).expect("own wire format"));
-                }
-                *state = reassemble(&pieces);
-                StepOutcome::Done
-            }
-        }
-    }
-}
 
 /// Flat all-gather as a schedule: one global superstep of total
 /// exchange, every processor bundling its share to every other.

@@ -4,226 +4,24 @@
 //!
 //! Two variants:
 //!
-//! * [`AllToAll`] — flat: every pair exchanges directly (one
+//! * [`lower_alltoall`] — flat: every pair exchanges directly (one
 //!   superstep, `p(p−1)` messages, every cross-cluster pair paying the
 //!   top-level link);
-//! * [`HierarchicalAllToAll`] — staged: blocks bound for another
+//! * [`lower_alltoall_hier`] — staged: blocks bound for another
 //!   cluster are first handed to the local coordinator, which bundles
 //!   them into *one* message per destination cluster; the destination
 //!   coordinator fans them out locally. Message count across the top
 //!   level drops from `O(p²)` to `O(clusters²)` at the price of two
 //!   extra supersteps and coordinator relay volume.
 
-use crate::data::{decode_bundle, encode_bundle, Piece};
 use crate::error::CollectiveError;
 use crate::schedule::{
     self, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
 use hbsplib::TreeEnquiry;
 use std::sync::Arc;
-
-const TAG_A2A: u32 = 0x6E01;
-
-/// The all-to-all program. `blocks[i][j]` is the payload processor `i`
-/// sends to processor `j` (the diagonal stays local).
-pub struct AllToAll {
-    blocks: Arc<Vec<Vec<Vec<u32>>>>,
-}
-
-impl AllToAll {
-    /// Exchange `blocks` (`blocks[i][j]` from `i` to `j`; must be
-    /// `p × p`).
-    pub fn new(blocks: Arc<Vec<Vec<Vec<u32>>>>) -> Self {
-        AllToAll { blocks }
-    }
-}
-
-impl SpmdProgram for AllToAll {
-    /// `state[i]` = the block received from processor `i`.
-    type State = Vec<Vec<u32>>;
-
-    fn init(&self, env: &ProcEnv) -> Vec<Vec<u32>> {
-        vec![Vec::new(); env.nprocs]
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<Vec<u32>>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        let me = env.pid.rank();
-        match step {
-            0 => {
-                for j in 0..env.nprocs {
-                    if j == me {
-                        state[me] = self.blocks[me][me].clone();
-                    } else {
-                        let piece = Piece {
-                            offset: me as u32,
-                            items: self.blocks[me][j].clone(),
-                        };
-                        ctx.send(ProcId(j as u32), TAG_A2A, &encode_bundle(&[piece]));
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                for m in ctx.messages() {
-                    for piece in decode_bundle(m.payload).expect("own wire format") {
-                        state[piece.offset as usize] = piece.items;
-                    }
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
-
-/// Wire format for staged blocks: piece offset encodes
-/// `src_rank * p + dst_rank` so any relay can recover the endpoints.
-fn pack_block(p: usize, src: usize, dst: usize, items: &[u32]) -> Piece {
-    Piece {
-        offset: (src * p + dst) as u32,
-        items: items.to_vec(),
-    }
-}
-
-/// The staged (HBSP^2) personalized all-to-all.
-pub struct HierarchicalAllToAll {
-    blocks: Arc<Vec<Vec<Vec<u32>>>>,
-}
-
-impl HierarchicalAllToAll {
-    /// Exchange `blocks` (`blocks[i][j]` from `i` to `j`) through the
-    /// level-1 cluster coordinators.
-    pub fn new(blocks: Arc<Vec<Vec<Vec<u32>>>>) -> Self {
-        HierarchicalAllToAll { blocks }
-    }
-}
-
-impl SpmdProgram for HierarchicalAllToAll {
-    /// `state[i]` = the block received from processor `i`.
-    type State = Vec<Vec<u32>>;
-
-    fn init(&self, env: &ProcEnv) -> Vec<Vec<u32>> {
-        vec![Vec::new(); env.nprocs]
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<Vec<u32>>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        use hbsplib::TreeEnquiry;
-        let tree = &env.tree;
-        let p = env.nprocs;
-        let me = env.pid.rank();
-        let my_coord = tree.coordinator_of(env.pid, 1);
-        let members = tree.cluster_members(env.pid, 1);
-        match step {
-            // Stage 1 (super¹-step): local blocks go direct; foreign
-            // blocks go to my coordinator.
-            0 => {
-                for j in 0..p {
-                    let dst = ProcId(j as u32);
-                    if j == me {
-                        state[me] = self.blocks[me][me].clone();
-                    } else if members.contains(&dst) {
-                        let piece = pack_block(p, me, j, &self.blocks[me][j]);
-                        ctx.send(dst, TAG_A2A, &encode_bundle(&[piece]));
-                    } else if env.pid == my_coord {
-                        // Coordinator keeps its own foreign blocks for
-                        // stage 2 — no self-send.
-                    } else {
-                        let piece = pack_block(p, me, j, &self.blocks[me][j]);
-                        ctx.send(my_coord, TAG_A2A, &encode_bundle(&[piece]));
-                    }
-                }
-                StepOutcome::Continue(SyncScope::Level(1))
-            }
-            // Stage 2 (super²-step): coordinators bundle by destination
-            // cluster and exchange one message per peer coordinator.
-            1 => {
-                let mut foreign: Vec<Piece> = Vec::new();
-                for m in ctx.messages() {
-                    for piece in decode_bundle(m.payload).expect("own wire format") {
-                        let dst = piece.offset as usize % p;
-                        if members.contains(&ProcId(dst as u32)) {
-                            // A local block delivered directly in stage 1.
-                            let src = piece.offset as usize / p;
-                            state[src] = piece.items;
-                        } else {
-                            foreign.push(piece);
-                        }
-                    }
-                }
-                if env.pid == my_coord {
-                    // Add the coordinator's own foreign blocks.
-                    for j in 0..p {
-                        let dst = ProcId(j as u32);
-                        if j != me && !members.contains(&dst) {
-                            foreign.push(pack_block(p, me, j, &self.blocks[me][j]));
-                        }
-                    }
-                    // Bundle per destination coordinator.
-                    let coords = tree.level_coordinators(1);
-                    for &peer in &coords {
-                        if peer == env.pid {
-                            continue;
-                        }
-                        let peer_members = tree.cluster_members(peer, 1);
-                        let bundle: Vec<Piece> = foreign
-                            .iter()
-                            .filter(|pc| {
-                                peer_members.contains(&ProcId((pc.offset as usize % p) as u32))
-                            })
-                            .cloned()
-                            .collect();
-                        if !bundle.is_empty() {
-                            ctx.send(peer, TAG_A2A, &encode_bundle(&bundle));
-                        }
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(tree))
-            }
-            // Stage 3 (super¹-step): coordinators fan incoming bundles
-            // out to their cluster members.
-            2 => {
-                let incoming: Vec<Piece> = ctx
-                    .messages()
-                    .iter()
-                    .flat_map(|m| decode_bundle(m.payload).expect("own wire format"))
-                    .collect();
-                for piece in incoming {
-                    let src = piece.offset as usize / p;
-                    let dst = piece.offset as usize % p;
-                    if dst == me {
-                        state[src] = piece.items;
-                    } else {
-                        ctx.send(ProcId(dst as u32), TAG_A2A, &encode_bundle(&[piece]));
-                    }
-                }
-                StepOutcome::Continue(SyncScope::Level(1))
-            }
-            // Final drain.
-            _ => {
-                for m in ctx.messages() {
-                    for piece in decode_bundle(m.payload).expect("own wire format") {
-                        let src = piece.offset as usize / p;
-                        state[src] = piece.items;
-                    }
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
 
 /// The unit id of the block `src → dst` in a `p`-processor exchange:
 /// block ids are `src·p + dst`.

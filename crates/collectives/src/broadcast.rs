@@ -11,28 +11,23 @@
 //!
 //! — and the HBSP^2 algorithm: distribute across the top level (one- or
 //! two-phase among the cluster coordinators), then run the HBSP^1
-//! broadcast inside every cluster. [`HierarchicalBroadcast`] generalizes
-//! that to any HBSP^k machine, top-down one level at a time.
+//! broadcast inside every cluster. [`lower_hierarchical_broadcast`]
+//! generalizes that to any HBSP^k machine, top-down one level at a time.
 //!
 //! The paper's conclusion — broadcast *cannot* exploit heterogeneity
 //! because the slowest machine must receive all `n` items — falls out of
 //! the simulation; see experiments E3/E4.
 
-use crate::data::{decode_bundle, encode_bundle, partition_for, reassemble, Piece};
+use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{PhasePolicy, RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
     self, rep_of, share_unit, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep,
     Transfer, UnitId,
 };
-use hbsp_core::{
-    apportion, Level, MachineTree, NodeIdx, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
-    SyncScope,
-};
+use hbsp_core::{apportion, Level, MachineTree, NodeIdx, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
 use std::sync::Arc;
-
-const TAG_BCAST: u32 = 0x6B01;
 
 /// Configuration of a broadcast run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,33 +107,6 @@ impl BroadcastPlan {
     }
 }
 
-/// Per-processor broadcast state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BroadcastState {
-    /// The full array, once this processor has it.
-    pub full: Option<Vec<u32>>,
-    /// The piece assigned to this processor by a two-phase scatter.
-    assigned: Option<Piece>,
-    /// Pieces accumulated toward `full`.
-    partial: Vec<Piece>,
-}
-
-impl BroadcastState {
-    fn absorb(&mut self, ctx: &dyn SpmdContext, n: usize) {
-        for m in ctx.messages() {
-            self.partial
-                .extend(decode_bundle(m.payload).expect("own wire format"));
-        }
-        if self.full.is_none() {
-            let have: usize = self.partial.iter().map(Piece::len).sum();
-            if have == n {
-                self.full = Some(reassemble(&self.partial));
-                self.partial.clear();
-            }
-        }
-    }
-}
-
 fn piece_weights(tree: &MachineTree, members: &[ProcId], workload: WorkloadPolicy) -> Vec<f64> {
     match workload {
         WorkloadPolicy::Equal => vec![1.0; members.len()],
@@ -153,137 +121,6 @@ fn piece_weights(tree: &MachineTree, members: &[ProcId], workload: WorkloadPolic
                 (p.speed / p.r).sqrt()
             })
             .collect(),
-    }
-}
-
-fn split_full(full: &[u32], weights: &[f64]) -> Vec<Piece> {
-    let shares = apportion(full.len() as u64, weights);
-    let mut out = Vec::with_capacity(shares.len());
-    let mut off = 0usize;
-    for s in shares {
-        out.push(Piece {
-            offset: off as u32,
-            items: full[off..off + s as usize].to_vec(),
-        });
-        off += s as usize;
-    }
-    out
-}
-
-/// §4.4's flat (HBSP^1) broadcast, one- or two-phase.
-pub struct FlatBroadcast {
-    root: ProcId,
-    phase: PhasePolicy,
-    workload: WorkloadPolicy,
-    items: Arc<Vec<u32>>,
-}
-
-impl FlatBroadcast {
-    /// Broadcast `items` from `root` to every processor.
-    pub fn new(
-        root: ProcId,
-        phase: PhasePolicy,
-        workload: WorkloadPolicy,
-        items: Arc<Vec<u32>>,
-    ) -> Self {
-        FlatBroadcast {
-            root,
-            phase,
-            workload,
-            items,
-        }
-    }
-}
-
-impl SpmdProgram for FlatBroadcast {
-    type State = BroadcastState;
-
-    fn init(&self, env: &ProcEnv) -> BroadcastState {
-        BroadcastState {
-            full: (env.pid == self.root).then(|| self.items.as_ref().clone()),
-            assigned: None,
-            partial: Vec::new(),
-        }
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut BroadcastState,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        let n = self.items.len();
-        state.absorb(ctx, n);
-        let everyone: Vec<ProcId> = (0..env.nprocs).map(|i| ProcId(i as u32)).collect();
-        match (self.phase, step) {
-            (PhasePolicy::OnePhase, 0) => {
-                if env.pid == self.root {
-                    let full = state.full.as_ref().expect("root holds the data");
-                    let bundle = encode_bundle(&[Piece {
-                        offset: 0,
-                        items: full.clone(),
-                    }]);
-                    for &q in &everyone {
-                        if q != env.pid {
-                            ctx.send(q, TAG_BCAST, &bundle);
-                        }
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            (PhasePolicy::TwoPhase, 0) => {
-                if env.pid == self.root {
-                    let full = state.full.as_ref().expect("root holds the data");
-                    let weights = piece_weights(&env.tree, &everyone, self.workload);
-                    let pieces = split_full(full, &weights);
-                    for (piece, &q) in pieces.into_iter().zip(&everyone) {
-                        if q == env.pid {
-                            state.assigned = Some(piece);
-                        } else {
-                            ctx.send(q, TAG_BCAST, &encode_bundle(&[piece]));
-                        }
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            (PhasePolicy::TwoPhase, 1) => {
-                // Second phase: everyone redistributes its piece. Take
-                // it from this step's scatter message directly — when a
-                // piece alone completes the array (tiny n), `absorb`
-                // already folded partial into `full` and cleared it, so
-                // `partial` is not a reliable source.
-                if state.assigned.is_none() {
-                    state.assigned = ctx
-                        .messages()
-                        .iter()
-                        .flat_map(|m| decode_bundle(m.payload).expect("own wire format"))
-                        .next();
-                }
-                if let Some(piece) = state.assigned.clone() {
-                    if state.full.is_none()
-                        && state.partial.iter().all(|p| p.offset != piece.offset)
-                    {
-                        state.partial.push(piece.clone());
-                    }
-                    let bundle = encode_bundle(&[piece]);
-                    for &q in &everyone {
-                        if q != env.pid {
-                            ctx.send(q, TAG_BCAST, &bundle);
-                        }
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                // Final drain already happened in absorb().
-                debug_assert!(state.full.is_some() || n == 0);
-                if n == 0 {
-                    state.full.get_or_insert_with(Vec::new);
-                }
-                StepOutcome::Done
-            }
-        }
     }
 }
 
@@ -306,39 +143,7 @@ impl Stage {
     }
 }
 
-/// The HBSP^k broadcast: distribute from the machine's fastest
-/// processor down the hierarchy, one level at a time.
-pub struct HierarchicalBroadcast {
-    top_phase: PhasePolicy,
-    cluster_phase: PhasePolicy,
-    workload: WorkloadPolicy,
-    items: Arc<Vec<u32>>,
-}
-
-impl HierarchicalBroadcast {
-    /// Broadcast `items` from the machine's fastest processor.
-    pub fn new(
-        top_phase: PhasePolicy,
-        cluster_phase: PhasePolicy,
-        workload: WorkloadPolicy,
-        items: Arc<Vec<u32>>,
-    ) -> Self {
-        HierarchicalBroadcast {
-            top_phase,
-            cluster_phase,
-            workload,
-            items,
-        }
-    }
-
-    /// The per-level stage schedule, top level first.
-    fn schedule(&self, k: Level) -> Vec<Stage> {
-        stage_schedule(k, self.top_phase, self.cluster_phase)
-    }
-}
-
-/// The hierarchical broadcast's distribution stages, top level first —
-/// shared by the legacy program and the schedule lowering.
+/// The hierarchical broadcast's distribution stages, top level first.
 fn stage_schedule(k: Level, top_phase: PhasePolicy, cluster_phase: PhasePolicy) -> Vec<Stage> {
     let mut stages = Vec::new();
     for level in (1..=k).rev() {
@@ -357,133 +162,8 @@ fn stage_schedule(k: Level, top_phase: PhasePolicy, cluster_phase: PhasePolicy) 
 /// The processors coordinating the children of `cluster`, in child
 /// order (deduplicated — a processor can represent several levels).
 fn child_reps(tree: &MachineTree, cluster: NodeIdx) -> Vec<ProcId> {
-    tree.node(cluster)
-        .children()
-        .iter()
-        .map(|&c| {
-            tree.node(tree.node(c).representative())
-                .proc_id()
-                .expect("leaf")
-        })
-        .collect()
-}
-
-impl SpmdProgram for HierarchicalBroadcast {
-    type State = BroadcastState;
-
-    fn init(&self, env: &ProcEnv) -> BroadcastState {
-        BroadcastState {
-            full: (env.pid == env.tree.fastest_proc()).then(|| self.items.as_ref().clone()),
-            assigned: None,
-            partial: Vec::new(),
-        }
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut BroadcastState,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        let tree = &env.tree;
-        let n = self.items.len();
-        state.absorb(ctx, n);
-        let stages = self.schedule(tree.height());
-        if step >= stages.len() {
-            if n == 0 {
-                state.full.get_or_insert_with(Vec::new);
-            }
-            debug_assert!(
-                state.full.is_some(),
-                "broadcast must complete at every leaf"
-            );
-            return StepOutcome::Done;
-        }
-        let stage = stages[step];
-        let level = stage.level();
-        let my_leaf = tree.leaves()[env.pid.rank()];
-        let my_cluster = tree.ancestor_at_level(my_leaf, level).unwrap_or(my_leaf);
-        match stage {
-            Stage::Full(_) => {
-                // Distributor: the coordinator of a level-`level`
-                // cluster, holding the data, sends it whole to each
-                // child coordinator.
-                if tree.node(my_cluster).representative() == my_leaf {
-                    if let Some(full) = &state.full {
-                        let bundle = encode_bundle(&[Piece {
-                            offset: 0,
-                            items: full.clone(),
-                        }]);
-                        for q in child_reps(tree, my_cluster) {
-                            if q != env.pid {
-                                ctx.send(q, TAG_BCAST, &bundle);
-                            }
-                        }
-                    }
-                }
-            }
-            Stage::Scatter(_) => {
-                if tree.node(my_cluster).representative() == my_leaf {
-                    if let Some(full) = &state.full {
-                        let reps = child_reps(tree, my_cluster);
-                        if !reps.is_empty() {
-                            let weights = piece_weights(tree, &reps, self.workload);
-                            let pieces = split_full(full, &weights);
-                            for (piece, &q) in pieces.into_iter().zip(&reps) {
-                                if q == env.pid {
-                                    state.assigned = Some(piece);
-                                } else {
-                                    ctx.send(q, TAG_BCAST, &encode_bundle(&[piece]));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Stage::AllGather(_) => {
-                // Participants: the child coordinators of this cluster.
-                let reps = child_reps(tree, my_cluster);
-                if reps.contains(&env.pid) {
-                    if state.assigned.is_none() {
-                        // From the scatter message directly (see the flat
-                        // two-phase variant for why `partial` can't be
-                        // trusted here).
-                        state.assigned = ctx
-                            .messages()
-                            .iter()
-                            .flat_map(|m| decode_bundle(m.payload).expect("own wire format"))
-                            .next();
-                    }
-                    if let Some(piece) = state.assigned.take() {
-                        if state.full.is_none()
-                            && state
-                                .partial
-                                .iter()
-                                .all(|p| p.offset != piece.offset || p.len() != piece.len())
-                        {
-                            state.partial.push(piece.clone());
-                        }
-                        let bundle = encode_bundle(&[piece]);
-                        for &q in &reps {
-                            if q != env.pid {
-                                ctx.send(q, TAG_BCAST, &bundle);
-                            }
-                        }
-                    }
-                    // Re-check completion with the own piece counted.
-                    if state.full.is_none() {
-                        let have: usize = state.partial.iter().map(Piece::len).sum();
-                        if have == n {
-                            state.full = Some(reassemble(&state.partial));
-                            state.partial.clear();
-                        }
-                    }
-                }
-            }
-        }
-        StepOutcome::Continue(SyncScope::Level(level))
-    }
+    let children = tree.node(cluster).children();
+    children.iter().map(|&c| rep_of(tree, c)).collect()
 }
 
 /// The scatter units a two-phase stage deals to `reps`: `n` items

@@ -8,14 +8,14 @@
 //! bundle upward, so only one (fast) machine per cluster talks across
 //! the expensive high-level links.
 
-use crate::data::{decode_bundle, encode_bundle, partition_for, Piece};
+use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
     self, rep_of, subtree_units, CommSchedule, Role, ScheduleProgram, ScheduleStep, Transfer,
     UnitId,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
 use std::sync::Arc;
 
@@ -177,143 +177,6 @@ pub fn lower_hierarchical_gather(
     }
     sched.push(ScheduleStep::drain());
     sched
-}
-
-/// Per-processor gather state: the pieces currently held.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GatherState {
-    held: Vec<Piece>,
-}
-
-impl GatherState {
-    /// The pieces this processor currently holds (origin-tagged).
-    pub fn pieces(&self) -> &[Piece] {
-        &self.held
-    }
-}
-
-/// §4.2's flat gather: one superstep of direct sends to the root.
-pub struct FlatGather {
-    root: ProcId,
-    shares: Arc<Vec<Piece>>,
-}
-
-impl FlatGather {
-    /// Gather to `root`; `shares[rank]` is each processor's initial
-    /// piece.
-    pub fn new(root: ProcId, shares: Arc<Vec<Piece>>) -> Self {
-        FlatGather { root, shares }
-    }
-}
-
-const TAG_GATHER: u32 = 0x6A01;
-
-impl SpmdProgram for FlatGather {
-    type State = GatherState;
-
-    fn init(&self, env: &ProcEnv) -> GatherState {
-        GatherState {
-            held: vec![self.shares[env.pid.rank()].clone()],
-        }
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut GatherState,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        match step {
-            0 => {
-                if env.pid != self.root {
-                    // "A processor does not send data to itself" (§5.2):
-                    // only non-roots transmit; the root's own share stays
-                    // put.
-                    let piece = state.held.remove(0);
-                    ctx.send(self.root, TAG_GATHER, &encode_bundle(&[piece]));
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                if env.pid == self.root {
-                    for m in ctx.messages() {
-                        state
-                            .held
-                            .extend(decode_bundle(m.payload).expect("own wire format"));
-                    }
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
-
-/// §4.3's hierarchical gather generalized to HBSP^k: at super^i-step
-/// `i`, the coordinator of every level-(i−1) machine forwards its
-/// accumulated bundle to its level-`i` coordinator.
-pub struct HierarchicalGather {
-    shares: Arc<Vec<Piece>>,
-}
-
-impl HierarchicalGather {
-    /// Gather to the machine's fastest processor via the cluster
-    /// coordinators.
-    pub fn new(shares: Arc<Vec<Piece>>) -> Self {
-        HierarchicalGather { shares }
-    }
-}
-
-impl SpmdProgram for HierarchicalGather {
-    type State = GatherState;
-
-    fn init(&self, env: &ProcEnv) -> GatherState {
-        GatherState {
-            held: vec![self.shares[env.pid.rank()].clone()],
-        }
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut GatherState,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        let tree = &env.tree;
-        let k = tree.height();
-        // Absorb whatever arrived from the previous level.
-        for m in ctx.messages() {
-            state
-                .held
-                .extend(decode_bundle(m.payload).expect("own wire format"));
-        }
-        if step as u32 >= k {
-            return StepOutcome::Done;
-        }
-        let level = step as u32 + 1; // this super^level-step
-        let my_leaf = tree.leaves()[env.pid.rank()];
-        // The machine I currently speak for: my ancestor on level-1 of
-        // this step (or myself, if I sit above it).
-        let unit = tree
-            .ancestor_at_level(my_leaf, level - 1)
-            .unwrap_or(my_leaf);
-        let i_am_coordinator = tree.node(unit).representative() == my_leaf;
-        if i_am_coordinator {
-            let dest_cluster = tree
-                .ancestor_at_level(my_leaf, level)
-                .expect("every processor has an ancestor at each level up to k");
-            let dest = tree
-                .node(tree.node(dest_cluster).representative())
-                .proc_id()
-                .expect("representative is a leaf");
-            if dest != env.pid {
-                let bundle = std::mem::take(&mut state.held);
-                ctx.send(dest, TAG_GATHER, &encode_bundle(&bundle));
-            }
-        }
-        StepOutcome::Continue(SyncScope::Level(level))
-    }
 }
 
 /// Outcome of a simulated gather.

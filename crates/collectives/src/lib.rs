@@ -3,8 +3,8 @@
 //! The paper's Section 4 designs two collectives under the HBSP^k model —
 //! **gather** and **one-to-all broadcast** — and defers a larger suite to
 //! the companion dissertation \[20\]. This crate implements all of them as
-//! [`hbsp_core::SpmdProgram`]s runnable on either engine, each with an
-//! analytic cost prediction mirroring the paper's formulas:
+//! lowerings to one schedule IR, run by one interpreter on either
+//! engine and priced by one formula mirroring the paper's:
 //!
 //! | module | operation | paper |
 //! |---|---|---|
@@ -23,7 +23,12 @@
 //! ([`schedule::CommSchedule`]): the same artifact is executed by the
 //! generic [`schedule::ScheduleProgram`] interpreter on either engine,
 //! priced by [`predict::predict`], and compared by [`tune`] — so the
-//! implementation and its cost model cannot drift apart.
+//! implementation and its cost model cannot drift apart. The
+//! interpreter is the crate's only [`hbsp_core::SpmdProgram`]; the root
+//! package's tests pin it to sequential semantics
+//! (`collectives_correctness.rs`), to the paper's closed forms, and to
+//! simulated times and message counts frozen from the hand-written
+//! programs it replaced (`schedule_equivalence.rs`).
 //!
 //! The paper's two design rules run through every algorithm:
 //!

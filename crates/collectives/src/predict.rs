@@ -155,11 +155,12 @@ mod tests {
 
     #[test]
     fn closed_form_matches_model_evaluator_on_the_real_program() {
-        // Price the *actual* FlatGather program with the generic model
-        // evaluator: it must reproduce the §4.2 closed form exactly
-        // (same h-relation, same L), for every plan.
-        use crate::data::shares_for;
-        use crate::gather::FlatGather;
+        // Price the program that actually runs — the interpreter over
+        // the lowered schedule — with the generic model evaluator: it
+        // must reproduce the §4.2 closed form (same h-relation up to
+        // wire headers, same L), for every plan.
+        use crate::gather::lower_flat_gather;
+        use crate::schedule::{share_inits, ScheduleProgram};
         use hbsp_sim::ModelEvaluator;
         use std::sync::Arc;
 
@@ -173,10 +174,12 @@ mod tests {
         for workload in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
             for root in [ProcId(0), ProcId(3)] {
                 let closed = gather_flat(&t, items.len() as u64, root, workload);
-                let shares = Arc::new(shares_for(&t, &items, workload));
-                let program_cost = ModelEvaluator::new(Arc::new(t.clone()))
-                    .run(&FlatGather::new(root, shares))
-                    .unwrap();
+                let prog = ScheduleProgram::new(
+                    Arc::new(lower_flat_gather(&t, items.len() as u64, root, workload)),
+                    Arc::new(share_inits(&t, &items, workload)),
+                    None,
+                );
+                let program_cost = ModelEvaluator::new(Arc::new(t.clone())).run(&prog).unwrap();
                 // The program's first superstep carries the whole cost;
                 // its payload includes 3 bundle-header words per sender,
                 // weighted by the slowest participant's r — allow that

@@ -10,12 +10,9 @@ use crate::plan::{RootPolicy, Strategy};
 use crate::schedule::{
     self, rep_of, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use hbsplib::codec;
 use std::sync::Arc;
-
-const TAG_REDUCE: u32 = 0x6F01;
 
 /// The elementwise combining operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,128 +58,9 @@ impl ReduceOp {
 /// model's `w` term).
 const COMBINE_COST: f64 = 1.0;
 
-/// Flat reduce: every processor sends its vector to the root, which
-/// combines all of them.
-pub struct FlatReduce {
-    root: ProcId,
-    op: ReduceOp,
-    vectors: Arc<Vec<Vec<u32>>>,
-}
-
-impl FlatReduce {
-    /// Reduce `vectors[rank]` to `root` with `op`.
-    pub fn new(root: ProcId, op: ReduceOp, vectors: Arc<Vec<Vec<u32>>>) -> Self {
-        FlatReduce { root, op, vectors }
-    }
-}
-
-impl SpmdProgram for FlatReduce {
-    type State = Vec<u32>;
-
-    fn init(&self, env: &ProcEnv) -> Vec<u32> {
-        self.vectors[env.pid.rank()].clone()
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<u32>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        match step {
-            0 => {
-                if env.pid != self.root {
-                    ctx.send(self.root, TAG_REDUCE, &codec::encode_u32s(state));
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                if env.pid == self.root {
-                    let incoming: Vec<Vec<u32>> = ctx
-                        .messages()
-                        .iter()
-                        .map(|m| codec::decode_u32s(m.payload))
-                        .collect();
-                    for v in incoming {
-                        ctx.charge(v.len() as f64 * COMBINE_COST);
-                        self.op.fold_into(state, &v);
-                    }
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
-
-/// Hierarchical reduce: combine at each cluster coordinator, one
-/// super^i-step per level, ending at the machine's fastest processor.
-pub struct HierarchicalReduce {
-    op: ReduceOp,
-    vectors: Arc<Vec<Vec<u32>>>,
-}
-
-impl HierarchicalReduce {
-    /// Reduce `vectors[rank]` with `op` to the machine's fastest
-    /// processor.
-    pub fn new(op: ReduceOp, vectors: Arc<Vec<Vec<u32>>>) -> Self {
-        HierarchicalReduce { op, vectors }
-    }
-}
-
-impl SpmdProgram for HierarchicalReduce {
-    type State = Vec<u32>;
-
-    fn init(&self, env: &ProcEnv) -> Vec<u32> {
-        self.vectors[env.pid.rank()].clone()
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<u32>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        let tree = &env.tree;
-        let k = tree.height();
-        // Fold in whatever arrived from the level below.
-        let incoming: Vec<Vec<u32>> = ctx
-            .messages()
-            .iter()
-            .map(|m| codec::decode_u32s(m.payload))
-            .collect();
-        for v in incoming {
-            ctx.charge(v.len() as f64 * COMBINE_COST);
-            self.op.fold_into(state, &v);
-        }
-        if step as u32 >= k {
-            return StepOutcome::Done;
-        }
-        let level = step as u32 + 1;
-        let my_leaf = tree.leaves()[env.pid.rank()];
-        let unit = tree
-            .ancestor_at_level(my_leaf, level - 1)
-            .unwrap_or(my_leaf);
-        if tree.node(unit).representative() == my_leaf {
-            let dest_cluster = tree
-                .ancestor_at_level(my_leaf, level)
-                .expect("ancestors exist up to the root");
-            let dest = tree
-                .node(tree.node(dest_cluster).representative())
-                .proc_id()
-                .expect("leaf");
-            if dest != env.pid {
-                ctx.send(dest, TAG_REDUCE, &codec::encode_u32s(state));
-            }
-        }
-        StepOutcome::Continue(SyncScope::Level(level))
-    }
-}
-
 /// Flat reduce as a schedule: one global superstep of partial vectors
 /// to the root, whose combining work is charged on the drain step
-/// (where the hand-written program folds them).
+/// (where the root folds them).
 pub fn lower_flat_reduce(tree: &MachineTree, veclen: u64, root: ProcId) -> CommSchedule {
     let mut step = ScheduleStep::at(SyncScope::global(tree));
     let mut senders = 0u64;

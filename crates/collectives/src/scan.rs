@@ -9,72 +9,14 @@ use crate::reduce::ReduceOp;
 use crate::schedule::{
     self, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use hbsplib::codec;
 use std::sync::Arc;
-
-const TAG_SCAN: u32 = 0x7001;
-
-/// The scan program.
-pub struct Scan {
-    op: ReduceOp,
-    vectors: Arc<Vec<Vec<u32>>>,
-}
-
-impl Scan {
-    /// Scan `vectors[rank]` with `op`.
-    pub fn new(op: ReduceOp, vectors: Arc<Vec<Vec<u32>>>) -> Self {
-        Scan { op, vectors }
-    }
-}
-
-impl SpmdProgram for Scan {
-    type State = Vec<u32>;
-
-    fn init(&self, env: &ProcEnv) -> Vec<u32> {
-        self.vectors[env.pid.rank()].clone()
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<u32>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        match step {
-            0 => {
-                for j in env.pid.rank() + 1..env.nprocs {
-                    ctx.send(ProcId(j as u32), TAG_SCAN, &codec::encode_u32s(state));
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                // Fold contributions from all lower ranks. Order doesn't
-                // matter for the supported ops (all commutative and
-                // associative), but fold in rank order anyway for
-                // reproducibility under future non-commutative ops.
-                let mut contribs: Vec<(ProcId, Vec<u32>)> = ctx
-                    .messages()
-                    .iter()
-                    .map(|m| (m.src, codec::decode_u32s(m.payload)))
-                    .collect();
-                contribs.sort_by_key(|(src, _)| *src);
-                for (_, v) in contribs {
-                    ctx.charge(v.len() as f64);
-                    self.op.fold_into(state, &v);
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
 
 /// The direct BSP scan as a schedule: one global superstep where every
 /// rank sends its partial vector to all higher ranks; rank `j`'s
-/// `j·veclen` folding work is charged on the drain step, where the
-/// hand-written program folds its contributions.
+/// `j·veclen` folding work is charged on the drain step, where it
+/// folds its contributions.
 pub fn lower_scan(tree: &MachineTree, veclen: u64) -> CommSchedule {
     let p = tree.num_procs();
     let mut step = ScheduleStep::at(SyncScope::global(tree));

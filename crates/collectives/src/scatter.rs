@@ -2,73 +2,15 @@
 //! processor (the first phase of the two-phase broadcast, as its own
 //! collective — part of the suite the paper defers to \[20\]).
 
-use crate::data::{decode_bundle, encode_bundle, partition_for, Piece};
+use crate::data::{partition_for, Piece};
 use crate::error::CollectiveError;
 use crate::plan::{RootPolicy, WorkloadPolicy};
 use crate::schedule::{
     self, share_unit, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
 };
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::{NetConfig, SimOutcome, Simulator};
 use std::sync::Arc;
-
-const TAG_SCATTER: u32 = 0x6C01;
-
-/// The hand-written scatter program, kept as the reference
-/// implementation the schedule interpreter is property-tested against.
-pub struct Scatter {
-    root: ProcId,
-    /// `shares[rank]` — the piece destined for each processor.
-    shares: Arc<Vec<Piece>>,
-}
-
-impl Scatter {
-    /// Scatter `shares` from `root` (`shares[j]` goes to rank `j`).
-    pub fn new(root: ProcId, shares: Arc<Vec<Piece>>) -> Self {
-        Scatter { root, shares }
-    }
-}
-
-impl SpmdProgram for Scatter {
-    type State = Option<Piece>;
-
-    fn init(&self, env: &ProcEnv) -> Option<Piece> {
-        (env.pid == self.root).then(|| self.shares[env.pid.rank()].clone())
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Option<Piece>,
-        ctx: &mut dyn SpmdContext,
-    ) -> StepOutcome {
-        match step {
-            0 => {
-                if env.pid == self.root {
-                    for (j, piece) in self.shares.iter().enumerate() {
-                        let q = ProcId(j as u32);
-                        if q != env.pid {
-                            ctx.send(q, TAG_SCATTER, &encode_bundle(std::slice::from_ref(piece)));
-                        }
-                    }
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            }
-            _ => {
-                if env.pid != self.root {
-                    let mut pieces = Vec::new();
-                    for m in ctx.messages() {
-                        pieces.extend(decode_bundle(m.payload).expect("own wire format"));
-                    }
-                    assert_eq!(pieces.len(), 1, "scatter delivers exactly one piece");
-                    *state = pieces.pop();
-                }
-                StepOutcome::Done
-            }
-        }
-    }
-}
 
 /// Lower a scatter of `n` items from `root` to a schedule: one global
 /// superstep of root → processor share bundles, then the drain.

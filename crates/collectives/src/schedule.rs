@@ -24,6 +24,7 @@ use crate::data::{decode_bundle, encode_bundle, shares_for, DecodeError, Piece};
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
+use crate::tune::{CollectiveKind, PlanChoice};
 use hbsp_core::{
     HRelation, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
     StepOutcome, SyncScope,
@@ -53,8 +54,8 @@ impl UnitId {
     }
 }
 
-/// What a transfer's payload is, so the interpreter can materialize the
-/// exact bytes the hand-written collectives used to send.
+/// What a transfer's payload is, so the interpreter can materialize
+/// the message bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Role {
     /// One unit on the wire as `[offset, items…]` ([`Piece::encode`]).
@@ -212,6 +213,60 @@ pub fn share_inits(tree: &MachineTree, items: &[u32], workload: WorkloadPolicy) 
         .collect()
 }
 
+/// Deterministic initial holdings for `plan` moving `n` words on
+/// `tree`, generated from `seed`, plus the [`ReduceOp`] its schedule
+/// needs (wrapping sum for reduce/scan). Same seed, same words — on
+/// either engine and across re-lowerings — so job graphs and adaptive
+/// runs replay bit-identically.
+pub fn seeded_inits(
+    tree: &MachineTree,
+    plan: &PlanChoice,
+    n: u64,
+    seed: u64,
+) -> (Vec<ProcInit>, Option<ReduceOp>) {
+    let words = |seed: u64| -> Vec<u32> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 32) as u32
+            })
+            .collect()
+    };
+    let p = tree.num_procs();
+    let mut init = vec![ProcInit::default(); p];
+    let mut op = None;
+    match plan.kind {
+        CollectiveKind::Gather | CollectiveKind::Allgather => {
+            init = share_inits(tree, &words(seed), plan.workload);
+        }
+        CollectiveKind::Broadcast | CollectiveKind::Scatter => {
+            let root = plan.root.expect("rooted collective resolves a root");
+            init[root.rank()]
+                .units
+                .push((UnitId::new(0, n as u32), words(seed)));
+        }
+        CollectiveKind::Alltoall => {
+            for (src, pi) in init.iter_mut().enumerate() {
+                for dst in (0..p).filter(|&dst| dst != src) {
+                    let block = (src * p + dst) as u64;
+                    pi.units
+                        .push((UnitId::new(block as u32, n as u32), words(seed ^ block)));
+                }
+            }
+        }
+        CollectiveKind::Reduce | CollectiveKind::Scan => {
+            for (rank, pi) in init.iter_mut().enumerate() {
+                pi.acc = Some(words(seed ^ rank as u64));
+            }
+            op = Some(ReduceOp::Sum);
+        }
+    }
+    (init, op)
+}
+
 /// A processor's data before the first superstep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcInit {
@@ -289,8 +344,8 @@ impl ScheduleState {
     }
 
     fn absorb(&mut self, op: Option<ReduceOp>, messages: &hbsp_core::MsgBatch) {
-        // Partials fold in src order for determinism (all ops are
-        // commutative, but keep the legacy programs' order anyway).
+        // Partials fold in src order, so a future non-commutative op
+        // stays deterministic (today's ops are all commutative).
         let mut partials: Vec<(ProcId, Vec<u32>)> = Vec::new();
         for m in messages {
             match m.tag {

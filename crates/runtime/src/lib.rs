@@ -21,7 +21,8 @@
 //!
 //! bit for bit — the cross-engine agreement tests in `/tests` rely on
 //! this. On top of that it reports real wall-clock duration, which is
-//! what the `criterion` benches measure.
+//! what the `engine_overhead` bench and the repository benchmark
+//! (`benchmark/`) measure.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

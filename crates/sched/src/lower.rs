@@ -2,7 +2,7 @@
 //! plan, generate the job's deterministic input data, and build the
 //! initial holdings the collective's schedule expects.
 //!
-//! Data is produced by a splitmix-style generator seeded from the job's
+//! Data comes from [`seeded_inits`] under a splitmix mix of the job's
 //! seed and id, so a job graph replays bit-identically on either engine
 //! and across serial/batched admission.
 
@@ -10,9 +10,9 @@ use crate::job::{Job, JobId, JobWork};
 use crate::report::SchedError;
 use hbsp_collectives::predict;
 use hbsp_collectives::reduce::ReduceOp;
-use hbsp_collectives::schedule::{share_inits, ProcInit};
+use hbsp_collectives::schedule::{seeded_inits, ProcInit};
 use hbsp_collectives::tune::best_plan;
-use hbsp_collectives::{CollectiveKind, CommSchedule, UnitId};
+use hbsp_collectives::CommSchedule;
 use hbsp_core::{Carved, NodeIdx, ProcId};
 
 /// One job lowered for the sub-tree it claimed this batch. Everything
@@ -46,19 +46,6 @@ pub(crate) fn job_seed(seed: u64, id: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `len` deterministic words from `seed`.
-pub(crate) fn words(seed: u64, len: usize) -> Vec<u32> {
-    let mut state = seed | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 32) as u32
-        })
-        .collect()
-}
-
 /// Lower `job` (with submission index `id`) onto the machine carved at
 /// `node`. The caller has already checked the sub-tree is adequate.
 pub(crate) fn lower_on(
@@ -72,40 +59,7 @@ pub(crate) fn lower_on(
         JobWork::Collective { kind, n } => {
             let plan =
                 best_plan(&carved.tree, *kind, *n).map_err(|e| SchedError::Tune(JobId(id), e))?;
-            let p = carved.tree.num_procs();
-            let n_items = *n as usize;
-            let mut init = vec![ProcInit::default(); p];
-            let mut op = None;
-            match kind {
-                CollectiveKind::Gather | CollectiveKind::Allgather => {
-                    init = share_inits(&carved.tree, &words(seed, n_items), plan.workload);
-                }
-                CollectiveKind::Broadcast | CollectiveKind::Scatter => {
-                    let root = plan.root.expect("rooted collective resolves a root");
-                    init[root.rank()]
-                        .units
-                        .push((UnitId::new(0, *n as u32), words(seed, n_items)));
-                }
-                CollectiveKind::Alltoall => {
-                    for (src, pi) in init.iter_mut().enumerate() {
-                        for dst in 0..p {
-                            if src == dst {
-                                continue;
-                            }
-                            pi.units.push((
-                                UnitId::new((src * p + dst) as u32, *n as u32),
-                                words(seed ^ ((src * p + dst) as u64), n_items),
-                            ));
-                        }
-                    }
-                }
-                CollectiveKind::Reduce | CollectiveKind::Scan => {
-                    for (rank, pi) in init.iter_mut().enumerate() {
-                        pi.acc = Some(words(seed ^ rank as u64, n_items));
-                    }
-                    op = Some(ReduceOp::Sum);
-                }
-            }
+            let (init, op) = seeded_inits(&carved.tree, &plan, *n, seed);
             Ok(LoweredJob {
                 job: id,
                 node,
