@@ -105,7 +105,7 @@ impl Program for Gossip {
         }
         for p in 0..env.nprocs {
             if p != env.pid.rank() {
-                ctx.send(ProcId(p as u32), 0, &vec![0x5A; 8]);
+                ctx.send(ProcId(p as u32), 0, &[0x5A; 8]);
             }
         }
         StepOutcome::Continue(SyncScope::global(&env.tree))
@@ -248,23 +248,20 @@ fn chaos_run(
         .faults(plan.clone())
         .recovery(RecoveryPolicy::Degrade)
         .run_recovering(|_| Ok(Gossip));
-    match recovering {
-        Ok(rec) => {
-            rec_out.recovery_events = rec.report.events.len();
-            rec_out.attempts = rec.report.attempts;
-            rec_out.steps = rec.outcome.sim.num_steps();
-            let lints = lint_machine(&rec.tree, None);
-            if !lints.is_empty() {
-                rec_out.violation = Some(format!(
-                    "degraded tree fails machine lints under plan {plan:?}: {lints:?}"
-                ));
-            } else if let Err(e) = rec.tree.validate() {
-                rec_out.violation = Some(format!("degraded tree fails validate: {e}"));
-            }
+    // A typed refusal is a verified outcome: the machine could not be
+    // degraded (or the fault was not a death), never a hang.
+    if let Ok(rec) = recovering {
+        rec_out.recovery_events = rec.report.events.len();
+        rec_out.attempts = rec.report.attempts;
+        rec_out.steps = rec.outcome.sim.num_steps();
+        let lints = lint_machine(&rec.tree, None);
+        if !lints.is_empty() {
+            rec_out.violation = Some(format!(
+                "degraded tree fails machine lints under plan {plan:?}: {lints:?}"
+            ));
+        } else if let Err(e) = rec.tree.validate() {
+            rec_out.violation = Some(format!("degraded tree fails validate: {e}"));
         }
-        // A typed refusal is a verified outcome: the machine could not
-        // be degraded (or the fault was not a death), never a hang.
-        Err(_) => {}
     }
     rec_out
 }

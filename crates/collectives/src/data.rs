@@ -11,9 +11,11 @@ use hbsp_core::{MachineTree, Partition, ProcId};
 use hbsplib::codec;
 use std::fmt;
 
-/// A malformed piece or bundle payload. Collectives surface this through
-/// their result instead of aborting the run: a truncated message is a
-/// data error, not a programming error.
+/// A data error met while running a collective: a malformed piece,
+/// bundle or partial payload, or a send whose data never arrived.
+/// Collectives surface this through their result instead of aborting
+/// the run: a truncated or lost message is a data error, not a
+/// programming error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// A piece payload without even an offset word.
@@ -26,6 +28,13 @@ pub enum DecodeError {
     TruncatedBody,
     /// A bundle carried words past its last declared piece.
     TrailingWords,
+    /// A payload whose length is not a whole number of words.
+    RaggedPayload,
+    /// A partial-reduction vector whose length differs from the
+    /// receiver's accumulator.
+    PartialLength,
+    /// A scheduled send needs items the processor never received.
+    MissingUnit,
 }
 
 impl fmt::Display for DecodeError {
@@ -36,6 +45,13 @@ impl fmt::Display for DecodeError {
             DecodeError::TruncatedHeader => write!(f, "truncated bundle header"),
             DecodeError::TruncatedBody => write!(f, "truncated bundle body"),
             DecodeError::TrailingWords => write!(f, "trailing words in bundle"),
+            DecodeError::RaggedPayload => write!(f, "payload is not a whole number of words"),
+            DecodeError::PartialLength => {
+                write!(f, "partial vector and accumulator differ in length")
+            }
+            DecodeError::MissingUnit => {
+                write!(f, "a scheduled send needs items that never arrived")
+            }
         }
     }
 }
@@ -54,21 +70,21 @@ pub struct Piece {
 impl Piece {
     /// Encode as `[offset, items…]`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut words = Vec::with_capacity(self.items.len() + 1);
-        words.push(self.offset);
-        words.extend_from_slice(&self.items);
-        codec::encode_u32s(&words)
+        let mut out = vec![0; 4 * (1 + self.items.len())];
+        let mut w = WordWriter(&mut out);
+        w.word(self.offset);
+        w.words(&self.items);
+        out
     }
 
     /// Decode from a payload produced by [`Piece::encode`].
     pub fn decode(payload: &[u8]) -> Result<Piece, DecodeError> {
-        let words = codec::decode_u32s(payload);
-        if words.is_empty() {
-            return Err(DecodeError::MissingOffset);
-        }
+        let body = whole_words(payload)?
+            .get(4..)
+            .ok_or(DecodeError::MissingOffset)?;
         Ok(Piece {
-            offset: words[0],
-            items: words[1..].to_vec(),
+            offset: word_at(payload, 0),
+            items: codec::decode_u32s(body),
         })
     }
 
@@ -89,45 +105,76 @@ impl Piece {
 /// per-message overhead is paid once per link, not once per origin.
 pub fn encode_bundle(pieces: &[Piece]) -> Vec<u8> {
     let total: usize = pieces.iter().map(|p| 2 + p.items.len()).sum();
-    let mut words = Vec::with_capacity(1 + total);
-    words.push(pieces.len() as u32);
+    let mut out = vec![0; 4 * (1 + total)];
+    let mut w = WordWriter(&mut out);
+    w.word(pieces.len() as u32);
     for p in pieces {
-        words.push(p.offset);
-        words.push(p.items.len() as u32);
-        words.extend_from_slice(&p.items);
+        w.word(p.offset);
+        w.word(p.items.len() as u32);
+        w.words(&p.items);
     }
-    codec::encode_u32s(&words)
+    out
 }
 
 /// Decode a payload produced by [`encode_bundle`].
 pub fn decode_bundle(payload: &[u8]) -> Result<Vec<Piece>, DecodeError> {
-    let words = codec::decode_u32s(payload);
-    if words.is_empty() {
+    let words = whole_words(payload)?.len() / 4;
+    if words == 0 {
         return Err(DecodeError::MissingCount);
     }
-    let count = words[0] as usize;
-    let mut out = Vec::with_capacity(count.min(words.len()));
+    let count = word_at(payload, 0) as usize;
+    let mut out = Vec::with_capacity(count.min(words));
     let mut i = 1;
     for _ in 0..count {
-        if i + 2 > words.len() {
+        if i + 2 > words {
             return Err(DecodeError::TruncatedHeader);
         }
-        let offset = words[i];
-        let len = words[i + 1] as usize;
+        let offset = word_at(payload, i);
+        let len = word_at(payload, i + 1) as usize;
         i += 2;
-        if i + len > words.len() {
+        if i + len > words {
             return Err(DecodeError::TruncatedBody);
         }
         out.push(Piece {
             offset,
-            items: words[i..i + len].to_vec(),
+            items: codec::decode_u32s(&payload[4 * i..4 * (i + len)]),
         });
         i += len;
     }
-    if i != words.len() {
+    if i != words {
         return Err(DecodeError::TrailingWords);
     }
     Ok(out)
+}
+
+/// `payload` itself if it is a whole number of little-endian words.
+pub(crate) fn whole_words(payload: &[u8]) -> Result<&[u8], DecodeError> {
+    if payload.len().is_multiple_of(4) {
+        Ok(payload)
+    } else {
+        Err(DecodeError::RaggedPayload)
+    }
+}
+
+fn word_at(payload: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(payload[4 * i..4 * i + 4].try_into().expect("four bytes"))
+}
+
+/// Cursor that serializes words straight into a wire buffer — the one
+/// writer behind [`Piece::encode`], [`encode_bundle`] and the schedule
+/// program's in-place sends.
+pub(crate) struct WordWriter<'a>(pub &'a mut [u8]);
+
+impl WordWriter<'_> {
+    pub(crate) fn word(&mut self, w: u32) {
+        self.words(&[w]);
+    }
+
+    pub(crate) fn words(&mut self, words: &[u32]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(4 * words.len());
+        codec::write_u32s(words, head);
+        self.0 = rest;
+    }
 }
 
 /// The block [`Partition`] of `n` items a workload policy induces on

@@ -3,7 +3,7 @@
 //! The paper's Section 4 designs two collectives under the HBSP^k model —
 //! **gather** and **one-to-all broadcast** — and defers a larger suite to
 //! the companion dissertation \[20\]. This crate implements all of them as
-//! lowerings to one schedule IR, run by one interpreter on either
+//! lowerings to one schedule IR, run by one compiled program on either
 //! engine and priced by one formula mirroring the paper's:
 //!
 //! | module | operation | paper |
@@ -20,11 +20,11 @@
 //! | [`tune`] | pick the cheapest strategy for a machine by predicted cost | §4.4 |
 //!
 //! Every collective is a pure *lowering* `plan → CommSchedule`
-//! ([`schedule::CommSchedule`]): the same artifact is executed by the
-//! generic [`schedule::ScheduleProgram`] interpreter on either engine,
+//! ([`schedule::CommSchedule`]): the same artifact is compiled and run
+//! by the generic [`schedule::ScheduleProgram`] on either engine,
 //! priced by [`predict::predict`], and compared by [`tune`] — so the
 //! implementation and its cost model cannot drift apart. The
-//! interpreter is the crate's only [`hbsp_core::SpmdProgram`]; the root
+//! program is the crate's only [`hbsp_core::SpmdProgram`]; the root
 //! package's tests pin it to sequential semantics
 //! (`collectives_correctness.rs`), to the paper's closed forms, and to
 //! simulated times and message counts frozen from the hand-written

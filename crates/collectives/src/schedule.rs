@@ -6,21 +6,23 @@
 //! performs. Each collective is a pure *lowering* `plan → CommSchedule`;
 //! from that one artifact the library derives
 //!
-//! - **execution**: the generic [`ScheduleProgram`] interpreter
-//!   materializes real message bytes from the transfer roles and runs
-//!   unchanged on both engines (see [`execute`]);
+//! - **execution**: [`ScheduleProgram`] compiles the schedule once into
+//!   an [`ExecPlan`] — per processor and step, its charge and its sized
+//!   send table — and runs it unchanged on both engines, writing each
+//!   payload from the local store straight into the engine's outbox
+//!   (see [`execute`]);
 //! - **prediction**: [`crate::predict::predict`] folds the heterogeneous
 //!   h-relation of each step (`h = max r_j·h_j`, `T_i = w_i + g·h +
 //!   L_{i,j}`) via [`hbsp_core::CostModel::schedule_step`];
 //! - **tuning**: [`crate::tune`] lowers every candidate strategy and
 //!   picks the cheapest prediction.
 //!
-//! Because the interpreter charges work and emits messages *from the
+//! Because the program charges work and emits messages *from the
 //! schedule*, the executed program and the analytic cost cannot drift
 //! apart — the historic risk of keeping hand-rolled SPMD loops next to
 //! closed-form formulas.
 
-use crate::data::{decode_bundle, encode_bundle, shares_for, DecodeError, Piece};
+use crate::data::{decode_bundle, shares_for, whole_words, DecodeError, Piece, WordWriter};
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
@@ -54,14 +56,14 @@ impl UnitId {
     }
 }
 
-/// What a transfer's payload is, so the interpreter can materialize
+/// What a transfer's payload is, so the program can materialize
 /// the message bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Role {
     /// One unit on the wire as `[offset, items…]` ([`Piece::encode`]).
     Piece(UnitId),
     /// One or more units bundled as `[count, (offset, len, items…)…]`
-    /// ([`encode_bundle`]) — one message per link, not per origin.
+    /// ([`crate::data::encode_bundle`]) — one message per link, not per origin.
     Bundle(Vec<UnitId>),
     /// The sender's current partial-reduction accumulator, raw `u32`s;
     /// the receiver folds it in with the schedule's [`ReduceOp`].
@@ -276,23 +278,53 @@ pub struct ProcInit {
     pub acc: Option<Vec<u32>>,
 }
 
-/// Per-processor interpreter state: the unit store, the reduction
-/// accumulator, and the first decode error encountered (if any).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Where a stored unit's items live: in place in the program's shared
+/// initial holdings, or in a vector decoded off the wire.
+#[derive(Debug, Clone)]
+enum Held {
+    Init(usize),
+    Received(Vec<u32>),
+}
+
+/// Per-processor execution state: the unit store, the reduction
+/// accumulator, and the first data error encountered (if any).
+#[derive(Debug, Clone, Default)]
 pub struct ScheduleState {
-    store: BTreeMap<UnitId, Vec<u32>>,
+    /// The program's initial holdings and this processor's row in them:
+    /// what [`Held::Init`] indexes.
+    init: Arc<Vec<ProcInit>>,
+    rank: usize,
+    store: BTreeMap<UnitId, Held>,
     acc: Option<Vec<u32>>,
     error: Option<DecodeError>,
 }
 
+/// Same units with the same items, same accumulator, same error —
+/// wherever the items live.
+impl PartialEq for ScheduleState {
+    fn eq(&self, other: &Self) -> bool {
+        self.acc == other.acc && self.error == other.error && self.units().eq(other.units())
+    }
+}
+
 impl ScheduleState {
+    fn items<'a>(&'a self, held: &'a Held) -> &'a [u32] {
+        match held {
+            Held::Init(i) => &self.init[self.rank].units[*i].1,
+            Held::Received(items) => items,
+        }
+    }
+
+    fn units(&self) -> impl Iterator<Item = (UnitId, &[u32])> {
+        self.store.iter().map(|(&id, held)| (id, self.items(held)))
+    }
+
     /// The units currently held, as offset-tagged pieces in id order.
     pub fn pieces(&self) -> Vec<Piece> {
-        self.store
-            .iter()
+        self.units()
             .map(|(id, items)| Piece {
                 offset: id.offset,
-                items: items.clone(),
+                items: items.to_vec(),
             })
             .collect()
     }
@@ -302,83 +334,124 @@ impl ScheduleState {
         self.acc.as_deref()
     }
 
-    /// The first malformed payload seen by this processor, if any.
+    /// The first data error this processor met, if any.
     pub fn error(&self) -> Option<DecodeError> {
         self.error
+    }
+
+    /// Hand `uid`'s items to `f` as borrowed slices in item order: the
+    /// exact unit if stored, otherwise the segments of stored units
+    /// covering its range. `Err` names the first item nobody covers
+    /// (segments before it have already been handed over).
+    fn segments<'a>(&'a self, uid: UnitId, mut f: impl FnMut(&'a [u32])) -> Result<(), u64> {
+        if let Some(held) = self.store.get(&uid) {
+            f(self.items(held));
+            return Ok(());
+        }
+        let end = uid.offset as u64 + uid.len as u64;
+        let mut next = uid.offset as u64;
+        // Ascending offsets: once a unit starts past `next`, so does
+        // every later one.
+        for (id, items) in self.units() {
+            let s = id.offset as u64;
+            if next == end || s > next {
+                break;
+            }
+            let e = (s + id.len as u64).min(end);
+            if e > next {
+                f(&items[(next - s) as usize..(e - s) as usize]);
+                next = e;
+            }
+        }
+        if next == end {
+            Ok(())
+        } else {
+            Err(next)
+        }
     }
 
     /// Materialize `uid` from the store: the exact unit if present,
     /// otherwise assembled from stored units covering its range.
     ///
     /// # Panics
-    /// Panics if the store does not cover the unit — a lowering bug, not
-    /// a data error.
+    /// Panics if the store does not cover the unit — asking a final
+    /// state for data the collective never delivered there.
     pub fn unit(&self, uid: UnitId) -> Vec<u32> {
-        if let Some(items) = self.store.get(&uid) {
-            return items.clone();
+        let mut out = Vec::with_capacity(uid.len as usize);
+        if let Err(item) = self.segments(uid, |s| out.extend_from_slice(s)) {
+            panic!("schedule references item {item} of unit {uid:?} the processor does not hold");
         }
-        let start = uid.offset as u64;
-        let end = start + uid.len as u64;
-        let mut out: Vec<Option<u32>> = vec![None; uid.len as usize];
-        for (id, items) in &self.store {
-            let s = id.offset as u64;
-            let e = s + id.len as u64;
-            if e <= start || s >= end {
-                continue;
-            }
-            for i in s.max(start)..e.min(end) {
-                out[(i - start) as usize] = Some(items[(i - s) as usize]);
-            }
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.unwrap_or_else(|| {
-                    panic!(
-                        "schedule references item {} of unit {uid:?} the processor does not hold",
-                        start + i as u64
-                    )
-                })
-            })
-            .collect()
+        out
     }
 
     fn absorb(&mut self, op: Option<ReduceOp>, messages: &hbsp_core::MsgBatch) {
         // Partials fold in src order, so a future non-commutative op
         // stays deterministic (today's ops are all commutative).
-        let mut partials: Vec<(ProcId, Vec<u32>)> = Vec::new();
+        let mut partials: Vec<(ProcId, &[u8])> = Vec::new();
         for m in messages {
-            match m.tag {
-                TAG_PIECE => match Piece::decode(m.payload) {
-                    Ok(p) => {
-                        self.store
-                            .insert(UnitId::new(p.offset, p.len() as u32), p.items);
-                    }
-                    Err(e) => {
-                        self.error.get_or_insert(e);
-                    }
-                },
-                TAG_BUNDLE => match decode_bundle(m.payload) {
-                    Ok(pieces) => {
-                        for p in pieces {
-                            self.store
-                                .insert(UnitId::new(p.offset, p.len() as u32), p.items);
-                        }
-                    }
-                    Err(e) => {
-                        self.error.get_or_insert(e);
-                    }
-                },
-                TAG_PARTIAL => partials.push((m.src, codec::decode_u32s(m.payload))),
-                other => panic!("schedule interpreter received foreign tag {other:#x}"),
-            }
+            let decoded = match m.tag {
+                TAG_PIECE => Piece::decode(m.payload).map(|p| self.insert(p)),
+                TAG_BUNDLE => decode_bundle(m.payload)
+                    .map(|pieces| pieces.into_iter().for_each(|p| self.insert(p))),
+                TAG_PARTIAL => {
+                    partials.push((m.src, m.payload));
+                    Ok(())
+                }
+                other => panic!("schedule program received foreign tag {other:#x}"),
+            };
+            self.error = self.error.or(decoded.err());
         }
         partials.sort_by_key(|&(src, _)| src);
-        for (_, v) in partials {
+        for (_, payload) in partials {
             let op = op.expect("partial-reduction transfer without a ReduceOp");
-            match &mut self.acc {
-                Some(acc) => op.fold_into(acc, &v),
-                None => self.acc = Some(v),
+            self.error = self.error.or(self.fold(op, payload).err());
+        }
+    }
+
+    fn insert(&mut self, p: Piece) {
+        self.store.insert(
+            UnitId::new(p.offset, p.len() as u32),
+            Held::Received(p.items),
+        );
+    }
+
+    /// Fold a partial vector into the accumulator straight off the wire.
+    fn fold(&mut self, op: ReduceOp, payload: &[u8]) -> Result<(), DecodeError> {
+        let payload = whole_words(payload)?;
+        let Some(acc) = &mut self.acc else {
+            self.acc = Some(codec::decode_u32s(payload));
+            return Ok(());
+        };
+        if payload.len() != 4 * acc.len() {
+            return Err(DecodeError::PartialLength);
+        }
+        for (x, c) in acc.iter_mut().zip(payload.chunks_exact(4)) {
+            *x = op.apply(*x, u32::from_le_bytes(c.try_into().expect("four bytes")));
+        }
+        Ok(())
+    }
+
+    /// Write `send`'s payload into `out`, which is exactly
+    /// `send.wire_len` bytes; every unit is known to be held.
+    fn write(&self, send: &SendEntry, out: &mut [u8]) {
+        let mut w = WordWriter(out);
+        let items = |w: &mut WordWriter, uid| {
+            self.segments(uid, |s| w.words(s))
+                .expect("checked before posting")
+        };
+        match send.tag {
+            TAG_PARTIAL => w.words(self.acc.as_deref().expect("partial without accumulator")),
+            TAG_PIECE => {
+                w.word(send.units[0].offset);
+                items(&mut w, send.units[0]);
+            }
+            _ => {
+                w.word(send.units.len() as u32);
+                for &uid in &send.units {
+                    w.word(uid.offset);
+                    w.word(uid.len);
+                    items(&mut w, uid);
+                }
             }
         }
     }
@@ -388,19 +461,85 @@ const TAG_PIECE: u32 = 0x7A01;
 const TAG_BUNDLE: u32 = 0x7A02;
 const TAG_PARTIAL: u32 = 0x7A03;
 
-/// The generic schedule interpreter: one [`SpmdProgram`] that executes
-/// any [`CommSchedule`] on any engine. Each superstep it absorbs what
-/// arrived, applies the step's compute charges, and posts the step's
-/// transfers with payloads materialized from the local store — so the
-/// executed cost is, by construction, the scheduled cost.
+/// One posting in a processor's send table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendEntry {
+    /// Destination processor.
+    pub dst: ProcId,
+    /// Wire tag: which of the three payload layouts follows.
+    pub tag: u32,
+    /// Payload bytes: `4·(1+len)` for a piece, `4·(1+Σ(2+len))` for a
+    /// bundle, `4·words` for a partial.
+    pub wire_len: usize,
+    /// The units the payload carries, in wire order (none for a partial).
+    pub units: Vec<UnitId>,
+}
+
+/// What one processor does in one superstep.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProcStep {
+    /// The step's compute charges for this processor, summed.
+    pub charge: f64,
+    /// Its sends, in the schedule's posting order.
+    pub sends: Vec<SendEntry>,
+}
+
+/// A [`CommSchedule`] compiled for execution: `steps[step][rank]` is
+/// exactly what that processor charges and posts in that superstep,
+/// sized in advance — so a superstep body reads its own row instead of
+/// scanning every transfer of every processor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecPlan {
+    /// Per superstep, the per-processor tables indexed by rank.
+    pub steps: Vec<Vec<ProcStep>>,
+}
+
+impl ExecPlan {
+    /// Compile `schedule` for `nprocs` processors. O(transfers); entries
+    /// naming ranks the machine does not have are dropped (no processor
+    /// would ever have executed them).
+    pub fn compile(schedule: &CommSchedule, nprocs: usize) -> ExecPlan {
+        let mut steps = vec![vec![ProcStep::default(); nprocs]; schedule.steps.len()];
+        for (rows, step) in steps.iter_mut().zip(&schedule.steps) {
+            for &(pid, units) in step.work.iter().filter(|w| w.0.rank() < nprocs) {
+                rows[pid.rank()].charge += units;
+            }
+            for t in step.transfers.iter().filter(|t| t.src.rank() < nprocs) {
+                let (tag, words, units) = match &t.role {
+                    Role::Piece(uid) => (TAG_PIECE, 1 + uid.len as usize, vec![*uid]),
+                    Role::Bundle(uids) => {
+                        let items: usize = uids.iter().map(|u| 2 + u.len as usize).sum();
+                        (TAG_BUNDLE, 1 + items, uids.clone())
+                    }
+                    Role::Partial => (TAG_PARTIAL, t.words as usize, Vec::new()),
+                };
+                rows[t.src.rank()].sends.push(SendEntry {
+                    dst: t.dst,
+                    tag,
+                    wire_len: 4 * words,
+                    units,
+                });
+            }
+        }
+        ExecPlan { steps }
+    }
+}
+
+/// The one executable form of a collective: a [`CommSchedule`] compiled
+/// to an [`ExecPlan`], run unchanged on any engine. Each superstep a
+/// processor absorbs what arrived, applies its compute charge, and
+/// posts its send table with payloads written straight from the local
+/// store into the engine's outbox — so the executed cost is, by
+/// construction, the scheduled cost.
 pub struct ScheduleProgram {
     schedule: Arc<CommSchedule>,
+    plan: ExecPlan,
     init: Arc<Vec<ProcInit>>,
     op: Option<ReduceOp>,
 }
 
 impl ScheduleProgram {
-    /// Interpret `schedule` with `init[rank]` as each processor's data;
+    /// Compile `schedule` with `init[rank]` as each processor's data;
     /// `op` is required iff the schedule carries [`Role::Partial`]
     /// transfers.
     pub fn new(
@@ -417,12 +556,23 @@ impl ScheduleProgram {
                 .all(|(i, s)| s.scope.is_some() || i + 1 == schedule.steps.len()),
             "only the final step may be a drain"
         );
-        ScheduleProgram { schedule, init, op }
+        let plan = ExecPlan::compile(&schedule, init.len());
+        ScheduleProgram {
+            schedule,
+            plan,
+            init,
+            op,
+        }
     }
 
-    /// The schedule being interpreted.
+    /// The schedule this program was compiled from.
     pub fn schedule(&self) -> &CommSchedule {
         &self.schedule
+    }
+
+    /// The compiled per-processor tables the program executes.
+    pub fn plan(&self) -> &ExecPlan {
+        &self.plan
     }
 }
 
@@ -430,9 +580,14 @@ impl SpmdProgram for ScheduleProgram {
     type State = ScheduleState;
 
     fn init(&self, env: &ProcEnv) -> ScheduleState {
-        let init = &self.init[env.pid.rank()];
+        let rank = env.pid.rank();
+        let init = &self.init[rank];
         ScheduleState {
-            store: init.units.iter().cloned().collect(),
+            init: Arc::clone(&self.init),
+            rank,
+            store: (0..init.units.len())
+                .map(|i| (init.units[i].0, Held::Init(i)))
+                .collect(),
             acc: init.acc.clone(),
             error: None,
         }
@@ -445,53 +600,32 @@ impl SpmdProgram for ScheduleProgram {
         state: &mut ScheduleState,
         ctx: &mut dyn SpmdContext,
     ) -> StepOutcome {
-        let sched_step = &self.schedule.steps[step];
+        let mine = &self.plan.steps[step][env.pid.rank()];
         if state.error.is_none() {
             state.absorb(self.op, ctx.messages());
         }
-        // After a malformed payload the processor goes quiet but keeps
-        // the superstep protocol, so every rank still reaches Done
-        // together and the error can be reported from its final state.
+        // A send whose data never arrived (a dropped or truncated
+        // message upstream) is a data error like a malformed payload.
+        if state.error.is_none()
+            && !(mine.sends.iter().flat_map(|s| &s.units))
+                .all(|&u| state.segments(u, |_| ()).is_ok())
+        {
+            state.error = Some(DecodeError::MissingUnit);
+        }
+        // After a data error the processor goes quiet but keeps the
+        // superstep protocol, so every rank still reaches Done together
+        // and the error can be reported from its final state.
         if state.error.is_none() {
-            for &(pid, units) in &sched_step.work {
-                if pid == env.pid {
-                    ctx.charge(units);
-                }
+            if mine.charge != 0.0 {
+                ctx.charge(mine.charge);
             }
-            for t in &sched_step.transfers {
-                if t.src != env.pid {
-                    continue;
-                }
-                let (tag, payload) = match &t.role {
-                    Role::Piece(uid) => (
-                        TAG_PIECE,
-                        Piece {
-                            offset: uid.offset,
-                            items: state.unit(*uid),
-                        }
-                        .encode(),
-                    ),
-                    Role::Bundle(uids) => {
-                        let pieces: Vec<Piece> = uids
-                            .iter()
-                            .map(|&uid| Piece {
-                                offset: uid.offset,
-                                items: state.unit(uid),
-                            })
-                            .collect();
-                        (TAG_BUNDLE, encode_bundle(&pieces))
-                    }
-                    Role::Partial => (
-                        TAG_PARTIAL,
-                        codec::encode_u32s(
-                            state.acc.as_deref().expect("partial without accumulator"),
-                        ),
-                    ),
-                };
-                ctx.send(t.dst, tag, &payload);
+            for send in &mine.sends {
+                ctx.send_with(send.dst, send.tag, send.wire_len, &mut |buf| {
+                    state.write(send, buf)
+                });
             }
         }
-        match sched_step.scope {
+        match self.schedule.steps[step].scope {
             Some(scope) => StepOutcome::Continue(scope),
             None => StepOutcome::Done,
         }
@@ -500,8 +634,8 @@ impl SpmdProgram for ScheduleProgram {
     /// Static pre-flight: run the full `hbsp-check` schedule analysis
     /// (structure, dataflow, h-consistency) and reject on any fatal
     /// violation. Engines call this at submit time, so a schedule that
-    /// would panic the interpreter or hang a barrier fails loudly with
-    /// a diagnostic instead.
+    /// would starve a send or hang a barrier fails loudly with a
+    /// diagnostic instead.
     fn preflight(&self, tree: &MachineTree) -> Result<(), hbsp_core::PreflightError> {
         let violations: Vec<String> =
             crate::verify::verify(tree, &self.schedule, &self.init, self.op.is_some())
@@ -540,7 +674,7 @@ pub fn run_on_simulator(
     Ok((outcome, states))
 }
 
-/// Run a schedule through an [`hbsplib::Executor`] — the same interpreter
+/// Run a schedule through an [`hbsplib::Executor`] — the same program
 /// on either the simulator or the threaded runtime.
 pub fn execute(
     exec: &hbsplib::Executor,
@@ -591,9 +725,16 @@ mod tests {
     #[test]
     fn unit_assembles_from_covering_pieces() {
         let mut st = ScheduleState::default();
-        st.store.insert(UnitId::new(0, 2), vec![1, 2]);
-        st.store.insert(UnitId::new(2, 3), vec![3, 4, 5]);
+        st.insert(Piece {
+            offset: 0,
+            items: vec![1, 2],
+        });
+        st.insert(Piece {
+            offset: 2,
+            items: vec![3, 4, 5],
+        });
         assert_eq!(st.unit(UnitId::new(1, 3)), vec![2, 3, 4]);
+        assert_eq!(st.unit(UnitId::new(0, 5)), vec![1, 2, 3, 4, 5]);
         assert_eq!(st.unit(UnitId::new(0, 0)), Vec::<u32>::new());
     }
 
@@ -601,7 +742,10 @@ mod tests {
     #[should_panic(expected = "does not hold")]
     fn unit_panics_on_uncovered_range() {
         let mut st = ScheduleState::default();
-        st.store.insert(UnitId::new(0, 2), vec![1, 2]);
+        st.insert(Piece {
+            offset: 0,
+            items: vec![1, 2],
+        });
         st.unit(UnitId::new(0, 4));
     }
 

@@ -612,7 +612,7 @@ mod tests {
             }
             for p in 0..env.nprocs {
                 if p != env.pid.rank() {
-                    ctx.send(ProcId(p as u32), 0, &vec![0u8; 4]);
+                    ctx.send(ProcId(p as u32), 0, &[0u8; 4]);
                 }
             }
             ctx.charge(1.0);

@@ -86,7 +86,7 @@ mod tests {
             |step, env, state: &mut u64, ctx| {
                 if step == 0 {
                     let peer = ProcId(1 - env.pid.0);
-                    ctx.send(peer, 0, &vec![*state as u8]);
+                    ctx.send(peer, 0, &[*state as u8]);
                     StepOutcome::Continue(hbsp_core::SyncScope::global(&env.tree))
                 } else {
                     *state += ctx.messages().get(0).payload[0] as u64 * 100;

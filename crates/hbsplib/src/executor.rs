@@ -571,7 +571,7 @@ mod tests {
                 return StepOutcome::Done;
             }
             let peer = ProcId(1 - env.pid.0);
-            ctx.send(peer, 0, &vec![0; 16]);
+            ctx.send(peer, 0, &[0; 16]);
             StepOutcome::Continue(SyncScope::global(&env.tree))
         }
     }
@@ -669,7 +669,7 @@ mod tests {
             }
             for p in 0..env.nprocs {
                 if p != env.pid.rank() {
-                    ctx.send(ProcId(p as u32), 0, &vec![0; 4]);
+                    ctx.send(ProcId(p as u32), 0, &[0; 4]);
                 }
             }
             StepOutcome::Continue(SyncScope::global(&env.tree))

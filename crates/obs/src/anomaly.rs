@@ -190,7 +190,7 @@ impl AnomalyDetector {
 mod tests {
     use super::*;
 
-    fn uniform_step(step: usize, p: usize, t0: f64, dur: f64) -> (Vec<f64>, Vec<f64>) {
+    fn uniform_step(p: usize, t0: f64, dur: f64) -> (Vec<f64>, Vec<f64>) {
         (vec![t0; p], vec![t0 + dur; p])
     }
 
@@ -225,7 +225,7 @@ mod tests {
         let mut det = AnomalyDetector::new(AnomalyConfig::default());
         det.arm(4);
         for s in 0..50 {
-            let (starts, finish) = uniform_step(s, 4, s as f64 * 10.0, 10.0);
+            let (starts, finish) = uniform_step(4, s as f64 * 10.0, 10.0);
             assert!(
                 observe(&mut det, s, &starts, &finish).is_empty(),
                 "step {s}"

@@ -400,6 +400,7 @@ mod tests {
     /// Build a synthetic barriered step consistent with parameters
     /// `g`, `L`, per-proc speed and r: proc i computes `work/speed`,
     /// sends for `r·g·words`, and the step lasts `w + g·h + L`.
+    #[allow(clippy::too_many_arguments)]
     fn synth_step(
         step: usize,
         level: Level,

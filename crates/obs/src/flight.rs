@@ -22,7 +22,7 @@
 //!   any thread at any time — including from a fault handler while
 //!   the run is still aborting.
 //! * **Streaming anomaly detection** — an embedded
-//!   [`AnomalyDetector`] (Welford moments in the same atomic arena)
+//!   [`crate::anomaly::AnomalyDetector`] (Welford moments in the same atomic arena)
 //!   flags per-processor barrier skew and duration drift online,
 //!   bumping `hbsp_anomaly_*` metrics and recording
 //!   [`EventTrace::Anomaly`] events.

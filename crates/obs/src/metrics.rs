@@ -383,6 +383,6 @@ mod tests {
     fn poison_counter_is_monotone() {
         let before = poison_recoveries();
         record_poison_recovery();
-        assert!(poison_recoveries() >= before + 1);
+        assert!(poison_recoveries() > before);
     }
 }

@@ -6,7 +6,7 @@
 //! `std::sync::atomic` or `std::thread` primitives directly. In a
 //! normal build the facade is pure re-exports of `std`, so it costs
 //! nothing (the `alloc_audit` suite asserts this). With the `model`
-//! feature it routes through the vendored [`weave`] model checker
+//! feature it routes through the vendored `weave` model checker
 //! instead: outside an exploration weave's primitives forward to `std`
 //! after one thread-local check, and inside one every operation
 //! becomes a scheduler decision point with vector-clock
@@ -17,7 +17,7 @@
 //!
 //! * `site_ord!` labels a *tunable* ordering site. Normally it
 //!   expands to the ordering literal; under the model it consults
-//!   [`weave::mutation`] so `hbsp-race`'s mutation tests can weaken
+//!   `weave::mutation` so `hbsp-race`'s mutation tests can weaken
 //!   one site at a time and assert the checker names the resulting
 //!   race. The labels are the keys of `docs/ordering_audit.md`.
 //! * `hb_assert!` is the checkable form of a SAFETY comment on an

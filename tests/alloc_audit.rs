@@ -17,10 +17,14 @@
 //! Everything lives in one `#[test]` so no concurrent test pollutes
 //! the process-wide counter.
 
+mod common;
+
+use common::Wire;
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::Simulator;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -33,9 +37,24 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The calling thread's share of `ALLOCS`, for audits of code that
+    /// runs on the test's own thread: the libtest harness allocates on
+    /// its thread whenever it starts another test, which a zero-bound
+    /// on the process-wide counter cannot tolerate. (Const-initialized
+    /// and without a destructor, so the allocator may touch it at any
+    /// point of a thread's life.)
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -44,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -107,6 +126,13 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Allocations `f` makes on the calling thread.
+fn thread_allocs_during<R>(f: impl FnOnce() -> R) -> usize {
+    let before = THREAD_ALLOCS.get();
+    std::hint::black_box(f());
+    THREAD_ALLOCS.get() - before
 }
 
 #[test]
@@ -269,4 +295,91 @@ fn audited_program_is_bit_identical_across_engines() {
         assert_eq!(sim_states, thr_states, "k={k}");
         assert_eq!(sim.total_time, thr.virtual_outcome.total_time, "k={k}");
     }
+}
+
+/// The compiled schedule program's wire path: a payload goes from the
+/// sender's store into the engine's outbox arena with no intermediate
+/// buffer, so a processor that only sends allocates nothing once the
+/// arena has grown — a flat broadcast costs its root the same zero
+/// allocations to 7 receivers as to 1 — and a receiver allocates once
+/// per unit it stores (plus, per bundle, the list of its pieces).
+#[test]
+fn schedule_program_posts_in_place_and_stores_one_vector_per_unit() {
+    use hbsp_collectives::schedule::{
+        CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
+    };
+    const UNIT: u32 = 4096;
+    // Held to stay out of the other audits' process-wide windows.
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = Arc::new(TreeBuilder::homogeneous(1.0, 10.0, 8).unwrap());
+    let env = |j: u32| ProcEnv {
+        pid: ProcId(j),
+        nprocs: 8,
+        tree: Arc::clone(&tree),
+    };
+
+    // P0 holds `units` units and sends `role_of(units)` to P1..=fanout;
+    // returns (allocations of P0's send step, of P1's receive step).
+    let run = |fanout: u32, units: u32, bundle: bool| {
+        let ids: Vec<UnitId> = (0..units).map(|i| UnitId::new(i * UNIT, UNIT)).collect();
+        let mut step = ScheduleStep::at(SyncScope::global(&tree));
+        for dst in 1..=fanout {
+            step.transfers.push(Transfer {
+                src: ProcId(0),
+                dst: ProcId(dst),
+                words: (units * UNIT) as u64,
+                role: if bundle {
+                    Role::Bundle(ids.clone())
+                } else {
+                    Role::Piece(ids[0])
+                },
+            });
+        }
+        let mut sched = CommSchedule::new();
+        sched.push(step);
+        sched.push(ScheduleStep::drain());
+        let mut init = vec![ProcInit::default(); 8];
+        init[0].units = ids.iter().map(|&id| (id, vec![7; UNIT as usize])).collect();
+        let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+
+        let mut root = Wire::new(ProcId(0));
+        // Grown in advance, as an engine's outbox is after its first steps.
+        root.outbox = hbsp_core::MsgBatch::with_capacity(
+            8,
+            8 * 4 * (2 + units as usize * (UNIT as usize + 2)),
+        );
+        let mut root_state = prog.init(&env(0));
+        let sent = thread_allocs_during(|| prog.step(0, &env(0), &mut root_state, &mut root));
+        assert_eq!(
+            root.outbox.len(),
+            fanout as usize,
+            "every transfer was posted"
+        );
+
+        let mut leaf = Wire::new(ProcId(1));
+        leaf.inbox.push_from(&root.outbox, 0);
+        let mut leaf_state = prog.init(&env(1));
+        let stored = thread_allocs_during(|| prog.step(1, &env(1), &mut leaf_state, &mut leaf));
+        assert_eq!(
+            leaf_state.pieces().len(),
+            units as usize,
+            "every unit arrived"
+        );
+        (sent, stored)
+    };
+
+    for (fanout, units, bundle) in [(1, 1, false), (7, 1, false), (1, 8, true), (7, 8, true)] {
+        let (sent, _) = run(fanout, units, bundle);
+        assert_eq!(
+            sent, 0,
+            "root posting {units} unit(s) to {fanout} receiver(s) allocated {sent} times"
+        );
+    }
+    let (_, one) = run(1, 1, true);
+    let (_, eight) = run(1, 8, true);
+    assert!(
+        eight <= one + 7 + 1,
+        "storing 8 units took {eight} allocations vs {one} for 1 — more than one per \
+         extra unit (and a store node) means a second copy is back on the receive path"
+    );
 }

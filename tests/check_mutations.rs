@@ -2,21 +2,20 @@
 //! into a real lowering and assert `hbsp_check` names it precisely;
 //! conversely, every standard lowering verifies clean on randomized
 //! HBSP^1–3 machines; and the engines' pre-flight rejects a malformed
-//! schedule at submit time that would otherwise panic a worker.
+//! schedule at submit time that would otherwise end in a data error.
 
 mod common;
 
 use common::arb_machine;
 use hbsp::collectives::plan::WorkloadPolicy;
 use hbsp::collectives::schedule::{
-    share_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleStep,
+    execute, share_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleStep,
 };
 use hbsp::collectives::verify::{verify, verify_standard_lowerings, Violation};
-use hbsp::collectives::{gather, Role, Transfer, UnitId};
+use hbsp::collectives::{gather, CollectiveError, DecodeError, Role, Transfer, UnitId};
 use hbsp::prelude::*;
 use hbsp::sim::SimError;
 use proptest::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn campus() -> MachineTree {
@@ -237,9 +236,8 @@ proptest! {
 }
 
 /// A schedule whose first transfer sends a unit its source never holds:
-/// the interpreter panics on it ("does not hold"), so without the
-/// pre-flight the simulator run dies and the threaded runtime reports a
-/// worker panic mid-superstep.
+/// the pre-flight names the defect before a superstep runs; without it
+/// the run ends in a typed data error.
 fn malformed_program() -> (Arc<MachineTree>, ScheduleProgram) {
     let t = Arc::new(TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (2.0, 0.5)]).unwrap());
     let mut step = ScheduleStep::at(SyncScope::Level(1));
@@ -278,18 +276,20 @@ fn preflight_rejects_malformed_schedule_on_both_engines() {
 }
 
 #[test]
-fn without_preflight_the_same_schedule_dies_mid_run() {
+fn without_preflight_the_same_schedule_ends_in_a_typed_error() {
     let (t, prog) = malformed_program();
-
-    // Simulator: the interpreter's panic propagates to the caller.
-    let exec = Executor::simulator(Arc::clone(&t)).check(false);
-    let result = catch_unwind(AssertUnwindSafe(|| exec.run(&prog)));
-    assert!(result.is_err(), "unchecked simulator run must panic");
-
-    // Threaded runtime: the worker panic is caught and reported.
-    let exec = Executor::threads(Arc::clone(&t)).check(false);
-    match exec.run(&prog) {
-        Err(SimError::ProgramPanicked { .. }) => {}
-        other => panic!("expected ProgramPanicked, got {other:?}"),
+    // The sender cannot tell a lowering bug from a message lost
+    // upstream: either way it holds no such data, records the fact and
+    // goes quiet, so both engines finish and name it the same way.
+    for exec in [
+        Executor::simulator(Arc::clone(&t)),
+        Executor::threads(Arc::clone(&t)),
+    ] {
+        match execute(&exec.check(false), &prog) {
+            Err(CollectiveError::Decode { pid, error }) => {
+                assert_eq!((pid, error), (ProcId(0), DecodeError::MissingUnit));
+            }
+            other => panic!("expected a Decode error, got {:?}", other.map(|r| r.1)),
+        }
     }
 }

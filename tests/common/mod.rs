@@ -1,8 +1,47 @@
 //! Shared proptest strategies: random HBSP^k machines and workloads.
 #![allow(dead_code)] // each test binary uses a different subset
 
+use hbsp::core::{MsgBatch, SpmdContext};
 use hbsp::prelude::*;
 use proptest::prelude::*;
+
+/// One processor's view of a superstep, for driving a program's `step`
+/// by hand: a scripted inbox and an outbox that keeps what is posted.
+/// Only for programs that never ask the context for the machine.
+pub struct Wire {
+    pub pid: ProcId,
+    pub inbox: MsgBatch,
+    pub outbox: MsgBatch,
+}
+
+impl Wire {
+    pub fn new(pid: ProcId) -> Wire {
+        Wire {
+            pid,
+            inbox: MsgBatch::new(),
+            outbox: MsgBatch::new(),
+        }
+    }
+}
+
+impl SpmdContext for Wire {
+    fn pid(&self) -> ProcId {
+        self.pid
+    }
+    fn nprocs(&self) -> usize {
+        unreachable!("hand-driven programs take the machine from ProcEnv")
+    }
+    fn tree(&self) -> &MachineTree {
+        unreachable!("hand-driven programs take the machine from ProcEnv")
+    }
+    fn messages(&self) -> &MsgBatch {
+        &self.inbox
+    }
+    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
+        self.outbox.push_with(self.pid, dst, tag, len, fill);
+    }
+    fn charge(&mut self, _units: f64) {}
+}
 
 /// Parameters for one random processor: (r, speed).
 fn arb_proc() -> impl Strategy<Value = (f64, f64)> {
