@@ -2,12 +2,14 @@
 //! simulator or on threads, optionally degrading around dead
 //! processors.
 //!
-//! [`Executor`] is a *configuration*: engine kind, machine, microcosts,
+//! [`Executor`] is a *configuration* — engine kind, machine, microcosts,
 //! tracing, pre-flight checking, an injected [`FaultPlan`], and a
-//! [`RecoveryPolicy`]. Each [`Executor::run`] /
-//! [`Executor::run_recovering`] call builds a fresh engine from that
-//! configuration, so a recovering run can rebuild the engine on a
-//! degraded machine between attempts.
+//! [`RecoveryPolicy`] — plus the engine built from it: the first
+//! [`Executor::run`] builds the engine and every later one reuses it,
+//! with the buffers it has grown, until the executor is reconfigured,
+//! cloned or dropped. [`Executor::run_recovering`] builds a throw-away engine
+//! per attempt instead, because each attempt may run on a different
+//! (degraded) machine with a remapped fault plan.
 //!
 //! Recovery follows the superstep-boundary contract (`docs/faults.md`):
 //! both engines fail *fast* with a typed [`SimError`] naming the dead
@@ -22,7 +24,7 @@ use hbsp_core::{MachineTree, ProcId, SpmdProgram};
 use hbsp_obs::{ObsEvent, Probe};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome, Simulator, SplitMix64};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Outcome of an execution on either engine.
@@ -131,7 +133,12 @@ pub struct Recovered<S> {
 }
 
 /// A configured execution engine for one machine.
-#[derive(Clone)]
+///
+/// The executor owns its engine's memory: the engine, with the buffers
+/// it keeps between runs (the simulator: its inbox arenas), lives from
+/// the first [`Executor::run`] until the executor is dropped or
+/// reconfigured. A clone shares the
+/// configuration only and builds its own engine.
 pub struct Executor {
     tree: Arc<MachineTree>,
     cfg: Option<NetConfig>,
@@ -141,6 +148,25 @@ pub struct Executor {
     faults: FaultPlan,
     recovery: RecoveryPolicy,
     probe: Option<Arc<dyn Probe>>,
+    /// The engine [`Executor::run`] serves from, built on first use from
+    /// the fields above; whatever changes one of them empties it.
+    session: OnceLock<ExecSession>,
+}
+
+impl Clone for Executor {
+    fn clone(&self) -> Self {
+        Executor {
+            tree: self.tree.clone(),
+            cfg: self.cfg.clone(),
+            kind: self.kind,
+            trace: self.trace,
+            check: self.check,
+            faults: self.faults.clone(),
+            recovery: self.recovery,
+            probe: self.probe.clone(),
+            session: OnceLock::new(),
+        }
+    }
 }
 
 impl Executor {
@@ -154,6 +180,7 @@ impl Executor {
             faults: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
             probe: None,
+            session: OnceLock::new(),
         }
     }
 
@@ -183,6 +210,7 @@ impl Executor {
     /// charts); retrieve them from [`ExecOutcome`]'s `sim.timelines`.
     pub fn trace(mut self, enable: bool) -> Self {
         self.trace = enable;
+        self.session.take();
         self
     }
 
@@ -194,6 +222,7 @@ impl Executor {
     /// mid-run.
     pub fn check(mut self, enable: bool) -> Self {
         self.check = Some(enable);
+        self.session.take();
         self
     }
 
@@ -202,6 +231,7 @@ impl Executor {
     /// bit-identical outcomes.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
+        self.session.take();
         self
     }
 
@@ -213,6 +243,7 @@ impl Executor {
     /// same schema; the threaded runtime adds wall-clock marks.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = Some(probe);
+        self.session.take();
         self
     }
 
@@ -222,6 +253,7 @@ impl Executor {
     /// fails fast.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
+        self.session.take();
         self
     }
 
@@ -277,10 +309,11 @@ impl Executor {
         self.probe.as_ref()
     }
 
-    /// Build the configured engine once and keep it for many
-    /// submissions. This is the seam a scheduler drives: one engine
-    /// instance per machine, [`ExecSession::submit`] per job batch,
-    /// instead of one throwaway engine per `run()`.
+    /// Build a second engine from this configuration, owned by the
+    /// caller. This is the seam a scheduler drives: one engine instance
+    /// per machine and [`ExecSession::submit`] per job batch. The
+    /// session keeps its engine's buffers until it is dropped,
+    /// independently of the engine [`Executor::run`] keeps.
     pub fn session(&self) -> ExecSession {
         self.session_on(self.tree.clone(), self.faults.clone())
     }
@@ -301,7 +334,7 @@ impl Executor {
                 if let Some(p) = &self.probe {
                     sim = sim.probe(p.clone());
                 }
-                EngineInstance::Simulator(sim)
+                EngineInstance::Simulator(Box::new(sim))
             }
             EngineKind::Threads => {
                 let mut rt = match &self.cfg {
@@ -321,8 +354,8 @@ impl Executor {
         ExecSession { tree, engine }
     }
 
-    /// Run `prog` once on `tree` with `faults`, building a fresh engine
-    /// from this configuration.
+    /// Run `prog` once on `tree` with `faults`, on a throw-away engine
+    /// built from this configuration.
     fn run_once<P: SpmdProgram>(
         &self,
         tree: &Arc<MachineTree>,
@@ -335,8 +368,12 @@ impl Executor {
     /// Run `prog` to completion; returns the outcome and every
     /// processor's final state. Always fails fast: faults surface as
     /// typed [`SimError`]s regardless of the configured policy.
+    ///
+    /// The first call builds the engine; later calls reuse it, so a
+    /// sequence of runs pays once for growing what the engine keeps. Outcomes are identical to those of a fresh executor per
+    /// run, also after a run that failed or panicked.
     pub fn run<P: SpmdProgram>(&self, prog: &P) -> Result<(ExecOutcome, Vec<P::State>), SimError> {
-        self.run_once(&self.tree, &self.faults, prog)
+        self.session.get_or_init(|| self.session()).submit(prog)
     }
 
     /// Run with graceful degradation: on a fault-typed error
@@ -475,21 +512,25 @@ impl Executor {
 
 /// One engine, built once from an [`Executor`]'s configuration.
 enum EngineInstance {
-    Simulator(Simulator),
+    Simulator(Box<Simulator>),
     Threads(ThreadedRuntime),
 }
 
 /// A built engine accepting many program submissions — the executor
-/// seam for schedulers. [`Executor::run`] is "configure, build, run
-/// once"; a multi-tenant scheduler instead calls
-/// [`Executor::session`] once and [`ExecSession::submit`]s every job
-/// batch against the same engine instance, so per-submission cost is
-/// the program, not engine construction.
+/// seam for schedulers. [`Executor::run`] submits to a session the
+/// executor builds on first use and keeps; a multi-tenant scheduler
+/// calls [`Executor::session`] for one of its own and
+/// [`ExecSession::submit`]s every job batch against it. Either way
+/// per-submission cost is the program, not engine construction, and
+/// what the engine keeps (the simulator: its inbox arenas) stays grown
+/// between submissions and is freed when the session is dropped.
 ///
-/// Submissions are sequential (`submit` takes `&self` but each call
-/// runs its program to completion before returning); the engines'
-/// determinism guarantees make a session's outcomes identical to the
-/// equivalent sequence of one-shot [`Executor::run`] calls.
+/// Each `submit` runs its program to completion before returning, and
+/// the engines' determinism guarantees make a session's outcomes
+/// identical to the same programs run on a fresh engine each. `submit`
+/// takes `&self`: the simulator gives a submission that overlaps
+/// another one private buffers for its duration, the threaded runtime
+/// keeps no state between runs.
 pub struct ExecSession {
     tree: Arc<MachineTree>,
     engine: EngineInstance,
@@ -605,6 +646,86 @@ mod tests {
             assert_eq!(states1, oneshot_states);
             assert_eq!(first.total_time(), oneshot.total_time());
             assert_eq!(session.is_threaded(), first.wall.is_some());
+        }
+    }
+
+    #[test]
+    fn run_keeps_one_engine_and_a_clone_starts_cold() {
+        let exec = Executor::simulator(tree());
+        assert!(exec.session.get().is_none(), "built on first use");
+        exec.run(&PingPong).unwrap();
+        let first = exec.session.get().expect("kept after the run") as *const ExecSession;
+        exec.run(&PingPong).unwrap();
+        assert!(std::ptr::eq(first, exec.session.get().unwrap()));
+        assert!(exec.clone().session.get().is_none(), "a clone starts cold");
+    }
+
+    /// A program no machine can run: its pre-flight always refuses.
+    struct Malformed;
+    impl SpmdProgram for Malformed {
+        type State = ();
+        fn init(&self, _env: &ProcEnv) {}
+        fn step(
+            &self,
+            _step: usize,
+            _env: &ProcEnv,
+            _state: &mut (),
+            _ctx: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            StepOutcome::Done
+        }
+        fn preflight(&self, _tree: &MachineTree) -> Result<(), hbsp_core::PreflightError> {
+            Err(hbsp_core::PreflightError {
+                violations: vec!["malformed on purpose".into()],
+            })
+        }
+    }
+
+    #[test]
+    fn reconfiguring_a_warm_executor_never_reuses_its_engine() {
+        for base in [Executor::simulator(tree()), Executor::threads(tree())] {
+            // Warm: the engine now exists, with none of the settings below.
+            let base = base.check(false);
+            let (plain, plain_states) = base.run(&PingPong).unwrap();
+            assert!(plain.sim.timelines.is_none());
+            base.run(&Malformed).unwrap();
+
+            let crashing = base.clone().faults(FaultPlan::new().crash(ProcId(1), 1));
+            assert_eq!(
+                crashing.run(&PingPong).unwrap_err(),
+                SimError::ProcCrashed {
+                    pids: vec![ProcId(1)],
+                    step: 1
+                }
+            );
+
+            let recorder = Arc::new(hbsp_obs::Recorder::new());
+            let probed = base.clone().probe(recorder.clone());
+            probed.run(&PingPong).unwrap();
+            assert_eq!(recorder.steps().len(), 3, "one record per superstep");
+
+            assert!(matches!(
+                base.clone().check(true).run(&Malformed),
+                Err(SimError::Preflight { .. })
+            ));
+
+            let (traced, traced_states) = base.clone().trace(true).run(&PingPong).unwrap();
+            assert_eq!(traced_states, plain_states);
+            assert_eq!(traced.total_time().to_bits(), plain.total_time().to_bits());
+            assert_eq!(traced.sim.timelines.expect("tracing enabled").len(), 2);
+
+            // The same four on one value, each builder applied to an
+            // executor whose engine the previous run just built.
+            let exec = base.clone().trace(true);
+            exec.run(&PingPong).unwrap();
+            let exec = exec.trace(false).check(true);
+            assert!(exec.run(&PingPong).unwrap().0.sim.timelines.is_none());
+            assert!(exec.run(&Malformed).is_err());
+            let exec = exec.faults(FaultPlan::new().crash(ProcId(0), 0));
+            assert!(matches!(
+                exec.run(&PingPong),
+                Err(SimError::ProcCrashed { step: 0, .. })
+            ));
         }
     }
 

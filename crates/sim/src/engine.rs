@@ -12,7 +12,7 @@ use hbsp_core::{
     MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
 use hbsp_obs::{ObsEvent, Probe, StepRecord};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// Result of a simulated program run.
 #[derive(Debug, Clone)]
@@ -71,6 +71,18 @@ impl SimOutcome {
 /// assert_eq!(states, vec![1, 0]);
 /// assert!(outcome.total_time > 0.0);
 /// ```
+///
+/// A `Simulator` owns the `p` inbox arenas and the per-step work vectors
+/// of its runs and keeps them, warm, from one run to the next: run many
+/// programs on one instance and only the first pays for growing them.
+/// That memory — for each processor, the most it has received in one
+/// superstep of any run so far — is freed when the `Simulator` is
+/// dropped. The outbox arena lives for one run only (see `Scratch`).
+/// Runs never see each other's data (the kept buffers are emptied at
+/// the start of every run, whatever the previous one left behind), and
+/// a run that finds them busy — a concurrent run on another thread, or
+/// a program whose `step` runs a second program on the same instance —
+/// works in private ones it drops on return.
 pub struct Simulator {
     tree: Arc<MachineTree>,
     cfg: NetConfig,
@@ -80,21 +92,13 @@ pub struct Simulator {
     faults: FaultPlan,
     step_deadline: Option<f64>,
     probe: Arc<dyn Probe>,
+    scratch: Mutex<Scratch>,
 }
 
 impl Simulator {
     /// Simulator with the PVM-like default microcosts.
     pub fn new(tree: Arc<MachineTree>) -> Self {
-        Simulator {
-            tree,
-            cfg: NetConfig::pvm_like(),
-            step_limit: 100_000,
-            trace: false,
-            check: cfg!(debug_assertions),
-            faults: FaultPlan::new(),
-            step_deadline: None,
-            probe: hbsp_obs::noop(),
-        }
+        Simulator::with_config(tree, NetConfig::pvm_like())
     }
 
     /// Simulator with explicit microcosts.
@@ -108,6 +112,7 @@ impl Simulator {
             faults: FaultPlan::new(),
             step_deadline: None,
             probe: hbsp_obs::noop(),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 
@@ -187,6 +192,27 @@ impl Simulator {
                     message: e.to_string(),
                 })?;
         }
+        match self.scratch.try_lock() {
+            Ok(mut scratch) => self.run_in(prog, &mut scratch),
+            // A program body panicked under an earlier run. Nothing in
+            // the scratch outlives a run, so start over from empty.
+            Err(TryLockError::Poisoned(poisoned)) => {
+                self.scratch.clear_poison();
+                let mut scratch = poisoned.into_inner();
+                *scratch = Scratch::default();
+                self.run_in(prog, &mut scratch)
+            }
+            // A concurrent or re-entrant run holds the arenas.
+            Err(TryLockError::WouldBlock) => self.run_in(prog, &mut Scratch::default()),
+        }
+    }
+
+    /// The superstep loop, working in `scratch`'s buffers.
+    fn run_in<P: SpmdProgram>(
+        &self,
+        prog: &P,
+        scratch: &mut Scratch,
+    ) -> Result<(SimOutcome, Vec<P::State>), SimError> {
         let p = self.tree.num_procs();
         let envs: Vec<ProcEnv> = (0..p)
             .map(|i| ProcEnv {
@@ -200,25 +226,20 @@ impl Simulator {
         // Persistent per-superstep buffers: once warmed to a program's
         // steady-state message volume, the loop below performs no
         // per-message heap allocation (asserted by the repo's
-        // counting-allocator test).
-        let mut inboxes: Vec<MsgBatch> = (0..p).map(|_| MsgBatch::new()).collect();
+        // counting-allocator test). A run that ended in an error left
+        // its messages behind; `reset` empties them.
+        scratch.reset(p);
         let mut sends = MsgBatch::new();
-        let mut work = vec![0.0f64; p];
-        let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(p);
-        let mut analysis = StepAnalysis {
-            intents: Vec::new(),
-            traffic: Vec::new(),
-            hrelation: 0.0,
-        };
-        let mut timing = StepTiming {
-            compute_done: Vec::new(),
-            send_done: Vec::new(),
-            finish: Vec::new(),
-            messages: Vec::new(),
-        };
-        let mut timing_scratch = TimingScratch::default();
-        let mut emit_scratch = EmitScratch::default();
-        let mut order: Vec<usize> = Vec::new();
+        let Scratch {
+            inboxes,
+            work,
+            outcomes,
+            analysis,
+            timing,
+            timing_scratch,
+            emit_scratch,
+            order,
+        } = scratch;
         let mut steps: Vec<StepStats> = Vec::new();
         let mut delivered = 0u64;
         let mut timelines: Option<Vec<ProcTimeline>> = self.trace.then(|| {
@@ -273,7 +294,7 @@ impl Simulator {
                 work[i] = ctx.work;
                 outcomes.push(outcome);
             }
-            for inbox in &mut inboxes {
+            for inbox in inboxes.iter_mut() {
                 inbox.clear();
             }
 
@@ -283,8 +304,8 @@ impl Simulator {
 
             // SPMD discipline + message validation (shared with the
             // threaded runtime).
-            let scope = resolve_outcomes(step, &outcomes)?;
-            analyze_into(&self.tree, step, scope, &sends, &mut analysis)?;
+            let scope = resolve_outcomes(step, outcomes)?;
+            analyze_into(&self.tree, step, scope, &sends, analysis)?;
 
             // Timing, with any scripted stragglers inflating r.
             let r_scale = self
@@ -295,11 +316,11 @@ impl Simulator {
                 &self.tree,
                 &self.cfg,
                 &starts,
-                &work,
+                work,
                 &analysis.intents,
                 r_scale.as_deref(),
-                &mut timing_scratch,
-                &mut timing,
+                timing_scratch,
+                timing,
             );
             let finish_max = timing
                 .finish
@@ -336,11 +357,11 @@ impl Simulator {
                         step,
                         None,
                         &starts,
-                        &timing,
+                        timing,
                         &timing.finish,
-                        &analysis,
-                        &work,
-                        &mut emit_scratch,
+                        analysis,
+                        work,
+                        emit_scratch,
                     );
                     steps.push(StepStats {
                         step,
@@ -353,7 +374,7 @@ impl Simulator {
                         work_units: work.iter().sum(),
                     });
                     if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, &timing, &timing.finish);
+                        step_spans(tls, &starts, timing, &timing.finish);
                     }
                     return Ok((
                         SimOutcome {
@@ -369,17 +390,17 @@ impl Simulator {
                 Some(s) => {
                     let releases = barrier_release(&self.tree, s, &timing.finish);
                     if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, &timing, &releases);
+                        step_spans(tls, &starts, timing, &releases);
                     }
                     self.emit_step_record(
                         step,
                         Some(s.level()),
                         &starts,
-                        &timing,
+                        timing,
                         &releases,
-                        &analysis,
-                        &work,
-                        &mut emit_scratch,
+                        analysis,
+                        work,
+                        emit_scratch,
                     );
                     let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                     steps.push(StepStats {
@@ -397,8 +418,8 @@ impl Simulator {
                     // offset-table-guided bulk copy per message into
                     // the receiver's persistent inbox arena — no
                     // per-message allocation or `Vec` shuffling.
-                    delivery_order_into(&timing.messages, &mut order);
-                    for &mi in &order {
+                    delivery_order_into(&timing.messages, order);
+                    for &mi in order.iter() {
                         let dst = sends.get(mi).dst;
                         inboxes[dst.rank()].push_from(&sends, mi);
                         delivered += 1;
@@ -464,6 +485,66 @@ impl Simulator {
             sent_words: &scratch.sent,
             wall: None,
         });
+    }
+}
+
+/// What a run allocates that neither leaves with its result nor is the
+/// outbox: the inbox arenas and the per-step work vectors. Owned by the
+/// [`Simulator`] so that a second run starts with them already grown.
+///
+/// The outbox arena (`sends`, one superstep's whole traffic in one
+/// allocation) is left out on purpose: kept as well, it put a fifth to
+/// a quarter more resident memory under a caller that holds its results
+/// while the engine sits idle, and freeing one allocation of that size
+/// when a short-lived `Simulator` is dropped raises the allocator's
+/// trim threshold for the rest of the process (`docs/performance.md`
+/// §4 has both measurements). An inbox is a `p`-th of that.
+struct Scratch {
+    inboxes: Vec<MsgBatch>,
+    work: Vec<f64>,
+    outcomes: Vec<StepOutcome>,
+    analysis: StepAnalysis,
+    timing: StepTiming,
+    timing_scratch: TimingScratch,
+    emit_scratch: EmitScratch,
+    order: Vec<usize>,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            inboxes: Vec::new(),
+            work: Vec::new(),
+            outcomes: Vec::new(),
+            analysis: StepAnalysis {
+                intents: Vec::new(),
+                traffic: Vec::new(),
+                hrelation: 0.0,
+            },
+            timing: StepTiming {
+                compute_done: Vec::new(),
+                send_done: Vec::new(),
+                finish: Vec::new(),
+                messages: Vec::new(),
+            },
+            timing_scratch: TimingScratch::default(),
+            emit_scratch: EmitScratch::default(),
+            order: Vec::new(),
+        }
+    }
+}
+
+impl Scratch {
+    /// Empty the inboxes of whatever a previous run left in them,
+    /// keeping the allocations, and size the per-processor buffers for
+    /// `p` processors. Every other buffer is cleared or overwritten by
+    /// whoever refills it, once per superstep.
+    fn reset(&mut self, p: usize) {
+        self.inboxes.resize_with(p, MsgBatch::new);
+        for inbox in &mut self.inboxes {
+            inbox.clear();
+        }
+        self.work.resize(p, 0.0);
     }
 }
 
@@ -884,5 +965,193 @@ mod tests {
                 dst: ProcId(99)
             }
         );
+    }
+
+    /// What "the same run" means: model time to the bit, every
+    /// superstep's statistics, the message count and the final states.
+    fn assert_same_run(a: &(SimOutcome, Vec<Vec<u32>>), b: &(SimOutcome, Vec<Vec<u32>>)) {
+        let bits = |o: &SimOutcome| {
+            let steps: Vec<_> = o
+                .steps
+                .iter()
+                .map(|s| {
+                    let times = [s.start_min, s.finish_max, s.release_max];
+                    (
+                        (s.step, s.scope, s.traffic.clone()),
+                        times.map(f64::to_bits),
+                        (s.hrelation.to_bits(), s.work_units.to_bits()),
+                    )
+                })
+                .collect();
+            let finish: Vec<u64> = o.proc_finish.iter().map(|t| t.to_bits()).collect();
+            (o.total_time.to_bits(), finish, steps, o.messages_delivered)
+        };
+        assert_eq!(bits(&a.0), bits(&b.0));
+        assert_eq!(a.1, b.1, "final states");
+    }
+
+    /// `used` has just had a run end badly, with messages in flight;
+    /// its next run must be the run a fresh engine of the same
+    /// configuration gives. `RingShift` reads its inbox in superstep 0,
+    /// so a message that survived shows up in the states.
+    fn assert_next_run_is_fresh(used: &Simulator, fresh: Simulator) {
+        let prog = RingShift { rounds: 1 };
+        assert_same_run(
+            &used.run_with_states(&prog).unwrap(),
+            &fresh.run_with_states(&prog).unwrap(),
+        );
+    }
+
+    fn two_clusters() -> Arc<MachineTree> {
+        Arc::new(
+            TreeBuilder::two_level(
+                1.0,
+                50.0,
+                &[(5.0, vec![(1.0, 1.0), (2.0, 0.5)]), (5.0, vec![(2.0, 0.5)])],
+            )
+            .unwrap(),
+        )
+    }
+
+    #[test]
+    fn run_after_cross_cluster_send_is_fresh() {
+        let sim = Simulator::new(two_clusters());
+        assert!(matches!(
+            sim.run(&BadCrossSend),
+            Err(SimError::CrossClusterSend { step: 0, .. })
+        ));
+        assert_next_run_is_fresh(&sim, Simulator::new(two_clusters()));
+    }
+
+    #[test]
+    fn run_after_no_such_proc_is_fresh() {
+        /// One good round first, so the failing step has read delivered
+        /// messages and leaves its own posted.
+        struct LateBadDst;
+        impl SpmdProgram for LateBadDst {
+            type State = ();
+            fn init(&self, _env: &ProcEnv) {}
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                let dst = if step == 0 { env.pid } else { ProcId(99) };
+                ctx.send(dst, 0, &[9; 4]);
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        let sim = Simulator::new(flat4());
+        assert_eq!(
+            sim.run(&LateBadDst).unwrap_err(),
+            SimError::NoSuchProc {
+                step: 1,
+                dst: ProcId(99)
+            }
+        );
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()));
+    }
+
+    #[test]
+    fn run_after_step_limit_is_fresh() {
+        // Two supersteps fit the limit; three do not.
+        let sim = Simulator::new(flat4()).step_limit(2);
+        assert_eq!(
+            sim.run(&RingShift { rounds: 2 }).unwrap_err(),
+            SimError::StepLimit { limit: 2 }
+        );
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()).step_limit(2));
+    }
+
+    #[test]
+    fn run_after_scripted_crash_is_fresh() {
+        // The plan fires at step 2; the follow-up program ends at 1.
+        let plan = FaultPlan::new().crash(ProcId(2), 2);
+        let sim = Simulator::new(flat4()).faults(plan.clone());
+        assert!(matches!(
+            sim.run(&RingShift { rounds: 3 }),
+            Err(SimError::ProcCrashed { step: 2, .. })
+        ));
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()).faults(plan));
+    }
+
+    #[test]
+    fn run_after_scripted_stall_is_fresh() {
+        let plan = FaultPlan::new().stall(ProcId(1), 2);
+        let sim = Simulator::new(flat4()).faults(plan.clone());
+        assert!(matches!(
+            sim.run(&RingShift { rounds: 3 }),
+            Err(SimError::BarrierTimeout { step: 2, .. })
+        ));
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()).faults(plan));
+    }
+
+    #[test]
+    fn run_after_a_panicking_program_is_fresh() {
+        /// Sends for one round, then P2 panics with its inbox full and
+        /// P0 and P1's sends of the round already posted.
+        struct Bomb;
+        impl SpmdProgram for Bomb {
+            type State = ();
+            fn init(&self, _env: &ProcEnv) {}
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                assert!(step == 0 || env.pid != ProcId(2), "scripted panic");
+                ctx.send(ProcId((env.pid.0 + 1) % 4), 0, &[7; 8]);
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        let sim = Simulator::new(flat4());
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&Bomb)));
+        assert!(died.is_err(), "the program's panic reaches the caller");
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()));
+        // The lock is healthy again: the run after that keeps its arenas.
+        assert_next_run_is_fresh(&sim, Simulator::new(flat4()));
+        assert!(!sim.scratch.is_poisoned());
+    }
+
+    #[test]
+    fn a_program_may_run_another_on_the_same_simulator() {
+        /// P0 runs a whole `RingShift` on `sim` in the middle of its own
+        /// superstep 1, between reading its inbox and posting.
+        struct Nested<'a> {
+            sim: &'a Simulator,
+        }
+        impl SpmdProgram for Nested<'_> {
+            type State = Vec<u32>;
+            fn init(&self, _env: &ProcEnv) -> Vec<u32> {
+                Vec::new()
+            }
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                state: &mut Vec<u32>,
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                let outer = RingShift { rounds: 3 };
+                if step == 1 && env.pid == ProcId(0) {
+                    let inner = self.sim.run_with_states(&RingShift { rounds: 2 }).unwrap();
+                    let alone = Simulator::new(flat4())
+                        .run_with_states(&RingShift { rounds: 2 })
+                        .unwrap();
+                    assert_same_run(&inner, &alone);
+                }
+                outer.step(step, env, state, ctx)
+            }
+        }
+        let sim = Simulator::new(flat4());
+        let nested = sim.run_with_states(&Nested { sim: &sim }).unwrap();
+        let plain = Simulator::new(flat4())
+            .run_with_states(&RingShift { rounds: 3 })
+            .unwrap();
+        assert_same_run(&nested, &plain);
     }
 }

@@ -23,6 +23,7 @@ use common::Wire;
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::Simulator;
+use hbsplib::Executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,7 +204,8 @@ fn sync_facade_adds_no_allocations_to_hot_primitives() {
     // first clock read) is paid for outside the measured loop.
     *m.lock().unwrap() += Instant::now().elapsed().as_nanos() as u64;
     cv.notify_one();
-    let (n, _) = allocs_during(|| {
+    // This thread's count: the harness starts the next test meanwhile.
+    let n = thread_allocs_during(|| {
         for i in 0..10_000u64 {
             a.fetch_add(i, O::Release);
             a.load(O::Acquire);
@@ -381,5 +383,140 @@ fn schedule_program_posts_in_place_and_stores_one_vector_per_unit() {
         eight <= one + 7 + 1,
         "storing 8 units took {eight} allocations vs {one} for 1 — more than one per \
          extra unit (and a store node) means a second copy is back on the receive path"
+    );
+}
+
+/// Every processor sends `msgs` messages of `msg_bytes` around a ring
+/// for a few supersteps: 4 × `msgs` × `msg_bytes` through the outbox
+/// arena and a quarter of that into each inbox arena per step.
+struct Bulk {
+    msgs: usize,
+    msg_bytes: usize,
+}
+
+impl SpmdProgram for Bulk {
+    type State = u64;
+    fn init(&self, _env: &ProcEnv) -> u64 {
+        0
+    }
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        digest: &mut u64,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        for m in ctx.messages() {
+            *digest = digest
+                .wrapping_mul(31)
+                .wrapping_add(m.tag as u64 + m.payload[m.payload.len() / 2] as u64);
+        }
+        if step == 6 {
+            return StepOutcome::Done;
+        }
+        let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
+        for i in 0..self.msgs {
+            ctx.send_with(next, i as u32, self.msg_bytes, &mut |buf| {
+                buf.fill(step as u8 + 1)
+            });
+        }
+        StepOutcome::Continue(SyncScope::global(&env.tree))
+    }
+}
+
+const KIB: usize = 1024;
+
+/// An executor keeps its engine, and the engine its inbox arenas and
+/// per-step vectors, so only an executor's first run grows them: a
+/// later run allocates less often than the first did, exactly as often
+/// as every other later run, and — with 1 MiB or 8 MiB delivered per
+/// superstep — not once more for the bytes. (`MsgBatch` growth is a
+/// `realloc` per doubling, which the counter sees; an engine rebuilt per
+/// run allocates the same in every run.)
+#[test]
+fn warm_executor_allocations_do_not_depend_on_payload_bytes() {
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let runs = |msg_bytes: usize| {
+        let exec = Executor::simulator(machine());
+        let prog = Bulk {
+            msgs: 64,
+            msg_bytes,
+        };
+        let cold = thread_allocs_during(|| exec.run(&prog).unwrap());
+        let (_, states) = exec.run(&prog).unwrap();
+        assert!(states.iter().all(|&d| d != 0), "program really ran");
+        let warm = [(); 3].map(|()| thread_allocs_during(|| exec.run(&prog).unwrap()));
+        (cold, warm)
+    };
+    let (cold, small) = runs(4 * KIB);
+    let (_, large) = runs(32 * KIB);
+    assert_eq!(small, [small[0]; 3], "every later run allocates alike");
+    assert!(
+        small[0] < cold,
+        "a later run allocated {} times, the first {cold}: nothing was kept",
+        small[0]
+    );
+    assert_eq!(
+        small, large,
+        "later runs at 1 MiB/step vs at 8 MiB/step: the allocation count moves with the bytes"
+    );
+}
+
+/// The same property read off the kernel: growing an inbox arena faults
+/// its pages in, and that happens in an executor's first run only. One
+/// processor at a time sends 1 MiB to the next, so a run needs a 1 MiB
+/// outbox and four 1 MiB inboxes: a later run can at worst fault the
+/// outbox in again, a fifth of the first run's pages and far from the
+/// half allowed here, where an engine that keeps nothing faults all of
+/// them every time. Minor faults of this thread only — the simulator
+/// runs programs on its caller's — so nothing another test's thread
+/// does is counted, and a count, so a busy host does not move it.
+#[cfg(target_os = "linux")]
+#[test]
+fn warm_executor_runs_fault_no_inbox_pages() {
+    struct Token;
+    impl SpmdProgram for Token {
+        type State = u64;
+        fn init(&self, _env: &ProcEnv) -> u64 {
+            0
+        }
+        fn step(
+            &self,
+            step: usize,
+            env: &ProcEnv,
+            digest: &mut u64,
+            ctx: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            for m in ctx.messages() {
+                *digest += m.payload[m.payload.len() / 2] as u64;
+            }
+            if step == 8 {
+                return StepOutcome::Done;
+            }
+            if env.pid.rank() == step % env.nprocs {
+                let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
+                ctx.send_with(next, 0, 1024 * KIB, &mut |buf| buf.fill(step as u8 + 1));
+            }
+            StepOutcome::Continue(SyncScope::global(&env.tree))
+        }
+    }
+    /// `minflt`: the tenth field of `stat`, the eighth after the
+    /// parenthesised command name.
+    fn minor_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let mut after_comm = stat[stat.rfind(')').unwrap() + 1..].split_whitespace();
+        after_comm.nth(7).unwrap().parse().unwrap()
+    }
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let exec = Executor::simulator(machine());
+    let mut faults = [0u64; 20];
+    for f in &mut faults {
+        let before = minor_faults();
+        std::hint::black_box(exec.run(&Token).unwrap());
+        *f = minor_faults() - before;
+    }
+    assert!(
+        faults[1..].iter().all(|&f| 2 * f < faults[0]),
+        "a later run faulted half of run 1's pages or more: {faults:?}"
     );
 }

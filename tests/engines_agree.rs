@@ -6,6 +6,9 @@
 mod common;
 
 use common::arb_machine;
+use hbsp::collectives::schedule::{self, seeded_inits, ScheduleProgram};
+use hbsp::collectives::{best_plan, CollectiveKind};
+use hbsp::lib::{ExecOutcome, Executor};
 use hbsp::prelude::*;
 use hbsp::runtime::ThreadedRuntime;
 use hbsp::sim::Simulator;
@@ -212,5 +215,71 @@ proptest! {
         let b = Simulator::new(tree).run(&prog).unwrap();
         prop_assert_eq!(a.total_time, b.total_time);
         prop_assert_eq!(a.proc_finish, b.proc_finish);
+    }
+}
+
+/// Model time and per-processor finish times to the bit, the message
+/// count, and every superstep's statistics.
+fn assert_same_outcome(a: &ExecOutcome, b: &ExecOutcome, what: &str) {
+    let (a, b) = (&a.sim, &b.sim);
+    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits(), "{what}");
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.proc_finish), bits(&b.proc_finish), "{what}");
+    assert_eq!(a.messages_delivered, b.messages_delivered, "{what}");
+    assert_eq!(a.steps.len(), b.steps.len(), "{what}");
+    for (x, y) in a.steps.iter().zip(&b.steps) {
+        assert_eq!(x.scope, y.scope, "{what}");
+        assert_eq!(x.traffic, y.traffic, "{what}");
+        let times = |s: &hbsp::sim::StepStats| {
+            [
+                s.start_min,
+                s.finish_max,
+                s.release_max,
+                s.hrelation,
+                s.work_units,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(times(x), times(y), "{what} step {}", x.step);
+    }
+}
+
+/// An executor keeps its engine and the engine its arenas, so a run
+/// starts in buffers the previous program grew and filled. The seven
+/// collectives, each with its own sizes and message pattern, go twice
+/// round-robin through one simulator executor; every run must be the
+/// run a fresh executor gives, and the run the threaded runtime gives.
+#[test]
+fn one_executor_serves_the_seven_collectives_like_fresh_ones() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    let programs: Vec<(CollectiveKind, ScheduleProgram)> = CollectiveKind::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            let n = 3000 + 1700 * i as u64;
+            let plan = best_plan(&tree, kind, n).expect("campus has processors");
+            let (init, op) = seeded_inits(&tree, &plan, n, 42 + i as u64);
+            let prog = ScheduleProgram::new(Arc::new(plan.schedule), Arc::new(init), op);
+            (kind, prog)
+        })
+        .collect();
+    assert_eq!(programs.len(), 7);
+
+    let kept = Executor::simulator(Arc::clone(&tree));
+    for round in 0..2 {
+        for (kind, prog) in &programs {
+            let what = format!("{kind}, round {round}");
+            let (out, states) = schedule::execute(&kept, prog).expect("kept executor");
+            let (fresh_out, fresh_states) =
+                schedule::execute(&Executor::simulator(Arc::clone(&tree)), prog).expect("fresh");
+            let (thr_out, thr_states) =
+                schedule::execute(&Executor::threads(Arc::clone(&tree)), prog).expect("threads");
+            assert_same_outcome(&out, &fresh_out, &what);
+            assert_same_outcome(&out, &thr_out, &what);
+            assert_eq!(states, fresh_states, "{what}");
+            assert_eq!(states, thr_states, "{what}");
+        }
     }
 }
