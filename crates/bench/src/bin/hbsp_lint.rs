@@ -40,6 +40,17 @@ struct Violation {
     message: String,
 }
 
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Violation {
+            file,
+            line,
+            message,
+        } = self;
+        write!(f, "{}:{line}: lint: {message}", file.display())
+    }
+}
+
 /// Strip a line comment (`// ...`), ignoring `//` inside string
 /// literals — good enough for lint purposes on this codebase.
 fn strip_comment(line: &str) -> &str {
@@ -77,14 +88,18 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) {
 }
 
 fn lint_file(path: &Path, out: &mut Vec<Violation>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        out.push(Violation {
+    match std::fs::read_to_string(path) {
+        Ok(text) => lint_text(path, &text, out),
+        Err(_) => out.push(Violation {
             file: path.to_path_buf(),
             line: 0,
             message: "cannot read file".into(),
-        });
-        return;
-    };
+        }),
+    }
+}
+
+/// Apply the rules to `text`, the contents of the file at `path`.
+fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let rel = path.to_string_lossy().replace('\\', "/");
     if rel.ends_with("/hbsp_lint.rs") {
         return; // the rule definitions spell out the forbidden patterns
@@ -172,7 +187,7 @@ fn main() {
         lint_file(f, &mut violations);
     }
     for v in &violations {
-        eprintln!("{}:{}: lint: {}", v.file.display(), v.line, v.message);
+        eprintln!("{v}");
     }
     if violations.is_empty() {
         println!(
@@ -182,5 +197,35 @@ fn main() {
     } else {
         eprintln!("hbsp_lint: {} violation(s) found", violations.len());
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The worker pool lives in `crates/runtime/src`; a raw spawn next
+    /// to it would be a thread the model checker never schedules.
+    #[test]
+    fn raw_spawn_in_the_engine_is_reported_with_file_and_line() {
+        let src = "use crate::sync::thread;\n\nfn f() {\n    std::thread::spawn(|| ());\n}\n";
+        let mut out = Vec::new();
+        lint_text(Path::new("crates/runtime/src/engine.rs"), src, &mut out);
+        let printed: Vec<String> = out.iter().map(Violation::to_string).collect();
+        assert_eq!(printed.len(), 1, "{printed:?}");
+        assert!(
+            printed[0].starts_with("crates/runtime/src/engine.rs:4: lint: raw `std::thread`"),
+            "{printed:?}"
+        );
+        // The facade itself, and test modules, may name `std::thread`.
+        out.clear();
+        lint_text(Path::new("crates/runtime/src/sync.rs"), src, &mut out);
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        lint_text(
+            Path::new("crates/runtime/src/engine.rs"),
+            &in_tests,
+            &mut out,
+        );
+        assert!(out.is_empty());
     }
 }

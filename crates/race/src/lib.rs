@@ -7,7 +7,8 @@
 //! the runtime's risky protocols — hierarchical barrier arrival /
 //! combine / release with sense reversal, the spin→yield→park policy,
 //! the watchdog abort racing a normal release, mailbox batch
-//! circulation, and a whole-engine superstep exchange — as closures
+//! circulation, the worker pool's dispatch of borrowed jobs, and a
+//! whole-engine superstep exchange — as closures
 //! that [`weave::explore`] can run under exhaustive bounded-preemption
 //! DFS or seeded random walks.
 //!

@@ -13,7 +13,9 @@ use crate::RacyCell;
 use hbsp_core::{
     MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder,
 };
-use hbsp_runtime::{BarrierKind, CentralBarrier, HierBarrier, Mailbox, ThreadedRuntime};
+use hbsp_runtime::{
+    BarrierKind, CentralBarrier, HierBarrier, Mailbox, ThreadedRuntime, WorkerPool,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -250,6 +252,48 @@ pub fn mailbox_circulation(rounds: usize, per_round: u32) {
         all.windows(2).all(|w| w[0] < w[1]),
         "batch swap/append preserves global FIFO order"
     );
+}
+
+/// The worker pool's dispatch protocol: two consecutive dispatches of
+/// *different* jobs, each borrowing cells that die with its round, then
+/// drop.
+///
+/// Each job reads an input cell the caller wrote before the dispatch
+/// (the publish edge: `pool.epoch.publish` → `pool.epoch.poll`) and
+/// writes its rank's own output cell; after `run` returns the caller
+/// reads every output and overwrites every cell (the acknowledgement
+/// edge: `pool.remaining.ack` → `pool.remaining.wait`). So a worker
+/// that touched round 1's job after dispatch 1 returned races the
+/// caller's overwrite, a worker that missed round 2's job leaves a
+/// wrong output, and a worker stranded in `park` by the drop deadlocks
+/// the join — the checker reports each.
+pub fn pool_dispatch(workers: usize) {
+    let mut pool = WorkerPool::new(workers);
+    for round in 1..=2u64 {
+        let input = RacyCell::new(0);
+        let outputs: Vec<RacyCell> = (0..workers).map(|_| RacyCell::new(0)).collect();
+        // SAFETY: no run is in flight; the cells are this thread's.
+        unsafe { input.write(round * 100) };
+        let job = |rank: usize| {
+            // SAFETY: inside the run — `input` is read-only and
+            // `outputs[rank]` is this worker's.
+            unsafe { outputs[rank].write(input.read() + rank as u64) };
+        };
+        pool.run(&job);
+        for (rank, out) in outputs.iter().enumerate() {
+            // SAFETY: `run` returned, so every worker acknowledged and
+            // none touches this round's cells again.
+            assert_eq!(
+                unsafe { out.read() },
+                round * 100 + rank as u64,
+                "every rank ran this round's job, once"
+            );
+            unsafe { out.write(0) };
+        }
+        // SAFETY: as above.
+        unsafe { input.write(0) };
+    }
+    drop(pool);
 }
 
 /// Total-exchange program for the whole-engine scenario: both

@@ -136,6 +136,32 @@ fn mailbox_circulation_is_clean_exhaustively() {
 }
 
 #[test]
+fn worker_pool_dispatch_is_clean_exhaustively() {
+    // Two dispatches of different borrowed jobs, then drop: no worker
+    // touches job 1 after dispatch 1 returned, none misses job 2, and
+    // the drop strands nobody in `park`.
+    let out = weave::explore(&exhaustive(), || scenarios::pool_dispatch(2));
+    report("pool 2 workers x2 + drop", &out);
+    out.assert_clean("worker pool, 2 workers, 2 dispatches, drop");
+    assert!(out.stats.exhausted, "2-worker pool must be exhaustible");
+}
+
+#[test]
+#[ignore = "~98k interleavings; run via the CI race job (--include-ignored)"]
+fn worker_pool_three_workers_is_clean_exhaustively() {
+    // Four threads: exhaustive at one preemption (the 2-worker test
+    // covers two).
+    let cfg = weave::Config {
+        preemption_bound: Some(1),
+        ..exhaustive()
+    };
+    let out = weave::explore(&cfg, || scenarios::pool_dispatch(3));
+    report("pool 3 workers x2 + drop (1 preemption)", &out);
+    out.assert_clean("worker pool, 3 workers, 2 dispatches, drop");
+    assert!(out.stats.exhausted, "3-worker pool must be exhaustible");
+}
+
+#[test]
 fn engine_smoke_is_clean_under_random_walks() {
     // The full engine has far too many decision points for exhaustive
     // DFS; seeded random walks still drive slot writes, leader

@@ -124,6 +124,70 @@ fn weakened_abort_publish_is_detected() {
     assert_names_site(&out, label);
 }
 
+/// The pool's edges guard two things at once — the posted-job cell
+/// inside the runtime and whatever the job borrows — so the first
+/// report may be either a data race or the cell's `hb_assert!`; both
+/// must name the weakened site.
+fn assert_pool_names_site(label: &str, ord: Ordering) {
+    let out = weave::explore(&mutated(label, ord), || scenarios::pool_dispatch(2));
+    let f = out.expect_failure(&format!("weakened `{label}` must be detected"));
+    assert!(
+        matches!(
+            f.kind,
+            weave::FailureKind::DataRace | weave::FailureKind::HbViolation
+        ),
+        "failure: {}",
+        f.message
+    );
+    assert!(
+        f.message.contains(label),
+        "report must name the weakened site `{label}`; got: {}",
+        f.message
+    );
+    assert!(
+        f.message.contains("pool.rs") || f.message.contains("scenarios.rs"),
+        "report must point at the unordered accesses; got: {}",
+        f.message
+    );
+    assert!(
+        !f.schedule.is_empty(),
+        "failure must carry a replayable schedule"
+    );
+    println!(
+        "`{label}` -> {:?} detected on execution {} ({} schedule steps)",
+        f.kind,
+        f.execution,
+        f.schedule.len()
+    );
+}
+
+#[test]
+fn weakened_pool_publish_is_detected() {
+    // `pool.epoch.publish` (Release fetch_add) carries the caller's
+    // write of the job cell — and of everything the job borrows — to a
+    // worker that sees the new epoch without having parked (the unpark
+    // edge covers the ones that did). Relaxed: that worker's read of
+    // the cell races the caller's write.
+    assert_pool_names_site("pool.epoch.publish", Ordering::Relaxed);
+}
+
+#[test]
+fn weakened_pool_poll_is_detected() {
+    // The acquire side of the same edge.
+    assert_pool_names_site("pool.epoch.poll", Ordering::Relaxed);
+}
+
+#[test]
+fn weakened_pool_acknowledgement_is_detected() {
+    // `pool.remaining.ack` (Release fetch_sub) orders a worker's last
+    // touch of the job before the caller's return. Relaxed: the caller
+    // clears the cell, and reuses what the job borrowed, while a
+    // worker's accesses are still unordered with it. The wait side
+    // (`pool.remaining.wait`) is the same edge's other half.
+    assert_pool_names_site("pool.remaining.ack", Ordering::Relaxed);
+    assert_pool_names_site("pool.remaining.wait", Ordering::Relaxed);
+}
+
 #[test]
 fn unmutated_control_is_clean() {
     // Sanity: the same scenarios under the same budgets, with no
@@ -144,4 +208,9 @@ fn unmutated_control_is_clean() {
     };
     weave::explore(&cfg, || scenarios::watchdog_races_release(Machine::Flat2))
         .assert_clean("unmutated watchdog");
+    let cfg = weave::Config {
+        max_executions: 200_000,
+        ..weave::Config::default()
+    };
+    weave::explore(&cfg, || scenarios::pool_dispatch(2)).assert_clean("unmutated pool dispatch");
 }

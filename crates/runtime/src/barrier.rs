@@ -102,7 +102,7 @@ fn spin_iters(cores: usize, parties: usize, extra: usize) -> u32 {
 /// yield round cover the spin→yield→park escalation). Identity in
 /// normal builds and outside explorations.
 #[cfg(feature = "model")]
-fn model_scaled(limit: u32) -> u32 {
+pub(crate) fn model_scaled(limit: u32) -> u32 {
     if weave::is_modeling() {
         limit.min(1)
     } else {
@@ -111,7 +111,7 @@ fn model_scaled(limit: u32) -> u32 {
 }
 
 #[cfg(not(feature = "model"))]
-fn model_scaled(limit: u32) -> u32 {
+pub(crate) fn model_scaled(limit: u32) -> u32 {
     limit
 }
 
@@ -297,8 +297,9 @@ const SPIN_LIMIT: u32 = 64;
 /// within a few reschedules — resolving the barrier without any
 /// futex wait/wake round-trip. Bounded so a genuinely stalled peer
 /// still drives waiters into the parked state where the watchdog
-/// deadline is honored.
-const YIELD_LIMIT: u32 = 64;
+/// deadline is honored. The worker pool waits the same way between
+/// runs (`pool.rs`).
+pub(crate) const YIELD_LIMIT: u32 = 64;
 
 /// The leader re-reads the core count and thread census every this
 /// many generations, so the spin policy tracks oversubscription drift

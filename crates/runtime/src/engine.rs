@@ -1,16 +1,22 @@
 //! The threaded execution engine.
 //!
-//! One OS thread per leaf processor, synchronized per superstep by a
-//! hierarchical combining-tree barrier (see [`crate::barrier`]). The
-//! per-step hot path is lock-free for the processor threads:
+//! One OS thread per leaf processor — spawned by a runtime's first run,
+//! parked between runs, joined when the runtime is dropped (see
+//! `pool.rs`) — synchronized per superstep by a hierarchical
+//! combining-tree barrier (see [`crate::barrier`]). Everything else a
+//! run uses (barrier, mailboxes, slots, leader state) is built per run.
+//! The per-step hot path is lock-free for the processor threads:
 //!
 //! * each thread writes its superstep contribution (charged work,
 //!   posted messages, outcome) into its own cache-line-padded
 //!   `ProcSlot` — no shared lock is taken between barriers;
 //! * the barrier's leader section gathers all slots, runs the shared
-//!   timing algebra, and *moves* every message into its receiver's
-//!   mailbox (payloads are never copied), batched so each mailbox is
-//!   locked exactly once per superstep;
+//!   timing algebra, and delivers every message with two byte copies
+//!   (`docs/performance.md` §3 item 1): each outbox is appended to one
+//!   gather batch in pid order, then each message is copied into its
+//!   destination's batch in delivery order. No payload is boxed per
+//!   message, and each mailbox is locked exactly once per superstep (a
+//!   batch swap);
 //! * run-level coordination state lives in a `LeaderState` mutex that
 //!   only the leader section locks (uncontended by construction), with
 //!   two atomics (`finished`, `failed`) publishing the step's verdict
@@ -18,6 +24,7 @@
 
 use crate::barrier::{lock_anyway, BarrierKind, StepBarrier};
 use crate::mailbox::Mailbox;
+use crate::pool::WorkerPool;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{hb_assert, site_ord, Instant, Mutex, UnsafeCell};
 use hbsp_core::{MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
@@ -63,6 +70,9 @@ pub struct ThreadedRuntime {
     faults: FaultPlan,
     step_deadline: Option<Duration>,
     probe: Arc<dyn Probe>,
+    /// The `p` processor threads, spawned by the first run and parked
+    /// between runs; `None` before that and while a run has them.
+    pool: Mutex<Option<WorkerPool>>,
 }
 
 /// One processor's per-superstep contribution, padded to its own cache
@@ -249,17 +259,7 @@ impl LeaderState {
 impl ThreadedRuntime {
     /// Runtime with PVM-like default microcosts.
     pub fn new(tree: Arc<MachineTree>) -> Self {
-        ThreadedRuntime {
-            tree,
-            cfg: NetConfig::pvm_like(),
-            step_limit: 100_000,
-            barrier_kind: BarrierKind::default(),
-            trace: false,
-            check: cfg!(debug_assertions),
-            faults: FaultPlan::new(),
-            step_deadline: None,
-            probe: hbsp_obs::noop(),
-        }
+        Self::with_config(tree, NetConfig::pvm_like())
     }
 
     /// Runtime with explicit microcosts.
@@ -274,6 +274,7 @@ impl ThreadedRuntime {
             faults: FaultPlan::new(),
             step_deadline: None,
             probe: hbsp_obs::noop(),
+            pool: Mutex::new(None),
         }
     }
 
@@ -364,9 +365,10 @@ impl ThreadedRuntime {
         let barrier = StepBarrier::new(self.barrier_kind, &self.tree);
         let mailboxes: Vec<Mailbox> = (0..p).map(|_| Mailbox::new()).collect();
         let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
-        let leader_state = Mutex::new(LeaderState::new(p, self.trace));
-        let finished = AtomicBool::new(false);
-        let failed = AtomicBool::new(false);
+        let leader = Mutex::new(LeaderState::new(p, self.trace));
+        let leader_state = &leader;
+        let finished = &AtomicBool::new(false);
+        let failed = &AtomicBool::new(false);
         // Arrival board: rank `i` stores `step + 1` right before its
         // barrier arrival. A watchdog firing on an *unscripted* stall
         // (a hung body under `step_deadline`) derives the missing-pid
@@ -375,220 +377,210 @@ impl ThreadedRuntime {
         let arrived: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
 
         let began = Instant::now();
-        let tasks: Vec<_> = (0..p)
-            .map(|i| {
-                let env = ProcEnv {
-                    pid: ProcId(i as u32),
-                    nprocs: p,
-                    tree: Arc::clone(&self.tree),
-                };
-                let barrier = &barrier;
-                let leader_state = &leader_state;
-                let finished = &finished;
-                let failed = &failed;
-                let mailboxes = &mailboxes;
-                let slots = &slots;
-                let arrived = &arrived;
-                let tree = &self.tree;
-                let cfg = &self.cfg;
-                let faults = &self.faults;
-                let probe = &self.probe;
-                let observing = self.probe.enabled();
-                let step_limit = self.step_limit;
-                let user_deadline = self.step_deadline;
-                move || -> Result<P::State, SimError> {
-                    let mut state = prog.init(&env);
-                    for step in 0..step_limit {
-                        // Scripted stall: never arrive at this step's
-                        // barrier. The peers' watchdog (or, if every
-                        // processor stalled, our own fallback below)
-                        // converts the absence into a typed timeout.
-                        if faults.stalls(env.pid, step) {
-                            let give_up = Instant::now() + STALL_SELF_REPORT;
-                            while !failed.load(site_ord!("engine.failed.check", Ordering::Acquire))
-                            {
-                                if Instant::now() >= give_up {
-                                    record_timeout(
-                                        faults.stalled_at(step),
-                                        step,
-                                        leader_state,
-                                        mailboxes,
-                                        failed,
-                                        &**probe,
-                                    );
-                                    break;
-                                }
-                                crate::sync::thread::sleep(Duration::from_millis(1));
-                            }
-                            let e = lock_anyway(leader_state)
-                                .error
-                                .clone()
-                                .expect("failed implies a recorded error");
-                            return Err(e);
+        let (mailboxes, slots) = (&mailboxes[..], &slots[..]);
+        let (tree, cfg, faults, probe) = (&self.tree, &self.cfg, &self.faults, &self.probe);
+        let observing = self.probe.enabled();
+        let step_limit = self.step_limit;
+        let user_deadline = self.step_deadline;
+        let rank_body = |i: usize| -> Result<P::State, SimError> {
+            let env = ProcEnv {
+                pid: ProcId(i as u32),
+                nprocs: p,
+                tree: Arc::clone(tree),
+            };
+            // `init` is contained like a step body: a rank whose
+            // `init` panicked has no state, and reports a
+            // step-0 panic at its first body.
+            let mut state =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prog.init(&env))).ok();
+            for step in 0..step_limit {
+                // Scripted stall: never arrive at this step's
+                // barrier. The peers' watchdog (or, if every
+                // processor stalled, our own fallback below)
+                // converts the absence into a typed timeout.
+                if faults.stalls(env.pid, step) {
+                    let give_up = Instant::now() + STALL_SELF_REPORT;
+                    while !failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
+                        if Instant::now() >= give_up {
+                            record_timeout(
+                                faults.stalled_at(step),
+                                step,
+                                leader_state,
+                                mailboxes,
+                                failed,
+                                &**probe,
+                            );
+                            break;
                         }
-
-                        if faults.crashes(env.pid, step) {
-                            // Scripted crash: the body never runs. Mark
-                            // the slot and make one last barrier
-                            // arrival so the leader can diagnose every
-                            // crashed rank of the step at once.
-                            // SAFETY: this thread owns slot `i` outside
-                            // the leader section (ProcSlot protocol).
-                            unsafe { slots[i].slot() }.crashed = Some(step);
-                        } else {
-                            // Superstep body, in parallel with all
-                            // peers. A panicking body must not strand
-                            // the other threads at the barrier: contain
-                            // it, report a typed error, and let
-                            // everyone unwind together.
-                            // SAFETY: this thread owns slot `i` outside
-                            // the leader section (ProcSlot protocol).
-                            let slot = unsafe { slots[i].slot() };
-                            if observing {
-                                slot.body_start_ns = began.elapsed().as_nanos() as u64;
-                            }
-                            // Swap the inbox out of the mailbox: the
-                            // drained buffer left behind becomes the
-                            // leader's next delivery batch, so the same
-                            // allocations circulate all run.
-                            mailboxes[i].take_into(&mut slot.inbox);
-                            let mut ctx = ThreadCtx {
-                                env: &env,
-                                inbox: &slot.inbox,
-                                outbox: &mut slot.sends,
-                                work: 0.0,
-                            };
-                            let body =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    prog.step(step, &env, &mut state, &mut ctx)
-                                }));
-                            let work = ctx.work;
-                            slot.work = work;
-                            if observing {
-                                slot.body_end_ns = began.elapsed().as_nanos() as u64;
-                            }
-                            slot.outcome = Some(match body {
-                                Ok(o) => o,
-                                Err(_) => {
-                                    slot.panicked = Some(step);
-                                    // Participate with a harmless
-                                    // outcome so the barrier still
-                                    // completes.
-                                    StepOutcome::Done
-                                }
-                            });
-                        }
-                        arrived[i].store(
-                            step + 1,
-                            site_ord!("engine.arrival.board", Ordering::Release),
-                        );
-                        // Watchdog: at a step with a scripted stall the
-                        // plan *guarantees* a missing peer, so a short
-                        // internal deadline applies even when the user
-                        // set none (or a long one).
-                        let scripted_stall = !faults.stalled_at(step).is_empty();
-                        let timeout = if scripted_stall {
-                            Some(user_deadline.map_or(STALL_WATCHDOG, |d| d.min(STALL_WATCHDOG)))
-                        } else {
-                            user_deadline
-                        };
-                        // Rendezvous; the thread completing the root
-                        // arrival does the step's sequential
-                        // coordination. The leader section is itself
-                        // panic-contained: an unwinding leader would
-                        // otherwise wedge every waiter.
-                        barrier.wait_leader_watched(
-                            i,
-                            timeout,
-                            || {
-                                let missing = if scripted_stall {
-                                    faults.stalled_at(step)
-                                } else {
-                                    (0..p)
-                                        .filter(|&j| {
-                                            arrived[j].load(site_ord!(
-                                                "engine.arrival.scan",
-                                                Ordering::Acquire
-                                            )) != step + 1
-                                        })
-                                        .map(|j| ProcId(j as u32))
-                                        .collect()
-                                };
-                                record_timeout(
-                                    missing,
-                                    step,
-                                    leader_state,
-                                    mailboxes,
-                                    failed,
-                                    &**probe,
-                                );
-                            },
-                            || {
-                                let ok =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        let mut ls = lock_anyway(leader_state);
-                                        if ls.error.is_some() {
-                                            // A watchdog abort raced us
-                                            // here: don't stack step
-                                            // work on a dying run.
-                                            failed.store(
-                                                true,
-                                                site_ord!(
-                                                    "engine.failed.publish",
-                                                    Ordering::Release
-                                                ),
-                                            );
-                                            return;
-                                        }
-                                        leader_step(
-                                            tree, cfg, faults, mailboxes, slots, step, &mut ls,
-                                            finished, failed, &**probe, began,
-                                        );
-                                    }));
-                                if ok.is_err() {
-                                    let mut ls = lock_anyway(leader_state);
-                                    if ls.error.is_none() {
-                                        ls.error = Some(SimError::LeaderPanicked { step });
-                                    }
-                                    drop(ls);
-                                    for mb in mailboxes {
-                                        mb.take();
-                                    }
-                                    failed.store(
-                                        true,
-                                        site_ord!("engine.failed.publish", Ordering::Release),
-                                    );
-                                }
-                            },
-                        );
-                        if failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
-                            let e = lock_anyway(leader_state)
-                                .error
-                                .clone()
-                                .expect("failed implies a recorded error");
-                            return Err(e);
-                        }
-                        if finished.load(site_ord!("engine.finished.check", Ordering::Acquire)) {
-                            return Ok(state);
-                        }
+                        crate::sync::thread::sleep(Duration::from_millis(1));
                     }
-                    Err(SimError::StepLimit { limit: step_limit })
+                    let e = lock_anyway(leader_state)
+                        .error
+                        .clone()
+                        .expect("failed implies a recorded error");
+                    return Err(e);
                 }
-            })
-            .collect();
-        let states: Vec<Result<P::State, SimError>> = crate::sync::thread::scope_join(tasks)
-            .into_iter()
-            .map(|h| h.expect("processor thread panicked"))
-            .collect();
+
+                if faults.crashes(env.pid, step) {
+                    // Scripted crash: the body never runs. Mark
+                    // the slot and make one last barrier
+                    // arrival so the leader can diagnose every
+                    // crashed rank of the step at once.
+                    // SAFETY: this thread owns slot `i` outside
+                    // the leader section (ProcSlot protocol).
+                    unsafe { slots[i].slot() }.crashed = Some(step);
+                } else {
+                    // Superstep body, in parallel with all
+                    // peers. A panicking body must not strand
+                    // the other threads at the barrier: contain
+                    // it, report a typed error, and let
+                    // everyone unwind together.
+                    // SAFETY: this thread owns slot `i` outside
+                    // the leader section (ProcSlot protocol).
+                    let slot = unsafe { slots[i].slot() };
+                    if observing {
+                        slot.body_start_ns = began.elapsed().as_nanos() as u64;
+                    }
+                    // Swap the inbox out of the mailbox: the
+                    // drained buffer left behind becomes the
+                    // leader's next delivery batch, so the same
+                    // allocations circulate all run.
+                    mailboxes[i].take_into(&mut slot.inbox);
+                    let mut ctx = ThreadCtx {
+                        env: &env,
+                        inbox: &slot.inbox,
+                        outbox: &mut slot.sends,
+                        work: 0.0,
+                    };
+                    let body = state.as_mut().and_then(|state| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            prog.step(step, &env, state, &mut ctx)
+                        }))
+                        .ok()
+                    });
+                    let work = ctx.work;
+                    slot.work = work;
+                    if observing {
+                        slot.body_end_ns = began.elapsed().as_nanos() as u64;
+                    }
+                    slot.outcome = Some(match body {
+                        Some(o) => o,
+                        None => {
+                            slot.panicked = Some(step);
+                            // Participate with a harmless
+                            // outcome so the barrier still
+                            // completes.
+                            StepOutcome::Done
+                        }
+                    });
+                }
+                arrived[i].store(
+                    step + 1,
+                    site_ord!("engine.arrival.board", Ordering::Release),
+                );
+                // Watchdog: at a step with a scripted stall the
+                // plan *guarantees* a missing peer, so a short
+                // internal deadline applies even when the user
+                // set none (or a long one).
+                let scripted_stall = !faults.stalled_at(step).is_empty();
+                let timeout = if scripted_stall {
+                    Some(user_deadline.map_or(STALL_WATCHDOG, |d| d.min(STALL_WATCHDOG)))
+                } else {
+                    user_deadline
+                };
+                // Rendezvous; the thread completing the root
+                // arrival does the step's sequential
+                // coordination. The leader section is itself
+                // panic-contained: an unwinding leader would
+                // otherwise wedge every waiter.
+                barrier.wait_leader_watched(
+                    i,
+                    timeout,
+                    || {
+                        let missing = if scripted_stall {
+                            faults.stalled_at(step)
+                        } else {
+                            (0..p)
+                                .filter(|&j| {
+                                    arrived[j]
+                                        .load(site_ord!("engine.arrival.scan", Ordering::Acquire))
+                                        != step + 1
+                                })
+                                .map(|j| ProcId(j as u32))
+                                .collect()
+                        };
+                        record_timeout(missing, step, leader_state, mailboxes, failed, &**probe);
+                    },
+                    || {
+                        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let mut ls = lock_anyway(leader_state);
+                            if ls.error.is_some() {
+                                // A watchdog abort raced us
+                                // here: don't stack step
+                                // work on a dying run.
+                                failed.store(
+                                    true,
+                                    site_ord!("engine.failed.publish", Ordering::Release),
+                                );
+                                return;
+                            }
+                            leader_step(
+                                tree, cfg, faults, mailboxes, slots, step, &mut ls, finished,
+                                failed, &**probe, began,
+                            );
+                        }));
+                        if ok.is_err() {
+                            let mut ls = lock_anyway(leader_state);
+                            if ls.error.is_none() {
+                                ls.error = Some(SimError::LeaderPanicked { step });
+                            }
+                            drop(ls);
+                            for mb in mailboxes {
+                                mb.take();
+                            }
+                            failed
+                                .store(true, site_ord!("engine.failed.publish", Ordering::Release));
+                        }
+                    },
+                );
+                if failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
+                    let e = lock_anyway(leader_state)
+                        .error
+                        .clone()
+                        .expect("failed implies a recorded error");
+                    return Err(e);
+                }
+                if finished.load(site_ord!("engine.finished.check", Ordering::Acquire)) {
+                    return Ok(state.expect("a run with a panicked init fails at step 0"));
+                }
+            }
+            Err(SimError::StepLimit { limit: step_limit })
+        };
+        let results: Vec<_> = (0..p).map(|_| Mutex::new(None)).collect();
+        let job = |i: usize| {
+            let result = rank_body(i);
+            *lock_anyway(&results[i]) = Some(result);
+        };
+        // The kept pool, or — when another run has it (a second caller,
+        // a program whose `step` runs a program on this runtime) — a
+        // private one. Declared after everything `job` borrows, so that
+        // unwinding out of `run` joins the workers first.
+        let mut pool = lock_anyway(&self.pool)
+            .take()
+            .unwrap_or_else(|| WorkerPool::new(p));
+        pool.run(&job);
+        // Keep the pool that ran last; a displaced one is joined here,
+        // outside the lock.
+        let displaced = lock_anyway(&self.pool).replace(pool);
+        drop(displaced);
         let wall = began.elapsed();
 
         let mut out_states = Vec::with_capacity(p);
-        for s in states {
-            out_states.push(s?);
+        for r in results {
+            let r = r.into_inner().unwrap_or_else(PoisonError::into_inner);
+            out_states.push(r.expect("processor thread panicked")?);
         }
-        let ls = leader_state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+        let ls = leader.into_inner().unwrap_or_else(PoisonError::into_inner);
         let total_time = ls.finish.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         Ok((
             RunOutcome {
@@ -1424,5 +1416,399 @@ mod tests {
             }
             other => panic!("expected BarrierTimeout, got {other:?}"),
         }
+    }
+
+    // ---- the kept worker pool ----------------------------------------
+
+    /// Ranks in `bombs` panic in `init`; everyone else is done at step 0.
+    struct InitBomb {
+        bombs: &'static [u32],
+    }
+    impl SpmdProgram for InitBomb {
+        type State = ();
+        fn init(&self, env: &ProcEnv) {
+            assert!(!self.bombs.contains(&env.pid.0), "init boom");
+        }
+        fn step(
+            &self,
+            _s: usize,
+            _e: &ProcEnv,
+            _st: &mut (),
+            _c: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            StepOutcome::Done
+        }
+    }
+
+    /// Run `f` on its own thread and fail the test if it has not
+    /// returned within a minute — the failure mode under test is a hang.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the run must return, not hang")
+    }
+
+    #[test]
+    fn panicking_init_yields_typed_error_not_a_hang() {
+        for deadline in [None, Some(Duration::from_secs(120))] {
+            let err = within_a_minute(move || {
+                let mut rt = ThreadedRuntime::new(machine());
+                if let Some(d) = deadline {
+                    rt = rt.step_deadline(d);
+                }
+                rt.run(&InitBomb { bombs: &[3, 2] }).unwrap_err()
+            });
+            let lowest = SimError::ProgramPanicked {
+                pid: ProcId(2),
+                step: 0,
+            };
+            assert_eq!(err, lowest, "deadline {deadline:?}");
+        }
+    }
+
+    /// What "the same run" means: model time to the bit, every
+    /// superstep's statistics, the message count and the final states.
+    fn assert_same_run<S: PartialEq + std::fmt::Debug>(
+        a: &(SimOutcome, Vec<S>),
+        b: &(SimOutcome, Vec<S>),
+        what: &str,
+    ) {
+        let bits = |o: &SimOutcome| {
+            let steps: Vec<_> = o
+                .steps
+                .iter()
+                .map(|s| {
+                    let times = [s.start_min, s.finish_max, s.release_max];
+                    (
+                        (s.step, s.scope, s.traffic.clone()),
+                        times.map(f64::to_bits),
+                        (s.hrelation.to_bits(), s.work_units.to_bits()),
+                    )
+                })
+                .collect();
+            let finish: Vec<u64> = o.proc_finish.iter().map(|t| t.to_bits()).collect();
+            (o.total_time.to_bits(), finish, steps, o.messages_delivered)
+        };
+        assert_eq!(bits(&a.0), bits(&b.0), "{what}");
+        assert_eq!(a.1, b.1, "{what}: final states");
+    }
+
+    /// One engine configuration, buildable as a threaded runtime (any
+    /// number of times) and as the simulator.
+    #[derive(Clone, Default)]
+    struct Setup {
+        faults: FaultPlan,
+        step_limit: Option<usize>,
+        deadline: Option<Duration>,
+    }
+
+    impl Setup {
+        fn runtime(&self, kind: BarrierKind) -> ThreadedRuntime {
+            let mut rt = ThreadedRuntime::new(clustered_machine())
+                .barrier(kind)
+                .faults(self.faults.clone());
+            if let Some(limit) = self.step_limit {
+                rt = rt.step_limit(limit);
+            }
+            if let Some(d) = self.deadline {
+                rt = rt.step_deadline(d);
+            }
+            rt
+        }
+
+        fn simulator(&self) -> Simulator {
+            let sim = Simulator::new(clustered_machine()).faults(self.faults.clone());
+            match self.step_limit {
+                Some(limit) => sim.step_limit(limit),
+                None => sim,
+            }
+        }
+
+        /// `bad` ends a run on a runtime in an error `expect` accepts;
+        /// the next run on the *same* runtime must then be the run a
+        /// fresh runtime and the simulator give. The healthy program
+        /// stops after step 1, before any fault this suite scripts.
+        fn assert_next_run_is_fresh<B: SpmdProgram>(
+            &self,
+            bad: &B,
+            expect: impl Fn(&SimError) -> bool,
+        ) {
+            let good = Exchange { rounds: 1 };
+            let sim = self.simulator().run_with_states(&good).unwrap();
+            for kind in [BarrierKind::Central, BarrierKind::Hierarchical] {
+                let used = self.runtime(kind);
+                let err = used.run(bad).unwrap_err();
+                assert!(expect(&err), "{kind:?}: unexpected {err:?}");
+                let virt = |rt: &ThreadedRuntime| {
+                    let (out, states) = rt.run_with_states(&good).unwrap();
+                    (out.virtual_outcome, states)
+                };
+                let after = virt(&used);
+                assert_same_run(
+                    &after,
+                    &virt(&self.runtime(kind)),
+                    &format!("{kind:?} vs fresh"),
+                );
+                assert_same_run(&after, &sim, &format!("{kind:?} vs simulator"));
+            }
+        }
+    }
+
+    #[test]
+    fn run_after_a_panicking_init_is_fresh() {
+        Setup::default().assert_next_run_is_fresh(&InitBomb { bombs: &[2] }, |e| {
+            matches!(e, SimError::ProgramPanicked { step: 0, .. })
+        });
+    }
+
+    #[test]
+    fn run_after_a_panicking_step_is_fresh() {
+        struct Bomb;
+        impl SpmdProgram for Bomb {
+            type State = ();
+            fn init(&self, _e: &ProcEnv) {}
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                // Messages in flight when the panic ends the run.
+                ctx.send(ProcId(0), 1, &[7; 32]);
+                assert!(!(step == 1 && env.pid.0 == 5), "step boom");
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        Setup::default().assert_next_run_is_fresh(&Bomb, |e| {
+            *e == SimError::ProgramPanicked {
+                pid: ProcId(5),
+                step: 1,
+            }
+        });
+    }
+
+    #[test]
+    fn run_after_scripted_crash_and_stall_is_fresh() {
+        let crash = Setup {
+            faults: FaultPlan::new().crash(ProcId(3), 2),
+            ..Setup::default()
+        };
+        crash.assert_next_run_is_fresh(&Exchange { rounds: 5 }, |e| {
+            matches!(e, SimError::ProcCrashed { step: 2, .. })
+        });
+        let stall = Setup {
+            faults: FaultPlan::new().stall(ProcId(4), 2),
+            ..Setup::default()
+        };
+        stall.assert_next_run_is_fresh(&Exchange { rounds: 5 }, |e| {
+            matches!(e, SimError::BarrierTimeout { step: 2, .. })
+        });
+    }
+
+    #[test]
+    fn run_after_step_limit_and_termination_mismatch_is_fresh() {
+        struct Forever;
+        impl SpmdProgram for Forever {
+            type State = ();
+            fn init(&self, _e: &ProcEnv) {}
+            fn step(
+                &self,
+                _s: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                ctx.send(ProcId(0), 1, &[7; 32]);
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        let limited = Setup {
+            step_limit: Some(5),
+            ..Setup::default()
+        };
+        limited.assert_next_run_is_fresh(&Forever, |e| *e == SimError::StepLimit { limit: 5 });
+
+        struct Mixed;
+        impl SpmdProgram for Mixed {
+            type State = ();
+            fn init(&self, _e: &ProcEnv) {}
+            fn step(
+                &self,
+                _s: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                ctx.send(ProcId(0), 1, &[7; 32]);
+                if env.pid.0 == 1 {
+                    return StepOutcome::Done;
+                }
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        Setup::default()
+            .assert_next_run_is_fresh(&Mixed, |e| *e == SimError::TerminationMismatch { step: 0 });
+    }
+
+    /// The soundness invariant of the kept pool (and of `scope` before
+    /// it): a run whose watchdog fired must still not return while a
+    /// body is running, because the body borrows from the run.
+    #[test]
+    fn run_after_a_hung_body_is_fresh_and_waits_for_the_sleeper() {
+        struct Hang {
+            woke: std::sync::atomic::AtomicUsize,
+        }
+        impl SpmdProgram for Hang {
+            type State = ();
+            fn init(&self, _e: &ProcEnv) {}
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                _c: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                if step == 1 && env.pid.0 == 1 {
+                    std::thread::sleep(Duration::from_millis(400));
+                    self.woke.fetch_add(1, Ordering::SeqCst);
+                }
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        let hang = Hang {
+            woke: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let runs = std::cell::Cell::new(0);
+        let watched = Setup {
+            deadline: Some(Duration::from_millis(50)),
+            ..Setup::default()
+        };
+        watched.assert_next_run_is_fresh(&hang, |e| {
+            runs.set(runs.get() + 1);
+            assert_eq!(
+                hang.woke.load(Ordering::SeqCst),
+                runs.get(),
+                "the run returned before its sleeping body did"
+            );
+            *e == SimError::BarrierTimeout {
+                missing: vec![ProcId(1)],
+                step: 1,
+            }
+        });
+    }
+
+    /// Records which thread each rank ran on.
+    struct WhoAmI;
+    impl SpmdProgram for WhoAmI {
+        /// `(ThreadId, /proc/thread-self target)` of the rank's thread.
+        type State = (std::thread::ThreadId, Option<std::path::PathBuf>);
+        fn init(&self, _e: &ProcEnv) -> Self::State {
+            (
+                std::thread::current().id(),
+                std::fs::read_link("/proc/thread-self").ok(),
+            )
+        }
+        fn step(
+            &self,
+            _s: usize,
+            env: &ProcEnv,
+            _st: &mut Self::State,
+            _c: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            let name = format!("hbsp-p{}", env.pid.0);
+            assert_eq!(std::thread::current().name(), Some(name.as_str()));
+            StepOutcome::Done
+        }
+    }
+
+    #[test]
+    fn ranks_keep_their_threads_and_drop_frees_them() {
+        let threads_of = |rt: &ThreadedRuntime| rt.run_with_states(&WhoAmI).unwrap().1;
+        let rt = ThreadedRuntime::new(clustered_machine());
+        let first = threads_of(&rt);
+        for run in 2..=20 {
+            assert_eq!(threads_of(&rt), first, "run {run}: rank i left thread i");
+        }
+        let distinct: std::collections::HashSet<_> = first.iter().map(|(id, _)| *id).collect();
+        assert_eq!(distinct.len(), first.len(), "one thread per rank");
+        assert!(!distinct.contains(&std::thread::current().id()));
+
+        let other = ThreadedRuntime::new(clustered_machine());
+        for (id, _) in threads_of(&other) {
+            assert!(!distinct.contains(&id), "two runtimes share no thread");
+        }
+
+        // `Threads:` in /proc/self/status counts libtest's own threads
+        // too, which come and go; the kernel's per-thread directories
+        // say the same thing about exactly these threads.
+        drop(rt);
+        for (_, task) in first {
+            if let Some(task) = task {
+                let dir = std::path::Path::new("/proc").join(task);
+                assert!(!dir.exists(), "{} outlived its runtime", dir.display());
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_and_reentrant_runs_fall_back_to_a_private_pool() {
+        let tree = machine();
+        let expect = Simulator::new(Arc::clone(&tree))
+            .run_with_states(&Exchange { rounds: 3 })
+            .unwrap();
+        let rt = Arc::new(ThreadedRuntime::new(Arc::clone(&tree)));
+
+        // Two OS threads on one runtime at once.
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                let rt = Arc::clone(&rt);
+                std::thread::spawn(move || {
+                    (0..10)
+                        .map(|_| {
+                            let (out, states) =
+                                rt.run_with_states(&Exchange { rounds: 3 }).unwrap();
+                            (out.virtual_outcome, states)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for c in callers {
+            for got in within_a_minute(move || c.join().unwrap()) {
+                assert_same_run(&got, &expect, "concurrent caller");
+            }
+        }
+
+        /// Rank 0's step 0 runs `Exchange` on the runtime it is running on.
+        struct Nested {
+            rt: Arc<ThreadedRuntime>,
+        }
+        impl SpmdProgram for Nested {
+            type State = Option<(SimOutcome, Vec<Vec<(u32, u32)>>)>;
+            fn init(&self, _e: &ProcEnv) -> Self::State {
+                None
+            }
+            fn step(
+                &self,
+                _s: usize,
+                env: &ProcEnv,
+                st: &mut Self::State,
+                _c: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                if env.pid.0 == 0 {
+                    let (out, states) = self.rt.run_with_states(&Exchange { rounds: 3 }).unwrap();
+                    *st = Some((out.virtual_outcome, states));
+                }
+                StepOutcome::Done
+            }
+        }
+        let nested = Nested {
+            rt: Arc::clone(&rt),
+        };
+        let states = within_a_minute(move || nested.rt.run_with_states(&nested).unwrap().1);
+        let inner = states[0].as_ref().expect("rank 0 ran the inner program");
+        assert_same_run(inner, &expect, "nested run");
     }
 }

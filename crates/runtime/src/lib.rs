@@ -29,8 +29,14 @@
 pub mod barrier;
 pub mod engine;
 pub mod mailbox;
+mod pool;
 pub mod sync;
 
 pub use barrier::{BarrierKind, CentralBarrier, HierBarrier};
 pub use engine::{RunOutcome, ThreadedRuntime};
 pub use mailbox::Mailbox;
+/// The worker pool, reachable for `hbsp-race`'s exploration scenarios
+/// only.
+#[cfg(feature = "model")]
+#[doc(hidden)]
+pub use pool::WorkerPool;

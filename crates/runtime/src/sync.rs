@@ -13,6 +13,11 @@
 //! happens-before tracking — which is how `hbsp-race` exhaustively
 //! explores the barrier/engine/mailbox protocols.
 //!
+//! Threads the runtime keeps across calls (the worker pool) are
+//! `thread::Builder::spawn` / `JoinHandle::join` plus `park` and
+//! `Thread::unpark`; `cell_read` is the one addition to `UnsafeCell`,
+//! for contents several threads read at once.
+//!
 //! Two macros make the runtime's memory-ordering discipline checkable:
 //!
 //! * `site_ord!` labels a *tunable* ordering site. Normally it
@@ -45,23 +50,17 @@ mod imp {
 
     /// `std::thread` subset the runtime uses.
     pub mod thread {
-        pub use std::thread::{available_parallelism, sleep, yield_now};
+        pub use std::thread::{
+            available_parallelism, current, park, sleep, yield_now, Builder, JoinHandle, Thread,
+        };
+    }
 
-        /// Spawn every task on its own thread and join them in order,
-        /// returning each task's result (or its panic payload). The
-        /// structured-concurrency shape the engine needs from
-        /// `std::thread::scope`, packaged as a function so the model
-        /// build can interpose a schedulable implementation.
-        pub fn scope_join<T, F>(tasks: Vec<F>) -> Vec<std::thread::Result<T>>
-        where
-            T: Send,
-            F: FnOnce() -> T + Send,
-        {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = tasks.into_iter().map(|f| s.spawn(f)).collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            })
-        }
+    /// Pointer for a *shared read* of a cell's contents: several
+    /// threads may hold one at once, provided every write
+    /// happens-before it (the model records a read access, where
+    /// `UnsafeCell::get` records a write).
+    pub fn cell_read<T>(cell: &UnsafeCell<T>) -> *const T {
+        cell.get()
     }
 
     /// Always false without the `model` feature: no exploration can
@@ -85,6 +84,14 @@ mod imp {
     pub use weave::thread;
     pub use weave::time::Instant;
     pub use weave::{Condvar, Mutex, MutexGuard, UnsafeCell, WaitTimeoutResult};
+
+    /// Pointer for a *shared read* of a cell's contents
+    /// ([`weave::UnsafeCell::get_read`]: races only with an unordered
+    /// write).
+    #[track_caller]
+    pub fn cell_read<T>(cell: &UnsafeCell<T>) -> *const T {
+        cell.get_read()
+    }
 }
 
 pub use imp::*;
@@ -147,29 +154,6 @@ mod tests {
             site_ord!("sync.test.site", Ordering::AcqRel),
             Ordering::AcqRel
         );
-    }
-
-    #[test]
-    fn scope_join_returns_results_in_spawn_order() {
-        let tasks: Vec<_> = (0..4).map(|i| move || i * 10).collect();
-        let out: Vec<i32> = super::thread::scope_join(tasks)
-            .into_iter()
-            .map(|r| r.expect("no panics"))
-            .collect();
-        assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn scope_join_surfaces_panics_per_task() {
-        let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("task 1 dies")),
-            Box::new(|| 3),
-        ];
-        let out = super::thread::scope_join(tasks);
-        assert_eq!(*out[0].as_ref().unwrap(), 1);
-        assert!(out[1].is_err(), "the panic arrives as an Err payload");
-        assert_eq!(*out[2].as_ref().unwrap(), 3);
     }
 
     #[test]

@@ -462,6 +462,40 @@ fn warm_executor_allocations_do_not_depend_on_payload_bytes() {
     );
 }
 
+/// A threaded runtime keeps its processor threads: the first run spawns
+/// them (allocating on the caller's thread for each), a later run only
+/// wakes them, so on the caller's thread runs 2..N of an empty program
+/// allocate alike — the per-run barrier, mailboxes, slots and result
+/// vector, nothing per dispatch that grows — and less than the first.
+#[test]
+fn pooled_runs_allocate_alike_and_less_than_the_first() {
+    struct Empty;
+    impl SpmdProgram for Empty {
+        type State = ();
+        fn init(&self, _env: &ProcEnv) {}
+        fn step(
+            &self,
+            _s: usize,
+            _e: &ProcEnv,
+            _st: &mut (),
+            _c: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            StepOutcome::Done
+        }
+    }
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let rt = ThreadedRuntime::new(machine());
+    let first = thread_allocs_during(|| rt.run(&Empty).unwrap());
+    let later = [(); 5].map(|()| thread_allocs_during(|| rt.run(&Empty).unwrap()));
+    assert_eq!(later, [later[0]; 5], "every later run allocates alike");
+    assert!(
+        later[0] < first,
+        "a later run allocated {} times on its caller's thread, the first {first}: \
+         the threads were spawned again",
+        later[0]
+    );
+}
+
 /// The same property read off the kernel: growing an inbox arena faults
 /// its pages in, and that happens in an executor's first run only. One
 /// processor at a time sends 1 MiB to the next, so a run needs a 1 MiB

@@ -244,13 +244,16 @@ fn assert_same_outcome(a: &ExecOutcome, b: &ExecOutcome, what: &str) {
     }
 }
 
-/// An executor keeps its engine and the engine its arenas, so a run
-/// starts in buffers the previous program grew and filled. The seven
-/// collectives, each with its own sizes and message pattern, go twice
-/// round-robin through one simulator executor; every run must be the
-/// run a fresh executor gives, and the run the threaded runtime gives.
-#[test]
-fn one_executor_serves_the_seven_collectives_like_fresh_ones() {
+/// An executor keeps its engine — the simulator its arenas, the
+/// threaded runtime its processor threads — so a run starts in what the
+/// previous program left. The seven collectives, each with its own
+/// sizes and message pattern, go twice round-robin through one `kept`
+/// executor; every run must be the run a fresh executor of the same
+/// engine gives, and the run the `other` engine gives.
+fn kept_executor_serves_like_fresh(
+    engine: fn(Arc<MachineTree>) -> Executor,
+    other: fn(Arc<MachineTree>) -> Executor,
+) {
     let tree = Arc::new(
         hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
     );
@@ -267,19 +270,29 @@ fn one_executor_serves_the_seven_collectives_like_fresh_ones() {
         .collect();
     assert_eq!(programs.len(), 7);
 
-    let kept = Executor::simulator(Arc::clone(&tree));
+    let kept = engine(Arc::clone(&tree));
     for round in 0..2 {
         for (kind, prog) in &programs {
             let what = format!("{kind}, round {round}");
             let (out, states) = schedule::execute(&kept, prog).expect("kept executor");
             let (fresh_out, fresh_states) =
-                schedule::execute(&Executor::simulator(Arc::clone(&tree)), prog).expect("fresh");
-            let (thr_out, thr_states) =
-                schedule::execute(&Executor::threads(Arc::clone(&tree)), prog).expect("threads");
+                schedule::execute(&engine(Arc::clone(&tree)), prog).expect("fresh");
+            let (other_out, other_states) =
+                schedule::execute(&other(Arc::clone(&tree)), prog).expect("other engine");
             assert_same_outcome(&out, &fresh_out, &what);
-            assert_same_outcome(&out, &thr_out, &what);
+            assert_same_outcome(&out, &other_out, &what);
             assert_eq!(states, fresh_states, "{what}");
-            assert_eq!(states, thr_states, "{what}");
+            assert_eq!(states, other_states, "{what}");
         }
     }
+}
+
+#[test]
+fn one_executor_serves_the_seven_collectives_like_fresh_ones() {
+    kept_executor_serves_like_fresh(Executor::simulator, Executor::threads);
+}
+
+#[test]
+fn one_threaded_executor_serves_the_seven_collectives_like_fresh_ones() {
+    kept_executor_serves_like_fresh(Executor::threads, Executor::simulator);
 }
