@@ -5,7 +5,11 @@
 //! algorithms". This crate does exactly that: complete SPMD
 //! applications written against `hbsplib` and the collectives, runnable
 //! on either engine, with the model's two design rules applied
-//! throughout (fastest machines coordinate; workloads follow `c_j`):
+//! throughout (fastest machines coordinate; workloads follow `c_j`).
+//! Each module has the program type and a `run` that executes it on an
+//! [`hbsplib::Executor`] — `sort::run(&Executor::simulator(tree), ..)`,
+//! or `Executor::threads(tree)` for one OS thread per processor — and
+//! reads the answer out of the final states:
 //!
 //! * [`sort`] — heterogeneous parallel sample sort: balanced scatter,
 //!   local sort, splitter selection at `P_f`, bucket exchange, local
@@ -23,6 +27,12 @@ pub mod matvec;
 pub mod sort;
 pub mod stencil;
 
-pub use matvec::{simulate_matvec, MatVecRun};
-pub use sort::{simulate_sample_sort, SampleSortRun};
-pub use stencil::{reference_jacobi, simulate_stencil, StencilRun};
+pub use matvec::MatVecRun;
+pub use sort::SampleSortRun;
+pub use stencil::{reference_jacobi, StencilRun};
+
+/// The simulator on a copy of `tree`: what the modules' tests run on.
+#[cfg(test)]
+fn sim(tree: &hbsp_core::MachineTree) -> hbsplib::Executor {
+    hbsplib::Executor::simulator(std::sync::Arc::new(tree.clone()))
+}

@@ -10,8 +10,8 @@ use hbsp_collectives::plan::WorkloadPolicy;
 use hbsp_core::{
     MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
-use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsp_sim::{SimError, SimOutcome};
+use hbsplib::{codec, Executor};
 use std::sync::Arc;
 
 const TAG_ROWS: u32 = 0x4D01;
@@ -157,35 +157,34 @@ impl SpmdProgram for MatVec {
     }
 }
 
-/// Outcome of a simulated matrix–vector multiply.
+/// Outcome of a matrix–vector multiply run.
 #[derive(Debug, Clone)]
 pub struct MatVecRun {
     /// The product `y = A·x`.
     pub y: Vec<f64>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Multiply the row-major `n × m` matrix `a` by `x` on `tree`.
-pub fn simulate_matvec(
-    tree: &MachineTree,
+/// Multiply the row-major `n × m` matrix `a` by `x` on `exec`'s machine
+/// and engine.
+pub fn run(
+    exec: &Executor,
     a: &[f64],
     x: &[f64],
     n: usize,
     m: usize,
     workload: WorkloadPolicy,
 ) -> Result<MatVecRun, SimError> {
-    let tree_arc = Arc::new(tree.clone());
     let prog = MatVec::new(Arc::new(a.to_vec()), Arc::new(x.to_vec()), n, m, workload);
-    let sim = Simulator::with_config(Arc::clone(&tree_arc), NetConfig::pvm_like());
-    let (outcome, states) = sim.run_with_states(&prog)?;
-    let root = tree_arc.fastest_proc();
+    let (outcome, mut states) = exec.run(&prog)?;
+    let root = exec.tree().fastest_proc();
     Ok(MatVecRun {
-        y: states[root.rank()].y.clone(),
-        time: outcome.total_time,
-        sim: outcome,
+        y: std::mem::take(&mut states[root.rank()].y),
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
@@ -214,6 +213,7 @@ pub fn kway_merge_u32(runs: Vec<Vec<u32>>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{matvec, sim};
     use hbsp_core::TreeBuilder;
 
     fn machine() -> MachineTree {
@@ -244,7 +244,7 @@ mod tests {
             WorkloadPolicy::Balanced,
             WorkloadPolicy::CommAware,
         ] {
-            let run = simulate_matvec(&t, &a, &x, n, m, wl).unwrap();
+            let run = matvec::run(&sim(&t), &a, &x, n, m, wl).unwrap();
             for (got, expect) in run.y.iter().zip(&want) {
                 assert!((got - expect).abs() < 1e-9, "{wl:?}");
             }
@@ -258,7 +258,7 @@ mod tests {
         for (n, m) in [(1usize, 1usize), (1, 7), (7, 1), (2, 3)] {
             let a: Vec<f64> = (0..n * m).map(|i| i as f64).collect();
             let x: Vec<f64> = (0..m).map(|i| (i + 1) as f64).collect();
-            let run = simulate_matvec(&t, &a, &x, n, m, WorkloadPolicy::Balanced).unwrap();
+            let run = matvec::run(&sim(&t), &a, &x, n, m, WorkloadPolicy::Balanced).unwrap();
             assert_eq!(run.y, reference(&a, &x, n, m), "{n}x{m}");
         }
     }
@@ -269,10 +269,10 @@ mod tests {
         let (n, m) = (600, 200);
         let a = vec![1.0; n * m];
         let x = vec![1.0; m];
-        let eq = simulate_matvec(&t, &a, &x, n, m, WorkloadPolicy::Equal)
+        let eq = matvec::run(&sim(&t), &a, &x, n, m, WorkloadPolicy::Equal)
             .unwrap()
             .time;
-        let bal = simulate_matvec(&t, &a, &x, n, m, WorkloadPolicy::Balanced)
+        let bal = matvec::run(&sim(&t), &a, &x, n, m, WorkloadPolicy::Balanced)
             .unwrap()
             .time;
         assert!(bal < eq, "balanced {bal} vs equal {eq}");

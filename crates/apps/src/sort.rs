@@ -21,9 +21,9 @@ use crate::matvec::kway_merge_u32;
 use hbsp_collectives::data::{decode_bundle, encode_bundle};
 use hbsp_collectives::plan::{RootPolicy, WorkloadPolicy};
 use hbsp_collectives::shares_for;
-use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
-use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
+use hbsp_sim::{SimError, SimOutcome};
+use hbsplib::{codec, Executor};
 use std::sync::Arc;
 
 const TAG_SHARE: u32 = 0x5301;
@@ -222,7 +222,7 @@ impl SpmdProgram for SampleSort {
     }
 }
 
-/// Outcome of a simulated sample sort.
+/// Outcome of a sample-sort run.
 #[derive(Debug, Clone)]
 pub struct SampleSortRun {
     /// The globally sorted array (buckets concatenated in rank order).
@@ -232,41 +232,20 @@ pub struct SampleSortRun {
     pub bucket_sizes: Vec<usize>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Sort `items` on `tree` with the given share policy.
-pub fn simulate_sample_sort(
-    tree: &MachineTree,
-    items: &[u32],
-    workload: WorkloadPolicy,
-) -> Result<SampleSortRun, SimError> {
-    simulate_sample_sort_with(tree, NetConfig::pvm_like(), items, workload)
-}
-
-/// Sample sort with explicit microcosts.
-pub fn simulate_sample_sort_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    items: &[u32],
-    workload: WorkloadPolicy,
-) -> Result<SampleSortRun, SimError> {
-    simulate_sample_sort_plan(tree, cfg, items, workload, RootPolicy::Fastest)
-}
-
-/// Sample sort with explicit microcosts and coordinator choice.
-pub fn simulate_sample_sort_plan(
-    tree: &MachineTree,
-    cfg: NetConfig,
+/// Sort `items` on `exec`'s machine and engine with the given share
+/// policy, coordinated by the processor `root` selects.
+pub fn run(
+    exec: &Executor,
     items: &[u32],
     workload: WorkloadPolicy,
     root: RootPolicy,
 ) -> Result<SampleSortRun, SimError> {
-    let tree = Arc::new(tree.clone());
     let prog = SampleSort::new(Arc::new(items.to_vec()), workload).with_root(root);
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = sim.run_with_states(&prog)?;
+    let (outcome, states) = exec.run(&prog)?;
     let bucket_sizes: Vec<usize> = states.iter().map(|s| s.bucket.len()).collect();
     let mut sorted = Vec::with_capacity(items.len());
     for s in &states {
@@ -275,15 +254,16 @@ pub fn simulate_sample_sort_plan(
     Ok(SampleSortRun {
         sorted,
         bucket_sizes,
-        time: outcome.total_time,
-        sim: outcome,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::TreeBuilder;
+    use crate::{sim, sort};
+    use hbsp_core::{MachineTree, TreeBuilder};
 
     fn items(n: usize, seed: u64) -> Vec<u32> {
         let mut x = seed | 1;
@@ -317,7 +297,7 @@ mod tests {
             WorkloadPolicy::Balanced,
             WorkloadPolicy::CommAware,
         ] {
-            let run = simulate_sample_sort(&t, &data, wl).unwrap();
+            let run = sort::run(&sim(&t), &data, wl, RootPolicy::Fastest).unwrap();
             assert_eq!(run.sorted, expected, "{wl:?}");
             assert_eq!(run.bucket_sizes.iter().sum::<usize>(), data.len());
         }
@@ -329,7 +309,8 @@ mod tests {
         for data in [vec![], vec![5], vec![3, 3, 3, 3, 3], items(17, 4)] {
             let mut expected = data.clone();
             expected.sort_unstable();
-            let run = simulate_sample_sort(&t, &data, WorkloadPolicy::Equal).unwrap();
+            let run =
+                sort::run(&sim(&t), &data, WorkloadPolicy::Equal, RootPolicy::Fastest).unwrap();
             assert_eq!(run.sorted, expected, "{data:?}");
         }
     }
@@ -338,7 +319,7 @@ mod tests {
     fn splitters_balance_buckets_reasonably() {
         let t = machine();
         let data = items(50_000, 7);
-        let run = simulate_sample_sort(&t, &data, WorkloadPolicy::Equal).unwrap();
+        let run = sort::run(&sim(&t), &data, WorkloadPolicy::Equal, RootPolicy::Fastest).unwrap();
         let max = *run.bucket_sizes.iter().max().unwrap();
         // PSRS-style regular sampling bounds buckets by ~2n/p.
         assert!(
@@ -356,7 +337,13 @@ mod tests {
         let data = items(1000, 3);
         let mut expected = data.clone();
         expected.sort_unstable();
-        let run = simulate_sample_sort(&t, &data, WorkloadPolicy::Balanced).unwrap();
+        let run = sort::run(
+            &sim(&t),
+            &data,
+            WorkloadPolicy::Balanced,
+            RootPolicy::Fastest,
+        )
+        .unwrap();
         assert_eq!(run.sorted, expected);
     }
 
@@ -372,18 +359,9 @@ mod tests {
         )
         .unwrap();
         let data = items(60_000, 5);
-        let cfg = hbsp_sim::NetConfig::pvm_like();
-        let bsp = simulate_sample_sort_plan(
-            &t,
-            cfg.clone(),
-            &data,
-            WorkloadPolicy::Equal,
-            RootPolicy::Rank(0),
-        )
-        .unwrap();
-        let hbsp = simulate_sample_sort_plan(
-            &t,
-            cfg,
+        let bsp = sort::run(&sim(&t), &data, WorkloadPolicy::Equal, RootPolicy::Rank(0)).unwrap();
+        let hbsp = sort::run(
+            &sim(&t),
             &data,
             WorkloadPolicy::Balanced,
             RootPolicy::Fastest,
@@ -405,12 +383,17 @@ mod tests {
     fn balanced_shares_speed_up_the_sort() {
         let t = machine();
         let data = items(100_000, 1);
-        let equal = simulate_sample_sort(&t, &data, WorkloadPolicy::Equal)
+        let equal = sort::run(&sim(&t), &data, WorkloadPolicy::Equal, RootPolicy::Fastest)
             .unwrap()
             .time;
-        let balanced = simulate_sample_sort(&t, &data, WorkloadPolicy::Balanced)
-            .unwrap()
-            .time;
+        let balanced = sort::run(
+            &sim(&t),
+            &data,
+            WorkloadPolicy::Balanced,
+            RootPolicy::Fastest,
+        )
+        .unwrap()
+        .time;
         assert!(
             balanced < equal,
             "compute-bound phases reward c_j balancing: {balanced} vs {equal}"

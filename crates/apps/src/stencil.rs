@@ -13,8 +13,8 @@ use hbsp_collectives::plan::WorkloadPolicy;
 use hbsp_core::{
     MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
-use hbsp_sim::{NetConfig, SimError, SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsp_sim::{SimError, SimOutcome};
+use hbsplib::{codec, Executor};
 use std::sync::Arc;
 
 const TAG_HALO_LEFT: u32 = 0x4801; // carries my leftmost cell, to my left neighbour
@@ -188,33 +188,32 @@ impl SpmdProgram for Stencil {
     }
 }
 
-/// Outcome of a simulated stencil run.
+/// Outcome of a stencil run.
 #[derive(Debug, Clone)]
 pub struct StencilRun {
     /// The relaxed field (boundaries included).
     pub field: Vec<f64>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Relax `field` for `iterations` Jacobi sweeps on `tree`.
-pub fn simulate_stencil(
-    tree: &MachineTree,
+/// Relax `field` for `iterations` Jacobi sweeps on `exec`'s machine and
+/// engine.
+pub fn run(
+    exec: &Executor,
     field: &[f64],
     iterations: usize,
     workload: WorkloadPolicy,
 ) -> Result<StencilRun, SimError> {
-    let tree_arc = Arc::new(tree.clone());
     let prog = Stencil::new(Arc::new(field.to_vec()), iterations, workload);
-    let sim = Simulator::with_config(Arc::clone(&tree_arc), NetConfig::pvm_like());
-    let (outcome, states) = sim.run_with_states(&prog)?;
-    let root = tree_arc.fastest_proc();
+    let (outcome, mut states) = exec.run(&prog)?;
+    let root = exec.tree().fastest_proc();
     Ok(StencilRun {
-        field: states[root.rank()].result.clone(),
-        time: outcome.total_time,
-        sim: outcome,
+        field: std::mem::take(&mut states[root.rank()].result),
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
@@ -234,6 +233,7 @@ pub fn reference_jacobi(field: &[f64], iterations: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sim, stencil};
     use hbsp_core::TreeBuilder;
 
     fn machine() -> MachineTree {
@@ -254,7 +254,7 @@ mod tests {
         for iters in [0usize, 1, 2, 7, 30] {
             let want = reference_jacobi(&field, iters);
             for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
-                let run = simulate_stencil(&t, &field, iters, wl).unwrap();
+                let run = stencil::run(&sim(&t), &field, iters, wl).unwrap();
                 for (a, b) in run.field.iter().zip(&want) {
                     assert!((a - b).abs() < 1e-12, "iters={iters} {wl:?}");
                 }
@@ -266,7 +266,7 @@ mod tests {
     fn converges_toward_linear_steady_state() {
         let t = machine();
         let field = hot_rod(34);
-        let run = simulate_stencil(&t, &field, 4000, WorkloadPolicy::Balanced).unwrap();
+        let run = stencil::run(&sim(&t), &field, 4000, WorkloadPolicy::Balanced).unwrap();
         // Steady state of u'' = 0 with u(0)=100, u(n-1)=0 is linear.
         let n = run.field.len();
         for (i, v) in run.field.iter().enumerate() {
@@ -279,10 +279,10 @@ mod tests {
     fn more_iterations_cost_more_time() {
         let t = machine();
         let field = hot_rod(1000);
-        let t10 = simulate_stencil(&t, &field, 10, WorkloadPolicy::Balanced)
+        let t10 = stencil::run(&sim(&t), &field, 10, WorkloadPolicy::Balanced)
             .unwrap()
             .time;
-        let t50 = simulate_stencil(&t, &field, 50, WorkloadPolicy::Balanced)
+        let t50 = stencil::run(&sim(&t), &field, 50, WorkloadPolicy::Balanced)
             .unwrap()
             .time;
         assert!(t50 > t10 * 3.0);
@@ -296,7 +296,7 @@ mod tests {
         let t = TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (5.0, 0.05), (1.0, 1.0)]).unwrap();
         let field = hot_rod(4); // 2 interior cells
         let want = reference_jacobi(&field, 12);
-        let run = simulate_stencil(&t, &field, 12, WorkloadPolicy::Balanced).unwrap();
+        let run = stencil::run(&sim(&t), &field, 12, WorkloadPolicy::Balanced).unwrap();
         for (a, b) in run.field.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12, "{:?} vs {:?}", run.field, want);
         }
@@ -307,7 +307,7 @@ mod tests {
         let t = machine();
         let field = hot_rod(4); // 2 interior cells over 4 procs
         let want = reference_jacobi(&field, 5);
-        let run = simulate_stencil(&t, &field, 5, WorkloadPolicy::Equal).unwrap();
+        let run = stencil::run(&sim(&t), &field, 5, WorkloadPolicy::Equal).unwrap();
         for (a, b) in run.field.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -137,11 +137,9 @@ fn main() {
         }
     }
     let Some(machine) = machine else { usage() };
-    let engines: Vec<&'static str> = match engine.as_str() {
-        "sim" => vec!["sim"],
-        "threads" => vec!["threads"],
+    let engines: Vec<&str> = match engine.as_str() {
         "both" => vec!["sim", "threads"],
-        _ => usage(),
+        one => vec![one],
     };
 
     let tree = match std::fs::read_to_string(&machine)
@@ -165,11 +163,10 @@ fn main() {
     let mut failures = 0usize;
     let mut results: Vec<EngineResult> = Vec::new();
     for name in engines {
-        let exec = match name {
-            "sim" => Executor::simulator(tree.clone()),
-            _ => Executor::threads(tree.clone()),
-        }
-        .faults(faults.clone());
+        let exec = Executor::from_engine_name(name, tree.clone())
+            .unwrap_or_else(|| usage())
+            .faults(faults.clone());
+        let name = exec.engine_name();
         let runner = AdaptiveExecutor::new(exec).config(cfg);
         let adaptive = runner.run(&job, rounds).unwrap_or_else(|e| {
             eprintln!("hbsp_adapt: {name}: adaptive run failed: {e}");

@@ -33,8 +33,9 @@ use hbsp_bench::{
 use hbsp_collectives::plan::{RootPolicy, WorkloadPolicy};
 use hbsp_collectives::CollectiveError;
 use hbsp_core::topology;
-use hbsp_sim::NetConfig;
+use hbsplib::Executor;
 use std::process::exit;
+use std::sync::Arc;
 
 const EXPERIMENTS: [(&str, fn()); 11] = [
     ("E1", || {
@@ -169,17 +170,11 @@ fn e11() {
     );
     let items = input_kb(400);
     for p in TESTBED_PS {
-        let tree = testbed(p).expect("testbed builds");
+        let exec = Executor::simulator(Arc::new(testbed(p).expect("testbed builds")));
         let sort = |workload, root| {
-            hbsp_apps::sort::simulate_sample_sort_plan(
-                &tree,
-                NetConfig::pvm_like(),
-                &items,
-                workload,
-                root,
-            )
-            .expect("run")
-            .time
+            hbsp_apps::sort::run(&exec, &items, workload, root)
+                .expect("run")
+                .time
         };
         // Arbitrary enumeration lands the BSP coordinator on a slow box.
         let bsp = sort(WorkloadPolicy::Equal, RootPolicy::Rank(p as u32 - 1));

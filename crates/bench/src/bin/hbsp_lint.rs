@@ -4,8 +4,9 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Three rules, all motivated by bugs the model checker can only catch
-//! if the runtime's synchronization actually flows through its facade:
+//! Four rules. The first three are motivated by bugs the model checker
+//! can only catch if the runtime's synchronization actually flows
+//! through its facade; the fourth holds the engine seam:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic` and
@@ -23,11 +24,20 @@
 //!    line: cost aggregation works in `f64`, and a NaN must surface as
 //!    a typed violation, not a panic deep in a sort. Use `total_cmp`.
 //!
+//! 4. **Engine seam** — `Simulator::new`, `Simulator::with_config`,
+//!    `ThreadedRuntime::new` and `ThreadedRuntime::with_config` may be
+//!    called only by the engines' own crates (`crates/sim/`,
+//!    `crates/runtime/`, `crates/race/`) and by
+//!    `crates/hbsplib/src/executor.rs`. Everything else runs programs
+//!    through `hbsplib::Executor`, so it runs on every engine and a new
+//!    engine is added in one file.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
-//! a file, and files under `tests/` directories) is exempt from rules
-//! 1–2: tests may exercise raw `std` primitives deliberately. Line
-//! comments are stripped before matching so prose about the forbidden
-//! patterns doesn't trip the lint.
+//! a file, and files under `tests/` or `benches/` directories) is
+//! exempt from rules 1–2 and 4: tests may exercise raw `std` primitives
+//! deliberately, and tests and benches may measure an engine below the
+//! seam. Line comments are stripped before matching so prose about the
+//! forbidden patterns doesn't trip the lint.
 //!
 //! Exit status: 0 clean, 1 violations found, 2 usage errors.
 
@@ -98,6 +108,14 @@ fn lint_file(path: &Path, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 4: the calls that build an engine.
+const ENGINE_CONSTRUCTORS: [&str; 4] = [
+    "Simulator::new(",
+    "Simulator::with_config(",
+    "ThreadedRuntime::new(",
+    "ThreadedRuntime::with_config(",
+];
+
 /// Apply the rules to `text`, the contents of the file at `path`.
 fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let rel = path.to_string_lossy().replace('\\', "/");
@@ -107,6 +125,10 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let in_tests_dir = rel.contains("/tests/") || rel.contains("/benches/");
     let in_runtime_src = rel.contains("crates/runtime/src/");
     let is_facade = in_runtime_src && rel.ends_with("/sync.rs");
+    let below_seam = ["crates/sim/", "crates/runtime/", "crates/race/"]
+        .iter()
+        .any(|dir| rel.contains(dir))
+        || rel.ends_with("crates/hbsplib/src/executor.rs");
     let mut in_test_mod = false;
     for (idx, raw) in text.lines().enumerate() {
         if raw.trim_start().starts_with("#[cfg(test)]") {
@@ -134,6 +156,15 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                         .into(),
                 });
             }
+        }
+        if !exempt && !below_seam && ENGINE_CONSTRUCTORS.iter().any(|c| line.contains(c)) {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: lineno,
+                message: "engine constructed outside the seam — build an `hbsplib::Executor` \
+                          and run through it"
+                    .into(),
+            });
         }
         if !exempt && line.contains(".lock().unwrap()") {
             out.push(Violation {
@@ -191,7 +222,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam)",
             files.len()
         );
     } else {
@@ -227,5 +258,38 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty());
+    }
+
+    /// A collective that builds its own simulator runs on one engine
+    /// only: the seam `hbsplib::Executor` exists to prevent.
+    #[test]
+    fn raw_engine_outside_the_seam_is_reported_with_file_and_line() {
+        let src = "fn run(tree: Arc<MachineTree>) {\n    let sim = Simulator::new(tree);\n}\n";
+        let printed = |path: &str, text: &str| -> Vec<String> {
+            let mut out = Vec::new();
+            lint_text(Path::new(path), text, &mut out);
+            out.iter().map(Violation::to_string).collect()
+        };
+        let found = printed("crates/collectives/src/gather.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].starts_with("crates/collectives/src/gather.rs:2: lint: engine constructed"),
+            "{found:?}"
+        );
+        let threaded = src.replace("Simulator::new", "ThreadedRuntime::with_config");
+        assert_eq!(printed("crates/apps/src/sort.rs", &threaded).len(), 1);
+        // Test modules, tests/ and benches/ may; so may the seam itself
+        // and the engines' own crates.
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(printed("crates/collectives/src/gather.rs", &in_tests).is_empty());
+        for allowed in [
+            "crates/bench/benches/engine_overhead.rs",
+            "crates/hbsplib/src/executor.rs",
+            "crates/sim/src/model.rs",
+            "crates/runtime/src/engine.rs",
+            "crates/race/src/scenarios.rs",
+        ] {
+            assert!(printed(allowed, src).is_empty(), "{allowed}");
+        }
     }
 }

@@ -17,8 +17,7 @@
 //!   --workload <w>     equal | balanced | commaware    (default equal)
 //!   --strategy <s>     flat | hier                     (default flat)
 //!   --phase <p>        one | two      (broadcast only; default two)
-//!   --trace            print a Gantt chart of the run (gather only; for
-//!                      other operations use `hbsp_trace --gantt`)
+//!   --trace            also print a Gantt chart of the run
 //!   --json             emit one machine-readable JSON line instead
 //! ```
 //!
@@ -29,19 +28,17 @@
 //! cargo run -p hbsp-bench --bin hbsp_run -- machines/campus.hbsp broadcast --strategy hier
 //! ```
 
-use hbsp_bench::experiments::traced_gather;
 use hbsp_bench::testbed::{hbsp2_testbed, input_kb, testbed};
-use hbsp_collectives::allgather::simulate_allgather;
-use hbsp_collectives::alltoall::{simulate_alltoall, simulate_alltoall_hier};
-use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp_collectives::gather::{simulate_gather, GatherPlan};
+use hbsp_collectives::broadcast::BroadcastPlan;
+use hbsp_collectives::gather::GatherPlan;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
-use hbsp_collectives::reduce::{simulate_reduce, ReduceOp};
-use hbsp_collectives::scan::simulate_scan;
-use hbsp_collectives::scatter::simulate_scatter;
+use hbsp_collectives::reduce::ReduceOp;
+use hbsp_collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 use hbsp_core::{topology, MachineTree};
 use hbsp_sim::{ascii_gantt, SimOutcome, TraceSummary};
+use hbsplib::Executor;
 use std::process::exit;
+use std::sync::Arc;
 
 struct Options {
     kb: usize,
@@ -59,7 +56,7 @@ fn usage() -> ! {
          \x20              [--workload equal|balanced|commaware] [--strategy flat|hier]\n\
          \x20              [--phase one|two] [--trace] [--json]\n\
          machine: testbed:<p> | testbed2 | <topology file>\n\
-         operation: gather | broadcast | scatter | allgather | reduce | scan"
+         operation: gather | broadcast | scatter | allgather | alltoall | reduce | scan"
     );
     exit(2)
 }
@@ -185,13 +182,10 @@ fn main() {
     if args.len() < 2 {
         usage();
     }
-    let tree = parse_machine(&args[0]);
     let op = args[1].as_str();
     let o = parse_options(&args[2..]);
-    if o.trace && op != "gather" {
-        eprintln!("--trace charts gather only; use `hbsp_trace --gantt` for other operations");
-        usage();
-    }
+    let exec = Executor::simulator(Arc::new(parse_machine(&args[0]))).trace(o.trace);
+    let tree = exec.tree();
     let items = input_kb(o.kb);
     if !o.json {
         println!(
@@ -204,6 +198,14 @@ fn main() {
         );
     }
 
+    // Equal-length vectors for the two reductions: the input cut in p.
+    let vectors = || -> Vec<Vec<u32>> {
+        let p = tree.num_procs();
+        let len = items.len() / p.max(1);
+        (0..p)
+            .map(|i| items[i * len..(i + 1) * len].to_vec())
+            .collect()
+    };
     let sim = match op {
         "gather" => {
             let plan = GatherPlan {
@@ -211,11 +213,7 @@ fn main() {
                 workload: o.workload,
                 strategy: o.strategy,
             };
-            if o.trace {
-                traced_gather(&tree, &items, plan).expect("run")
-            } else {
-                simulate_gather(&tree, &items, plan).expect("run").sim
-            }
+            gather::run(&exec, &items, plan).expect("run").sim
         }
         "broadcast" => {
             let plan = BroadcastPlan {
@@ -225,15 +223,15 @@ fn main() {
                 cluster_phase: PhasePolicy::TwoPhase,
                 workload: o.workload,
             };
-            simulate_broadcast(&tree, &items, plan).expect("run").sim
+            broadcast::run(&exec, &items, plan).expect("run").sim
         }
         "scatter" => {
-            simulate_scatter(&tree, &items, o.root, o.workload)
+            scatter::run(&exec, &items, o.root, o.workload)
                 .expect("run")
                 .sim
         }
         "allgather" => {
-            simulate_allgather(&tree, &items, o.workload, o.strategy)
+            allgather::run(&exec, &items, o.workload, o.strategy)
                 .expect("run")
                 .sim
         }
@@ -243,31 +241,14 @@ fn main() {
             let blocks: Vec<Vec<Vec<u32>>> = (0..p)
                 .map(|i| (0..p).map(|j| vec![(i * p + j) as u32; block]).collect())
                 .collect();
-            match o.strategy {
-                Strategy::Flat => simulate_alltoall(&tree, blocks).expect("run").sim,
-                Strategy::Hierarchical => simulate_alltoall_hier(&tree, blocks).expect("run").sim,
-            }
+            alltoall::run(&exec, blocks, o.strategy).expect("run").sim
         }
         "reduce" => {
-            let p = tree.num_procs();
-            let len = items.len() / p.max(1);
-            let vectors: Vec<Vec<u32>> = (0..p)
-                .map(|i| items[i * len..(i + 1) * len].to_vec())
-                .collect();
-            simulate_reduce(&tree, vectors, ReduceOp::Sum, o.root, o.strategy)
+            reduce::run(&exec, vectors(), ReduceOp::Sum, o.root, o.strategy)
                 .expect("run")
                 .sim
         }
-        "scan" => {
-            let p = tree.num_procs();
-            let len = items.len() / p.max(1);
-            let vectors: Vec<Vec<u32>> = (0..p)
-                .map(|i| items[i * len..(i + 1) * len].to_vec())
-                .collect();
-            simulate_scan(&tree, vectors, ReduceOp::Sum)
-                .expect("run")
-                .sim
-        }
+        "scan" => scan::run(&exec, vectors(), ReduceOp::Sum).expect("run").sim,
         _ => usage(),
     };
     if o.json {

@@ -38,6 +38,7 @@
 
 use hbsp_core::topology;
 use hbsp_sched::{CollectiveKind, Engine, Job, RunOptions, SchedReport, Scheduler};
+use hbsplib::Executor;
 use std::process::exit;
 use std::sync::Arc;
 
@@ -257,31 +258,34 @@ fn main() {
         tree.num_procs()
     );
 
-    let mut sched = Scheduler::new(Arc::new(tree));
+    let tree = Arc::new(tree);
+    let mut sched = Scheduler::new(tree.clone());
     for job in parse_jobs(jobs_file) {
         sched.submit(job);
     }
 
-    let report = match args.engine.as_str() {
-        "sim" => drain(&sched, Engine::Simulator, args.serial, "sim"),
-        "threads" => drain(&sched, Engine::Threads, args.serial, "threads"),
-        "both" => {
-            let sim = drain(&sched, Engine::Simulator, args.serial, "sim");
-            let thr = drain(&sched, Engine::Threads, args.serial, "threads");
-            let states_agree = sim
-                .jobs
-                .iter()
-                .zip(&thr.jobs)
-                .all(|(a, b)| a.states == b.states && a.leaves == b.leaves);
-            if !states_agree || sim.total_time != thr.total_time {
-                eprintln!("hbsp_sched: engines disagree (determinism contract broken)");
-                exit(1);
-            }
-            println!("engines agree: bit-identical per-job results and makespan");
-            sim
-        }
-        _ => usage(),
+    // The scheduler's engines, each beside the executor that names it:
+    // `both` is every row, any other word must be one row's name.
+    let engines = [
+        (Engine::Simulator, Executor::simulator(tree.clone())),
+        (Engine::Threads, Executor::threads(tree.clone())),
+    ];
+    let reports: Vec<SchedReport> = (engines.iter())
+        .filter(|(_, exec)| args.engine == "both" || args.engine == exec.engine_name())
+        .map(|(engine, exec)| drain(&sched, *engine, args.serial, exec.engine_name()))
+        .collect();
+    let Some((report, others)) = reports.split_first() else {
+        usage();
     };
+    for other in others {
+        let states_agree = (report.jobs.iter().zip(&other.jobs))
+            .all(|(a, b)| a.states == b.states && a.leaves == b.leaves);
+        if !states_agree || report.total_time != other.total_time {
+            eprintln!("hbsp_sched: engines disagree (determinism contract broken)");
+            exit(1);
+        }
+        println!("engines agree: bit-identical per-job results and makespan");
+    }
 
     if let Some(path) = &args.trace {
         let trace = hbsp_obs::jobs_chrome_trace(&report.spans);

@@ -44,9 +44,7 @@ use hbsp_collectives::drift::predicted_steps;
 use hbsp_collectives::gather::lower_gather;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::scatter::lower_scatter;
-use hbsp_collectives::schedule::{
-    execute, share_inits, CommSchedule, ProcInit, ScheduleProgram, UnitId,
-};
+use hbsp_collectives::schedule::{execute, stage, CommSchedule, ScheduleProgram, Staging};
 use hbsp_core::{topology, MachineTree, ProcId};
 use hbsp_obs::{calibrate, DriftReport, Recorder};
 use hbsp_sim::{ascii_gantt, ProcTimeline};
@@ -58,7 +56,7 @@ use std::sync::Arc;
 struct Options {
     kb: usize,
     strategy: Strategy,
-    threads: bool,
+    engine: String,
     chrome: bool,
     out: Option<String>,
     gantt: bool,
@@ -99,7 +97,7 @@ fn parse_options(args: &[String]) -> Options {
     let mut o = Options {
         kb: 100,
         strategy: Strategy::Flat,
-        threads: false,
+        engine: "sim".to_string(),
         chrome: true,
         out: None,
         gantt: false,
@@ -121,13 +119,7 @@ fn parse_options(args: &[String]) -> Options {
                     _ => usage(),
                 }
             }
-            "--engine" => {
-                o.threads = match it.next().map(String::as_str) {
-                    Some("sim") => false,
-                    Some("threads") => true,
-                    _ => usage(),
-                }
-            }
+            "--engine" => o.engine = it.next().cloned().unwrap_or_else(|| usage()),
             "--format" => {
                 o.chrome = match it.next().map(String::as_str) {
                     Some("chrome") => true,
@@ -165,31 +157,18 @@ fn validate(path: &str) -> ! {
     }
 }
 
-/// Lower `op` on `tree`, producing the schedule and each processor's
-/// initial data. The source-rooted collectives start with the fastest
+/// Lower `op` on `tree`, producing the schedule and where its data
+/// starts. The source-rooted collectives start with the fastest
 /// processor holding all `items`; the others start from per-processor
 /// shares.
-fn lower(
+fn lower<'a>(
     tree: &MachineTree,
     op: &str,
-    items: &[u32],
+    items: &'a [u32],
     strategy: Strategy,
-) -> (CommSchedule, Vec<ProcInit>) {
+) -> (CommSchedule, Staging<'a>) {
     let n = items.len() as u64;
-    let full_at = |src: ProcId| -> Vec<ProcInit> {
-        (0..tree.num_procs())
-            .map(|j| {
-                if j == src.rank() {
-                    ProcInit {
-                        units: vec![(UnitId::new(0, n as u32), items.to_vec())],
-                        acc: None,
-                    }
-                } else {
-                    ProcInit::default()
-                }
-            })
-            .collect()
-    };
+    let shares = Staging::Shares(items, WorkloadPolicy::Equal);
     match op {
         "gather" => {
             let plan = hbsp_collectives::gather::GatherPlan {
@@ -198,7 +177,7 @@ fn lower(
                 strategy,
             };
             let (sched, _root) = lower_gather(tree, n, plan).expect("fastest root resolves");
-            (sched, share_inits(tree, items, WorkloadPolicy::Equal))
+            (sched, shares)
         }
         "broadcast" => {
             let plan = BroadcastPlan {
@@ -209,12 +188,12 @@ fn lower(
                 workload: WorkloadPolicy::Equal,
             };
             let (sched, src) = lower_broadcast(tree, n, &plan).expect("fastest root resolves");
-            (sched, full_at(src))
+            (sched, Staging::AtRoot(src, items.to_vec()))
         }
         "scatter" => {
             let root = RootPolicy::Fastest.resolve(tree).expect("fastest resolves");
             let sched = lower_scatter(tree, n, root, WorkloadPolicy::Equal);
-            (sched, full_at(root))
+            (sched, Staging::AtRoot(root, items.to_vec()))
         }
         "allgather" => {
             let sched = match strategy {
@@ -223,7 +202,7 @@ fn lower(
                     lower_hierarchical_allgather(tree, n, WorkloadPolicy::Equal)
                 }
             };
-            (sched, share_inits(tree, items, WorkloadPolicy::Equal))
+            (sched, shares)
         }
         _ => usage(),
     }
@@ -243,19 +222,15 @@ fn main() {
     let tree = parse_machine(&args[0]);
     let op = args[1].as_str();
     let o = parse_options(&args[2..]);
-    let items = input_kb(o.kb);
 
-    let (sched, inits) = lower(&tree, op, &items, o.strategy);
+    let items = input_kb(o.kb);
+    let (sched, input) = lower(&tree, op, &items, o.strategy);
     let predicted = predicted_steps(&tree, &sched);
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(inits), None);
+    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(stage(&tree, input)), None);
 
     let recorder = Arc::new(Recorder::new());
     let tree = Arc::new(tree);
-    let exec = if o.threads {
-        Executor::threads(tree.clone())
-    } else {
-        Executor::simulator(tree.clone())
-    };
+    let exec = Executor::from_engine_name(&o.engine, tree.clone()).unwrap_or_else(|| usage());
     let (outcome, _states) = execute(&exec.probe(recorder.clone()), &prog).unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
         exit(1)
@@ -267,10 +242,10 @@ fn main() {
         tree.num_procs(),
         op,
         o.kb,
-        if o.threads {
-            "threaded runtime"
-        } else {
-            "simulator"
+        // The engine's long form; docs/runtime.md, "Adding an engine" (b).
+        match outcome.wall {
+            Some(_) => "threaded runtime",
+            None => "simulator",
         }
     );
     eprintln!("model time: {:.0}", outcome.total_time());

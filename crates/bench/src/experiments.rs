@@ -2,15 +2,20 @@
 //! experiment index E1–E9).
 
 use crate::testbed::{input_kb, testbed};
-use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp_collectives::gather::{lower_gather, simulate_gather, GatherPlan};
+use hbsp_collectives::broadcast::{self, BroadcastPlan};
+use hbsp_collectives::gather::{self, lower_gather, GatherPlan};
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, WorkloadPolicy};
 use hbsp_collectives::predict;
-use hbsp_collectives::schedule::{run_on_simulator, share_inits, ScheduleProgram};
+use hbsp_collectives::schedule::{stage, ScheduleProgram, Staging};
 use hbsp_collectives::CollectiveError;
 use hbsp_core::{CostReport, Level, MachineTree, SuperstepCost};
-use hbsp_sim::{SimOutcome, Simulator};
+use hbsplib::Executor;
 use std::sync::Arc;
+
+/// The simulator on `tree`: what every experiment measures on.
+fn simulator(tree: MachineTree) -> Executor {
+    Executor::simulator(Arc::new(tree))
+}
 
 /// One point of a Figure-3/4-style plot: processor count, problem size
 /// (KB), and the improvement factor `T_A / T_B`.
@@ -27,17 +32,17 @@ pub struct FigurePoint {
 fn sweep(
     ps: &[usize],
     kbs: &[usize],
-    mut f: impl FnMut(&MachineTree, &[u32]) -> Result<f64, CollectiveError>,
+    mut f: impl FnMut(&Executor, &[u32]) -> Result<f64, CollectiveError>,
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
     let mut out = Vec::with_capacity(ps.len() * kbs.len());
     for &p in ps {
-        let tree = testbed(p).expect("testbed builds");
+        let exec = simulator(testbed(p).expect("testbed builds"));
         for &kb in kbs {
             let items = input_kb(kb);
             out.push(FigurePoint {
                 p,
                 kb,
-                factor: f(&tree, &items)?,
+                factor: f(&exec, &items)?,
             });
         }
     }
@@ -50,9 +55,9 @@ pub fn gather_root_improvement(
     ps: &[usize],
     kbs: &[usize],
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
-    sweep(ps, kbs, |tree, items| {
-        let tf = simulate_gather(tree, items, GatherPlan::fast_root())?.time;
-        let ts = simulate_gather(tree, items, GatherPlan::slow_root())?.time;
+    sweep(ps, kbs, |exec, items| {
+        let tf = gather::run(exec, items, GatherPlan::fast_root())?.time;
+        let ts = gather::run(exec, items, GatherPlan::slow_root())?.time;
         Ok(ts / tf)
     })
 }
@@ -63,9 +68,9 @@ pub fn gather_balance_improvement(
     ps: &[usize],
     kbs: &[usize],
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
-    sweep(ps, kbs, |tree, items| {
-        let tu = simulate_gather(tree, items, GatherPlan::fast_root())?.time;
-        let tb = simulate_gather(tree, items, GatherPlan::balanced())?.time;
+    sweep(ps, kbs, |exec, items| {
+        let tu = gather::run(exec, items, GatherPlan::fast_root())?.time;
+        let tb = gather::run(exec, items, GatherPlan::balanced())?.time;
         Ok(tu / tb)
     })
 }
@@ -76,9 +81,9 @@ pub fn broadcast_root_improvement(
     ps: &[usize],
     kbs: &[usize],
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
-    sweep(ps, kbs, |tree, items| {
-        let tf = simulate_broadcast(tree, items, BroadcastPlan::two_phase())?.time;
-        let ts = simulate_broadcast(tree, items, BroadcastPlan::slow_root())?.time;
+    sweep(ps, kbs, |exec, items| {
+        let tf = broadcast::run(exec, items, BroadcastPlan::two_phase())?.time;
+        let ts = broadcast::run(exec, items, BroadcastPlan::slow_root())?.time;
         Ok(ts / tf)
     })
 }
@@ -89,9 +94,9 @@ pub fn broadcast_balance_improvement(
     ps: &[usize],
     kbs: &[usize],
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
-    sweep(ps, kbs, |tree, items| {
-        let tu = simulate_broadcast(tree, items, BroadcastPlan::two_phase())?.time;
-        let tb = simulate_broadcast(tree, items, BroadcastPlan::balanced())?.time;
+    sweep(ps, kbs, |exec, items| {
+        let tu = broadcast::run(exec, items, BroadcastPlan::two_phase())?.time;
+        let tb = broadcast::run(exec, items, BroadcastPlan::balanced())?.time;
         Ok(tu / tb)
     })
 }
@@ -128,14 +133,15 @@ pub fn broadcast_crossover(ps: &[usize], kb: usize) -> Result<Vec<CrossoverRow>,
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &p in ps {
-        let tree = testbed(p).expect("testbed builds");
+        let exec = simulator(testbed(p).expect("testbed builds"));
+        let tree = exec.tree();
         let root = RootPolicy::Fastest
-            .resolve(&tree)
+            .resolve(tree)
             .expect("fastest root always resolves");
-        let one_sim = simulate_broadcast(&tree, &items, BroadcastPlan::one_phase())?.time;
-        let two_sim = simulate_broadcast(&tree, &items, BroadcastPlan::two_phase())?.time;
-        let one_pred = predict::broadcast_one_phase(&tree, n, root).total();
-        let two_pred = predict::broadcast_two_phase(&tree, n, root, WorkloadPolicy::Equal).total();
+        let one_sim = broadcast::run(&exec, &items, BroadcastPlan::one_phase())?.time;
+        let two_sim = broadcast::run(&exec, &items, BroadcastPlan::two_phase())?.time;
+        let one_pred = predict::broadcast_one_phase(tree, n, root).total();
+        let two_pred = predict::broadcast_two_phase(tree, n, root, WorkloadPolicy::Equal).total();
         let r_s = tree.leaf(tree.slowest_proc()).params().r;
         rows.push(CrossoverRow {
             p,
@@ -221,21 +227,12 @@ pub fn hbsp2_phase_study(l2s: &[f64], kb: usize) -> Result<Vec<Hbsp2PhaseRow>, C
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &l2 in l2s {
-        let tree = crate::testbed::hbsp2_testbed(l2).expect("testbed builds");
-        let one_sim = simulate_broadcast(
-            &tree,
-            &items,
-            BroadcastPlan::hierarchical(PhasePolicy::OnePhase),
-        )?
-        .time;
-        let two_sim = simulate_broadcast(
-            &tree,
-            &items,
-            BroadcastPlan::hierarchical(PhasePolicy::TwoPhase),
-        )?
-        .time;
-        let one_pred = hbsp2_top_one_phase(&tree, n).total();
-        let two_pred = hbsp2_top_two_phase(&tree, n).total();
+        let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
+        let hier = |top| broadcast::run(&exec, &items, BroadcastPlan::hierarchical(top));
+        let one_sim = hier(PhasePolicy::OnePhase)?.time;
+        let two_sim = hier(PhasePolicy::TwoPhase)?.time;
+        let one_pred = hbsp2_top_one_phase(exec.tree(), n).total();
+        let two_pred = hbsp2_top_two_phase(exec.tree(), n).total();
         rows.push(Hbsp2PhaseRow {
             l2,
             one_sim,
@@ -282,13 +279,13 @@ impl AmortizationRow {
 /// must cross the campus links with fewer messages than the flat
 /// gather.
 pub fn hbsp2_amortization(kbs: &[usize], l2: f64) -> Result<Vec<AmortizationRow>, CollectiveError> {
-    let tree = crate::testbed::hbsp2_testbed(l2).expect("testbed builds");
+    let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
     let mut rows = Vec::new();
     for &kb in kbs {
         let items = input_kb(kb);
-        let hier_run = simulate_gather(&tree, &items, GatherPlan::hierarchical())?;
-        let flat_run = simulate_gather(&tree, &items, GatherPlan::fast_root())?;
-        let top = |run: &hbsp_collectives::gather::GatherRun| -> u64 {
+        let hier_run = gather::run(&exec, &items, GatherPlan::hierarchical())?;
+        let flat_run = gather::run(&exec, &items, GatherPlan::fast_root())?;
+        let top = |run: &gather::GatherRun| -> u64 {
             run.sim
                 .steps
                 .iter()
@@ -299,7 +296,7 @@ pub fn hbsp2_amortization(kbs: &[usize], l2: f64) -> Result<Vec<AmortizationRow>
             kb,
             hier: hier_run.time,
             flat: flat_run.time,
-            ideal: tree.g() * items.len() as f64,
+            ideal: exec.tree().g() * items.len() as f64,
             hier_top_msgs: top(&hier_run),
             flat_top_msgs: top(&flat_run),
         });
@@ -317,14 +314,10 @@ pub fn gather_comm_aware_improvement(
     ps: &[usize],
     kbs: &[usize],
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
-    sweep(ps, kbs, |tree, items| {
-        let tu = simulate_gather(tree, items, GatherPlan::fast_root())?.time;
-        let tc = simulate_gather(
-            tree,
-            items,
-            GatherPlan::fast_root().with_workload(WorkloadPolicy::CommAware),
-        )?
-        .time;
+    sweep(ps, kbs, |exec, items| {
+        let tu = gather::run(exec, items, GatherPlan::fast_root())?.time;
+        let comm_aware = GatherPlan::fast_root().with_workload(WorkloadPolicy::CommAware);
+        let tc = gather::run(exec, items, comm_aware)?.time;
         Ok(tu / tc)
     })
 }
@@ -350,7 +343,6 @@ pub fn barrier_scope_ablation(
     l2: f64,
 ) -> Result<Vec<BarrierAblationRow>, CollectiveError> {
     use hbsp_core::{ProcEnv, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
-    use std::sync::Arc;
 
     /// Ring exchange within each level-1 cluster for `rounds` steps.
     struct ClusterRing {
@@ -382,25 +374,19 @@ pub fn barrier_scope_ablation(
         }
     }
 
-    let tree = Arc::new(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
+    let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
     let mut rows = Vec::new();
     for &rounds in rounds_list {
-        let scoped = hbsp_sim::Simulator::new(Arc::clone(&tree))
-            .run(&ClusterRing {
+        let ring = |scope_level| {
+            exec.run(&ClusterRing {
                 rounds,
-                scope_level: 1,
-            })?
-            .total_time;
-        let global = hbsp_sim::Simulator::new(Arc::clone(&tree))
-            .run(&ClusterRing {
-                rounds,
-                scope_level: 2,
-            })?
-            .total_time;
+                scope_level,
+            })
+        };
         rows.push(BarrierAblationRow {
             rounds,
-            scoped,
-            global,
+            scoped: ring(1)?.0.total_time(),
+            global: ring(2)?.0.total_time(),
         });
     }
     Ok(rows)
@@ -417,47 +403,22 @@ pub struct AccuracyRow {
     pub simulated: f64,
 }
 
-/// Wrap the schedule `lower_gather` returns for `plan` — root, workload
-/// and strategy honoured — in the interpreter program, with `items`
-/// pre-split as the plan's workload policy dictates.
-fn gather_program(
-    tree: &MachineTree,
-    items: &[u32],
-    plan: GatherPlan,
-) -> Result<ScheduleProgram, CollectiveError> {
-    let (sched, _root) = lower_gather(tree, items.len() as u64, plan)?;
-    let init = share_inits(tree, items, plan.workload);
-    Ok(ScheduleProgram::new(Arc::new(sched), Arc::new(init), None))
-}
-
-/// Run the gather `plan` asks for on a tracing simulator: the outcome
-/// carries the per-processor timelines a Gantt chart is drawn from.
-pub fn traced_gather(
-    tree: &MachineTree,
-    items: &[u32],
-    plan: GatherPlan,
-) -> Result<SimOutcome, CollectiveError> {
-    let prog = gather_program(tree, items, plan)?;
-    let sim = Simulator::new(Arc::new(tree.clone())).trace(true);
-    Ok(run_on_simulator(&sim, &prog)?.0)
-}
-
 /// Price the gather program that actually runs with the generic
 /// [`hbsp_sim::ModelEvaluator`] and compare against the closed forms —
 /// the two prediction paths must agree (up to the few header words per
 /// message the closed forms don't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {
-    let tree = testbed(p).expect("testbed builds");
+    let tree = Arc::new(testbed(p).expect("testbed builds"));
     let items = input_kb(kb);
     let n = items.len() as u64;
     let root = tree.fastest_proc();
     let mut pairs = Vec::new();
     for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
         let closed = predict::gather_flat(&tree, n, root, wl).total();
-        let prog = gather_program(&tree, &items, GatherPlan::fast_root().with_workload(wl))?;
-        let evaluated = hbsp_sim::ModelEvaluator::new(Arc::new(tree.clone()))
-            .run(&prog)?
-            .total();
+        let (sched, _root) = lower_gather(&tree, n, GatherPlan::fast_root().with_workload(wl))?;
+        let init = stage(&tree, Staging::Shares(&items, wl));
+        let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+        let evaluated = hbsplib::predict_program(tree.clone(), &prog)?.total();
         pairs.push((closed, evaluated));
     }
     Ok(pairs)
@@ -477,32 +438,33 @@ impl AccuracyRow {
 /// model *ranks* designs correctly and tracks scale, not that it
 /// predicts absolute microcosts.
 pub fn model_accuracy(p: usize, kb: usize) -> Result<Vec<AccuracyRow>, CollectiveError> {
-    let tree = testbed(p).expect("testbed builds");
+    let exec = simulator(testbed(p).expect("testbed builds"));
+    let tree = exec.tree();
     let items = input_kb(kb);
     let n = items.len() as u64;
     let root = RootPolicy::Fastest
-        .resolve(&tree)
+        .resolve(tree)
         .expect("fastest root always resolves");
     let rows = vec![
         AccuracyRow {
             op: "gather (fast root, equal)",
-            predicted: predict::gather_flat(&tree, n, root, WorkloadPolicy::Equal).total(),
-            simulated: simulate_gather(&tree, &items, GatherPlan::fast_root())?.time,
+            predicted: predict::gather_flat(tree, n, root, WorkloadPolicy::Equal).total(),
+            simulated: gather::run(&exec, &items, GatherPlan::fast_root())?.time,
         },
         AccuracyRow {
             op: "gather (fast root, balanced)",
-            predicted: predict::gather_flat(&tree, n, root, WorkloadPolicy::Balanced).total(),
-            simulated: simulate_gather(&tree, &items, GatherPlan::balanced())?.time,
+            predicted: predict::gather_flat(tree, n, root, WorkloadPolicy::Balanced).total(),
+            simulated: gather::run(&exec, &items, GatherPlan::balanced())?.time,
         },
         AccuracyRow {
             op: "broadcast (one-phase)",
-            predicted: predict::broadcast_one_phase(&tree, n, root).total(),
-            simulated: simulate_broadcast(&tree, &items, BroadcastPlan::one_phase())?.time,
+            predicted: predict::broadcast_one_phase(tree, n, root).total(),
+            simulated: broadcast::run(&exec, &items, BroadcastPlan::one_phase())?.time,
         },
         AccuracyRow {
             op: "broadcast (two-phase)",
-            predicted: predict::broadcast_two_phase(&tree, n, root, WorkloadPolicy::Equal).total(),
-            simulated: simulate_broadcast(&tree, &items, BroadcastPlan::two_phase())?.time,
+            predicted: predict::broadcast_two_phase(tree, n, root, WorkloadPolicy::Equal).total(),
+            simulated: broadcast::run(&exec, &items, BroadcastPlan::two_phase())?.time,
         },
     ];
     Ok(rows)
@@ -667,17 +629,17 @@ mod tests {
 
     #[test]
     fn traced_gather_runs_the_strategy_it_was_asked_for() {
-        let tree = crate::testbed::hbsp2_testbed(60_000.0).unwrap();
+        let exec = simulator(crate::testbed::hbsp2_testbed(60_000.0).unwrap()).trace(true);
         let items = input_kb(10);
         let barriered = |plan| {
-            let out = traced_gather(&tree, &items, plan).unwrap();
+            let out = gather::run(&exec, &items, plan).unwrap().sim;
             assert!(out.timelines.is_some(), "tracing was on");
             out.num_steps() - 1 // the last step is the barrier-free drain
         };
         assert_eq!(barriered(GatherPlan::fast_root()), 1);
         assert_eq!(
             barriered(GatherPlan::hierarchical()),
-            tree.height() as usize,
+            exec.tree().height() as usize,
             "one super^i-step per level"
         );
     }

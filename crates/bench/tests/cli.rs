@@ -61,9 +61,14 @@ fn bad_arguments_exit_nonzero_with_usage() {
     let (_, stderr, ok) = run(&["testbed:4", "gather", "--bogus"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
-    let (_, stderr, ok) = run(&["testbed:4", "scatter", "--trace"]);
-    assert!(!ok);
-    assert!(stderr.contains("hbsp_trace --gantt"), "{stderr}");
+}
+
+#[test]
+fn traced_scatter_prints_gantt() {
+    let (stdout, _, ok) = run(&["testbed:4", "scatter", "--trace"]);
+    assert!(ok);
+    assert!(stdout.contains("activity"), "{stdout}");
+    assert!(stdout.contains("P0 |"), "{stdout}");
 }
 
 #[test]

@@ -9,12 +9,10 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::gather::lower_hierarchical_gather;
 use crate::plan::{PhasePolicy, Strategy, WorkloadPolicy};
-use crate::schedule::{
-    self, share_unit, CommSchedule, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
-};
+use crate::schedule::{self, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// Flat all-gather as a schedule: one global superstep of total
 /// exchange, every processor bundling its share to every other.
@@ -69,71 +67,54 @@ pub fn lower_hierarchical_allgather(
     sched
 }
 
-/// Outcome of a simulated all-gather.
+/// Outcome of an all-gather run.
 #[derive(Debug, Clone)]
 pub struct AllGatherRun {
-    /// The assembled array (identical on every processor).
+    /// The assembled array as the last rank holds it; every processor's
+    /// copy was compared with the input.
     pub result: Vec<u32>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Run an all-gather of `items` (pre-split by `workload`).
-pub fn simulate_allgather(
-    tree: &MachineTree,
+/// Run an all-gather of `items` (pre-split by `workload`) on `exec`'s
+/// machine and engine: lower to a schedule, execute it, read back what
+/// the processors hold.
+pub fn run(
+    exec: &Executor,
     items: &[u32],
     workload: WorkloadPolicy,
     strategy: Strategy,
 ) -> Result<AllGatherRun, CollectiveError> {
-    simulate_allgather_with(tree, NetConfig::pvm_like(), items, workload, strategy)
-}
-
-/// All-gather with explicit microcosts: lower to a schedule and
-/// interpret it on the simulator.
-pub fn simulate_allgather_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    items: &[u32],
-    workload: WorkloadPolicy,
-    strategy: Strategy,
-) -> Result<AllGatherRun, CollectiveError> {
-    let tree_arc = Arc::new(tree.clone());
     let n = items.len() as u64;
     let sched = match strategy {
-        Strategy::Flat => lower_flat_allgather(&tree_arc, n, workload),
-        Strategy::Hierarchical => lower_hierarchical_allgather(&tree_arc, n, workload),
+        Strategy::Flat => lower_flat_allgather(exec.tree(), n, workload),
+        Strategy::Hierarchical => lower_hierarchical_allgather(exec.tree(), n, workload),
     };
-    let init = schedule::share_inits(&tree_arc, items, workload);
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-    let sim = Simulator::with_config(Arc::clone(&tree_arc), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    let full = UnitId::new(0, items.len() as u32);
-    for (i, st) in states.iter().enumerate() {
-        assert_eq!(
-            st.unit(full),
-            items,
-            "all-gather must assemble everywhere (processor {i})"
-        );
-    }
+    let input = Staging::Shares(items, workload);
+    let (outcome, states) = schedule::run_staged(exec, sched, input, None)?;
     Ok(AllGatherRun {
-        result: items.to_vec(),
-        time: outcome.total_time,
-        sim: outcome,
+        result: schedule::held_by_all(&states, items)?,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allgather;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     #[test]
     fn flat_allgather_assembles_everywhere() {
         let t = TreeBuilder::flat(1.0, 20.0, &[(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)]).unwrap();
         let items: Vec<u32> = (0..99).map(|i| i * 7).collect();
-        let run = simulate_allgather(&t, &items, WorkloadPolicy::Balanced, Strategy::Flat).unwrap();
+        let run =
+            allgather::run(&sim(&t), &items, WorkloadPolicy::Balanced, Strategy::Flat).unwrap();
         assert_eq!(run.result, items);
         assert_eq!(run.sim.num_steps(), 2);
     }
@@ -150,8 +131,13 @@ mod tests {
         )
         .unwrap();
         let items: Vec<u32> = (0..500).collect();
-        let run =
-            simulate_allgather(&t, &items, WorkloadPolicy::Equal, Strategy::Hierarchical).unwrap();
+        let run = allgather::run(
+            &sim(&t),
+            &items,
+            WorkloadPolicy::Equal,
+            Strategy::Hierarchical,
+        )
+        .unwrap();
         assert_eq!(run.result, items);
     }
 
@@ -167,9 +153,14 @@ mod tests {
         )
         .unwrap();
         let items: Vec<u32> = (0..3000).collect();
-        let flat = simulate_allgather(&t, &items, WorkloadPolicy::Equal, Strategy::Flat).unwrap();
-        let hier =
-            simulate_allgather(&t, &items, WorkloadPolicy::Equal, Strategy::Hierarchical).unwrap();
+        let flat = allgather::run(&sim(&t), &items, WorkloadPolicy::Equal, Strategy::Flat).unwrap();
+        let hier = allgather::run(
+            &sim(&t),
+            &items,
+            WorkloadPolicy::Equal,
+            Strategy::Hierarchical,
+        )
+        .unwrap();
         let top =
             |run: &AllGatherRun| -> u64 { run.sim.steps.iter().map(|s| s.traffic[2].words).sum() };
         assert!(

@@ -15,19 +15,13 @@
 //!   extra supersteps and coordinator relay volume.
 
 use crate::error::CollectiveError;
+use crate::plan::Strategy;
 use crate::schedule::{
-    self, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
+    self, block_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
 };
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use hbsplib::TreeEnquiry;
-use std::sync::Arc;
-
-/// The unit id of the block `src → dst` in a `p`-processor exchange:
-/// block ids are `src·p + dst`.
-fn block_unit(p: usize, src: usize, dst: usize, len: usize) -> UnitId {
-    UnitId::new((src * p + dst) as u32, len as u32)
-}
+use hbsp_sim::SimOutcome;
+use hbsplib::{Executor, TreeEnquiry};
 
 /// Flat all-to-all as a schedule: one global superstep, every ordered
 /// pair exchanging its block directly. `sizes[i][j]` is the word count
@@ -146,104 +140,68 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
     sched
 }
 
-/// Outcome of a simulated all-to-all.
+/// Outcome of an all-to-all run.
 #[derive(Debug, Clone)]
 pub struct AllToAllRun {
     /// `received[j][i]` = block that `j` received from `i`.
     pub received: Vec<Vec<Vec<u32>>>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
 /// Run an all-to-all exchange of `blocks` (`blocks[i][j]` from `i` to
-/// `j`).
-pub fn simulate_alltoall(
-    tree: &MachineTree,
-    blocks: Vec<Vec<Vec<u32>>>,
+/// `j`) on `exec`'s machine and engine: direct pairwise exchange under
+/// [`Strategy::Flat`], coordinator bundling under
+/// [`Strategy::Hierarchical`].
+pub fn run(
+    exec: &Executor,
+    mut blocks: Vec<Vec<Vec<u32>>>,
+    strategy: Strategy,
 ) -> Result<AllToAllRun, CollectiveError> {
-    simulate_alltoall_with(tree, NetConfig::pvm_like(), blocks)
-}
-
-/// Run the staged hierarchical all-to-all (coordinator bundling).
-pub fn simulate_alltoall_hier(
-    tree: &MachineTree,
-    blocks: Vec<Vec<Vec<u32>>>,
-) -> Result<AllToAllRun, CollectiveError> {
-    simulate_alltoall_hier_with(tree, NetConfig::pvm_like(), blocks)
-}
-
-/// Staged all-to-all with explicit microcosts.
-pub fn simulate_alltoall_hier_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    blocks: Vec<Vec<Vec<u32>>>,
-) -> Result<AllToAllRun, CollectiveError> {
-    run_lowered(tree, cfg, blocks, lower_alltoall_hier)
-}
-
-/// All-to-all with explicit microcosts.
-pub fn simulate_alltoall_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    blocks: Vec<Vec<Vec<u32>>>,
-) -> Result<AllToAllRun, CollectiveError> {
-    run_lowered(tree, cfg, blocks, lower_alltoall)
-}
-
-fn run_lowered(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    blocks: Vec<Vec<Vec<u32>>>,
-    lower: fn(&MachineTree, &[Vec<u64>]) -> CommSchedule,
-) -> Result<AllToAllRun, CollectiveError> {
+    let tree = exec.tree();
     let p = tree.num_procs();
     assert_eq!(blocks.len(), p, "blocks must be p × p");
     assert!(
         blocks.iter().all(|row| row.len() == p),
         "blocks must be p × p"
     );
-    let tree = Arc::new(tree.clone());
     let sizes: Vec<Vec<u64>> = blocks
         .iter()
         .map(|row| row.iter().map(|b| b.len() as u64).collect())
         .collect();
-    let sched = lower(&tree, &sizes);
-    let init: Vec<ProcInit> = blocks
-        .iter()
-        .enumerate()
-        .map(|(i, row)| ProcInit {
-            units: row
-                .iter()
-                .enumerate()
-                .map(|(j, b)| (block_unit(p, i, j, b.len()), b.clone()))
-                .collect(),
-            acc: None,
+    let sched = match strategy {
+        Strategy::Flat => lower_alltoall(tree, &sizes),
+        Strategy::Hierarchical => lower_alltoall_hier(tree, &sizes),
+    };
+    // A processor's block for itself never travels: it is the input's.
+    let mut own: Vec<Vec<u32>> = (0..p).map(|j| std::mem::take(&mut blocks[j][j])).collect();
+    let (outcome, states) = schedule::run_staged(exec, sched, Staging::Blocks(blocks), None)?;
+    let received = (0..p)
+        .map(|j| {
+            let from = |i| match i == j {
+                true => Ok(std::mem::take(&mut own[j])),
+                false => {
+                    let uid = block_unit(p, i, j, sizes[i][j] as usize);
+                    schedule::result_at(&states, ProcId(j as u32), Some(uid))
+                }
+            };
+            (0..p).map(from).collect()
         })
-        .collect();
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    let received = states
-        .iter()
-        .enumerate()
-        .map(|(j, st)| {
-            (0..p)
-                .map(|i| st.unit(block_unit(p, i, j, blocks[i][j].len())))
-                .collect()
-        })
-        .collect();
+        .collect::<Result<_, CollectiveError>>()?;
     Ok(AllToAllRun {
         received,
-        time: outcome.total_time,
-        sim: outcome,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alltoall;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     fn blocks(p: usize) -> Vec<Vec<Vec<u32>>> {
@@ -265,7 +223,7 @@ mod tests {
         let t = TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (1.5, 0.7), (2.0, 0.5), (3.0, 0.3)])
             .unwrap();
         let b = blocks(4);
-        let run = simulate_alltoall(&t, b.clone()).unwrap();
+        let run = alltoall::run(&sim(&t), b.clone(), Strategy::Flat).unwrap();
         for (j, row) in run.received.iter().enumerate() {
             for (i, block) in row.iter().enumerate() {
                 assert_eq!(block, &b[i][j], "block {i}->{j}");
@@ -286,7 +244,7 @@ mod tests {
         )
         .unwrap();
         let b = blocks(3);
-        let run = simulate_alltoall(&t, b.clone()).unwrap();
+        let run = alltoall::run(&sim(&t), b.clone(), Strategy::Flat).unwrap();
         assert_eq!(run.received[2][0], b[0][2]);
     }
 
@@ -302,7 +260,7 @@ mod tests {
         )
         .unwrap();
         let b = blocks(4);
-        let run = simulate_alltoall_hier(&t, b.clone()).unwrap();
+        let run = alltoall::run(&sim(&t), b.clone(), Strategy::Hierarchical).unwrap();
         for (j, row) in run.received.iter().enumerate() {
             for (i, block) in row.iter().enumerate() {
                 assert_eq!(block, &b[i][j], "block {i}->{j}");
@@ -322,8 +280,8 @@ mod tests {
         )
         .unwrap();
         let b = blocks(6);
-        let flat = simulate_alltoall(&t, b.clone()).unwrap();
-        let hier = simulate_alltoall_hier(&t, b).unwrap();
+        let flat = alltoall::run(&sim(&t), b.clone(), Strategy::Flat).unwrap();
+        let hier = alltoall::run(&sim(&t), b, Strategy::Hierarchical).unwrap();
         let top = |run: &AllToAllRun| -> u64 {
             run.sim
                 .steps
@@ -348,7 +306,7 @@ mod tests {
         // everything directly and stages 2-3 are no-ops.
         let t = TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)]).unwrap();
         let b = blocks(3);
-        let run = simulate_alltoall_hier(&t, b.clone()).unwrap();
+        let run = alltoall::run(&sim(&t), b.clone(), Strategy::Hierarchical).unwrap();
         for (j, row) in run.received.iter().enumerate() {
             for (i, block) in row.iter().enumerate() {
                 assert_eq!(block, &b[i][j]);
@@ -360,6 +318,6 @@ mod tests {
     #[should_panic(expected = "p × p")]
     fn shape_mismatch_panics() {
         let t = TreeBuilder::homogeneous(1.0, 0.0, 3).unwrap();
-        simulate_alltoall(&t, blocks(2)).unwrap();
+        alltoall::run(&sim(&t), blocks(2), Strategy::Flat).unwrap();
     }
 }

@@ -22,12 +22,11 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{PhasePolicy, RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
-    self, rep_of, share_unit, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep,
-    Transfer, UnitId,
+    self, rep_of, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
 };
 use hbsp_core::{apportion, Level, MachineTree, NodeIdx, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// Configuration of a broadcast run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,60 +342,41 @@ pub fn lower_hierarchical_broadcast(
     sched
 }
 
-/// Outcome of a simulated broadcast.
+/// Outcome of a broadcast run.
 #[derive(Debug, Clone)]
 pub struct BroadcastRun {
-    /// The array as received by every processor (validated identical).
+    /// The array as the last rank holds it; every processor's copy was
+    /// compared with the input.
     pub result: Vec<u32>,
     /// Model execution time `T`.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Run a broadcast of `items` on `tree` under `plan` with default
-/// microcosts.
-pub fn simulate_broadcast(
-    tree: &MachineTree,
+/// Run a broadcast of `items` under `plan` on `exec`'s machine and
+/// engine: lower the plan to a [`CommSchedule`], execute it, read back
+/// what the processors hold.
+pub fn run(
+    exec: &Executor,
     items: &[u32],
     plan: BroadcastPlan,
 ) -> Result<BroadcastRun, CollectiveError> {
-    simulate_broadcast_with(tree, NetConfig::pvm_like(), items, plan)
-}
-
-/// Run a broadcast with explicit microcosts: lower the plan to a
-/// [`CommSchedule`] and interpret it on the simulator.
-pub fn simulate_broadcast_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    items: &[u32],
-    plan: BroadcastPlan,
-) -> Result<BroadcastRun, CollectiveError> {
-    let tree = Arc::new(tree.clone());
-    let (sched, source) = lower_broadcast(&tree, items.len() as u64, &plan)?;
-    let full = UnitId::new(0, items.len() as u32);
-    let mut init = vec![ProcInit::default(); tree.num_procs()];
-    init[source.rank()].units.push((full, items.to_vec()));
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    for (i, st) in states.iter().enumerate() {
-        assert_eq!(
-            st.unit(full),
-            items,
-            "processor {i} must end the broadcast with the full array"
-        );
-    }
+    let (sched, source) = lower_broadcast(exec.tree(), items.len() as u64, &plan)?;
+    let input = Staging::AtRoot(source, items.to_vec());
+    let (outcome, states) = schedule::run_staged(exec, sched, input, None)?;
     Ok(BroadcastRun {
-        result: items.to_vec(),
-        time: outcome.total_time,
-        sim: outcome,
+        result: schedule::held_by_all(&states, items)?,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broadcast;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     fn items(n: usize) -> Vec<u32> {
@@ -434,7 +414,7 @@ mod tests {
             BroadcastPlan::slow_root(),
             BroadcastPlan::balanced(),
         ] {
-            let run = simulate_broadcast(&t, &data, plan).unwrap();
+            let run = broadcast::run(&sim(&t), &data, plan).unwrap();
             assert_eq!(run.result, data, "{plan:?}");
         }
     }
@@ -444,7 +424,7 @@ mod tests {
         let t = hbsp2_machine();
         let data = items(1200);
         for top in [PhasePolicy::OnePhase, PhasePolicy::TwoPhase] {
-            let run = simulate_broadcast(&t, &data, BroadcastPlan::hierarchical(top)).unwrap();
+            let run = broadcast::run(&sim(&t), &data, BroadcastPlan::hierarchical(top)).unwrap();
             assert_eq!(run.result, data, "{top:?}");
         }
     }
@@ -469,10 +449,10 @@ mod tests {
         )
         .unwrap();
         let data = items(16_000);
-        let one = simulate_broadcast(&t, &data, BroadcastPlan::one_phase())
+        let one = broadcast::run(&sim(&t), &data, BroadcastPlan::one_phase())
             .unwrap()
             .time;
-        let two = simulate_broadcast(&t, &data, BroadcastPlan::two_phase())
+        let two = broadcast::run(&sim(&t), &data, BroadcastPlan::two_phase())
             .unwrap()
             .time;
         assert!(
@@ -488,10 +468,10 @@ mod tests {
         // redistribution for nothing.
         let t = TreeBuilder::flat(1.0, 500.0, &[(1.0, 1.0), (6.0, 0.2)]).unwrap();
         let data = items(2_000);
-        let one = simulate_broadcast(&t, &data, BroadcastPlan::one_phase())
+        let one = broadcast::run(&sim(&t), &data, BroadcastPlan::one_phase())
             .unwrap()
             .time;
-        let two = simulate_broadcast(&t, &data, BroadcastPlan::two_phase())
+        let two = broadcast::run(&sim(&t), &data, BroadcastPlan::two_phase())
             .unwrap()
             .time;
         assert!(
@@ -506,10 +486,10 @@ mod tests {
         // slowest processor must receive all n items either way.
         let t = flat_machine();
         let data = items(40_000);
-        let tf = simulate_broadcast(&t, &data, BroadcastPlan::two_phase())
+        let tf = broadcast::run(&sim(&t), &data, BroadcastPlan::two_phase())
             .unwrap()
             .time;
-        let ts = simulate_broadcast(&t, &data, BroadcastPlan::slow_root())
+        let ts = broadcast::run(&sim(&t), &data, BroadcastPlan::slow_root())
             .unwrap()
             .time;
         let factor = ts / tf;
@@ -522,7 +502,7 @@ mod tests {
     #[test]
     fn empty_broadcast() {
         let t = flat_machine();
-        let run = simulate_broadcast(&t, &[], BroadcastPlan::two_phase()).unwrap();
+        let run = broadcast::run(&sim(&t), &[], BroadcastPlan::two_phase()).unwrap();
         assert!(run.result.is_empty());
     }
 
@@ -532,8 +512,8 @@ mod tests {
         b.proc_root("solo", hbsp_core::NodeParams::fastest());
         let t = b.build().unwrap();
         let data = items(10);
-        let run = simulate_broadcast(
-            &t,
+        let run = broadcast::run(
+            &sim(&t),
             &data,
             BroadcastPlan::hierarchical(PhasePolicy::TwoPhase),
         )
@@ -545,13 +525,13 @@ mod tests {
     fn hierarchical_crosses_top_level_once_per_cluster() {
         let t = hbsp2_machine();
         let data = items(5000);
-        let hier = simulate_broadcast(
-            &t,
+        let hier = broadcast::run(
+            &sim(&t),
             &data,
             BroadcastPlan::hierarchical(PhasePolicy::OnePhase),
         )
         .unwrap();
-        let flat = simulate_broadcast(&t, &data, BroadcastPlan::one_phase()).unwrap();
+        let flat = broadcast::run(&sim(&t), &data, BroadcastPlan::one_phase()).unwrap();
         let hier_top: u64 = hier.sim.steps.iter().map(|s| s.traffic[2].words).sum();
         let flat_top: u64 = flat.sim.steps.iter().map(|s| s.traffic[2].words).sum();
         assert!(

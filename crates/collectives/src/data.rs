@@ -33,7 +33,9 @@ pub enum DecodeError {
     /// A partial-reduction vector whose length differs from the
     /// receiver's accumulator.
     PartialLength,
-    /// A scheduled send needs items the processor never received.
+    /// Scheduled data never arrived: a send, a fold or the caller's read
+    /// of the result needs items or a partial the processor never
+    /// received.
     MissingUnit,
 }
 
@@ -50,7 +52,7 @@ impl fmt::Display for DecodeError {
                 write!(f, "partial vector and accumulator differ in length")
             }
             DecodeError::MissingUnit => {
-                write!(f, "a scheduled send needs items that never arrived")
+                write!(f, "scheduled data never arrived at this processor")
             }
         }
     }

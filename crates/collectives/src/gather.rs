@@ -12,12 +12,11 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
-    self, rep_of, subtree_units, CommSchedule, Role, ScheduleProgram, ScheduleStep, Transfer,
-    UnitId,
+    self, rep_of, subtree_units, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
 };
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// Configuration of a gather run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,48 +178,30 @@ pub fn lower_hierarchical_gather(
     sched
 }
 
-/// Outcome of a simulated gather.
+/// Outcome of a gather run.
 #[derive(Debug, Clone)]
 pub struct GatherRun {
     /// The gathered array, in item order, as held by the root.
     pub result: Vec<u32>,
     /// Model execution time `T`.
     pub time: f64,
-    /// Full simulation outcome (per-step stats etc.).
+    /// Full virtual-time outcome (per-step stats etc.).
     pub sim: SimOutcome,
     /// The processor that ended up holding the result.
     pub root: ProcId,
 }
 
-/// Run a gather of `items` on `tree` under `plan`, with default
-/// (PVM-like) microcosts.
-pub fn simulate_gather(
-    tree: &MachineTree,
-    items: &[u32],
-    plan: GatherPlan,
-) -> Result<GatherRun, CollectiveError> {
-    simulate_gather_with(tree, NetConfig::pvm_like(), items, plan)
-}
-
-/// Run a gather with explicit microcosts: lower the plan to its
-/// schedule, interpret the schedule, read the result off the root.
-pub fn simulate_gather_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    items: &[u32],
-    plan: GatherPlan,
-) -> Result<GatherRun, CollectiveError> {
-    let tree = Arc::new(tree.clone());
-    let (sched, root) = lower_gather(&tree, items.len() as u64, plan)?;
-    let init = schedule::share_inits(&tree, items, plan.workload);
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    let result = states[root.rank()].unit(UnitId::new(0, items.len() as u32));
+/// Run a gather of `items` under `plan` on `exec`'s machine and engine:
+/// lower the plan to its schedule, execute it, read the result off the
+/// root.
+pub fn run(exec: &Executor, items: &[u32], plan: GatherPlan) -> Result<GatherRun, CollectiveError> {
+    let (sched, root) = lower_gather(exec.tree(), items.len() as u64, plan)?;
+    let input = Staging::Shares(items, plan.workload);
+    let (outcome, states) = schedule::run_staged(exec, sched, input, None)?;
     Ok(GatherRun {
-        result,
-        time: outcome.total_time,
-        sim: outcome,
+        result: schedule::result_at(&states, root, Some(UnitId::new(0, items.len() as u32)))?,
+        time: outcome.total_time(),
+        sim: outcome.sim,
         root,
     })
 }
@@ -228,6 +209,8 @@ pub fn simulate_gather_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gather;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     fn items(n: usize) -> Vec<u32> {
@@ -265,7 +248,7 @@ mod tests {
             GatherPlan::balanced(),
             GatherPlan::bsp_baseline(),
         ] {
-            let run = simulate_gather(&t, &data, plan).unwrap();
+            let run = gather::run(&sim(&t), &data, plan).unwrap();
             assert_eq!(run.result, data, "{plan:?}");
             assert_eq!(run.sim.num_steps(), 2);
         }
@@ -275,7 +258,7 @@ mod tests {
     fn hierarchical_gather_collects_on_hbsp2() {
         let t = hbsp2_machine();
         let data = items(2000);
-        let run = simulate_gather(&t, &data, GatherPlan::hierarchical()).unwrap();
+        let run = gather::run(&sim(&t), &data, GatherPlan::hierarchical()).unwrap();
         assert_eq!(run.result, data);
         assert_eq!(run.root, t.fastest_proc());
         // k supersteps + final drain.
@@ -289,8 +272,8 @@ mod tests {
     fn hierarchical_moves_less_data_across_the_top_level() {
         let t = hbsp2_machine();
         let data = items(4000);
-        let hier = simulate_gather(&t, &data, GatherPlan::hierarchical()).unwrap();
-        let flat = simulate_gather(&t, &data, GatherPlan::fast_root()).unwrap();
+        let hier = gather::run(&sim(&t), &data, GatherPlan::hierarchical()).unwrap();
+        let flat = gather::run(&sim(&t), &data, GatherPlan::fast_root()).unwrap();
         // The hierarchical gather sends one bundle per cluster across
         // level 2; the flat gather pushes every non-root piece across it.
         assert!(hier.sim.steps[1].traffic[2].messages < flat.sim.steps[0].traffic[2].messages);
@@ -315,10 +298,10 @@ mod tests {
         )
         .unwrap();
         let data = items(24_000);
-        let tf = simulate_gather(&t, &data, GatherPlan::fast_root())
+        let tf = gather::run(&sim(&t), &data, GatherPlan::fast_root())
             .unwrap()
             .time;
-        let ts = simulate_gather(&t, &data, GatherPlan::slow_root())
+        let ts = gather::run(&sim(&t), &data, GatherPlan::slow_root())
             .unwrap()
             .time;
         assert!(ts > tf, "slow root {ts} should exceed fast root {tf}");
@@ -330,10 +313,10 @@ mod tests {
         // the slow machine only unpacks, which beats it packing+sending.
         let t = TreeBuilder::flat(1.0, 100.0, &[(1.0, 1.0), (3.0, 0.33)]).unwrap();
         let data = items(10_000);
-        let tf = simulate_gather(&t, &data, GatherPlan::fast_root())
+        let tf = gather::run(&sim(&t), &data, GatherPlan::fast_root())
             .unwrap()
             .time;
-        let ts = simulate_gather(&t, &data, GatherPlan::slow_root())
+        let ts = gather::run(&sim(&t), &data, GatherPlan::slow_root())
             .unwrap()
             .time;
         assert!(
@@ -346,8 +329,8 @@ mod tests {
     fn hierarchical_on_flat_machine_equals_flat_fast_root() {
         let t = flat_machine();
         let data = items(500);
-        let h = simulate_gather(&t, &data, GatherPlan::hierarchical()).unwrap();
-        let f = simulate_gather(&t, &data, GatherPlan::fast_root()).unwrap();
+        let h = gather::run(&sim(&t), &data, GatherPlan::hierarchical()).unwrap();
+        let f = gather::run(&sim(&t), &data, GatherPlan::fast_root()).unwrap();
         assert_eq!(h.result, f.result);
         assert_eq!(h.root, f.root);
         assert!(
@@ -362,7 +345,7 @@ mod tests {
         b.proc_root("solo", hbsp_core::NodeParams::fastest());
         let t = b.build().unwrap();
         let data = items(100);
-        let run = simulate_gather(&t, &data, GatherPlan::hierarchical()).unwrap();
+        let run = gather::run(&sim(&t), &data, GatherPlan::hierarchical()).unwrap();
         assert_eq!(run.result, data);
         assert_eq!(run.sim.messages_delivered, 0);
     }
@@ -370,7 +353,7 @@ mod tests {
     #[test]
     fn empty_input_gathers_empty() {
         let t = flat_machine();
-        let run = simulate_gather(&t, &[], GatherPlan::fast_root()).unwrap();
+        let run = gather::run(&sim(&t), &[], GatherPlan::fast_root()).unwrap();
         assert!(run.result.is_empty());
     }
 }

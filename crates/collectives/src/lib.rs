@@ -23,7 +23,25 @@
 //! ([`schedule::CommSchedule`]): the same artifact is compiled and run
 //! by the generic [`schedule::ScheduleProgram`] on either engine,
 //! priced by [`predict::predict`], and compared by [`tune`] — so the
-//! implementation and its cost model cannot drift apart. The
+//! implementation and its cost model cannot drift apart. Each kind's
+//! module has one runner that does the whole round trip on an
+//! [`hbsplib::Executor`] — lower, [`schedule::stage`] the input,
+//! [`schedule::execute`], read the result — and names no engine:
+//!
+//! ```
+//! use hbsp_collectives::gather::{self, GatherPlan};
+//! use hbsp_core::TreeBuilder;
+//! use hbsplib::Executor;
+//! use std::sync::Arc;
+//!
+//! let tree = Arc::new(TreeBuilder::flat(1.0, 100.0, &[(1.0, 1.0), (2.0, 0.5)]).unwrap());
+//! let items: Vec<u32> = (0..1000).collect();
+//! // `Executor::threads(tree)` runs the same call on OS threads.
+//! let run = gather::run(&Executor::simulator(tree), &items, GatherPlan::fast_root()).unwrap();
+//! assert_eq!(run.result, items);
+//! ```
+//!
+//! The
 //! program is the crate's only [`hbsp_core::SpmdProgram`]; the root
 //! package's tests pin it to sequential semantics
 //! (`collectives_correctness.rs`), to the paper's closed forms, and to

@@ -5,14 +5,14 @@
 //! payload *shrinks* at each level, which is where hierarchy pays off
 //! most.
 
+use crate::broadcast::{self, BroadcastPlan, BroadcastRun};
 use crate::error::CollectiveError;
+use crate::plan::PhasePolicy;
 use crate::plan::{RootPolicy, Strategy};
-use crate::schedule::{
-    self, rep_of, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer,
-};
+use crate::schedule::{self, rep_of, CommSchedule, Role, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// The elementwise combining operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,110 +132,77 @@ pub fn lower_hierarchical_reduce(tree: &MachineTree, veclen: u64) -> CommSchedul
     sched
 }
 
-/// Outcome of a simulated reduce.
+/// Outcome of a reduce run.
 #[derive(Debug, Clone)]
 pub struct ReduceRun {
     /// The combined vector as held by the root.
     pub result: Vec<u32>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
     /// The processor holding the result.
     pub root: ProcId,
 }
 
-/// Run a reduce of `vectors[rank]` (all equal length) with `op`.
-pub fn simulate_reduce(
-    tree: &MachineTree,
+/// Run a reduce of `vectors[rank]` (all equal length) with `op` on
+/// `exec`'s machine and engine: lower the strategy to a schedule,
+/// execute it, read the root's accumulator.
+pub fn run(
+    exec: &Executor,
     vectors: Vec<Vec<u32>>,
     op: ReduceOp,
     root: RootPolicy,
     strategy: Strategy,
 ) -> Result<ReduceRun, CollectiveError> {
-    simulate_reduce_with(tree, NetConfig::pvm_like(), vectors, op, root, strategy)
-}
-
-/// Reduce with explicit microcosts: lower the strategy to a schedule
-/// and interpret it on the simulator.
-pub fn simulate_reduce_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    vectors: Vec<Vec<u32>>,
-    op: ReduceOp,
-    root: RootPolicy,
-    strategy: Strategy,
-) -> Result<ReduceRun, CollectiveError> {
-    let p = tree.num_procs();
-    assert_eq!(vectors.len(), p, "one vector per processor");
+    let tree = exec.tree();
+    assert_eq!(vectors.len(), tree.num_procs(), "one vector per processor");
     assert!(
         vectors.windows(2).all(|w| w[0].len() == w[1].len()),
         "reduce vectors must have equal length"
     );
-    let tree = Arc::new(tree.clone());
     let veclen = vectors[0].len() as u64;
     let (sched, root) = match strategy {
         Strategy::Flat => {
-            let root = root.resolve(&tree)?;
-            (lower_flat_reduce(&tree, veclen, root), root)
+            let root = root.resolve(tree)?;
+            (lower_flat_reduce(tree, veclen, root), root)
         }
-        Strategy::Hierarchical => (
-            lower_hierarchical_reduce(&tree, veclen),
-            tree.fastest_proc(),
-        ),
+        Strategy::Hierarchical => (lower_hierarchical_reduce(tree, veclen), tree.fastest_proc()),
     };
-    let init: Vec<ProcInit> = vectors
-        .into_iter()
-        .map(|v| ProcInit {
-            units: Vec::new(),
-            acc: Some(v),
-        })
-        .collect();
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), Some(op));
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
+    let input = Staging::Accumulators(vectors);
+    let (outcome, states) = schedule::run_staged(exec, sched, input, Some(op))?;
     Ok(ReduceRun {
-        result: states[root.rank()]
-            .accumulator()
-            .expect("reduce root holds an accumulator")
-            .to_vec(),
-        time: outcome.total_time,
-        sim: outcome,
+        result: schedule::result_at(&states, root, None)?,
+        time: outcome.total_time(),
+        sim: outcome.sim,
         root,
     })
 }
 
 /// Allreduce: reduce to `P_f`, then broadcast the result (two composed
-/// collectives, as in the dissertation's suite). Returns the combined
-/// vector and the summed time.
-pub fn simulate_allreduce(
-    tree: &MachineTree,
+/// collectives, as in the dissertation's suite). Returns both runs: the
+/// combined vector everyone holds is the broadcast's `result`, the
+/// operation's time the sum of the two `time`s.
+pub fn allreduce(
+    exec: &Executor,
     vectors: Vec<Vec<u32>>,
     op: ReduceOp,
     strategy: Strategy,
-) -> Result<ReduceRun, CollectiveError> {
-    let reduce = simulate_reduce(tree, vectors, op, RootPolicy::Fastest, strategy)?;
-    let bc = crate::broadcast::simulate_broadcast(
-        tree,
-        &reduce.result,
-        match strategy {
-            Strategy::Flat => crate::broadcast::BroadcastPlan::two_phase(),
-            Strategy::Hierarchical => {
-                crate::broadcast::BroadcastPlan::hierarchical(crate::plan::PhasePolicy::TwoPhase)
-            }
-        },
-    )?;
-    Ok(ReduceRun {
-        result: reduce.result,
-        time: reduce.time + bc.time,
-        sim: reduce.sim,
-        root: reduce.root,
-    })
+) -> Result<(ReduceRun, BroadcastRun), CollectiveError> {
+    let reduced = run(exec, vectors, op, RootPolicy::Fastest, strategy)?;
+    let plan = match strategy {
+        Strategy::Flat => BroadcastPlan::two_phase(),
+        Strategy::Hierarchical => BroadcastPlan::hierarchical(PhasePolicy::TwoPhase),
+    };
+    let spread = broadcast::run(exec, &reduced.result, plan)?;
+    Ok((reduced, spread))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     fn vectors(p: usize, len: usize) -> Vec<Vec<u32>> {
@@ -267,7 +234,8 @@ mod tests {
         for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
             let want = op.reference(&vs);
             for strat in [Strategy::Flat, Strategy::Hierarchical] {
-                let run = simulate_reduce(&t, vs.clone(), op, RootPolicy::Fastest, strat).unwrap();
+                let run =
+                    reduce::run(&sim(&t), vs.clone(), op, RootPolicy::Fastest, strat).unwrap();
                 assert_eq!(run.result, want, "{op:?} {strat:?}");
             }
         }
@@ -290,16 +258,16 @@ mod tests {
         )
         .unwrap();
         let vs = vectors(6, 1024);
-        let flat = simulate_reduce(
-            &t,
+        let flat = reduce::run(
+            &sim(&t),
             vs.clone(),
             ReduceOp::Sum,
             RootPolicy::Fastest,
             Strategy::Flat,
         )
         .unwrap();
-        let hier = simulate_reduce(
-            &t,
+        let hier = reduce::run(
+            &sim(&t),
             vs,
             ReduceOp::Sum,
             RootPolicy::Fastest,
@@ -318,8 +286,13 @@ mod tests {
         let vs = vectors(4, 64);
         let want = ReduceOp::Max.reference(&vs);
         for strat in [Strategy::Flat, Strategy::Hierarchical] {
-            let run = simulate_allreduce(&t, vs.clone(), ReduceOp::Max, strat).unwrap();
-            assert_eq!(run.result, want, "{strat:?}");
+            let (reduced, spread) =
+                reduce::allreduce(&sim(&t), vs.clone(), ReduceOp::Max, strat).unwrap();
+            assert_eq!(reduced.result, want, "{strat:?}");
+            assert_eq!(spread.result, want, "{strat:?}");
+            for (time, sim) in [(reduced.time, &reduced.sim), (spread.time, &spread.sim)] {
+                assert_eq!(time.to_bits(), sim.total_time.to_bits());
+            }
         }
     }
 
@@ -327,8 +300,8 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn unequal_lengths_rejected() {
         let t = TreeBuilder::homogeneous(1.0, 0.0, 2).unwrap();
-        simulate_reduce(
-            &t,
+        reduce::run(
+            &sim(&t),
             vec![vec![1, 2], vec![3]],
             ReduceOp::Sum,
             RootPolicy::Fastest,

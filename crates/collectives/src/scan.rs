@@ -6,12 +6,10 @@
 
 use crate::error::CollectiveError;
 use crate::reduce::ReduceOp;
-use crate::schedule::{
-    self, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer,
-};
+use crate::schedule::{self, CommSchedule, Role, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// The direct BSP scan as a schedule: one global superstep where every
 /// rank sends its partial vector to all higher ranks; rank `j`'s
@@ -44,66 +42,50 @@ pub fn lower_scan(tree: &MachineTree, veclen: u64) -> CommSchedule {
     sched
 }
 
-/// Outcome of a simulated scan.
+/// Outcome of a scan run.
 #[derive(Debug, Clone)]
 pub struct ScanRun {
     /// `prefixes[j]` = the inclusive prefix at rank `j`.
     pub prefixes: Vec<Vec<u32>>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
-/// Run an inclusive prefix scan of `vectors[rank]` with `op`.
-pub fn simulate_scan(
-    tree: &MachineTree,
+/// Run an inclusive prefix scan of `vectors[rank]` with `op` on `exec`'s
+/// machine and engine: lower to a schedule, execute it, read every
+/// rank's accumulator.
+pub fn run(
+    exec: &Executor,
     vectors: Vec<Vec<u32>>,
     op: ReduceOp,
 ) -> Result<ScanRun, CollectiveError> {
-    simulate_scan_with(tree, NetConfig::pvm_like(), vectors, op)
-}
-
-/// Scan with explicit microcosts: lower to a schedule and interpret it
-/// on the simulator.
-pub fn simulate_scan_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    vectors: Vec<Vec<u32>>,
-    op: ReduceOp,
-) -> Result<ScanRun, CollectiveError> {
-    assert_eq!(vectors.len(), tree.num_procs(), "one vector per processor");
+    let p = exec.tree().num_procs();
+    assert_eq!(vectors.len(), p, "one vector per processor");
     assert!(
         vectors.windows(2).all(|w| w[0].len() == w[1].len()),
         "scan vectors must have equal length"
     );
-    let tree = Arc::new(tree.clone());
     let veclen = vectors.first().map_or(0, Vec::len) as u64;
-    let sched = lower_scan(&tree, veclen);
-    let init: Vec<ProcInit> = vectors
-        .into_iter()
-        .map(|v| ProcInit {
-            units: Vec::new(),
-            acc: Some(v),
-        })
-        .collect();
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), Some(op));
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    let prefixes = states
-        .iter()
-        .map(|s| s.accumulator().expect("every rank holds a prefix").to_vec())
-        .collect();
+    let sched = lower_scan(exec.tree(), veclen);
+    let input = Staging::Accumulators(vectors);
+    let (outcome, states) = schedule::run_staged(exec, sched, input, Some(op))?;
+    let prefixes = (0..p)
+        .map(|j| schedule::result_at(&states, ProcId(j as u32), None))
+        .collect::<Result<_, _>>()?;
     Ok(ScanRun {
         prefixes,
-        time: outcome.total_time,
-        sim: outcome,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     #[test]
@@ -113,7 +95,7 @@ mod tests {
         let vs: Vec<Vec<u32>> = (0..4)
             .map(|i| (0..16).map(|j| (i * 7 + j) as u32).collect())
             .collect();
-        let run = simulate_scan(&t, vs.clone(), ReduceOp::Sum).unwrap();
+        let run = scan::run(&sim(&t), vs.clone(), ReduceOp::Sum).unwrap();
         let mut acc = vs[0].clone();
         assert_eq!(run.prefixes[0], acc);
         for (j, v) in vs.iter().enumerate().skip(1) {
@@ -126,7 +108,7 @@ mod tests {
     fn scan_with_min() {
         let t = TreeBuilder::flat(1.0, 0.0, &[(1.0, 1.0), (2.0, 0.5), (2.0, 0.5)]).unwrap();
         let vs = vec![vec![5, 9], vec![3, 10], vec![4, 1]];
-        let run = simulate_scan(&t, vs, ReduceOp::Min).unwrap();
+        let run = scan::run(&sim(&t), vs, ReduceOp::Min).unwrap();
         assert_eq!(run.prefixes, vec![vec![5, 9], vec![3, 9], vec![3, 1]]);
     }
 
@@ -134,7 +116,7 @@ mod tests {
     fn rank_zero_keeps_its_vector() {
         let t = TreeBuilder::homogeneous(1.0, 1.0, 3).unwrap();
         let vs = vec![vec![1], vec![2], vec![3]];
-        let run = simulate_scan(&t, vs, ReduceOp::Max).unwrap();
+        let run = scan::run(&sim(&t), vs, ReduceOp::Max).unwrap();
         assert_eq!(run.prefixes[0], vec![1]);
         assert_eq!(run.sim.messages_delivered, 3, "ranks send only upward");
     }

@@ -5,12 +5,10 @@
 use crate::data::{partition_for, Piece};
 use crate::error::CollectiveError;
 use crate::plan::{RootPolicy, WorkloadPolicy};
-use crate::schedule::{
-    self, share_unit, CommSchedule, ProcInit, Role, ScheduleProgram, ScheduleStep, Transfer, UnitId,
-};
+use crate::schedule::{self, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
-use hbsp_sim::{NetConfig, SimOutcome, Simulator};
-use std::sync::Arc;
+use hbsp_sim::SimOutcome;
+use hbsplib::Executor;
 
 /// Lower a scatter of `n` items from `root` to a schedule: one global
 /// superstep of root → processor share bundles, then the drain.
@@ -39,64 +37,47 @@ pub fn lower_scatter(
     sched
 }
 
-/// Outcome of a simulated scatter.
+/// Outcome of a scatter run.
 #[derive(Debug, Clone)]
 pub struct ScatterRun {
     /// Each processor's received piece, by rank.
     pub pieces: Vec<Piece>,
     /// Model execution time.
     pub time: f64,
-    /// Full simulation outcome.
+    /// Full virtual-time outcome.
     pub sim: SimOutcome,
 }
 
 /// Scatter `items` from the root selected by `root` under the given
-/// workload policy.
-pub fn simulate_scatter(
-    tree: &MachineTree,
+/// workload policy on `exec`'s machine and engine: lower to a schedule,
+/// execute it, read every processor's piece.
+pub fn run(
+    exec: &Executor,
     items: &[u32],
     root: RootPolicy,
     workload: WorkloadPolicy,
 ) -> Result<ScatterRun, CollectiveError> {
-    simulate_scatter_with(tree, NetConfig::pvm_like(), items, root, workload)
-}
-
-/// Scatter with explicit microcosts: lower to a schedule and interpret
-/// it on the simulator.
-pub fn simulate_scatter_with(
-    tree: &MachineTree,
-    cfg: NetConfig,
-    items: &[u32],
-    root: RootPolicy,
-    workload: WorkloadPolicy,
-) -> Result<ScatterRun, CollectiveError> {
-    let tree = Arc::new(tree.clone());
-    let root = root.resolve(&tree)?;
+    let tree = exec.tree();
+    let root = root.resolve(tree)?;
     let n = items.len() as u64;
-    let sched = lower_scatter(&tree, n, root, workload);
-    let mut init = vec![ProcInit::default(); tree.num_procs()];
-    init[root.rank()]
-        .units
-        .push((UnitId::new(0, items.len() as u32), items.to_vec()));
-    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-    let sim = Simulator::with_config(Arc::clone(&tree), cfg);
-    let (outcome, states) = schedule::run_on_simulator(&sim, &prog)?;
-    let partition = partition_for(&tree, n, workload);
-    let pieces = states
-        .iter()
-        .enumerate()
-        .map(|(j, s)| {
-            let uid = share_unit(&partition, ProcId(j as u32));
-            Piece {
+    let sched = lower_scatter(tree, n, root, workload);
+    let input = Staging::AtRoot(root, items.to_vec());
+    let (outcome, states) = schedule::run_staged(exec, sched, input, None)?;
+    let partition = partition_for(tree, n, workload);
+    let pieces = (0..tree.num_procs())
+        .map(|j| {
+            let pid = ProcId(j as u32);
+            let uid = share_unit(&partition, pid);
+            Ok(Piece {
                 offset: uid.offset,
-                items: s.unit(uid),
-            }
+                items: schedule::result_at(&states, pid, Some(uid))?,
+            })
         })
-        .collect();
+        .collect::<Result<_, CollectiveError>>()?;
     Ok(ScatterRun {
         pieces,
-        time: outcome.total_time,
-        sim: outcome,
+        time: outcome.total_time(),
+        sim: outcome.sim,
     })
 }
 
@@ -104,6 +85,8 @@ pub fn simulate_scatter_with(
 mod tests {
     use super::*;
     use crate::data::reassemble;
+    use crate::scatter;
+    use crate::schedule::sim;
     use hbsp_core::TreeBuilder;
 
     #[test]
@@ -111,7 +94,7 @@ mod tests {
         let t = TreeBuilder::flat(1.0, 50.0, &[(1.0, 1.0), (2.0, 0.5), (2.0, 0.4)]).unwrap();
         let items: Vec<u32> = (0..300).collect();
         for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
-            let run = simulate_scatter(&t, &items, RootPolicy::Fastest, wl).unwrap();
+            let run = scatter::run(&sim(&t), &items, RootPolicy::Fastest, wl).unwrap();
             assert_eq!(reassemble(&run.pieces), items, "{wl:?}");
         }
     }
@@ -120,8 +103,13 @@ mod tests {
     fn balanced_scatter_weights_by_speed() {
         let t = TreeBuilder::flat(1.0, 0.0, &[(1.0, 1.0), (3.0, 0.25)]).unwrap();
         let items: Vec<u32> = (0..100).collect();
-        let run =
-            simulate_scatter(&t, &items, RootPolicy::Fastest, WorkloadPolicy::Balanced).unwrap();
+        let run = scatter::run(
+            &sim(&t),
+            &items,
+            RootPolicy::Fastest,
+            WorkloadPolicy::Balanced,
+        )
+        .unwrap();
         assert_eq!(run.pieces[0].len(), 80);
         assert_eq!(run.pieces[1].len(), 20);
     }
@@ -135,10 +123,10 @@ mod tests {
         )
         .unwrap();
         let items: Vec<u32> = (0..8000).collect();
-        let tf = simulate_scatter(&t, &items, RootPolicy::Fastest, WorkloadPolicy::Equal)
+        let tf = scatter::run(&sim(&t), &items, RootPolicy::Fastest, WorkloadPolicy::Equal)
             .unwrap()
             .time;
-        let ts = simulate_scatter(&t, &items, RootPolicy::Slowest, WorkloadPolicy::Equal)
+        let ts = scatter::run(&sim(&t), &items, RootPolicy::Slowest, WorkloadPolicy::Equal)
             .unwrap()
             .time;
         assert!(
@@ -150,8 +138,13 @@ mod tests {
     #[test]
     fn bad_root_rank_is_an_error() {
         let t = TreeBuilder::flat(1.0, 0.0, &[(1.0, 1.0), (2.0, 0.5)]).unwrap();
-        let err = simulate_scatter(&t, &[1, 2, 3], RootPolicy::Rank(9), WorkloadPolicy::Equal)
-            .unwrap_err();
+        let err = scatter::run(
+            &sim(&t),
+            &[1, 2, 3],
+            RootPolicy::Rank(9),
+            WorkloadPolicy::Equal,
+        )
+        .unwrap_err();
         assert!(matches!(err, CollectiveError::Root(_)), "{err}");
     }
 }

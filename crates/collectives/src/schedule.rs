@@ -31,8 +31,7 @@ use hbsp_core::{
     HRelation, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
     StepOutcome, SyncScope,
 };
-use hbsp_sim::{SimOutcome, Simulator};
-use hbsplib::codec;
+use hbsplib::{codec, ExecOutcome, Executor};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -203,6 +202,60 @@ pub(crate) fn share_unit(partition: &Partition, pid: ProcId) -> UnitId {
     UnitId::new(partition.offset(pid) as u32, partition.share(pid) as u32)
 }
 
+/// The unit id of the block `src → dst` in a `p`-processor all-to-all:
+/// block ids are `src·p + dst`.
+pub(crate) fn block_unit(p: usize, src: usize, dst: usize, len: usize) -> UnitId {
+    UnitId::new((src * p + dst) as u32, len as u32)
+}
+
+/// A collective's input, in the shape its kind starts from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Staging<'a> {
+    /// Gather, allgather: the array every processor holds its workload
+    /// share of (shares are copied out of it, so it is only borrowed).
+    Shares(&'a [u32], WorkloadPolicy),
+    /// Broadcast, scatter: the whole array at the root.
+    AtRoot(ProcId, Vec<u32>),
+    /// Reduce, scan: one accumulator per rank.
+    Accumulators(Vec<Vec<u32>>),
+    /// All-to-all: `blocks[src][dst]` for `dst`; the diagonal never
+    /// travels and is not staged.
+    Blocks(Vec<Vec<Vec<u32>>>),
+}
+
+/// Where a collective's data starts: each processor's holdings before
+/// the first superstep, the vectors of `input` moved into place.
+pub fn stage(tree: &MachineTree, input: Staging) -> Vec<ProcInit> {
+    let p = tree.num_procs();
+    match input {
+        Staging::Shares(items, workload) => share_inits(tree, items, workload),
+        Staging::AtRoot(root, items) => {
+            let mut init = vec![ProcInit::default(); p];
+            let whole = UnitId::new(0, items.len() as u32);
+            init[root.rank()].units.push((whole, items));
+            init
+        }
+        Staging::Accumulators(vectors) => vectors
+            .into_iter()
+            .map(|v| ProcInit {
+                units: Vec::new(),
+                acc: Some(v),
+            })
+            .collect(),
+        Staging::Blocks(blocks) => blocks
+            .into_iter()
+            .enumerate()
+            .map(|(src, row)| ProcInit {
+                units: (row.into_iter().enumerate())
+                    .filter(|&(dst, _)| dst != src)
+                    .map(|(dst, b)| (block_unit(p, src, dst, b.len()), b))
+                    .collect(),
+                acc: None,
+            })
+            .collect(),
+    }
+}
+
 /// Initial placement for collectives that start with every processor
 /// holding its own share of `items`.
 pub fn share_inits(tree: &MachineTree, items: &[u32], workload: WorkloadPolicy) -> Vec<ProcInit> {
@@ -237,36 +290,32 @@ pub fn seeded_inits(
             })
             .collect()
     };
-    let p = tree.num_procs();
-    let mut init = vec![ProcInit::default(); p];
-    let mut op = None;
-    match plan.kind {
+    let p = tree.num_procs() as u64;
+    let array;
+    let input = match plan.kind {
         CollectiveKind::Gather | CollectiveKind::Allgather => {
-            init = share_inits(tree, &words(seed), plan.workload);
+            array = words(seed);
+            Staging::Shares(&array, plan.workload)
         }
         CollectiveKind::Broadcast | CollectiveKind::Scatter => {
             let root = plan.root.expect("rooted collective resolves a root");
-            init[root.rank()]
-                .units
-                .push((UnitId::new(0, n as u32), words(seed)));
+            Staging::AtRoot(root, words(seed))
         }
         CollectiveKind::Alltoall => {
-            for (src, pi) in init.iter_mut().enumerate() {
-                for dst in (0..p).filter(|&dst| dst != src) {
-                    let block = (src * p + dst) as u64;
-                    pi.units
-                        .push((UnitId::new(block as u32, n as u32), words(seed ^ block)));
-                }
-            }
+            // The diagonal is not staged: no words are drawn for it.
+            let block = |src, dst| match src == dst {
+                true => Vec::new(),
+                false => words(seed ^ (src * p + dst)),
+            };
+            let row = |src| (0..p).map(|dst| block(src, dst)).collect();
+            Staging::Blocks((0..p).map(row).collect())
         }
         CollectiveKind::Reduce | CollectiveKind::Scan => {
-            for (rank, pi) in init.iter_mut().enumerate() {
-                pi.acc = Some(words(seed ^ rank as u64));
-            }
-            op = Some(ReduceOp::Sum);
+            Staging::Accumulators((0..p).map(|rank| words(seed ^ rank)).collect())
         }
-    }
-    (init, op)
+    };
+    let reduces = matches!(plan.kind, CollectiveKind::Reduce | CollectiveKind::Scan);
+    (stage(tree, input), reduces.then_some(ReduceOp::Sum))
 }
 
 /// A processor's data before the first superstep.
@@ -372,23 +421,34 @@ impl ScheduleState {
 
     /// Materialize `uid` from the store: the exact unit if present,
     /// otherwise assembled from stored units covering its range.
-    ///
-    /// # Panics
-    /// Panics if the store does not cover the unit — asking a final
-    /// state for data the collective never delivered there.
-    pub fn unit(&self, uid: UnitId) -> Vec<u32> {
+    /// [`DecodeError::MissingUnit`] if the store does not cover it — the
+    /// collective never delivered that data here (a fault upstream).
+    pub fn try_unit(&self, uid: UnitId) -> Result<Vec<u32>, DecodeError> {
         let mut out = Vec::with_capacity(uid.len as usize);
-        if let Err(item) = self.segments(uid, |s| out.extend_from_slice(s)) {
-            panic!("schedule references item {item} of unit {uid:?} the processor does not hold");
+        match self.segments(uid, |s| out.extend_from_slice(s)) {
+            Ok(()) => Ok(out),
+            Err(_) => Err(DecodeError::MissingUnit),
         }
-        out
     }
 
-    fn absorb(&mut self, op: Option<ReduceOp>, messages: &hbsp_core::MsgBatch) {
+    /// [`ScheduleState::try_unit`] for callers that know the data is
+    /// there.
+    ///
+    /// # Panics
+    /// Panics if the store does not cover the unit.
+    pub fn unit(&self, uid: UnitId) -> Vec<u32> {
+        self.try_unit(uid).unwrap_or_else(|_| {
+            panic!("schedule references unit {uid:?}, which the processor does not hold")
+        })
+    }
+
+    fn absorb(&mut self, op: Option<ReduceOp>, due: usize, messages: &hbsp_core::MsgBatch) {
         // Partials fold in src order, so a future non-commutative op
         // stays deterministic (today's ops are all commutative).
         let mut partials: Vec<(ProcId, &[u8])> = Vec::new();
+        let mut arrived = 0;
         for m in messages {
+            arrived += 1;
             let decoded = match m.tag {
                 TAG_PIECE => Piece::decode(m.payload).map(|p| self.insert(p)),
                 TAG_BUNDLE => decode_bundle(m.payload)
@@ -400,6 +460,10 @@ impl ScheduleState {
                 other => panic!("schedule program received foreign tag {other:#x}"),
             };
             self.error = self.error.or(decoded.err());
+        }
+        // No decoder ever sees a message that is not there.
+        if arrived != due {
+            self.error = self.error.or(Some(DecodeError::MissingUnit));
         }
         partials.sort_by_key(|&(src, _)| src);
         for (_, payload) in partials {
@@ -482,12 +546,14 @@ pub struct ProcStep {
     pub charge: f64,
     /// Its sends, in the schedule's posting order.
     pub sends: Vec<SendEntry>,
+    /// The messages it absorbs first: those posted to it one step earlier.
+    pub due: usize,
 }
 
 /// A [`CommSchedule`] compiled for execution: `steps[step][rank]` is
-/// exactly what that processor charges and posts in that superstep,
-/// sized in advance — so a superstep body reads its own row instead of
-/// scanning every transfer of every processor.
+/// exactly what that processor charges, posts and expects to receive
+/// in that superstep, sized in advance — so a superstep body reads its
+/// own row instead of scanning every transfer of every processor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     /// Per superstep, the per-processor tables indexed by rank.
@@ -500,9 +566,9 @@ impl ExecPlan {
     /// would ever have executed them).
     pub fn compile(schedule: &CommSchedule, nprocs: usize) -> ExecPlan {
         let mut steps = vec![vec![ProcStep::default(); nprocs]; schedule.steps.len()];
-        for (rows, step) in steps.iter_mut().zip(&schedule.steps) {
+        for (s, step) in schedule.steps.iter().enumerate() {
             for &(pid, units) in step.work.iter().filter(|w| w.0.rank() < nprocs) {
-                rows[pid.rank()].charge += units;
+                steps[s][pid.rank()].charge += units;
             }
             for t in step.transfers.iter().filter(|t| t.src.rank() < nprocs) {
                 let (tag, words, units) = match &t.role {
@@ -513,12 +579,16 @@ impl ExecPlan {
                     }
                     Role::Partial => (TAG_PARTIAL, t.words as usize, Vec::new()),
                 };
-                rows[t.src.rank()].sends.push(SendEntry {
+                steps[s][t.src.rank()].sends.push(SendEntry {
                     dst: t.dst,
                     tag,
                     wire_len: 4 * words,
                     units,
                 });
+                // Posted now, absorbed by its destination one step on.
+                if let Some(row) = steps.get_mut(s + 1).and_then(|r| r.get_mut(t.dst.rank())) {
+                    row.due += 1;
+                }
             }
         }
         ExecPlan { steps }
@@ -602,10 +672,11 @@ impl SpmdProgram for ScheduleProgram {
     ) -> StepOutcome {
         let mine = &self.plan.steps[step][env.pid.rank()];
         if state.error.is_none() {
-            state.absorb(self.op, ctx.messages());
+            state.absorb(self.op, mine.due, ctx.messages());
         }
-        // A send whose data never arrived (a dropped or truncated
-        // message upstream) is a data error like a malformed payload.
+        // A send whose data never arrived (a truncated message upstream)
+        // is a data error like a malformed payload, and so is a message
+        // that never did (`absorb` counts them).
         if state.error.is_none()
             && !(mine.sends.iter().flat_map(|s| &s.units))
                 .all(|&u| state.segments(u, |_| ()).is_ok())
@@ -664,25 +735,73 @@ pub fn check_states(states: &[ScheduleState]) -> Result<(), CollectiveError> {
     Ok(())
 }
 
-/// Run a schedule on a [`Simulator`], surfacing engine and decode errors.
-pub fn run_on_simulator(
-    sim: &Simulator,
+/// Run a schedule through an [`Executor`] — the same program on
+/// whichever engine it was built for — surfacing engine and decode
+/// errors.
+pub fn execute(
+    exec: &Executor,
     prog: &ScheduleProgram,
-) -> Result<(SimOutcome, Vec<ScheduleState>), CollectiveError> {
-    let (outcome, states) = sim.run_with_states(prog)?;
+) -> Result<(ExecOutcome, Vec<ScheduleState>), CollectiveError> {
+    let (outcome, states) = exec.run(prog)?;
     check_states(&states)?;
     Ok((outcome, states))
 }
 
-/// Run a schedule through an [`hbsplib::Executor`] — the same program
-/// on either the simulator or the threaded runtime.
-pub fn execute(
-    exec: &hbsplib::Executor,
-    prog: &ScheduleProgram,
-) -> Result<(hbsplib::ExecOutcome, Vec<ScheduleState>), CollectiveError> {
-    let (outcome, states) = exec.run(prog)?;
-    check_states(&states)?;
-    Ok((outcome, states))
+/// What every per-kind runner does between lowering and reading its
+/// result: stage `input` on the executor's machine, compile, execute.
+pub(crate) fn run_staged(
+    exec: &Executor,
+    schedule: CommSchedule,
+    input: Staging,
+    op: Option<ReduceOp>,
+) -> Result<(ExecOutcome, Vec<ScheduleState>), CollectiveError> {
+    let init = stage(exec.tree(), input);
+    execute(
+        exec,
+        &ScheduleProgram::new(Arc::new(schedule), Arc::new(init), op),
+    )
+}
+
+/// Rank `pid`'s result as a runner reads it back: its copy of `uid`,
+/// or with `None` (the kinds that reduce) its accumulator. A fault that
+/// kept the result from arriving there is the typed error.
+pub(crate) fn result_at(
+    states: &[ScheduleState],
+    pid: ProcId,
+    uid: Option<UnitId>,
+) -> Result<Vec<u32>, CollectiveError> {
+    let state = &states[pid.rank()];
+    let found = match uid {
+        Some(uid) => state.try_unit(uid),
+        None => (state.accumulator().map(<[u32]>::to_vec)).ok_or(DecodeError::MissingUnit),
+    };
+    found.map_err(|error| CollectiveError::Decode { pid, error })
+}
+
+/// `items` as the highest rank ends up holding them, after comparing
+/// every rank's copy with them: the first rank whose copy is incomplete
+/// or differs never received the array, which is the typed error.
+pub(crate) fn held_by_all(
+    states: &[ScheduleState],
+    items: &[u32],
+) -> Result<Vec<u32>, CollectiveError> {
+    let mut copy = Vec::new();
+    for rank in 0..states.len() {
+        let pid = ProcId(rank as u32);
+        copy = result_at(states, pid, Some(UnitId::new(0, items.len() as u32)))?;
+        if copy != items {
+            let error = DecodeError::MissingUnit;
+            return Err(CollectiveError::Decode { pid, error });
+        }
+    }
+    Ok(copy)
+}
+
+/// The simulator on a copy of `tree`: what the per-kind modules' tests
+/// run on.
+#[cfg(test)]
+pub(crate) fn sim(tree: &MachineTree) -> Executor {
+    Executor::simulator(Arc::new(tree.clone()))
 }
 
 #[cfg(test)]
@@ -715,10 +834,9 @@ mod tests {
             ProcInit::default(),
         ];
         let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
-        let sim = Simulator::new(Arc::clone(&tree));
-        let (outcome, states) = run_on_simulator(&sim, &prog).unwrap();
-        assert_eq!(outcome.num_steps(), 2);
-        assert_eq!(outcome.messages_delivered, 1);
+        let (outcome, states) = execute(&Executor::simulator(tree), &prog).unwrap();
+        assert_eq!(outcome.sim.num_steps(), 2);
+        assert_eq!(outcome.sim.messages_delivered, 1);
         assert_eq!(states[1].unit(UnitId::new(0, 3)), vec![7, 8, 9]);
     }
 
@@ -746,7 +864,29 @@ mod tests {
             offset: 0,
             items: vec![1, 2],
         });
+        assert_eq!(
+            st.try_unit(UnitId::new(0, 4)),
+            Err(DecodeError::MissingUnit)
+        );
         st.unit(UnitId::new(0, 4));
+    }
+
+    #[test]
+    fn held_by_all_names_the_rank_whose_copy_differs_or_is_short() {
+        let holding = |items: &[u32]| {
+            let mut st = ScheduleState::default();
+            st.insert(Piece {
+                offset: 0,
+                items: items.to_vec(),
+            });
+            st
+        };
+        let items = [4, 5, 6];
+        let all = |middle: &[u32]| held_by_all(&[&items, middle, &items].map(holding), &items);
+        assert_eq!(all(&items), Ok(items.to_vec()));
+        let (pid, error) = (ProcId(1), DecodeError::MissingUnit);
+        let named = Err(CollectiveError::Decode { pid, error });
+        assert_eq!((all(&[4, 9, 6]), all(&[4, 5])), (named.clone(), named));
     }
 
     #[test]

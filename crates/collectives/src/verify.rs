@@ -14,9 +14,8 @@
 //! `hbsplib::Executor::check`).
 
 use crate::plan::{PhasePolicy, WorkloadPolicy};
-use crate::reduce::ReduceOp;
 use crate::schedule::{
-    share_inits, step_hrelation, CommSchedule, ProcInit, Role, ScheduleStep, Transfer, UnitId,
+    stage, step_hrelation, CommSchedule, ProcInit, Role, ScheduleStep, Staging, Transfer, UnitId,
 };
 use crate::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 pub use hbsp_check::Violation;
@@ -128,38 +127,17 @@ pub fn verify_standard_lowerings(tree: &MachineTree, n: u64) -> Vec<VerifiedLowe
     let items: Vec<u32> = (0..n as u32).collect();
     let root = tree.fastest_proc();
     let workload = WorkloadPolicy::Balanced;
-    let share_init = share_inits(tree, &items, workload);
-    let rooted_init = {
-        let mut init = vec![ProcInit::default(); p];
-        init[root.rank()]
-            .units
-            .push((UnitId::new(0, n as u32), items.clone()));
-        init
-    };
-    let acc_init: Vec<ProcInit> = (0..p)
-        .map(|i| ProcInit {
-            units: vec![],
-            acc: Some(vec![i as u32; n.max(1) as usize]),
-        })
-        .collect();
+    let share_init = stage(tree, Staging::Shares(&items, workload));
+    let rooted_init = stage(tree, Staging::AtRoot(root, items));
+    let acc_init = stage(
+        tree,
+        Staging::Accumulators((0..p).map(|i| vec![i as u32; n.max(1) as usize]).collect()),
+    );
     let blocks: Vec<Vec<u64>> = (0..p)
         .map(|i| (0..p).map(|j| ((i + 2 * j) % 5 + 1) as u64).collect())
         .collect();
-    let block_init: Vec<ProcInit> = blocks
-        .iter()
-        .enumerate()
-        .map(|(i, row)| ProcInit {
-            units: row
-                .iter()
-                .enumerate()
-                .map(|(j, &len)| {
-                    let uid = UnitId::new((i * p + j) as u32, len as u32);
-                    (uid, vec![0; len as usize])
-                })
-                .collect(),
-            acc: None,
-        })
-        .collect();
+    let zeroed = |row: &Vec<u64>| row.iter().map(|&len| vec![0; len as usize]).collect();
+    let block_init = stage(tree, Staging::Blocks(blocks.iter().map(zeroed).collect()));
 
     let mut out = Vec::new();
     let mut case = |name: &'static str, sched: CommSchedule, init: &[ProcInit], has_op: bool| {
@@ -248,13 +226,13 @@ pub fn verify_standard_lowerings(tree: &MachineTree, n: u64) -> Vec<VerifiedLowe
         true,
     );
     case("scan", scan::lower_scan(tree, n.max(1)), &acc_init, true);
-    let _ = ReduceOp::Sum; // ops are irrelevant statically; has_op is what matters
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::share_inits;
     use hbsp_core::{ProcId, SyncScope, TreeBuilder};
 
     fn campus() -> MachineTree {

@@ -205,6 +205,15 @@ impl Executor {
         Executor::new(tree, EngineKind::Threads, Some(cfg))
     }
 
+    /// The executor whose [`Executor::engine_name`] is `name`, with
+    /// default microcosts; `None` if no engine goes by that name.
+    pub fn from_engine_name(name: &str, tree: Arc<MachineTree>) -> Option<Self> {
+        [EngineKind::Simulator, EngineKind::Threads]
+            .into_iter()
+            .map(|kind| Executor::new(tree.clone(), kind, None))
+            .find(|exec| exec.engine_name() == name)
+    }
+
     /// Record per-processor activity timelines on either engine (the
     /// raw material for §4.1's "faster machines sit idle" Gantt
     /// charts); retrieve them from [`ExecOutcome`]'s `sim.timelines`.
@@ -727,6 +736,16 @@ mod tests {
                 Err(SimError::ProcCrashed { step: 0, .. })
             ));
         }
+    }
+
+    #[test]
+    fn an_engine_name_round_trips_through_its_constructor() {
+        for exec in [Executor::simulator(tree()), Executor::threads(tree())] {
+            let named = Executor::from_engine_name(exec.engine_name(), tree()).unwrap();
+            assert_eq!(named.engine_name(), exec.engine_name());
+            assert_eq!(named.session().is_threaded(), exec.session().is_threaded());
+        }
+        assert!(Executor::from_engine_name("both", tree()).is_none());
     }
 
     #[test]

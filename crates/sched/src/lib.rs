@@ -212,7 +212,6 @@ impl Scheduler {
         }
         .faults(self.faults.clone())
         .probe(recorder.clone());
-        let session = exec.session();
         let metrics = JobMetrics::new();
         metrics.submitted(n as u64);
 
@@ -223,10 +222,6 @@ impl Scheduler {
         let mut batches: Vec<BatchReport> = Vec::new();
         let mut spans = Vec::new();
         let mut causal = CausalTree::new();
-        let engine_name = match opts.engine {
-            Engine::Simulator => "sim",
-            Engine::Threads => "threads",
-        };
         // Placement prices are pure functions of (collective, size,
         // node) — or (job, node) for custom work — so a graph of
         // repeated shapes prices each shape once.
@@ -346,7 +341,7 @@ impl Scheduler {
             // the batch log so far, and the causal span tree with the
             // partial batch appended (ending at its last retained
             // release).
-            let (outcome, states) = match session.submit(&prog) {
+            let (outcome, states) = match exec.run(&prog) {
                 Ok(ok) => ok,
                 Err(e) => {
                     let all_steps = recorder.steps();
@@ -389,7 +384,7 @@ impl Scheduler {
                     let all_events = recorder.events();
                     let bundle = PostmortemBundle {
                         reason: e.to_string(),
-                        engine: engine_name.to_string(),
+                        engine: exec.engine_name().to_string(),
                         step: fail_steps.last().map(|s| s.step).unwrap_or(0),
                         machine: tree.to_string(),
                         fault_plan: self.faults.render(),

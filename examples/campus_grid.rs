@@ -8,11 +8,12 @@
 //! ```
 
 use hbsp::prelude::*;
-use hbsp_collectives::gather::{simulate_gather_with, GatherPlan};
+use hbsp_collectives::gather::{self, GatherPlan};
 use hbsp_collectives::plan::{RootPolicy, Strategy};
-use hbsp_collectives::reduce::{simulate_reduce_with, ReduceOp};
+use hbsp_collectives::reduce::{self, ReduceOp};
 use hbsp_core::topology;
 use hbsp_sim::NetConfig;
+use std::sync::Arc;
 
 const GRID: &str = r#"
 # Two campuses over a WAN; each campus has two LANs.
@@ -59,12 +60,12 @@ fn main() {
     let cfg = NetConfig::pvm_like()
         .with_bandwidth_factors(vec![1.0, 1.0, 4.0, 10.0])
         .with_latency(vec![0.0, 0.0, 2_000.0, 50_000.0]);
+    let exec = Executor::simulator_with(Arc::new(grid), cfg);
+    let grid = exec.tree();
 
     let items: Vec<u32> = (0..100_000u32).collect();
-    let hier =
-        simulate_gather_with(&grid, cfg.clone(), &items, GatherPlan::hierarchical()).expect("run");
-    let flat =
-        simulate_gather_with(&grid, cfg.clone(), &items, GatherPlan::fast_root()).expect("run");
+    let hier = gather::run(&exec, &items, GatherPlan::hierarchical()).expect("run");
+    let flat = gather::run(&exec, &items, GatherPlan::fast_root()).expect("run");
     assert_eq!(hier.result, items);
     assert_eq!(flat.result, items);
 
@@ -98,24 +99,11 @@ fn main() {
     let vectors: Vec<Vec<u32>> = (0..grid.num_procs())
         .map(|i| vec![i as u32 + 1; 50_000])
         .collect();
-    let rh = simulate_reduce_with(
-        &grid,
-        cfg.clone(),
-        vectors.clone(),
-        ReduceOp::Sum,
-        RootPolicy::Fastest,
-        Strategy::Hierarchical,
-    )
-    .expect("run");
-    let rf = simulate_reduce_with(
-        &grid,
-        cfg,
-        vectors,
-        ReduceOp::Sum,
-        RootPolicy::Fastest,
-        Strategy::Flat,
-    )
-    .expect("run");
+    let reduced = |vectors, strategy| {
+        reduce::run(&exec, vectors, ReduceOp::Sum, RootPolicy::Fastest, strategy).expect("run")
+    };
+    let rh = reduced(vectors.clone(), Strategy::Hierarchical);
+    let rf = reduced(vectors, Strategy::Flat);
     assert_eq!(rh.result, rf.result);
     println!("\nreduction of 10 x 50k-word vectors:");
     println!(

@@ -9,9 +9,10 @@
 //! ```
 
 use hbsp::prelude::*;
-use hbsp_collectives::broadcast::{simulate_broadcast, BroadcastPlan};
+use hbsp_collectives::broadcast::{self, BroadcastPlan};
 use hbsp_collectives::plan::{PhasePolicy, Strategy};
 use hbsp_collectives::tune;
+use std::sync::Arc;
 
 fn machine(p: usize, r_s: f64) -> MachineTree {
     // p machines whose slowness ramps from 1 to r_s.
@@ -54,12 +55,12 @@ fn main() {
     let mut rows = 0;
     for p in [2usize, 3, 4, 6, 8, 12, 16] {
         for r_s in [1.5f64, 3.0, 6.0] {
-            let m = machine(p, r_s);
-            let best = tune::best_broadcast(&m, n).expect("rankable");
-            let sim_one = simulate_broadcast(&m, &items, BroadcastPlan::one_phase())
+            let exec = Executor::simulator(Arc::new(machine(p, r_s)));
+            let best = tune::best_broadcast(exec.tree(), n).expect("rankable");
+            let sim_one = broadcast::run(&exec, &items, BroadcastPlan::one_phase())
                 .expect("run")
                 .time;
-            let sim_two = simulate_broadcast(&m, &items, BroadcastPlan::two_phase())
+            let sim_two = broadcast::run(&exec, &items, BroadcastPlan::two_phase())
                 .expect("run")
                 .time;
             let winner = if sim_one < sim_two {

@@ -8,15 +8,17 @@
 //! cargo run --example imbalance_gantt
 //! ```
 
-use hbsp::bench::experiments::traced_gather;
-use hbsp::collectives::gather::GatherPlan;
+use hbsp::collectives::gather::{self, GatherPlan};
 use hbsp::collectives::plan::WorkloadPolicy;
 use hbsp::collectives::predict;
 use hbsp::core::analysis::{heterogeneity, Penalty};
+use hbsp::lib::Executor;
 use hbsp::sim::{ascii_gantt, SpanKind};
+use std::sync::Arc;
 
 fn main() {
-    let tree = hbsp::bench::testbed(6).expect("testbed builds");
+    let tree = Arc::new(hbsp::bench::testbed(6).expect("testbed builds"));
+    let exec = Executor::simulator(tree.clone()).trace(true);
     let items: Vec<u32> = (0..40_000).collect();
 
     let h = heterogeneity(&tree);
@@ -42,7 +44,7 @@ fn main() {
         ),
     ] {
         let plan = GatherPlan::fast_root().with_workload(workload);
-        let out = traced_gather(&tree, &items, plan).expect("gather runs");
+        let out = gather::run(&exec, &items, plan).expect("gather runs").sim;
         let timelines = out.timelines.as_ref().expect("tracing enabled");
         println!("gather with {label}: T = {:.0}", out.total_time);
         println!("{}", ascii_gantt(timelines, 72));

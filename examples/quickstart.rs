@@ -6,9 +6,10 @@
 //! ```
 
 use hbsp::prelude::*;
-use hbsp_collectives::gather::simulate_gather;
+use hbsp_collectives::gather;
 use hbsp_collectives::plan::WorkloadPolicy;
 use hbsp_collectives::predict;
+use std::sync::Arc;
 
 fn main() {
     // 1. Describe the machine. Three workstations on one LAN: the
@@ -17,6 +18,10 @@ fn main() {
     //    `L` the barrier cost.
     let machine = TreeBuilder::flat(1.0, 2_000.0, &[(1.0, 1.0), (2.0, 0.55), (3.5, 0.3)])
         .expect("valid machine");
+    // The engine it runs on: the simulator here; `Executor::threads`
+    // runs the same calls on one OS thread per processor.
+    let exec = Executor::simulator(Arc::new(machine));
+    let machine = exec.tree();
     println!(
         "machine: HBSP^{} with {} processors",
         machine.height(),
@@ -31,12 +36,12 @@ fn main() {
     // 2. Gather 64k integers at the fastest processor (the model's
     //    recommended root), with equal shares.
     let items: Vec<u32> = (0..65_536).collect();
-    let fast = simulate_gather(&machine, &items, GatherPlan::fast_root()).expect("run");
+    let fast = gather::run(&exec, &items, GatherPlan::fast_root()).expect("run");
     assert_eq!(fast.result, items);
     println!("gather at P_f (equal shares):   T = {:>10.0}", fast.time);
 
     // 3. The adversarial choice: root at the slowest machine.
-    let slow = simulate_gather(&machine, &items, GatherPlan::slow_root()).expect("run");
+    let slow = gather::run(&exec, &items, GatherPlan::slow_root()).expect("run");
     println!("gather at P_s (equal shares):   T = {:>10.0}", slow.time);
     println!(
         "improvement factor T_s/T_f:     {:>10.3}\n",
@@ -44,7 +49,7 @@ fn main() {
     );
 
     // 4. Balanced workloads: shares proportional to machine speed.
-    let balanced = simulate_gather(&machine, &items, GatherPlan::balanced()).expect("run");
+    let balanced = gather::run(&exec, &items, GatherPlan::balanced()).expect("run");
     println!(
         "gather at P_f (balanced c_j):   T = {:>10.0}",
         balanced.time
@@ -52,7 +57,7 @@ fn main() {
 
     // 5. What the HBSP^k cost model predicts (Section 4.2's formula).
     let predicted = predict::gather_flat(
-        &machine,
+        machine,
         items.len() as u64,
         machine.fastest_proc(),
         WorkloadPolicy::Equal,

@@ -41,11 +41,13 @@
 //!     &[(1.0, 1.0), (2.0, 0.55), (3.0, 0.35)], // (r, speed) per node
 //! ).unwrap();
 //!
-//! // Run the paper's HBSP^1 gather on the simulator.
+//! // Run the paper's HBSP^1 gather on the simulator; `Executor::threads`
+//! // runs the same call on one OS thread per processor.
+//! let exec = Executor::simulator(std::sync::Arc::new(machine));
 //! let items: Vec<u32> = (0..3000).collect();
-//! let out = hbsp_collectives::gather::simulate_gather(&machine, &items, GatherPlan::fast_root()).unwrap();
-//! assert_eq!(out.result.len(), items.len());
-//! // The simulator reports model time; the cost model predicts it.
+//! let out = hbsp_collectives::gather::run(&exec, &items, GatherPlan::fast_root()).unwrap();
+//! assert_eq!(out.result, items);
+//! // Either engine reports model time; the cost model predicts it.
 //! assert!(out.time > 0.0);
 //! ```
 

@@ -1,13 +1,13 @@
 //! Property tests for the applications: correctness on random machines
-//! and random inputs.
+//! and random inputs, on both engines — which agree on the whole run,
+//! model time to the bit.
 
 mod common;
 
-use common::arb_machine;
-use hbsp::apps::matvec::simulate_matvec;
-use hbsp::apps::sort::simulate_sample_sort;
-use hbsp::apps::stencil::{reference_jacobi, simulate_stencil};
-use hbsp::collectives::plan::WorkloadPolicy;
+use common::{arb_machine, same_on_both};
+use hbsp::apps::stencil::reference_jacobi;
+use hbsp::apps::{matvec, sort, stencil};
+use hbsp::collectives::plan::{RootPolicy, WorkloadPolicy};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,7 +25,9 @@ proptest! {
     ) {
         let mut expected = items.clone();
         expected.sort_unstable();
-        let run = simulate_sample_sort(&tree, &items, wl).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            sort::run(exec, &items, wl, RootPolicy::Fastest).unwrap()
+        });
         prop_assert_eq!(run.sorted, expected);
         prop_assert_eq!(run.bucket_sizes.len(), tree.num_procs());
     }
@@ -37,7 +39,9 @@ proptest! {
         n in 0usize..500,
     ) {
         let items = vec![value; n];
-        let run = simulate_sample_sort(&tree, &items, WorkloadPolicy::Equal).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            sort::run(exec, &items, WorkloadPolicy::Equal, RootPolicy::Fastest).unwrap()
+        });
         prop_assert_eq!(run.sorted, items);
     }
 
@@ -50,7 +54,9 @@ proptest! {
     ) {
         let a: Vec<f64> = (0..n * m).map(|i| ((i as u32 ^ seed) % 100) as f64 - 50.0).collect();
         let x: Vec<f64> = (0..m).map(|i| (i as f64 + 1.0) / m as f64).collect();
-        let run = simulate_matvec(&tree, &a, &x, n, m, WorkloadPolicy::Balanced).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            matvec::run(exec, &a, &x, n, m, WorkloadPolicy::Balanced).unwrap()
+        });
         for (i, got) in run.y.iter().enumerate() {
             let want: f64 = a[i * m..(i + 1) * m].iter().zip(&x).map(|(p, q)| p * q).sum();
             prop_assert!((got - want).abs() < 1e-9, "row {}: {} vs {}", i, got, want);
@@ -67,7 +73,9 @@ proptest! {
         let mut field = vec![0.0; len];
         field[0] = hot;
         let want = reference_jacobi(&field, iters);
-        let run = simulate_stencil(&tree, &field, iters, WorkloadPolicy::Balanced).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            stencil::run(exec, &field, iters, WorkloadPolicy::Balanced).unwrap()
+        });
         prop_assert_eq!(run.field.len(), want.len());
         for (a, b) in run.field.iter().zip(&want) {
             prop_assert!((a - b).abs() < 1e-9);

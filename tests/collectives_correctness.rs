@@ -1,18 +1,16 @@
 //! Property tests: every collective delivers the right data on random
-//! heterogeneous machines, under every plan.
+//! heterogeneous machines, under every plan, on both engines — which
+//! agree on the whole run, model time to the bit.
 
 mod common;
 
-use common::{arb_items, arb_machine};
-use hbsp::collectives::allgather::simulate_allgather;
-use hbsp::collectives::alltoall::simulate_alltoall;
-use hbsp::collectives::broadcast::{simulate_broadcast, BroadcastPlan};
+use common::{arb_items, arb_machine, same_on_both};
+use hbsp::collectives::broadcast::BroadcastPlan;
 use hbsp::collectives::data::reassemble;
-use hbsp::collectives::gather::{simulate_gather, GatherPlan};
+use hbsp::collectives::gather::GatherPlan;
 use hbsp::collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
-use hbsp::collectives::reduce::{simulate_allreduce, simulate_reduce, ReduceOp};
-use hbsp::collectives::scan::simulate_scan;
-use hbsp::collectives::scatter::simulate_scatter;
+use hbsp::collectives::reduce::ReduceOp;
+use hbsp::collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,7 +25,7 @@ proptest! {
             GatherPlan::bsp_baseline(),
             GatherPlan::hierarchical(),
         ] {
-            let run = simulate_gather(&tree, &items, plan).unwrap();
+            let run = same_on_both(&tree, |exec| gather::run(exec, &items, plan).unwrap());
             prop_assert_eq!(&run.result, &items, "{:?}", plan);
             prop_assert!(run.time >= 0.0);
         }
@@ -43,9 +41,9 @@ proptest! {
             BroadcastPlan::hierarchical(PhasePolicy::OnePhase),
             BroadcastPlan::hierarchical(PhasePolicy::TwoPhase),
         ] {
-            // simulate_broadcast internally asserts every processor got
-            // the full array.
-            let run = simulate_broadcast(&tree, &items, plan).unwrap();
+            // The runner checks that every processor got the full array
+            // and returns the last rank's copy.
+            let run = same_on_both(&tree, |exec| broadcast::run(exec, &items, plan).unwrap());
             prop_assert_eq!(&run.result, &items, "{:?}", plan);
         }
     }
@@ -53,7 +51,8 @@ proptest! {
     #[test]
     fn scatter_tiles_the_input((tree, items) in (arb_machine(), arb_items())) {
         for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
-            let run = simulate_scatter(&tree, &items, RootPolicy::Fastest, wl).unwrap();
+            let run =
+                same_on_both(&tree, |exec| scatter::run(exec, &items, RootPolicy::Fastest, wl).unwrap());
             prop_assert_eq!(reassemble(&run.pieces), items.clone(), "{:?}", wl);
         }
     }
@@ -61,7 +60,9 @@ proptest! {
     #[test]
     fn allgather_assembles_everywhere((tree, items) in (arb_machine(), arb_items())) {
         for strat in [Strategy::Flat, Strategy::Hierarchical] {
-            let run = simulate_allgather(&tree, &items, WorkloadPolicy::Balanced, strat).unwrap();
+            let run = same_on_both(&tree, |exec| {
+                allgather::run(exec, &items, WorkloadPolicy::Balanced, strat).unwrap()
+            });
             prop_assert_eq!(&run.result, &items, "{:?}", strat);
         }
     }
@@ -89,13 +90,16 @@ proptest! {
         for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
             let want = op.reference(&vectors);
             for strat in [Strategy::Flat, Strategy::Hierarchical] {
-                let run =
-                    simulate_reduce(&tree, vectors.clone(), op, RootPolicy::Fastest, strat)
-                        .unwrap();
+                let run = same_on_both(&tree, |exec| {
+                    reduce::run(exec, vectors.clone(), op, RootPolicy::Fastest, strat).unwrap()
+                });
                 prop_assert_eq!(&run.result, &want, "{:?} {:?}", op, strat);
             }
-            let all = simulate_allreduce(&tree, vectors.clone(), op, Strategy::Flat).unwrap();
-            prop_assert_eq!(&all.result, &want, "allreduce {:?}", op);
+            let (reduced, spread) = same_on_both(&tree, |exec| {
+                reduce::allreduce(exec, vectors.clone(), op, Strategy::Flat).unwrap()
+            });
+            prop_assert_eq!(&reduced.result, &want, "allreduce {:?}", op);
+            prop_assert_eq!(&spread.result, &want, "allreduce {:?}", op);
         }
     }
 
@@ -104,7 +108,9 @@ proptest! {
         let p = tree.num_procs();
         let vectors: Vec<Vec<u32>> =
             (0..p).map(|i| (0..len).map(|j| (i * 131 + j * 7) as u32).collect()).collect();
-        let run = simulate_scan(&tree, vectors.clone(), ReduceOp::Sum).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            scan::run(exec, vectors.clone(), ReduceOp::Sum).unwrap()
+        });
         let mut acc: Option<Vec<u32>> = None;
         for (j, v) in vectors.iter().enumerate() {
             match &mut acc {
@@ -121,7 +127,9 @@ proptest! {
         let blocks: Vec<Vec<Vec<u32>>> = (0..p)
             .map(|i| (0..p).map(|j| vec![(i * 1000 + j) as u32; stride]).collect())
             .collect();
-        let run = simulate_alltoall(&tree, blocks.clone()).unwrap();
+        let run = same_on_both(&tree, |exec| {
+            alltoall::run(exec, blocks.clone(), Strategy::Flat).unwrap()
+        });
         for (j, row) in run.received.iter().enumerate() {
             for (i, block) in row.iter().enumerate() {
                 prop_assert_eq!(block, &blocks[i][j]);

@@ -4,6 +4,19 @@
 use hbsp::core::{MsgBatch, SpmdContext};
 use hbsp::prelude::*;
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::sync::Arc;
+
+/// `run` on the simulator and on the threaded runtime of `tree`: the
+/// simulator's run, checked equal to the other — result, model time
+/// and every step's statistics, compared as printed (`{:?}` prints an
+/// `f64` exactly, so equal text is equal bits).
+pub fn same_on_both<R: Debug>(tree: &MachineTree, run: impl Fn(&Executor) -> R) -> R {
+    let tree = Arc::new(tree.clone());
+    let [sim, thr] = [Executor::simulator, Executor::threads].map(|on| run(&on(tree.clone())));
+    assert_eq!(format!("{sim:?}"), format!("{thr:?}"), "engines disagree");
+    sim
+}
 
 /// One processor's view of a superstep, for driving a program's `step`
 /// by hand: a scripted inbox and an outbox that keeps what is posted.

@@ -15,14 +15,17 @@
 mod common;
 
 use common::{arb_machine, Wire};
+use hbsp::collectives::broadcast::{self, lower_broadcast, BroadcastPlan};
 use hbsp::collectives::data::{decode_bundle, encode_bundle, DecodeError, Piece};
-use hbsp::collectives::reduce::ReduceOp;
+use hbsp::collectives::gather::{self, GatherPlan};
+use hbsp::collectives::plan::RootPolicy;
+use hbsp::collectives::reduce::{self, ReduceOp};
 use hbsp::collectives::schedule::{
-    self, seeded_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleState, ScheduleStep,
-    SendEntry,
+    seeded_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleState, ScheduleStep, SendEntry,
 };
-use hbsp::collectives::{best_plan, rank_plans, CollectiveError, CollectiveKind, Role};
-use hbsp::collectives::{Transfer, UnitId};
+use hbsp::collectives::{allgather, alltoall, scan, scatter, tune};
+use hbsp::collectives::{best_plan, rank_plans, CollectiveError, CollectiveKind, PlanChoice};
+use hbsp::collectives::{Role, Transfer, UnitId};
 use hbsp::core::{topology, MachineTree, ProcEnv, SpmdProgram};
 use hbsp::prelude::*;
 use hbsp_sim::FaultPlan;
@@ -39,17 +42,18 @@ fn env(tree: &Arc<MachineTree>, pid: ProcId) -> ProcEnv {
     }
 }
 
-/// The receiver's state after one message with `payload` arrives.
+/// The receiver's state after `messages` (tag, payload) arrive.
 fn receive(
     prog: &ScheduleProgram,
     tree: &Arc<MachineTree>,
-    tag: u32,
-    payload: &[u8],
+    messages: &[(u32, &[u8])],
 ) -> ScheduleState {
     let env = env(tree, ProcId(1));
     let mut state = prog.init(&env);
     let mut wire = Wire::new(ProcId(1));
-    wire.inbox.push(ProcId(0), ProcId(1), tag, payload);
+    for &(tag, payload) in messages {
+        wire.inbox.push(ProcId(0), ProcId(1), tag, payload);
+    }
     assert_eq!(prog.step(1, &env, &mut state, &mut wire), StepOutcome::Done);
     state
 }
@@ -136,13 +140,20 @@ proptest! {
             prop_assert_eq!((m.dst, m.tag, m.payload.len()), (send.dst, send.tag, send.wire_len));
         }
 
-        // Reader: every byte prefix of every payload ends in the result
-        // the public decoders give for it.
+        // Reader: every byte prefix of every payload, arriving beside
+        // the step's other messages (the receiver counts them: one short
+        // is `MissingUnit`), ends in the result the public decoders give
+        // for it.
+        let whole: Vec<(u32, &[u8])> = wire.outbox.iter().map(|m| (m.tag, m.payload)).collect();
+        prop_assert_eq!(receive(&prog, &tree, &whole[1..]).error(), Some(DecodeError::MissingUnit));
         let bundle = wanted.len();
+        let everything = by_id(wanted.iter().map(|&u| piece(u)).collect());
         for (i, m) in wire.outbox.iter().enumerate() {
             for cut in 0..=m.payload.len() {
                 let prefix = &m.payload[..cut];
-                let got = receive(&prog, &tree, m.tag, prefix);
+                let mut arriving = whole.clone();
+                arriving[i].1 = prefix;
+                let got = receive(&prog, &tree, &arriving);
                 if i > bundle {
                     let want = if cut % 4 != 0 {
                         Err(DecodeError::RaggedPayload)
@@ -164,7 +175,9 @@ proptest! {
                 };
                 prop_assert_eq!(got.error(), want.as_ref().err().copied(), "message {} cut {}", i, cut);
                 if let Ok(pieces) = want {
-                    prop_assert_eq!(by_id(got.pieces()), by_id(pieces));
+                    let mut held = everything.clone();
+                    held.extend(by_id(pieces));
+                    prop_assert_eq!(by_id(got.pieces()), held);
                 }
             }
         }
@@ -233,69 +246,155 @@ fn campus() -> Arc<MachineTree> {
     Arc::new(topology::parse(&text).expect("valid machine"))
 }
 
-type Outcome = Result<(u64, Vec<ScheduleState>), CollectiveError>;
+/// What a runner made of one run: its result and the whole run, as
+/// printed (`{:?}` prints an `f64` exactly).
+type Ran = Result<(String, String), CollectiveError>;
+type Call = Box<dyn Fn(&Executor) -> Ran>;
 
-fn run_faulted(exec: Executor, faults: &FaultPlan, prog: &ScheduleProgram) -> Outcome {
-    schedule::execute(&exec.faults(faults.clone()), prog)
-        .map(|(out, states)| (out.total_time().to_bits(), states))
+/// The size the fault tests rank and run every kind at.
+const N: u64 = 64;
+
+/// A [`Call`] of the runner `$run`, whose result is the run's `$result`.
+macro_rules! call {
+    ($result:ident, $run:expr) => {
+        Box::new(move |exec: &Executor| {
+            let run = $run(exec)?;
+            Ok((format!("{:?}", run.$result), format!("{run:?}")))
+        }) as Call
+    };
+}
+
+/// The call of its kind's runner that lowers to the ranked `plan`: its
+/// root, workload and strategy, on inputs of the `N` words it was
+/// ranked for.
+fn runner_call(tree: &Arc<MachineTree>, plan: &PlanChoice) -> Call {
+    let p = tree.num_procs();
+    let items: [u32; N as usize] = std::array::from_fn(|i| i as u32 * 7 + 1);
+    let vectors = move || -> Vec<Vec<u32>> {
+        let vector = |i| (0..N as u32).map(|j| i * 131 + j).collect();
+        (0..p as u32).map(vector).collect()
+    };
+    let root = plan.root.map(|root| RootPolicy::Rank(root.0));
+    let (workload, strategy, sum) = (plan.workload, plan.strategy, ReduceOp::Sum);
+    match plan.kind {
+        CollectiveKind::Gather => {
+            let plan = GatherPlan {
+                root: root.unwrap(),
+                workload,
+                strategy,
+            };
+            call!(result, |exec| gather::run(exec, &items, plan))
+        }
+        CollectiveKind::Broadcast => {
+            // A ranked entry does not keep its phase policies: it is the
+            // candidate that lowers to its schedule.
+            let is_it = |c: &BroadcastPlan| lower_broadcast(tree, N, c).unwrap().0 == plan.schedule;
+            let plan = tune::broadcast_candidates().into_iter().find(is_it);
+            let plan = plan.expect("ranked broadcasts are the candidates");
+            call!(result, |exec| broadcast::run(exec, &items, plan))
+        }
+        CollectiveKind::Scatter => {
+            call!(pieces, |exec| scatter::run(
+                exec,
+                &items,
+                root.unwrap(),
+                workload
+            ))
+        }
+        CollectiveKind::Allgather => {
+            call!(result, |exec| allgather::run(
+                exec, &items, workload, strategy
+            ))
+        }
+        CollectiveKind::Alltoall => {
+            let block = move |i, j| vec![(i * p + j) as u32; N as usize];
+            let row = move |i| (0..p).map(|j| block(i, j)).collect();
+            call!(received, |exec| alltoall::run(
+                exec,
+                (0..p).map(row).collect(),
+                strategy
+            ))
+        }
+        CollectiveKind::Reduce => {
+            call!(result, |exec| reduce::run(
+                exec,
+                vectors(),
+                sum,
+                root.unwrap(),
+                strategy
+            ))
+        }
+        CollectiveKind::Scan => call!(prefixes, |exec| scan::run(exec, vectors(), sum)),
+    }
 }
 
 /// Every single drop or truncation, at every processor and step of
-/// every candidate plan of every kind on the campus machine: a
-/// completed run or a typed error, the same on both engines. A panic
-/// in a superstep body would unwind out of the simulator and fail this
+/// every candidate plan of every kind on the campus machine, seen from
+/// the kind's runner: the fault-free result (which
+/// `collectives_correctness.rs` holds to the sequential reference) or a
+/// typed error, and the same run on both engines. A panic in a
+/// superstep body, or in a runner reading its result, would fail this
 /// test outright.
 #[test]
 fn dropped_and_truncated_messages_end_typed_and_identically() {
     let tree = campus();
-    let mut errors = 0;
+    let mut errors = Vec::new();
     for kind in CollectiveKind::ALL {
-        for plan in rank_plans(&tree, kind, 64).unwrap() {
-            let label = format!("{kind} {:?}", plan.strategy);
-            let (init, op) = seeded_inits(&tree, &plan, 64, 7);
-            let prog = ScheduleProgram::new(Arc::new(plan.schedule), Arc::new(init), op);
+        for plan in rank_plans(&tree, kind, N).unwrap() {
+            let label = format!("{kind} {:?} {:?}", plan.strategy, plan.workload);
+            let call = runner_call(&tree, &plan);
+            let (clean, _) = call(&Executor::simulator(tree.clone())).unwrap();
             for pid in (0..tree.num_procs()).map(|j| ProcId(j as u32)) {
-                for step in 0..prog.schedule().num_steps() {
+                for step in 0..plan.schedule.num_steps() {
                     for faults in [
                         FaultPlan::new().drop_msgs(pid, step),
                         FaultPlan::new().truncate(pid, step, 0),
                         FaultPlan::new().truncate(pid, step, 1),
                         FaultPlan::new().truncate(pid, step, 3),
                     ] {
-                        let sim =
-                            run_faulted(Executor::simulator(Arc::clone(&tree)), &faults, &prog);
-                        let thr = run_faulted(Executor::threads(Arc::clone(&tree)), &faults, &prog);
+                        let [sim, thr] = [Executor::simulator, Executor::threads]
+                            .map(|on| call(&on(tree.clone()).check(false).faults(faults.clone())));
                         assert_eq!(sim, thr, "{label} under {faults:?}");
                         match sim {
-                            Err(CollectiveError::Decode { .. }) => errors += 1,
+                            Err(CollectiveError::Decode { error, .. }) => {
+                                errors.push((kind, error))
+                            }
                             Err(other) => panic!("{label} under {faults:?}: {other}"),
-                            Ok(_) => {}
+                            Ok((result, _)) => assert_eq!(result, clean, "{label} {faults:?}"),
                         }
                     }
                 }
             }
         }
     }
-    assert!(errors > 0, "some fault must have reached a decoder");
+    // A share, a partial or a block that never arrives is `MissingUnit`:
+    // not a panic reading the result, not a sum short of a term, not a
+    // block pieced together from the ids next to it.
+    let seen = [
+        CollectiveKind::Gather,
+        CollectiveKind::Reduce,
+        CollectiveKind::Alltoall,
+    ];
+    for kind in seen {
+        assert!(errors.contains(&(kind, DecodeError::MissingUnit)), "{kind}");
+    }
 }
 
-/// The issue's repro: a reduce sender truncated to one word used to
-/// reach `fold_into`'s length assertion — a caller panic on the
-/// simulator, `ProgramPanicked` on threads.
+/// A reduce sender truncated to one word used to reach `fold_into`'s
+/// length assertion — a caller panic on the simulator,
+/// `ProgramPanicked` on threads.
 #[test]
 fn truncated_partial_is_a_decode_error_on_both_engines() {
     let tree = campus();
-    let plan = best_plan(&tree, CollectiveKind::Reduce, 64).unwrap();
-    let root = plan.root.expect("reduce has a root");
-    let victim = ProcId((0..8).find(|&j| ProcId(j) != root).unwrap());
-    let (init, op) = seeded_inits(&tree, &plan, 64, 7);
-    let prog = ScheduleProgram::new(Arc::new(plan.schedule), Arc::new(init), op);
+    let victim = ProcId((0..8).find(|&j| ProcId(j) != tree.fastest_proc()).unwrap());
     let faults = (0..4).fold(FaultPlan::new(), |f, step| f.truncate(victim, step, 1));
-    for exec in [
-        Executor::simulator(Arc::clone(&tree)),
-        Executor::threads(Arc::clone(&tree)),
-    ] {
-        match run_faulted(exec, &faults, &prog) {
+    for engine in [Executor::simulator, Executor::threads] {
+        let exec = engine(tree.clone()).faults(faults.clone());
+        let strategy = best_plan(&tree, CollectiveKind::Reduce, 64)
+            .unwrap()
+            .strategy;
+        let vectors = vec![vec![7; 64]; 8];
+        match reduce::run(&exec, vectors, ReduceOp::Sum, RootPolicy::Fastest, strategy) {
             Err(CollectiveError::Decode { error, .. }) => {
                 assert_eq!(error, DecodeError::PartialLength)
             }

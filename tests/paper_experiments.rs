@@ -113,27 +113,15 @@ fn e11_bsp_vs_hbsp_configuration() {
     // §6: performance comes from root selection + workload distribution
     // alone. The gap must grow with p.
     use hbsp::collectives::plan::{RootPolicy, WorkloadPolicy};
-    use hbsp::sim::NetConfig;
+    use hbsp::lib::Executor;
+    use std::sync::Arc;
     let items = hbsp::bench::input_kb(100);
     let mut improvements = Vec::new();
     for p in [2usize, 6, 10] {
-        let tree = hbsp::bench::testbed(p).unwrap();
-        let bsp = hbsp::apps::sort::simulate_sample_sort_plan(
-            &tree,
-            NetConfig::pvm_like(),
-            &items,
-            WorkloadPolicy::Equal,
-            RootPolicy::Rank(p as u32 - 1),
-        )
-        .unwrap();
-        let aware = hbsp::apps::sort::simulate_sample_sort_plan(
-            &tree,
-            NetConfig::pvm_like(),
-            &items,
-            WorkloadPolicy::Balanced,
-            RootPolicy::Fastest,
-        )
-        .unwrap();
+        let exec = Executor::simulator(Arc::new(hbsp::bench::testbed(p).unwrap()));
+        let sort = |workload, root| hbsp::apps::sort::run(&exec, &items, workload, root).unwrap();
+        let bsp = sort(WorkloadPolicy::Equal, RootPolicy::Rank(p as u32 - 1));
+        let aware = sort(WorkloadPolicy::Balanced, RootPolicy::Fastest);
         assert_eq!(bsp.sorted, aware.sorted);
         improvements.push(bsp.time / aware.time);
     }

@@ -24,20 +24,17 @@
 mod common;
 
 use common::arb_machine;
-use hbsp::collectives::allgather::simulate_allgather;
-use hbsp::collectives::alltoall::{simulate_alltoall, simulate_alltoall_hier};
-use hbsp::collectives::broadcast::{simulate_broadcast, BroadcastPlan};
-use hbsp::collectives::gather::{simulate_gather, GatherPlan};
+use hbsp::collectives::broadcast::BroadcastPlan;
+use hbsp::collectives::gather::GatherPlan;
 use hbsp::collectives::plan::{PhasePolicy, RootPolicy, Strategy as PlanStrategy, WorkloadPolicy};
 use hbsp::collectives::predict;
-use hbsp::collectives::reduce::{simulate_reduce, ReduceOp};
-use hbsp::collectives::scan::simulate_scan;
-use hbsp::collectives::scatter::simulate_scatter;
+use hbsp::collectives::reduce::ReduceOp;
 use hbsp::collectives::schedule::{self, seeded_inits, ScheduleProgram};
+use hbsp::collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 use hbsp::collectives::{rank_plans, CollectiveKind};
 use hbsp::core::{topology, CostReport, MachineTree, ProcId};
 use hbsp::prelude::*;
-use hbsp_sim::{SimOutcome, Simulator};
+use hbsp_sim::SimOutcome;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -460,14 +457,14 @@ fn golden_blocks(p: usize) -> Vec<Vec<Vec<u32>>> {
 
 /// Measure every variant of `kind` on the three golden machines and
 /// compare, row by row and in order, with `kind`'s slice of [`GOLDEN`].
-fn check_golden(kind: &str, measure: impl Fn(&MachineTree) -> Vec<(String, SimOutcome)>) {
+fn check_golden(kind: &str, measure: impl Fn(&Executor) -> Vec<(String, SimOutcome)>) {
     let want: Vec<_> = GOLDEN
         .iter()
         .filter(|row| row.0.split('/').next() == Some(kind))
         .collect();
     let mut got = Vec::new();
     for (machine, tree) in golden_machines() {
-        for (variant, sim) in measure(&tree) {
+        for (variant, sim) in measure(&Executor::simulator(Arc::new(tree))) {
             got.push((
                 format!("{kind}/{variant}"),
                 machine,
@@ -492,7 +489,7 @@ fn check_golden(kind: &str, measure: impl Fn(&MachineTree) -> Vec<(String, SimOu
 
 #[test]
 fn golden_gather() {
-    check_golden("gather", |m| {
+    check_golden("gather", |exec| {
         let items = golden_items();
         let mut rows = Vec::new();
         for workload in GOLDEN_WORKLOADS {
@@ -501,7 +498,7 @@ fn golden_gather() {
                 ("hier", GatherPlan::hierarchical()),
             ] {
                 let plan = plan.with_workload(workload);
-                let run = simulate_gather(m, &items, plan).expect("gather runs");
+                let run = gather::run(exec, &items, plan).expect("gather runs");
                 rows.push((format!("{name}/{workload:?}"), run.sim));
             }
         }
@@ -511,7 +508,7 @@ fn golden_gather() {
 
 #[test]
 fn golden_broadcast() {
-    check_golden("broadcast", |m| {
+    check_golden("broadcast", |exec| {
         let items = golden_items();
         let mut rows = Vec::new();
         for workload in GOLDEN_WORKLOADS {
@@ -539,7 +536,7 @@ fn golden_broadcast() {
                 }
             }
             for (name, plan) in plans {
-                let run = simulate_broadcast(m, &items, plan).expect("broadcast runs");
+                let run = broadcast::run(exec, &items, plan).expect("broadcast runs");
                 rows.push((format!("{name}/{workload:?}"), run.sim));
             }
         }
@@ -549,12 +546,12 @@ fn golden_broadcast() {
 
 #[test]
 fn golden_scatter() {
-    check_golden("scatter", |m| {
+    check_golden("scatter", |exec| {
         let items = golden_items();
         GOLDEN_WORKLOADS
             .into_iter()
             .map(|workload| {
-                let run = simulate_scatter(m, &items, GOLDEN_ROOT, workload).expect("scatter runs");
+                let run = scatter::run(exec, &items, GOLDEN_ROOT, workload).expect("scatter runs");
                 (format!("{workload:?}"), run.sim)
             })
             .collect()
@@ -563,12 +560,12 @@ fn golden_scatter() {
 
 #[test]
 fn golden_allgather() {
-    check_golden("allgather", |m| {
+    check_golden("allgather", |exec| {
         let items = golden_items();
         GOLDEN_WORKLOADS
             .into_iter()
             .map(|workload| {
-                let run = simulate_allgather(m, &items, workload, PlanStrategy::Flat)
+                let run = allgather::run(exec, &items, workload, PlanStrategy::Flat)
                     .expect("allgather runs");
                 (format!("flat/{workload:?}"), run.sim)
             })
@@ -578,10 +575,10 @@ fn golden_allgather() {
 
 #[test]
 fn golden_alltoall() {
-    check_golden("alltoall", |m| {
-        let blocks = golden_blocks(m.num_procs());
-        let flat = simulate_alltoall(m, blocks.clone()).expect("alltoall runs");
-        let hier = simulate_alltoall_hier(m, blocks).expect("alltoall runs");
+    check_golden("alltoall", |exec| {
+        let blocks = golden_blocks(exec.tree().num_procs());
+        let flat = alltoall::run(exec, blocks.clone(), PlanStrategy::Flat).expect("alltoall runs");
+        let hier = alltoall::run(exec, blocks, PlanStrategy::Hierarchical).expect("alltoall runs");
         vec![
             ("flat".to_string(), flat.sim),
             ("hier".to_string(), hier.sim),
@@ -591,8 +588,8 @@ fn golden_alltoall() {
 
 #[test]
 fn golden_reduce() {
-    check_golden("reduce", |m| {
-        let vectors = golden_vectors(m.num_procs());
+    check_golden("reduce", |exec| {
+        let vectors = golden_vectors(exec.tree().num_procs());
         let mut rows = Vec::new();
         for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
             for (name, root, strategy) in [
@@ -600,7 +597,7 @@ fn golden_reduce() {
                 ("hier", RootPolicy::Fastest, PlanStrategy::Hierarchical),
             ] {
                 let run =
-                    simulate_reduce(m, vectors.clone(), op, root, strategy).expect("reduce runs");
+                    reduce::run(exec, vectors.clone(), op, root, strategy).expect("reduce runs");
                 rows.push((format!("{name}/{op:?}"), run.sim));
             }
         }
@@ -610,9 +607,9 @@ fn golden_reduce() {
 
 #[test]
 fn golden_scan() {
-    check_golden("scan", |m| {
-        let vectors = golden_vectors(m.num_procs());
-        let run = simulate_scan(m, vectors, ReduceOp::Sum).expect("scan runs");
+    check_golden("scan", |exec| {
+        let vectors = golden_vectors(exec.tree().num_procs());
+        let run = scan::run(exec, vectors, ReduceOp::Sum).expect("scan runs");
         vec![("Sum".to_string(), run.sim)]
     });
 }
@@ -651,14 +648,14 @@ proptest! {
         n in 0u64..600,
         seed in any::<u64>(),
     ) {
-        let sim = Simulator::new(Arc::new(m.clone()));
+        let sim = Executor::simulator(Arc::new(m.clone()));
         for kind in CollectiveKind::ALL {
             for (strategy, prog) in staged_plans(&m, kind, n, seed) {
                 let scheduled: usize =
                     prog.schedule().steps.iter().map(|s| s.transfers.len()).sum();
-                let (outcome, _) = schedule::run_on_simulator(&sim, &prog).expect("sim run");
+                let (outcome, _) = schedule::execute(&sim, &prog).expect("sim run");
                 prop_assert_eq!(
-                    outcome.messages_delivered, scheduled as u64, "{} {:?}", kind, strategy
+                    outcome.sim.messages_delivered, scheduled as u64, "{} {:?}", kind, strategy
                 );
             }
         }
