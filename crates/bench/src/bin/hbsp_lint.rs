@@ -9,11 +9,13 @@
 //! through its facade; the fourth holds the engine seam:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
-//!    `sync.rs` itself, which *is* the facade), `std::sync::atomic` and
-//!    `std::thread` must not be referenced: every atomic, park, yield,
-//!    spawn, or sleep must go through `crate::sync` so the `model`
-//!    feature can interpose the `weave` checker. A raw `std` atomic is
-//!    invisible to exploration — its races simply don't exist there.
+//!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
+//!    `std::thread` and `std::cell::UnsafeCell` (or `core::`'s) must
+//!    not be referenced: every atomic, park, yield, spawn, sleep or
+//!    barrier-mediated cell must go through `crate::sync` so the
+//!    `model` feature can interpose the `weave` checker. A raw `std`
+//!    atomic or cell is invisible to exploration — its races simply
+//!    don't exist there.
 //!
 //! 2. **Bare `.lock().unwrap()`** — runtime locks must use
 //!    `lock_anyway` (poison-tolerant, records the recovery in
@@ -108,6 +110,26 @@ fn lint_file(path: &Path, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 1: what the runtime may name only inside its facade, and what
+/// to say about it.
+const FACADE_ONLY: [(&str, &str); 3] = [
+    (
+        "std::sync::atomic",
+        "raw `std::sync::atomic` in the runtime — use `crate::sync::atomic` \
+         so the model checker can interpose",
+    ),
+    (
+        "std::thread",
+        "raw `std::thread` in the runtime — use `crate::sync::thread` \
+         so parks/yields/spawns are model transitions",
+    ),
+    (
+        "cell::UnsafeCell",
+        "raw `UnsafeCell` in the runtime — use `crate::sync::UnsafeCell` \
+         so the model checker sees every access to it",
+    ),
+];
+
 /// Rule 4: the calls that build an engine.
 const ENGINE_CONSTRUCTORS: [&str; 4] = [
     "Simulator::new(",
@@ -138,23 +160,14 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         let lineno = idx + 1;
         let exempt = in_test_mod || in_tests_dir;
         if in_runtime_src && !is_facade && !exempt {
-            if line.contains("std::sync::atomic") {
-                out.push(Violation {
-                    file: path.to_path_buf(),
-                    line: lineno,
-                    message: "raw `std::sync::atomic` in the runtime — use `crate::sync::atomic` \
-                              so the model checker can interpose"
-                        .into(),
-                });
-            }
-            if line.contains("std::thread") {
-                out.push(Violation {
-                    file: path.to_path_buf(),
-                    line: lineno,
-                    message: "raw `std::thread` in the runtime — use `crate::sync::thread` \
-                              so parks/yields/spawns are model transitions"
-                        .into(),
-                });
+            for (pattern, message) in FACADE_ONLY {
+                if line.contains(pattern) {
+                    out.push(Violation {
+                        file: path.to_path_buf(),
+                        line: lineno,
+                        message: message.into(),
+                    });
+                }
             }
         }
         if !exempt && !below_seam && ENGINE_CONSTRUCTORS.iter().any(|c| line.contains(c)) {
@@ -258,6 +271,33 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty());
+    }
+
+    /// The engine keeps `2p` outbox cells beside its slots; a raw cell
+    /// among them would be memory the model checker never watches.
+    #[test]
+    fn raw_unsafe_cell_in_the_engine_is_reported_with_file_and_line() {
+        for krate in ["std", "core"] {
+            let src = format!("struct Slot {{\n    out: {krate}::cell::UnsafeCell<u64>,\n}}\n");
+            let mut out = Vec::new();
+            lint_text(Path::new("crates/runtime/src/engine.rs"), &src, &mut out);
+            let printed: Vec<String> = out.iter().map(Violation::to_string).collect();
+            assert_eq!(printed.len(), 1, "{printed:?}");
+            assert!(
+                printed[0].starts_with("crates/runtime/src/engine.rs:2: lint: raw `UnsafeCell`"),
+                "{printed:?}"
+            );
+            // The facade re-exports it, and test modules may use it.
+            out.clear();
+            lint_text(Path::new("crates/runtime/src/sync.rs"), &src, &mut out);
+            let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+            lint_text(
+                Path::new("crates/runtime/src/engine.rs"),
+                &in_tests,
+                &mut out,
+            );
+            assert!(out.is_empty());
+        }
     }
 
     /// A collective that builds its own simulator runs on one engine

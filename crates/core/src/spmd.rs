@@ -257,10 +257,11 @@ impl MsgBatch {
 
     /// Cut message `i`'s payload to at most `max_bytes` (fault
     /// injection's truncation). An offset-table edit: the spare bytes
-    /// become an arena hole.
+    /// become an arena hole. A bound past `u32::MAX` is past any
+    /// payload a batch can hold, so it clamps instead of wrapping.
     pub fn truncate_payload(&mut self, i: usize, max_bytes: usize) {
         let m = &mut self.meta[i];
-        m.len = m.len.min(max_bytes as u32);
+        m.len = m.len.min(u32::try_from(max_bytes).unwrap_or(u32::MAX));
     }
 
     /// Copies of every message, in order (test/diagnostic convenience).
@@ -574,6 +575,35 @@ mod tests {
         fresh.push(ProcId(0), ProcId(1), 0, &[1; 4]);
         fresh.push(ProcId(2), ProcId(1), 0, &[3; 8]);
         assert_eq!(b, fresh);
+    }
+
+    /// The engines' `send` posts with `push` (one pass), the trait's
+    /// default with `push_with` (zero-fill, then overwrite): same batch.
+    #[test]
+    fn push_and_push_with_build_the_same_batch() {
+        let payloads: [&[u8]; 4] = [&[], &[1], &[2; 7], &[3; 64]];
+        let (mut one_pass, mut two_pass) = (MsgBatch::new(), MsgBatch::new());
+        for (i, payload) in payloads.into_iter().enumerate() {
+            let (src, dst, tag) = (ProcId(i as u32), ProcId(3 - i as u32), 10 + i as u32);
+            one_pass.push(src, dst, tag, payload);
+            two_pass.push_with(src, dst, tag, payload.len(), &mut |buf| {
+                buf.copy_from_slice(payload)
+            });
+        }
+        assert_eq!(one_pass, two_pass);
+        assert_eq!(one_pass.arena_len(), two_pass.arena_len());
+    }
+
+    /// Regression: the bound used to be narrowed with `as u32`, so
+    /// 2^32 bytes wrapped to 0 and wiped the payload.
+    #[test]
+    fn truncating_past_u32_leaves_the_payload_whole() {
+        let mut b = MsgBatch::new();
+        b.push(ProcId(0), ProcId(1), 0, &[7; 16]);
+        for max_bytes in [1 << 32, (1 << 32) + 3, usize::MAX] {
+            b.truncate_payload(0, max_bytes);
+            assert_eq!(b.get(0).payload, &[7; 16], "max_bytes {max_bytes}");
+        }
     }
 
     #[test]

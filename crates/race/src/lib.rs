@@ -6,9 +6,10 @@
 //! vendored [`weave`] model checker. The [`scenarios`] module packages
 //! the runtime's risky protocols — hierarchical barrier arrival /
 //! combine / release with sense reversal, the spin→yield→park policy,
-//! the watchdog abort racing a normal release, mailbox batch
-//! circulation, the worker pool's dispatch of borrowed jobs, and a
-//! whole-engine superstep exchange — as closures
+//! the watchdog abort racing a normal release, the engine's outbox
+//! hand-off (receivers pulling from double-buffered outboxes), mailbox
+//! batch circulation, the worker pool's dispatch of borrowed jobs, and
+//! a whole-engine superstep exchange — as closures
 //! that [`weave::explore`] can run under exhaustive bounded-preemption
 //! DFS or seeded random walks.
 //!

@@ -48,6 +48,28 @@ pub fn machine(m: Machine) -> MachineTree {
     }
 }
 
+/// Either superstep barrier, as the engine holds them.
+enum Barrier {
+    Central(CentralBarrier),
+    Hier(HierBarrier),
+}
+
+impl Barrier {
+    fn new(kind: BarrierKind, tree: &MachineTree) -> Self {
+        match kind {
+            BarrierKind::Central => Barrier::Central(CentralBarrier::new(tree.num_procs())),
+            BarrierKind::Hierarchical => Barrier::Hier(HierBarrier::new(tree)),
+        }
+    }
+
+    fn wait_leader<R>(&self, rank: usize, leader: impl FnOnce() -> R) -> Option<R> {
+        match self {
+            Barrier::Central(c) => c.wait_leader(leader),
+            Barrier::Hier(h) => h.wait_leader(rank, leader),
+        }
+    }
+}
+
 /// The core barrier protocol under race detection: every rank writes
 /// its own slot cell, arrives; the leader (exclusively) sums all slots
 /// into a result cell; after release every rank reads the result.
@@ -59,16 +81,9 @@ pub fn machine(m: Machine) -> MachineTree {
 /// and its acquire polls). `rounds > 1` adds sense reversal: stale
 /// generation values must never release a waiter early.
 pub fn barrier_publish(kind: BarrierKind, m: Machine, rounds: usize) {
-    enum B {
-        C(CentralBarrier),
-        H(HierBarrier),
-    }
     let tree = machine(m);
     let p = tree.num_procs();
-    let b = match kind {
-        BarrierKind::Central => B::C(CentralBarrier::new(p)),
-        BarrierKind::Hierarchical => B::H(HierBarrier::new(&tree)),
-    };
+    let b = Barrier::new(kind, &tree);
     let slots: Vec<RacyCell> = (0..p).map(|_| RacyCell::new(0)).collect();
     let result = RacyCell::new(0);
     let tasks: Vec<_> = (0..p)
@@ -87,10 +102,7 @@ pub fn barrier_publish(kind: BarrierKind, m: Machine, rounds: usize) {
                         unsafe { result.write(sum) };
                         sum
                     };
-                    let led = match b {
-                        B::C(c) => c.wait_leader(leader),
-                        B::H(h) => h.wait_leader(rank, leader),
-                    };
+                    let led = b.wait_leader(rank, leader);
                     let expect: u64 = (0..p).map(|i| (round * p + i + 1) as u64).sum();
                     // SAFETY: read phase — the leader's write of
                     // `result` happened in this generation's leader
@@ -103,6 +115,79 @@ pub fn barrier_publish(kind: BarrierKind, m: Machine, rounds: usize) {
                     if let Some(sum) = led {
                         assert_eq!(sum, expect);
                     }
+                }
+            }
+        })
+        .collect();
+    for r in weave::thread::scope_join(tasks) {
+        if let Err(e) = r {
+            std::panic::resume_unwind(e);
+        }
+    }
+}
+
+/// The engine's outbox hand-off (`docs/ordering_audit.md`), reduced to
+/// its cells: per rank `outboxes` outbox cells used round-robin by step
+/// — two in the engine, `out[step & 1]` — and one pull-list cell, and
+/// nothing else shared, so any race reported here is on one of them.
+/// Every rank posts to every other, every step:
+///
+/// 1. body `s`: rank `i` consumes its pull list and reads what every
+///    peer posted in `s − 1` (shared reads), then overwrites its outbox
+///    of step `s`;
+/// 2. leader section `s`: the leader edits every outbox of the step
+///    (the engine's fault truncation) and rewrites every pull list;
+/// 3. body `s + 1` reads them; 4. body `s + 2` overwrites the outbox.
+///
+/// `rounds ≥ 3` reuses a parity. What a reader sees is asserted too, so
+/// a hand-off that is ordered but wrong (a stale parity) fails as well.
+/// With `outboxes == 1` the owner's overwrite in body `s + 1` meets its
+/// peers' reads of step `s` in the same body, with nothing between
+/// them: the negative control that makes the second buffer load-bearing.
+pub fn outbox_pull(kind: BarrierKind, m: Machine, rounds: usize, outboxes: usize) {
+    let tree = machine(m);
+    let p = tree.num_procs();
+    let b = Barrier::new(kind, &tree);
+    let out: Vec<Vec<RacyCell>> = (0..p)
+        .map(|_| (0..outboxes).map(|_| RacyCell::new(0)).collect())
+        .collect();
+    let pull: Vec<RacyCell> = (0..p).map(|_| RacyCell::new(0)).collect();
+    // What rank `i` posts in `step`, and what the leader makes of it.
+    let posted = |i: usize, step: usize| (step * p + i + 1) as u64;
+    const EDIT: u64 = 1_000_000;
+    let tasks: Vec<_> = (0..p)
+        .map(|rank| {
+            let (b, out, pull) = (&b, &out, &pull);
+            move || {
+                for step in 0..=rounds {
+                    if step > 0 {
+                        // SAFETY: owner phase — the leader wrote this
+                        // rank's pull list before the release.
+                        let routed = unsafe { pull[rank].read() };
+                        assert_eq!(routed, step as u64, "the pull list of the last step");
+                        for (src, boxes) in out.iter().enumerate() {
+                            // SAFETY: phase 3 — shared read of what
+                            // `src` posted in the step before.
+                            let got = unsafe { boxes[(step - 1) % outboxes].read() };
+                            assert_eq!(got, posted(src, step - 1) + EDIT, "pulled from P{src}");
+                        }
+                    }
+                    // SAFETY: phase 1 (and 4) — the owner's refill;
+                    // every reader of this outbox's last use has
+                    // arrived at a barrier this thread was released
+                    // from.
+                    unsafe { out[rank][step % outboxes].write(posted(rank, step)) };
+                    b.wait_leader(rank, || {
+                        for (i, boxes) in out.iter().enumerate() {
+                            // SAFETY: phase 2 — leader section, every
+                            // rank arrived, none released.
+                            unsafe {
+                                let cell = &boxes[step % outboxes];
+                                cell.write(cell.read() + EDIT);
+                                pull[i].write(step as u64 + 1);
+                            }
+                        }
+                    });
                 }
             }
         })
@@ -333,8 +418,8 @@ impl SpmdProgram for Exchange {
 }
 
 /// The full engine on a two-processor machine: superstep bodies, slot
-/// writes, leader gather/deliver, mailbox swaps, and run teardown all
-/// under the model. Too many decision points for exhaustive DFS — the
+/// and outbox writes, leader routing, receiver pulls, and run teardown
+/// all under the model. Too many decision points for exhaustive DFS — the
 /// tests drive this with seeded random walks.
 pub fn engine_smoke(rounds: usize) {
     let tree = Arc::new(machine(Machine::Flat2));

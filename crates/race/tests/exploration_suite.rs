@@ -127,6 +127,33 @@ fn watchdog_abort_three_parties_is_clean() {
     out.assert_clean("watchdog abort vs normal release, 3 threads");
 }
 
+/// The outbox hand-off on one machine and barrier: four supersteps, so
+/// each parity is written, pulled from, and written again.
+fn outbox_pull_is_clean(kind: BarrierKind, m: Machine, cfg: &weave::Config) {
+    let out = weave::explore(cfg, || scenarios::outbox_pull(kind, m, 3, 2));
+    report(&format!("outbox pull {kind:?} {m:?} x3"), &out);
+    out.assert_clean("outbox hand-off, two outboxes per rank");
+    assert!(out.stats.exhausted, "outbox hand-off must be exhaustible");
+}
+
+#[test]
+fn outbox_pull_flat2_is_clean_exhaustively() {
+    outbox_pull_is_clean(BarrierKind::Hierarchical, Machine::Flat2, &exhaustive());
+    outbox_pull_is_clean(BarrierKind::Central, Machine::Flat2, &exhaustive());
+}
+
+#[test]
+fn outbox_pull_clustered3_is_clean_exhaustively() {
+    // Three threads, four generations: exhaustive at one preemption
+    // (the 2-thread test covers two).
+    let cfg = weave::Config {
+        preemption_bound: Some(1),
+        ..exhaustive()
+    };
+    outbox_pull_is_clean(BarrierKind::Hierarchical, Machine::Clustered3, &cfg);
+    outbox_pull_is_clean(BarrierKind::Central, Machine::Clustered3, &cfg);
+}
+
 #[test]
 fn mailbox_circulation_is_clean_exhaustively() {
     let out = weave::explore(&exhaustive(), || scenarios::mailbox_circulation(2, 2));

@@ -124,6 +124,69 @@ fn weakened_abort_publish_is_detected() {
     assert_names_site(&out, label);
 }
 
+/// The outbox hand-off's cells are the scenario's only shared cells
+/// (per rank: the outboxes and the pull list), so a data race reported
+/// from `scenarios.rs` under `outbox_pull` is a race on one of them.
+fn outbox_pull_flat2() {
+    scenarios::outbox_pull(BarrierKind::Hierarchical, Machine::Flat2, 3, 2)
+}
+
+#[test]
+fn weakened_generation_flip_races_a_pull() {
+    // The release edge, publish side: a poll-released receiver reads
+    // its pull list and its peer's outbox without the leader's
+    // pull-list write and outbox edit ordered before it.
+    let label = "hier.generation.flip";
+    let out = weave::explore(&mutated(label, Ordering::Relaxed), outbox_pull_flat2);
+    assert_names_site(&out, label);
+}
+
+#[test]
+fn weakened_generation_poll_races_a_pull() {
+    // The acquire side of the same edge.
+    let label = "hier.generation.poll";
+    let out = weave::explore(&mutated(label, Ordering::Relaxed), outbox_pull_flat2);
+    assert_names_site(&out, label);
+}
+
+#[test]
+fn weakened_arrive_combine_races_an_outbox_refill() {
+    // The arrival chain carries a reader's last read of `out[i][π]`
+    // (and an owner's post) to the leader, and through the release to
+    // the owner's refill two bodies later. Relaxed severs it: the
+    // refill, or the leader's edit before it, meets an unordered
+    // access of a peer.
+    let label = "hier.arrive.combine";
+    let out = weave::explore(&mutated(label, Ordering::Relaxed), outbox_pull_flat2);
+    assert_names_site(&out, label);
+}
+
+#[test]
+fn a_single_outbox_per_rank_is_a_race_with_every_ordering_intact() {
+    // Negative control: ignore the parity and the owner's refill in
+    // body `s + 1` meets its peer's pull of step `s` in the same body.
+    // No ordering is weakened — the second buffer is what keeps them
+    // apart. (On the hierarchical barrier, whose released waiters take
+    // no lock. The central barrier's mutex orders the two accesses in
+    // the first schedules explored, and the same mistake surfaces
+    // there as the scenario's stale-value assertion instead.)
+    let cfg = weave::Config {
+        max_executions: 200_000,
+        ..weave::Config::default()
+    };
+    let out = weave::explore(&cfg, || {
+        scenarios::outbox_pull(BarrierKind::Hierarchical, Machine::Flat2, 3, 1)
+    });
+    let f = out.expect_failure("one outbox per rank must be reported");
+    assert_eq!(f.kind, weave::FailureKind::DataRace, "{}", f.message);
+    assert!(
+        f.message.contains("scenarios.rs") && !f.message.contains("ordering mutations"),
+        "the race is on the scenario's own cells, unmutated; got: {}",
+        f.message
+    );
+    println!("single outbox -> race on execution {}", f.execution);
+}
+
 /// The pool's edges guard two things at once — the posted-job cell
 /// inside the runtime and whatever the job borrows — so the first
 /// report may be either a data race or the cell's `hb_assert!`; both
@@ -213,4 +276,6 @@ fn unmutated_control_is_clean() {
         ..weave::Config::default()
     };
     weave::explore(&cfg, || scenarios::pool_dispatch(2)).assert_clean("unmutated pool dispatch");
+    // (`outbox_pull` unmutated is explored exhaustively in
+    // `exploration_suite.rs`.)
 }

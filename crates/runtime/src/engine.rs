@@ -4,30 +4,36 @@
 //! parked between runs, joined when the runtime is dropped (see
 //! `pool.rs`) — synchronized per superstep by a hierarchical
 //! combining-tree barrier (see [`crate::barrier`]). Everything else a
-//! run uses (barrier, mailboxes, slots, leader state) is built per run.
-//! The per-step hot path is lock-free for the processor threads:
+//! run uses (barrier, slots, outboxes, leader state) is built per run.
+//! The per-step hot path is lock-free for the processor threads, and a
+//! posted byte is copied once, by the thread that receives it:
 //!
 //! * each thread writes its superstep contribution (charged work,
-//!   posted messages, outcome) into its own cache-line-padded
-//!   `ProcSlot` — no shared lock is taken between barriers;
-//! * the barrier's leader section gathers all slots, runs the shared
-//!   timing algebra, and delivers every message with two byte copies
-//!   (`docs/performance.md` §3 item 1): each outbox is appended to one
-//!   gather batch in pid order, then each message is copied into its
-//!   destination's batch in delivery order. No payload is boxed per
-//!   message, and each mailbox is locked exactly once per superstep (a
-//!   batch swap);
+//!   outcome) into its own cache-line-padded `ProcSlot` and posts its
+//!   messages into one of the slot's two outboxes, `out[step & 1]` — no
+//!   shared lock is taken between barriers;
+//! * the barrier's leader section touches message *metadata* only: it
+//!   applies the step's network faults to each outbox (offset-table
+//!   edits), runs the shared analysis and timing algebra over the `p`
+//!   outboxes chained in pid order, and appends one `(src rank, index)`
+//!   row per message to its destination's pull list, in delivery order;
+//! * released into body `s + 1`, each thread refills its inbox from its
+//!   pull list — one `push_from` per message out of the senders'
+//!   step-`s` outboxes, `p` threads copying in parallel — while it
+//!   posts into its other outbox (the hand-off rides the barrier's own
+//!   edges, see `ProcSlot`: no new atomic, lock or ordering site);
 //! * run-level coordination state lives in a `LeaderState` mutex that
 //!   only the leader section locks (uncontended by construction), with
 //!   two atomics (`finished`, `failed`) publishing the step's verdict
 //!   to the released threads.
 
 use crate::barrier::{lock_anyway, BarrierKind, StepBarrier};
-use crate::mailbox::Mailbox;
 use crate::pool::WorkerPool;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::{hb_assert, site_ord, Instant, Mutex, UnsafeCell};
-use hbsp_core::{MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome};
+use crate::sync::{cell_read, hb_assert, site_ord, Instant, Mutex, UnsafeCell};
+use hbsp_core::{
+    MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
+};
 use hbsp_obs::{ObsEvent, Probe, StepRecord, StepWall};
 use hbsp_sim::step::{analyze_into, delivery_order_into, resolve_outcomes, StepAnalysis};
 use hbsp_sim::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
@@ -75,10 +81,12 @@ pub struct ThreadedRuntime {
     pool: Mutex<Option<WorkerPool>>,
 }
 
-/// One processor's per-superstep contribution, padded to its own cache
-/// lines so neighbouring writers never false-share.
+/// One processor's share of the engine's memory: its per-superstep
+/// contribution, pull list and inbox (`data`) and the two outboxes it
+/// posts into on alternate steps (`out`), each on its own cache lines
+/// so an owner's writes never false-share with a peer's accesses.
 ///
-/// Access protocol (this is what makes the `UnsafeCell` sound):
+/// Access protocol of `data` (what makes its `UnsafeCell` sound):
 ///
 /// * between a barrier release and its next barrier arrival, slot `i`
 ///   is touched only by processor thread `i` (via [`ProcSlot::slot`]);
@@ -86,25 +94,80 @@ pub struct ThreadedRuntime {
 ///   generation has arrived and none has been released — all slots are
 ///   touched only by the leader.
 ///
-/// The barrier's acquire/release edges order the two phases: every
-/// owner write happens-before the leader's reads (the arrival chain),
-/// and every leader write happens-before the owners' next writes (the
-/// release flip).
+/// Access protocol of `out[π]` (the outbox hand-off of
+/// `docs/ordering_audit.md`), four phases per use:
+///
+/// 1. written by its owner in a body of parity π, cleared first;
+/// 2. edited by the leader in that step's leader section (scripted
+///    drops and truncations: offset-table edits);
+/// 3. read *shared* by every rank in the next body, each pulling the
+///    messages routed to it, while the owner holds `data` and
+///    `out[1 − π]` mutably — hence separate cells;
+/// 4. next written by its owner two bodies later, after every reader
+///    has arrived at the barrier in between.
+///
+/// The barrier's acquire/release edges order the phases of both: owner
+/// writes happen-before the leader's accesses (the arrival chain),
+/// leader writes happen-before what released threads do next (the
+/// release flip), and a reader's last read happens-before the owner's
+/// rewrite through one more arrival and release. With one outbox per
+/// rank, phase 3 of a step would overlap phase 1 of the next
+/// (`hbsp-race` holds that negative control).
 #[repr(align(128))]
 struct ProcSlot {
     data: UnsafeCell<SlotData>,
+    out: [Outbox; 2],
 }
 
+/// One outbox, on cache lines of its own.
+#[repr(align(128))]
+#[derive(Default)]
+struct Outbox(UnsafeCell<MsgBatch>);
+
 // SAFETY: shared access is mediated by the superstep barrier per the
-// protocol documented on `ProcSlot` — at any instant at most one thread
-// holds a reference into the cell.
+// protocols documented on `ProcSlot` — at any instant a cell has at
+// most one thread holding a `&mut` into it and no other reference, or
+// any number of threads holding `&`s.
 unsafe impl Sync for ProcSlot {}
 
 impl ProcSlot {
     fn new() -> Self {
         ProcSlot {
             data: UnsafeCell::new(SlotData::default()),
+            out: Default::default(),
         }
+    }
+
+    /// The outbox of `step`'s parity, for writing.
+    ///
+    /// # Safety
+    /// The caller is the slot's processor thread in body `step`, or the
+    /// leader in the leader section of `step` or `step + 1` (phases 1,
+    /// 2 and, for an abort's scrub, the end of 3).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn outbox(&self, step: usize) -> &mut MsgBatch {
+        let cell = &self.out[step & 1].0;
+        // For the owner's refill: every reader of two steps ago is done.
+        hb_assert!(
+            cell,
+            "outbox hand-off: every earlier writer and reader of this \
+             parity has arrived at a barrier the caller was released from"
+        );
+        // SAFETY: per this function's contract no other reference into
+        // the cell is live.
+        unsafe { &mut *cell.get() }
+    }
+
+    /// What was posted in `step`, for reading alongside other readers.
+    ///
+    /// # Safety
+    /// The caller is any processor thread in body `step + 1`, or the
+    /// leader in the leader section of `step` holding no `&mut` from
+    /// [`Self::outbox`] (phases 3 and 2).
+    unsafe fn posted(&self, step: usize) -> &MsgBatch {
+        // SAFETY: per this function's contract every write to the cell
+        // happens-before this read, and the next one happens-after.
+        unsafe { &*cell_read(&self.out[step & 1].0) }
     }
 
     /// Access the slot's contents.
@@ -133,14 +196,14 @@ impl ProcSlot {
 struct SlotData {
     /// Charged work units of the current step.
     work: f64,
-    /// This step's drained inbox: swapped out of the mailbox at body
-    /// start, swapped back (empty) as the next delivery buffer. Owned
-    /// by the processor thread; the leader never reads it.
+    /// This step's inbox, refilled at body start from `pull`. Owned by
+    /// the processor thread; the leader never reads it.
     inbox: MsgBatch,
-    /// Messages posted in the current step, in posting order — a flat
-    /// batch the body's `send` writes into directly and the leader
-    /// bulk-moves out, so a steady-state step allocates nothing here.
-    sends: MsgBatch,
+    /// What this processor receives from the step the leader just
+    /// closed: one `(src rank, index in src's outbox)` row per message,
+    /// in (arrival, posting index) order. Cleared and refilled by the
+    /// leader every step: a rank that receives nothing sees nothing.
+    pull: Vec<(u32, u32)>,
     /// The step body's outcome; consumed by the leader.
     outcome: Option<StepOutcome>,
     /// A contained panic, recorded with the step it happened in. Only
@@ -186,9 +249,10 @@ struct LeaderState {
     work: Vec<f64>,
     /// Step outcomes gathered from the slots.
     outcomes: Vec<StepOutcome>,
-    /// All posted messages of the step, gathered in pid order — the
-    /// exact posting order the simulator sees.
-    sends: MsgBatch,
+    /// `base[i]`: how many messages ranks below `i` posted this step —
+    /// what turns a message's index in the chained pid-then-posting
+    /// order into an index into its sender's outbox.
+    base: Vec<usize>,
     /// Validated communication analysis of the step.
     analysis: StepAnalysis,
     /// Virtual-time decomposition of the step.
@@ -197,10 +261,6 @@ struct LeaderState {
     timing_scratch: TimingScratch,
     /// Delivery permutation of the step's messages.
     order: Vec<usize>,
-    /// Per-destination delivery batches; each is swapped into its
-    /// receiver's mailbox and the receiver's drained buffer is swapped
-    /// back, so the same allocations circulate all run.
-    dests: Vec<MsgBatch>,
     /// Probe-record assembly buffers, reused across steps so an
     /// enabled probe costs no per-superstep allocation either.
     emit: EmitScratch,
@@ -236,7 +296,7 @@ impl LeaderState {
             error: None,
             work: Vec::with_capacity(p),
             outcomes: Vec::with_capacity(p),
-            sends: MsgBatch::new(),
+            base: Vec::with_capacity(p),
             analysis: StepAnalysis {
                 intents: Vec::new(),
                 traffic: Vec::new(),
@@ -250,7 +310,6 @@ impl LeaderState {
             },
             timing_scratch: TimingScratch::default(),
             order: Vec::new(),
-            dests: (0..p).map(|_| MsgBatch::new()).collect(),
             emit: EmitScratch::default(),
         }
     }
@@ -363,7 +422,6 @@ impl ThreadedRuntime {
         }
         let p = self.tree.num_procs();
         let barrier = StepBarrier::new(self.barrier_kind, &self.tree);
-        let mailboxes: Vec<Mailbox> = (0..p).map(|_| Mailbox::new()).collect();
         let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
         let leader = Mutex::new(LeaderState::new(p, self.trace));
         let leader_state = &leader;
@@ -377,7 +435,6 @@ impl ThreadedRuntime {
         let arrived: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
 
         let began = Instant::now();
-        let (mailboxes, slots) = (&mailboxes[..], &slots[..]);
         let (tree, cfg, faults, probe) = (&self.tree, &self.cfg, &self.faults, &self.probe);
         let observing = self.probe.enabled();
         let step_limit = self.step_limit;
@@ -402,14 +459,8 @@ impl ThreadedRuntime {
                     let give_up = Instant::now() + STALL_SELF_REPORT;
                     while !failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
                         if Instant::now() >= give_up {
-                            record_timeout(
-                                faults.stalled_at(step),
-                                step,
-                                leader_state,
-                                mailboxes,
-                                failed,
-                                &**probe,
-                            );
+                            let missing = faults.stalled_at(step);
+                            record_timeout(missing, step, leader_state, failed, &**probe);
                             break;
                         }
                         crate::sync::thread::sleep(Duration::from_millis(1));
@@ -441,15 +492,24 @@ impl ThreadedRuntime {
                     if observing {
                         slot.body_start_ns = began.elapsed().as_nanos() as u64;
                     }
-                    // Swap the inbox out of the mailbox: the
-                    // drained buffer left behind becomes the
-                    // leader's next delivery batch, so the same
-                    // allocations circulate all run.
-                    mailboxes[i].take_into(&mut slot.inbox);
+                    // Pull what the leader routed here: one copy
+                    // per message, in delivery order, while every
+                    // other rank does the same.
+                    slot.inbox.clear();
+                    for &(src, k) in &slot.pull {
+                        // SAFETY: body `step` reads what was posted
+                        // in `step - 1` (outbox hand-off, phase 3).
+                        let posted = unsafe { slots[src as usize].posted(step - 1) };
+                        slot.inbox.push_from(posted, k as usize);
+                    }
+                    // SAFETY: this thread owns its outbox of this
+                    // parity for the body (outbox hand-off, phase 1).
+                    let outbox = unsafe { slots[i].outbox(step) };
+                    outbox.clear();
                     let mut ctx = ThreadCtx {
                         env: &env,
                         inbox: &slot.inbox,
-                        outbox: &mut slot.sends,
+                        outbox,
                         work: 0.0,
                     };
                     let body = state.as_mut().and_then(|state| {
@@ -509,7 +569,7 @@ impl ThreadedRuntime {
                                 .map(|j| ProcId(j as u32))
                                 .collect()
                         };
-                        record_timeout(missing, step, leader_state, mailboxes, failed, &**probe);
+                        record_timeout(missing, step, leader_state, failed, &**probe);
                     },
                     || {
                         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -525,8 +585,8 @@ impl ThreadedRuntime {
                                 return;
                             }
                             leader_step(
-                                tree, cfg, faults, mailboxes, slots, step, &mut ls, finished,
-                                failed, &**probe, began,
+                                tree, cfg, faults, &slots, step, &mut ls, finished, failed,
+                                &**probe, began,
                             );
                         }));
                         if ok.is_err() {
@@ -535,9 +595,6 @@ impl ThreadedRuntime {
                                 ls.error = Some(SimError::LeaderPanicked { step });
                             }
                             drop(ls);
-                            for mb in mailboxes {
-                                mb.take();
-                            }
                             failed
                                 .store(true, site_ord!("engine.failed.publish", Ordering::Release));
                         }
@@ -604,16 +661,16 @@ impl ThreadedRuntime {
 }
 
 /// The watchdog's abort path: record a [`SimError::BarrierTimeout`]
-/// (first writer wins) and drain the mailboxes. Unlike [`abort_step`]
-/// this does NOT touch the `ProcSlot`s: the watchdog may fire while a
-/// straggling thread is still writing its own slot, so only
-/// mutex-protected state is safe to reach from here. Nobody reads the
-/// slots again — the run is over once `failed` flips.
+/// (first writer wins). Unlike [`abort_step`] this does NOT touch the
+/// `ProcSlot`s: the watchdog may fire while a straggling thread is
+/// still writing its own slot or pulling from its peers' outboxes, so
+/// only mutex-protected state is safe to reach from here. Nobody
+/// writes a slot or an outbox again: the run is over once `failed`
+/// flips.
 fn record_timeout(
     missing: Vec<ProcId>,
     step: usize,
     leader_state: &Mutex<LeaderState>,
-    mailboxes: &[Mailbox],
     failed: &AtomicBool,
     probe: &dyn Probe,
 ) {
@@ -630,34 +687,27 @@ fn record_timeout(
         ls.error = Some(SimError::BarrierTimeout { missing, step });
     }
     drop(ls);
-    for mb in mailboxes {
-        mb.take();
-    }
     failed.store(true, site_ord!("engine.failed.publish", Ordering::Release));
 }
 
 /// Record `error` and scrub every queue: an aborted step must leave no
 /// stale contribution or undelivered message behind. Runs inside the
 /// leader section.
-fn abort_step(
-    error: SimError,
-    mailboxes: &[Mailbox],
-    slots: &[ProcSlot],
-    ls: &mut LeaderState,
-    failed: &AtomicBool,
-) {
+fn abort_step(error: SimError, slots: &[ProcSlot], ls: &mut LeaderState, failed: &AtomicBool) {
     if ls.error.is_none() {
         ls.error = Some(error);
     }
     for s in slots {
-        // SAFETY: leader section — the leader owns every slot.
+        // SAFETY: leader section — the leader owns every slot, and
+        // every reader of either outbox has arrived.
         let slot = unsafe { s.slot() };
-        slot.sends.clear();
+        slot.pull.clear();
         slot.outcome = None;
         slot.work = 0.0;
-    }
-    for mb in mailboxes {
-        mb.take();
+        for parity in 0..2 {
+            // SAFETY: as above.
+            unsafe { s.outbox(parity) }.clear();
+        }
     }
     failed.store(true, site_ord!("engine.failed.publish", Ordering::Release));
 }
@@ -671,7 +721,6 @@ fn leader_step(
     tree: &MachineTree,
     cfg: &NetConfig,
     faults: &FaultPlan,
-    mailboxes: &[Mailbox],
     slots: &[ProcSlot],
     step: usize,
     ls: &mut LeaderState,
@@ -694,16 +743,11 @@ fn leader_step(
         }
     }
     if !crashed.is_empty() {
-        abort_step(
-            SimError::ProcCrashed {
-                pids: crashed,
-                step: crash_step,
-            },
-            mailboxes,
-            slots,
-            ls,
-            failed,
-        );
+        let error = SimError::ProcCrashed {
+            pids: crashed,
+            step: crash_step,
+        };
+        abort_step(error, slots, ls, failed);
         return;
     }
     // Translate contained panics into the shared error now that every
@@ -712,51 +756,53 @@ fn leader_step(
     for i in 0..p {
         // SAFETY: leader section — the leader owns every slot.
         if let Some(pstep) = unsafe { slots[i].slot() }.panicked {
-            abort_step(
-                SimError::ProgramPanicked {
-                    pid: ProcId(i as u32),
-                    step: pstep,
-                },
-                mailboxes,
-                slots,
-                ls,
-                failed,
-            );
+            let error = SimError::ProgramPanicked {
+                pid: ProcId(i as u32),
+                step: pstep,
+            };
+            abort_step(error, slots, ls, failed);
             return;
         }
     }
 
-    // Gather contributions: flatten sends in pid order — the exact
-    // posting order the simulator sees when it runs processors
-    // sequentially. Each slot batch is bulk-moved (two appends) into
-    // the shared gather batch; payload bytes are copied once into the
-    // flat arena and never boxed per message.
+    // Gather contributions; the messages stay where they were posted.
+    // Network faults hit them before validation and costing, like the
+    // simulator's, and outbox by outbox is the same as gathered: both
+    // corruption rules key on the sender.
     ls.work.clear();
     ls.outcomes.clear();
-    ls.sends.clear();
+    ls.base.clear();
+    let mut posted = 0;
     for s in slots.iter().take(p) {
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { s.slot() };
+        // SAFETY: leader section — the leader owns every slot and the
+        // outboxes of this step (outbox hand-off, phase 2).
+        let (slot, outbox) = unsafe { (s.slot(), s.outbox(step)) };
         ls.work.push(slot.work);
         slot.work = 0.0;
-        ls.sends.append(&mut slot.sends);
+        slot.pull.clear();
         ls.outcomes
             .push(slot.outcome.take().expect("all contributions in"));
+        faults.corrupt_batch(step, outbox);
+        ls.base.push(posted);
+        posted += outbox.len();
     }
-
-    // Network faults hit the posted messages before validation and
-    // costing, exactly like the simulator's per-step order.
-    faults.corrupt_batch(step, &mut ls.sends);
 
     let scope = match resolve_outcomes(step, &ls.outcomes) {
         Ok(s) => s,
         Err(e) => {
-            abort_step(e, mailboxes, slots, ls, failed);
+            abort_step(e, slots, ls, failed);
             return;
         }
     };
-    if let Err(e) = analyze_into(tree, step, scope, &ls.sends, &mut ls.analysis) {
-        abort_step(e, mailboxes, slots, ls, failed);
+    // The outboxes chained in pid order are the exact posting order the
+    // simulator sees when it runs processors sequentially.
+    let msgs = slots
+        .iter()
+        .take(p)
+        // SAFETY: leader section, no `&mut` into an outbox is live.
+        .flat_map(|s| unsafe { s.posted(step) }.iter());
+    if let Err(e) = analyze_into(tree, step, scope, msgs, &mut ls.analysis) {
+        abort_step(e, slots, ls, failed);
         return;
     }
     let r_scale = faults
@@ -781,114 +827,69 @@ fn leader_step(
     let start_min = ls.starts.iter().cloned().fold(f64::INFINITY, f64::min);
     let work_units: f64 = ls.work.iter().sum();
 
-    match scope {
-        None => {
-            {
-                let LeaderState {
-                    starts,
-                    timing,
-                    analysis,
-                    work,
-                    emit,
-                    ..
-                } = &mut *ls;
-                emit_step_record(
-                    probe,
-                    step,
-                    None,
-                    starts,
-                    timing,
-                    &timing.finish,
-                    analysis,
-                    work,
-                    slots,
-                    began,
-                    emit,
-                );
-            }
-            ls.steps.push(StepStats {
-                step,
-                scope: hbsp_core::SyncScope::global(tree),
-                start_min,
-                finish_max,
-                release_max: finish_max,
-                traffic: ls.analysis.traffic.clone(),
-                hrelation: ls.analysis.hrelation,
-                work_units,
-            });
-            if let Some(tls) = ls.timelines.as_mut() {
-                step_spans(tls, &ls.starts, &ls.timing, &ls.timing.finish);
-            }
-            ls.finish.clear();
-            let LeaderState { finish, timing, .. } = ls;
-            finish.extend_from_slice(&timing.finish);
-            finished.store(
-                true,
-                site_ord!("engine.finished.publish", Ordering::Release),
-            );
-        }
-        Some(s) => {
-            let releases = barrier_release(tree, s, &ls.timing.finish);
-            let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            if let Some(tls) = ls.timelines.as_mut() {
-                step_spans(tls, &ls.starts, &ls.timing, &releases);
-            }
-            {
-                let LeaderState {
-                    starts,
-                    timing,
-                    analysis,
-                    work,
-                    emit,
-                    ..
-                } = &mut *ls;
-                emit_step_record(
-                    probe,
-                    step,
-                    Some(s.level()),
-                    starts,
-                    timing,
-                    &releases,
-                    analysis,
-                    work,
-                    slots,
-                    began,
-                    emit,
-                );
-            }
-            ls.steps.push(StepStats {
-                step,
-                scope: s,
-                start_min,
-                finish_max,
-                release_max,
-                traffic: ls.analysis.traffic.clone(),
-                hrelation: ls.analysis.hrelation,
-                work_units,
-            });
-            // Deliver in (arrival, posting index) order: each message
-            // is one bounded byte-copy from the gather arena into its
-            // destination's flat batch — no per-message move loop over
-            // boxed payloads — and each mailbox is locked exactly once
-            // per superstep (a batch pointer swap, in the common case).
-            delivery_order_into(&ls.timing.messages, &mut ls.order);
-            for &mi in &ls.order {
-                let dst = ls.sends.get(mi).dst;
-                ls.dests[dst.rank()].push_from(&ls.sends, mi);
-                ls.delivered += 1;
-            }
-            for (q, batch) in ls.dests.iter_mut().enumerate().take(p) {
-                if !batch.is_empty() {
-                    mailboxes[q].deposit_batch(batch);
-                }
-            }
-            ls.finish.clear();
-            let LeaderState { finish, timing, .. } = ls;
-            finish.extend_from_slice(&timing.finish);
-            ls.starts.clear();
-            ls.starts.extend_from_slice(&releases);
-        }
+    // The final step releases nobody: each processor's own finish
+    // stands in for its release time.
+    let releases = scope.map(|s| barrier_release(tree, s, &ls.timing.finish));
+    let LeaderState {
+        starts,
+        finish,
+        steps,
+        timelines,
+        work,
+        analysis,
+        timing,
+        emit,
+        ..
+    } = &mut *ls;
+    let released = releases.as_deref().unwrap_or(&timing.finish);
+    if let Some(tls) = timelines.as_mut() {
+        step_spans(tls, starts, timing, released);
     }
+    emit_step_record(
+        probe,
+        step,
+        scope.map(SyncScope::level),
+        starts,
+        timing,
+        released,
+        analysis,
+        work,
+        slots,
+        began,
+        emit,
+    );
+    steps.push(StepStats {
+        step,
+        scope: scope.unwrap_or(SyncScope::global(tree)),
+        start_min,
+        finish_max,
+        release_max: released.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        traffic: analysis.traffic.clone(),
+        hrelation: analysis.hrelation,
+        work_units,
+    });
+    finish.clear();
+    finish.extend_from_slice(&timing.finish);
+    let Some(releases) = releases else {
+        finished.store(
+            true,
+            site_ord!("engine.finished.publish", Ordering::Release),
+        );
+        return;
+    };
+    // Route in (arrival, posting index) order: one pull-list row per
+    // message. The receivers copy the bytes, all at once, after the
+    // release.
+    delivery_order_into(&ls.timing.messages, &mut ls.order);
+    for &mi in &ls.order {
+        let intent = &ls.analysis.intents[mi];
+        let k = (mi - ls.base[intent.src.rank()]) as u32;
+        // SAFETY: leader section — the leader owns every slot.
+        let slot = unsafe { slots[intent.dst.rank()].slot() };
+        slot.pull.push((intent.src.0, k));
+    }
+    ls.delivered += ls.order.len() as u64;
+    ls.starts = releases;
 }
 
 /// Assemble and publish the superstep's telemetry record, pairing the
@@ -959,8 +960,8 @@ fn emit_step_record(
 }
 
 /// The runtime's per-processor superstep context: reads the thread's
-/// drained inbox batch, writes sends directly into the thread's slot
-/// batch — no per-message allocation on either side.
+/// pulled inbox batch, writes sends directly into the thread's outbox
+/// of the step — no per-message allocation on either side.
 struct ThreadCtx<'a> {
     env: &'a ProcEnv,
     inbox: &'a MsgBatch,
@@ -981,6 +982,9 @@ impl SpmdContext for ThreadCtx<'_> {
     fn messages(&self) -> &MsgBatch {
         self.inbox
     }
+    fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
+        self.outbox.push(self.env.pid, dst, tag, payload);
+    }
     fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
         self.outbox.push_with(self.env.pid, dst, tag, len, fill);
     }
@@ -996,7 +1000,7 @@ impl SpmdContext for ThreadCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::{Message, SyncScope, TreeBuilder};
+    use hbsp_core::{SyncScope, TreeBuilder};
     use hbsp_sim::Simulator;
 
     /// Total-exchange program: every processor sends its pid (as bytes)
@@ -1139,20 +1143,22 @@ mod tests {
     }
 
     /// Regression for the take-after-error audit: an aborting step must
-    /// drain every mailbox and per-proc send buffer, leaving no queued
-    /// messages behind.
+    /// scrub every pull list and both of every processor's outboxes,
+    /// leaving no queued messages behind.
     #[test]
     fn aborted_step_leaves_no_queued_messages() {
         let tree = machine();
         let p = tree.num_procs();
-        let mailboxes: Vec<Mailbox> = (0..p).map(|_| Mailbox::new()).collect();
         let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
         // Simulate mid-run state: pending deliveries and posted sends.
-        mailboxes[1].deposit(Message::new(ProcId(0), ProcId(1), 0, vec![1, 2, 3]));
         for (i, s) in slots.iter().enumerate() {
             // SAFETY: single-threaded test — no concurrent slot holder.
             let slot = unsafe { s.slot() };
-            slot.sends.push(ProcId(i as u32), ProcId(0), 0, &[9; 16]);
+            slot.pull.push((0, 0));
+            for parity in 0..2 {
+                // SAFETY: as above.
+                unsafe { s.outbox(parity) }.push(ProcId(i as u32), ProcId(0), 0, &[9; 16]);
+            }
             // Mixed outcomes: a termination mismatch.
             slot.outcome = Some(if i == 0 {
                 StepOutcome::Done
@@ -1167,7 +1173,6 @@ mod tests {
             &tree,
             &NetConfig::pvm_like(),
             &FaultPlan::new(),
-            &mailboxes,
             &slots,
             3,
             &mut ls,
@@ -1178,13 +1183,15 @@ mod tests {
         );
         assert!(failed.load(Ordering::Acquire));
         assert_eq!(ls.error, Some(SimError::TerminationMismatch { step: 3 }));
-        for (q, mb) in mailboxes.iter().enumerate() {
-            assert!(mb.is_empty(), "mailbox {q} must be drained");
-        }
         for (i, s) in slots.iter().enumerate() {
             // SAFETY: single-threaded test — no concurrent slot holder.
             let slot = unsafe { s.slot() };
-            assert!(slot.sends.is_empty(), "send buffer {i} must be cleared");
+            assert!(slot.pull.is_empty(), "pull list {i} must be drained");
+            for parity in 0..2 {
+                // SAFETY: as above.
+                let posted = unsafe { s.posted(parity) };
+                assert!(posted.is_empty(), "outbox {i}/{parity} must be cleared");
+            }
             assert!(slot.outcome.is_none(), "stale outcome {i} must be cleared");
         }
     }

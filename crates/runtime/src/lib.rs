@@ -2,13 +2,14 @@
 //!
 //! Executes the same [`hbsp_core::SpmdProgram`]s as `hbsp-sim`, but on
 //! real OS threads: one thread per leaf processor, double-buffered
-//! mailboxes providing the BSP delivery guarantee (messages sent in
-//! superstep `s` are readable in `s + 1`), and a hierarchical
-//! sense-reversing barrier whose combining tree mirrors the machine's
-//! cluster structure; the thread completing the root arrival performs
-//! the per-superstep coordination (SPMD-discipline checks, message
-//! routing, virtual-time accounting). A flat central barrier is kept as
-//! the measurable baseline ([`BarrierKind::Central`]), selectable via
+//! outboxes providing the BSP delivery guarantee (messages sent in
+//! superstep `s` are pulled by their receivers in `s + 1`), and a
+//! hierarchical sense-reversing barrier whose combining tree mirrors
+//! the machine's cluster structure; the thread completing the root
+//! arrival performs the per-superstep coordination (SPMD-discipline
+//! checks, message routing by metadata, virtual-time accounting). A
+//! flat central barrier is kept as the measurable baseline
+//! ([`BarrierKind::Central`]), selectable via
 //! [`ThreadedRuntime::barrier`]. See `docs/runtime.md` for the
 //! architecture.
 //!

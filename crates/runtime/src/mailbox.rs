@@ -1,25 +1,21 @@
-//! Double-buffered per-processor mailboxes.
+//! A mutex-guarded message batch exchanged by pointer swap.
 //!
-//! The coordination leader deposits each superstep's messages into the
-//! receivers' mailboxes (already in deterministic arrival order); each
-//! processor thread takes its whole inbox at the start of its next
-//! superstep body. Because deposits happen only inside the barrier's
-//! leader section and takes happen only after release, there is never
-//! send/receive contention within a superstep — this is the BSP
-//! delivery guarantee made concrete.
+//! **No engine runs on this type any more.** It was the threaded
+//! engine's delivery buffer while the barrier's leader copied every
+//! message into its receiver's batch; receivers now pull their messages
+//! straight out of the senders' outboxes (`engine.rs`), with no lock
+//! and no second buffer. `Mailbox` stays exported because the frozen
+//! `benchmark/src/api.rs` times `new` / `deposit_batch` / `take_into`
+//! as `runtime.mailbox_roundtrip_ns` — a number that now prices this
+//! type alone, to be retired by a later `benchmark` change — and keeps
+//! the rest of its surface because its unit, stress and `hbsp-race`
+//! tests exercise it.
 //!
-//! The inbox is a flat [`MsgBatch`] (one byte arena + one offset
-//! table), and both ends exchange whole batches by pointer swap: the
-//! leader's per-destination delivery batch becomes the inbox, and the
-//! thread's drained buffer from last step becomes the leader's next
-//! delivery batch. In steady state the same few allocations circulate
-//! forever — no per-message boxes, no per-superstep growth.
-//!
-//! Every lock here is poison-tolerant (`barrier::lock_anyway`):
-//! a peer that panicked while a mailbox was locked must not cascade
-//! `PoisonError` panics through the surviving threads — the panic
-//! itself is already mapped into the step's typed abort path by the
-//! engine, and the abort drains every mailbox anyway.
+//! Depositor and drainer exchange whole [`MsgBatch`]es by swapping
+//! buffers, so in steady state the same few allocations circulate.
+//! Every lock here is poison-tolerant (`barrier::lock_anyway`): a peer
+//! that panicked while a mailbox was locked must not cascade
+//! `PoisonError` panics through the surviving threads.
 
 use crate::barrier::lock_anyway;
 use crate::sync::Mutex;
@@ -37,18 +33,17 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// Deposit a single message (leader section only; tests and abort
-    /// bookkeeping — the superstep hot path uses [`Self::deposit_batch`]).
+    /// Deposit a single message.
     pub fn deposit(&self, m: Message) {
         lock_anyway(&self.inbox).push(m.src, m.dst, m.tag, &m.payload);
     }
 
-    /// Deposit a whole superstep's worth of messages for this receiver,
-    /// preserving their order, with a single lock acquisition. When the
-    /// receiver drained last step's inbox (the common case), the batch
-    /// is *swapped* in — no message moves — and the caller gets the
-    /// drained-but-capacitied old inbox back to refill next superstep.
-    /// Otherwise the batch is appended and cleared (capacity kept).
+    /// Deposit a whole batch of messages, preserving their order, with
+    /// a single lock acquisition. When the inbox was drained (the
+    /// common case), the batch is *swapped* in — no message moves — and
+    /// the caller gets the drained-but-capacitied old inbox back to
+    /// refill. Otherwise the batch is appended and cleared (capacity
+    /// kept).
     pub fn deposit_batch(&self, batch: &mut MsgBatch) {
         let mut inbox = lock_anyway(&self.inbox);
         if inbox.is_empty() {
@@ -61,8 +56,8 @@ impl Mailbox {
 
     /// Take the entire inbox by swapping it with `out` (which is
     /// cleared first): the caller's old buffer becomes the empty inbox,
-    /// so the two batches circulate between thread and leader without
-    /// ever reallocating in steady state.
+    /// so the two batches circulate between drainer and depositor
+    /// without ever reallocating in steady state.
     pub fn take_into(&self, out: &mut MsgBatch) {
         out.clear();
         std::mem::swap(&mut *lock_anyway(&self.inbox), out);

@@ -2,8 +2,8 @@
 //!
 //! Every atomic, mutex, condvar, `UnsafeCell`, `Instant`, spin hint,
 //! and thread operation the runtime performs goes through this module
-//! — `hbsp_lint` enforces that nothing else in the crate imports
-//! `std::sync::atomic` or `std::thread` primitives directly. In a
+//! — `hbsp_lint` enforces that nothing else in the crate names
+//! `std::sync::atomic`, `std::thread` or a raw `UnsafeCell`. In a
 //! normal build the facade is pure re-exports of `std`, so it costs
 //! nothing (the `alloc_audit` suite asserts this). With the `model`
 //! feature it routes through the vendored `weave` model checker
@@ -11,7 +11,7 @@
 //! after one thread-local check, and inside one every operation
 //! becomes a scheduler decision point with vector-clock
 //! happens-before tracking — which is how `hbsp-race` exhaustively
-//! explores the barrier/engine/mailbox protocols.
+//! explores the barrier, engine, outbox and pool protocols.
 //!
 //! Threads the runtime keeps across calls (the worker pool) are
 //! `thread::Builder::spawn` / `JoinHandle::join` plus `park` and

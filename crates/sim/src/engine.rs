@@ -580,6 +580,9 @@ impl SpmdContext for SimCtx<'_> {
     fn messages(&self) -> &MsgBatch {
         self.inbox
     }
+    fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
+        self.outbox.push(self.env.pid, dst, tag, payload);
+    }
     fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
         self.outbox.push_with(self.env.pid, dst, tag, len, fill);
     }

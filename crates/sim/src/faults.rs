@@ -400,7 +400,7 @@ impl FaultPlan {
                     continue;
                 }
                 if let Fault::Truncate { max_words, .. } = *f {
-                    sends.truncate_payload(i, max_words * 4);
+                    sends.truncate_payload(i, max_words.saturating_mul(4));
                 }
             }
         }
@@ -527,6 +527,61 @@ mod tests {
         // Wrong step: everything passes through unchanged.
         plan.corrupt_batch(0, &mut sends);
         assert_eq!(sends, pristine);
+    }
+
+    /// Both corruption rules key on `m.src`, so applying the plan to
+    /// each source's own outbox (the threaded runtime) is applying it
+    /// to the pid-ordered gather of them (the simulator).
+    #[test]
+    fn corrupting_each_sources_batch_is_corrupting_the_gathered_batch() {
+        let plan = FaultPlan::new()
+            .drop_msgs(ProcId(0), 2)
+            .truncate(ProcId(1), 2, 1)
+            .truncate(ProcId(2), 2, 0)
+            .drop_msgs(ProcId(3), 1);
+        let per_source: Vec<MsgBatch> = (0..4u32)
+            .map(|src| {
+                let mut b = MsgBatch::new();
+                for k in 0..3u32 {
+                    let len = 4 * (src + k) as usize;
+                    b.push(ProcId(src), ProcId((src + k) % 4), k, &vec![src as u8; len]);
+                }
+                b
+            })
+            .collect();
+        for step in [1, 2, 3] {
+            let mut gathered = MsgBatch::new();
+            for b in &per_source {
+                gathered.append(&mut b.clone());
+            }
+            plan.corrupt_batch(step, &mut gathered);
+            let mut chained = MsgBatch::new();
+            for b in &per_source {
+                let mut b = b.clone();
+                plan.corrupt_batch(step, &mut b);
+                chained.append(&mut b);
+            }
+            assert_eq!(chained, gathered, "step {step}");
+        }
+    }
+
+    /// Regression: `max_words * 4` overflowed (a debug-build panic) for
+    /// a large bound, and 2^30 words became 2^32 bytes, which
+    /// `truncate_payload` then narrowed to 0.
+    #[test]
+    fn truncating_to_more_than_a_payload_can_hold_is_a_no_op() {
+        for text in [
+            "truncate P0 @0 w1073741824\n",
+            "truncate P0 @0 w18446744073709551615\n",
+        ] {
+            let plan = FaultPlan::parse(text).unwrap();
+            assert_eq!(plan.render(), text, "render ∘ parse");
+            let mut sends = MsgBatch::new();
+            sends.push(ProcId(0), ProcId(1), 0, &[9; 16]);
+            let pristine = sends.clone();
+            plan.corrupt_batch(0, &mut sends);
+            assert_eq!(sends, pristine, "{text}");
+        }
     }
 
     #[test]

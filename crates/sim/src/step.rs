@@ -5,7 +5,7 @@
 use crate::error::SimError;
 use crate::stats::LevelTraffic;
 use crate::timing::{MsgTiming, SendIntent};
-use hbsp_core::{HRelation, MachineTree, MsgBatch, StepOutcome, SyncScope};
+use hbsp_core::{HRelation, MachineTree, MsgBatch, MsgView, StepOutcome, SyncScope};
 
 /// The validated, cost-relevant view of one superstep's communication.
 #[derive(Debug, Clone)]
@@ -103,12 +103,15 @@ pub fn analyze(
 
 /// [`analyze`] writing into a caller-owned [`StepAnalysis`] whose
 /// vectors are cleared and refilled, so a steady-state superstep
-/// performs no per-message heap allocation.
-pub fn analyze_into(
+/// performs no per-message heap allocation. `msgs` are the step's
+/// messages in pid-then-posting order, wherever they live: the
+/// simulator's one shared batch, or the threaded runtime's `p` outboxes
+/// chained.
+pub fn analyze_into<'a>(
     tree: &MachineTree,
     step: usize,
     scope: Option<SyncScope>,
-    msgs: &MsgBatch,
+    msgs: impl IntoIterator<Item = MsgView<'a>>,
     out: &mut StepAnalysis,
 ) -> Result<(), SimError> {
     let p = tree.num_procs();
@@ -116,9 +119,10 @@ pub fn analyze_into(
     out.traffic
         .resize(tree.height() as usize + 1, LevelTraffic::default());
     out.intents.clear();
-    out.intents.reserve(msgs.len());
+    let msgs = msgs.into_iter();
+    out.intents.reserve(msgs.size_hint().0);
     let mut hr = HRelation::new();
-    for m in msgs.iter() {
+    for m in msgs {
         if m.dst.rank() >= p {
             return Err(SimError::NoSuchProc { step, dst: m.dst });
         }

@@ -4,8 +4,8 @@
 //! (`MsgBatch`) that are reused across steps, so in steady state the
 //! cost of a superstep must not scale allocations with the number of
 //! messages: posting a message appends bytes into an existing arena,
-//! delivery moves offset-table entries between reused batches, and the
-//! mailbox circulates whole buffers by pointer swap.
+//! the simulator delivers into reused inbox arenas, and the threaded
+//! runtime's receivers pull into theirs from reused outboxes.
 //!
 //! This test pins that property with a counting global allocator: the
 //! same program run with 8× the messages per step must allocate (to
@@ -180,6 +180,78 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
     }
 }
 
+/// [`Ring`] over a chosen number of steps, posting slices (`ctx.send`)
+/// to the next rank and to itself, with rank `step % p` silent: each
+/// outbox parity, pull list and inbox meets a full step, an empty one
+/// and a full one again.
+struct Relay {
+    steps: usize,
+}
+
+impl SpmdProgram for Relay {
+    type State = u64;
+    fn init(&self, _env: &ProcEnv) -> u64 {
+        0
+    }
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        digest: &mut u64,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        for m in ctx.messages() {
+            *digest = digest.wrapping_mul(31).wrapping_add(m.payload.len() as u64);
+        }
+        if step == self.steps {
+            return StepOutcome::Done;
+        }
+        let p = env.nprocs;
+        if step % p != env.pid.rank() {
+            let next = ProcId(((env.pid.rank() + 1) % p) as u32);
+            for tag in 0..4 {
+                ctx.send(next, tag, &[step as u8; 48]);
+            }
+            ctx.send(env.pid, 9, &[1; 8]);
+        }
+        StepOutcome::Continue(SyncScope::global(&env.tree))
+    }
+}
+
+/// The threaded engine's message path in steady state, step by step
+/// rather than message by message: its outboxes (two per rank, used on
+/// alternate steps), pull lists and inboxes grow in a run's first steps
+/// and then cycle, so 300 more supersteps cost what they cost the
+/// simulator — the step algebra both engines share (a `StepStats` with
+/// its traffic vector, the release times, the h-relation) — and
+/// nothing for the data plane. A buffer rebuilt every step by any of
+/// the four ranks, on either parity, adds 300; by each of them, 1200.
+#[test]
+fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = machine();
+    let more_steps_cost = |threaded: bool| {
+        let run = |steps: usize| {
+            let (prog, tree) = (Relay { steps }, Arc::clone(&tree));
+            let (allocs, states) = if threaded {
+                allocs_during(|| ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1)
+            } else {
+                allocs_during(|| Simulator::new(tree).run_with_states(&prog).unwrap().1)
+            };
+            assert!(!states.iter().all(|&d| d == 0), "program really ran");
+            allocs
+        };
+        run(100);
+        run(400).saturating_sub(run(100))
+    };
+    let (sim, threaded) = (more_steps_cost(false), more_steps_cost(true));
+    assert!(
+        threaded < sim + 150,
+        "300 more supersteps allocated {threaded} more times on threads, {sim} on the \
+         simulator: a message-path buffer is being rebuilt every step"
+    );
+}
+
 /// The runtime's sync facade (`hbsp_runtime::sync`) is free on the
 /// hot path: in a normal (non-exploration) build every primitive —
 /// atomics, mutex lock/unlock, condvar notify, `Instant::now` —
@@ -190,8 +262,7 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
 /// through, and the model metadata is allocated lazily only inside an
 /// exploration. The engine-level cost is pinned by
 /// `steady_state_supersteps_allocate_nothing_per_message`, which runs
-/// the whole ported runtime (barrier, engine, mailbox) through the
-/// facade.
+/// the whole ported runtime (barrier, engine) through the facade.
 #[test]
 fn sync_facade_adds_no_allocations_to_hot_primitives() {
     use hbsp_runtime::sync::atomic::{AtomicU64, Ordering as O};
@@ -465,7 +536,7 @@ fn warm_executor_allocations_do_not_depend_on_payload_bytes() {
 /// A threaded runtime keeps its processor threads: the first run spawns
 /// them (allocating on the caller's thread for each), a later run only
 /// wakes them, so on the caller's thread runs 2..N of an empty program
-/// allocate alike — the per-run barrier, mailboxes, slots and result
+/// allocate alike — the per-run barrier, slots, outboxes and result
 /// vector, nothing per dispatch that grows — and less than the first.
 #[test]
 fn pooled_runs_allocate_alike_and_less_than_the_first() {

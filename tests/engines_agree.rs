@@ -10,7 +10,7 @@ use hbsp::collectives::schedule::{self, seeded_inits, ScheduleProgram};
 use hbsp::collectives::{best_plan, CollectiveKind};
 use hbsp::lib::{ExecOutcome, Executor};
 use hbsp::prelude::*;
-use hbsp::runtime::ThreadedRuntime;
+use hbsp::runtime::{BarrierKind, ThreadedRuntime};
 use hbsp::sim::Simulator;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -67,6 +67,20 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The processors a send may go to in a step that closes at `level`:
+/// the leaves of the sender's cluster at that level, itself included.
+fn cluster_peers(env: &ProcEnv, level: u32) -> Vec<ProcId> {
+    let cluster = env
+        .tree
+        .cluster_of(env.pid, level)
+        .expect("scope level never exceeds the tree height");
+    env.tree
+        .subtree_leaves(cluster)
+        .into_iter()
+        .map(|l| env.tree.node(l).proc_id().expect("leaves are procs"))
+        .collect()
+}
+
 /// A seeded random SPMD program: each superstep picks a sync scope from
 /// `(seed, step)` alone (so every processor agrees, as the SPMD
 /// discipline demands), then each processor posts a random number of
@@ -117,16 +131,7 @@ impl Program for RandomProgram {
         let scope = self.scope(step, &env.tree);
         // Destinations legal for this step: the leaves of this
         // processor's cluster at the closing scope's level.
-        let cluster = env
-            .tree
-            .cluster_of(env.pid, scope.level())
-            .expect("scope level never exceeds the tree height");
-        let peers: Vec<ProcId> = env
-            .tree
-            .subtree_leaves(cluster)
-            .into_iter()
-            .map(|l| env.tree.node(l).proc_id().expect("leaves are procs"))
-            .collect();
+        let peers = cluster_peers(env, scope.level());
         let base = mix(self.seed ^ ((step as u64) << 24) ^ env.pid.0 as u64);
         let nmsgs = (base % 4) as usize;
         for j in 0..nmsgs as u64 {
@@ -140,8 +145,147 @@ impl Program for RandomProgram {
     }
 }
 
+/// A generated program for what a receiver's *pull* can get wrong:
+/// state left in an outbox or a pull list by an earlier step. Every
+/// decision is a pure function of `(seed, step, pid)`, so every
+/// processor derives the same scopes, and per step
+///
+/// * each rank posts 0..=4 messages to destinations in its cluster at
+///   the closing scope, itself included, with empty payloads and runs
+///   of several messages to one destination;
+/// * one rank is *silent* (posts nothing: its outbox of that parity
+///   still holds what it posted two steps earlier) and one is *deaf*
+///   (nobody posts to it: its pull list must come up empty, not stale);
+/// * the final `Done` step posts too, and nobody ever receives that.
+///
+/// The state is the whole inbox of every step, in delivery order.
+struct PullProgram {
+    rounds: usize,
+    seed: u64,
+}
+
+/// What one rank saw through `ctx.messages()`, step by step.
+type Seen = Vec<Vec<(u32, u32, Vec<u8>)>>;
+
+impl Program for PullProgram {
+    type State = Seen;
+
+    fn init(&self, _env: &ProcEnv) -> Seen {
+        Vec::new()
+    }
+
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        seen: &mut Seen,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        seen.push(
+            ctx.messages()
+                .iter()
+                .map(|m| (m.src.0, m.tag, m.payload.to_vec()))
+                .collect(),
+        );
+        let p = env.nprocs as u64;
+        let step_key = mix(self.seed ^ ((step as u64) << 24));
+        let level = 1 + (step_key % env.tree.height() as u64) as u32;
+        let (silent, deaf) = (mix(step_key) % p, mix(step_key ^ 0xD) % p);
+        let mut peers = cluster_peers(env, level);
+        peers.retain(|q| q.0 as u64 != deaf);
+        let base = mix(step_key ^ env.pid.0 as u64);
+        if env.pid.0 as u64 != silent && !peers.is_empty() {
+            let mut dst = peers[0];
+            for j in 0..base % 5 {
+                let h = mix(base ^ (j << 8));
+                // Two in three re-roll the destination; the rest pile
+                // onto the previous one.
+                if !h.is_multiple_of(3) {
+                    dst = peers[(mix(h) % peers.len() as u64) as usize];
+                }
+                let len = [0, 1, 4, 13, 96][(h >> 8) as usize % 5];
+                ctx.send(dst, (h % 17) as u32, &vec![(h >> 32) as u8; len]);
+            }
+        }
+        ctx.charge((base % 1000) as f64 / 8.0);
+        if step == self.rounds {
+            return StepOutcome::Done;
+        }
+        StepOutcome::Continue(SyncScope::Level(level))
+    }
+}
+
+/// The machines of the pull property: flat with `p` in 2..=9, and the
+/// two committed machine files (HBSP^2, p = 8 and HBSP^3, p = 9).
+fn pull_machine() -> impl Strategy<Value = MachineTree> {
+    let file = |text| hbsp::core::topology::parse(text).expect("committed machine file");
+    prop_oneof![
+        (2usize..=9).prop_map(|p| {
+            let procs: Vec<(f64, f64)> = (0..p)
+                .map(|i| (1.0 + i as f64 / 2.0, 1.0 / (1 + i) as f64))
+                .collect();
+            TreeBuilder::flat(1.0, 100.0, &procs).expect("valid flat machine")
+        }),
+        Just(file(include_str!("../machines/campus.hbsp"))),
+        Just(file(include_str!("../machines/grid3.hbsp"))),
+    ]
+}
+
+/// `prog` under `plan` on the simulator and on the threaded runtime
+/// with either barrier: every rank's inboxes and the model time, to the
+/// bit. Returns what the ranks saw.
+fn pulled_like_the_simulator(
+    tree: &Arc<MachineTree>,
+    prog: &PullProgram,
+    plan: &FaultPlan,
+) -> Result<Vec<Seen>, TestCaseError> {
+    let (sim, sim_seen) = Simulator::new(Arc::clone(tree))
+        .faults(plan.clone())
+        .run_with_states(prog)
+        .unwrap();
+    for kind in [BarrierKind::Central, BarrierKind::Hierarchical] {
+        let (thr, thr_seen) = ThreadedRuntime::new(Arc::clone(tree))
+            .barrier(kind)
+            .faults(plan.clone())
+            .run_with_states(prog)
+            .unwrap();
+        let thr = thr.virtual_outcome;
+        prop_assert_eq!(&sim_seen, &thr_seen, "{:?}", kind);
+        prop_assert_eq!(sim.total_time.to_bits(), thr.total_time.to_bits());
+        prop_assert_eq!(sim.messages_delivered, thr.messages_delivered);
+    }
+    Ok(sim_seen)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Receiver pull against the simulator's delivery, fault-free and
+    /// with a drop and a truncation landing on each outbox parity.
+    #[test]
+    fn pulled_inboxes_match_the_simulator(
+        tree in pull_machine(),
+        rounds in 4usize..8,
+        seed in any::<u64>(),
+    ) {
+        let tree = Arc::new(tree);
+        let p = tree.num_procs() as u64;
+        let prog = PullProgram { rounds, seed };
+        let seen = pulled_like_the_simulator(&tree, &prog, &FaultPlan::new())?;
+        for (rank, steps) in seen.iter().enumerate() {
+            prop_assert_eq!(steps.len(), rounds + 1, "one inbox per step, rank {}", rank);
+            prop_assert!(steps[0].is_empty(), "nothing precedes step 0");
+        }
+
+        let pid = |salt: u64| ProcId((mix(seed ^ salt) % p) as u32);
+        let plan = FaultPlan::new()
+            .drop_msgs(pid(1), 1)
+            .drop_msgs(pid(2), 2)
+            .truncate(pid(3), 1, 0)
+            .truncate(pid(4), 2, 1)
+            .truncate(pid(5), 3, 1 << 30);
+        pulled_like_the_simulator(&tree, &prog, &plan)?;
+    }
 
     #[test]
     fn virtual_time_and_states_match(
@@ -283,6 +427,43 @@ fn kept_executor_serves_like_fresh(
             assert_same_outcome(&out, &other_out, &what);
             assert_eq!(states, fresh_states, "{what}");
             assert_eq!(states, other_states, "{what}");
+        }
+    }
+}
+
+/// Regression: "cut P0's messages to at most 2^30 words" — a no-op on
+/// any payload a batch can hold — became 2^32 bytes, narrowed to 0, and
+/// wiped them; a larger bound overflowed the multiply, which a debug
+/// build turns into a panic and the threaded leader into
+/// `LeaderPanicked`. Both plans must give the fault-free run.
+#[test]
+fn truncating_past_any_payload_is_the_fault_free_run_on_both_engines() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    let prog = PullProgram {
+        rounds: 4,
+        seed: 11,
+    };
+    for engine in [Executor::simulator, Executor::threads] {
+        let (clean, clean_seen) = engine(Arc::clone(&tree)).run(&prog).expect("fault-free");
+        assert!(
+            clean_seen
+                .iter()
+                .any(|rank| rank[1].iter().any(|m| m.0 == 0 && m.2.len() > 4)),
+            "P0 posts payloads at step 0 that a truncation could cut"
+        );
+        for text in [
+            "truncate P0 @0 w1073741824\n",
+            "truncate P0 @0 w18446744073709551615\n",
+        ] {
+            let plan = FaultPlan::parse(text).expect("a valid plan");
+            assert_eq!(plan.render(), text, "render ∘ parse");
+            let exec = engine(Arc::clone(&tree)).faults(plan);
+            let (out, seen) = exec.run(&prog).expect("a no-op fault");
+            let what = format!("{} under {text}", exec.engine_name());
+            assert_same_outcome(&out, &clean, &what);
+            assert_eq!(seen, clean_seen, "{what}");
         }
     }
 }
