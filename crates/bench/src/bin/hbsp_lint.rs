@@ -4,9 +4,10 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Four rules. The first three are motivated by bugs the model checker
+//! Five rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
-//! through its facade; the fourth holds the engine seam:
+//! through its facade; the fourth holds the engine seam, the fifth the
+//! telemetry spine:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -34,9 +35,18 @@
 //!    through `hbsplib::Executor`, so it runs on every engine and a new
 //!    engine is added in one file.
 //!
+//! 5. **Telemetry spine** — a superstep is written down once, by
+//!    `hbsp_sim::step::emit_step_record`, into one sink,
+//!    `hbsp_obs::Recorder`. Outside `crates/obs/src/` no `impl Probe
+//!    for` may take step records (an `fn on_step` inside it: a second
+//!    store), and `crates/sim/src/engine.rs` and
+//!    `crates/runtime/src/engine.rs` may not build a `ProcTimeline { .. }`
+//!    (timelines are a view over a recorder's steps,
+//!    `ProcTimeline::from_steps`, not something an engine accumulates).
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4: tests may exercise raw `std` primitives
+//! exempt from rules 1–2 and 4–5: tests may exercise raw `std` primitives
 //! deliberately, and tests and benches may measure an engine below the
 //! seam. Line comments are stripped before matching so prose about the
 //! forbidden patterns doesn't trip the lint.
@@ -151,6 +161,12 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         .iter()
         .any(|dir| rel.contains(dir))
         || rel.ends_with("crates/hbsplib/src/executor.rs");
+    let in_obs_src = rel.contains("crates/obs/src/");
+    let is_engine = ["crates/sim/src/engine.rs", "crates/runtime/src/engine.rs"]
+        .iter()
+        .any(|file| rel.ends_with(file));
+    // Rule 5: the line of the `impl Probe for` block being read.
+    let mut probe_impl: Option<usize> = None;
     let mut in_test_mod = false;
     for (idx, raw) in text.lines().enumerate() {
         if raw.trim_start().starts_with("#[cfg(test)]") {
@@ -176,6 +192,31 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                 line: lineno,
                 message: "engine constructed outside the seam — build an `hbsplib::Executor` \
                           and run through it"
+                    .into(),
+            });
+        }
+        if !exempt && !in_obs_src {
+            if line.contains("impl") && line.contains("Probe for ") {
+                probe_impl = Some(lineno);
+            } else if raw.starts_with('}') {
+                probe_impl = None;
+            } else if let (Some(at), true) = (probe_impl, line.contains("fn on_step")) {
+                probe_impl = None;
+                out.push(Violation {
+                    file: path.to_path_buf(),
+                    line: at,
+                    message: "a second sink for step records — attach an `hbsp_obs::Recorder` \
+                              (or `FlightRecorder`) and read it by cursor"
+                        .into(),
+                });
+            }
+        }
+        if !exempt && is_engine && line.contains("ProcTimeline {") {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: lineno,
+                message: "an engine accumulating timelines — they are a view over a \
+                          recorder's steps (`ProcTimeline::from_steps`)"
                     .into(),
             });
         }
@@ -235,7 +276,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine)",
             files.len()
         );
     } else {
@@ -331,5 +372,43 @@ mod tests {
         ] {
             assert!(printed(allowed, src).is_empty(), "{allowed}");
         }
+    }
+
+    /// A scheduler that keeps its own copy of every step, or an engine
+    /// that grows timelines again, is the duplicate the spine removed.
+    #[test]
+    fn a_second_step_store_is_reported_with_file_and_line() {
+        let printed = |path: &str, text: &str| -> Vec<String> {
+            let mut out = Vec::new();
+            lint_text(Path::new(path), text, &mut out);
+            out.iter().map(Violation::to_string).collect()
+        };
+        let sink = "struct Mine(Mutex<Vec<StepTrace>>);\n\nimpl Probe for Mine {\n    \
+                    fn enabled(&self) -> bool {\n        true\n    }\n    \
+                    fn on_step(&self, r: &StepRecord<'_>) {\n        self.0.lock();\n    }\n}\n";
+        let found = printed("crates/sched/src/lib.rs", sink);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].starts_with("crates/sched/src/lib.rs:3: lint: a second sink"),
+            "{found:?}"
+        );
+        // A probe that takes no step records stores none; the recorder's
+        // own crate and test code may implement the trait in full.
+        let events_only = sink.replace("fn on_step", "fn on_event");
+        assert!(printed("crates/sched/src/lib.rs", &events_only).is_empty());
+        assert!(printed("crates/obs/src/record.rs", sink).is_empty());
+        assert!(printed("crates/bench/tests/cli.rs", sink).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{sink}}}\n");
+        assert!(printed("crates/sched/src/lib.rs", &in_tests).is_empty());
+
+        let grown =
+            "fn run() {\n    let tl = ProcTimeline {\n        pid,\n        spans,\n    };\n}\n";
+        for engine in ["crates/sim/src/engine.rs", "crates/runtime/src/engine.rs"] {
+            let found = printed(engine, grown);
+            assert_eq!(found.len(), 1, "{found:?}");
+            let want = format!("{engine}:2: lint: an engine accumulating timelines");
+            assert!(found[0].starts_with(&want), "{found:?}");
+        }
+        assert!(printed("crates/sim/src/trace.rs", grown).is_empty());
     }
 }

@@ -35,7 +35,8 @@ use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 use hbsp_core::{topology, MachineTree};
-use hbsp_sim::{ascii_gantt, SimOutcome, TraceSummary};
+use hbsp_obs::Recorder;
+use hbsp_sim::{ascii_gantt, ProcTimeline, SimOutcome, TraceSummary};
 use hbsplib::Executor;
 use std::process::exit;
 use std::sync::Arc;
@@ -150,7 +151,9 @@ fn report_json(machine: &str, op: &str, sim: &SimOutcome) {
     );
 }
 
-fn report(sim: &SimOutcome) {
+/// The run's summary; with `--trace` (a recorder was attached), also
+/// the activity totals and Gantt chart of the steps it kept.
+fn report(sim: &SimOutcome, recorder: Option<&Recorder>) {
     println!("model time      : {:.0}", sim.total_time);
     println!("supersteps      : {}", sim.num_steps());
     println!("messages        : {}", sim.messages_delivered);
@@ -163,14 +166,18 @@ fn report(sim: &SimOutcome) {
             step.traffic.iter().map(|t| t.words).collect::<Vec<_>>()
         );
     }
-    if let Some(tls) = &sim.timelines {
+    if let Some(recorder) = recorder {
+        let tls = &ProcTimeline::from_steps(&recorder.steps());
         let s = TraceSummary::of(tls);
+        // A total over no spans is -0.0, and `max` may return either
+        // zero; `+ 0.0` prints it as "0" in every build profile.
+        let shown = |total: f64| total.max(0.0) + 0.0;
         println!(
             "activity        : compute {:.0}, send {:.0}, unpack {:.0}, wait {:.0} ({:.1}% idle)",
-            s.compute.max(0.0),
-            s.send.max(0.0),
-            s.unpack.max(0.0),
-            s.barrier_wait.max(0.0),
+            shown(s.compute),
+            shown(s.send),
+            shown(s.unpack),
+            shown(s.barrier_wait),
             100.0 * s.wait_fraction()
         );
         println!("{}", ascii_gantt(tls, 72));
@@ -184,7 +191,11 @@ fn main() {
     }
     let op = args[1].as_str();
     let o = parse_options(&args[2..]);
-    let exec = Executor::simulator(Arc::new(parse_machine(&args[0]))).trace(o.trace);
+    let recorder = o.trace.then(|| Arc::new(Recorder::new()));
+    let mut exec = Executor::simulator(Arc::new(parse_machine(&args[0])));
+    if let Some(recorder) = &recorder {
+        exec = exec.probe(recorder.clone());
+    }
     let tree = exec.tree();
     let items = input_kb(o.kb);
     if !o.json {
@@ -254,6 +265,6 @@ fn main() {
     if o.json {
         report_json(&args[0], op, &sim);
     } else {
-        report(&sim);
+        report(&sim, recorder.as_deref());
     }
 }

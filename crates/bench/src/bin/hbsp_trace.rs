@@ -45,7 +45,7 @@ use hbsp_collectives::gather::lower_gather;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::scatter::lower_scatter;
 use hbsp_collectives::schedule::{execute, stage, CommSchedule, ScheduleProgram, Staging};
-use hbsp_core::{topology, MachineTree, ProcId};
+use hbsp_core::{topology, MachineTree};
 use hbsp_obs::{calibrate, DriftReport, Recorder};
 use hbsp_sim::{ascii_gantt, ProcTimeline};
 use hbsplib::Executor;
@@ -258,15 +258,7 @@ fn main() {
     eprintln!("{}", recorder.metrics_text());
 
     if o.gantt {
-        let timelines: Vec<ProcTimeline> = recorder
-            .timelines()
-            .into_iter()
-            .map(|(pid, spans)| ProcTimeline {
-                pid: ProcId(pid as u32),
-                spans,
-            })
-            .collect();
-        eprintln!("{}", ascii_gantt(&timelines, 72));
+        eprintln!("{}", ascii_gantt(&ProcTimeline::from_steps(&steps), 72));
     }
     if o.calibrate {
         match calibrate(&steps) {
@@ -276,9 +268,9 @@ fn main() {
     }
 
     let trace = if o.chrome {
-        recorder.chrome_trace()
+        hbsp_obs::chrome_trace(&steps)
     } else {
-        recorder.jsonl()
+        hbsp_obs::jsonl(&steps, &recorder.events(), &recorder.metrics())
     };
     match &o.out {
         Some(path) => {

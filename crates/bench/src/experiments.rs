@@ -629,11 +629,15 @@ mod tests {
 
     #[test]
     fn traced_gather_runs_the_strategy_it_was_asked_for() {
-        let exec = simulator(crate::testbed::hbsp2_testbed(60_000.0).unwrap()).trace(true);
+        let recorder = Arc::new(hbsp_obs::Recorder::new());
+        let exec =
+            simulator(crate::testbed::hbsp2_testbed(60_000.0).unwrap()).probe(recorder.clone());
         let items = input_kb(10);
         let barriered = |plan| {
+            let before = recorder.recorded();
             let out = gather::run(&exec, &items, plan).unwrap().sim;
-            assert!(out.timelines.is_some(), "tracing was on");
+            let traced = recorder.recorded() - before;
+            assert_eq!(traced, out.num_steps() as u64, "every step was traced");
             out.num_steps() - 1 // the last step is the barrier-free drain
         };
         assert_eq!(barriered(GatherPlan::fast_root()), 1);

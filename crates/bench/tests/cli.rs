@@ -200,6 +200,67 @@ fn postmortem_usage_and_bad_input_exit_nonzero() {
     assert!(stderr.contains("No such file"), "{stderr}");
 }
 
+/// `--trace` output, byte for byte, from the last commit whose engines
+/// recorded timelines themselves (`.trace(true)`): the chart and the
+/// activity totals are now views over a recorder's steps, and must not
+/// have moved.
+#[test]
+fn traced_runs_on_the_machine_files_print_what_they_always_printed() {
+    let campus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/campus.hbsp");
+    let grid3 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/grid3.hbsp");
+    let gather = ["gather", "--strategy", "hier", "--kb", "20", "--trace"];
+    let broadcast = ["broadcast", "--strategy", "flat", "--kb", "20", "--trace"];
+    for (machine, op, golden) in [
+        (
+            campus,
+            gather,
+            include_str!("golden/hbsp_run_trace_campus.stdout"),
+        ),
+        (
+            grid3,
+            broadcast,
+            include_str!("golden/hbsp_run_trace_grid3.stdout"),
+        ),
+    ] {
+        let args: Vec<&str> = [machine].into_iter().chain(op).collect();
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok && stderr.is_empty(), "{stderr}");
+        assert_eq!(stdout, golden);
+    }
+}
+
+/// The same pin for `hbsp_trace` on the simulator: the JSONL stream on
+/// stdout, and the drift table, metrics snapshot and Gantt chart on
+/// stderr.
+#[test]
+fn hbsp_trace_streams_what_it_always_streamed() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hbsp_trace"))
+        .arg(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../machines/campus.hbsp"
+        ))
+        .args(["gather", "--strategy", "hier", "--kb", "20"])
+        .args([
+            "--engine",
+            "sim",
+            "--format",
+            "jsonl",
+            "--gantt",
+            "--calibrate",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("golden/hbsp_trace_gantt_jsonl_campus.stdout")
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        include_str!("golden/hbsp_trace_gantt_jsonl_campus.stderr")
+    );
+}
+
 #[test]
 fn all_operations_run_on_a_machine_file() {
     let machine = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/campus.hbsp");

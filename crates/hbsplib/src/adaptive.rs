@@ -363,7 +363,8 @@ impl AdaptiveExecutor {
                 saw_wall = true;
             }
             // Observe.
-            let steps = recorder.steps();
+            let observed = recorder.steps_since(0);
+            let steps = &observed.steps;
             let seg_steps = steps.len();
             steps_done += seg_steps;
             rounds_done += seg_rounds;
@@ -374,20 +375,20 @@ impl AdaptiveExecutor {
                 seg_offset,
                 seg_offset + outcome.total_time(),
             );
-            causal.push_steps(Some(seg_span), &steps, seg_offset);
+            causal.push_steps(Some(seg_span), steps, seg_offset);
             // Detect. A structural mismatch — step counts disagree
-            // with the plan, or the bounded recorder had to discard
+            // with the plan, or the bounded recorder's ring overwrote
             // steps (the program did not execute the schedule the
             // planner priced) — is infinite drift: always over any
             // finite threshold.
-            let (drift, predicted_total, observed_total) = if recorder.dropped() > 0 {
+            let (drift, predicted_total, observed_total) = if observed.missed > 0 {
                 (
                     f64::INFINITY,
                     planned.predicted.iter().map(SuperstepCost::total).sum(),
                     outcome.total_time(),
                 )
             } else {
-                match DriftReport::new(&steps, &planned.predicted) {
+                match DriftReport::new(steps, &planned.predicted) {
                     Ok(rep) => (
                         rep.mean_abs_rel_error(),
                         rep.predicted_total(),
@@ -407,7 +408,7 @@ impl AdaptiveExecutor {
             if drift > threshold && rounds_done < total_rounds {
                 match recalibrated(
                     &belief,
-                    &steps,
+                    steps,
                     &recorder.events(),
                     self.cfg.calibration_trim,
                 ) {

@@ -3,8 +3,8 @@
 //! processors.
 //!
 //! [`Executor`] is a *configuration* — engine kind, machine, microcosts,
-//! tracing, pre-flight checking, an injected [`FaultPlan`], and a
-//! [`RecoveryPolicy`] — plus the engine built from it: the first
+//! pre-flight checking, an injected [`FaultPlan`], a telemetry probe and
+//! a [`RecoveryPolicy`] — plus the engine built from it: the first
 //! [`Executor::run`] builds the engine and every later one reuses it,
 //! with the buffers it has grown, until the executor is reconfigured,
 //! cloned or dropped. [`Executor::run_recovering`] builds a throw-away engine
@@ -143,7 +143,6 @@ pub struct Executor {
     tree: Arc<MachineTree>,
     cfg: Option<NetConfig>,
     kind: EngineKind,
-    trace: bool,
     check: Option<bool>,
     faults: FaultPlan,
     recovery: RecoveryPolicy,
@@ -159,7 +158,6 @@ impl Clone for Executor {
             tree: self.tree.clone(),
             cfg: self.cfg.clone(),
             kind: self.kind,
-            trace: self.trace,
             check: self.check,
             faults: self.faults.clone(),
             recovery: self.recovery,
@@ -175,7 +173,6 @@ impl Executor {
             tree,
             cfg,
             kind,
-            trace: false,
             check: None,
             faults: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
@@ -214,15 +211,6 @@ impl Executor {
             .find(|exec| exec.engine_name() == name)
     }
 
-    /// Record per-processor activity timelines on either engine (the
-    /// raw material for §4.1's "faster machines sit idle" Gantt
-    /// charts); retrieve them from [`ExecOutcome`]'s `sim.timelines`.
-    pub fn trace(mut self, enable: bool) -> Self {
-        self.trace = enable;
-        self.session.take();
-        self
-    }
-
     /// Toggle the static pre-flight check ([`SpmdProgram::preflight`])
     /// on either engine. On by default in debug builds: a fatally
     /// malformed program — e.g. a schedule transferring data its source
@@ -250,6 +238,9 @@ impl Executor {
     /// [`Executor::run_recovering`] additionally reports degradations
     /// and restart attempts as [`ObsEvent`]s. Both engines emit the
     /// same schema; the threaded runtime adds wall-clock marks.
+    /// Per-processor activity timelines (the raw material for §4.1's
+    /// "faster machines sit idle" Gantt charts) are a view over what a
+    /// recorder kept: `hbsp_sim::ProcTimeline::from_steps`.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = Some(probe);
         self.session.take();
@@ -336,7 +327,7 @@ impl Executor {
                     Some(cfg) => Simulator::with_config(tree.clone(), cfg.clone()),
                     None => Simulator::new(tree.clone()),
                 };
-                sim = sim.trace(self.trace).faults(faults);
+                sim = sim.faults(faults);
                 if let Some(chk) = self.check {
                     sim = sim.check(chk);
                 }
@@ -350,7 +341,7 @@ impl Executor {
                     Some(cfg) => ThreadedRuntime::with_config(tree.clone(), cfg.clone()),
                     None => ThreadedRuntime::new(tree.clone()),
                 };
-                rt = rt.trace(self.trace).faults(faults);
+                rt = rt.faults(faults);
                 if let Some(chk) = self.check {
                     rt = rt.check(chk);
                 }
@@ -696,7 +687,6 @@ mod tests {
             // Warm: the engine now exists, with none of the settings below.
             let base = base.check(false);
             let (plain, plain_states) = base.run(&PingPong).unwrap();
-            assert!(plain.sim.timelines.is_none());
             base.run(&Malformed).unwrap();
 
             let crashing = base.clone().faults(FaultPlan::new().crash(ProcId(1), 1));
@@ -710,25 +700,22 @@ mod tests {
 
             let recorder = Arc::new(hbsp_obs::Recorder::new());
             let probed = base.clone().probe(recorder.clone());
-            probed.run(&PingPong).unwrap();
+            let (traced, traced_states) = probed.run(&PingPong).unwrap();
             assert_eq!(recorder.steps().len(), 3, "one record per superstep");
+            assert_eq!(traced_states, plain_states);
+            assert_eq!(traced.total_time().to_bits(), plain.total_time().to_bits());
 
             assert!(matches!(
                 base.clone().check(true).run(&Malformed),
                 Err(SimError::Preflight { .. })
             ));
 
-            let (traced, traced_states) = base.clone().trace(true).run(&PingPong).unwrap();
-            assert_eq!(traced_states, plain_states);
-            assert_eq!(traced.total_time().to_bits(), plain.total_time().to_bits());
-            assert_eq!(traced.sim.timelines.expect("tracing enabled").len(), 2);
-
-            // The same four on one value, each builder applied to an
+            // The same on one value, each builder applied to an
             // executor whose engine the previous run just built.
-            let exec = base.clone().trace(true);
+            probed.run(&PingPong).unwrap();
+            let exec = probed.probe(hbsp_obs::noop()).check(true);
             exec.run(&PingPong).unwrap();
-            let exec = exec.trace(false).check(true);
-            assert!(exec.run(&PingPong).unwrap().0.sim.timelines.is_none());
+            assert_eq!(recorder.recorded(), 6, "the replaced probe sees no more");
             assert!(exec.run(&Malformed).is_err());
             let exec = exec.faults(FaultPlan::new().crash(ProcId(0), 0));
             assert!(matches!(
@@ -762,14 +749,17 @@ mod tests {
 
     #[test]
     fn trace_flows_through_both_engines() {
-        for exec in [Executor::simulator(tree()), Executor::threads(tree())] {
-            let (out, _) = exec.trace(true).run(&PingPong).unwrap();
-            let tls = out.sim.timelines.expect("tracing enabled");
-            assert_eq!(tls.len(), 2);
-            assert!(tls.iter().all(|t| !t.spans.is_empty()));
+        let timelines = |exec: Executor| {
+            let recorder = Arc::new(hbsp_obs::Recorder::new());
+            exec.probe(recorder.clone()).run(&PingPong).unwrap();
+            hbsp_sim::ProcTimeline::from_steps(&recorder.steps())
+        };
+        let [sim, thr] = [Executor::simulator(tree()), Executor::threads(tree())].map(timelines);
+        assert_eq!(sim.len(), 2);
+        assert!(sim.iter().all(|t| !t.spans.is_empty()));
+        for (a, b) in sim.iter().zip(&thr) {
+            assert_eq!((a.pid, &a.spans), (b.pid, &b.spans));
         }
-        let (plain, _) = Executor::simulator(tree()).run(&PingPong).unwrap();
-        assert!(plain.sim.timelines.is_none());
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!
 //! Everything is computed from virtual times in a fixed order, so the
 //! anomaly stream is bit-identical across the simulator and the
-//! threaded runtime. The detector allocates only when the machine
-//! grows ([`AnomalyDetector::arm`] preallocates for a known processor
-//! count), so the [`crate::FlightRecorder`] can run it on the probe
-//! hot path without touching the allocator.
+//! threaded runtime. The detector's state is allocated once, for a
+//! known processor count, so the [`crate::FlightRecorder`] runs it on
+//! the probe hot path without touching the allocator.
 
-use crate::probe::StepRecord;
+use crate::probe::{ObsEvent, StepRecord};
 use hbsp_core::ProcId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Stable name of the barrier-arrival-skew statistic.
 pub const METRIC_BARRIER_SKEW: &str = "barrier_skew";
@@ -45,23 +45,6 @@ impl Default for AnomalyConfig {
     }
 }
 
-/// One flagged outlier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Anomaly {
-    /// Superstep the outlier was observed at.
-    pub step: usize,
-    /// Flagged processor.
-    pub pid: ProcId,
-    /// [`METRIC_BARRIER_SKEW`] or [`METRIC_DURATION_DRIFT`].
-    pub metric: &'static str,
-    /// Signed z-score of the observation.
-    pub zscore: f64,
-    /// The observed value.
-    pub value: f64,
-    /// The trailing mean it was compared against.
-    pub mean: f64,
-}
-
 /// One Welford update: fold observation `x` into `(mean, m2)` given
 /// the *new* count `n` (1-based). Returns the updated moments.
 pub fn welford_update(mean: f64, m2: f64, n: u64, x: f64) -> (f64, f64) {
@@ -83,106 +66,79 @@ pub fn zscore(mean: f64, m2: f64, n: u64, x: f64) -> Option<f64> {
     Some((x - mean) / var.sqrt())
 }
 
-/// Per-processor trailing moments for one statistic.
-#[derive(Debug, Clone, Default)]
-struct Moments {
-    mean: Vec<f64>,
-    m2: Vec<f64>,
-}
-
-impl Moments {
-    fn grow(&mut self, p: usize) {
-        if self.mean.len() < p {
-            self.mean.resize(p, 0.0);
-            self.m2.resize(p, 0.0);
-        }
-    }
-
-    fn fold(&mut self, i: usize, n: u64, x: f64) {
-        let (m, m2) = welford_update(self.mean[i], self.m2[i], n, x);
-        self.mean[i] = m;
-        self.m2[i] = m2;
-    }
-}
-
-/// Streaming detector over [`StepRecord`]s. Feed every step through
-/// [`AnomalyDetector::observe`]; flagged outliers are returned as a
-/// borrowed slice reusing one internal buffer (no allocation per step
-/// once armed for the machine size).
-#[derive(Debug, Clone, Default)]
+/// Streaming detector over [`StepRecord`]s for machines of up to
+/// `procs` processors. Its state is a fixed arena of atomic cells
+/// (`f64` bits), so a probe runs it behind `&self` without a lock or an
+/// allocation; the engines serialize steps, so there is one writer and
+/// plain `Relaxed` load/store suffices — no CAS.
+#[derive(Debug)]
 pub struct AnomalyDetector {
     cfg: AnomalyConfig,
+    procs: usize,
+    /// Welford moments `[skew_mean | skew_m2 | dur_mean | dur_m2]`,
+    /// each `procs` wide.
+    moments: Box<[AtomicU64]>,
     /// Steps observed so far (shared across processors — every
     /// processor appears in every step).
-    n: u64,
-    skew: Moments,
-    duration: Moments,
-    flagged: Vec<Anomaly>,
+    n: AtomicU64,
 }
 
 impl AnomalyDetector {
-    /// Detector with the given knobs.
-    pub fn new(cfg: AnomalyConfig) -> AnomalyDetector {
+    /// Detector with the given knobs, sized for `procs` processors.
+    pub fn new(cfg: AnomalyConfig, procs: usize) -> AnomalyDetector {
         AnomalyDetector {
             cfg,
-            ..AnomalyDetector::default()
+            procs,
+            moments: (0..4 * procs).map(|_| AtomicU64::new(0)).collect(),
+            n: AtomicU64::new(0),
         }
-    }
-
-    /// Preallocate state for `procs` processors so the steady-state
-    /// path never allocates.
-    pub fn arm(&mut self, procs: usize) {
-        self.skew.grow(procs);
-        self.duration.grow(procs);
-        self.flagged.reserve(2 * procs);
     }
 
     /// Steps observed so far.
     pub fn observed(&self) -> u64 {
-        self.n
+        self.n.load(Ordering::Relaxed)
     }
 
-    /// Fold one step in; returns the outliers it flagged (empty in
-    /// the common case). Observations are tested against the moments
-    /// *before* this step is folded in, then the moments are updated.
-    pub fn observe(&mut self, r: &StepRecord<'_>) -> &[Anomaly] {
-        self.flagged.clear();
-        let p = r.finish.len();
-        if p == 0 {
-            return &self.flagged;
+    /// Fold one step in, handing each outlier it flags to `flag` as an
+    /// [`ObsEvent::Anomaly`] (none in the common case). Observations
+    /// are tested against the moments *before* this step is folded in,
+    /// then the moments are updated. A step of more processors than the
+    /// detector was sized for is ignored.
+    pub fn observe(&self, r: &StepRecord<'_>, mut flag: impl FnMut(ObsEvent<'static>)) {
+        let (p, procs) = (r.finish.len(), self.procs);
+        if p == 0 || p > procs {
+            return;
         }
-        self.skew.grow(p);
-        self.duration.grow(p);
+        let cell = |i: usize| &self.moments[i];
+        let n0 = self.observed();
         let mean_finish = r.finish.iter().sum::<f64>() / p as f64;
-        let tested = self.n >= self.cfg.warmup as u64;
+        let tested = n0 >= self.cfg.warmup as u64;
         for i in 0..p {
-            let skew = r.finish[i] - mean_finish;
-            let dur = r.finish[i] - r.starts[i];
-            if tested {
-                for (metric, moments, x) in [
-                    (METRIC_BARRIER_SKEW, &self.skew, skew),
-                    (METRIC_DURATION_DRIFT, &self.duration, dur),
-                ] {
-                    if let Some(z) = zscore(moments.mean[i], moments.m2[i], self.n, x) {
-                        if z.abs() > self.cfg.threshold {
-                            self.flagged.push(Anomaly {
-                                step: r.step,
-                                pid: ProcId(i as u32),
-                                metric,
-                                zscore: z,
-                                value: x,
-                                mean: moments.mean[i],
-                            });
-                        }
-                    }
+            let obs = [
+                (METRIC_BARRIER_SKEW, 0, r.finish[i] - mean_finish),
+                (METRIC_DURATION_DRIFT, 2 * procs, r.finish[i] - r.starts[i]),
+            ];
+            for (metric, base, x) in obs {
+                let (mean_at, m2_at) = (cell(base + i), cell(base + procs + i));
+                let mean = f64::from_bits(mean_at.load(Ordering::Relaxed));
+                let m2 = f64::from_bits(m2_at.load(Ordering::Relaxed));
+                let flagged = |z: &f64| tested && z.abs() > self.cfg.threshold;
+                if let Some(zscore) = zscore(mean, m2, n0, x).filter(flagged) {
+                    flag(ObsEvent::Anomaly {
+                        step: r.step,
+                        pid: ProcId(i as u32),
+                        metric,
+                        zscore,
+                        value: x,
+                        mean,
+                    });
                 }
+                let (m, s) = welford_update(mean, m2, n0 + 1, x);
+                mean_at.store(m.to_bits(), Ordering::Relaxed);
+                m2_at.store(s.to_bits(), Ordering::Relaxed);
             }
-            let n = self.n + 1;
-            self.skew.fold(i, n, skew);
-            self.duration.fold(i, n, dur);
         }
-        self.n += 1;
-        &self.flagged
+        self.n.store(n0 + 1, Ordering::Relaxed);
     }
 }
 
@@ -195,14 +151,15 @@ mod tests {
     }
 
     fn observe(
-        det: &mut AnomalyDetector,
+        det: &AnomalyDetector,
         step: usize,
         starts: &[f64],
         finish: &[f64],
-    ) -> Vec<Anomaly> {
+    ) -> Vec<ObsEvent<'static>> {
         let zeros_u = vec![0u64; starts.len()];
         let zeros_f = vec![0.0f64; starts.len()];
-        det.observe(&StepRecord {
+        let mut flagged = Vec::new();
+        let record = StepRecord {
             step,
             barrier: Some(0),
             starts,
@@ -216,31 +173,28 @@ mod tests {
             work: &zeros_f,
             sent_words: &zeros_u,
             wall: None,
-        })
-        .to_vec()
+        };
+        det.observe(&record, |a| flagged.push(a));
+        flagged
     }
 
     #[test]
     fn steady_uniform_steps_flag_nothing() {
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
-        det.arm(4);
+        let det = AnomalyDetector::new(AnomalyConfig::default(), 4);
         for s in 0..50 {
             let (starts, finish) = uniform_step(4, s as f64 * 10.0, 10.0);
-            assert!(
-                observe(&mut det, s, &starts, &finish).is_empty(),
-                "step {s}"
-            );
+            assert!(observe(&det, s, &starts, &finish).is_empty(), "step {s}");
         }
         assert_eq!(det.observed(), 50);
     }
 
     #[test]
     fn a_sudden_straggler_is_flagged_on_both_statistics() {
-        let mut det = AnomalyDetector::new(AnomalyConfig {
+        let cfg = AnomalyConfig {
             threshold: 3.0,
             warmup: 4,
-        });
-        det.arm(4);
+        };
+        let det = AnomalyDetector::new(cfg, 4);
         // Mild per-processor jitter establishes a non-degenerate
         // baseline; then P2 blows up by 50x.
         for s in 0..20 {
@@ -248,48 +202,51 @@ mod tests {
             let starts = vec![t0; 4];
             let jitter = |i: usize| 10.0 + 0.1 * ((s + i) % 3) as f64;
             let finish: Vec<f64> = (0..4).map(|i| t0 + jitter(i)).collect();
-            assert!(observe(&mut det, s, &starts, &finish).is_empty());
+            assert!(observe(&det, s, &starts, &finish).is_empty());
         }
         let t0 = 400.0;
         let starts = vec![t0; 4];
         let mut finish: Vec<f64> = (0..4).map(|i| t0 + 10.0 + 0.1 * (i % 3) as f64).collect();
         finish[2] = t0 + 500.0;
-        let flagged = observe(&mut det, 20, &starts, &finish);
-        assert!(
-            flagged
-                .iter()
-                .any(|a| a.pid == ProcId(2) && a.metric == METRIC_BARRIER_SKEW),
-            "{flagged:?}"
-        );
-        assert!(
-            flagged
-                .iter()
-                .any(|a| a.pid == ProcId(2) && a.metric == METRIC_DURATION_DRIFT),
-            "{flagged:?}"
-        );
+        let flagged = observe(&det, 20, &starts, &finish);
+        let mut on_p2 = Vec::new();
         for a in &flagged {
-            if a.pid == ProcId(2) {
-                assert!(a.zscore > 3.0, "{a:?}");
-                assert!(a.value > a.mean);
+            let ObsEvent::Anomaly {
+                pid,
+                metric,
+                zscore,
+                value,
+                mean,
+                ..
+            } = *a
+            else {
+                panic!("the detector flags anomalies only: {a:?}")
+            };
+            if pid == ProcId(2) {
+                assert!(zscore > 3.0 && value > mean, "{a:?}");
+                on_p2.push(metric);
             }
         }
+        assert_eq!(
+            on_p2,
+            [METRIC_BARRIER_SKEW, METRIC_DURATION_DRIFT],
+            "{flagged:?}"
+        );
     }
 
     #[test]
     fn warmup_suppresses_early_flags() {
-        let mut det = AnomalyDetector::new(AnomalyConfig {
+        let cfg = AnomalyConfig {
             threshold: 1.0,
             warmup: 10,
-        });
+        };
+        let det = AnomalyDetector::new(cfg, 2);
         // Wild swings inside the warmup window: nothing flagged.
         for s in 0..10 {
             let t0 = s as f64 * 100.0;
             let starts = vec![t0; 2];
             let finish = vec![t0 + (s as f64 + 1.0) * 7.0, t0 + 1.0];
-            assert!(
-                observe(&mut det, s, &starts, &finish).is_empty(),
-                "step {s}"
-            );
+            assert!(observe(&det, s, &starts, &finish).is_empty(), "step {s}");
         }
     }
 

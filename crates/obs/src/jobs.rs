@@ -113,9 +113,9 @@ impl JobMetrics {
         self.registry.snapshot()
     }
 
-    /// Render as `name value` text lines (see [`Registry::render_text`]).
+    /// Render as `name value` text lines (see [`crate::metrics::render_text`]).
     pub fn render_text(&self) -> String {
-        self.registry.render_text()
+        crate::metrics::render_text(&self.snapshot())
     }
 }
 

@@ -10,10 +10,12 @@
 //!   wall-clock marks. The default [`NoopProbe`] keeps the disabled
 //!   path off the hot path: engines assemble nothing unless
 //!   [`Probe::enabled`] returns true.
-//! * **[`Recorder`]** — the shipped probe: owned [`StepTrace`]s, a
-//!   lock-free [`metrics`] registry with stable names, and exporters to
-//!   Chrome trace-event JSON ([`chrome_trace`], loads in Perfetto) and
-//!   JSONL ([`jsonl`]).
+//! * **[`Recorder`]** — the one shipped probe and the only place a
+//!   superstep is stored: a seqlocked arena of [`StepTrace`]s read by
+//!   cursor ([`Recorder::steps_since`]), the event list, a lock-free
+//!   [`metrics`] registry with stable names, and exporters to Chrome
+//!   trace-event JSON ([`chrome_trace`], loads in Perfetto) and JSONL
+//!   ([`jsonl`]). [`Recorder::new`] keeps everything.
 //! * **[`DriftReport`]** — observed supersteps folded against the cost
 //!   model's predictions for the same schedule: per-step and aggregate
 //!   model error.
@@ -25,16 +27,17 @@
 //!   spans ([`JobSpan`]), the `hbsp_jobs_*` metric family
 //!   ([`JobMetrics`]), and a job-track Chrome-trace exporter
 //!   ([`jobs_chrome_trace`]).
-//! * **[`FlightRecorder`]** — the always-on probe: a lock-free,
-//!   allocation-free ring of the last N step records plus a streaming
-//!   [`anomaly`] detector, cheap enough to leave armed in production.
-//!   On a fault it snapshots into a [`PostmortemBundle`] — machine
-//!   tree, fault plan, last-N steps, events, decision log, metrics,
-//!   and the causal span tree — serialized as JSONL and bit-identical
-//!   across engines for the same seeded failure.
+//! * **[`FlightRecorder`]** — the same recorder built always-on: a
+//!   lock-free, allocation-free ring of the last N step records plus
+//!   the streaming [`anomaly`] detector, cheap enough to leave armed
+//!   in production. On a fault it freezes into a [`PostmortemBundle`]
+//!   — machine tree, fault plan, last-N steps, events, decision log,
+//!   metrics, and the causal span tree — serialized as JSONL and
+//!   bit-identical across engines for the same seeded failure.
 //!
 //! [`Span`]/[`SpanKind`] live here and are re-exported by `hbsp-sim`,
-//! so both engines and the exporters agree on one span schema.
+//! whose timelines and Gantt chart are views over [`StepTrace::spans`],
+//! the one derivation of spans from a step.
 
 #![forbid(unsafe_code)]
 
@@ -52,7 +55,7 @@ pub mod record;
 pub mod span;
 
 pub use anomaly::{
-    welford_update, zscore, Anomaly, AnomalyConfig, AnomalyDetector, METRIC_BARRIER_SKEW,
+    welford_update, zscore, AnomalyConfig, AnomalyDetector, METRIC_BARRIER_SKEW,
     METRIC_DURATION_DRIFT,
 };
 pub use calibrate::{
@@ -67,7 +70,7 @@ pub use jobs::{jobs_chrome_trace, JobMetrics, JobSpan};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry};
 pub use postmortem::{PostmortemBundle, BUNDLE_VERSION};
 pub use probe::{noop, NoopProbe, ObsEvent, Probe, StepRecord, StepWall};
-pub use record::{check_span_invariants, EventTrace, Recorder, StepTrace};
+pub use record::{check_span_invariants, EventTrace, Recorder, StepTrace, StepsSince};
 pub use span::{
     causal_depth, check_causal_spans, CausalKind, CausalSpan, CausalTree, Span, SpanKind,
 };

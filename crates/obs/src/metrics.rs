@@ -269,30 +269,30 @@ impl Registry {
         }
         out
     }
+}
 
-    /// Render the snapshot as `name value` lines (histograms expand to
-    /// `_count` / `_sum` / `_mean`), in registration order.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for s in self.snapshot() {
-            match s.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{} {}", s.name, v);
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{} {}", s.name, v);
-                }
-                MetricValue::Histogram { count, sum } => {
-                    let _ = writeln!(out, "{}_count {}", s.name, count);
-                    let _ = writeln!(out, "{}_sum {}", s.name, sum);
-                    let mean = if count == 0 { 0.0 } else { sum / count as f64 };
-                    let _ = writeln!(out, "{}_mean {}", s.name, mean);
-                }
+/// Render samples as `name value` lines (histograms expand to
+/// `_count` / `_sum` / `_mean`), in the order given.
+pub fn render_text(samples: &[MetricSample]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for s in samples {
+        match s.value {
+            MetricValue::Counter(v) => {
+                let _ = writeln!(out, "{} {}", s.name, v);
+            }
+            MetricValue::Gauge(v) => {
+                let _ = writeln!(out, "{} {}", s.name, v);
+            }
+            MetricValue::Histogram { count, sum } => {
+                let _ = writeln!(out, "{}_count {}", s.name, count);
+                let _ = writeln!(out, "{}_sum {}", s.name, sum);
+                let mean = if count == 0 { 0.0 } else { sum / count as f64 };
+                let _ = writeln!(out, "{}_mean {}", s.name, mean);
             }
         }
-        out
     }
+    out
 }
 
 /// Process-wide count of mutex-poison recoveries (every time
@@ -373,7 +373,7 @@ mod tests {
         let h = r.histogram("b");
         r.c(c).add(7);
         r.h(h).record(2.0);
-        let text = r.render_text();
+        let text = render_text(&r.snapshot());
         assert!(text.contains("a_total 7\n"));
         assert!(text.contains("b_count 1\n"));
         assert!(text.contains("b_sum 2\n"));

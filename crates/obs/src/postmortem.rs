@@ -135,7 +135,7 @@ impl PostmortemBundle {
                     saw_header = true;
                     bundle.reason = req_str(&v, "reason").map_err(err)?;
                     bundle.engine = req_str(&v, "engine").map_err(err)?;
-                    bundle.step = req_f64(&v, "step").map_err(err)? as usize;
+                    bundle.step = req_int(&v, "step").map_err(err)?;
                 }
                 "machine" => bundle.machine = req_str(&v, "text").map_err(err)?,
                 "fault_plan" => bundle.fault_plan = req_str(&v, "text").map_err(err)?,
@@ -268,60 +268,65 @@ fn req_str(v: &Value, key: &str) -> Result<String, String> {
         .ok_or(format!("missing string \"{key}\""))
 }
 
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN), // num() renders non-finite as null
-        Some(x) => x.as_f64().ok_or(format!("\"{key}\" is not a number")),
-        None => Err(format!("missing number \"{key}\"")),
+/// A number; `null` is how [`num`] renders a non-finite one.
+fn float(x: &Value, key: &str) -> Result<f64, String> {
+    match x {
+        Value::Null => Ok(f64::NAN),
+        other => other.as_f64().ok_or(format!("\"{key}\" is not a number")),
     }
 }
 
-fn req_f64s(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or(format!("missing array \"{key}\""))?
-        .iter()
-        .map(|x| match x {
-            Value::Null => Ok(f64::NAN),
-            other => other
-                .as_f64()
-                .ok_or(format!("\"{key}\" holds a non-number")),
-        })
-        .collect()
+fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
+    float(v.get(key).ok_or(format!("missing number \"{key}\""))?, key)
 }
 
-fn req_u64s(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or(format!("missing array \"{key}\""))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|f| f as u64)
-                .ok_or(format!("\"{key}\" holds a non-number"))
-        })
-        .collect()
+fn req_f64s(v: &Value, key: &str) -> Result<Vec<f64>, String> {
+    let items = v.get(key).and_then(Value::as_arr);
+    let items = items.ok_or(format!("missing array \"{key}\""))?;
+    items.iter().map(|x| float(x, key)).collect()
+}
+
+/// An integer as the format writes one: a non-negative whole number
+/// that an `f64` (what the JSON parser reads numbers into) holds
+/// exactly, and that fits the field's type. Anything else would parse
+/// to a value that re-renders as different text.
+fn int<T: TryFrom<u64>>(x: &Value, key: &str) -> Result<T, String> {
+    x.as_f64()
+        .filter(|f| f.is_sign_positive() && f.fract() == 0.0 && *f <= (1u64 << 53) as f64)
+        .and_then(|f| T::try_from(f as u64).ok())
+        .ok_or(format!("\"{key}\" is not an integer in the field's range"))
+}
+
+fn req_int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    int(v.get(key).ok_or(format!("missing number \"{key}\""))?, key)
+}
+
+fn req_ints<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<Vec<T>, String> {
+    let items = v.get(key).and_then(Value::as_arr);
+    let items = items.ok_or(format!("missing array \"{key}\""))?;
+    items.iter().map(|x| int(x, key)).collect()
+}
+
+/// An integer field that may be `null` or absent.
+fn opt_int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    match v.get(key) {
+        Some(Value::Null) | None => Ok(None),
+        Some(x) => int(x, key).map(Some),
+    }
 }
 
 fn parse_step(v: &Value) -> Result<StepTrace, String> {
-    let step = req_f64(v, "step")? as usize;
-    let barrier = match v.get("barrier") {
-        Some(Value::Null) | None => None,
-        Some(x) => Some(
-            x.as_f64()
-                .ok_or("\"barrier\" is neither null nor a number".to_string())?
-                as Level,
-        ),
-    };
+    let step = req_int(v, "step")?;
+    let barrier = opt_int::<Level>(v, "barrier")?;
     let starts = req_f64s(v, "starts")?;
     let compute_done = req_f64s(v, "compute_done")?;
     let send_done = req_f64s(v, "send_done")?;
     let finish = req_f64s(v, "finish")?;
     let releases = req_f64s(v, "releases")?;
     let work = req_f64s(v, "work")?;
-    let sent_words = req_u64s(v, "sent_words")?;
-    let words_by_level = req_u64s(v, "words_by_level")?;
-    let messages_by_level = req_u64s(v, "messages_by_level")?;
+    let sent_words: Vec<u64> = req_ints(v, "sent_words")?;
+    let words_by_level: Vec<u64> = req_ints(v, "words_by_level")?;
+    let messages_by_level: Vec<u64> = req_ints(v, "messages_by_level")?;
     let p = starts.len();
     for (name, len) in [
         ("compute_done", compute_done.len()),
@@ -356,37 +361,34 @@ fn parse_step(v: &Value) -> Result<StepTrace, String> {
 }
 
 fn parse_pids(v: &Value, key: &str) -> Result<Vec<ProcId>, String> {
-    Ok(req_u64s(v, key)?
-        .into_iter()
-        .map(|r| ProcId(r as u32))
-        .collect())
+    Ok(req_ints(v, key)?.into_iter().map(ProcId).collect())
 }
 
 fn parse_event(v: &Value) -> Result<EventTrace, String> {
     let event = req_str(v, "event")?;
     Ok(match event.as_str() {
         "watchdog_fired" => EventTrace::WatchdogFired {
-            step: req_f64(v, "step")? as usize,
+            step: req_int(v, "step")?,
             missing: parse_pids(v, "missing")?,
         },
         "degraded" => EventTrace::Degraded {
-            step: req_f64(v, "step")? as usize,
+            step: req_int(v, "step")?,
             dead: parse_pids(v, "dead")?,
-            remaining: req_f64(v, "remaining")? as usize,
+            remaining: req_int(v, "remaining")?,
         },
         "recovery_attempt" => EventTrace::RecoveryAttempt {
-            attempt: req_f64(v, "attempt")? as usize,
+            attempt: req_int(v, "attempt")?,
         },
         "replan" => EventTrace::Replan {
-            segment: req_f64(v, "segment")? as usize,
-            step: req_f64(v, "step")? as usize,
+            segment: req_int(v, "segment")?,
+            step: req_int(v, "step")?,
             drift: req_f64(v, "drift")?,
             strategy: req_str(v, "strategy")?,
             predicted: req_f64(v, "predicted")?,
         },
         "anomaly" => EventTrace::Anomaly {
-            step: req_f64(v, "step")? as usize,
-            pid: ProcId(req_f64(v, "pid")? as u32),
+            step: req_int(v, "step")?,
+            pid: ProcId(req_int(v, "pid")?),
             metric: req_str(v, "metric")?,
             zscore: req_f64(v, "zscore")?,
             value: req_f64(v, "value")?,
@@ -399,16 +401,9 @@ fn parse_event(v: &Value) -> Result<EventTrace, String> {
 fn parse_span(v: &Value) -> Result<CausalSpan, String> {
     let kind_name = req_str(v, "span_kind")?;
     let kind = CausalKind::parse(&kind_name).ok_or(format!("unknown span kind {kind_name:?}"))?;
-    let parent = match v.get("parent") {
-        Some(Value::Null) | None => None,
-        Some(x) => Some(
-            x.as_f64()
-                .ok_or("\"parent\" is neither null nor a number".to_string())? as usize,
-        ),
-    };
     Ok(CausalSpan {
-        id: req_f64(v, "id")? as usize,
-        parent,
+        id: req_int(v, "id")?,
+        parent: opt_int(v, "parent")?,
         kind,
         label: req_str(v, "label")?,
         start: req_f64(v, "start")?,
@@ -420,10 +415,10 @@ fn parse_metric(v: &Value) -> Result<MetricSample, String> {
     let name = req_str(v, "name")?;
     let ty = req_str(v, "type")?;
     let value = match ty.as_str() {
-        "counter" => MetricValue::Counter(req_f64(v, "value")? as u64),
+        "counter" => MetricValue::Counter(req_int(v, "value")?),
         "gauge" => MetricValue::Gauge(req_f64(v, "value")?),
         "histogram" => MetricValue::Histogram {
-            count: req_f64(v, "count")? as u64,
+            count: req_int(v, "count")?,
             sum: req_f64(v, "sum")?,
         },
         other => return Err(format!("unknown metric type {other:?}")),

@@ -1,12 +1,44 @@
-//! [`Recorder`] — the batteries-included [`Probe`]: owns a copy of
-//! every superstep observation plus a metrics [`Registry`], and feeds
-//! the exporters, the drift report, and the calibrator.
+//! [`Recorder`] — the one telemetry sink. It owns every stage between
+//! a superstep and its readers: the step store (a seqlocked arena of
+//! atomics), the event list, the metrics [`Registry`], the only
+//! [`Probe`] implementation with a body and the only conversion from
+//! [`ObsEvent`] to [`EventTrace`]. Two constructors set what is kept
+//! ([`crate::FlightRecorder`] is a forwarding newtype over the second):
+//!
+//! | | [`Recorder::new`] | [`crate::FlightRecorder::new`] |
+//! |---|---|---|
+//! | steps retained | all of them | the last 64 (`with_capacity(n)`) |
+//! | anomaly detector | off | on |
+//! | `hbsp_*` histograms, per-level counters | kept | not kept |
+//! | events retained | all of them | the first 1024 |
+//!
+//! **Hot path** ([`Probe::on_step`]): plain `Relaxed` stores into the
+//! step's arena slot plus counter increments; no mutex, no CAS on the
+//! store, and no allocation per step — a ring is sized once when armed,
+//! and the keep-everything store grows by appending 64 KiB segments
+//! (one allocation per segment) to a directory it indexes in constant
+//! time. The engines serialize `on_step` (simulator loop / leader
+//! section), so a single writer is an invariant, not a hope.
+//!
+//! **Owner stamps**: each slot carries a sequence stamp, cleared before
+//! the slot is filled and written last with `Release`. A reader
+//! validates the stamp before and after copying a slot and discards a
+//! record overwritten mid-read, so reading is safe from any thread at
+//! any time — including from a fault handler while the run is still
+//! aborting.
+//!
+//! **Readers** hold a cursor: [`Recorder::recorded`] counts the steps
+//! seen so far and [`Recorder::steps_since`] copies only what arrived
+//! after a cursor ([`Recorder::steps`] is that call from zero).
 
-use crate::metrics::{self, CounterId, HistogramId, MetricSample, Registry};
+use crate::anomaly::{AnomalyConfig, AnomalyDetector, METRIC_BARRIER_SKEW};
+use crate::metrics::{self, CounterId, GaugeId, HistogramId, MetricSample, MetricValue, Registry};
+use crate::postmortem::PostmortemBundle;
 use crate::probe::{ObsEvent, Probe, StepRecord, StepWall};
 use crate::span::{Span, SpanKind};
 use hbsp_core::{Level, ProcId};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Highest hierarchy level tracked with a dedicated per-level metric;
 /// deeper traffic still lands in the aggregate counters.
@@ -15,14 +47,42 @@ pub const MAX_TRACKED_LEVELS: usize = 8;
 /// Number of per-processor `f64` columns in the arena.
 const F_COLS: usize = 6;
 
+/// A record's columns in arena order (a run without wall marks has two
+/// empty ones), their lengths checked against each other.
+fn columns<'a>(r: &StepRecord<'a>) -> ([&'a [f64]; F_COLS], [&'a [u64]; 5]) {
+    let f = [
+        r.starts,
+        r.compute_done,
+        r.send_done,
+        r.finish,
+        r.releases,
+        r.work,
+    ];
+    let p = r.starts.len();
+    let (body_start, body_end) = r.wall.map_or((&[][..], &[][..]), |w| {
+        assert_eq!((w.body_start_ns.len(), w.body_end_ns.len()), (p, p));
+        (w.body_start_ns, w.body_end_ns)
+    });
+    assert!(f.iter().all(|col| col.len() == p) && r.sent_words.len() == p);
+    assert_eq!(r.messages_by_level.len(), r.words_by_level.len());
+    let u = [
+        r.sent_words,
+        r.words_by_level,
+        r.messages_by_level,
+        body_start,
+        body_end,
+    ];
+    (f, u)
+}
+
 /// Owned mirror of a [`StepRecord`]: everything observed about one
 /// executed superstep.
 ///
 /// All per-processor and per-level columns live in two flat arenas —
-/// one `f64`, one `u64` — so recording a step costs two allocations
-/// however many columns the schema carries (the old per-field `Vec`s
-/// cost ten or more). Columns are exposed as slices through accessor
-/// methods.
+/// one `f64`, one `u64` — in the order the [`Recorder`]'s slots hold
+/// them, so a reader copies a slot out with two allocations however
+/// many columns the schema carries. Columns are exposed as slices
+/// through accessor methods.
 ///
 /// Arena layout, for `p` processors and `L` traffic levels:
 ///
@@ -51,49 +111,17 @@ pub struct StepTrace {
 impl StepTrace {
     /// Copy a borrowed [`StepRecord`] into one owned arena.
     pub fn from_record(r: &StepRecord<'_>) -> StepTrace {
-        let p = r.starts.len();
-        let levels = r.words_by_level.len();
-        assert_eq!(r.compute_done.len(), p);
-        assert_eq!(r.send_done.len(), p);
-        assert_eq!(r.finish.len(), p);
-        assert_eq!(r.releases.len(), p);
-        assert_eq!(r.work.len(), p);
-        assert_eq!(r.sent_words.len(), p);
-        assert_eq!(r.messages_by_level.len(), levels);
-        let f_total = F_COLS * p;
-        let u_total = p + 2 * levels + if r.wall.is_some() { 2 * p } else { 0 };
-        let mut f = Vec::with_capacity(f_total);
-        for col in [
-            r.starts,
-            r.compute_done,
-            r.send_done,
-            r.finish,
-            r.releases,
-            r.work,
-        ] {
-            f.extend_from_slice(col);
-        }
-        let mut u = Vec::with_capacity(u_total);
-        u.extend_from_slice(r.sent_words);
-        u.extend_from_slice(r.words_by_level);
-        u.extend_from_slice(r.messages_by_level);
-        if let Some(w) = &r.wall {
-            assert_eq!(w.body_start_ns.len(), p);
-            assert_eq!(w.body_end_ns.len(), p);
-            u.extend_from_slice(w.body_start_ns);
-            u.extend_from_slice(w.body_end_ns);
-        }
-        debug_assert_eq!((f.len(), u.len()), (f_total, u_total));
+        let (f, u) = columns(r);
         StepTrace {
             step: r.step,
             barrier: r.barrier,
             hrelation: r.hrelation,
-            procs: p,
-            levels,
+            procs: r.starts.len(),
+            levels: r.words_by_level.len(),
             has_wall: r.wall.is_some(),
-            leader_done_ns: r.wall.as_ref().map(|w| w.leader_done_ns).unwrap_or(0),
-            f: f.into_boxed_slice(),
-            u: u.into_boxed_slice(),
+            leader_done_ns: r.wall.map_or(0, |w| w.leader_done_ns),
+            f: f.concat().into_boxed_slice(),
+            u: u.concat().into_boxed_slice(),
         }
     }
 
@@ -150,12 +178,8 @@ impl StepTrace {
 
     /// Wall-clock marks (threaded engine only).
     pub fn wall(&self) -> Option<StepWall<'_>> {
-        if !self.has_wall {
-            return None;
-        }
-        let base = self.procs + 2 * self.levels;
-        let p = self.procs;
-        Some(StepWall {
+        let (p, base) = (self.procs, self.procs + 2 * self.levels);
+        self.has_wall.then(|| StepWall {
             body_start_ns: &self.u[base..base + p],
             body_end_ns: &self.u[base + p..base + 2 * p],
             leader_done_ns: self.leader_done_ns,
@@ -193,37 +217,28 @@ impl StepTrace {
         self.messages_by_level().iter().sum()
     }
 
-    /// Virtual-time spans for processor `pid`, in time order. Same
-    /// derivation as `hbsp_sim::step_spans` except that the closing
-    /// [`SpanKind::BarrierWait`] is *always* emitted for a barriered
-    /// step (even zero-length) so "barrier wait terminates the step"
-    /// holds structurally; other empty spans are elided.
+    /// Virtual-time spans for processor `pid`, in time order — the
+    /// one derivation of spans from a step; the exporters, the span
+    /// invariants and `hbsp_sim`'s timelines are views over it. The
+    /// closing [`SpanKind::BarrierWait`] is *always* emitted for a
+    /// barriered step (even zero-length) so "barrier wait terminates
+    /// the step" holds structurally; other empty spans are elided.
     pub fn spans(&self, pid: usize) -> Vec<Span> {
-        let mut out = Vec::with_capacity(4);
-        let mut push = |kind, start: f64, end: f64| {
-            if end > start {
-                out.push(Span { kind, start, end });
-            }
-        };
-        push(
+        let bounds = [0, 1, 2, 3, 4].map(|col| self.fcol(col)[pid]);
+        let kinds = [
             SpanKind::Compute,
-            self.starts()[pid],
-            self.compute_done()[pid],
-        );
-        push(
             SpanKind::Send,
-            self.compute_done()[pid],
-            self.send_done()[pid],
-        );
-        push(SpanKind::Unpack, self.send_done()[pid], self.finish()[pid]);
-        if self.barrier.is_some() || self.releases()[pid] > self.finish()[pid] {
-            out.push(Span {
-                kind: SpanKind::BarrierWait,
-                start: self.finish()[pid],
-                end: self.releases()[pid],
-            });
-        }
-        out
+            SpanKind::Unpack,
+            SpanKind::BarrierWait,
+        ];
+        (0..4)
+            .filter(|&k| bounds[k + 1] > bounds[k] || (k == 3 && self.barrier.is_some()))
+            .map(|k| Span {
+                kind: kinds[k],
+                start: bounds[k],
+                end: bounds[k + 1],
+            })
+            .collect()
     }
 
     /// Wall-clock spans for processor `pid` in nanoseconds: body
@@ -233,23 +248,18 @@ impl StepTrace {
         let Some(wall) = self.wall() else {
             return Vec::new();
         };
-        let body_start = wall.body_start_ns[pid] as f64;
-        let body_end = wall.body_end_ns[pid] as f64;
-        let release = wall.leader_done_ns as f64;
-        let mut out = Vec::with_capacity(2);
-        if body_end > body_start {
-            out.push(Span {
-                kind: SpanKind::Compute,
-                start: body_start,
-                end: body_end,
-            });
-        }
-        out.push(Span {
-            kind: SpanKind::BarrierWait,
-            start: body_end,
-            end: release.max(body_end),
+        let (start, end) = (wall.body_start_ns[pid] as f64, wall.body_end_ns[pid] as f64);
+        let body = (end > start).then_some(Span {
+            kind: SpanKind::Compute,
+            start,
+            end,
         });
-        out
+        let wait = Span {
+            kind: SpanKind::BarrierWait,
+            start: end,
+            end: (wall.leader_done_ns as f64).max(end),
+        };
+        body.into_iter().chain([wait]).collect()
     }
 }
 
@@ -307,43 +317,184 @@ pub enum EventTrace {
     },
 }
 
-/// Handles for the stable metric set a [`Recorder`] maintains.
-#[derive(Debug)]
-struct StdMetrics {
+/// Steps a fresh [`crate::FlightRecorder`] retains.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// Most events a flight recorder retains (events are fault-path only;
+/// the bound exists so a pathological anomaly storm cannot grow
+/// memory).
+const EVENT_CAPACITY: usize = 1024;
+
+/// Header cells per arena slot (before the per-processor columns).
+const HDR: usize = 8;
+
+/// What a keep-everything store allocates at a time. Kept well under
+/// the allocator's mmap threshold on purpose: a recorder often lives
+/// for one run and grows on whichever thread leads the barrier, and a
+/// large block freed there raises the allocator's thresholds and stays
+/// in that thread's arena (`docs/performance.md` §7 measured a third
+/// more resident memory under a threaded drain with doubling blocks).
+const SEGMENT_BYTES: usize = 64 << 10;
+
+/// Tables of the segment directory: table `k` has `2^k` entries, so
+/// this many index more segments than fit in memory.
+const TABLES: usize = 40;
+
+/// One allocation of the step store: `slots` slots of `stride` atomic
+/// cells each, holding the steps numbered `first..`. A ring is a single
+/// segment; a keep-everything store appends segments of
+/// [`SEGMENT_BYTES`], each sized for the largest machine seen so far.
+///
+/// Slot layout (all cells `u64`; `f64` columns stored as bits) — the
+/// header below, then a [`StepTrace`]'s `f` and `u` arenas, packed for
+/// the step's own `p` and `L` (the stride leaves room for the largest
+/// machine the segment was sized for):
+///
+/// ```text
+/// 0 stamp   1 step   2 barrier+1   3 hrelation   4 procs
+/// 5 levels  6 has_wall  7 leader_done_ns
+/// ```
+struct Segment {
+    first: u64,
+    slots: usize,
+    procs: usize,
+    levels: usize,
+    stride: usize,
+    cells: Box<[AtomicU64]>,
+}
+
+impl Segment {
+    /// A segment for steps `first..`: a ring of `ring` slots, or as
+    /// many as [`SEGMENT_BYTES`] hold.
+    fn new(first: u64, ring: Option<usize>, procs: usize, levels: usize) -> Segment {
+        let stride = HDR + (F_COLS + 3) * procs + 2 * levels;
+        let slots = ring.unwrap_or((SEGMENT_BYTES / (8 * stride)).max(1));
+        Segment {
+            first,
+            slots,
+            procs,
+            levels,
+            stride,
+            cells: (0..slots * stride).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn fits(&self, procs: usize, levels: usize) -> bool {
+        procs <= self.procs && levels <= self.levels
+    }
+
+    fn slot(&self, i: usize) -> &[AtomicU64] {
+        &self.cells[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// Copy step `seq` out of `slot`; `None` if the slot holds another
+/// step, or was overwritten while being copied.
+fn read_slot(slot: &[AtomicU64], seq: u64) -> Option<StepTrace> {
+    if slot[0].load(Ordering::Acquire) != seq + 1 {
+        return None;
+    }
+    let ld = |i: usize| slot[i].load(Ordering::Relaxed);
+    let (procs, levels, has_wall) = (ld(4) as usize, ld(5) as usize, ld(6) != 0);
+    // In bounds even when an overwrite tears the header: each cell
+    // always holds a value some step of this segment wrote.
+    let f_end = HDR + F_COLS * procs;
+    let u_end = f_end + procs + 2 * levels + if has_wall { 2 * procs } else { 0 };
+    let trace = StepTrace {
+        step: ld(1) as usize,
+        barrier: ld(2).checked_sub(1).map(|l| l as Level),
+        hrelation: f64::from_bits(ld(3)),
+        procs,
+        levels,
+        has_wall,
+        leader_done_ns: ld(7),
+        f: (HDR..f_end).map(|i| f64::from_bits(ld(i))).collect(),
+        u: (f_end..u_end).map(ld).collect(),
+    };
+    // The copy above must not be ordered after the re-check below.
+    fence(Ordering::Acquire);
+    (slot[0].load(Ordering::Relaxed) == seq + 1).then_some(trace)
+}
+
+/// What [`Recorder::steps_since`] found after a cursor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepsSince {
+    /// The retained steps recorded at or after the cursor, oldest first.
+    pub steps: Vec<StepTrace>,
+    /// Steps recorded after the cursor that are no longer held: a ring
+    /// overwrote them before (or while) they were read.
+    pub missed: u64,
+    /// The cursor to pass next time: [`Recorder::recorded`] as of this
+    /// read.
+    pub next: u64,
+}
+
+/// The metrics every recorder keeps.
+struct Metrics {
     steps_total: CounterId,
-    messages_total: CounterId,
     words_total: CounterId,
-    level_words: Vec<CounterId>,
-    level_messages: Vec<CounterId>,
+    messages_total: CounterId,
     watchdog_firings: CounterId,
     degrade_events: CounterId,
     recovery_attempts: CounterId,
     adaptive_replans: CounterId,
     anomaly_events: CounterId,
+}
+
+/// What the two constructors differ in besides retention.
+enum Profile {
+    Full(FullMetrics),
+    Flight(FlightMetrics),
+}
+
+/// [`Recorder::new`]: per-level counters and the five histograms (a
+/// histogram costs a CAS loop per record), every event, and the
+/// process-wide poison-recovery delta in the snapshot.
+struct FullMetrics {
+    level_words: Vec<CounterId>,
+    level_messages: Vec<CounterId>,
     adaptive_drift: HistogramId,
     barrier_wait_virtual: HistogramId,
     hrelation: HistogramId,
     step_duration_virtual: HistogramId,
     step_wall_ns: HistogramId,
+    poison_base: u64,
 }
 
-/// A probe that records everything: owned [`StepTrace`]s, out-of-band
-/// [`EventTrace`]s, and the standard metric set. `Mutex`-protected
-/// vectors are fine here — `on_step` fires once per superstep from a
-/// single thread (the simulator loop or the leader section), never from
-/// the per-processor hot path.
-#[derive(Debug)]
+/// [`crate::FlightRecorder::new`]: counters and one gauge only, the
+/// ring's own bookkeeping, a bounded event list and the streaming
+/// anomaly detector.
+struct FlightMetrics {
+    overwrites: CounterId,
+    clipped: CounterId,
+    events_dropped: CounterId,
+    anomaly_skew: CounterId,
+    anomaly_drift: CounterId,
+    anomaly_last_z: GaugeId,
+    anomaly_cfg: AnomalyConfig,
+}
+
+/// The probe that records: owned [`StepTrace`]s, out-of-band
+/// [`EventTrace`]s and the standard metric set. See the module docs.
 pub struct Recorder {
-    steps: Mutex<Vec<StepTrace>>,
+    /// `Some(n)`: a ring of the last `n` steps. `None`: every step.
+    ring: Option<usize>,
+    /// Total steps recorded. Monotone; `Release`-published after the
+    /// slot it names is stamped.
+    head: AtomicU64,
+    /// The segment directory: segment `n` is entry `n + 1 - 2^k` of
+    /// table `k = log2(n + 1)`, so neither the writer nor a reader walks
+    /// a list. `grown` counts the segments after the first.
+    tables: [OnceLock<Box<[OnceLock<Segment>]>>; TABLES],
+    grown: AtomicUsize,
+    /// The flight profile's streaming detector, sized when armed.
+    detector: OnceLock<AnomalyDetector>,
+    /// Events are fault-path only (plus detector hits), so a lock is
+    /// fine here; `on_step` takes it only to report an anomaly.
     events: Mutex<Vec<EventTrace>>,
-    /// `Some(n)`: keep only the last `n` steps (see
-    /// [`Recorder::keep_last`]).
-    bound: Option<usize>,
-    /// Steps discarded by the bound.
-    dropped: std::sync::atomic::AtomicU64,
     registry: Registry,
-    std: StdMetrics,
-    poison_base: u64,
+    m: Metrics,
+    profile: Profile,
 }
 
 impl Default for Recorder {
@@ -353,159 +504,265 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Fresh recorder with the standard metric set registered.
+    /// Recorder that keeps every step and event, with the full metric
+    /// set (per-level counters and the five `hbsp_*` histograms).
     pub fn new() -> Recorder {
         let mut registry = Registry::new();
-        let std = StdMetrics {
-            steps_total: registry.counter("hbsp_steps_total"),
-            messages_total: registry.counter("hbsp_messages_total"),
-            words_total: registry.counter("hbsp_words_total"),
-            level_words: (0..MAX_TRACKED_LEVELS)
-                .map(|l| registry.counter(format!("hbsp_words_total{{level=\"{l}\"}}")))
-                .collect(),
-            level_messages: (0..MAX_TRACKED_LEVELS)
-                .map(|l| registry.counter(format!("hbsp_messages_total{{level=\"{l}\"}}")))
-                .collect(),
-            watchdog_firings: registry.counter("hbsp_watchdog_firings_total"),
-            degrade_events: registry.counter("hbsp_degrade_events_total"),
-            recovery_attempts: registry.counter("hbsp_recovery_attempts_total"),
-            adaptive_replans: registry.counter("hbsp_adaptive_replans_total"),
-            anomaly_events: registry.counter("hbsp_anomaly_events_total"),
+        let steps_total = registry.counter("hbsp_steps_total");
+        let messages_total = registry.counter("hbsp_messages_total");
+        let words_total = registry.counter("hbsp_words_total");
+        let level_words = (0..MAX_TRACKED_LEVELS)
+            .map(|l| registry.counter(format!("hbsp_words_total{{level=\"{l}\"}}")))
+            .collect();
+        let level_messages = (0..MAX_TRACKED_LEVELS)
+            .map(|l| registry.counter(format!("hbsp_messages_total{{level=\"{l}\"}}")))
+            .collect();
+        let m = Metrics::events(&mut registry, [steps_total, words_total, messages_total]);
+        let profile = FullMetrics {
+            level_words,
+            level_messages,
             adaptive_drift: registry.histogram("hbsp_adaptive_drift"),
             barrier_wait_virtual: registry.histogram("hbsp_barrier_wait_virtual"),
             hrelation: registry.histogram("hbsp_hrelation_observed"),
             step_duration_virtual: registry.histogram("hbsp_step_duration_virtual"),
             step_wall_ns: registry.histogram("hbsp_step_wall_ns"),
-        };
-        Recorder {
-            steps: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            bound: None,
-            dropped: std::sync::atomic::AtomicU64::new(0),
-            registry,
-            std,
             poison_base: metrics::poison_recoveries(),
+        };
+        Recorder::build(None, registry, m, Profile::Full(profile))
+    }
+
+    /// The recorder behind [`crate::FlightRecorder`]: a ring of the
+    /// last 64 steps with the streaming detector on.
+    pub(crate) fn flight() -> Recorder {
+        let mut registry = Registry::new();
+        let steps_total = registry.counter("hbsp_steps_total");
+        let words_total = registry.counter("hbsp_words_total");
+        let messages_total = registry.counter("hbsp_messages_total");
+        let overwrites = registry.counter("hbsp_flight_overwrites_total");
+        let clipped = registry.counter("hbsp_flight_clipped_total");
+        let events_dropped = registry.counter("hbsp_flight_events_dropped_total");
+        let m = Metrics::events(&mut registry, [steps_total, words_total, messages_total]);
+        let profile = FlightMetrics {
+            overwrites,
+            clipped,
+            events_dropped,
+            anomaly_skew: registry.counter("hbsp_anomaly_barrier_skew_total"),
+            anomaly_drift: registry.counter("hbsp_anomaly_duration_drift_total"),
+            anomaly_last_z: registry.gauge("hbsp_anomaly_last_zscore"),
+            anomaly_cfg: AnomalyConfig::default(),
+        };
+        Recorder::build(Some(FLIGHT_CAPACITY), registry, m, Profile::Flight(profile))
+    }
+
+    fn build(ring: Option<usize>, registry: Registry, m: Metrics, profile: Profile) -> Recorder {
+        Recorder {
+            ring,
+            head: AtomicU64::new(0),
+            tables: [const { OnceLock::new() }; TABLES],
+            grown: AtomicUsize::new(0),
+            detector: OnceLock::new(),
+            events: Mutex::new(Vec::new()),
+            registry,
+            m,
+            profile,
         }
     }
 
-    /// Bound memory: keep only the last `n` recorded steps (min 1),
-    /// discarding the oldest as new ones arrive. Metrics still count
-    /// every step; [`Recorder::dropped`] reports how many full
-    /// [`StepTrace`]s were discarded. The adaptive executor bounds
-    /// each window's recorder this way so long runs stop accumulating
-    /// every trace.
-    pub fn keep_last(mut self, n: usize) -> Recorder {
-        self.bound = Some(n.max(1));
+    /// The detector knobs of a flight recorder (before the first step).
+    pub(crate) fn anomaly_config(mut self, cfg: AnomalyConfig) -> Recorder {
+        if let Profile::Flight(flight) = &mut self.profile {
+            flight.anomaly_cfg = cfg;
+        }
         self
     }
 
-    /// Steps discarded by the [`Recorder::keep_last`] bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
+    /// Bound memory: keep only the last `n` recorded steps (min 1) in a
+    /// ring sized by the first step (or [`Recorder::arm`]). Metrics
+    /// still count every step; a reader sees what the ring overwrote as
+    /// [`StepsSince::missed`]. The adaptive executor bounds each
+    /// window's recorder this way.
+    pub fn keep_last(mut self, n: usize) -> Recorder {
+        self.ring = Some(n.max(1));
+        self
     }
 
-    /// Copy of the recorded steps, in execution order. Steps from
+    /// Allocate the store's first segment for a machine of `procs`
+    /// leaves and `levels` tracked hierarchy levels, so that a ring
+    /// performs no allocation at all afterwards (the first step arms an
+    /// unarmed recorder). First call wins. A ring does not record steps
+    /// from machines larger than it was armed for; a flight recorder
+    /// counts them (`hbsp_flight_clipped_total`).
+    pub fn arm(&self, procs: usize, levels: usize) {
+        self.armed(procs, levels);
+    }
+
+    fn armed(&self, procs: usize, levels: usize) -> &Segment {
+        if let Profile::Flight(flight) = &self.profile {
+            self.detector
+                .get_or_init(|| AnomalyDetector::new(flight.anomaly_cfg, procs));
+        }
+        self.segment(0)
+            .get_or_init(|| Segment::new(0, self.ring, procs, levels))
+    }
+
+    fn segment(&self, n: usize) -> &OnceLock<Segment> {
+        let k = (n + 1).ilog2() as usize;
+        let table = self.tables[k].get_or_init(|| (0..1 << k).map(|_| OnceLock::new()).collect());
+        &table[n + 1 - (1 << k)]
+    }
+
+    /// The slot step `seq` of a `procs × levels` machine goes into;
+    /// `None` when a ring is too small for it.
+    fn slot_for(&self, seq: u64, procs: usize, levels: usize) -> Option<&[AtomicU64]> {
+        let first = self.armed(procs, levels);
+        if let Some(cap) = self.ring {
+            return first
+                .fits(procs, levels)
+                .then(|| first.slot((seq % cap as u64) as usize));
+        }
+        let n = self.grown.load(Ordering::Relaxed);
+        let mut seg = self.segment(n).get().expect("published by the one writer");
+        if seq == seg.first + seg.slots as u64 || !seg.fits(procs, levels) {
+            let (procs, levels) = (procs.max(seg.procs), levels.max(seg.levels));
+            seg = self
+                .segment(n + 1)
+                .get_or_init(|| Segment::new(seq, None, procs, levels));
+            self.grown.store(n + 1, Ordering::Release);
+        }
+        Some(seg.slot((seq - seg.first) as usize))
+    }
+
+    /// Total steps recorded since construction — the cursor
+    /// [`Recorder::steps_since`] takes. Monotone; a ring has
+    /// overwritten all but the last `n` of them.
+    pub fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Acquire)
+    }
+
+    /// Copy out the steps recorded at or after `cursor` (a value
+    /// [`Recorder::recorded`] or [`StepsSince::next`] returned; `0` for
+    /// everything retained), oldest first. Steps a ring no longer holds
+    /// are counted in [`StepsSince::missed`], never replaced by other
+    /// steps; a record overwritten while it was being read counts as
+    /// missed too, so a concurrent read is always coherent, never torn.
+    pub fn steps_since(&self, cursor: u64) -> StepsSince {
+        let next = self.recorded();
+        let cursor = cursor.min(next);
+        let oldest = self.ring.map_or(0, |cap| next.saturating_sub(cap as u64));
+        let retained = cursor.max(oldest)..next;
+        let mut steps = Vec::with_capacity((retained.end - retained.start) as usize);
+        let seg = |n: usize| self.segment(n).get().expect("published before `head`");
+        let (mut n, last) = (0, self.grown.load(Ordering::Acquire));
+        for seq in retained {
+            while n < last && seg(n + 1).first <= seq {
+                n += 1;
+            }
+            let i = self.ring.map_or(seq - seg(n).first, |cap| seq % cap as u64);
+            steps.extend(read_slot(seg(n).slot(i as usize), seq));
+        }
+        StepsSince {
+            missed: next - cursor - steps.len() as u64,
+            steps,
+            next,
+        }
+    }
+
+    /// Copy of every retained step, in execution order. Steps from
     /// every attempt of a recovering run accumulate in sequence.
     pub fn steps(&self) -> Vec<StepTrace> {
-        self.steps.lock().expect("recorder lock").clone()
+        self.steps_since(0).steps
     }
 
-    /// Copy of the recorded out-of-band events.
+    /// Copy of the retained events from index `cursor` on, oldest
+    /// first; the next cursor is `cursor` plus the length returned.
+    pub fn events_since(&self, cursor: usize) -> Vec<EventTrace> {
+        let events = self.events.lock().expect("recorder events lock");
+        events[cursor.min(events.len())..].to_vec()
+    }
+
+    /// Copy of the retained out-of-band events.
     pub fn events(&self) -> Vec<EventTrace> {
-        self.events.lock().expect("recorder lock").clone()
+        self.events_since(0)
     }
 
-    /// Snapshot of every metric, with the process-global poison-
-    /// recovery delta appended as
+    /// Snapshot of every metric; a [`Recorder::new`] appends the
+    /// process-global poison-recovery delta as
     /// `hbsp_poisoned_lock_recoveries_total`.
     pub fn metrics(&self) -> Vec<MetricSample> {
         let mut out = self.registry.snapshot();
-        out.push(MetricSample {
-            name: "hbsp_poisoned_lock_recoveries_total".to_string(),
-            value: crate::metrics::MetricValue::Counter(
-                metrics::poison_recoveries().saturating_sub(self.poison_base),
-            ),
-        });
+        if let Profile::Full(full) = &self.profile {
+            let since = metrics::poison_recoveries().saturating_sub(full.poison_base);
+            out.push(MetricSample {
+                name: "hbsp_poisoned_lock_recoveries_total".to_string(),
+                value: MetricValue::Counter(since),
+            });
+        }
         out
     }
 
     /// Text rendering of [`Recorder::metrics`].
     pub fn metrics_text(&self) -> String {
-        let mut text = self.registry.render_text();
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            text,
-            "hbsp_poisoned_lock_recoveries_total {}",
-            metrics::poison_recoveries().saturating_sub(self.poison_base)
-        );
-        text
+        metrics::render_text(&self.metrics())
     }
 
-    /// Direct registry access (read-only use expected).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Per-processor virtual-time span timelines reconstructed from
-    /// the recorded steps, as `(proc rank, spans)` pairs. Mirrors the
-    /// engines' `.trace(true)` `ProcTimeline`s.
-    pub fn timelines(&self) -> Vec<(usize, Vec<Span>)> {
-        let steps = self.steps.lock().expect("recorder lock");
-        let procs = steps.iter().map(StepTrace::procs).max().unwrap_or(0);
-        (0..procs)
-            .map(|pid| {
-                let spans = steps
-                    .iter()
-                    .filter(|st| pid < st.procs())
-                    .flat_map(|st| st.spans(pid))
-                    .collect();
-                (pid, spans)
-            })
-            .collect()
-    }
-
-    /// Chrome trace-event JSON of everything recorded. See
+    /// Chrome trace-event JSON of everything retained. See
     /// [`crate::export::chrome_trace`].
     pub fn chrome_trace(&self) -> String {
         crate::export::chrome_trace(&self.steps())
     }
 
-    /// JSONL export of steps, spans, events, and metrics. See
-    /// [`crate::export::jsonl`].
-    pub fn jsonl(&self) -> String {
-        crate::export::jsonl(&self.steps(), &self.events(), &self.metrics())
+    /// Freeze the recorder's state into a [`PostmortemBundle`]. The
+    /// caller supplies the context the recorder cannot know: why the
+    /// bundle is being taken, which engine ran, and the pre-rendered
+    /// machine tree and fault plan.
+    pub fn bundle(
+        &self,
+        reason: &str,
+        engine: &str,
+        machine: &str,
+        fault_plan: &str,
+    ) -> PostmortemBundle {
+        let steps = self.steps();
+        PostmortemBundle {
+            reason: reason.to_string(),
+            engine: engine.to_string(),
+            step: steps.last().map(|s| s.step).unwrap_or(0),
+            machine: machine.to_string(),
+            fault_plan: fault_plan.to_string(),
+            steps,
+            events: self.events(),
+            metrics: self.metrics(),
+            ..PostmortemBundle::default()
+        }
     }
 
-    fn record_metrics(&self, r: &StepRecord<'_>) {
-        let m = &self.std;
-        let reg = &self.registry;
-        reg.c(m.steps_total).inc();
-        reg.c(m.words_total)
-            .add(r.words_by_level.iter().sum::<u64>());
-        reg.c(m.messages_total)
-            .add(r.messages_by_level.iter().sum::<u64>());
-        for (l, &w) in r.words_by_level.iter().enumerate().take(MAX_TRACKED_LEVELS) {
-            reg.c(m.level_words[l]).add(w);
+    /// Retain an event; a flight recorder at its bound counts it as
+    /// dropped instead.
+    fn push_event(&self, ev: EventTrace) {
+        let mut events = self.events.lock().expect("recorder events lock");
+        match &self.profile {
+            Profile::Flight(flight) if events.len() >= EVENT_CAPACITY => {
+                self.registry.c(flight.events_dropped).inc()
+            }
+            _ => events.push(ev),
         }
-        for (l, &n) in r
-            .messages_by_level
-            .iter()
-            .enumerate()
-            .take(MAX_TRACKED_LEVELS)
-        {
-            reg.c(m.level_messages[l]).add(n);
-        }
-        reg.h(m.hrelation).record(r.hrelation);
-        for (f, rel) in r.finish.iter().zip(r.releases) {
-            reg.h(m.barrier_wait_virtual).record(rel - f);
-        }
-        let start = r.starts.iter().copied().fold(f64::INFINITY, f64::min);
-        let release = r.releases.iter().copied().fold(0.0f64, f64::max);
-        reg.h(m.step_duration_virtual).record(release - start);
-        if let Some(wall) = &r.wall {
-            let first = wall.body_start_ns.iter().copied().min().unwrap_or(0);
-            reg.h(m.step_wall_ns)
-                .record(wall.leader_done_ns.saturating_sub(first) as f64);
+    }
+}
+
+impl Metrics {
+    /// Register the five event counters after the three traffic totals
+    /// (the constructors differ in the order they export those).
+    fn events(registry: &mut Registry, totals: [CounterId; 3]) -> Metrics {
+        let [steps_total, words_total, messages_total] = totals;
+        Metrics {
+            steps_total,
+            words_total,
+            messages_total,
+            watchdog_firings: registry.counter("hbsp_watchdog_firings_total"),
+            degrade_events: registry.counter("hbsp_degrade_events_total"),
+            recovery_attempts: registry.counter("hbsp_recovery_attempts_total"),
+            adaptive_replans: registry.counter("hbsp_adaptive_replans_total"),
+            anomaly_events: registry.counter("hbsp_anomaly_events_total"),
         }
     }
 }
@@ -516,43 +773,99 @@ impl Probe for Recorder {
     }
 
     fn on_step(&self, r: &StepRecord<'_>) {
-        self.record_metrics(r);
-        let trace = StepTrace::from_record(r);
-        let mut steps = self.steps.lock().expect("recorder lock");
-        if let Some(bound) = self.bound {
-            if steps.len() >= bound {
-                steps.remove(0);
-                self.dropped
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let (p, levels) = (r.starts.len(), r.words_by_level.len());
+        let (f, u) = columns(r);
+        let reg = &self.registry;
+        let seq = self.head.load(Ordering::Relaxed);
+        let Some(slot) = self.slot_for(seq, p, levels) else {
+            if let Profile::Flight(flight) = &self.profile {
+                reg.c(flight.clipped).inc();
+            }
+            return;
+        };
+        if let (Some(cap), Profile::Flight(flight)) = (self.ring, &self.profile) {
+            if seq >= cap as u64 {
+                reg.c(flight.overwrites).inc();
             }
         }
-        steps.push(trace);
+        // Invalidate the slot, fill it, then publish the owner stamp.
+        slot[0].store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let header = [
+            r.step as u64,
+            r.barrier.map_or(0, |l| l as u64 + 1),
+            r.hrelation.to_bits(),
+            p as u64,
+            levels as u64,
+            u64::from(r.wall.is_some()),
+            r.wall.map_or(0, |w| w.leader_done_ns),
+        ];
+        // Plain loops: an iterator chain over the columns cost this path
+        // twice the time. The slot has room — `slot_for` checked the fit.
+        let mut cells = slot[1..].iter();
+        let mut put = |v: u64| cells.next().expect("fits").store(v, Ordering::Relaxed);
+        header.into_iter().for_each(&mut put);
+        for col in f {
+            col.iter().for_each(|v| put(v.to_bits()));
+        }
+        for col in u {
+            col.iter().for_each(|&v| put(v));
+        }
+        slot[0].store(seq + 1, Ordering::Release);
+        self.head.store(seq + 1, Ordering::Release);
+
+        reg.c(self.m.steps_total).inc();
+        reg.c(self.m.words_total)
+            .add(r.words_by_level.iter().sum::<u64>());
+        reg.c(self.m.messages_total)
+            .add(r.messages_by_level.iter().sum::<u64>());
+        let Profile::Full(full) = &self.profile else {
+            // The streaming detector's hits arrive as events.
+            let detector = self.detector.get().expect("armed by slot_for");
+            return detector.observe(r, |anomaly| self.on_event(&anomaly));
+        };
+        let by_level = full.level_words.iter().zip(r.words_by_level);
+        for (&id, &v) in by_level.chain(full.level_messages.iter().zip(r.messages_by_level)) {
+            reg.c(id).add(v);
+        }
+        reg.h(full.hrelation).record(r.hrelation);
+        for (f, rel) in r.finish.iter().zip(r.releases) {
+            reg.h(full.barrier_wait_virtual).record(rel - f);
+        }
+        let start = r.starts.iter().copied().fold(f64::INFINITY, f64::min);
+        let release = r.releases.iter().copied().fold(0.0f64, f64::max);
+        reg.h(full.step_duration_virtual).record(release - start);
+        if let Some(wall) = &r.wall {
+            let first = wall.body_start_ns.iter().copied().min().unwrap_or(0);
+            reg.h(full.step_wall_ns)
+                .record(wall.leader_done_ns.saturating_sub(first) as f64);
+        }
     }
 
     fn on_event(&self, ev: &ObsEvent<'_>) {
-        let owned = match ev {
-            ObsEvent::WatchdogFired { step, missing } => {
-                self.registry.c(self.std.watchdog_firings).inc();
+        let m = &self.m;
+        let (counter, owned) = match *ev {
+            ObsEvent::WatchdogFired { step, missing } => (
+                m.watchdog_firings,
                 EventTrace::WatchdogFired {
-                    step: *step,
+                    step,
                     missing: missing.to_vec(),
-                }
-            }
+                },
+            ),
             ObsEvent::Degraded {
                 step,
                 dead,
                 remaining,
-            } => {
-                self.registry.c(self.std.degrade_events).inc();
+            } => (
+                m.degrade_events,
                 EventTrace::Degraded {
-                    step: *step,
+                    step,
                     dead: dead.to_vec(),
-                    remaining: *remaining,
-                }
-            }
+                    remaining,
+                },
+            ),
             ObsEvent::RecoveryAttempt { attempt } => {
-                self.registry.c(self.std.recovery_attempts).inc();
-                EventTrace::RecoveryAttempt { attempt: *attempt }
+                (m.recovery_attempts, EventTrace::RecoveryAttempt { attempt })
             }
             ObsEvent::Replan {
                 segment,
@@ -561,20 +874,22 @@ impl Probe for Recorder {
                 strategy,
                 predicted,
             } => {
-                self.registry.c(self.std.adaptive_replans).inc();
                 // Forced re-plans report infinite drift (a structural
                 // mismatch, not a measurement); keep the histogram sums
                 // finite.
-                if drift.is_finite() {
-                    self.registry.h(self.std.adaptive_drift).record(*drift);
+                if let (Profile::Full(full), true) = (&self.profile, drift.is_finite()) {
+                    self.registry.h(full.adaptive_drift).record(drift);
                 }
-                EventTrace::Replan {
-                    segment: *segment,
-                    step: *step,
-                    drift: *drift,
-                    strategy: (*strategy).to_string(),
-                    predicted: *predicted,
-                }
+                (
+                    m.adaptive_replans,
+                    EventTrace::Replan {
+                        segment,
+                        step,
+                        drift,
+                        strategy: strategy.to_string(),
+                        predicted,
+                    },
+                )
             }
             ObsEvent::Anomaly {
                 step,
@@ -584,18 +899,27 @@ impl Probe for Recorder {
                 value,
                 mean,
             } => {
-                self.registry.c(self.std.anomaly_events).inc();
-                EventTrace::Anomaly {
-                    step: *step,
-                    pid: *pid,
-                    metric: (*metric).to_string(),
-                    zscore: *zscore,
-                    value: *value,
-                    mean: *mean,
+                if let Profile::Flight(flight) = &self.profile {
+                    let by_metric = match metric {
+                        METRIC_BARRIER_SKEW => flight.anomaly_skew,
+                        _ => flight.anomaly_drift,
+                    };
+                    self.registry.c(by_metric).inc();
+                    self.registry.g(flight.anomaly_last_z).set(zscore);
                 }
+                let owned = EventTrace::Anomaly {
+                    step,
+                    pid,
+                    metric: metric.to_string(),
+                    zscore,
+                    value,
+                    mean,
+                };
+                (m.anomaly_events, owned)
             }
         };
-        self.events.lock().expect("recorder lock").push(owned);
+        self.registry.c(counter).inc();
+        self.push_event(owned);
     }
 }
 
@@ -796,22 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn timelines_concatenate_steps_per_proc() {
-        let rec = Recorder::new();
-        for (i, t0) in [(0usize, 0.0), (1usize, 6.0)] {
-            let st = synthetic_step(i, Some(1), t0);
-            rec.on_step(&record_of(&st));
-        }
-        let tls = rec.timelines();
-        assert_eq!(tls.len(), 2);
-        let (pid, spans) = &tls[0];
-        assert_eq!(*pid, 0);
-        assert_eq!(spans.len(), 8, "two steps × four spans for proc 0");
-        assert_eq!(spans[0].start, 0.0);
-        assert_eq!(spans.last().unwrap().end, 12.0);
-    }
-
-    #[test]
     fn keep_last_bounds_memory_but_not_metrics() {
         let rec = Recorder::new().keep_last(3);
         for i in 0..10 {
@@ -824,11 +1132,14 @@ mod tests {
             steps.iter().map(|s| s.step).collect::<Vec<_>>(),
             vec![7, 8, 9]
         );
-        assert_eq!(rec.dropped(), 7);
+        // A reader from the start learns what the ring overwrote; one
+        // that kept up misses nothing.
+        let since = rec.steps_since(0);
+        assert_eq!((since.missed, since.next, since.steps), (7, 10, steps));
+        assert_eq!(rec.steps_since(8).steps.len(), 2);
+        assert_eq!(rec.steps_since(8).missed, 0);
         // Metrics still saw every step.
         assert!(rec.metrics_text().contains("hbsp_steps_total 10\n"));
-        // Unbounded recorders report zero drops.
-        assert_eq!(Recorder::new().dropped(), 0);
     }
 
     #[test]

@@ -34,10 +34,14 @@ use crate::sync::{cell_read, hb_assert, site_ord, Instant, Mutex, UnsafeCell};
 use hbsp_core::{
     MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
-use hbsp_obs::{ObsEvent, Probe, StepRecord, StepWall};
-use hbsp_sim::step::{analyze_into, delivery_order_into, resolve_outcomes, StepAnalysis};
+#[cfg(doc)]
+use hbsp_obs::StepRecord;
+use hbsp_obs::{ObsEvent, Probe, StepWall};
+use hbsp_sim::step::{
+    analyze_into, delivery_order_into, emit_step_record, resolve_outcomes, EmitScratch,
+    StepAnalysis,
+};
 use hbsp_sim::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use hbsp_sim::trace::{step_spans, ProcTimeline};
 use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome, StepStats};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
@@ -71,7 +75,6 @@ pub struct ThreadedRuntime {
     cfg: NetConfig,
     step_limit: usize,
     barrier_kind: BarrierKind,
-    trace: bool,
     check: bool,
     faults: FaultPlan,
     step_deadline: Option<Duration>,
@@ -239,8 +242,6 @@ struct LeaderState {
     /// Accumulated per-step statistics.
     steps: Vec<StepStats>,
     delivered: u64,
-    /// Per-processor activity timelines, accumulated when tracing.
-    timelines: Option<Vec<ProcTimeline>>,
     /// Set when the SPMD discipline is violated; threads bail out.
     error: Option<SimError>,
     // --- per-step scratch, reused so a steady-state superstep does no
@@ -262,37 +263,20 @@ struct LeaderState {
     /// Delivery permutation of the step's messages.
     order: Vec<usize>,
     /// Probe-record assembly buffers, reused across steps so an
-    /// enabled probe costs no per-superstep allocation either.
+    /// enabled probe costs no per-superstep allocation either: the
+    /// shared ones, and this engine's wall-clock body marks
+    /// (`[start, end]`, gathered from the slots).
     emit: EmitScratch,
-}
-
-/// Reusable buffers for assembling a [`StepRecord`]: the probe-on
-/// path clears and refills these instead of allocating fresh vectors
-/// every superstep.
-#[derive(Default)]
-struct EmitScratch {
-    words: Vec<u64>,
-    messages: Vec<u64>,
-    sent: Vec<u64>,
-    body_start_ns: Vec<u64>,
-    body_end_ns: Vec<u64>,
+    body_ns: [Vec<u64>; 2],
 }
 
 impl LeaderState {
-    fn new(p: usize, trace: bool) -> Self {
+    fn new(p: usize) -> Self {
         LeaderState {
             starts: vec![0.0; p],
             finish: vec![0.0; p],
             steps: Vec::new(),
             delivered: 0,
-            timelines: trace.then(|| {
-                (0..p)
-                    .map(|i| ProcTimeline {
-                        pid: ProcId(i as u32),
-                        spans: Vec::new(),
-                    })
-                    .collect()
-            }),
             error: None,
             work: Vec::with_capacity(p),
             outcomes: Vec::with_capacity(p),
@@ -311,6 +295,7 @@ impl LeaderState {
             timing_scratch: TimingScratch::default(),
             order: Vec::new(),
             emit: EmitScratch::default(),
+            body_ns: Default::default(),
         }
     }
 }
@@ -328,7 +313,6 @@ impl ThreadedRuntime {
             cfg,
             step_limit: 100_000,
             barrier_kind: BarrierKind::default(),
-            trace: false,
             check: cfg!(debug_assertions),
             faults: FaultPlan::new(),
             step_deadline: None,
@@ -345,15 +329,6 @@ impl ThreadedRuntime {
     /// disabled nothing is assembled and the hot path is untouched.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Record per-processor activity timelines (see [`hbsp_sim::trace`]).
-    /// The spans are built from the same timing algebra the simulator
-    /// uses, so a traced threaded run and a traced simulation of the
-    /// same program produce identical timelines.
-    pub fn trace(mut self, enable: bool) -> Self {
-        self.trace = enable;
         self
     }
 
@@ -423,7 +398,7 @@ impl ThreadedRuntime {
         let p = self.tree.num_procs();
         let barrier = StepBarrier::new(self.barrier_kind, &self.tree);
         let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
-        let leader = Mutex::new(LeaderState::new(p, self.trace));
+        let leader = Mutex::new(LeaderState::new(p));
         let leader_state = &leader;
         let finished = &AtomicBool::new(false);
         let failed = &AtomicBool::new(false);
@@ -646,7 +621,6 @@ impl ThreadedRuntime {
                     proc_finish: ls.finish,
                     steps: ls.steps,
                     messages_delivered: ls.delivered,
-                    timelines: ls.timelines,
                 },
                 wall,
             },
@@ -834,17 +808,32 @@ fn leader_step(
         starts,
         finish,
         steps,
-        timelines,
         work,
         analysis,
         timing,
         emit,
+        body_ns: [body_start_ns, body_end_ns],
         ..
     } = &mut *ls;
     let released = releases.as_deref().unwrap_or(&timing.finish);
-    if let Some(tls) = timelines.as_mut() {
-        step_spans(tls, starts, timing, released);
-    }
+    // This engine's share of the telemetry record: the wall-clock marks
+    // (the body marks in the slots are leader-readable here). Nothing
+    // is gathered for a disabled probe.
+    let wall = probe.enabled().then(|| {
+        body_start_ns.clear();
+        body_end_ns.clear();
+        for slot in slots.iter().take(p) {
+            // SAFETY: leader section — the leader owns every slot.
+            let slot = unsafe { slot.slot() };
+            body_start_ns.push(slot.body_start_ns);
+            body_end_ns.push(slot.body_end_ns);
+        }
+        StepWall {
+            body_start_ns,
+            body_end_ns,
+            leader_done_ns: began.elapsed().as_nanos() as u64,
+        }
+    });
     emit_step_record(
         probe,
         step,
@@ -854,8 +843,7 @@ fn leader_step(
         released,
         analysis,
         work,
-        slots,
-        began,
+        wall,
         emit,
     );
     steps.push(StepStats {
@@ -890,73 +878,6 @@ fn leader_step(
     }
     ls.delivered += ls.order.len() as u64;
     ls.starts = releases;
-}
-
-/// Assemble and publish the superstep's telemetry record, pairing the
-/// shared virtual-time decomposition with this engine's wall-clock
-/// marks. Runs inside the leader section (the body marks in the slots
-/// are leader-readable there); when the probe is disabled nothing is
-/// assembled at all, and when it is enabled assembly refills the
-/// reused [`EmitScratch`] buffers — probe-on costs no per-superstep
-/// allocation either way.
-#[allow(clippy::too_many_arguments)]
-fn emit_step_record(
-    probe: &dyn Probe,
-    step: usize,
-    barrier: Option<hbsp_core::Level>,
-    starts: &[f64],
-    timing: &hbsp_sim::timing::StepTiming,
-    releases: &[f64],
-    analysis: &hbsp_sim::step::StepAnalysis,
-    work: &[f64],
-    slots: &[ProcSlot],
-    began: Instant,
-    scratch: &mut EmitScratch,
-) {
-    if !probe.enabled() {
-        return;
-    }
-    let p = starts.len();
-    scratch.words.clear();
-    scratch
-        .words
-        .extend(analysis.traffic.iter().map(|t| t.words));
-    scratch.messages.clear();
-    scratch
-        .messages
-        .extend(analysis.traffic.iter().map(|t| t.messages));
-    scratch.sent.clear();
-    scratch.sent.resize(p, 0);
-    for intent in &analysis.intents {
-        scratch.sent[intent.src.rank()] += intent.words;
-    }
-    scratch.body_start_ns.clear();
-    scratch.body_end_ns.clear();
-    for slot in slots.iter().take(p) {
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { slot.slot() };
-        scratch.body_start_ns.push(slot.body_start_ns);
-        scratch.body_end_ns.push(slot.body_end_ns);
-    }
-    probe.on_step(&StepRecord {
-        step,
-        barrier,
-        starts,
-        compute_done: &timing.compute_done,
-        send_done: &timing.send_done,
-        finish: &timing.finish,
-        releases,
-        words_by_level: &scratch.words,
-        messages_by_level: &scratch.messages,
-        hrelation: analysis.hrelation,
-        work,
-        sent_words: &scratch.sent,
-        wall: Some(StepWall {
-            body_start_ns: &scratch.body_start_ns,
-            body_end_ns: &scratch.body_end_ns,
-            leader_done_ns: began.elapsed().as_nanos() as u64,
-        }),
-    });
 }
 
 /// The runtime's per-processor superstep context: reads the thread's
@@ -1166,7 +1087,7 @@ mod tests {
                 StepOutcome::Continue(SyncScope::global(&tree))
             });
         }
-        let mut ls = LeaderState::new(p, false);
+        let mut ls = LeaderState::new(p);
         let finished = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
         leader_step(
@@ -1254,30 +1175,26 @@ mod tests {
 
     #[test]
     fn traced_timelines_match_the_simulator() {
+        use hbsp_sim::ProcTimeline;
         let tree = machine();
         let prog = Exchange { rounds: 3 };
-        let sim = Simulator::new(Arc::clone(&tree))
-            .trace(true)
+        let recorders = [(); 2].map(|()| Arc::new(hbsp_obs::Recorder::new()));
+        Simulator::new(Arc::clone(&tree))
+            .probe(recorders[0].clone())
             .run(&prog)
             .unwrap();
-        let thr = ThreadedRuntime::new(Arc::clone(&tree))
-            .trace(true)
+        ThreadedRuntime::new(tree)
+            .probe(recorders[1].clone())
             .run(&prog)
-            .unwrap()
-            .virtual_outcome;
-        let sim_tls = sim.timelines.expect("simulator traced");
-        let thr_tls = thr.timelines.expect("runtime traced");
+            .unwrap();
+        let [sim_tls, thr_tls] = recorders.map(|r| ProcTimeline::from_steps(&r.steps()));
+        assert_eq!(sim_tls.len(), 4);
         assert_eq!(sim_tls.len(), thr_tls.len());
         for (a, b) in sim_tls.iter().zip(&thr_tls) {
             assert_eq!(a.pid, b.pid);
+            assert!(!a.spans.is_empty());
             assert_eq!(a.spans, b.spans, "P{} timelines diverge", a.pid.0);
         }
-        // Untraced runs stay lean.
-        let plain = ThreadedRuntime::new(tree)
-            .run(&prog)
-            .unwrap()
-            .virtual_outcome;
-        assert!(plain.timelines.is_none());
     }
 
     #[test]

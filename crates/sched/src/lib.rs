@@ -226,7 +226,9 @@ impl Scheduler {
         // node) — or (job, node) for custom work — so a graph of
         // repeated shapes prices each shape once.
         let mut prices: HashMap<(u8, u64, u32), Option<f64>> = HashMap::new();
-        let mut recorded = 0usize;
+        // Cursors into the recorder: each batch reads only its own
+        // steps and events.
+        let mut recorded = 0u64;
         let mut recorded_events = 0usize;
         let max_batch = if opts.serial { 1 } else { usize::MAX };
         // Closed loop: placement prices and lowerings come from the
@@ -344,8 +346,7 @@ impl Scheduler {
             let (outcome, states) = match exec.run(&prog) {
                 Ok(ok) => ok,
                 Err(e) => {
-                    let all_steps = recorder.steps();
-                    let fail_steps = all_steps[recorded.min(all_steps.len())..].to_vec();
+                    let fail_steps = recorder.steps_since(recorded).steps;
                     let fail_end = clock
                         + fail_steps
                             .iter()
@@ -381,7 +382,6 @@ impl Scheduler {
                             br.replanned
                         );
                     }
-                    let all_events = recorder.events();
                     let bundle = PostmortemBundle {
                         reason: e.to_string(),
                         engine: exec.engine_name().to_string(),
@@ -389,7 +389,7 @@ impl Scheduler {
                         machine: tree.to_string(),
                         fault_plan: self.faults.render(),
                         steps: fail_steps,
-                        events: all_events[recorded_events.min(all_events.len())..].to_vec(),
+                        events: recorder.events_since(recorded_events),
                         decision_log: log,
                         metrics: metrics.snapshot(),
                         spans: causal.into_spans(),
@@ -401,13 +401,12 @@ impl Scheduler {
             let (start, end) = (clock, clock + duration);
             clock = end;
 
-            let all_steps = recorder.steps();
-            let all_events = recorder.events();
-            let batch_steps = &all_steps[recorded..];
-            let batch_events = &all_events[recorded_events..];
+            let batch = recorder.steps_since(recorded);
+            let batch_steps = &batch.steps;
+            let batch_events = recorder.events_since(recorded_events);
             let drift = DriftReport::new(batch_steps, predicted.steps()).ok();
-            recorded = all_steps.len();
-            recorded_events = all_events.len();
+            recorded = batch.next;
+            recorded_events += batch_events.len();
 
             let batch_span = causal.push(
                 CausalKind::Batch,
@@ -485,7 +484,7 @@ impl Scheduler {
                     .unwrap_or(f64::INFINITY);
                 if num_done < n && batch_drift > threshold {
                     if let Some(updated) =
-                        hbsplib::recalibrated(&belief, batch_steps, batch_events, adapt_trim)
+                        hbsplib::recalibrated(&belief, batch_steps, &batch_events, adapt_trim)
                     {
                         belief = updated;
                         prices.clear();
@@ -494,7 +493,7 @@ impl Scheduler {
                         if recorder.enabled() {
                             recorder.on_event(&ObsEvent::Replan {
                                 segment: batch_index,
-                                step: recorded,
+                                step: recorded as usize,
                                 drift: batch_drift,
                                 strategy: "sched/re-place",
                                 predicted: predicted.total(),

@@ -5,13 +5,17 @@ use crate::config::NetConfig;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::stats::StepStats;
-use crate::step::{analyze_into, delivery_order_into, resolve_outcomes, StepAnalysis};
+use crate::step::{
+    analyze_into, delivery_order_into, emit_step_record, resolve_outcomes, EmitScratch,
+    StepAnalysis,
+};
 use crate::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use crate::trace::{step_spans, ProcTimeline};
 use hbsp_core::{
     MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
-use hbsp_obs::{ObsEvent, Probe, StepRecord};
+#[cfg(doc)]
+use hbsp_obs::StepRecord;
+use hbsp_obs::{ObsEvent, Probe};
 use std::sync::{Arc, Mutex, TryLockError};
 
 /// Result of a simulated program run.
@@ -26,8 +30,6 @@ pub struct SimOutcome {
     pub steps: Vec<StepStats>,
     /// Total messages delivered across the run.
     pub messages_delivered: u64,
-    /// Per-processor activity timelines, when tracing was enabled.
-    pub timelines: Option<Vec<ProcTimeline>>,
 }
 
 impl SimOutcome {
@@ -87,7 +89,6 @@ pub struct Simulator {
     tree: Arc<MachineTree>,
     cfg: NetConfig,
     step_limit: usize,
-    trace: bool,
     check: bool,
     faults: FaultPlan,
     step_deadline: Option<f64>,
@@ -107,7 +108,6 @@ impl Simulator {
             tree,
             cfg,
             step_limit: 100_000,
-            trace: false,
             check: cfg!(debug_assertions),
             faults: FaultPlan::new(),
             step_deadline: None,
@@ -119,12 +119,6 @@ impl Simulator {
     /// Override the runaway-program guard (default 100 000 supersteps).
     pub fn step_limit(mut self, limit: usize) -> Self {
         self.step_limit = limit;
-        self
-    }
-
-    /// Record per-processor activity timelines (see [`crate::trace`]).
-    pub fn trace(mut self, enable: bool) -> Self {
-        self.trace = enable;
         self
     }
 
@@ -152,7 +146,8 @@ impl Simulator {
     /// [`StepRecord`] per superstep in **virtual time** (the same
     /// schema the threaded runtime fills with wall-clock marks added)
     /// plus [`ObsEvent`]s for watchdog aborts; when disabled nothing
-    /// is assembled.
+    /// is assembled. Per-processor activity timelines are a view over
+    /// what a recording probe kept (see [`crate::trace`]).
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = probe;
         self
@@ -242,14 +237,6 @@ impl Simulator {
         } = scratch;
         let mut steps: Vec<StepStats> = Vec::new();
         let mut delivered = 0u64;
-        let mut timelines: Option<Vec<ProcTimeline>> = self.trace.then(|| {
-            (0..p)
-                .map(|i| ProcTimeline {
-                    pid: ProcId(i as u32),
-                    spans: Vec::new(),
-                })
-                .collect()
-        });
 
         for step in 0..self.step_limit {
             // Scripted faults fire in a fixed order shared with the
@@ -353,7 +340,8 @@ impl Simulator {
                     // Program over. Messages posted in the final step have
                     // no next superstep to land in; count them as traffic
                     // but they are never readable.
-                    self.emit_step_record(
+                    emit_step_record(
+                        &*self.probe,
                         step,
                         None,
                         &starts,
@@ -361,6 +349,7 @@ impl Simulator {
                         &timing.finish,
                         analysis,
                         work,
+                        None,
                         emit_scratch,
                     );
                     steps.push(StepStats {
@@ -373,26 +362,20 @@ impl Simulator {
                         hrelation,
                         work_units: work.iter().sum(),
                     });
-                    if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, timing, &timing.finish);
-                    }
                     return Ok((
                         SimOutcome {
                             total_time: finish_max,
                             proc_finish: std::mem::take(&mut timing.finish),
                             steps,
                             messages_delivered: delivered,
-                            timelines,
                         },
                         states,
                     ));
                 }
                 Some(s) => {
                     let releases = barrier_release(&self.tree, s, &timing.finish);
-                    if let Some(tls) = &mut timelines {
-                        step_spans(tls, &starts, timing, &releases);
-                    }
-                    self.emit_step_record(
+                    emit_step_record(
+                        &*self.probe,
                         step,
                         Some(s.level()),
                         &starts,
@@ -400,6 +383,7 @@ impl Simulator {
                         &releases,
                         analysis,
                         work,
+                        None,
                         emit_scratch,
                     );
                     let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -436,55 +420,6 @@ impl Simulator {
     /// Execute `prog` to completion, discarding final states.
     pub fn run<P: SpmdProgram>(&self, prog: &P) -> Result<SimOutcome, SimError> {
         self.run_with_states(prog).map(|(o, _)| o)
-    }
-
-    /// Assemble and emit one [`StepRecord`] — only when the probe asks
-    /// for it, refilling the reused scratch buffers so probe-on costs
-    /// no per-superstep allocation (the disabled path assembles
-    /// nothing at all).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_step_record(
-        &self,
-        step: usize,
-        barrier: Option<hbsp_core::Level>,
-        starts: &[f64],
-        timing: &crate::timing::StepTiming,
-        releases: &[f64],
-        analysis: &crate::step::StepAnalysis,
-        work: &[f64],
-        scratch: &mut EmitScratch,
-    ) {
-        if !self.probe.enabled() {
-            return;
-        }
-        scratch.words.clear();
-        scratch
-            .words
-            .extend(analysis.traffic.iter().map(|t| t.words));
-        scratch.messages.clear();
-        scratch
-            .messages
-            .extend(analysis.traffic.iter().map(|t| t.messages));
-        scratch.sent.clear();
-        scratch.sent.resize(starts.len(), 0);
-        for intent in &analysis.intents {
-            scratch.sent[intent.src.rank()] += intent.words;
-        }
-        self.probe.on_step(&StepRecord {
-            step,
-            barrier,
-            starts,
-            compute_done: &timing.compute_done,
-            send_done: &timing.send_done,
-            finish: &timing.finish,
-            releases,
-            words_by_level: &scratch.words,
-            messages_by_level: &scratch.messages,
-            hrelation: analysis.hrelation,
-            work,
-            sent_words: &scratch.sent,
-            wall: None,
-        });
     }
 }
 
@@ -546,14 +481,6 @@ impl Scratch {
         }
         self.work.resize(p, 0.0);
     }
-}
-
-/// Reusable probe-record assembly buffers (see `emit_step_record`).
-#[derive(Default)]
-struct EmitScratch {
-    words: Vec<u64>,
-    messages: Vec<u64>,
-    sent: Vec<u64>,
 }
 
 /// The simulator's per-processor superstep context: a read-only view
@@ -811,11 +738,12 @@ mod tests {
 
     #[test]
     fn tracing_records_consistent_timelines() {
-        let sim = Simulator::new(flat4()).trace(true);
+        let recorder = Arc::new(hbsp_obs::Recorder::new());
+        let sim = Simulator::new(flat4()).probe(recorder.clone());
         let out = sim.run(&RingShift { rounds: 3 }).unwrap();
-        let tls = out.timelines.as_ref().expect("tracing enabled");
+        let tls = crate::trace::ProcTimeline::from_steps(&recorder.steps());
         assert_eq!(tls.len(), 4);
-        for tl in tls {
+        for tl in &tls {
             // Spans are time-ordered, non-overlapping, and end by the
             // run's total time.
             for w in tl.spans.windows(2) {
@@ -830,13 +758,8 @@ mod tests {
                 "everyone sends"
             );
         }
-        // Untraced runs carry no timelines.
-        let plain = Simulator::new(flat4())
-            .run(&RingShift { rounds: 3 })
-            .unwrap();
-        assert!(plain.timelines.is_none());
         // The Gantt chart renders one row per processor.
-        let chart = crate::trace::ascii_gantt(tls, 40);
+        let chart = crate::trace::ascii_gantt(&tls, 40);
         assert_eq!(chart.lines().count(), 5);
     }
 

@@ -48,4 +48,4 @@ pub use faults::{Fault, FaultPlan, SplitMix64};
 pub use model_engine::ModelEvaluator;
 pub use stats::{LevelTraffic, StepStats};
 pub use step::{analyze, delivery_order, resolve_outcomes, StepAnalysis};
-pub use trace::{ascii_gantt, step_spans, ProcTimeline, Span, SpanKind, TraceSummary};
+pub use trace::{ascii_gantt, ProcTimeline, Span, SpanKind, TraceSummary};

@@ -1,11 +1,13 @@
 //! Superstep analysis shared by the simulator and the threaded runtime:
-//! SPMD-discipline checks, scope confinement, send intents, and traffic
-//! accounting.
+//! SPMD-discipline checks, scope confinement, send intents, traffic
+//! accounting, and the one place a superstep becomes a telemetry
+//! [`StepRecord`].
 
 use crate::error::SimError;
 use crate::stats::LevelTraffic;
-use crate::timing::{MsgTiming, SendIntent};
-use hbsp_core::{HRelation, MachineTree, MsgBatch, MsgView, StepOutcome, SyncScope};
+use crate::timing::{MsgTiming, SendIntent, StepTiming};
+use hbsp_core::{HRelation, Level, MachineTree, MsgBatch, MsgView, StepOutcome, SyncScope};
+use hbsp_obs::{Probe, StepRecord, StepWall};
 
 /// The validated, cost-relevant view of one superstep's communication.
 #[derive(Debug, Clone)]
@@ -157,6 +159,68 @@ pub fn analyze_into<'a>(
     }
     out.hrelation = hr.h_on(tree);
     Ok(())
+}
+
+/// Reusable buffers for assembling a [`StepRecord`]: an enabled probe
+/// clears and refills these instead of allocating fresh vectors every
+/// superstep.
+#[derive(Default)]
+pub struct EmitScratch {
+    words: Vec<u64>,
+    messages: Vec<u64>,
+    sent: Vec<u64>,
+}
+
+/// Assemble and publish one superstep's [`StepRecord`] — the same
+/// virtual-time schema from both engines; `wall` carries the threaded
+/// runtime's wall-clock marks and is `None` on the simulator. When the
+/// probe is disabled nothing is assembled at all, and when it is
+/// enabled assembly refills `scratch`, so probe-on costs no
+/// per-superstep allocation either.
+#[allow(clippy::too_many_arguments)]
+pub fn emit_step_record(
+    probe: &dyn Probe,
+    step: usize,
+    barrier: Option<Level>,
+    starts: &[f64],
+    timing: &StepTiming,
+    releases: &[f64],
+    analysis: &StepAnalysis,
+    work: &[f64],
+    wall: Option<StepWall<'_>>,
+    scratch: &mut EmitScratch,
+) {
+    if !probe.enabled() {
+        return;
+    }
+    scratch.words.clear();
+    scratch
+        .words
+        .extend(analysis.traffic.iter().map(|t| t.words));
+    scratch.messages.clear();
+    scratch
+        .messages
+        .extend(analysis.traffic.iter().map(|t| t.messages));
+    scratch.sent.clear();
+    scratch.sent.resize(starts.len(), 0);
+    for intent in &analysis.intents {
+        scratch.sent[intent.src.rank()] += intent.words;
+    }
+    probe.on_step(&StepRecord {
+        step,
+        barrier,
+        starts,
+        compute_done: &timing.compute_done,
+        send_done: &timing.send_done,
+        finish: &timing.finish,
+        releases,
+        words_by_level: &scratch.words,
+        messages_by_level: &scratch.messages,
+        hrelation: analysis.hrelation,
+        work,
+        sent_words: &scratch.sent,
+        wall,
+    });
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
 //! Execution timelines: what every processor was doing when.
 //!
-//! When tracing is enabled ([`crate::Simulator::trace`]), the engine
-//! records per-processor activity spans for every superstep — compute,
-//! send (pack+post), unpack, and barrier wait — which is the raw
-//! material for diagnosing imbalance ("faster machines typically sit
-//! idle waiting for slower nodes", §4.1). [`ascii_gantt`] renders the
-//! timelines as a terminal Gantt chart.
+//! A recording probe ([`hbsp_obs::Recorder`], attached with
+//! `Simulator::probe` or `Executor::probe` on either engine) keeps one
+//! [`StepTrace`] per superstep; [`ProcTimeline::from_steps`] views those
+//! as per-processor activity spans — compute, send (pack+post), unpack,
+//! and barrier wait — which is the raw material for diagnosing
+//! imbalance ("faster machines typically sit idle waiting for slower
+//! nodes", §4.1). [`TraceSummary`] totals them and [`ascii_gantt`]
+//! renders them as a terminal Gantt chart.
 
-use crate::timing::StepTiming;
 use hbsp_core::ProcId;
+use hbsp_obs::StepTrace;
 use std::fmt::Write as _;
 
 // The span schema lives in `hbsp-obs` (both engines and the exporters
@@ -26,6 +28,26 @@ pub struct ProcTimeline {
 }
 
 impl ProcTimeline {
+    /// One timeline per processor over `steps` (what a recorder's
+    /// `steps()` or `steps_since(cursor)` returned): each step's
+    /// [`StepTrace::spans`], in order, without the zero-length ones.
+    /// Both engines record the same virtual times, so the same program
+    /// gives the same timelines on either.
+    pub fn from_steps(steps: &[StepTrace]) -> Vec<ProcTimeline> {
+        let procs = steps.iter().map(StepTrace::procs).max().unwrap_or(0);
+        (0..procs)
+            .map(|i| ProcTimeline {
+                pid: ProcId(i as u32),
+                spans: steps
+                    .iter()
+                    .filter(|st| i < st.procs())
+                    .flat_map(|st| st.spans(i))
+                    .filter(|span| span.end > span.start)
+                    .collect(),
+            })
+            .collect()
+    }
+
     /// Total time spent in `kind`.
     pub fn time_in(&self, kind: SpanKind) -> f64 {
         self.spans
@@ -42,29 +64,6 @@ impl ProcTimeline {
             return 0.0;
         }
         self.time_in(SpanKind::BarrierWait) / horizon
-    }
-}
-
-/// Build per-processor spans for one superstep from its timing and the
-/// barrier releases (`releases = finish` for the final step). Shared by
-/// the simulator and the threaded runtime so both engines produce
-/// identical timelines for the same program.
-pub fn step_spans(
-    timelines: &mut [ProcTimeline],
-    starts: &[f64],
-    timing: &StepTiming,
-    releases: &[f64],
-) {
-    for (i, tl) in timelines.iter_mut().enumerate() {
-        let mut push = |kind, start: f64, end: f64| {
-            if end > start {
-                tl.spans.push(Span { kind, start, end });
-            }
-        };
-        push(SpanKind::Compute, starts[i], timing.compute_done[i]);
-        push(SpanKind::Send, timing.compute_done[i], timing.send_done[i]);
-        push(SpanKind::Unpack, timing.send_done[i], timing.finish[i]);
-        push(SpanKind::BarrierWait, timing.finish[i], releases[i]);
     }
 }
 
@@ -271,20 +270,49 @@ mod tests {
         assert!((s.wait_fraction() - 1.0 / 3.0).abs() < 1e-12);
     }
 
+    fn step(index: usize, barrier: Option<u32>, t0: f64) -> StepTrace {
+        StepTrace::from_record(&hbsp_obs::StepRecord {
+            step: index,
+            barrier,
+            starts: &[t0, t0],
+            compute_done: &[t0 + 5.0, t0 + 2.0],
+            send_done: &[t0 + 5.0, t0 + 3.0], // P0 sends nothing
+            finish: &[t0 + 9.0, t0 + 3.5],
+            releases: &[t0 + 9.0, t0 + 9.0], // P0 is last: it waits for nobody
+            words_by_level: &[0, 4],
+            messages_by_level: &[0, 1],
+            hrelation: 4.0,
+            work: &[5.0, 2.0],
+            sent_words: &[0, 4],
+            wall: None,
+        })
+    }
+
     #[test]
     fn step_spans_elide_empty() {
-        let timing = StepTiming {
-            compute_done: vec![5.0],
-            send_done: vec![5.0], // no sends
-            finish: vec![9.0],
-            messages: vec![],
-        };
-        let mut tls = vec![tl(0, vec![])];
-        step_spans(&mut tls, &[0.0], &timing, &[12.0]);
-        let kinds: Vec<SpanKind> = tls[0].spans.iter().map(|s| s.kind).collect();
+        let tls = ProcTimeline::from_steps(&[step(0, Some(1), 0.0)]);
+        let kinds = |tl: &ProcTimeline| tl.spans.iter().map(|s| s.kind).collect::<Vec<_>>();
+        // No send span for P0, and no barrier wait of length zero
+        // (which `StepTrace::spans` itself keeps).
+        assert_eq!(kinds(&tls[0]), [SpanKind::Compute, SpanKind::Unpack]);
         assert_eq!(
-            kinds,
-            vec![SpanKind::Compute, SpanKind::Unpack, SpanKind::BarrierWait]
+            kinds(&tls[1]),
+            [
+                SpanKind::Compute,
+                SpanKind::Send,
+                SpanKind::Unpack,
+                SpanKind::BarrierWait
+            ]
         );
+    }
+
+    #[test]
+    fn timelines_concatenate_steps_per_proc() {
+        let tls = ProcTimeline::from_steps(&[step(0, Some(1), 0.0), step(1, Some(1), 9.0)]);
+        assert_eq!(tls.len(), 2);
+        assert_eq!(tls[1].pid, ProcId(1));
+        assert_eq!(tls[1].spans.len(), 8, "two steps × four spans for P1");
+        assert_eq!(tls[1].spans[0].start, 0.0);
+        assert_eq!(tls[1].spans.last().unwrap().end, 18.0);
     }
 }

@@ -13,12 +13,14 @@ use hbsp::collectives::plan::WorkloadPolicy;
 use hbsp::collectives::predict;
 use hbsp::core::analysis::{heterogeneity, Penalty};
 use hbsp::lib::Executor;
-use hbsp::sim::{ascii_gantt, SpanKind};
+use hbsp::obs::Recorder;
+use hbsp::sim::{ascii_gantt, ProcTimeline, SpanKind};
 use std::sync::Arc;
 
 fn main() {
     let tree = Arc::new(hbsp::bench::testbed(6).expect("testbed builds"));
-    let exec = Executor::simulator(tree.clone()).trace(true);
+    let recorder = Arc::new(Recorder::new());
+    let exec = Executor::simulator(tree.clone()).probe(recorder.clone());
     let items: Vec<u32> = (0..40_000).collect();
 
     let h = heterogeneity(&tree);
@@ -44,11 +46,12 @@ fn main() {
         ),
     ] {
         let plan = GatherPlan::fast_root().with_workload(workload);
+        let before = recorder.recorded();
         let out = gather::run(&exec, &items, plan).expect("gather runs").sim;
-        let timelines = out.timelines.as_ref().expect("tracing enabled");
+        let timelines = ProcTimeline::from_steps(&recorder.steps_since(before).steps);
         println!("gather with {label}: T = {:.0}", out.total_time);
-        println!("{}", ascii_gantt(timelines, 72));
-        for tl in timelines {
+        println!("{}", ascii_gantt(&timelines, 72));
+        for tl in &timelines {
             println!(
                 "  {:>3} {:<9} send {:>8.0}  unpack {:>8.0}  idle {:>5.1}%",
                 tl.pid.to_string(),

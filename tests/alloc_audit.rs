@@ -351,6 +351,51 @@ fn armed_flight_recorder_allocates_nothing_per_superstep() {
     }
 }
 
+/// The recorder's own store, step by step on this thread: a ring is
+/// one arena sized when armed, and a keep-everything store grows by
+/// whole 64 KiB segments (170 steps of this machine each), so recording
+/// allocates per segment — its cells, and now and then a table of the
+/// directory that indexes the segments — and never per step.
+#[test]
+fn the_recorder_store_allocates_per_segment_never_per_step() {
+    use hbsp_obs::{FlightRecorder, Probe, Recorder, StepRecord};
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let feed = |probe: &dyn Probe, steps: usize| {
+        thread_allocs_during(|| {
+            for step in 0..steps {
+                let t = [step as f64; 4];
+                probe.on_step(&StepRecord {
+                    step,
+                    barrier: Some(1),
+                    starts: &t,
+                    compute_done: &t,
+                    send_done: &t,
+                    finish: &t,
+                    releases: &t,
+                    words_by_level: &[0, 4],
+                    messages_by_level: &[0, 4],
+                    hrelation: 1.0,
+                    work: &t,
+                    sent_words: &[1; 4],
+                    wall: None,
+                });
+            }
+        })
+    };
+    let flight = FlightRecorder::with_capacity(16);
+    let bounded = Recorder::new().keep_last(16);
+    let everything = Recorder::new();
+    for recorder in [&*flight, &bounded, &everything] {
+        recorder.arm(4, 2);
+    }
+    assert_eq!(feed(&flight, 900), 0, "armed flight ring");
+    assert_eq!(feed(&bounded, 900), 0, "armed keep_last ring");
+    // Six segments hold the 900 steps: five after the armed one, in
+    // directory tables of 1, 2 and 4 entries.
+    assert_eq!(feed(&everything, 900), 5 + 2, "keep-everything store");
+    assert_eq!(everything.recorded(), 900);
+}
+
 /// The two engines agree bit-for-bit on the audited program — the SoA
 /// delivery path preserves ordering exactly.
 #[test]

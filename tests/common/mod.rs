@@ -119,3 +119,91 @@ pub fn arb_machine() -> impl Strategy<Value = MachineTree> {
 pub fn arb_items() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(any::<u32>(), 0..600)
 }
+
+/// splitmix64: a tiny deterministic mixer so every processor can derive
+/// the same pseudo-random decisions from `(seed, step)` without shared
+/// state.
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The processors a send may go to in a step that closes at `level`:
+/// the leaves of the sender's cluster at that level, itself included.
+pub fn cluster_peers(env: &ProcEnv, level: u32) -> Vec<ProcId> {
+    let cluster = env
+        .tree
+        .cluster_of(env.pid, level)
+        .expect("scope level never exceeds the tree height");
+    env.tree
+        .subtree_leaves(cluster)
+        .into_iter()
+        .map(|l| env.tree.node(l).proc_id().expect("leaves are procs"))
+        .collect()
+}
+
+/// A seeded random SPMD program: each superstep picks a sync scope from
+/// `(seed, step)` alone (so every processor agrees, as the SPMD
+/// discipline demands), then each processor posts a random number of
+/// randomly sized messages to random destinations *within its cluster
+/// at that scope* and charges random work.
+pub struct RandomProgram {
+    pub rounds: usize,
+    pub seed: u64,
+    /// When true (and the machine has depth), steps may close with
+    /// level-scoped barriers instead of always syncing globally.
+    pub local_sync: bool,
+}
+
+impl RandomProgram {
+    /// The scope closing superstep `step` — a pure function of the
+    /// program parameters so all processors derive the same answer.
+    fn scope(&self, step: usize, tree: &MachineTree) -> SyncScope {
+        let height = tree.height();
+        if self.local_sync && height > 1 {
+            SyncScope::Level(1 + (mix(self.seed ^ step as u64) % height as u64) as u32)
+        } else {
+            SyncScope::global(tree)
+        }
+    }
+}
+
+impl Program for RandomProgram {
+    type State = u64;
+
+    fn init(&self, _env: &ProcEnv) -> u64 {
+        0x6a09_e667_f3bc_c908
+    }
+
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        digest: &mut u64,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        for m in ctx.messages() {
+            *digest ^= (m.src.0 as u64) << 40 | (m.tag as u64) << 20 | m.payload.len() as u64;
+            *digest = mix(*digest);
+        }
+        if step == self.rounds {
+            return StepOutcome::Done;
+        }
+        let scope = self.scope(step, &env.tree);
+        // Destinations legal for this step: the leaves of this
+        // processor's cluster at the closing scope's level.
+        let peers = cluster_peers(env, scope.level());
+        let base = mix(self.seed ^ ((step as u64) << 24) ^ env.pid.0 as u64);
+        let nmsgs = (base % 4) as usize;
+        for j in 0..nmsgs as u64 {
+            let h = mix(base ^ (j << 8));
+            let dst = peers[(h % peers.len() as u64) as usize];
+            let len = (mix(h) % 96) as usize;
+            ctx.send(dst, (h % 17) as u32, &vec![(h >> 32) as u8; len]);
+        }
+        ctx.charge((base % 1000) as f64 / 8.0);
+        StepOutcome::Continue(scope)
+    }
+}
