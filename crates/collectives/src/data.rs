@@ -37,6 +37,12 @@ pub enum DecodeError {
     /// of the result needs items or a partial the processor never
     /// received.
     MissingUnit,
+    /// A message whose tag is none of the schedule program's three wire
+    /// layouts (piece, bundle, partial).
+    ForeignTag(u32),
+    /// A partial-reduction vector arrived at a program built without a
+    /// `ReduceOp` to fold it with.
+    NoReduceOp,
 }
 
 impl fmt::Display for DecodeError {
@@ -54,6 +60,8 @@ impl fmt::Display for DecodeError {
             DecodeError::MissingUnit => {
                 write!(f, "scheduled data never arrived at this processor")
             }
+            DecodeError::ForeignTag(tag) => write!(f, "message with foreign tag {tag:#x}"),
+            DecodeError::NoReduceOp => write!(f, "partial-reduction vector but no ReduceOp"),
         }
     }
 }

@@ -28,7 +28,7 @@ use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
 use hbsp_core::{
-    HRelation, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
+    HRelation, Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
     StepOutcome, SyncScope,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
@@ -442,13 +442,11 @@ impl ScheduleState {
         })
     }
 
-    fn absorb(&mut self, op: Option<ReduceOp>, due: usize, messages: &hbsp_core::MsgBatch) {
+    fn absorb(&mut self, op: Option<ReduceOp>, due: usize, messages: Inbox<'_>) {
         // Partials fold in src order, so a future non-commutative op
         // stays deterministic (today's ops are all commutative).
         let mut partials: Vec<(ProcId, &[u8])> = Vec::new();
-        let mut arrived = 0;
         for m in messages {
-            arrived += 1;
             let decoded = match m.tag {
                 TAG_PIECE => Piece::decode(m.payload).map(|p| self.insert(p)),
                 TAG_BUNDLE => decode_bundle(m.payload)
@@ -457,18 +455,21 @@ impl ScheduleState {
                     partials.push((m.src, m.payload));
                     Ok(())
                 }
-                other => panic!("schedule program received foreign tag {other:#x}"),
+                other => Err(DecodeError::ForeignTag(other)),
             };
             self.error = self.error.or(decoded.err());
         }
         // No decoder ever sees a message that is not there.
-        if arrived != due {
+        if messages.len() != due {
             self.error = self.error.or(Some(DecodeError::MissingUnit));
         }
         partials.sort_by_key(|&(src, _)| src);
         for (_, payload) in partials {
-            let op = op.expect("partial-reduction transfer without a ReduceOp");
-            self.error = self.error.or(self.fold(op, payload).err());
+            let folded = match op {
+                Some(op) => self.fold(op, payload),
+                None => Err(DecodeError::NoReduceOp),
+            };
+            self.error = self.error.or(folded.err());
         }
     }
 
@@ -894,6 +895,7 @@ mod tests {
         // Drive one interpreter step by hand with a hostile message.
         struct Ctx {
             messages: hbsp_core::MsgBatch,
+            rows: Vec<(u32, u32)>,
         }
         impl SpmdContext for Ctx {
             fn pid(&self) -> ProcId {
@@ -905,8 +907,8 @@ mod tests {
             fn tree(&self) -> &MachineTree {
                 unreachable!()
             }
-            fn messages(&self) -> &hbsp_core::MsgBatch {
-                &self.messages
+            fn messages(&self) -> Inbox<'_> {
+                Inbox::shared(&self.messages, &self.rows)
             }
             fn send_with(&mut self, _: ProcId, _: u32, _: usize, _: &mut dyn FnMut(&mut [u8])) {
                 panic!("a poisoned processor must go quiet");
@@ -933,6 +935,7 @@ mod tests {
                 b.push(ProcId(0), ProcId(0), TAG_BUNDLE, &[]);
                 b
             },
+            rows: vec![(0, 0)],
         };
         let out = prog.step(0, &env, &mut state, &mut ctx);
         assert_eq!(out, StepOutcome::Done);

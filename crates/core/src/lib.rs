@@ -68,8 +68,8 @@ pub use ids::{Level, MachineId, NodeIdx, ProcId};
 pub use params::{NodeParams, DEFAULT_G};
 pub use reparam::{ObservedParams, ReparamError};
 pub use spmd::{
-    Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext, SpmdProgram, StepOutcome,
-    SyncScope,
+    Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext,
+    SpmdProgram, StepOutcome, SyncScope,
 };
 pub use tree::{MachineTree, Node, NodeKind};
 pub use workload::{apportion, Partition};

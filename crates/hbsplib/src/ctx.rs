@@ -3,7 +3,7 @@
 use crate::codec;
 use crate::enquiry::TreeEnquiry;
 use hbsp_core::{
-    Level, MachineTree, MsgBatch, MsgView, ProcEnv, ProcId, SpmdContext, StepOutcome, SyncScope,
+    Inbox, Level, MachineTree, MsgView, ProcEnv, ProcId, SpmdContext, StepOutcome, SyncScope,
 };
 
 /// Ergonomic, typed wrapper over the raw engine context. Construct one
@@ -102,8 +102,9 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// All messages delivered for this superstep (arrival order).
-    pub fn messages(&self) -> &MsgBatch {
+    /// All messages delivered for this superstep (arrival order), read
+    /// in place.
+    pub fn messages(&self) -> Inbox<'_> {
         self.raw.messages()
     }
 

@@ -135,10 +135,11 @@ pub struct Recovered<S> {
 /// A configured execution engine for one machine.
 ///
 /// The executor owns its engine's memory: the engine, with the buffers
-/// it keeps between runs (the simulator: its inbox arenas), lives from
-/// the first [`Executor::run`] until the executor is dropped or
-/// reconfigured. A clone shares the
-/// configuration only and builds its own engine.
+/// it keeps between runs (the simulator: one message arena and its row
+/// lists; the threaded runtime: its processor threads), lives from the
+/// first [`Executor::run`] until the executor is dropped or
+/// reconfigured. A clone shares the configuration only and builds its
+/// own engine.
 pub struct Executor {
     tree: Arc<MachineTree>,
     cfg: Option<NetConfig>,
@@ -522,8 +523,9 @@ enum EngineInstance {
 /// calls [`Executor::session`] for one of its own and
 /// [`ExecSession::submit`]s every job batch against it. Either way
 /// per-submission cost is the program, not engine construction, and
-/// what the engine keeps (the simulator: its inbox arenas) stays grown
-/// between submissions and is freed when the session is dropped.
+/// what the engine keeps (the simulator: one message arena and its row
+/// lists) stays grown between submissions and is freed when the session
+/// is dropped.
 ///
 /// Each `submit` runs its program to completion before returning, and
 /// the engines' determinism guarantees make a session's outcomes

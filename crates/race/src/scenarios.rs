@@ -132,9 +132,11 @@ pub fn barrier_publish(kind: BarrierKind, m: Machine, rounds: usize) {
 /// nothing else shared, so any race reported here is on one of them.
 /// Every rank posts to every other, every step:
 ///
-/// 1. body `s`: rank `i` consumes its pull list and reads what every
-///    peer posted in `s − 1` (shared reads), then overwrites its outbox
-///    of step `s`;
+/// 1. body `s`: rank `i` consumes its pull list, overwrites its outbox
+///    of step `s`, and only then — at the end of the body, the far edge
+///    of the engine's in-place window, since a program reads its
+///    `messages()` whenever it likes — reads what every peer posted in
+///    `s − 1` (shared reads);
 /// 2. leader section `s`: the leader edits every outbox of the step
 ///    (the engine's fault truncation) and rewrites every pull list;
 /// 3. body `s + 1` reads them; 4. body `s + 2` overwrites the outbox.
@@ -144,6 +146,9 @@ pub fn barrier_publish(kind: BarrierKind, m: Machine, rounds: usize) {
 /// With `outboxes == 1` the owner's overwrite in body `s + 1` meets its
 /// peers' reads of step `s` in the same body, with nothing between
 /// them: the negative control that makes the second buffer load-bearing.
+/// (A rank's read of its own outbox — a self-send — is left out: one
+/// thread's accesses cannot race each other, and with one outbox it
+/// would only trip the value assertion ahead of the race.)
 pub fn outbox_pull(kind: BarrierKind, m: Machine, rounds: usize, outboxes: usize) {
     let tree = machine(m);
     let p = tree.num_procs();
@@ -165,18 +170,21 @@ pub fn outbox_pull(kind: BarrierKind, m: Machine, rounds: usize, outboxes: usize
                         // rank's pull list before the release.
                         let routed = unsafe { pull[rank].read() };
                         assert_eq!(routed, step as u64, "the pull list of the last step");
-                        for (src, boxes) in out.iter().enumerate() {
-                            // SAFETY: phase 3 — shared read of what
-                            // `src` posted in the step before.
-                            let got = unsafe { boxes[(step - 1) % outboxes].read() };
-                            assert_eq!(got, posted(src, step - 1) + EDIT, "pulled from P{src}");
-                        }
                     }
                     // SAFETY: phase 1 (and 4) — the owner's refill;
                     // every reader of this outbox's last use has
                     // arrived at a barrier this thread was released
                     // from.
                     unsafe { out[rank][step % outboxes].write(posted(rank, step)) };
+                    if step > 0 {
+                        for (src, boxes) in out.iter().enumerate().filter(|&(src, _)| src != rank) {
+                            // SAFETY: phase 3 — shared read, at the end
+                            // of the body, of what `src` posted in the
+                            // step before.
+                            let got = unsafe { boxes[(step - 1) % outboxes].read() };
+                            assert_eq!(got, posted(src, step - 1) + EDIT, "read from P{src}");
+                        }
+                    }
                     b.wait_leader(rank, || {
                         for (i, boxes) in out.iter().enumerate() {
                             // SAFETY: phase 2 — leader section, every

@@ -164,7 +164,7 @@ fn weakened_arrive_combine_races_an_outbox_refill() {
 #[test]
 fn a_single_outbox_per_rank_is_a_race_with_every_ordering_intact() {
     // Negative control: ignore the parity and the owner's refill in
-    // body `s + 1` meets its peer's pull of step `s` in the same body.
+    // body `s + 1` meets its peer's read of step `s` in the same body.
     // No ordering is weakened — the second buffer is what keeps them
     // apart. (On the hierarchical barrier, whose released waiters take
     // no lock. The central barrier's mutex orders the two accesses in

@@ -6,7 +6,8 @@
 //! combining-tree barrier (see [`crate::barrier`]). Everything else a
 //! run uses (barrier, slots, outboxes, leader state) is built per run.
 //! The per-step hot path is lock-free for the processor threads, and a
-//! posted byte is copied once, by the thread that receives it:
+//! posted byte is written once, by the thread that sends it, and read in
+//! place by the thread that receives it — the engine copies none:
 //!
 //! * each thread writes its superstep contribution (charged work,
 //!   outcome) into its own cache-line-padded `ProcSlot` and posts its
@@ -17,11 +18,12 @@
 //!   edits), runs the shared analysis and timing algebra over the `p`
 //!   outboxes chained in pid order, and appends one `(src rank, index)`
 //!   row per message to its destination's pull list, in delivery order;
-//! * released into body `s + 1`, each thread refills its inbox from its
-//!   pull list — one `push_from` per message out of the senders'
-//!   step-`s` outboxes, `p` threads copying in parallel — while it
-//!   posts into its other outbox (the hand-off rides the barrier's own
-//!   edges, see `ProcSlot`: no new atomic, lock or ordering site);
+//! * released into body `s + 1`, each thread's `ctx.messages()` is an
+//!   `Inbox` over its pull list and the senders' step-`s` outboxes: the
+//!   body reads every payload where its sender wrote it, for as long as
+//!   the body runs, while it posts into its other outbox (the hand-off
+//!   rides the barrier's own edges, see `ProcSlot`: no new atomic, lock
+//!   or ordering site);
 //! * run-level coordination state lives in a `LeaderState` mutex that
 //!   only the leader section locks (uncontended by construction), with
 //!   two atomics (`finished`, `failed`) publishing the step's verdict
@@ -32,7 +34,7 @@ use crate::pool::WorkerPool;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{cell_read, hb_assert, site_ord, Instant, Mutex, UnsafeCell};
 use hbsp_core::{
-    MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
+    Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
 };
 #[cfg(doc)]
 use hbsp_obs::StepRecord;
@@ -85,9 +87,9 @@ pub struct ThreadedRuntime {
 }
 
 /// One processor's share of the engine's memory: its per-superstep
-/// contribution, pull list and inbox (`data`) and the two outboxes it
-/// posts into on alternate steps (`out`), each on its own cache lines
-/// so an owner's writes never false-share with a peer's accesses.
+/// contribution and pull list (`data`) and the two outboxes it posts
+/// into on alternate steps (`out`), each on its own cache lines so an
+/// owner's writes never false-share with a peer's accesses.
 ///
 /// Access protocol of `data` (what makes its `UnsafeCell` sound):
 ///
@@ -103,19 +105,21 @@ pub struct ThreadedRuntime {
 /// 1. written by its owner in a body of parity π, cleared first;
 /// 2. edited by the leader in that step's leader section (scripted
 ///    drops and truncations: offset-table edits);
-/// 3. read *shared* by every rank in the next body, each pulling the
-///    messages routed to it, while the owner holds `data` and
-///    `out[1 − π]` mutably — hence separate cells;
+/// 3. read *shared* by every rank for the whole of the next body, each
+///    reading the messages routed to it in place, while the owner
+///    holds `data` and `out[1 − π]` mutably and writes its own posts —
+///    hence separate cells;
 /// 4. next written by its owner two bodies later, after every reader
 ///    has arrived at the barrier in between.
 ///
 /// The barrier's acquire/release edges order the phases of both: owner
 /// writes happen-before the leader's accesses (the arrival chain),
 /// leader writes happen-before what released threads do next (the
-/// release flip), and a reader's last read happens-before the owner's
-/// rewrite through one more arrival and release. With one outbox per
-/// rank, phase 3 of a step would overlap phase 1 of the next
-/// (`hbsp-race` holds that negative control).
+/// release flip), and a reader's last read — at the end of its body at
+/// the latest — happens-before the owner's rewrite through one more
+/// arrival and release. With one outbox per rank, phase 3 of a step
+/// would overlap phase 1 of the next (`hbsp-race` holds that negative
+/// control).
 #[repr(align(128))]
 struct ProcSlot {
     data: UnsafeCell<SlotData>,
@@ -164,9 +168,10 @@ impl ProcSlot {
     /// What was posted in `step`, for reading alongside other readers.
     ///
     /// # Safety
-    /// The caller is any processor thread in body `step + 1`, or the
-    /// leader in the leader section of `step` holding no `&mut` from
-    /// [`Self::outbox`] (phases 3 and 2).
+    /// The caller is any processor thread in body `step + 1`, dropping
+    /// the reference by the end of that body, or the leader in the
+    /// leader section of `step` holding no `&mut` from [`Self::outbox`]
+    /// (phases 3 and 2).
     unsafe fn posted(&self, step: usize) -> &MsgBatch {
         // SAFETY: per this function's contract every write to the cell
         // happens-before this read, and the next one happens-after.
@@ -199,13 +204,11 @@ impl ProcSlot {
 struct SlotData {
     /// Charged work units of the current step.
     work: f64,
-    /// This step's inbox, refilled at body start from `pull`. Owned by
-    /// the processor thread; the leader never reads it.
-    inbox: MsgBatch,
     /// What this processor receives from the step the leader just
     /// closed: one `(src rank, index in src's outbox)` row per message,
-    /// in (arrival, posting index) order. Cleared and refilled by the
-    /// leader every step: a rank that receives nothing sees nothing.
+    /// in (arrival, posting index) order — the rows the body's `Inbox`
+    /// reads in place. Cleared and refilled by the leader every step: a
+    /// rank that receives nothing sees nothing.
     pull: Vec<(u32, u32)>,
     /// The step body's outcome; consumed by the leader.
     outcome: Option<StepOutcome>,
@@ -425,6 +428,10 @@ impl ThreadedRuntime {
             // step-0 panic at its first body.
             let mut state =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prog.init(&env))).ok();
+            // `sources[src]`: what `src` posted in the step before the
+            // body that is running, filled at body start and emptied at
+            // body end — allocated once per run.
+            let mut sources: Vec<&MsgBatch> = Vec::with_capacity(p);
             for step in 0..step_limit {
                 // Scripted stall: never arrive at this step's
                 // barrier. The peers' watchdog (or, if every
@@ -467,15 +474,13 @@ impl ThreadedRuntime {
                     if observing {
                         slot.body_start_ns = began.elapsed().as_nanos() as u64;
                     }
-                    // Pull what the leader routed here: one copy
-                    // per message, in delivery order, while every
-                    // other rank does the same.
-                    slot.inbox.clear();
-                    for &(src, k) in &slot.pull {
-                        // SAFETY: body `step` reads what was posted
-                        // in `step - 1` (outbox hand-off, phase 3).
-                        let posted = unsafe { slots[src as usize].posted(step - 1) };
-                        slot.inbox.push_from(posted, k as usize);
+                    // What the leader routed here is read in place,
+                    // through the senders' outboxes of the last step.
+                    if step > 0 {
+                        // SAFETY: body `step` reads what was posted in
+                        // `step - 1` (outbox hand-off, phase 3); the
+                        // references go at the end of the body.
+                        sources.extend(slots.iter().map(|s| unsafe { s.posted(step - 1) }));
                     }
                     // SAFETY: this thread owns its outbox of this
                     // parity for the body (outbox hand-off, phase 1).
@@ -483,7 +488,7 @@ impl ThreadedRuntime {
                     outbox.clear();
                     let mut ctx = ThreadCtx {
                         env: &env,
-                        inbox: &slot.inbox,
+                        inbox: Inbox::per_sender(&sources, &slot.pull),
                         outbox,
                         work: 0.0,
                     };
@@ -494,6 +499,7 @@ impl ThreadedRuntime {
                         .ok()
                     });
                     let work = ctx.work;
+                    sources.clear();
                     slot.work = work;
                     if observing {
                         slot.body_end_ns = began.elapsed().as_nanos() as u64;
@@ -637,7 +643,7 @@ impl ThreadedRuntime {
 /// The watchdog's abort path: record a [`SimError::BarrierTimeout`]
 /// (first writer wins). Unlike [`abort_step`] this does NOT touch the
 /// `ProcSlot`s: the watchdog may fire while a straggling thread is
-/// still writing its own slot or pulling from its peers' outboxes, so
+/// still writing its own slot or reading its peers' outboxes, so
 /// only mutex-protected state is safe to reach from here. Nobody
 /// writes a slot or an outbox again: the run is over once `failed`
 /// flips.
@@ -881,11 +887,12 @@ fn leader_step(
 }
 
 /// The runtime's per-processor superstep context: reads the thread's
-/// pulled inbox batch, writes sends directly into the thread's outbox
-/// of the step — no per-message allocation on either side.
+/// pull list in place through its senders' outboxes, writes sends
+/// directly into the thread's outbox of the step — no per-message
+/// allocation or copy on either side.
 struct ThreadCtx<'a> {
     env: &'a ProcEnv,
-    inbox: &'a MsgBatch,
+    inbox: Inbox<'a>,
     outbox: &'a mut MsgBatch,
     work: f64,
 }
@@ -900,7 +907,7 @@ impl SpmdContext for ThreadCtx<'_> {
     fn tree(&self) -> &MachineTree {
         &self.env.tree
     }
-    fn messages(&self) -> &MsgBatch {
+    fn messages(&self) -> Inbox<'_> {
         self.inbox
     }
     fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {

@@ -21,10 +21,10 @@
 //! simulator's microcost times.
 
 use crate::error::SimError;
-use crate::step::{analyze, resolve_outcomes};
+use crate::step::{analyze_into, resolve_outcomes, StepAnalysis};
 use hbsp_core::{
-    CostReport, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
-    SuperstepCost, SyncScope,
+    CostReport, Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram,
+    StepOutcome, SuperstepCost, SyncScope,
 };
 use std::sync::Arc;
 
@@ -64,20 +64,29 @@ impl ModelEvaluator {
             })
             .collect();
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
-        let mut inboxes: Vec<MsgBatch> = (0..p).map(|_| MsgBatch::new()).collect();
-        let mut sends = MsgBatch::new();
+        // Double-buffered like the simulator's: bodies read their rows
+        // of the arena the last step posted into, in place, and post
+        // into the other.
+        let (mut posted, mut sends) = (MsgBatch::new(), MsgBatch::new());
+        let mut pull: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
+        let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(p);
+        let mut analysis = StepAnalysis {
+            intents: Vec::new(),
+            traffic: Vec::new(),
+            hrelation: 0.0,
+        };
         let mut report = CostReport::new();
 
         for step in 0..self.step_limit {
             sends.clear();
-            let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(p);
+            outcomes.clear();
             // The paper's w_i: the largest local computation, at each
             // machine's own speed.
             let mut w_max = 0.0f64;
             for i in 0..p {
                 let mut ctx = ModelCtx {
                     env: &envs[i],
-                    inbox: &inboxes[i],
+                    inbox: Inbox::shared(&posted, &pull[i]),
                     outbox: &mut sends,
                     work: 0.0,
                 };
@@ -85,11 +94,11 @@ impl ModelEvaluator {
                 w_max = w_max.max(ctx.work / envs[i].speed());
                 outcomes.push(outcome);
             }
-            for inbox in &mut inboxes {
-                inbox.clear();
+            for rows in &mut pull {
+                rows.clear();
             }
             let scope = resolve_outcomes(step, &outcomes)?;
-            let analysis = analyze(&self.tree, step, scope, &sends)?;
+            analyze_into(&self.tree, step, scope, &sends, &mut analysis)?;
 
             // L: the largest barrier cost among the scope's
             // participating clusters (zero for the final, barrier-less
@@ -112,10 +121,10 @@ impl ModelEvaluator {
                     // the model has no arrival times. Bodies run in pid
                     // order into one shared outbox, so posting order is
                     // already src-sorted.
-                    for i in 0..sends.len() {
-                        let dst = sends.get(i).dst;
-                        inboxes[dst.rank()].push_from(&sends, i);
+                    for (i, intent) in analysis.intents.iter().enumerate() {
+                        pull[intent.dst.rank()].push((intent.src.0, i as u32));
                     }
+                    std::mem::swap(&mut posted, &mut sends);
                 }
             }
         }
@@ -143,7 +152,7 @@ impl ModelEvaluator {
 
 struct ModelCtx<'a> {
     env: &'a ProcEnv,
-    inbox: &'a MsgBatch,
+    inbox: Inbox<'a>,
     outbox: &'a mut MsgBatch,
     work: f64,
 }
@@ -158,7 +167,7 @@ impl SpmdContext for ModelCtx<'_> {
     fn tree(&self) -> &MachineTree {
         &self.env.tree
     }
-    fn messages(&self) -> &MsgBatch {
+    fn messages(&self) -> Inbox<'_> {
         self.inbox
     }
     fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {

@@ -1,7 +1,7 @@
 //! Shared proptest strategies: random HBSP^k machines and workloads.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use hbsp::core::{MsgBatch, SpmdContext};
+use hbsp::core::{Inbox, MsgBatch, SpmdContext};
 use hbsp::prelude::*;
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -19,11 +19,13 @@ pub fn same_on_both<R: Debug>(tree: &MachineTree, run: impl Fn(&Executor) -> R) 
 }
 
 /// One processor's view of a superstep, for driving a program's `step`
-/// by hand: a scripted inbox and an outbox that keeps what is posted.
-/// Only for programs that never ask the context for the machine.
+/// by hand: scripted deliveries, read in place like an engine's, and an
+/// outbox that keeps what is posted. Only for programs that never ask
+/// the context for the machine.
 pub struct Wire {
     pub pid: ProcId,
-    pub inbox: MsgBatch,
+    delivered: MsgBatch,
+    rows: Vec<(u32, u32)>,
     pub outbox: MsgBatch,
 }
 
@@ -31,9 +33,16 @@ impl Wire {
     pub fn new(pid: ProcId) -> Wire {
         Wire {
             pid,
-            inbox: MsgBatch::new(),
+            delivered: MsgBatch::new(),
+            rows: Vec::new(),
             outbox: MsgBatch::new(),
         }
+    }
+
+    /// Deliver one message from `src`, after those delivered before it.
+    pub fn receive(&mut self, src: ProcId, tag: u32, payload: &[u8]) {
+        self.rows.push((src.0, self.delivered.len() as u32));
+        self.delivered.push(src, self.pid, tag, payload);
     }
 }
 
@@ -47,8 +56,8 @@ impl SpmdContext for Wire {
     fn tree(&self) -> &MachineTree {
         unreachable!("hand-driven programs take the machine from ProcEnv")
     }
-    fn messages(&self) -> &MsgBatch {
-        &self.inbox
+    fn messages(&self) -> Inbox<'_> {
+        Inbox::shared(&self.delivered, &self.rows)
     }
     fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
         self.outbox.push_with(self.pid, dst, tag, len, fill);

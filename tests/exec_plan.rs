@@ -52,7 +52,7 @@ fn receive(
     let mut state = prog.init(&env);
     let mut wire = Wire::new(ProcId(1));
     for &(tag, payload) in messages {
-        wire.inbox.push(ProcId(0), ProcId(1), tag, payload);
+        wire.receive(ProcId(0), tag, payload);
     }
     assert_eq!(prog.step(1, &env, &mut state, &mut wire), StepOutcome::Done);
     state
@@ -401,6 +401,80 @@ fn truncated_partial_is_a_decode_error_on_both_engines() {
             other => panic!("expected a Decode error, got {other:?}"),
         }
     }
+}
+
+/// The two panics the receive path used to have, as typed errors: a
+/// message with a tag none of the three layouts uses, and a partial at
+/// a program built without a `ReduceOp`. Each goes quiet like any other
+/// data error, and the message still counts as arrived.
+#[test]
+fn a_foreign_tag_and_a_partial_without_an_op_are_decode_errors() {
+    let tree = Arc::new(TreeBuilder::homogeneous(1.0, 10.0, 2).unwrap());
+    let mut step = ScheduleStep::at(SyncScope::global(&tree));
+    step.transfers.push(transfer(2, Role::Partial));
+    let mut sched = CommSchedule::new();
+    sched.push(step);
+    sched.push(ScheduleStep::drain());
+    let init = vec![
+        ProcInit {
+            units: Vec::new(),
+            acc: Some(vec![1, 2]),
+        };
+        2
+    ];
+    let build = |op| ScheduleProgram::new(Arc::new(sched.clone()), Arc::new(init.clone()), op);
+    let (partial, tag) = (
+        codec::encode_u32s(&[5, 6]),
+        build(None).plan().steps[0][0].sends[0].tag,
+    );
+
+    let foreign = receive(
+        &build(Some(ReduceOp::Sum)),
+        &tree,
+        &[(0xBEEF, &[1, 2, 3, 4])],
+    );
+    assert_eq!(foreign.error(), Some(DecodeError::ForeignTag(0xBEEF)));
+    let no_op = receive(&build(None), &tree, &[(tag, &partial)]);
+    assert_eq!(no_op.error(), Some(DecodeError::NoReduceOp));
+    assert_eq!(no_op.accumulator(), Some(&[1, 2][..]), "nothing folded");
+    let summed = receive(&build(Some(ReduceOp::Sum)), &tree, &[(tag, &partial)]);
+    assert_eq!(
+        summed.accumulator(),
+        Some(&[6, 8][..]),
+        "the same partial, with an op"
+    );
+}
+
+/// The hierarchical reduce's partials compiled without a `ReduceOp` and
+/// run unchecked (the release default): the simulator used to let the
+/// fold's panic escape `execute`, the threaded runtime turned it into
+/// `ProgramPanicked`. Both now end in the same typed decode error.
+#[test]
+fn partials_without_an_op_end_typed_and_identically_on_both_engines() {
+    let tree = campus();
+    let sched = reduce::lower_hierarchical_reduce(&tree, 16);
+    let init: Vec<ProcInit> = (0..tree.num_procs() as u32)
+        .map(|j| ProcInit {
+            units: Vec::new(),
+            acc: Some(vec![j; 16]),
+        })
+        .collect();
+    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+    let [sim, thr] = [Executor::simulator, Executor::threads].map(|on| {
+        let exec = on(tree.clone()).check(false);
+        hbsp::collectives::schedule::execute(&exec, &prog).map(|(out, _)| format!("{out:?}"))
+    });
+    assert_eq!(sim, thr);
+    assert!(
+        matches!(
+            sim,
+            Err(CollectiveError::Decode {
+                error: DecodeError::NoReduceOp,
+                ..
+            })
+        ),
+        "{sim:?}"
+    );
 }
 
 /// A payload that is not a whole number of words is a typed error in

@@ -134,10 +134,12 @@ fn byte_mutations_of_a_bundle_and_a_trace_never_panic() {
             for _ in 0..1 + rng.below(3) {
                 let at = rng.below(chars.len() as u64) as usize;
                 let c = hostile[rng.below(hostile.len() as u64) as usize];
+                // Never remove the last character: the next mutation
+                // draws a position below the length.
                 match rng.below(4) {
                     0 => chars[at] = c,
                     1 => chars.insert(at, c),
-                    2 => drop(chars.remove(at)),
+                    2 if chars.len() > 1 => drop(chars.remove(at)),
                     _ => chars.truncate(at.max(1)),
                 }
             }
