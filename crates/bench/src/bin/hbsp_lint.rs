@@ -4,10 +4,10 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Five rules. The first three are motivated by bugs the model checker
+//! Six rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
 //! through its facade; the fourth holds the engine seam, the fifth the
-//! telemetry spine:
+//! telemetry spine, the sixth the superstep settlement:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -44,12 +44,21 @@
 //!    (timelines are a view over a recorder's steps,
 //!    `ProcTimeline::from_steps`, not something an engine accumulates).
 //!
+//! 6. **One settlement** — a superstep is settled once, by
+//!    `hbsp_sim::step::Settlement`: outside `crates/sim/src/step.rs`
+//!    (and `crates/sim/src/timing.rs`, whose `superstep_timing` prices
+//!    one step on its own) no file calls `resolve_outcomes`,
+//!    `analyze_into`, `superstep_timing_faulted_into`, `barrier_release`,
+//!    `delivery_order_into` or `emit_step_record`. An engine calls the
+//!    settlement instead of writing its own copy of the loop.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4–5: tests may exercise raw `std` primitives
-//! deliberately, and tests and benches may measure an engine below the
-//! seam. Line comments are stripped before matching so prose about the
-//! forbidden patterns doesn't trip the lint.
+//! exempt from rules 1–2 and 4–6: tests may exercise raw `std` primitives
+//! deliberately, tests and benches may measure an engine below the
+//! seam, and tests may check the settlement's steps one by one. Line
+//! comments are stripped before matching so prose about the forbidden
+//! patterns doesn't trip the lint.
 //!
 //! Exit status: 0 clean, 1 violations found, 2 usage errors.
 
@@ -148,6 +157,16 @@ const ENGINE_CONSTRUCTORS: [&str; 4] = [
     "ThreadedRuntime::with_config(",
 ];
 
+/// Rule 6: the steps of a superstep's settlement.
+const SETTLEMENT_STEPS: [&str; 6] = [
+    "resolve_outcomes",
+    "analyze_into",
+    "superstep_timing_faulted_into",
+    "barrier_release",
+    "delivery_order_into",
+    "emit_step_record",
+];
+
 /// Apply the rules to `text`, the contents of the file at `path`.
 fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let rel = path.to_string_lossy().replace('\\', "/");
@@ -163,6 +182,9 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         || rel.ends_with("crates/hbsplib/src/executor.rs");
     let in_obs_src = rel.contains("crates/obs/src/");
     let is_engine = ["crates/sim/src/engine.rs", "crates/runtime/src/engine.rs"]
+        .iter()
+        .any(|file| rel.ends_with(file));
+    let settles = ["crates/sim/src/step.rs", "crates/sim/src/timing.rs"]
         .iter()
         .any(|file| rel.ends_with(file));
     // Rule 5: the line of the `impl Probe for` block being read.
@@ -220,6 +242,23 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                     .into(),
             });
         }
+        if !exempt && !settles {
+            for name in SETTLEMENT_STEPS {
+                let called = line.match_indices(name).any(|(at, _)| {
+                    line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn ")
+                });
+                if called {
+                    out.push(Violation {
+                        file: path.to_path_buf(),
+                        line: lineno,
+                        message: format!(
+                            "`{name}` called outside the settlement — settle the step \
+                             through `hbsp_sim::step::Settlement::settle`"
+                        ),
+                    });
+                }
+            }
+        }
         if !exempt && line.contains(".lock().unwrap()") {
             out.push(Violation {
                 file: path.to_path_buf(),
@@ -276,7 +315,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement)",
             files.len()
         );
     } else {
@@ -364,7 +403,7 @@ mod tests {
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(printed("crates/collectives/src/gather.rs", &in_tests).is_empty());
         for allowed in [
-            "crates/bench/benches/engine_overhead.rs",
+            "crates/collectives/tests/adaptive_properties.rs",
             "crates/hbsplib/src/executor.rs",
             "crates/sim/src/model.rs",
             "crates/runtime/src/engine.rs",
@@ -410,5 +449,42 @@ mod tests {
             assert!(found[0].starts_with(&want), "{found:?}");
         }
         assert!(printed("crates/sim/src/trace.rs", grown).is_empty());
+    }
+
+    /// An engine that times or routes a step itself is a second copy of
+    /// the loop the settlement replaced.
+    #[test]
+    fn a_step_settled_outside_the_settlement_is_reported_with_file_and_line() {
+        let printed = |path: &str, text: &str| -> Vec<String> {
+            let mut out = Vec::new();
+            lint_text(Path::new(path), text, &mut out);
+            out.iter().map(Violation::to_string).collect()
+        };
+        let forked = "fn leader(ls: &mut Ls) {\n    \
+                      let scope = resolve_outcomes(step, &ls.outcomes)?;\n    \
+                      let rel = timing::barrier_release(tree, s, &f);\n}\n";
+        let found = printed("crates/net/src/engine.rs", forked);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(
+            found[0].starts_with(
+                "crates/net/src/engine.rs:2: lint: `resolve_outcomes` called outside the settlement"
+            ),
+            "{found:?}"
+        );
+        assert!(found[1].starts_with("crates/net/src/engine.rs:3: lint: `barrier_release`"));
+        for engine in ["crates/sim/src/engine.rs", "crates/runtime/src/engine.rs"] {
+            assert_eq!(printed(engine, forked).len(), 2, "{engine}");
+        }
+        // The settlement and the algebra's own module may, and so may
+        // test code; naming a step without calling it, or defining one,
+        // is no call.
+        assert!(printed("crates/sim/src/step.rs", forked).is_empty());
+        assert!(printed("crates/sim/src/timing.rs", forked).is_empty());
+        assert!(printed("crates/sim/tests/timing_properties.rs", forked).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{forked}}}\n");
+        assert!(printed("crates/net/src/engine.rs", &in_tests).is_empty());
+        let named = "use hbsp_sim::step::{analyze_into, Settlement};\n\
+                     pub fn emit_step_record(probe: &dyn Probe) {}\n";
+        assert!(printed("crates/net/src/engine.rs", named).is_empty());
     }
 }

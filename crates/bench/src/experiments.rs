@@ -404,7 +404,7 @@ pub struct AccuracyRow {
 }
 
 /// Price the gather program that actually runs with the generic
-/// [`hbsp_sim::ModelEvaluator`] and compare against the closed forms —
+/// [`hbsplib::predict_program`] and compare against the closed forms —
 /// the two prediction paths must agree (up to the few header words per
 /// message the closed forms don't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {

@@ -156,12 +156,11 @@ mod tests {
     #[test]
     fn closed_form_matches_model_evaluator_on_the_real_program() {
         // Price the program that actually runs — the interpreter over
-        // the lowered schedule — with the generic model evaluator: it
+        // the lowered schedule — with `hbsplib::predict_program`: it
         // must reproduce the §4.2 closed form (same h-relation up to
         // wire headers, same L), for every plan.
         use crate::gather::lower_flat_gather;
         use crate::schedule::{share_inits, ScheduleProgram};
-        use hbsp_sim::ModelEvaluator;
         use std::sync::Arc;
 
         let t = TreeBuilder::flat(
@@ -179,7 +178,7 @@ mod tests {
                     Arc::new(share_inits(&t, &items, workload)),
                     None,
                 );
-                let program_cost = ModelEvaluator::new(Arc::new(t.clone())).run(&prog).unwrap();
+                let program_cost = hbsplib::predict_program(Arc::new(t.clone()), &prog).unwrap();
                 // The program's first superstep carries the whole cost;
                 // its payload includes 3 bundle-header words per sender,
                 // weighted by the slowest participant's r — allow that

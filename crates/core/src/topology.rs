@@ -44,6 +44,12 @@ use crate::params::{NodeParams, DEFAULT_G};
 use crate::tree::{MachineTree, NodeKind};
 use std::fmt::Write as _;
 
+/// How deep cluster bodies may nest. The parser recurses once per
+/// level, so the bound keeps a hostile file (a million `cluster c {`
+/// lines, say) from overflowing the stack; no real hierarchy comes near
+/// it.
+const MAX_NESTING: usize = 128;
+
 /// Parse a machine description into a validated tree. See the module
 /// docs for the grammar. A declared `k` header must match the tree's
 /// height.
@@ -150,6 +156,8 @@ enum Tok {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Cluster bodies open around the node being parsed.
+    depth: usize,
     line: u32,
     col: u32,
     /// Position of the most recently produced token, for error messages.
@@ -162,6 +170,7 @@ impl<'a> Parser<'a> {
         Parser {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
             line: 1,
             col: 1,
             tok_line: 1,
@@ -386,6 +395,10 @@ impl<'a> Parser<'a> {
                 };
                 spans.push(span);
                 self.expect(Tok::LBrace, "`{` opening cluster body")?;
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!("clusters nested deeper than {MAX_NESTING}")));
+                }
+                self.depth += 1;
                 loop {
                     match self.peek_tok()? {
                         Tok::RBrace => {
@@ -398,6 +411,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
+                self.depth -= 1;
                 Ok(idx)
             }
             other => Err(self.err(format!("expected `proc` or `cluster`, found `{other}`"))),

@@ -581,14 +581,15 @@ impl ExecSession {
 }
 
 /// Price `prog` with the pure HBSP^k cost model (no microcosts): runs
-/// the program's supersteps through [`hbsp_sim::ModelEvaluator`] and
-/// returns the `Σ (w + g·h + L)` report. The analytic counterpart of
-/// [`Executor::run`].
+/// the program on the simulator and prices what its supersteps did
+/// ([`SimOutcome::model_cost`]), returning the `Σ (w + g·h + L)` report.
+/// The analytic counterpart of [`Executor::run`].
 pub fn predict_program<P: SpmdProgram>(
     tree: Arc<MachineTree>,
     prog: &P,
 ) -> Result<hbsp_core::CostReport, SimError> {
-    hbsp_sim::ModelEvaluator::new(tree).run(prog)
+    let outcome = Simulator::new(Arc::clone(&tree)).run(prog)?;
+    Ok(outcome.model_cost(&tree))
 }
 
 #[cfg(test)]
@@ -747,6 +748,99 @@ mod tests {
         // overheads the model abstracts).
         let (sim_out, _) = Executor::simulator(tree()).run(&PingPong).unwrap();
         assert!(report.total() <= sim_out.total_time());
+    }
+
+    /// Everyone charges 120 units and sends `words` words to rank 0.
+    fn funnel(words: usize) -> impl SpmdProgram<State = ()> {
+        crate::ClosureProgram::new(
+            |_| (),
+            move |step, env: &ProcEnv, _: &mut (), ctx: &mut dyn SpmdContext| {
+                if step > 0 {
+                    return StepOutcome::Done;
+                }
+                ctx.charge(120.0);
+                if env.pid.0 != 0 {
+                    ctx.send(ProcId(0), 0, &vec![0u8; words * 4]);
+                }
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            },
+        )
+    }
+
+    #[test]
+    fn charges_the_paper_cost_exactly() {
+        // g = 2, L = 30; r = [1, 2, 4], speeds = 1/r. Everyone sends
+        // 100 words to rank 0 (which receives 200).
+        let t =
+            Arc::new(TreeBuilder::flat(2.0, 30.0, &[(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)]).unwrap());
+        let report = predict_program(t, &funnel(100)).unwrap();
+        assert_eq!(report.num_steps(), 2);
+        let s0 = report.steps()[0];
+        // w = 120 units at speed 0.25 = 480.
+        assert_eq!(s0.w, 480.0);
+        // h = max(r_1·100, r_2·100, r_0·200) = max(200, 400, 200) = 400.
+        assert_eq!(s0.h, 400.0);
+        assert_eq!(s0.comm, 800.0, "g = 2");
+        assert_eq!(s0.sync, 30.0);
+        // Final step: no traffic, no barrier.
+        assert_eq!(report.steps()[1].total(), 0.0);
+        assert_eq!(report.total(), 480.0 + 800.0 + 30.0);
+    }
+
+    #[test]
+    fn matches_the_closed_form_gather_prediction() {
+        // The h-relation shape of a flat gather; hbsp-collectives prices
+        // the real gather program against the closed form itself.
+        let t = Arc::new(TreeBuilder::flat(1.0, 50.0, &[(1.0, 1.0), (3.0, 0.3)]).unwrap());
+        let report = predict_program(t, &funnel(500)).unwrap();
+        // h = max(3·500 sender, 1·500 receiver) = 1500.
+        assert_eq!(report.steps()[0].h, 1500.0);
+        assert_eq!(report.total(), 120.0 / 0.3 + 1500.0 + 50.0);
+    }
+
+    #[test]
+    fn cluster_scoped_steps_charge_the_largest_participating_l() {
+        // Every rank messages its cluster peers, under a cluster barrier.
+        let local_chat = crate::ClosureProgram::new(
+            |_| (),
+            |step, env: &ProcEnv, _: &mut (), ctx: &mut dyn SpmdContext| {
+                if step == 1 {
+                    return StepOutcome::Done;
+                }
+                let cluster = env.tree.cluster_of(env.pid, 1).expect("cluster exists");
+                for leaf in env.tree.subtree_leaves(cluster) {
+                    let q = env.tree.node(leaf).proc_id().unwrap();
+                    if q != env.pid {
+                        ctx.send(q, 0, &[0u8; 4]);
+                    }
+                }
+                StepOutcome::Continue(SyncScope::Level(1))
+            },
+        );
+        let clusters = [
+            (10.0, vec![(1.0, 1.0), (1.5, 0.6)]),
+            (70.0, vec![(2.0, 0.5), (2.0, 0.5)]),
+        ];
+        let t = Arc::new(TreeBuilder::two_level(1.0, 999.0, &clusters).unwrap());
+        let report = predict_program(t, &local_chat).unwrap();
+        let s0 = report.steps()[0];
+        assert_eq!(s0.sync, 70.0, "max participating L_{{1,j}}, not L_{{2,0}}");
+        assert_eq!(s0.level, 1);
+    }
+
+    #[test]
+    fn spmd_discipline_still_enforced() {
+        // Rank 0 stops while the others go on.
+        let mixed = crate::ClosureProgram::new(
+            |_| (),
+            |_, env: &ProcEnv, _: &mut (), _: &mut dyn SpmdContext| match env.pid.0 {
+                0 => StepOutcome::Done,
+                _ => StepOutcome::Continue(SyncScope::global(&env.tree)),
+            },
+        );
+        let t = Arc::new(TreeBuilder::homogeneous(1.0, 1.0, 3).unwrap());
+        let err = predict_program(t, &mixed).unwrap_err();
+        assert_eq!(err, SimError::TerminationMismatch { step: 0 });
     }
 
     #[test]

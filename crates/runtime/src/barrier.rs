@@ -4,7 +4,8 @@
 //!
 //! * [`CentralBarrier`] — the classic flat sense-reversing barrier: one
 //!   mutex + condvar that every thread hammers. Kept as the baseline the
-//!   `engine_overhead` bench compares against.
+//!   hierarchical barrier is measured against (`tests/stress.rs` at
+//!   p = 16, 32 and 64, the repository benchmark at p = 8).
 //! * [`HierBarrier`] — a hierarchical sense-reversing barrier whose
 //!   combining tree mirrors an [`hbsp_core::MachineTree`]: leaf
 //!   processors arrive at their cluster's combining node, the last

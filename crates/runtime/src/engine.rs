@@ -14,10 +14,11 @@
 //!   messages into one of the slot's two outboxes, `out[step & 1]` — no
 //!   shared lock is taken between barriers;
 //! * the barrier's leader section touches message *metadata* only: it
-//!   applies the step's network faults to each outbox (offset-table
-//!   edits), runs the shared analysis and timing algebra over the `p`
-//!   outboxes chained in pid order, and appends one `(src rank, index)`
-//!   row per message to its destination's pull list, in delivery order;
+//!   settles the step through the settlement every engine runs
+//!   (`hbsp_sim::step::Settlement`) over the `p` outboxes chained in pid
+//!   order — the step's network faults are offset-table edits — and
+//!   appends one `(src rank, index)` row per message it delivers to the
+//!   destination's pull list, in delivery order;
 //! * released into body `s + 1`, each thread's `ctx.messages()` is an
 //!   `Inbox` over its pull list and the senders' step-`s` outboxes: the
 //!   body reads every payload where its sender wrote it, for as long as
@@ -34,17 +35,13 @@ use crate::pool::WorkerPool;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{cell_read, hb_assert, site_ord, Instant, Mutex, UnsafeCell};
 use hbsp_core::{
-    Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
+    Inbox, MachineTree, MsgBatch, MsgView, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
 };
 #[cfg(doc)]
 use hbsp_obs::StepRecord;
 use hbsp_obs::{ObsEvent, Probe, StepWall};
-use hbsp_sim::step::{
-    analyze_into, delivery_order_into, emit_step_record, resolve_outcomes, EmitScratch,
-    StepAnalysis,
-};
-use hbsp_sim::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome, StepStats};
+use hbsp_sim::step::{Posted, Settlement, StepEnv};
+use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
@@ -237,69 +234,26 @@ struct SlotData {
 /// leader section (and once after the run), so the mutex is always
 /// uncontended — it exists to satisfy the borrow checker, not to
 /// arbitrate threads.
+#[derive(Default)]
 struct LeaderState {
-    /// Virtual release times feeding the next step.
-    starts: Vec<f64>,
-    /// Per-processor finish times of the latest step.
-    finish: Vec<f64>,
-    /// Accumulated per-step statistics.
-    steps: Vec<StepStats>,
-    delivered: u64,
+    /// The run's superstep accounting, settled step by step.
+    settlement: Settlement,
     /// Set when the SPMD discipline is violated; threads bail out.
     error: Option<SimError>,
-    // --- per-step scratch, reused so a steady-state superstep does no
-    // per-message heap allocation (the buffers grow once, then cycle).
-    /// Charged work gathered from the slots.
-    work: Vec<f64>,
-    /// Step outcomes gathered from the slots.
-    outcomes: Vec<StepOutcome>,
     /// `base[i]`: how many messages ranks below `i` posted this step —
     /// what turns a message's index in the chained pid-then-posting
     /// order into an index into its sender's outbox.
     base: Vec<usize>,
-    /// Validated communication analysis of the step.
-    analysis: StepAnalysis,
-    /// Virtual-time decomposition of the step.
-    timing: StepTiming,
-    /// The timing algebra's internal queues.
-    timing_scratch: TimingScratch,
-    /// Delivery permutation of the step's messages.
-    order: Vec<usize>,
-    /// Probe-record assembly buffers, reused across steps so an
-    /// enabled probe costs no per-superstep allocation either: the
-    /// shared ones, and this engine's wall-clock body marks
-    /// (`[start, end]`, gathered from the slots).
-    emit: EmitScratch,
+    /// This engine's wall-clock body marks (`[start, end]`, gathered
+    /// from the slots for an enabled probe), reused across steps.
     body_ns: [Vec<u64>; 2],
 }
 
 impl LeaderState {
     fn new(p: usize) -> Self {
-        LeaderState {
-            starts: vec![0.0; p],
-            finish: vec![0.0; p],
-            steps: Vec::new(),
-            delivered: 0,
-            error: None,
-            work: Vec::with_capacity(p),
-            outcomes: Vec::with_capacity(p),
-            base: Vec::with_capacity(p),
-            analysis: StepAnalysis {
-                intents: Vec::new(),
-                traffic: Vec::new(),
-                hrelation: 0.0,
-            },
-            timing: StepTiming {
-                compute_done: Vec::new(),
-                send_done: Vec::new(),
-                messages: Vec::new(),
-                finish: Vec::new(),
-            },
-            timing_scratch: TimingScratch::default(),
-            order: Vec::new(),
-            emit: EmitScratch::default(),
-            body_ns: Default::default(),
-        }
+        let mut ls = LeaderState::default();
+        ls.settlement.reset(p);
+        ls
     }
 }
 
@@ -353,7 +307,7 @@ impl ThreadedRuntime {
 
     /// Choose the superstep barrier implementation (default:
     /// [`BarrierKind::Hierarchical`]). The central barrier is kept as
-    /// the baseline for the `engine_overhead` bench.
+    /// the baseline the hierarchical one is measured against.
     pub fn barrier(mut self, kind: BarrierKind) -> Self {
         self.barrier_kind = kind;
         self
@@ -392,6 +346,7 @@ impl ThreadedRuntime {
         prog: &P,
     ) -> Result<(RunOutcome, Vec<P::State>), SimError> {
         self.cfg.validate()?;
+        self.faults.validate(self.tree.num_procs())?;
         if self.check {
             prog.preflight(&self.tree)
                 .map_err(|e| SimError::Preflight {
@@ -413,7 +368,14 @@ impl ThreadedRuntime {
         let arrived: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
 
         let began = Instant::now();
-        let (tree, cfg, faults, probe) = (&self.tree, &self.cfg, &self.faults, &self.probe);
+        let (tree, faults, probe) = (&self.tree, &self.faults, &*self.probe);
+        let step_env = &StepEnv {
+            tree,
+            cfg: &self.cfg,
+            faults,
+            probe,
+            deadline: None,
+        };
         let observing = self.probe.enabled();
         let step_limit = self.step_limit;
         let user_deadline = self.step_deadline;
@@ -442,7 +404,7 @@ impl ThreadedRuntime {
                     while !failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
                         if Instant::now() >= give_up {
                             let missing = faults.stalled_at(step);
-                            record_timeout(missing, step, leader_state, failed, &**probe);
+                            record_timeout(missing, step, leader_state, failed, probe);
                             break;
                         }
                         crate::sync::thread::sleep(Duration::from_millis(1));
@@ -550,7 +512,7 @@ impl ThreadedRuntime {
                                 .map(|j| ProcId(j as u32))
                                 .collect()
                         };
-                        record_timeout(missing, step, leader_state, failed, &**probe);
+                        record_timeout(missing, step, leader_state, failed, probe);
                     },
                     || {
                         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -565,10 +527,7 @@ impl ThreadedRuntime {
                                 );
                                 return;
                             }
-                            leader_step(
-                                tree, cfg, faults, &slots, step, &mut ls, finished, failed,
-                                &**probe, began,
-                            );
+                            leader_step(step_env, &slots, step, &mut ls, finished, failed, began);
                         }));
                         if ok.is_err() {
                             let mut ls = lock_anyway(leader_state);
@@ -618,16 +577,10 @@ impl ThreadedRuntime {
             let r = r.into_inner().unwrap_or_else(PoisonError::into_inner);
             out_states.push(r.expect("processor thread panicked")?);
         }
-        let ls = leader.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let total_time = ls.finish.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut ls = leader.into_inner().unwrap_or_else(PoisonError::into_inner);
         Ok((
             RunOutcome {
-                virtual_outcome: SimOutcome {
-                    total_time,
-                    proc_finish: ls.finish,
-                    steps: ls.steps,
-                    messages_delivered: ls.delivered,
-                },
+                virtual_outcome: ls.settlement.outcome(),
                 wall,
             },
             out_states,
@@ -692,30 +645,25 @@ fn abort_step(error: SimError, slots: &[ProcSlot], ls: &mut LeaderState, failed:
     failed.store(true, site_ord!("engine.failed.publish", Ordering::Release));
 }
 
-/// The per-superstep sequential coordination, identical in effect to
-/// one iteration of the simulator's main loop. Runs inside the
-/// barrier's leader section; `slots` are all leader-owned here (see
-/// [`ProcSlot`]).
-#[allow(clippy::too_many_arguments)]
+/// The per-superstep sequential coordination: this engine's own
+/// translation of crashes and panics, then the superstep settlement
+/// every engine runs. Inside the barrier's leader section; `slots` are
+/// all leader-owned here (see [`ProcSlot`]).
 fn leader_step(
-    tree: &MachineTree,
-    cfg: &NetConfig,
-    faults: &FaultPlan,
+    env: &StepEnv<'_>,
     slots: &[ProcSlot],
     step: usize,
     ls: &mut LeaderState,
     finished: &AtomicBool,
     failed: &AtomicBool,
-    probe: &dyn Probe,
     began: Instant,
 ) {
-    let p = tree.num_procs();
     // Translate scripted crashes first — the simulator diagnoses a
     // crash before any body runs, so a crash outranks a panic that
     // happened in the same step's surviving bodies.
     let mut crashed: Vec<ProcId> = Vec::new();
     let mut crash_step = step;
-    for (i, slot) in slots.iter().enumerate().take(p) {
+    for (i, slot) in slots.iter().enumerate() {
         // SAFETY: leader section — the leader owns every slot.
         if let Some(cstep) = unsafe { slot.slot() }.crashed {
             crashed.push(ProcId(i as u32));
@@ -733,9 +681,9 @@ fn leader_step(
     // Translate contained panics into the shared error now that every
     // thread of this generation has arrived (lowest rank wins for
     // determinism).
-    for i in 0..p {
+    for (i, slot) in slots.iter().enumerate() {
         // SAFETY: leader section — the leader owns every slot.
-        if let Some(pstep) = unsafe { slots[i].slot() }.panicked {
+        if let Some(pstep) = unsafe { slot.slot() }.panicked {
             let error = SimError::ProgramPanicked {
                 pid: ProcId(i as u32),
                 step: pstep,
@@ -746,144 +694,86 @@ fn leader_step(
     }
 
     // Gather contributions; the messages stay where they were posted.
-    // Network faults hit them before validation and costing, like the
-    // simulator's, and outbox by outbox is the same as gathered: both
-    // corruption rules key on the sender.
-    ls.work.clear();
-    ls.outcomes.clear();
-    ls.base.clear();
-    let mut posted = 0;
-    for s in slots.iter().take(p) {
-        // SAFETY: leader section — the leader owns every slot and the
-        // outboxes of this step (outbox hand-off, phase 2).
-        let (slot, outbox) = unsafe { (s.slot(), s.outbox(step)) };
-        ls.work.push(slot.work);
-        slot.work = 0.0;
+    for s in slots {
+        // SAFETY: leader section — the leader owns every slot.
+        let slot = unsafe { s.slot() };
         slot.pull.clear();
-        ls.outcomes
-            .push(slot.outcome.take().expect("all contributions in"));
-        faults.corrupt_batch(step, outbox);
-        ls.base.push(posted);
-        posted += outbox.len();
+        let outcome = slot.outcome.take().expect("all contributions in");
+        ls.settlement
+            .contribute(std::mem::take(&mut slot.work), outcome);
     }
-
-    let scope = match resolve_outcomes(step, &ls.outcomes) {
-        Ok(s) => s,
-        Err(e) => {
-            abort_step(e, slots, ls, failed);
-            return;
-        }
-    };
-    // The outboxes chained in pid order are the exact posting order the
-    // simulator sees when it runs processors sequentially.
-    let msgs = slots
-        .iter()
-        .take(p)
-        // SAFETY: leader section, no `&mut` into an outbox is live.
-        .flat_map(|s| unsafe { s.posted(step) }.iter());
-    if let Err(e) = analyze_into(tree, step, scope, msgs, &mut ls.analysis) {
-        abort_step(e, slots, ls, failed);
-        return;
-    }
-    let r_scale = faults
-        .straggles_at(step)
-        .then(|| faults.r_multipliers(step, p));
-    superstep_timing_faulted_into(
-        tree,
-        cfg,
-        &ls.starts,
-        &ls.work,
-        &ls.analysis.intents,
-        r_scale.as_deref(),
-        &mut ls.timing_scratch,
-        &mut ls.timing,
-    );
-    let finish_max = ls
-        .timing
-        .finish
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let start_min = ls.starts.iter().cloned().fold(f64::INFINITY, f64::min);
-    let work_units: f64 = ls.work.iter().sum();
-
-    // The final step releases nobody: each processor's own finish
-    // stands in for its release time.
-    let releases = scope.map(|s| barrier_release(tree, s, &ls.timing.finish));
     let LeaderState {
-        starts,
-        finish,
-        steps,
-        work,
-        analysis,
-        timing,
-        emit,
+        settlement,
+        base,
         body_ns: [body_start_ns, body_end_ns],
         ..
     } = &mut *ls;
-    let released = releases.as_deref().unwrap_or(&timing.finish);
     // This engine's share of the telemetry record: the wall-clock marks
-    // (the body marks in the slots are leader-readable here). Nothing
-    // is gathered for a disabled probe.
-    let wall = probe.enabled().then(|| {
-        body_start_ns.clear();
-        body_end_ns.clear();
-        for slot in slots.iter().take(p) {
+    // (the body marks in the slots are leader-readable here).
+    let wall = move || {
+        let (starts, ends) = (body_start_ns, body_end_ns);
+        starts.clear();
+        ends.clear();
+        for slot in slots {
             // SAFETY: leader section — the leader owns every slot.
             let slot = unsafe { slot.slot() };
-            body_start_ns.push(slot.body_start_ns);
-            body_end_ns.push(slot.body_end_ns);
+            starts.push(slot.body_start_ns);
+            ends.push(slot.body_end_ns);
         }
-        StepWall {
-            body_start_ns,
-            body_end_ns,
+        Some(StepWall {
+            body_start_ns: starts,
+            body_end_ns: ends,
             leader_done_ns: began.elapsed().as_nanos() as u64,
-        }
+        })
+    };
+    let mut outboxes = Outboxes { slots, step, base };
+    // Route with one pull-list row per message; the receivers read the
+    // bytes in place after the release.
+    let settled = settlement.settle(env, step, &mut outboxes, wall, |o, dst, src, mi| {
+        let k = (mi - o.base[src as usize]) as u32;
+        // SAFETY: leader section — the leader owns every slot.
+        unsafe { slots[dst].slot() }.pull.push((src, k));
     });
-    emit_step_record(
-        probe,
-        step,
-        scope.map(SyncScope::level),
-        starts,
-        timing,
-        released,
-        analysis,
-        work,
-        wall,
-        emit,
-    );
-    steps.push(StepStats {
-        step,
-        scope: scope.unwrap_or(SyncScope::global(tree)),
-        start_min,
-        finish_max,
-        release_max: released.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        traffic: analysis.traffic.clone(),
-        hrelation: analysis.hrelation,
-        work_units,
-    });
-    finish.clear();
-    finish.extend_from_slice(&timing.finish);
-    let Some(releases) = releases else {
-        finished.store(
+    match settled {
+        Ok(false) => {}
+        Ok(true) => finished.store(
             true,
             site_ord!("engine.finished.publish", Ordering::Release),
-        );
-        return;
-    };
-    // Route in (arrival, posting index) order: one pull-list row per
-    // message. The receivers copy the bytes, all at once, after the
-    // release.
-    delivery_order_into(&ls.timing.messages, &mut ls.order);
-    for &mi in &ls.order {
-        let intent = &ls.analysis.intents[mi];
-        let k = (mi - ls.base[intent.src.rank()]) as u32;
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { slots[intent.dst.rank()].slot() };
-        slot.pull.push((intent.src.0, k));
+        ),
+        Err(e) => abort_step(e, slots, ls, failed),
     }
-    ls.delivered += ls.order.len() as u64;
-    ls.starts = releases;
+}
+
+/// The `p` outboxes of one step, as the settlement reads them: chained
+/// in pid order they are the exact posting order the simulator sees
+/// when it runs processors sequentially. Leader section only.
+struct Outboxes<'a> {
+    slots: &'a [ProcSlot],
+    step: usize,
+    /// Filled as the faults leave the outboxes: see `LeaderState::base`.
+    base: &'a mut Vec<usize>,
+}
+
+impl Posted for Outboxes<'_> {
+    fn corrupt(&mut self, faults: &FaultPlan, step: usize) {
+        self.base.clear();
+        let mut posted = 0;
+        for s in self.slots {
+            // SAFETY: leader section — the leader owns the outboxes of
+            // this step (outbox hand-off, phase 2).
+            let outbox = unsafe { s.outbox(self.step) };
+            faults.corrupt_batch(step, outbox);
+            self.base.push(posted);
+            posted += outbox.len();
+        }
+    }
+
+    fn messages(&self) -> impl Iterator<Item = MsgView<'_>> {
+        self.slots
+            .iter()
+            // SAFETY: leader section, no `&mut` into an outbox is live.
+            .flat_map(|s| unsafe { s.posted(self.step) }.iter())
+    }
 }
 
 /// The runtime's per-processor superstep context: reads the thread's
@@ -1097,18 +987,14 @@ mod tests {
         let mut ls = LeaderState::new(p);
         let finished = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
-        leader_step(
-            &tree,
-            &NetConfig::pvm_like(),
-            &FaultPlan::new(),
-            &slots,
-            3,
-            &mut ls,
-            &finished,
-            &failed,
-            &hbsp_obs::NoopProbe,
-            Instant::now(),
-        );
+        let env = StepEnv {
+            tree: &tree,
+            cfg: &NetConfig::pvm_like(),
+            faults: &FaultPlan::new(),
+            probe: &hbsp_obs::NoopProbe,
+            deadline: None,
+        };
+        leader_step(&env, &slots, 3, &mut ls, &finished, &failed, Instant::now());
         assert!(failed.load(Ordering::Acquire));
         assert_eq!(ls.error, Some(SimError::TerminationMismatch { step: 3 }));
         for (i, s) in slots.iter().enumerate() {

@@ -13,8 +13,9 @@
 //! [`ThreadedRuntime::barrier`]. See `docs/runtime.md` for the
 //! architecture.
 //!
-//! The runtime keeps a *virtual clock* using exactly the same timing
-//! algebra as the simulator ([`hbsp_sim::timing`]), so for any program
+//! The runtime keeps a *virtual clock* by settling every superstep
+//! through the same settlement as the simulator
+//! ([`hbsp_sim::step::Settlement`]), so for any program
 //!
 //! ```text
 //! ThreadedRuntime::run(p).virtual_outcome  ==  Simulator::run(p)
@@ -22,8 +23,7 @@
 //!
 //! bit for bit — the cross-engine agreement tests in `/tests` rely on
 //! this. On top of that it reports real wall-clock duration, which is
-//! what the `engine_overhead` bench and the repository benchmark
-//! (`benchmark/`) measure.
+//! what the repository benchmark (`benchmark/`) measures.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

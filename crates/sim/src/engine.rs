@@ -4,45 +4,13 @@
 use crate::config::NetConfig;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
-use crate::stats::StepStats;
-use crate::step::{
-    analyze_into, delivery_order_into, emit_step_record, resolve_outcomes, EmitScratch,
-    StepAnalysis,
-};
-use crate::timing::{barrier_release, superstep_timing_faulted_into, StepTiming, TimingScratch};
-use hbsp_core::{
-    Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
+use crate::stats::SimOutcome;
+use crate::step::{Settlement, StepEnv};
+use hbsp_core::{Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram};
 #[cfg(doc)]
 use hbsp_obs::StepRecord;
 use hbsp_obs::{ObsEvent, Probe};
 use std::sync::{Arc, Mutex, TryLockError};
-
-/// Result of a simulated program run.
-#[derive(Debug, Clone)]
-pub struct SimOutcome {
-    /// Model time at which the last processor finished (the paper's
-    /// execution time `T`).
-    pub total_time: f64,
-    /// Per-processor finish times.
-    pub proc_finish: Vec<f64>,
-    /// Per-superstep statistics.
-    pub steps: Vec<StepStats>,
-    /// Total messages delivered across the run.
-    pub messages_delivered: u64,
-}
-
-impl SimOutcome {
-    /// Number of supersteps executed.
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Total words that crossed links at `level` over the whole run.
-    pub fn words_at_level(&self, level: hbsp_core::Level) -> u64 {
-        self.steps.iter().map(|s| s.words_at(level)).sum()
-    }
-}
 
 /// Deterministic discrete-event simulator for one machine.
 ///
@@ -82,7 +50,8 @@ impl SimOutcome {
 /// its sender wrote it.
 ///
 /// A `Simulator` keeps one of the two arenas, the row lists and the
-/// per-step work vectors of its runs, warm, from one run to the next:
+/// buffers its superstep settlement works in, warm, from one run to the
+/// next:
 /// run many programs on one instance and only the first pays for
 /// growing them. That memory — about the most traffic one superstep of
 /// any run so far has carried — is freed when the `Simulator` is
@@ -177,11 +146,6 @@ impl Simulator {
         &self.tree
     }
 
-    /// The network configuration in effect.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Execute `prog` to completion and also return each processor's
     /// final state (for result extraction).
     pub fn run_with_states<P: SpmdProgram>(
@@ -189,6 +153,7 @@ impl Simulator {
         prog: &P,
     ) -> Result<(SimOutcome, Vec<P::State>), SimError> {
         self.cfg.validate()?;
+        self.faults.validate(self.tree.num_procs())?;
         if self.check {
             prog.preflight(&self.tree)
                 .map_err(|e| SimError::Preflight {
@@ -248,26 +213,20 @@ impl Simulator {
             })
             .collect();
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
-        let mut starts = vec![0.0f64; p];
-        // Persistent per-superstep buffers: once warmed to a program's
-        // steady-state message volume, the loop below performs no
-        // per-message heap allocation (asserted by the repo's
-        // counting-allocator test).
         let Scratch {
             arena,
             pull,
-            work,
-            outcomes,
-            analysis,
-            timing,
-            timing_scratch,
-            emit_scratch,
-            order,
+            settlement,
         } = scratch;
         let (mut posted, mut sends) = (spare, arena);
         let mut sends_is_spare = false;
-        let mut steps: Vec<StepStats> = Vec::new();
-        let mut delivered = 0u64;
+        let env = StepEnv {
+            tree: &self.tree,
+            cfg: &self.cfg,
+            faults: &self.faults,
+            probe: &*self.probe,
+            deadline: self.step_deadline,
+        };
 
         for step in 0..self.step_limit {
             // Scripted faults fire in a fixed order shared with the
@@ -301,7 +260,6 @@ impl Simulator {
             // order identical to the threaded runtime's pid-ordered
             // outboxes.
             sends.clear();
-            outcomes.clear();
             for i in 0..p {
                 let mut ctx = SimCtx {
                     env: &envs[i],
@@ -311,140 +269,29 @@ impl Simulator {
                     work: 0.0,
                 };
                 let outcome = prog.step(step, &envs[i], &mut states[i], &mut ctx);
-                work[i] = ctx.work;
-                outcomes.push(outcome);
+                settlement.contribute(ctx.work, outcome);
             }
             for rows in pull.iter_mut() {
                 rows.clear();
             }
-
-            // The network faults hit posted messages before validation
-            // and costing, exactly like the runtime's leader section.
-            self.faults.corrupt_batch(step, sends);
-
-            // SPMD discipline + message validation (shared with the
-            // threaded runtime).
-            let scope = resolve_outcomes(step, outcomes)?;
-            analyze_into(&self.tree, step, scope, &*sends, analysis)?;
-
-            // Timing, with any scripted stragglers inflating r.
-            let r_scale = self
-                .faults
-                .straggles_at(step)
-                .then(|| self.faults.r_multipliers(step, p));
-            superstep_timing_faulted_into(
-                &self.tree,
-                &self.cfg,
-                &starts,
-                work,
-                &analysis.intents,
-                r_scale.as_deref(),
-                timing_scratch,
-                timing,
-            );
-            let finish_max = timing
-                .finish
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start_min = starts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hrelation = analysis.hrelation;
-
-            // Virtual-time mirror of the runtime's wall-clock step
-            // deadline: laggards past the budget are "missing".
-            if let Some(d) = self.step_deadline {
-                let missing: Vec<ProcId> = (0..p)
-                    .filter(|&i| timing.finish[i] > start_min + d)
-                    .map(|i| ProcId(i as u32))
-                    .collect();
-                if !missing.is_empty() {
-                    if self.probe.enabled() {
-                        self.probe.on_event(&ObsEvent::WatchdogFired {
-                            step,
-                            missing: &missing,
-                        });
-                    }
-                    return Err(SimError::BarrierTimeout { missing, step });
-                }
+            // Each delivered message becomes one `(src, index)` row on
+            // its receiver's list; the bytes stay where they were posted.
+            let done = settlement.settle(
+                &env,
+                step,
+                sends,
+                || None,
+                |_, dst, src, mi| {
+                    pull[dst].push((src, mi as u32));
+                },
+            )?;
+            if done {
+                // Messages posted in the final step have no next
+                // superstep to land in: counted as traffic, never read.
+                return Ok((settlement.outcome(), states));
             }
-
-            match scope {
-                None => {
-                    // Program over. Messages posted in the final step have
-                    // no next superstep to land in; count them as traffic
-                    // but they are never readable.
-                    emit_step_record(
-                        &*self.probe,
-                        step,
-                        None,
-                        &starts,
-                        timing,
-                        &timing.finish,
-                        analysis,
-                        work,
-                        None,
-                        emit_scratch,
-                    );
-                    steps.push(StepStats {
-                        step,
-                        scope: SyncScope::global(&self.tree),
-                        start_min,
-                        finish_max,
-                        release_max: finish_max,
-                        traffic: analysis.traffic.clone(),
-                        hrelation,
-                        work_units: work.iter().sum(),
-                    });
-                    return Ok((
-                        SimOutcome {
-                            total_time: finish_max,
-                            proc_finish: std::mem::take(&mut timing.finish),
-                            steps,
-                            messages_delivered: delivered,
-                        },
-                        states,
-                    ));
-                }
-                Some(s) => {
-                    let releases = barrier_release(&self.tree, s, &timing.finish);
-                    emit_step_record(
-                        &*self.probe,
-                        step,
-                        Some(s.level()),
-                        &starts,
-                        timing,
-                        &releases,
-                        analysis,
-                        work,
-                        None,
-                        emit_scratch,
-                    );
-                    let release_max = releases.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    steps.push(StepStats {
-                        step,
-                        scope: s,
-                        start_min,
-                        finish_max,
-                        release_max,
-                        traffic: analysis.traffic.clone(),
-                        hrelation,
-                        work_units: work.iter().sum(),
-                    });
-                    // Deliver messages for the next superstep, ordered
-                    // by (arrival, posting index) per receiver: one
-                    // `(src, index)` row per message on its receiver's
-                    // list. The bytes stay where they were posted.
-                    delivery_order_into(&timing.messages, order);
-                    for &mi in order.iter() {
-                        let intent = &analysis.intents[mi];
-                        pull[intent.dst.rank()].push((intent.src.0, mi as u32));
-                    }
-                    delivered += order.len() as u64;
-                    std::mem::swap(&mut posted, &mut sends);
-                    sends_is_spare = !sends_is_spare;
-                    starts = releases;
-                }
-            }
+            std::mem::swap(&mut posted, &mut sends);
+            sends_is_spare = !sends_is_spare;
         }
         Err(SimError::StepLimit {
             limit: self.step_limit,
@@ -458,8 +305,8 @@ impl Simulator {
 }
 
 /// What a run allocates that does not leave with its result: one of the
-/// two message arenas, the receivers' row lists and the per-step work
-/// vectors. Owned by the [`Simulator`] so that a second run starts with
+/// two message arenas, the receivers' row lists and the settlement's
+/// buffers. Owned by the [`Simulator`] so that a second run starts with
 /// them already grown.
 ///
 /// The arenas are a double buffer — a step's bodies read their rows of
@@ -497,57 +344,26 @@ impl Simulator {
 /// superstep (two of the sweep's seven collectives). A process none of
 /// whose runs do that builds no second arena and frees nothing large:
 /// the threshold is then wherever that process's own frees put it.
+#[derive(Default)]
 struct Scratch {
     arena: MsgBatch,
     /// `pull[dst]`: one `(src rank, index in the posted arena)` row per
     /// message delivered to `dst`, in (arrival, posting index) order.
     pull: Vec<Vec<(u32, u32)>>,
-    work: Vec<f64>,
-    outcomes: Vec<StepOutcome>,
-    analysis: StepAnalysis,
-    timing: StepTiming,
-    timing_scratch: TimingScratch,
-    emit_scratch: EmitScratch,
-    order: Vec<usize>,
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch {
-            arena: MsgBatch::new(),
-            pull: Vec::new(),
-            work: Vec::new(),
-            outcomes: Vec::new(),
-            analysis: StepAnalysis {
-                intents: Vec::new(),
-                traffic: Vec::new(),
-                hrelation: 0.0,
-            },
-            timing: StepTiming {
-                compute_done: Vec::new(),
-                send_done: Vec::new(),
-                finish: Vec::new(),
-                messages: Vec::new(),
-            },
-            timing_scratch: TimingScratch::default(),
-            emit_scratch: EmitScratch::default(),
-            order: Vec::new(),
-        }
-    }
+    settlement: Settlement,
 }
 
 impl Scratch {
-    /// Empty the arena and the row lists of whatever a previous run
-    /// left in them, keeping the allocations, and size the
-    /// per-processor buffers for `p` processors. Every other buffer is
-    /// cleared or overwritten by whoever refills it, once per superstep.
+    /// Empty the arena, the row lists and the settlement of whatever a
+    /// previous run left in them, keeping the allocations, and size them
+    /// for `p` processors.
     fn reset(&mut self, p: usize) {
         self.arena.clear();
         self.pull.resize_with(p, Vec::new);
         for rows in &mut self.pull {
             rows.clear();
         }
-        self.work.resize(p, 0.0);
+        self.settlement.reset(p);
     }
 }
 
@@ -611,7 +427,7 @@ impl SpmdContext for SimCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{StepOutcome, SyncScope, TreeBuilder};
 
     /// Every processor sends its pid to the next rank for `rounds`
     /// supersteps, then checks what it received.

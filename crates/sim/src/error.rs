@@ -53,6 +53,9 @@ pub enum SimError {
     DegradeFailed { message: String },
     /// Microcost configuration failed validation.
     InvalidConfig,
+    /// The fault plan names `pid`, but the machine has only `nprocs`
+    /// processors; rejected before the first superstep.
+    NoSuchFaultTarget { pid: ProcId, nprocs: usize },
     /// The program's static pre-flight check rejected it before any
     /// superstep ran (see `SpmdProgram::preflight`; toggled with the
     /// engines' `.check(bool)` builders).
@@ -108,6 +111,10 @@ impl fmt::Display for SimError {
                 write!(f, "cannot degrade machine: {message}")
             }
             SimError::InvalidConfig => write!(f, "invalid network configuration"),
+            SimError::NoSuchFaultTarget { pid, nprocs } => write!(
+                f,
+                "fault plan names {pid}, but the machine has {nprocs} processors"
+            ),
             SimError::Preflight { message } => {
                 write!(f, "program rejected before execution: {message}")
             }

@@ -13,6 +13,7 @@
 //! `u64` seed through an in-crate SplitMix64 generator — no external
 //! RNG dependency, and the same seed always yields the same plan.
 
+use crate::error::SimError;
 use hbsp_core::{MachineTree, MsgBatch, ProcId};
 
 /// One scripted fault event.
@@ -192,11 +193,6 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// The highest step any fault fires at, if the plan is non-empty.
-    pub fn last_step(&self) -> Option<usize> {
-        self.faults.iter().map(Fault::step).max()
-    }
-
     /// The plan minus the stall faults that target one of `missing` at
     /// `step` — the faults a retrying executor treats as *transient*:
     /// having just watched them fire as a `BarrierTimeout`, it clears
@@ -321,6 +317,20 @@ impl FaultPlan {
         plan
     }
 
+    /// Check the plan against a machine of `nprocs` processors: every
+    /// fault must name one of them. Both engines call this before the
+    /// first superstep, so a plan naming a processor the machine lacks
+    /// fails the same way on each instead of firing on one only.
+    pub fn validate(&self, nprocs: usize) -> Result<(), SimError> {
+        match self.faults.iter().find(|f| f.pid().rank() >= nprocs) {
+            Some(f) => Err(SimError::NoSuchFaultTarget {
+                pid: f.pid(),
+                nprocs,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Pids scripted to crash at `step` (sorted, deduplicated).
     pub fn crashed_at(&self, step: usize) -> Vec<ProcId> {
         self.pids_matching(step, |f| matches!(f, Fault::Crash { .. }))
@@ -329,12 +339,6 @@ impl FaultPlan {
     /// Pids scripted to stall at `step`'s barrier (sorted, dedup'd).
     pub fn stalled_at(&self, step: usize) -> Vec<ProcId> {
         self.pids_matching(step, |f| matches!(f, Fault::Stall { .. }))
-    }
-
-    /// True when any step scripts a barrier stall (the engines arm
-    /// their watchdog only when this holds or a deadline is set).
-    pub fn has_stalls(&self) -> bool {
-        self.faults.iter().any(|f| matches!(f, Fault::Stall { .. }))
     }
 
     /// True when `pid` is scripted to crash at `step`.
@@ -492,7 +496,6 @@ mod tests {
         assert_eq!(plan.crashed_at(2), vec![ProcId(0)]);
         assert_eq!(plan.stalled_at(1), vec![ProcId(2)]);
         assert!(plan.crashed_at(0).is_empty());
-        assert!(plan.has_stalls());
         assert!(!plan.is_empty());
     }
 
@@ -628,8 +631,6 @@ mod tests {
         );
         assert_eq!(plan.shifted(0), plan, "zero offset is the identity");
         assert!(plan.shifted(100).is_empty());
-        assert_eq!(plan.last_step(), Some(6));
-        assert_eq!(FaultPlan::new().last_step(), None);
     }
 
     #[test]

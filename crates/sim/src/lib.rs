@@ -34,18 +34,16 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod faults;
-pub mod model_engine;
 pub mod stats;
 pub mod step;
 pub mod timing;
 pub mod trace;
 
 pub use config::NetConfig;
-pub use engine::{SimOutcome, Simulator};
+pub use engine::Simulator;
 pub use error::SimError;
 pub use event::TimeQueue;
 pub use faults::{Fault, FaultPlan, SplitMix64};
-pub use model_engine::ModelEvaluator;
-pub use stats::{LevelTraffic, StepStats};
-pub use step::{analyze, delivery_order, resolve_outcomes, StepAnalysis};
+pub use stats::{LevelTraffic, SimOutcome, StepStats};
+pub use step::{resolve_outcomes, Settlement, StepAnalysis, StepEnv};
 pub use trace::{ascii_gantt, ProcTimeline, Span, SpanKind, TraceSummary};

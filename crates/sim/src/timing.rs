@@ -1,9 +1,9 @@
 //! The superstep timing algebra.
 //!
 //! Pure functions computing when everything happens inside one
-//! superstep. Shared by the discrete-event engine here and by
-//! `hbsp-runtime`'s threaded engine (whose *virtual* clock uses the same
-//! algebra, letting tests assert both engines agree exactly).
+//! superstep. Every engine's virtual clock runs on them, through the
+//! one superstep settlement (`crate::step::Settlement`), which is why
+//! tests can assert the engines agree exactly.
 //!
 //! Within a superstep, processor `p` starting at `t_p`:
 //!
@@ -59,7 +59,7 @@ pub struct MsgTiming {
 }
 
 /// Complete timing of one superstep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepTiming {
     /// Per-processor compute completion.
     pub compute_done: Vec<f64>,
@@ -73,7 +73,9 @@ pub struct StepTiming {
     pub messages: Vec<MsgTiming>,
 }
 
-/// Compute the timing of one superstep.
+/// Compute the timing of one fault-free superstep, in fresh buffers —
+/// one step priced on its own; a run's steps are timed by
+/// [`superstep_timing_faulted_into`], through `crate::step::Settlement`.
 ///
 /// `starts[p]` is processor `p`'s release time from the previous
 /// barrier; `work_units[p]` its charged computation (at fastest-machine
@@ -86,36 +88,15 @@ pub fn superstep_timing(
     work_units: &[f64],
     sends: &[SendIntent],
 ) -> StepTiming {
-    superstep_timing_faulted(tree, cfg, starts, work_units, sends, None)
-}
-
-/// [`superstep_timing`] with transient per-processor `r` inflation
-/// (fault injection's straggler model): `r_scale[p]` multiplies
-/// processor `p`'s `r` for this superstep only, scaling its pack and
-/// unpack word costs. `None` (or all-ones) is the fault-free algebra,
-/// bit for bit.
-pub fn superstep_timing_faulted(
-    tree: &MachineTree,
-    cfg: &NetConfig,
-    starts: &[f64],
-    work_units: &[f64],
-    sends: &[SendIntent],
-    r_scale: Option<&[f64]>,
-) -> StepTiming {
+    let mut out = StepTiming::default();
     let mut scratch = TimingScratch::default();
-    let mut out = StepTiming {
-        compute_done: Vec::new(),
-        send_done: Vec::new(),
-        finish: Vec::new(),
-        messages: Vec::new(),
-    };
     superstep_timing_faulted_into(
         tree,
         cfg,
         starts,
         work_units,
         sends,
-        r_scale,
+        None,
         &mut scratch,
         &mut out,
     );
@@ -124,9 +105,9 @@ pub fn superstep_timing_faulted(
 
 /// Reusable internal buffers for [`superstep_timing_faulted_into`].
 ///
-/// Both engines call the timing algebra once per superstep; holding one
-/// of these across steps means the hot path performs no heap
-/// allocation once the buffers have grown to the step's message count.
+/// The settlement times every superstep through one of these, so the
+/// hot path performs no heap allocation once the buffers have grown to
+/// the step's message count.
 #[derive(Default)]
 pub struct TimingScratch {
     // (msg index, sender done, wire time, latency, segment node).
@@ -138,11 +119,14 @@ pub struct TimingScratch {
     inbox: Vec<TimeQueue<(usize, f64)>>,
 }
 
-/// [`superstep_timing_faulted`] writing into caller-owned buffers.
+/// [`superstep_timing`] with transient per-processor `r` inflation
+/// (fault injection's straggler model), writing into caller-owned
+/// buffers: `r_scale[p]` multiplies processor `p`'s `r` for this
+/// superstep only, scaling its pack and unpack word costs. `None` (or
+/// all-ones) is the fault-free algebra, bit for bit.
 ///
 /// `out`'s vectors are cleared and refilled; `scratch` is an opaque
-/// bundle of internal buffers reused across calls. Results are bit
-/// identical to the allocating wrapper.
+/// bundle of internal buffers reused across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn superstep_timing_faulted_into(
     tree: &MachineTree,
@@ -463,29 +447,29 @@ mod tests {
             dst: ProcId(1),
             words: 10,
         }];
+        let faulted = |r_scale: &[f64]| {
+            let mut st = StepTiming::default();
+            let starts = [0.0, 0.0];
+            superstep_timing_faulted_into(
+                &t,
+                &cfg,
+                &starts,
+                &[50.0, 0.0],
+                &sends,
+                Some(r_scale),
+                &mut TimingScratch::default(),
+                &mut st,
+            );
+            st
+        };
         // P0's r is tripled for this step: send cost 30 instead of 10.
-        let st = superstep_timing_faulted(
-            &t,
-            &cfg,
-            &[0.0, 0.0],
-            &[50.0, 0.0],
-            &sends,
-            Some(&[3.0, 1.0]),
-        );
+        let st = faulted(&[3.0, 1.0]);
         assert_eq!(st.compute_done, vec![50.0, 0.0], "compute unaffected");
         assert_eq!(st.messages[0].arrival, 80.0, "50 + 3·1·10 words");
         assert_eq!(st.finish[1], 90.0, "receiver unpacks at its own r");
         // All-ones scale is bit-identical to the fault-free algebra.
-        let a = superstep_timing_faulted(
-            &t,
-            &cfg,
-            &[0.0, 0.0],
-            &[50.0, 0.0],
-            &sends,
-            Some(&[1.0, 1.0]),
-        );
         let b = superstep_timing(&t, &cfg, &[0.0, 0.0], &[50.0, 0.0], &sends);
-        assert_eq!(a, b);
+        assert_eq!(faulted(&[1.0, 1.0]), b);
     }
 
     #[test]

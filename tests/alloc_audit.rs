@@ -6,7 +6,7 @@
 //! messages: posting a message appends bytes into an existing arena,
 //! delivering one appends a `(src, index)` row to a reused list, and
 //! receivers read their rows in place out of the senders' arenas — on
-//! the simulator, the threaded runtime and the model evaluator alike.
+//! the simulator and the threaded runtime alike.
 //!
 //! This test pins that property with a counting global allocator: the
 //! same program run with 8× the messages per step must allocate (to
@@ -23,7 +23,7 @@ mod common;
 use common::Wire;
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder};
 use hbsp_runtime::ThreadedRuntime;
-use hbsp_sim::{ModelEvaluator, Simulator};
+use hbsp_sim::Simulator;
 use hbsplib::Executor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -151,9 +151,6 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
     ThreadedRuntime::new(Arc::clone(&tree))
         .run_with_states(&Ring { k: 8 })
         .unwrap();
-    ModelEvaluator::new(Arc::clone(&tree))
-        .run_with_states(&Ring { k: 8 })
-        .unwrap();
 
     // One-time arena growth may differ between the k=1 and k=8 runs
     // (larger batches take a few more capacity doublings); a
@@ -161,7 +158,7 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
     // 7 messages × 400 steps × 4 procs = 11200.
     const SLACK: usize = 512;
 
-    for engine in ["simulator", "threaded", "model"] {
+    for engine in ["simulator", "threaded"] {
         let run = |k: usize| {
             let prog = Ring { k };
             let tree = Arc::clone(&tree);
@@ -169,10 +166,7 @@ fn steady_state_supersteps_allocate_nothing_per_message() {
                 "simulator" => {
                     allocs_during(|| Simulator::new(tree).run_with_states(&prog).unwrap().1)
                 }
-                "threaded" => {
-                    allocs_during(|| ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1)
-                }
-                _ => allocs_during(|| ModelEvaluator::new(tree).run_with_states(&prog).unwrap().1),
+                _ => allocs_during(|| ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1),
             }
         };
         let (a1, _) = run(1);
@@ -233,9 +227,7 @@ impl SpmdProgram for Relay {
 /// algebra both engines share (a `StepStats` with its traffic vector,
 /// the release times, the h-relation) — and nothing for the data plane.
 /// A buffer rebuilt every step by any of the four ranks, on either
-/// parity, adds 300; by each of them, 1200. The model evaluator runs the
-/// same data plane and the same analysis but keeps only a cost row per
-/// step, so all it pays is the analysis' h-relation map, one a step.
+/// parity, adds 300; by each of them, 1200.
 #[test]
 fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
     let _serial = AUDIT_LOCK.lock().unwrap();
@@ -247,10 +239,7 @@ fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
                 "simulator" => {
                     allocs_during(|| Simulator::new(tree).run_with_states(&prog).unwrap().1)
                 }
-                "threaded" => {
-                    allocs_during(|| ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1)
-                }
-                _ => allocs_during(|| ModelEvaluator::new(tree).run_with_states(&prog).unwrap().1),
+                _ => allocs_during(|| ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1),
             };
             assert!(!states.iter().all(|&d| d == 0), "program really ran");
             allocs
@@ -258,17 +247,11 @@ fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
         run(100);
         run(400).saturating_sub(run(100))
     };
-    let [sim, threaded, model] = ["simulator", "threaded", "model"].map(more_steps_cost);
+    let [sim, threaded] = ["simulator", "threaded"].map(more_steps_cost);
     assert!(
         threaded < sim + 150,
         "300 more supersteps allocated {threaded} more times on threads, {sim} on the \
          simulator: a message-path buffer is being rebuilt every step"
-    );
-    assert!(
-        model < 300 + 150,
-        "300 more supersteps allocated {model} more times on the model evaluator, which \
-         should pay one a step (the shared analysis' h-relation): a buffer is being \
-         rebuilt every step"
     );
 }
 

@@ -3,10 +3,9 @@
 //! inbox — post in pid order, apply the step's drops and truncations,
 //! cost, then copy every message into its receiver's inbox in (arrival,
 //! posting) order. The reference below *is* that loop, built from the
-//! public step algebra; the simulator, the threaded runtime (both
-//! barriers) and `ModelEvaluator` (which delivers in (src, posting) order
-//! and knows no faults) are held to it step by step: src, dst, tag,
-//! payload bytes and order.
+//! public step algebra; the simulator and the threaded runtime (both
+//! barriers) are held to it step by step: src, dst, tag, payload bytes
+//! and order.
 
 mod common;
 
@@ -14,8 +13,9 @@ use common::{arb_machine, cluster_peers, mix};
 use hbsp::core::{Message, MsgBatch, SpmdContext};
 use hbsp::prelude::*;
 use hbsp::runtime::{BarrierKind, ThreadedRuntime};
+use hbsp::sim::step::{analyze_into, delivery_order_into, StepAnalysis};
 use hbsp::sim::timing::{barrier_release, superstep_timing};
-use hbsp::sim::{analyze, delivery_order, ModelEvaluator, NetConfig, Simulator};
+use hbsp::sim::{NetConfig, Simulator};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -92,17 +92,10 @@ impl Program for Logged {
     }
 }
 
-/// The old delivery loop over [`Logged`]'s posts: every rank's inboxes,
-/// step by step. `by_arrival` orders each step's deliveries by (arrival,
-/// posting index) under `plan`, as the simulator and the threaded
-/// runtime did; without it they go in posting order, as the model
-/// evaluator's did.
-fn copied_inboxes(
-    tree: &Arc<MachineTree>,
-    prog: &Logged,
-    plan: &FaultPlan,
-    by_arrival: bool,
-) -> Vec<Seen> {
+/// The old delivery loop over [`Logged`]'s posts under `plan`: every
+/// rank's inboxes, step by step, each step's deliveries in (arrival,
+/// posting index) order.
+fn copied_inboxes(tree: &Arc<MachineTree>, prog: &Logged, plan: &FaultPlan) -> Vec<Seen> {
     let p = tree.num_procs();
     let cfg = NetConfig::pvm_like();
     let envs: Vec<ProcEnv> = (0..p)
@@ -113,6 +106,7 @@ fn copied_inboxes(
         })
         .collect();
     let mut starts = vec![0.0; p];
+    let (mut analysis, mut order) = (StepAnalysis::default(), Vec::new());
     let mut inboxes = vec![MsgBatch::new(); p];
     let mut seen: Vec<Seen> = vec![Vec::new(); p];
     for step in 0..prog.rounds {
@@ -130,16 +124,12 @@ fn copied_inboxes(
             work[env.pid.rank()] = units;
         }
         plan.corrupt_batch(step, &mut sends);
-        let order = if by_arrival {
-            let scope = prog.scope(tree, step);
-            let analysis = analyze(tree, step, Some(scope), &sends).expect("confined sends");
-            let timing = superstep_timing(tree, &cfg, &starts, &work, &analysis.intents);
-            starts = barrier_release(tree, scope, &timing.finish);
-            delivery_order(&timing.messages)
-        } else {
-            (0..sends.len()).collect()
-        };
-        for mi in order {
+        let scope = prog.scope(tree, step);
+        analyze_into(tree, step, Some(scope), &sends, &mut analysis).expect("confined sends");
+        let timing = superstep_timing(tree, &cfg, &starts, &work, &analysis.intents);
+        starts = barrier_release(tree, scope, &timing.finish);
+        delivery_order_into(&timing.messages, &mut order);
+        for &mi in &order {
             let m = sends.get(mi);
             inboxes[m.dst.rank()].push(m.src, m.dst, m.tag, m.payload);
         }
@@ -178,7 +168,7 @@ proptest! {
         let tree = Arc::new(tree);
         let prog = Logged { rounds, seed };
         let plan = lossy_plan(seed, tree.num_procs(), rounds);
-        let want = copied_inboxes(&tree, &prog, &plan, true);
+        let want = copied_inboxes(&tree, &prog, &plan);
         for seen in &want {
             prop_assert_eq!(seen.len(), rounds + 1);
         }
@@ -196,10 +186,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(&thr, &want, "{:?} under {:?}", kind, plan);
         }
-
-        let (_, model) = ModelEvaluator::new(Arc::clone(&tree)).run_with_states(&prog).unwrap();
-        let posting_order = copied_inboxes(&tree, &prog, &FaultPlan::new(), false);
-        prop_assert_eq!(model, posting_order, "model evaluator");
     }
 }
 
@@ -221,6 +207,6 @@ fn a_kept_simulator_reads_what_a_fresh_one_does() {
         let (_, want) = fresh.run_with_states(&prog).unwrap();
         let (_, got) = kept.run_with_states(&prog).unwrap();
         assert_eq!(got, want, "seed {seed}");
-        assert_eq!(got, copied_inboxes(&tree, &prog, &FaultPlan::new(), true));
+        assert_eq!(got, copied_inboxes(&tree, &prog, &FaultPlan::new()));
     }
 }

@@ -48,6 +48,37 @@ impl Program for Gossip {
     }
 }
 
+/// A plan naming a processor the machine lacks is refused before the
+/// first superstep, with the same typed error on both engines. It used
+/// to split them: the simulator answered `crash P9 @1` with a crash and
+/// `stall P9 @1` with a barrier timeout, while the threaded runtime,
+/// whose ranks only ever ask the plan about themselves, ran both to
+/// completion.
+#[test]
+fn a_plan_naming_a_missing_processor_is_refused_by_both_engines() {
+    let tree = Arc::new(TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (2.0, 0.5)]).unwrap());
+    for (text, pid) in [
+        ("crash P9 @1", 9),
+        ("stall P9 @1", 9),
+        ("straggle P2 @0 x3", 2),
+        ("drop P0 @0\ntruncate P5 @2 w1\ncrash P7 @0", 5),
+    ] {
+        let plan = FaultPlan::parse(text).unwrap();
+        for exec in [
+            Executor::simulator(Arc::clone(&tree)),
+            Executor::threads(Arc::clone(&tree)),
+        ] {
+            let engine = exec.engine_name();
+            let err = exec.faults(plan.clone()).run(&Gossip { rounds: 3 });
+            let want = SimError::NoSuchFaultTarget {
+                pid: ProcId(pid),
+                nprocs: 2,
+            };
+            assert_eq!(err.unwrap_err(), want, "{engine} under {text:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -1,10 +1,12 @@
-//! Hostile input to the two `hbsp_obs` parsers that read files from
-//! outside (`hbsp_postmortem <file>`, `hbsp_trace --validate <file>`):
-//! every byte prefix and a few thousand byte mutations of a real
-//! post-mortem bundle and a real Chrome trace. `json::parse`,
-//! `PostmortemBundle::parse` and `validate_chrome_trace` return, never
-//! panic, and whatever parses as a bundle re-renders byte-identically.
+//! Hostile input to every parser that reads a file from outside: the two
+//! `hbsp_obs` ones (`hbsp_postmortem <file>`, `hbsp_trace --validate
+//! <file>`), fault plans (`--faults`), job graphs (`--jobs`) and machine
+//! files. Each sees every prefix and a few thousand seeded character
+//! mutations of a real file, and returns, never panics; what parses as a
+//! bundle or a fault plan re-renders to text that parses back the same.
 
+use hbsp::bench::jobfile;
+use hbsp::core::topology;
 use hbsp::obs::span::CausalTree;
 use hbsp::obs::{json, validate_chrome_trace, CausalKind, FlightRecorder, PostmortemBundle};
 use hbsp::prelude::*;
@@ -74,6 +76,43 @@ fn real_chrome_trace() -> String {
     recorder.chrome_trace()
 }
 
+/// Every prefix of `text` that ends on a character boundary, with its
+/// length.
+fn prefixes(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    (0..text.len())
+        .filter(|&cut| text.is_char_boundary(cut))
+        .map(|cut| (cut, &text[..cut]))
+}
+
+/// `rounds` seeded mutations of `text`: each replaces, inserts or
+/// removes one to three characters drawn from `alphabet`, or cuts the
+/// text short.
+fn mutations<'a>(
+    text: &str,
+    seed: u64,
+    rounds: usize,
+    alphabet: &'a [char],
+) -> impl Iterator<Item = String> + 'a {
+    let original: Vec<char> = text.chars().collect();
+    let mut rng = SplitMix64::new(seed);
+    (0..rounds).map(move |_| {
+        let mut chars = original.clone();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(chars.len() as u64) as usize;
+            let c = alphabet[rng.below(alphabet.len() as u64) as usize];
+            // Never remove the last character: the next mutation draws a
+            // position below the length.
+            match rng.below(4) {
+                0 => chars[at] = c,
+                1 => chars.insert(at, c),
+                2 if chars.len() > 1 => drop(chars.remove(at)),
+                _ => chars.truncate(at.max(1)),
+            }
+        }
+        chars.into_iter().collect()
+    })
+}
+
 /// Feed one text to all three parsers. What parses as a bundle must
 /// re-render to text that parses to the same bundle again (the format's
 /// normal form is a fixed point), which is returned.
@@ -94,8 +133,7 @@ fn every_prefix_of_a_bundle_and_a_trace_is_refused_or_parsed_whole() {
     // them, a prefix parses exactly when it ends with a whole line, and
     // then it is its own rendering (which ends every line).
     let fixed = bundle.match_indices('\n').nth(3).unwrap().0 + 1;
-    for cut in (0..bundle.len()).filter(|&c| bundle.is_char_boundary(c)) {
-        let prefix = &bundle[..cut];
+    for (cut, prefix) in prefixes(&bundle) {
         match parse_all(prefix) {
             Some(rendered) if cut >= fixed => {
                 assert_eq!(rendered.trim_end(), prefix.trim_end(), "cut at {cut}");
@@ -108,10 +146,10 @@ fn every_prefix_of_a_bundle_and_a_trace_is_refused_or_parsed_whole() {
     let trace = real_chrome_trace();
     let whole = validate_chrome_trace(&trace).expect("the exporter's own output");
     assert!(whole.complete > 0);
-    for cut in (0..trace.len()).filter(|&c| trace.is_char_boundary(c)) {
-        parse_all(&trace[..cut]);
+    for (cut, prefix) in prefixes(&trace) {
+        parse_all(prefix);
         // Cut anywhere before the closing `]`, the array is unbalanced.
-        let check = validate_chrome_trace(&trace[..cut]);
+        let check = validate_chrome_trace(prefix);
         assert!(
             check.is_err() || cut >= trace.rfind(']').unwrap(),
             "cut at {cut}"
@@ -126,26 +164,9 @@ fn byte_mutations_of_a_bundle_and_a_trace_never_panic() {
         .chars()
         .collect();
     for (seed, text) in [(1, real_bundle()), (2, real_chrome_trace())] {
-        let original: Vec<char> = text.chars().collect();
-        let mut rng = SplitMix64::new(seed);
-        let mut parsed = 0;
-        for _ in 0..3000 {
-            let mut chars = original.clone();
-            for _ in 0..1 + rng.below(3) {
-                let at = rng.below(chars.len() as u64) as usize;
-                let c = hostile[rng.below(hostile.len() as u64) as usize];
-                // Never remove the last character: the next mutation
-                // draws a position below the length.
-                match rng.below(4) {
-                    0 => chars[at] = c,
-                    1 => chars.insert(at, c),
-                    2 if chars.len() > 1 => drop(chars.remove(at)),
-                    _ => chars.truncate(at.max(1)),
-                }
-            }
-            let mutated: String = chars.into_iter().collect();
-            parsed += usize::from(parse_all(&mutated).is_some());
-        }
+        let parsed = mutations(&text, seed, 3000, &hostile)
+            .filter(|mutated| parse_all(mutated).is_some())
+            .count();
         // A share of the mutations lands inside strings and still parses.
         assert!(seed != 1 || parsed > 100, "{parsed} mutated bundles parsed");
     }
@@ -229,4 +250,93 @@ fn integer_fields_refuse_what_is_not_an_integer_they_can_hold() {
             assert_eq!(err, want);
         }
     }
+}
+
+/// Feed `parse` a real file's `text` whole, every prefix of it and 3000
+/// seeded mutations: what a token, a number, a name or a line of the
+/// line-oriented formats can turn into.
+fn hammer(text: &str, seed: u64, parse: impl Fn(&str)) {
+    let hostile: Vec<char> = "PxXw@#=,(){}\n \t-+.eE0123456789acdkLprst_\u{0}\u{e9}\u{2766}"
+        .chars()
+        .collect();
+    parse(text);
+    for (_, prefix) in prefixes(text) {
+        parse(prefix);
+    }
+    for mutated in mutations(text, seed, 3000, &hostile) {
+        parse(&mutated);
+    }
+}
+
+/// `--faults` files: refused or parsed, never a panic, and a plan that
+/// parses renders to text that parses to the same plan.
+#[test]
+fn a_hostile_fault_plan_is_refused_or_parsed_to_a_fixed_point() {
+    let plan = FaultPlan::new()
+        .crash(ProcId(2), 3)
+        .stall(ProcId(1), 0)
+        .drop_msgs(ProcId(3), 2)
+        .truncate(ProcId(1), 2, 1)
+        .render()
+        + include_str!("../fixtures/straggler_ramp.faults");
+    hammer(&plan, 3, |text| {
+        if let Ok(plan) = FaultPlan::parse(text) {
+            let again = FaultPlan::parse(&plan.render());
+            assert_eq!(again, Ok(plan), "input: {text:?}");
+        }
+    });
+}
+
+/// `--jobs` files: every line that is not blank or a comment becomes a
+/// job or a diagnostic, and the graph checks run on whatever parsed.
+#[test]
+fn a_hostile_job_graph_is_refused_or_parsed_line_by_line() {
+    let jobs: String = include_str!("../fixtures/jobs_1000.jobs")
+        .lines()
+        .take(40)
+        .map(|line| format!("{line}\n"))
+        .collect();
+    hammer(&jobs, 4, |text| {
+        let (parsed, errors) = jobfile::parse(text);
+        let lines = text
+            .lines()
+            .filter(|l| !l.split('#').next().unwrap_or("").trim().is_empty())
+            .count();
+        assert_eq!(parsed.len() + errors.len(), lines, "input: {text:?}");
+        jobfile::validate(&parsed);
+    });
+}
+
+/// Machine files: refused or parsed, never a panic, and a machine that
+/// parses renders to text that parses to the same names, levels and
+/// parameters.
+#[test]
+fn a_hostile_machine_file_is_refused_or_parsed_to_a_fixed_point() {
+    let shape = |t: &MachineTree| {
+        t.nodes()
+            .map(|n| (n.name().to_string(), n.level(), *n.params()))
+            .collect::<Vec<_>>()
+    };
+    hammer(include_str!("../machines/grid3.hbsp"), 5, |text| {
+        if let Ok(tree) = topology::parse(text) {
+            let again = topology::parse(&topology::to_dsl(&tree)).expect("a rendered machine");
+            assert_eq!(shape(&again), shape(&tree), "input: {text:?}");
+        }
+    });
+}
+
+/// Fails at the commit before the bound: a stack overflow there, at a
+/// thousand levels already in a debug build.
+#[test]
+fn a_million_nested_clusters_are_an_error_not_a_stack_overflow() {
+    let nested =
+        |n: usize| "cluster c (L=1) {\n".repeat(n) + "proc p (r=1, speed=1)\n" + &"}\n".repeat(n);
+    let err = topology::parse(&nested(1_000_000)).unwrap_err().to_string();
+    assert!(err.contains("clusters nested deeper than 128"), "{err}");
+    assert_eq!(topology::parse(&nested(128)).map(|t| t.height()), Ok(128));
+    let err = topology::parse_unvalidated(&nested(129)).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "topology parse error at 129:17: clusters nested deeper than 128"
+    );
 }
