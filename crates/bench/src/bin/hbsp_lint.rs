@@ -4,10 +4,11 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Six rules. The first three are motivated by bugs the model checker
+//! Seven rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
 //! through its facade; the fourth holds the engine seam, the fifth the
-//! telemetry spine, the sixth the superstep settlement:
+//! telemetry spine, the sixth the superstep settlement, the seventh the
+//! closed loop:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -52,11 +53,19 @@
 //!    `delivery_order_into` or `emit_step_record`. An engine calls the
 //!    settlement instead of writing its own copy of the loop.
 //!
+//! 7. **One closed loop** — observe, detect, re-plan and the failure
+//!    bundle live in `hbsplib::ClosedLoop`: outside
+//!    `crates/hbsplib/src/adaptive.rs` and `crates/obs/src/` no file
+//!    calls `recalibrated` or `calibrate_robust`, or builds a
+//!    `PostmortemBundle { .. }` literal. A closed-loop consumer drives
+//!    the loop instead of copying it.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4–6: tests may exercise raw `std` primitives
+//! exempt from rules 1–2 and 4–7: tests may exercise raw `std` primitives
 //! deliberately, tests and benches may measure an engine below the
-//! seam, and tests may check the settlement's steps one by one. Line
+//! seam, tests may check the settlement's steps one by one, and tests
+//! may build bundles and fits of their own. Line
 //! comments are stripped before matching so prose about the forbidden
 //! patterns doesn't trip the lint.
 //!
@@ -167,6 +176,15 @@ const SETTLEMENT_STEPS: [&str; 6] = [
     "emit_step_record",
 ];
 
+/// Rule 7: the closed loop's own steps.
+const CLOSED_LOOP_STEPS: [&str; 2] = ["recalibrated", "calibrate_robust"];
+
+/// Whether `line` calls `name` (a definition, `fn name(`, is no call).
+fn calls(line: &str, name: &str) -> bool {
+    line.match_indices(name)
+        .any(|(at, _)| line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn "))
+}
+
 /// Apply the rules to `text`, the contents of the file at `path`.
 fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let rel = path.to_string_lossy().replace('\\', "/");
@@ -187,6 +205,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let settles = ["crates/sim/src/step.rs", "crates/sim/src/timing.rs"]
         .iter()
         .any(|file| rel.ends_with(file));
+    let closes_loop = in_obs_src || rel.ends_with("crates/hbsplib/src/adaptive.rs");
     // Rule 5: the line of the `impl Probe for` block being read.
     let mut probe_impl: Option<usize> = None;
     let mut in_test_mod = false;
@@ -244,10 +263,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         }
         if !exempt && !settles {
             for name in SETTLEMENT_STEPS {
-                let called = line.match_indices(name).any(|(at, _)| {
-                    line[at + name.len()..].starts_with('(') && !line[..at].ends_with("fn ")
-                });
-                if called {
+                if calls(line, name) {
                     out.push(Violation {
                         file: path.to_path_buf(),
                         line: lineno,
@@ -257,6 +273,22 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                         ),
                     });
                 }
+            }
+        }
+        if !exempt && !closes_loop {
+            let step = CLOSED_LOOP_STEPS.into_iter().find(|name| calls(line, name));
+            // A return type or an `impl`/`struct` header builds nothing.
+            let literal = line.contains("PostmortemBundle {")
+                && !["->", "impl ", "struct "].iter().any(|k| line.contains(k));
+            if let Some(what) = step.or(literal.then_some("PostmortemBundle")) {
+                out.push(Violation {
+                    file: path.to_path_buf(),
+                    line: lineno,
+                    message: format!(
+                        "`{what}` outside the closed loop — drive an `hbsplib::ClosedLoop` \
+                         (its `run` assembles the failure bundle, its `replan` recalibrates)"
+                    ),
+                });
             }
         }
         if !exempt && line.contains(".lock().unwrap()") {
@@ -315,7 +347,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop)",
             files.len()
         );
     } else {
@@ -327,6 +359,13 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the lint prints for `text` as the file at `path`.
+    fn printed(path: &str, text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        lint_text(Path::new(path), text, &mut out);
+        out.iter().map(Violation::to_string).collect()
+    }
 
     /// The worker pool lives in `crates/runtime/src`; a raw spawn next
     /// to it would be a thread the model checker never schedules.
@@ -385,11 +424,6 @@ mod tests {
     #[test]
     fn raw_engine_outside_the_seam_is_reported_with_file_and_line() {
         let src = "fn run(tree: Arc<MachineTree>) {\n    let sim = Simulator::new(tree);\n}\n";
-        let printed = |path: &str, text: &str| -> Vec<String> {
-            let mut out = Vec::new();
-            lint_text(Path::new(path), text, &mut out);
-            out.iter().map(Violation::to_string).collect()
-        };
         let found = printed("crates/collectives/src/gather.rs", src);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(
@@ -417,11 +451,6 @@ mod tests {
     /// that grows timelines again, is the duplicate the spine removed.
     #[test]
     fn a_second_step_store_is_reported_with_file_and_line() {
-        let printed = |path: &str, text: &str| -> Vec<String> {
-            let mut out = Vec::new();
-            lint_text(Path::new(path), text, &mut out);
-            out.iter().map(Violation::to_string).collect()
-        };
         let sink = "struct Mine(Mutex<Vec<StepTrace>>);\n\nimpl Probe for Mine {\n    \
                     fn enabled(&self) -> bool {\n        true\n    }\n    \
                     fn on_step(&self, r: &StepRecord<'_>) {\n        self.0.lock();\n    }\n}\n";
@@ -455,11 +484,6 @@ mod tests {
     /// the loop the settlement replaced.
     #[test]
     fn a_step_settled_outside_the_settlement_is_reported_with_file_and_line() {
-        let printed = |path: &str, text: &str| -> Vec<String> {
-            let mut out = Vec::new();
-            lint_text(Path::new(path), text, &mut out);
-            out.iter().map(Violation::to_string).collect()
-        };
         let forked = "fn leader(ls: &mut Ls) {\n    \
                       let scope = resolve_outcomes(step, &ls.outcomes)?;\n    \
                       let rel = timing::barrier_release(tree, s, &f);\n}\n";
@@ -486,5 +510,36 @@ mod tests {
         let named = "use hbsp_sim::step::{analyze_into, Settlement};\n\
                      pub fn emit_step_record(probe: &dyn Probe) {}\n";
         assert!(printed("crates/net/src/engine.rs", named).is_empty());
+    }
+
+    /// A scheduler that recalibrates or assembles a bundle itself is
+    /// the second copy of the loop `ClosedLoop` replaced.
+    #[test]
+    fn a_second_closed_loop_is_reported_with_file_and_line() {
+        let copied = "fn batch(b: &Tree) {\n    \
+                      let fit = hbsp_obs::calibrate_robust(&steps, &events, 0.25);\n    \
+                      let next = hbsplib::recalibrated(b, &steps, &events, 0.25);\n    \
+                      let bundle = hbsp_obs::PostmortemBundle {\n        reason,\n    };\n}\n";
+        let found = printed("crates/sched/src/lib.rs", copied);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(
+            found[0].starts_with(
+                "crates/sched/src/lib.rs:2: lint: `calibrate_robust` outside the closed loop"
+            ),
+            "{found:?}"
+        );
+        assert!(found[1].starts_with("crates/sched/src/lib.rs:3: lint: `recalibrated`"));
+        assert!(found[2].starts_with("crates/sched/src/lib.rs:4: lint: `PostmortemBundle`"));
+        // The loop's module and the recorder's crate may, and so may
+        // test code; a return type or an impl header builds nothing.
+        assert!(printed("crates/hbsplib/src/adaptive.rs", copied).is_empty());
+        assert!(printed("crates/obs/src/record.rs", copied).is_empty());
+        assert!(printed("crates/collectives/tests/adaptive_properties.rs", copied).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{copied}}}\n");
+        assert!(printed("crates/sched/src/lib.rs", &in_tests).is_empty());
+        let typed = "fn load(p: &str) -> PostmortemBundle {\n    todo!()\n}\n\
+                     pub fn postmortem(&self) -> hbsp_obs::PostmortemBundle {\n    todo!()\n}\n\
+                     impl PostmortemBundle {\n}\n";
+        assert!(printed("crates/bench/src/bin/hbsp_postmortem.rs", typed).is_empty());
     }
 }

@@ -51,7 +51,7 @@ fn usage() -> ! {
          \x20 --jobs F      job-graph file (see --help-format in the bin docs)\n\
          \x20 --engine E    sim (default), threads, or both (compare bit-identically)\n\
          \x20 --serial      one job per admission round (the batching control arm)\n\
-         \x20 --trace F     write the job timeline as a Chrome trace JSON file\n\
+         \x20 --trace F     write the batch/job/superstep spans as a Chrome trace JSON file\n\
          \x20 --generate N  print a deterministic N-job workflow graph to stdout\n\
          \x20 --seed S      seed for --generate (default 42)"
     );
@@ -288,14 +288,13 @@ fn main() {
     }
 
     if let Some(path) = &args.trace {
-        let trace = hbsp_obs::jobs_chrome_trace(&report.spans);
-        std::fs::write(path, &trace).unwrap_or_else(|e| {
+        std::fs::write(path, report.chrome_trace()).unwrap_or_else(|e| {
             eprintln!("cannot write trace `{path}`: {e}");
             exit(1)
         });
         println!(
-            "{path}: job timeline written ({} spans)",
-            report.spans.len()
+            "{path}: causal trace written ({} spans)",
+            report.causal.len()
         );
     }
 }

@@ -1,15 +1,14 @@
 //! Per-step predictions aligned with execution, for drift reports.
 //!
-//! [`crate::predict::predict`] prices a [`CommSchedule`] the way the
-//! paper's analyses count supersteps: a final drain step that neither
-//! communicates nor computes is free and omitted. Telemetry needs the
-//! other convention — the engines *execute* every step, including free
+//! [`predicted_steps`] is the one fold of a [`CommSchedule`] through
+//! the cost model. The engines *execute* every step, including free
 //! drains, and a drift report pairs each observed superstep with its
-//! prediction by position. [`predicted_steps`] prices every scheduled
-//! step (free drains at zero cost), so the vector lines up 1:1 with the
+//! prediction by position, so it prices every scheduled step (free
+//! drains at zero cost): the vector lines up 1:1 with the
 //! `hbsp_obs::StepTrace`s a probe records from a
-//! [`crate::schedule::ScheduleProgram`] run, and its total still equals
-//! [`crate::predict::predict`]'s.
+//! [`crate::schedule::ScheduleProgram`] run. [`crate::predict::predict`]
+//! is the same fold counted the way the paper's analyses count
+//! supersteps: a final free drain is omitted, and the total is equal.
 
 use crate::schedule::{step_hrelation, CommSchedule};
 use hbsp_core::{CostModel, MachineTree, SuperstepCost};

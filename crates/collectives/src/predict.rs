@@ -16,26 +16,23 @@
 //! gap.
 
 use crate::broadcast::lower_flat_broadcast;
+use crate::drift::predicted_steps;
 use crate::gather::{lower_flat_gather, lower_hierarchical_gather};
 use crate::plan::{PhasePolicy, WorkloadPolicy};
-use crate::schedule::{step_hrelation, CommSchedule};
-use hbsp_core::{CostModel, CostReport, MachineTree, ProcId};
+use crate::schedule::CommSchedule;
+use hbsp_core::{CostReport, MachineTree, ProcId};
 
 /// Price a communication schedule under the HBSP^k model: one
-/// [`hbsp_core::SuperstepCost`] per scheduled step. A final drain step
-/// that neither communicates nor computes is free and is omitted, so
-/// the report's step count matches the paper's analyses.
+/// [`hbsp_core::SuperstepCost`] per scheduled step, as
+/// [`predicted_steps`] prices them. A final drain step that neither
+/// communicates nor computes is free and is omitted, so the report's
+/// step count matches the paper's analyses.
 pub fn predict(tree: &MachineTree, schedule: &CommSchedule) -> CostReport {
-    let cm = CostModel::new(tree);
-    let mut rep = CostReport::new();
-    for step in &schedule.steps {
-        if step.scope.is_none() && step.is_free() {
-            continue;
-        }
-        let hr = step_hrelation(tree, step);
-        rep.push(cm.schedule_step(step.scope.map(|s| s.level()), &step.work, &hr));
+    let mut steps = predicted_steps(tree, schedule);
+    if (schedule.steps.last()).is_some_and(|s| s.scope.is_none() && s.is_free()) {
+        steps.pop();
     }
-    rep
+    CostReport::from(steps)
 }
 
 /// §4.2 — flat gather to `root`:

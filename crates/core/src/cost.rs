@@ -112,6 +112,12 @@ impl CostReport {
     }
 }
 
+impl From<Vec<SuperstepCost>> for CostReport {
+    fn from(steps: Vec<SuperstepCost>) -> Self {
+        CostReport { steps }
+    }
+}
+
 impl fmt::Display for CostReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for s in &self.steps {

@@ -8,9 +8,9 @@
 //! one checkpointed superstep boundary) and drives a deterministic
 //! controller between segments:
 //!
-//! * **Observe** — a fresh [`Recorder`] captures the segment's
-//!   [`StepTrace`]s (virtual-time telemetry, bit-identical on both
-//!   engines).
+//! * **Observe** — the run's one [`Recorder`], read by cursor, yields
+//!   the segment's [`StepTrace`]s (virtual-time telemetry,
+//!   bit-identical on both engines).
 //! * **Detect** — the observed steps are folded against the
 //!   prediction the planner made for the same schedule
 //!   ([`DriftReport`]); the mean absolute per-step relative error is
@@ -27,7 +27,8 @@
 //!   observed speeds.
 //! * **Migrate** — the re-lowered program executes on the *physical*
 //!   tree from the checkpointed boundary, with the fault plan
-//!   re-based onto the remaining window ([`FaultPlan::shifted`]) the
+//!   re-based onto the remaining window
+//!   ([`FaultPlan::shifted`](hbsp_sim::FaultPlan::shifted)) the
 //!   same way [`RecoveryPolicy::Degrade`] replays from a boundary.
 //!
 //! Every decision depends only on virtual-time telemetry, so the
@@ -39,23 +40,24 @@
 //! re-plans — so "adaptive beats static" isolates exactly the value
 //! of closing the loop.
 //!
+//! Observe, Detect and Replan are [`ClosedLoop`], the one copy of the
+//! loop: the adaptive executor drives it per segment and `hbsp-sched`
+//! per admission batch. Each caller keeps only how it plans
+//! (lowering on the belief, or placing jobs on it) and what it
+//! reports.
+//!
 //! [`RecoveryPolicy::Degrade`]: crate::executor::RecoveryPolicy
 
-use crate::executor::Executor;
-use hbsp_core::{MachineTree, ObservedParams, SuperstepCost};
+use crate::executor::{ExecOutcome, Executor};
+use hbsp_core::{MachineTree, ObservedParams, SpmdProgram, SuperstepCost};
 use hbsp_obs::{
     calibrate_robust, proc_estimates, CausalKind, CausalSpan, CausalTree, DriftReport, EventTrace,
-    ObsEvent, PostmortemBundle, Recorder,
+    MetricSample, ObsEvent, PostmortemBundle, Probe, Recorder, StepTrace,
 };
 use hbsp_sim::SimError;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-#[cfg(doc)]
-use hbsp_obs::StepTrace;
-#[cfg(doc)]
-use hbsp_sim::FaultPlan;
 
 /// A re-plannable job: something that can lower itself onto any
 /// (belief) tree for a given number of remaining rounds, together
@@ -119,17 +121,17 @@ pub enum AdaptiveError {
     /// does not support repetition).
     Plan(String),
     /// An engine run died with a typed error. The attached
-    /// [`PostmortemBundle`] (when the dying segment had telemetry)
-    /// carries the segment's step records, events, metrics, the
-    /// decision log up to the failure, and the causal span tree.
-    Exec(SimError, Option<Box<PostmortemBundle>>),
+    /// [`PostmortemBundle`] ([`ClosedLoop::run`]) carries the segment's
+    /// step records, events, metrics, the decision log up to the
+    /// failure, and the causal span tree.
+    Exec(SimError, Box<PostmortemBundle>),
 }
 
 impl AdaptiveError {
     /// The forensics bundle captured at the failing segment, if any.
     pub fn bundle(&self) -> Option<&PostmortemBundle> {
         match self {
-            AdaptiveError::Exec(_, Some(b)) => Some(b),
+            AdaptiveError::Exec(_, b) => Some(b),
             _ => None,
         }
     }
@@ -145,12 +147,6 @@ impl fmt::Display for AdaptiveError {
 }
 
 impl std::error::Error for AdaptiveError {}
-
-impl From<SimError> for AdaptiveError {
-    fn from(err: SimError) -> Self {
-        AdaptiveError::Exec(err, None)
-    }
-}
 
 /// What the controller did at one segment boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,8 +233,7 @@ pub struct AdaptiveOutcome {
     /// Causal span tree of the run: one [`CausalKind::Segment`] span
     /// per segment (offset by the cumulative virtual time, since each
     /// engine run restarts its clock) containing one
-    /// [`CausalKind::Superstep`] span per retained step. Supersteps
-    /// discarded by the per-segment telemetry bound are not spanned.
+    /// [`CausalKind::Superstep`] span per step.
     pub spans: Vec<CausalSpan>,
 }
 
@@ -246,13 +241,12 @@ impl AdaptiveOutcome {
     /// The canonical decision log: one [`Decision::render`] line per
     /// segment. Bit-identical across engines for the same job.
     pub fn decision_log(&self) -> String {
-        let mut out = String::new();
-        for d in &self.decisions {
-            out.push_str(&d.render());
-            out.push('\n');
-        }
-        out
+        decision_log(&self.decisions)
     }
+}
+
+fn decision_log(decisions: &[Decision]) -> String {
+    decisions.iter().map(|d| d.render() + "\n").collect()
 }
 
 /// Closed-loop executor: wraps a configured [`Executor`] (engine
@@ -306,209 +300,289 @@ impl AdaptiveExecutor {
         total_rounds: usize,
         threshold: f64,
     ) -> Result<AdaptiveOutcome, AdaptiveError> {
-        // Planning happens on the belief tree; execution always on
-        // the physical tree. Re-parameterization preserves shape and
-        // pids, so plans transfer.
-        let mut belief = self.exec.tree().clone();
-        let full_faults = self.exec.faults_ref().clone();
+        let cfg = AdaptiveConfig {
+            drift_threshold: threshold,
+            ..self.cfg
+        };
+        let mut cl = ClosedLoop::new(&self.exec, cfg, CausalKind::Segment);
         let mut rounds_done = 0usize;
         let mut steps_done = 0usize;
-        let mut total_time = 0.0f64;
-        let mut wall = Duration::ZERO;
-        let mut saw_wall = false;
+        let mut wall: Option<Duration> = None;
         let mut decisions: Vec<Decision> = Vec::new();
-        let mut causal = CausalTree::new();
-        let mut replans = 0usize;
-        let mut segment = 0usize;
         while rounds_done < total_rounds {
-            let seg_rounds = self.cfg.window.max(1).min(total_rounds - rounds_done);
+            let rounds = self.cfg.window.max(1).min(total_rounds - rounds_done);
             let planned = plan
-                .lower(&belief, seg_rounds)
+                .lower(cl.belief(), rounds)
                 .map_err(AdaptiveError::Plan)?;
             // Migrate: execute on the physical machine from the
             // checkpointed boundary. `check(true)` forces the
             // hbsp-check preflight on every re-lowered schedule, and
             // the fault plan is re-based so faults scripted against
             // global superstep indices fire in the right segment.
-            // The recorder is bounded at the planned step count: a
-            // well-behaved segment drops nothing, and a runaway one
-            // stops accumulating memory (and reads as infinite drift
-            // below).
-            let recorder = Arc::new(Recorder::new().keep_last(planned.predicted.len().max(1)));
-            let seg_exec = self
+            let exec = self
                 .exec
                 .clone()
-                .faults(full_faults.shifted(steps_done))
+                .faults(self.exec.faults_ref().shifted(steps_done))
                 .check(true)
-                .probe(recorder.clone());
-            let seg_offset = total_time;
-            let (outcome, _states) = match seg_exec.run(&planned.prog) {
-                Ok(ok) => ok,
-                Err(err) => {
-                    let bundle = self.segment_bundle(
-                        &err,
-                        &full_faults,
-                        &recorder,
-                        &causal,
-                        &decisions,
-                        segment,
-                        seg_offset,
-                    );
-                    return Err(AdaptiveError::Exec(err, Some(Box::new(bundle))));
-                }
-            };
-            total_time += outcome.total_time();
-            if let Some(w) = outcome.wall {
-                wall += w;
-                saw_wall = true;
+                .probe(cl.recorder());
+            let seg = cl
+                .run(&exec, &planned.prog, &planned.predicted, [], |rec| {
+                    (decision_log(&decisions), rec.metrics())
+                })
+                .map_err(|(err, bundle)| AdaptiveError::Exec(err, bundle))?;
+            if let Some(w) = seg.outcome.wall {
+                *wall.get_or_insert(Duration::ZERO) += w;
             }
-            // Observe.
-            let observed = recorder.steps_since(0);
-            let steps = &observed.steps;
-            let seg_steps = steps.len();
-            steps_done += seg_steps;
-            rounds_done += seg_rounds;
-            let seg_span = causal.push(
-                CausalKind::Segment,
-                format!("segment {segment}"),
-                None,
-                seg_offset,
-                seg_offset + outcome.total_time(),
-            );
-            causal.push_steps(Some(seg_span), steps, seg_offset);
-            // Detect. A structural mismatch — step counts disagree
-            // with the plan, or the bounded recorder's ring overwrote
-            // steps (the program did not execute the schedule the
-            // planner priced) — is infinite drift: always over any
-            // finite threshold.
-            let (drift, predicted_total, observed_total) = if observed.missed > 0 {
-                (
-                    f64::INFINITY,
-                    planned.predicted.iter().map(SuperstepCost::total).sum(),
-                    outcome.total_time(),
-                )
+            steps_done += seg.steps.len();
+            rounds_done += rounds;
+            let action = if rounds_done < total_rounds {
+                cl.replan(&seg, &planned.strategy)
             } else {
-                match DriftReport::new(steps, &planned.predicted) {
-                    Ok(rep) => (
-                        rep.mean_abs_rel_error(),
-                        rep.predicted_total(),
-                        rep.observed_total(),
-                    ),
-                    Err(_) => (
-                        f64::INFINITY,
-                        planned.predicted.iter().map(SuperstepCost::total).sum(),
-                        outcome.total_time(),
-                    ),
-                }
+                Action::Keep
             };
-            // Replan: only when drift trips the threshold and work
-            // remains. (`inf > inf` is false, so the static arm never
-            // re-plans, even on structural mismatch.)
-            let mut action = Action::Keep;
-            if drift > threshold && rounds_done < total_rounds {
-                match recalibrated(
-                    &belief,
-                    steps,
-                    &recorder.events(),
-                    self.cfg.calibration_trim,
-                ) {
-                    Some(updated) => {
-                        belief = updated;
-                        replans += 1;
-                        action = Action::Replan;
-                        if let Some(p) = self.exec.probe_ref() {
-                            if p.enabled() {
-                                p.on_event(&ObsEvent::Replan {
-                                    segment,
-                                    step: steps_done,
-                                    drift,
-                                    strategy: &planned.strategy,
-                                    predicted: predicted_total,
-                                });
-                            }
-                        }
-                    }
-                    None => action = Action::Hold,
-                }
-            }
             decisions.push(Decision {
-                segment,
-                rounds: seg_rounds,
-                steps: seg_steps,
+                segment: decisions.len(),
+                rounds,
+                steps: seg.steps.len(),
                 strategy: planned.strategy,
-                predicted: predicted_total,
-                observed: observed_total,
-                drift,
+                predicted: seg.predicted,
+                observed: (seg.drift.as_ref())
+                    .map_or(seg.outcome.total_time(), DriftReport::observed_total),
+                drift: seg.drift_stat(),
                 action,
             });
-            segment += 1;
         }
         Ok(AdaptiveOutcome {
-            total_time,
-            wall: saw_wall.then_some(wall),
-            segments: segment,
-            replans,
+            total_time: cl.clock(),
+            wall,
+            segments: decisions.len(),
+            replans: cl.replans(),
             decisions,
-            belief,
-            spans: causal.into_spans(),
+            belief: cl.belief().clone(),
+            spans: cl.into_spans(),
+        })
+    }
+}
+
+/// The shared half of every closed loop — Observe, Detect, Replan —
+/// for a caller that plans each segment on [`ClosedLoop::belief`] and
+/// hands the program to [`ClosedLoop::run`]. The adaptive executor
+/// drives it per segment, `hbsp-sched` per admission batch.
+///
+/// The loop owns one [`Recorder`], read by cursor, so each segment
+/// sees only its own steps and events while the recorder's metrics
+/// count the whole run. It keeps the cumulative virtual clock (each
+/// engine run restarts at zero), the causal span tree, the belief tree
+/// and the re-plan count. A drift threshold of `f64::INFINITY` is the
+/// open loop: [`ClosedLoop::replan`] never fires.
+pub struct ClosedLoop {
+    /// The executor the loop was built from: its machine, whole fault
+    /// plan and engine name a failure bundle, and its probe hears
+    /// every re-plan besides the loop's recorder.
+    base: Executor,
+    cfg: AdaptiveConfig,
+    root: CausalKind,
+    recorder: Arc<Recorder>,
+    /// Cursors into `recorder`: steps and events already read.
+    steps_read: u64,
+    events_read: usize,
+    clock: f64,
+    causal: CausalTree,
+    belief: Arc<MachineTree>,
+    segments: usize,
+    replans: usize,
+}
+
+/// One segment [`ClosedLoop::run`] executed and observed.
+pub struct Observed<S> {
+    /// The engine's outcome.
+    pub outcome: ExecOutcome,
+    /// Every processor's final state.
+    pub states: Vec<S>,
+    /// The segment's steps, in execution order.
+    pub steps: Vec<StepTrace>,
+    /// The events recorded while the segment ran.
+    pub events: Vec<EventTrace>,
+    /// Start on the loop's cumulative clock.
+    pub start: f64,
+    /// End on the loop's cumulative clock.
+    pub end: f64,
+    /// Predicted virtual time of the segment.
+    pub predicted: f64,
+    /// Observed steps against the prediction; `None` when the two
+    /// disagree structurally (step counts differ, or steps were missed):
+    /// the program did not execute the schedule that was priced.
+    pub drift: Option<DriftReport>,
+}
+
+impl<S> Observed<S> {
+    /// The drift statistic: mean absolute per-step relative error, or
+    /// `f64::INFINITY` on a structural mismatch.
+    pub fn drift_stat(&self) -> f64 {
+        self.drift
+            .as_ref()
+            .map_or(f64::INFINITY, DriftReport::mean_abs_rel_error)
+    }
+}
+
+impl ClosedLoop {
+    /// A loop over `exec`'s machine, fault plan and engine, believing
+    /// the machine file at first. Segments are spanned as `root`
+    /// ([`CausalKind::Segment`] or [`CausalKind::Batch`]); re-plans
+    /// follow `cfg`'s threshold and trimming budget.
+    pub fn new(exec: &Executor, cfg: AdaptiveConfig, root: CausalKind) -> ClosedLoop {
+        ClosedLoop {
+            base: exec.clone(),
+            cfg,
+            root,
+            recorder: Arc::new(Recorder::new()),
+            steps_read: 0,
+            events_read: 0,
+            clock: 0.0,
+            causal: CausalTree::new(),
+            belief: exec.tree().clone(),
+            segments: 0,
+            replans: 0,
+        }
+    }
+
+    /// The loop's recorder: attach it to every executor passed to
+    /// [`ClosedLoop::run`].
+    pub fn recorder(&self) -> Arc<Recorder> {
+        self.recorder.clone()
+    }
+
+    /// The tree to plan on: the machine file re-parameterized by every
+    /// re-plan so far. Same shape and pids as the physical machine, so
+    /// what is planned on it runs there.
+    pub fn belief(&self) -> &Arc<MachineTree> {
+        &self.belief
+    }
+
+    /// The cumulative virtual clock.
+    pub fn clock(&self) -> f64 {
+        self.clock
+    }
+
+    /// Re-plans so far.
+    pub fn replans(&self) -> usize {
+        self.replans
+    }
+
+    /// The causal span tree: per segment one root span containing its
+    /// child spans and one [`CausalKind::Superstep`] span per step.
+    pub fn into_spans(self) -> Vec<CausalSpan> {
+        self.causal.into_spans()
+    }
+
+    /// Run `prog` on `exec` (which carries [`ClosedLoop::recorder`])
+    /// as the next segment, and observe it. `predicted` holds one cost
+    /// per step the program executes, free drains included;
+    /// `children` are labels of [`CausalKind::Job`] spans under the
+    /// segment's root span.
+    ///
+    /// If the engine fails, the error comes back with a
+    /// [`PostmortemBundle`]: the dying segment's steps and events, the
+    /// span tree with the segment ending at its last release, and the
+    /// decision log and metrics `forensics` supplies (it is handed the
+    /// loop's recorder and called only on failure). A failed run ends
+    /// the loop.
+    pub fn run<P: SpmdProgram>(
+        &mut self,
+        exec: &Executor,
+        prog: &P,
+        predicted: &[SuperstepCost],
+        children: impl IntoIterator<Item = String>,
+        forensics: impl FnOnce(&Recorder) -> (String, Vec<MetricSample>),
+    ) -> Result<Observed<P::State>, (SimError, Box<PostmortemBundle>)> {
+        let ran = exec.run(prog);
+        let seen = self.recorder.steps_since(self.steps_read);
+        let events = self.recorder.events_since(self.events_read);
+        let start = self.clock;
+        let end = match &ran {
+            Ok((outcome, _)) => start + outcome.total_time(),
+            // A dying segment ends at its last release.
+            Err(_) => {
+                let last = seen.steps.iter().flat_map(|s| s.releases().iter().copied());
+                start + last.fold(0.0f64, f64::max)
+            }
+        };
+        let label = format!("{} {}", self.root.name(), self.segments);
+        let root = self.causal.push(self.root, label, None, start, end);
+        for child in children {
+            self.causal
+                .push(CausalKind::Job, child, Some(root), start, end);
+        }
+        self.causal.push_steps(Some(root), &seen.steps, start);
+        let (outcome, states) = match ran {
+            Ok(ok) => ok,
+            Err(err) => {
+                let (decision_log, metrics) = forensics(&self.recorder);
+                let bundle = PostmortemBundle {
+                    reason: err.to_string(),
+                    engine: self.base.engine_name().to_string(),
+                    step: seen.steps.last().map_or(0, |s| s.step),
+                    machine: self.base.tree().to_string(),
+                    fault_plan: self.base.faults_ref().render(),
+                    steps: seen.steps,
+                    events,
+                    decision_log,
+                    metrics,
+                    spans: self.causal.spans().to_vec(),
+                };
+                return Err((err, Box::new(bundle)));
+            }
+        };
+        self.clock = end;
+        self.steps_read = seen.next;
+        self.events_read += events.len();
+        self.segments += 1;
+        let drift = match seen.missed {
+            0 => DriftReport::new(&seen.steps, predicted).ok(),
+            _ => None,
+        };
+        Ok(Observed {
+            outcome,
+            states,
+            steps: seen.steps,
+            events,
+            start,
+            end,
+            predicted: predicted.iter().map(SuperstepCost::total).sum(),
+            drift,
         })
     }
 
-    /// Snapshot forensics for a segment that died mid-run: the
-    /// segment recorder's retained steps/events/metrics, the decision
-    /// log up to the failure, and the causal span tree so far plus a
-    /// span for the dying segment (ending at its last retained
-    /// release).
-    #[allow(clippy::too_many_arguments)]
-    fn segment_bundle(
-        &self,
-        err: &SimError,
-        full_faults: &hbsp_sim::FaultPlan,
-        recorder: &Recorder,
-        causal: &CausalTree,
-        decisions: &[Decision],
-        segment: usize,
-        seg_offset: f64,
-    ) -> PostmortemBundle {
-        let steps = recorder.steps();
-        let mut spans = causal.spans().to_vec();
-        let mut tail = CausalTree::new();
-        let seg_end = seg_offset
-            + steps
-                .iter()
-                .flat_map(|s| s.releases().iter().copied())
-                .fold(0.0f64, f64::max);
-        let seg_span = tail.push(
-            CausalKind::Segment,
-            format!("segment {segment}"),
-            None,
-            seg_offset,
-            seg_end,
-        );
-        tail.push_steps(Some(seg_span), &steps, seg_offset);
-        let base = spans.len();
-        for mut cs in tail.into_spans() {
-            cs.id += base;
-            cs.parent = cs.parent.map(|p| p + base);
-            spans.push(cs);
+    /// Detect → Replan: when the segment's drift exceeds the
+    /// threshold, fold its steps and events into the belief (robust
+    /// calibration, trimmed by the configured budget) and report an
+    /// [`ObsEvent::Replan`] tagged `strategy`. Call it only while work
+    /// remains. `inf > inf` is false, so the open loop never re-plans,
+    /// even on a structural mismatch.
+    pub fn replan<S>(&mut self, seg: &Observed<S>, strategy: &str) -> Action {
+        let drift = seg.drift_stat();
+        let over = drift > self.cfg.drift_threshold;
+        if !over {
+            return Action::Keep;
         }
-        let mut decision_log = String::new();
-        for d in decisions {
-            decision_log.push_str(&d.render());
-            decision_log.push('\n');
+        let trim = self.cfg.calibration_trim;
+        let Some(updated) = recalibrated(&self.belief, &seg.steps, &seg.events, trim) else {
+            return Action::Hold;
+        };
+        self.belief = updated;
+        self.replans += 1;
+        let event = ObsEvent::Replan {
+            segment: self.segments - 1,
+            step: self.steps_read as usize,
+            drift,
+            strategy,
+            predicted: seg.predicted,
+        };
+        self.recorder.on_event(&event);
+        if let Some(p) = self.base.probe_ref().filter(|p| p.enabled()) {
+            p.on_event(&event);
         }
-        PostmortemBundle {
-            reason: err.to_string(),
-            engine: self.exec.engine_name().to_string(),
-            step: steps.last().map(|s| s.step).unwrap_or(0),
-            machine: self.exec.tree().to_string(),
-            fault_plan: full_faults.render(),
-            steps,
-            events: recorder.events(),
-            decision_log,
-            metrics: recorder.metrics(),
-            spans,
-        }
+        Action::Replan
     }
 }
 
@@ -525,13 +599,9 @@ impl AdaptiveExecutor {
 /// belief-`r` units (`send_word_cost ≈ 1`) and survives the merge
 /// with the unobserved processors' kept beliefs. `None` only when
 /// re-parameterization itself rejects the estimates.
-///
-/// Public because every closed-loop consumer (the [`AdaptiveExecutor`]
-/// here, `hbsp-sched`'s batch re-placement) must fold telemetry into a
-/// belief the same way, or their decision logs diverge.
-pub fn recalibrated(
+fn recalibrated(
     belief: &Arc<MachineTree>,
-    steps: &[hbsp_obs::StepTrace],
+    steps: &[StepTrace],
     events: &[EventTrace],
     max_trim: f64,
 ) -> Option<Arc<MachineTree>> {
@@ -559,7 +629,7 @@ pub fn recalibrated(
 /// per `g`-word, unnormalized (0 = sent nothing, keep the belief).
 /// Under the default microcosts (`send_word_cost = 1`) this is in the
 /// same units as the machine file's `r`, up to per-message overhead.
-fn raw_send_rates(steps: &[hbsp_obs::StepTrace], g: f64) -> Vec<f64> {
+fn raw_send_rates(steps: &[StepTrace], g: f64) -> Vec<f64> {
     let p = steps.iter().map(|s| s.procs()).max().unwrap_or(0);
     let mut time = vec![0.0f64; p];
     let mut words = vec![0u64; p];
@@ -665,6 +735,23 @@ mod tests {
         )
     }
 
+    /// Segments of `window` rounds, re-planned over `drift_threshold`.
+    fn cfg(window: usize, drift_threshold: f64) -> AdaptiveConfig {
+        AdaptiveConfig {
+            window,
+            drift_threshold,
+            calibration_trim: 0.25,
+        }
+    }
+
+    /// Nine rounds under a mild straggler on P3, in windows of three.
+    fn ramped(exec: Executor) -> AdaptiveOutcome {
+        let faults = FaultPlan::new().straggle_ramp(ProcId(3), 2, 6, 2.0, 1.0);
+        (AdaptiveExecutor::new(exec.faults(faults)).config(cfg(3, 0.4)))
+            .run(&GossipPlan, 9)
+            .unwrap()
+    }
+
     #[test]
     fn static_arm_never_replans() {
         let adaptive = AdaptiveExecutor::new(Executor::simulator(clustered()));
@@ -677,19 +764,8 @@ mod tests {
 
     #[test]
     fn decision_logs_are_bit_identical_across_engines() {
-        let faults = FaultPlan::new().straggle_ramp(ProcId(3), 2, 6, 2.0, 1.0);
-        let run = |exec: Executor| {
-            AdaptiveExecutor::new(exec.faults(faults.clone()))
-                .config(AdaptiveConfig {
-                    window: 3,
-                    drift_threshold: 0.4,
-                    calibration_trim: 0.25,
-                })
-                .run(&GossipPlan, 9)
-                .unwrap()
-        };
-        let sim = run(Executor::simulator(clustered()));
-        let thr = run(Executor::threads(clustered()));
+        let sim = ramped(Executor::simulator(clustered()));
+        let thr = ramped(Executor::threads(clustered()));
         assert_eq!(sim.decision_log(), thr.decision_log());
         assert_eq!(sim.total_time, thr.total_time);
         assert!(sim.wall.is_none());
@@ -704,11 +780,7 @@ mod tests {
         // segment 0 stays low, later segments trip the threshold.
         let faults = FaultPlan::new().straggle_ramp(ProcId(3), 2, 8, 4.0, 2.0);
         let out = AdaptiveExecutor::new(Executor::simulator(clustered()).faults(faults))
-            .config(AdaptiveConfig {
-                window: 2,
-                drift_threshold: 0.5,
-                calibration_trim: 0.25,
-            })
+            .config(cfg(2, 0.5))
             .run(&GossipPlan, 10)
             .unwrap();
         assert!(out.replans > 0, "log:\n{}", out.decision_log());
@@ -721,19 +793,8 @@ mod tests {
 
     #[test]
     fn causal_spans_nest_and_match_across_engines() {
-        let faults = FaultPlan::new().straggle_ramp(ProcId(3), 2, 6, 2.0, 1.0);
-        let run = |exec: Executor| {
-            AdaptiveExecutor::new(exec.faults(faults.clone()))
-                .config(AdaptiveConfig {
-                    window: 3,
-                    drift_threshold: 0.4,
-                    calibration_trim: 0.25,
-                })
-                .run(&GossipPlan, 9)
-                .unwrap()
-        };
-        let sim = run(Executor::simulator(clustered()));
-        let thr = run(Executor::threads(clustered()));
+        let sim = ramped(Executor::simulator(clustered()));
+        let thr = ramped(Executor::threads(clustered()));
         hbsp_obs::check_causal_spans(&sim.spans).unwrap();
         assert_eq!(sim.spans, thr.spans);
         // One segment span per segment, each a root; supersteps nest
@@ -762,11 +823,7 @@ mod tests {
         // and the executor's default recovery policy is fail-fast.
         let faults = FaultPlan::new().crash(ProcId(2), 4);
         let err = AdaptiveExecutor::new(Executor::simulator(clustered()).faults(faults))
-            .config(AdaptiveConfig {
-                window: 3,
-                drift_threshold: 0.4,
-                calibration_trim: 0.25,
-            })
+            .config(cfg(3, 0.4))
             .run(&GossipPlan, 9)
             .unwrap_err();
         let bundle = err.bundle().expect("exec failure carries a bundle");
@@ -781,6 +838,10 @@ mod tests {
         let reparsed = hbsp_obs::PostmortemBundle::parse(&bundle.to_jsonl()).unwrap();
         assert_eq!(&reparsed, bundle);
         hbsp_obs::validate_chrome_trace(&bundle.chrome_trace()).unwrap();
+        assert_eq!(
+            bundle.to_jsonl(),
+            include_str!("../../../tests/golden/postmortem_adaptive_segment.jsonl")
+        );
     }
 
     #[test]
@@ -792,11 +853,7 @@ mod tests {
                 .faults(faults)
                 .probe(recorder.clone()),
         )
-        .config(AdaptiveConfig {
-            window: 2,
-            drift_threshold: 0.5,
-            calibration_trim: 0.25,
-        })
+        .config(cfg(2, 0.5))
         .run(&GossipPlan, 10)
         .unwrap();
         let replans = recorder

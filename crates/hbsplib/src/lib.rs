@@ -70,8 +70,8 @@ pub mod executor;
 pub mod hetero;
 
 pub use adaptive::{
-    recalibrated, Action, AdaptiveConfig, AdaptiveError, AdaptiveExecutor, AdaptiveOutcome,
-    AdaptivePlan, Decision, Planned,
+    Action, AdaptiveConfig, AdaptiveError, AdaptiveExecutor, AdaptiveOutcome, AdaptivePlan,
+    ClosedLoop, Decision, Observed, Planned,
 };
 pub use closure::ClosureProgram;
 pub use ctx::Ctx;

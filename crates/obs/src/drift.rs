@@ -96,16 +96,13 @@ impl DriftReport {
     /// Mean absolute per-step relative error over steps with a non-zero
     /// prediction.
     pub fn mean_abs_rel_error(&self) -> f64 {
-        let errs: Vec<f64> = self
-            .rows
-            .iter()
+        let (sum, n) = (self.rows.iter())
             .filter(|r| r.predicted.total() > 0.0)
-            .map(|r| r.rel_error().abs())
-            .collect();
-        if errs.is_empty() {
+            .fold((0.0, 0), |(sum, n), r| (sum + r.rel_error().abs(), n + 1));
+        if n == 0 {
             0.0
         } else {
-            errs.iter().sum::<f64>() / errs.len() as f64
+            sum / n as f64
         }
     }
 

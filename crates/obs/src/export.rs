@@ -17,8 +17,8 @@ use std::fmt::Write as _;
 pub const PID_VIRTUAL: u64 = 1;
 /// Synthetic pid for the wall-clock timeline.
 pub const PID_WALL: u64 = 2;
-/// Synthetic pid for the causal span tree (pid 3 is the scheduler's
-/// job track, see [`crate::jobs`]).
+/// Synthetic pid for the causal span tree (batch → job → segment →
+/// superstep).
 pub const PID_CAUSAL: u64 = 4;
 
 struct XEvent {

@@ -1,49 +1,15 @@
-//! Per-job telemetry for the multi-tenant scheduler.
+//! Per-job metrics for the multi-tenant scheduler.
 //!
 //! The scheduler in `hbsp-sched` runs many jobs against one shared
 //! machine; engine-level telemetry ([`crate::StepTrace`]) attributes
-//! time to *processors and supersteps*, not tenants. This module adds
-//! the job axis:
-//!
-//! * [`JobSpan`] — one job's occupancy of its carved sub-tree over a
-//!   virtual-time interval, tagged with the admission batch and the
-//!   claimed leaf ranks;
-//! * [`JobMetrics`] — the `hbsp_jobs_*` metric family (stable names,
-//!   same contract as the engine metrics in `docs/observability.md`);
-//! * [`jobs_chrome_trace`] — a Chrome trace-event document with one
-//!   track per job, so a scheduler run renders as a Gantt chart of
-//!   tenants next to the engines' per-processor timelines.
+//! time to *processors and supersteps*, not tenants. [`JobMetrics`] adds
+//! the job axis: the `hbsp_jobs_*` metric family (stable names, same
+//! contract as the engine metrics in `docs/observability.md`). Where
+//! each job ran and when is a [`crate::CausalKind::Job`] span of the
+//! scheduler's causal tree, which [`crate::chrome_trace_with_causal`]
+//! renders.
 
-use crate::json::{escape, num};
 use crate::metrics::{CounterId, HistogramId, MetricSample, Registry};
-
-/// Synthetic Chrome-trace pid for the job timeline (the engine
-/// exporters use pids 1 and 2; see [`crate::export`]).
-pub const PID_JOBS: u64 = 3;
-
-/// One job's occupancy of the shared machine in virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpan {
-    /// Job id (dense, assigned at submission).
-    pub job: usize,
-    /// Human-readable job name for track labels.
-    pub name: String,
-    /// Admission batch this job ran in (0-based).
-    pub batch: usize,
-    /// Virtual time the job's batch started.
-    pub start: f64,
-    /// Virtual time the job's batch finished.
-    pub end: f64,
-    /// Global leaf ranks of the claimed sub-tree.
-    pub leaves: Vec<u32>,
-}
-
-impl JobSpan {
-    /// Span length in virtual time units.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
 
 /// The `hbsp_jobs_*` metric family. Names are a stable contract:
 ///
@@ -119,81 +85,10 @@ impl JobMetrics {
     }
 }
 
-/// Render job spans as a Chrome trace-event JSON document: one process
-/// (pid [`PID_JOBS`]), one thread per job, complete (`X`) events whose
-/// args carry the batch index and claimed leaves. Validates under
-/// [`crate::validate_chrome_trace`] and can be concatenated into a
-/// combined Perfetto view with the engine trace (disjoint pids).
-pub fn jobs_chrome_trace(spans: &[JobSpan]) -> String {
-    let mut ordered: Vec<&JobSpan> = spans.iter().collect();
-    ordered.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.job.cmp(&b.job)));
-
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, json: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&json);
-    };
-    push(
-        &mut out,
-        format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_JOBS},\"tid\":0,\
-             \"args\":{{\"name\":\"jobs (virtual time as \\u00b5s)\"}}}}"
-        ),
-    );
-    for s in spans {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_JOBS},\"tid\":{},\
-                 \"args\":{{\"name\":\"job {} {}\"}}}}",
-                s.job,
-                s.job,
-                escape(&s.name)
-            ),
-        );
-    }
-    for s in &ordered {
-        let leaves: Vec<String> = s.leaves.iter().map(|l| l.to_string()).collect();
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{PID_JOBS},\"tid\":{},\"args\":{{\"batch\":{},\"leaves\":[{}]}}}}",
-                escape(&s.name),
-                num(s.start),
-                num(s.duration().max(0.0)),
-                s.job,
-                s.batch,
-                leaves.join(",")
-            ),
-        );
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::validate_chrome_trace;
     use crate::metrics::MetricValue;
-
-    fn span(job: usize, batch: usize, start: f64, end: f64) -> JobSpan {
-        JobSpan {
-            job,
-            name: format!("j{job}"),
-            batch,
-            start,
-            end,
-            leaves: vec![job as u32 * 2, job as u32 * 2 + 1],
-        }
-    }
 
     #[test]
     fn metric_names_are_the_contract() {
@@ -230,26 +125,5 @@ mod tests {
             m.snapshot()[4].value,
             MetricValue::Histogram { .. }
         ));
-    }
-
-    #[test]
-    fn jobs_trace_validates_and_names_tracks() {
-        let spans = vec![
-            span(0, 0, 0.0, 5.0),
-            span(1, 0, 0.0, 3.0),
-            span(2, 1, 5.0, 9.0),
-        ];
-        let text = jobs_chrome_trace(&spans);
-        let check = validate_chrome_trace(&text).expect("job trace validates");
-        assert_eq!(check.complete, 3);
-        assert!(text.contains("\"name\":\"job 2 j2\""));
-        assert!(text.contains("\"batch\":1"));
-        assert!(text.contains("\"leaves\":[4,5]"));
-    }
-
-    #[test]
-    fn empty_span_set_is_a_valid_trace() {
-        let text = jobs_chrome_trace(&[]);
-        validate_chrome_trace(&text).expect("empty job trace validates");
     }
 }

@@ -23,10 +23,10 @@
 //!   per-level `L`, per-processor speeds and `r` from an observed run
 //!   (the closed loop on §5's benchmark-then-predict methodology).
 //!
-//! * **[`jobs`]** — the scheduler's tenant axis: per-job occupancy
-//!   spans ([`JobSpan`]), the `hbsp_jobs_*` metric family
-//!   ([`JobMetrics`]), and a job-track Chrome-trace exporter
-//!   ([`jobs_chrome_trace`]).
+//! * **[`jobs`]** — the scheduler's tenant axis: the `hbsp_jobs_*`
+//!   metric family ([`JobMetrics`]). Jobs are [`CausalKind::Job`] spans
+//!   of the scheduler's causal tree, rendered by
+//!   [`chrome_trace_with_causal`] like every other span.
 //! * **[`FlightRecorder`]** — the same recorder built always-on: a
 //!   lock-free, allocation-free ring of the last N step records plus
 //!   the streaming [`anomaly`] detector, cheap enough to leave armed
@@ -66,7 +66,7 @@ pub use export::{
     chrome_trace, chrome_trace_with_causal, jsonl, validate_chrome_trace, TraceCheck,
 };
 pub use flight::FlightRecorder;
-pub use jobs::{jobs_chrome_trace, JobMetrics, JobSpan};
+pub use jobs::JobMetrics;
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry};
 pub use postmortem::{PostmortemBundle, BUNDLE_VERSION};
 pub use probe::{noop, NoopProbe, ObsEvent, Probe, StepRecord, StepWall};

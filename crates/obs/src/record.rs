@@ -579,8 +579,7 @@ impl Recorder {
     /// Bound memory: keep only the last `n` recorded steps (min 1) in a
     /// ring sized by the first step (or [`Recorder::arm`]). Metrics
     /// still count every step; a reader sees what the ring overwrote as
-    /// [`StepsSince::missed`]. The adaptive executor bounds each
-    /// window's recorder this way.
+    /// [`StepsSince::missed`].
     pub fn keep_last(mut self, n: usize) -> Recorder {
         self.ring = Some(n.max(1));
         self

@@ -28,8 +28,8 @@
 //!    sharing the tree.
 //! 4. **Draining.** Rounds repeat until the DAG is drained; the typed
 //!    [`SchedReport`] carries per-job placements, predicted-vs-observed
-//!    costs ([`hbsp_obs::DriftReport`] per batch), occupancy spans and
-//!    the `hbsp_jobs_*` metric family.
+//!    costs ([`hbsp_obs::DriftReport`] per batch), the causal span tree
+//!    (batch → job → superstep) and the `hbsp_jobs_*` metric family.
 //!
 //! Determinism: job input data is generated from a splitmix-seeded
 //! stream of the job's id, and both engines agree on virtual time, so a
@@ -50,17 +50,15 @@ pub use hbsp_collectives::CollectiveKind;
 
 use crate::lower::{lower_on, LoweredJob};
 use hbsp_check::{verify_claims, verify_dag};
+use hbsp_collectives::drift::predicted_steps;
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::schedule::ScheduleState;
 use hbsp_collectives::tune::best_plan;
 use hbsp_collectives::{predict, ScheduleProgram};
 use hbsp_core::{MachineTree, NodeIdx, ProcId};
-use hbsp_obs::{
-    CausalKind, CausalTree, DriftReport, JobMetrics, JobSpan, ObsEvent, PostmortemBundle, Probe,
-    Recorder,
-};
+use hbsp_obs::{CausalKind, JobMetrics};
 use hbsp_sim::FaultPlan;
-use hbsplib::Executor;
+use hbsplib::{Action, AdaptiveConfig, ClosedLoop, Executor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,13 +84,13 @@ pub struct RunOptions {
     /// sharing differs, which is what makes this the control arm of the
     /// batching experiment.
     pub serial: bool,
-    /// Closed-loop adaptation threshold. When set, the scheduler
-    /// prices and lowers on a *belief* copy of the machine; after any
+    /// Closed-loop adaptation threshold. The scheduler prices and
+    /// lowers on the belief of an [`hbsplib::ClosedLoop`]; after any
     /// batch whose mean absolute per-step drift exceeds the threshold
-    /// it re-calibrates the belief from that batch's telemetry
-    /// ([`hbsplib::recalibrated`]), clears the price cache, and
-    /// re-places the remaining jobs on the updated belief. `None`
-    /// (default) is the open-loop scheduler.
+    /// the loop re-calibrates the belief from that batch's telemetry,
+    /// and the scheduler clears its price cache and re-places the
+    /// remaining jobs on the updated belief. `None` (default) is the
+    /// open-loop scheduler: an infinite threshold.
     pub adapt: Option<f64>,
 }
 
@@ -205,40 +203,33 @@ impl Scheduler {
             })
             .collect();
 
-        let recorder = Arc::new(Recorder::new());
         let exec = match opts.engine {
             Engine::Simulator => Executor::simulator(tree.clone()),
             Engine::Threads => Executor::threads(tree.clone()),
         }
-        .faults(self.faults.clone())
-        .probe(recorder.clone());
+        .faults(self.faults.clone());
+        // Closed loop: placement prices and lowerings come from the
+        // loop's belief tree; execution stays on the physical tree
+        // (same shape and pids, so lowered programs transfer). The
+        // open loop never moves the belief, so both price identically.
+        let cfg = AdaptiveConfig {
+            drift_threshold: opts.adapt.unwrap_or(f64::INFINITY),
+            ..AdaptiveConfig::default()
+        };
+        let mut cl = ClosedLoop::new(&exec, cfg, CausalKind::Batch);
+        let exec = exec.probe(cl.recorder());
         let metrics = JobMetrics::new();
         metrics.submitted(n as u64);
 
         let mut done = vec![false; n];
         let mut num_done = 0usize;
-        let mut clock = 0.0f64;
         let mut job_reports: Vec<Option<JobReport>> = (0..n).map(|_| None).collect();
         let mut batches: Vec<BatchReport> = Vec::new();
-        let mut spans = Vec::new();
-        let mut causal = CausalTree::new();
         // Placement prices are pure functions of (collective, size,
         // node) — or (job, node) for custom work — so a graph of
         // repeated shapes prices each shape once.
         let mut prices: HashMap<(u8, u64, u32), Option<f64>> = HashMap::new();
-        // Cursors into the recorder: each batch reads only its own
-        // steps and events.
-        let mut recorded = 0u64;
-        let mut recorded_events = 0usize;
         let max_batch = if opts.serial { 1 } else { usize::MAX };
-        // Closed loop: placement prices and lowerings come from the
-        // belief tree; execution stays on the physical tree (same
-        // shape and pids, so lowered programs transfer). Open-loop
-        // runs never move the belief, so both paths price identically.
-        let mut belief = tree.clone();
-        let mut replans = 0usize;
-        // Same trimming budget the adaptive executor defaults to.
-        let adapt_trim = hbsplib::AdaptiveConfig::default().calibration_trim;
 
         while num_done < n {
             let ready: Vec<usize> = (0..n)
@@ -277,7 +268,7 @@ impl Scheduler {
                     let key = price_key(job, i, cand.idx);
                     let price = *prices
                         .entry(key)
-                        .or_insert_with(|| price_on(&belief, job, cand.idx));
+                        .or_insert_with(|| price_on(cl.belief(), job, cand.idx));
                     let Some(cost) = price else { continue };
                     let entry = (cost, cand.leaves.len(), cand.idx.index() as u32);
                     let beats = match best {
@@ -297,7 +288,7 @@ impl Scheduler {
                 }
                 match best_cand {
                     Some(cand) => {
-                        let lj = lower_on(belief.carve(cand.idx), job, i, cand.idx)?;
+                        let lj = lower_on(cl.belief().carve(cand.idx), job, i, cand.idx)?;
                         for pid in &cand.leaves {
                             free[pid.rank()] = false;
                         }
@@ -330,101 +321,20 @@ impl Scheduler {
                 return Err(SchedError::ClaimOverlap(overlaps));
             }
 
-            let batch_index = batches.len();
             let merged = merge::merge(tree, &lowered);
             let schedule = Arc::new(merged.schedule);
             // Predictions come from the belief: batch drift then
             // measures how wrong the *current* belief is, which is
-            // exactly the statistic the adaptive loop thresholds.
-            let predicted = predict(&belief, &schedule);
+            // exactly the statistic the loop thresholds.
+            let predicted = predicted_steps(cl.belief(), &schedule);
             let prog = ScheduleProgram::new(schedule, Arc::new(merged.init), merged.op);
-            // On an engine failure, snapshot forensics before
-            // surfacing the typed error: the dying batch's telemetry,
-            // the batch log so far, and the causal span tree with the
-            // partial batch appended (ending at its last retained
-            // release).
-            let (outcome, states) = match exec.run(&prog) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    let fail_steps = recorder.steps_since(recorded).steps;
-                    let fail_end = clock
-                        + fail_steps
-                            .iter()
-                            .flat_map(|s| s.releases().iter().copied())
-                            .fold(0.0f64, f64::max);
-                    let b = causal.push(
-                        CausalKind::Batch,
-                        format!("batch {batch_index}"),
-                        None,
-                        clock,
-                        fail_end,
-                    );
-                    for l in &lowered {
-                        causal.push(
-                            CausalKind::Job,
-                            self.jobs[l.job].name.clone(),
-                            Some(b),
-                            clock,
-                            fail_end,
-                        );
-                    }
-                    causal.push_steps(Some(b), &fail_steps, clock);
-                    let mut log = String::new();
-                    for br in &batches {
-                        use std::fmt::Write as _;
-                        let _ = writeln!(
-                            log,
-                            "batch={} jobs={} predicted={} observed={} replanned={}",
-                            br.index,
-                            br.jobs.len(),
-                            br.predicted,
-                            br.observed(),
-                            br.replanned
-                        );
-                    }
-                    let bundle = PostmortemBundle {
-                        reason: e.to_string(),
-                        engine: exec.engine_name().to_string(),
-                        step: fail_steps.last().map(|s| s.step).unwrap_or(0),
-                        machine: tree.to_string(),
-                        fault_plan: self.faults.render(),
-                        steps: fail_steps,
-                        events: recorder.events_since(recorded_events),
-                        decision_log: log,
-                        metrics: metrics.snapshot(),
-                        spans: causal.into_spans(),
-                    };
-                    return Err(SchedError::Exec(e, Some(Box::new(bundle))));
-                }
-            };
-            let duration = outcome.total_time();
-            let (start, end) = (clock, clock + duration);
-            clock = end;
-
-            let batch = recorder.steps_since(recorded);
-            let batch_steps = &batch.steps;
-            let batch_events = recorder.events_since(recorded_events);
-            let drift = DriftReport::new(batch_steps, predicted.steps()).ok();
-            recorded = batch.next;
-            recorded_events += batch_events.len();
-
-            let batch_span = causal.push(
-                CausalKind::Batch,
-                format!("batch {batch_index}"),
-                None,
-                start,
-                end,
-            );
-            for l in &lowered {
-                causal.push(
-                    CausalKind::Job,
-                    self.jobs[l.job].name.clone(),
-                    Some(batch_span),
-                    start,
-                    end,
-                );
-            }
-            causal.push_steps(Some(batch_span), batch_steps, start);
+            let names = lowered.iter().map(|l| self.jobs[l.job].name.clone());
+            let batch = cl
+                .run(&exec, &prog, &predicted, names, |_| {
+                    (batch_log(&batches), metrics.snapshot())
+                })
+                .map_err(|(e, bundle)| SchedError::Exec(e, bundle))?;
+            let (start, end) = (batch.start, batch.end);
 
             for l in &lowered {
                 let i = l.job;
@@ -434,30 +344,17 @@ impl Scheduler {
                     .carved
                     .leaves
                     .iter()
-                    .map(|pid| states[pid.rank()].clone())
+                    .map(|pid| batch.states[pid.rank()].clone())
                     .collect();
                 if job_states.iter().any(|s| s.error().is_some()) {
                     metrics.failed();
                 } else {
-                    metrics.completed(duration);
+                    metrics.completed(batch.outcome.total_time());
                 }
-                spans.push(JobSpan {
-                    job: i,
-                    name: self.jobs[i].name.clone(),
-                    batch: batch_index,
-                    start,
-                    end,
-                    leaves: l
-                        .carved
-                        .leaves
-                        .iter()
-                        .map(|pid| pid.rank() as u32)
-                        .collect(),
-                });
                 job_reports[i] = Some(JobReport {
                     id: JobId(i),
                     name: self.jobs[i].name.clone(),
-                    batch: batch_index,
+                    batch: batches.len(),
                     node: l.node,
                     machine: tree.node(l.node).machine_id(),
                     leaves: l.carved.leaves.clone(),
@@ -470,46 +367,21 @@ impl Scheduler {
             }
             metrics.batch();
 
-            // Detect → Replan: fold a drifty batch's telemetry into
-            // the belief so every remaining job is re-priced and
-            // re-placed on it. A structural mismatch (the program did
-            // not execute the schedule the belief priced) is infinite
-            // drift. The price cache keys say nothing about the
-            // belief, so it must be dropped wholesale.
-            let mut replanned = false;
-            if let Some(threshold) = opts.adapt {
-                let batch_drift = drift
-                    .as_ref()
-                    .map(DriftReport::mean_abs_rel_error)
-                    .unwrap_or(f64::INFINITY);
-                if num_done < n && batch_drift > threshold {
-                    if let Some(updated) =
-                        hbsplib::recalibrated(&belief, batch_steps, &batch_events, adapt_trim)
-                    {
-                        belief = updated;
-                        prices.clear();
-                        replans += 1;
-                        replanned = true;
-                        if recorder.enabled() {
-                            recorder.on_event(&ObsEvent::Replan {
-                                segment: batch_index,
-                                step: recorded as usize,
-                                drift: batch_drift,
-                                strategy: "sched/re-place",
-                                predicted: predicted.total(),
-                            });
-                        }
-                    }
-                }
+            // Detect → Replan: a drifty batch's telemetry moves the
+            // belief, so every remaining job is re-priced and re-placed
+            // on it. The price cache keys say nothing about the belief,
+            // so it must be dropped wholesale.
+            let replanned = num_done < n && cl.replan(&batch, "sched/re-place") == Action::Replan;
+            if replanned {
+                prices.clear();
             }
-
             batches.push(BatchReport {
-                index: batch_index,
+                index: batches.len(),
                 jobs: lowered.iter().map(|l| JobId(l.job)).collect(),
                 start,
                 end,
-                predicted: predicted.total(),
-                drift,
+                predicted: batch.predicted,
+                drift: batch.drift,
                 replanned,
             });
         }
@@ -520,13 +392,28 @@ impl Scheduler {
                 .map(|r| r.expect("every job ran"))
                 .collect(),
             batches,
-            total_time: clock,
-            spans,
+            total_time: cl.clock(),
             metrics: metrics.snapshot(),
-            replans,
-            causal: causal.into_spans(),
+            replans: cl.replans(),
+            causal: cl.into_spans(),
         })
     }
+}
+
+/// One line per finished batch, for a failure bundle's decision log.
+fn batch_log(batches: &[BatchReport]) -> String {
+    (batches.iter())
+        .map(|b| {
+            format!(
+                "batch={} jobs={} predicted={} observed={} replanned={}\n",
+                b.index,
+                b.jobs.len(),
+                b.predicted,
+                b.observed(),
+                b.replanned
+            )
+        })
+        .collect()
 }
 
 /// Price cache key: collective jobs share entries by shape, custom jobs
@@ -589,6 +476,16 @@ mod tests {
                 engine,
                 serial,
                 adapt: None,
+            })
+            .expect("graph drains")
+    }
+
+    fn drain(sched: &Scheduler, engine: Engine, adapt: Option<f64>) -> SchedReport {
+        sched
+            .run(&RunOptions {
+                engine,
+                serial: false,
+                adapt,
             })
             .expect("graph drains")
     }
@@ -760,14 +657,6 @@ mod tests {
                 }
                 s
             };
-        let drain = |s: &Scheduler, engine: Engine, adapt: Option<f64>| {
-            s.run(&RunOptions {
-                engine,
-                serial: false,
-                adapt,
-            })
-            .expect("graph drains")
-        };
         let s = build();
         let open = drain(&s, Engine::Simulator, None);
         let adapt = drain(&s, Engine::Simulator, Some(0.5));
@@ -832,7 +721,7 @@ mod tests {
         s.submit(Job::collective("b", CollectiveKind::Scan, 16).after(&[a]));
         let err = s.run(&RunOptions::default()).unwrap_err();
         let bundle = match &err {
-            SchedError::Exec(_, Some(b)) => b,
+            SchedError::Exec(_, b) => b,
             other => panic!("expected Exec with bundle, got {other:?}"),
         };
         assert_eq!(err.bundle().unwrap(), &**bundle);
@@ -846,6 +735,10 @@ mod tests {
             .any(|c| c.kind == hbsp_obs::CausalKind::Batch));
         let reparsed = hbsp_obs::PostmortemBundle::parse(&bundle.to_jsonl()).unwrap();
         assert_eq!(&reparsed, &**bundle);
+        assert_eq!(
+            bundle.to_jsonl(),
+            include_str!("../../../tests/golden/postmortem_sched_batch.jsonl")
+        );
     }
 
     #[test]
@@ -855,8 +748,14 @@ mod tests {
         s.submit(Job::collective("b", CollectiveKind::Scan, 16).after(&[a]));
         let rep = run(&s, Engine::Simulator, false);
         assert!(rep.clean());
-        assert_eq!(rep.spans.len(), 2);
-        assert!(rep.spans.iter().all(|sp| sp.duration() > 0.0));
+        // One job span per job, over its batch's window.
+        let jobs = rep.causal.iter().filter(|c| c.kind == CausalKind::Job);
+        let spans: Vec<_> = jobs.map(|c| (c.label.as_str(), c.start, c.end)).collect();
+        let windows: Vec<_> = (rep.jobs.iter())
+            .map(|j| (&*j.name, j.start, j.end))
+            .collect();
+        assert_eq!(spans, windows);
+        assert!(windows.iter().all(|(_, start, end)| end > start));
         let completed = rep
             .metrics
             .iter()
@@ -864,8 +763,32 @@ mod tests {
             .expect("jobs metric present");
         assert!(matches!(completed.value, hbsp_obs::MetricValue::Counter(2)));
         assert!(rep.batches.iter().all(|b| b.predicted > 0.0));
-        let trace = hbsp_obs::jobs_chrome_trace(&rep.spans);
-        hbsp_obs::validate_chrome_trace(&trace).expect("job trace validates");
+        assert!(rep.batches.iter().all(|b| b.drift.is_some()));
+        let trace = rep.chrome_trace();
+        let check = hbsp_obs::validate_chrome_trace(&trace).expect("job trace validates");
+        assert_eq!(check.complete, rep.causal.len());
+        assert!(trace.contains("\"name\":\"job:b\""), "{trace}");
         assert!(!rep.render_text().is_empty());
+    }
+
+    /// Every batch is priced step for step, free drain included, so
+    /// its steps pair up with the prediction: a clean open-loop drain
+    /// reports drift for every batch, and a threshold no drift reaches
+    /// never re-plans.
+    #[test]
+    fn every_batch_has_drift_and_an_unreachable_threshold_never_replans() {
+        let mut s = Scheduler::new(campus_like());
+        let g = s.submit(Job::collective("g", CollectiveKind::Gather, 16));
+        s.submit(Job::collective("b", CollectiveKind::Broadcast, 16).after(&[g]));
+        let open = drain(&s, Engine::Simulator, None);
+        assert_eq!(open.batches.len(), 2);
+        assert!(open.batches.iter().all(|b| b.drift.is_some()));
+        let never = drain(&s, Engine::Simulator, Some(f64::MAX));
+        assert_eq!(never.replans, 0, "{}", never.render_text());
+        assert!(never.batches.iter().all(|b| !b.replanned));
+        for (o, a) in open.jobs.iter().zip(&never.jobs) {
+            assert_eq!((o.batch, &o.leaves, o.root), (a.batch, &a.leaves, a.root));
+        }
+        assert_eq!(open.total_time, never.total_time);
     }
 }

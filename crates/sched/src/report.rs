@@ -6,7 +6,7 @@ use hbsp_collectives::schedule::ScheduleState;
 use hbsp_collectives::{DecodeError, TuneError};
 use hbsp_core::{MachineId, NodeIdx, ProcId};
 use hbsp_obs::metrics::MetricSample;
-use hbsp_obs::{chrome_trace_with_causal, CausalSpan, DriftReport, JobSpan, PostmortemBundle};
+use hbsp_obs::{chrome_trace_with_causal, CausalSpan, DriftReport, PostmortemBundle};
 use hbsp_sim::SimError;
 use std::fmt;
 
@@ -65,8 +65,10 @@ pub struct BatchReport {
     pub end: f64,
     /// Predicted cost of the merged program on the shared tree.
     pub predicted: f64,
-    /// Per-step drift of the merged program (when the engine's probe
-    /// steps pair up with the prediction).
+    /// Per-step drift of the merged program: every executed step,
+    /// free drain included, against its prediction on the belief.
+    /// `None` only when the engine ran a different number of steps than
+    /// the merged schedule has.
     pub drift: Option<DriftReport>,
     /// True when this batch's drift tripped the adaptive threshold and
     /// the scheduler folded its telemetry into the belief tree (later
@@ -91,8 +93,6 @@ pub struct SchedReport {
     pub batches: Vec<BatchReport>,
     /// Virtual makespan: the sum of round durations.
     pub total_time: f64,
-    /// Per-job occupancy spans (feed [`hbsp_obs::jobs_chrome_trace`]).
-    pub spans: Vec<JobSpan>,
     /// Snapshot of the `hbsp_jobs_*` metrics.
     pub metrics: Vec<MetricSample>,
     /// Closed-loop re-plans performed ([`crate::RunOptions::adapt`]);
@@ -113,8 +113,7 @@ impl SchedReport {
     }
 
     /// Chrome-trace rendering of the causal span tree (batch → job →
-    /// superstep); loads in Perfetto next to
-    /// [`hbsp_obs::jobs_chrome_trace`]'s occupancy view.
+    /// superstep); loads in Perfetto.
     pub fn chrome_trace(&self) -> String {
         chrome_trace_with_causal(&[], &self.causal)
     }
@@ -194,17 +193,17 @@ pub enum SchedError {
     /// Plan selection failed for a job on its carved machine.
     Tune(JobId, TuneError),
     /// An engine rejected or failed the merged program. The attached
-    /// [`PostmortemBundle`] (when the dying batch had telemetry)
-    /// carries the batch's step records, events, metrics, the batch
-    /// log up to the failure, and the causal span tree.
-    Exec(SimError, Option<Box<PostmortemBundle>>),
+    /// [`PostmortemBundle`] (`hbsplib::ClosedLoop::run`) carries the
+    /// batch's step records, events, metrics, the batch log up to the
+    /// failure, and the causal span tree.
+    Exec(SimError, Box<PostmortemBundle>),
 }
 
 impl SchedError {
     /// The forensics bundle captured at the failing batch, if any.
     pub fn bundle(&self) -> Option<&PostmortemBundle> {
         match self {
-            SchedError::Exec(_, Some(b)) => Some(b),
+            SchedError::Exec(_, b) => Some(b),
             _ => None,
         }
     }
@@ -248,9 +247,3 @@ impl fmt::Display for SchedError {
 }
 
 impl std::error::Error for SchedError {}
-
-impl From<SimError> for SchedError {
-    fn from(e: SimError) -> Self {
-        SchedError::Exec(e, None)
-    }
-}
