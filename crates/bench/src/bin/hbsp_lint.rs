@@ -4,11 +4,11 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Seven rules. The first three are motivated by bugs the model checker
+//! Eight rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
 //! through its facade; the fourth holds the engine seam, the fifth the
 //! telemetry spine, the sixth the superstep settlement, the seventh the
-//! closed loop:
+//! closed loop, the eighth the structure-preserving rebuild:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -60,9 +60,15 @@
 //!    `PostmortemBundle { .. }` literal. A closed-loop consumer drives
 //!    the loop instead of copying it.
 //!
+//! 8. **One rebuild** — the paper's normalization rules for a derived
+//!    machine are applied once, by `hbsp_core::rebuild`: outside
+//!    `crates/core/src/rebuild.rs` no file calls `elect_by_min_r`,
+//!    `hierarchical_fractions` or `set_fractions`. A consumer that needs
+//!    a derived machine calls `carve`, `degrade` or `reparameterize`.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4–7: tests may exercise raw `std` primitives
+//! exempt from rules 1–2 and 4–8: tests may exercise raw `std` primitives
 //! deliberately, tests and benches may measure an engine below the
 //! seam, tests may check the settlement's steps one by one, and tests
 //! may build bundles and fits of their own. Line
@@ -179,6 +185,9 @@ const SETTLEMENT_STEPS: [&str; 6] = [
 /// Rule 7: the closed loop's own steps.
 const CLOSED_LOOP_STEPS: [&str; 2] = ["recalibrated", "calibrate_robust"];
 
+/// Rule 8: the steps of a structure-preserving rebuild.
+const REBUILD_STEPS: [&str; 3] = ["elect_by_min_r", "hierarchical_fractions", "set_fractions"];
+
 /// Whether `line` calls `name` (a definition, `fn name(`, is no call).
 fn calls(line: &str, name: &str) -> bool {
     line.match_indices(name)
@@ -206,6 +215,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         .iter()
         .any(|file| rel.ends_with(file));
     let closes_loop = in_obs_src || rel.ends_with("crates/hbsplib/src/adaptive.rs");
+    let rebuilds = rel.ends_with("crates/core/src/rebuild.rs");
     // Rule 5: the line of the `impl Probe for` block being read.
     let mut probe_impl: Option<usize> = None;
     let mut in_test_mod = false;
@@ -291,6 +301,18 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                 });
             }
         }
+        if !exempt && !rebuilds {
+            for name in REBUILD_STEPS.into_iter().filter(|name| calls(line, name)) {
+                out.push(Violation {
+                    file: path.to_path_buf(),
+                    line: lineno,
+                    message: format!(
+                        "`{name}` called outside the rebuild — derive the machine with \
+                         `carve`, `degrade` or `reparameterize`"
+                    ),
+                });
+            }
+        }
         if !exempt && line.contains(".lock().unwrap()") {
             out.push(Violation {
                 file: path.to_path_buf(),
@@ -347,7 +369,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop, one rebuild)",
             files.len()
         );
     } else {
@@ -541,5 +563,36 @@ mod tests {
                      pub fn postmortem(&self) -> hbsp_obs::PostmortemBundle {\n    todo!()\n}\n\
                      impl PostmortemBundle {\n}\n";
         assert!(printed("crates/bench/src/bin/hbsp_postmortem.rs", typed).is_empty());
+    }
+
+    /// A consumer that re-elects coordinators or re-splits fractions
+    /// itself is a fourth copy of the rules `rebuild.rs` writes once.
+    #[test]
+    fn a_second_rebuild_is_reported_with_file_and_line() {
+        let copied = "fn shrink(b: TreeBuilder) -> MachineTree {\n    \
+                      let mut tree = b.build().unwrap();\n    \
+                      elect_by_min_r(&mut tree);\n    \
+                      let fractions = workload::hierarchical_fractions(&tree);\n    \
+                      tree.set_fractions(&fractions);\n    tree\n}\n";
+        let found = printed("crates/sched/src/lib.rs", copied);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(
+            found[0].starts_with(
+                "crates/sched/src/lib.rs:3: lint: `elect_by_min_r` called outside the rebuild"
+            ),
+            "{found:?}"
+        );
+        assert!(found[1].starts_with("crates/sched/src/lib.rs:4: lint: `hierarchical_fractions`"));
+        assert!(found[2].starts_with("crates/sched/src/lib.rs:5: lint: `set_fractions`"));
+        // The rebuild itself may, and so may test code; defining a step
+        // is no call.
+        assert!(printed("crates/core/src/rebuild.rs", copied).is_empty());
+        assert!(printed("crates/core/tests/rebuild.rs", copied).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{copied}}}\n");
+        assert!(printed("crates/core/src/workload.rs", &in_tests).is_empty());
+        let defined =
+            "pub fn hierarchical_fractions(tree: &MachineTree) -> Vec<(NodeIdx, f64)> {\n}\n\
+                       pub fn set_fractions(&mut self, fractions: &[(NodeIdx, f64)]) {\n}\n";
+        assert!(printed("crates/core/src/tree.rs", defined).is_empty());
     }
 }

@@ -28,13 +28,13 @@
 //! cargo run -p hbsp-bench --bin hbsp_run -- machines/campus.hbsp broadcast --strategy hier
 //! ```
 
-use hbsp_bench::testbed::{hbsp2_testbed, input_kb, testbed};
+use hbsp_bench::testbed::{self, input_kb};
 use hbsp_collectives::broadcast::BroadcastPlan;
 use hbsp_collectives::gather::GatherPlan;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
-use hbsp_core::{topology, MachineTree};
+use hbsp_core::MachineTree;
 use hbsp_obs::Recorder;
 use hbsp_sim::{ascii_gantt, ProcTimeline, SimOutcome, TraceSummary};
 use hbsplib::Executor;
@@ -63,21 +63,14 @@ fn usage() -> ! {
 }
 
 fn parse_machine(spec: &str) -> MachineTree {
-    if let Some(p) = spec.strip_prefix("testbed:") {
-        let p: usize = p.parse().unwrap_or_else(|_| usage());
-        return testbed(p).expect("testbed builds");
+    match testbed::parse_machine(spec) {
+        Ok(Some(tree)) => tree,
+        Ok(None) => usage(),
+        Err(e) => {
+            eprintln!("{e}");
+            exit(1)
+        }
     }
-    if spec == "testbed2" {
-        return hbsp2_testbed(60_000.0).expect("testbed builds");
-    }
-    let text = std::fs::read_to_string(spec).unwrap_or_else(|e| {
-        eprintln!("cannot read machine file `{spec}`: {e}");
-        exit(1)
-    });
-    topology::parse(&text).unwrap_or_else(|e| {
-        eprintln!("invalid machine description `{spec}`: {e}");
-        exit(1)
-    })
 }
 
 fn parse_options(args: &[String]) -> Options {

@@ -37,7 +37,7 @@
 //! cargo run -p hbsp-bench --bin hbsp_trace -- --validate trace.json
 //! ```
 
-use hbsp_bench::testbed::{hbsp2_testbed, input_kb, testbed};
+use hbsp_bench::testbed::{self, input_kb};
 use hbsp_collectives::allgather::{lower_flat_allgather, lower_hierarchical_allgather};
 use hbsp_collectives::broadcast::{lower_broadcast, BroadcastPlan};
 use hbsp_collectives::drift::predicted_steps;
@@ -45,7 +45,7 @@ use hbsp_collectives::gather::lower_gather;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::scatter::lower_scatter;
 use hbsp_collectives::schedule::{execute, stage, CommSchedule, ScheduleProgram, Staging};
-use hbsp_core::{topology, MachineTree};
+use hbsp_core::MachineTree;
 use hbsp_obs::{calibrate, DriftReport, Recorder};
 use hbsp_sim::{ascii_gantt, ProcTimeline};
 use hbsplib::Executor;
@@ -76,21 +76,14 @@ fn usage() -> ! {
 }
 
 fn parse_machine(spec: &str) -> MachineTree {
-    if let Some(p) = spec.strip_prefix("testbed:") {
-        let p: usize = p.parse().unwrap_or_else(|_| usage());
-        return testbed(p).expect("testbed builds");
+    match testbed::parse_machine(spec) {
+        Ok(Some(tree)) => tree,
+        Ok(None) => usage(),
+        Err(e) => {
+            eprintln!("{e}");
+            exit(1)
+        }
     }
-    if spec == "testbed2" {
-        return hbsp2_testbed(60_000.0).expect("testbed builds");
-    }
-    let text = std::fs::read_to_string(spec).unwrap_or_else(|e| {
-        eprintln!("cannot read machine file `{spec}`: {e}");
-        exit(1)
-    });
-    topology::parse(&text).unwrap_or_else(|e| {
-        eprintln!("invalid machine description `{spec}`: {e}");
-        exit(1)
-    })
 }
 
 fn parse_options(args: &[String]) -> Options {

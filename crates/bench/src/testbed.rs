@@ -16,7 +16,7 @@
 //! abilities" — which is what flattens Figure 3(b).
 
 use bytemark::{rank, MachineProfile, Suite};
-use hbsp_core::{MachineTree, ModelError, TreeBuilder};
+use hbsp_core::{topology, MachineTree, ModelError, TreeBuilder};
 
 /// Processor counts evaluated in the paper's figures.
 pub const TESTBED_PS: [usize; 5] = [2, 4, 6, 8, 10];
@@ -99,6 +99,24 @@ pub fn hbsp2_testbed(l2: f64) -> Result<MachineTree, ModelError> {
         );
     }
     b.build()
+}
+
+/// The machine a command line names: `testbed:<p>` ([`testbed`]),
+/// `testbed2` ([`hbsp2_testbed`] with a 60 000 campus barrier) or the
+/// path of a topology file. `Ok(None)` when the count after `testbed:`
+/// is not a number, a usage error; `Err` is the message to print.
+pub fn parse_machine(spec: &str) -> Result<Option<MachineTree>, String> {
+    if let Some(p) = spec.strip_prefix("testbed:") {
+        return Ok(p.parse().ok().map(|p| testbed(p).expect("testbed builds")));
+    }
+    if spec == "testbed2" {
+        return Ok(Some(hbsp2_testbed(60_000.0).expect("testbed builds")));
+    }
+    let text = std::fs::read_to_string(spec)
+        .map_err(|e| format!("cannot read machine file `{spec}`: {e}"))?;
+    topology::parse(&text)
+        .map(Some)
+        .map_err(|e| format!("invalid machine description `{spec}`: {e}"))
 }
 
 /// Items (4-byte words) in a `kb`-kilobyte input, as in the paper's

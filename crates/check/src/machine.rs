@@ -41,6 +41,12 @@ pub fn lint_machine(tree: &MachineTree, declared_k: Option<Level>) -> Vec<Violat
         }
         if node.is_proc() {
             min_leaf_r = min_leaf_r.min(p.r);
+            // Only where r and g are each finite: otherwise InvalidR or
+            // InvalidG already names the defect.
+            let (r, g) = (p.r, tree.g());
+            if r.is_finite() && g.is_finite() && !(r * g).is_finite() {
+                out.push(Violation::WordCostOverflow { id, r, g });
+            }
         }
         if p.l_sync < 0.0 || !p.l_sync.is_finite() {
             out.push(Violation::InvalidL { id, l: p.l_sync });
@@ -141,6 +147,7 @@ pub fn lint_with_spans(
 fn violation_node(v: &Violation) -> Option<hbsp_core::MachineId> {
     match v {
         Violation::InvalidR { id, .. }
+        | Violation::WordCostOverflow { id, .. }
         | Violation::InvalidL { id, .. }
         | Violation::InvalidSpeed { id, .. }
         | Violation::InvalidFraction { id, .. }

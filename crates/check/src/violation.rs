@@ -179,6 +179,15 @@ pub enum Violation {
         /// The actual minimum `r` over the leaves.
         min_r: f64,
     },
+    /// A processor's absolute per-word cost `r·g` must be finite.
+    WordCostOverflow {
+        /// Offending processor.
+        id: MachineId,
+        /// Its `r`.
+        r: f64,
+        /// The machine's `g`.
+        g: f64,
+    },
     /// Every `L` must be finite and non-negative.
     InvalidL {
         /// Offending machine.
@@ -418,6 +427,11 @@ impl fmt::Display for Violation {
                 f,
                 "fastest processor has r = {min_r}; Table 1 normalizes the fastest machine to \
                  r = 1 — rescale every r by 1/{min_r}"
+            ),
+            WordCostOverflow { id, r, g } => write!(
+                f,
+                "{id} has r = {r:e} and g = {g:e}; its per-word cost r·g is not finite, which the \
+                 model cannot price — lower g or this processor's r"
             ),
             InvalidL { id, l } => write!(
                 f,

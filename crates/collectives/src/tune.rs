@@ -489,7 +489,7 @@ mod tests {
         let t = clustered();
         // Tune on a belief where communication is nearly free: flat
         // one-phase broadcast wins (no forwarding work).
-        let cheap = hbsp_core::reparam::ObservedParams {
+        let cheap = hbsp_core::ObservedParams {
             g: Some(1e-6),
             ..Default::default()
         };

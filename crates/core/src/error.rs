@@ -17,6 +17,10 @@ pub enum ModelError {
     /// No machine in the tree has `r = 1`; the model requires the fastest
     /// machine to be normalized to exactly 1.
     NoUnitR { min_r: f64 },
+    /// A processor whose absolute per-word cost `r·g` is not finite:
+    /// `r` and `g` are each in range, but their product overflows and has
+    /// no meaning in the model.
+    WordCostOverflow { id: MachineId, r: f64, g: f64 },
     /// A negative synchronization cost `L`.
     InvalidL { id: MachineId, l: f64 },
     /// A compute speed outside `(0, 1]` (1 = fastest machine).
@@ -67,6 +71,12 @@ impl fmt::Display for ModelError {
                     f,
                     "no machine has r = 1 (minimum r found: {min_r}); \
                      normalize so the fastest machine has r = 1"
+                )
+            }
+            ModelError::WordCostOverflow { id, r, g } => {
+                write!(
+                    f,
+                    "machine {id} has r = {r:e}, and its per-word cost r·g with g = {g:e} is not finite"
                 )
             }
             ModelError::InvalidL { id, l } => {

@@ -306,6 +306,7 @@ impl MachineTree {
     /// * at least one processor;
     /// * every `r >= 1` and at least one leaf with `r = 1` (the fastest
     ///   machine is normalized);
+    /// * every processor's absolute per-word cost `r·g` is finite;
     /// * `L >= 0` everywhere and compute speeds in `(0, 1]`;
     /// * clusters are non-empty;
     /// * if fractions are assigned on the children of a cluster, they sum
@@ -326,6 +327,13 @@ impl MachineTree {
             }
             if node.is_proc() {
                 min_r = min_r.min(p.r);
+                if !(p.r * self.g).is_finite() {
+                    return Err(ModelError::WordCostOverflow {
+                        id,
+                        r: p.r,
+                        g: self.g,
+                    });
+                }
             }
             if p.l_sync < 0.0 || !p.l_sync.is_finite() {
                 return Err(ModelError::InvalidL { id, l: p.l_sync });
@@ -572,6 +580,28 @@ mod tests {
         b.child_proc(root, "p0", NodeParams::proc(2.0, 1.0));
         b.child_proc(root, "p1", NodeParams::proc(3.0, 1.0));
         assert!(matches!(b.build(), Err(crate::ModelError::NoUnitR { .. })));
+    }
+
+    /// Fails at the commit before the rule: the machine validated, and
+    /// carving `slow` overflowed its renormalized `g` into a panic.
+    #[test]
+    fn validate_rejects_a_processor_whose_word_cost_overflows() {
+        let mut b = TreeBuilder::new(1e300);
+        let root = b.cluster("root", NodeParams::cluster(100.0));
+        let fast = b.child_cluster(root, "fast", NodeParams::cluster(10.0));
+        b.child_proc(fast, "a", NodeParams::proc(1.0, 1.0));
+        b.child_proc(fast, "a2", NodeParams::proc(1.5, 0.8));
+        let slow = b.child_cluster(root, "slow", NodeParams::cluster(10.0));
+        b.child_proc(slow, "b", NodeParams::proc(1e10, 0.5));
+        b.child_proc(slow, "c", NodeParams::proc(2e10, 0.4));
+        assert_eq!(
+            b.build().unwrap_err(),
+            crate::ModelError::WordCostOverflow {
+                id: MachineId::new(0, 2),
+                r: 1e10,
+                g: 1e300
+            }
+        );
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! schedules), remaps the fault plan, and re-runs. The per-run
 //! [`FaultReport`] records every recovery step.
 
-use hbsp_core::degrade::Degraded;
-use hbsp_core::{MachineTree, ProcId, SpmdProgram};
+use hbsp_core::{Degraded, MachineTree, ProcId, SpmdProgram};
 use hbsp_obs::{ObsEvent, Probe};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::{FaultPlan, NetConfig, SimError, SimOutcome, Simulator, SplitMix64};

@@ -309,7 +309,9 @@ fn a_hostile_job_graph_is_refused_or_parsed_line_by_line() {
 
 /// Machine files: refused or parsed, never a panic, and a machine that
 /// parses renders to text that parses to the same names, levels and
-/// parameters.
+/// parameters, carves at every node and degrades by each single pid. The
+/// second seed validated, and panicked in `carve`, before validation
+/// bounded every processor's `r·g`.
 #[test]
 fn a_hostile_machine_file_is_refused_or_parsed_to_a_fixed_point() {
     let shape = |t: &MachineTree| {
@@ -317,12 +319,21 @@ fn a_hostile_machine_file_is_refused_or_parsed_to_a_fixed_point() {
             .map(|n| (n.name().to_string(), n.level(), *n.params()))
             .collect::<Vec<_>>()
     };
-    hammer(include_str!("../machines/grid3.hbsp"), 5, |text| {
+    let check = |text: &str| {
         if let Ok(tree) = topology::parse(text) {
             let again = topology::parse(&topology::to_dsl(&tree)).expect("a rendered machine");
             assert_eq!(shape(&again), shape(&tree), "input: {text:?}");
+            for node in tree.nodes() {
+                tree.carve(node.idx());
+            }
+            for pid in 0..tree.num_procs() as u32 {
+                let _ = tree.degrade(&[ProcId(pid)]);
+            }
         }
-    });
+    };
+    hammer(include_str!("../machines/grid3.hbsp"), 5, check);
+    let overflow = include_str!("../machines/broken/word_cost_overflow.hbsp");
+    hammer(overflow, 6, check);
 }
 
 /// Fails at the commit before the bound: a stack overflow there, at a

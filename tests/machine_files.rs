@@ -124,6 +124,17 @@ fn broken_fixtures_name_their_defect() {
         "{d:?}"
     );
 
+    let d = lint("word_cost_overflow.hbsp");
+    assert_eq!(d.len(), 2, "{d:?}");
+    for (diag, r) in d.iter().zip([1e10, 2e10]) {
+        assert!(
+            matches!(diag.violation, Violation::WordCostOverflow { r: got, g, .. }
+                if got == r && g == 1e300),
+            "{d:?}"
+        );
+        assert!(diag.span.is_some(), "an overflow anchors to the processor");
+    }
+
     let d = lint("bad_k.hbsp");
     assert_eq!(d.len(), 1, "{d:?}");
     assert_eq!(
@@ -142,7 +153,7 @@ fn broken_fixtures_name_their_defect() {
 /// naming it.
 #[test]
 fn undegradable_fixture_is_valid_but_refuses_degradation() {
-    use hbsp::core::degrade::DegradeError;
+    use hbsp::core::DegradeError;
     use hbsp::prelude::*;
 
     let text = std::fs::read_to_string(concat!(
@@ -175,7 +186,7 @@ fn undegradable_fixture_is_valid_but_refuses_degradation() {
 /// files the linter flags, so nothing downstream ever sees them.
 #[test]
 fn validating_parse_rejects_broken_fixtures() {
-    for f in ["bad_c_sum.hbsp", "bad_k.hbsp"] {
+    for f in ["bad_c_sum.hbsp", "bad_k.hbsp", "word_cost_overflow.hbsp"] {
         let text = std::fs::read_to_string(format!(
             "{}/machines/broken/{}",
             env!("CARGO_MANIFEST_DIR"),
