@@ -4,11 +4,12 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Eight rules. The first three are motivated by bugs the model checker
+//! Nine rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
 //! through its facade; the fourth holds the engine seam, the fifth the
 //! telemetry spine, the sixth the superstep settlement, the seventh the
-//! closed loop, the eighth the structure-preserving rebuild:
+//! closed loop, the eighth the structure-preserving rebuild, the ninth
+//! the scheduler's placement cache:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -66,9 +67,15 @@
 //!    `hierarchical_fractions` or `set_fractions`. A consumer that needs
 //!    a derived machine calls `carve`, `degrade` or `reparameterize`.
 //!
+//! 9. **One placement site** — a scheduled job is carved, tuned and
+//!    priced once per (shape, node, belief), in the placement cache's
+//!    fill function: inside `crates/sched/src/` no function but `fill`
+//!    calls `best_plan`, `carve` or `predict`. Admission and lowering
+//!    read the cache instead of pricing again.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4–8: tests may exercise raw `std` primitives
+//! exempt from rules 1–2 and 4–9: tests may exercise raw `std` primitives
 //! deliberately, tests and benches may measure an engine below the
 //! seam, tests may check the settlement's steps one by one, and tests
 //! may build bundles and fits of their own. Line
@@ -188,6 +195,19 @@ const CLOSED_LOOP_STEPS: [&str; 2] = ["recalibrated", "calibrate_robust"];
 /// Rule 8: the steps of a structure-preserving rebuild.
 const REBUILD_STEPS: [&str; 3] = ["elect_by_min_r", "hierarchical_fractions", "set_fractions"];
 
+/// Rule 9: the calls that place a job, and the one function that may
+/// make them.
+const PLACEMENT_STEPS: [&str; 3] = ["best_plan", "carve", "predict"];
+const PLACEMENT_SITE: &str = "fill";
+
+/// The name of the function `line` opens, if it opens one.
+fn opened_fn(line: &str) -> Option<&str> {
+    let head = line.trim_start().trim_start_matches("pub(crate) ");
+    let rest = head.trim_start_matches("pub ").strip_prefix("fn ")?;
+    rest.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .next()
+}
+
 /// Whether `line` calls `name` (a definition, `fn name(`, is no call).
 fn calls(line: &str, name: &str) -> bool {
     line.match_indices(name)
@@ -216,8 +236,11 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         .any(|file| rel.ends_with(file));
     let closes_loop = in_obs_src || rel.ends_with("crates/hbsplib/src/adaptive.rs");
     let rebuilds = rel.ends_with("crates/core/src/rebuild.rs");
+    let in_sched_src = rel.contains("crates/sched/src/");
     // Rule 5: the line of the `impl Probe for` block being read.
     let mut probe_impl: Option<usize> = None;
+    // Rule 9: the function being read.
+    let mut in_fn = "";
     let mut in_test_mod = false;
     for (idx, raw) in text.lines().enumerate() {
         if raw.trim_start().starts_with("#[cfg(test)]") {
@@ -226,6 +249,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
         let line = strip_comment(raw);
         let lineno = idx + 1;
         let exempt = in_test_mod || in_tests_dir;
+        in_fn = opened_fn(line).unwrap_or(in_fn);
         if in_runtime_src && !is_facade && !exempt {
             for (pattern, message) in FACADE_ONLY {
                 if line.contains(pattern) {
@@ -313,6 +337,18 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                 });
             }
         }
+        if !exempt && in_sched_src && in_fn != PLACEMENT_SITE {
+            for name in PLACEMENT_STEPS.into_iter().filter(|name| calls(line, name)) {
+                out.push(Violation {
+                    file: path.to_path_buf(),
+                    line: lineno,
+                    message: format!(
+                        "`{name}` called outside the placement cache's `{PLACEMENT_SITE}` — \
+                         read the job's price and plan from `Placements::price`"
+                    ),
+                });
+            }
+        }
         if !exempt && line.contains(".lock().unwrap()") {
             out.push(Violation {
                 file: path.to_path_buf(),
@@ -369,7 +405,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop, one rebuild)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop, one rebuild, one placement site)",
             files.len()
         );
     } else {
@@ -594,5 +630,36 @@ mod tests {
             "pub fn hierarchical_fractions(tree: &MachineTree) -> Vec<(NodeIdx, f64)> {\n}\n\
                        pub fn set_fractions(&mut self, fractions: &[(NodeIdx, f64)]) {\n}\n";
         assert!(printed("crates/core/src/tree.rs", defined).is_empty());
+    }
+
+    /// A scheduler that tunes or carves beside its placement cache pays
+    /// for the same placement twice, and may lower a plan it never priced.
+    #[test]
+    fn a_second_placement_site_is_reported_with_file_and_line() {
+        let copied =
+            "fn lower_on(belief: &MachineTree, job: &Job, idx: NodeIdx) -> LoweredJob {\n    \
+                      let carved = belief.carve(idx);\n    \
+                      let plan = best_plan(&carved.tree, kind, n).unwrap();\n    \
+                      let cost = predict(&carved.tree, &plan.schedule).total();\n}\n";
+        let found = printed("crates/sched/src/lower.rs", copied);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(
+            found[0].starts_with(
+                "crates/sched/src/lower.rs:2: lint: `carve` called outside the placement cache"
+            ),
+            "{found:?}"
+        );
+        assert!(found[1].starts_with("crates/sched/src/lower.rs:3: lint: `best_plan`"));
+        assert!(found[2].starts_with("crates/sched/src/lower.rs:4: lint: `predict`"));
+        // The fill function may, in any file of the crate; so may test
+        // code and other crates; `predicted_steps` is not `predict`.
+        let filled = copied.replace("fn lower_on(", "pub(crate) fn fill(");
+        assert!(printed("crates/sched/src/lower.rs", &filled).is_empty());
+        assert!(printed("crates/sched/tests/placement.rs", copied).is_empty());
+        assert!(printed("crates/collectives/src/tune.rs", copied).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{copied}}}\n");
+        assert!(printed("crates/sched/src/lib.rs", &in_tests).is_empty());
+        let drift = "fn run() {\n    let predicted = predicted_steps(cl.belief(), &schedule);\n}\n";
+        assert!(printed("crates/sched/src/lib.rs", drift).is_empty());
     }
 }

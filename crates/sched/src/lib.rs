@@ -15,10 +15,11 @@
 //!    sub-tree of the shared machine via [`MachineTree::carve`] — the
 //!    exact renormalization `degrade` uses (unit-normalized r, `g`
 //!    absorbing the factor, coordinator-fastest re-election) — and
-//!    prices the job there with `best_plan` / [`predict()`]. The job
-//!    claims the cheapest adequate sub-tree whose leaves are still
-//!    free; claims within a batch are leaf-disjoint by construction and
-//!    re-checked with [`hbsp_check::verify_claims`].
+//!    prices the job there with `best_plan` / `predict`, each node
+//!    carved and each shape tuned once per belief, and lowered from that
+//!    price. The job claims the cheapest adequate sub-tree whose leaves
+//!    are still free; claims within a batch are leaf-disjoint by
+//!    construction and re-checked with [`hbsp_check::verify_claims`].
 //! 3. **Batched admission.** All claims of a round merge into *one*
 //!    program on the shared tree (the `merge` module documents the
 //!    shared-barrier containment argument): per superstep one shared
@@ -48,18 +49,17 @@ pub use report::{BatchReport, JobReport, SchedError, SchedReport};
 /// `hbsp_collectives` directly.
 pub use hbsp_collectives::CollectiveKind;
 
-use crate::lower::{lower_on, LoweredJob};
+use crate::lower::{lower_on, LoweredJob, Placements, Priced};
 use hbsp_check::{verify_claims, verify_dag};
 use hbsp_collectives::drift::predicted_steps;
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::schedule::ScheduleState;
-use hbsp_collectives::tune::best_plan;
-use hbsp_collectives::{predict, ScheduleProgram};
+use hbsp_collectives::ScheduleProgram;
 use hbsp_core::{MachineTree, NodeIdx, ProcId};
 use hbsp_obs::{CausalKind, JobMetrics};
 use hbsp_sim::FaultPlan;
 use hbsplib::{Action, AdaptiveConfig, ClosedLoop, Executor};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which engine drains the graph. Virtual-time outcomes are
@@ -88,17 +88,10 @@ pub struct RunOptions {
     /// lowers on the belief of an [`hbsplib::ClosedLoop`]; after any
     /// batch whose mean absolute per-step drift exceeds the threshold
     /// the loop re-calibrates the belief from that batch's telemetry,
-    /// and the scheduler clears its price cache and re-places the
+    /// and the scheduler drops its placement cache and re-places the
     /// remaining jobs on the updated belief. `None` (default) is the
     /// open-loop scheduler: an infinite threshold.
     pub adapt: Option<f64>,
-}
-
-/// A sub-tree of the shared machine a job may claim.
-struct Candidate {
-    idx: NodeIdx,
-    /// Global leaf ranks under `idx`, ascending.
-    leaves: Vec<ProcId>,
 }
 
 /// The multi-tenant scheduler: owns the shared [`MachineTree`] and the
@@ -160,10 +153,7 @@ impl Scheduler {
         let p = tree.num_procs();
 
         // Graph validation up front: nothing runs on a broken DAG.
-        let edges: Vec<(usize, usize)> = self
-            .jobs
-            .iter()
-            .enumerate()
+        let edges: Vec<(usize, usize)> = (self.jobs.iter().enumerate())
             .flat_map(|(i, j)| j.blocked_by.iter().map(move |d| (i, d.0)))
             .collect();
         let violations = verify_dag(n, &edges);
@@ -183,23 +173,15 @@ impl Scheduler {
             }
         }
 
-        // Every node of the shared tree is a placement candidate; the
-        // leaf sets are collected once through a reused scratch buffer
-        // (`subtree_leaves_into`), so the admission loop below never
-        // walks the tree again.
+        // Every node of the shared tree is a placement candidate: its
+        // index and its leaves' global ranks, ascending, collected once
+        // through a reused scratch buffer (`subtree_leaves_into`).
         let mut scratch = Vec::new();
-        let candidates: Vec<Candidate> = tree
-            .nodes()
+        let candidates: Vec<(NodeIdx, Vec<ProcId>)> = (tree.nodes())
             .map(|node| {
-                let idx = node.idx();
-                tree.subtree_leaves_into(idx, &mut scratch);
-                Candidate {
-                    idx,
-                    leaves: scratch
-                        .iter()
-                        .map(|&l| tree.node(l).proc_id().expect("subtree leaf is a proc"))
-                        .collect(),
-                }
+                tree.subtree_leaves_into(node.idx(), &mut scratch);
+                let pids = scratch.iter().filter_map(|&l| tree.node(l).proc_id());
+                (node.idx(), pids.collect())
             })
             .collect();
 
@@ -221,82 +203,73 @@ impl Scheduler {
         let metrics = JobMetrics::new();
         metrics.submitted(n as u64);
 
-        let mut done = vec![false; n];
-        let mut num_done = 0usize;
-        let mut job_reports: Vec<Option<JobReport>> = (0..n).map(|_| None).collect();
+        let mut job_reports: Vec<JobReport> = Vec::with_capacity(n);
         let mut batches: Vec<BatchReport> = Vec::new();
-        // Placement prices are pure functions of (collective, size,
-        // node) — or (job, node) for custom work — so a graph of
-        // repeated shapes prices each shape once.
-        let mut prices: HashMap<(u8, u64, u32), Option<f64>> = HashMap::new();
+        // Prices are pure functions of the job's shape and node on the
+        // belief: repeated shapes carve, tune and price once.
+        let mut placements = Placements::new(cl.belief().clone());
         let max_batch = if opts.serial { 1 } else { usize::MAX };
+        // Ready counts: a job waits on its unfinished dependencies and is
+        // ready, in submission order, once none is left.
+        let mut waiting: Vec<usize> = self.jobs.iter().map(|j| j.blocked_by.len()).collect();
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(i, d) in &edges {
+            dependents[d].push(i);
+        }
+        let mut ready: BTreeSet<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
 
-        while num_done < n {
-            let ready: Vec<usize> = (0..n)
-                .filter(|&i| !done[i] && self.jobs[i].blocked_by.iter().all(|d| done[d.0]))
-                .collect();
-            debug_assert!(!ready.is_empty(), "acyclic graph always has a ready job");
-
+        while !ready.is_empty() {
             // Claim phase: ready jobs in submission order each take the
             // cheapest adequate sub-tree whose leaves are still free.
             let mut free = vec![true; p];
+            let mut free_leaves = p;
             let mut batch_op: Option<ReduceOp> = None;
             let mut lowered: Vec<LoweredJob> = Vec::new();
-            let mut claims: Vec<(usize, NodeIdx)> = Vec::new();
             for &i in &ready {
-                if lowered.len() >= max_batch {
+                if lowered.len() >= max_batch || free_leaves == 0 {
                     break;
                 }
                 let job = &self.jobs[i];
                 // One ReduceOp per merged program: defer jobs that would
-                // impose a different operator to a later round.
-                if let (Some(a), Some(b)) = (batch_op, job.op()) {
-                    if a != b {
-                        continue;
-                    }
+                // impose a different operator to a later round. Skip jobs
+                // needing more leaves than are free — never in an empty
+                // round, where every leaf is.
+                let need = job.exact_procs().unwrap_or(job.min_procs);
+                let clash = matches!((batch_op, job.op()), (Some(a), Some(b)) if a != b);
+                if clash || (free_leaves < need.max(1) && !lowered.is_empty()) {
+                    continue;
                 }
-                let mut best: Option<(f64, usize, u32)> = None;
-                let mut best_cand: Option<&Candidate> = None;
-                for cand in &candidates {
+                // Cheapest price, then fewest leaves, then lowest node.
+                let mut best: Option<(Priced, NodeIdx, &[ProcId])> = None;
+                for (idx, leaves) in &candidates {
                     let adequate = match job.exact_procs() {
-                        None => cand.leaves.len() >= job.min_procs,
-                        Some(k) => cand.leaves.len() == k,
+                        None => leaves.len() >= job.min_procs,
+                        Some(k) => leaves.len() == k,
                     };
-                    if !adequate || !cand.leaves.iter().all(|pid| free[pid.rank()]) {
+                    if !adequate || !leaves.iter().all(|pid| free[pid.rank()]) {
                         continue;
                     }
-                    let key = price_key(job, i, cand.idx);
-                    let price = *prices
-                        .entry(key)
-                        .or_insert_with(|| price_on(cl.belief(), job, cand.idx));
-                    let Some(cost) = price else { continue };
-                    let entry = (cost, cand.leaves.len(), cand.idx.index() as u32);
-                    let beats = match best {
-                        None => true,
-                        Some(b) => {
-                            entry
-                                .0
-                                .total_cmp(&b.0)
-                                .then_with(|| entry.1.cmp(&b.1).then(entry.2.cmp(&b.2)))
-                                == std::cmp::Ordering::Less
-                        }
+                    let Some(priced) = placements.price(job, i, *idx) else {
+                        continue;
                     };
+                    let beats = best.as_ref().is_none_or(|(b, b_idx, b_leaves)| {
+                        let tie = (leaves.len(), idx).cmp(&(b_leaves.len(), b_idx));
+                        priced.cost.total_cmp(&b.cost).then(tie).is_lt()
+                    });
                     if beats {
-                        best = Some(entry);
-                        best_cand = Some(cand);
+                        best = Some((priced.clone(), *idx, leaves));
                     }
                 }
-                match best_cand {
-                    Some(cand) => {
-                        let lj = lower_on(cl.belief().carve(cand.idx), job, i, cand.idx)?;
-                        for pid in &cand.leaves {
+                match best {
+                    Some((priced, idx, leaves)) => {
+                        for pid in leaves {
                             free[pid.rank()] = false;
                         }
+                        free_leaves -= leaves.len();
                         if batch_op.is_none() {
                             batch_op = job.op();
                         }
-                        claims.push((i, cand.idx));
-                        lowered.push(lj);
+                        lowered.push(lower_on(priced, job, i, idx));
                     }
                     // An empty batch means every leaf is free and no op
                     // constraint is active — if the job still fits
@@ -305,7 +278,7 @@ impl Scheduler {
                         return Err(SchedError::Unplaceable {
                             job: JobId(i),
                             name: job.name.clone(),
-                            needed: job.exact_procs().unwrap_or(job.min_procs),
+                            needed: need,
                             available: p,
                         });
                     }
@@ -316,20 +289,21 @@ impl Scheduler {
             // Defense in depth: the claim loop's free-leaf bookkeeping
             // should make this vacuous; a violation here is a scheduler
             // bug and must not reach tenant data.
+            let claims: Vec<(usize, NodeIdx)> = lowered.iter().map(|l| (l.job, l.node)).collect();
             let overlaps = verify_claims(tree, &claims);
             if !overlaps.is_empty() {
                 return Err(SchedError::ClaimOverlap(overlaps));
             }
 
-            let merged = merge::merge(tree, &lowered);
-            let schedule = Arc::new(merged.schedule);
+            let (schedule, init) = merge::merge(tree, &lowered);
+            let schedule = Arc::new(schedule);
             // Predictions come from the belief: batch drift then
             // measures how wrong the *current* belief is, which is
             // exactly the statistic the loop thresholds.
             let predicted = predicted_steps(cl.belief(), &schedule);
-            let prog = ScheduleProgram::new(schedule, Arc::new(merged.init), merged.op);
+            let prog = ScheduleProgram::new(schedule, Arc::new(init), batch_op);
             let names = lowered.iter().map(|l| self.jobs[l.job].name.clone());
-            let batch = cl
+            let mut batch = cl
                 .run(&exec, &prog, &predicted, names, |_| {
                     (batch_log(&batches), metrics.snapshot())
                 })
@@ -338,28 +312,32 @@ impl Scheduler {
 
             for l in &lowered {
                 let i = l.job;
-                done[i] = true;
-                num_done += 1;
-                let job_states: Vec<ScheduleState> = l
-                    .carved
-                    .leaves
-                    .iter()
-                    .map(|pid| batch.states[pid.rank()].clone())
+                ready.remove(&i);
+                for &d in &dependents[i] {
+                    waiting[d] -= 1;
+                    if waiting[d] == 0 {
+                        ready.insert(d);
+                    }
+                }
+                // Claims are leaf-disjoint: each state has one owner.
+                let leaves = &l.priced.carved.leaves;
+                let job_states: Vec<ScheduleState> = (leaves.iter())
+                    .map(|pid| std::mem::take(&mut batch.states[pid.rank()]))
                     .collect();
                 if job_states.iter().any(|s| s.error().is_some()) {
                     metrics.failed();
                 } else {
                     metrics.completed(batch.outcome.total_time());
                 }
-                job_reports[i] = Some(JobReport {
+                job_reports.push(JobReport {
                     id: JobId(i),
                     name: self.jobs[i].name.clone(),
                     batch: batches.len(),
                     node: l.node,
                     machine: tree.node(l.node).machine_id(),
-                    leaves: l.carved.leaves.clone(),
-                    root: l.root.map(|r| l.carved.leaves[r.rank()]),
-                    predicted: l.predicted,
+                    leaves: leaves.clone(),
+                    root: l.root.map(|r| leaves[r.rank()]),
+                    predicted: l.priced.cost,
                     start,
                     end,
                     states: job_states,
@@ -369,11 +347,11 @@ impl Scheduler {
 
             // Detect → Replan: a drifty batch's telemetry moves the
             // belief, so every remaining job is re-priced and re-placed
-            // on it. The price cache keys say nothing about the belief,
-            // so it must be dropped wholesale.
-            let replanned = num_done < n && cl.replan(&batch, "sched/re-place") == Action::Replan;
+            // on it, from a placement cache on the new belief.
+            let replanned =
+                !ready.is_empty() && cl.replan(&batch, "sched/re-place") == Action::Replan;
             if replanned {
-                prices.clear();
+                placements = Placements::new(cl.belief().clone());
             }
             batches.push(BatchReport {
                 index: batches.len(),
@@ -386,15 +364,15 @@ impl Scheduler {
             });
         }
 
+        // Every job of an acyclic graph ran, in some batch.
+        job_reports.sort_unstable_by_key(|r| r.id);
         Ok(SchedReport {
-            jobs: job_reports
-                .into_iter()
-                .map(|r| r.expect("every job ran"))
-                .collect(),
+            jobs: job_reports,
             batches,
             total_time: cl.clock(),
             metrics: metrics.snapshot(),
             replans: cl.replans(),
+            belief: cl.belief().clone(),
             causal: cl.into_spans(),
         })
     }
@@ -414,38 +392,6 @@ fn batch_log(batches: &[BatchReport]) -> String {
             )
         })
         .collect()
-}
-
-/// Price cache key: collective jobs share entries by shape, custom jobs
-/// get per-job entries (discriminant 255 cannot collide with the
-/// `CollectiveKind` discriminants).
-fn price_key(job: &Job, id: usize, idx: NodeIdx) -> (u8, u64, u32) {
-    match &job.work {
-        JobWork::Collective { kind, n } => (*kind as u8, *n, idx.index() as u32),
-        JobWork::Custom { .. } => (255, id as u64, idx.index() as u32),
-    }
-}
-
-/// Price `job` on the machine carved at `idx`, or `None` if the carved
-/// machine cannot host it (no plan, or a custom schedule's scopes
-/// exceed the carved height).
-fn price_on(tree: &MachineTree, job: &Job, idx: NodeIdx) -> Option<f64> {
-    let carved = tree.carve(idx);
-    match &job.work {
-        JobWork::Collective { kind, n } => best_plan(&carved.tree, *kind, *n).ok().map(|p| p.cost),
-        JobWork::Custom { schedule, .. } => {
-            let max_scope = schedule
-                .steps
-                .iter()
-                .filter_map(|s| s.scope.map(|sc| sc.level()))
-                .max()
-                .unwrap_or(0);
-            if carved.tree.height() < max_scope {
-                return None;
-            }
-            Some(predict(&carved.tree, schedule).total())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -642,22 +588,22 @@ mod tests {
     /// belief, and moves later jobs off the straggler.
     #[test]
     fn adaptive_rescheduling_moves_later_jobs_off_a_straggler() {
-        let build =
-            || {
-                let mut s = Scheduler::new(campus_like())
-                    .with_faults(FaultPlan::new().straggle_ramp(ProcId(0), 0, 4, 12.0, 0.0));
-                let mut prev: Option<JobId> = None;
-                for i in 0..4 {
-                    let mut job = Job::collective(format!("b{i}"), CollectiveKind::Broadcast, 256)
-                        .with_seed(i);
-                    if let Some(p) = prev {
-                        job = job.after(&[p]);
-                    }
-                    prev = Some(s.submit(job));
-                }
-                s
-            };
-        let s = build();
+        let mut s = Scheduler::new(campus_like()).with_faults(FaultPlan::new().straggle_ramp(
+            ProcId(0),
+            0,
+            4,
+            12.0,
+            0.0,
+        ));
+        let mut prev: Option<JobId> = None;
+        for i in 0..4 {
+            let mut job =
+                Job::collective(format!("b{i}"), CollectiveKind::Broadcast, 256).with_seed(i);
+            if let Some(p) = prev {
+                job = job.after(&[p]);
+            }
+            prev = Some(s.submit(job));
+        }
         let open = drain(&s, Engine::Simulator, None);
         let adapt = drain(&s, Engine::Simulator, Some(0.5));
         assert!(open.clean() && adapt.clean());

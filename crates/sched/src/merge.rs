@@ -17,36 +17,26 @@
 //! leaf-disjoint, so no processor ever sees two tenants' units.
 
 use crate::lower::LoweredJob;
-use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::schedule::ProcInit;
 use hbsp_collectives::{CommSchedule, ScheduleStep, Transfer};
 use hbsp_core::{MachineTree, SyncScope};
 
-/// A batch's single shared-tree program, ready for `ScheduleProgram`.
-pub(crate) struct MergedBatch {
-    /// The zipped schedule over the shared tree.
-    pub schedule: CommSchedule,
-    /// Holdings per shared-tree rank (idle processors hold nothing).
-    pub init: Vec<ProcInit>,
-    /// The batch's single reduction operator (admission guarantees all
-    /// member operators agree).
-    pub op: Option<ReduceOp>,
-}
-
-/// Zip the batch members into one program on `tree`.
-pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> MergedBatch {
+/// Zip the batch members into one program on `tree`: the schedule over
+/// the shared tree and the holdings per shared-tree rank (idle
+/// processors hold nothing), ready for `ScheduleProgram` with the
+/// batch's one reduction operator.
+pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> (CommSchedule, Vec<ProcInit>) {
     let p = tree.num_procs();
     let mut init = vec![ProcInit::default(); p];
     for l in lowered {
         for (rank, pi) in l.init.iter().enumerate() {
-            init[l.carved.leaves[rank].rank()] = pi.clone();
+            init[l.priced.carved.leaves[rank].rank()] = pi.clone();
         }
     }
-    let op = lowered.iter().find_map(|l| l.op);
 
     // Every schedule ends with its drain; the merged body is as long as
     // the longest member body, followed by one shared drain.
-    let body_of = |l: &LoweredJob| l.schedule.num_steps().saturating_sub(1);
+    let body_of = |l: &LoweredJob| l.priced.schedule().num_steps().saturating_sub(1);
     let body = lowered.iter().map(body_of).max().unwrap_or(0);
     let mut schedule = CommSchedule::new();
     for s in 0..body {
@@ -61,14 +51,14 @@ pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> MergedBatch {
             if s >= body_of(l) {
                 continue;
             }
-            let src = &l.schedule.steps[s];
+            let src = &l.priced.schedule().steps[s];
             for &(pid, units) in &src.work {
-                step.work.push((l.carved.leaves[pid.rank()], units));
+                step.work.push((l.priced.carved.leaves[pid.rank()], units));
             }
             for t in &src.transfers {
                 step.transfers.push(Transfer {
-                    src: l.carved.leaves[t.src.rank()],
-                    dst: l.carved.leaves[t.dst.rank()],
+                    src: l.priced.carved.leaves[t.src.rank()],
+                    dst: l.priced.carved.leaves[t.dst.rank()],
                     words: t.words,
                     role: t.role.clone(),
                 });
@@ -78,12 +68,12 @@ pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> MergedBatch {
     }
     let mut drain = ScheduleStep::drain();
     for l in lowered {
-        if let Some(last) = l.schedule.steps.last() {
+        if let Some(last) = l.priced.schedule().steps.last() {
             for &(pid, units) in &last.work {
-                drain.work.push((l.carved.leaves[pid.rank()], units));
+                drain.work.push((l.priced.carved.leaves[pid.rank()], units));
             }
         }
     }
     schedule.push(drain);
-    MergedBatch { schedule, init, op }
+    (schedule, init)
 }

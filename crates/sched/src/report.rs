@@ -3,12 +3,13 @@
 use crate::job::JobId;
 use hbsp_check::Violation;
 use hbsp_collectives::schedule::ScheduleState;
-use hbsp_collectives::{DecodeError, TuneError};
-use hbsp_core::{MachineId, NodeIdx, ProcId};
+use hbsp_collectives::DecodeError;
+use hbsp_core::{MachineId, MachineTree, NodeIdx, ProcId};
 use hbsp_obs::metrics::MetricSample;
 use hbsp_obs::{chrome_trace_with_causal, CausalSpan, DriftReport, PostmortemBundle};
 use hbsp_sim::SimError;
 use std::fmt;
+use std::sync::Arc;
 
 /// One job's outcome: where it ran, what it cost, and its final
 /// per-processor states (carved-rank order) for result extraction and
@@ -98,6 +99,9 @@ pub struct SchedReport {
     /// Closed-loop re-plans performed ([`crate::RunOptions::adapt`]);
     /// always 0 for open-loop runs.
     pub replans: usize,
+    /// The tree the last batches were placed on: the machine file,
+    /// re-parameterized by every re-plan.
+    pub belief: Arc<MachineTree>,
     /// Causal span tree of the run: one [`hbsp_obs::CausalKind::Batch`]
     /// root per admission round containing one
     /// [`hbsp_obs::CausalKind::Job`] span per member and one
@@ -190,8 +194,6 @@ pub enum SchedError {
         /// The job.
         job: JobId,
     },
-    /// Plan selection failed for a job on its carved machine.
-    Tune(JobId, TuneError),
     /// An engine rejected or failed the merged program. The attached
     /// [`PostmortemBundle`] (`hbsplib::ClosedLoop::run`) carries the
     /// batch's step records, events, metrics, the batch log up to the
@@ -212,19 +214,13 @@ impl SchedError {
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedError::InvalidGraph(v) => {
-                write!(f, "invalid job graph ({} violations):", v.len())?;
-                for x in v {
-                    write!(f, "\n  {x}")?;
-                }
-                Ok(())
-            }
-            SchedError::ClaimOverlap(v) => {
-                write!(f, "batch claims overlap ({} violations):", v.len())?;
-                for x in v {
-                    write!(f, "\n  {x}")?;
-                }
-                Ok(())
+            SchedError::InvalidGraph(v) | SchedError::ClaimOverlap(v) => {
+                let what = match self {
+                    SchedError::InvalidGraph(_) => "invalid job graph",
+                    _ => "batch claims overlap",
+                };
+                write!(f, "{what} ({} violations):", v.len())?;
+                v.iter().try_for_each(|x| write!(f, "\n  {x}"))
             }
             SchedError::Unplaceable {
                 job,
@@ -240,7 +236,6 @@ impl fmt::Display for SchedError {
                 f,
                 "{job} submitted a custom schedule that is empty or has a non-final drain step"
             ),
-            SchedError::Tune(job, e) => write!(f, "{job}: plan selection failed: {e}"),
             SchedError::Exec(e, _) => write!(f, "engine error: {e}"),
         }
     }
