@@ -4,12 +4,13 @@
 //! hbsp_lint [<crates-dir>]
 //! ```
 //!
-//! Nine rules. The first three are motivated by bugs the model checker
+//! Ten rules. The first three are motivated by bugs the model checker
 //! can only catch if the runtime's synchronization actually flows
 //! through its facade; the fourth holds the engine seam, the fifth the
 //! telemetry spine, the sixth the superstep settlement, the seventh the
 //! closed loop, the eighth the structure-preserving rebuild, the ninth
-//! the scheduler's placement cache:
+//! the scheduler's placement cache, the tenth the runtime's one host
+//! read:
 //!
 //! 1. **Facade bypass** — inside `crates/runtime/src/` (except
 //!    `sync.rs` itself, which *is* the facade), `std::sync::atomic`,
@@ -73,9 +74,16 @@
 //!    calls `best_plan`, `carve` or `predict`. Admission and lowering
 //!    read the cache instead of pricing again.
 //!
+//! 10. **Host reads** — the host's core count is read in one place, the
+//!     barrier's core-count helper (`host_cores` in
+//!     `crates/runtime/src/barrier.rs`): no other function under
+//!     `crates/*/src` calls `available_parallelism`. On Linux each call
+//!     reads the cgroup files under `/proc`; the barrier reads it when
+//!     built and every 256 generations after, never per run.
+//!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from rules 1–2 and 4–9: tests may exercise raw `std` primitives
+//! exempt from rules 1–2 and 4–10: tests may exercise raw `std` primitives
 //! deliberately, tests and benches may measure an engine below the
 //! seam, tests may check the settlement's steps one by one, and tests
 //! may build bundles and fits of their own. Line
@@ -200,6 +208,10 @@ const REBUILD_STEPS: [&str; 3] = ["elect_by_min_r", "hierarchical_fractions", "s
 const PLACEMENT_STEPS: [&str; 3] = ["best_plan", "carve", "predict"];
 const PLACEMENT_SITE: &str = "fill";
 
+/// Rule 10: the host read, and the one function that may make it.
+const HOST_READ: &str = "available_parallelism";
+const HOST_READ_SITE: (&str, &str) = ("crates/runtime/src/barrier.rs", "host_cores");
+
 /// The name of the function `line` opens, if it opens one.
 fn opened_fn(line: &str) -> Option<&str> {
     let head = line.trim_start().trim_start_matches("pub(crate) ");
@@ -237,9 +249,10 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let closes_loop = in_obs_src || rel.ends_with("crates/hbsplib/src/adaptive.rs");
     let rebuilds = rel.ends_with("crates/core/src/rebuild.rs");
     let in_sched_src = rel.contains("crates/sched/src/");
+    let reads_host = rel.ends_with(HOST_READ_SITE.0);
     // Rule 5: the line of the `impl Probe for` block being read.
     let mut probe_impl: Option<usize> = None;
-    // Rule 9: the function being read.
+    // Rules 9 and 10: the function being read.
     let mut in_fn = "";
     let mut in_test_mod = false;
     for (idx, raw) in text.lines().enumerate() {
@@ -349,6 +362,17 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                 });
             }
         }
+        if !exempt && calls(line, HOST_READ) && !(reads_host && in_fn == HOST_READ_SITE.1) {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: lineno,
+                message: format!(
+                    "`{HOST_READ}` called outside the barrier's `{}` — it reads the cgroup \
+                     files on every call; use the core count the barrier keeps",
+                    HOST_READ_SITE.1
+                ),
+            });
+        }
         if !exempt && line.contains(".lock().unwrap()") {
             out.push(Violation {
                 file: path.to_path_buf(),
@@ -405,7 +429,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop, one rebuild, one placement site)",
+            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, engine seam, telemetry spine, one settlement, one closed loop, one rebuild, one placement site, host reads)",
             files.len()
         );
     } else {
@@ -661,5 +685,36 @@ mod tests {
         assert!(printed("crates/sched/src/lib.rs", &in_tests).is_empty());
         let drift = "fn run() {\n    let predicted = predicted_steps(cl.belief(), &schedule);\n}\n";
         assert!(printed("crates/sched/src/lib.rs", drift).is_empty());
+    }
+
+    /// A core-count read on a run path costs a cgroup walk per run; the
+    /// barrier keeps the count and re-reads it on its own schedule.
+    #[test]
+    fn a_host_read_outside_the_barrier_helper_is_reported_with_file_and_line() {
+        let read = "fn start(&self) {\n    \
+                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());\n}\n";
+        let found = printed("crates/hbsplib/src/executor.rs", read);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].starts_with(
+                "crates/hbsplib/src/executor.rs:2: lint: `available_parallelism` called outside"
+            ),
+            "{found:?}"
+        );
+        // In the barrier's file, but not in its helper: reported too.
+        let facade = read.replace("std::thread", "crate::sync::thread");
+        let found = printed("crates/runtime/src/barrier.rs", &facade);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].starts_with("crates/runtime/src/barrier.rs:2: lint: `available_parallelism`")
+        );
+        // The helper may, and so may test code; a re-export is no call.
+        let helper = facade.replace("fn start(&self)", "fn host_cores() -> usize");
+        assert!(printed("crates/runtime/src/barrier.rs", &helper).is_empty());
+        assert!(printed("crates/bench/tests/cli.rs", read).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{read}}}\n");
+        assert!(printed("crates/hbsplib/src/executor.rs", &in_tests).is_empty());
+        let reexport = "pub use std::thread::{available_parallelism, current, park};\n";
+        assert!(printed("crates/sched/src/lib.rs", reexport).is_empty());
     }
 }

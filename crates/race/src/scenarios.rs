@@ -361,7 +361,7 @@ pub fn mailbox_circulation(rounds: usize, per_round: u32) {
 /// wrong output, and a worker stranded in `park` by the drop deadlocks
 /// the join — the checker reports each.
 pub fn pool_dispatch(workers: usize) {
-    let mut pool = WorkerPool::new(workers);
+    let mut pool = WorkerPool::new(workers).expect("the model starts every worker");
     for round in 1..=2u64 {
         let input = RacyCell::new(0);
         let outputs: Vec<RacyCell> = (0..workers).map(|_| RacyCell::new(0)).collect();
@@ -391,9 +391,12 @@ pub fn pool_dispatch(workers: usize) {
 
 /// Total-exchange program for the whole-engine scenario: both
 /// processors send their pid to each other every round, checking
-/// receipt the following superstep.
+/// receipt the following superstep. With `mismatch_at`, rank 0 stops
+/// at that step while its peer goes on: the run fails there, with
+/// messages in both outboxes.
 struct Exchange {
     rounds: usize,
+    mismatch_at: Option<usize>,
 }
 
 impl SpmdProgram for Exchange {
@@ -412,7 +415,7 @@ impl SpmdProgram for Exchange {
             assert_ne!(m.src, env.pid);
             *state += 1;
         }
-        if step == self.rounds {
+        if step == self.rounds || (self.mismatch_at == Some(step) && env.pid.0 == 0) {
             return StepOutcome::Done;
         }
         ctx.charge(1.0);
@@ -427,22 +430,44 @@ impl SpmdProgram for Exchange {
 
 /// The full engine on a two-processor machine: superstep bodies, slot
 /// and outbox writes, leader routing, receiver pulls, and run teardown
-/// all under the model. Too many decision points for exhaustive DFS — the
-/// tests drive this with seeded random walks.
+/// all under the model. One runtime runs the exchange twice — the
+/// second run in the frame the caller reset after the first — then a
+/// run that fails at step 1, then the exchange again in the frame
+/// rebuilt after the failure. So the caller's reset of the outboxes
+/// between runs is checked against both runs' accesses. Too many
+/// decision points for exhaustive DFS — the tests drive this with
+/// seeded random walks.
 pub fn engine_smoke(rounds: usize) {
     let tree = Arc::new(machine(Machine::Flat2));
     let rt = ThreadedRuntime::new(Arc::clone(&tree));
-    let (out, states) = rt.run_with_states(&Exchange { rounds }).unwrap();
-    assert_eq!(out.virtual_outcome.num_steps(), rounds + 1);
-    assert_eq!(
-        out.virtual_outcome.messages_delivered,
-        rounds as u64 * tree.num_procs() as u64,
-        "every posted message delivered exactly once"
-    );
-    for st in states {
+    let healthy = Exchange {
+        rounds,
+        mismatch_at: None,
+    };
+    let exchange = || {
+        let (out, states) = rt.run_with_states(&healthy).unwrap();
+        assert_eq!(out.virtual_outcome.num_steps(), rounds + 1);
         assert_eq!(
-            st as usize, rounds,
-            "each peer's message arrived each round"
+            out.virtual_outcome.messages_delivered,
+            rounds as u64 * tree.num_procs() as u64,
+            "every posted message delivered exactly once"
         );
-    }
+        for st in states {
+            assert_eq!(
+                st as usize, rounds,
+                "each peer's message arrived each round"
+            );
+        }
+    };
+    exchange();
+    exchange();
+    let failing = Exchange {
+        rounds,
+        mismatch_at: Some(1),
+    };
+    assert_eq!(
+        rt.run(&failing).unwrap_err(),
+        hbsp_sim::SimError::TerminationMismatch { step: 1 }
+    );
+    exchange();
 }

@@ -192,8 +192,9 @@ fn worker_pool_three_workers_is_clean_exhaustively() {
 fn engine_smoke_is_clean_under_random_walks() {
     // The full engine has far too many decision points for exhaustive
     // DFS; seeded random walks still drive slot writes, leader
-    // gather, delivery, and teardown through hundreds of distinct
-    // interleavings.
+    // gather, delivery, teardown, and the caller's reset of the kept
+    // frame between runs (and its rebuild after a failed one) through
+    // hundreds of distinct interleavings.
     let cfg = weave::Config {
         max_executions: 1,
         random_walks: 150,
@@ -202,6 +203,6 @@ fn engine_smoke_is_clean_under_random_walks() {
         ..weave::Config::default()
     };
     let out = weave::explore(&cfg, || scenarios::engine_smoke(2));
-    report("engine smoke p=2 x2", &out);
-    out.assert_clean("threaded engine, 2 processors, 2 supersteps");
+    report("engine smoke p=2 x2, four runs on one runtime", &out);
+    out.assert_clean("threaded engine, 2 processors, 2 supersteps, four runs");
 }

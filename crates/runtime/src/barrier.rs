@@ -45,12 +45,14 @@ use std::sync::PoisonError;
 use std::time::Duration;
 
 /// Process-global census of runtime threads that compete with barrier
-/// parties for cores: every live [`HierBarrier`] contributes its party
-/// count, and auxiliary threads (probes, monitors, co-running test
-/// harnesses) can add themselves via [`register_extra_thread`]. The
-/// spin/park policy consults this census — both at construction and
-/// periodically from the leader section — so a barrier stops spinning
-/// when the process becomes oversubscribed *after* it was built.
+/// parties for cores: every [`HierBarrier`] built by `new` contributes
+/// its party count for its lifetime, a threaded runtime's kept barrier
+/// for as long as a run is in flight, and auxiliary threads (probes,
+/// monitors, co-running test harnesses) can add themselves via
+/// [`register_extra_thread`]. The spin/park policy consults this census
+/// — at construction, at each run start, and periodically from the
+/// leader section — so a barrier stops spinning when the process
+/// becomes oversubscribed *after* it was built.
 static RUNTIME_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// RAII registration of `n` runtime threads in the process census.
@@ -81,6 +83,15 @@ pub fn register_extra_thread() -> ThreadCensusGuard {
 
 fn census_threads() -> usize {
     RUNTIME_THREADS.load(Ordering::Relaxed)
+}
+
+/// The host's core count — the one place the runtime asks. It is not a
+/// cheap question: on Linux `available_parallelism` reads the cgroup
+/// files under `/proc` (≈23 µs on a 2-core host, a third of a
+/// zero-step run), so a barrier reads it when built and every
+/// [`SPIN_REEVAL_PERIOD`] generations after, never per run.
+fn host_cores() -> usize {
+    crate::sync::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The pure spin policy: how many generation-poll iterations a waiter
@@ -302,10 +313,12 @@ const SPIN_LIMIT: u32 = 64;
 /// runs (`pool.rs`).
 pub(crate) const YIELD_LIMIT: u32 = 64;
 
-/// The leader re-reads the core count and thread census every this
-/// many generations, so the spin policy tracks oversubscription drift
-/// (another runtime starting in-process, cgroup cpu masks shrinking)
-/// instead of staying frozen at construction time.
+/// The leader re-derives the spin budget from the thread census every
+/// this many generations of the barrier's life (which, for a runtime's
+/// kept barrier, spans runs), and re-reads the core count at every such
+/// generation but the first, so the spin policy tracks oversubscription
+/// drift (another runtime starting in-process, cgroup cpu masks
+/// shrinking) instead of staying frozen at construction time.
 const SPIN_REEVAL_PERIOD: u64 = 256;
 
 /// A hierarchical sense-reversing barrier whose combining tree mirrors
@@ -329,11 +342,15 @@ pub struct HierBarrier {
     /// generations: a release flip happens-after every arrival of its
     /// generation.
     generation: AtomicU64,
+    /// The host's core count ([`host_cores`]), read at construction and
+    /// re-read by the leader every [`SPIN_REEVAL_PERIOD`] generations.
+    cores: AtomicUsize,
     /// Generation-poll iterations before yielding/parking
     /// ([`SPIN_LIMIT`] with a core per thread and no co-running
-    /// threads, 0 when oversubscribed). Re-evaluated by the leader
-    /// every [`SPIN_REEVAL_PERIOD`] generations against the live core
-    /// count and thread census, never frozen at construction.
+    /// threads, 0 when oversubscribed). Re-derived from the kept core
+    /// count and the live census at each enrollment — construction by
+    /// `new`, a run start — and by the leader every
+    /// [`SPIN_REEVAL_PERIOD`] generations, never frozen.
     spin: AtomicU32,
     /// Watchdog state: [`ABORT_LIVE`] → [`ABORT_CLAIMED`] (one timed-out
     /// waiter won the CAS and is running its `on_timeout`) →
@@ -342,8 +359,10 @@ pub struct HierBarrier {
     abort: AtomicU8,
     /// This barrier's own parties, registered in the process census
     /// for its lifetime so concurrently-running barriers see each
-    /// other as oversubscription.
-    _census: ThreadCensusGuard,
+    /// other as oversubscription — or `None` for a threaded runtime's
+    /// kept barrier, which registers them per run ([`Self::enroll`]) so
+    /// an idle runtime does not count.
+    _census: Option<ThreadCensusGuard>,
 }
 
 const ABORT_LIVE: u8 = 0;
@@ -352,8 +371,21 @@ const ABORT_DEAD: u8 = 2;
 
 impl HierBarrier {
     /// Barrier for the processor threads of `tree`, one per leaf, with
-    /// a combining node per cluster.
+    /// a combining node per cluster; its parties count in the census
+    /// for as long as it lives.
     pub fn new(tree: &MachineTree) -> Self {
+        // Register our parties first so the census (and any barrier
+        // built concurrently) counts them, then size the spin budget
+        // against cores minus everyone else's threads.
+        let mut barrier = Self::unenrolled(tree);
+        barrier._census = Some(barrier.enroll());
+        barrier
+    }
+
+    /// [`Self::new`] without the census registration: the barrier a
+    /// threaded runtime keeps between runs, enrolled per run. It does
+    /// not spin before its first enrollment.
+    pub(crate) fn unenrolled(tree: &MachineTree) -> Self {
         let arena = tree.nodes().count();
         let mut map = vec![usize::MAX; arena];
         let mut nodes = Vec::new();
@@ -385,21 +417,24 @@ impl HierBarrier {
             .iter()
             .map(|&leaf| tree.node(leaf).parent().map(|par| map[par.index()]))
             .collect();
-        let parties = start.len();
-        // Register our parties first so the census (and any barrier
-        // built concurrently) counts them, then size the spin budget
-        // against cores minus everyone else's threads.
-        let census = register_threads(parties);
-        let cores = crate::sync::thread::available_parallelism().map_or(1, |n| n.get());
-        let extra = census_threads().saturating_sub(parties);
         HierBarrier {
             nodes,
             start,
             generation: AtomicU64::new(0),
-            spin: AtomicU32::new(spin_iters(cores, parties, extra)),
+            cores: AtomicUsize::new(host_cores()),
+            spin: AtomicU32::new(0),
             abort: AtomicU8::new(ABORT_LIVE),
-            _census: census,
+            _census: None,
         }
+    }
+
+    /// Count this barrier's parties in the census until the guard
+    /// drops, and re-derive the spin budget from the kept core count
+    /// and the census now — no system call.
+    pub(crate) fn enroll(&self) -> ThreadCensusGuard {
+        let census = register_threads(self.parties());
+        self.respin();
+        census
     }
 
     /// Number of participating threads (one per leaf processor).
@@ -414,11 +449,10 @@ impl HierBarrier {
         self.spin.load(Ordering::Relaxed)
     }
 
-    /// Re-derive the spin budget from the live core count and thread
-    /// census. Called by the root leader every [`SPIN_REEVAL_PERIOD`]
-    /// generations.
-    fn reevaluate_spin(&self) {
-        let cores = crate::sync::thread::available_parallelism().map_or(1, |n| n.get());
+    /// Re-derive the spin budget from the kept core count and the live
+    /// thread census.
+    fn respin(&self) {
+        let cores = self.cores.load(Ordering::Relaxed);
         let parties = self.start.len();
         let extra = census_threads().saturating_sub(parties);
         self.spin
@@ -497,7 +531,12 @@ impl HierBarrier {
                             .generation
                             .fetch_add(1, site_ord!("hier.generation.flip", Ordering::AcqRel));
                         if done.is_multiple_of(SPIN_REEVAL_PERIOD) {
-                            self.reevaluate_spin();
+                            // The count read at construction is fresh
+                            // at generation 0.
+                            if done > 0 {
+                                self.cores.store(host_cores(), Ordering::Relaxed);
+                            }
+                            self.respin();
                         }
                         self.release_all();
                         return Some(result);
@@ -667,10 +706,21 @@ pub(crate) enum StepBarrier {
 }
 
 impl StepBarrier {
+    /// A barrier kept between runs: a hierarchical one counts in the
+    /// census only while enrolled ([`Self::enroll`]).
     pub(crate) fn new(kind: BarrierKind, tree: &MachineTree) -> Self {
         match kind {
             BarrierKind::Central => StepBarrier::Central(CentralBarrier::new(tree.num_procs())),
-            BarrierKind::Hierarchical => StepBarrier::Hier(HierBarrier::new(tree)),
+            BarrierKind::Hierarchical => StepBarrier::Hier(HierBarrier::unenrolled(tree)),
+        }
+    }
+
+    /// Start a run: the hierarchical barrier's parties count in the
+    /// census until the guard drops (the central one never spins).
+    pub(crate) fn enroll(&self) -> Option<ThreadCensusGuard> {
+        match self {
+            StepBarrier::Central(_) => None,
+            StepBarrier::Hier(b) => Some(b.enroll()),
         }
     }
 
@@ -685,6 +735,20 @@ impl StepBarrier {
             StepBarrier::Central(b) => b.wait_leader_watched(timeout, on_timeout, leader),
             StepBarrier::Hier(b) => b.wait_leader_watched(rank, timeout, on_timeout, leader),
         }
+    }
+}
+
+#[cfg(test)]
+impl HierBarrier {
+    /// Generations released so far.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
+    }
+
+    /// Give the barrier a stale full spin budget, as if an earlier census
+    /// had let it spin.
+    pub(crate) fn force_spin(&self) {
+        self.spin.store(SPIN_LIMIT, Ordering::Relaxed);
     }
 }
 

@@ -3,8 +3,12 @@
 //! One OS thread per leaf processor — spawned by a runtime's first run,
 //! parked between runs, joined when the runtime is dropped (see
 //! `pool.rs`) — synchronized per superstep by a hierarchical
-//! combining-tree barrier (see [`crate::barrier`]). Everything else a
-//! run uses (barrier, slots, outboxes, leader state) is built per run.
+//! combining-tree barrier (see [`crate::barrier`]). What a run works in
+//! (the barrier, the slots with their outboxes, the leader state and the
+//! arrival board: a `RunFrame`) is built with the threads and kept with
+//! them; between runs the caller resets it, releasing the outboxes'
+//! byte arenas, and after a failed run it is built afresh. Only the
+//! result cells (typed by the program's state) are built per run.
 //! The per-step hot path is lock-free for the processor threads, and a
 //! posted byte is written once, by the thread that sends it, and read in
 //! place by the thread that receives it — the engine copies none:
@@ -78,9 +82,78 @@ pub struct ThreadedRuntime {
     faults: FaultPlan,
     step_deadline: Option<Duration>,
     probe: Arc<dyn Probe>,
-    /// The `p` processor threads, spawned by the first run and parked
-    /// between runs; `None` before that and while a run has them.
-    pool: Mutex<Option<WorkerPool>>,
+    /// The `p` processor threads and the frame their runs work in, both
+    /// built by the first run and kept between runs; `None` before that
+    /// and while a run has them.
+    pool: Mutex<Option<Box<Kept>>>,
+}
+
+/// What a runtime keeps between runs. The pool is declared first so
+/// that it drops first: its workers are joined before the frame they
+/// borrow from goes.
+struct Kept {
+    pool: WorkerPool,
+    frame: RunFrame,
+}
+
+/// What a run works in, kept with the worker pool between runs: the
+/// barrier, the `p` slots with their outboxes, the leader state and the
+/// arrival board. After a run that succeeded the caller resets it
+/// ([`RunFrame::reset`]); after one that failed it is dropped and built
+/// afresh — a watchdog abort kills the barrier, and an aborted step
+/// leaves slots and the settlement mid-step.
+struct RunFrame {
+    barrier: StepBarrier,
+    slots: Vec<ProcSlot>,
+    leader: Mutex<LeaderState>,
+    /// Arrival board: rank `i` stores `step + 1` right before its
+    /// barrier arrival. A watchdog firing on an *unscripted* stall (a
+    /// hung body under `step_deadline`) derives the missing-pid list
+    /// from it; scripted stalls use the plan's own list so the error
+    /// value matches the simulator's bit for bit.
+    arrived: Vec<AtomicUsize>,
+}
+
+impl RunFrame {
+    fn new(kind: BarrierKind, tree: &MachineTree) -> Self {
+        let p = tree.num_procs();
+        RunFrame {
+            barrier: StepBarrier::new(kind, tree),
+            slots: (0..p).map(|_| ProcSlot::new()).collect(),
+            leader: Mutex::new(LeaderState::new(p)),
+            arrived: (0..p).map(|_| AtomicUsize::new(0)).collect(),
+        }
+    }
+
+    /// Make the frame of a run that succeeded what [`RunFrame::new`]
+    /// builds, keeping the barrier (its generation and core count) and
+    /// the room of the pull lists and the settlement, and releasing the
+    /// outboxes' byte arenas. The slots' data needs nothing: such a run's
+    /// leader took every outcome and work figure, and its last step
+    /// delivered nothing. The caller does it between the run's last
+    /// acknowledgement and the next run's epoch publish, so the pool's
+    /// own edges order it after every access of the run before and
+    /// before every access of the run after.
+    fn reset(&mut self) {
+        for slot in &self.slots {
+            for parity in 0..2 {
+                // SAFETY: `&mut self`. The accessor is used instead of
+                // `get_mut` so that under the model the reset is an
+                // access the checker orders against the run's: what makes
+                // this `&mut` true is the pool's acknowledgement edge,
+                // not the borrow checker.
+                *unsafe { slot.outbox(parity) } = MsgBatch::default();
+            }
+        }
+        let ls = self
+            .leader
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        ls.settlement.reset(self.slots.len());
+        for arrived in &mut self.arrived {
+            *arrived.get_mut() = 0;
+        }
+    }
 }
 
 /// One processor's share of the engine's memory: its per-superstep
@@ -207,7 +280,9 @@ struct SlotData {
     /// reads in place. Cleared and refilled by the leader every step: a
     /// rank that receives nothing sees nothing.
     pull: Vec<(u32, u32)>,
-    /// The step body's outcome; consumed by the leader.
+    /// The step body's outcome; consumed by the leader. A rank that
+    /// arrives without one crashed at this step (a scripted crash: its
+    /// body never ran).
     outcome: Option<StepOutcome>,
     /// A contained panic, recorded with the step it happened in. Only
     /// the *leader* (inside the barrier, when every thread of the
@@ -217,11 +292,6 @@ struct SlotData {
     /// and exit before reaching the next barrier, stranding everyone
     /// else there.
     panicked: Option<usize>,
-    /// A scripted crash, recorded with the step it fired at. Like
-    /// `panicked`, only the leader translates it (into
-    /// [`SimError::ProcCrashed`], gathering *all* crashed ranks of the
-    /// step), for the same publication-order reason.
-    crashed: Option<usize>,
     /// Wall-clock body start of the current step (ns since the run
     /// began). Written by the owner thread only when a probe is
     /// enabled; read by the leader when emitting a [`StepRecord`].
@@ -354,20 +424,31 @@ impl ThreadedRuntime {
                 })?;
         }
         let p = self.tree.num_procs();
-        let barrier = StepBarrier::new(self.barrier_kind, &self.tree);
-        let slots: Vec<ProcSlot> = (0..p).map(|_| ProcSlot::new()).collect();
-        let leader = Mutex::new(LeaderState::new(p));
-        let leader_state = &leader;
+        let began = Instant::now();
+        let results: Vec<_> = (0..p).map(|_| Mutex::new(None)).collect();
+        // The kept pool and frame, or — when another run has them (a
+        // second caller, a program whose `step` runs a program on this
+        // runtime) — private ones. Taken after `results`, so that
+        // unwinding out of `run` joins the workers before the results go.
+        let mut kept = match lock_anyway(&self.pool).take() {
+            Some(kept) => kept,
+            None => Box::new(Kept {
+                pool: WorkerPool::new(p).map_err(|e| SimError::Spawn {
+                    message: e.to_string(),
+                })?,
+                frame: RunFrame::new(self.barrier_kind, &self.tree),
+            }),
+        };
+        let Kept { pool, frame } = &mut *kept;
+        let RunFrame {
+            barrier,
+            slots,
+            leader: leader_state,
+            arrived,
+        } = &*frame;
         let finished = &AtomicBool::new(false);
         let failed = &AtomicBool::new(false);
-        // Arrival board: rank `i` stores `step + 1` right before its
-        // barrier arrival. A watchdog firing on an *unscripted* stall
-        // (a hung body under `step_deadline`) derives the missing-pid
-        // list from it; scripted stalls use the plan's own list so the
-        // error value matches the simulator's bit for bit.
-        let arrived: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
 
-        let began = Instant::now();
         let (tree, faults, probe) = (&self.tree, &self.faults, &*self.probe);
         let step_env = &StepEnv {
             tree,
@@ -379,7 +460,9 @@ impl ThreadedRuntime {
         let observing = self.probe.enabled();
         let step_limit = self.step_limit;
         let user_deadline = self.step_deadline;
-        let rank_body = |i: usize| -> Result<P::State, SimError> {
+        // A rank's final state, or `None` when it saw the run fail (the
+        // leader state holds why) or ran out of steps.
+        let rank_body = |i: usize| -> Option<P::State> {
             let env = ProcEnv {
                 pid: ProcId(i as u32),
                 nprocs: p,
@@ -409,22 +492,14 @@ impl ThreadedRuntime {
                         }
                         crate::sync::thread::sleep(Duration::from_millis(1));
                     }
-                    let e = lock_anyway(leader_state)
-                        .error
-                        .clone()
-                        .expect("failed implies a recorded error");
-                    return Err(e);
+                    return None;
                 }
 
-                if faults.crashes(env.pid, step) {
-                    // Scripted crash: the body never runs. Mark
-                    // the slot and make one last barrier
-                    // arrival so the leader can diagnose every
-                    // crashed rank of the step at once.
-                    // SAFETY: this thread owns slot `i` outside
-                    // the leader section (ProcSlot protocol).
-                    unsafe { slots[i].slot() }.crashed = Some(step);
-                } else {
+                // Scripted crash: the body never runs, and the rank
+                // makes one last barrier arrival without an outcome, so
+                // the leader can diagnose every crashed rank of the step
+                // at once.
+                if !faults.crashes(env.pid, step) {
                     // Superstep body, in parallel with all
                     // peers. A panicking body must not strand
                     // the other threads at the barrier: contain
@@ -527,7 +602,7 @@ impl ThreadedRuntime {
                                 );
                                 return;
                             }
-                            leader_step(step_env, &slots, step, &mut ls, finished, failed, began);
+                            leader_step(step_env, slots, step, &mut ls, finished, failed, began);
                         }));
                         if ok.is_err() {
                             let mut ls = lock_anyway(leader_state);
@@ -541,50 +616,58 @@ impl ThreadedRuntime {
                     },
                 );
                 if failed.load(site_ord!("engine.failed.check", Ordering::Acquire)) {
-                    let e = lock_anyway(leader_state)
-                        .error
-                        .clone()
-                        .expect("failed implies a recorded error");
-                    return Err(e);
+                    return None;
                 }
                 if finished.load(site_ord!("engine.finished.check", Ordering::Acquire)) {
-                    return Ok(state.expect("a run with a panicked init fails at step 0"));
+                    // Some: a rank whose `init` panicked fails step 0.
+                    return state;
                 }
             }
-            Err(SimError::StepLimit { limit: step_limit })
+            None
         };
-        let results: Vec<_> = (0..p).map(|_| Mutex::new(None)).collect();
         let job = |i: usize| {
             let result = rank_body(i);
-            *lock_anyway(&results[i]) = Some(result);
+            *lock_anyway(&results[i]) = result;
         };
-        // The kept pool, or — when another run has it (a second caller,
-        // a program whose `step` runs a program on this runtime) — a
-        // private one. Declared after everything `job` borrows, so that
-        // unwinding out of `run` joins the workers first.
-        let mut pool = lock_anyway(&self.pool)
-            .take()
-            .unwrap_or_else(|| WorkerPool::new(p));
+        let census = barrier.enroll();
         pool.run(&job);
-        // Keep the pool that ran last; a displaced one is joined here,
-        // outside the lock.
-        let displaced = lock_anyway(&self.pool).replace(pool);
-        drop(displaced);
+        drop(census);
         let wall = began.elapsed();
 
-        let mut out_states = Vec::with_capacity(p);
-        for r in results {
-            let r = r.into_inner().unwrap_or_else(PoisonError::into_inner);
-            out_states.push(r.expect("processor thread panicked")?);
+        // The leader records every failure before any rank sees it, so a
+        // rank without a state and no recorded error ran out of steps.
+        let ls = frame
+            .leader
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let verdict = match ls.error.take() {
+            Some(e) => Err(e),
+            None => results
+                .into_iter()
+                .map(|r| r.into_inner().unwrap_or_else(PoisonError::into_inner))
+                .collect::<Option<Vec<_>>>()
+                .ok_or(SimError::StepLimit { limit: step_limit }),
         }
-        let mut ls = leader.into_inner().unwrap_or_else(PoisonError::into_inner);
-        Ok((
-            RunOutcome {
-                virtual_outcome: ls.settlement.outcome(),
-                wall,
-            },
-            out_states,
-        ))
+        .map(|states| {
+            let virtual_outcome = ls.settlement.outcome();
+            (
+                RunOutcome {
+                    virtual_outcome,
+                    wall,
+                },
+                states,
+            )
+        });
+        if verdict.is_ok() {
+            frame.reset();
+        } else {
+            *frame = RunFrame::new(self.barrier_kind, &self.tree);
+        }
+        // Keep the pool and frame that ran last; a displaced pair is
+        // dropped here, outside the lock.
+        let displaced = lock_anyway(&self.pool).replace(kept);
+        drop(displaced);
+        verdict
     }
 
     /// Run `prog`, discarding final states.
@@ -658,22 +741,27 @@ fn leader_step(
     failed: &AtomicBool,
     began: Instant,
 ) {
-    // Translate scripted crashes first — the simulator diagnoses a
-    // crash before any body runs, so a crash outranks a panic that
-    // happened in the same step's surviving bodies.
+    // Gather contributions (the messages stay where they were posted).
+    // A rank without an outcome crashed at this step; crashes are
+    // translated first — the simulator diagnoses a crash before any
+    // body runs, so a crash outranks a panic that happened in the same
+    // step's surviving bodies.
     let mut crashed: Vec<ProcId> = Vec::new();
-    let mut crash_step = step;
-    for (i, slot) in slots.iter().enumerate() {
+    for (i, s) in slots.iter().enumerate() {
         // SAFETY: leader section — the leader owns every slot.
-        if let Some(cstep) = unsafe { slot.slot() }.crashed {
-            crashed.push(ProcId(i as u32));
-            crash_step = cstep;
+        let slot = unsafe { s.slot() };
+        slot.pull.clear();
+        match slot.outcome.take() {
+            Some(outcome) => ls
+                .settlement
+                .contribute(std::mem::take(&mut slot.work), outcome),
+            None => crashed.push(ProcId(i as u32)),
         }
     }
     if !crashed.is_empty() {
         let error = SimError::ProcCrashed {
             pids: crashed,
-            step: crash_step,
+            step,
         };
         abort_step(error, slots, ls, failed);
         return;
@@ -691,16 +779,6 @@ fn leader_step(
             abort_step(error, slots, ls, failed);
             return;
         }
-    }
-
-    // Gather contributions; the messages stay where they were posted.
-    for s in slots {
-        // SAFETY: leader section — the leader owns every slot.
-        let slot = unsafe { s.slot() };
-        slot.pull.clear();
-        let outcome = slot.outcome.take().expect("all contributions in");
-        ls.settlement
-            .contribute(std::mem::take(&mut slot.work), outcome);
     }
     let LeaderState {
         settlement,
@@ -1514,6 +1592,107 @@ mod tests {
                 step: 1,
             }
         });
+    }
+
+    /// `f` of the hierarchical barrier `rt` keeps between runs.
+    fn kept_barrier<T>(rt: &ThreadedRuntime, f: impl FnOnce(&crate::HierBarrier) -> T) -> T {
+        match &lock_anyway(&rt.pool)
+            .as_ref()
+            .expect("a run kept a frame")
+            .frame
+            .barrier
+        {
+            StepBarrier::Hier(b) => f(b),
+            StepBarrier::Central(_) => panic!("the default barrier is hierarchical"),
+        }
+    }
+
+    /// The kept barrier's spin budget is re-derived at each run start
+    /// from the live census, with no core-count read: threads registered
+    /// between two runs veto spinning in the second.
+    #[test]
+    fn a_kept_barrier_respins_against_the_census_at_each_run() {
+        let rt = ThreadedRuntime::new(machine());
+        rt.run(&Exchange { rounds: 1 }).unwrap();
+        kept_barrier(&rt, crate::HierBarrier::force_spin);
+        let _extra: Vec<_> = (0..1024)
+            .map(|_| crate::barrier::register_extra_thread())
+            .collect();
+        rt.run(&Exchange { rounds: 1 }).unwrap();
+        assert_eq!(kept_barrier(&rt, crate::HierBarrier::spin_budget), 0);
+    }
+
+    /// One barrier serves every run of a runtime until one fails, so its
+    /// generation count — which paces the core-count re-read — spans
+    /// runs; a failed run's frame is rebuilt from generation 0.
+    #[test]
+    fn a_kept_barrier_counts_generations_across_runs() {
+        let rt = ThreadedRuntime::new(clustered_machine());
+        let generation = |rt: &ThreadedRuntime| kept_barrier(rt, crate::HierBarrier::generation);
+        rt.run(&Exchange { rounds: 2 }).unwrap();
+        assert_eq!(generation(&rt), 3, "one generation per superstep");
+        rt.run(&Exchange { rounds: 4 }).unwrap();
+        assert_eq!(generation(&rt), 8, "the second run went on counting");
+        let limited = ThreadedRuntime::new(clustered_machine()).step_limit(2);
+        limited.run(&Exchange { rounds: 1 }).unwrap();
+        limited.run(&Exchange { rounds: 4 }).unwrap_err();
+        assert_eq!(generation(&limited), 0, "a failed run's frame is rebuilt");
+    }
+
+    /// The watchdog names a hung rank from the arrival board, which a
+    /// run leaves at its last step: the reset must zero it, or a rank
+    /// that hangs at that step of the next run reads as arrived.
+    #[test]
+    fn a_hung_body_after_a_healthy_run_is_named() {
+        struct Hang;
+        impl SpmdProgram for Hang {
+            type State = ();
+            fn init(&self, _e: &ProcEnv) {}
+            fn step(
+                &self,
+                _s: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                _c: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                if env.pid.0 == 1 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                StepOutcome::Done
+            }
+        }
+        let rt = ThreadedRuntime::new(machine()).step_deadline(Duration::from_millis(50));
+        // One superstep: every rank's last arrival was at step 0.
+        rt.run(&Exchange { rounds: 0 }).unwrap();
+        assert_eq!(
+            rt.run(&Hang).unwrap_err(),
+            SimError::BarrierTimeout {
+                missing: vec![ProcId(1)],
+                step: 0
+            }
+        );
+    }
+
+    /// Between runs the frame keeps no message bytes — the outboxes'
+    /// arenas go at the end of the run that filled them — and no slot
+    /// data: a run that succeeded leaves every pull list and outcome
+    /// empty.
+    #[test]
+    fn a_kept_frame_holds_no_message_bytes_between_runs() {
+        let rt = ThreadedRuntime::new(clustered_machine());
+        rt.run(&Exchange { rounds: 3 }).unwrap();
+        let kept = lock_anyway(&rt.pool);
+        let frame = &kept.as_ref().expect("a run kept a frame").frame;
+        for (i, s) in frame.slots.iter().enumerate() {
+            // SAFETY: no run is in flight; the lock is held.
+            let slot = unsafe { s.slot() };
+            assert!(slot.pull.is_empty() && slot.outcome.is_none(), "slot {i}");
+            for parity in 0..2 {
+                // SAFETY: as above.
+                let posted = unsafe { s.posted(parity) };
+                assert_eq!(posted.arena_capacity(), 0, "outbox {i}/{parity}");
+            }
+        }
     }
 
     /// Records which thread each rank ran on.

@@ -18,7 +18,7 @@
 //!    caller;
 //! 3. the caller Acquire-loads `remaining == 0` (`pool.remaining.wait`)
 //!    — every worker's last touch of the job happens-before it — and
-//!    clears the cell.
+//!    puts the idle job back in the cell.
 //!
 //! Both waits — a worker's for the next epoch, the caller's for the last
 //! acknowledgement — go through [`pause`]: a bounded number of
@@ -39,6 +39,11 @@ use std::sync::Arc;
 /// One run's work: called once per rank, on that rank's worker.
 type Job<'a> = &'a (dyn Fn(usize) + Sync);
 
+/// What the cell holds while no run is in flight, so that a worker
+/// always finds a job to read and the cell never keeps a borrowed one
+/// past its run.
+const IDLE: Job<'static> = &|_| {};
+
 /// A posted run: the caller's job with its lifetime erased, and the
 /// thread to wake on the last acknowledgement.
 struct Posted {
@@ -50,7 +55,7 @@ struct Shared {
     /// Written by the caller while no run is in flight, read by the
     /// workers between acquiring the epoch that published it and their
     /// acknowledgement.
-    posted: UnsafeCell<Option<Posted>>,
+    posted: UnsafeCell<Posted>,
     /// Number of runs posted so far.
     epoch: AtomicUsize,
     /// Workers that have not yet acknowledged the current run.
@@ -77,15 +82,19 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `p` workers named `hbsp-p<rank>`; they wait for the first
-    /// [`WorkerPool::run`].
-    pub fn new(p: usize) -> Self {
+    /// [`WorkerPool::run`]. Fails when the system refuses a thread, after
+    /// joining the workers already started.
+    pub fn new(p: usize) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
-            posted: UnsafeCell::new(None),
+            posted: UnsafeCell::new(Posted {
+                job: IDLE,
+                caller: thread::current(),
+            }),
             epoch: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
-        // Pushed one by one so that a failed spawn unwinds through
+        // Pushed one by one so that a failed spawn returns through
         // `Drop`, which joins the workers already started.
         let mut pool = WorkerPool {
             shared,
@@ -95,11 +104,10 @@ impl WorkerPool {
             let shared = Arc::clone(&pool.shared);
             let handle = thread::Builder::new()
                 .name(format!("hbsp-p{rank}"))
-                .spawn(move || worker(&shared, rank))
-                .expect("spawn a processor thread");
+                .spawn(move || worker(&shared, rank))?;
             pool.workers.push(handle);
         }
-        pool
+        Ok(pool)
     }
 
     /// Run `job(rank)` on every worker and wait for all of them. A job
@@ -122,10 +130,10 @@ impl WorkerPool {
         // one returned only after every worker's acknowledgement, so no
         // worker holds a reference into the cell.
         unsafe {
-            *shared.posted.get() = Some(Posted {
+            *shared.posted.get() = Posted {
                 job,
                 caller: thread::current(),
-            });
+            };
         }
         // Published by the epoch increment: no worker decrements before
         // acquiring it.
@@ -153,7 +161,7 @@ impl WorkerPool {
         );
         // SAFETY: every worker acknowledged, and a worker does not touch
         // the cell after its acknowledgement.
-        unsafe { *shared.posted.get() = None };
+        unsafe { (*shared.posted.get()).job = IDLE };
     }
 }
 
@@ -213,7 +221,6 @@ fn worker(shared: &Shared, rank: usize) {
         // exactly that), and the caller does not write it again before
         // this worker's acknowledgement below. Other workers only read.
         let posted = unsafe { &*cell_read(&shared.posted) };
-        let posted = posted.as_ref().expect("a published epoch has a job");
         let (job, caller) = (posted.job, posted.caller.clone());
         // A worker must never die: the ranks of the next run need it.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(rank)));

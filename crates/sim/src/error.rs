@@ -60,6 +60,9 @@ pub enum SimError {
     /// superstep ran (see `SpmdProgram::preflight`; toggled with the
     /// engines' `.check(bool)` builders).
     Preflight { message: String },
+    /// The threaded runtime could not start a processor thread (the
+    /// operating system refused the spawn); no superstep ran.
+    Spawn { message: String },
 }
 
 impl fmt::Display for SimError {
@@ -117,6 +120,9 @@ impl fmt::Display for SimError {
             ),
             SimError::Preflight { message } => {
                 write!(f, "program rejected before execution: {message}")
+            }
+            SimError::Spawn { message } => {
+                write!(f, "cannot start a processor thread: {message}")
             }
         }
     }
