@@ -59,9 +59,7 @@ pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
         pending[job] += 1;
     }
     let mut ready: Vec<usize> = (0..num_jobs).filter(|&j| pending[j] == 0).collect();
-    let mut peeled = 0usize;
     while let Some(dep) = ready.pop() {
-        peeled += 1;
         for &job in &succs[dep] {
             pending[job] -= 1;
             if pending[job] == 0 {
@@ -69,7 +67,9 @@ pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
             }
         }
     }
-    if peeled < num_jobs {
+    // A job is left unpeeled exactly when it still waits on a
+    // prerequisite.
+    if let Some(start) = pending.iter().position(|&n| n > 0) {
         // Every unpeeled job sits on or downstream of a cycle; walk
         // `blocked_by` edges within the trapped set until a repeat.
         let trapped: Vec<bool> = (0..num_jobs).map(|j| pending[j] > 0).collect();
@@ -82,7 +82,6 @@ pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
         for b in &mut blocked_by {
             b.sort_unstable();
         }
-        let start = (0..num_jobs).find(|&j| trapped[j]).expect("trapped job");
         let mut seen_at = vec![usize::MAX; num_jobs];
         let mut path = Vec::new();
         let mut cur = start;
@@ -120,8 +119,8 @@ pub fn verify_claims(tree: &MachineTree, claims: &[(usize, NodeIdx)]) -> Vec<Vio
             continue;
         }
         tree.subtree_leaves_into(idx, &mut leaves);
-        for &leaf in &leaves {
-            let pid = tree.node(leaf).proc_id().expect("subtree leaf is a proc");
+        // Every subtree leaf is a processor, so none is skipped.
+        for pid in leaves.iter().filter_map(|&leaf| tree.node(leaf).proc_id()) {
             match owner[pid.rank()] {
                 Some(job_a) if job_a != job => out.push(Violation::ClaimOverlap {
                     job_a,

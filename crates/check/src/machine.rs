@@ -69,20 +69,18 @@ pub fn lint_machine(tree: &MachineTree, declared_k: Option<Level>) -> Vec<Violat
 
     // Table 1: children fractions partition their cluster's share.
     for node in tree.nodes() {
-        if node.is_proc()
-            || node
-                .children()
-                .iter()
-                .any(|&c| tree.node(c).params().c.is_none())
-            || node.num_children() == 0
-        {
+        if node.is_proc() || node.num_children() == 0 {
             continue;
         }
-        let sum: f64 = node
+        // `None` when some child has no fraction: nothing to check.
+        let Some(sum) = node
             .children()
             .iter()
-            .map(|&c| tree.node(c).params().c.unwrap())
-            .sum();
+            .map(|&c| tree.node(c).params().c)
+            .sum::<Option<f64>>()
+        else {
+            continue;
+        };
         let expected = node.params().c.unwrap_or(1.0);
         if (sum - expected).abs() > 1e-6 {
             out.push(Violation::FractionSum {

@@ -200,6 +200,7 @@ proptest! {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "tests the robust fit itself")]
     #[test]
     fn robust_calibration_survives_a_seeded_straggle(
         seed in any::<u64>(),

@@ -34,8 +34,8 @@
 //!   own election is by compute speed, which can disagree once leaves
 //!   are dropped or re-measured;
 //! * **balanced workload** — the `c_{i,j}` fractions are renormalized
-//!   over the kept processors, speed-proportional at every level
-//!   ([`crate::workload::hierarchical_fractions`]).
+//!   over the kept processors, speed-proportional at every level (each
+//!   cluster's `c` is the sum of its children's).
 //!
 //! Carving the root, degrading nothing and reparameterizing with nothing
 //! observed are identity rebuilds up to fractions; carving a leaf yields
@@ -371,7 +371,9 @@ impl MachineTree {
         }
         tree.validate()?;
         elect_by_min_r(&mut tree);
+        #[expect(clippy::disallowed_methods, reason = "the one rebuild")]
         let fractions = hierarchical_fractions(&tree);
+        #[expect(clippy::disallowed_methods, reason = "the one rebuild")]
         tree.set_fractions(&fractions);
         debug_assert!(tree.validate().is_ok());
         Ok((tree, kept))

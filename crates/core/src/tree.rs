@@ -10,6 +10,15 @@
 //!
 //! Trees are constructed through [`crate::builder::TreeBuilder`] or parsed
 //! from the [`crate::topology`] DSL; both validate the model's invariants.
+//! A machine's `c_{i,j}` fractions are assigned by the builder, the DSL
+//! or the structure-preserving rebuild (`carve`, `degrade`,
+//! `reparameterize`); no caller outside this crate sets them one by one:
+//!
+//! ```compile_fail,E0624
+//! fn assign(tree: &mut hbsp_core::MachineTree, c: &[(hbsp_core::NodeIdx, f64)]) {
+//!     tree.set_fractions(c);
+//! }
+//! ```
 
 use crate::error::ModelError;
 use crate::ids::{Level, MachineId, NodeIdx, ProcId};
@@ -287,7 +296,7 @@ impl MachineTree {
 
     /// Assign problem fractions `c` to a set of machines (commonly the
     /// leaves). Fractions for machines not mentioned are left untouched.
-    pub fn set_fractions(&mut self, fractions: &[(NodeIdx, f64)]) {
+    pub(crate) fn set_fractions(&mut self, fractions: &[(NodeIdx, f64)]) {
         for &(idx, c) in fractions {
             self.nodes[idx.index()].params.c = Some(c);
         }
@@ -448,6 +457,7 @@ impl std::fmt::Display for MachineTree {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of validation")]
 mod tests {
     use crate::builder::TreeBuilder;
     use crate::ids::{MachineId, ProcId};

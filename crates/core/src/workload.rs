@@ -6,6 +6,15 @@
 //! communication abilities. This module turns relative speed indices
 //! (e.g. from the `bytemark` crate) into *integer* shares that sum to
 //! exactly `n`, plus offsets for contiguous block distributions.
+//!
+//! The speed-proportional fractions of a whole machine are derived once,
+//! by the structure-preserving rebuild (`carve`, `degrade`,
+//! `reparameterize`), so the routine that computes them is private to
+//! this crate:
+//!
+//! ```compile_fail,E0603
+//! use hbsp_core::workload::hierarchical_fractions;
+//! ```
 
 use crate::error::ModelError;
 use crate::ids::ProcId;
@@ -205,7 +214,7 @@ impl Partition {
 /// children — satisfying the model's requirement that children partition
 /// their cluster's fraction. Returns the `(node, c)` assignments; apply
 /// with [`MachineTree::set_fractions`].
-pub fn hierarchical_fractions(tree: &MachineTree) -> Vec<(crate::NodeIdx, f64)> {
+pub(crate) fn hierarchical_fractions(tree: &MachineTree) -> Vec<(crate::NodeIdx, f64)> {
     let total: f64 = tree
         .leaves()
         .iter()
@@ -228,6 +237,7 @@ pub fn hierarchical_fractions(tree: &MachineTree) -> Vec<(crate::NodeIdx, f64)> 
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the fractions")]
 mod tests {
     use super::*;
     use crate::builder::TreeBuilder;

@@ -599,6 +599,7 @@ impl ClosedLoop {
 /// belief-`r` units (`send_word_cost ≈ 1`) and survives the merge
 /// with the unobserved processors' kept beliefs. `None` only when
 /// re-parameterization itself rejects the estimates.
+#[expect(clippy::disallowed_methods, reason = "the loop's one recalibration")]
 fn recalibrated(
     belief: &Arc<MachineTree>,
     steps: &[StepTrace],

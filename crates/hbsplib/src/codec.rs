@@ -38,8 +38,10 @@ pub fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
         bytes.len()
     );
     bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&c| u32::from_le_bytes(c))
         .collect()
 }
 
@@ -75,8 +77,10 @@ pub fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
         bytes.len()
     );
     bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&c| u64::from_le_bytes(c))
         .collect()
 }
 
@@ -112,8 +116,10 @@ pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
         bytes.len()
     );
     bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&c| f64::from_le_bytes(c))
         .collect()
 }
 

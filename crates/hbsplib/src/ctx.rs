@@ -163,6 +163,7 @@ impl<'a> Ctx<'a> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests run on the simulator")]
 mod tests {
     use super::*;
     use hbsp_core::{SpmdProgram, TreeBuilder};

@@ -58,9 +58,7 @@ impl TreeEnquiry for MachineTree {
         let cluster = self
             .cluster_of(pid, level)
             .unwrap_or_else(|| self.leaves()[pid.rank()]);
-        self.node(self.node(cluster).representative())
-            .proc_id()
-            .expect("representative is a leaf")
+        representative_rank(self, cluster)
     }
 
     fn cluster_members(&self, pid: ProcId, level: Level) -> Vec<ProcId> {
@@ -68,9 +66,10 @@ impl TreeEnquiry for MachineTree {
             Some(c) => c,
             None => return vec![pid],
         };
+        // Every subtree leaf is a processor, so none is skipped.
         self.subtree_leaves(cluster)
             .into_iter()
-            .map(|l| self.node(l).proc_id().expect("leaf"))
+            .filter_map(|l| self.node(l).proc_id())
             .collect()
     }
 
@@ -84,15 +83,21 @@ impl TreeEnquiry for MachineTree {
             .map(|nodes| {
                 nodes
                     .iter()
-                    .map(|&n| {
-                        self.node(self.node(n).representative())
-                            .proc_id()
-                            .expect("representative is a leaf")
-                    })
+                    .map(|&n| representative_rank(self, n))
                     .collect()
             })
             .unwrap_or_default()
     }
+}
+
+/// The rank of `node`'s representative, the fastest leaf of its
+/// subtree (`every_representative_is_a_ranked_leaf` pins that it has
+/// one).
+#[expect(clippy::expect_used, reason = "representatives are ranked leaves")]
+fn representative_rank(tree: &MachineTree, node: NodeIdx) -> ProcId {
+    tree.node(tree.node(node).representative())
+        .proc_id()
+        .expect("representative is a leaf")
 }
 
 #[cfg(test)]
@@ -147,6 +152,24 @@ mod tests {
         assert_eq!(t.level_coordinators(2), vec![ProcId(1)]);
         // Level 0: every level-0 processor is its own coordinator.
         assert_eq!(t.level_coordinators(0).len(), 4);
+    }
+
+    /// What `representative_rank` expects, on the shipped machines and
+    /// on every machine carved out of them.
+    #[test]
+    fn every_representative_is_a_ranked_leaf() {
+        for text in [
+            include_str!("../../../machines/campus.hbsp"),
+            include_str!("../../../machines/grid3.hbsp"),
+        ] {
+            let tree = hbsp_core::topology::parse(text).unwrap();
+            let carved = tree.nodes().map(|n| tree.carve(n.idx()).tree);
+            for t in std::iter::once(tree.clone()).chain(carved) {
+                for n in t.nodes() {
+                    assert!(t.node(n.representative()).proc_id().is_some());
+                }
+            }
+        }
     }
 
     #[test]

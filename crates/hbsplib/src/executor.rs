@@ -320,6 +320,7 @@ impl Executor {
 
     /// Build a session for an explicit tree and fault plan (recovery
     /// rebuilds engines on degraded trees through this).
+    #[expect(clippy::disallowed_methods, reason = "the seam: builds the engine")]
     fn session_on(&self, tree: Arc<MachineTree>, faults: FaultPlan) -> ExecSession {
         let engine = match self.kind {
             EngineKind::Simulator => {
@@ -583,6 +584,7 @@ impl ExecSession {
 /// the program on the simulator and prices what its supersteps did
 /// ([`SimOutcome::model_cost`]), returning the `Σ (w + g·h + L)` report.
 /// The analytic counterpart of [`Executor::run`].
+#[expect(clippy::disallowed_methods, reason = "pricing runs the simulator")]
 pub fn predict_program<P: SpmdProgram>(
     tree: Arc<MachineTree>,
     prog: &P,

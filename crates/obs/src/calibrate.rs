@@ -394,6 +394,7 @@ pub fn calibrate_robust(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the fit itself")]
 mod tests {
     use super::*;
 

@@ -33,6 +33,7 @@ pub enum Machine {
 }
 
 /// Build the machine tree for a scenario shape.
+#[expect(clippy::unwrap_used, reason = "two fixed, valid shapes")]
 pub fn machine(m: Machine) -> MachineTree {
     match m {
         Machine::Flat2 => TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (1.0, 1.0)]).unwrap(),
@@ -360,6 +361,7 @@ pub fn mailbox_circulation(rounds: usize, per_round: u32) {
 /// caller's overwrite, a worker that missed round 2's job leaves a
 /// wrong output, and a worker stranded in `park` by the drop deadlocks
 /// the join — the checker reports each.
+#[expect(clippy::expect_used, reason = "a scenario fails by panicking")]
 pub fn pool_dispatch(workers: usize) {
     let mut pool = WorkerPool::new(workers).expect("the model starts every worker");
     for round in 1..=2u64 {
@@ -437,6 +439,8 @@ impl SpmdProgram for Exchange {
 /// between runs is checked against both runs' accesses. Too many
 /// decision points for exhaustive DFS — the tests drive this with
 /// seeded random walks.
+#[expect(clippy::disallowed_methods, reason = "model-checks the engine itself")]
+#[expect(clippy::unwrap_used, reason = "a scenario fails by panicking")]
 pub fn engine_smoke(rounds: usize) {
     let tree = Arc::new(machine(Machine::Flat2));
     let rt = ThreadedRuntime::new(Arc::clone(&tree));

@@ -90,6 +90,7 @@ fn census_threads() -> usize {
 /// files under `/proc` (≈23 µs on a 2-core host, a third of a
 /// zero-step run), so a barrier reads it when built and every
 /// [`SPIN_REEVAL_PERIOD`] generations after, never per run.
+#[expect(clippy::disallowed_methods, reason = "the runtime's one host read")]
 fn host_cores() -> usize {
     crate::sync::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -329,6 +329,7 @@ impl LeaderState {
 
 impl ThreadedRuntime {
     /// Runtime with PVM-like default microcosts.
+    #[expect(clippy::disallowed_methods, reason = "`with_config`, default costs")]
     pub fn new(tree: Arc<MachineTree>) -> Self {
         Self::with_config(tree, NetConfig::pvm_like())
     }
@@ -894,6 +895,7 @@ impl SpmdContext for ThreadCtx<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the engine itself")]
 mod tests {
     use super::*;
     use hbsp_core::{SyncScope, TreeBuilder};

@@ -2,9 +2,10 @@
 //!
 //! Every atomic, mutex, condvar, `UnsafeCell`, `Instant`, spin hint,
 //! and thread operation the runtime performs goes through this module
-//! — `hbsp_lint` enforces that nothing else in the crate names
-//! `std::sync::atomic`, `std::thread` or a raw `UnsafeCell`. In a
-//! normal build the facade is pure re-exports of `std`, so it costs
+//! — `hbsp_lint`'s facade-bypass check enforces that nothing else in
+//! the crate names `std::sync::atomic`, `std::thread` or a raw
+//! `UnsafeCell`. In a normal build the facade is pure re-exports of
+//! `std`, so it costs
 //! nothing (the `alloc_audit` suite asserts this). With the `model`
 //! feature it routes through the vendored `weave` model checker
 //! instead: outside an exploration weave's primitives forward to `std`

@@ -143,6 +143,7 @@ impl SpmdProgram for Chatter {
 /// panicking thread (instead of from the barrier leader) once let a
 /// racing peer exit early and strand everyone else at the barrier.
 /// Hammer the scenario; any hang fails via the harness timeout.
+#[expect(clippy::disallowed_methods, reason = "stresses the engine itself")]
 #[test]
 fn contained_panics_never_strand_the_barrier() {
     struct Bomb;
@@ -187,6 +188,7 @@ fn contained_panics_never_strand_the_barrier() {
 
 /// A clustered machine so the hierarchical barrier actually combines
 /// arrivals per cluster before the root.
+#[expect(clippy::unwrap_used, reason = "a bad machine fails the test")]
 fn clustered() -> Arc<hbsp_core::MachineTree> {
     Arc::new(
         TreeBuilder::two_level(
@@ -207,6 +209,7 @@ fn clustered() -> Arc<hbsp_core::MachineTree> {
 /// propagate through per-cluster combining nodes rather than one
 /// central generation counter. Any stranding fails via the harness
 /// timeout; any untyped error fails the match.
+#[expect(clippy::disallowed_methods, reason = "stresses the engine itself")]
 #[test]
 fn abort_paths_drain_cleanly_under_the_hierarchical_barrier() {
     struct Bomb;
@@ -283,6 +286,7 @@ fn abort_paths_drain_cleanly_under_the_hierarchical_barrier() {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "stresses the engine itself")]
 #[test]
 fn hundreds_of_supersteps_stay_deterministic_across_engines() {
     let tree = Arc::new(
@@ -327,6 +331,7 @@ fn hundreds_of_supersteps_stay_deterministic_across_engines() {
 /// lands on both barriers alike, and each side is a median of 9 rounds.
 /// This guarded the p = 16 spin-policy regression (+174 %) before the
 /// repository benchmark existed; it reports p = 2 and 8 only.
+#[expect(clippy::disallowed_methods, reason = "stresses the engine itself")]
 #[test]
 #[ignore = "compares wall-clock medians: run in release (CI does)"]
 fn hierarchical_barrier_is_no_slower_than_central_at_scale() {

@@ -40,12 +40,16 @@ pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> (CommSchedule
     let body = lowered.iter().map(body_of).max().unwrap_or(0);
     let mut schedule = CommSchedule::new();
     for s in 0..body {
-        let scope = lowered
+        // `body` is the longest member body, so some member is active
+        // at every body step and the loop never breaks early.
+        let Some(scope) = lowered
             .iter()
             .filter(|l| s < body_of(l))
             .map(|l| tree.node(l.node).level())
             .max()
-            .expect("some member is active at every body step");
+        else {
+            break;
+        };
         let mut step = ScheduleStep::at(SyncScope::Level(scope));
         for l in lowered {
             if s >= body_of(l) {

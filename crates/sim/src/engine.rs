@@ -75,6 +75,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Simulator with the PVM-like default microcosts.
+    #[expect(clippy::disallowed_methods, reason = "`with_config`, default costs")]
     pub fn new(tree: Arc<MachineTree>) -> Self {
         Simulator::with_config(tree, NetConfig::pvm_like())
     }
@@ -425,6 +426,7 @@ impl SpmdContext for SimCtx<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the engine itself")]
 mod tests {
     use super::*;
     use hbsp_core::{StepOutcome, SyncScope, TreeBuilder};

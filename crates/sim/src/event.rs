@@ -29,11 +29,13 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for earliest-first. NaN times
-        // are rejected at push, so partial_cmp is total here.
+        // are rejected at push, so `partial_cmp` is never `None` here.
+        // It, not `total_cmp`, keeps -0.0 and +0.0 tied, so events at
+        // either zero pop in push order.
         other
             .time
             .partial_cmp(&self.time)
-            .expect("event times are never NaN")
+            .unwrap_or(Ordering::Equal)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -127,6 +129,20 @@ mod tests {
         }
         let order: Vec<i32> = q.drain_ordered().into_iter().map(|(_, i)| i).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    /// -0.0 and +0.0 are one time: events at either pop FIFO, each with
+    /// the sign it was pushed with.
+    #[test]
+    fn signed_zeros_tie_fifo() {
+        let mut q = TimeQueue::new();
+        for (i, t) in [0.0, -0.0, 0.0, -0.0, -1.0].into_iter().enumerate() {
+            q.push(t, i);
+        }
+        let bits = |(t, i): (f64, usize)| (t.to_bits(), i);
+        let popped: Vec<_> = q.drain_ordered().into_iter().map(bits).collect();
+        let want = [(-1.0, 4), (0.0, 0), (-0.0, 1), (0.0, 2), (-0.0, 3)].map(bits);
+        assert_eq!(popped, want);
     }
 
     #[test]

@@ -215,25 +215,20 @@ impl FaultPlan {
     /// per line, `kind P<pid> @<step> [arg]`. [`FaultPlan::parse`]
     /// round-trips this exactly.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for f in &self.faults {
-            match *f {
-                Fault::Crash { pid, step } => writeln!(out, "crash P{} @{step}", pid.0),
-                Fault::Stall { pid, step } => writeln!(out, "stall P{} @{step}", pid.0),
-                Fault::Straggle { pid, step, factor } => {
-                    writeln!(out, "straggle P{} @{step} x{factor}", pid.0)
-                }
-                Fault::DropMsgs { pid, step } => writeln!(out, "drop P{} @{step}", pid.0),
-                Fault::Truncate {
-                    pid,
-                    step,
-                    max_words,
-                } => writeln!(out, "truncate P{} @{step} w{max_words}", pid.0),
+        let line = |f: &Fault| match *f {
+            Fault::Crash { pid, step } => format!("crash P{} @{step}\n", pid.0),
+            Fault::Stall { pid, step } => format!("stall P{} @{step}\n", pid.0),
+            Fault::Straggle { pid, step, factor } => {
+                format!("straggle P{} @{step} x{factor}\n", pid.0)
             }
-            .expect("write to String cannot fail");
-        }
-        out
+            Fault::DropMsgs { pid, step } => format!("drop P{} @{step}\n", pid.0),
+            Fault::Truncate {
+                pid,
+                step,
+                max_words,
+            } => format!("truncate P{} @{step} w{max_words}\n", pid.0),
+        };
+        self.faults.iter().map(line).collect()
     }
 
     /// Parse the text format produced by [`FaultPlan::render`]. Blank

@@ -45,5 +45,5 @@ pub use error::SimError;
 pub use event::TimeQueue;
 pub use faults::{Fault, FaultPlan, SplitMix64};
 pub use stats::{LevelTraffic, SimOutcome, StepStats};
-pub use step::{resolve_outcomes, Settlement, StepAnalysis, StepEnv};
+pub use step::{Settlement, StepAnalysis, StepEnv};
 pub use trace::{ascii_gantt, ProcTimeline, Span, SpanKind, TraceSummary};

@@ -6,6 +6,25 @@
 //! [`StepRecord`], the step's [`StepStats`] and the delivery order. The
 //! simulator's loop and the threaded runtime's leader section both call
 //! it, so they compute a superstep the same way by construction.
+//!
+//! The settlement's steps are private to this module, so no engine can
+//! run one of them on its own:
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::step::resolve_outcomes;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::step::analyze_into;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::step::delivery_order_into;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::step::emit_step_record;
+//! ```
 
 use crate::config::NetConfig;
 use crate::error::SimError;
@@ -144,6 +163,7 @@ impl Settlement {
             .faults
             .straggles_at(step)
             .then(|| env.faults.r_multipliers(step, p));
+        #[expect(clippy::disallowed_methods, reason = "the settlement times the step")]
         superstep_timing_faulted_into(
             tree,
             env.cfg,
@@ -174,6 +194,7 @@ impl Settlement {
 
         // The final step releases nobody: each processor's own finish
         // stands in for its release time.
+        #[expect(clippy::disallowed_methods, reason = "the settlement's barrier")]
         let releases = scope.map(|s| barrier_release(tree, s, finish));
         let released = releases.as_deref().unwrap_or(finish);
         emit_step_record(
@@ -235,10 +256,7 @@ impl Settlement {
 
 /// Check that all processors agreed on what happens after this
 /// superstep. Returns the common scope, or `None` if everyone finished.
-pub fn resolve_outcomes(
-    step: usize,
-    outcomes: &[StepOutcome],
-) -> Result<Option<SyncScope>, SimError> {
+fn resolve_outcomes(step: usize, outcomes: &[StepOutcome]) -> Result<Option<SyncScope>, SimError> {
     assert!(!outcomes.is_empty());
     let done = outcomes
         .iter()
@@ -278,7 +296,7 @@ pub fn resolve_outcomes(
 /// the threaded runtime this code runs inside the barrier's leader
 /// section, where a panic would strand every other processor thread at
 /// the barrier forever.
-pub fn delivery_order_into(messages: &[MsgTiming], order: &mut Vec<usize>) {
+fn delivery_order_into(messages: &[MsgTiming], order: &mut Vec<usize>) {
     order.clear();
     order.extend(0..messages.len());
     order.sort_by(|&a, &b| {
@@ -293,7 +311,7 @@ pub fn delivery_order_into(messages: &[MsgTiming], order: &mut Vec<usize>) {
 /// closing scope (`None` = final step, no confinement), writing the
 /// cost-relevant analysis into `out`, whose vectors are cleared and
 /// refilled. `msgs` are the step's messages in pid-then-posting order.
-pub fn analyze_into<'a>(
+fn analyze_into<'a>(
     tree: &MachineTree,
     step: usize,
     scope: Option<SyncScope>,
@@ -349,7 +367,7 @@ pub fn analyze_into<'a>(
 /// clears and refills these instead of allocating fresh vectors every
 /// superstep.
 #[derive(Default)]
-pub(crate) struct EmitScratch {
+struct EmitScratch {
     words: Vec<u64>,
     messages: Vec<u64>,
     sent: Vec<u64>,
@@ -362,7 +380,7 @@ pub(crate) struct EmitScratch {
 /// enabled assembly refills `scratch`, so probe-on costs no
 /// per-superstep allocation either.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_step_record(
+fn emit_step_record(
     probe: &dyn Probe,
     step: usize,
     barrier: Option<Level>,

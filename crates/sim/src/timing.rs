@@ -32,6 +32,15 @@
 //! This mirrors real shared Ethernet and is pinned by the property
 //! tests; disable the medium (`medium_word_cost = 0`) for an
 //! anomaly-free point-to-point fabric.
+//!
+//! [`superstep_timing`] prices one step on its own, and
+//! [`barrier_release`] releases one barrier. A run's steps are timed
+//! only by the settlement, so the form it times them with is private to
+//! this crate:
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::timing::superstep_timing_faulted_into;
+//! ```
 
 use crate::config::NetConfig;
 use crate::event::TimeQueue;
@@ -74,13 +83,14 @@ pub struct StepTiming {
 }
 
 /// Compute the timing of one fault-free superstep, in fresh buffers —
-/// one step priced on its own; a run's steps are timed by
-/// [`superstep_timing_faulted_into`], through `crate::step::Settlement`.
+/// one step priced on its own; a run's steps are timed by the
+/// settlement ([`crate::step::Settlement`]).
 ///
 /// `starts[p]` is processor `p`'s release time from the previous
 /// barrier; `work_units[p]` its charged computation (at fastest-machine
 /// speed); `sends` every posted message in posting order (per-sender
 /// order is what matters; the slice may interleave senders).
+#[expect(clippy::disallowed_methods, reason = "one fault-free step on its own")]
 pub fn superstep_timing(
     tree: &MachineTree,
     cfg: &NetConfig,
@@ -109,7 +119,7 @@ pub fn superstep_timing(
 /// hot path performs no heap allocation once the buffers have grown to
 /// the step's message count.
 #[derive(Default)]
-pub struct TimingScratch {
+pub(crate) struct TimingScratch {
     // (msg index, sender done, wire time, latency, segment node).
     posted: Vec<(usize, f64, f64, f64, usize)>,
     // (segment node, wire-free time); linear scan — a step touches only
@@ -128,7 +138,7 @@ pub struct TimingScratch {
 /// `out`'s vectors are cleared and refilled; `scratch` is an opaque
 /// bundle of internal buffers reused across calls.
 #[allow(clippy::too_many_arguments)]
-pub fn superstep_timing_faulted_into(
+pub(crate) fn superstep_timing_faulted_into(
     tree: &MachineTree,
     cfg: &NetConfig,
     starts: &[f64],
@@ -204,17 +214,18 @@ pub fn superstep_timing_faulted_into(
     scratch.wire_free.clear();
     for &(mi, done, wire, latency, segment) in &scratch.posted {
         let s = &sends[mi];
-        let slot = match scratch
+        let at = match scratch
             .wire_free
-            .iter_mut()
-            .find(|(seg, _)| *seg == segment)
+            .iter()
+            .position(|&(seg, _)| seg == segment)
         {
-            Some((_, free)) => free,
+            Some(at) => at,
             None => {
                 scratch.wire_free.push((segment, f64::NEG_INFINITY));
-                &mut scratch.wire_free.last_mut().unwrap().1
+                scratch.wire_free.len() - 1
             }
         };
+        let slot = &mut scratch.wire_free[at].1;
         let xmit_start = done.max(*slot);
         let xmit_done = xmit_start + wire;
         *slot = xmit_done;
@@ -273,6 +284,7 @@ pub fn barrier_release(tree: &MachineTree, scope: SyncScope, finish: &[f64]) -> 
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the algebra itself")]
 mod tests {
     use super::*;
     use hbsp_core::TreeBuilder;

@@ -6,6 +6,7 @@ use hbsp_sim::timing::{barrier_release, superstep_timing, SendIntent};
 use hbsp_sim::NetConfig;
 use proptest::prelude::*;
 
+#[expect(clippy::unwrap_used, reason = "a bad machine fails the test")]
 fn machine(rs: &[f64]) -> hbsp_core::MachineTree {
     let mut procs: Vec<(f64, f64)> = rs.iter().map(|&r| (r, 1.0 / r)).collect();
     procs[0].0 = 1.0;
@@ -125,6 +126,7 @@ proptest! {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "tests the barrier algebra itself")]
     #[test]
     fn barrier_release_bounds_finishes(
         rs in proptest::collection::vec(1.0f64..5.0, 2..6),

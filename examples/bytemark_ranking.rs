@@ -9,7 +9,6 @@
 
 use hbsp::prelude::*;
 use hbsp_bench::ucf_profiles;
-use hbsp_core::workload::hierarchical_fractions;
 
 fn main() {
     let profiles = ucf_profiles();
@@ -49,7 +48,8 @@ fn main() {
     }
 
     // Feed the ranking into a machine tree and derive hierarchical
-    // fractions (every cluster's c is the sum of its children's).
+    // fractions (every cluster's c is the sum of its children's): carving
+    // the whole machine rebuilds it with them.
     let mut b = TreeBuilder::new(1.0);
     let root = b.cluster("ranked-lan", NodeParams::cluster(2_000.0));
     for (profile, &speed) in profiles.iter().zip(&speeds) {
@@ -59,9 +59,8 @@ fn main() {
             NodeParams::proc(profile.comm_slowdown / min_comm, speed),
         );
     }
-    let mut tree = b.build().expect("valid machine");
-    let fr = hierarchical_fractions(&tree);
-    tree.set_fractions(&fr);
+    let built = b.build().expect("valid machine");
+    let tree = built.carve(built.root()).tree;
     tree.validate().expect("fractions consistent");
 
     let n = 256_000u64;

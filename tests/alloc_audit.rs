@@ -137,6 +137,7 @@ fn thread_allocs_during<R>(f: impl FnOnce() -> R) -> usize {
     THREAD_ALLOCS.get() - before
 }
 
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn steady_state_supersteps_allocate_nothing_per_message() {
     let _serial = AUDIT_LOCK.lock().unwrap();
@@ -228,6 +229,7 @@ impl SpmdProgram for Relay {
 /// the release times, the h-relation) — and nothing for the data plane.
 /// A buffer rebuilt every step by any of the four ranks, on either
 /// parity, adds 300; by each of them, 1200.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
     let _serial = AUDIT_LOCK.lock().unwrap();
@@ -305,6 +307,7 @@ fn sync_facade_adds_no_allocations_to_hot_primitives() {
 /// (the arena itself plus one-time probe bookkeeping) — never
 /// per-step. A per-step allocation in the probe path multiplies with
 /// 400 steps and blows the bound immediately.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn armed_flight_recorder_allocates_nothing_per_superstep() {
     use hbsp_obs::FlightRecorder;
@@ -401,6 +404,7 @@ fn the_recorder_store_allocates_per_segment_never_per_step() {
 
 /// The two engines agree bit-for-bit on the audited program — the SoA
 /// delivery path preserves ordering exactly.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn audited_program_is_bit_identical_across_engines() {
     let _serial = AUDIT_LOCK.lock().unwrap();
@@ -590,6 +594,7 @@ fn warm_executor_allocations_do_not_depend_on_payload_bytes() {
 /// themselves, so the shared analysis' h-relation stays empty)
 /// allocates exactly twice more than a warm run of the same program
 /// posting nothing.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn a_warm_simulator_run_allocates_only_the_per_run_arena() {
     /// Every rank posts `msgs` messages to itself for six supersteps.
@@ -647,6 +652,7 @@ fn a_warm_simulator_run_allocates_only_the_per_run_arena() {
 /// wakes them, so on the caller's thread runs 2..N of an empty program
 /// allocate alike — the per-run barrier, slots, outboxes and result
 /// vector, nothing per dispatch that grows — and less than the first.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
 #[test]
 fn pooled_runs_allocate_alike_and_less_than_the_first() {
     struct Empty;

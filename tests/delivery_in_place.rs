@@ -13,8 +13,7 @@ use common::{arb_machine, cluster_peers, mix};
 use hbsp::core::{Message, MsgBatch, SpmdContext};
 use hbsp::prelude::*;
 use hbsp::runtime::{BarrierKind, ThreadedRuntime};
-use hbsp::sim::step::{analyze_into, delivery_order_into, StepAnalysis};
-use hbsp::sim::timing::{barrier_release, superstep_timing};
+use hbsp::sim::timing::{barrier_release, superstep_timing, SendIntent};
 use hbsp::sim::{NetConfig, Simulator};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -95,6 +94,7 @@ impl Program for Logged {
 /// The old delivery loop over [`Logged`]'s posts under `plan`: every
 /// rank's inboxes, step by step, each step's deliveries in (arrival,
 /// posting index) order.
+#[expect(clippy::disallowed_methods, reason = "the reference loop's barriers")]
 fn copied_inboxes(tree: &Arc<MachineTree>, prog: &Logged, plan: &FaultPlan) -> Vec<Seen> {
     let p = tree.num_procs();
     let cfg = NetConfig::pvm_like();
@@ -106,7 +106,6 @@ fn copied_inboxes(tree: &Arc<MachineTree>, prog: &Logged, plan: &FaultPlan) -> V
         })
         .collect();
     let mut starts = vec![0.0; p];
-    let (mut analysis, mut order) = (StepAnalysis::default(), Vec::new());
     let mut inboxes = vec![MsgBatch::new(); p];
     let mut seen: Vec<Seen> = vec![Vec::new(); p];
     for step in 0..prog.rounds {
@@ -124,11 +123,19 @@ fn copied_inboxes(tree: &Arc<MachineTree>, prog: &Logged, plan: &FaultPlan) -> V
             work[env.pid.rank()] = units;
         }
         plan.corrupt_batch(step, &mut sends);
-        let scope = prog.scope(tree, step);
-        analyze_into(tree, step, Some(scope), &sends, &mut analysis).expect("confined sends");
-        let timing = superstep_timing(tree, &cfg, &starts, &work, &analysis.intents);
-        starts = barrier_release(tree, scope, &timing.finish);
-        delivery_order_into(&timing.messages, &mut order);
+        let intents: Vec<SendIntent> = sends
+            .iter()
+            .map(|m| SendIntent {
+                src: m.src,
+                dst: m.dst,
+                words: m.words(),
+            })
+            .collect();
+        let timing = superstep_timing(tree, &cfg, &starts, &work, &intents);
+        starts = barrier_release(tree, prog.scope(tree, step), &timing.finish);
+        let arrival = |mi: usize| timing.messages[mi].arrival;
+        let mut order: Vec<usize> = (0..timing.messages.len()).collect();
+        order.sort_by(|&a, &b| arrival(a).total_cmp(&arrival(b)).then(a.cmp(&b)));
         for &mi in &order {
             let m = sends.get(mi);
             inboxes[m.dst.rank()].push(m.src, m.dst, m.tag, m.payload);
@@ -159,6 +166,7 @@ fn lossy_plan(seed: u64, p: usize, rounds: usize) -> FaultPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[expect(clippy::disallowed_methods, reason = "holds each engine to the reference loop")]
     #[test]
     fn every_engine_reads_what_the_copy_loop_delivered(
         tree in arb_machine(),
@@ -192,6 +200,7 @@ proptest! {
 /// A kept simulator reads in place from arenas an earlier run wrote:
 /// run after run of different programs, what every rank reads is what a
 /// fresh engine's ranks read.
+#[expect(clippy::disallowed_methods, reason = "compares kept and fresh engines")]
 #[test]
 fn a_kept_simulator_reads_what_a_fresh_one_does() {
     let tree = Arc::new(

@@ -146,6 +146,7 @@ fn pull_machine() -> impl Strategy<Value = MachineTree> {
 /// `prog` under `plan` on the simulator and on the threaded runtime
 /// with either barrier: every rank's inboxes and the model time, to the
 /// bit. Returns what the ranks saw.
+#[expect(clippy::disallowed_methods, reason = "compares the engines themselves")]
 fn pulled_like_the_simulator(
     tree: &Arc<MachineTree>,
     prog: &PullProgram,
@@ -199,6 +200,7 @@ proptest! {
         pulled_like_the_simulator(&tree, &prog, &plan)?;
     }
 
+    #[expect(clippy::disallowed_methods, reason = "compares the engines themselves")]
     #[test]
     fn virtual_time_and_states_match(
         tree in arb_machine(),
@@ -233,6 +235,7 @@ proptest! {
     /// fan-outs, payloads, work): the two engines must agree on every
     /// observable — states, total time, per-proc finish times, per-step
     /// h-relations, and delivered-message counts.
+    #[expect(clippy::disallowed_methods, reason = "compares the engines themselves")]
     #[test]
     fn random_programs_agree_across_engines(
         tree in arb_machine(),
@@ -263,6 +266,7 @@ proptest! {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "compares the engines themselves")]
     #[test]
     fn simulator_is_deterministic(tree in arb_machine(), rounds in 1usize..5) {
         let tree = Arc::new(tree);
