@@ -180,18 +180,23 @@ fn main() {
         });
         let win = adaptive.total_time < static_arm.total_time;
         if json {
-            use hbsp_obs::json::escape;
+            use hbsp_obs::json::{record, Field::*};
             println!(
-                "{{\"kind\":\"adapt\",\"machine\":\"{}\",\"engine\":\"{name}\",\
-                 \"collective\":\"{}\",\"rounds\":{rounds},\"window\":{window},\
-                 \"threshold\":{threshold},\"adaptive_time\":{},\"static_time\":{},\
-                 \"replans\":{},\"segments\":{},\"win\":{win}}}",
-                escape(&machine),
-                collective.name(),
-                adaptive.total_time,
-                static_arm.total_time,
-                adaptive.replans,
-                adaptive.segments
+                "{}",
+                record(&[
+                    ("kind", Str("adapt")),
+                    ("machine", Str(&machine)),
+                    ("engine", Str(name)),
+                    ("collective", Str(collective.name())),
+                    ("rounds", Int(rounds as u64)),
+                    ("window", Int(window as u64)),
+                    ("threshold", Num(threshold)),
+                    ("adaptive_time", Num(adaptive.total_time)),
+                    ("static_time", Num(static_arm.total_time)),
+                    ("replans", Int(adaptive.replans as u64)),
+                    ("segments", Int(adaptive.segments as u64)),
+                    ("win", Bool(win)),
+                ])
             );
         } else {
             println!(

@@ -355,20 +355,25 @@ fn main() {
             }
             dumped += rec.dumps.len();
             if json {
-                use hbsp_obs::json::escape;
-                let (outcome, viol) = match &rec.violation {
-                    Some(v) => ("violation", format!(",\"violation\":\"{}\"", escape(v))),
-                    None => ("ok", String::new()),
-                };
-                println!(
-                    "{{\"kind\":\"chaos\",\"machine\":\"{}\",\"seed\":{s},\
-                     \"plan\":\"{shape}\",\"outcome\":\"{outcome}\"{viol},\
-                     \"recovery_events\":{},\"attempts\":{},\"steps\":{}}}",
-                    escape(file),
-                    rec.recovery_events,
-                    rec.attempts,
-                    rec.steps
-                );
+                use hbsp_obs::json::{record, Field::*};
+                let mut fields = vec![
+                    ("kind", Str("chaos")),
+                    ("machine", Str(file)),
+                    ("seed", Int(s)),
+                    ("plan", Str(shape)),
+                ];
+                match &rec.violation {
+                    Some(v) => {
+                        fields.extend([("outcome", Str("violation")), ("violation", Str(v))])
+                    }
+                    None => fields.push(("outcome", Str("ok"))),
+                }
+                fields.extend([
+                    ("recovery_events", Int(rec.recovery_events as u64)),
+                    ("attempts", Int(rec.attempts as u64)),
+                    ("steps", Int(rec.steps as u64)),
+                ]);
+                println!("{}", record(&fields));
             }
             if let Some(v) = rec.violation {
                 eprintln!("{file}: seed {s} ({shape}): VIOLATION: {v}");

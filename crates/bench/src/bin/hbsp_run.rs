@@ -132,15 +132,18 @@ fn parse_options(args: &[String]) -> Options {
 
 /// One machine-readable line (the JSONL record for `--json`).
 fn report_json(machine: &str, op: &str, sim: &SimOutcome) {
-    use hbsp_obs::json::{escape, num};
+    use hbsp_obs::json::{record, Field::*};
     println!(
-        "{{\"kind\":\"run\",\"machine\":\"{}\",\"operation\":\"{}\",\
-         \"outcome\":\"ok\",\"model_time\":{},\"steps\":{},\"messages\":{}}}",
-        escape(machine),
-        escape(op),
-        num(sim.total_time),
-        sim.num_steps(),
-        sim.messages_delivered
+        "{}",
+        record(&[
+            ("kind", Str("run")),
+            ("machine", Str(machine)),
+            ("operation", Str(op)),
+            ("outcome", Str("ok")),
+            ("model_time", Num(sim.total_time)),
+            ("steps", Int(sim.num_steps() as u64)),
+            ("messages", Int(sim.messages_delivered)),
+        ])
     );
 }
 

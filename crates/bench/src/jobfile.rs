@@ -21,6 +21,7 @@
 //! reports at run time — the point of the static check is to say so
 //! *before* anything runs, with a line number).
 
+use hbsp_check::{verify_dag, Violation};
 use hbsp_sched::{CollectiveKind, Job, JobId, JobWork};
 use std::fmt;
 
@@ -112,91 +113,48 @@ fn parse_line(line: &str) -> Result<Job, String> {
 
 /// Graph-level validation: unknown dependency ids, zero-word payloads,
 /// and dependency cycles, each reported against the offending line.
+/// The graph checks are [`hbsp_check::verify_dag`]'s — the ones the
+/// scheduler runs before it admits anything — mapped to file lines.
 pub fn validate(jobs: &[ParsedJob]) -> Vec<JobfileError> {
-    let mut errors = Vec::new();
-    for (id, pj) in jobs.iter().enumerate() {
-        if let JobWork::Collective { n: 0, .. } = pj.job.work {
-            errors.push(JobfileError {
-                line: pj.line,
-                message: format!(
-                    "job {id} `{}`: zero-word payload (n=0 moves nothing)",
-                    pj.job.name
-                ),
-            });
+    let at = |id: usize, message: String| JobfileError {
+        line: jobs.get(id).map_or(0, |pj| pj.line),
+        message,
+    };
+    let name = |id: usize| jobs.get(id).map_or("", |pj| pj.job.name.as_str());
+    let mut errors: Vec<JobfileError> = (jobs.iter().enumerate())
+        .filter(|(_, pj)| matches!(pj.job.work, JobWork::Collective { n: 0, .. }))
+        .map(|(id, pj)| {
+            let msg = format!(
+                "job {id} `{}`: zero-word payload (n=0 moves nothing)",
+                pj.job.name
+            );
+            at(id, msg)
+        })
+        .collect();
+    let edges: Vec<(usize, usize)> = (jobs.iter().enumerate())
+        .flat_map(|(id, pj)| pj.job.blocked_by.iter().map(move |dep| (id, dep.0)))
+        .collect();
+    errors.extend(verify_dag(jobs.len(), &edges).into_iter().map(|v| match v {
+        Violation::DependencyOutOfRange { job, dep, num_jobs } => at(
+            job,
+            format!(
+                "job {job} `{}`: dependency on unknown job id {dep} (only {num_jobs} jobs)",
+                name(job)
+            ),
+        ),
+        Violation::SelfDependency { job } => {
+            at(job, format!("job {job} `{}`: depends on itself", name(job)))
         }
-        for dep in &pj.job.blocked_by {
-            if dep.0 >= jobs.len() {
-                errors.push(JobfileError {
-                    line: pj.line,
-                    message: format!(
-                        "job {id} `{}`: dependency on unknown job id {} (only {} jobs)",
-                        pj.job.name,
-                        dep.0,
-                        jobs.len()
-                    ),
-                });
-            } else if dep.0 == id {
-                errors.push(JobfileError {
-                    line: pj.line,
-                    message: format!("job {id} `{}`: depends on itself", pj.job.name),
-                });
-            }
+        Violation::DependencyCycle { cycle } => {
+            // Reported at the job whose edge closes the cycle.
+            let last = cycle.last().copied().unwrap_or_default();
+            let walk: Vec<String> = (cycle.iter().chain(cycle.first()))
+                .map(|&j| format!("{j} `{}`", name(j)))
+                .collect();
+            at(last, format!("dependency cycle: {}", walk.join(" -> ")))
         }
-    }
-    // Cycle detection over the in-range edges (out-of-range ids were
-    // reported above). Iterative DFS with tricolor marking.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut marks = vec![Mark::White; jobs.len()];
-    for start in 0..jobs.len() {
-        if marks[start] != Mark::White {
-            continue;
-        }
-        // Stack of (node, next-dep-index) frames.
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        marks[start] = Mark::Grey;
-        while !stack.is_empty() {
-            let frame = stack.len() - 1;
-            let (node, next) = stack[frame];
-            let deps = &jobs[node].job.blocked_by;
-            if next >= deps.len() {
-                marks[node] = Mark::Black;
-                stack.pop();
-                continue;
-            }
-            stack[frame].1 += 1;
-            let dep = deps[next].0;
-            if dep >= jobs.len() || dep == node {
-                continue; // reported above
-            }
-            match marks[dep] {
-                Mark::White => {
-                    marks[dep] = Mark::Grey;
-                    stack.push((dep, 0));
-                }
-                Mark::Grey => {
-                    let cycle: Vec<String> = stack
-                        .iter()
-                        .skip_while(|(n, _)| *n != dep)
-                        .map(|(n, _)| format!("{n} `{}`", jobs[*n].job.name))
-                        .collect();
-                    errors.push(JobfileError {
-                        line: jobs[node].line,
-                        message: format!(
-                            "dependency cycle: {} -> {dep} `{}`",
-                            cycle.join(" -> "),
-                            jobs[dep].job.name
-                        ),
-                    });
-                }
-                Mark::Black => {}
-            }
-        }
-    }
+        other => at(0, other.to_string()),
+    }));
     errors.sort_by_key(|e| e.line);
     errors
 }

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `hbsp_run`, `hbsp_experiments`, `hbsp_chaos`,
-//! and `hbsp_postmortem` CLI binaries.
+//! `hbsp_adapt` and `hbsp_postmortem` CLI binaries.
 
 use std::process::Command;
 
@@ -276,5 +276,54 @@ fn all_operations_run_on_a_machine_file() {
         let (stdout, stderr, ok) = run(&[machine, op, "--kb", "5"]);
         assert!(ok, "{op} failed: {stderr}");
         assert!(stdout.contains("model time"), "{op}: {stdout}");
+    }
+}
+
+/// Every `--json` line of `hbsp_run`, `hbsp_chaos` and `hbsp_adapt`
+/// is one JSON object, whatever values it carries: an infinite
+/// `--threshold` is written as `null`.
+#[test]
+fn every_json_record_parses_as_json() {
+    use hbsp_obs::json::{parse, Value};
+    let campus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/campus.hbsp");
+    let runs: [(&str, &[&str]); 3] = [
+        (
+            env!("CARGO_BIN_EXE_hbsp_run"),
+            &[campus, "gather", "--kb", "5", "--json"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_chaos"),
+            &[
+                "--seed", "3", "--runs", "4", "--ramps", "1", "--json", campus,
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_adapt"),
+            &[
+                campus,
+                "--engine",
+                "sim",
+                "--rounds",
+                "4",
+                "--threshold",
+                "inf",
+                "--json",
+            ],
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {stdout}");
+        let records: Vec<Value> = (stdout.lines())
+            .map(|line| parse(line).unwrap_or_else(|e| panic!("{args:?}: {line}: {e}")))
+            .collect();
+        assert!(!records.is_empty(), "{args:?} printed no record");
+        for r in &records {
+            assert!(r.get("kind").and_then(Value::as_str).is_some(), "{r:?}");
+            if r.get("kind") == Some(&Value::Str("adapt".to_string())) {
+                assert_eq!(r.get("threshold"), Some(&Value::Null), "{r:?}");
+            }
+        }
     }
 }

@@ -26,74 +26,110 @@ use hbsp_core::{MachineTree, NodeIdx};
 /// edges to nonexistent jobs, and cycles.
 ///
 /// `deps` lists edges `(job, dep)` meaning `job` is blocked by `dep`.
-/// Cycle detection runs on the well-formed subset of edges (Kahn's
-/// algorithm); if jobs remain unpeeled, one concrete cycle is reported
-/// in a deterministic order (starting from the smallest trapped job id,
-/// following the smallest trapped successor).
+/// Cycles are looked for on the well-formed subset of edges: each
+/// strongly connected component of more than one job (Tarjan's
+/// algorithm) is reported as one concrete cycle, so two disjoint cycles
+/// give two violations. A cycle is where a walk from its component's
+/// smallest job, following the smallest successor inside the
+/// component, first repeats a job; cycles come sorted.
 pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut blocked_by = vec![Vec::new(); num_jobs];
     for &(job, dep) in deps {
-        if job >= num_jobs {
+        if job >= num_jobs || dep >= num_jobs {
             out.push(Violation::DependencyOutOfRange { job, dep, num_jobs });
-            continue;
-        }
-        if dep >= num_jobs {
-            out.push(Violation::DependencyOutOfRange { job, dep, num_jobs });
-            continue;
-        }
-        if job == dep {
+        } else if job == dep {
             out.push(Violation::SelfDependency { job });
+        } else {
+            blocked_by[job].push(dep);
+        }
+    }
+    for b in &mut blocked_by {
+        b.sort_unstable();
+    }
+    let components = cyclic_components(&blocked_by);
+    let mut comp = vec![usize::MAX; num_jobs];
+    for (c, members) in components.iter().enumerate() {
+        members.iter().for_each(|&m| comp[m] = c);
+    }
+    let mut seen_at = vec![usize::MAX; num_jobs];
+    let mut cycles: Vec<Vec<usize>> = (components.iter().enumerate())
+        .map(|(c, members)| {
+            // Every member waits on another member, so the walk stays
+            // inside the component until it repeats a job.
+            let (mut path, mut cur) = (Vec::new(), members[0]);
+            loop {
+                if seen_at[cur] != usize::MAX {
+                    break path.split_off(seen_at[cur]);
+                }
+                seen_at[cur] = path.len();
+                path.push(cur);
+                match blocked_by[cur].iter().find(|&&d| comp[d] == c) {
+                    Some(&next) => cur = next,
+                    None => break path,
+                }
+            }
+        })
+        .collect();
+    cycles.sort_unstable();
+    out.extend(
+        cycles
+            .into_iter()
+            .map(|cycle| Violation::DependencyCycle { cycle }),
+    );
+    out
+}
+
+/// The strongly connected components of more than one node of the
+/// graph `succ`, each sorted (Tarjan's algorithm, iterative so that a
+/// long chain of jobs cannot overflow the stack).
+fn cyclic_components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let n = succ.len();
+    let (mut index, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0; n], vec![false; n]);
+    let (mut stack, mut frames, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    let mut next = 0;
+    for root in 0..n {
+        if index[root] != UNSEEN {
             continue;
         }
-        edges.push((job, dep));
-    }
-
-    // Kahn's algorithm: peel jobs whose prerequisites are all peeled.
-    // `succs[d]` lists the jobs blocked by `d`; `pending[j]` counts j's
-    // unpeeled prerequisites.
-    let mut succs = vec![Vec::new(); num_jobs];
-    let mut pending = vec![0usize; num_jobs];
-    for &(job, dep) in &edges {
-        succs[dep].push(job);
-        pending[job] += 1;
-    }
-    let mut ready: Vec<usize> = (0..num_jobs).filter(|&j| pending[j] == 0).collect();
-    while let Some(dep) = ready.pop() {
-        for &job in &succs[dep] {
-            pending[job] -= 1;
-            if pending[job] == 0 {
-                ready.push(job);
+        frames.push((root, 0));
+        while let Some(&(v, i)) = frames.last() {
+            if i == 0 {
+                (index[v], low[v]) = (next, next);
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ[v].get(i) {
+                let top = frames.len() - 1;
+                frames[top].1 += 1;
+                if index[w] == UNSEEN {
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let mut members = Vec::new();
+                while let Some(m) = stack.pop() {
+                    on_stack[m] = false;
+                    members.push(m);
+                    if m == v {
+                        break;
+                    }
+                }
+                if members.len() > 1 {
+                    members.sort_unstable();
+                    out.push(members);
+                }
             }
         }
-    }
-    // A job is left unpeeled exactly when it still waits on a
-    // prerequisite.
-    if let Some(start) = pending.iter().position(|&n| n > 0) {
-        // Every unpeeled job sits on or downstream of a cycle; walk
-        // `blocked_by` edges within the trapped set until a repeat.
-        let trapped: Vec<bool> = (0..num_jobs).map(|j| pending[j] > 0).collect();
-        let mut blocked_by = vec![Vec::new(); num_jobs];
-        for &(job, dep) in &edges {
-            if trapped[job] && trapped[dep] {
-                blocked_by[job].push(dep);
-            }
-        }
-        for b in &mut blocked_by {
-            b.sort_unstable();
-        }
-        let mut seen_at = vec![usize::MAX; num_jobs];
-        let mut path = Vec::new();
-        let mut cur = start;
-        let cycle = loop {
-            if seen_at[cur] != usize::MAX {
-                break path[seen_at[cur]..].to_vec();
-            }
-            seen_at[cur] = path.len();
-            path.push(cur);
-            cur = blocked_by[cur][0];
-        };
-        out.push(Violation::DependencyCycle { cycle });
     }
     out
 }
@@ -215,6 +251,15 @@ mod tests {
             }
             other => panic!("expected DependencyCycle, got {other:?}"),
         }
+        // Two disjoint cycles, 0 <-> 1 and 2 <-> 3: each is named.
+        let v = verify_dag(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+        assert_eq!(
+            v,
+            vec![
+                Violation::DependencyCycle { cycle: vec![0, 1] },
+                Violation::DependencyCycle { cycle: vec![2, 3] },
+            ]
+        );
     }
 
     #[test]

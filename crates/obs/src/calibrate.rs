@@ -148,8 +148,8 @@ fn fit_gl(steps: &[StepTrace]) -> Result<GlFit, String> {
     for st in steps {
         let mut row = vec![0.0f64; ncols];
         row[0] = st.hrelation;
-        if let Some(level) = st.barrier {
-            let idx = level_col.iter().position(|&l| l == level).unwrap();
+        // `level_col` is sorted and holds every barrier level.
+        if let Some(Ok(idx)) = st.barrier.map(|level| level_col.binary_search(&level)) {
             row[1 + idx] = 1.0;
         }
         rows.push(row);

@@ -8,10 +8,9 @@
 //! (`tid` = rank). All spans are complete (`"ph": "X"`) events sorted
 //! by `ts`, preceded by `"M"` metadata naming the tracks.
 
-use crate::json::{escape, num};
+use crate::json::{escape, num, write_record, Field, Field::*};
 use crate::record::{EventTrace, StepTrace};
-use crate::span::{causal_depth, CausalSpan, Span};
-use std::fmt::Write as _;
+use crate::span::{causal_depth, CausalSpan};
 
 /// Synthetic pid for the virtual-time timeline.
 pub const PID_VIRTUAL: u64 = 1;
@@ -32,27 +31,6 @@ struct XEvent {
     args: String,
 }
 
-fn push_span_events(
-    out: &mut Vec<XEvent>,
-    spans: &[Span],
-    pid: u64,
-    tid: usize,
-    step: usize,
-    scale: f64,
-) {
-    for span in spans {
-        out.push(XEvent {
-            name: span.kind.name().to_string(),
-            cat: "superstep",
-            ts: span.start * scale,
-            dur: span.duration() * scale,
-            pid,
-            tid,
-            args: format!("\"step\":{step}"),
-        });
-    }
-}
-
 /// Render recorded steps as a Chrome trace-event JSON document.
 pub fn chrome_trace(steps: &[StepTrace]) -> String {
     chrome_trace_with_causal(steps, &[])
@@ -68,24 +46,27 @@ pub fn chrome_trace_with_causal(steps: &[StepTrace], causal: &[CausalSpan]) -> S
 
     let mut events = Vec::new();
     for st in steps {
-        for pid in 0..st.procs() {
-            push_span_events(&mut events, &st.spans(pid), PID_VIRTUAL, pid, st.step, 1.0);
+        for tid in 0..st.procs() {
             // Wall marks are nanoseconds; trace ts is microseconds.
-            push_span_events(
-                &mut events,
-                &st.wall_spans(pid),
-                PID_WALL,
-                pid,
-                st.step,
-                1e-3,
-            );
+            let tracks = [
+                (st.spans(tid), PID_VIRTUAL, 1.0),
+                (st.wall_spans(tid), PID_WALL, 1e-3),
+            ];
+            for (spans, pid, scale) in tracks {
+                events.extend(spans.iter().map(|span| XEvent {
+                    name: span.kind.name().to_string(),
+                    cat: "superstep",
+                    ts: span.start * scale,
+                    dur: span.duration() * scale,
+                    pid,
+                    tid,
+                    args: format!("\"step\":{}", st.step),
+                }));
+            }
         }
     }
     for cs in causal {
-        let parent = match cs.parent {
-            Some(p) => p.to_string(),
-            None => "null".to_string(),
-        };
+        let parent = cs.parent.map_or("null".to_string(), |p| p.to_string());
         events.push(XEvent {
             name: format!("{}:{}", cs.kind.name(), cs.label),
             cat: "causal",
@@ -102,69 +83,35 @@ pub fn chrome_trace_with_causal(steps: &[StepTrace], causal: &[CausalSpan]) -> S
             .then(a.tid.cmp(&b.tid))
     });
 
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let meta = |out: &mut String, first: &mut bool, json: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&json);
-    };
-    meta(
-        &mut out,
-        &mut first,
-        format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_VIRTUAL},\"tid\":0,\
-             \"args\":{{\"name\":\"virtual time (model units as \\u00b5s)\"}}}}"
-        ),
-    );
+    // Metadata naming the process and thread tracks, then the spans.
+    let mut tracks = vec![(PID_VIRTUAL, "virtual time (model units as \\u00b5s)")];
     if has_wall {
-        meta(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_WALL},\"tid\":0,\
-                 \"args\":{{\"name\":\"wall clock\"}}}}"
-            ),
-        );
+        tracks.push((PID_WALL, "wall clock"));
     }
     if !causal.is_empty() {
-        meta(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_CAUSAL},\"tid\":0,\
-                 \"args\":{{\"name\":\"causal spans (batch > job > segment > superstep)\"}}}}"
-            ),
-        );
+        tracks.push((
+            PID_CAUSAL,
+            "causal spans (batch > job > segment > superstep)",
+        ));
     }
-    for pid in 0..procs {
-        meta(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_VIRTUAL},\"tid\":{pid},\
-                 \"args\":{{\"name\":\"P{pid}\"}}}}"
-            ),
-        );
-        if has_wall {
-            meta(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_WALL},\"tid\":{pid},\
-                     \"args\":{{\"name\":\"P{pid}\"}}}}"
-                ),
-            );
-        }
-    }
-    for e in &events {
-        meta(
-            &mut out,
-            &mut first,
+    let pids: &[u64] = if has_wall {
+        &[PID_VIRTUAL, PID_WALL]
+    } else {
+        &[PID_VIRTUAL]
+    };
+    let threads = (0..procs).flat_map(|tid| pids.iter().map(move |&pid| (pid, tid)));
+    let meta = |kind: &str, pid: u64, tid: usize, name: &str| {
+        format!(
+            "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        )
+    };
+    let processes = tracks
+        .iter()
+        .map(|&(pid, name)| meta("process_name", pid, 0, name));
+    let lines = processes
+        .chain(threads.map(|(pid, tid)| meta("thread_name", pid, tid, &format!("P{tid}"))))
+        .chain(events.iter().map(|e| {
             format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
@@ -175,173 +122,119 @@ pub fn chrome_trace_with_causal(steps: &[StepTrace], causal: &[CausalSpan]) -> S
                 e.pid,
                 e.tid,
                 e.args
-            ),
-        );
+            )
+        }));
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, line) in lines.enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&line);
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
 }
 
-fn jsonl_u64s(vals: &[u64]) -> String {
-    let items: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn jsonl_f64s(vals: &[f64]) -> String {
-    let items: Vec<String> = vals.iter().map(|v| num(*v)).collect();
-    format!("[{}]", items.join(","))
+/// Append `fields` as one JSONL line.
+pub(crate) fn jsonl_line(out: &mut String, fields: &[(&str, Field<'_>)]) {
+    write_record(out, fields);
+    out.push('\n');
 }
 
 /// Append one `"kind":"step"` JSONL line for `st`. Wall-clock fields
 /// are included only when `include_wall` is set — post-mortem bundles
 /// omit them so bundles compare bit-identically across engines.
 pub(crate) fn jsonl_step_line(out: &mut String, st: &StepTrace, include_wall: bool) {
-    let barrier = match st.barrier {
-        Some(l) => l.to_string(),
-        None => "null".to_string(),
-    };
-    let _ = write!(
-        out,
-        "{{\"kind\":\"step\",\"step\":{},\"barrier\":{},\"hrelation\":{},\
-         \"duration\":{},\"words\":{},\"messages\":{},\
-         \"starts\":{},\"compute_done\":{},\"send_done\":{},\"finish\":{},\"releases\":{},\
-         \"words_by_level\":{},\"messages_by_level\":{},\"work\":{},\"sent_words\":{}",
-        st.step,
-        barrier,
-        num(st.hrelation),
-        num(st.duration()),
-        st.total_words(),
-        st.total_messages(),
-        jsonl_f64s(st.starts()),
-        jsonl_f64s(st.compute_done()),
-        jsonl_f64s(st.send_done()),
-        jsonl_f64s(st.finish()),
-        jsonl_f64s(st.releases()),
-        jsonl_u64s(st.words_by_level()),
-        jsonl_u64s(st.messages_by_level()),
-        jsonl_f64s(st.work()),
-        jsonl_u64s(st.sent_words()),
-    );
-    if include_wall {
-        if let Some(w) = st.wall() {
-            let _ = write!(
-                out,
-                ",\"wall\":{{\"body_start_ns\":{},\"body_end_ns\":{},\"leader_done_ns\":{}}}",
-                jsonl_u64s(w.body_start_ns),
-                jsonl_u64s(w.body_end_ns),
-                w.leader_done_ns
-            );
-        }
-    }
-    out.push_str("}\n");
+    let wall = (st.wall().filter(|_| include_wall)).map(|w| {
+        [
+            ("body_start_ns", Ints(w.body_start_ns)),
+            ("body_end_ns", Ints(w.body_end_ns)),
+            ("leader_done_ns", Int(w.leader_done_ns)),
+        ]
+    });
+    let mut fields = vec![
+        ("kind", Str("step")),
+        ("step", Int(st.step as u64)),
+        ("barrier", st.barrier.map_or(Null, |l| Int(l as u64))),
+        ("hrelation", Num(st.hrelation)),
+        ("duration", Num(st.duration())),
+        ("words", Int(st.total_words())),
+        ("messages", Int(st.total_messages())),
+        ("starts", Nums(st.starts())),
+        ("compute_done", Nums(st.compute_done())),
+        ("send_done", Nums(st.send_done())),
+        ("finish", Nums(st.finish())),
+        ("releases", Nums(st.releases())),
+        ("words_by_level", Ints(st.words_by_level())),
+        ("messages_by_level", Ints(st.messages_by_level())),
+        ("work", Nums(st.work())),
+        ("sent_words", Ints(st.sent_words())),
+    ];
+    fields.extend(wall.as_ref().map(|w| ("wall", Obj(w))));
+    jsonl_line(out, &fields);
 }
 
 /// Append one `"kind":"event"` JSONL line for `ev`.
 pub(crate) fn jsonl_event_line(out: &mut String, ev: &EventTrace) {
-    match ev {
-        EventTrace::WatchdogFired { step, missing } => {
-            let pids: Vec<String> = missing.iter().map(|p| p.rank().to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"event\",\"event\":\"watchdog_fired\",\"step\":{},\
-                 \"missing\":[{}]}}",
-                step,
-                pids.join(",")
-            );
-        }
+    let ranks: Vec<u64> = match ev {
+        EventTrace::WatchdogFired { missing: pids, .. }
+        | EventTrace::Degraded { dead: pids, .. } => pids.iter().map(|p| p.rank() as u64).collect(),
+        _ => Vec::new(),
+    };
+    let (kind, int) = (("kind", Str("event")), |n: &usize| Int(*n as u64));
+    let fields = match ev {
+        EventTrace::WatchdogFired { step, .. } => vec![
+            kind,
+            ("event", Str("watchdog_fired")),
+            ("step", int(step)),
+            ("missing", Ints(&ranks)),
+        ],
         EventTrace::Degraded {
-            step,
-            dead,
-            remaining,
-        } => {
-            let pids: Vec<String> = dead.iter().map(|p| p.rank().to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"event\",\"event\":\"degraded\",\"step\":{},\"dead\":[{}],\
-                 \"remaining\":{}}}",
-                step,
-                pids.join(","),
-                remaining
-            );
-        }
-        EventTrace::RecoveryAttempt { attempt } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"event\",\"event\":\"recovery_attempt\",\"attempt\":{attempt}}}"
-            );
-        }
+            step, remaining, ..
+        } => vec![
+            kind,
+            ("event", Str("degraded")),
+            ("step", int(step)),
+            ("dead", Ints(&ranks)),
+            ("remaining", int(remaining)),
+        ],
+        EventTrace::RecoveryAttempt { attempt } => vec![
+            kind,
+            ("event", Str("recovery_attempt")),
+            ("attempt", int(attempt)),
+        ],
         EventTrace::Replan {
             segment,
             step,
             drift,
             strategy,
             predicted,
-        } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"event\",\"event\":\"replan\",\"segment\":{},\"step\":{},\
-                 \"drift\":{},\"strategy\":\"{}\",\"predicted\":{}}}",
-                segment,
-                step,
-                num(if drift.is_finite() { *drift } else { -1.0 }),
-                escape(strategy),
-                num(*predicted)
-            );
-        }
-        EventTrace::Anomaly {
-            step,
-            pid,
-            metric,
-            zscore,
-            value,
-            mean,
-        } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"event\",\"event\":\"anomaly\",\"step\":{},\"pid\":{},\
-                 \"metric\":\"{}\",\"zscore\":{},\"value\":{},\"mean\":{}}}",
-                step,
-                pid.rank(),
-                escape(metric),
-                num(*zscore),
-                num(*value),
-                num(*mean)
-            );
-        }
-    }
+        } => vec![
+            kind,
+            ("event", Str("replan")),
+            ("segment", int(segment)),
+            ("step", int(step)),
+            ("drift", Num(if drift.is_finite() { *drift } else { -1.0 })),
+            ("strategy", Str(strategy)),
+            ("predicted", Num(*predicted)),
+        ],
+    };
+    jsonl_line(out, &fields);
 }
 
 /// Append one `"kind":"metric"` JSONL line for `m`.
 pub(crate) fn jsonl_metric_line(out: &mut String, m: &crate::metrics::MetricSample) {
     use crate::metrics::MetricValue;
-    match &m.value {
-        MetricValue::Counter(v) => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"metric\",\"name\":\"{}\",\"type\":\"counter\",\"value\":{}}}",
-                escape(&m.name),
-                v
-            );
-        }
-        MetricValue::Gauge(v) => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"metric\",\"name\":\"{}\",\"type\":\"gauge\",\"value\":{}}}",
-                escape(&m.name),
-                num(*v)
-            );
-        }
-        MetricValue::Histogram { count, sum } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"metric\",\"name\":\"{}\",\"type\":\"histogram\",\
-                 \"count\":{},\"sum\":{}}}",
-                escape(&m.name),
-                count,
-                num(*sum)
-            );
-        }
-    }
+    let (kind, name) = (("kind", Str("metric")), ("name", Str(&m.name)));
+    let fields = match m.value {
+        MetricValue::Counter(v) => vec![kind, name, ("type", Str("counter")), ("value", Int(v))],
+        MetricValue::Histogram { count, sum } => vec![
+            kind,
+            name,
+            ("type", Str("histogram")),
+            ("count", Int(count)),
+            ("sum", Num(sum)),
+        ],
+    };
+    jsonl_line(out, &fields);
 }
 
 /// Render recorded steps, events, and metrics as JSONL: one
@@ -407,21 +300,13 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             .get("ph")
             .and_then(Value::as_str)
             .ok_or(format!("event {i} lacks a string \"ph\""))?;
-        let pid = obj
-            .get("pid")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} lacks a numeric \"pid\""))? as u64;
-        let tid = obj
-            .get("tid")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} lacks a numeric \"tid\""))? as u64;
+        let num_at = |key: &str| obj.get(key).and_then(Value::as_f64);
+        let pid = num_at("pid").ok_or(format!("event {i} lacks a numeric \"pid\""))? as u64;
+        let tid = num_at("tid").ok_or(format!("event {i} lacks a numeric \"tid\""))? as u64;
         if ph == "M" {
             continue; // metadata is unordered and has no ts contract
         }
-        let ts = obj
-            .get("ts")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} ({ph}) lacks a numeric \"ts\""))?;
+        let ts = num_at("ts").ok_or(format!("event {i} ({ph}) lacks a numeric \"ts\""))?;
         if let Some(prev) = last_ts {
             if ts < prev {
                 return Err(format!(
@@ -432,10 +317,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
         last_ts = Some(ts);
         match ph {
             "X" => {
-                let dur = obj
-                    .get("dur")
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("X event {i} lacks a numeric \"dur\""))?;
+                let dur = num_at("dur").ok_or(format!("X event {i} lacks a numeric \"dur\""))?;
                 if dur < 0.0 {
                     return Err(format!("X event {i} has negative dur {dur}"));
                 }

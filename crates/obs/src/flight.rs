@@ -4,17 +4,15 @@
 //! where telemetry must be bounded and cheap enough to never turn off.
 //! This name keeps a ring of the last `capacity` supersteps (zero
 //! allocation and zero lock acquisition on the hot path once armed) and
-//! counters instead of histograms, and runs the streaming
-//! [anomaly detector](crate::anomaly). Everything else — the store, the
+//! counters instead of histograms. Everything else — the store, the
 //! readers, [`Recorder::bundle`] on a fault — is the recorder's own,
 //! reached through `Deref`.
 
-use crate::anomaly::AnomalyConfig;
 use crate::probe::{ObsEvent, Probe, StepRecord};
 use crate::record::{Recorder, StepTrace};
 
-/// The always-on probe: a [`Recorder`] built as a ring with the
-/// detector on. See the module docs.
+/// The always-on probe: a [`Recorder`] built as a ring. See the module
+/// docs.
 pub struct FlightRecorder(Recorder);
 
 impl Default for FlightRecorder {
@@ -32,11 +30,6 @@ impl FlightRecorder {
     /// Recorder keeping the last `capacity` supersteps (min 1).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         FlightRecorder(Recorder::flight().keep_last(capacity))
-    }
-
-    /// Override the anomaly detector knobs (before arming).
-    pub fn anomaly_config(self, cfg: AnomalyConfig) -> FlightRecorder {
-        FlightRecorder(self.0.anomaly_config(cfg))
     }
 
     /// The retained step records, oldest surviving first:
@@ -72,13 +65,8 @@ impl Probe for FlightRecorder {
 mod tests {
     use super::*;
     use crate::probe::StepWall;
-    use crate::record::EventTrace;
 
-    fn feed(fr: &Recorder, step: usize, t0: f64, skew: f64) {
-        feed_wall(fr, step, t0, skew, None);
-    }
-
-    fn feed_wall(fr: &Recorder, step: usize, t0: f64, skew: f64, wall: Option<StepWall<'_>>) {
+    fn feed(fr: &Recorder, step: usize, t0: f64, skew: f64, wall: Option<StepWall<'_>>) {
         let finish = [t0 + 5.0, t0 + 5.0 + skew];
         fr.on_step(&StepRecord {
             step,
@@ -102,7 +90,7 @@ mod tests {
         let fr = FlightRecorder::with_capacity(4);
         fr.arm(2, 2);
         for s in 0..10 {
-            feed(&fr, s, s as f64 * 10.0, 0.1 * (s % 3) as f64);
+            feed(&fr, s, s as f64 * 10.0, 0.1 * (s % 3) as f64, None);
         }
         assert_eq!(fr.recorded(), 10);
         let steps = fr.snapshot();
@@ -127,8 +115,8 @@ mod tests {
         let rec = Recorder::new();
         fr.arm(2, 2);
         for s in 0..12 {
-            feed(&fr, s, s as f64 * 10.0, 0.1 * (s % 3) as f64);
-            feed(&rec, s, s as f64 * 10.0, 0.1 * (s % 3) as f64);
+            feed(&fr, s, s as f64 * 10.0, 0.1 * (s % 3) as f64, None);
+            feed(&rec, s, s as f64 * 10.0, 0.1 * (s % 3) as f64, None);
         }
         assert_eq!(fr.snapshot(), rec.steps());
     }
@@ -137,37 +125,10 @@ mod tests {
     fn oversized_machines_are_clipped_not_corrupted() {
         let fr = FlightRecorder::with_capacity(8);
         fr.arm(1, 1);
-        feed(&fr, 0, 0.0, 0.0); // 2 procs > armed 1
+        feed(&fr, 0, 0.0, 0.0, None); // 2 procs > armed 1
         assert_eq!(fr.recorded(), 0);
         assert!(fr.snapshot().is_empty());
         assert!(fr.metrics_text().contains("hbsp_flight_clipped_total 1\n"));
-    }
-
-    #[test]
-    fn straggler_trips_the_online_detector() {
-        let fr = FlightRecorder::with_capacity(64).anomaly_config(AnomalyConfig {
-            threshold: 3.0,
-            warmup: 4,
-        });
-        fr.arm(2, 2);
-        for s in 0..20 {
-            feed(&fr, s, s as f64 * 10.0, 0.1 * (s % 3) as f64);
-        }
-        feed(&fr, 20, 200.0, 50.0); // P1 suddenly 50 units late
-        let events = fr.events();
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, EventTrace::Anomaly { pid, .. } if pid.rank() == 1)),
-            "{events:?}"
-        );
-        let text = fr.metrics_text();
-        assert!(text.contains("hbsp_anomaly_events_total"), "{text}");
-        let total: u64 = events
-            .iter()
-            .filter(|e| matches!(e, EventTrace::Anomaly { .. }))
-            .count() as u64;
-        assert!(text.contains(&format!("hbsp_anomaly_events_total {total}\n")));
     }
 
     #[test]
@@ -179,7 +140,7 @@ mod tests {
             body_end_ns: &[900, 950],
             leader_done_ns: 1200,
         };
-        feed_wall(&fr, 0, 0.0, 0.0, Some(wall));
+        feed(&fr, 0, 0.0, 0.0, Some(wall));
         let steps = fr.snapshot();
         let kept = steps[0].wall().expect("wall retained");
         assert_eq!(kept.body_start_ns, wall.body_start_ns);

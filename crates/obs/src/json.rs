@@ -1,6 +1,6 @@
-//! Minimal JSON support: string escaping, number formatting, and a
-//! recursive-descent parser — enough to emit and validate trace files
-//! without external dependencies (the build environment is offline).
+//! Minimal JSON support: string escaping, number formatting, the one
+//! JSONL record writer ([`write_record`]) and a recursive-descent parser,
+//! with no external dependencies (the build environment is offline).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,6 +33,65 @@ pub fn num(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// One value of a [`record`], borrowed from the caller.
+#[derive(Debug, Clone, Copy)]
+pub enum Field<'a> {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A whole number, written as is.
+    Int(u64),
+    /// A number, written through [`num`] (non-finite becomes `null`).
+    Num(f64),
+    /// A string, written through [`escape`].
+    Str(&'a str),
+    /// An array of whole numbers.
+    Ints(&'a [u64]),
+    /// An array of numbers, each written through [`num`].
+    Nums(&'a [f64]),
+    /// A nested object, keys in the given order.
+    Obj(&'a [(&'a str, Field<'a>)]),
+}
+
+/// Append `fields` to `out` as one JSON object, keys in the given order:
+/// the one writer behind every JSONL record — the recorder's export,
+/// post-mortem bundles and the CLIs' `--json` lines — so each line is
+/// valid JSON whatever values it carries.
+pub fn write_record(out: &mut String, fields: &[(&str, Field<'_>)]) {
+    fn list<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+        out.push('[');
+        for (i, v) in items.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            item(out, v);
+        }
+        out.push(']');
+    }
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\"{}\":", escape(key));
+        match *value {
+            Field::Null => out.push_str("null"),
+            Field::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            Field::Int(v) => out.push_str(&v.to_string()),
+            Field::Num(v) => out.push_str(&num(v)),
+            Field::Str(s) => out.push_str(&format!("\"{}\"", escape(s))),
+            Field::Ints(vs) => list(out, vs, |out, v| out.push_str(&v.to_string())),
+            Field::Nums(vs) => list(out, vs, |out, &v| out.push_str(&num(v))),
+            Field::Obj(fields) => write_record(out, fields),
+        }
+    }
+    out.push('}');
+}
+
+/// [`write_record`] into a new string: one `--json` line.
+pub fn record(fields: &[(&str, Field<'_>)]) -> String {
+    let mut out = String::new();
+    write_record(&mut out, fields);
+    out
 }
 
 /// A parsed JSON value. Object keys keep only the last duplicate.
@@ -234,7 +293,9 @@ impl Parser<'_> {
                 Some(_) => {
                     // Consume one UTF-8 scalar: `pos` only ever advances
                     // over whole scalars, so it is on a boundary.
-                    let ch = self.text[self.pos..].chars().next().expect("peeked");
+                    let Some(ch) = self.text[self.pos..].chars().next() else {
+                        return Err("unterminated string".to_string());
+                    };
                     if (ch as u32) < 0x20 {
                         return Err(format!("raw control char at byte {}", self.pos));
                     }
@@ -268,7 +329,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Only ASCII bytes were consumed, so both ends are boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -341,6 +403,28 @@ mod tests {
         assert_eq!(num(1.5), "1.5");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn record_keeps_key_order_and_stays_valid_json() {
+        use Field::*;
+        let wall = [("n", Ints(&[1, 2])), ("x", Nums(&[0.5, f64::NAN]))];
+        let line = record(&[
+            ("kind", Str("run")),
+            ("machine", Str("a \"b\"")),
+            ("threshold", Num(f64::INFINITY)),
+            ("steps", Int(7)),
+            ("win", Bool(false)),
+            ("parent", Null),
+            ("wall", Obj(&wall)),
+        ]);
+        let want = r#"{"kind":"run","machine":"a \"b\"","threshold":null,"steps":7,"#;
+        let want = format!(
+            "{want}\"win\":false,\"parent\":null,\"wall\":{{\"n\":[1,2],\"x\":[0.5,null]}}}}"
+        );
+        assert_eq!(line, want);
+        assert_eq!(parse(&line).unwrap().get("win"), Some(&Value::Bool(false)));
+        assert_eq!(record(&[]), "{}");
     }
 
     #[test]

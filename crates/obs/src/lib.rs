@@ -28,9 +28,9 @@
 //!   of the scheduler's causal tree, rendered by
 //!   [`chrome_trace_with_causal`] like every other span.
 //! * **[`FlightRecorder`]** — the same recorder built always-on: a
-//!   lock-free, allocation-free ring of the last N step records plus
-//!   the streaming [`anomaly`] detector, cheap enough to leave armed
-//!   in production. On a fault it freezes into a [`PostmortemBundle`]
+//!   lock-free, allocation-free ring of the last N step records with
+//!   counters instead of histograms, cheap enough to leave armed in
+//!   production. On a fault it freezes into a [`PostmortemBundle`]
 //!   — machine tree, fault plan, last-N steps, events, decision log,
 //!   metrics, and the causal span tree — serialized as JSONL and
 //!   bit-identical across engines for the same seeded failure.
@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod anomaly;
 pub mod calibrate;
 pub mod drift;
 pub mod export;
@@ -54,10 +53,6 @@ pub mod probe;
 pub mod record;
 pub mod span;
 
-pub use anomaly::{
-    welford_update, zscore, AnomalyConfig, AnomalyDetector, METRIC_BARRIER_SKEW,
-    METRIC_DURATION_DRIFT,
-};
 pub use calibrate::{
     calibrate, calibrate_robust, proc_estimates, Calibration, ProcEstimates, RobustCalibration,
 };
@@ -67,7 +62,7 @@ pub use export::{
 };
 pub use flight::FlightRecorder;
 pub use jobs::JobMetrics;
-pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, Registry};
+pub use metrics::{Counter, Histogram, MetricSample, MetricValue, Registry};
 pub use postmortem::{PostmortemBundle, BUNDLE_VERSION};
 pub use probe::{noop, NoopProbe, ObsEvent, Probe, StepRecord, StepWall};
 pub use record::{check_span_invariants, EventTrace, Recorder, StepTrace, StepsSince};

@@ -1,4 +1,4 @@
-//! Lock-free metrics: counters, gauges, and log₂ histograms.
+//! Lock-free metrics: counters and log₂ histograms.
 //!
 //! Every cell is a single atomic, so recording from the threaded
 //! engine's leader section (or from `lock_anyway`'s poison-recovery
@@ -26,28 +26,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins float gauge (f64 stored as bits).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Set the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -165,8 +143,6 @@ impl Histogram {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
     /// Histogram summary.
     Histogram {
         /// Observation count.
@@ -190,16 +166,12 @@ pub struct MetricSample {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
     histograms: Vec<(String, Histogram)>,
 }
 
 /// Handle to a registered [`Counter`].
 #[derive(Debug, Clone, Copy)]
 pub struct CounterId(usize);
-/// Handle to a registered [`Gauge`].
-#[derive(Debug, Clone, Copy)]
-pub struct GaugeId(usize);
 /// Handle to a registered [`Histogram`].
 #[derive(Debug, Clone, Copy)]
 pub struct HistogramId(usize);
@@ -216,12 +188,6 @@ impl Registry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Register a gauge (construction time only).
-    pub fn gauge(&mut self, name: impl Into<String>) -> GaugeId {
-        self.gauges.push((name.into(), Gauge::default()));
-        GaugeId(self.gauges.len() - 1)
-    }
-
     /// Register a histogram (construction time only).
     pub fn histogram(&mut self, name: impl Into<String>) -> HistogramId {
         self.histograms.push((name.into(), Histogram::default()));
@@ -231,11 +197,6 @@ impl Registry {
     /// Access a registered counter.
     pub fn c(&self, id: CounterId) -> &Counter {
         &self.counters[id.0].1
-    }
-
-    /// Access a registered gauge.
-    pub fn g(&self, id: GaugeId) -> &Gauge {
-        &self.gauges[id.0].1
     }
 
     /// Access a registered histogram.
@@ -250,12 +211,6 @@ impl Registry {
             out.push(MetricSample {
                 name: name.clone(),
                 value: MetricValue::Counter(c.get()),
-            });
-        }
-        for (name, g) in &self.gauges {
-            out.push(MetricSample {
-                name: name.clone(),
-                value: MetricValue::Gauge(g.get()),
             });
         }
         for (name, h) in &self.histograms {
@@ -279,9 +234,6 @@ pub fn render_text(samples: &[MetricSample]) -> String {
     for s in samples {
         match s.value {
             MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{} {}", s.name, v);
-            }
-            MetricValue::Gauge(v) => {
                 let _ = writeln!(out, "{} {}", s.name, v);
             }
             MetricValue::Histogram { count, sum } => {
@@ -321,15 +273,10 @@ mod tests {
     fn counter_and_gauge_roundtrip() {
         let mut r = Registry::new();
         let c = r.counter("hbsp_steps_total");
-        let g = r.gauge("hbsp_hrelation_last");
         r.c(c).add(3);
         r.c(c).inc();
-        r.g(g).set(42.5);
         assert_eq!(r.c(c).get(), 4);
-        assert_eq!(r.g(g).get(), 42.5);
-        let snap = r.snapshot();
-        assert_eq!(snap[0].value, MetricValue::Counter(4));
-        assert_eq!(snap[1].value, MetricValue::Gauge(42.5));
+        assert_eq!(r.snapshot()[0].value, MetricValue::Counter(4));
     }
 
     #[test]

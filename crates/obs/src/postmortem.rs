@@ -14,15 +14,14 @@
 //! cross-engine conformance check, not noise.
 
 use crate::export::{
-    chrome_trace_with_causal, jsonl_event_line, jsonl_metric_line, jsonl_step_line,
+    chrome_trace_with_causal, jsonl_event_line, jsonl_line, jsonl_metric_line, jsonl_step_line,
 };
-use crate::json::{escape, num, parse as json_parse, Value};
+use crate::json::{parse as json_parse, Field::*, Value};
 use crate::metrics::{MetricSample, MetricValue};
 use crate::probe::StepRecord;
 use crate::record::{check_span_invariants, EventTrace, StepTrace};
 use crate::span::{check_causal_spans, CausalKind, CausalSpan};
 use hbsp_core::{Level, ProcId};
-use std::fmt::Write as _;
 
 /// Serialization format version (the header line carries it).
 pub const BUNDLE_VERSION: u64 = 1;
@@ -43,8 +42,8 @@ pub struct PostmortemBundle {
     pub fault_plan: String,
     /// Last-N step records from the flight recorder's ring.
     pub steps: Vec<StepTrace>,
-    /// Out-of-band events (watchdog, degrade, recovery, replan,
-    /// anomaly), oldest first.
+    /// Out-of-band events (watchdog, degrade, recovery, replan),
+    /// oldest first.
     pub events: Vec<EventTrace>,
     /// Adaptive controller decision log; empty for static runs.
     pub decision_log: String,
@@ -61,30 +60,23 @@ impl PostmortemBundle {
     /// bit-identical across engines for the same virtual execution.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"postmortem\",\"version\":{},\"reason\":\"{}\",\
-             \"engine\":\"{}\",\"step\":{}}}",
-            BUNDLE_VERSION,
-            escape(&self.reason),
-            escape(&self.engine),
-            self.step
+        jsonl_line(
+            &mut out,
+            &[
+                ("kind", Str("postmortem")),
+                ("version", Int(BUNDLE_VERSION)),
+                ("reason", Str(&self.reason)),
+                ("engine", Str(&self.engine)),
+                ("step", Int(self.step as u64)),
+            ],
         );
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"machine\",\"text\":\"{}\"}}",
-            escape(&self.machine)
-        );
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"fault_plan\",\"text\":\"{}\"}}",
-            escape(&self.fault_plan)
-        );
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"decision_log\",\"text\":\"{}\"}}",
-            escape(&self.decision_log)
-        );
+        for (kind, text) in [
+            ("machine", &self.machine),
+            ("fault_plan", &self.fault_plan),
+            ("decision_log", &self.decision_log),
+        ] {
+            jsonl_line(&mut out, &[("kind", Str(kind)), ("text", Str(text))]);
+        }
         for st in &self.steps {
             jsonl_step_line(&mut out, st, false);
         }
@@ -92,20 +84,17 @@ impl PostmortemBundle {
             jsonl_event_line(&mut out, ev);
         }
         for cs in &self.spans {
-            let parent = match cs.parent {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"span\",\"id\":{},\"parent\":{},\"span_kind\":\"{}\",\
-                 \"label\":\"{}\",\"start\":{},\"end\":{}}}",
-                cs.id,
-                parent,
-                cs.kind.name(),
-                escape(&cs.label),
-                num(cs.start),
-                num(cs.end)
+            jsonl_line(
+                &mut out,
+                &[
+                    ("kind", Str("span")),
+                    ("id", Int(cs.id as u64)),
+                    ("parent", cs.parent.map_or(Null, |p| Int(p as u64))),
+                    ("span_kind", Str(cs.kind.name())),
+                    ("label", Str(&cs.label)),
+                    ("start", Num(cs.start)),
+                    ("end", Num(cs.end)),
+                ],
             );
         }
         for m in &self.metrics {
@@ -386,14 +375,6 @@ fn parse_event(v: &Value) -> Result<EventTrace, String> {
             strategy: req_str(v, "strategy")?,
             predicted: req_f64(v, "predicted")?,
         },
-        "anomaly" => EventTrace::Anomaly {
-            step: req_int(v, "step")?,
-            pid: ProcId(req_int(v, "pid")?),
-            metric: req_str(v, "metric")?,
-            zscore: req_f64(v, "zscore")?,
-            value: req_f64(v, "value")?,
-            mean: req_f64(v, "mean")?,
-        },
         other => return Err(format!("unknown event {other:?}")),
     })
 }
@@ -416,7 +397,6 @@ fn parse_metric(v: &Value) -> Result<MetricSample, String> {
     let ty = req_str(v, "type")?;
     let value = match ty.as_str() {
         "counter" => MetricValue::Counter(req_int(v, "value")?),
-        "gauge" => MetricValue::Gauge(req_f64(v, "value")?),
         "histogram" => MetricValue::Histogram {
             count: req_int(v, "count")?,
             sum: req_f64(v, "sum")?,
@@ -480,24 +460,12 @@ mod tests {
                     strategy: "re-place".to_string(),
                     predicted: 42.5,
                 },
-                EventTrace::Anomaly {
-                    step: 1,
-                    pid: ProcId(1),
-                    metric: "barrier_skew".to_string(),
-                    zscore: 5.25,
-                    value: 9.0,
-                    mean: 0.5,
-                },
             ],
             decision_log: "segment 0: keep (drift 0.10)\n".to_string(),
             metrics: vec![
                 MetricSample {
                     name: "hbsp_steps_total".to_string(),
                     value: MetricValue::Counter(2),
-                },
-                MetricSample {
-                    name: "hbsp_anomaly_last_zscore".to_string(),
-                    value: MetricValue::Gauge(5.25),
                 },
                 MetricSample {
                     name: "hbsp_hrelation_observed".to_string(),
@@ -567,5 +535,15 @@ mod tests {
         let header = "{\"kind\":\"postmortem\",\"version\":1,\"reason\":\"r\",\
                       \"engine\":\"sim\",\"step\":0}";
         PostmortemBundle::parse(header).expect("bare header is a valid bundle");
+        // Retired lines: the anomaly event and the gauge metric kind.
+        for retired in [
+            "{\"kind\":\"event\",\"event\":\"anomaly\",\"step\":1,\"pid\":1,\
+             \"metric\":\"barrier_skew\",\"zscore\":5.25,\"value\":9,\"mean\":0.5}",
+            "{\"kind\":\"metric\",\"name\":\"hbsp_anomaly_last_zscore\",\
+             \"type\":\"gauge\",\"value\":5.25}",
+        ] {
+            let err = PostmortemBundle::parse(&format!("{header}\n{retired}")).unwrap_err();
+            assert!(err.starts_with("line 2: unknown"), "{err}");
+        }
     }
 }

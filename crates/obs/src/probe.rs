@@ -111,25 +111,6 @@ pub enum ObsEvent<'a> {
         /// Predicted virtual time of the re-planned remainder.
         predicted: f64,
     },
-    /// The streaming anomaly detector flagged a statistical outlier:
-    /// one processor's per-step statistic left its own trailing
-    /// distribution. Computed from virtual times only, so the stream
-    /// is bit-identical across engines.
-    Anomaly {
-        /// Superstep the outlier was observed at.
-        step: usize,
-        /// Flagged processor.
-        pid: ProcId,
-        /// Stable statistic name (`barrier_skew` or `duration_drift`).
-        metric: &'a str,
-        /// How many trailing standard deviations the observation sits
-        /// from the processor's trailing mean.
-        zscore: f64,
-        /// The observed value.
-        value: f64,
-        /// The trailing mean it was compared against.
-        mean: f64,
-    },
 }
 
 /// One observation interface for both engines.

@@ -8,7 +8,6 @@
 //! | | [`Recorder::new`] | [`crate::FlightRecorder::new`] |
 //! |---|---|---|
 //! | steps retained | all of them | the last 64 (`with_capacity(n)`) |
-//! | anomaly detector | off | on |
 //! | `hbsp_*` histograms, per-level counters | kept | not kept |
 //! | events retained | all of them | the first 1024 |
 //!
@@ -31,14 +30,13 @@
 //! seen so far and [`Recorder::steps_since`] copies only what arrived
 //! after a cursor ([`Recorder::steps`] is that call from zero).
 
-use crate::anomaly::{AnomalyConfig, AnomalyDetector, METRIC_BARRIER_SKEW};
-use crate::metrics::{self, CounterId, GaugeId, HistogramId, MetricSample, MetricValue, Registry};
+use crate::metrics::{self, CounterId, HistogramId, MetricSample, MetricValue, Registry};
 use crate::postmortem::PostmortemBundle;
 use crate::probe::{ObsEvent, Probe, StepRecord, StepWall};
 use crate::span::{Span, SpanKind};
 use hbsp_core::{Level, ProcId};
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Highest hierarchy level tracked with a dedicated per-level metric;
 /// deeper traffic still lands in the aggregate counters.
@@ -300,29 +298,13 @@ pub enum EventTrace {
         /// Predicted virtual time of the re-planned remainder.
         predicted: f64,
     },
-    /// The streaming anomaly detector flagged an outlier.
-    Anomaly {
-        /// Superstep the outlier was observed at.
-        step: usize,
-        /// Flagged processor.
-        pid: ProcId,
-        /// Statistic name (`barrier_skew` or `duration_drift`).
-        metric: String,
-        /// Signed z-score of the observation.
-        zscore: f64,
-        /// The observed value.
-        value: f64,
-        /// The trailing mean it was compared against.
-        mean: f64,
-    },
 }
 
 /// Steps a fresh [`crate::FlightRecorder`] retains.
 const FLIGHT_CAPACITY: usize = 64;
 
 /// Most events a flight recorder retains (events are fault-path only;
-/// the bound exists so a pathological anomaly storm cannot grow
-/// memory).
+/// the bound exists so a pathological event storm cannot grow memory).
 const EVENT_CAPACITY: usize = 1024;
 
 /// Header cells per arena slot (before the per-processor columns).
@@ -438,7 +420,6 @@ struct Metrics {
     degrade_events: CounterId,
     recovery_attempts: CounterId,
     adaptive_replans: CounterId,
-    anomaly_events: CounterId,
 }
 
 /// What the two constructors differ in besides retention.
@@ -461,17 +442,12 @@ struct FullMetrics {
     poison_base: u64,
 }
 
-/// [`crate::FlightRecorder::new`]: counters and one gauge only, the
-/// ring's own bookkeeping, a bounded event list and the streaming
-/// anomaly detector.
+/// [`crate::FlightRecorder::new`]: counters only, the ring's own
+/// bookkeeping and a bounded event list.
 struct FlightMetrics {
     overwrites: CounterId,
     clipped: CounterId,
     events_dropped: CounterId,
-    anomaly_skew: CounterId,
-    anomaly_drift: CounterId,
-    anomaly_last_z: GaugeId,
-    anomaly_cfg: AnomalyConfig,
 }
 
 /// The probe that records: owned [`StepTrace`]s, out-of-band
@@ -487,10 +463,8 @@ pub struct Recorder {
     /// a list. `grown` counts the segments after the first.
     tables: [OnceLock<Box<[OnceLock<Segment>]>>; TABLES],
     grown: AtomicUsize,
-    /// The flight profile's streaming detector, sized when armed.
-    detector: OnceLock<AnomalyDetector>,
-    /// Events are fault-path only (plus detector hits), so a lock is
-    /// fine here; `on_step` takes it only to report an anomaly.
+    /// Events are fault-path only, so a lock is fine here; `on_step`
+    /// never takes it.
     events: Mutex<Vec<EventTrace>>,
     registry: Registry,
     m: Metrics,
@@ -532,7 +506,7 @@ impl Recorder {
     }
 
     /// The recorder behind [`crate::FlightRecorder`]: a ring of the
-    /// last 64 steps with the streaming detector on.
+    /// last 64 steps with counters instead of histograms.
     pub(crate) fn flight() -> Recorder {
         let mut registry = Registry::new();
         let steps_total = registry.counter("hbsp_steps_total");
@@ -546,10 +520,6 @@ impl Recorder {
             overwrites,
             clipped,
             events_dropped,
-            anomaly_skew: registry.counter("hbsp_anomaly_barrier_skew_total"),
-            anomaly_drift: registry.counter("hbsp_anomaly_duration_drift_total"),
-            anomaly_last_z: registry.gauge("hbsp_anomaly_last_zscore"),
-            anomaly_cfg: AnomalyConfig::default(),
         };
         Recorder::build(Some(FLIGHT_CAPACITY), registry, m, Profile::Flight(profile))
     }
@@ -560,20 +530,11 @@ impl Recorder {
             head: AtomicU64::new(0),
             tables: [const { OnceLock::new() }; TABLES],
             grown: AtomicUsize::new(0),
-            detector: OnceLock::new(),
             events: Mutex::new(Vec::new()),
             registry,
             m,
             profile,
         }
-    }
-
-    /// The detector knobs of a flight recorder (before the first step).
-    pub(crate) fn anomaly_config(mut self, cfg: AnomalyConfig) -> Recorder {
-        if let Profile::Flight(flight) = &mut self.profile {
-            flight.anomaly_cfg = cfg;
-        }
-        self
     }
 
     /// Bound memory: keep only the last `n` recorded steps (min 1) in a
@@ -596,10 +557,6 @@ impl Recorder {
     }
 
     fn armed(&self, procs: usize, levels: usize) -> &Segment {
-        if let Profile::Flight(flight) = &self.profile {
-            self.detector
-                .get_or_init(|| AnomalyDetector::new(flight.anomaly_cfg, procs));
-        }
         self.segment(0)
             .get_or_init(|| Segment::new(0, self.ring, procs, levels))
     }
@@ -620,7 +577,11 @@ impl Recorder {
                 .then(|| first.slot((seq % cap as u64) as usize));
         }
         let n = self.grown.load(Ordering::Relaxed);
-        let mut seg = self.segment(n).get().expect("published by the one writer");
+        // Published before `grown` named it; were it missing, a segment
+        // from `seq` on is what this step needs anyway.
+        let mut seg = self
+            .segment(n)
+            .get_or_init(|| Segment::new(seq, None, procs, levels));
         if seq == seg.first + seg.slots as u64 || !seg.fits(procs, levels) {
             let (procs, levels) = (procs.max(seg.procs), levels.max(seg.levels));
             seg = self
@@ -650,14 +611,16 @@ impl Recorder {
         let oldest = self.ring.map_or(0, |cap| next.saturating_sub(cap as u64));
         let retained = cursor.max(oldest)..next;
         let mut steps = Vec::with_capacity((retained.end - retained.start) as usize);
-        let seg = |n: usize| self.segment(n).get().expect("published before `head`");
+        // Published before `head`; a step no segment holds counts as missed.
+        let seg = |n: usize| self.segment(n).get();
         let (mut n, last) = (0, self.grown.load(Ordering::Acquire));
         for seq in retained {
-            while n < last && seg(n + 1).first <= seq {
+            while n < last && seg(n + 1).is_some_and(|s| s.first <= seq) {
                 n += 1;
             }
-            let i = self.ring.map_or(seq - seg(n).first, |cap| seq % cap as u64);
-            steps.extend(read_slot(seg(n).slot(i as usize), seq));
+            let Some(s) = seg(n) else { continue };
+            let i = self.ring.map_or(seq - s.first, |cap| seq % cap as u64);
+            steps.extend(read_slot(s.slot(i as usize), seq));
         }
         StepsSince {
             missed: next - cursor - steps.len() as u64,
@@ -675,13 +638,22 @@ impl Recorder {
     /// Copy of the retained events from index `cursor` on, oldest
     /// first; the next cursor is `cursor` plus the length returned.
     pub fn events_since(&self, cursor: usize) -> Vec<EventTrace> {
-        let events = self.events.lock().expect("recorder events lock");
+        let events = self.event_list();
         events[cursor.min(events.len())..].to_vec()
     }
 
     /// Copy of the retained out-of-band events.
     pub fn events(&self) -> Vec<EventTrace> {
         self.events_since(0)
+    }
+
+    /// The event list past a poisoned lock, counted like `hbsp_runtime`'s
+    /// `lock_anyway`: a panic while it was held cannot half-push an event.
+    fn event_list(&self) -> MutexGuard<'_, Vec<EventTrace>> {
+        self.events.lock().unwrap_or_else(|poisoned| {
+            metrics::record_poison_recovery();
+            poisoned.into_inner()
+        })
     }
 
     /// Snapshot of every metric; a [`Recorder::new`] appends the
@@ -738,7 +710,7 @@ impl Recorder {
     /// Retain an event; a flight recorder at its bound counts it as
     /// dropped instead.
     fn push_event(&self, ev: EventTrace) {
-        let mut events = self.events.lock().expect("recorder events lock");
+        let mut events = self.event_list();
         match &self.profile {
             Profile::Flight(flight) if events.len() >= EVENT_CAPACITY => {
                 self.registry.c(flight.events_dropped).inc()
@@ -749,7 +721,7 @@ impl Recorder {
 }
 
 impl Metrics {
-    /// Register the five event counters after the three traffic totals
+    /// Register the four event counters after the three traffic totals
     /// (the constructors differ in the order they export those).
     fn events(registry: &mut Registry, totals: [CounterId; 3]) -> Metrics {
         let [steps_total, words_total, messages_total] = totals;
@@ -761,7 +733,6 @@ impl Metrics {
             degrade_events: registry.counter("hbsp_degrade_events_total"),
             recovery_attempts: registry.counter("hbsp_recovery_attempts_total"),
             adaptive_replans: registry.counter("hbsp_adaptive_replans_total"),
-            anomaly_events: registry.counter("hbsp_anomaly_events_total"),
         }
     }
 }
@@ -801,14 +772,21 @@ impl Probe for Recorder {
         ];
         // Plain loops: an iterator chain over the columns cost this path
         // twice the time. The slot has room — `slot_for` checked the fit.
+        // Each loop draws a cell only for a value it has (the value side
+        // of the zip goes first), so no cell is skipped.
         let mut cells = slot[1..].iter();
-        let mut put = |v: u64| cells.next().expect("fits").store(v, Ordering::Relaxed);
-        header.into_iter().for_each(&mut put);
+        for (v, cell) in header.into_iter().zip(cells.by_ref()) {
+            cell.store(v, Ordering::Relaxed);
+        }
         for col in f {
-            col.iter().for_each(|v| put(v.to_bits()));
+            for (v, cell) in col.iter().zip(cells.by_ref()) {
+                cell.store(v.to_bits(), Ordering::Relaxed);
+            }
         }
         for col in u {
-            col.iter().for_each(|&v| put(v));
+            for (&v, cell) in col.iter().zip(cells.by_ref()) {
+                cell.store(v, Ordering::Relaxed);
+            }
         }
         slot[0].store(seq + 1, Ordering::Release);
         self.head.store(seq + 1, Ordering::Release);
@@ -819,9 +797,7 @@ impl Probe for Recorder {
         reg.c(self.m.messages_total)
             .add(r.messages_by_level.iter().sum::<u64>());
         let Profile::Full(full) = &self.profile else {
-            // The streaming detector's hits arrive as events.
-            let detector = self.detector.get().expect("armed by slot_for");
-            return detector.observe(r, |anomaly| self.on_event(&anomaly));
+            return;
         };
         let by_level = full.level_words.iter().zip(r.words_by_level);
         for (&id, &v) in by_level.chain(full.level_messages.iter().zip(r.messages_by_level)) {
@@ -889,32 +865,6 @@ impl Probe for Recorder {
                         predicted,
                     },
                 )
-            }
-            ObsEvent::Anomaly {
-                step,
-                pid,
-                metric,
-                zscore,
-                value,
-                mean,
-            } => {
-                if let Profile::Flight(flight) = &self.profile {
-                    let by_metric = match metric {
-                        METRIC_BARRIER_SKEW => flight.anomaly_skew,
-                        _ => flight.anomaly_drift,
-                    };
-                    self.registry.c(by_metric).inc();
-                    self.registry.g(flight.anomaly_last_z).set(zscore);
-                }
-                let owned = EventTrace::Anomaly {
-                    step,
-                    pid,
-                    metric: metric.to_string(),
-                    zscore,
-                    value,
-                    mean,
-                };
-                (m.anomaly_events, owned)
             }
         };
         self.registry.c(counter).inc();
@@ -1142,26 +1092,22 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_events_are_recorded_and_counted() {
+    fn a_poisoned_event_list_still_records_and_reads() {
         let rec = Recorder::new();
-        rec.on_event(&ObsEvent::Anomaly {
-            step: 7,
-            pid: ProcId(2),
-            metric: "barrier_skew",
-            zscore: 4.5,
-            value: 50.0,
-            mean: 1.0,
+        let before = metrics::poison_recoveries();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = rec.events.lock();
+                panic!("poison the event list");
+            });
+            assert!(holder.join().is_err());
         });
-        match &rec.events()[0] {
-            EventTrace::Anomaly {
-                step, pid, metric, ..
-            } => {
-                assert_eq!((*step, *pid), (7, ProcId(2)));
-                assert_eq!(metric, "barrier_skew");
-            }
-            other => panic!("expected anomaly, got {other:?}"),
-        }
-        assert!(rec.metrics_text().contains("hbsp_anomaly_events_total 1\n"));
+        rec.on_event(&ObsEvent::RecoveryAttempt { attempt: 1 });
+        assert_eq!(
+            rec.events(),
+            vec![EventTrace::RecoveryAttempt { attempt: 1 }]
+        );
+        assert!(metrics::poison_recoveries() > before);
     }
 
     #[test]

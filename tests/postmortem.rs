@@ -276,24 +276,6 @@ fn arb_event() -> impl Strategy<Value = EventTrace> {
                 predicted,
             }
         ),
-        (
-            0usize..100,
-            0u32..64,
-            arb_text(),
-            arb_time(),
-            arb_time(),
-            arb_time()
-        )
-            .prop_map(
-                |(step, pid, metric, zscore, value, mean)| EventTrace::Anomaly {
-                    step,
-                    pid: ProcId(pid),
-                    metric,
-                    zscore,
-                    value,
-                    mean,
-                }
-            ),
     ]
 }
 
@@ -302,7 +284,6 @@ fn arb_metric() -> impl Strategy<Value = MetricSample> {
         arb_text(),
         prop_oneof![
             arb_count().prop_map(MetricValue::Counter),
-            arb_time().prop_map(MetricValue::Gauge),
             (arb_count(), arb_time())
                 .prop_map(|(count, sum)| MetricValue::Histogram { count, sum }),
         ],
