@@ -6,10 +6,9 @@
 //! computes its row block locally (charged `rows × m` flops); the
 //! result is gathered at `P_f`.
 
+use hbsp_collectives::data::partition_for;
 use hbsp_collectives::plan::WorkloadPolicy;
-use hbsp_core::{
-    MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
+use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
 use hbsp_sim::{SimError, SimOutcome};
 use hbsplib::{codec, Executor};
 use std::sync::Arc;
@@ -48,15 +47,6 @@ impl MatVec {
             workload,
         }
     }
-
-    fn partition(&self, tree: &MachineTree) -> Partition {
-        match self.workload {
-            WorkloadPolicy::Equal => Partition::equal(self.n as u64, tree.num_procs()),
-            WorkloadPolicy::Balanced => Partition::balanced_for(tree, self.n as u64),
-            WorkloadPolicy::CommAware => Partition::comm_aware_for(tree, self.n as u64),
-        }
-        .expect("non-empty machine")
-    }
 }
 
 /// Per-processor state: the owned rows, the vector, and (at the root)
@@ -89,7 +79,7 @@ impl SpmdProgram for MatVec {
             // Scatter row blocks and the vector together.
             0 => {
                 if env.pid == root {
-                    let part = self.partition(&env.tree);
+                    let part = partition_for(&env.tree, self.n as u64, self.workload);
                     for j in 0..env.nprocs {
                         let q = ProcId(j as u32);
                         let range = part.range(q);
@@ -214,7 +204,7 @@ pub fn kway_merge_u32(runs: Vec<Vec<u32>>) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::{matvec, sim};
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{MachineTree, TreeBuilder};
 
     fn machine() -> MachineTree {
         TreeBuilder::flat(1.0, 200.0, &[(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)]).unwrap()

@@ -40,6 +40,19 @@ fn sort_work(n: usize) -> f64 {
     }
 }
 
+/// The items of a share the root sent in step 0.
+#[expect(
+    clippy::expect_used,
+    reason = "the root encodes each share as a one-piece bundle (pinned by `a_share_decodes_to_its_items`)"
+)]
+fn share_items(payload: &[u8]) -> Vec<u32> {
+    decode_bundle(payload)
+        .ok()
+        .and_then(|mut pieces| pieces.pop())
+        .expect("the root's own one-piece bundle")
+        .items
+}
+
 /// Per-processor sample-sort state.
 #[derive(Debug, Default, Clone)]
 pub struct SortState {
@@ -90,10 +103,12 @@ impl SpmdProgram for SampleSort {
         state: &mut SortState,
         ctx: &mut dyn SpmdContext,
     ) -> StepOutcome {
+        // A rank past the machine names no processor: the first send to
+        // it fails the run with `SimError::NoSuchProc`.
         let root = self
             .root
             .resolve(&env.tree)
-            .expect("sort root must be a valid rank");
+            .unwrap_or_else(|e| ProcId(e.rank));
         let p = env.nprocs;
         match step {
             // Phase 1: scatter shares from the root.
@@ -115,11 +130,7 @@ impl SpmdProgram for SampleSort {
             1 => {
                 for m in ctx.messages() {
                     if m.tag == TAG_SHARE {
-                        state.run = decode_bundle(m.payload)
-                            .expect("own wire format")
-                            .pop()
-                            .expect("one share")
-                            .items;
+                        state.run = share_items(m.payload);
                     }
                 }
                 let run = std::mem::take(&mut state.run);
@@ -300,6 +311,39 @@ mod tests {
             let run = sort::run(&sim(&t), &data, wl, RootPolicy::Fastest).unwrap();
             assert_eq!(run.sorted, expected, "{wl:?}");
             assert_eq!(run.bucket_sizes.iter().sum::<usize>(), data.len());
+        }
+    }
+
+    #[test]
+    fn a_share_decodes_to_its_items() {
+        let piece = hbsp_collectives::Piece {
+            offset: 7,
+            items: items(33, 5),
+        };
+        assert_eq!(
+            share_items(&encode_bundle(std::slice::from_ref(&piece))),
+            piece.items
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_root_fails_with_a_typed_error() {
+        let tree = Arc::new(machine());
+        for exec in [Executor::simulator(tree.clone()), Executor::threads(tree)] {
+            let err = sort::run(
+                &exec,
+                &items(100, 3),
+                WorkloadPolicy::Equal,
+                RootPolicy::Rank(99),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::NoSuchProc {
+                    step: 1,
+                    dst: ProcId(99)
+                }
+            );
         }
     }
 

@@ -9,10 +9,9 @@
 //! conditions; after enough iterations the solution approaches the
 //! linear steady state.
 
+use hbsp_collectives::data::partition_for;
 use hbsp_collectives::plan::WorkloadPolicy;
-use hbsp_core::{
-    MachineTree, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope,
-};
+use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
 use hbsp_sim::{SimError, SimOutcome};
 use hbsplib::{codec, Executor};
 use std::sync::Arc;
@@ -39,16 +38,6 @@ impl Stencil {
             iterations,
             workload,
         }
-    }
-
-    fn partition(&self, tree: &MachineTree) -> Partition {
-        let interior = (self.field.len() - 2) as u64;
-        match self.workload {
-            WorkloadPolicy::Equal => Partition::equal(interior, tree.num_procs()),
-            WorkloadPolicy::Balanced => Partition::balanced_for(tree, interior),
-            WorkloadPolicy::CommAware => Partition::comm_aware_for(tree, interior),
-        }
-        .expect("non-empty machine")
     }
 }
 
@@ -79,7 +68,8 @@ impl SpmdProgram for Stencil {
         // Everyone derives its own slice from the shared initial field —
         // deterministic, no scatter needed (mirrors applications whose
         // input is generated in place).
-        let part = self.partition(&env.tree);
+        let interior = (self.field.len() - 2) as u64;
+        let part = partition_for(&env.tree, interior, self.workload);
         let range = part.range(env.pid);
         let offset = 1 + range.start as usize;
         let cells = self.field[offset..offset + (range.end - range.start) as usize].to_vec();
@@ -151,10 +141,12 @@ impl SpmdProgram for Stencil {
                 ctx.send(left, TAG_HALO_LEFT, &codec::encode_f64s(&[state.cells[0]]));
             }
             if let Some(right) = state.right_neighbor {
+                // A rank with a data neighbour owns at least one cell.
+                let last = state.cells.len().saturating_sub(1);
                 ctx.send(
                     right,
                     TAG_HALO_RIGHT,
-                    &codec::encode_f64s(&[*state.cells.last().unwrap()]),
+                    &codec::encode_f64s(&state.cells[last..]),
                 );
             }
             return StepOutcome::Continue(SyncScope::global(&env.tree));
@@ -234,7 +226,7 @@ pub fn reference_jacobi(field: &[f64], iterations: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::{sim, stencil};
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{MachineTree, TreeBuilder};
 
     fn machine() -> MachineTree {
         TreeBuilder::flat(1.0, 50.0, &[(1.0, 1.0), (1.5, 0.7), (2.5, 0.4), (3.0, 0.3)]).unwrap()

@@ -45,7 +45,6 @@ pub fn auction(benefit: &[Vec<i64>]) -> Vec<usize> {
     let scale = (n + 1) as i64;
     let mut price = vec![0i64; n];
     let mut owner: Vec<Option<usize>> = vec![None; n]; // object -> person
-    let mut assigned: Vec<Option<usize>> = vec![None; n]; // person -> object
     let mut queue: Vec<usize> = (0..n).collect();
     while let Some(person) = queue.pop() {
         // Find best and second-best object values for this person.
@@ -69,15 +68,18 @@ pub fn auction(benefit: &[Vec<i64>]) -> Vec<usize> {
         };
         price[best_j] += raise;
         if let Some(evicted) = owner[best_j].replace(person) {
-            assigned[evicted] = None;
             queue.push(evicted);
         }
-        assigned[person] = Some(best_j);
+    }
+    // The queue empties only once every person owns an object, so the
+    // `n` owners are the `n` persons.
+    let mut assigned = vec![0; n]; // person -> object
+    for (j, person) in owner.into_iter().enumerate() {
+        if let Some(person) = person {
+            assigned[person] = j;
+        }
     }
     assigned
-        .into_iter()
-        .map(|a| a.expect("auction terminates fully assigned"))
-        .collect()
 }
 
 /// Total benefit of an assignment.

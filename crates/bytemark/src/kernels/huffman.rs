@@ -41,30 +41,33 @@ fn build_tree(freq: &[u64; 256]) -> Tree {
         .filter(|&(_, &f)| f > 0)
         .map(|(s, &f)| (f, s as u32, Tree::Leaf(s as u8)))
         .collect();
-    assert!(!heap.is_empty(), "cannot build a code for empty input");
-    if heap.len() == 1 {
-        // Degenerate: single symbol; give it a 1-bit code by pairing
-        // the leaf with a copy of itself.
-        let (_, _, leaf) = heap.pop().unwrap();
-        let twin = leaf.clone();
-        return Tree::Node(Box::new(leaf), Box::new(twin));
-    }
     let mut next_tag = 256u32;
-    while heap.len() > 1 {
+    loop {
         heap.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
-        let (w1, _, t1) = heap.pop().unwrap();
-        let (w2, _, t2) = heap.pop().unwrap();
-        heap.push((w1 + w2, next_tag, Tree::Node(Box::new(t1), Box::new(t2))));
-        next_tag += 1;
+        match (heap.pop(), heap.pop()) {
+            (Some((w1, _, t1)), Some((w2, _, t2))) => {
+                heap.push((w1 + w2, next_tag, Tree::Node(Box::new(t1), Box::new(t2))));
+                next_tag += 1;
+            }
+            // Degenerate: single symbol; give it a 1-bit code by
+            // pairing the leaf with a copy of itself.
+            (Some((_, _, leaf @ Tree::Leaf(_))), None) => {
+                let twin = leaf.clone();
+                return Tree::Node(Box::new(leaf), Box::new(twin));
+            }
+            (Some((_, _, root)), None) => return root,
+            (None, _) => panic!("cannot build a code for empty input"),
+        }
     }
-    heap.pop().unwrap().2
 }
 
-fn codes(tree: &Tree) -> Vec<Option<(u32, u8)>> {
-    let mut table = vec![None; 256];
-    fn walk(t: &Tree, code: u32, len: u8, table: &mut Vec<Option<(u32, u8)>>) {
+/// Each symbol's `(code, length)`; `(0, 0)` for a symbol the tree does
+/// not hold.
+fn codes(tree: &Tree) -> Vec<(u32, u8)> {
+    let mut table = vec![(0, 0); 256];
+    fn walk(t: &Tree, code: u32, len: u8, table: &mut Vec<(u32, u8)>) {
         match t {
-            Tree::Leaf(s) => table[*s as usize] = Some((code, len.max(1))),
+            Tree::Leaf(s) => table[*s as usize] = (code, len.max(1)),
             Tree::Node(l, r) => {
                 walk(l, code << 1, len + 1, table);
                 walk(r, (code << 1) | 1, len + 1, table);
@@ -96,7 +99,8 @@ pub fn compress(input: &[u8]) -> (Vec<u8>, usize, Codebook) {
     let mut used = 0u8;
     let mut bit_len = 0usize;
     for &b in input {
-        let (code, len) = table[b as usize].expect("symbol present in freq table");
+        // Every input byte has a code: the tree is built from its counts.
+        let (code, len) = table[b as usize];
         for i in (0..len).rev() {
             cur = (cur << 1) | ((code >> i) & 1) as u8;
             used += 1;

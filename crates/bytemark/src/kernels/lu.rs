@@ -152,6 +152,10 @@ impl Kernel for LuDecomposition {
         2 * n * n * n / 3
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "a strictly diagonally dominant matrix is non-singular (pinned by `the_kernel_matrix_factors_at_every_seed`)"
+    )]
     fn run(&self, seed: u64) -> u64 {
         let mut rng = SplitMix64::new(seed);
         let mut a = Matrix::random_dominant(self.n, &mut rng);
@@ -179,6 +183,18 @@ mod tests {
             for (xa, xb) in x.iter().zip(&x_true) {
                 assert!((xa - xb).abs() < 1e-8, "n={n}: {xa} vs {xb}");
             }
+        }
+    }
+
+    /// The invariant `run`'s `expect` rests on, at the kernel's own size
+    /// and draw order.
+    #[test]
+    fn the_kernel_matrix_factors_at_every_seed() {
+        let n = LuDecomposition::default().n;
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut a = Matrix::random_dominant(n, &mut rng);
+            assert!(lu_factor(&mut a).is_some(), "seed {seed}");
         }
     }
 

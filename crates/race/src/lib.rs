@@ -5,7 +5,7 @@
 //! routes the runtime's sync facade (`hbsp_runtime::sync`) through the
 //! vendored [`weave`] model checker. The [`scenarios`] module packages
 //! the runtime's risky protocols — hierarchical barrier arrival /
-//! combine / release with sense reversal, the spin→yield→park policy,
+//! combine / release with sense reversal, the yield→park escalation,
 //! the watchdog abort racing a normal release, the engine's outbox
 //! hand-off (receivers pulling from double-buffered outboxes), mailbox
 //! batch circulation, the worker pool's dispatch of borrowed jobs, and

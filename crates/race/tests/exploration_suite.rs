@@ -81,24 +81,6 @@ fn central_barrier_three_parties_is_clean() {
 }
 
 #[test]
-fn park_only_policy_is_clean_exhaustively() {
-    // One modeled core: the spin budget is zero (`spin_iters` sees an
-    // oversubscribed host), so waiters go straight to yield → park —
-    // the opposite end of the spin↔park policy from the default
-    // 64-core model.
-    let cfg = weave::Config {
-        cores: 1,
-        ..exhaustive()
-    };
-    let out = weave::explore(&cfg, || {
-        scenarios::barrier_publish(BarrierKind::Hierarchical, Machine::Flat2, 2)
-    });
-    report("hier flat2 x2 (park-only)", &out);
-    out.assert_clean("hier barrier with parking-only waiters");
-    assert!(out.stats.exhausted, "park-only policy must be exhaustible");
-}
-
-#[test]
 fn watchdog_abort_racing_release_is_clean() {
     // Eager timeouts: the watchdog deadline genuinely races healthy
     // arrival, so both the normal-release and the claimed-abort

@@ -86,10 +86,10 @@ fn acquire_only_arrive_combine_is_detected() {
 #[test]
 fn weakened_generation_flip_is_detected() {
     // `hier.generation.flip` (AcqRel fetch_add) publishes the leader
-    // section to spin/yield waiters polling the generation. Relaxed
+    // section to yielding waiters polling the generation. Relaxed
     // means a poll-released waiter reads `result` without ordering.
     // (Parked waiters are masked by the condvar's own clock — the
-    // checker must find the spin-release interleaving.)
+    // checker must find the poll-release interleaving.)
     let label = "hier.generation.flip";
     let out = weave::explore(&mutated(label, Ordering::Relaxed), || {
         scenarios::barrier_publish(BarrierKind::Hierarchical, Machine::Flat2, 1)

@@ -13,7 +13,7 @@
 //!   that completes the root arrival becomes the generation's leader.
 //!   Arrival is a single relaxed-contention `fetch_add` per tree level
 //!   (so threads of different clusters never touch the same cache
-//!   line), and waiting is spin-then-park on the *cluster's* gate, so
+//!   line), and waiting is yield-then-park on the *cluster's* gate, so
 //!   both the arrival counters and the wait queues are c-way, not
 //!   p-way — release is one broadcast per cluster, not one syscall per
 //!   thread.
@@ -38,94 +38,23 @@
 //! locks are poison-tolerant: a panicking thread elsewhere must not
 //! cascade `PoisonError` panics through surviving waiters.
 
-use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::{site_ord, Condvar, Instant, Mutex, MutexGuard};
 use hbsp_core::MachineTree;
 use std::sync::PoisonError;
 use std::time::Duration;
 
-/// Process-global census of runtime threads that compete with barrier
-/// parties for cores: every [`HierBarrier`] built by `new` contributes
-/// its party count for its lifetime, a threaded runtime's kept barrier
-/// for as long as a run is in flight, and auxiliary threads (probes,
-/// monitors, co-running test harnesses) can add themselves via
-/// [`register_extra_thread`]. The spin/park policy consults this census
-/// — at construction, at each run start, and periodically from the
-/// leader section — so a barrier stops spinning when the process
-/// becomes oversubscribed *after* it was built.
-static RUNTIME_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII registration of `n` runtime threads in the process census.
-pub struct ThreadCensusGuard {
-    n: usize,
-}
-
-impl Drop for ThreadCensusGuard {
-    fn drop(&mut self) {
-        RUNTIME_THREADS.fetch_sub(self.n, Ordering::Relaxed);
-    }
-}
-
-fn register_threads(n: usize) -> ThreadCensusGuard {
-    RUNTIME_THREADS.fetch_add(n, Ordering::Relaxed);
-    ThreadCensusGuard { n }
-}
-
-/// Register one auxiliary thread (a probe flusher, a watchdog, a
-/// co-running harness thread) with the barrier spin policy for the
-/// lifetime of the returned guard. While any extra thread is
-/// registered, barriers whose parties plus extras exceed the host's
-/// cores park immediately instead of spinning — a spinning waiter
-/// would only steal cycles from the thread everyone is waiting for.
-pub fn register_extra_thread() -> ThreadCensusGuard {
-    register_threads(1)
-}
-
-fn census_threads() -> usize {
-    RUNTIME_THREADS.load(Ordering::Relaxed)
-}
-
-/// The host's core count — the one place the runtime asks. It is not a
-/// cheap question: on Linux `available_parallelism` reads the cgroup
-/// files under `/proc` (≈23 µs on a 2-core host, a third of a
-/// zero-step run), so a barrier reads it when built and every
-/// [`SPIN_REEVAL_PERIOD`] generations after, never per run.
-#[expect(clippy::disallowed_methods, reason = "the runtime's one host read")]
-fn host_cores() -> usize {
-    crate::sync::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The pure spin policy: how many generation-poll iterations a waiter
-/// runs before yielding/parking, given the host's core count, the
-/// barrier's party count, and how many *other* runtime threads are
-/// live in the process. Spinning is only ever profitable when every
-/// party (and every co-running thread) can hold a core simultaneously.
-fn spin_iters(cores: usize, parties: usize, extra: usize) -> u32 {
-    if cores >= parties + extra {
-        model_scaled(SPIN_LIMIT)
-    } else {
-        0
-    }
-}
-
-/// Scale a spin/yield budget down when running inside a model
-/// exploration: every poll iteration there is a scheduler decision
-/// point, so the real budgets would blow up the interleaving space
-/// without exercising any additional behavior (one spin round and one
-/// yield round cover the spin→yield→park escalation). Identity in
-/// normal builds and outside explorations.
-#[cfg(feature = "model")]
+/// Scale a yield budget down when running inside a model exploration:
+/// every poll iteration there is a scheduler decision point, so the
+/// real budget would blow up the interleaving space without exercising
+/// any additional behavior (one yield round covers the yield→park
+/// escalation). Identity in normal builds and outside explorations.
 pub(crate) fn model_scaled(limit: u32) -> u32 {
-    if weave::is_modeling() {
+    if crate::sync::is_modeling() {
         limit.min(1)
     } else {
         limit
     }
-}
-
-#[cfg(not(feature = "model"))]
-pub(crate) fn model_scaled(limit: u32) -> u32 {
-    limit
 }
 
 /// Poison-tolerant lock: a panic in some other thread while it held
@@ -296,15 +225,7 @@ const _: () = {
     assert!(std::mem::size_of::<TreeNode>() == 384);
 };
 
-/// Iterations of generation-polling before a waiter parks, when the
-/// host has a core per thread. Kept short: superstep leader sections do
-/// real work (timing, message routing), so a long-spinning waiter only
-/// burns power. When threads outnumber cores the barrier does not spin
-/// at all — a spinning waiter then *delays* the very threads it is
-/// waiting for, so parking immediately is strictly better.
-const SPIN_LIMIT: u32 = 64;
-
-/// Bounded `yield_now` rounds between spinning and parking. On an
+/// Bounded `yield_now` rounds before a waiter parks. On an
 /// oversubscribed host each yield hands the core to the very threads
 /// the waiter is blocked on, and the generation flip usually lands
 /// within a few reschedules — resolving the barrier without any
@@ -313,14 +234,6 @@ const SPIN_LIMIT: u32 = 64;
 /// deadline is honored. The worker pool waits the same way between
 /// runs (`pool.rs`).
 pub(crate) const YIELD_LIMIT: u32 = 64;
-
-/// The leader re-derives the spin budget from the thread census every
-/// this many generations of the barrier's life (which, for a runtime's
-/// kept barrier, spans runs), and re-reads the core count at every such
-/// generation but the first, so the spin policy tracks oversubscription
-/// drift (another runtime starting in-process, cgroup cpu masks
-/// shrinking) instead of staying frozen at construction time.
-const SPIN_REEVAL_PERIOD: u64 = 256;
 
 /// A hierarchical sense-reversing barrier whose combining tree mirrors
 /// a machine tree's cluster structure.
@@ -343,27 +256,11 @@ pub struct HierBarrier {
     /// generations: a release flip happens-after every arrival of its
     /// generation.
     generation: AtomicU64,
-    /// The host's core count ([`host_cores`]), read at construction and
-    /// re-read by the leader every [`SPIN_REEVAL_PERIOD`] generations.
-    cores: AtomicUsize,
-    /// Generation-poll iterations before yielding/parking
-    /// ([`SPIN_LIMIT`] with a core per thread and no co-running
-    /// threads, 0 when oversubscribed). Re-derived from the kept core
-    /// count and the live census at each enrollment — construction by
-    /// `new`, a run start — and by the leader every
-    /// [`SPIN_REEVAL_PERIOD`] generations, never frozen.
-    spin: AtomicU32,
     /// Watchdog state: [`ABORT_LIVE`] → [`ABORT_CLAIMED`] (one timed-out
     /// waiter won the CAS and is running its `on_timeout`) →
     /// [`ABORT_DEAD`] (abort effects published; every wait returns
     /// `None` immediately).
     abort: AtomicU8,
-    /// This barrier's own parties, registered in the process census
-    /// for its lifetime so concurrently-running barriers see each
-    /// other as oversubscription — or `None` for a threaded runtime's
-    /// kept barrier, which registers them per run ([`Self::enroll`]) so
-    /// an idle runtime does not count.
-    _census: Option<ThreadCensusGuard>,
 }
 
 const ABORT_LIVE: u8 = 0;
@@ -372,21 +269,8 @@ const ABORT_DEAD: u8 = 2;
 
 impl HierBarrier {
     /// Barrier for the processor threads of `tree`, one per leaf, with
-    /// a combining node per cluster; its parties count in the census
-    /// for as long as it lives.
+    /// a combining node per cluster.
     pub fn new(tree: &MachineTree) -> Self {
-        // Register our parties first so the census (and any barrier
-        // built concurrently) counts them, then size the spin budget
-        // against cores minus everyone else's threads.
-        let mut barrier = Self::unenrolled(tree);
-        barrier._census = Some(barrier.enroll());
-        barrier
-    }
-
-    /// [`Self::new`] without the census registration: the barrier a
-    /// threaded runtime keeps between runs, enrolled per run. It does
-    /// not spin before its first enrollment.
-    pub(crate) fn unenrolled(tree: &MachineTree) -> Self {
         let arena = tree.nodes().count();
         let mut map = vec![usize::MAX; arena];
         let mut nodes = Vec::new();
@@ -422,42 +306,13 @@ impl HierBarrier {
             nodes,
             start,
             generation: AtomicU64::new(0),
-            cores: AtomicUsize::new(host_cores()),
-            spin: AtomicU32::new(0),
             abort: AtomicU8::new(ABORT_LIVE),
-            _census: None,
         }
-    }
-
-    /// Count this barrier's parties in the census until the guard
-    /// drops, and re-derive the spin budget from the kept core count
-    /// and the census now — no system call.
-    pub(crate) fn enroll(&self) -> ThreadCensusGuard {
-        let census = register_threads(self.parties());
-        self.respin();
-        census
     }
 
     /// Number of participating threads (one per leaf processor).
     pub fn parties(&self) -> usize {
         self.start.len()
-    }
-
-    /// The current spin budget: generation-poll iterations a waiter
-    /// runs before yielding and parking. Zero whenever the process's
-    /// thread census exceeds the host's cores.
-    pub fn spin_budget(&self) -> u32 {
-        self.spin.load(Ordering::Relaxed)
-    }
-
-    /// Re-derive the spin budget from the kept core count and the live
-    /// thread census.
-    fn respin(&self) {
-        let cores = self.cores.load(Ordering::Relaxed);
-        let parties = self.start.len();
-        let extra = census_threads().saturating_sub(parties);
-        self.spin
-            .store(spin_iters(cores, parties, extra), Ordering::Relaxed);
     }
 
     /// Wait for every rank. The thread that completes the root arrival
@@ -528,17 +383,8 @@ impl HierBarrier {
                     Some(parent) => node = parent,
                     None => {
                         let result = leader();
-                        let done = self
-                            .generation
+                        self.generation
                             .fetch_add(1, site_ord!("hier.generation.flip", Ordering::AcqRel));
-                        if done.is_multiple_of(SPIN_REEVAL_PERIOD) {
-                            // The count read at construction is fresh
-                            // at generation 0.
-                            if done > 0 {
-                                self.cores.store(host_cores(), Ordering::Relaxed);
-                            }
-                            self.respin();
-                        }
                         self.release_all();
                         return Some(result);
                     }
@@ -555,15 +401,13 @@ impl HierBarrier {
         self.wait_leader(rank, || ());
     }
 
-    /// Wait out the generation flip in three escalating phases:
+    /// Wait out the generation flip in two escalating phases:
     ///
-    /// 1. **Spin** for the current spin budget (zero on an
-    ///    oversubscribed host) — cheapest when every thread has a core.
-    /// 2. **Yield** up to [`YIELD_LIMIT`] reschedules: on an
+    /// 1. **Yield** up to [`YIELD_LIMIT`] reschedules: on an
     ///    oversubscribed host this donates the core to the threads we
     ///    are waiting for, and the flip usually lands here with no
     ///    futex traffic in either direction.
-    /// 3. **Park** behind the gate of the combining node our arrival
+    /// 2. **Park** behind the gate of the combining node our arrival
     ///    stopped at, counting ourselves in the gate's parked tally so
     ///    the leader broadcasts only to gates that hold sleepers.
     ///
@@ -581,16 +425,6 @@ impl HierBarrier {
         timeout: Option<Duration>,
         on_timeout: impl FnOnce(),
     ) {
-        for _ in 0..self.spin.load(Ordering::Relaxed) {
-            if self
-                .generation
-                .load(site_ord!("hier.generation.poll", Ordering::Acquire))
-                != gen
-            {
-                return;
-            }
-            crate::sync::hint::spin_loop();
-        }
         for _ in 0..model_scaled(YIELD_LIMIT) {
             if self
                 .generation
@@ -675,7 +509,7 @@ impl HierBarrier {
     /// Release every parked waiter: at most one broadcast per combining
     /// node (a waiter's queue is its cluster's), and none at all for
     /// gates whose parked tally is zero — which is every gate when the
-    /// waiters resolved the flip in their spin or yield phase, making
+    /// waiters resolved the flip in their yield phase, making
     /// the steady-state release entirely syscall-free.
     fn release_all(&self) {
         for n in &self.nodes {
@@ -707,21 +541,12 @@ pub(crate) enum StepBarrier {
 }
 
 impl StepBarrier {
-    /// A barrier kept between runs: a hierarchical one counts in the
-    /// census only while enrolled ([`Self::enroll`]).
+    /// A barrier of `kind` for the processors of `tree`, kept between
+    /// runs.
     pub(crate) fn new(kind: BarrierKind, tree: &MachineTree) -> Self {
         match kind {
             BarrierKind::Central => StepBarrier::Central(CentralBarrier::new(tree.num_procs())),
-            BarrierKind::Hierarchical => StepBarrier::Hier(HierBarrier::unenrolled(tree)),
-        }
-    }
-
-    /// Start a run: the hierarchical barrier's parties count in the
-    /// census until the guard drops (the central one never spins).
-    pub(crate) fn enroll(&self) -> Option<ThreadCensusGuard> {
-        match self {
-            StepBarrier::Central(_) => None,
-            StepBarrier::Hier(b) => Some(b.enroll()),
+            BarrierKind::Hierarchical => StepBarrier::Hier(HierBarrier::new(tree)),
         }
     }
 
@@ -744,12 +569,6 @@ impl HierBarrier {
     /// Generations released so far.
     pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Give the barrier a stale full spin budget, as if an earlier census
-    /// had let it spin.
-    pub(crate) fn force_spin(&self) {
-        self.spin.store(SPIN_LIMIT, Ordering::Relaxed);
     }
 }
 
@@ -998,57 +817,6 @@ mod tests {
         });
         assert_eq!(aborts.load(Ordering::SeqCst), 0);
         assert_eq!(leads.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn spin_policy_requires_a_core_per_thread() {
-        // Spinning is only profitable when parties + co-running threads
-        // all fit on cores; any deficit means a spinning waiter steals
-        // cycles from the thread it waits for.
-        assert_eq!(spin_iters(16, 16, 0), SPIN_LIMIT);
-        assert_eq!(spin_iters(16, 8, 8), SPIN_LIMIT);
-        assert_eq!(spin_iters(16, 16, 1), 0, "one extra thread disables spin");
-        assert_eq!(spin_iters(8, 16, 0), 0, "oversubscribed parties");
-        assert_eq!(spin_iters(1, 2, 0), 0);
-        assert_eq!(spin_iters(1, 1, 0), SPIN_LIMIT);
-    }
-
-    /// Regression: the spin decision used to be frozen at construction
-    /// from `available_parallelism() >= parties` alone, ignoring every
-    /// other runtime thread in the process. An oversubscribed barrier
-    /// must never spin — neither at construction nor after the leader's
-    /// periodic re-evaluation.
-    #[test]
-    fn oversubscribed_barrier_never_spins() {
-        // Register far more extra threads than any host has cores.
-        let _guards: Vec<ThreadCensusGuard> = (0..1024).map(|_| register_extra_thread()).collect();
-        let t = clustered();
-        let b = HierBarrier::new(&t);
-        assert_eq!(
-            b.spin_budget(),
-            0,
-            "census of co-running threads must veto spinning at construction"
-        );
-
-        // Drift case: a barrier that decided to spin must drop to 0
-        // once the leader re-evaluates against the live census. Force a
-        // stale nonzero budget, run one generation (generation 0
-        // triggers re-evaluation), and observe the corrected budget.
-        b.spin.store(SPIN_LIMIT, Ordering::Relaxed);
-        let p = b.parties();
-        std::thread::scope(|s| {
-            for rank in 0..p {
-                let b = &b;
-                s.spawn(move || {
-                    b.wait_leader(rank, || ());
-                });
-            }
-        });
-        assert_eq!(
-            b.spin_budget(),
-            0,
-            "leader re-evaluation must track oversubscription drift"
-        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl RunFrame {
     }
 
     /// Make the frame of a run that succeeded what [`RunFrame::new`]
-    /// builds, keeping the barrier (its generation and core count) and
+    /// builds, keeping the barrier (and its generation count) and
     /// the room of the pull lists and the settlement, and releasing the
     /// outboxes' byte arenas. The slots' data needs nothing: such a run's
     /// leader took every outcome and work figure, and its last step
@@ -630,9 +630,7 @@ impl ThreadedRuntime {
             let result = rank_body(i);
             *lock_anyway(&results[i]) = result;
         };
-        let census = barrier.enroll();
         pool.run(&job);
-        drop(census);
         let wall = began.elapsed();
 
         // The leader records every failure before any rank sees it, so a
@@ -1609,24 +1607,9 @@ mod tests {
         }
     }
 
-    /// The kept barrier's spin budget is re-derived at each run start
-    /// from the live census, with no core-count read: threads registered
-    /// between two runs veto spinning in the second.
-    #[test]
-    fn a_kept_barrier_respins_against_the_census_at_each_run() {
-        let rt = ThreadedRuntime::new(machine());
-        rt.run(&Exchange { rounds: 1 }).unwrap();
-        kept_barrier(&rt, crate::HierBarrier::force_spin);
-        let _extra: Vec<_> = (0..1024)
-            .map(|_| crate::barrier::register_extra_thread())
-            .collect();
-        rt.run(&Exchange { rounds: 1 }).unwrap();
-        assert_eq!(kept_barrier(&rt, crate::HierBarrier::spin_budget), 0);
-    }
-
     /// One barrier serves every run of a runtime until one fails, so its
-    /// generation count — which paces the core-count re-read — spans
-    /// runs; a failed run's frame is rebuilt from generation 0.
+    /// generation count spans runs; a failed run rebuilds the frame, and
+    /// the new barrier starts from generation 0.
     #[test]
     fn a_kept_barrier_counts_generations_across_runs() {
         let rt = ThreadedRuntime::new(clustered_machine());
@@ -1739,15 +1722,37 @@ mod tests {
         }
 
         // `Threads:` in /proc/self/status counts libtest's own threads
-        // too, which come and go; the kernel's per-thread directories
-        // say the same thing about exactly these threads.
+        // too; the kernel's per-thread directories count exactly these.
+        // `join` returns once the kernel clears the child's tid, before
+        // it reaps the task, so a directory may linger briefly — but
+        // only for a thread that was exiting when `drop` returned.
+        let dirs: Vec<_> = first
+            .into_iter()
+            .filter_map(|(_, task)| task)
+            .map(|task| std::path::Path::new("/proc").join(task))
+            .collect();
+        assert!(dirs.iter().all(|d| exiting(d) == Some(false)));
         drop(rt);
-        for (_, task) in first {
-            if let Some(task) = task {
-                let dir = std::path::Path::new("/proc").join(task);
-                assert!(!dir.exists(), "{} outlived its runtime", dir.display());
-            }
+        for dir in &dirs {
+            assert_ne!(exiting(dir), Some(false), "{} still ran", dir.display());
         }
+        let reaped_by = Instant::now() + Duration::from_secs(5);
+        for dir in &dirs {
+            while dir.exists() && Instant::now() < reaped_by {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!dir.exists(), "{} outlived its runtime", dir.display());
+        }
+    }
+
+    /// Whether a task is in `do_exit`: `PF_EXITING` (0x4) in its kernel
+    /// flags, field 9 of its `stat`. `None` once the task is gone.
+    fn exiting(task: &std::path::Path) -> Option<bool> {
+        let stat = std::fs::read_to_string(task.join("stat")).ok()?;
+        // Field 3 onward follow the parenthesised command name.
+        let (_, fields) = stat.rsplit_once(')')?;
+        let flags: u64 = fields.split_whitespace().nth(6)?.parse().ok()?;
+        Some(flags & 0x4 != 0)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The runtime's synchronization facade.
 //!
-//! Every atomic, mutex, condvar, `UnsafeCell`, `Instant`, spin hint,
-//! and thread operation the runtime performs goes through this module
+//! Every atomic, mutex, condvar, `UnsafeCell`, `Instant` and thread
+//! operation the runtime performs goes through this module
 //! — `hbsp_lint`'s facade-bypass check enforces that nothing else in
 //! the crate names `std::sync::atomic`, `std::thread` or a raw
 //! `UnsafeCell`. In a normal build the facade is pure re-exports of
@@ -35,25 +35,16 @@
 mod imp {
     /// `std::sync::atomic` subset the runtime uses.
     pub mod atomic {
-        pub use std::sync::atomic::{
-            AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-        };
+        pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
     }
 
     pub use std::cell::UnsafeCell;
     pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
     pub use std::time::Instant;
 
-    /// `std::hint` subset the runtime uses.
-    pub mod hint {
-        pub use std::hint::spin_loop;
-    }
-
     /// `std::thread` subset the runtime uses.
     pub mod thread {
-        pub use std::thread::{
-            available_parallelism, current, park, sleep, yield_now, Builder, JoinHandle, Thread,
-        };
+        pub use std::thread::{current, park, sleep, yield_now, Builder, JoinHandle, Thread};
     }
 
     /// Pointer for a *shared read* of a cell's contents: several
@@ -77,10 +68,9 @@ mod imp {
     /// `std`'s (weave takes it by value).
     pub mod atomic {
         pub use std::sync::atomic::Ordering;
-        pub use weave::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
+        pub use weave::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
     }
 
-    pub use weave::hint;
     pub use weave::is_modeling;
     pub use weave::thread;
     pub use weave::time::Instant;
