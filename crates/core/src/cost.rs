@@ -166,6 +166,13 @@ impl<'t> CostModel<'t> {
     /// given in *work units at fastest-machine speed* (the model divides
     /// by each participant's speed and takes the max, i.e. `w_i` is the
     /// largest local computation).
+    ///
+    /// # Panics
+    /// Panics if a participant id is not present in the tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "participants are machines of the tree (pinned by `a_participant_outside_the_tree_panics`)"
+    )]
     pub fn superstep(
         &self,
         level: Level,
@@ -277,6 +284,13 @@ mod tests {
 
     fn m(i: u32, j: u32) -> MachineId {
         MachineId::new(i, j)
+    }
+
+    #[test]
+    #[should_panic(expected = "participant")]
+    fn a_participant_outside_the_tree_panics() {
+        let t = TreeBuilder::flat(2.0, 25.0, &[(1.0, 1.0), (2.0, 0.5)]).unwrap();
+        CostModel::new(&t).superstep(1, t.root(), &HRelation::new(), &[(m(0, 2), 1.0)]);
     }
 
     #[test]

@@ -90,6 +90,10 @@ impl HRelation {
     ///
     /// # Panics
     /// Panics if a participant id is not present in the tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "participants are machines of the tree (pinned by `a_participant_outside_the_tree_panics`)"
+    )]
     pub fn h_on(&self, tree: &MachineTree) -> f64 {
         self.h(|id| {
             tree.node(tree.resolve(id).expect("participant must exist"))
@@ -196,5 +200,14 @@ mod tests {
         let mut hr = HRelation::new();
         hr.send(m(0, 1), m(0, 0), 50);
         assert_eq!(hr.h_on(&t), 150.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "participant must exist")]
+    fn a_participant_outside_the_tree_panics() {
+        let t = crate::TreeBuilder::flat(1.0, 0.0, &[(1.0, 1.0), (3.0, 0.33)]).unwrap();
+        let mut hr = HRelation::new();
+        hr.send(m(0, 2), m(0, 0), 50);
+        hr.h_on(&t);
     }
 }

@@ -194,6 +194,10 @@ impl MachineTree {
     /// # Panics
     /// Panics if `idx` did not come from this tree (like
     /// [`MachineTree::node`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "a validated machine rebuilds valid (pinned by the rebuild goldens and `a_hostile_machine_file_is_refused_or_parsed_to_a_fixed_point`)"
+    )]
     pub fn carve(&self, idx: NodeIdx) -> Carved {
         let (tree, leaves) = self
             .rebuild(
@@ -210,6 +214,10 @@ impl MachineTree {
     /// rules (see the [module docs](self)). The original tree is
     /// untouched; on success the returned [`Degraded::rank_map`] tells
     /// callers how surviving ranks were renumbered.
+    #[expect(
+        clippy::expect_used,
+        reason = "a validated machine rebuilds valid (pinned by the rebuild goldens and `a_hostile_machine_file_is_refused_or_parsed_to_a_fixed_point`)"
+    )]
     pub fn degrade(&self, dead: &[ProcId]) -> Result<Degraded, DegradeError> {
         let p = self.num_procs();
         let mut is_dead = vec![false; p];

@@ -154,6 +154,7 @@ enum Tok {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     /// Cluster bodies open around the node being parsed.
@@ -168,6 +169,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
         Parser {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -256,7 +258,8 @@ impl<'a> Parser<'a> {
                 ) {
                     self.bump();
                 }
-                let s = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+                // ASCII bytes only: both ends are char boundaries.
+                let s = &self.text[start..self.pos];
                 s.parse::<f64>()
                     .map(Tok::Number)
                     .map_err(|_| self.err(format!("invalid number `{s}`")))
@@ -269,11 +272,7 @@ impl<'a> Parser<'a> {
                 ) {
                     self.bump();
                 }
-                Ok(Tok::Ident(
-                    std::str::from_utf8(&self.src[start..self.pos])
-                        .unwrap()
-                        .to_string(),
-                ))
+                Ok(Tok::Ident(self.text[start..self.pos].to_string()))
             }
             other => Err(self.err(format!("unexpected character `{}`", other as char))),
         }

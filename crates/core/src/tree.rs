@@ -255,15 +255,13 @@ impl MachineTree {
         // Walk the deeper node up until levels match, then walk both up
         // until they meet. Allocation-free: this runs once (or more) per
         // message on the engines' superstep hot path.
+        // Only the root has no parent, so `up` of the root is the root.
+        let up = |n: NodeIdx| self.node(n).parent.unwrap_or(self.root);
         while a != b {
-            let (la, lb) = (self.node(a).level, self.node(b).level);
-            if la < lb {
-                a = self.node(a).parent.expect("non-root node has a parent");
-            } else if lb < la {
-                b = self.node(b).parent.expect("non-root node has a parent");
-            } else {
-                a = self.node(a).parent.expect("non-root node has a parent");
-                b = self.node(b).parent.expect("non-root node has a parent");
+            match self.node(a).level.cmp(&self.node(b).level) {
+                std::cmp::Ordering::Less => a = up(a),
+                std::cmp::Ordering::Greater => b = up(b),
+                std::cmp::Ordering::Equal => (a, b) = (up(a), up(b)),
             }
         }
         a
@@ -271,6 +269,10 @@ impl MachineTree {
 
     /// The fastest leaf of the whole machine — the paper's `P_f`, which
     /// doubles as the root coordinator's representative.
+    #[expect(
+        clippy::expect_used,
+        reason = "representatives are leaves (pinned by `representative_is_fastest_leaf`)"
+    )]
     pub fn fastest_proc(&self) -> ProcId {
         self.node(self.node(self.root).representative)
             .proc_id
@@ -280,18 +282,13 @@ impl MachineTree {
     /// The slowest leaf of the whole machine — the paper's `P_s`.
     /// Ties break toward the lowest rank.
     pub fn slowest_proc(&self) -> ProcId {
-        let idx = self
-            .leaves
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let sa = self.node(a).params.speed;
-                let sb = self.node(b).params.speed;
-                sa.total_cmp(&sb)
-                    .then(self.node(a).proc_id.cmp(&self.node(b).proc_id))
-            })
-            .expect("non-empty machine");
-        self.node(idx).proc_id.expect("leaf")
+        // `leaves` is in rank order and `min_by` keeps the first of
+        // equal elements. A machine has at least one leaf.
+        let speed = |rank: usize| self.node(self.leaves[rank]).params.speed;
+        let rank = (0..self.leaves.len())
+            .min_by(|&a, &b| speed(a).total_cmp(&speed(b)))
+            .unwrap_or(0);
+        ProcId(rank as u32)
     }
 
     /// Assign problem fractions `c` to a set of machines (commonly the
@@ -364,20 +361,11 @@ impl MachineTree {
         }
         // Fraction consistency: children of a cluster must partition the
         // cluster's fraction when all are assigned.
-        for node in &self.nodes {
-            if node.is_proc()
-                || node
-                    .children
-                    .iter()
-                    .any(|&c| self.node(c).params.c.is_none())
-            {
+        for node in self.nodes.iter().filter(|n| !n.is_proc()) {
+            let fractions = node.children.iter().map(|&c| self.node(c).params.c);
+            let Some(sum) = fractions.sum::<Option<f64>>() else {
                 continue;
-            }
-            let sum: f64 = node
-                .children
-                .iter()
-                .map(|&c| self.node(c).params.c.unwrap())
-                .sum();
+            };
             let expected = node.params.c.unwrap_or(1.0);
             if (sum - expected).abs() > 1e-6 {
                 return Err(ModelError::FractionSum {

@@ -149,7 +149,7 @@ pub struct Executor {
     probe: Option<Arc<dyn Probe>>,
     /// The engine [`Executor::run`] serves from, built on first use from
     /// the fields above; whatever changes one of them empties it.
-    session: OnceLock<ExecSession>,
+    engine: OnceLock<EngineInstance>,
 }
 
 impl Clone for Executor {
@@ -162,7 +162,7 @@ impl Clone for Executor {
             faults: self.faults.clone(),
             recovery: self.recovery,
             probe: self.probe.clone(),
-            session: OnceLock::new(),
+            engine: OnceLock::new(),
         }
     }
 }
@@ -177,7 +177,7 @@ impl Executor {
             faults: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
             probe: None,
-            session: OnceLock::new(),
+            engine: OnceLock::new(),
         }
     }
 
@@ -219,7 +219,7 @@ impl Executor {
     /// mid-run.
     pub fn check(mut self, enable: bool) -> Self {
         self.check = Some(enable);
-        self.session.take();
+        self.engine.take();
         self
     }
 
@@ -228,7 +228,7 @@ impl Executor {
     /// bit-identical outcomes.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self.session.take();
+        self.engine.take();
         self
     }
 
@@ -243,7 +243,7 @@ impl Executor {
     /// recorder kept: `hbsp_sim::ProcTimeline::from_steps`.
     pub fn probe(mut self, probe: Arc<dyn Probe>) -> Self {
         self.probe = Some(probe);
-        self.session.take();
+        self.engine.take();
         self
     }
 
@@ -253,7 +253,7 @@ impl Executor {
     /// fails fast.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
-        self.session.take();
+        self.engine.take();
         self
     }
 
@@ -309,26 +309,18 @@ impl Executor {
         self.probe.as_ref()
     }
 
-    /// Build a second engine from this configuration, owned by the
-    /// caller. This is the seam a scheduler drives: one engine instance
-    /// per machine and [`ExecSession::submit`] per job batch. The
-    /// session keeps its engine's buffers until it is dropped,
-    /// independently of the engine [`Executor::run`] keeps.
-    pub fn session(&self) -> ExecSession {
-        self.session_on(self.tree.clone(), self.faults.clone())
-    }
-
-    /// Build a session for an explicit tree and fault plan (recovery
-    /// rebuilds engines on degraded trees through this).
+    /// Build an engine from this configuration for an explicit tree and
+    /// fault plan (recovery rebuilds engines on degraded trees through
+    /// this).
     #[expect(clippy::disallowed_methods, reason = "the seam: builds the engine")]
-    fn session_on(&self, tree: Arc<MachineTree>, faults: FaultPlan) -> ExecSession {
-        let engine = match self.kind {
+    fn build_engine(&self, tree: &Arc<MachineTree>, faults: &FaultPlan) -> EngineInstance {
+        match self.kind {
             EngineKind::Simulator => {
                 let mut sim = match &self.cfg {
                     Some(cfg) => Simulator::with_config(tree.clone(), cfg.clone()),
                     None => Simulator::new(tree.clone()),
                 };
-                sim = sim.faults(faults);
+                sim = sim.faults(faults.clone());
                 if let Some(chk) = self.check {
                     sim = sim.check(chk);
                 }
@@ -342,7 +334,7 @@ impl Executor {
                     Some(cfg) => ThreadedRuntime::with_config(tree.clone(), cfg.clone()),
                     None => ThreadedRuntime::new(tree.clone()),
                 };
-                rt = rt.faults(faults);
+                rt = rt.faults(faults.clone());
                 if let Some(chk) = self.check {
                     rt = rt.check(chk);
                 }
@@ -351,8 +343,7 @@ impl Executor {
                 }
                 EngineInstance::Threads(rt)
             }
-        };
-        ExecSession { tree, engine }
+        }
     }
 
     /// Run `prog` once on `tree` with `faults`, on a throw-away engine
@@ -363,7 +354,7 @@ impl Executor {
         faults: &FaultPlan,
         prog: &P,
     ) -> Result<(ExecOutcome, Vec<P::State>), SimError> {
-        self.session_on(tree.clone(), faults.clone()).submit(prog)
+        self.build_engine(tree, faults).run(prog)
     }
 
     /// Run `prog` to completion; returns the outcome and every
@@ -374,7 +365,9 @@ impl Executor {
     /// sequence of runs pays once for growing what the engine keeps. Outcomes are identical to those of a fresh executor per
     /// run, also after a run that failed or panicked.
     pub fn run<P: SpmdProgram>(&self, prog: &P) -> Result<(ExecOutcome, Vec<P::State>), SimError> {
-        self.session.get_or_init(|| self.session()).submit(prog)
+        self.engine
+            .get_or_init(|| self.build_engine(&self.tree, &self.faults))
+            .run(prog)
     }
 
     /// Run with graceful degradation: on a fault-typed error
@@ -517,45 +510,11 @@ enum EngineInstance {
     Threads(ThreadedRuntime),
 }
 
-/// A built engine accepting many program submissions — the executor
-/// seam for schedulers. [`Executor::run`] submits to a session the
-/// executor builds on first use and keeps; a multi-tenant scheduler
-/// calls [`Executor::session`] for one of its own and
-/// [`ExecSession::submit`]s every job batch against it. Either way
-/// per-submission cost is the program, not engine construction, and
-/// what the engine keeps (the simulator: one message arena and its row
-/// lists) stays grown between submissions and is freed when the session
-/// is dropped.
-///
-/// Each `submit` runs its program to completion before returning, and
-/// the engines' determinism guarantees make a session's outcomes
-/// identical to the same programs run on a fresh engine each. `submit`
-/// takes `&self`: the simulator gives a submission that overlaps
-/// another one private buffers for its duration, the threaded runtime
-/// keeps no state between runs.
-pub struct ExecSession {
-    tree: Arc<MachineTree>,
-    engine: EngineInstance,
-}
-
-impl ExecSession {
-    /// The machine this session's engine runs on.
-    pub fn tree(&self) -> &Arc<MachineTree> {
-        &self.tree
-    }
-
-    /// True if this session drives the threaded runtime (and so reports
-    /// wall-clock durations).
-    pub fn is_threaded(&self) -> bool {
-        matches!(self.engine, EngineInstance::Threads(_))
-    }
-
-    /// Run one program to completion on this session's engine.
-    pub fn submit<P: SpmdProgram>(
-        &self,
-        prog: &P,
-    ) -> Result<(ExecOutcome, Vec<P::State>), SimError> {
-        match &self.engine {
+impl EngineInstance {
+    /// Run one program to completion. The engines' determinism makes
+    /// the outcome identical to the same program's on a fresh engine.
+    fn run<P: SpmdProgram>(&self, prog: &P) -> Result<(ExecOutcome, Vec<P::State>), SimError> {
+        match self {
             EngineInstance::Simulator(sim) => {
                 let (out, states) = sim.run_with_states(prog)?;
                 Ok((
@@ -638,30 +597,32 @@ mod tests {
 
     #[test]
     fn one_session_accepts_many_submissions() {
-        for exec in [Executor::simulator(tree()), Executor::threads(tree())] {
-            let session = exec.session();
-            let (first, states1) = session.submit(&PingPong).unwrap();
-            let (second, states2) = session.submit(&PingPong).unwrap();
+        for (exec, fresh) in [
+            (Executor::simulator(tree()), Executor::simulator(tree())),
+            (Executor::threads(tree()), Executor::threads(tree())),
+        ] {
+            let (first, states1) = exec.run(&PingPong).unwrap();
+            let (second, states2) = exec.run(&PingPong).unwrap();
             // The engine is reused, not rebuilt: outcomes stay
-            // deterministic and identical to one-shot runs.
+            // deterministic and identical to a fresh executor's.
             assert_eq!(states1, states2);
             assert_eq!(first.total_time(), second.total_time());
-            let (oneshot, oneshot_states) = exec.run(&PingPong).unwrap();
+            let (oneshot, oneshot_states) = fresh.run(&PingPong).unwrap();
             assert_eq!(states1, oneshot_states);
             assert_eq!(first.total_time(), oneshot.total_time());
-            assert_eq!(session.is_threaded(), first.wall.is_some());
+            assert_eq!(first.wall.is_some(), oneshot.wall.is_some());
         }
     }
 
     #[test]
     fn run_keeps_one_engine_and_a_clone_starts_cold() {
         let exec = Executor::simulator(tree());
-        assert!(exec.session.get().is_none(), "built on first use");
+        assert!(exec.engine.get().is_none(), "built on first use");
         exec.run(&PingPong).unwrap();
-        let first = exec.session.get().expect("kept after the run") as *const ExecSession;
+        let first = exec.engine.get().expect("kept after the run") as *const EngineInstance;
         exec.run(&PingPong).unwrap();
-        assert!(std::ptr::eq(first, exec.session.get().unwrap()));
-        assert!(exec.clone().session.get().is_none(), "a clone starts cold");
+        assert!(std::ptr::eq(first, exec.engine.get().unwrap()));
+        assert!(exec.clone().engine.get().is_none(), "a clone starts cold");
     }
 
     /// A program no machine can run: its pre-flight always refuses.
@@ -734,7 +695,8 @@ mod tests {
         for exec in [Executor::simulator(tree()), Executor::threads(tree())] {
             let named = Executor::from_engine_name(exec.engine_name(), tree()).unwrap();
             assert_eq!(named.engine_name(), exec.engine_name());
-            assert_eq!(named.session().is_threaded(), exec.session().is_threaded());
+            let threaded = |e: &Executor| e.run(&PingPong).unwrap().0.wall.is_some();
+            assert_eq!(threaded(&named), threaded(&exec));
         }
         assert!(Executor::from_engine_name("both", tree()).is_none());
     }

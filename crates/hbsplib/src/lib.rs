@@ -78,8 +78,7 @@ pub use ctx::Ctx;
 pub use drma::{GetReply, Region};
 pub use enquiry::TreeEnquiry;
 pub use executor::{
-    predict_program, ExecOutcome, ExecSession, Executor, FaultReport, Recovered, RecoveryEvent,
-    RecoveryPolicy,
+    predict_program, ExecOutcome, Executor, FaultReport, Recovered, RecoveryEvent, RecoveryPolicy,
 };
 pub use hetero::{balanced_partition, equal_partition, my_share};
 

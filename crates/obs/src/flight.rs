@@ -2,11 +2,11 @@
 //! [`Recorder`]. A [`Recorder::new`] keeps a growing copy of everything
 //! it sees: right for tests and offline analysis, wrong for production,
 //! where telemetry must be bounded and cheap enough to never turn off.
-//! This name keeps a ring of the last `capacity` supersteps (zero
-//! allocation and zero lock acquisition on the hot path once armed) and
-//! counters instead of histograms. Everything else — the store, the
-//! readers, [`Recorder::bundle`] on a fault — is the recorder's own,
-//! reached through `Deref`.
+//! This name keeps a ring of the last `capacity` supersteps (no
+//! allocation on the hot path once armed, and the recorder's one
+//! uncontended lock per step) and counters instead of histograms.
+//! Everything else — the store, the readers, [`Recorder::bundle`] on a
+//! fault — is the recorder's own, reached through `Deref`.
 
 use crate::probe::{ObsEvent, Probe, StepRecord};
 use crate::record::{Recorder, StepTrace};

@@ -54,24 +54,24 @@ impl JobMetrics {
     }
 
     /// Record `n` submissions.
-    pub fn submitted(&self, n: u64) {
-        self.registry.c(self.submitted).add(n);
+    pub fn submitted(&mut self, n: u64) {
+        self.registry.add(self.submitted, n);
     }
 
     /// Record one completed job and its batch-window duration.
-    pub fn completed(&self, virtual_time: f64) {
-        self.registry.c(self.completed).inc();
-        self.registry.h(self.virtual_time).record(virtual_time);
+    pub fn completed(&mut self, virtual_time: f64) {
+        self.registry.add(self.completed, 1);
+        self.registry.record(self.virtual_time, virtual_time);
     }
 
     /// Record one failed job.
-    pub fn failed(&self) {
-        self.registry.c(self.failed).inc();
+    pub fn failed(&mut self) {
+        self.registry.add(self.failed, 1);
     }
 
     /// Record one admission batch.
-    pub fn batch(&self) {
-        self.registry.c(self.batches).inc();
+    pub fn batch(&mut self) {
+        self.registry.add(self.batches, 1);
     }
 
     /// Snapshot every series in registration order.
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn metric_names_are_the_contract() {
-        let m = JobMetrics::new();
+        let mut m = JobMetrics::new();
         m.submitted(3);
         m.completed(10.0);
         m.completed(20.0);

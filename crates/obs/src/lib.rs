@@ -11,10 +11,10 @@
 //!   path off the hot path: engines assemble nothing unless
 //!   [`Probe::enabled`] returns true.
 //! * **[`Recorder`]** — the one shipped probe and the only place a
-//!   superstep is stored: a seqlocked arena of [`StepTrace`]s read by
-//!   cursor ([`Recorder::steps_since`]), the event list, a lock-free
-//!   [`metrics`] registry with stable names, and exporters to Chrome
-//!   trace-event JSON ([`chrome_trace`], loads in Perfetto) and JSONL
+//!   superstep is stored: an arena of [`StepTrace`]s read by cursor
+//!   ([`Recorder::steps_since`]), the event list and a [`metrics`]
+//!   registry with stable names, all behind one lock; and exporters to
+//!   Chrome trace-event JSON ([`chrome_trace`], loads in Perfetto) and JSONL
 //!   ([`jsonl`]). [`Recorder::new`] keeps everything.
 //! * **[`DriftReport`]** — observed supersteps folded against the cost
 //!   model's predictions for the same schedule: per-step and aggregate
@@ -28,7 +28,7 @@
 //!   of the scheduler's causal tree, rendered by
 //!   [`chrome_trace_with_causal`] like every other span.
 //! * **[`FlightRecorder`]** — the same recorder built always-on: a
-//!   lock-free, allocation-free ring of the last N step records with
+//!   ring of the last N step records, allocation-free once armed, with
 //!   counters instead of histograms, cheap enough to leave armed in
 //!   production. On a fault it freezes into a [`PostmortemBundle`]
 //!   — machine tree, fault plan, last-N steps, events, decision log,
@@ -62,7 +62,7 @@ pub use export::{
 };
 pub use flight::FlightRecorder;
 pub use jobs::JobMetrics;
-pub use metrics::{Counter, Histogram, MetricSample, MetricValue, Registry};
+pub use metrics::{MetricSample, MetricValue, Registry};
 pub use postmortem::{PostmortemBundle, BUNDLE_VERSION};
 pub use probe::{noop, NoopProbe, ObsEvent, Probe, StepRecord, StepWall};
 pub use record::{check_span_invariants, EventTrace, Recorder, StepTrace, StepsSince};

@@ -1,9 +1,9 @@
 //! [`Recorder`] — the one telemetry sink. It owns every stage between
-//! a superstep and its readers: the step store (a seqlocked arena of
-//! atomics), the event list, the metrics [`Registry`], the only
-//! [`Probe`] implementation with a body and the only conversion from
-//! [`ObsEvent`] to [`EventTrace`]. Two constructors set what is kept
-//! ([`crate::FlightRecorder`] is a forwarding newtype over the second):
+//! a superstep and its readers: the step store, the event list, the
+//! metrics [`Registry`], the only [`Probe`] implementation with a body
+//! and the only conversion from [`ObsEvent`] to [`EventTrace`]. Two
+//! constructors set what is kept ([`crate::FlightRecorder`] is a
+//! forwarding newtype over the second):
 //!
 //! | | [`Recorder::new`] | [`crate::FlightRecorder::new`] |
 //! |---|---|---|
@@ -11,20 +11,15 @@
 //! | `hbsp_*` histograms, per-level counters | kept | not kept |
 //! | events retained | all of them | the first 1024 |
 //!
-//! **Hot path** ([`Probe::on_step`]): plain `Relaxed` stores into the
-//! step's arena slot plus counter increments; no mutex, no CAS on the
-//! store, and no allocation per step — a ring is sized once when armed,
-//! and the keep-everything store grows by appending 64 KiB segments
-//! (one allocation per segment) to a directory it indexes in constant
-//! time. The engines serialize `on_step` (simulator loop / leader
-//! section), so a single writer is an invariant, not a hope.
-//!
-//! **Owner stamps**: each slot carries a sequence stamp, cleared before
-//! the slot is filled and written last with `Release`. A reader
-//! validates the stamp before and after copying a slot and discards a
-//! record overwritten mid-read, so reading is safe from any thread at
-//! any time — including from a fault handler while the run is still
-//! aborting.
+//! **One lock**: steps, events and metrics live in one `Mutex`, taken
+//! once per [`Probe::on_step`] and once per [`Probe::on_event`]. The
+//! engines already serialize `on_step` (simulator loop / leader
+//! section), so the writer never waits on itself, and every reader in
+//! the workspace reads after the run has returned. A step costs plain
+//! stores into its slot plus counter adds, and no allocation: a ring is
+//! sized once when armed, and the keep-everything store grows by
+//! appending 64 KiB segments (one allocation per segment, plus the
+//! segment list's occasional doubling).
 //!
 //! **Readers** hold a cursor: [`Recorder::recorded`] counts the steps
 //! seen so far and [`Recorder::steps_since`] copies only what arrived
@@ -35,8 +30,7 @@ use crate::postmortem::PostmortemBundle;
 use crate::probe::{ObsEvent, Probe, StepRecord, StepWall};
 use crate::span::{Span, SpanKind};
 use hbsp_core::{Level, ProcId};
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Highest hierarchy level tracked with a dedicated per-level metric;
 /// deeper traffic still lands in the aggregate counters.
@@ -308,7 +302,7 @@ const FLIGHT_CAPACITY: usize = 64;
 const EVENT_CAPACITY: usize = 1024;
 
 /// Header cells per arena slot (before the per-processor columns).
-const HDR: usize = 8;
+const HDR: usize = 7;
 
 /// What a keep-everything store allocates at a time. Kept well under
 /// the allocator's mmap threshold on purpose: a recorder often lives
@@ -318,12 +312,8 @@ const HDR: usize = 8;
 /// more resident memory under a threaded drain with doubling blocks).
 const SEGMENT_BYTES: usize = 64 << 10;
 
-/// Tables of the segment directory: table `k` has `2^k` entries, so
-/// this many index more segments than fit in memory.
-const TABLES: usize = 40;
-
-/// One allocation of the step store: `slots` slots of `stride` atomic
-/// cells each, holding the steps numbered `first..`. A ring is a single
+/// One allocation of the step store: `slots` slots of `stride` cells
+/// each, holding the steps numbered `first..`. A ring is a single
 /// segment; a keep-everything store appends segments of
 /// [`SEGMENT_BYTES`], each sized for the largest machine seen so far.
 ///
@@ -333,8 +323,8 @@ const TABLES: usize = 40;
 /// machine the segment was sized for):
 ///
 /// ```text
-/// 0 stamp   1 step   2 barrier+1   3 hrelation   4 procs
-/// 5 levels  6 has_wall  7 leader_done_ns
+/// 0 step   1 barrier+1   2 hrelation   3 procs   4 levels
+/// 5 has_wall   6 leader_done_ns
 /// ```
 struct Segment {
     first: u64,
@@ -342,7 +332,7 @@ struct Segment {
     procs: usize,
     levels: usize,
     stride: usize,
-    cells: Box<[AtomicU64]>,
+    cells: Box<[u64]>,
 }
 
 impl Segment {
@@ -357,7 +347,7 @@ impl Segment {
             procs,
             levels,
             stride,
-            cells: (0..slots * stride).map(|_| AtomicU64::new(0)).collect(),
+            cells: vec![0; slots * stride].into_boxed_slice(),
         }
     }
 
@@ -365,37 +355,75 @@ impl Segment {
         procs <= self.procs && levels <= self.levels
     }
 
-    fn slot(&self, i: usize) -> &[AtomicU64] {
-        &self.cells[i * self.stride..(i + 1) * self.stride]
+    /// Copy the step in slot `i` out.
+    fn read(&self, i: usize) -> StepTrace {
+        let slot = &self.cells[i * self.stride..(i + 1) * self.stride];
+        let (procs, levels, has_wall) = (slot[3] as usize, slot[4] as usize, slot[5] != 0);
+        let f_end = HDR + F_COLS * procs;
+        let u_end = f_end + procs + 2 * levels + if has_wall { 2 * procs } else { 0 };
+        StepTrace {
+            step: slot[0] as usize,
+            barrier: slot[1].checked_sub(1).map(|l| l as Level),
+            hrelation: f64::from_bits(slot[2]),
+            procs,
+            levels,
+            has_wall,
+            leader_done_ns: slot[6],
+            f: slot[HDR..f_end]
+                .iter()
+                .map(|&b| f64::from_bits(b))
+                .collect(),
+            u: slot[f_end..u_end].into(),
+        }
     }
 }
 
-/// Copy step `seq` out of `slot`; `None` if the slot holds another
-/// step, or was overwritten while being copied.
-fn read_slot(slot: &[AtomicU64], seq: u64) -> Option<StepTrace> {
-    if slot[0].load(Ordering::Acquire) != seq + 1 {
-        return None;
+/// Everything a [`Recorder`] mutates, behind its one lock.
+#[derive(Default)]
+struct Store {
+    /// Total steps recorded. Monotone.
+    head: u64,
+    /// Ordered by `first`; segment `n` holds the steps from its `first`
+    /// up to the next segment's.
+    segments: Vec<Segment>,
+    events: Vec<EventTrace>,
+    registry: Registry,
+}
+
+impl Store {
+    /// Allocate the first segment if there is none (first call wins).
+    fn arm(&mut self, ring: Option<usize>, procs: usize, levels: usize) {
+        if self.segments.is_empty() {
+            self.segments
+                .push(Segment::new(self.head, ring, procs, levels));
+        }
     }
-    let ld = |i: usize| slot[i].load(Ordering::Relaxed);
-    let (procs, levels, has_wall) = (ld(4) as usize, ld(5) as usize, ld(6) != 0);
-    // In bounds even when an overwrite tears the header: each cell
-    // always holds a value some step of this segment wrote.
-    let f_end = HDR + F_COLS * procs;
-    let u_end = f_end + procs + 2 * levels + if has_wall { 2 * procs } else { 0 };
-    let trace = StepTrace {
-        step: ld(1) as usize,
-        barrier: ld(2).checked_sub(1).map(|l| l as Level),
-        hrelation: f64::from_bits(ld(3)),
-        procs,
-        levels,
-        has_wall,
-        leader_done_ns: ld(7),
-        f: (HDR..f_end).map(|i| f64::from_bits(ld(i))).collect(),
-        u: (f_end..u_end).map(ld).collect(),
-    };
-    // The copy above must not be ordered after the re-check below.
-    fence(Ordering::Acquire);
-    (slot[0].load(Ordering::Relaxed) == seq + 1).then_some(trace)
+
+    /// The slot step `head` of a `procs × levels` machine goes into;
+    /// `None` when a ring is too small for it.
+    fn next_slot(
+        &mut self,
+        ring: Option<usize>,
+        procs: usize,
+        levels: usize,
+    ) -> Option<&mut [u64]> {
+        let seq = self.head;
+        self.arm(ring, procs, levels);
+        let last = self.segments.last()?;
+        let i = match ring {
+            Some(cap) if last.fits(procs, levels) => seq % cap as u64,
+            Some(_) => return None,
+            None if seq == last.first + last.slots as u64 || !last.fits(procs, levels) => {
+                let (procs, levels) = (procs.max(last.procs), levels.max(last.levels));
+                self.segments.push(Segment::new(seq, None, procs, levels));
+                0
+            }
+            None => seq - last.first,
+        };
+        let seg = self.segments.last_mut()?;
+        let start = i as usize * seg.stride;
+        Some(&mut seg.cells[start..start + seg.stride])
+    }
 }
 
 /// What [`Recorder::steps_since`] found after a cursor.
@@ -404,7 +432,7 @@ pub struct StepsSince {
     /// The retained steps recorded at or after the cursor, oldest first.
     pub steps: Vec<StepTrace>,
     /// Steps recorded after the cursor that are no longer held: a ring
-    /// overwrote them before (or while) they were read.
+    /// overwrote them before they were read.
     pub missed: u64,
     /// The cursor to pass next time: [`Recorder::recorded`] as of this
     /// read.
@@ -428,9 +456,9 @@ enum Profile {
     Flight(FlightMetrics),
 }
 
-/// [`Recorder::new`]: per-level counters and the five histograms (a
-/// histogram costs a CAS loop per record), every event, and the
-/// process-wide poison-recovery delta in the snapshot.
+/// [`Recorder::new`]: per-level counters and the five histograms,
+/// every event, and the process-wide poison-recovery delta in the
+/// snapshot.
 struct FullMetrics {
     level_words: Vec<CounterId>,
     level_messages: Vec<CounterId>,
@@ -443,7 +471,8 @@ struct FullMetrics {
 }
 
 /// [`crate::FlightRecorder::new`]: counters only, the ring's own
-/// bookkeeping and a bounded event list.
+/// bookkeeping and a bounded event list: a post-mortem reads the
+/// retained steps, not distributions over past ones.
 struct FlightMetrics {
     overwrites: CounterId,
     clipped: CounterId,
@@ -455,18 +484,7 @@ struct FlightMetrics {
 pub struct Recorder {
     /// `Some(n)`: a ring of the last `n` steps. `None`: every step.
     ring: Option<usize>,
-    /// Total steps recorded. Monotone; `Release`-published after the
-    /// slot it names is stamped.
-    head: AtomicU64,
-    /// The segment directory: segment `n` is entry `n + 1 - 2^k` of
-    /// table `k = log2(n + 1)`, so neither the writer nor a reader walks
-    /// a list. `grown` counts the segments after the first.
-    tables: [OnceLock<Box<[OnceLock<Segment>]>>; TABLES],
-    grown: AtomicUsize,
-    /// Events are fault-path only, so a lock is fine here; `on_step`
-    /// never takes it.
-    events: Mutex<Vec<EventTrace>>,
-    registry: Registry,
+    store: Mutex<Store>,
     m: Metrics,
     profile: Profile,
 }
@@ -527,11 +545,10 @@ impl Recorder {
     fn build(ring: Option<usize>, registry: Registry, m: Metrics, profile: Profile) -> Recorder {
         Recorder {
             ring,
-            head: AtomicU64::new(0),
-            tables: [const { OnceLock::new() }; TABLES],
-            grown: AtomicUsize::new(0),
-            events: Mutex::new(Vec::new()),
-            registry,
+            store: Mutex::new(Store {
+                registry,
+                ..Store::default()
+            }),
             m,
             profile,
         }
@@ -553,74 +570,45 @@ impl Recorder {
     /// from machines larger than it was armed for; a flight recorder
     /// counts them (`hbsp_flight_clipped_total`).
     pub fn arm(&self, procs: usize, levels: usize) {
-        self.armed(procs, levels);
+        self.store().arm(self.ring, procs, levels);
     }
 
-    fn armed(&self, procs: usize, levels: usize) -> &Segment {
-        self.segment(0)
-            .get_or_init(|| Segment::new(0, self.ring, procs, levels))
-    }
-
-    fn segment(&self, n: usize) -> &OnceLock<Segment> {
-        let k = (n + 1).ilog2() as usize;
-        let table = self.tables[k].get_or_init(|| (0..1 << k).map(|_| OnceLock::new()).collect());
-        &table[n + 1 - (1 << k)]
-    }
-
-    /// The slot step `seq` of a `procs × levels` machine goes into;
-    /// `None` when a ring is too small for it.
-    fn slot_for(&self, seq: u64, procs: usize, levels: usize) -> Option<&[AtomicU64]> {
-        let first = self.armed(procs, levels);
-        if let Some(cap) = self.ring {
-            return first
-                .fits(procs, levels)
-                .then(|| first.slot((seq % cap as u64) as usize));
-        }
-        let n = self.grown.load(Ordering::Relaxed);
-        // Published before `grown` named it; were it missing, a segment
-        // from `seq` on is what this step needs anyway.
-        let mut seg = self
-            .segment(n)
-            .get_or_init(|| Segment::new(seq, None, procs, levels));
-        if seq == seg.first + seg.slots as u64 || !seg.fits(procs, levels) {
-            let (procs, levels) = (procs.max(seg.procs), levels.max(seg.levels));
-            seg = self
-                .segment(n + 1)
-                .get_or_init(|| Segment::new(seq, None, procs, levels));
-            self.grown.store(n + 1, Ordering::Release);
-        }
-        Some(seg.slot((seq - seg.first) as usize))
+    /// The store past a poisoned lock, counted like `hbsp_runtime`'s
+    /// `lock_anyway`. A panic while it was held cannot half-record a
+    /// step: `on_step` checks the record before it takes the lock and
+    /// advances `head` only after the slot is full.
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|poisoned| {
+            metrics::record_poison_recovery();
+            poisoned.into_inner()
+        })
     }
 
     /// Total steps recorded since construction — the cursor
     /// [`Recorder::steps_since`] takes. Monotone; a ring has
     /// overwritten all but the last `n` of them.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.store().head
     }
 
     /// Copy out the steps recorded at or after `cursor` (a value
     /// [`Recorder::recorded`] or [`StepsSince::next`] returned; `0` for
     /// everything retained), oldest first. Steps a ring no longer holds
     /// are counted in [`StepsSince::missed`], never replaced by other
-    /// steps; a record overwritten while it was being read counts as
-    /// missed too, so a concurrent read is always coherent, never torn.
+    /// steps.
     pub fn steps_since(&self, cursor: u64) -> StepsSince {
-        let next = self.recorded();
+        let store = self.store();
+        let next = store.head;
         let cursor = cursor.min(next);
         let oldest = self.ring.map_or(0, |cap| next.saturating_sub(cap as u64));
         let retained = cursor.max(oldest)..next;
         let mut steps = Vec::with_capacity((retained.end - retained.start) as usize);
-        // Published before `head`; a step no segment holds counts as missed.
-        let seg = |n: usize| self.segment(n).get();
-        let (mut n, last) = (0, self.grown.load(Ordering::Acquire));
-        for seq in retained {
-            while n < last && seg(n + 1).is_some_and(|s| s.first <= seq) {
-                n += 1;
+        let ends = store.segments.iter().skip(1).map(|s| s.first).chain([next]);
+        for (seg, end) in store.segments.iter().zip(ends) {
+            for seq in retained.start.max(seg.first)..retained.end.min(end) {
+                let i = self.ring.map_or(seq - seg.first, |cap| seq % cap as u64);
+                steps.push(seg.read(i as usize));
             }
-            let Some(s) = seg(n) else { continue };
-            let i = self.ring.map_or(seq - s.first, |cap| seq % cap as u64);
-            steps.extend(read_slot(s.slot(i as usize), seq));
         }
         StepsSince {
             missed: next - cursor - steps.len() as u64,
@@ -638,7 +626,7 @@ impl Recorder {
     /// Copy of the retained events from index `cursor` on, oldest
     /// first; the next cursor is `cursor` plus the length returned.
     pub fn events_since(&self, cursor: usize) -> Vec<EventTrace> {
-        let events = self.event_list();
+        let events = &self.store().events;
         events[cursor.min(events.len())..].to_vec()
     }
 
@@ -647,20 +635,11 @@ impl Recorder {
         self.events_since(0)
     }
 
-    /// The event list past a poisoned lock, counted like `hbsp_runtime`'s
-    /// `lock_anyway`: a panic while it was held cannot half-push an event.
-    fn event_list(&self) -> MutexGuard<'_, Vec<EventTrace>> {
-        self.events.lock().unwrap_or_else(|poisoned| {
-            metrics::record_poison_recovery();
-            poisoned.into_inner()
-        })
-    }
-
     /// Snapshot of every metric; a [`Recorder::new`] appends the
     /// process-global poison-recovery delta as
     /// `hbsp_poisoned_lock_recoveries_total`.
     pub fn metrics(&self) -> Vec<MetricSample> {
-        let mut out = self.registry.snapshot();
+        let mut out = self.store().registry.snapshot();
         if let Profile::Full(full) = &self.profile {
             let since = metrics::poison_recoveries().saturating_sub(full.poison_base);
             out.push(MetricSample {
@@ -706,18 +685,6 @@ impl Recorder {
             ..PostmortemBundle::default()
         }
     }
-
-    /// Retain an event; a flight recorder at its bound counts it as
-    /// dropped instead.
-    fn push_event(&self, ev: EventTrace) {
-        let mut events = self.event_list();
-        match &self.profile {
-            Profile::Flight(flight) if events.len() >= EVENT_CAPACITY => {
-                self.registry.c(flight.events_dropped).inc()
-            }
-            _ => events.push(ev),
-        }
-    }
 }
 
 impl Metrics {
@@ -745,22 +712,15 @@ impl Probe for Recorder {
     fn on_step(&self, r: &StepRecord<'_>) {
         let (p, levels) = (r.starts.len(), r.words_by_level.len());
         let (f, u) = columns(r);
-        let reg = &self.registry;
-        let seq = self.head.load(Ordering::Relaxed);
-        let Some(slot) = self.slot_for(seq, p, levels) else {
+        let mut guard = self.store();
+        let store = &mut *guard;
+        let seq = store.head;
+        let Some(slot) = store.next_slot(self.ring, p, levels) else {
             if let Profile::Flight(flight) = &self.profile {
-                reg.c(flight.clipped).inc();
+                store.registry.add(flight.clipped, 1);
             }
             return;
         };
-        if let (Some(cap), Profile::Flight(flight)) = (self.ring, &self.profile) {
-            if seq >= cap as u64 {
-                reg.c(flight.overwrites).inc();
-            }
-        }
-        // Invalidate the slot, fill it, then publish the owner stamp.
-        slot[0].store(0, Ordering::Relaxed);
-        fence(Ordering::Release);
         let header = [
             r.step as u64,
             r.barrier.map_or(0, |l| l as u64 + 1),
@@ -771,49 +731,57 @@ impl Probe for Recorder {
             r.wall.map_or(0, |w| w.leader_done_ns),
         ];
         // Plain loops: an iterator chain over the columns cost this path
-        // twice the time. The slot has room — `slot_for` checked the fit.
-        // Each loop draws a cell only for a value it has (the value side
-        // of the zip goes first), so no cell is skipped.
-        let mut cells = slot[1..].iter();
+        // twice the time. The slot has room — `next_slot` checked the
+        // fit. Each loop draws a cell only for a value it has (the value
+        // side of the zip goes first), so no cell is skipped.
+        let mut cells = slot.iter_mut();
         for (v, cell) in header.into_iter().zip(cells.by_ref()) {
-            cell.store(v, Ordering::Relaxed);
+            *cell = v;
         }
         for col in f {
             for (v, cell) in col.iter().zip(cells.by_ref()) {
-                cell.store(v.to_bits(), Ordering::Relaxed);
+                *cell = v.to_bits();
             }
         }
         for col in u {
             for (&v, cell) in col.iter().zip(cells.by_ref()) {
-                cell.store(v, Ordering::Relaxed);
+                *cell = v;
             }
         }
-        slot[0].store(seq + 1, Ordering::Release);
-        self.head.store(seq + 1, Ordering::Release);
+        store.head = seq + 1;
 
-        reg.c(self.m.steps_total).inc();
-        reg.c(self.m.words_total)
-            .add(r.words_by_level.iter().sum::<u64>());
-        reg.c(self.m.messages_total)
-            .add(r.messages_by_level.iter().sum::<u64>());
+        let reg = &mut store.registry;
+        if let (Some(cap), Profile::Flight(flight)) = (self.ring, &self.profile) {
+            if seq >= cap as u64 {
+                reg.add(flight.overwrites, 1);
+            }
+        }
+        reg.add(self.m.steps_total, 1);
+        reg.add(self.m.words_total, r.words_by_level.iter().sum::<u64>());
+        reg.add(
+            self.m.messages_total,
+            r.messages_by_level.iter().sum::<u64>(),
+        );
         let Profile::Full(full) = &self.profile else {
             return;
         };
         let by_level = full.level_words.iter().zip(r.words_by_level);
         for (&id, &v) in by_level.chain(full.level_messages.iter().zip(r.messages_by_level)) {
-            reg.c(id).add(v);
+            reg.add(id, v);
         }
-        reg.h(full.hrelation).record(r.hrelation);
+        reg.record(full.hrelation, r.hrelation);
         for (f, rel) in r.finish.iter().zip(r.releases) {
-            reg.h(full.barrier_wait_virtual).record(rel - f);
+            reg.record(full.barrier_wait_virtual, rel - f);
         }
         let start = r.starts.iter().copied().fold(f64::INFINITY, f64::min);
         let release = r.releases.iter().copied().fold(0.0f64, f64::max);
-        reg.h(full.step_duration_virtual).record(release - start);
+        reg.record(full.step_duration_virtual, release - start);
         if let Some(wall) = &r.wall {
             let first = wall.body_start_ns.iter().copied().min().unwrap_or(0);
-            reg.h(full.step_wall_ns)
-                .record(wall.leader_done_ns.saturating_sub(first) as f64);
+            reg.record(
+                full.step_wall_ns,
+                wall.leader_done_ns.saturating_sub(first) as f64,
+            );
         }
     }
 
@@ -848,27 +816,34 @@ impl Probe for Recorder {
                 drift,
                 strategy,
                 predicted,
-            } => {
-                // Forced re-plans report infinite drift (a structural
-                // mismatch, not a measurement); keep the histogram sums
-                // finite.
-                if let (Profile::Full(full), true) = (&self.profile, drift.is_finite()) {
-                    self.registry.h(full.adaptive_drift).record(drift);
-                }
-                (
-                    m.adaptive_replans,
-                    EventTrace::Replan {
-                        segment,
-                        step,
-                        drift,
-                        strategy: strategy.to_string(),
-                        predicted,
-                    },
-                )
-            }
+            } => (
+                m.adaptive_replans,
+                EventTrace::Replan {
+                    segment,
+                    step,
+                    drift,
+                    strategy: strategy.to_string(),
+                    predicted,
+                },
+            ),
         };
-        self.registry.c(counter).inc();
-        self.push_event(owned);
+        let mut guard = self.store();
+        let store = &mut *guard;
+        // Forced re-plans report infinite drift (a structural mismatch,
+        // not a measurement); keep the histogram sums finite.
+        if let (Profile::Full(full), ObsEvent::Replan { drift, .. }) = (&self.profile, ev) {
+            if drift.is_finite() {
+                store.registry.record(full.adaptive_drift, *drift);
+            }
+        }
+        store.registry.add(counter, 1);
+        // A flight recorder at its bound counts an event as dropped.
+        match &self.profile {
+            Profile::Flight(flight) if store.events.len() >= EVENT_CAPACITY => {
+                store.registry.add(flight.events_dropped, 1)
+            }
+            _ => store.events.push(owned),
+        }
     }
 }
 
@@ -1097,16 +1072,22 @@ mod tests {
         let before = metrics::poison_recoveries();
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
-                let _held = rec.events.lock();
-                panic!("poison the event list");
+                let _held = rec.store.lock();
+                panic!("poison the store");
             });
             assert!(holder.join().is_err());
         });
+        let st = synthetic_step(0, Some(1), 0.0);
+        rec.on_step(&record_of(&st));
         rec.on_event(&ObsEvent::RecoveryAttempt { attempt: 1 });
+        assert_eq!(rec.steps(), vec![st]);
         assert_eq!(
             rec.events(),
             vec![EventTrace::RecoveryAttempt { attempt: 1 }]
         );
+        let text = rec.metrics_text();
+        assert!(text.contains("hbsp_steps_total 1\n"), "{text}");
+        assert!(text.contains("hbsp_recovery_attempts_total 1\n"), "{text}");
         assert!(metrics::poison_recoveries() > before);
     }
 

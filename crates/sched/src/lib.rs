@@ -200,7 +200,7 @@ impl Scheduler {
         };
         let mut cl = ClosedLoop::new(&exec, cfg, CausalKind::Batch);
         let exec = exec.probe(cl.recorder());
-        let metrics = JobMetrics::new();
+        let mut metrics = JobMetrics::new();
         metrics.submitted(n as u64);
 
         let mut job_reports: Vec<JobReport> = Vec::with_capacity(n);

@@ -396,9 +396,9 @@ fn the_recorder_store_allocates_per_segment_never_per_step() {
     }
     assert_eq!(feed(&flight, 900), 0, "armed flight ring");
     assert_eq!(feed(&bounded, 900), 0, "armed keep_last ring");
-    // Six segments hold the 900 steps: five after the armed one, in
-    // directory tables of 1, 2 and 4 entries.
-    assert_eq!(feed(&everything, 900), 5 + 2, "keep-everything store");
+    // Six segments of 174 steps hold the 900: five after the armed
+    // one, and the segment list grows once, from 4 entries to 8.
+    assert_eq!(feed(&everything, 900), 5 + 1, "keep-everything store");
     assert_eq!(everything.recorded(), 900);
 }
 
