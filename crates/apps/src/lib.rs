@@ -31,6 +31,21 @@ pub use matvec::MatVecRun;
 pub use sort::SampleSortRun;
 pub use stencil::{reference_jacobi, StencilRun};
 
+/// Copy a `[offset, values…]` payload of `f64`s into `out[offset..]`,
+/// read where it lies: how matvec and the stencil gather their blocks.
+///
+/// # Panics
+/// Panics if the block overruns `out`.
+fn place(out: &mut [f64], payload: &[u8]) {
+    let mut values = hbsplib::codec::read_f64s(payload);
+    if let Some(offset) = values.next() {
+        let offset = offset as usize;
+        for (slot, v) in out[offset..offset + values.len()].iter_mut().zip(values) {
+            *slot = v;
+        }
+    }
+}
+
 /// The simulator on a copy of `tree`: what the modules' tests run on.
 #[cfg(test)]
 fn sim(tree: &hbsp_core::MachineTree) -> hbsplib::Executor {

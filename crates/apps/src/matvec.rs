@@ -11,6 +11,7 @@ use hbsp_collectives::plan::WorkloadPolicy;
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
 use hbsp_sim::{SimError, SimOutcome};
 use hbsplib::{codec, Executor};
+use std::ops::Range;
 use std::sync::Arc;
 
 const TAG_ROWS: u32 = 0x4D01;
@@ -49,15 +50,19 @@ impl MatVec {
     }
 }
 
-/// Per-processor state: the owned rows, the vector, and (at the root)
-/// the assembled result.
+/// Per-processor state: the root's own block of rows and, at the root,
+/// the assembled result. The other ranks hold nothing: they multiply
+/// straight from the root's message.
 #[derive(Debug, Default, Clone)]
 pub struct MatVecState {
-    rows: Vec<f64>,
-    row_offset: usize,
-    x: Vec<f64>,
+    own: Range<usize>,
     /// `y`, assembled at the root after the final gather.
     pub y: Vec<f64>,
+}
+
+/// `row · x`, summed in row order.
+fn dot(row: impl Iterator<Item = f64>, x: impl Iterator<Item = f64>) -> f64 {
+    row.zip(x).map(|(a, b)| a * b).sum()
 }
 
 impl SpmdProgram for MatVec {
@@ -76,25 +81,24 @@ impl SpmdProgram for MatVec {
     ) -> StepOutcome {
         let root = env.tree.fastest_proc();
         match step {
-            // Scatter row blocks and the vector together.
+            // Scatter row blocks and the vector together, written from
+            // `a` and `x` once each.
             0 => {
                 if env.pid == root {
                     let part = partition_for(&env.tree, self.n as u64, self.workload);
                     for j in 0..env.nprocs {
                         let q = ProcId(j as u32);
                         let range = part.range(q);
-                        let rows =
-                            &self.a[range.start as usize * self.m..range.end as usize * self.m];
+                        let (lo, hi) = (range.start as usize, range.end as usize);
                         if q == root {
-                            state.rows = rows.to_vec();
-                            state.row_offset = range.start as usize;
-                            state.x = self.x.as_ref().clone();
+                            state.own = lo..hi;
                         } else {
-                            let mut payload = Vec::with_capacity(rows.len() + 1);
-                            payload.push(range.start as f64);
-                            payload.extend_from_slice(rows);
-                            ctx.send(q, TAG_ROWS, &codec::encode_f64s(&payload));
-                            ctx.send(q, TAG_X, &codec::encode_f64s(&self.x));
+                            let rows = &self.a[lo * self.m..hi * self.m];
+                            ctx.send_with(q, TAG_ROWS, 8 * (1 + rows.len()), &mut |w| {
+                                w.f64s(&[lo as f64]);
+                                w.f64s(rows);
+                            });
+                            ctx.send_with(q, TAG_X, 8 * self.m, &mut |w| w.f64s(&self.x));
                         }
                     }
                 }
@@ -102,31 +106,33 @@ impl SpmdProgram for MatVec {
             }
             // Local multiply, then send the partial y to the root.
             1 => {
-                for m in ctx.messages() {
-                    match m.tag {
-                        TAG_ROWS => {
-                            let payload = codec::decode_f64s(m.payload);
-                            state.row_offset = payload[0] as usize;
-                            state.rows = payload[1..].to_vec();
-                        }
-                        TAG_X => state.x = codec::decode_f64s(m.payload),
-                        _ => {}
-                    }
-                }
-                let rows = state.rows.len() / self.m.max(1);
-                ctx.charge((rows * self.m) as f64 * 2.0); // mul+add per entry
-                let mut y_part = Vec::with_capacity(rows + 1);
-                y_part.push(state.row_offset as f64);
-                for r in 0..rows {
-                    let row = &state.rows[r * self.m..(r + 1) * self.m];
-                    y_part.push(row.iter().zip(&state.x).map(|(a, b)| a * b).sum());
-                }
                 if env.pid == root {
+                    let own = state.own.clone();
+                    ctx.charge((own.len() * self.m) as f64 * 2.0); // mul+add per entry
                     state.y = vec![0.0; self.n];
-                    let off = y_part[0] as usize;
-                    state.y[off..off + y_part.len() - 1].copy_from_slice(&y_part[1..]);
+                    let rows = self.a[own.start * self.m..own.end * self.m].chunks(self.m.max(1));
+                    for (y, row) in state.y[own].iter_mut().zip(rows) {
+                        *y = dot(row.iter().copied(), self.x.iter().copied());
+                    }
                 } else {
-                    ctx.send(root, TAG_Y, &codec::encode_f64s(&y_part));
+                    // `[offset, y…]`, each row multiplied where it lies
+                    // in the root's message.
+                    let (mut rows, mut x): (&[u8], &[u8]) = (&[], &[]);
+                    for m in ctx.messages() {
+                        match m.tag {
+                            TAG_ROWS => rows = m.payload,
+                            TAG_X => x = m.payload,
+                            _ => {}
+                        }
+                    }
+                    let (head, rows) = rows.split_at(rows.len().min(8));
+                    let mut y_part = vec![codec::read_f64s(head).next().unwrap_or(0.0)];
+                    y_part.extend(
+                        (rows.chunks_exact(8 * self.m.max(1)))
+                            .map(|row| dot(codec::read_f64s(row), codec::read_f64s(x))),
+                    );
+                    ctx.charge(((y_part.len() - 1) * self.m) as f64 * 2.0);
+                    ctx.send_with(root, TAG_Y, 8 * y_part.len(), &mut |w| w.f64s(&y_part));
                 }
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }
@@ -135,9 +141,7 @@ impl SpmdProgram for MatVec {
                 if env.pid == root {
                     for m in ctx.messages() {
                         if m.tag == TAG_Y {
-                            let payload = codec::decode_f64s(m.payload);
-                            let off = payload[0] as usize;
-                            state.y[off..off + payload.len() - 1].copy_from_slice(&payload[1..]);
+                            crate::place(&mut state.y, m.payload);
                         }
                     }
                 }
@@ -176,28 +180,6 @@ pub fn run(
         time: outcome.total_time(),
         sim: outcome.sim,
     })
-}
-
-/// Binary-heap k-way merge of sorted `u32` runs (shared with the
-/// sample sort).
-pub fn kway_merge_u32(runs: Vec<Vec<u32>>) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(u32, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((r[0], i, 0)))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((v, run, pos))) = heap.pop() {
-        out.push(v);
-        if pos + 1 < runs[run].len() {
-            heap.push(Reverse((runs[run][pos + 1], run, pos + 1)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -266,13 +248,6 @@ mod tests {
             .unwrap()
             .time;
         assert!(bal < eq, "balanced {bal} vs equal {eq}");
-    }
-
-    #[test]
-    fn kway_merge_merges() {
-        let merged = kway_merge_u32(vec![vec![1, 4, 7], vec![], vec![2, 3, 9], vec![5]]);
-        assert_eq!(merged, vec![1, 2, 3, 4, 5, 7, 9]);
-        assert!(kway_merge_u32(vec![]).is_empty());
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! buckets yields the sorted array — which is how a BSP sort leaves
 //! its output.
 
-use crate::matvec::kway_merge_u32;
-use hbsp_collectives::data::{decode_bundle, encode_bundle};
+use hbsp_collectives::data::partition_for;
 use hbsp_collectives::plan::{RootPolicy, WorkloadPolicy};
-use hbsp_collectives::shares_for;
 use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope};
 use hbsp_sim::{SimError, SimOutcome};
 use hbsplib::{codec, Executor};
@@ -40,17 +38,10 @@ fn sort_work(n: usize) -> f64 {
     }
 }
 
-/// The items of a share the root sent in step 0.
-#[expect(
-    clippy::expect_used,
-    reason = "the root encodes each share as a one-piece bundle (pinned by `a_share_decodes_to_its_items`)"
-)]
+/// The items of a share the root sent in step 0: a one-piece bundle,
+/// `[1, offset, len, items…]` (pinned by `a_share_decodes_to_its_items`).
 fn share_items(payload: &[u8]) -> Vec<u32> {
-    decode_bundle(payload)
-        .ok()
-        .and_then(|mut pieces| pieces.pop())
-        .expect("the root's own one-piece bundle")
-        .items
+    codec::decode_u32s(&payload[12..])
 }
 
 /// Per-processor sample-sort state.
@@ -114,13 +105,20 @@ impl SpmdProgram for SampleSort {
             // Phase 1: scatter shares from the root.
             0 => {
                 if env.pid == root {
-                    let shares = shares_for(&env.tree, &self.items, self.workload);
-                    for (j, piece) in shares.into_iter().enumerate() {
+                    let part = partition_for(&env.tree, self.items.len() as u64, self.workload);
+                    for j in 0..p {
                         let q = ProcId(j as u32);
+                        let range = part.range(q);
+                        let share = &self.items[range.start as usize..range.end as usize];
                         if q == root {
-                            state.run = piece.items;
+                            state.run = share.to_vec();
                         } else {
-                            ctx.send(q, TAG_SHARE, &encode_bundle(&[piece]));
+                            // A one-piece bundle: `[1, offset, len, items…]`.
+                            let head = [1, range.start as u32, share.len() as u32];
+                            ctx.send_with(q, TAG_SHARE, 4 * (3 + share.len()), &mut |w| {
+                                w.u32s(&head);
+                                w.u32s(share);
+                            });
                         }
                     }
                 }
@@ -148,7 +146,9 @@ impl SpmdProgram for SampleSort {
                     // until the pool is complete.
                     state.splitters = samples;
                 } else {
-                    ctx.send(root, TAG_SAMPLES, &codec::encode_u32s(&samples));
+                    ctx.send_with(root, TAG_SAMPLES, 4 * samples.len(), &mut |w| {
+                        w.u32s(&samples)
+                    });
                 }
                 state.run = run;
                 StepOutcome::Continue(SyncScope::global(&env.tree))
@@ -159,7 +159,7 @@ impl SpmdProgram for SampleSort {
                     let mut pool = std::mem::take(&mut state.splitters);
                     for m in ctx.messages() {
                         if m.tag == TAG_SAMPLES {
-                            pool.extend(codec::decode_u32s(m.payload));
+                            pool.extend(codec::read_u32s(m.payload));
                         }
                     }
                     ctx.charge(sort_work(pool.len()));
@@ -174,7 +174,9 @@ impl SpmdProgram for SampleSort {
                         if q == root {
                             state.splitters = splitters.clone();
                         } else {
-                            ctx.send(q, TAG_SPLITTERS, &codec::encode_u32s(&splitters));
+                            ctx.send_with(q, TAG_SPLITTERS, 4 * splitters.len(), &mut |w| {
+                                w.u32s(&splitters)
+                            });
                         }
                     }
                 }
@@ -211,22 +213,23 @@ impl SpmdProgram for SampleSort {
                     if q == env.pid {
                         state.bucket = bucket.to_vec();
                     } else {
-                        ctx.send(q, TAG_BUCKET, &codec::encode_u32s(bucket));
+                        ctx.send_with(q, TAG_BUCKET, 4 * bucket.len(), &mut |w| w.u32s(bucket));
                     }
                 }
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }
-            // Phase 5: merge incoming runs.
+            // Phase 5: merge incoming runs — appended from their
+            // payloads into one bucket, sorted once.
             _ => {
-                let mut runs: Vec<Vec<u32>> = vec![std::mem::take(&mut state.bucket)];
-                for m in ctx.messages() {
-                    if m.tag == TAG_BUCKET {
-                        runs.push(codec::decode_u32s(m.payload));
-                    }
+                let mut bucket = std::mem::take(&mut state.bucket);
+                let mut runs = 1;
+                for m in ctx.messages().iter().filter(|m| m.tag == TAG_BUCKET) {
+                    bucket.extend(codec::read_u32s(m.payload));
+                    runs += 1;
                 }
-                let total: usize = runs.iter().map(Vec::len).sum();
-                ctx.charge(total as f64 * (runs.len().max(2) as f64).log2());
-                state.bucket = kway_merge_u32(runs);
+                ctx.charge(bucket.len() as f64 * (runs.max(2) as f64).log2());
+                bucket.sort_unstable();
+                state.bucket = bucket;
                 StepOutcome::Done
             }
         }
@@ -316,6 +319,7 @@ mod tests {
 
     #[test]
     fn a_share_decodes_to_its_items() {
+        use hbsp_collectives::data::encode_bundle;
         let piece = hbsp_collectives::Piece {
             offset: 7,
             items: items(33, 5),

@@ -110,7 +110,9 @@ impl SpmdProgram for Stencil {
         if step < self.iterations {
             // Absorb halos from the previous exchange.
             for m in ctx.messages() {
-                let v = codec::decode_f64s(m.payload)[0];
+                let Some(v) = codec::read_f64s(m.payload).next() else {
+                    continue;
+                };
                 match m.tag {
                     // The right neighbour sent its leftmost cell.
                     TAG_HALO_LEFT => state.right_halo = v,
@@ -122,32 +124,30 @@ impl SpmdProgram for Stencil {
             // Relax.
             if !state.cells.is_empty() {
                 ctx.charge(state.cells.len() as f64);
-                let old = state.cells.clone();
-                let n = old.len();
+                // In place: `left` carries the old value of cell i − 1.
+                let n = state.cells.len();
+                let mut left = state.left_halo;
                 for i in 0..n {
-                    let left = if i == 0 { state.left_halo } else { old[i - 1] };
                     let right = if i + 1 == n {
                         state.right_halo
                     } else {
-                        old[i + 1]
+                        state.cells[i + 1]
                     };
-                    state.cells[i] = 0.5 * (left + right);
+                    left = std::mem::replace(&mut state.cells[i], 0.5 * (left + right));
                 }
             }
             // Exchange halos for the next sweep, with the *data*
             // neighbours (owners of the adjacent cells). Boundary-facing
             // sides keep their fixed halo.
             if let Some(left) = state.left_neighbor {
-                ctx.send(left, TAG_HALO_LEFT, &codec::encode_f64s(&[state.cells[0]]));
+                let first = &state.cells[..1];
+                ctx.send_with(left, TAG_HALO_LEFT, 8, &mut |w| w.f64s(first));
             }
             if let Some(right) = state.right_neighbor {
                 // A rank with a data neighbour owns at least one cell.
                 let last = state.cells.len().saturating_sub(1);
-                ctx.send(
-                    right,
-                    TAG_HALO_RIGHT,
-                    &codec::encode_f64s(&state.cells[last..]),
-                );
+                let tail = &state.cells[last..];
+                ctx.send_with(right, TAG_HALO_RIGHT, 8 * tail.len(), &mut |w| w.f64s(tail));
             }
             return StepOutcome::Continue(SyncScope::global(&env.tree));
         }
@@ -155,10 +155,11 @@ impl SpmdProgram for Stencil {
             // Gather the field at the fastest processor.
             let root = env.tree.fastest_proc();
             if env.pid != root {
-                let mut payload = Vec::with_capacity(state.cells.len() + 1);
-                payload.push(state.offset as f64);
-                payload.extend_from_slice(&state.cells);
-                ctx.send(root, TAG_RESULT, &codec::encode_f64s(&payload));
+                let cells = &state.cells;
+                ctx.send_with(root, TAG_RESULT, 8 * (1 + cells.len()), &mut |w| {
+                    w.f64s(&[state.offset as f64]);
+                    w.f64s(cells);
+                });
             }
             return StepOutcome::Continue(SyncScope::global(&env.tree));
         }
@@ -169,9 +170,7 @@ impl SpmdProgram for Stencil {
             field[state.offset..state.offset + state.cells.len()].copy_from_slice(&state.cells);
             for m in ctx.messages() {
                 if m.tag == TAG_RESULT {
-                    let payload = codec::decode_f64s(m.payload);
-                    let off = payload[0] as usize;
-                    field[off..off + payload.len() - 1].copy_from_slice(&payload[1..]);
+                    crate::place(&mut field, m.payload);
                 }
             }
             state.result = field;

@@ -7,7 +7,7 @@
 //! piece — negligible against the paper's 25k–250k word payloads).
 
 use crate::plan::WorkloadPolicy;
-use hbsp_core::{MachineTree, Partition, ProcId};
+use hbsp_core::{MachineTree, Partition, ProcId, WireWriter};
 use hbsplib::codec;
 use std::fmt;
 
@@ -80,10 +80,10 @@ pub struct Piece {
 impl Piece {
     /// Encode as `[offset, items…]`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0; 4 * (1 + self.items.len())];
-        let mut w = WordWriter(&mut out);
+        let mut out = Vec::with_capacity(4 * (1 + self.items.len()));
+        let mut w = WireWriter::new(&mut out);
         w.word(self.offset);
-        w.words(&self.items);
+        w.u32s(&self.items);
         out
     }
 
@@ -115,13 +115,13 @@ impl Piece {
 /// per-message overhead is paid once per link, not once per origin.
 pub fn encode_bundle(pieces: &[Piece]) -> Vec<u8> {
     let total: usize = pieces.iter().map(|p| 2 + p.items.len()).sum();
-    let mut out = vec![0; 4 * (1 + total)];
-    let mut w = WordWriter(&mut out);
+    let mut out = Vec::with_capacity(4 * (1 + total));
+    let mut w = WireWriter::new(&mut out);
     w.word(pieces.len() as u32);
     for p in pieces {
         w.word(p.offset);
         w.word(p.items.len() as u32);
-        w.words(&p.items);
+        w.u32s(&p.items);
     }
     out
 }
@@ -168,23 +168,6 @@ pub(crate) fn whole_words(payload: &[u8]) -> Result<&[u8], DecodeError> {
 
 fn word_at(payload: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(payload[4 * i..4 * i + 4].try_into().expect("four bytes"))
-}
-
-/// Cursor that serializes words straight into a wire buffer — the one
-/// writer behind [`Piece::encode`], [`encode_bundle`] and the schedule
-/// program's in-place sends.
-pub(crate) struct WordWriter<'a>(pub &'a mut [u8]);
-
-impl WordWriter<'_> {
-    pub(crate) fn word(&mut self, w: u32) {
-        self.words(&[w]);
-    }
-
-    pub(crate) fn words(&mut self, words: &[u32]) {
-        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(4 * words.len());
-        codec::write_u32s(words, head);
-        self.0 = rest;
-    }
 }
 
 /// The block [`Partition`] of `n` items a workload policy induces on

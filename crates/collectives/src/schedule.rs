@@ -22,14 +22,14 @@
 //! apart — the historic risk of keeping hand-rolled SPMD loops next to
 //! closed-form formulas.
 
-use crate::data::{decode_bundle, shares_for, whole_words, DecodeError, Piece, WordWriter};
+use crate::data::{decode_bundle, shares_for, whole_words, DecodeError, Piece};
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
 use hbsp_core::{
     HRelation, Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
-    StepOutcome, SyncScope,
+    StepOutcome, SyncScope, WireWriter,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
 use std::collections::BTreeMap;
@@ -496,26 +496,25 @@ impl ScheduleState {
         Ok(())
     }
 
-    /// Write `send`'s payload into `out`, which is exactly
-    /// `send.wire_len` bytes; every unit is known to be held.
-    fn write(&self, send: &SendEntry, out: &mut [u8]) {
-        let mut w = WordWriter(out);
-        let items = |w: &mut WordWriter, uid| {
-            self.segments(uid, |s| w.words(s))
+    /// Append `send`'s payload, `send.wire_len` bytes, through `w`;
+    /// every unit is known to be held.
+    fn write(&self, send: &SendEntry, w: &mut WireWriter<'_>) {
+        let items = |w: &mut WireWriter<'_>, uid| {
+            self.segments(uid, |s| w.u32s(s))
                 .expect("checked before posting")
         };
         match send.tag {
-            TAG_PARTIAL => w.words(self.acc.as_deref().expect("partial without accumulator")),
+            TAG_PARTIAL => w.u32s(self.acc.as_deref().expect("partial without accumulator")),
             TAG_PIECE => {
                 w.word(send.units[0].offset);
-                items(&mut w, send.units[0]);
+                items(w, send.units[0]);
             }
             _ => {
                 w.word(send.units.len() as u32);
                 for &uid in &send.units {
                     w.word(uid.offset);
                     w.word(uid.len);
-                    items(&mut w, uid);
+                    items(w, uid);
                 }
             }
         }
@@ -692,8 +691,8 @@ impl SpmdProgram for ScheduleProgram {
                 ctx.charge(mine.charge);
             }
             for send in &mine.sends {
-                ctx.send_with(send.dst, send.tag, send.wire_len, &mut |buf| {
-                    state.write(send, buf)
+                ctx.send_with(send.dst, send.tag, send.wire_len, &mut |w| {
+                    state.write(send, w)
                 });
             }
         }
@@ -910,7 +909,13 @@ mod tests {
             fn messages(&self) -> Inbox<'_> {
                 Inbox::shared(&self.messages, &self.rows)
             }
-            fn send_with(&mut self, _: ProcId, _: u32, _: usize, _: &mut dyn FnMut(&mut [u8])) {
+            fn send_with(
+                &mut self,
+                _: ProcId,
+                _: u32,
+                _: usize,
+                _: &mut dyn FnMut(&mut WireWriter<'_>),
+            ) {
                 panic!("a poisoned processor must go quiet");
             }
             fn charge(&mut self, _: f64) {

@@ -63,8 +63,8 @@ pub use ids::{Level, MachineId, NodeIdx, ProcId};
 pub use params::{NodeParams, DEFAULT_G};
 pub use rebuild::{Carved, DegradeError, Degraded, ObservedParams, ReparamError};
 pub use spmd::{
-    Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext,
-    SpmdProgram, StepOutcome, SyncScope,
+    FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext,
+    SpmdProgram, StepOutcome, SyncScope, WireWriter,
 };
 pub use tree::{MachineTree, Node, NodeKind};
 pub use workload::{apportion, Partition};

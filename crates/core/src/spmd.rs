@@ -91,6 +91,63 @@ impl MsgView<'_> {
     }
 }
 
+/// An appending writer over a message arena: what
+/// [`SpmdContext::send_with`]'s `fill` writes a payload through. Each
+/// method appends its values as little-endian bytes after those
+/// written before — one pass per word, nothing zero-filled first.
+#[derive(Debug)]
+pub struct WireWriter<'a>(&'a mut Vec<u8>);
+
+impl<'a> WireWriter<'a> {
+    /// A writer appending to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        WireWriter(buf)
+    }
+
+    /// Append one 32-bit word.
+    pub fn word(&mut self, w: u32) {
+        self.0.extend(w.to_le_bytes());
+    }
+
+    /// Append `values` as 32-bit words.
+    pub fn u32s(&mut self, values: &[u32]) {
+        self.0.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    }
+
+    /// Append `values` as 64-bit floats.
+    pub fn f64s(&mut self, values: &[f64]) {
+        self.0.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    }
+
+    /// Append raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+/// A `fill` that appended other than the payload length its sender
+/// promised ([`MsgBatch::push_with`], [`SpmdContext::send_with`]). The
+/// cost model charges the promised length, so the message is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillLength {
+    /// The `len` the sender promised.
+    pub promised: usize,
+    /// The bytes `fill` appended.
+    pub wrote: usize,
+}
+
+impl std::fmt::Display for FillLength {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "send_with promised {} payload bytes but fill wrote {}",
+            self.promised, self.wrote
+        )
+    }
+}
+
+impl std::error::Error for FillLength {}
+
 /// A flat struct-of-arrays batch of messages: one shared byte arena for
 /// every payload plus an offset table of `MsgMeta` rows.
 ///
@@ -160,20 +217,32 @@ impl MsgBatch {
         });
     }
 
-    /// Append a message of `len` zero-initialized payload bytes and let
-    /// `fill` write them in place — the allocation-free way to post an
-    /// encoded payload without building it in a temporary buffer first.
+    /// Append a message whose `len` payload bytes `fill` appends
+    /// through a [`WireWriter`] over the arena — each byte written once,
+    /// with no zero-fill and no temporary buffer.
+    ///
+    /// A `fill` that appends other than exactly `len` bytes posts
+    /// nothing: the arena is cut back, the batch holds what it held
+    /// before, and the mismatch comes back as a [`FillLength`].
     pub fn push_with(
         &mut self,
         src: ProcId,
         dst: ProcId,
         tag: u32,
         len: usize,
-        fill: &mut dyn FnMut(&mut [u8]),
-    ) {
+        fill: &mut dyn FnMut(&mut WireWriter<'_>),
+    ) -> Result<(), FillLength> {
         let off = self.reserve_payload(len);
-        self.bytes.resize(off as usize + len, 0);
-        fill(&mut self.bytes[off as usize..]);
+        self.bytes.reserve(len);
+        fill(&mut WireWriter(&mut self.bytes));
+        let wrote = self.bytes.len() - off as usize;
+        if wrote != len {
+            self.bytes.truncate(off as usize);
+            return Err(FillLength {
+                promised: len,
+                wrote,
+            });
+        }
         self.meta.push(MsgMeta {
             src,
             dst,
@@ -181,6 +250,7 @@ impl MsgBatch {
             off,
             len: len as u32,
         });
+        Ok(())
     }
 
     /// Append a copy of an owned [`Message`].
@@ -525,17 +595,30 @@ pub trait SpmdContext {
     /// Queue a message for delivery at the start of the next superstep
     /// (the BSP guarantee). Sending to self is a local move: delivered,
     /// but free of communication cost. The payload is copied into the
-    /// engine's outgoing batch arena — no per-message allocation.
+    /// engine's outgoing batch arena — no per-message allocation: this
+    /// is [`SpmdContext::send_with`] appending `payload`.
     fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
-        self.send_with(dst, tag, payload.len(), &mut |buf| {
-            buf.copy_from_slice(payload)
-        });
+        self.send_with(dst, tag, payload.len(), &mut |w| w.bytes(payload));
     }
 
-    /// Queue a message whose `len` payload bytes are written in place
-    /// by `fill` — lets typed encoders serialize straight into the
-    /// engine's batch arena without an intermediate `Vec`.
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8]));
+    /// Queue a message of `len` payload bytes that `fill` appends to
+    /// the engine's batch arena through a [`WireWriter`] (`word`,
+    /// `u32s`, `f64s`, `bytes`) — so a sender encodes straight from its
+    /// own data, writing each word once, with no intermediate `Vec` and
+    /// no zero-filled buffer to overwrite.
+    ///
+    /// `len` is what the cost model charges, so it must be what `fill`
+    /// writes. A `fill` that appends fewer or more bytes posts nothing
+    /// ([`FillLength`]), and both engines fail the run with that rank's
+    /// `ProgramPanicked` for the step: the threaded runtime panics in
+    /// the body, the simulator stops once the body returns.
+    fn send_with(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        len: usize,
+        fill: &mut dyn FnMut(&mut WireWriter<'_>),
+    );
 
     /// Charge `units` of local computation (units are at fastest-machine
     /// speed; engines divide by this processor's speed).
@@ -629,9 +712,8 @@ mod tests {
         let mut b = MsgBatch::new();
         b.push(ProcId(0), ProcId(1), 7, &[1, 2, 3]);
         b.push(ProcId(2), ProcId(0), 9, &[]);
-        b.push_with(ProcId(1), ProcId(2), 3, 4, &mut |buf| {
-            buf.copy_from_slice(&42u32.to_le_bytes())
-        });
+        b.push_with(ProcId(1), ProcId(2), 3, 4, &mut |w| w.word(42))
+            .unwrap();
         assert_eq!(b.len(), 3);
         let v = b.get(0);
         assert_eq!(
@@ -718,21 +800,64 @@ mod tests {
         assert_eq!(b, fresh);
     }
 
-    /// The engines' `send` posts with `push` (one pass), the trait's
-    /// default with `push_with` (zero-fill, then overwrite): same batch.
+    /// `push` copies a payload in; `push_with` appends it through the
+    /// writer: same batch, byte for byte.
     #[test]
     fn push_and_push_with_build_the_same_batch() {
         let payloads: [&[u8]; 4] = [&[], &[1], &[2; 7], &[3; 64]];
-        let (mut one_pass, mut two_pass) = (MsgBatch::new(), MsgBatch::new());
+        let (mut pushed, mut written) = (MsgBatch::new(), MsgBatch::new());
         for (i, payload) in payloads.into_iter().enumerate() {
             let (src, dst, tag) = (ProcId(i as u32), ProcId(3 - i as u32), 10 + i as u32);
-            one_pass.push(src, dst, tag, payload);
-            two_pass.push_with(src, dst, tag, payload.len(), &mut |buf| {
-                buf.copy_from_slice(payload)
-            });
+            pushed.push(src, dst, tag, payload);
+            written
+                .push_with(src, dst, tag, payload.len(), &mut |w| w.bytes(payload))
+                .unwrap();
         }
-        assert_eq!(one_pass, two_pass);
-        assert_eq!(one_pass.arena_len(), two_pass.arena_len());
+        assert_eq!(pushed, written);
+        assert_eq!(pushed.arena_len(), written.arena_len());
+    }
+
+    #[test]
+    fn the_writer_appends_little_endian_words() {
+        let mut out = vec![0xEE];
+        let mut w = WireWriter::new(&mut out);
+        w.word(0x0403_0201);
+        w.u32s(&[5, 0x0908_0706]);
+        w.f64s(&[1.5]);
+        w.bytes(&[0xAB]);
+        let mut want = vec![0xEE, 1, 2, 3, 4, 5, 0, 0, 0, 6, 7, 8, 9];
+        want.extend(1.5f64.to_le_bytes());
+        want.push(0xAB);
+        assert_eq!(out, want);
+    }
+
+    /// A `fill` that writes other than its promised `len` is refused
+    /// with both lengths, and leaves the batch as it was: the cost model
+    /// charges `len`.
+    #[test]
+    fn a_fill_that_breaks_its_length_fails_loudly() {
+        for (len, wrote) in [(8, 4), (4, 8), (0, 1), (4, 0)] {
+            let mut b = MsgBatch::new();
+            b.push(ProcId(0), ProcId(1), 1, &[7; 3]);
+            let before = b.clone();
+            let err = b
+                .push_with(ProcId(0), ProcId(1), 2, len, &mut |w| {
+                    w.bytes(&vec![9; wrote])
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FillLength {
+                    promised: len,
+                    wrote
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("send_with promised {len} payload bytes but fill wrote {wrote}")
+            );
+            assert_eq!((&b, b.arena_len()), (&before, before.arena_len()));
+        }
     }
 
     /// Regression: the bound used to be narrowed with `as u32`, so

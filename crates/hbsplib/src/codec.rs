@@ -1,37 +1,28 @@
 //! Payload encoding for typed messages.
 //!
 //! The paper's experiments move buffers of integers; the library ships
-//! them as little-endian bytes. Encodings are exact inverses and
-//! total-length checked on decode.
+//! them as little-endian bytes. A sender appends its values to the
+//! outbox arena through [`hbsp_core::WireWriter`] (the `fill` of
+//! [`hbsp_core::SpmdContext::send_with`]); a receiver reads them where
+//! they lie with [`read_u32s`] / [`read_f64s`]. Encodings are exact
+//! inverses and total-length checked on decode.
 
-/// Encode a `u32` slice (the model's "words") as little-endian bytes.
+use hbsp_core::WireWriter;
+
+/// Encode a `u32` slice (the model's "words") as little-endian bytes,
+/// in one pass.
 pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    WireWriter::new(&mut out).u32s(values);
     out
 }
 
-/// Encode a `u32` slice directly into `out` (exactly `4 * values.len()`
-/// bytes) — the allocation-free variant for
-/// [`hbsp_core::SpmdContext::send_with`] payload fills.
-///
-/// # Panics
-/// Panics if `out` is not exactly the encoded length.
-pub fn write_u32s(values: &[u32], out: &mut [u8]) {
-    assert_eq!(out.len(), values.len() * 4, "destination length mismatch");
-    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(4)) {
-        chunk.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decode little-endian bytes into `u32`s.
+/// The little-endian `u32`s of `bytes`, read in place.
 ///
 /// # Panics
 /// Panics if the length is not a multiple of 4 — a malformed payload is
 /// a program bug, not a recoverable condition.
-pub fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
+pub fn read_u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
     assert!(
         bytes.len().is_multiple_of(4),
         "payload length {} is not a whole number of u32s",
@@ -42,74 +33,21 @@ pub fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
         .0
         .iter()
         .map(|&c| u32::from_le_bytes(c))
-        .collect()
 }
 
-/// Encode a `u64` slice as little-endian bytes.
-pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Encode a `u64` slice directly into `out` (exactly `8 * values.len()`
-/// bytes); see [`write_u32s`].
+/// Decode little-endian bytes into `u32`s, in one pass.
 ///
 /// # Panics
-/// Panics if `out` is not exactly the encoded length.
-pub fn write_u64s(values: &[u64], out: &mut [u8]) {
-    assert_eq!(out.len(), values.len() * 8, "destination length mismatch");
-    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(8)) {
-        chunk.copy_from_slice(&v.to_le_bytes());
-    }
+/// Panics if the length is not a multiple of 4 (see [`read_u32s`]).
+pub fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
+    read_u32s(bytes).collect()
 }
 
-/// Decode little-endian bytes into `u64`s.
+/// The little-endian `f64`s of `bytes`, read in place.
 ///
 /// # Panics
 /// Panics if the length is not a multiple of 8.
-pub fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload length {} is not a whole number of u64s",
-        bytes.len()
-    );
-    bytes
-        .as_chunks::<8>()
-        .0
-        .iter()
-        .map(|&c| u64::from_le_bytes(c))
-        .collect()
-}
-
-/// Encode an `f64` slice as little-endian bytes.
-pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Encode an `f64` slice directly into `out` (exactly `8 * values.len()`
-/// bytes); see [`write_u32s`].
-///
-/// # Panics
-/// Panics if `out` is not exactly the encoded length.
-pub fn write_f64s(values: &[f64], out: &mut [u8]) {
-    assert_eq!(out.len(), values.len() * 8, "destination length mismatch");
-    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(8)) {
-        chunk.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decode little-endian bytes into `f64`s.
-///
-/// # Panics
-/// Panics if the length is not a multiple of 8.
-pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
+pub fn read_f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     assert!(
         bytes.len().is_multiple_of(8),
         "payload length {} is not a whole number of f64s",
@@ -120,7 +58,6 @@ pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
         .0
         .iter()
         .map(|&c| f64::from_le_bytes(c))
-        .collect()
 }
 
 #[cfg(test)]
@@ -131,43 +68,43 @@ mod tests {
     fn u32_round_trip() {
         let v = vec![0, 1, u32::MAX, 0xDEAD_BEEF];
         assert_eq!(decode_u32s(&encode_u32s(&v)), v);
+        assert_eq!(read_u32s(&encode_u32s(&v)).len(), v.len());
         assert!(decode_u32s(&[]).is_empty());
     }
 
     #[test]
     fn in_place_writers_match_the_allocating_encoders() {
         let u32s = [0u32, 1, u32::MAX, 0xDEAD_BEEF];
-        let mut buf = vec![0u8; u32s.len() * 4];
-        write_u32s(&u32s, &mut buf);
+        let mut buf = Vec::new();
+        WireWriter::new(&mut buf).u32s(&u32s);
         assert_eq!(buf, encode_u32s(&u32s));
-
-        let u64s = [0u64, u64::MAX, 42];
-        let mut buf = vec![0u8; u64s.len() * 8];
-        write_u64s(&u64s, &mut buf);
-        assert_eq!(buf, encode_u64s(&u64s));
-
-        let f64s = [0.0f64, -0.0, f64::INFINITY, std::f64::consts::PI];
-        let mut buf = vec![0u8; f64s.len() * 8];
-        write_f64s(&f64s, &mut buf);
-        assert_eq!(buf, encode_f64s(&f64s));
+        let mut words = Vec::new();
+        let mut w = WireWriter::new(&mut words);
+        for &v in &u32s {
+            w.word(v);
+        }
+        assert_eq!(words, buf);
     }
 
+    /// A fill that writes other than the length it promised is refused
+    /// where it posts.
     #[test]
-    #[should_panic(expected = "destination length mismatch")]
+    #[should_panic(expected = "send_with promised 7 payload bytes but fill wrote 8")]
     fn in_place_writer_rejects_wrong_length() {
-        write_u32s(&[1, 2], &mut [0u8; 7]);
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let v = vec![0, u64::MAX, 42];
-        assert_eq!(decode_u64s(&encode_u64s(&v)), v);
+        let mut batch = hbsp_core::MsgBatch::new();
+        let (src, dst) = (hbsp_core::ProcId(0), hbsp_core::ProcId(1));
+        if let Err(broken) = batch.push_with(src, dst, 0, 7, &mut |w| w.u32s(&[1, 2])) {
+            panic!("{broken}");
+        }
     }
 
     #[test]
     fn f64_round_trip_preserves_bits() {
-        let v = vec![0.0, -0.0, f64::INFINITY, 1.5e-300, std::f64::consts::PI];
-        let out = decode_f64s(&encode_f64s(&v));
+        let v = [0.0, -0.0, f64::INFINITY, 1.5e-300, std::f64::consts::PI];
+        let mut bytes = Vec::new();
+        WireWriter::new(&mut bytes).f64s(&v);
+        let out: Vec<f64> = read_f64s(&bytes).collect();
+        assert_eq!(out.len(), v.len());
         for (a, b) in v.iter().zip(&out) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -177,6 +114,12 @@ mod tests {
     #[should_panic(expected = "whole number of u32s")]
     fn truncated_u32_payload_panics() {
         decode_u32s(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of f64s")]
+    fn truncated_f64_payload_panics() {
+        let _ = read_f64s(&[0; 12]);
     }
 
     #[test]

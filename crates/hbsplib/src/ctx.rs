@@ -80,26 +80,17 @@ impl<'a> Ctx<'a> {
         self.raw.send(dst, tag, payload);
     }
 
-    /// Send a `u32` buffer, encoded straight into the outbox arena (no
+    /// Send a `u32` buffer, appended straight to the outbox arena (no
     /// temporary buffer).
     pub fn send_u32s(&mut self, dst: ProcId, tag: u32, values: &[u32]) {
-        self.raw.send_with(dst, tag, values.len() * 4, &mut |buf| {
-            codec::write_u32s(values, buf)
-        });
+        self.raw
+            .send_with(dst, tag, values.len() * 4, &mut |w| w.u32s(values));
     }
 
-    /// Send a `u64` buffer, encoded straight into the outbox arena.
-    pub fn send_u64s(&mut self, dst: ProcId, tag: u32, values: &[u64]) {
-        self.raw.send_with(dst, tag, values.len() * 8, &mut |buf| {
-            codec::write_u64s(values, buf)
-        });
-    }
-
-    /// Send an `f64` buffer, encoded straight into the outbox arena.
+    /// Send an `f64` buffer, appended straight to the outbox arena.
     pub fn send_f64s(&mut self, dst: ProcId, tag: u32, values: &[f64]) {
-        self.raw.send_with(dst, tag, values.len() * 8, &mut |buf| {
-            codec::write_f64s(values, buf)
-        });
+        self.raw
+            .send_with(dst, tag, values.len() * 8, &mut |w| w.f64s(values));
     }
 
     /// All messages delivered for this superstep (arrival order), read

@@ -84,19 +84,19 @@ impl Region {
     /// Takes effect on the target after the next sync, once the target
     /// calls [`Region::apply`].
     pub fn put(ctx: &mut dyn SpmdContext, dst: ProcId, offset: usize, values: &[u32]) {
-        // Header word (the offset) plus the values, encoded straight
-        // into the outbox arena — no temporary buffer.
-        ctx.send_with(dst, TAG_PUT, (values.len() + 1) * 4, &mut |buf| {
-            buf[..4].copy_from_slice(&(offset as u32).to_le_bytes());
-            codec::write_u32s(values, &mut buf[4..]);
+        // Header word (the offset) plus the values, appended straight
+        // to the outbox arena — no temporary buffer.
+        ctx.send_with(dst, TAG_PUT, (values.len() + 1) * 4, &mut |w| {
+            w.word(offset as u32);
+            w.u32s(values);
         });
     }
 
     /// Request `len` words from `src`'s region at `offset`. The reply
     /// arrives two syncs later, carrying `token`.
     pub fn get(ctx: &mut dyn SpmdContext, src: ProcId, offset: usize, len: usize, token: u32) {
-        ctx.send_with(src, TAG_GET_REQ, 12, &mut |buf| {
-            codec::write_u32s(&[token, offset as u32, len as u32], buf)
+        ctx.send_with(src, TAG_GET_REQ, 12, &mut |w| {
+            w.u32s(&[token, offset as u32, len as u32])
         });
     }
 
@@ -159,9 +159,9 @@ impl Region {
         // BSPlib ordering).
         for (requester, token, offset, len) in requests {
             let served = &self.data[offset..offset + len];
-            ctx.send_with(requester, TAG_GET_REP, (len + 1) * 4, &mut |buf| {
-                buf[..4].copy_from_slice(&token.to_le_bytes());
-                codec::write_u32s(served, &mut buf[4..]);
+            ctx.send_with(requester, TAG_GET_REP, (len + 1) * 4, &mut |w| {
+                w.word(token);
+                w.u32s(served);
             });
         }
         replies

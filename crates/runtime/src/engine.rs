@@ -40,6 +40,7 @@ use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{cell_read, hb_assert, site_ord, Instant, Mutex, UnsafeCell};
 use hbsp_core::{
     Inbox, MachineTree, MsgBatch, MsgView, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
+    WireWriter,
 };
 #[cfg(doc)]
 use hbsp_obs::StepRecord;
@@ -877,11 +878,17 @@ impl SpmdContext for ThreadCtx<'_> {
     fn messages(&self) -> Inbox<'_> {
         self.inbox
     }
-    fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
-        self.outbox.push(self.env.pid, dst, tag, payload);
-    }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        self.outbox.push_with(self.env.pid, dst, tag, len, fill);
+    fn send_with(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        len: usize,
+        fill: &mut dyn FnMut(&mut WireWriter<'_>),
+    ) {
+        if let Err(broken) = self.outbox.push_with(self.env.pid, dst, tag, len, fill) {
+            // Caught with the body, as this rank's `ProgramPanicked`.
+            panic!("{}: {broken}", self.env.pid);
+        }
     }
     fn charge(&mut self, units: f64) {
         assert!(

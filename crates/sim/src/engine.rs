@@ -6,7 +6,9 @@ use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::stats::SimOutcome;
 use crate::step::{Settlement, StepEnv};
-use hbsp_core::{Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram};
+use hbsp_core::{
+    Inbox, MachineTree, MsgBatch, ProcEnv, ProcId, SpmdContext, SpmdProgram, WireWriter,
+};
 #[cfg(doc)]
 use hbsp_obs::StepRecord;
 use hbsp_obs::{ObsEvent, Probe};
@@ -268,8 +270,13 @@ impl Simulator {
                     outbox: sends,
                     build_like: sends_is_spare.then_some(&*posted),
                     work: 0.0,
+                    broken: false,
                 };
                 let outcome = prog.step(step, &envs[i], &mut states[i], &mut ctx);
+                if ctx.broken {
+                    let pid = envs[i].pid;
+                    return Err(SimError::ProgramPanicked { pid, step });
+                }
                 settlement.contribute(ctx.work, outcome);
             }
             for rows in pull.iter_mut() {
@@ -380,6 +387,9 @@ struct SimCtx<'a> {
     /// twice over, the first post builds it with (see [`Scratch`]).
     build_like: Option<&'a MsgBatch>,
     work: f64,
+    /// A `send_with` whose `fill` broke its promised length: the run
+    /// fails with this rank's `ProgramPanicked` once the body returns.
+    broken: bool,
 }
 
 impl SimCtx<'_> {
@@ -408,13 +418,15 @@ impl SpmdContext for SimCtx<'_> {
     fn messages(&self) -> Inbox<'_> {
         self.inbox
     }
-    fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
+    fn send_with(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        len: usize,
+        fill: &mut dyn FnMut(&mut WireWriter<'_>),
+    ) {
         let pid = self.env.pid;
-        self.outbox().push(pid, dst, tag, payload);
-    }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        let pid = self.env.pid;
-        self.outbox().push_with(pid, dst, tag, len, fill);
+        self.broken |= self.outbox().push_with(pid, dst, tag, len, fill).is_err();
     }
     fn charge(&mut self, units: f64) {
         assert!(

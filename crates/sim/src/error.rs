@@ -32,7 +32,9 @@ pub enum SimError {
     /// loop guard).
     StepLimit { limit: usize },
     /// A processor's superstep body panicked (threaded runtime only —
-    /// the simulator lets panics propagate to the caller directly).
+    /// the simulator lets panics propagate to the caller directly), or
+    /// broke `send_with`'s promised length (`hbsp_core::FillLength`),
+    /// which both engines report this way.
     ProgramPanicked { pid: ProcId, step: usize },
     /// One or more processors never arrived at superstep `step`'s
     /// barrier before the watchdog deadline (a scripted stall, a hung

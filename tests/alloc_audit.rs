@@ -21,7 +21,9 @@
 mod common;
 
 use common::Wire;
-use hbsp_core::{ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder};
+use hbsp_core::{
+    ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome, SyncScope, TreeBuilder, WireWriter,
+};
 use hbsp_runtime::ThreadedRuntime;
 use hbsp_sim::Simulator;
 use hbsplib::Executor;
@@ -75,6 +77,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const STEPS: usize = 400;
 
+/// Append `len` copies of `byte` through `w`, allocating nothing.
+fn fill(w: &mut WireWriter<'_>, len: usize, byte: u8) {
+    for _ in 0..len / 64 {
+        w.bytes(&[byte; 64]);
+    }
+    w.bytes(&[byte; 64][..len % 64]);
+}
+
 /// Every processor sends `k` fixed-size messages per step around a
 /// ring, then drains its inbox; payload size is constant so arena
 /// capacities stabilize after the first few steps.
@@ -105,9 +115,7 @@ impl SpmdProgram for Ring {
         let p = env.nprocs;
         let next = ProcId(((env.pid.rank() + 1) % p) as u32);
         for i in 0..self.k {
-            ctx.send_with(next, i as u32, 16, &mut |buf| {
-                buf.fill((step % 251) as u8);
-            });
+            ctx.send_with(next, i as u32, 16, &mut |w| fill(w, 16, (step % 251) as u8));
         }
         StepOutcome::Continue(SyncScope::global(&env.tree))
     }
@@ -540,8 +548,8 @@ impl SpmdProgram for Bulk {
         }
         let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
         for i in 0..self.msgs {
-            ctx.send_with(next, i as u32, self.msg_bytes, &mut |buf| {
-                buf.fill(step as u8 + 1)
+            ctx.send_with(next, i as u32, self.msg_bytes, &mut |w| {
+                fill(w, self.msg_bytes, step as u8 + 1)
             });
         }
         StepOutcome::Continue(SyncScope::global(&env.tree))
@@ -622,7 +630,7 @@ fn a_warm_simulator_run_allocates_only_the_per_run_arena() {
                 return StepOutcome::Done;
             }
             for i in 0..self.msgs {
-                ctx.send_with(env.pid, i as u32, 4 * KIB, &mut |buf| buf.fill(1));
+                ctx.send_with(env.pid, i as u32, 4 * KIB, &mut |w| fill(w, 4 * KIB, 1));
             }
             StepOutcome::Continue(SyncScope::global(&env.tree))
         }
@@ -720,7 +728,9 @@ fn warm_executor_runs_fault_at_most_the_per_run_arena() {
             }
             if env.pid.rank() == step % env.nprocs {
                 let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
-                ctx.send_with(next, 0, 1024 * KIB, &mut |buf| buf.fill(step as u8 + 1));
+                ctx.send_with(next, 0, 1024 * KIB, &mut |w| {
+                    fill(w, 1024 * KIB, step as u8 + 1)
+                });
             }
             StepOutcome::Continue(SyncScope::global(&env.tree))
         }
@@ -760,4 +770,50 @@ fn warm_executor_runs_fault_at_most_the_per_run_arena() {
         faults[1..].iter().all(|&f| 2 * f < 3 * arena),
         "a later run faulted one and a half {arena}-page arenas or more: {faults:?}"
     );
+}
+
+/// The apps send from their inputs and read their messages in place:
+/// the root writes each rank's rows or share once, straight into its
+/// outbox, and a receiver multiplies or merges from the payload. So on
+/// a warm executor a matvec of `4n` rows, or a sample sort of `4n`
+/// items, allocates as often as one of `n`, on both engines — a copy
+/// per row or per item would multiply with the input.
+#[test]
+fn warm_apps_allocate_alike_at_four_times_the_input() {
+    use hbsp_apps::{matvec::MatVec, sort::SampleSort};
+    use hbsp_collectives::plan::WorkloadPolicy;
+    const SLACK: usize = 16;
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let matvec = |n: usize| {
+        let m = 64;
+        let a = (0..n * m).map(|i| (i % 7) as f64).collect();
+        let x = (0..m).map(|i| i as f64).collect();
+        MatVec::new(Arc::new(a), Arc::new(x), n, m, WorkloadPolicy::Balanced)
+    };
+    let sort = |n: u32| {
+        let items = (0..n).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        SampleSort::new(Arc::new(items), WorkloadPolicy::Balanced)
+    };
+    for engine in [Executor::simulator, Executor::threads] {
+        let exec = engine(machine());
+        let name = exec.engine_name();
+        let (small, large) = (matvec(200), matvec(800));
+        exec.run(&large).unwrap();
+        let (a1, (_, states)) = allocs_during(|| exec.run(&small).unwrap());
+        assert_eq!(states.iter().map(|s| s.y.len()).sum::<usize>(), 200);
+        let (a4, _) = allocs_during(|| exec.run(&large).unwrap());
+        assert!(
+            a4.abs_diff(a1) <= SLACK,
+            "{name}: matvec of 800 rows allocated {a4} times, of 200 rows {a1}"
+        );
+        let (small, large) = (sort(20_000), sort(80_000));
+        exec.run(&large).unwrap();
+        let (a1, (_, states)) = allocs_during(|| exec.run(&small).unwrap());
+        assert_eq!(states.iter().map(|s| s.bucket.len()).sum::<usize>(), 20_000);
+        let (a4, _) = allocs_during(|| exec.run(&large).unwrap());
+        assert!(
+            a4.abs_diff(a1) <= SLACK,
+            "{name}: sort of 80000 items allocated {a4} times, of 20000 {a1}"
+        );
+    }
 }

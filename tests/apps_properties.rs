@@ -8,7 +8,9 @@ use common::{arb_machine, same_on_both};
 use hbsp::apps::stencil::reference_jacobi;
 use hbsp::apps::{matvec, sort, stencil};
 use hbsp::collectives::plan::{RootPolicy, WorkloadPolicy};
+use hbsp::lib::Executor;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -80,5 +82,73 @@ proptest! {
         for (a, b) in run.field.iter().zip(&want) {
             prop_assert!((a - b).abs() < 1e-9);
         }
+    }
+}
+
+/// What a run puts on the wire, as the cost model sees it: messages
+/// delivered, words and messages per LCA level summed over the steps,
+/// and the model time's bits.
+fn wire(sim: &hbsp::sim::SimOutcome) -> (u64, Vec<(u64, u64)>, u64) {
+    let mut traffic: Vec<(u64, u64)> = Vec::new();
+    for step in &sim.steps {
+        traffic.resize(traffic.len().max(step.traffic.len()), (0, 0));
+        for (sum, t) in traffic.iter_mut().zip(&step.traffic) {
+            *sum = (sum.0 + t.words, sum.1 + t.messages);
+        }
+    }
+    (sim.messages_delivered, traffic, sim.total_time.to_bits())
+}
+
+/// The apps' wire is frozen: on `campus` with fixed inputs, each app
+/// delivers the same messages, charges the same words at each level and
+/// ends at the same model time on both engines, to the bit. The cost
+/// model charges words, not copies, so a change to how an app builds or
+/// reads its payloads must leave these untouched; a layout drift moves
+/// them.
+#[test]
+fn the_apps_wire_is_frozen_on_campus() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    let mut x = 0x9E37_79B9u32;
+    let items: Vec<u32> = (0..3000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        })
+        .collect();
+    let (n, m) = (40, 24);
+    let a: Vec<f64> = (0..n * m).map(|i| (i % 13) as f64 - 6.0).collect();
+    let v: Vec<f64> = (0..m).map(|i| 0.25 * i as f64).collect();
+    let mut field = vec![0.0; 50];
+    field[0] = 100.0;
+    for exec in [
+        Executor::simulator(tree.clone()),
+        Executor::threads(tree.clone()),
+    ] {
+        let sort = sort::run(&exec, &items, WorkloadPolicy::Balanced, RootPolicy::Fastest).unwrap();
+        let matvec = matvec::run(&exec, &a, &v, n, m, WorkloadPolicy::Balanced).unwrap();
+        let stencil = stencil::run(&exec, &field, 5, WorkloadPolicy::Balanced).unwrap();
+        assert_eq!(
+            wire(&sort.sim),
+            (
+                77,
+                vec![(0, 0), (2355, 33), (2741, 44)],
+                4688129916456322474
+            ),
+            "sort"
+        );
+        assert_eq!(
+            wire(&matvec.sim),
+            (21, vec![(0, 0), (956, 9), (958, 12)], 4683231913497644238),
+            "matvec"
+        );
+        assert_eq!(
+            wire(&stencil.sim),
+            (77, vec![(0, 0), (164, 63), (64, 14)], 4689942432599053275),
+            "stencil"
+        );
     }
 }

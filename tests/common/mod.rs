@@ -1,7 +1,7 @@
 //! Shared proptest strategies: random HBSP^k machines and workloads.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use hbsp::core::{Inbox, MsgBatch, SpmdContext};
+use hbsp::core::{Inbox, MsgBatch, SpmdContext, WireWriter};
 use hbsp::prelude::*;
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -59,8 +59,16 @@ impl SpmdContext for Wire {
     fn messages(&self) -> Inbox<'_> {
         Inbox::shared(&self.delivered, &self.rows)
     }
-    fn send_with(&mut self, dst: ProcId, tag: u32, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
-        self.outbox.push_with(self.pid, dst, tag, len, fill);
+    fn send_with(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        len: usize,
+        fill: &mut dyn FnMut(&mut WireWriter<'_>),
+    ) {
+        if let Err(broken) = self.outbox.push_with(self.pid, dst, tag, len, fill) {
+            panic!("{}: {broken}", self.pid);
+        }
     }
     fn charge(&mut self, _units: f64) {}
 }

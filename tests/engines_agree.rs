@@ -393,3 +393,81 @@ fn one_executor_serves_the_seven_collectives_like_fresh_ones() {
 fn one_threaded_executor_serves_the_seven_collectives_like_fresh_ones() {
     kept_executor_serves_like_fresh(Executor::threads, Executor::simulator);
 }
+
+/// Every rank sends its successor one 8-byte message a step for four
+/// steps, and `liar` (rank, step, bytes) writes `bytes` instead of the
+/// 8 it promised.
+struct FillLiar {
+    liar: Option<(u32, usize, usize)>,
+}
+
+impl Program for FillLiar {
+    type State = u64;
+
+    fn init(&self, _env: &ProcEnv) -> u64 {
+        0
+    }
+
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        seen: &mut u64,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        *seen += ctx
+            .messages()
+            .iter()
+            .map(|m| m.payload.len() as u64)
+            .sum::<u64>();
+        let wrote = match self.liar {
+            Some((rank, at, bytes)) if (rank, at) == (env.pid.0, step) => bytes,
+            _ => 8,
+        };
+        let next = ProcId((env.pid.0 + 1) % env.nprocs as u32);
+        ctx.send_with(next, 0, 8, &mut |w| w.bytes(&[step as u8; 16][..wrote]));
+        if step == 3 {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue(SyncScope::global(&env.tree))
+        }
+    }
+}
+
+/// A `send_with` whose `fill` writes fewer or more bytes than it
+/// promised fails the run on both engines with the same typed error:
+/// that rank's `ProgramPanicked` for that step. The executor that saw
+/// it then serves an honest run like a fresh one.
+#[test]
+fn a_fill_that_breaks_its_length_is_that_ranks_panic_on_both_engines() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    let honest = FillLiar { liar: None };
+    let want = Executor::simulator(Arc::clone(&tree))
+        .run(&honest)
+        .expect("honest run");
+    for (rank, step, bytes) in [(2, 0, 4), (5, 2, 12), (0, 1, 0), (7, 3, 9)] {
+        for engine in [Executor::simulator, Executor::threads] {
+            let exec = engine(Arc::clone(&tree));
+            let liar = FillLiar {
+                liar: Some((rank, step, bytes)),
+            };
+            let what = format!(
+                "{} with P{rank} writing {bytes} at {step}",
+                exec.engine_name()
+            );
+            assert_eq!(
+                exec.run(&liar).map(|_| ()),
+                Err(SimError::ProgramPanicked {
+                    pid: ProcId(rank),
+                    step
+                }),
+                "{what}"
+            );
+            let (out, seen) = exec.run(&honest).expect("honest run");
+            assert_same_outcome(&out, &want.0, &what);
+            assert_eq!(seen, want.1, "{what}");
+        }
+    }
+}
