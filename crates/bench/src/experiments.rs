@@ -333,7 +333,7 @@ pub struct BarrierAblationRow {
     pub global: f64,
 }
 
-/// **Ablation** — why `sync_level` exists: a program that exchanges
+/// **Ablation** — why level-scoped barriers exist: a program that exchanges
 /// only within clusters, synchronized either per cluster
 /// (`SyncScope::Level(1)`, each cluster paying its own `L_{1,j}`) or
 /// globally (every step paying `L_{2,0}` and waiting for the slowest

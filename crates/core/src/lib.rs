@@ -26,7 +26,6 @@
 //! * [`mod@hrelation`] — heterogeneous h-relations `h = max r_{i,j} · h_{i,j}`;
 //! * [`cost`] — the superstep cost model `T_i(λ) = w_i + g·h + L_{i,j}`;
 //! * [`workload`] — balanced workload partitioning (the `c_{i,j}` feature);
-//! * [`classes`] — the machine-class hierarchy HBSP^0 ⊂ HBSP^1 ⊂ … ⊂ HBSP^k;
 //! * [`rebuild`] — structure-preserving rebuilds under the paper's
 //!   normalization rules: sub-tree carving (any node as a standalone
 //!   machine, the unit of spatial multi-tenancy), graceful degradation
@@ -39,9 +38,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod builder;
-pub mod classes;
 pub mod cost;
 pub mod error;
 pub mod hrelation;
@@ -53,9 +50,7 @@ pub mod topology;
 pub mod tree;
 pub mod workload;
 
-pub use analysis::{heterogeneity, Heterogeneity, Penalty};
 pub use builder::TreeBuilder;
-pub use classes::MachineClass;
 pub use cost::{CostModel, CostReport, SuperstepCost};
 pub use error::ModelError;
 pub use hrelation::{hrelation, HRelation, Traffic};

@@ -1,22 +1,11 @@
-//! Heterogeneity enquiry: the HBSPlib functions that "return the rank of
-//! a processor as well as guide the programmer toward balanced
-//! workloads".
+//! Hierarchical enquiry: which cluster a processor sits in at each
+//! level, and which processor coordinates it.
 
 use hbsp_core::{Level, MachineTree, NodeIdx, ProcId};
 
-/// Enquiry extensions on [`MachineTree`], mirroring HBSPlib's enquiry
-/// API (plus the hierarchical queries an HBSP^k program needs).
+/// Enquiry extensions on [`MachineTree`]: the hierarchical queries an
+/// HBSP^k program needs beside `fastest_proc`/`slowest_proc`.
 pub trait TreeEnquiry {
-    /// Relative compute speed of `pid` (1 = fastest).
-    fn speed_of(&self, pid: ProcId) -> f64;
-
-    /// Relative communication slowness `r` of `pid`.
-    fn r_of(&self, pid: ProcId) -> f64;
-
-    /// Processors sorted fastest-first (speed descending, rank ascending
-    /// on ties) — the "rank of a processor" enquiry.
-    fn speed_ranking(&self) -> Vec<ProcId>;
-
     /// The coordinator (representative) processor of the cluster that
     /// contains `pid` at `level`: the fastest leaf of that subtree. At
     /// `level = k` this is the paper's `P_f` for every pid.
@@ -26,34 +15,12 @@ pub trait TreeEnquiry {
     /// (including `pid`).
     fn cluster_members(&self, pid: ProcId, level: Level) -> Vec<ProcId>;
 
-    /// Index `j` of `pid`'s cluster among the level-`level` machines
-    /// (its `M_{level,j}` coordinate), if the cluster exists.
-    fn cluster_index(&self, pid: ProcId, level: Level) -> Option<u32>;
-
     /// The coordinators of all level-`level` machines, in `M_{level,j}`
     /// order — the participant set of a super^`level+1`-step.
     fn level_coordinators(&self, level: Level) -> Vec<ProcId>;
 }
 
 impl TreeEnquiry for MachineTree {
-    fn speed_of(&self, pid: ProcId) -> f64 {
-        self.leaf(pid).params().speed
-    }
-
-    fn r_of(&self, pid: ProcId) -> f64 {
-        self.leaf(pid).params().r
-    }
-
-    fn speed_ranking(&self) -> Vec<ProcId> {
-        let mut pids: Vec<ProcId> = (0..self.num_procs()).map(|i| ProcId(i as u32)).collect();
-        pids.sort_by(|&a, &b| {
-            self.speed_of(b)
-                .total_cmp(&self.speed_of(a))
-                .then(a.cmp(&b))
-        });
-        pids
-    }
-
     fn coordinator_of(&self, pid: ProcId, level: Level) -> ProcId {
         let cluster = self
             .cluster_of(pid, level)
@@ -71,11 +38,6 @@ impl TreeEnquiry for MachineTree {
             .into_iter()
             .filter_map(|l| self.node(l).proc_id())
             .collect()
-    }
-
-    fn cluster_index(&self, pid: ProcId, level: Level) -> Option<u32> {
-        self.cluster_of(pid, level)
-            .map(|c| self.node(c).machine_id().index)
     }
 
     fn level_coordinators(&self, level: Level) -> Vec<ProcId> {
@@ -118,13 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn speed_ranking_is_fastest_first() {
-        let t = hbsp2();
-        let ranking = t.speed_ranking();
-        assert_eq!(ranking, vec![ProcId(1), ProcId(0), ProcId(3), ProcId(2)]);
-    }
-
-    #[test]
     fn coordinators_are_fastest_in_cluster() {
         let t = hbsp2();
         assert_eq!(t.coordinator_of(ProcId(0), 1), ProcId(1));
@@ -141,8 +96,6 @@ mod tests {
         assert_eq!(t.cluster_members(ProcId(0), 1), vec![ProcId(0), ProcId(1)]);
         assert_eq!(t.cluster_members(ProcId(3), 1), vec![ProcId(2), ProcId(3)]);
         assert_eq!(t.cluster_members(ProcId(0), 2).len(), 4);
-        assert_eq!(t.cluster_index(ProcId(2), 1), Some(1));
-        assert_eq!(t.cluster_index(ProcId(0), 1), Some(0));
     }
 
     #[test]
@@ -175,8 +128,6 @@ mod tests {
     #[test]
     fn enquiry_on_flat_machine() {
         let t = TreeBuilder::flat(1.0, 5.0, &[(1.0, 1.0), (4.0, 0.25)]).unwrap();
-        assert_eq!(t.speed_of(ProcId(1)), 0.25);
-        assert_eq!(t.r_of(ProcId(1)), 4.0);
         assert_eq!(t.coordinator_of(ProcId(1), 1), ProcId(0));
     }
 }

@@ -713,21 +713,37 @@ mod tests {
         assert!(report.total() <= sim_out.total_time());
     }
 
+    /// A stateless program whose every step is the closure `.0`.
+    struct Steps<F>(F);
+    impl<F> SpmdProgram for Steps<F>
+    where
+        F: Fn(usize, &ProcEnv, &mut dyn SpmdContext) -> StepOutcome + Sync,
+    {
+        type State = ();
+        fn init(&self, _env: &ProcEnv) {}
+        fn step(
+            &self,
+            step: usize,
+            env: &ProcEnv,
+            _: &mut (),
+            ctx: &mut dyn SpmdContext,
+        ) -> StepOutcome {
+            (self.0)(step, env, ctx)
+        }
+    }
+
     /// Everyone charges 120 units and sends `words` words to rank 0.
     fn funnel(words: usize) -> impl SpmdProgram<State = ()> {
-        crate::ClosureProgram::new(
-            |_| (),
-            move |step, env: &ProcEnv, _: &mut (), ctx: &mut dyn SpmdContext| {
-                if step > 0 {
-                    return StepOutcome::Done;
-                }
-                ctx.charge(120.0);
-                if env.pid.0 != 0 {
-                    ctx.send(ProcId(0), 0, &vec![0u8; words * 4]);
-                }
-                StepOutcome::Continue(SyncScope::global(&env.tree))
-            },
-        )
+        Steps(move |step, env: &ProcEnv, ctx: &mut dyn SpmdContext| {
+            if step > 0 {
+                return StepOutcome::Done;
+            }
+            ctx.charge(120.0);
+            if env.pid.0 != 0 {
+                ctx.send(ProcId(0), 0, &vec![0u8; words * 4]);
+            }
+            StepOutcome::Continue(SyncScope::global(&env.tree))
+        })
     }
 
     #[test]
@@ -764,22 +780,19 @@ mod tests {
     #[test]
     fn cluster_scoped_steps_charge_the_largest_participating_l() {
         // Every rank messages its cluster peers, under a cluster barrier.
-        let local_chat = crate::ClosureProgram::new(
-            |_| (),
-            |step, env: &ProcEnv, _: &mut (), ctx: &mut dyn SpmdContext| {
-                if step == 1 {
-                    return StepOutcome::Done;
+        let local_chat = Steps(|step, env: &ProcEnv, ctx: &mut dyn SpmdContext| {
+            if step == 1 {
+                return StepOutcome::Done;
+            }
+            let cluster = env.tree.cluster_of(env.pid, 1).expect("cluster exists");
+            for leaf in env.tree.subtree_leaves(cluster) {
+                let q = env.tree.node(leaf).proc_id().unwrap();
+                if q != env.pid {
+                    ctx.send(q, 0, &[0u8; 4]);
                 }
-                let cluster = env.tree.cluster_of(env.pid, 1).expect("cluster exists");
-                for leaf in env.tree.subtree_leaves(cluster) {
-                    let q = env.tree.node(leaf).proc_id().unwrap();
-                    if q != env.pid {
-                        ctx.send(q, 0, &[0u8; 4]);
-                    }
-                }
-                StepOutcome::Continue(SyncScope::Level(1))
-            },
-        );
+            }
+            StepOutcome::Continue(SyncScope::Level(1))
+        });
         let clusters = [
             (10.0, vec![(1.0, 1.0), (1.5, 0.6)]),
             (70.0, vec![(2.0, 0.5), (2.0, 0.5)]),
@@ -794,9 +807,8 @@ mod tests {
     #[test]
     fn spmd_discipline_still_enforced() {
         // Rank 0 stops while the others go on.
-        let mixed = crate::ClosureProgram::new(
-            |_| (),
-            |_, env: &ProcEnv, _: &mut (), _: &mut dyn SpmdContext| match env.pid.0 {
+        let mixed = Steps(
+            |_, env: &ProcEnv, _: &mut dyn SpmdContext| match env.pid.0 {
                 0 => StepOutcome::Done,
                 _ => StepOutcome::Continue(SyncScope::global(&env.tree)),
             },

@@ -4,26 +4,26 @@
 //! "incorporating many of the functions (message passing,
 //! synchronization, enquiry) contained in BSPlib" plus "primitives that
 //! allow the programmer to take advantage of the heterogeneity of the
-//! underlying system". This crate is that library:
+//! underlying system". This crate is that library. Message passing and
+//! synchronization are the engines' [`SpmdContext`] (`send`/`send_with`,
+//! `messages`, `charge`, a [`StepOutcome`] naming the next barrier);
+//! around it sit:
 //!
-//! * [`Ctx`] — an ergonomic, typed wrapper around the engine-agnostic
-//!   superstep context: BSMP-style `send`/typed receives, work
-//!   accounting, and enquiry;
-//! * [`codec`] — payload encoding for words (`u32`), `u64`, `f64`;
-//! * [`TreeEnquiry`] — the heterogeneity enquiry functions: speed
-//!   ranking, fastest/slowest processor, cluster membership and
-//!   coordinators at any level;
-//! * [`hetero`] — balanced-workload helpers (`balanced_partition`,
-//!   `my_share`) implementing the paper's `c_j` guidance;
+//! * [`codec`] — payload encoding for words (`u32`) and in-place readers
+//!   of `u32`/`f64` payloads;
+//! * [`TreeEnquiry`] — the hierarchical enquiry functions: cluster
+//!   membership and coordinators at any level (the fastest and slowest
+//!   processor are `MachineTree::fastest_proc`/`slowest_proc`, and the
+//!   paper's `c_j` shares are `hbsp_core::Partition::balanced_for`);
 //! * [`Executor`] — run the same [`Program`] on the discrete-event
 //!   simulator (`hbsp-sim`) or on real threads (`hbsp-runtime`), with
 //!   optional fault injection and graceful degradation
 //!   ([`RecoveryPolicy`], `docs/faults.md`);
-//! * [`closure`] — build programs from closures without hand-writing a
-//!   state machine.
+//! * [`adaptive`] — the closed loop that re-plans a run from observed
+//!   parameters.
 //!
 //! ```
-//! use hbsplib::{Ctx, Executor, Program};
+//! use hbsplib::{Executor, Program};
 //! use hbsp_core::{ProcEnv, SpmdContext, StepOutcome, SyncScope, TreeBuilder};
 //! use std::sync::Arc;
 //!
@@ -32,20 +32,19 @@
 //! impl Program for Census {
 //!     type State = u64;
 //!     fn init(&self, _env: &ProcEnv) -> u64 { 0 }
-//!     fn step(&self, step: usize, env: &ProcEnv, count: &mut u64, raw: &mut dyn SpmdContext)
+//!     fn step(&self, step: usize, env: &ProcEnv, count: &mut u64, ctx: &mut dyn SpmdContext)
 //!         -> StepOutcome
 //!     {
-//!         let mut ctx = Ctx::new(env, raw);
 //!         match step {
 //!             0 => {
-//!                 let root = ctx.fastest();
-//!                 if ctx.pid() != root {
-//!                     ctx.send_u32s(root, 0, &[ctx.pid().0]);
+//!                 let root = env.tree.fastest_proc();
+//!                 if env.pid != root {
+//!                     ctx.send_with(root, 0, 4, &mut |w| w.word(env.pid.0));
 //!                 }
-//!                 ctx.sync_global()
+//!                 StepOutcome::Continue(SyncScope::global(&env.tree))
 //!             }
 //!             _ => {
-//!                 *count = ctx.recv_all_u32s().len() as u64;
+//!                 *count = ctx.messages().len() as u64;
 //!                 StepOutcome::Done
 //!             }
 //!         }
@@ -61,26 +60,18 @@
 #![forbid(unsafe_code)]
 
 pub mod adaptive;
-pub mod closure;
 pub mod codec;
-pub mod ctx;
-pub mod drma;
 pub mod enquiry;
 pub mod executor;
-pub mod hetero;
 
 pub use adaptive::{
     Action, AdaptiveConfig, AdaptiveError, AdaptiveExecutor, AdaptiveOutcome, AdaptivePlan,
     ClosedLoop, Decision, Observed, Planned,
 };
-pub use closure::ClosureProgram;
-pub use ctx::Ctx;
-pub use drma::{GetReply, Region};
 pub use enquiry::TreeEnquiry;
 pub use executor::{
     predict_program, ExecOutcome, Executor, FaultReport, Recovered, RecoveryEvent, RecoveryPolicy,
 };
-pub use hetero::{balanced_partition, equal_partition, my_share};
 
 // The program surface is defined in hbsp-core; re-export under the
 // library's own names so user code only needs `hbsplib`.

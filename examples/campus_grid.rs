@@ -52,7 +52,6 @@ fn main() {
         grid.num_procs(),
         grid.machines_on_level(1).expect("level 1 exists"),
     );
-    println!("class: {}", MachineClass::of(&grid));
 
     // A WAN where crossing the top level is 10x more expensive per word
     // and adds real latency — the paper's future-work extension of r to

@@ -1,7 +1,7 @@
 //! Visualize heterogeneity: trace a gather on the simulated testbed and
-//! render per-processor Gantt charts, then decompose the predicted cost
+//! render per-processor Gantt charts, then split the predicted cost
 //! into compute / communication / per-level synchronization (the §3.4
-//! "penalty" analysis). Shows concretely why "faster machines typically
+//! penalty). Shows concretely why "faster machines typically
 //! sit idle waiting for slower nodes" under equal workloads.
 //!
 //! ```text
@@ -11,7 +11,6 @@
 use hbsp::collectives::gather::{self, GatherPlan};
 use hbsp::collectives::plan::WorkloadPolicy;
 use hbsp::collectives::predict;
-use hbsp::core::analysis::{heterogeneity, Penalty};
 use hbsp::lib::Executor;
 use hbsp::obs::Recorder;
 use hbsp::sim::{ascii_gantt, ProcTimeline, SpanKind};
@@ -23,17 +22,13 @@ fn main() {
     let exec = Executor::simulator(tree.clone()).probe(recorder.clone());
     let items: Vec<u32> = (0..40_000).collect();
 
-    let h = heterogeneity(&tree);
     println!(
-        "testbed: p = {}, max r = {:.1}, mean r = {:.2}, slowest speed = {:.2}, \
-         aggregate speed = {:.2}\n",
+        "testbed: p = {}, HBSP^{}\n",
         tree.num_procs(),
-        h.max_r,
-        h.mean_r,
-        h.min_speed,
-        h.aggregate_speed
+        tree.height()
     );
 
+    let mut times = Vec::new();
     for (label, workload) in [
         ("equal shares (c_j = 1/p)", WorkloadPolicy::Equal),
         (
@@ -50,6 +45,7 @@ fn main() {
         let out = gather::run(&exec, &items, plan).expect("gather runs").sim;
         let timelines = ProcTimeline::from_steps(&recorder.steps_since(before).steps);
         println!("gather with {label}: T = {:.0}", out.total_time);
+        times.push(out.total_time);
         println!("{}", ascii_gantt(&timelines, 72));
         for tl in &timelines {
             println!(
@@ -64,19 +60,34 @@ fn main() {
         println!();
     }
 
-    // The model-side decomposition of the same operation (§3.4).
+    assert!(
+        times[0] > times[1] && times[1] > times[2],
+        "each share policy gathers faster than the one before: {times:?}"
+    );
+
+    // The model-side split of the same operation (§3.4).
     let report = predict::gather_flat(
         &tree,
         items.len() as u64,
         tree.fastest_proc(),
         WorkloadPolicy::Equal,
     );
-    let penalty = Penalty::of(&report, tree.height());
-    println!("predicted cost decomposition (equal shares):");
-    print!("{penalty}");
+    let (compute, comm, sync) = (report.compute(), report.comm(), report.sync());
     println!(
-        "hierarchy penalty above level 0: {:.0} (all of it barrier overhead \
-         on this flat machine)",
-        penalty.penalty_above(0)
+        "predicted cost split (equal shares): total = {:.1}",
+        report.total()
+    );
+    println!("  compute {compute:.1}, comm {comm:.1}, sync {sync:.1}");
+    let mut sync_by_level = vec![0.0; tree.height() as usize + 1];
+    for step in report.steps() {
+        sync_by_level[step.level as usize] += step.sync;
+    }
+    for (level, l) in sync_by_level.iter().enumerate().filter(|(_, l)| **l > 0.0) {
+        println!("  L at level {level}: {l:.1}");
+    }
+    let parts = compute + comm + sync;
+    assert!(
+        (parts - report.total()).abs() <= 1e-9 * report.total(),
+        "the split sums to T"
     );
 }

@@ -1,150 +1,22 @@
-//! A complete heterogeneous application: parallel sort on an HBSP^1
-//! cluster, built from the library's collectives pattern —
-//! balanced scatter → local sort → gather of sorted runs → k-way merge
-//! at the fastest machine. Runs identically on the discrete-event
-//! simulator and the threaded runtime, and demonstrates why balanced
-//! workloads matter for *compute-bound* supersteps (the case the
-//! paper's gather/broadcast figures cannot show, since those are pure
-//! communication).
+//! A complete heterogeneous application: `hbsp_apps`' sample sort of
+//! 200 000 integers on a skewed 5-machine cluster, with equal and then
+//! `c_j`-balanced shares, on the simulator and on real threads. The
+//! local sort is compute-bound, so balanced shares win: the stragglers
+//! get proportionally smaller runs and nobody waits (the paper's first
+//! design rule).
 //!
 //! ```text
 //! cargo run --example pipeline_sort
 //! ```
 
+use hbsp::apps::sort;
+use hbsp::collectives::plan::{RootPolicy, WorkloadPolicy};
 use hbsp::prelude::*;
-use hbsp_collectives::data::{decode_bundle, encode_bundle, Piece};
-use hbsplib::codec;
 use std::sync::Arc;
 
-const TAG_SHARE: u32 = 1;
-const TAG_RUN: u32 = 2;
-
-/// Work units charged for sorting `n` items (n log2 n comparisons).
-fn sort_work(n: usize) -> f64 {
-    if n < 2 {
-        return 1.0;
-    }
-    n as f64 * (n as f64).log2()
-}
-
-/// The SPMD sample-sort program.
-struct ParallelSort {
-    items: Arc<Vec<u32>>,
-    balanced: bool,
-}
-
-impl Program for ParallelSort {
-    /// The root's final sorted array (empty on other processors).
-    type State = Vec<u32>;
-
-    fn init(&self, _env: &ProcEnv) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn step(
-        &self,
-        step: usize,
-        env: &ProcEnv,
-        state: &mut Vec<u32>,
-        raw: &mut dyn hbsp_core::SpmdContext,
-    ) -> hbsp_core::StepOutcome {
-        let mut ctx = Ctx::new(env, raw);
-        let root = ctx.fastest();
-        match step {
-            // Superstep 0: the root scatters shares sized by the c_j
-            // fractions (or equally, for the baseline).
-            0 => {
-                if ctx.pid() == root {
-                    let shares = if self.balanced {
-                        hbsplib::balanced_partition(ctx.tree(), self.items.len() as u64)
-                    } else {
-                        hbsplib::equal_partition(ctx.tree(), self.items.len() as u64)
-                    }
-                    .expect("partition");
-                    for j in 0..ctx.nprocs() {
-                        let q = ProcId(j as u32);
-                        let range = shares.range(q);
-                        let piece = Piece {
-                            offset: range.start as u32,
-                            items: self.items[range.start as usize..range.end as usize].to_vec(),
-                        };
-                        if q == ctx.pid() {
-                            // Keep the root's own share in its state for
-                            // the next step.
-                            *state = piece.items;
-                        } else {
-                            ctx.send_bytes(q, TAG_SHARE, &encode_bundle(&[piece]));
-                        }
-                    }
-                }
-                ctx.sync_global()
-            }
-            // Superstep 1: local sort, then ship the run to the root.
-            1 => {
-                let mut run = std::mem::take(state);
-                for m in ctx.messages() {
-                    let mut pieces = decode_bundle(m.payload).expect("own wire format");
-                    run = pieces.pop().expect("exactly one share").items;
-                }
-                ctx.charge(sort_work(run.len()));
-                run.sort_unstable();
-                if ctx.pid() == root {
-                    *state = run;
-                } else {
-                    ctx.send_bytes(root, TAG_RUN, &codec::encode_u32s(&run));
-                }
-                ctx.sync_global()
-            }
-            // Superstep 2: the root k-way merges the sorted runs.
-            _ => {
-                if ctx.pid() == root {
-                    let mut runs: Vec<Vec<u32>> = vec![std::mem::take(state)];
-                    for m in ctx.messages() {
-                        runs.push(codec::decode_u32s(m.payload));
-                    }
-                    let total: usize = runs.iter().map(Vec::len).sum();
-                    ctx.charge(sort_work(total) / 2.0); // merge pass
-                    *state = kway_merge(runs);
-                }
-                ctx.done()
-            }
-        }
-    }
-}
-
-/// Standard binary-heap k-way merge.
-fn kway_merge(runs: Vec<Vec<u32>>) -> Vec<u32> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(u32, usize, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((r[0], i, 0)))
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((v, run, pos))) = heap.pop() {
-        out.push(v);
-        if pos + 1 < runs[run].len() {
-            heap.push(Reverse((runs[run][pos + 1], run, pos + 1)));
-        }
-    }
-    out
-}
-
 fn main() {
-    // A skewed cluster: one fast box, a mid tier, and two stragglers.
-    let tree = Arc::new(
-        TreeBuilder::flat(
-            1.0,
-            2_000.0,
-            &[(1.0, 1.0), (1.5, 0.7), (2.0, 0.5), (3.0, 0.3), (3.5, 0.25)],
-        )
-        .expect("valid machine"),
-    );
-
-    // Deterministic input.
+    let procs = [(1.0, 1.0), (1.5, 0.7), (2.0, 0.5), (3.0, 0.3), (3.5, 0.25)];
+    let tree = Arc::new(TreeBuilder::flat(1.0, 2_000.0, &procs).expect("valid machine"));
     let mut x = 0x9E3779B97F4A7C15u64;
     let items: Vec<u32> = (0..200_000)
         .map(|_| {
@@ -156,47 +28,34 @@ fn main() {
         .collect();
     let mut expected = items.clone();
     expected.sort_unstable();
-    let items = Arc::new(items);
 
     println!(
-        "parallel sort of {} integers on 5 heterogeneous machines\n",
+        "sample sort of {} integers on 5 heterogeneous machines",
         items.len()
     );
-    for balanced in [false, true] {
-        let prog = ParallelSort {
-            items: Arc::clone(&items),
-            balanced,
+    let mut times = Vec::new();
+    for workload in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
+        let on = |exec: Executor| {
+            let run = sort::run(&exec, &items, workload, RootPolicy::Fastest).expect("sort runs");
+            assert_eq!(run.sorted, expected, "sorted output is correct");
+            run
         };
-        let (sim_out, states) = Executor::simulator(Arc::clone(&tree))
-            .run(&prog)
-            .expect("simulated run");
-        let root = tree.fastest_proc();
-        assert_eq!(states[root.rank()], expected, "sorted output is correct");
-        println!(
-            "{} workload: model time = {:>12.0}  ({} supersteps)",
-            if balanced { "balanced" } else { "equal   " },
-            sim_out.total_time(),
-            sim_out.sim.num_steps()
+        let sim = on(Executor::simulator(Arc::clone(&tree)));
+        let thr = on(Executor::threads(Arc::clone(&tree)));
+        assert_eq!(
+            thr.time.to_bits(),
+            sim.time.to_bits(),
+            "engines agree on time"
         );
+        assert_eq!(
+            thr.bucket_sizes, sim.bucket_sizes,
+            "engines agree on buckets"
+        );
+        println!(
+            "{workload:?} shares: model time = {:.0}, buckets = {:?}, both engines",
+            sim.time, sim.bucket_sizes
+        );
+        times.push(sim.time);
     }
-
-    // The same program, bit-identical results, on real threads.
-    let prog = ParallelSort {
-        items: Arc::clone(&items),
-        balanced: true,
-    };
-    let (thr_out, thr_states) = Executor::threads(Arc::clone(&tree))
-        .run(&prog)
-        .expect("threaded run");
-    assert_eq!(thr_states[tree.fastest_proc().rank()], expected);
-    println!(
-        "\nthreaded runtime agrees: model time = {:.0}, wall = {:?}",
-        thr_out.total_time(),
-        thr_out.wall.expect("threads measure wall time")
-    );
-    println!(
-        "\nbalanced workloads beat equal ones here because the local sort \
-         is compute-bound:\nthe stragglers get proportionally smaller runs, \
-         so nobody waits (the paper's first design rule)."
-    );
+    assert!(times[1] < times[0], "balanced shares beat equal ones");
 }

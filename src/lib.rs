@@ -24,7 +24,8 @@
 //! * [`hbsp_bench`] (`hbsp::bench`) — the experiment harness regenerating every
 //!   figure and analysis of the paper;
 //! * [`hbsp_apps`] (`hbsp::apps`) — complete heterogeneous applications (sample
-//!   sort, matrix–vector multiply) built on the collectives;
+//!   sort, matrix–vector multiply, 1-D Jacobi stencil) built on the
+//!   collectives;
 //! * [`hbsp_sched`] (`hbsp::sched`) — a multi-tenant job scheduler: a DAG of
 //!   collectives on a shared machine tree, with carved sub-tree placement
 //!   and batched shared-barrier admission.
@@ -71,15 +72,13 @@ pub mod prelude {
     pub use hbsp_collectives::broadcast::BroadcastPlan;
     pub use hbsp_collectives::gather::GatherPlan;
     pub use hbsp_core::{
-        apportion, hrelation, CostModel, CostReport, HRelation, Level, MachineClass, MachineId,
-        MachineTree, ModelError, NodeIdx, NodeParams, Partition, ProcId, SuperstepCost,
-        TreeBuilder,
+        apportion, hrelation, CostModel, CostReport, HRelation, Level, MachineId, MachineTree,
+        ModelError, NodeIdx, NodeParams, Partition, ProcId, SuperstepCost, TreeBuilder,
     };
     pub use hbsp_obs::{Probe, Recorder};
     pub use hbsp_sched::{Job, JobId, RunOptions, SchedReport, Scheduler};
     pub use hbsp_sim::{FaultPlan, SimError};
     pub use hbsplib::{
-        Ctx, Executor, Message, ProcEnv, Program, RecoveryPolicy, SpmdContext, StepOutcome,
-        SyncScope,
+        Executor, Message, ProcEnv, Program, RecoveryPolicy, SpmdContext, StepOutcome, SyncScope,
     };
 }
