@@ -1,7 +1,7 @@
 //! `hbsp_adapt` — closed-loop adaptive execution harness.
 //!
 //! ```text
-//! hbsp_adapt [options] <machine.hbsp>
+//! hbsp_adapt [options] <machine>
 //!
 //! options:
 //!   --engine sim|threads|both  engine(s) to drive            (default both)
@@ -30,8 +30,12 @@
 //! two engines are additionally asserted byte-identical — the
 //! controller's determinism contract.
 //!
+//! `<machine>` is `testbed:<p>`, `testbed2` or a topology file, as for
+//! `hbsp_run`; a second machine is a usage error.
+//!
 //! Exit status: 0 on success, 1 on a broken contract (divergent logs,
-//! or `--require-win` unmet), 2 on usage errors.
+//! or `--require-win` unmet), 2 on usage errors or an unreadable
+//! machine or fault file.
 //!
 //! Example (the CI `adaptive` job):
 //!
@@ -41,8 +45,9 @@
 //!   --require-win --log decisions.log machines/campus.hbsp
 //! ```
 
+use hbsp_bench::cli::{Args, ENGINES};
+use hbsp_bench::testbed;
 use hbsp_collectives::{CollectiveKind, RepeatedCollective};
-use hbsp_core::topology;
 use hbsp_sim::FaultPlan;
 use hbsplib::{AdaptiveConfig, AdaptiveExecutor, AdaptiveOutcome, Executor};
 use std::process::exit;
@@ -50,7 +55,7 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: hbsp_adapt [options] <machine.hbsp>\n\
+        "usage: hbsp_adapt [options] <machine>\n\
          \x20 --engine sim|threads|both  engines to drive (default both)\n\
          \x20 --collective K             broadcast|gather|scatter|allgather|alltoall\n\
          \x20 --n N                      collective size hint (default 256)\n\
@@ -90,65 +95,39 @@ fn dump_bundle(dir: &Option<String>, engine: &str, arm: &str, err: &hbsplib::Ada
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = "both".to_string();
-    let mut collective = CollectiveKind::Broadcast;
-    let mut n: u64 = 256;
-    let mut rounds: usize = 12;
-    let mut window: usize = 2;
-    let mut threshold: f64 = 0.6;
-    let mut faults = FaultPlan::new();
-    let mut log_file: Option<String> = None;
-    let mut postmortem: Option<String> = None;
-    let mut require_win = false;
-    let mut json = false;
-    let mut machine: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--engine" => engine = value(),
-            "--collective" => {
-                collective = CollectiveKind::parse(&value()).unwrap_or_else(|| usage())
-            }
-            "--n" => n = value().parse().unwrap_or_else(|_| usage()),
-            "--rounds" => rounds = value().parse().unwrap_or_else(|_| usage()),
-            "--window" => window = value().parse().unwrap_or_else(|_| usage()),
-            "--threshold" => threshold = value().parse().unwrap_or_else(|_| usage()),
-            "--faults" => {
-                let path = value();
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("hbsp_adapt: {path}: {e}");
-                    exit(2)
-                });
-                faults = FaultPlan::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("hbsp_adapt: {path}: {e}");
-                    exit(2)
-                });
-            }
-            "--log" => log_file = Some(value()),
-            "--postmortem" => postmortem = Some(value()),
-            "--require-win" => require_win = true,
-            "--json" => json = true,
-            "--help" | "-h" => usage(),
-            f if f.starts_with('-') => usage(),
-            f => machine = Some(f.to_string()),
-        }
-    }
-    let Some(machine) = machine else { usage() };
-    let engines: Vec<&str> = match engine.as_str() {
-        "both" => vec!["sim", "threads"],
-        one => vec![one],
+    let mut args = Args::new(usage);
+    let engines = (args.choice("--engine", &ENGINES)).unwrap_or(&["sim", "threads"]);
+    let kinds = CollectiveKind::ALL.map(|kind| (kind.name(), kind));
+    let collective = (args.choice("--collective", &kinds)).unwrap_or(CollectiveKind::Broadcast);
+    let n: u64 = args.value("--n").unwrap_or(256);
+    let rounds: usize = args.value("--rounds").unwrap_or(12);
+    let window: usize = args.value("--window").unwrap_or(2);
+    let threshold: f64 = args.value("--threshold").unwrap_or(0.6);
+    let faults_file: Option<String> = args.value("--faults");
+    let log_file: Option<String> = args.value("--log");
+    let postmortem: Option<String> = args.value("--postmortem");
+    let require_win = args.flag("--require-win");
+    let json = args.flag("--json");
+    let [machine] = &args.positional()[..] else {
+        usage()
     };
 
-    let tree = match std::fs::read_to_string(&machine)
-        .map_err(|e| e.to_string())
-        .and_then(|t| topology::parse(&t).map_err(|e| e.to_string()))
-    {
-        Ok(t) => Arc::new(t),
+    let mut faults = FaultPlan::new();
+    if let Some(path) = &faults_file {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("hbsp_adapt: {path}: {e}");
+            exit(2)
+        });
+        faults = FaultPlan::parse(&text).unwrap_or_else(|e| {
+            eprintln!("hbsp_adapt: {path}: {e}");
+            exit(2)
+        });
+    }
+    let tree = match testbed::parse_machine(machine) {
+        Ok(Some(tree)) => Arc::new(tree),
+        Ok(None) => usage(),
         Err(e) => {
-            eprintln!("hbsp_adapt: {machine}: {e}");
+            eprintln!("hbsp_adapt: {e}");
             exit(2)
         }
     };
@@ -162,7 +141,7 @@ fn main() {
 
     let mut failures = 0usize;
     let mut results: Vec<EngineResult> = Vec::new();
-    for name in engines {
+    for &name in engines {
         let exec = Executor::from_engine_name(name, tree.clone())
             .unwrap_or_else(|| usage())
             .faults(faults.clone());
@@ -185,7 +164,7 @@ fn main() {
                 "{}",
                 record(&[
                     ("kind", Str("adapt")),
-                    ("machine", Str(&machine)),
+                    ("machine", Str(machine)),
                     ("engine", Str(name)),
                     ("collective", Str(collective.name())),
                     ("rounds", Int(rounds as u64)),

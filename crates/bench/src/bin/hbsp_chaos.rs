@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! hbsp_chaos [--seed S] [--runs N] [--ramps N] [--json]
-//!            [--postmortem DIR] <machine.hbsp>...
+//!            [--postmortem DIR] <machine>...
 //!
 //! options:
 //!   --seed S          base seed for fault-plan generation   (default 0)
@@ -34,6 +34,10 @@
 //! properties — ramps never kill anyone, so these runs must complete
 //! with bit-identical virtual times on both engines.
 //!
+//! Each `<machine>` is `testbed:<p>`, `testbed2` or a topology file, as
+//! for `hbsp_run`; one that cannot be read or parsed counts as a
+//! violation, and the others still run.
+//!
 //! Exit status: 0 when every run terminated with a verified outcome,
 //! 1 on any property violation, 2 on usage errors.
 //!
@@ -43,8 +47,10 @@
 //! cargo run -p hbsp-bench --bin hbsp_chaos -- --seed 0 --runs 64 machines/*.hbsp
 //! ```
 
+use hbsp_bench::cli::Args;
+use hbsp_bench::testbed;
 use hbsp_check::lint_machine;
-use hbsp_core::{topology, MachineTree, ProcEnv, ProcId, SpmdContext, StepOutcome, SyncScope};
+use hbsp_core::{MachineTree, ProcEnv, ProcId, SpmdContext, StepOutcome, SyncScope};
 use hbsp_obs::FlightRecorder;
 use hbsp_sim::{FaultPlan, SimError};
 use hbsplib::{Executor, Program, RecoveryPolicy};
@@ -54,7 +60,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: hbsp_chaos [--seed S] [--runs N] [--ramps N] [--json] \
-         [--postmortem DIR] <machine.hbsp>...\n\
+         [--postmortem DIR] <machine>...\n\
          \x20 --seed S          base seed for fault-plan generation (default 0)\n\
          \x20 --runs N          fault plans per machine (default 64)\n\
          \x20 --ramps N         straggler-ramp plans per machine (default 8)\n\
@@ -267,43 +273,13 @@ fn chaos_run(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed: u64 = 0;
-    let mut runs: u64 = 64;
-    let mut ramps: u64 = 8;
-    let mut json = false;
-    let mut postmortem: Option<String> = None;
-    let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--postmortem" => {
-                postmortem = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--runs" => {
-                runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--ramps" => {
-                ramps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--help" | "-h" => usage(),
-            f if f.starts_with('-') => usage(),
-            f => files.push(f.to_string()),
-        }
-    }
+    let mut args = Args::new(usage);
+    let seed: u64 = args.value("--seed").unwrap_or(0);
+    let runs: u64 = args.value("--runs").unwrap_or(64);
+    let ramps: u64 = args.value("--ramps").unwrap_or(8);
+    let postmortem: Option<String> = args.value("--postmortem");
+    let json = args.flag("--json");
+    let files = args.positional();
     if files.is_empty() {
         usage();
     }
@@ -317,11 +293,9 @@ fn main() {
     let mut violations = 0usize;
     let mut dumped = 0usize;
     for file in &files {
-        let tree = match std::fs::read_to_string(file)
-            .map_err(|e| e.to_string())
-            .and_then(|t| topology::parse(&t).map_err(|e| e.to_string()))
-        {
-            Ok(t) => Arc::new(t),
+        let tree = match testbed::parse_machine(file) {
+            Ok(Some(t)) => Arc::new(t),
+            Ok(None) => usage(),
             Err(e) => {
                 eprintln!("{file}: error: {e}");
                 violations += 1;

@@ -36,6 +36,7 @@
 //! cargo run -p hbsp-bench --bin hbsp_check -- --jobs fixtures/jobs_1000.jobs
 //! ```
 
+use hbsp_bench::cli::Args;
 use hbsp_check::lint_with_spans;
 use hbsp_collectives::verify::verify_standard_lowerings;
 use hbsp_core::topology;
@@ -81,27 +82,11 @@ fn check_jobs(files: &[String]) -> usize {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut schedules = false;
-    let mut jobs_mode = false;
-    let mut items: u64 = 100;
-    let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--schedules" => schedules = true,
-            "--jobs" => jobs_mode = true,
-            "--items" => {
-                items = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--help" | "-h" => usage(),
-            f if f.starts_with('-') => usage(),
-            f => files.push(f.to_string()),
-        }
-    }
+    let mut args = Args::new(usage);
+    let items: u64 = args.value("--items").unwrap_or(100);
+    let schedules = args.flag("--schedules");
+    let jobs_mode = args.flag("--jobs");
+    let files = args.positional();
     if files.is_empty() || (jobs_mode && schedules) {
         usage();
     }

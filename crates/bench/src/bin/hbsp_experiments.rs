@@ -20,6 +20,7 @@
 //!
 //! Example: `cargo run --release -p hbsp-bench --bin hbsp_experiments -- E1`
 
+use hbsp_bench::cli::Args;
 use hbsp_bench::figures::{
     accuracy_table, amortization_table, crossover_table, hbsp2_phase_table, improvement_table,
 };
@@ -34,10 +35,15 @@ use hbsp_collectives::plan::{RootPolicy, WorkloadPolicy};
 use hbsp_collectives::CollectiveError;
 use hbsp_core::topology;
 use hbsplib::Executor;
+use std::error::Error;
 use std::process::exit;
 use std::sync::Arc;
 
-const EXPERIMENTS: [(&str, fn()); 11] = [
+/// What an experiment returns: its table printed, or why it could not run.
+type Printed = Result<(), Box<dyn Error>>;
+type Experiment = (&'static str, fn() -> Printed);
+
+const EXPERIMENTS: [Experiment; 11] = [
     ("E1", || {
         let pts = gather_root_improvement(&TESTBED_PS, &PAPER_SIZES_KB);
         figure("Figure 3(a) — gather, improvement factor T_s / T_f", pts)
@@ -75,37 +81,39 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let selected = match args[..] {
-        [which] => which,
-        ["E6", "--level", "2"] => "E7",
+    let mut args = Args::new(usage);
+    let level: Option<u32> = args.value("--level");
+    let selected = match (&args.positional()[..], level) {
+        ([which], None) => which.clone(),
+        ([e6], Some(2)) if e6 == "E6" => "E7".to_string(),
         _ => usage(),
     };
-    if selected == "all" {
-        for (_, run) in EXPERIMENTS {
-            run();
-        }
-    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == selected) {
-        run();
-    } else {
-        usage();
+    let run = |(name, run): &Experiment| {
+        run().unwrap_or_else(|e| {
+            eprintln!("hbsp_experiments: {name}: {e}");
+            exit(1)
+        })
+    };
+    match EXPERIMENTS.iter().find(|(name, _)| *name == selected) {
+        _ if selected == "all" => EXPERIMENTS.iter().for_each(run),
+        Some(experiment) => run(experiment),
+        None => usage(),
     }
 }
 
 /// Print one Figure-3/4-style sweep.
-fn figure(title: &str, pts: Result<Vec<FigurePoint>, CollectiveError>) {
-    let pts = pts.expect("simulation succeeds");
-    println!("{}", improvement_table(title, &pts));
+fn figure(title: &str, pts: Result<Vec<FigurePoint>, CollectiveError>) -> Printed {
+    println!("{}", improvement_table(title, &pts?));
+    Ok(())
 }
 
-fn e5() {
-    let tree = hbsp2_testbed(60_000.0).expect("testbed builds");
+fn e5() -> Printed {
+    let tree = hbsp2_testbed(60_000.0)?;
     println!("Table 1 — HBSP^k parameters of the simulated HBSP^2 testbed\n");
     println!("g (fastest-machine time per word) = {}", tree.g());
     println!("k (communication levels)          = {}", tree.height());
     for level in (0..=tree.height()).rev() {
-        let nodes = tree.level_nodes(level).expect("level exists");
+        let nodes = tree.level_nodes(level)?;
         println!("\nlevel {level}: m_{level} = {} machines", nodes.len());
         for &idx in nodes {
             let node = tree.node(idx);
@@ -126,43 +134,46 @@ fn e5() {
     }
     println!("\nTopology DSL round-trip of the same machine:\n");
     println!("{}", topology::to_dsl(&tree));
+    Ok(())
 }
 
-fn e6() {
-    let rows = broadcast_crossover(&[2, 3, 4, 6, 8, 10], 400).expect("simulation succeeds");
+fn e6() -> Printed {
+    let rows = broadcast_crossover(&[2, 3, 4, 6, 8, 10], 400)?;
     println!("HBSP^1 broadcast: one- vs two-phase crossover (400 KB)");
     println!("{}", crossover_table(&rows));
+    Ok(())
 }
 
-fn e7() {
-    let rows = hbsp2_phase_study(&[1_000.0, 10_000.0, 50_000.0, 200_000.0], 400)
-        .expect("simulation succeeds");
+fn e7() -> Printed {
+    let rows = hbsp2_phase_study(&[1_000.0, 10_000.0, 50_000.0, 200_000.0], 400)?;
     println!("HBSP^2 broadcast: one- vs two-phase super^2-step (400 KB)");
     println!("{}", hbsp2_phase_table(&rows));
+    Ok(())
 }
 
-fn e8() {
-    let rows = hbsp2_amortization(&[25, 50, 100, 200, 400, 800, 1600], 60_000.0)
-        .expect("simulation succeeds");
+fn e8() -> Printed {
+    let rows = hbsp2_amortization(&[25, 50, 100, 200, 400, 800, 1600], 60_000.0)?;
     println!("HBSP^2 gather amortization (campus L_{{2,0}} = 60000)");
     println!("{}", amortization_table(&rows));
+    Ok(())
 }
 
-fn e9() {
+fn e9() -> Printed {
     for p in [4, 8, 10] {
         for kb in [100, 500, 1000] {
-            let rows = model_accuracy(p, kb).expect("simulation succeeds");
+            let rows = model_accuracy(p, kb)?;
             println!("p = {p}, problem size = {kb} KB");
             println!("{}", accuracy_table(&rows));
         }
     }
+    Ok(())
 }
 
 /// The same sample sort configured two ways on the same machine:
 /// BSP-oblivious (arbitrary coordinator, equal shares) vs HBSP-aware
 /// (fastest coordinator, `c_j`-balanced shares) — §6's claim that root
 /// selection and workload distribution alone buy the improvement.
-fn e11() {
+fn e11() -> Printed {
     println!("sample sort, 400 KB of integers: BSP-oblivious vs HBSP-aware configuration\n");
     println!(
         "{:>4} {:>14} {:>14} {:>12}",
@@ -170,15 +181,11 @@ fn e11() {
     );
     let items = input_kb(400);
     for p in TESTBED_PS {
-        let exec = Executor::simulator(Arc::new(testbed(p).expect("testbed builds")));
-        let sort = |workload, root| {
-            hbsp_apps::sort::run(&exec, &items, workload, root)
-                .expect("run")
-                .time
-        };
+        let exec = Executor::simulator(Arc::new(testbed(p)?));
+        let sort = |workload, root| hbsp_apps::sort::run(&exec, &items, workload, root);
         // Arbitrary enumeration lands the BSP coordinator on a slow box.
-        let bsp = sort(WorkloadPolicy::Equal, RootPolicy::Rank(p as u32 - 1));
-        let hbsp = sort(WorkloadPolicy::Balanced, RootPolicy::Fastest);
+        let bsp = sort(WorkloadPolicy::Equal, RootPolicy::Rank(p as u32 - 1))?.time;
+        let hbsp = sort(WorkloadPolicy::Balanced, RootPolicy::Fastest)?.time;
         println!(
             "{:>4} {:>14.0} {:>14.0} {:>11.2}x",
             p,
@@ -191,4 +198,5 @@ fn e11() {
         "\nsame algorithm, same machine — only the root selection and the\n\
          workload distribution changed (the paper's §6 conclusion)."
     );
+    Ok(())
 }

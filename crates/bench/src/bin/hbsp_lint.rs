@@ -60,6 +60,7 @@
 //!
 //! Exit status: 0 clean, 1 violations found, 2 usage errors.
 
+use hbsp_bench::cli::Args;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -272,26 +273,19 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: hbsp_lint [<crates-dir>]");
+    exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = match args.as_slice() {
-        [] => {
-            // crates/bench/src/bin → workspace root → crates/
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .map(|r| r.join("crates"))
-                .filter(|p| p.is_dir())
-                .unwrap_or_else(|| {
-                    eprintln!("hbsp_lint: cannot locate the crates/ directory");
-                    exit(2)
-                })
-        }
-        [dir] if !dir.starts_with('-') => PathBuf::from(dir),
-        _ => {
-            eprintln!("usage: hbsp_lint [<crates-dir>]");
-            exit(2)
-        }
+    let root = match &Args::new(usage).positional()[..] {
+        // The `crates/` this binary was built in (crates/bench's parent);
+        // a tree without it has no .rs files, which is refused below.
+        [] => (Path::new(env!("CARGO_MANIFEST_DIR")).parent())
+            .map_or_else(PathBuf::new, Path::to_path_buf),
+        [dir] => PathBuf::from(dir),
+        _ => usage(),
     };
     let mut files = Vec::new();
     walk(&root, &mut files);

@@ -16,6 +16,8 @@
 //!   --log                also print the attached decision log
 //! ```
 //!
+//! Exactly one bundle is named; a second one is a usage error.
+//!
 //! Default action: parse the bundle, run
 //! [`PostmortemBundle::validate`], and print its one-paragraph summary
 //! plus the recorded step range. The written Chrome trace is checked
@@ -32,6 +34,7 @@
 //!   --diff pm/postmortem_campus_s3_threads.jsonl --ignore-engine
 //! ```
 
+use hbsp_bench::cli::Args;
 use hbsp_obs::{validate_chrome_trace, PostmortemBundle};
 use std::process::exit;
 
@@ -59,32 +62,16 @@ fn load(path: &str) -> PostmortemBundle {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut diff_path: Option<String> = None;
-    let mut ignore_engine = false;
-    let mut chrome: Option<String> = None;
-    let mut show_events = false;
-    let mut show_log = false;
-    let mut bundle_path: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--diff" => diff_path = Some(value()),
-            "--ignore-engine" => ignore_engine = true,
-            "--chrome" => chrome = Some(value()),
-            "--events" => show_events = true,
-            "--log" => show_log = true,
-            "--help" | "-h" => usage(),
-            f if f.starts_with('-') => usage(),
-            f => bundle_path = Some(f.to_string()),
-        }
-    }
-    let Some(bundle_path) = bundle_path else {
+    let mut args = Args::new(usage);
+    let diff_path: Option<String> = args.value("--diff");
+    let chrome: Option<String> = args.value("--chrome");
+    let ignore_engine = args.flag("--ignore-engine");
+    let show_events = args.flag("--events");
+    let show_log = args.flag("--log");
+    let [bundle_path] = &args.positional()[..] else {
         usage()
     };
-    let bundle = load(&bundle_path);
+    let bundle = load(bundle_path);
 
     let mut failures = 0usize;
     match bundle.validate() {

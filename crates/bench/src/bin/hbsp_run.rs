@@ -28,28 +28,18 @@
 //! cargo run -p hbsp-bench --bin hbsp_run -- machines/campus.hbsp broadcast --strategy hier
 //! ```
 
-use hbsp_bench::testbed::{self, input_kb};
+use hbsp_bench::cli::{self, Args, STRATEGIES};
+use hbsp_bench::testbed::input_kb;
 use hbsp_collectives::broadcast::BroadcastPlan;
 use hbsp_collectives::gather::GatherPlan;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
-use hbsp_core::MachineTree;
 use hbsp_obs::Recorder;
 use hbsp_sim::{ascii_gantt, ProcTimeline, SimOutcome, TraceSummary};
 use hbsplib::Executor;
 use std::process::exit;
 use std::sync::Arc;
-
-struct Options {
-    kb: usize,
-    root: RootPolicy,
-    workload: WorkloadPolicy,
-    strategy: Strategy,
-    phase: PhasePolicy,
-    trace: bool,
-    json: bool,
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -60,74 +50,6 @@ fn usage() -> ! {
          operation: gather | broadcast | scatter | allgather | alltoall | reduce | scan"
     );
     exit(2)
-}
-
-fn parse_machine(spec: &str) -> MachineTree {
-    match testbed::parse_machine(spec) {
-        Ok(Some(tree)) => tree,
-        Ok(None) => usage(),
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1)
-        }
-    }
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut o = Options {
-        kb: 100,
-        root: RootPolicy::Fastest,
-        workload: WorkloadPolicy::Equal,
-        strategy: Strategy::Flat,
-        phase: PhasePolicy::TwoPhase,
-        trace: false,
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--kb" => {
-                o.kb = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--root" => {
-                o.root = match it.next().map(String::as_str) {
-                    Some("fastest") => RootPolicy::Fastest,
-                    Some("slowest") => RootPolicy::Slowest,
-                    Some(r) => RootPolicy::Rank(r.parse().unwrap_or_else(|_| usage())),
-                    None => usage(),
-                }
-            }
-            "--workload" => {
-                o.workload = match it.next().map(String::as_str) {
-                    Some("equal") => WorkloadPolicy::Equal,
-                    Some("balanced") => WorkloadPolicy::Balanced,
-                    Some("commaware") => WorkloadPolicy::CommAware,
-                    _ => usage(),
-                }
-            }
-            "--strategy" => {
-                o.strategy = match it.next().map(String::as_str) {
-                    Some("flat") => Strategy::Flat,
-                    Some("hier") => Strategy::Hierarchical,
-                    _ => usage(),
-                }
-            }
-            "--phase" => {
-                o.phase = match it.next().map(String::as_str) {
-                    Some("one") => PhasePolicy::OnePhase,
-                    Some("two") => PhasePolicy::TwoPhase,
-                    _ => usage(),
-                }
-            }
-            "--trace" => o.trace = true,
-            "--json" => o.json = true,
-            _ => usage(),
-        }
-    }
-    o
 }
 
 /// One machine-readable line (the JSONL record for `--json`).
@@ -181,26 +103,44 @@ fn report(sim: &SimOutcome, recorder: Option<&Recorder>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        usage();
-    }
-    let op = args[1].as_str();
-    let o = parse_options(&args[2..]);
-    let recorder = o.trace.then(|| Arc::new(Recorder::new()));
-    let mut exec = Executor::simulator(Arc::new(parse_machine(&args[0])));
+    let mut args = Args::new(usage);
+    let kb = args.value("--kb").unwrap_or(100);
+    let root = match args.value::<String>("--root").as_deref() {
+        None | Some("fastest") => RootPolicy::Fastest,
+        Some("slowest") => RootPolicy::Slowest,
+        Some(rank) => RootPolicy::Rank(rank.parse().unwrap_or_else(|_| usage())),
+    };
+    let workloads = [
+        ("equal", WorkloadPolicy::Equal),
+        ("balanced", WorkloadPolicy::Balanced),
+        ("commaware", WorkloadPolicy::CommAware),
+    ];
+    let workload = (args.choice("--workload", &workloads)).unwrap_or(WorkloadPolicy::Equal);
+    let strategy = (args.choice("--strategy", &STRATEGIES)).unwrap_or(Strategy::Flat);
+    let phases = [
+        ("one", PhasePolicy::OnePhase),
+        ("two", PhasePolicy::TwoPhase),
+    ];
+    let phase = (args.choice("--phase", &phases)).unwrap_or(PhasePolicy::TwoPhase);
+    let trace = args.flag("--trace");
+    let json = args.flag("--json");
+    let [machine, op] = &args.positional()[..] else {
+        usage()
+    };
+    let recorder = trace.then(|| Arc::new(Recorder::new()));
+    let mut exec = Executor::simulator(Arc::new(cli::machine(machine, usage)));
     if let Some(recorder) = &recorder {
         exec = exec.probe(recorder.clone());
     }
     let tree = exec.tree();
-    let items = input_kb(o.kb);
-    if !o.json {
+    let items = input_kb(kb);
+    if !json {
         println!(
             "machine: HBSP^{} with {} processors; {} of {} KB ({} words)",
             tree.height(),
             tree.num_procs(),
             op,
-            o.kb,
+            kb,
             items.len()
         );
     }
@@ -213,53 +153,45 @@ fn main() {
             .map(|i| items[i * len..(i + 1) * len].to_vec())
             .collect()
     };
-    let sim = match op {
+    let sim = match op.as_str() {
         "gather" => {
             let plan = GatherPlan {
-                root: o.root,
-                workload: o.workload,
-                strategy: o.strategy,
+                root,
+                workload,
+                strategy,
             };
-            gather::run(&exec, &items, plan).expect("run").sim
+            gather::run(&exec, &items, plan).map(|run| run.sim)
         }
         "broadcast" => {
             let plan = BroadcastPlan {
-                root: o.root,
-                strategy: o.strategy,
-                top_phase: o.phase,
+                root,
+                strategy,
+                top_phase: phase,
                 cluster_phase: PhasePolicy::TwoPhase,
-                workload: o.workload,
+                workload,
             };
-            broadcast::run(&exec, &items, plan).expect("run").sim
+            broadcast::run(&exec, &items, plan).map(|run| run.sim)
         }
-        "scatter" => {
-            scatter::run(&exec, &items, o.root, o.workload)
-                .expect("run")
-                .sim
-        }
-        "allgather" => {
-            allgather::run(&exec, &items, o.workload, o.strategy)
-                .expect("run")
-                .sim
-        }
+        "scatter" => scatter::run(&exec, &items, root, workload).map(|run| run.sim),
+        "allgather" => allgather::run(&exec, &items, workload, strategy).map(|run| run.sim),
         "alltoall" => {
             let p = tree.num_procs();
             let block = (items.len() / (p * p)).max(1);
             let blocks: Vec<Vec<Vec<u32>>> = (0..p)
                 .map(|i| (0..p).map(|j| vec![(i * p + j) as u32; block]).collect())
                 .collect();
-            alltoall::run(&exec, blocks, o.strategy).expect("run").sim
+            alltoall::run(&exec, blocks, strategy).map(|run| run.sim)
         }
-        "reduce" => {
-            reduce::run(&exec, vectors(), ReduceOp::Sum, o.root, o.strategy)
-                .expect("run")
-                .sim
-        }
-        "scan" => scan::run(&exec, vectors(), ReduceOp::Sum).expect("run").sim,
+        "reduce" => reduce::run(&exec, vectors(), ReduceOp::Sum, root, strategy).map(|run| run.sim),
+        "scan" => scan::run(&exec, vectors(), ReduceOp::Sum).map(|run| run.sim),
         _ => usage(),
     };
-    if o.json {
-        report_json(&args[0], op, &sim);
+    let sim = sim.unwrap_or_else(|e| {
+        eprintln!("hbsp_run: {e}");
+        exit(1)
+    });
+    if json {
+        report_json(machine, op, &sim);
     } else {
         report(&sim, recorder.as_deref());
     }

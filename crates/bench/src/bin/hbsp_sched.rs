@@ -2,13 +2,14 @@
 //! through the multi-tenant scheduler, or generate one.
 //!
 //! ```text
-//! hbsp_sched --machine <machine.hbsp> --jobs <graph.jobs>
+//! hbsp_sched --machine <machine> --jobs <graph.jobs>
 //!            [--engine sim|threads|both] [--serial] [--trace out.json]
 //! hbsp_sched --generate N [--seed S]
 //! ```
 //!
-//! Job-graph files are line-oriented: one job per line, `#` comments
-//! and blank lines ignored.
+//! `<machine>` is `testbed:<p>`, `testbed2` or a topology file, as for
+//! `hbsp_run`. Job-graph files are line-oriented: one job per line,
+//! `#` comments and blank lines ignored.
 //!
 //! ```text
 //! <name> <kind> n=<words> [procs=<min>] [after=<id>,<id>,...] [seed=<u64>]
@@ -36,7 +37,7 @@
 //!     --jobs fixtures/jobs_1000.jobs --engine both
 //! ```
 
-use hbsp_core::topology;
+use hbsp_bench::cli::{self, Args, ENGINES};
 use hbsp_sched::{CollectiveKind, Engine, Job, RunOptions, SchedReport, Scheduler};
 use hbsplib::Executor;
 use std::process::exit;
@@ -44,11 +45,11 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: hbsp_sched --machine <file> --jobs <file> [--engine sim|threads|both]\n\
+        "usage: hbsp_sched --machine <machine> --jobs <file> [--engine sim|threads|both]\n\
          \x20                [--serial] [--trace out.json]\n\
          \x20      hbsp_sched --generate N [--seed S]\n\
-         \x20 --machine F   machine description (.hbsp topology file)\n\
-         \x20 --jobs F      job-graph file (see --help-format in the bin docs)\n\
+         \x20 --machine M   testbed:<p>, testbed2 or a .hbsp topology file\n\
+         \x20 --jobs F      job-graph file (format: the doc header of hbsp_sched.rs)\n\
          \x20 --engine E    sim (default), threads, or both (compare bit-identically)\n\
          \x20 --serial      one job per admission round (the batching control arm)\n\
          \x20 --trace F     write the batch/job/superstep spans as a Chrome trace JSON file\n\
@@ -56,46 +57,6 @@ fn usage() -> ! {
          \x20 --seed S      seed for --generate (default 42)"
     );
     exit(2)
-}
-
-struct Args {
-    machine: Option<String>,
-    jobs: Option<String>,
-    engine: String,
-    serial: bool,
-    trace: Option<String>,
-    generate: Option<usize>,
-    seed: u64,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        machine: None,
-        jobs: None,
-        engine: "sim".to_string(),
-        serial: false,
-        trace: None,
-        generate: None,
-        seed: 42,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    let val = |it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| usage())
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--machine" => a.machine = Some(val(&mut it)),
-            "--jobs" => a.jobs = Some(val(&mut it)),
-            "--engine" => a.engine = val(&mut it),
-            "--serial" => a.serial = true,
-            "--trace" => a.trace = Some(val(&mut it)),
-            "--generate" => a.generate = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--seed" => a.seed = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-    }
-    a
 }
 
 // ---- job-graph file parsing -----------------------------------------
@@ -236,43 +197,44 @@ fn drain(sched: &Scheduler, engine: Engine, serial: bool, label: &str) -> SchedR
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some(count) = args.generate {
-        print!("{}", generate(count, args.seed));
+    let mut args = Args::new(usage);
+    let machine: Option<String> = args.value("--machine");
+    let jobs_file: Option<String> = args.value("--jobs");
+    let trace: Option<String> = args.value("--trace");
+    let to_generate: Option<usize> = args.value("--generate");
+    let seed = args.value("--seed").unwrap_or(42);
+    let selected = args.choice("--engine", &ENGINES).unwrap_or(&["sim"]);
+    let serial = args.flag("--serial");
+    if !args.positional().is_empty() {
+        usage()
+    }
+    if let Some(count) = to_generate {
+        print!("{}", generate(count, seed));
         return;
     }
-    let (Some(machine), Some(jobs_file)) = (&args.machine, &args.jobs) else {
+    let (Some(machine), Some(jobs_file)) = (&machine, &jobs_file) else {
         usage();
     };
-    let text = std::fs::read_to_string(machine).unwrap_or_else(|e| {
-        eprintln!("cannot read machine file `{machine}`: {e}");
-        exit(1)
-    });
-    let tree = topology::parse(&text).unwrap_or_else(|e| {
-        eprintln!("invalid machine description `{machine}`: {e}");
-        exit(1)
-    });
+    let tree = Arc::new(cli::machine(machine, usage));
     println!(
         "{machine}: HBSP^{}, {} processors",
         tree.height(),
         tree.num_procs()
     );
 
-    let tree = Arc::new(tree);
     let mut sched = Scheduler::new(tree.clone());
     for job in parse_jobs(jobs_file) {
         sched.submit(job);
     }
 
-    // The scheduler's engines, each beside the executor that names it:
-    // `both` is every row, any other word must be one row's name.
+    // The scheduler's engines, each beside the executor that names it.
     let engines = [
         (Engine::Simulator, Executor::simulator(tree.clone())),
         (Engine::Threads, Executor::threads(tree.clone())),
     ];
     let reports: Vec<SchedReport> = (engines.iter())
-        .filter(|(_, exec)| args.engine == "both" || args.engine == exec.engine_name())
-        .map(|(engine, exec)| drain(&sched, *engine, args.serial, exec.engine_name()))
+        .filter(|(_, exec)| selected.contains(&exec.engine_name()))
+        .map(|(engine, exec)| drain(&sched, *engine, serial, exec.engine_name()))
         .collect();
     let Some((report, others)) = reports.split_first() else {
         usage();
@@ -287,7 +249,7 @@ fn main() {
         println!("engines agree: bit-identical per-job results and makespan");
     }
 
-    if let Some(path) = &args.trace {
+    if let Some(path) = &trace {
         std::fs::write(path, report.chrome_trace()).unwrap_or_else(|e| {
             eprintln!("cannot write trace `{path}`: {e}");
             exit(1)

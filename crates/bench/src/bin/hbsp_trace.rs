@@ -37,14 +37,16 @@
 //! cargo run -p hbsp-bench --bin hbsp_trace -- --validate trace.json
 //! ```
 
-use hbsp_bench::testbed::{self, input_kb};
+use hbsp_bench::cli::{self, Args, STRATEGIES};
+use hbsp_bench::testbed::input_kb;
 use hbsp_collectives::allgather::{lower_flat_allgather, lower_hierarchical_allgather};
 use hbsp_collectives::broadcast::{lower_broadcast, BroadcastPlan};
 use hbsp_collectives::drift::predicted_steps;
-use hbsp_collectives::gather::lower_gather;
+use hbsp_collectives::gather::{lower_gather, GatherPlan};
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::scatter::lower_scatter;
 use hbsp_collectives::schedule::{execute, stage, CommSchedule, ScheduleProgram, Staging};
+use hbsp_collectives::CollectiveError;
 use hbsp_core::MachineTree;
 use hbsp_obs::{calibrate, DriftReport, Recorder};
 use hbsp_sim::{ascii_gantt, ProcTimeline};
@@ -52,16 +54,6 @@ use hbsplib::Executor;
 use std::io::Write as _;
 use std::process::exit;
 use std::sync::Arc;
-
-struct Options {
-    kb: usize,
-    strategy: Strategy,
-    engine: String,
-    chrome: bool,
-    out: Option<String>,
-    gantt: bool,
-    calibrate: bool,
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -73,60 +65,6 @@ fn usage() -> ! {
          operation: gather | broadcast | scatter | allgather"
     );
     exit(2)
-}
-
-fn parse_machine(spec: &str) -> MachineTree {
-    match testbed::parse_machine(spec) {
-        Ok(Some(tree)) => tree,
-        Ok(None) => usage(),
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1)
-        }
-    }
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut o = Options {
-        kb: 100,
-        strategy: Strategy::Flat,
-        engine: "sim".to_string(),
-        chrome: true,
-        out: None,
-        gantt: false,
-        calibrate: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--kb" => {
-                o.kb = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--strategy" => {
-                o.strategy = match it.next().map(String::as_str) {
-                    Some("flat") => Strategy::Flat,
-                    Some("hier") => Strategy::Hierarchical,
-                    _ => usage(),
-                }
-            }
-            "--engine" => o.engine = it.next().cloned().unwrap_or_else(|| usage()),
-            "--format" => {
-                o.chrome = match it.next().map(String::as_str) {
-                    Some("chrome") => true,
-                    Some("jsonl") => false,
-                    _ => usage(),
-                }
-            }
-            "--out" => o.out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--gantt" => o.gantt = true,
-            "--calibrate" => o.calibrate = true,
-            _ => usage(),
-        }
-    }
-    o
 }
 
 /// Standalone validation mode: check a Chrome trace file and report.
@@ -159,18 +97,17 @@ fn lower<'a>(
     op: &str,
     items: &'a [u32],
     strategy: Strategy,
-) -> (CommSchedule, Staging<'a>) {
+) -> Result<(CommSchedule, Staging<'a>), CollectiveError> {
     let n = items.len() as u64;
     let shares = Staging::Shares(items, WorkloadPolicy::Equal);
-    match op {
+    Ok(match op {
         "gather" => {
-            let plan = hbsp_collectives::gather::GatherPlan {
+            let plan = GatherPlan {
                 root: RootPolicy::Fastest,
                 workload: WorkloadPolicy::Equal,
                 strategy,
             };
-            let (sched, _root) = lower_gather(tree, n, plan).expect("fastest root resolves");
-            (sched, shares)
+            (lower_gather(tree, n, plan)?.0, shares)
         }
         "broadcast" => {
             let plan = BroadcastPlan {
@@ -180,11 +117,11 @@ fn lower<'a>(
                 cluster_phase: PhasePolicy::TwoPhase,
                 workload: WorkloadPolicy::Equal,
             };
-            let (sched, src) = lower_broadcast(tree, n, &plan).expect("fastest root resolves");
+            let (sched, src) = lower_broadcast(tree, n, &plan)?;
             (sched, Staging::AtRoot(src, items.to_vec()))
         }
         "scatter" => {
-            let root = RootPolicy::Fastest.resolve(tree).expect("fastest resolves");
+            let root = tree.fastest_proc();
             let sched = lower_scatter(tree, n, root, WorkloadPolicy::Equal);
             (sched, Staging::AtRoot(root, items.to_vec()))
         }
@@ -198,32 +135,39 @@ fn lower<'a>(
             (sched, shares)
         }
         _ => usage(),
-    }
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--validate") {
-        match args.get(1) {
-            Some(path) if args.len() == 2 => validate(path),
-            _ => usage(),
+    let mut args = Args::new(usage);
+    if let Some(path) = args.value::<String>("--validate") {
+        if !args.positional().is_empty() {
+            usage()
         }
+        validate(&path)
     }
-    if args.len() < 2 {
-        usage();
-    }
-    let tree = parse_machine(&args[0]);
-    let op = args[1].as_str();
-    let o = parse_options(&args[2..]);
+    let kb = args.value("--kb").unwrap_or(100);
+    let strategy = (args.choice("--strategy", &STRATEGIES)).unwrap_or(Strategy::Flat);
+    let engine = args.value("--engine").unwrap_or_else(|| "sim".to_string());
+    let chrome = (args.choice("--format", &[("chrome", true), ("jsonl", false)])).unwrap_or(true);
+    let out: Option<String> = args.value("--out");
+    let gantt = args.flag("--gantt");
+    let back_fit = args.flag("--calibrate");
+    let [machine, op] = &args.positional()[..] else {
+        usage()
+    };
+    let tree = Arc::new(cli::machine(machine, usage));
 
-    let items = input_kb(o.kb);
-    let (sched, input) = lower(&tree, op, &items, o.strategy);
+    let items = input_kb(kb);
+    let (sched, input) = lower(&tree, op, &items, strategy).unwrap_or_else(|e| {
+        eprintln!("hbsp_trace: {e}");
+        exit(1)
+    });
     let predicted = predicted_steps(&tree, &sched);
     let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(stage(&tree, input)), None);
 
     let recorder = Arc::new(Recorder::new());
-    let tree = Arc::new(tree);
-    let exec = Executor::from_engine_name(&o.engine, tree.clone()).unwrap_or_else(|| usage());
+    let exec = Executor::from_engine_name(&engine, tree.clone()).unwrap_or_else(|| usage());
     let (outcome, _states) = execute(&exec.probe(recorder.clone()), &prog).unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
         exit(1)
@@ -234,7 +178,7 @@ fn main() {
         tree.height(),
         tree.num_procs(),
         op,
-        o.kb,
+        kb,
         // The engine's long form; docs/runtime.md, "Adding an engine" (b).
         match outcome.wall {
             Some(_) => "threaded runtime",
@@ -250,22 +194,22 @@ fn main() {
     }
     eprintln!("{}", recorder.metrics_text());
 
-    if o.gantt {
+    if gantt {
         eprintln!("{}", ascii_gantt(&ProcTimeline::from_steps(&steps), 72));
     }
-    if o.calibrate {
+    if back_fit {
         match calibrate(&steps) {
             Ok(cal) => eprintln!("{}", cal.render()),
             Err(e) => eprintln!("calibration unavailable: {e}"),
         }
     }
 
-    let trace = if o.chrome {
+    let trace = if chrome {
         hbsp_obs::chrome_trace(&steps)
     } else {
         hbsp_obs::jsonl(&steps, &recorder.events(), &recorder.metrics())
     };
-    match &o.out {
+    match &out {
         Some(path) => {
             std::fs::write(path, &trace).unwrap_or_else(|e| {
                 eprintln!("cannot write `{path}`: {e}");
@@ -274,8 +218,10 @@ fn main() {
             eprintln!("trace written to {path}");
         }
         None => {
-            let mut stdout = std::io::stdout().lock();
-            stdout.write_all(trace.as_bytes()).expect("stdout");
+            if let Err(e) = std::io::stdout().lock().write_all(trace.as_bytes()) {
+                eprintln!("hbsp_trace: stdout: {e}");
+                exit(1)
+            }
         }
     }
 }

@@ -1,20 +1,25 @@
 //! Drivers for every experiment in the reproduction (see DESIGN.md's
 //! experiment index E1–E9).
 
-use crate::testbed::{input_kb, testbed};
+use crate::testbed::{hbsp2_testbed, input_kb, testbed};
 use hbsp_collectives::broadcast::{self, BroadcastPlan};
 use hbsp_collectives::gather::{self, lower_gather, GatherPlan};
-use hbsp_collectives::plan::{PhasePolicy, RootPolicy, WorkloadPolicy};
+use hbsp_collectives::plan::{PhasePolicy, WorkloadPolicy};
 use hbsp_collectives::predict;
 use hbsp_collectives::schedule::{stage, ScheduleProgram, Staging};
 use hbsp_collectives::CollectiveError;
-use hbsp_core::{CostReport, Level, MachineTree, SuperstepCost};
+use hbsp_core::{CostReport, Level, MachineTree, ModelError, SuperstepCost};
 use hbsplib::Executor;
 use std::sync::Arc;
 
-/// The simulator on `tree`: what every experiment measures on.
-fn simulator(tree: MachineTree) -> Executor {
-    Executor::simulator(Arc::new(tree))
+/// The simulator on a testbed: what every experiment measures on.
+#[expect(
+    clippy::expect_used,
+    reason = "the testbeds build at every p in 1..=10 and every campus L >= 0 \
+              (testbed::tests::testbed_validates_at_every_p, hbsp2_testbed_shape)"
+)]
+fn simulator(built: Result<MachineTree, ModelError>) -> Executor {
+    Executor::simulator(Arc::new(built.expect("testbed builds")))
 }
 
 /// One point of a Figure-3/4-style plot: processor count, problem size
@@ -36,7 +41,7 @@ fn sweep(
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
     let mut out = Vec::with_capacity(ps.len() * kbs.len());
     for &p in ps {
-        let exec = simulator(testbed(p).expect("testbed builds"));
+        let exec = simulator(testbed(p));
         for &kb in kbs {
             let items = input_kb(kb);
             out.push(FigurePoint {
@@ -133,11 +138,9 @@ pub fn broadcast_crossover(ps: &[usize], kb: usize) -> Result<Vec<CrossoverRow>,
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &p in ps {
-        let exec = simulator(testbed(p).expect("testbed builds"));
+        let exec = simulator(testbed(p));
         let tree = exec.tree();
-        let root = RootPolicy::Fastest
-            .resolve(tree)
-            .expect("fastest root always resolves");
+        let root = tree.fastest_proc();
         let one_sim = broadcast::run(&exec, &items, BroadcastPlan::one_phase())?.time;
         let two_sim = broadcast::run(&exec, &items, BroadcastPlan::two_phase())?.time;
         let one_pred = predict::broadcast_one_phase(tree, n, root).total();
@@ -227,7 +230,7 @@ pub fn hbsp2_phase_study(l2s: &[f64], kb: usize) -> Result<Vec<Hbsp2PhaseRow>, C
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &l2 in l2s {
-        let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
+        let exec = simulator(hbsp2_testbed(l2));
         let hier = |top| broadcast::run(&exec, &items, BroadcastPlan::hierarchical(top));
         let one_sim = hier(PhasePolicy::OnePhase)?.time;
         let two_sim = hier(PhasePolicy::TwoPhase)?.time;
@@ -279,7 +282,7 @@ impl AmortizationRow {
 /// must cross the campus links with fewer messages than the flat
 /// gather.
 pub fn hbsp2_amortization(kbs: &[usize], l2: f64) -> Result<Vec<AmortizationRow>, CollectiveError> {
-    let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
+    let exec = simulator(hbsp2_testbed(l2));
     let mut rows = Vec::new();
     for &kb in kbs {
         let items = input_kb(kb);
@@ -364,8 +367,8 @@ pub fn barrier_scope_ablation(
                 return StepOutcome::Done;
             }
             let members = env.tree.cluster_members(env.pid, 1);
-            if members.len() > 1 {
-                let me = members.iter().position(|&m| m == env.pid).expect("member");
+            let me = members.iter().position(|&m| m == env.pid);
+            if let Some(me) = me.filter(|_| members.len() > 1) {
                 let next = members[(me + 1) % members.len()];
                 ctx.send(next, 0, &[0u8; 512]);
             }
@@ -374,7 +377,7 @@ pub fn barrier_scope_ablation(
         }
     }
 
-    let exec = simulator(crate::testbed::hbsp2_testbed(l2).expect("testbed builds"));
+    let exec = simulator(hbsp2_testbed(l2));
     let mut rows = Vec::new();
     for &rounds in rounds_list {
         let ring = |scope_level| {
@@ -408,7 +411,7 @@ pub struct AccuracyRow {
 /// the two prediction paths must agree (up to the few header words per
 /// message the closed forms don't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {
-    let tree = Arc::new(testbed(p).expect("testbed builds"));
+    let tree = simulator(testbed(p)).tree().clone();
     let items = input_kb(kb);
     let n = items.len() as u64;
     let root = tree.fastest_proc();
@@ -438,13 +441,11 @@ impl AccuracyRow {
 /// model *ranks* designs correctly and tracks scale, not that it
 /// predicts absolute microcosts.
 pub fn model_accuracy(p: usize, kb: usize) -> Result<Vec<AccuracyRow>, CollectiveError> {
-    let exec = simulator(testbed(p).expect("testbed builds"));
+    let exec = simulator(testbed(p));
     let tree = exec.tree();
     let items = input_kb(kb);
     let n = items.len() as u64;
-    let root = RootPolicy::Fastest
-        .resolve(tree)
-        .expect("fastest root always resolves");
+    let root = tree.fastest_proc();
     let rows = vec![
         AccuracyRow {
             op: "gather (fast root, equal)",
@@ -630,8 +631,7 @@ mod tests {
     #[test]
     fn traced_gather_runs_the_strategy_it_was_asked_for() {
         let recorder = Arc::new(hbsp_obs::Recorder::new());
-        let exec =
-            simulator(crate::testbed::hbsp2_testbed(60_000.0).unwrap()).probe(recorder.clone());
+        let exec = simulator(hbsp2_testbed(60_000.0)).probe(recorder.clone());
         let items = input_kb(10);
         let barriered = |plan| {
             let before = recorder.recorded();

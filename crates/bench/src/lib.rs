@@ -14,13 +14,18 @@
 //!   E5 (Table 1 parameters), E6/E7 (§4.4 one- vs two-phase
 //!   crossovers), E8 (§4.3 HBSP^2 amortization), E9 (cost-model
 //!   accuracy);
-//! * [`figures`] — plain-text table/series rendering for the binaries.
+//! * [`figures`] — plain-text table/series rendering for the binaries;
+//! * [`jobfile`] — the job-graph file format `hbsp_sched` replays and
+//!   `hbsp_check --jobs` lints;
+//! * [`cli`] — the one command-line reader and machine loader of the
+//!   nine binaries in `src/bin/`.
 //!
-//! The `hbsp_experiments` binary (`src/bin/`) prints any of them as a
+//! The `hbsp_experiments` binary prints any experiment as a
 //! regenerated figure or table.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod figures;
 pub mod jobfile;

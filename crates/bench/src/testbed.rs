@@ -104,19 +104,23 @@ pub fn hbsp2_testbed(l2: f64) -> Result<MachineTree, ModelError> {
 /// The machine a command line names: `testbed:<p>` ([`testbed`]),
 /// `testbed2` ([`hbsp2_testbed`] with a 60 000 campus barrier) or the
 /// path of a topology file. `Ok(None)` when the count after `testbed:`
-/// is not a number, a usage error; `Err` is the message to print.
+/// is not a number in 1..=10, a usage error; `Err` is the message to
+/// print.
 pub fn parse_machine(spec: &str) -> Result<Option<MachineTree>, String> {
-    if let Some(p) = spec.strip_prefix("testbed:") {
-        return Ok(p.parse().ok().map(|p| testbed(p).expect("testbed builds")));
-    }
-    if spec == "testbed2" {
-        return Ok(Some(hbsp2_testbed(60_000.0).expect("testbed builds")));
-    }
-    let text = std::fs::read_to_string(spec)
-        .map_err(|e| format!("cannot read machine file `{spec}`: {e}"))?;
-    topology::parse(&text)
+    let built = match spec.strip_prefix("testbed:").map(str::parse::<usize>) {
+        Some(Ok(p @ 1..=10)) => testbed(p),
+        Some(_) => return Ok(None),
+        None if spec == "testbed2" => hbsp2_testbed(60_000.0),
+        None => {
+            let text = std::fs::read_to_string(spec)
+                .map_err(|e| format!("cannot read machine file `{spec}`: {e}"))?;
+            return (topology::parse(&text).map(Some))
+                .map_err(|e| format!("invalid machine description `{spec}`: {e}"));
+        }
+    };
+    built
         .map(Some)
-        .map_err(|e| format!("invalid machine description `{spec}`: {e}"))
+        .map_err(|e| format!("testbed `{spec}` does not build: {e}"))
 }
 
 /// Items (4-byte words) in a `kb`-kilobyte input, as in the paper's
@@ -140,7 +144,8 @@ mod tests {
 
     #[test]
     fn testbed_validates_at_every_p() {
-        for p in TESTBED_PS {
+        // Every count a command line may name, not only the figures'.
+        for p in 1..=10 {
             let t = testbed(p).unwrap();
             assert_eq!(t.num_procs(), p);
             assert_eq!(t.height(), 1);
@@ -194,11 +199,14 @@ mod tests {
 
     #[test]
     fn hbsp2_testbed_shape() {
-        let t = hbsp2_testbed(20_000.0).unwrap();
-        assert_eq!(t.height(), 2);
-        assert_eq!(t.num_procs(), 10);
-        assert_eq!(t.machines_on_level(1).unwrap(), 2);
-        t.validate().unwrap();
+        // At zero and every campus barrier cost the experiments use.
+        for l2 in [0.0, 1e3, 1e4, 2e4, 4e4, 5e4, 6e4, 1e5, 2e5] {
+            let t = hbsp2_testbed(l2).unwrap();
+            assert_eq!(t.height(), 2);
+            assert_eq!(t.num_procs(), 10);
+            assert_eq!(t.machines_on_level(1).unwrap(), 2);
+            t.validate().unwrap();
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! End-to-end tests of the `hbsp_run`, `hbsp_experiments`, `hbsp_chaos`,
-//! `hbsp_adapt` and `hbsp_postmortem` CLI binaries.
+//! End-to-end tests of the `hbsp-bench` CLI binaries.
 
 use std::process::Command;
 
+#[expect(
+    clippy::expect_used,
+    reason = "a binary that cannot be started fails the test"
+)]
 fn run(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_hbsp_run"))
         .args(args)
@@ -97,6 +100,10 @@ fn experiments_are_selected_by_number() {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a binary that cannot be started fails the test"
+)]
 fn chaos(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_hbsp_chaos"))
         .args(args)
@@ -130,6 +137,10 @@ fn chaos_usage_and_bad_files_exit_nonzero() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a binary that cannot be started fails the test"
+)]
 fn postmortem(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_hbsp_postmortem"))
         .args(args)
@@ -325,5 +336,151 @@ fn every_json_record_parses_as_json() {
                 assert_eq!(r.get("threshold"), Some(&Value::Null), "{r:?}");
             }
         }
+    }
+}
+
+/// A bad `--root` is the run's typed error, printed once: exit 1, no
+/// panic, and in `--json` mode nothing on stdout.
+#[test]
+fn an_out_of_range_root_is_an_error_not_a_panic() {
+    for op in ["gather", "broadcast", "scatter", "reduce"] {
+        for json in [&[][..], &["--json"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_hbsp_run"))
+                .args(["testbed:4", op, "--root", "99", "--kb", "1"])
+                .args(json)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{op}: {stderr}");
+            assert!(
+                stderr.contains("root rank 99 out of range for a 4-processor machine"),
+                "{op}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{op}: {stderr}");
+            assert!(json.is_empty() || out.stdout.is_empty(), "{op}");
+        }
+    }
+}
+
+/// Every binary that takes a machine refuses a testbed count outside
+/// 1..=10 with its usage text, as it refuses a count that is no number.
+#[test]
+fn an_out_of_range_testbed_is_a_usage_error() {
+    for spec in ["testbed:0", "testbed:11", "testbed:x"] {
+        for (bin, args) in [
+            (env!("CARGO_BIN_EXE_hbsp_run"), &[spec, "gather"][..]),
+            (env!("CARGO_BIN_EXE_hbsp_trace"), &[spec, "gather"]),
+            (env!("CARGO_BIN_EXE_hbsp_adapt"), &[spec]),
+            (env!("CARGO_BIN_EXE_hbsp_chaos"), &[spec]),
+            (
+                env!("CARGO_BIN_EXE_hbsp_sched"),
+                &["--machine", spec, "--jobs", "x"],
+            ),
+        ] {
+            let out = Command::new(bin).args(args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+            assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        }
+    }
+}
+
+/// One command-line contract for all nine binaries: an unknown option,
+/// or a value option with no value after it, prints the usage text and
+/// exits 2; an unknown engine is refused before anything is printed.
+#[test]
+fn every_binary_refuses_bad_arguments_with_its_usage() {
+    let campus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/campus.hbsp");
+    let jobs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures/jobs_1000.jobs");
+    // Each binary, words it would run with, and its value options.
+    let table: [(&str, &[&str], &[&str]); 9] = [
+        (
+            env!("CARGO_BIN_EXE_hbsp_run"),
+            &["testbed:2", "scan", "--kb", "1"],
+            &["--kb", "--root", "--workload", "--strategy", "--phase"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_trace"),
+            &["testbed:2", "gather", "--kb", "1"],
+            &[
+                "--kb",
+                "--strategy",
+                "--engine",
+                "--format",
+                "--out",
+                "--validate",
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_sched"),
+            &["--generate", "1"],
+            &[
+                "--machine",
+                "--jobs",
+                "--engine",
+                "--trace",
+                "--generate",
+                "--seed",
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_adapt"),
+            &["testbed:2", "--engine", "sim", "--rounds", "2"],
+            &[
+                "--engine",
+                "--collective",
+                "--n",
+                "--rounds",
+                "--window",
+                "--threshold",
+                "--faults",
+                "--log",
+                "--postmortem",
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_chaos"),
+            &["--runs", "0", "--ramps", "0", "testbed:2"],
+            &["--seed", "--runs", "--ramps", "--postmortem"],
+        ),
+        (env!("CARGO_BIN_EXE_hbsp_check"), &[campus], &["--items"]),
+        (
+            env!("CARGO_BIN_EXE_hbsp_postmortem"),
+            &["bundle.jsonl"],
+            &["--diff", "--chrome"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_experiments"),
+            &["E6"],
+            &["--level"],
+        ),
+        (env!("CARGO_BIN_EXE_hbsp_lint"), &[], &[]),
+    ];
+    let refused = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        out.stdout
+    };
+    for (bin, words, options) in table {
+        refused(bin, &[words, &["--bogus"]].concat());
+        for option in options {
+            refused(bin, &[words, &[option]].concat());
+        }
+    }
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_hbsp_sched"),
+            &["--machine", campus, "--jobs", jobs, "--engine", "bogus"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hbsp_adapt"),
+            &[campus, "--engine", "bogus"],
+        ),
+    ] {
+        assert!(refused(bin, args).is_empty(), "{bin} {args:?}");
     }
 }
