@@ -94,11 +94,11 @@ impl SpmdProgram for MatVec {
                             state.own = lo..hi;
                         } else {
                             let rows = &self.a[lo * self.m..hi * self.m];
-                            ctx.send_with(q, TAG_ROWS, 8 * (1 + rows.len()), &mut |w| {
+                            ctx.send_with(&[q], TAG_ROWS, 8 * (1 + rows.len()), &mut |w| {
                                 w.f64s(&[lo as f64]);
                                 w.f64s(rows);
                             });
-                            ctx.send_with(q, TAG_X, 8 * self.m, &mut |w| w.f64s(&self.x));
+                            ctx.send_with(&[q], TAG_X, 8 * self.m, &mut |w| w.f64s(&self.x));
                         }
                     }
                 }
@@ -132,7 +132,7 @@ impl SpmdProgram for MatVec {
                             .map(|row| dot(codec::read_f64s(row), codec::read_f64s(x))),
                     );
                     ctx.charge(((y_part.len() - 1) * self.m) as f64 * 2.0);
-                    ctx.send_with(root, TAG_Y, 8 * y_part.len(), &mut |w| w.f64s(&y_part));
+                    ctx.send_with(&[root], TAG_Y, 8 * y_part.len(), &mut |w| w.f64s(&y_part));
                 }
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }

@@ -115,7 +115,7 @@ impl SpmdProgram for SampleSort {
                         } else {
                             // A one-piece bundle: `[1, offset, len, items…]`.
                             let head = [1, range.start as u32, share.len() as u32];
-                            ctx.send_with(q, TAG_SHARE, 4 * (3 + share.len()), &mut |w| {
+                            ctx.send_with(&[q], TAG_SHARE, 4 * (3 + share.len()), &mut |w| {
                                 w.u32s(&head);
                                 w.u32s(share);
                             });
@@ -146,7 +146,7 @@ impl SpmdProgram for SampleSort {
                     // until the pool is complete.
                     state.splitters = samples;
                 } else {
-                    ctx.send_with(root, TAG_SAMPLES, 4 * samples.len(), &mut |w| {
+                    ctx.send_with(&[root], TAG_SAMPLES, 4 * samples.len(), &mut |w| {
                         w.u32s(&samples)
                     });
                 }
@@ -174,7 +174,7 @@ impl SpmdProgram for SampleSort {
                         if q == root {
                             state.splitters = splitters.clone();
                         } else {
-                            ctx.send_with(q, TAG_SPLITTERS, 4 * splitters.len(), &mut |w| {
+                            ctx.send_with(&[q], TAG_SPLITTERS, 4 * splitters.len(), &mut |w| {
                                 w.u32s(&splitters)
                             });
                         }
@@ -213,7 +213,7 @@ impl SpmdProgram for SampleSort {
                     if q == env.pid {
                         state.bucket = bucket.to_vec();
                     } else {
-                        ctx.send_with(q, TAG_BUCKET, 4 * bucket.len(), &mut |w| w.u32s(bucket));
+                        ctx.send_with(&[q], TAG_BUCKET, 4 * bucket.len(), &mut |w| w.u32s(bucket));
                     }
                 }
                 StepOutcome::Continue(SyncScope::global(&env.tree))

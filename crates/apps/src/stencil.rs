@@ -141,13 +141,15 @@ impl SpmdProgram for Stencil {
             // sides keep their fixed halo.
             if let Some(left) = state.left_neighbor {
                 let first = &state.cells[..1];
-                ctx.send_with(left, TAG_HALO_LEFT, 8, &mut |w| w.f64s(first));
+                ctx.send_with(&[left], TAG_HALO_LEFT, 8, &mut |w| w.f64s(first));
             }
             if let Some(right) = state.right_neighbor {
                 // A rank with a data neighbour owns at least one cell.
                 let last = state.cells.len().saturating_sub(1);
                 let tail = &state.cells[last..];
-                ctx.send_with(right, TAG_HALO_RIGHT, 8 * tail.len(), &mut |w| w.f64s(tail));
+                ctx.send_with(&[right], TAG_HALO_RIGHT, 8 * tail.len(), &mut |w| {
+                    w.f64s(tail)
+                });
             }
             return StepOutcome::Continue(SyncScope::global(&env.tree));
         }
@@ -156,7 +158,7 @@ impl SpmdProgram for Stencil {
             let root = env.tree.fastest_proc();
             if env.pid != root {
                 let cells = &state.cells;
-                ctx.send_with(root, TAG_RESULT, 8 * (1 + cells.len()), &mut |w| {
+                ctx.send_with(&[root], TAG_RESULT, 8 * (1 + cells.len()), &mut |w| {
                     w.f64s(&[state.offset as f64]);
                     w.f64s(cells);
                 });

@@ -34,7 +34,9 @@ use hbsp_collectives::broadcast::BroadcastPlan;
 use hbsp_collectives::gather::GatherPlan;
 use hbsp_collectives::plan::{PhasePolicy, RootPolicy, Strategy, WorkloadPolicy};
 use hbsp_collectives::reduce::ReduceOp;
-use hbsp_collectives::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
+use hbsp_collectives::{
+    allgather, alltoall, broadcast, gather, reduce, scan, scatter, CollectiveKind,
+};
 use hbsp_obs::Recorder;
 use hbsp_sim::{ascii_gantt, ProcTimeline, SimOutcome, TraceSummary};
 use hbsplib::Executor;
@@ -127,6 +129,7 @@ fn main() {
     let [machine, op] = &args.positional()[..] else {
         usage()
     };
+    let kind = CollectiveKind::parse(op).unwrap_or_else(|| usage());
     let recorder = trace.then(|| Arc::new(Recorder::new()));
     let mut exec = Executor::simulator(Arc::new(cli::machine(machine, usage)));
     if let Some(recorder) = &recorder {
@@ -153,8 +156,8 @@ fn main() {
             .map(|i| items[i * len..(i + 1) * len].to_vec())
             .collect()
     };
-    let sim = match op.as_str() {
-        "gather" => {
+    let sim = match kind {
+        CollectiveKind::Gather => {
             let plan = GatherPlan {
                 root,
                 workload,
@@ -162,7 +165,7 @@ fn main() {
             };
             gather::run(&exec, &items, plan).map(|run| run.sim)
         }
-        "broadcast" => {
+        CollectiveKind::Broadcast => {
             let plan = BroadcastPlan {
                 root,
                 strategy,
@@ -172,9 +175,11 @@ fn main() {
             };
             broadcast::run(&exec, &items, plan).map(|run| run.sim)
         }
-        "scatter" => scatter::run(&exec, &items, root, workload).map(|run| run.sim),
-        "allgather" => allgather::run(&exec, &items, workload, strategy).map(|run| run.sim),
-        "alltoall" => {
+        CollectiveKind::Scatter => scatter::run(&exec, &items, root, workload).map(|run| run.sim),
+        CollectiveKind::Allgather => {
+            allgather::run(&exec, &items, workload, strategy).map(|run| run.sim)
+        }
+        CollectiveKind::Alltoall => {
             let p = tree.num_procs();
             let block = (items.len() / (p * p)).max(1);
             let blocks: Vec<Vec<Vec<u32>>> = (0..p)
@@ -182,9 +187,10 @@ fn main() {
                 .collect();
             alltoall::run(&exec, blocks, strategy).map(|run| run.sim)
         }
-        "reduce" => reduce::run(&exec, vectors(), ReduceOp::Sum, root, strategy).map(|run| run.sim),
-        "scan" => scan::run(&exec, vectors(), ReduceOp::Sum).map(|run| run.sim),
-        _ => usage(),
+        CollectiveKind::Reduce => {
+            reduce::run(&exec, vectors(), ReduceOp::Sum, root, strategy).map(|run| run.sim)
+        }
+        CollectiveKind::Scan => scan::run(&exec, vectors(), ReduceOp::Sum).map(|run| run.sim),
     };
     let sim = sim.unwrap_or_else(|e| {
         eprintln!("hbsp_run: {e}");

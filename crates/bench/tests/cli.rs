@@ -66,6 +66,20 @@ fn bad_arguments_exit_nonzero_with_usage() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// An unknown operation is refused before anything is printed: exit 2,
+/// the usage text, and no machine header on stdout.
+#[test]
+fn an_unknown_operation_prints_nothing_before_its_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hbsp_run"))
+        .args(["testbed:4", "bogus"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "");
+}
+
 #[test]
 fn traced_scatter_prints_gantt() {
     let (stdout, _, ok) = run(&["testbed:4", "scatter", "--trace"]);

@@ -167,12 +167,17 @@ pub(crate) fn whole_words(payload: &[u8]) -> Result<&[u8], DecodeError> {
 }
 
 fn word_at(payload: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(payload[4 * i..4 * i + 4].try_into().expect("four bytes"))
+    u32::from_le_bytes(payload.as_chunks::<4>().0[i])
 }
 
 /// The block [`Partition`] of `n` items a workload policy induces on
 /// `tree` — the single source of the `c_j` fractions used by both the
 /// schedule lowerings and the data placement.
+#[expect(
+    clippy::expect_used,
+    reason = "a valid machine has a processor, speeds in (0, 1] and a leaf with r = 1 \
+              (`every_valid_machine_has_a_partition`)"
+)]
 pub fn partition_for(tree: &MachineTree, n: u64, workload: WorkloadPolicy) -> Partition {
     match workload {
         WorkloadPolicy::Equal => Partition::equal(n, tree.num_procs()),
@@ -227,6 +232,38 @@ pub fn reassemble(pieces: &[Piece]) -> Vec<u32> {
 mod tests {
     use super::*;
     use hbsp_core::TreeBuilder;
+
+    /// `partition_for`'s invariant: every policy partitions any valid
+    /// machine, down to the extremes validation admits (speeds near 0,
+    /// `r` near overflow), into one share per processor covering `n`.
+    #[test]
+    fn every_valid_machine_has_a_partition() {
+        let (tiny, huge) = (f64::MIN_POSITIVE, f64::MAX);
+        let machines = [
+            TreeBuilder::flat(1.0, 0.0, &[(1.0, tiny)]).unwrap(),
+            TreeBuilder::flat(1.0, 0.0, &[(1.0, tiny), (huge, tiny), (huge, 1.0)]).unwrap(),
+            TreeBuilder::two_level(
+                1.0,
+                5.0,
+                &[(2.0, vec![(1.0, 1.0)]), (2.0, vec![(huge, tiny)])],
+            )
+            .unwrap(),
+        ];
+        let policies = [
+            WorkloadPolicy::Equal,
+            WorkloadPolicy::Balanced,
+            WorkloadPolicy::CommAware,
+        ];
+        for t in &machines {
+            for policy in policies {
+                for n in [0, 1, 1000] {
+                    let part = partition_for(t, n, policy);
+                    assert_eq!(part.shares().len(), t.num_procs(), "{policy:?}");
+                    assert_eq!(part.shares().iter().sum::<u64>(), n, "{policy:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn piece_round_trip() {

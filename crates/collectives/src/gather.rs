@@ -152,7 +152,7 @@ pub fn lower_hierarchical_gather(
     let mut sched = CommSchedule::new();
     for level in 1..=tree.height() {
         let mut step = ScheduleStep::at(SyncScope::Level(level));
-        for &cluster in tree.level_nodes(level).expect("level exists") {
+        for &cluster in tree.level_nodes(level).unwrap_or_default() {
             let node = tree.node(cluster);
             if node.is_proc() {
                 continue;

@@ -173,6 +173,10 @@ pub fn step_hrelation(tree: &MachineTree, step: &ScheduleStep) -> HRelation {
 }
 
 /// The representative (coordinator) processor of a subtree.
+#[expect(
+    clippy::expect_used,
+    reason = "a representative is a leaf of its subtree (`every_node_is_represented_by_a_leaf_of_it`)"
+)]
 pub(crate) fn rep_of(tree: &MachineTree, node: NodeIdx) -> ProcId {
     tree.node(tree.node(node).representative())
         .proc_id()
@@ -188,8 +192,8 @@ pub(crate) fn subtree_units(
 ) -> (Vec<UnitId>, u64) {
     let mut units = Vec::new();
     let mut words = 0u64;
-    for &leaf in &tree.subtree_leaves(node) {
-        let pid = tree.node(leaf).proc_id().expect("leaf");
+    let leaves = tree.subtree_leaves(node);
+    for pid in leaves.iter().filter_map(|&leaf| tree.node(leaf).proc_id()) {
         let share = partition.share(pid);
         units.push(UnitId::new(partition.offset(pid) as u32, share as u32));
         words += share;
@@ -298,6 +302,10 @@ pub fn seeded_inits(
             Staging::Shares(&array, plan.workload)
         }
         CollectiveKind::Broadcast | CollectiveKind::Scatter => {
+            #[expect(
+                clippy::expect_used,
+                reason = "the tuner gives every rooted plan its root (`rooted_plans_resolve_the_fastest_root`)"
+            )]
             let root = plan.root.expect("rooted collective resolves a root");
             Staging::AtRoot(root, words(seed))
         }
@@ -490,21 +498,22 @@ impl ScheduleState {
         if payload.len() != 4 * acc.len() {
             return Err(DecodeError::PartialLength);
         }
-        for (x, c) in acc.iter_mut().zip(payload.chunks_exact(4)) {
-            *x = op.apply(*x, u32::from_le_bytes(c.try_into().expect("four bytes")));
+        for (x, &c) in acc.iter_mut().zip(payload.as_chunks::<4>().0) {
+            *x = op.apply(*x, u32::from_le_bytes(c));
         }
         Ok(())
     }
 
     /// Append `send`'s payload, `send.wire_len` bytes, through `w`;
-    /// every unit is known to be held.
+    /// every unit is known to be held. A unit or an accumulator that
+    /// were not would write short, which the engine refuses as this
+    /// rank's broken fill (`FillLength`), never as a short message.
     fn write(&self, send: &SendEntry, w: &mut WireWriter<'_>) {
         let items = |w: &mut WireWriter<'_>, uid| {
-            self.segments(uid, |s| w.u32s(s))
-                .expect("checked before posting")
+            let _checked_before_posting = self.segments(uid, |s| w.u32s(s));
         };
         match send.tag {
-            TAG_PARTIAL => w.u32s(self.acc.as_deref().expect("partial without accumulator")),
+            TAG_PARTIAL => w.u32s(self.acc.as_deref().unwrap_or_default()),
             TAG_PIECE => {
                 w.word(send.units[0].offset);
                 items(w, send.units[0]);
@@ -525,11 +534,12 @@ const TAG_PIECE: u32 = 0x7A01;
 const TAG_BUNDLE: u32 = 0x7A02;
 const TAG_PARTIAL: u32 = 0x7A03;
 
-/// One posting in a processor's send table.
+/// One posting in a processor's send table: one payload, written once,
+/// to each of its destinations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendEntry {
-    /// Destination processor.
-    pub dst: ProcId,
+    /// Destination processors, in the schedule's posting order.
+    pub dsts: Vec<ProcId>,
     /// Wire tag: which of the three payload layouts follows.
     pub tag: u32,
     /// Payload bytes: `4·(1+len)` for a piece, `4·(1+Σ(2+len))` for a
@@ -544,7 +554,8 @@ pub struct SendEntry {
 pub struct ProcStep {
     /// The step's compute charges for this processor, summed.
     pub charge: f64,
-    /// Its sends, in the schedule's posting order.
+    /// Its sends, in the schedule's posting order: consecutive transfers
+    /// of one payload are one entry with several destinations.
     pub sends: Vec<SendEntry>,
     /// The messages it absorbs first: those posted to it one step earlier.
     pub due: usize,
@@ -564,6 +575,13 @@ impl ExecPlan {
     /// Compile `schedule` for `nprocs` processors. O(transfers); entries
     /// naming ranks the machine does not have are dropped (no processor
     /// would ever have executed them).
+    ///
+    /// A transfer whose payload is its sender's previous send of the
+    /// step — same tag, units and wire length — joins that entry as one
+    /// more destination, so the payload is written once (a partial too:
+    /// the accumulator does not change while its processor posts). Only
+    /// consecutive sends merge, so the posted rows keep the schedule's
+    /// order.
     pub fn compile(schedule: &CommSchedule, nprocs: usize) -> ExecPlan {
         let mut steps = vec![vec![ProcStep::default(); nprocs]; schedule.steps.len()];
         for (s, step) in schedule.steps.iter().enumerate() {
@@ -579,12 +597,20 @@ impl ExecPlan {
                     }
                     Role::Partial => (TAG_PARTIAL, t.words as usize, Vec::new()),
                 };
-                steps[s][t.src.rank()].sends.push(SendEntry {
-                    dst: t.dst,
-                    tag,
-                    wire_len: 4 * words,
-                    units,
-                });
+                let sends = &mut steps[s][t.src.rank()].sends;
+                match sends.last_mut() {
+                    Some(last)
+                        if (last.tag, last.wire_len, &last.units) == (tag, 4 * words, &units) =>
+                    {
+                        last.dsts.push(t.dst)
+                    }
+                    _ => sends.push(SendEntry {
+                        dsts: vec![t.dst],
+                        tag,
+                        wire_len: 4 * words,
+                        units,
+                    }),
+                }
                 // Posted now, absorbed by its destination one step on.
                 if let Some(row) = steps.get_mut(s + 1).and_then(|r| r.get_mut(t.dst.rank())) {
                     row.due += 1;
@@ -691,7 +717,7 @@ impl SpmdProgram for ScheduleProgram {
                 ctx.charge(mine.charge);
             }
             for send in &mine.sends {
-                ctx.send_with(send.dst, send.tag, send.wire_len, &mut |w| {
+                ctx.send_with(&send.dsts, send.tag, send.wire_len, &mut |w| {
                     state.write(send, w)
                 });
             }
@@ -840,6 +866,60 @@ mod tests {
         assert_eq!(states[1].unit(UnitId::new(0, 3)), vec![7, 8, 9]);
     }
 
+    /// `rep_of`'s invariant: every node of every committed machine is
+    /// represented by a processor among its own leaves.
+    #[test]
+    fn every_node_is_represented_by_a_leaf_of_it() {
+        let machines = [
+            include_str!("../../../machines/campus.hbsp"),
+            include_str!("../../../machines/grid3.hbsp"),
+        ];
+        for text in machines {
+            let tree = hbsp_core::topology::parse(text).unwrap();
+            for node in tree.nodes() {
+                let rep = rep_of(&tree, node.idx());
+                let leaves = tree.subtree_leaves(node.idx());
+                assert!(
+                    leaves.contains(&tree.leaves()[rep.rank()]),
+                    "{}",
+                    node.name()
+                );
+            }
+        }
+    }
+
+    /// A partial from a processor that holds no accumulator writes
+    /// short, which both engines refuse as that rank's broken fill: a
+    /// typed error, not a panic in the interpreter.
+    #[test]
+    fn a_partial_without_an_accumulator_is_that_ranks_typed_error() {
+        let tree = Arc::new(TreeBuilder::homogeneous(1.0, 10.0, 2).unwrap());
+        let mut sched = CommSchedule::new();
+        let mut step = ScheduleStep::at(SyncScope::global(&tree));
+        step.transfers.push(Transfer {
+            src: ProcId(1),
+            dst: ProcId(0),
+            words: 3,
+            role: Role::Partial,
+        });
+        sched.push(step);
+        sched.push(ScheduleStep::drain());
+        let init = Arc::new(vec![ProcInit::default(); 2]);
+        let prog = ScheduleProgram::new(Arc::new(sched), init, Some(ReduceOp::Sum));
+        for engine in [Executor::simulator, Executor::threads] {
+            let exec = engine(Arc::clone(&tree)).check(false);
+            assert_eq!(
+                execute(&exec, &prog).map(|_| ()),
+                Err(CollectiveError::Sim(hbsp_sim::SimError::ProgramPanicked {
+                    pid: ProcId(1),
+                    step: 0
+                })),
+                "{}",
+                exec.engine_name()
+            );
+        }
+    }
+
     #[test]
     fn unit_assembles_from_covering_pieces() {
         let mut st = ScheduleState::default();
@@ -911,7 +991,7 @@ mod tests {
             }
             fn send_with(
                 &mut self,
-                _: ProcId,
+                _: &[ProcId],
                 _: u32,
                 _: usize,
                 _: &mut dyn FnMut(&mut WireWriter<'_>),

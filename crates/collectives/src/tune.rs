@@ -111,10 +111,7 @@ pub fn rank_broadcast(tree: &MachineTree, n: u64) -> Result<Vec<Candidate>, Tune
 /// The cheapest broadcast plan for `n` items on `tree` by predicted
 /// cost.
 pub fn best_broadcast(tree: &MachineTree, n: u64) -> Result<Candidate, TuneError> {
-    Ok(rank_broadcast(tree, n)?
-        .into_iter()
-        .next()
-        .expect("rank_broadcast errors instead of returning an empty ranking"))
+    (rank_broadcast(tree, n)?.into_iter().next()).ok_or(TuneError::NoCandidates)
 }
 
 /// The winning strategy for broadcasting `n` items on `tree`:
@@ -321,10 +318,7 @@ pub fn best_plan(
     kind: CollectiveKind,
     n: u64,
 ) -> Result<PlanChoice, TuneError> {
-    Ok(rank_plans(tree, kind, n)?
-        .into_iter()
-        .next()
-        .expect("rank_plans errors instead of returning an empty ranking"))
+    (rank_plans(tree, kind, n)?.into_iter().next()).ok_or(TuneError::NoCandidates)
 }
 
 /// The outcome of re-tuning a mid-job residual plan on a fresh

@@ -29,6 +29,10 @@ use std::sync::Arc;
 /// it back: 2 children per cluster, `r` in \[1, 4\) with the global
 /// fastest pinned to `r = 1, speed = 1` (the Table-1 normalization the
 /// repo's machine files use).
+#[expect(
+    clippy::expect_used,
+    reason = "a generated machine that does not parse fails the test"
+)]
 fn random_machine(depth: usize, seed: u64) -> Arc<MachineTree> {
     let mut rng = SplitMix64::new(seed ^ 0xAD4A_97C1);
     let g = 0.5 + rng.below(30) as f64 / 10.0;
@@ -106,6 +110,10 @@ impl SpmdProgram for VaryProg {
 }
 
 /// A flat truth machine with known parameters, plus those truths.
+#[expect(
+    clippy::expect_used,
+    reason = "a truth machine that does not build fails the test"
+)]
 fn flat_truth(seed: u64) -> (Arc<MachineTree>, f64, f64, Vec<f64>, Vec<f64>) {
     let mut rng = SplitMix64::new(seed ^ 0x17F0_3A55);
     let g = 0.5 + rng.below(25) as f64 / 10.0;

@@ -158,6 +158,15 @@ impl std::error::Error for FillLength {}
 /// byte. Batches are reused across supersteps via [`MsgBatch::clear`],
 /// which keeps both allocations, so a steady-state superstep allocates
 /// nothing on the message path.
+///
+/// Rows may share bytes: [`MsgBatch::push_with`] to several
+/// destinations writes the payload once and points one row per
+/// destination at the same `(off, len)`. That is sound because nothing
+/// edits payload bytes in place once they are posted —
+/// [`MsgBatch::append`] shifts every offset by the same amount,
+/// [`MsgBatch::retain`] and [`MsgBatch::truncate_payload`] edit rows
+/// only, and receivers only read. Code that writes into a posted arena
+/// would change what every row sharing those bytes reads.
 #[derive(Debug, Clone, Default)]
 pub struct MsgBatch {
     bytes: Vec<u8>,
@@ -217,21 +226,28 @@ impl MsgBatch {
         });
     }
 
-    /// Append a message whose `len` payload bytes `fill` appends
+    /// Append a message of `len` payload bytes, which `fill` appends
     /// through a [`WireWriter`] over the arena — each byte written once,
-    /// with no zero-fill and no temporary buffer.
+    /// with no zero-fill and no temporary buffer — to each of `dsts`:
+    /// the bytes once, and one row per destination, in `dsts` order,
+    /// each addressing them. An empty `dsts` posts nothing and does not
+    /// call `fill`.
     ///
     /// A `fill` that appends other than exactly `len` bytes posts
-    /// nothing: the arena is cut back, the batch holds what it held
-    /// before, and the mismatch comes back as a [`FillLength`].
+    /// nothing for any destination: the arena is cut back, the batch
+    /// holds what it held before, and the mismatch comes back as a
+    /// [`FillLength`].
     pub fn push_with(
         &mut self,
         src: ProcId,
-        dst: ProcId,
+        dsts: &[ProcId],
         tag: u32,
         len: usize,
         fill: &mut dyn FnMut(&mut WireWriter<'_>),
     ) -> Result<(), FillLength> {
+        if dsts.is_empty() {
+            return Ok(());
+        }
         let off = self.reserve_payload(len);
         self.bytes.reserve(len);
         fill(&mut WireWriter(&mut self.bytes));
@@ -243,13 +259,13 @@ impl MsgBatch {
                 wrote,
             });
         }
-        self.meta.push(MsgMeta {
+        self.meta.extend(dsts.iter().map(|&dst| MsgMeta {
             src,
             dst,
             tag,
             off,
             len: len as u32,
-        });
+        }));
         Ok(())
     }
 
@@ -298,11 +314,14 @@ impl MsgBatch {
         other.clear();
     }
 
-    /// An empty batch with room for `times` as many messages and payload
-    /// bytes as `self` has room for: one allocation per table, however
-    /// many doublings `self` took to grow.
-    pub fn empty_like(&self, times: usize) -> MsgBatch {
-        MsgBatch::with_capacity(times * self.meta.capacity(), times * self.bytes.capacity())
+    /// An empty batch with room for `times` as many rows as `self` has
+    /// room for, and `times` as many payload bytes as the larger of its
+    /// arena's capacity and `addressed` — what rows address when they
+    /// share bytes ([`MsgBatch::push_with`]): one allocation per table,
+    /// however many doublings `self` took to grow.
+    pub fn empty_like(&self, times: usize, addressed: usize) -> MsgBatch {
+        let bytes = self.bytes.capacity().max(addressed);
+        MsgBatch::with_capacity(times * self.meta.capacity(), times * bytes)
     }
 
     /// Payload bytes the arena holds without reallocating.
@@ -596,25 +615,30 @@ pub trait SpmdContext {
     /// (the BSP guarantee). Sending to self is a local move: delivered,
     /// but free of communication cost. The payload is copied into the
     /// engine's outgoing batch arena — no per-message allocation: this
-    /// is [`SpmdContext::send_with`] appending `payload`.
+    /// is [`SpmdContext::send_with`] to `[dst]` appending `payload`.
     fn send(&mut self, dst: ProcId, tag: u32, payload: &[u8]) {
-        self.send_with(dst, tag, payload.len(), &mut |w| w.bytes(payload));
+        self.send_with(&[dst], tag, payload.len(), &mut |w| w.bytes(payload));
     }
 
     /// Queue a message of `len` payload bytes that `fill` appends to
     /// the engine's batch arena through a [`WireWriter`] (`word`,
     /// `u32s`, `f64s`, `bytes`) — so a sender encodes straight from its
     /// own data, writing each word once, with no intermediate `Vec` and
-    /// no zero-filled buffer to overwrite.
+    /// no zero-filled buffer to overwrite — to each of `dsts`. The
+    /// bytes are written once however many destinations read them
+    /// ([`MsgBatch::push_with`]); each destination is one message, which
+    /// the cost model charges and delivers as if it had been sent alone,
+    /// in `dsts` order. An empty `dsts` sends nothing.
     ///
     /// `len` is what the cost model charges, so it must be what `fill`
     /// writes. A `fill` that appends fewer or more bytes posts nothing
-    /// ([`FillLength`]), and both engines fail the run with that rank's
-    /// `ProgramPanicked` for the step: the threaded runtime panics in
-    /// the body, the simulator stops once the body returns.
+    /// for any destination ([`FillLength`]), and both engines fail the
+    /// run with that rank's `ProgramPanicked` for the step: the threaded
+    /// runtime panics in the body, the simulator stops once the body
+    /// returns.
     fn send_with(
         &mut self,
-        dst: ProcId,
+        dsts: &[ProcId],
         tag: u32,
         len: usize,
         fill: &mut dyn FnMut(&mut WireWriter<'_>),
@@ -712,7 +736,7 @@ mod tests {
         let mut b = MsgBatch::new();
         b.push(ProcId(0), ProcId(1), 7, &[1, 2, 3]);
         b.push(ProcId(2), ProcId(0), 9, &[]);
-        b.push_with(ProcId(1), ProcId(2), 3, 4, &mut |w| w.word(42))
+        b.push_with(ProcId(1), &[ProcId(2)], 3, 4, &mut |w| w.word(42))
             .unwrap();
         assert_eq!(b.len(), 3);
         let v = b.get(0);
@@ -765,7 +789,7 @@ mod tests {
             a.push(ProcId(0), ProcId(1), i, &[7; 100]);
         }
         let (msgs, bytes) = (a.meta.capacity(), a.arena_capacity());
-        let mut b = a.empty_like(2);
+        let mut b = a.empty_like(2, 0);
         assert!(b.is_empty() && b.arena_len() == 0);
         assert!(b.meta.capacity() >= 2 * msgs && b.arena_capacity() >= 2 * bytes);
         let (room, rows) = (b.arena_capacity(), b.meta.capacity());
@@ -775,7 +799,7 @@ mod tests {
             }
         }
         assert_eq!((b.arena_capacity(), b.meta.capacity()), (room, rows));
-        assert_eq!(MsgBatch::new().empty_like(2).arena_capacity(), 0);
+        assert_eq!(MsgBatch::new().empty_like(2, 0).arena_capacity(), 0);
     }
 
     #[test]
@@ -810,7 +834,7 @@ mod tests {
             let (src, dst, tag) = (ProcId(i as u32), ProcId(3 - i as u32), 10 + i as u32);
             pushed.push(src, dst, tag, payload);
             written
-                .push_with(src, dst, tag, payload.len(), &mut |w| w.bytes(payload))
+                .push_with(src, &[dst], tag, payload.len(), &mut |w| w.bytes(payload))
                 .unwrap();
         }
         assert_eq!(pushed, written);
@@ -841,7 +865,7 @@ mod tests {
             b.push(ProcId(0), ProcId(1), 1, &[7; 3]);
             let before = b.clone();
             let err = b
-                .push_with(ProcId(0), ProcId(1), 2, len, &mut |w| {
+                .push_with(ProcId(0), &[ProcId(1)], 2, len, &mut |w| {
                     w.bytes(&vec![9; wrote])
                 })
                 .unwrap_err();
@@ -857,6 +881,59 @@ mod tests {
                 format!("send_with promised {len} payload bytes but fill wrote {wrote}")
             );
             assert_eq!((&b, b.arena_len()), (&before, before.arena_len()));
+        }
+    }
+
+    /// One payload to several destinations: written once, one row per
+    /// destination addressing it, in slice order — each row reads as
+    /// the message a single-destination post would have made, also
+    /// after `append`, and a truncated row leaves the others whole. An
+    /// empty slice posts nothing and never calls `fill`; a `fill` that
+    /// breaks its length posts no row for any destination.
+    #[test]
+    fn one_payload_to_several_destinations_is_written_once() {
+        let dsts = [ProcId(3), ProcId(1), ProcId(3)];
+        let mut fanned = MsgBatch::new();
+        fanned.push(ProcId(2), ProcId(0), 1, &[5; 4]);
+        fanned
+            .push_with(ProcId(2), &dsts, 7, 8, &mut |w| w.u32s(&[9, 10]))
+            .unwrap();
+        let mut alone = MsgBatch::new();
+        alone.push(ProcId(2), ProcId(0), 1, &[5; 4]);
+        for &dst in &dsts {
+            alone
+                .push_with(ProcId(2), &[dst], 7, 8, &mut |w| w.u32s(&[9, 10]))
+                .unwrap();
+        }
+        assert_eq!(fanned, alone);
+        assert_eq!((fanned.arena_len(), alone.arena_len()), (12, 28));
+        assert!(std::ptr::eq(fanned.get(1).payload, fanned.get(3).payload));
+        // Room for what the rows address, where that is more than the
+        // arena holds.
+        assert_eq!(fanned.empty_like(2, 4096).arena_capacity(), 8192);
+
+        let mut called = false;
+        fanned
+            .push_with(ProcId(2), &[], 7, 8, &mut |_| called = true)
+            .unwrap();
+        let err = fanned.push_with(ProcId(2), &dsts, 7, 8, &mut |w| w.word(1));
+        assert_eq!(
+            err,
+            Err(FillLength {
+                promised: 8,
+                wrote: 4
+            })
+        );
+        assert!(!called);
+        assert_eq!((&fanned, fanned.arena_len()), (&alone, 12));
+
+        let mut gathered = MsgBatch::new();
+        gathered.push(ProcId(0), ProcId(1), 0, &[1; 6]);
+        gathered.append(&mut fanned);
+        gathered.truncate_payload(2, 4);
+        assert_eq!(gathered.get(2).payload, 9u32.to_le_bytes());
+        for i in [3, 4] {
+            assert_eq!(gathered.get(i).payload, alone.get(i - 1).payload, "row {i}");
         }
     }
 

@@ -93,7 +93,7 @@ mod tests {
     fn in_place_writer_rejects_wrong_length() {
         let mut batch = hbsp_core::MsgBatch::new();
         let (src, dst) = (hbsp_core::ProcId(0), hbsp_core::ProcId(1));
-        if let Err(broken) = batch.push_with(src, dst, 0, 7, &mut |w| w.u32s(&[1, 2])) {
+        if let Err(broken) = batch.push_with(src, &[dst], 0, 7, &mut |w| w.u32s(&[1, 2])) {
             panic!("{broken}");
         }
     }

@@ -39,7 +39,7 @@
 //!             0 => {
 //!                 let root = env.tree.fastest_proc();
 //!                 if env.pid != root {
-//!                     ctx.send_with(root, 0, 4, &mut |w| w.word(env.pid.0));
+//!                     ctx.send_with(&[root], 0, 4, &mut |w| w.word(env.pid.0));
 //!                 }
 //!                 StepOutcome::Continue(SyncScope::global(&env.tree))
 //!             }

@@ -880,12 +880,12 @@ impl SpmdContext for ThreadCtx<'_> {
     }
     fn send_with(
         &mut self,
-        dst: ProcId,
+        dsts: &[ProcId],
         tag: u32,
         len: usize,
         fill: &mut dyn FnMut(&mut WireWriter<'_>),
     ) {
-        if let Err(broken) = self.outbox.push_with(self.env.pid, dst, tag, len, fill) {
+        if let Err(broken) = self.outbox.push_with(self.env.pid, dsts, tag, len, fill) {
             // Caught with the body, as this rank's `ProgramPanicked`.
             panic!("{}: {broken}", self.env.pid);
         }

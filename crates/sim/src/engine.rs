@@ -192,7 +192,8 @@ impl Simulator {
         scratch.reset(self.tree.num_procs());
         let mut spare = MsgBatch::new();
         let run = self.supersteps(prog, scratch, &mut spare);
-        if spare.arena_capacity() > 2 * scratch.arena.arena_capacity() {
+        let room = scratch.arena.arena_capacity().max(scratch.addressed);
+        if spare.arena_capacity() > 2 * room {
             std::mem::swap(&mut scratch.arena, &mut spare);
         }
         run
@@ -218,6 +219,7 @@ impl Simulator {
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
         let Scratch {
             arena,
+            addressed,
             pull,
             settlement,
         } = scratch;
@@ -268,7 +270,7 @@ impl Simulator {
                     env: &envs[i],
                     inbox: Inbox::shared(posted, &pull[i]),
                     outbox: sends,
-                    build_like: sends_is_spare.then_some(&*posted),
+                    build_like: sends_is_spare.then_some((&*posted, *addressed)),
                     work: 0.0,
                     broken: false,
                 };
@@ -278,6 +280,10 @@ impl Simulator {
                     return Err(SimError::ProgramPanicked { pid, step });
                 }
                 settlement.contribute(ctx.work, outcome);
+            }
+            if !sends_is_spare {
+                let bytes = sends.iter().map(|m| m.payload.len()).sum();
+                *addressed = (*addressed).max(bytes);
             }
             for rows in pull.iter_mut() {
                 rows.clear();
@@ -321,16 +327,20 @@ impl Simulator {
 /// the one the step before posted into and post into the other. Exactly
 /// one of them is kept between runs (`arena`). The other is built by the
 /// run's first post into it — a run whose odd supersteps post nothing
-/// never builds it — with room for twice the kept one's messages and
-/// bytes, and freed when the run ends (it replaces the kept one only if
-/// a step outgrew that room). Each part of that rule was measured, not
+/// never builds it — with room for twice the kept one's rows and bytes,
+/// and freed when the run ends (it replaces the kept one only if a step
+/// outgrew that room). The kept one's bytes are counted as its rows
+/// address them (`addressed`): the larger of its capacity and the most
+/// bytes the rows of one of its steps have addressed, a byte that
+/// several rows share counting once per row. Where no row shares bytes
+/// that is its capacity. Each part of that rule was measured, not
 /// chosen. What they steer is glibc's *dynamic* mmap threshold: freeing
 /// a block that was mmapped raises the threshold to the block's size,
 /// and the heap is handed back to the kernel — to be faulted in again —
 /// whenever its free top reaches twice the threshold. In a process that
 /// runs collectives back to back, the per-run arena is the only block
 /// large enough to set it (`coll_sim_1000kb`; `docs/performance.md` §8
-/// has every run):
+/// and §15 have every run):
 ///
 /// | per-run arena | threshold | page faults per op, by process |
 /// |---|---|---|
@@ -338,6 +348,8 @@ impl Simulator {
 /// | every run, room for the kept one's | 12.45 MiB | ≈ 15 in some, ≈ 500 in others |
 /// | every run, room for twice | 24.9 MiB | 6–28, but 360–530 in 3 of 64 |
 /// | first post, room for twice | 24.9 MiB | 6–9; none of 96 trimmed |
+/// | the same, rows sharing bytes, room for twice the bytes held | 3.1 MiB | 4 510–4 560 in each of 3 |
+/// | the same, room for twice the bytes rows address | 13.7 MiB | 16–37; none of 30 trimmed |
 ///
 /// With both kept, the threshold stays at the largest vector an
 /// operation frees (a 1000 KB result) and the heap is trimmed after
@@ -352,9 +364,24 @@ impl Simulator {
 /// superstep (two of the sweep's seven collectives). A process none of
 /// whose runs do that builds no second arena and frees nothing large:
 /// the threshold is then wherever that process's own frees put it.
+///
+/// The last two rows are the sweep since a payload posted to several
+/// destinations is written once (`hbsp_core::MsgBatch::push_with`):
+/// the flat all-gather's step holds 1 MiB of bytes that its 56 rows
+/// read as 6.8 MiB. Sized by the bytes it holds, the per-run arena
+/// shrank with the kept one, and the heap was trimmed after every
+/// collective (`op_ms_p50` 2.4× the parent's). Sized by the bytes its
+/// rows address, it has room for what the same rows took before they
+/// shared; the room it does not touch is never faulted in. A constant
+/// factor on the kept arena's capacity is no substitute: through the
+/// replace-if-outgrown step it can compound from run to run.
 #[derive(Default)]
 struct Scratch {
     arena: MsgBatch,
+    /// The most payload bytes the rows of one step posted into `arena`
+    /// have addressed, over every run: a byte that several rows share
+    /// counts once per row.
+    addressed: usize,
     /// `pull[dst]`: one `(src rank, index in the posted arena)` row per
     /// message delivered to `dst`, in (arrival, posting index) order.
     pull: Vec<Vec<(u32, u32)>>,
@@ -383,9 +410,10 @@ struct SimCtx<'a> {
     env: &'a ProcEnv,
     inbox: Inbox<'a>,
     outbox: &'a mut MsgBatch,
-    /// While `outbox` is the per-run arena: the kept one, whose room,
-    /// twice over, the first post builds it with (see [`Scratch`]).
-    build_like: Option<&'a MsgBatch>,
+    /// While `outbox` is the per-run arena: the kept one and the most
+    /// bytes its rows have addressed in one step, whose room, twice
+    /// over, the first post builds it with (see [`Scratch`]).
+    build_like: Option<(&'a MsgBatch, usize)>,
     work: f64,
     /// A `send_with` whose `fill` broke its promised length: the run
     /// fails with this rank's `ProgramPanicked` once the body returns.
@@ -396,9 +424,9 @@ impl SimCtx<'_> {
     /// The step's outbox, built first if this is the run's first post
     /// into the per-run arena.
     fn outbox(&mut self) -> &mut MsgBatch {
-        if let Some(kept) = self.build_like {
+        if let Some((kept, addressed)) = self.build_like {
             if self.outbox.is_empty() && self.outbox.arena_capacity() == 0 {
-                *self.outbox = kept.empty_like(2);
+                *self.outbox = kept.empty_like(2, addressed);
             }
         }
         self.outbox
@@ -420,13 +448,16 @@ impl SpmdContext for SimCtx<'_> {
     }
     fn send_with(
         &mut self,
-        dst: ProcId,
+        dsts: &[ProcId],
         tag: u32,
         len: usize,
         fill: &mut dyn FnMut(&mut WireWriter<'_>),
     ) {
+        if dsts.is_empty() {
+            return;
+        }
         let pid = self.env.pid;
-        self.broken |= self.outbox().push_with(pid, dst, tag, len, fill).is_err();
+        self.broken |= self.outbox().push_with(pid, dsts, tag, len, fill).is_err();
     }
     fn charge(&mut self, units: f64) {
         assert!(
@@ -957,6 +988,50 @@ mod tests {
         // The lock is healthy again: the run after that keeps its arenas.
         assert_next_run_is_fresh(&sim, Simulator::new(flat4()));
         assert!(!sim.scratch.is_poisoned());
+    }
+
+    /// The per-run arena's room counts the bytes the kept arena's rows
+    /// address. P0 posts 1 KiB to all four ranks in step 0 (1 KiB held,
+    /// 4 KiB addressed) and 3 KiB to itself in step 1: room for twice
+    /// the 4 KiB takes them, so the kept arena is not replaced, where
+    /// room for twice the 1 KiB held would be outgrown and swapped in.
+    #[test]
+    fn the_per_run_arena_has_room_for_what_the_kept_rows_address() {
+        struct FanThenPile;
+        impl SpmdProgram for FanThenPile {
+            type State = ();
+            fn init(&self, _env: &ProcEnv) {}
+            fn step(
+                &self,
+                step: usize,
+                env: &ProcEnv,
+                _st: &mut (),
+                ctx: &mut dyn SpmdContext,
+            ) -> StepOutcome {
+                if env.pid == ProcId(0) && step == 0 {
+                    let all = [ProcId(0), ProcId(1), ProcId(2), ProcId(3)];
+                    ctx.send_with(&all, 0, 1024, &mut |w| w.bytes(&[7; 1024]));
+                }
+                if env.pid == ProcId(0) && step == 1 {
+                    for tag in 0..3 {
+                        ctx.send(env.pid, tag, &[9; 1024]);
+                    }
+                }
+                if step == 2 {
+                    return StepOutcome::Done;
+                }
+                StepOutcome::Continue(SyncScope::global(&env.tree))
+            }
+        }
+        let sim = Simulator::new(flat4());
+        let out = sim.run(&FanThenPile).unwrap();
+        assert_eq!(out.messages_delivered, 7);
+        let scratch = sim.scratch.lock().unwrap();
+        assert_eq!(scratch.addressed, 4096);
+        assert!(
+            scratch.arena.arena_capacity() < 3072,
+            "the per-run arena was outgrown"
+        );
     }
 
     #[test]

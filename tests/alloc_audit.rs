@@ -115,7 +115,9 @@ impl SpmdProgram for Ring {
         let p = env.nprocs;
         let next = ProcId(((env.pid.rank() + 1) % p) as u32);
         for i in 0..self.k {
-            ctx.send_with(next, i as u32, 16, &mut |w| fill(w, 16, (step % 251) as u8));
+            ctx.send_with(&[next], i as u32, 16, &mut |w| {
+                fill(w, 16, (step % 251) as u8)
+            });
         }
         StepOutcome::Continue(SyncScope::global(&env.tree))
     }
@@ -263,6 +265,84 @@ fn steady_state_supersteps_of_the_threaded_engine_allocate_nothing_per_rank() {
         "300 more supersteps allocated {threaded} more times on threads, {sim} on the \
          simulator: a message-path buffer is being rebuilt every step"
     );
+}
+
+/// Every rank posts one 64-byte payload a step to every rank, itself
+/// included, with one `send_with` — or, with `fanned` off, to its
+/// successor only.
+struct FanAll {
+    steps: usize,
+    fanned: bool,
+}
+
+impl SpmdProgram for FanAll {
+    type State = u64;
+    fn init(&self, _env: &ProcEnv) -> u64 {
+        0
+    }
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        digest: &mut u64,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        for m in ctx.messages() {
+            *digest = digest.wrapping_mul(31).wrapping_add(m.payload[63] as u64);
+        }
+        if step == self.steps {
+            return StepOutcome::Done;
+        }
+        const ALL: [ProcId; 4] = [ProcId(0), ProcId(1), ProcId(2), ProcId(3)];
+        let next = [ALL[(env.pid.rank() + 1) % env.nprocs]];
+        let dsts = if self.fanned {
+            &ALL[..env.nprocs]
+        } else {
+            &next
+        };
+        ctx.send_with(dsts, 0, 64, &mut |w| fill(w, 64, (step % 251) as u8 + 1));
+        StepOutcome::Continue(SyncScope::global(&env.tree))
+    }
+}
+
+/// A payload posted once for several destinations costs the message
+/// path nothing per step on either engine: 300 more supersteps of
+/// [`FanAll`] allocate what 300 more of the same program posting to one
+/// destination allocate — the step algebra's own — where a row table
+/// or an arena rebuilt per step would add 300.
+#[expect(clippy::disallowed_methods, reason = "audits the engines themselves")]
+#[test]
+fn steady_state_fan_out_allocates_nothing_per_step() {
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = machine();
+    for engine in ["simulator", "threaded"] {
+        let more_steps_cost = |fanned: bool| {
+            let run = |steps: usize| {
+                let (prog, tree) = (FanAll { steps, fanned }, Arc::clone(&tree));
+                let (allocs, states) = match engine {
+                    "simulator" => {
+                        allocs_during(|| Simulator::new(tree).run_with_states(&prog).unwrap().1)
+                    }
+                    _ => allocs_during(|| {
+                        ThreadedRuntime::new(tree).run_with_states(&prog).unwrap().1
+                    }),
+                };
+                assert!(
+                    states.iter().all(|&d| d != 0),
+                    "{engine}: program really ran"
+                );
+                allocs
+            };
+            run(100);
+            run(400).saturating_sub(run(100))
+        };
+        let (single, fanned) = (more_steps_cost(false), more_steps_cost(true));
+        assert!(
+            fanned < single + 150,
+            "{engine}: 300 more supersteps allocated {fanned} more times fanning out, \
+             {single} posting to one rank: a message-path buffer is rebuilt every step"
+        );
+    }
 }
 
 /// The runtime's sync facade (`hbsp_runtime::sync`) is free on the
@@ -548,7 +628,7 @@ impl SpmdProgram for Bulk {
         }
         let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
         for i in 0..self.msgs {
-            ctx.send_with(next, i as u32, self.msg_bytes, &mut |w| {
+            ctx.send_with(&[next], i as u32, self.msg_bytes, &mut |w| {
                 fill(w, self.msg_bytes, step as u8 + 1)
             });
         }
@@ -630,7 +710,7 @@ fn a_warm_simulator_run_allocates_only_the_per_run_arena() {
                 return StepOutcome::Done;
             }
             for i in 0..self.msgs {
-                ctx.send_with(env.pid, i as u32, 4 * KIB, &mut |w| fill(w, 4 * KIB, 1));
+                ctx.send_with(&[env.pid], i as u32, 4 * KIB, &mut |w| fill(w, 4 * KIB, 1));
             }
             StepOutcome::Continue(SyncScope::global(&env.tree))
         }
@@ -728,7 +808,7 @@ fn warm_executor_runs_fault_at_most_the_per_run_arena() {
             }
             if env.pid.rank() == step % env.nprocs {
                 let next = ProcId(((env.pid.rank() + 1) % env.nprocs) as u32);
-                ctx.send_with(next, 0, 1024 * KIB, &mut |w| {
+                ctx.send_with(&[next], 0, 1024 * KIB, &mut |w| {
                     fill(w, 1024 * KIB, step as u8 + 1)
                 });
             }

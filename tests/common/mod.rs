@@ -61,12 +61,12 @@ impl SpmdContext for Wire {
     }
     fn send_with(
         &mut self,
-        dst: ProcId,
+        dsts: &[ProcId],
         tag: u32,
         len: usize,
         fill: &mut dyn FnMut(&mut WireWriter<'_>),
     ) {
-        if let Err(broken) = self.outbox.push_with(self.pid, dst, tag, len, fill) {
+        if let Err(broken) = self.outbox.push_with(self.pid, dsts, tag, len, fill) {
             panic!("{}: {broken}", self.pid);
         }
     }

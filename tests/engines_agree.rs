@@ -8,6 +8,7 @@ mod common;
 use common::{arb_machine, cluster_peers, mix, RandomProgram};
 use hbsp::collectives::schedule::{self, seeded_inits, ScheduleProgram};
 use hbsp::collectives::{best_plan, CollectiveKind};
+use hbsp::core::WireWriter;
 use hbsp::lib::{ExecOutcome, Executor};
 use hbsp::prelude::*;
 use hbsp::runtime::{BarrierKind, ThreadedRuntime};
@@ -425,7 +426,7 @@ impl Program for FillLiar {
             _ => 8,
         };
         let next = ProcId((env.pid.0 + 1) % env.nprocs as u32);
-        ctx.send_with(next, 0, 8, &mut |w| w.bytes(&[step as u8; 16][..wrote]));
+        ctx.send_with(&[next], 0, 8, &mut |w| w.bytes(&[step as u8; 16][..wrote]));
         if step == 3 {
             StepOutcome::Done
         } else {
@@ -468,6 +469,155 @@ fn a_fill_that_breaks_its_length_is_that_ranks_panic_on_both_engines() {
             let (out, seen) = exec.run(&honest).expect("honest run");
             assert_same_outcome(&out, &want.0, &what);
             assert_eq!(seen, want.1, "{what}");
+        }
+    }
+}
+
+/// Every rank posts two payloads a step, each to three destinations —
+/// its successor, the rank three on, and itself: a long one that a
+/// two-word truncation cuts and a four-byte one it leaves whole.
+/// `fanned` posts each with one `send_with` to all three; otherwise one
+/// `send_with` per destination writes it three times, in the same
+/// order. `liar` (rank, step) makes that rank's long payload write one
+/// byte short.
+struct FanOut {
+    fanned: bool,
+    liar: Option<(u32, usize)>,
+}
+
+impl Program for FanOut {
+    type State = Seen;
+
+    fn init(&self, _env: &ProcEnv) -> Seen {
+        Vec::new()
+    }
+
+    fn step(
+        &self,
+        step: usize,
+        env: &ProcEnv,
+        seen: &mut Seen,
+        ctx: &mut dyn SpmdContext,
+    ) -> StepOutcome {
+        seen.push(
+            ctx.messages()
+                .iter()
+                .map(|m| (m.src.0, m.tag, m.payload.to_vec()))
+                .collect(),
+        );
+        let (me, p, at) = (env.pid.0, env.nprocs as u32, step as u32);
+        let dsts = [ProcId((me + 1) % p), ProcId((me + 3) % p), env.pid];
+        let long: Vec<u8> = (0..20 + 4 * me + at)
+            .map(|i| (7 * i + me + at) as u8)
+            .collect();
+        let short = [me as u8, at as u8, 0xAB, 0xCD];
+        for (tag, payload) in [(0, &long[..]), (1, &short[..])] {
+            let lies = tag == 0 && self.liar == Some((me, step));
+            let wrote = &payload[..payload.len() - usize::from(lies)];
+            let fill = &mut |w: &mut WireWriter<'_>| w.bytes(wrote);
+            if self.fanned {
+                ctx.send_with(&dsts, tag, payload.len(), fill);
+            } else {
+                for dst in dsts {
+                    ctx.send_with(&[dst], tag, payload.len(), fill);
+                }
+            }
+        }
+        ctx.charge(f64::from(me * 3 + at));
+        if step == 4 {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue(SyncScope::global(&env.tree))
+        }
+    }
+}
+
+/// One payload posted to three destinations with one `send_with` is,
+/// on both engines, the run that posts it three times — every inbox,
+/// every state, the outcome and its step statistics to the bit — and
+/// the simulator's run: fault-free, and under a truncation of one
+/// sender (which cuts each of its shared rows on its own and leaves the
+/// bytes they share whole) and a drop of every row of another.
+#[test]
+fn one_payload_to_several_destinations_is_the_messages_sent_one_by_one() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    let faulty = FaultPlan::new()
+        .truncate(ProcId(2), 1, 2)
+        .drop_msgs(ProcId(5), 2);
+    for plan in [FaultPlan::new(), faulty.clone()] {
+        let run = |engine: fn(Arc<MachineTree>) -> Executor, fanned| {
+            let exec = engine(Arc::clone(&tree)).faults(plan.clone());
+            let prog = FanOut { fanned, liar: None };
+            let (out, seen) = exec.run(&prog).expect("fan-out run");
+            (exec.engine_name(), out, seen)
+        };
+        let (_, want, want_seen) = run(Executor::simulator, false);
+        for engine in [Executor::simulator, Executor::threads] {
+            for fanned in [true, false] {
+                let (name, out, seen) = run(engine, fanned);
+                let what = format!("{name} fanned {fanned} under {:?}", plan.render());
+                assert_same_outcome(&out, &want, &what);
+                assert_eq!(seen, want_seen, "{what}");
+            }
+        }
+    }
+
+    let (_, seen) = Executor::simulator(Arc::clone(&tree))
+        .faults(faulty)
+        .run(&FanOut {
+            fanned: true,
+            liar: None,
+        })
+        .expect("fan-out run");
+    let from = |rank: usize, step: usize, src: u32| -> Vec<(u32, Vec<u8>)> {
+        (seen[rank][step].iter())
+            .filter(|m| m.0 == src)
+            .map(|m| (m.1, m.2.clone()))
+            .collect()
+    };
+    // P2's step-1 rows reach P3, P5 and P2 at step 2: the long payload
+    // cut to two words on every row, the short one whole.
+    let long: Vec<u8> = (0..20 + 4 * 2 + 1).map(|i| (7 * i + 2 + 1) as u8).collect();
+    for rank in [3, 5, 2] {
+        let rows = vec![(0, long[..8].to_vec()), (1, vec![2, 1, 0xAB, 0xCD])];
+        assert_eq!(from(rank, 2, 2), rows, "P{rank}");
+    }
+    for rank in 0..8 {
+        assert!(from(rank, 3, 5).is_empty(), "P{rank} read a dropped row");
+        assert_eq!(
+            from(rank, 2, 5).len(),
+            2 * usize::from(rank == 5 || rank == 6 || rank == 0)
+        );
+    }
+}
+
+/// A `fill` that breaks its length for a payload bound for three
+/// destinations posts no row for any of them and fails the run with
+/// that rank's `ProgramPanicked` on both engines, as a liar to one
+/// destination does.
+#[test]
+fn a_broken_fill_to_several_destinations_is_that_ranks_panic_on_both_engines() {
+    let tree = Arc::new(
+        hbsp::core::topology::parse(include_str!("../machines/campus.hbsp")).expect("campus"),
+    );
+    for (rank, step) in [(2, 0), (6, 3)] {
+        for engine in [Executor::simulator, Executor::threads] {
+            let exec = engine(Arc::clone(&tree));
+            let liar = FanOut {
+                fanned: true,
+                liar: Some((rank, step)),
+            };
+            assert_eq!(
+                exec.run(&liar).map(|_| ()),
+                Err(SimError::ProgramPanicked {
+                    pid: ProcId(rank),
+                    step
+                }),
+                "{} with P{rank} lying at {step}",
+                exec.engine_name()
+            );
         }
     }
 }

@@ -18,10 +18,11 @@ use common::{arb_machine, Wire};
 use hbsp::collectives::broadcast::{self, lower_broadcast, BroadcastPlan};
 use hbsp::collectives::data::{decode_bundle, encode_bundle, DecodeError, Piece};
 use hbsp::collectives::gather::{self, GatherPlan};
-use hbsp::collectives::plan::RootPolicy;
+use hbsp::collectives::plan::{RootPolicy, WorkloadPolicy};
 use hbsp::collectives::reduce::{self, ReduceOp};
 use hbsp::collectives::schedule::{
-    seeded_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleState, ScheduleStep, SendEntry,
+    seeded_inits, CommSchedule, ExecPlan, ProcInit, ScheduleProgram, ScheduleState, ScheduleStep,
+    SendEntry,
 };
 use hbsp::collectives::{allgather, alltoall, scan, scatter, tune};
 use hbsp::collectives::{best_plan, rank_plans, CollectiveError, CollectiveKind, PlanChoice};
@@ -133,11 +134,12 @@ proptest! {
             StepOutcome::Continue(_)
         ));
         prop_assert_eq!(state.error(), None);
-        let sends = &prog.plan().steps[0][0].sends;
+        let sends = (prog.plan().steps[0][0].sends.iter())
+            .flat_map(|s| s.dsts.iter().map(move |&dst| (dst, s)));
         prop_assert_eq!(wire.outbox.len(), expected.len());
-        for ((m, want), send) in wire.outbox.iter().zip(&expected).zip(sends) {
+        for ((m, want), (dst, send)) in wire.outbox.iter().zip(&expected).zip(sends) {
             prop_assert_eq!(m.payload, &want[..], "{:?}", send);
-            prop_assert_eq!((m.dst, m.tag, m.payload.len()), (send.dst, send.tag, send.wire_len));
+            prop_assert_eq!((m.dst, m.tag, m.payload.len()), (dst, send.tag, send.wire_len));
         }
 
         // Reader: every byte prefix of every payload, arriving beside
@@ -199,13 +201,14 @@ proptest! {
                 prop_assert_eq!(prog.plan().steps.len(), steps.len());
                 for (step, rows) in steps.iter().zip(&prog.plan().steps) {
                     prop_assert_eq!(rows.len(), p);
-                    let posted: Vec<(ProcId, &SendEntry)> = (0..p)
+                    let posted: Vec<(ProcId, ProcId, &SendEntry)> = (0..p)
                         .flat_map(|j| rows[j].sends.iter().map(move |s| (ProcId(j as u32), s)))
+                        .flat_map(|(src, s)| s.dsts.iter().map(move |&dst| (src, dst, s)))
                         .collect();
                     let mut scheduled: Vec<&Transfer> = step.transfers.iter().collect();
                     scheduled.sort_by_key(|t| t.src); // stable: posting order within a sender
                     prop_assert_eq!(posted.len(), scheduled.len());
-                    for ((src, send), t) in posted.into_iter().zip(scheduled) {
+                    for ((src, dst, send), t) in posted.into_iter().zip(scheduled) {
                         let (units, words) = match &t.role {
                             Role::Piece(u) => (vec![*u], 1 + u.len as usize),
                             Role::Bundle(us) => (
@@ -214,7 +217,7 @@ proptest! {
                             ),
                             Role::Partial => (Vec::new(), t.words as usize),
                         };
-                        prop_assert_eq!((src, send.dst), (t.src, t.dst), "{} {:?}", kind, plan.strategy);
+                        prop_assert_eq!((src, dst), (t.src, t.dst), "{} {:?}", kind, plan.strategy);
                         prop_assert_eq!(&send.units, &units);
                         prop_assert_eq!(send.wire_len, 4 * words);
                     }
@@ -228,6 +231,56 @@ proptest! {
             }
         }
     }
+}
+
+/// Consecutive sends of one payload compile to one entry, written once:
+/// the flat all-gather on campus is one entry per rank, to the other 7
+/// in rank order. A send whose payload differs in tag, units or length,
+/// or that follows another payload, starts an entry of its own, so the
+/// flattened table is still the schedule in posting order.
+#[test]
+fn one_payload_to_several_destinations_is_one_entry() {
+    let tree = campus();
+    let p = tree.num_procs();
+    let sched = allgather::lower_flat_allgather(&tree, 256_000, WorkloadPolicy::Equal);
+    let plan = ExecPlan::compile(&sched, p);
+    for (j, row) in plan.steps[0].iter().enumerate() {
+        let others: Vec<ProcId> = (0..p as u32)
+            .filter(|&d| d != j as u32)
+            .map(ProcId)
+            .collect();
+        assert_eq!(row.sends.len(), 1, "rank {j}");
+        assert_eq!(row.sends[0].dsts, others, "rank {j}");
+    }
+
+    let (a, b) = (UnitId::new(0, 3), UnitId::new(3, 3));
+    let to = |dst: u32, words: u64, role: Role| Transfer {
+        dst: ProcId(dst),
+        ..transfer(words, role)
+    };
+    let mut step = ScheduleStep::at(SyncScope::Level(1));
+    step.transfers = vec![
+        to(1, 3, Role::Piece(a)),
+        to(2, 3, Role::Piece(a)),
+        to(3, 3, Role::Piece(b)),
+        to(1, 3, Role::Piece(a)),
+        to(1, 3, Role::Bundle(vec![a])),
+        to(2, 4, Role::Partial),
+        to(3, 4, Role::Partial),
+        to(1, 5, Role::Partial),
+    ];
+    let sched = CommSchedule {
+        steps: vec![step, ScheduleStep::drain()],
+    };
+    let dsts: Vec<Vec<u32>> = ExecPlan::compile(&sched, 4).steps[0][0]
+        .sends
+        .iter()
+        .map(|s| s.dsts.iter().map(|d| d.0).collect())
+        .collect();
+    assert_eq!(
+        dsts,
+        [vec![1, 2], vec![3], vec![1], vec![1], vec![2, 3], vec![1]]
+    );
 }
 
 fn transfer(words: u64, role: Role) -> Transfer {
