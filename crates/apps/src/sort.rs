@@ -169,16 +169,12 @@ impl SpmdProgram for SampleSort {
                     } else {
                         (1..p).map(|i| pool[i * pool.len() / p]).collect()
                     };
-                    for j in 0..p {
-                        let q = ProcId(j as u32);
-                        if q == root {
-                            state.splitters = splitters.clone();
-                        } else {
-                            ctx.send_with(&[q], TAG_SPLITTERS, 4 * splitters.len(), &mut |w| {
-                                w.u32s(&splitters)
-                            });
-                        }
-                    }
+                    let others: Vec<ProcId> =
+                        (0..p as u32).map(ProcId).filter(|&q| q != root).collect();
+                    ctx.send_with(&others, TAG_SPLITTERS, 4 * splitters.len(), &mut |w| {
+                        w.u32s(&splitters)
+                    });
+                    state.splitters = splitters;
                 }
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }
@@ -219,7 +215,7 @@ impl SpmdProgram for SampleSort {
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }
             // Phase 5: merge incoming runs — appended from their
-            // payloads into one bucket, sorted once.
+            // payloads into one bucket.
             _ => {
                 let mut bucket = std::mem::take(&mut state.bucket);
                 let mut runs = 1;
@@ -228,7 +224,8 @@ impl SpmdProgram for SampleSort {
                     runs += 1;
                 }
                 ctx.charge(bucket.len() as f64 * (runs.max(2) as f64).log2());
-                bucket.sort_unstable();
+                // The stable sort merges the runs it finds; equal `u32`s are alike.
+                bucket.sort();
                 state.bucket = bucket;
                 StepOutcome::Done
             }

@@ -125,15 +125,15 @@ impl SpmdProgram for Stencil {
             if !state.cells.is_empty() {
                 ctx.charge(state.cells.len() as f64);
                 // In place: `left` carries the old value of cell i − 1.
-                let n = state.cells.len();
-                let mut left = state.left_halo;
+                // Borrowed once, the slice keeps its pointer in a register:
+                // indexed through `state`, each store may overwrite the
+                // `Vec`'s own pointer, so the compiler reloads it per cell.
+                let (mut left, right_halo) = (state.left_halo, state.right_halo);
+                let cells = &mut state.cells[..];
+                let n = cells.len();
                 for i in 0..n {
-                    let right = if i + 1 == n {
-                        state.right_halo
-                    } else {
-                        state.cells[i + 1]
-                    };
-                    left = std::mem::replace(&mut state.cells[i], 0.5 * (left + right));
+                    let right = if i + 1 == n { right_halo } else { cells[i + 1] };
+                    left = std::mem::replace(&mut cells[i], 0.5 * (left + right));
                 }
             }
             // Exchange halos for the next sweep, with the *data*
@@ -233,6 +233,10 @@ mod tests {
         TreeBuilder::flat(1.0, 50.0, &[(1.0, 1.0), (1.5, 0.7), (2.5, 0.4), (3.0, 0.3)]).unwrap()
     }
 
+    fn bits(field: &[f64]) -> Vec<u64> {
+        field.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn hot_rod(n: usize) -> Vec<f64> {
         // Left boundary hot, right cold, interior zero.
         let mut f = vec![0.0; n];
@@ -248,9 +252,7 @@ mod tests {
             let want = reference_jacobi(&field, iters);
             for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
                 let run = stencil::run(&sim(&t), &field, iters, wl).unwrap();
-                for (a, b) in run.field.iter().zip(&want) {
-                    assert!((a - b).abs() < 1e-12, "iters={iters} {wl:?}");
-                }
+                assert_eq!(bits(&run.field), bits(&want), "iters={iters} {wl:?}");
             }
         }
     }
@@ -290,9 +292,13 @@ mod tests {
         let field = hot_rod(4); // 2 interior cells
         let want = reference_jacobi(&field, 12);
         let run = stencil::run(&sim(&t), &field, 12, WorkloadPolicy::Balanced).unwrap();
-        for (a, b) in run.field.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-12, "{:?} vs {:?}", run.field, want);
-        }
+        assert_eq!(
+            bits(&run.field),
+            bits(&want),
+            "{:?} vs {:?}",
+            run.field,
+            want
+        );
     }
 
     #[test]
@@ -301,8 +307,6 @@ mod tests {
         let field = hot_rod(4); // 2 interior cells over 4 procs
         let want = reference_jacobi(&field, 5);
         let run = stencil::run(&sim(&t), &field, 5, WorkloadPolicy::Equal).unwrap();
-        for (a, b) in run.field.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bits(&run.field), bits(&want));
     }
 }

@@ -44,6 +44,6 @@ pub use engine::Simulator;
 pub use error::SimError;
 pub use event::TimeQueue;
 pub use faults::{Fault, FaultPlan, SplitMix64};
-pub use stats::{LevelTraffic, SimOutcome, StepStats};
+pub use stats::{LevelTraffic, SimOutcome, StepStats, TrafficByLevel};
 pub use step::{Settlement, StepAnalysis, StepEnv};
 pub use trace::{ascii_gantt, ProcTimeline, Span, SpanKind, TraceSummary};

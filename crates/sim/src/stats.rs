@@ -67,6 +67,65 @@ pub struct LevelTraffic {
     pub messages: u64,
 }
 
+/// A step's [`LevelTraffic`] for levels `0..=height`, read as a slice.
+/// Held inline for machines up to [`TrafficByLevel::INLINE`] levels
+/// (HBSP^3), so recording a superstep allocates nothing; a deeper
+/// machine's levels go to the heap.
+#[derive(Clone, Default)]
+pub struct TrafficByLevel {
+    len: usize,
+    inline: [LevelTraffic; TrafficByLevel::INLINE],
+    spilled: Vec<LevelTraffic>,
+}
+
+impl TrafficByLevel {
+    /// Levels held without allocating.
+    pub const INLINE: usize = 4;
+}
+
+impl From<&[LevelTraffic]> for TrafficByLevel {
+    fn from(levels: &[LevelTraffic]) -> Self {
+        let mut t = TrafficByLevel {
+            len: levels.len(),
+            ..TrafficByLevel::default()
+        };
+        match t.inline.get_mut(..levels.len()) {
+            Some(inline) => inline.copy_from_slice(levels),
+            None => t.spilled = levels.to_vec(),
+        }
+        t
+    }
+}
+
+impl std::ops::Deref for TrafficByLevel {
+    type Target = [LevelTraffic];
+    fn deref(&self) -> &[LevelTraffic] {
+        self.inline.get(..self.len).unwrap_or(&self.spilled)
+    }
+}
+
+impl<'a> IntoIterator for &'a TrafficByLevel {
+    type Item = &'a LevelTraffic;
+    type IntoIter = std::slice::Iter<'a, LevelTraffic>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for TrafficByLevel {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for TrafficByLevel {}
+
+impl std::fmt::Debug for TrafficByLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Everything measured about one executed superstep.
 #[derive(Debug, Clone)]
 pub struct StepStats {
@@ -82,7 +141,7 @@ pub struct StepStats {
     pub release_max: f64,
     /// Traffic by LCA level (`traffic[l]` = words/messages whose
     /// endpoints meet at level `l`). Index 0 counts self-sends.
-    pub traffic: Vec<LevelTraffic>,
+    pub traffic: TrafficByLevel,
     /// The heterogeneous h-relation the step actually performed —
     /// comparable against the cost model's prediction.
     pub hrelation: f64,
@@ -125,16 +184,18 @@ mod tests {
             start_min: 10.0,
             finish_max: 90.0,
             release_max: 100.0,
-            traffic: vec![
-                LevelTraffic {
-                    words: 5,
-                    messages: 1,
-                },
-                LevelTraffic {
-                    words: 20,
-                    messages: 2,
-                },
-            ],
+            traffic: TrafficByLevel::from(
+                &[
+                    LevelTraffic {
+                        words: 5,
+                        messages: 1,
+                    },
+                    LevelTraffic {
+                        words: 20,
+                        messages: 2,
+                    },
+                ][..],
+            ),
             hrelation: 20.0,
             work_units: 0.0,
             w: 0.0,
@@ -143,5 +204,20 @@ mod tests {
         assert_eq!(s.total_words(), 25);
         assert_eq!(s.words_at(1), 20);
         assert_eq!(s.words_at(9), 0);
+    }
+
+    #[test]
+    fn traffic_reads_alike_inline_and_spilled() {
+        let levels: Vec<LevelTraffic> = (0..7)
+            .map(|l| LevelTraffic {
+                words: 10 * l,
+                messages: l,
+            })
+            .collect();
+        for n in 0..levels.len() {
+            let t = TrafficByLevel::from(&levels[..n]);
+            assert_eq!(*t, levels[..n]);
+            assert_eq!(format!("{t:?}"), format!("{:?}", &levels[..n]));
+        }
     }
 }

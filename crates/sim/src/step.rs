@@ -31,10 +31,10 @@ use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::stats::{LevelTraffic, SimOutcome, StepStats};
 use crate::timing::{
-    barrier_release, superstep_timing_faulted_into, MsgTiming, SendIntent, StepTiming,
+    barrier_release_into, superstep_timing_faulted_into, MsgTiming, SendIntent, StepTiming,
     TimingScratch,
 };
-use hbsp_core::{HRelation, Level, MachineTree, MsgBatch, MsgView, ProcId, StepOutcome, SyncScope};
+use hbsp_core::{Level, MachineTree, MsgBatch, MsgView, ProcId, StepOutcome, SyncScope, Traffic};
 use hbsp_obs::{ObsEvent, Probe, StepRecord, StepWall};
 
 /// The validated, cost-relevant view of one superstep's communication.
@@ -46,6 +46,9 @@ pub struct StepAnalysis {
     pub traffic: Vec<LevelTraffic>,
     /// Observed heterogeneous h-relation of the step.
     pub hrelation: f64,
+    /// Words each rank sent to and received from other ranks, the
+    /// h-relation's terms.
+    ranks: Vec<Traffic>,
 }
 
 /// What a [`Settlement`] reads of the engine it settles a superstep for.
@@ -111,6 +114,10 @@ pub struct Settlement {
     timing_scratch: TimingScratch,
     /// Delivery permutation of the step's messages.
     order: Vec<usize>,
+    /// The barrier's release times, swapped into `starts`.
+    releases: Vec<f64>,
+    /// The barrier's latest finish per cluster.
+    cluster_max: Vec<f64>,
     emit: EmitScratch,
 }
 
@@ -194,9 +201,14 @@ impl Settlement {
 
         // The final step releases nobody: each processor's own finish
         // stands in for its release time.
-        #[expect(clippy::disallowed_methods, reason = "the settlement's barrier")]
-        let releases = scope.map(|s| barrier_release(tree, s, finish));
-        let released = releases.as_deref().unwrap_or(finish);
+        let released = match scope {
+            Some(s) => {
+                #[expect(clippy::disallowed_methods, reason = "the settlement's barrier")]
+                barrier_release_into(tree, s, finish, &mut self.cluster_max, &mut self.releases);
+                &self.releases
+            }
+            None => finish,
+        };
         emit_step_record(
             env.probe,
             step,
@@ -216,7 +228,7 @@ impl Settlement {
             start_min,
             finish_max: max(finish),
             release_max: max(released),
-            traffic: self.analysis.traffic.clone(),
+            traffic: self.analysis.traffic[..].into(),
             hrelation: self.analysis.hrelation,
             work_units: self.work.iter().sum(),
             w: (0..p)
@@ -225,16 +237,16 @@ impl Settlement {
         });
         self.work.clear();
         self.outcomes.clear();
-        let Some(releases) = releases else {
+        if scope.is_none() {
             return Ok(true);
-        };
+        }
         delivery_order_into(&self.timing.messages, &mut self.order);
         for &mi in &self.order {
             let intent = &self.analysis.intents[mi];
             deliver(posted, intent.dst.rank(), intent.src.0, mi);
         }
         self.delivered += self.order.len() as u64;
-        self.starts = releases;
+        std::mem::swap(&mut self.starts, &mut self.releases);
         Ok(false)
     }
 
@@ -325,7 +337,8 @@ fn analyze_into<'a>(
     out.intents.clear();
     let msgs = msgs.into_iter();
     out.intents.reserve(msgs.size_hint().0);
-    let mut hr = HRelation::new();
+    out.ranks.clear();
+    out.ranks.resize(p, Traffic::default());
     for m in msgs {
         if m.dst.rank() >= p {
             return Err(SimError::NoSuchProc { step, dst: m.dst });
@@ -347,11 +360,8 @@ fn analyze_into<'a>(
         t.words += m.words();
         t.messages += 1;
         if m.src != m.dst {
-            hr.send(
-                tree.node(src_leaf).machine_id(),
-                tree.node(dst_leaf).machine_id(),
-                m.words(),
-            );
+            out.ranks[m.src.rank()].sent += m.words();
+            out.ranks[m.dst.rank()].received += m.words();
         }
         out.intents.push(SendIntent {
             src: m.src,
@@ -359,7 +369,11 @@ fn analyze_into<'a>(
             words: m.words(),
         });
     }
-    out.hrelation = hr.h_on(tree);
+    // `HRelation::h_on` over the leaves: a rank that moved nothing adds
+    // `r · 0 = 0`, which leaves the maximum as it is (`r ≥ 1`).
+    out.hrelation = (0..p)
+        .map(|i| tree.leaf(ProcId(i as u32)).params().r * out.ranks[i].h() as f64)
+        .fold(0.0, f64::max);
     Ok(())
 }
 
@@ -495,6 +509,32 @@ mod tests {
             "self-send recorded at the leaf's own level"
         );
         assert_eq!(a.hrelation, 20.0, "r=2 sender of 10 words dominates");
+    }
+
+    #[test]
+    fn analyzed_h_is_the_hrelation_of_the_leaves() {
+        let t = TreeBuilder::two_level(
+            1.0,
+            50.0,
+            &[
+                (5.0, vec![(1.0, 1.0), (1.5, 0.7)]),
+                (7.0, vec![(2.5, 0.4), (3.0, 0.3), (1.2, 0.9)]),
+            ],
+        )
+        .unwrap();
+        let mut msgs = MsgBatch::new();
+        let mut hr = hbsp_core::HRelation::new();
+        for k in 0..40u32 {
+            let (src, dst) = (ProcId(k * 7 % 5), ProcId(k * 3 % 5));
+            let words = (k * 13 % 9) as usize;
+            msgs.push(src, dst, 0, &vec![0; 4 * words]);
+            if src != dst {
+                let id = |q: ProcId| t.leaf(q).machine_id();
+                hr.send(id(src), id(dst), words as u64);
+            }
+        }
+        let a = analyze(&t, 0, None, &msgs).unwrap();
+        assert_eq!(a.hrelation.to_bits(), hr.h_on(&t).to_bits());
     }
 
     /// Regression: arrival sorting once used `partial_cmp(..).unwrap()`,

@@ -35,16 +35,20 @@
 //!
 //! [`superstep_timing`] prices one step on its own, and
 //! [`barrier_release`] releases one barrier. A run's steps are timed
-//! only by the settlement, so the form it times them with is private to
-//! this crate:
+//! and released only by the settlement, so the forms it uses are
+//! private to this crate:
 //!
 //! ```compile_fail,E0603
 //! use hbsp_sim::timing::superstep_timing_faulted_into;
 //! ```
+//!
+//! ```compile_fail,E0603
+//! use hbsp_sim::timing::barrier_release_into;
+//! ```
 
 use crate::config::NetConfig;
 use crate::event::TimeQueue;
-use hbsp_core::{MachineTree, ProcId, SyncScope};
+use hbsp_core::{MachineTree, NodeIdx, ProcId, SyncScope};
 
 /// One posted message, by cost-relevant fields only.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,29 +262,35 @@ pub(crate) fn superstep_timing_faulted_into(
 /// `max(member finish) + L_{i,j}`. A leaf sitting at or above the scope
 /// level forms its own (zero-cost) singleton group.
 pub fn barrier_release(tree: &MachineTree, scope: SyncScope, finish: &[f64]) -> Vec<f64> {
-    let p = tree.num_procs();
-    assert_eq!(finish.len(), p);
-    let level = scope.level();
-    // cluster idx (or leaf idx for singletons) -> (max finish, L).
-    let mut groups: std::collections::BTreeMap<usize, (f64, f64)> =
-        std::collections::BTreeMap::new();
-    let mut group_of = Vec::with_capacity(p);
-    for (&leaf_idx, &f) in tree.leaves().iter().zip(finish) {
-        let anchor = tree.ancestor_at_level(leaf_idx, level).unwrap_or(leaf_idx);
-        group_of.push(anchor.index());
-        let l_sync = tree.node(anchor).params().l_sync;
-        let e = groups
-            .entry(anchor.index())
-            .or_insert((f64::NEG_INFINITY, l_sync));
-        e.0 = e.0.max(f);
+    let mut release = Vec::new();
+    #[expect(clippy::disallowed_methods, reason = "the one-barrier form")]
+    barrier_release_into(tree, scope, finish, &mut Vec::new(), &mut release);
+    release
+}
+
+/// [`barrier_release`] into `release`, cleared and refilled, with each
+/// cluster's latest finish kept in `cluster_max` (indexed by node), so
+/// a settlement that keeps both releases a barrier without allocating.
+pub(crate) fn barrier_release_into(
+    tree: &MachineTree,
+    scope: SyncScope,
+    finish: &[f64],
+    cluster_max: &mut Vec<f64>,
+    release: &mut Vec<f64>,
+) {
+    assert_eq!(finish.len(), tree.num_procs());
+    let anchor = |leaf: NodeIdx| tree.ancestor_at_level(leaf, scope.level()).unwrap_or(leaf);
+    cluster_max.clear();
+    cluster_max.resize(tree.nodes().count(), f64::NEG_INFINITY);
+    for (&leaf, &f) in tree.leaves().iter().zip(finish) {
+        let max = &mut cluster_max[anchor(leaf).index()];
+        *max = max.max(f);
     }
-    group_of
-        .iter()
-        .map(|g| {
-            let (max_f, l) = groups[g];
-            max_f + l
-        })
-        .collect()
+    release.clear();
+    release.extend(tree.leaves().iter().map(|&leaf| {
+        let a = anchor(leaf);
+        cluster_max[a.index()] + tree.node(a).params().l_sync
+    }));
 }
 
 #[cfg(test)]

@@ -857,10 +857,12 @@ fn warm_executor_runs_fault_at_most_the_per_run_arena() {
 /// outbox, and a receiver multiplies or merges from the payload. So on
 /// a warm executor a matvec of `4n` rows, or a sample sort of `4n`
 /// items, allocates as often as one of `n`, on both engines — a copy
-/// per row or per item would multiply with the input.
+/// per row or per item would multiply with the input. And a stencil of
+/// `4n` iterations allocates as often as one of `n`: neither its sweep
+/// nor the engine's settlement allocates per superstep.
 #[test]
 fn warm_apps_allocate_alike_at_four_times_the_input() {
-    use hbsp_apps::{matvec::MatVec, sort::SampleSort};
+    use hbsp_apps::{matvec::MatVec, sort::SampleSort, stencil::Stencil};
     use hbsp_collectives::plan::WorkloadPolicy;
     const SLACK: usize = 16;
     let _serial = AUDIT_LOCK.lock().unwrap();
@@ -873,6 +875,10 @@ fn warm_apps_allocate_alike_at_four_times_the_input() {
     let sort = |n: u32| {
         let items = (0..n).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         SampleSort::new(Arc::new(items), WorkloadPolicy::Balanced)
+    };
+    let stencil = |iterations: usize| {
+        let field = (0..1000).map(|i| (i % 11) as f64).collect();
+        Stencil::new(Arc::new(field), iterations, WorkloadPolicy::Balanced)
     };
     for engine in [Executor::simulator, Executor::threads] {
         let exec = engine(machine());
@@ -894,6 +900,15 @@ fn warm_apps_allocate_alike_at_four_times_the_input() {
         assert!(
             a4.abs_diff(a1) <= SLACK,
             "{name}: sort of 80000 items allocated {a4} times, of 20000 {a1}"
+        );
+        let (small, large) = (stencil(10), stencil(40));
+        exec.run(&large).unwrap();
+        let (a1, (_, states)) = allocs_during(|| exec.run(&small).unwrap());
+        assert_eq!(states.iter().map(|s| s.cells.len()).sum::<usize>(), 998);
+        let (a4, _) = allocs_during(|| exec.run(&large).unwrap());
+        assert!(
+            a4.abs_diff(a1) <= SLACK,
+            "{name}: stencil of 40 iterations allocated {a4} times, of 10 {a1}"
         );
     }
 }
