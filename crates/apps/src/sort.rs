@@ -5,13 +5,15 @@
 //!
 //! 1. `P_f` scatters `c_j`-proportional shares;
 //! 2. each processor sorts its share locally (charged `n_j log n_j`
-//!    work) and sends `p` regular samples to `P_f`;
+//!    work; the kernel is an LSD radix sort) and sends `p` regular
+//!    samples to `P_f`;
 //! 3. `P_f` sorts the sample pool, picks `p − 1` splitters, and sends
 //!    them to everyone;
 //! 4. each processor partitions its sorted run by the splitters and
 //!    ships bucket `j` to processor `j` (a personalized all-to-all);
-//! 5. everyone merges its incoming runs; bucket `j` now holds the
-//!    `j`-th sorted slice of the global array.
+//! 5. everyone merges its incoming runs (charged as a `p`-way merge,
+//!    sorted by the same radix kernel); bucket `j` now holds the `j`-th
+//!    sorted slice of the global array.
 //!
 //! The array ends *distributed* in rank order — concatenating the
 //! buckets yields the sorted array — which is how a BSP sort leaves
@@ -35,6 +37,40 @@ fn sort_work(n: usize) -> f64 {
         1.0
     } else {
         n as f64 * (n as f64).log2()
+    }
+}
+
+/// Sort `v` by least-significant byte first: four counting passes
+/// through `scratch`, swapping the two buffers after each, so the result
+/// is never copied back (`scratch` ends holding the other buffer). A
+/// pass whose byte is the same in every key moves nothing and is skipped.
+fn radix_sort(v: &mut Vec<u32>, scratch: &mut Vec<u32>) {
+    let mut counts = [[0usize; 256]; 4];
+    for &x in v.iter() {
+        for (digit, count) in counts.iter_mut().enumerate() {
+            count[(x >> (8 * digit)) as usize & 0xff] += 1;
+        }
+    }
+    // Grown to fit exactly, like phase 5's bucket: amortized doubling
+    // would keep up to twice a bucket per rank.
+    scratch.reserve_exact(v.len().saturating_sub(scratch.len()));
+    scratch.resize(v.len(), 0);
+    for (digit, count) in counts.iter().enumerate() {
+        if count.contains(&v.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut at = 0;
+        for (next, &c) in next.iter_mut().zip(count) {
+            *next = at;
+            at += c;
+        }
+        for &x in v.iter() {
+            let slot = &mut next[(x >> (8 * digit)) as usize & 0xff];
+            scratch[*slot] = x;
+            *slot += 1;
+        }
+        std::mem::swap(v, scratch);
     }
 }
 
@@ -131,10 +167,9 @@ impl SpmdProgram for SampleSort {
                         state.run = share_items(m.payload);
                     }
                 }
-                let run = std::mem::take(&mut state.run);
+                let mut run = std::mem::take(&mut state.run);
                 ctx.charge(sort_work(run.len()));
-                let mut run = run;
-                run.sort_unstable();
+                radix_sort(&mut run, &mut Vec::new());
                 // p regular samples (or fewer if the run is tiny).
                 let samples: Vec<u32> = if run.is_empty() {
                     Vec::new()
@@ -185,7 +220,7 @@ impl SpmdProgram for SampleSort {
                         state.splitters = codec::decode_u32s(m.payload);
                     }
                 }
-                let run = std::mem::take(&mut state.run);
+                let run = &state.run;
                 let splitters = &state.splitters;
                 // Bucket boundaries by binary search in the sorted run.
                 let mut bounds = Vec::with_capacity(p + 1);
@@ -215,17 +250,23 @@ impl SpmdProgram for SampleSort {
                 StepOutcome::Continue(SyncScope::global(&env.tree))
             }
             // Phase 5: merge incoming runs — appended from their
-            // payloads into one bucket.
+            // payloads into one bucket, which the radix kernel sorts
+            // (charged as the `p`-way merge it stands for).
             _ => {
                 let mut bucket = std::mem::take(&mut state.bucket);
+                let inbox = ctx.messages();
+                let incoming = || inbox.iter().filter(|m| m.tag == TAG_BUCKET);
+                // Sized once: growing by doubling would hold up to twice it.
+                bucket.reserve_exact(incoming().map(|m| m.payload.len() / 4).sum());
                 let mut runs = 1;
-                for m in ctx.messages().iter().filter(|m| m.tag == TAG_BUCKET) {
+                for m in incoming() {
                     bucket.extend(codec::read_u32s(m.payload));
                     runs += 1;
                 }
                 ctx.charge(bucket.len() as f64 * (runs.max(2) as f64).log2());
-                // The stable sort merges the runs it finds; equal `u32`s are alike.
-                bucket.sort();
+                // The run is spent: its buffer is the kernel's scratch,
+                // freed with it once the bucket is sorted.
+                radix_sort(&mut bucket, &mut std::mem::take(&mut state.run));
                 state.bucket = bucket;
                 StepOutcome::Done
             }
@@ -275,6 +316,7 @@ mod tests {
     use super::*;
     use crate::{sim, sort};
     use hbsp_core::{MachineTree, TreeBuilder};
+    use proptest::prelude::*;
 
     fn items(n: usize, seed: u64) -> Vec<u32> {
         let mut x = seed | 1;
@@ -311,6 +353,43 @@ mod tests {
             let run = sort::run(&sim(&t), &data, wl, RootPolicy::Fastest).unwrap();
             assert_eq!(run.sorted, expected, "{wl:?}");
             assert_eq!(run.bucket_sizes.iter().sum::<usize>(), data.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The radix kernel sorts as `sort_unstable` does, through one
+        /// scratch reused across inputs of every length: random keys,
+        /// heavy duplicates, phase 5's `p` sorted runs appended, and the
+        /// edges where passes are skipped (every byte, or one byte,
+        /// alike in all keys).
+        #[test]
+        fn radix_sort_agrees_with_sort_unstable(
+            keys in proptest::collection::vec(any::<u32>(), 0..3000),
+            dups in proptest::collection::vec(0u32..4, 0..3000),
+            p in 1usize..9,
+        ) {
+            let mut runs = Vec::new();
+            for chunk in keys.chunks(keys.len().div_ceil(p).max(1)) {
+                let mut run = chunk.to_vec();
+                run.sort_unstable();
+                runs.extend(run);
+            }
+            let byte_fixed: Vec<u32> = keys.iter().map(|k| k & 0xff00_ffff | 0x0042_0000).collect();
+            let dups_high: Vec<u32> = dups.iter().map(|d| d << 24 | 7).collect();
+            let mut scratch = Vec::new();
+            for input in [
+                keys, dups, runs, byte_fixed, dups_high,
+                vec![], vec![9], vec![5; 100],
+                vec![u32::MAX, 0, u32::MAX, 1, 0, u32::MAX - 1],
+            ] {
+                let mut want = input.clone();
+                want.sort_unstable();
+                let mut got = input.clone();
+                radix_sort(&mut got, &mut scratch);
+                prop_assert_eq!(got, want, "an input of {} keys", input.len());
+            }
         }
     }
 

@@ -20,17 +20,6 @@
 //!   atomic or cell is invisible to exploration — its races simply
 //!   don't exist there.
 //!
-//! * **Bare `.lock().unwrap()`** — runtime locks must use
-//!   `lock_anyway` (poison-tolerant, records the recovery in
-//!   telemetry): a panicking thread elsewhere must not cascade
-//!   `PoisonError` panics through surviving waiters.
-//!
-//! * **NaN-unsafe comparison** — `partial_cmp(..).unwrap()` on one
-//!   line: cost aggregation works in `f64`, and a NaN must surface as
-//!   a typed violation, not a panic deep in a sort. Use `total_cmp`.
-//!   (The crates that deny `clippy::unwrap_used` and `expect_used`
-//!   reject the multi-line and `.expect(..)` shapes too.)
-//!
 //! * **Telemetry spine** — a superstep is written down once, by
 //!   `hbsp_sim::step::emit_step_record`, into one sink,
 //!   `hbsp_obs::Recorder`. Outside `crates/obs/src/` no `impl Probe
@@ -53,10 +42,10 @@
 //!
 //! Test code (everything at or after the first `#[cfg(test)]` line of
 //! a file, and files under `tests/` or `benches/` directories) is
-//! exempt from every check but the NaN-unsafe comparison: tests may
-//! exercise raw `std` primitives deliberately and may build bundles of
-//! their own. Line comments are stripped before matching so prose
-//! about the forbidden patterns doesn't trip the lint.
+//! exempt from every check: tests may exercise raw `std` primitives
+//! deliberately and may build bundles of their own. Line comments are
+//! stripped before matching so prose about the forbidden patterns
+//! doesn't trip the lint.
 //!
 //! Exit status: 0 clean, 1 violations found, 2 usage errors.
 
@@ -173,6 +162,9 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     if rel.ends_with("/hbsp_lint.rs") {
         return; // the check definitions spell out the forbidden patterns
     }
+    if rel.contains("/tests/") || rel.contains("/benches/") {
+        return; // test code is exempt
+    }
     let mut report = |line: usize, message: String| {
         out.push(Violation {
             file: path.to_path_buf(),
@@ -180,7 +172,6 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
             message,
         })
     };
-    let in_tests_dir = rel.contains("/tests/") || rel.contains("/benches/");
     let in_runtime_src = rel.contains("crates/runtime/src/");
     let is_facade = in_runtime_src && rel.ends_with("/sync.rs");
     let in_obs_src = rel.contains("crates/obs/src/");
@@ -193,23 +184,21 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
     let mut probe_impl: Option<usize> = None;
     // One placement site: the function being read.
     let mut in_fn = "";
-    let mut in_test_mod = false;
     for (idx, raw) in text.lines().enumerate() {
         if raw.trim_start().starts_with("#[cfg(test)]") {
-            in_test_mod = true;
+            return; // test code is exempt, from here to the end of the file
         }
         let line = strip_comment(raw);
         let lineno = idx + 1;
-        let exempt = in_test_mod || in_tests_dir;
         in_fn = opened_fn(line).unwrap_or(in_fn);
-        if in_runtime_src && !is_facade && !exempt {
+        if in_runtime_src && !is_facade {
             for (pattern, message) in FACADE_ONLY {
                 if line.contains(pattern) {
                     report(lineno, message.into());
                 }
             }
         }
-        if !exempt && !in_obs_src {
+        if !in_obs_src {
             if line.contains("impl") && line.contains("Probe for ") {
                 probe_impl = Some(lineno);
             } else if raw.starts_with('}') {
@@ -224,7 +213,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                 );
             }
         }
-        if !exempt && is_engine && line.contains("ProcTimeline {") {
+        if is_engine && line.contains("ProcTimeline {") {
             report(
                 lineno,
                 "an engine accumulating timelines — they are a view over a \
@@ -233,8 +222,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
             );
         }
         // A return type or an `impl`/`struct` header builds nothing.
-        if !exempt
-            && !closes_loop
+        if !closes_loop
             && line.contains("PostmortemBundle {")
             && !["->", "impl ", "struct "].iter().any(|k| line.contains(k))
         {
@@ -245,7 +233,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                     .into(),
             );
         }
-        if !exempt && in_sched_src && in_fn != PLACEMENT_SITE {
+        if in_sched_src && in_fn != PLACEMENT_SITE {
             for name in PLACEMENT_STEPS.into_iter().filter(|name| calls(line, name)) {
                 report(
                     lineno,
@@ -255,20 +243,6 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                     ),
                 );
             }
-        }
-        if !exempt && line.contains(".lock().unwrap()") {
-            report(
-                lineno,
-                "bare `.lock().unwrap()` — use `lock_anyway` (poison-tolerant, \
-                 records the recovery)"
-                    .into(),
-            );
-        }
-        if line.contains("partial_cmp") && line.contains(".unwrap()") {
-            report(
-                lineno,
-                "NaN-unsafe `partial_cmp(..).unwrap()` — use `f64::total_cmp`".into(),
-            );
         }
     }
 }
@@ -303,7 +277,7 @@ fn main() {
     }
     if violations.is_empty() {
         println!(
-            "hbsp_lint: {} files clean (facade, lock_anyway, total_cmp, telemetry spine, one failure bundle, one placement site)",
+            "hbsp_lint: {} files clean (facade, telemetry spine, one failure bundle, one placement site)",
             files.len()
         );
     } else {
