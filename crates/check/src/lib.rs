@@ -7,11 +7,11 @@
 //!    target [`MachineTree`](hbsp_core::MachineTree) for rank bounds,
 //!    word conservation, barrier-scope containment, self-sends and
 //!    duplicate transfers, drain-step placement, and valid work charges.
-//! 2. **Dataflow analysis** ([`verify_dataflow`]): a conservative
-//!    matched-send/receive pass under BSP delivery semantics (data sent
-//!    in superstep `i` is usable from superstep `i + 1`) that proves
-//!    every transfer sends data its source actually holds — the static
-//!    analogue of "no unmatched receive, no deadlocked barrier".
+//! 2. **Dataflow analysis** ([`verify_dataflow`]): a matched-send/receive
+//!    pass under BSP delivery semantics (data sent in superstep `i` is
+//!    usable from superstep `i + 1`) that proves every transfer sends
+//!    data its source holds by [`cover`], the interpreter's own rule —
+//!    the static analogue of "no unmatched receive, no deadlocked barrier".
 //! 3. **Machine linting** ([`lint_machine`]): the paper's Table-1
 //!    parameter rules (fastest `r = 1`, `c` fractions partition each
 //!    cluster, coordinator fastest in its subtree, positive `L` and `g`,
@@ -42,7 +42,7 @@ mod violation;
 pub use dag::{lint_carved, verify_claims, verify_dag};
 pub use machine::{lint_machine, lint_with_spans, Diagnostic};
 pub use schedule::{
-    implied_hrelation, verify_dataflow, verify_schedule, Payload, ProcHoldings, ScheduleView,
-    StepView, TransferView,
+    cover, implied_hrelation, verify_dataflow, verify_schedule, Payload, ProcHoldings,
+    ScheduleView, StepView, TransferView,
 };
 pub use violation::Violation;

@@ -51,6 +51,9 @@ pub struct StepView {
 pub struct ScheduleView {
     /// The supersteps in execution order.
     pub steps: Vec<StepView>,
+    /// Per rank, true where its units are whole blocks, not ranges of
+    /// one array (see [`cover`]); ranks past the end hold ranges.
+    pub whole_blocks: Vec<bool>,
 }
 
 /// What one processor holds before the first superstep.
@@ -62,39 +65,40 @@ pub struct ProcHoldings {
     pub has_acc: bool,
 }
 
-/// A set of merged, disjoint half-open intervals `[start, end)`.
-#[derive(Debug, Clone, Default)]
-struct IntervalSet {
-    spans: Vec<(u64, u64)>,
-}
-
-impl IntervalSet {
-    fn insert(&mut self, offset: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let (start, end) = (offset, offset + len);
-        let mut merged = Vec::with_capacity(self.spans.len() + 1);
-        let mut new = (start, end);
-        for &(s, e) in &self.spans {
-            if e < new.0 || s > new.1 {
-                merged.push((s, e));
-            } else {
-                new = (new.0.min(s), new.1.max(e));
-            }
-        }
-        merged.push(new);
-        merged.sort_unstable();
-        self.spans = merged;
+/// Which of a rank's held units supply the unit `want = (offset, len)`:
+/// `f(i, range)` gets, in item order, the index `i` into `units` (the
+/// rank's unit ids, sorted and distinct; `held(i)` if it holds unit `i`
+/// now) and the range of unit `i`'s items that comes next. The exact id
+/// supplies all of it; otherwise, only where units are `ranges` of one
+/// array, held units overlapping `want` supply it piece by piece (block
+/// ids `src·p + dst` overlap as offsets without sharing words). Returns
+/// whether `want` is covered (an empty unit always is). Allocates nothing.
+pub fn cover(
+    units: &[(u64, u64)],
+    held: impl Fn(usize) -> bool,
+    ranges: bool,
+    want: (u64, u64),
+    mut f: impl FnMut(usize, std::ops::Range<usize>),
+) -> bool {
+    if let Some(i) = units.binary_search(&want).ok().filter(|&i| held(i)) {
+        f(i, 0..want.1 as usize);
+        return true;
     }
-
-    fn covers(&self, offset: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
+    let (end, mut next) = (want.0 + want.1, want.0);
+    // Blocks are not pieced together. Ranges come in ascending offsets:
+    // once a unit starts past `next`, so does every later one.
+    let pieces = if ranges { units } else { &[] };
+    for (i, &(s, len)) in pieces.iter().enumerate() {
+        if next == end || s > next {
+            break;
         }
-        let end = offset + len;
-        self.spans.iter().any(|&(s, e)| s <= offset && end <= e)
+        let e = (s + len).min(end);
+        if e > next && held(i) {
+            f(i, (next - s) as usize..(e - s) as usize);
+            next = e;
+        }
     }
+    next == end
 }
 
 /// Structural verification of a schedule against its target machine:
@@ -220,72 +224,69 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
     out
 }
 
-/// Conservative matched-send/receive analysis under BSP delivery
-/// semantics: starting from `init` (what each processor holds before
-/// step 0), every transfer must send data its source holds at that
-/// superstep; deliveries from step `i` become usable at step `i + 1`.
+/// Matched-send/receive analysis under BSP delivery semantics:
+/// starting from `init` (what each processor holds before step 0),
+/// every transfer must send data its source holds at that superstep;
+/// deliveries from step `i` become usable at step `i + 1`.
 /// Partial-combine transfers need a source accumulator and a schedule
-/// reduction operator (`has_op`).
-///
-/// Holdings are tracked as merged item intervals, which is strictly more
-/// permissive than the runtime's exact-unit lookup — a clean result here
-/// never flags a schedule the engines would execute, and every flagged
-/// transfer is one the engines would panic or mis-deliver on.
+/// reduction operator (`has_op`). "Holds" is [`cover`], the rule the
+/// engines' interpreter sends and reads by, on each rank's units as
+/// `view.whole_blocks` says they are: per rank, as a merged batch runs
+/// blocks and ranges on disjoint ranks.
 pub fn verify_dataflow(
     tree: &MachineTree,
     view: &ScheduleView,
     init: &[ProcHoldings],
     has_op: bool,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let nprocs = tree.num_procs();
-    if init.len() != nprocs {
-        out.push(Violation::InitMismatch {
-            got: init.len(),
+    let (got, nprocs) = (init.len(), tree.num_procs());
+    if got != nprocs {
+        return vec![Violation::InitMismatch {
+            got,
             expected: nprocs,
-        });
-        return out;
+        }];
     }
-    let mut held: Vec<IntervalSet> = init
-        .iter()
-        .map(|h| {
-            let mut set = IntervalSet::default();
-            for &(off, len) in &h.units {
-                set.insert(off, len);
+    let mut out = Vec::new();
+    // Per rank, the unit ids it holds, sorted and distinct.
+    let mut held: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nprocs];
+    let hold = |held: &mut Vec<(u64, u64)>, units: &[(u64, u64)]| {
+        for &unit in units {
+            if let Err(at) = held.binary_search(&unit) {
+                held.insert(at, unit);
             }
-            set
-        })
-        .collect();
+        }
+    };
+    held.iter_mut()
+        .zip(init)
+        .for_each(|(held, h)| hold(held, &h.units));
+    let ranges = |rank: usize| !view.whole_blocks.get(rank).copied().unwrap_or(false);
     let mut has_acc: Vec<bool> = init.iter().map(|h| h.has_acc).collect();
     let mut reported_no_op = false;
 
     // Deliveries queued during the current step, absorbed at the next.
-    let mut pending: Vec<(usize, Payload)> = Vec::new();
+    let mut pending: Vec<(usize, &Payload)> = Vec::new();
 
     for (i, step) in view.steps.iter().enumerate() {
         for (dst, payload) in pending.drain(..) {
             match payload {
-                Payload::Units(units) => {
-                    for (off, len) in units {
-                        held[dst].insert(off, len);
-                    }
-                }
+                Payload::Units(units) => hold(&mut held[dst], units),
                 Payload::Partial => has_acc[dst] = true,
             }
         }
         for t in &step.transfers {
-            if t.src.rank() >= nprocs || t.dst.rank() >= nprocs {
+            let (src, dst) = (t.src.rank(), t.dst.rank());
+            if src >= nprocs || dst >= nprocs {
                 continue; // already a RankOutOfBounds in verify_schedule
             }
             match &t.payload {
                 Payload::Units(units) => {
-                    for &(off, len) in units {
-                        if len > 0 && !held[t.src.rank()].covers(off, len) {
+                    for &(offset, len) in units {
+                        if !cover(&held[src], |_| true, ranges(src), (offset, len), |_, _| ()) {
                             out.push(Violation::UnmatchedReceive {
                                 step: i,
                                 src: t.src,
                                 dst: t.dst,
-                                offset: off,
+                                offset,
                                 len,
                             });
                         }
@@ -296,7 +297,7 @@ pub fn verify_dataflow(
                         out.push(Violation::PartialWithoutOp { step: i });
                         reported_no_op = true;
                     }
-                    if !has_acc[t.src.rank()] {
+                    if !has_acc[src] {
                         out.push(Violation::PartialWithoutAccumulator {
                             step: i,
                             pid: t.src,
@@ -306,7 +307,7 @@ pub fn verify_dataflow(
             }
             // Queue the delivery even when flagged, so one missing hop
             // does not cascade into spurious downstream findings.
-            pending.push((t.dst.rank(), t.payload.clone()));
+            pending.push((dst, &t.payload));
         }
     }
     out
@@ -349,6 +350,22 @@ mod tests {
         Payload::Units(spans.to_vec())
     }
 
+    fn steps(steps: Vec<StepView>) -> ScheduleView {
+        let whole_blocks = Vec::new();
+        ScheduleView {
+            steps,
+            whole_blocks,
+        }
+    }
+
+    fn holds(units: &[(u64, u64)]) -> ProcHoldings {
+        let units = units.to_vec();
+        ProcHoldings {
+            units,
+            has_acc: false,
+        }
+    }
+
     fn step(scope: Option<Level>, transfers: Vec<TransferView>) -> StepView {
         StepView {
             scope,
@@ -369,37 +386,31 @@ mod tests {
     #[test]
     fn clean_two_step_schedule_passes() {
         let t = flat3();
-        let view = ScheduleView {
-            steps: vec![
-                step(Some(1), vec![xfer(1, 0, 4, units(&[(4, 4)]))]),
-                step(None, vec![]),
-            ],
-        };
+        let view = steps(vec![
+            step(Some(1), vec![xfer(1, 0, 4, units(&[(4, 4)]))]),
+            step(None, vec![]),
+        ]);
         assert!(verify_schedule(&t, &view).is_empty());
-        let init = vec![
-            ProcHoldings {
-                units: vec![(0, 4)],
-                ..Default::default()
-            },
-            ProcHoldings {
-                units: vec![(4, 4)],
-                ..Default::default()
-            },
-            ProcHoldings::default(),
-        ];
+        let init = [holds(&[(0, 4)]), holds(&[(4, 4)]), holds(&[])];
         assert!(verify_dataflow(&t, &view, &init, false).is_empty());
     }
 
     #[test]
-    fn interval_coverage_merges_adjacent_spans() {
-        let mut s = IntervalSet::default();
-        s.insert(0, 4);
-        s.insert(4, 4);
-        s.insert(10, 2);
-        assert!(s.covers(0, 8), "adjacent spans merge: {:?}", s.spans);
-        assert!(s.covers(2, 4));
-        assert!(!s.covers(7, 4), "gap [8,10) is uncovered");
-        assert!(s.covers(11, 0), "empty ranges are trivially covered");
+    fn cover_walks_adjacent_spans_only_where_units_are_ranges() {
+        let units = [(0, 4), (4, 4), (10, 2)];
+        let walk = |ranges, want| {
+            let mut seen = Vec::new();
+            let ok = cover(&units, |_| true, ranges, want, |i, r| seen.push((i, r)));
+            ok.then_some(seen)
+        };
+        assert_eq!(walk(true, (2, 4)), Some(vec![(0, 2..4), (1, 0..2)]));
+        assert_eq!(walk(true, (4, 4)), Some(vec![(1, 0..4)]), "exact id");
+        assert_eq!(walk(true, (7, 4)), None, "gap [8,10) is uncovered");
+        assert_eq!(walk(true, (11, 0)), Some(vec![]), "empty units are covered");
+        assert_eq!(walk(false, (0, 4)), Some(vec![(0, 0..4)]));
+        assert_eq!(walk(false, (0, 8)), None, "blocks are not pieced together");
+        let unheld = cover(&units, |i| i != 1, true, (4, 4), |_, _| ());
+        assert!(!unheld, "a unit not held yet supplies nothing");
     }
 
     #[test]
@@ -407,26 +418,17 @@ mod tests {
         let t = flat3();
         // Step 0 sends [0,4) from 0 to 1; step 0 also has 1 forwarding
         // the same span — too early, it only lands at step 1.
-        let view = ScheduleView {
-            steps: vec![
-                step(
-                    Some(1),
-                    vec![
-                        xfer(0, 1, 4, units(&[(0, 4)])),
-                        xfer(1, 2, 4, units(&[(0, 4)])),
-                    ],
-                ),
-                step(None, vec![]),
-            ],
-        };
-        let init = vec![
-            ProcHoldings {
-                units: vec![(0, 4)],
-                ..Default::default()
-            },
-            ProcHoldings::default(),
-            ProcHoldings::default(),
-        ];
+        let view = steps(vec![
+            step(
+                Some(1),
+                vec![
+                    xfer(0, 1, 4, units(&[(0, 4)])),
+                    xfer(1, 2, 4, units(&[(0, 4)])),
+                ],
+            ),
+            step(None, vec![]),
+        ]);
+        let init = [holds(&[(0, 4)]), holds(&[]), holds(&[])];
         let v = verify_dataflow(&t, &view, &init, false);
         assert!(
             v.iter()
@@ -434,13 +436,11 @@ mod tests {
             "{v:?}"
         );
         // Moving the forward to step 1 is fine.
-        let ok = ScheduleView {
-            steps: vec![
-                step(Some(1), vec![xfer(0, 1, 4, units(&[(0, 4)]))]),
-                step(Some(1), vec![xfer(1, 2, 4, units(&[(0, 4)]))]),
-                step(None, vec![]),
-            ],
-        };
+        let ok = steps(vec![
+            step(Some(1), vec![xfer(0, 1, 4, units(&[(0, 4)]))]),
+            step(Some(1), vec![xfer(1, 2, 4, units(&[(0, 4)]))]),
+            step(None, vec![]),
+        ]);
         assert!(verify_dataflow(&t, &ok, &init, false).is_empty());
     }
 

@@ -130,7 +130,7 @@ pub enum Violation {
         src: ProcId,
         /// Receiver expecting it.
         dst: ProcId,
-        /// First missing item offset.
+        /// Offset of the unit the sender lacks.
         offset: u64,
         /// Length of the unit the sender lacks.
         len: u64,

@@ -86,6 +86,7 @@ impl AdaptivePlan for RepeatedCollective {
             }
         }
         repeated.push(ScheduleStep::drain());
+        repeated.whole_blocks = choice.schedule.whole_blocks.clone();
         // Initial data per the tuner's workload split on *this* tree:
         // re-lowering after a re-calibration re-partitions the
         // c_{i,j} shares by the freshly observed speeds.
@@ -167,6 +168,8 @@ mod tests {
                 "{kind}: one predicted cost per executed step"
             );
             assert!(sched.steps.last().unwrap().scope.is_none(), "ends in drain");
+            let blocks = (kind == CollectiveKind::Alltoall).then(|| vec![true; t.num_procs()]);
+            assert_eq!(sched.whole_blocks, blocks.unwrap_or_default(), "{kind}");
             // Executing the repetition is clean on both engines and
             // observes exactly the predicted number of supersteps.
             for exec in [Executor::simulator(t.clone()), Executor::threads(t.clone())] {

@@ -14,7 +14,7 @@
 //!   level drops from `O(p²)` to `O(clusters²)` at the price of two
 //!   extra supersteps and coordinator relay volume.
 
-use crate::error::CollectiveError;
+use crate::error::{shape, CollectiveError};
 use crate::plan::Strategy;
 use crate::schedule::{
     self, block_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
@@ -44,6 +44,7 @@ pub fn lower_alltoall(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedule {
     let mut sched = CommSchedule::new();
     sched.push(step);
     sched.push(ScheduleStep::drain());
+    sched.whole_blocks = vec![true; p];
     sched
 }
 
@@ -137,6 +138,7 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
     }
     sched.push(fanout);
     sched.push(ScheduleStep::drain());
+    sched.whole_blocks = vec![true; p];
     sched
 }
 
@@ -162,11 +164,8 @@ pub fn run(
 ) -> Result<AllToAllRun, CollectiveError> {
     let tree = exec.tree();
     let p = tree.num_procs();
-    assert_eq!(blocks.len(), p, "blocks must be p × p");
-    assert!(
-        blocks.iter().all(|row| row.len() == p),
-        "blocks must be p × p"
-    );
+    shape("rows of blocks", p, [blocks.len()])?;
+    shape("blocks in a row", p, blocks.iter().map(Vec::len))?;
     let sizes: Vec<Vec<u64>> = blocks
         .iter()
         .map(|row| row.iter().map(|b| b.len() as u64).collect())
@@ -315,9 +314,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "p × p")]
-    fn shape_mismatch_panics() {
+    fn shape_mismatch_is_a_typed_error() {
         let t = TreeBuilder::homogeneous(1.0, 0.0, 3).unwrap();
-        alltoall::run(&sim(&t), blocks(2), Strategy::Flat).unwrap();
+        let err = alltoall::run(&sim(&t), blocks(2), Strategy::Flat).unwrap_err();
+        let (what, want, got) = ("rows of blocks", 3, 2);
+        assert_eq!(err, CollectiveError::Shape { what, want, got });
     }
 }

@@ -43,6 +43,9 @@ pub enum DecodeError {
     /// A partial-reduction vector arrived at a program built without a
     /// `ReduceOp` to fold it with.
     NoReduceOp,
+    /// A piece or bundle named a unit the plan never sends to the
+    /// receiver, so it has no slot for it (a truncated piece is one).
+    UnplannedUnit,
 }
 
 impl fmt::Display for DecodeError {
@@ -62,6 +65,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::ForeignTag(tag) => write!(f, "message with foreign tag {tag:#x}"),
             DecodeError::NoReduceOp => write!(f, "partial-reduction vector but no ReduceOp"),
+            DecodeError::UnplannedUnit => write!(f, "a unit the plan never sends here"),
         }
     }
 }
@@ -89,13 +93,9 @@ impl Piece {
 
     /// Decode from a payload produced by [`Piece::encode`].
     pub fn decode(payload: &[u8]) -> Result<Piece, DecodeError> {
-        let body = whole_words(payload)?
-            .get(4..)
-            .ok_or(DecodeError::MissingOffset)?;
-        Ok(Piece {
-            offset: word_at(payload, 0),
-            items: codec::decode_u32s(body),
-        })
+        let (offset, items) = piece_parts(payload)?;
+        let items = codec::decode_u32s(items);
+        Ok(Piece { offset, items })
     }
 
     /// Number of items.
@@ -128,33 +128,50 @@ pub fn encode_bundle(pieces: &[Piece]) -> Vec<u8> {
 
 /// Decode a payload produced by [`encode_bundle`].
 pub fn decode_bundle(payload: &[u8]) -> Result<Vec<Piece>, DecodeError> {
+    let mut out = Vec::new();
+    walk_bundle(payload, |offset, items| {
+        let items = codec::decode_u32s(items);
+        out.push(Piece { offset, items });
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// A piece payload's offset and item bytes, read in place.
+pub(crate) fn piece_parts(payload: &[u8]) -> Result<(u32, &[u8]), DecodeError> {
+    let items = whole_words(payload)?
+        .get(4..)
+        .ok_or(DecodeError::MissingOffset)?;
+    Ok((word_at(payload, 0), items))
+}
+
+/// Hand each piece of a bundle payload to `piece` as its offset and item
+/// bytes, read in place, in wire order: the first error, the layout's or
+/// `piece`'s, ends the walk.
+pub(crate) fn walk_bundle(
+    payload: &[u8],
+    mut piece: impl FnMut(u32, &[u8]) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
     let words = whole_words(payload)?.len() / 4;
     if words == 0 {
         return Err(DecodeError::MissingCount);
     }
-    let count = word_at(payload, 0) as usize;
-    let mut out = Vec::with_capacity(count.min(words));
     let mut i = 1;
-    for _ in 0..count {
+    for _ in 0..word_at(payload, 0) {
         if i + 2 > words {
             return Err(DecodeError::TruncatedHeader);
         }
-        let offset = word_at(payload, i);
-        let len = word_at(payload, i + 1) as usize;
-        i += 2;
-        if i + len > words {
+        let (offset, len) = (word_at(payload, i), word_at(payload, i + 1) as usize);
+        i += 2 + len;
+        if i > words {
             return Err(DecodeError::TruncatedBody);
         }
-        out.push(Piece {
-            offset,
-            items: codec::decode_u32s(&payload[4 * i..4 * (i + len)]),
-        });
-        i += len;
+        piece(offset, &payload[4 * (i - len)..4 * i])?;
     }
     if i != words {
         return Err(DecodeError::TrailingWords);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `payload` itself if it is a whole number of little-endian words.

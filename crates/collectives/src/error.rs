@@ -13,6 +13,16 @@ pub enum CollectiveError {
     Sim(SimError),
     /// The plan named a root rank the machine does not have.
     Root(RankOutOfRange),
+    /// The input has `got` of `what` where the collective needs `want`
+    /// (one vector or row of blocks per processor, vectors of one length).
+    Shape {
+        /// What was counted.
+        what: &'static str,
+        /// The count the collective needs.
+        want: usize,
+        /// The count the input has.
+        got: usize,
+    },
     /// A processor received a malformed payload.
     Decode {
         /// The processor that failed to decode.
@@ -27,6 +37,9 @@ impl fmt::Display for CollectiveError {
         match self {
             CollectiveError::Sim(e) => write!(f, "engine error: {e}"),
             CollectiveError::Root(e) => write!(f, "{e}"),
+            CollectiveError::Shape { what, want, got } => {
+                write!(f, "input has {got} {what}, the collective needs {want}")
+            }
             CollectiveError::Decode { pid, error } => {
                 write!(f, "processor {pid} received a malformed payload: {error}")
             }
@@ -35,6 +48,19 @@ impl fmt::Display for CollectiveError {
 }
 
 impl std::error::Error for CollectiveError {}
+
+/// `Ok` if every count of `what` in `counts` is `want`, else the first
+/// that is not, as [`CollectiveError::Shape`].
+pub(crate) fn shape(
+    what: &'static str,
+    want: usize,
+    counts: impl IntoIterator<Item = usize>,
+) -> Result<(), CollectiveError> {
+    let got = counts.into_iter().find(|&got| got != want);
+    got.map_or(Ok(()), |got| {
+        Err(CollectiveError::Shape { what, want, got })
+    })
+}
 
 impl From<SimError> for CollectiveError {
     fn from(e: SimError) -> Self {

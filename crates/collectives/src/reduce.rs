@@ -6,7 +6,7 @@
 //! most.
 
 use crate::broadcast::{self, BroadcastPlan, BroadcastRun};
-use crate::error::CollectiveError;
+use crate::error::{shape, CollectiveError};
 use crate::plan::PhasePolicy;
 use crate::plan::{RootPolicy, Strategy};
 use crate::schedule::{self, rep_of, CommSchedule, Role, ScheduleStep, Staging, Transfer};
@@ -156,11 +156,12 @@ pub fn run(
     strategy: Strategy,
 ) -> Result<ReduceRun, CollectiveError> {
     let tree = exec.tree();
-    assert_eq!(vectors.len(), tree.num_procs(), "one vector per processor");
-    assert!(
-        vectors.windows(2).all(|w| w[0].len() == w[1].len()),
-        "reduce vectors must have equal length"
-    );
+    shape("vectors", tree.num_procs(), [vectors.len()])?;
+    shape(
+        "words in a vector",
+        vectors[0].len(),
+        vectors.iter().map(Vec::len),
+    )?;
     let veclen = vectors[0].len() as u64;
     let (sched, root) = match strategy {
         Strategy::Flat => {
@@ -297,16 +298,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal length")]
     fn unequal_lengths_rejected() {
         let t = TreeBuilder::homogeneous(1.0, 0.0, 2).unwrap();
-        reduce::run(
-            &sim(&t),
-            vec![vec![1, 2], vec![3]],
-            ReduceOp::Sum,
-            RootPolicy::Fastest,
-            Strategy::Flat,
-        )
-        .unwrap();
+        let (sum, root) = (ReduceOp::Sum, RootPolicy::Fastest);
+        let (exec, vectors) = (sim(&t), vec![vec![1, 2], vec![3]]);
+        let err = reduce::run(&exec, vectors, sum, root, Strategy::Flat);
+        let (what, want, got) = ("words in a vector", 2, 1);
+        assert_eq!(err.unwrap_err(), CollectiveError::Shape { what, want, got });
     }
 }

@@ -4,7 +4,7 @@
 //! order — the direct BSP scan of Juurlink & Wijshoff's communication
 //! primitives, adapted to the heterogeneous cost model.
 
-use crate::error::CollectiveError;
+use crate::error::{shape, CollectiveError};
 use crate::reduce::ReduceOp;
 use crate::schedule::{self, CommSchedule, Role, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
@@ -62,12 +62,13 @@ pub fn run(
     op: ReduceOp,
 ) -> Result<ScanRun, CollectiveError> {
     let p = exec.tree().num_procs();
-    assert_eq!(vectors.len(), p, "one vector per processor");
-    assert!(
-        vectors.windows(2).all(|w| w[0].len() == w[1].len()),
-        "scan vectors must have equal length"
-    );
-    let veclen = vectors.first().map_or(0, Vec::len) as u64;
+    shape("vectors", p, [vectors.len()])?;
+    shape(
+        "words in a vector",
+        vectors[0].len(),
+        vectors.iter().map(Vec::len),
+    )?;
+    let veclen = vectors[0].len() as u64;
     let sched = lower_scan(exec.tree(), veclen);
     let input = Staging::Accumulators(vectors);
     let (outcome, states) = schedule::run_staged(exec, sched, input, Some(op))?;

@@ -22,7 +22,7 @@
 //! apart — the historic risk of keeping hand-rolled SPMD loops next to
 //! closed-form formulas.
 
-use crate::data::{decode_bundle, shares_for, whole_words, DecodeError, Piece};
+use crate::data::{piece_parts, shares_for, walk_bundle, whole_words, DecodeError, Piece};
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
@@ -32,14 +32,13 @@ use hbsp_core::{
     StepOutcome, SyncScope, WireWriter,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identity of a contiguous data unit moved by a schedule: `len` items
 /// starting at `offset` of the collective's global index space. Gather,
 /// broadcast, scatter and allgather use array offsets; alltoall uses
-/// block ids (`src·p + dst`). Two units with the same id carry the same
-/// data, so receivers deduplicate by id.
+/// block ids (`src·p + dst`), whole blocks ([`CommSchedule::whole_blocks`]).
+/// Two units with the same id carry the same data: receivers dedupe by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnitId {
     /// First index of the unit within the global space.
@@ -52,6 +51,11 @@ impl UnitId {
     /// A unit spanning `offset..offset + len`.
     pub fn new(offset: u32, len: u32) -> Self {
         UnitId { offset, len }
+    }
+
+    /// `(offset, len)`, as the checker's [`hbsp_check::cover`] takes it.
+    pub(crate) fn span(self) -> (u64, u64) {
+        (self.offset as u64, self.len as u64)
     }
 }
 
@@ -126,6 +130,9 @@ impl ScheduleStep {
 pub struct CommSchedule {
     /// The supersteps in execution order.
     pub steps: Vec<ScheduleStep>,
+    /// Per rank, true where its units are whole all-to-all blocks, matched
+    /// by exact id only; ranks past the end hold ranges of one array.
+    pub whole_blocks: Vec<bool>,
 }
 
 impl CommSchedule {
@@ -335,23 +342,72 @@ pub struct ProcInit {
     pub acc: Option<Vec<u32>>,
 }
 
-/// Where a stored unit's items live: in place in the program's shared
-/// initial holdings, or in a vector decoded off the wire.
-#[derive(Debug, Clone)]
-enum Held {
-    Init(usize),
-    Received(Vec<u32>),
+/// Every unit each processor may hold, rank after rank, each rank's in
+/// id order: its initial units and a slot per unit the plan sends it.
+#[derive(Debug)]
+struct Layout {
+    /// The units' `(offset, len)`.
+    spans: Vec<(u64, u64)>,
+    /// Per unit, `Some(Init(k))` or, for a slot, `None`: `held` at start.
+    initial: Vec<Option<Home>>,
+    /// Rank `r`'s units are `at[r]..at[r + 1]`.
+    at: Vec<usize>,
 }
 
-/// Per-processor execution state: the unit store, the reduction
-/// accumulator, and the first data error encountered (if any).
+/// Where a held unit's items live: in place in the program's shared
+/// initial holdings, or at that word of the processor's arena.
+#[derive(Debug, Clone, Copy)]
+enum Home {
+    Init(usize),
+    Arena(usize),
+}
+
+impl Layout {
+    /// An initial unit also planned to arrive keeps its initial home:
+    /// the same id carries the same data.
+    fn new(init: &[ProcInit], slots: &[(usize, UnitId)]) -> Layout {
+        let units = slots.len() + init.iter().map(|i| i.units.len()).sum::<usize>();
+        let (mut spans, mut initial) = (Vec::with_capacity(units), Vec::with_capacity(units));
+        let (mut at, mut slots) = (Vec::with_capacity(init.len() + 1), slots.iter().peekable());
+        for (rank, init) in init.iter().enumerate() {
+            let start = spans.len();
+            at.push(start);
+            while let Some((_, id)) = slots.next_if(|s| s.0 == rank) {
+                spans.push(id.span());
+                initial.push(None);
+            }
+            for (k, (id, _)) in init.units.iter().enumerate() {
+                match spans[start..].binary_search(&id.span()) {
+                    Ok(i) => drop(initial[start + i].get_or_insert(Home::Init(k))),
+                    Err(i) => {
+                        spans.insert(start + i, id.span());
+                        initial.insert(start + i, Some(Home::Init(k)));
+                    }
+                }
+            }
+        }
+        at.push(spans.len());
+        Layout { spans, initial, at }
+    }
+}
+
+/// Per-processor execution state: its units, the reduction accumulator,
+/// and the first data error encountered (if any).
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleState {
     /// The program's initial holdings and this processor's row in them:
-    /// what [`Held::Init`] indexes.
+    /// where [`Home::Init`] units are read in place.
     init: Arc<Vec<ProcInit>>,
     rank: usize,
-    store: BTreeMap<UnitId, Held>,
+    layout: Option<Arc<Layout>>,
+    /// This processor's units in the layout.
+    mine: std::ops::Range<usize>,
+    /// Its units are whole blocks ([`CommSchedule::whole_blocks`]).
+    whole_blocks: bool,
+    /// Received units' items in order of arrival, with room made at `init`.
+    arena: Vec<u32>,
+    /// Per unit of the layout, where its items live if it is held now.
+    held: Vec<Option<Home>>,
     acc: Option<Vec<u32>>,
     error: Option<DecodeError>,
 }
@@ -365,15 +421,22 @@ impl PartialEq for ScheduleState {
 }
 
 impl ScheduleState {
-    fn items<'a>(&'a self, held: &'a Held) -> &'a [u32] {
-        match held {
-            Held::Init(i) => &self.init[self.rank].units[*i].1,
-            Held::Received(items) => items,
+    fn spans(&self) -> &[(u64, u64)] {
+        (self.layout.as_ref()).map_or(&[], |l| &l.spans[self.mine.clone()])
+    }
+
+    fn items(&self, i: usize) -> &[u32] {
+        match self.held[i] {
+            Some(Home::Init(k)) => &self.init[self.rank].units[k].1,
+            Some(Home::Arena(at)) => &self.arena[at..at + self.spans()[i].1 as usize],
+            None => &[],
         }
     }
 
     fn units(&self) -> impl Iterator<Item = (UnitId, &[u32])> {
-        self.store.iter().map(|(&id, held)| (id, self.items(held)))
+        let spans = self.spans().iter().enumerate();
+        (spans.filter(|&(i, _)| self.held[i].is_some()))
+            .map(|(i, &(offset, len))| (UnitId::new(offset as u32, len as u32), self.items(i)))
     }
 
     /// The units currently held, as offset-tagged pieces in id order.
@@ -396,46 +459,23 @@ impl ScheduleState {
         self.error
     }
 
-    /// Hand `uid`'s items to `f` as borrowed slices in item order: the
-    /// exact unit if stored, otherwise the segments of stored units
-    /// covering its range. `Err` names the first item nobody covers
-    /// (segments before it have already been handed over).
-    fn segments<'a>(&'a self, uid: UnitId, mut f: impl FnMut(&'a [u32])) -> Result<(), u64> {
-        if let Some(held) = self.store.get(&uid) {
-            f(self.items(held));
-            return Ok(());
-        }
-        let end = uid.offset as u64 + uid.len as u64;
-        let mut next = uid.offset as u64;
-        // Ascending offsets: once a unit starts past `next`, so does
-        // every later one.
-        for (id, items) in self.units() {
-            let s = id.offset as u64;
-            if next == end || s > next {
-                break;
-            }
-            let e = (s + id.len as u64).min(end);
-            if e > next {
-                f(&items[(next - s) as usize..(e - s) as usize]);
-                next = e;
-            }
-        }
-        if next == end {
-            Ok(())
-        } else {
-            Err(next)
-        }
+    /// Hand `uid`'s items to `f` as borrowed slices in item order, as
+    /// [`hbsp_check::cover`] finds them among the held units. Returns
+    /// whether `uid` is covered.
+    fn cover<'a>(&'a self, uid: UnitId, mut f: impl FnMut(&'a [u32])) -> bool {
+        let held = |i: usize| self.held[i].is_some();
+        let items = |i, r: std::ops::Range<usize>| f(&self.items(i)[r]);
+        hbsp_check::cover(self.spans(), held, !self.whole_blocks, uid.span(), items)
     }
 
-    /// Materialize `uid` from the store: the exact unit if present,
-    /// otherwise assembled from stored units covering its range.
-    /// [`DecodeError::MissingUnit`] if the store does not cover it — the
+    /// Materialize `uid` from the held units, by [`hbsp_check::cover`].
+    /// [`DecodeError::MissingUnit`] if they do not cover it — the
     /// collective never delivered that data here (a fault upstream).
     pub fn try_unit(&self, uid: UnitId) -> Result<Vec<u32>, DecodeError> {
         let mut out = Vec::with_capacity(uid.len as usize);
-        match self.segments(uid, |s| out.extend_from_slice(s)) {
-            Ok(()) => Ok(out),
-            Err(_) => Err(DecodeError::MissingUnit),
+        match self.cover(uid, |s| out.extend_from_slice(s)) {
+            true => Ok(out),
+            false => Err(DecodeError::MissingUnit),
         }
     }
 
@@ -443,7 +483,7 @@ impl ScheduleState {
     /// there.
     ///
     /// # Panics
-    /// Panics if the store does not cover the unit.
+    /// Panics if the held units do not cover it.
     pub fn unit(&self, uid: UnitId) -> Vec<u32> {
         self.try_unit(uid).unwrap_or_else(|_| {
             panic!("schedule references unit {uid:?}, which the processor does not hold")
@@ -456,9 +496,8 @@ impl ScheduleState {
         let mut partials: Vec<(ProcId, &[u8])> = Vec::new();
         for m in messages {
             let decoded = match m.tag {
-                TAG_PIECE => Piece::decode(m.payload).map(|p| self.insert(p)),
-                TAG_BUNDLE => decode_bundle(m.payload)
-                    .map(|pieces| pieces.into_iter().for_each(|p| self.insert(p))),
+                TAG_PIECE => piece_parts(m.payload).and_then(|(o, items)| self.store(o, items)),
+                TAG_BUNDLE => walk_bundle(m.payload, |o, items| self.store(o, items)),
                 TAG_PARTIAL => {
                     partials.push((m.src, m.payload));
                     Ok(())
@@ -481,11 +520,16 @@ impl ScheduleState {
         }
     }
 
-    fn insert(&mut self, p: Piece) {
-        self.store.insert(
-            UnitId::new(p.offset, p.len() as u32),
-            Held::Received(p.items),
-        );
+    /// Decode a received unit's items straight into the arena, once: a
+    /// unit already held carries the same data and is not written again.
+    fn store(&mut self, offset: u32, items: &[u8]) -> Result<(), DecodeError> {
+        let span = (offset as u64, items.len() as u64 / 4);
+        let i = (self.spans().binary_search(&span)).map_err(|_| DecodeError::UnplannedUnit)?;
+        if self.held[i].is_none() {
+            self.held[i] = Some(Home::Arena(self.arena.len()));
+            self.arena.extend(codec::read_u32s(items));
+        }
+        Ok(())
     }
 
     /// Fold a partial vector into the accumulator straight off the wire.
@@ -510,7 +554,7 @@ impl ScheduleState {
     /// rank's broken fill (`FillLength`), never as a short message.
     fn write(&self, send: &SendEntry, w: &mut WireWriter<'_>) {
         let items = |w: &mut WireWriter<'_>, uid| {
-            let _checked_before_posting = self.segments(uid, |s| w.u32s(s));
+            let _checked_before_posting = self.cover(uid, |s| w.u32s(s));
         };
         match send.tag {
             TAG_PARTIAL => w.u32s(self.acc.as_deref().unwrap_or_default()),
@@ -569,12 +613,14 @@ pub struct ProcStep {
 pub struct ExecPlan {
     /// Per superstep, the per-processor tables indexed by rank.
     pub steps: Vec<Vec<ProcStep>>,
+    /// Each distinct `(rank, unit)` the plan sends, sorted: one arena slot.
+    pub(crate) slots: Vec<(usize, UnitId)>,
 }
 
 impl ExecPlan {
-    /// Compile `schedule` for `nprocs` processors. O(transfers); entries
-    /// naming ranks the machine does not have are dropped (no processor
-    /// would ever have executed them).
+    /// Compile `schedule` for `nprocs` processors. O(transfers · log
+    /// units); entries naming ranks the machine does not have are
+    /// dropped (no processor would ever have executed them).
     ///
     /// A transfer whose payload is its sender's previous send of the
     /// step — same tag, units and wire length — joins that entry as one
@@ -584,6 +630,7 @@ impl ExecPlan {
     /// order.
     pub fn compile(schedule: &CommSchedule, nprocs: usize) -> ExecPlan {
         let mut steps = vec![vec![ProcStep::default(); nprocs]; schedule.steps.len()];
+        let mut slots = Vec::new();
         for (s, step) in schedule.steps.iter().enumerate() {
             for &(pid, units) in step.work.iter().filter(|w| w.0.rank() < nprocs) {
                 steps[s][pid.rank()].charge += units;
@@ -597,6 +644,9 @@ impl ExecPlan {
                     }
                     Role::Partial => (TAG_PARTIAL, t.words as usize, Vec::new()),
                 };
+                if t.dst.rank() < nprocs {
+                    slots.extend(units.iter().map(|&u| (t.dst.rank(), u)));
+                }
                 let sends = &mut steps[s][t.src.rank()].sends;
                 match sends.last_mut() {
                     Some(last)
@@ -617,7 +667,9 @@ impl ExecPlan {
                 }
             }
         }
-        ExecPlan { steps }
+        slots.sort_unstable();
+        slots.dedup();
+        ExecPlan { steps, slots }
     }
 }
 
@@ -631,6 +683,7 @@ pub struct ScheduleProgram {
     schedule: Arc<CommSchedule>,
     plan: ExecPlan,
     init: Arc<Vec<ProcInit>>,
+    layout: Arc<Layout>,
     op: Option<ReduceOp>,
 }
 
@@ -653,10 +706,12 @@ impl ScheduleProgram {
             "only the final step may be a drain"
         );
         let plan = ExecPlan::compile(&schedule, init.len());
+        let layout = Arc::new(Layout::new(&init, &plan.slots));
         ScheduleProgram {
             schedule,
             plan,
             init,
+            layout,
             op,
         }
     }
@@ -676,15 +731,19 @@ impl SpmdProgram for ScheduleProgram {
     type State = ScheduleState;
 
     fn init(&self, env: &ProcEnv) -> ScheduleState {
-        let rank = env.pid.rank();
-        let init = &self.init[rank];
+        let (rank, lay) = (env.pid.rank(), &self.layout);
+        let mine = lay.at[rank]..lay.at[rank + 1];
+        let (spans, initial) = (&lay.spans[mine.clone()], &lay.initial[mine.clone()]);
+        let slots = spans.iter().zip(initial).filter(|(_, home)| home.is_none());
         ScheduleState {
             init: Arc::clone(&self.init),
             rank,
-            store: (0..init.units.len())
-                .map(|i| (init.units[i].0, Held::Init(i)))
-                .collect(),
-            acc: init.acc.clone(),
+            arena: Vec::with_capacity(slots.map(|(s, _)| s.1 as usize).sum()),
+            held: initial.to_vec(),
+            layout: Some(Arc::clone(&self.layout)),
+            mine,
+            whole_blocks: self.schedule.whole_blocks.get(rank) == Some(&true),
+            acc: self.init[rank].acc.clone(),
             error: None,
         }
     }
@@ -704,8 +763,7 @@ impl SpmdProgram for ScheduleProgram {
         // is a data error like a malformed payload, and so is a message
         // that never did (`absorb` counts them).
         if state.error.is_none()
-            && !(mine.sends.iter().flat_map(|s| &s.units))
-                .all(|&u| state.segments(u, |_| ()).is_ok())
+            && !(mine.sends.iter().flat_map(|s| &s.units)).all(|&u| state.cover(u, |_| ()))
         {
             state.error = Some(DecodeError::MissingUnit);
         }
@@ -920,30 +978,37 @@ mod tests {
         }
     }
 
+    /// The state of a lone processor that starts with `units`, on a
+    /// rank of ranges or of whole blocks.
+    fn holding(units: &[(UnitId, Vec<u32>)], whole_blocks: bool) -> ScheduleState {
+        let tree = Arc::new(TreeBuilder::homogeneous(1.0, 0.0, 1).unwrap());
+        let mut sched = CommSchedule::new();
+        sched.push(ScheduleStep::drain());
+        sched.whole_blocks = vec![whole_blocks];
+        let units = units.to_vec();
+        let init = vec![ProcInit { units, acc: None }];
+        let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+        let (pid, nprocs) = (ProcId(0), 1);
+        prog.init(&ProcEnv { pid, nprocs, tree })
+    }
+
     #[test]
     fn unit_assembles_from_covering_pieces() {
-        let mut st = ScheduleState::default();
-        st.insert(Piece {
-            offset: 0,
-            items: vec![1, 2],
-        });
-        st.insert(Piece {
-            offset: 2,
-            items: vec![3, 4, 5],
-        });
+        let units = [unit(2, &[3, 4, 5]), unit(0, &[1, 2])];
+        let st = holding(&units, false);
         assert_eq!(st.unit(UnitId::new(1, 3)), vec![2, 3, 4]);
         assert_eq!(st.unit(UnitId::new(0, 5)), vec![1, 2, 3, 4, 5]);
         assert_eq!(st.unit(UnitId::new(0, 0)), Vec::<u32>::new());
+        let blocks = holding(&units, true);
+        assert_eq!(blocks.unit(UnitId::new(2, 3)), vec![3, 4, 5], "exact id");
+        let (pieced, missing) = (UnitId::new(1, 3), Err(DecodeError::MissingUnit));
+        assert_eq!(blocks.try_unit(pieced), missing, "blocks are not ranges");
     }
 
     #[test]
     #[should_panic(expected = "does not hold")]
     fn unit_panics_on_uncovered_range() {
-        let mut st = ScheduleState::default();
-        st.insert(Piece {
-            offset: 0,
-            items: vec![1, 2],
-        });
+        let st = holding(&[unit(0, &[1, 2])], false);
         assert_eq!(
             st.try_unit(UnitId::new(0, 4)),
             Err(DecodeError::MissingUnit)
@@ -953,14 +1018,7 @@ mod tests {
 
     #[test]
     fn held_by_all_names_the_rank_whose_copy_differs_or_is_short() {
-        let holding = |items: &[u32]| {
-            let mut st = ScheduleState::default();
-            st.insert(Piece {
-                offset: 0,
-                items: items.to_vec(),
-            });
-            st
-        };
+        let holding = |items: &[u32]| holding(&[unit(0, items)], false);
         let items = [4, 5, 6];
         let all = |middle: &[u32]| held_by_all(&[&items, middle, &items].map(holding), &items);
         assert_eq!(all(&items), Ok(items.to_vec()));

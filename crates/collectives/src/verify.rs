@@ -15,7 +15,7 @@
 
 use crate::plan::{PhasePolicy, WorkloadPolicy};
 use crate::schedule::{
-    stage, step_hrelation, CommSchedule, ProcInit, Role, ScheduleStep, Staging, Transfer, UnitId,
+    stage, step_hrelation, CommSchedule, ProcInit, Role, ScheduleStep, Staging, Transfer,
 };
 use crate::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
 pub use hbsp_check::Violation;
@@ -29,6 +29,7 @@ use hbsp_core::MachineTree;
 pub fn schedule_view(schedule: &CommSchedule) -> ScheduleView {
     ScheduleView {
         steps: schedule.steps.iter().map(step_view).collect(),
+        whole_blocks: schedule.whole_blocks.clone(),
     }
 }
 
@@ -42,8 +43,8 @@ fn step_view(step: &ScheduleStep) -> StepView {
 
 fn transfer_view(t: &Transfer) -> TransferView {
     let payload = match &t.role {
-        Role::Piece(uid) => Payload::Units(vec![unit_span(*uid)]),
-        Role::Bundle(uids) => Payload::Units(uids.iter().map(|&u| unit_span(u)).collect()),
+        Role::Piece(uid) => Payload::Units(vec![uid.span()]),
+        Role::Bundle(uids) => Payload::Units(uids.iter().map(|u| u.span()).collect()),
         Role::Partial => Payload::Partial,
     };
     TransferView {
@@ -54,15 +55,11 @@ fn transfer_view(t: &Transfer) -> TransferView {
     }
 }
 
-fn unit_span(uid: UnitId) -> (u64, u64) {
-    (uid.offset as u64, uid.len as u64)
-}
-
 /// Project initial placements into the checker's holdings.
 pub fn holdings(init: &[ProcInit]) -> Vec<ProcHoldings> {
     init.iter()
         .map(|p| ProcHoldings {
-            units: p.units.iter().map(|&(uid, _)| unit_span(uid)).collect(),
+            units: p.units.iter().map(|(uid, _)| uid.span()).collect(),
             has_acc: p.acc.is_some(),
         })
         .collect()
@@ -232,7 +229,7 @@ pub fn verify_standard_lowerings(tree: &MachineTree, n: u64) -> Vec<VerifiedLowe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::share_inits;
+    use crate::schedule::{share_inits, UnitId};
     use hbsp_core::{ProcId, SyncScope, TreeBuilder};
 
     fn campus() -> MachineTree {
@@ -302,6 +299,7 @@ mod tests {
         });
         let sched = CommSchedule {
             steps: vec![step, ScheduleStep::drain()],
+            ..CommSchedule::default()
         };
         let mut init = vec![ProcInit::default(); t.num_procs()];
         init[0].units.push((UnitId::new(0, 1), vec![9]));

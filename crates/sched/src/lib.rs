@@ -541,6 +541,53 @@ mod tests {
         assert_eq!(ship.states[1].unit(UnitId::new(0, 4)), vec![1, 2, 3, 4]);
     }
 
+    /// Rank 0 holds the blocks with ids 4 and 6, 4 words each, and
+    /// sends the unit `(5, 4)` to rank 1: words of its two blocks, which
+    /// is a unit only where units are ranges of one array.
+    fn pieced_send(whole_blocks: bool) -> Job {
+        let mut step = ScheduleStep::at(SyncScope::Level(1));
+        let (src, dst, words) = (ProcId(0), ProcId(1), 4);
+        let role = Role::Piece(UnitId::new(5, 4));
+        step.transfers.push(Transfer {
+            src,
+            dst,
+            words,
+            role,
+        });
+        let mut sched = CommSchedule::new();
+        sched.push(step);
+        sched.push(ScheduleStep::drain());
+        sched.whole_blocks = vec![whole_blocks; 2];
+        let mut init = vec![ProcInit::default(), ProcInit::default()];
+        init[0].units = vec![
+            (UnitId::new(4, 4), vec![4; 4]),
+            (UnitId::new(6, 4), vec![6; 4]),
+        ];
+        Job::custom("pieced", sched, init, None)
+    }
+
+    /// A batch keeps each job's whole-block ranks on the leaves the job
+    /// runs on: beside a gather, the pieced send runs on ranges and is
+    /// refused on blocks (by the pre-flight, or, unchecked, as the
+    /// sender's `MissingUnit`).
+    #[test]
+    fn a_batch_keeps_each_jobs_whole_block_ranks() {
+        for whole_blocks in [false, true] {
+            let mut s = Scheduler::new(campus_like());
+            s.submit(pieced_send(whole_blocks));
+            s.submit(Job::collective("g", CollectiveKind::Gather, 8));
+            let opts = RunOptions {
+                engine: Engine::Simulator,
+                serial: false,
+                adapt: None,
+            };
+            let ran = s.run(&opts).ok().filter(SchedReport::clean);
+            let got = ran.map(|rep| rep.jobs[0].states[1].try_unit(UnitId::new(5, 4)));
+            let want = (!whole_blocks).then_some(Ok(vec![4, 4, 4, 6]));
+            assert_eq!(got, want, "whole blocks: {whole_blocks}");
+        }
+    }
+
     #[test]
     fn conflicting_reduce_ops_defer_to_a_later_batch() {
         let mut s = Scheduler::new(campus_like());

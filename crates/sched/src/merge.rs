@@ -15,6 +15,11 @@
 //! accepted the tenants individually. Unit-id spaces may collide across
 //! jobs, but stores are per-processor and concurrent claims are
 //! leaf-disjoint, so no processor ever sees two tenants' units.
+//!
+//! Whether a rank's units are whole all-to-all blocks or ranges of one
+//! array (`CommSchedule::whole_blocks`) is a per-rank fact: a batch
+//! mixes both kinds on disjoint leaves, so it is remapped with the
+//! ranks.
 
 use crate::lower::LoweredJob;
 use hbsp_collectives::schedule::ProcInit;
@@ -39,6 +44,13 @@ pub(crate) fn merge(tree: &MachineTree, lowered: &[LoweredJob]) -> (CommSchedule
     let body_of = |l: &LoweredJob| l.priced.schedule().num_steps().saturating_sub(1);
     let body = lowered.iter().map(body_of).max().unwrap_or(0);
     let mut schedule = CommSchedule::new();
+    schedule.whole_blocks = vec![false; p];
+    for l in lowered {
+        let leaves = &l.priced.carved.leaves;
+        for (rank, &whole) in l.priced.schedule().whole_blocks.iter().enumerate() {
+            schedule.whole_blocks[leaves[rank].rank()] |= whole;
+        }
+    }
     for s in 0..body {
         // `body` is the longest member body, so some member is active
         // at every body step and the loop never breaks early.

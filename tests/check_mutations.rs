@@ -7,12 +7,18 @@
 mod common;
 
 use common::arb_machine;
+use hbsp::collectives::plan::PhasePolicy;
 use hbsp::collectives::plan::WorkloadPolicy;
+use hbsp::collectives::reduce::{self, ReduceOp};
 use hbsp::collectives::schedule::{
-    execute, share_inits, CommSchedule, ProcInit, ScheduleProgram, ScheduleStep,
+    execute, share_inits, stage, CommSchedule, ProcInit, ScheduleProgram, ScheduleState,
+    ScheduleStep, Staging,
 };
 use hbsp::collectives::verify::{verify, verify_standard_lowerings, Violation};
-use hbsp::collectives::{gather, CollectiveError, DecodeError, Role, Transfer, UnitId};
+use hbsp::collectives::{
+    allgather, alltoall, broadcast, gather, scan, scatter, CollectiveError, DecodeError, Role,
+    Transfer, UnitId,
+};
 use hbsp::prelude::*;
 use hbsp::sim::SimError;
 use proptest::prelude::*;
@@ -174,6 +180,92 @@ fn dropped_stage1_transfer_is_an_unmatched_receive() {
     );
 }
 
+/// All-to-all blocks of 8 words, `1000·i + 100·j + x` for the block
+/// `i → j`, on `tree`: the sizes and the staged holdings.
+fn eight_word_blocks(tree: &MachineTree) -> (Vec<Vec<u64>>, Vec<ProcInit>) {
+    let p = tree.num_procs();
+    let block = |i: usize, j: usize| (0..8).map(|x| (1000 * i + 100 * j + x) as u32).collect();
+    let blocks = (0..p)
+        .map(|i| (0..p).map(|j| block(i, j)).collect())
+        .collect();
+    (vec![vec![8; p]; p], stage(tree, Staging::Blocks(blocks)))
+}
+
+/// The hierarchical all-to-all's coordinator forwards exactly what its
+/// members handed up: drop the stage-1 hand-up P1 → P0 of block 1→2,
+/// and the stage-2 bundle P0 → P2 carries a block P0 never received.
+/// Block ids overlap as offsets, but the words next to it are not it.
+#[test]
+fn dropped_alltoall_hand_up_is_an_unmatched_receive() {
+    let t = TreeBuilder::two_level(
+        1.0,
+        100.0,
+        &[
+            (10.0, vec![(1.0, 1.0), (2.0, 0.5)]),
+            (10.0, vec![(2.0, 0.4), (2.5, 0.35)]),
+        ],
+    )
+    .unwrap();
+    let (sizes, init) = eight_word_blocks(&t);
+    let mut sched = alltoall::lower_alltoall_hier(&t, &sizes);
+    let hand_up = Role::Bundle(vec![UnitId::new(6, 8)]);
+    let victim = (sched.steps[0].transfers.iter())
+        .position(|x| (x.src, x.dst, &x.role) == (ProcId(1), ProcId(0), &hand_up))
+        .expect("P1 hands block 1→2 up to P0");
+    sched.steps[0].transfers.remove(victim);
+    let fatal: Vec<Violation> = (verify(&t, &sched, &init, false).into_iter())
+        .filter(Violation::is_fatal)
+        .collect();
+    let (src, dst) = (ProcId(0), ProcId(2));
+    let (offset, len) = (6, 8);
+    let unmatched = Violation::UnmatchedReceive {
+        step: 1,
+        src,
+        dst,
+        offset,
+        len,
+    };
+    assert_eq!(fatal, [unmatched]);
+}
+
+/// The flat all-to-all has no later hop to check, so `verify` passes
+/// the schedule without the direct P1 → P2 transfer. Run, P2 reads
+/// block 1→2 as missing on both engines — not as the words of the
+/// blocks whose ids are next to it — and every other block whole.
+#[test]
+fn dropped_flat_alltoall_transfer_is_a_missing_unit_on_both_engines() {
+    let t = Arc::new(
+        TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (1.5, 0.7), (2.0, 0.5), (3.0, 0.3)]).unwrap(),
+    );
+    let (sizes, init) = eight_word_blocks(&t);
+    let mut sched = alltoall::lower_alltoall(&t, &sizes);
+    sched.steps[0]
+        .transfers
+        .retain(|x| (x.src, x.dst) != (ProcId(1), ProcId(2)));
+    let v = verify(&t, &sched, &init, false);
+    assert!(!v.iter().any(Violation::is_fatal), "{v:?}");
+    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+    for exec in [Executor::simulator, Executor::threads].map(|on| on(Arc::clone(&t))) {
+        let (_, states) = execute(&exec, &prog).expect("nothing is sent that was not held");
+        for (i, j) in (0..4).flat_map(|i| (0..4).map(move |j| (i, j))) {
+            let read = states[j].try_unit(UnitId::new(4 * i + j as u32, 8));
+            let read = read.map_err(|error| CollectiveError::Decode {
+                pid: ProcId(j as u32),
+                error,
+            });
+            let want = match (i, j) {
+                (1, 2) => Err(CollectiveError::Decode {
+                    pid: ProcId(2),
+                    error: DecodeError::MissingUnit,
+                }),
+                _ if i as usize == j => continue,
+                _ => Ok((0..8).map(|x| 1000 * i + 100 * j as u32 + x).collect()),
+            };
+            assert_eq!(read, want, "block {i}→{j} on {}", exec.engine_name());
+        }
+    }
+}
+
 #[test]
 fn popped_drain_is_named() {
     let (t, mut sched, init) = baseline();
@@ -194,6 +286,7 @@ fn partial_without_op_is_named() {
     });
     let sched = CommSchedule {
         steps: vec![step, ScheduleStep::drain()],
+        ..CommSchedule::default()
     };
     // `init` has units but no accumulators and we pass has_op = false:
     // both halves of the partial-combine contract are broken.
@@ -249,6 +342,7 @@ fn malformed_program() -> (Arc<MachineTree>, ScheduleProgram) {
     });
     let sched = CommSchedule {
         steps: vec![step, ScheduleStep::drain()],
+        ..CommSchedule::default()
     };
     let init = vec![ProcInit::default(); 2]; // nobody holds [0, 4)
     let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
@@ -292,4 +386,275 @@ fn without_preflight_the_same_schedule_ends_in_a_typed_error() {
             other => panic!("expected a Decode error, got {:?}", other.map(|r| r.1)),
         }
     }
+}
+
+/// One standard lowering on one machine, ready to run: what
+/// `verify_standard_lowerings` lowers, with words that tell every unit
+/// and every rank's partial apart.
+struct Case {
+    name: &'static str,
+    sched: CommSchedule,
+    init: Arc<Vec<ProcInit>>,
+    op: Option<ReduceOp>,
+}
+
+fn standard_cases(t: &MachineTree, n: u64) -> Vec<Case> {
+    let p = t.num_procs();
+    let (root, workload) = (t.fastest_proc(), WorkloadPolicy::Balanced);
+    let items: Vec<u32> = (0..n as u32).map(|i| 7000 + i).collect();
+    let shares = Arc::new(stage(t, Staging::Shares(&items, workload)));
+    let rooted = Arc::new(stage(t, Staging::AtRoot(root, items.clone())));
+    let partials = (0..p).map(|i| vec![1 << i; n as usize]).collect();
+    let accs = Arc::new(stage(t, Staging::Accumulators(partials)));
+    let sizes: Vec<Vec<u64>> = (0..p)
+        .map(|i| (0..p).map(|j| ((i + 2 * j) % 5 + 1) as u64).collect())
+        .collect();
+    let block = |i: usize, j: usize| {
+        (0..sizes[i][j] as usize).map(move |x| (1000 * i + 100 * j + x) as u32)
+    };
+    let blocks = (0..p)
+        .map(|i| (0..p).map(|j| block(i, j).collect()).collect())
+        .collect();
+    let blocks = Arc::new(stage(t, Staging::Blocks(blocks)));
+    let (one, two) = (PhasePolicy::OnePhase, PhasePolicy::TwoPhase);
+    let sum = Some(ReduceOp::Sum);
+    let case = |name, sched, init: &Arc<Vec<ProcInit>>, op| Case {
+        name,
+        sched,
+        init: Arc::clone(init),
+        op,
+    };
+    vec![
+        case(
+            "gather/flat",
+            gather::lower_flat_gather(t, n, root, workload),
+            &shares,
+            None,
+        ),
+        case(
+            "gather/hier",
+            gather::lower_hierarchical_gather(t, n, workload),
+            &shares,
+            None,
+        ),
+        case(
+            "broadcast/flat/one-phase",
+            broadcast::lower_flat_broadcast(t, n, root, one, workload),
+            &rooted,
+            None,
+        ),
+        case(
+            "broadcast/flat/two-phase",
+            broadcast::lower_flat_broadcast(t, n, root, two, workload),
+            &rooted,
+            None,
+        ),
+        case(
+            "broadcast/hier",
+            broadcast::lower_hierarchical_broadcast(t, n, two, two, workload),
+            &rooted,
+            None,
+        ),
+        case(
+            "scatter",
+            scatter::lower_scatter(t, n, root, workload),
+            &rooted,
+            None,
+        ),
+        case(
+            "allgather/flat",
+            allgather::lower_flat_allgather(t, n, workload),
+            &shares,
+            None,
+        ),
+        case(
+            "allgather/hier",
+            allgather::lower_hierarchical_allgather(t, n, workload),
+            &shares,
+            None,
+        ),
+        case(
+            "alltoall/flat",
+            alltoall::lower_alltoall(t, &sizes),
+            &blocks,
+            None,
+        ),
+        case(
+            "alltoall/hier",
+            alltoall::lower_alltoall_hier(t, &sizes),
+            &blocks,
+            None,
+        ),
+        case(
+            "reduce/flat",
+            reduce::lower_flat_reduce(t, n, root),
+            &accs,
+            sum,
+        ),
+        case(
+            "reduce/hier",
+            reduce::lower_hierarchical_reduce(t, n),
+            &accs,
+            sum,
+        ),
+        case("scan", scan::lower_scan(t, n), &accs, sum),
+    ]
+}
+
+/// Every single-transfer edit of `sched` on `p` ranks: dropped,
+/// duplicated in its step, duplicated into the next step when that
+/// step has a barrier, and redirected to each rank that is neither its
+/// source nor its destination.
+fn each_mutant(sched: &CommSchedule, p: usize, mut f: impl FnMut(CommSchedule)) {
+    for (s, step) in sched.steps.iter().enumerate() {
+        for (k, t) in step.transfers.iter().enumerate() {
+            let edit = |edit: &mut dyn FnMut(&mut CommSchedule)| {
+                let mut m = sched.clone();
+                edit(&mut m);
+                m
+            };
+            f(edit(&mut |m| drop(m.steps[s].transfers.remove(k))));
+            f(edit(&mut |m| m.steps[s].transfers.insert(k, t.clone())));
+            if sched
+                .steps
+                .get(s + 1)
+                .is_some_and(|next| next.scope.is_some())
+            {
+                f(edit(&mut |m| m.steps[s + 1].transfers.push(t.clone())));
+            }
+            for r in (0..p as u32)
+                .map(ProcId)
+                .filter(|&r| r != t.src && r != t.dst)
+            {
+                f(edit(&mut |m| m.steps[s].transfers[k].dst = r));
+            }
+        }
+    }
+}
+
+/// What one mutant comes to, worst last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Verdict {
+    /// `verify` reports a fatal violation.
+    Fatal,
+    /// The run ends in a typed error.
+    Refused,
+    /// Every rank holds what it held in the unmutated run.
+    Equivalent,
+    /// A rank lacks a unit it held: reading it is `MissingUnit`.
+    Short,
+    /// A read returns other words, or an accumulator differs.
+    Silent,
+}
+
+fn verdict(
+    baseline: &[ScheduleState],
+    run: Result<Vec<ScheduleState>, CollectiveError>,
+) -> Verdict {
+    let Ok(states) = run else {
+        return Verdict::Refused;
+    };
+    let mut worst = Verdict::Equivalent;
+    for (base, got) in baseline.iter().zip(&states) {
+        if base.accumulator() != got.accumulator() {
+            worst = Verdict::Silent;
+        }
+        for piece in base.pieces() {
+            let read = got.try_unit(UnitId::new(piece.offset, piece.len() as u32));
+            let seen = match read {
+                Ok(words) if words == piece.items => Verdict::Equivalent,
+                Ok(_) => Verdict::Silent,
+                Err(_) => Verdict::Short,
+            };
+            worst = worst.max(seen);
+        }
+    }
+    worst
+}
+
+/// The mutation census: every single-transfer edit of the 13 standard
+/// lowerings on `campus`, the 4-processor HBSP^2 above and a flat
+/// 4-processor machine, each verified and, when `verify` passes it, run
+/// on the simulator (every 16th on threads too, which must end the
+/// same) and compared with the unmutated run. The short and silent
+/// counts per lowering are pinned: what the checker still misses.
+/// Per-collective postconditions in `verify` are what would bring them
+/// to 0; a change that lowers a count lowers its pin with it.
+#[test]
+fn mutation_census_pins_what_the_checker_misses() {
+    const PINS: [(&str, usize, usize); 13] = [
+        ("gather/flat", 34, 0),
+        ("gather/hier", 18, 0),
+        ("broadcast/flat/one-phase", 34, 0),
+        ("broadcast/flat/two-phase", 118, 0),
+        ("broadcast/hier", 38, 0),
+        ("scatter", 34, 0),
+        ("allgather/flat", 152, 0),
+        ("allgather/hier", 38, 0),
+        ("alltoall/flat", 152, 0),
+        ("alltoall/hier", 69, 0),
+        ("reduce/flat", 0, 44),
+        ("reduce/hier", 0, 38),
+        ("scan", 0, 98),
+    ];
+    let flat4 = [(1.0, 1.0), (1.5, 0.7), (2.0, 0.5), (3.0, 0.3)];
+    let hbsp2 = [
+        (10.0, vec![(1.0, 1.0), (2.0, 0.5)]),
+        (10.0, vec![(2.0, 0.4), (2.5, 0.35)]),
+    ];
+    let machines = [
+        campus(),
+        TreeBuilder::two_level(1.0, 100.0, &hbsp2).unwrap(),
+        TreeBuilder::flat(1.0, 10.0, &flat4).unwrap(),
+    ];
+    let mut table: Vec<(&str, [usize; 5])> =
+        PINS.iter().map(|&(name, ..)| (name, [0; 5])).collect();
+    let mut ran = 0;
+    for t in machines.map(Arc::new) {
+        let p = t.num_procs();
+        let [sim, threads] =
+            [Executor::simulator, Executor::threads].map(|on| on(Arc::clone(&t)).check(false));
+        for (row, case) in table.iter_mut().zip(standard_cases(&t, 24)) {
+            assert_eq!(row.0, case.name);
+            let run = |exec: &Executor, sched: CommSchedule| {
+                let prog = ScheduleProgram::new(Arc::new(sched), Arc::clone(&case.init), case.op);
+                execute(exec, &prog).map(|(_, states)| states)
+            };
+            let baseline = run(&sim, case.sched.clone()).expect("the lowering runs");
+            each_mutant(&case.sched, p, |m| {
+                let fatal = verify(&t, &m, &case.init, case.op.is_some())
+                    .iter()
+                    .any(Violation::is_fatal);
+                let verdict = match fatal {
+                    true => Verdict::Fatal,
+                    false => {
+                        ran += 1;
+                        let on_sim = run(&sim, m.clone());
+                        if ran % 16 == 0 {
+                            assert_eq!(run(&threads, m), on_sim, "{} on threads", case.name);
+                        }
+                        verdict(&baseline, on_sim)
+                    }
+                };
+                row.1[verdict as usize] += 1;
+            });
+        }
+    }
+    println!(
+        "{:<26}{:>7}{:>9}{:>12}{:>7}{:>8}",
+        "lowering", "fatal", "refused", "equivalent", "short", "silent"
+    );
+    for (name, [fatal, refused, equivalent, short, silent]) in &table {
+        println!("{name:<26}{fatal:>7}{refused:>9}{equivalent:>12}{short:>7}{silent:>8}");
+    }
+    let missed: Vec<(&str, usize, usize)> = (table.iter())
+        .map(|&(name, counts)| {
+            (
+                name,
+                counts[Verdict::Short as usize],
+                counts[Verdict::Silent as usize],
+            )
+        })
+        .collect();
+    assert_eq!(missed, PINS);
 }

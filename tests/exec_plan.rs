@@ -4,7 +4,7 @@
 //!    outbox is byte-for-byte `Piece::encode` / `encode_bundle` /
 //!    `codec::encode_u32s`, and what it accepts on receipt is what
 //!    `Piece::decode` / `decode_bundle` accept, on every byte prefix of
-//!    every payload;
+//!    every payload, as long as it names units the plan sends;
 //! 2. **plan tables** — an `ExecPlan` is its `CommSchedule` regrouped
 //!    by sender: same sends in the same posting order, same charges,
 //!    wire sizes by the three layout formulas;
@@ -145,7 +145,8 @@ proptest! {
         // Reader: every byte prefix of every payload, arriving beside
         // the step's other messages (the receiver counts them: one short
         // is `MissingUnit`), ends in the result the public decoders give
-        // for it.
+        // for it, or in `UnplannedUnit` where they decode a unit the
+        // plan never sends.
         let whole: Vec<(u32, &[u8])> = wire.outbox.iter().map(|m| (m.tag, m.payload)).collect();
         prop_assert_eq!(receive(&prog, &tree, &whole[1..]).error(), Some(DecodeError::MissingUnit));
         let bundle = wanted.len();
@@ -175,6 +176,14 @@ proptest! {
                 } else {
                     Piece::decode(prefix).map(|p| vec![p])
                 };
+                // The receiver has a slot for each unit the plan sends
+                // it and for no other: a prefix that decodes to another
+                // unit (a shortened piece) is refused, not stored.
+                let planned = |p: &Piece| wanted.contains(&UnitId::new(p.offset, p.len() as u32));
+                let want = want.and_then(|pieces| match pieces.iter().all(planned) {
+                    true => Ok(pieces),
+                    false => Err(DecodeError::UnplannedUnit),
+                });
                 prop_assert_eq!(got.error(), want.as_ref().err().copied(), "message {} cut {}", i, cut);
                 if let Ok(pieces) = want {
                     let mut held = everything.clone();
@@ -271,6 +280,7 @@ fn one_payload_to_several_destinations_is_one_entry() {
     ];
     let sched = CommSchedule {
         steps: vec![step, ScheduleStep::drain()],
+        ..CommSchedule::default()
     };
     let dsts: Vec<Vec<u32>> = ExecPlan::compile(&sched, 4).steps[0][0]
         .sends

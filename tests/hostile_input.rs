@@ -351,3 +351,31 @@ fn a_million_nested_clusters_are_an_error_not_a_stack_overflow() {
         "topology parse error at 129:17: clusters nested deeper than 128"
     );
 }
+
+/// The runners that take one input per processor refuse a wrong shape
+/// — too few rows or vectors, a short row, a vector of another length —
+/// with a typed error, never a panic.
+#[test]
+fn collective_inputs_of_the_wrong_shape_are_typed_errors() {
+    use hbsp::collectives::plan::{RootPolicy, Strategy};
+    use hbsp::collectives::reduce::{self, ReduceOp};
+    use hbsp::collectives::{alltoall, scan, CollectiveError};
+    let exec = Executor::simulator(machine());
+    let shape = |what, want, got| Err::<(), _>(CollectiveError::Shape { what, want, got });
+    let blocks = |rows: usize, cols: usize| vec![vec![vec![7u32; 2]; cols]; rows];
+    let alltoall = |b| alltoall::run(&exec, b, Strategy::Hierarchical).map(drop);
+    assert_eq!(alltoall(blocks(2, 3)), shape("rows of blocks", 3, 2));
+    assert_eq!(alltoall(blocks(3, 4)), shape("blocks in a row", 3, 4));
+
+    let vectors = |lens: &[usize]| lens.iter().map(|&n| vec![1u32; n]).collect();
+    let sum = ReduceOp::Sum;
+    let reduce = |v| reduce::run(&exec, v, sum, RootPolicy::Fastest, Strategy::Flat).map(drop);
+    assert_eq!(reduce(vectors(&[4, 4])), shape("vectors", 3, 2));
+    assert_eq!(
+        reduce(vectors(&[4, 4, 5])),
+        shape("words in a vector", 4, 5)
+    );
+    let scan = |v| scan::run(&exec, v, sum).map(drop);
+    assert_eq!(scan(vectors(&[1, 1, 1, 1])), shape("vectors", 3, 4));
+    assert_eq!(scan(vectors(&[2, 0, 2])), shape("words in a vector", 2, 0));
+}
