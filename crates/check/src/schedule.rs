@@ -1,98 +1,60 @@
 //! Schedule verification and conservative dataflow analysis.
 //!
-//! The checks operate on [`ScheduleView`], an engine-neutral projection
-//! of a communication schedule: per-superstep barrier scope, work
-//! charges, and `(src, dst, words, payload)` transfers. The producer
-//! (`hbsp_collectives::verify`) converts its `CommSchedule` IR into this
-//! view; keeping the view here lets the checker live below the crate
-//! that defines the IR.
+//! The checks read the schedule IR itself ([`CommSchedule`], defined in
+//! `hbsp_core::schedule` beside the cost model that prices it): the
+//! same steps, transfers and unit ids the collectives lower to and the
+//! interpreter runs.
 
 use crate::violation::Violation;
-use hbsp_core::{Level, MachineTree, ProcId};
+use hbsp_core::{
+    step_hrelation, CommSchedule, MachineTree, ProcId, Role, ScheduleStep, SyncScope, Transfer,
+    UnitId,
+};
 use std::collections::HashSet;
 
-/// What a transfer carries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Payload {
-    /// Addressable item ranges `(offset, len)` out of the collective's
-    /// logical item space.
-    Units(Vec<(u64, u64)>),
-    /// A partial reduction result (dynamic length, combined on arrival).
-    Partial,
-}
-
-/// One point-to-point transfer in a superstep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferView {
-    /// Sending processor.
-    pub src: ProcId,
-    /// Receiving processor.
-    pub dst: ProcId,
-    /// Words the cost model charges for this transfer.
-    pub words: u64,
-    /// The data carried.
-    pub payload: Payload,
-}
-
-/// One superstep of a schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepView {
-    /// Barrier level closing the step; `None` marks the final drain
-    /// step (absorb-only, no barrier).
-    pub scope: Option<Level>,
-    /// Work charges `(processor, units at fastest-machine speed)`.
-    pub work: Vec<(ProcId, f64)>,
-    /// Transfers posted during the step, in posting order.
-    pub transfers: Vec<TransferView>,
-}
-
-/// An engine-neutral projection of a communication schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleView {
-    /// The supersteps in execution order.
-    pub steps: Vec<StepView>,
-    /// Per rank, true where its units are whole blocks, not ranges of
-    /// one array (see [`cover`]); ranks past the end hold ranges.
-    pub whole_blocks: Vec<bool>,
-}
+/// The schedule IR under its old name. Kept only for the frozen
+/// benchmark surface (`benchmark/src/api.rs`) until the benchmark is
+/// re-anchored (ROADMAP item 5).
+pub type ScheduleView = CommSchedule;
 
 /// What one processor holds before the first superstep.
 #[derive(Debug, Clone, Default)]
 pub struct ProcHoldings {
-    /// Item ranges `(offset, len)` the processor starts with.
-    pub units: Vec<(u64, u64)>,
+    /// Units the processor starts with.
+    pub units: Vec<UnitId>,
     /// True if the processor starts with a reduction accumulator.
     pub has_acc: bool,
 }
 
-/// Which of a rank's held units supply the unit `want = (offset, len)`:
-/// `f(i, range)` gets, in item order, the index `i` into `units` (the
-/// rank's unit ids, sorted and distinct; `held(i)` if it holds unit `i`
-/// now) and the range of unit `i`'s items that comes next. The exact id
-/// supplies all of it; otherwise, only where units are `ranges` of one
-/// array, held units overlapping `want` supply it piece by piece (block
-/// ids `src·p + dst` overlap as offsets without sharing words). Returns
+/// Which of a rank's held units supply the unit `want`: `f(i, range)`
+/// gets, in item order, the index `i` into `units` (the rank's unit ids,
+/// sorted and distinct; `held(i)` if it holds unit `i` now) and the
+/// range of unit `i`'s items that comes next. The exact id supplies all
+/// of it; otherwise, only where units are `ranges` of one array, held
+/// units overlapping `want` supply it piece by piece (block ids
+/// `src·p + dst` overlap as offsets without sharing words). Returns
 /// whether `want` is covered (an empty unit always is). Allocates nothing.
 pub fn cover(
-    units: &[(u64, u64)],
+    units: &[UnitId],
     held: impl Fn(usize) -> bool,
     ranges: bool,
-    want: (u64, u64),
+    want: UnitId,
     mut f: impl FnMut(usize, std::ops::Range<usize>),
 ) -> bool {
     if let Some(i) = units.binary_search(&want).ok().filter(|&i| held(i)) {
-        f(i, 0..want.1 as usize);
+        f(i, 0..want.len as usize);
         return true;
     }
-    let (end, mut next) = (want.0 + want.1, want.0);
+    let (end, mut next) = (want.offset as u64 + want.len as u64, want.offset as u64);
     // Blocks are not pieced together. Ranges come in ascending offsets:
     // once a unit starts past `next`, so does every later one.
     let pieces = if ranges { units } else { &[] };
-    for (i, &(s, len)) in pieces.iter().enumerate() {
+    for (i, u) in pieces.iter().enumerate() {
+        let s = u.offset as u64;
         if next == end || s > next {
             break;
         }
-        let e = (s + len).min(end);
+        let e = (s + u.len as u64).min(end);
         if e > next && held(i) {
             f(i, (next - s) as usize..(e - s) as usize);
             next = e;
@@ -107,19 +69,20 @@ pub fn cover(
 ///
 /// Returns every violation found (empty = clean). Use
 /// [`Violation::is_fatal`] to separate hard errors from lint findings.
-pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation> {
+pub fn verify_schedule(tree: &MachineTree, schedule: &CommSchedule) -> Vec<Violation> {
     let mut out = Vec::new();
-    if view.steps.is_empty() {
+    if schedule.steps.is_empty() {
         out.push(Violation::EmptySchedule);
         return out;
     }
     let nprocs = tree.num_procs();
     let height = tree.height();
-    let last = view.steps.len() - 1;
+    let last = schedule.steps.len() - 1;
     let in_range = |pid: ProcId| pid.rank() < nprocs;
 
-    for (i, step) in view.steps.iter().enumerate() {
-        match step.scope {
+    for (i, step) in schedule.steps.iter().enumerate() {
+        let scope = step.scope.map(SyncScope::level);
+        match scope {
             None if i != last => out.push(Violation::MisplacedDrain { step: i }),
             None => {
                 if let Some(t) = step.transfers.first() {
@@ -161,7 +124,7 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
             }
         }
 
-        let mut seen: HashSet<(usize, usize, u64, Payload)> = HashSet::new();
+        let mut seen: HashSet<(usize, usize, u64, &Role)> = HashSet::new();
         for t in &step.transfers {
             let mut endpoints_ok = true;
             for pid in [t.src, t.dst] {
@@ -174,8 +137,8 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
                     endpoints_ok = false;
                 }
             }
-            if let Payload::Units(units) = &t.payload {
-                let carried: u64 = units.iter().map(|&(_, len)| len).sum();
+            if t.role != Role::Partial {
+                let carried: u64 = t.role.units().iter().map(|u| u.len as u64).sum();
                 if carried != t.words {
                     out.push(Violation::WordMismatch {
                         step: i,
@@ -186,7 +149,7 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
                     });
                 }
             }
-            if !seen.insert((t.src.rank(), t.dst.rank(), t.words, t.payload.clone())) {
+            if !seen.insert((t.src.rank(), t.dst.rank(), t.words, &t.role)) {
                 out.push(Violation::DuplicateTransfer {
                     step: i,
                     src: t.src,
@@ -203,7 +166,7 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
                 });
                 continue;
             }
-            if let Some(scope) = step.scope {
+            if let Some(scope) = scope {
                 if scope <= height {
                     let a = tree.leaves()[t.src.rank()];
                     let b = tree.leaves()[t.dst.rank()];
@@ -231,11 +194,11 @@ pub fn verify_schedule(tree: &MachineTree, view: &ScheduleView) -> Vec<Violation
 /// Partial-combine transfers need a source accumulator and a schedule
 /// reduction operator (`has_op`). "Holds" is [`cover`], the rule the
 /// engines' interpreter sends and reads by, on each rank's units as
-/// `view.whole_blocks` says they are: per rank, as a merged batch runs
-/// blocks and ranges on disjoint ranks.
+/// [`CommSchedule::whole_blocks`] says they are: per rank, as a merged
+/// batch runs blocks and ranges on disjoint ranks.
 pub fn verify_dataflow(
     tree: &MachineTree,
-    view: &ScheduleView,
+    schedule: &CommSchedule,
     init: &[ProcHoldings],
     has_op: bool,
 ) -> Vec<Violation> {
@@ -248,8 +211,8 @@ pub fn verify_dataflow(
     }
     let mut out = Vec::new();
     // Per rank, the unit ids it holds, sorted and distinct.
-    let mut held: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nprocs];
-    let hold = |held: &mut Vec<(u64, u64)>, units: &[(u64, u64)]| {
+    let mut held: Vec<Vec<UnitId>> = vec![Vec::new(); nprocs];
+    let hold = |held: &mut Vec<UnitId>, units: &[UnitId]| {
         for &unit in units {
             if let Err(at) = held.binary_search(&unit) {
                 held.insert(at, unit);
@@ -259,18 +222,17 @@ pub fn verify_dataflow(
     held.iter_mut()
         .zip(init)
         .for_each(|(held, h)| hold(held, &h.units));
-    let ranges = |rank: usize| !view.whole_blocks.get(rank).copied().unwrap_or(false);
     let mut has_acc: Vec<bool> = init.iter().map(|h| h.has_acc).collect();
     let mut reported_no_op = false;
 
     // Deliveries queued during the current step, absorbed at the next.
-    let mut pending: Vec<(usize, &Payload)> = Vec::new();
+    let mut pending: Vec<(usize, &Role)> = Vec::new();
 
-    for (i, step) in view.steps.iter().enumerate() {
-        for (dst, payload) in pending.drain(..) {
-            match payload {
-                Payload::Units(units) => hold(&mut held[dst], units),
-                Payload::Partial => has_acc[dst] = true,
+    for (i, step) in schedule.steps.iter().enumerate() {
+        for (dst, role) in pending.drain(..) {
+            match role {
+                Role::Partial => has_acc[dst] = true,
+                role => hold(&mut held[dst], role.units()),
             }
         }
         for t in &step.transfers {
@@ -278,21 +240,9 @@ pub fn verify_dataflow(
             if src >= nprocs || dst >= nprocs {
                 continue; // already a RankOutOfBounds in verify_schedule
             }
-            match &t.payload {
-                Payload::Units(units) => {
-                    for &(offset, len) in units {
-                        if !cover(&held[src], |_| true, ranges(src), (offset, len), |_, _| ()) {
-                            out.push(Violation::UnmatchedReceive {
-                                step: i,
-                                src: t.src,
-                                dst: t.dst,
-                                offset,
-                                len,
-                            });
-                        }
-                    }
-                }
-                Payload::Partial => {
+            let whole_block = schedule.holds_blocks(src);
+            match &t.role {
+                Role::Partial => {
                     if !has_op && !reported_no_op {
                         out.push(Violation::PartialWithoutOp { step: i });
                         reported_no_op = true;
@@ -304,10 +254,23 @@ pub fn verify_dataflow(
                         });
                     }
                 }
+                role => {
+                    for &unit in role.units() {
+                        if !cover(&held[src], |_| true, !whole_block, unit, |_, _| ()) {
+                            out.push(Violation::UnmatchedReceive {
+                                step: i,
+                                src: t.src,
+                                dst: t.dst,
+                                unit,
+                                whole_block,
+                            });
+                        }
+                    }
+                }
             }
             // Queue the delivery even when flagged, so one missing hop
             // does not cascade into spurious downstream findings.
-            pending.push((dst, &t.payload));
+            pending.push((dst, &t.role));
         }
     }
     out
@@ -318,7 +281,7 @@ pub fn verify_dataflow(
 /// (self-sends are free local moves and excluded), scaled by its
 /// communication slowness `r`, maximized over the machine. This is the
 /// quantity the cost model should charge `g · h` for.
-pub fn implied_hrelation(tree: &MachineTree, step: &StepView) -> f64 {
+pub fn implied_hrelation(tree: &MachineTree, step: &ScheduleStep) -> f64 {
     let nprocs = tree.num_procs();
     let mut sent = vec![0u64; nprocs];
     let mut recv = vec![0u64; nprocs];
@@ -337,6 +300,30 @@ pub fn implied_hrelation(tree: &MachineTree, step: &StepView) -> f64 {
     h
 }
 
+/// h-relation consistency: per step, the h its transfers imply
+/// ([`implied_hrelation`]) must be the h the cost model charges `g·h`
+/// for ([`step_hrelation`], as `predict()` prices it). A step naming a
+/// rank the machine lacks is [`verify_schedule`]'s finding, not this.
+pub fn verify_hrelation(tree: &MachineTree, schedule: &CommSchedule) -> Vec<Violation> {
+    let in_range = |t: &Transfer| t.src.rank().max(t.dst.rank()) < tree.num_procs();
+    let mut out = Vec::new();
+    for (step, s) in schedule.steps.iter().enumerate() {
+        if !s.transfers.iter().all(in_range) {
+            continue;
+        }
+        let (implied, charged) = (implied_hrelation(tree, s), step_hrelation(tree, s));
+        let charged = charged.h_on(tree);
+        if (implied - charged).abs() > 1e-9 * implied.abs().max(charged.abs()).max(1.0) {
+            out.push(Violation::HRelationMismatch {
+                step,
+                implied,
+                charged,
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,40 +333,39 @@ mod tests {
         TreeBuilder::flat(1.0, 10.0, &[(1.0, 1.0), (2.0, 0.5), (3.0, 0.25)]).unwrap()
     }
 
-    fn units(spans: &[(u64, u64)]) -> Payload {
-        Payload::Units(spans.to_vec())
+    fn units(spans: &[(u32, u32)]) -> Role {
+        Role::Bundle(spans.iter().map(|&(o, l)| UnitId::new(o, l)).collect())
     }
 
-    fn steps(steps: Vec<StepView>) -> ScheduleView {
-        let whole_blocks = Vec::new();
-        ScheduleView {
+    fn steps(steps: Vec<ScheduleStep>) -> CommSchedule {
+        CommSchedule {
             steps,
-            whole_blocks,
+            ..CommSchedule::default()
         }
     }
 
-    fn holds(units: &[(u64, u64)]) -> ProcHoldings {
-        let units = units.to_vec();
+    fn holds(spans: &[(u32, u32)]) -> ProcHoldings {
+        let units = spans.iter().map(|&(o, l)| UnitId::new(o, l)).collect();
         ProcHoldings {
             units,
             has_acc: false,
         }
     }
 
-    fn step(scope: Option<Level>, transfers: Vec<TransferView>) -> StepView {
-        StepView {
-            scope,
+    fn step(scope: Option<u32>, transfers: Vec<Transfer>) -> ScheduleStep {
+        ScheduleStep {
+            scope: scope.map(SyncScope::Level),
             work: vec![],
             transfers,
         }
     }
 
-    fn xfer(src: u32, dst: u32, words: u64, payload: Payload) -> TransferView {
-        TransferView {
+    fn xfer(src: u32, dst: u32, words: u64, role: Role) -> Transfer {
+        Transfer {
             src: ProcId(src),
             dst: ProcId(dst),
             words,
-            payload,
+            role,
         }
     }
 
@@ -397,9 +383,10 @@ mod tests {
 
     #[test]
     fn cover_walks_adjacent_spans_only_where_units_are_ranges() {
-        let units = [(0, 4), (4, 4), (10, 2)];
-        let walk = |ranges, want| {
+        let units = [(0, 4), (4, 4), (10, 2)].map(|(o, l)| UnitId::new(o, l));
+        let walk = |ranges, (o, l)| {
             let mut seen = Vec::new();
+            let want = UnitId::new(o, l);
             let ok = cover(&units, |_| true, ranges, want, |i, r| seen.push((i, r)));
             ok.then_some(seen)
         };
@@ -409,7 +396,7 @@ mod tests {
         assert_eq!(walk(true, (11, 0)), Some(vec![]), "empty units are covered");
         assert_eq!(walk(false, (0, 4)), Some(vec![(0, 0..4)]));
         assert_eq!(walk(false, (0, 8)), None, "blocks are not pieced together");
-        let unheld = cover(&units, |i| i != 1, true, (4, 4), |_, _| ());
+        let unheld = cover(&units, |i| i != 1, true, UnitId::new(4, 4), |_, _| ());
         assert!(!unheld, "a unit not held yet supplies nothing");
     }
 

@@ -1,6 +1,6 @@
 //! The typed findings every check layer reports.
 
-use hbsp_core::{Level, MachineId, ProcId};
+use hbsp_core::{Level, MachineId, ProcId, UnitId};
 use std::fmt;
 
 /// One defect found by a static check.
@@ -130,10 +130,11 @@ pub enum Violation {
         src: ProcId,
         /// Receiver expecting it.
         dst: ProcId,
-        /// Offset of the unit the sender lacks.
-        offset: u64,
-        /// Length of the unit the sender lacks.
-        len: u64,
+        /// The unit the sender lacks.
+        unit: UnitId,
+        /// The sender's units are whole all-to-all blocks
+        /// (`CommSchedule::whole_blocks`), not ranges of one array.
+        whole_block: bool,
     },
     /// A partial-combine transfer from a processor with no accumulator.
     PartialWithoutAccumulator {
@@ -386,15 +387,21 @@ impl fmt::Display for Violation {
                 step,
                 src,
                 dst,
-                offset,
-                len,
-            } => write!(
-                f,
-                "step {step} transfer {src} -> {dst} sends items [{offset}, {}) that {src} does \
-                 not hold at that superstep; data sent in step i is usable from step i+1 — \
-                 source it from a processor that holds it, or add an earlier hop",
-                offset + len
-            ),
+                unit: UnitId { offset, len },
+                whole_block,
+            } => {
+                write!(f, "step {step} transfer {src} -> {dst} sends ")?;
+                match whole_block {
+                    true => write!(f, "block {offset} ({len} words)")?,
+                    false => write!(f, "items [{offset}, {})", *offset as u64 + *len as u64)?,
+                }
+                write!(
+                    f,
+                    " that {src} does not hold at that superstep; data sent in step i is usable \
+                     from step i+1 — source it from a processor that holds it, or add an earlier \
+                     hop"
+                )
+            }
             PartialWithoutAccumulator { step, pid } => write!(
                 f,
                 "step {step} has {pid} sending a partial result but {pid} has no accumulator; \

@@ -9,7 +9,7 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::gather::lower_hierarchical_gather;
 use crate::plan::{PhasePolicy, Strategy, WorkloadPolicy};
-use crate::schedule::{self, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer};
+use crate::schedule::{self, share_unit, CommSchedule, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
 use hbsplib::Executor;
@@ -25,12 +25,8 @@ pub fn lower_flat_allgather(tree: &MachineTree, n: u64, workload: WorkloadPolicy
         for d in 0..p {
             let dst = ProcId(d as u32);
             if dst != src {
-                step.transfers.push(Transfer {
-                    src,
-                    dst,
-                    words: partition.share(src),
-                    role: Role::Bundle(vec![share_unit(&partition, src)]),
-                });
+                let unit = share_unit(&partition, src);
+                step.transfers.push(Transfer::bundle(src, dst, vec![unit]));
             }
         }
     }

@@ -16,9 +16,7 @@
 
 use crate::error::{shape, CollectiveError};
 use crate::plan::Strategy;
-use crate::schedule::{
-    self, block_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
-};
+use crate::schedule::{self, block_unit, CommSchedule, ScheduleStep, Staging, Transfer, UnitId};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
 use hbsplib::{Executor, TreeEnquiry};
@@ -32,12 +30,9 @@ pub fn lower_alltoall(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedule {
     for (i, row) in sizes.iter().enumerate().take(p) {
         for (j, &words) in row.iter().enumerate().take(p) {
             if i != j {
-                step.transfers.push(Transfer {
-                    src: ProcId(i as u32),
-                    dst: ProcId(j as u32),
-                    words,
-                    role: Role::Bundle(vec![block_unit(p, i, j, words as usize)]),
-                });
+                let (src, dst) = (ProcId(i as u32), ProcId(j as u32));
+                let block = block_unit(p, i, j, words as usize);
+                step.transfers.push(Transfer::bundle(src, dst, vec![block]));
             }
         }
     }
@@ -75,12 +70,8 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
                 coord_of[i] // foreign: hand up (coordinators keep theirs)
             };
             if relay != src {
-                local.transfers.push(Transfer {
-                    src,
-                    dst: relay,
-                    words: sizes[i][j],
-                    role: Role::Bundle(vec![unit(i, j)]),
-                });
+                let block = vec![unit(i, j)];
+                local.transfers.push(Transfer::bundle(src, relay, block));
             }
         }
     }
@@ -105,12 +96,7 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
                 })
                 .collect();
             if !uids.is_empty() {
-                exchange.transfers.push(Transfer {
-                    src: c,
-                    dst: peer,
-                    words: uids.iter().map(|u| u.len as u64).sum(),
-                    role: Role::Bundle(uids),
-                });
+                exchange.transfers.push(Transfer::bundle(c, peer, uids));
             }
         }
     }
@@ -124,15 +110,9 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
             if q == c {
                 continue;
             }
-            for i in 0..p {
-                if coord_of[i] != c {
-                    fanout.transfers.push(Transfer {
-                        src: c,
-                        dst: q,
-                        words: sizes[i][q.rank()],
-                        role: Role::Bundle(vec![unit(i, q.rank())]),
-                    });
-                }
+            for (i, _) in coord_of.iter().enumerate().filter(|&(_, &ci)| ci != c) {
+                let block = unit(i, q.rank());
+                fanout.transfers.push(Transfer::bundle(c, q, vec![block]));
             }
         }
     }

@@ -22,7 +22,7 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{PhasePolicy, RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
-    self, rep_of, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
+    self, rep_of, share_unit, CommSchedule, ScheduleStep, Staging, Transfer, UnitId,
 };
 use hbsp_core::{apportion, Level, MachineTree, NodeIdx, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
@@ -229,12 +229,8 @@ pub fn lower_flat_broadcast(
             let mut step = ScheduleStep::at(global);
             for &q in &everyone {
                 if q != root {
-                    step.transfers.push(Transfer {
-                        src: root,
-                        dst: q,
-                        words: n,
-                        role: Role::Bundle(vec![UnitId::new(0, n as u32)]),
-                    });
+                    let whole = UnitId::new(0, n as u32);
+                    step.transfers.push(Transfer::bundle(root, q, vec![whole]));
                 }
             }
             sched.push(step);
@@ -244,12 +240,8 @@ pub fn lower_flat_broadcast(
             let mut scatter = ScheduleStep::at(global);
             for &q in &everyone {
                 if q != root {
-                    scatter.transfers.push(Transfer {
-                        src: root,
-                        dst: q,
-                        words: partition.share(q),
-                        role: Role::Bundle(vec![share_unit(&partition, q)]),
-                    });
+                    let unit = vec![share_unit(&partition, q)];
+                    scatter.transfers.push(Transfer::bundle(root, q, unit));
                 }
             }
             sched.push(scatter);
@@ -257,12 +249,8 @@ pub fn lower_flat_broadcast(
             for &src in &everyone {
                 for &dst in &everyone {
                     if dst != src {
-                        allgather.transfers.push(Transfer {
-                            src,
-                            dst,
-                            words: partition.share(src),
-                            role: Role::Bundle(vec![share_unit(&partition, src)]),
-                        });
+                        let unit = vec![share_unit(&partition, src)];
+                        allgather.transfers.push(Transfer::bundle(src, dst, unit));
                     }
                 }
             }
@@ -298,24 +286,14 @@ pub fn lower_hierarchical_broadcast(
                 Stage::Full(_) => {
                     for &q in &reps {
                         if q != rep {
-                            step.transfers.push(Transfer {
-                                src: rep,
-                                dst: q,
-                                words: n,
-                                role: Role::Bundle(vec![full]),
-                            });
+                            step.transfers.push(Transfer::bundle(rep, q, vec![full]));
                         }
                     }
                 }
                 Stage::Scatter(_) => {
                     for (unit, &q) in cluster_units(tree, &reps, n, workload).iter().zip(&reps) {
                         if q != rep {
-                            step.transfers.push(Transfer {
-                                src: rep,
-                                dst: q,
-                                words: unit.len as u64,
-                                role: Role::Bundle(vec![*unit]),
-                            });
+                            step.transfers.push(Transfer::bundle(rep, q, vec![*unit]));
                         }
                     }
                 }
@@ -324,12 +302,8 @@ pub fn lower_hierarchical_broadcast(
                     for (i, &src) in reps.iter().enumerate() {
                         for &dst in &reps {
                             if dst != src {
-                                step.transfers.push(Transfer {
-                                    src,
-                                    dst,
-                                    words: units[i].len as u64,
-                                    role: Role::Bundle(vec![units[i]]),
-                                });
+                                let unit = vec![units[i]];
+                                step.transfers.push(Transfer::bundle(src, dst, unit));
                             }
                         }
                     }

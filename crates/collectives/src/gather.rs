@@ -12,7 +12,7 @@ use crate::data::partition_for;
 use crate::error::CollectiveError;
 use crate::plan::{RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
 use crate::schedule::{
-    self, rep_of, subtree_units, CommSchedule, Role, ScheduleStep, Staging, Transfer, UnitId,
+    self, rep_of, subtree_units, CommSchedule, ScheduleStep, Staging, Transfer, UnitId,
 };
 use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
@@ -127,12 +127,8 @@ pub fn lower_flat_gather(
         if pid == root {
             continue;
         }
-        step.transfers.push(Transfer {
-            src: pid,
-            dst: root,
-            words: partition.share(pid),
-            role: Role::Bundle(vec![schedule::share_unit(&partition, pid)]),
-        });
+        let unit = schedule::share_unit(&partition, pid);
+        step.transfers.push(Transfer::bundle(pid, root, vec![unit]));
     }
     let mut sched = CommSchedule::new();
     sched.push(step);
@@ -163,13 +159,9 @@ pub fn lower_hierarchical_gather(
                 if child_rep == rep_pid {
                     continue;
                 }
-                let (units, words) = subtree_units(tree, child, &partition);
-                step.transfers.push(Transfer {
-                    src: child_rep,
-                    dst: rep_pid,
-                    words,
-                    role: Role::Bundle(units),
-                });
+                let units = subtree_units(tree, child, &partition);
+                let hop = Transfer::bundle(child_rep, rep_pid, units);
+                step.transfers.push(hop);
             }
         }
         sched.push(step);

@@ -5,7 +5,7 @@
 use crate::data::{partition_for, Piece};
 use crate::error::CollectiveError;
 use crate::plan::{RootPolicy, WorkloadPolicy};
-use crate::schedule::{self, share_unit, CommSchedule, Role, ScheduleStep, Staging, Transfer};
+use crate::schedule::{self, share_unit, CommSchedule, ScheduleStep, Staging, Transfer};
 use hbsp_core::{MachineTree, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
 use hbsplib::Executor;
@@ -23,12 +23,8 @@ pub fn lower_scatter(
     for j in 0..tree.num_procs() {
         let q = ProcId(j as u32);
         if q != root {
-            step.transfers.push(Transfer {
-                src: root,
-                dst: q,
-                words: partition.share(q),
-                role: Role::Bundle(vec![share_unit(&partition, q)]),
-            });
+            let unit = share_unit(&partition, q);
+            step.transfers.push(Transfer::bundle(root, q, vec![unit]));
         }
     }
     let mut sched = CommSchedule::new();

@@ -1,7 +1,9 @@
-//! The communication-schedule IR every collective lowers to.
+//! The communication-schedule IR every collective lowers to, and the
+//! program that runs it.
 //!
-//! A [`CommSchedule`] is the §4 structure made explicit: an ordered list
-//! of supersteps, each carrying its barrier scope, the per-processor
+//! A [`CommSchedule`] (defined in [`hbsp_core::schedule`], re-exported
+//! here) is the §4 structure made explicit: an ordered list of
+//! supersteps, each carrying its barrier scope, the per-processor
 //! compute charges `w_j`, and the transfers `(src, dst, words, role)` it
 //! performs. Each collective is a pure *lowering* `plan → CommSchedule`;
 //! from that one artifact the library derives
@@ -27,157 +29,13 @@ use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
+pub use hbsp_core::schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
 use hbsp_core::{
-    HRelation, Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram,
-    StepOutcome, SyncScope, WireWriter,
+    Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
+    WireWriter,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
 use std::sync::Arc;
-
-/// Identity of a contiguous data unit moved by a schedule: `len` items
-/// starting at `offset` of the collective's global index space. Gather,
-/// broadcast, scatter and allgather use array offsets; alltoall uses
-/// block ids (`src·p + dst`), whole blocks ([`CommSchedule::whole_blocks`]).
-/// Two units with the same id carry the same data: receivers dedupe by id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UnitId {
-    /// First index of the unit within the global space.
-    pub offset: u32,
-    /// Number of items.
-    pub len: u32,
-}
-
-impl UnitId {
-    /// A unit spanning `offset..offset + len`.
-    pub fn new(offset: u32, len: u32) -> Self {
-        UnitId { offset, len }
-    }
-
-    /// `(offset, len)`, as the checker's [`hbsp_check::cover`] takes it.
-    pub(crate) fn span(self) -> (u64, u64) {
-        (self.offset as u64, self.len as u64)
-    }
-}
-
-/// What a transfer's payload is, so the program can materialize
-/// the message bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Role {
-    /// One unit on the wire as `[offset, items…]` ([`Piece::encode`]).
-    Piece(UnitId),
-    /// One or more units bundled as `[count, (offset, len, items…)…]`
-    /// ([`crate::data::encode_bundle`]) — one message per link, not per origin.
-    Bundle(Vec<UnitId>),
-    /// The sender's current partial-reduction accumulator, raw `u32`s;
-    /// the receiver folds it in with the schedule's [`ReduceOp`].
-    Partial,
-}
-
-/// One point-to-point transfer within a scheduled superstep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transfer {
-    /// Sending processor.
-    pub src: ProcId,
-    /// Destination processor.
-    pub dst: ProcId,
-    /// Model words moved (item count; wire headers are the simulator's
-    /// business, the model's h-relation counts data).
-    pub words: u64,
-    /// Payload tag.
-    pub role: Role,
-}
-
-/// One scheduled superstep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleStep {
-    /// Closing barrier scope; `None` marks the final drain step, where
-    /// processors only read last-step messages and finish (no barrier).
-    pub scope: Option<SyncScope>,
-    /// Per-processor compute charges in fastest-speed work units.
-    pub work: Vec<(ProcId, f64)>,
-    /// The step's transfers, in posting order.
-    pub transfers: Vec<Transfer>,
-}
-
-impl ScheduleStep {
-    /// A step with no work and no transfers closing at `scope`.
-    pub fn at(scope: SyncScope) -> Self {
-        ScheduleStep {
-            scope: Some(scope),
-            work: Vec::new(),
-            transfers: Vec::new(),
-        }
-    }
-
-    /// The final drain step: absorb-only, no barrier.
-    pub fn drain() -> Self {
-        ScheduleStep {
-            scope: None,
-            work: Vec::new(),
-            transfers: Vec::new(),
-        }
-    }
-
-    /// True if the step costs nothing under the model.
-    pub fn is_free(&self) -> bool {
-        self.transfers.is_empty() && self.work.is_empty()
-    }
-}
-
-/// A complete per-superstep communication schedule for one collective on
-/// one machine. The last step must be the only one with `scope: None`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CommSchedule {
-    /// The supersteps in execution order.
-    pub steps: Vec<ScheduleStep>,
-    /// Per rank, true where its units are whole all-to-all blocks, matched
-    /// by exact id only; ranks past the end hold ranges of one array.
-    pub whole_blocks: Vec<bool>,
-}
-
-impl CommSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of supersteps (including the drain step).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Append a step.
-    pub fn push(&mut self, step: ScheduleStep) {
-        self.steps.push(step);
-    }
-
-    /// Total model words crossing the network (all transfers, all steps).
-    pub fn total_words(&self) -> u64 {
-        self.steps
-            .iter()
-            .flat_map(|s| &s.transfers)
-            .map(|t| t.words)
-            .sum()
-    }
-}
-
-/// The communication pattern of one scheduled step, keyed by the leaf
-/// machine ids the cost model prices with. Self-sends are skipped
-/// (§5.2: "a processor does not send data to itself").
-pub fn step_hrelation(tree: &MachineTree, step: &ScheduleStep) -> HRelation {
-    let mut hr = HRelation::new();
-    for t in &step.transfers {
-        if t.src == t.dst {
-            continue;
-        }
-        hr.send(
-            tree.leaf(t.src).machine_id(),
-            tree.leaf(t.dst).machine_id(),
-            t.words,
-        );
-    }
-    hr
-}
 
 /// The representative (coordinator) processor of a subtree.
 #[expect(
@@ -191,21 +49,15 @@ pub(crate) fn rep_of(tree: &MachineTree, node: NodeIdx) -> ProcId {
 }
 
 /// The unit ids owned by `node`'s subtree under `partition`, in leaf
-/// order, with their total word count.
+/// order.
 pub(crate) fn subtree_units(
     tree: &MachineTree,
     node: NodeIdx,
     partition: &Partition,
-) -> (Vec<UnitId>, u64) {
-    let mut units = Vec::new();
-    let mut words = 0u64;
+) -> Vec<UnitId> {
     let leaves = tree.subtree_leaves(node);
-    for pid in leaves.iter().filter_map(|&leaf| tree.node(leaf).proc_id()) {
-        let share = partition.share(pid);
-        units.push(UnitId::new(partition.offset(pid) as u32, share as u32));
-        words += share;
-    }
-    (units, words)
+    let pids = leaves.iter().filter_map(|&leaf| tree.node(leaf).proc_id());
+    pids.map(|pid| share_unit(partition, pid)).collect()
 }
 
 /// The unit id of `pid`'s share under `partition`.
@@ -346,8 +198,8 @@ pub struct ProcInit {
 /// id order: its initial units and a slot per unit the plan sends it.
 #[derive(Debug)]
 struct Layout {
-    /// The units' `(offset, len)`.
-    spans: Vec<(u64, u64)>,
+    /// The units' ids.
+    ids: Vec<UnitId>,
     /// Per unit, `Some(Init(k))` or, for a slot, `None`: `held` at start.
     initial: Vec<Option<Home>>,
     /// Rank `r`'s units are `at[r]..at[r + 1]`.
@@ -367,27 +219,27 @@ impl Layout {
     /// the same id carries the same data.
     fn new(init: &[ProcInit], slots: &[(usize, UnitId)]) -> Layout {
         let units = slots.len() + init.iter().map(|i| i.units.len()).sum::<usize>();
-        let (mut spans, mut initial) = (Vec::with_capacity(units), Vec::with_capacity(units));
+        let (mut ids, mut initial) = (Vec::with_capacity(units), Vec::with_capacity(units));
         let (mut at, mut slots) = (Vec::with_capacity(init.len() + 1), slots.iter().peekable());
         for (rank, init) in init.iter().enumerate() {
-            let start = spans.len();
+            let start = ids.len();
             at.push(start);
-            while let Some((_, id)) = slots.next_if(|s| s.0 == rank) {
-                spans.push(id.span());
+            while let Some(&(_, id)) = slots.next_if(|s| s.0 == rank) {
+                ids.push(id);
                 initial.push(None);
             }
-            for (k, (id, _)) in init.units.iter().enumerate() {
-                match spans[start..].binary_search(&id.span()) {
+            for (k, &(id, _)) in init.units.iter().enumerate() {
+                match ids[start..].binary_search(&id) {
                     Ok(i) => drop(initial[start + i].get_or_insert(Home::Init(k))),
                     Err(i) => {
-                        spans.insert(start + i, id.span());
+                        ids.insert(start + i, id);
                         initial.insert(start + i, Some(Home::Init(k)));
                     }
                 }
             }
         }
-        at.push(spans.len());
-        Layout { spans, initial, at }
+        at.push(ids.len());
+        Layout { ids, initial, at }
     }
 }
 
@@ -421,22 +273,21 @@ impl PartialEq for ScheduleState {
 }
 
 impl ScheduleState {
-    fn spans(&self) -> &[(u64, u64)] {
-        (self.layout.as_ref()).map_or(&[], |l| &l.spans[self.mine.clone()])
+    fn ids(&self) -> &[UnitId] {
+        (self.layout.as_ref()).map_or(&[], |l| &l.ids[self.mine.clone()])
     }
 
     fn items(&self, i: usize) -> &[u32] {
         match self.held[i] {
             Some(Home::Init(k)) => &self.init[self.rank].units[k].1,
-            Some(Home::Arena(at)) => &self.arena[at..at + self.spans()[i].1 as usize],
+            Some(Home::Arena(at)) => &self.arena[at..at + self.ids()[i].len as usize],
             None => &[],
         }
     }
 
     fn units(&self) -> impl Iterator<Item = (UnitId, &[u32])> {
-        let spans = self.spans().iter().enumerate();
-        (spans.filter(|&(i, _)| self.held[i].is_some()))
-            .map(|(i, &(offset, len))| (UnitId::new(offset as u32, len as u32), self.items(i)))
+        let ids = self.ids().iter().enumerate();
+        (ids.filter(|&(i, _)| self.held[i].is_some())).map(|(i, &id)| (id, self.items(i)))
     }
 
     /// The units currently held, as offset-tagged pieces in id order.
@@ -465,7 +316,7 @@ impl ScheduleState {
     fn cover<'a>(&'a self, uid: UnitId, mut f: impl FnMut(&'a [u32])) -> bool {
         let held = |i: usize| self.held[i].is_some();
         let items = |i, r: std::ops::Range<usize>| f(&self.items(i)[r]);
-        hbsp_check::cover(self.spans(), held, !self.whole_blocks, uid.span(), items)
+        hbsp_check::cover(self.ids(), held, !self.whole_blocks, uid, items)
     }
 
     /// Materialize `uid` from the held units, by [`hbsp_check::cover`].
@@ -523,8 +374,9 @@ impl ScheduleState {
     /// Decode a received unit's items straight into the arena, once: a
     /// unit already held carries the same data and is not written again.
     fn store(&mut self, offset: u32, items: &[u8]) -> Result<(), DecodeError> {
-        let span = (offset as u64, items.len() as u64 / 4);
-        let i = (self.spans().binary_search(&span)).map_err(|_| DecodeError::UnplannedUnit)?;
+        let len = u32::try_from(items.len() / 4).map_err(|_| DecodeError::UnplannedUnit)?;
+        let i = (self.ids().binary_search(&UnitId::new(offset, len)))
+            .map_err(|_| DecodeError::UnplannedUnit)?;
         if self.held[i].is_none() {
             self.held[i] = Some(Home::Arena(self.arena.len()));
             self.arena.extend(codec::read_u32s(items));
@@ -636,29 +488,31 @@ impl ExecPlan {
                 steps[s][pid.rank()].charge += units;
             }
             for t in step.transfers.iter().filter(|t| t.src.rank() < nprocs) {
-                let (tag, words, units) = match &t.role {
-                    Role::Piece(uid) => (TAG_PIECE, 1 + uid.len as usize, vec![*uid]),
-                    Role::Bundle(uids) => {
-                        let items: usize = uids.iter().map(|u| 2 + u.len as usize).sum();
-                        (TAG_BUNDLE, 1 + items, uids.clone())
-                    }
-                    Role::Partial => (TAG_PARTIAL, t.words as usize, Vec::new()),
+                let (tag, words) = match &t.role {
+                    Role::Piece(uid) => (TAG_PIECE, 1 + uid.len as usize),
+                    Role::Bundle(uids) => (
+                        TAG_BUNDLE,
+                        1 + (uids.iter()).map(|u| 2 + u.len as usize).sum::<usize>(),
+                    ),
+                    Role::Partial => (TAG_PARTIAL, t.words as usize),
                 };
+                let (units, wire_len) = (t.role.units(), 4 * words);
                 if t.dst.rank() < nprocs {
                     slots.extend(units.iter().map(|&u| (t.dst.rank(), u)));
                 }
+                // The unit list is allocated only for a new entry.
                 let sends = &mut steps[s][t.src.rank()].sends;
                 match sends.last_mut() {
                     Some(last)
-                        if (last.tag, last.wire_len, &last.units) == (tag, 4 * words, &units) =>
+                        if (last.tag, last.wire_len, &last.units[..]) == (tag, wire_len, units) =>
                     {
                         last.dsts.push(t.dst)
                     }
                     _ => sends.push(SendEntry {
                         dsts: vec![t.dst],
                         tag,
-                        wire_len: 4 * words,
-                        units,
+                        wire_len,
+                        units: units.to_vec(),
                     }),
                 }
                 // Posted now, absorbed by its destination one step on.
@@ -733,16 +587,16 @@ impl SpmdProgram for ScheduleProgram {
     fn init(&self, env: &ProcEnv) -> ScheduleState {
         let (rank, lay) = (env.pid.rank(), &self.layout);
         let mine = lay.at[rank]..lay.at[rank + 1];
-        let (spans, initial) = (&lay.spans[mine.clone()], &lay.initial[mine.clone()]);
-        let slots = spans.iter().zip(initial).filter(|(_, home)| home.is_none());
+        let (ids, initial) = (&lay.ids[mine.clone()], &lay.initial[mine.clone()]);
+        let slots = ids.iter().zip(initial).filter(|(_, home)| home.is_none());
         ScheduleState {
             init: Arc::clone(&self.init),
             rank,
-            arena: Vec::with_capacity(slots.map(|(s, _)| s.1 as usize).sum()),
+            arena: Vec::with_capacity(slots.map(|(id, _)| id.len as usize).sum()),
             held: initial.to_vec(),
             layout: Some(Arc::clone(&self.layout)),
             mine,
-            whole_blocks: self.schedule.whole_blocks.get(rank) == Some(&true),
+            whole_blocks: self.schedule.holds_blocks(rank),
             acc: self.init[rank].acc.clone(),
             error: None,
         }
@@ -891,7 +745,7 @@ pub(crate) fn sim(tree: &MachineTree) -> Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbsp_core::TreeBuilder;
+    use hbsp_core::{SyncScope, TreeBuilder};
 
     fn unit(offset: u32, items: &[u32]) -> (UnitId, Vec<u32>) {
         (UnitId::new(offset, items.len() as u32), items.to_vec())

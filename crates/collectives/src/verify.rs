@@ -1,65 +1,45 @@
 //! Static verification of [`CommSchedule`]s via `hbsp-check`.
 //!
-//! This module is the bridge between the collectives' schedule IR and
-//! the checker's engine-neutral view: [`schedule_view`] projects a
-//! schedule, [`holdings`] projects initial placements, and [`verify`]
-//! runs all three schedule-level passes — structural checks, the
-//! conservative matched-send/receive dataflow analysis, and h-relation
-//! consistency between the transfers and what [`crate::predict()`]
-//! charges.
+//! The checker reads the schedule IR itself; this module adds what only
+//! the collectives know. [`holdings`] names the units each rank's staged
+//! input starts with, [`verify`] runs all three schedule-level passes —
+//! structural checks, the conservative matched-send/receive dataflow
+//! analysis, and h-relation consistency between the transfers and what
+//! [`crate::predict()`] charges — and [`standard_lowerings`] is the one
+//! table of the 13 lowerings every machine is checked with.
 //!
 //! [`crate::schedule::ScheduleProgram`] overrides `SpmdProgram::preflight` with
 //! [`verify`], so both engines reject fatally malformed schedules at
 //! submit time (on by default in debug builds; see
 //! `hbsplib::Executor::check`).
 
+use crate::allgather::{lower_flat_allgather, lower_hierarchical_allgather};
+use crate::alltoall::{lower_alltoall, lower_alltoall_hier};
+use crate::broadcast::{lower_flat_broadcast, lower_hierarchical_broadcast};
+use crate::gather::{lower_flat_gather, lower_hierarchical_gather};
 use crate::plan::{PhasePolicy, WorkloadPolicy};
-use crate::schedule::{
-    stage, step_hrelation, CommSchedule, ProcInit, Role, ScheduleStep, Staging, Transfer,
-};
-use crate::{allgather, alltoall, broadcast, gather, reduce, scan, scatter};
+use crate::reduce::{lower_flat_reduce, lower_hierarchical_reduce, ReduceOp};
+use crate::scan::lower_scan;
+use crate::scatter::lower_scatter;
+use crate::schedule::{stage, CommSchedule, ProcInit, Staging};
 pub use hbsp_check::Violation;
-use hbsp_check::{
-    implied_hrelation, verify_dataflow, verify_schedule, Payload, ProcHoldings, ScheduleView,
-    StepView, TransferView,
-};
+use hbsp_check::{verify_dataflow, verify_hrelation, verify_schedule, ProcHoldings};
 use hbsp_core::MachineTree;
+use std::sync::Arc;
 
-/// Project a [`CommSchedule`] into the checker's neutral view.
-pub fn schedule_view(schedule: &CommSchedule) -> ScheduleView {
-    ScheduleView {
-        steps: schedule.steps.iter().map(step_view).collect(),
-        whole_blocks: schedule.whole_blocks.clone(),
-    }
+/// A copy of `schedule`, which the checker reads as it is. Kept only for
+/// the frozen benchmark surface (`benchmark/src/api.rs`) until the
+/// benchmark is re-anchored (ROADMAP item 5).
+pub fn schedule_view(schedule: &CommSchedule) -> CommSchedule {
+    schedule.clone()
 }
 
-fn step_view(step: &ScheduleStep) -> StepView {
-    StepView {
-        scope: step.scope.map(|s| s.level()),
-        work: step.work.clone(),
-        transfers: step.transfers.iter().map(transfer_view).collect(),
-    }
-}
-
-fn transfer_view(t: &Transfer) -> TransferView {
-    let payload = match &t.role {
-        Role::Piece(uid) => Payload::Units(vec![uid.span()]),
-        Role::Bundle(uids) => Payload::Units(uids.iter().map(|u| u.span()).collect()),
-        Role::Partial => Payload::Partial,
-    };
-    TransferView {
-        src: t.src,
-        dst: t.dst,
-        words: t.words,
-        payload,
-    }
-}
-
-/// Project initial placements into the checker's holdings.
+/// The units and accumulators each rank starts with, as the checker's
+/// dataflow pass takes them.
 pub fn holdings(init: &[ProcInit]) -> Vec<ProcHoldings> {
     init.iter()
         .map(|p| ProcHoldings {
-            units: p.units.iter().map(|(uid, _)| uid.span()).collect(),
+            units: p.units.iter().map(|&(uid, _)| uid).collect(),
             has_acc: p.acc.is_some(),
         })
         .collect()
@@ -70,7 +50,7 @@ pub fn holdings(init: &[ProcInit]) -> Vec<ProcHoldings> {
 /// (every transfer sends data its source holds at that superstep), and
 /// h-relation consistency (the h implied by each step's transfers
 /// equals the h [`crate::predict::predict`] charges via
-/// [`step_hrelation`]).
+/// [`crate::schedule::step_hrelation`]).
 ///
 /// Returns every violation, lint-grade included; filter with
 /// [`Violation::is_fatal`] for go/no-go decisions.
@@ -80,31 +60,88 @@ pub fn verify(
     init: &[ProcInit],
     has_op: bool,
 ) -> Vec<Violation> {
-    let view = schedule_view(schedule);
-    let mut out = verify_schedule(tree, &view);
-    out.extend(verify_dataflow(tree, &view, &holdings(init), has_op));
-
-    let nprocs = tree.num_procs();
-    for (i, (step, view_step)) in schedule.steps.iter().zip(&view.steps).enumerate() {
-        let ranks_ok = step
-            .transfers
-            .iter()
-            .all(|t| t.src.rank() < nprocs && t.dst.rank() < nprocs);
-        if !ranks_ok {
-            continue; // already RankOutOfBounds; h_on would panic
-        }
-        let charged = step_hrelation(tree, step).h_on(tree);
-        let implied = implied_hrelation(tree, view_step);
-        let tol = 1e-9 * implied.abs().max(charged.abs()).max(1.0);
-        if (implied - charged).abs() > tol {
-            out.push(Violation::HRelationMismatch {
-                step: i,
-                implied,
-                charged,
-            });
-        }
-    }
+    let mut out = verify_schedule(tree, schedule);
+    out.extend(verify_dataflow(tree, schedule, &holdings(init), has_op));
+    out.extend(verify_hrelation(tree, schedule));
     out
+}
+
+/// One standard lowering on one machine, ready to verify or run.
+#[derive(Debug, Clone)]
+pub struct Lowering {
+    /// Which collective/strategy was lowered.
+    pub name: &'static str,
+    /// The lowered schedule.
+    pub schedule: CommSchedule,
+    /// Each rank's staged input, shared by the lowerings of one kind.
+    pub init: Arc<Vec<ProcInit>>,
+    /// The reduction operator (reduce and scan).
+    pub op: Option<ReduceOp>,
+}
+
+/// All seven collectives, flat and hierarchical — 13 lowerings — for
+/// `n` items on `tree`, each with its staged input. The words tell every
+/// unit and every rank's partial apart: item `i` is `7000 + i`, block
+/// `i → j`'s word `x` is `1000·i + 100·j + x`, and rank `i`'s partial is
+/// `1 << i` (rotated, so no machine overflows it). Reduce and scan move
+/// at least one word.
+pub fn standard_lowerings(tree: &MachineTree, n: u64) -> Vec<Lowering> {
+    let p = tree.num_procs();
+    let t = tree;
+    let (root, w, m) = (t.fastest_proc(), WorkloadPolicy::Balanced, n.max(1));
+    let items: Vec<u32> = (0..n as u32).map(|i| 7000 + i).collect();
+    let shares = (Arc::new(stage(t, Staging::Shares(&items, w))), None);
+    let rooted = (Arc::new(stage(t, Staging::AtRoot(root, items))), None);
+    let partials = (0..p).map(|i| vec![1u32.rotate_left(i as u32); m as usize]);
+    let accs = Arc::new(stage(t, Staging::Accumulators(partials.collect())));
+    let accs = (accs, Some(ReduceOp::Sum));
+    let sizes: Vec<Vec<u64>> = (0..p)
+        .map(|i| (0..p).map(|j| ((i + 2 * j) % 5 + 1) as u64).collect())
+        .collect();
+    let block = |i: usize, j: usize| {
+        let (words, base) = (0..sizes[i][j] as u32, (1000 * i + 100 * j) as u32);
+        words.map(|x| base + x).collect()
+    };
+    let blocks = (0..p).map(|i| (0..p).map(|j| block(i, j)).collect());
+    let blocks = (Arc::new(stage(t, Staging::Blocks(blocks.collect()))), None);
+    let (one, two) = (PhasePolicy::OnePhase, PhasePolicy::TwoPhase);
+    let case = |name, schedule, (init, op): &(Arc<Vec<ProcInit>>, _)| Lowering {
+        name,
+        schedule,
+        init: Arc::clone(init),
+        op: *op,
+    };
+    vec![
+        case("gather/flat", lower_flat_gather(t, n, root, w), &shares),
+        case("gather/hier", lower_hierarchical_gather(t, n, w), &shares),
+        case(
+            "broadcast/flat/one-phase",
+            lower_flat_broadcast(t, n, root, one, w),
+            &rooted,
+        ),
+        case(
+            "broadcast/flat/two-phase",
+            lower_flat_broadcast(t, n, root, two, w),
+            &rooted,
+        ),
+        case(
+            "broadcast/hier",
+            lower_hierarchical_broadcast(t, n, two, two, w),
+            &rooted,
+        ),
+        case("scatter", lower_scatter(t, n, root, w), &rooted),
+        case("allgather/flat", lower_flat_allgather(t, n, w), &shares),
+        case(
+            "allgather/hier",
+            lower_hierarchical_allgather(t, n, w),
+            &shares,
+        ),
+        case("alltoall/flat", lower_alltoall(t, &sizes), &blocks),
+        case("alltoall/hier", lower_alltoall_hier(t, &sizes), &blocks),
+        case("reduce/flat", lower_flat_reduce(t, m, root), &accs),
+        case("reduce/hier", lower_hierarchical_reduce(t, m), &accs),
+        case("scan", lower_scan(t, m), &accs),
+    ]
 }
 
 /// One verified lowering out of [`verify_standard_lowerings`].
@@ -116,120 +153,25 @@ pub struct VerifiedLowering {
     pub violations: Vec<Violation>,
 }
 
-/// Lower all seven collectives (flat and hierarchical strategies) for
-/// `n` items on `tree` and verify each schedule. Used by `hbsp_check
-/// --schedules` and the randomized clean-verification tests.
+/// [`verify`] each of the [`standard_lowerings`] for `n` items on
+/// `tree`. Used by `hbsp_check --schedules` and the randomized
+/// clean-verification tests.
 pub fn verify_standard_lowerings(tree: &MachineTree, n: u64) -> Vec<VerifiedLowering> {
-    let p = tree.num_procs();
-    let items: Vec<u32> = (0..n as u32).collect();
-    let root = tree.fastest_proc();
-    let workload = WorkloadPolicy::Balanced;
-    let share_init = stage(tree, Staging::Shares(&items, workload));
-    let rooted_init = stage(tree, Staging::AtRoot(root, items));
-    let acc_init = stage(
-        tree,
-        Staging::Accumulators((0..p).map(|i| vec![i as u32; n.max(1) as usize]).collect()),
-    );
-    let blocks: Vec<Vec<u64>> = (0..p)
-        .map(|i| (0..p).map(|j| ((i + 2 * j) % 5 + 1) as u64).collect())
-        .collect();
-    let zeroed = |row: &Vec<u64>| row.iter().map(|&len| vec![0; len as usize]).collect();
-    let block_init = stage(tree, Staging::Blocks(blocks.iter().map(zeroed).collect()));
-
-    let mut out = Vec::new();
-    let mut case = |name: &'static str, sched: CommSchedule, init: &[ProcInit], has_op: bool| {
-        out.push(VerifiedLowering {
-            name,
-            violations: verify(tree, &sched, init, has_op),
-        });
+    let verified = |l: Lowering| VerifiedLowering {
+        name: l.name,
+        violations: verify(tree, &l.schedule, &l.init, l.op.is_some()),
     };
-
-    case(
-        "gather/flat",
-        gather::lower_flat_gather(tree, n, root, workload),
-        &share_init,
-        false,
-    );
-    case(
-        "gather/hier",
-        gather::lower_hierarchical_gather(tree, n, workload),
-        &share_init,
-        false,
-    );
-    case(
-        "broadcast/flat/one-phase",
-        broadcast::lower_flat_broadcast(tree, n, root, PhasePolicy::OnePhase, workload),
-        &rooted_init,
-        false,
-    );
-    case(
-        "broadcast/flat/two-phase",
-        broadcast::lower_flat_broadcast(tree, n, root, PhasePolicy::TwoPhase, workload),
-        &rooted_init,
-        false,
-    );
-    case(
-        "broadcast/hier",
-        broadcast::lower_hierarchical_broadcast(
-            tree,
-            n,
-            PhasePolicy::TwoPhase,
-            PhasePolicy::TwoPhase,
-            workload,
-        ),
-        &rooted_init,
-        false,
-    );
-    case(
-        "scatter",
-        scatter::lower_scatter(tree, n, root, workload),
-        &rooted_init,
-        false,
-    );
-    case(
-        "allgather/flat",
-        allgather::lower_flat_allgather(tree, n, workload),
-        &share_init,
-        false,
-    );
-    case(
-        "allgather/hier",
-        allgather::lower_hierarchical_allgather(tree, n, workload),
-        &share_init,
-        false,
-    );
-    case(
-        "alltoall/flat",
-        alltoall::lower_alltoall(tree, &blocks),
-        &block_init,
-        false,
-    );
-    case(
-        "alltoall/hier",
-        alltoall::lower_alltoall_hier(tree, &blocks),
-        &block_init,
-        false,
-    );
-    case(
-        "reduce/flat",
-        reduce::lower_flat_reduce(tree, n.max(1), root),
-        &acc_init,
-        true,
-    );
-    case(
-        "reduce/hier",
-        reduce::lower_hierarchical_reduce(tree, n.max(1)),
-        &acc_init,
-        true,
-    );
-    case("scan", scan::lower_scan(tree, n.max(1)), &acc_init, true);
-    out
+    standard_lowerings(tree, n)
+        .into_iter()
+        .map(verified)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{share_inits, UnitId};
+    use crate::gather;
+    use crate::schedule::{share_inits, Role, ScheduleStep, Transfer, UnitId};
     use hbsp_core::{ProcId, SyncScope, TreeBuilder};
 
     fn campus() -> MachineTree {

@@ -26,6 +26,8 @@
 //! * [`mod@hrelation`] — heterogeneous h-relations `h = max r_{i,j} · h_{i,j}`;
 //! * [`cost`] — the superstep cost model `T_i(λ) = w_i + g·h + L_{i,j}`;
 //! * [`workload`] — balanced workload partitioning (the `c_{i,j}` feature);
+//! * [`schedule`] — the communication-schedule IR (`CommSchedule`) the
+//!   collectives lower to, the interpreter runs and `hbsp-check` verifies;
 //! * [`rebuild`] — structure-preserving rebuilds under the paper's
 //!   normalization rules: sub-tree carving (any node as a standalone
 //!   machine, the unit of spatial multi-tenancy), graceful degradation
@@ -45,6 +47,7 @@ pub mod hrelation;
 pub mod ids;
 pub mod params;
 pub mod rebuild;
+pub mod schedule;
 pub mod spmd;
 pub mod topology;
 pub mod tree;
@@ -57,6 +60,7 @@ pub use hrelation::{hrelation, HRelation, Traffic};
 pub use ids::{Level, MachineId, NodeIdx, ProcId};
 pub use params::{NodeParams, DEFAULT_G};
 pub use rebuild::{Carved, DegradeError, Degraded, ObservedParams, ReparamError};
+pub use schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
 pub use spmd::{
     FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext,
     SpmdProgram, StepOutcome, SyncScope, WireWriter,

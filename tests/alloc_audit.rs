@@ -593,6 +593,28 @@ fn schedule_program_posts_and_receives_in_place() {
     }
 }
 
+/// `ExecPlan::compile` allocates a unit list for each send entry it
+/// pushes, never for a transfer that joins its sender's last entry: the
+/// flat all-gather on `campus` has 56 transfers and 8 entries (each
+/// rank's piece is posted once, to its seven peers), so its compile
+/// allocates fewer times than it has transfers.
+#[test]
+fn compile_allocates_a_unit_list_per_entry_not_per_transfer() {
+    use hbsp_collectives::{allgather, schedule::ExecPlan, WorkloadPolicy};
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = hbsp_core::topology::parse(include_str!("../machines/campus.hbsp")).unwrap();
+    let sched = allgather::lower_flat_allgather(&tree, 1000, WorkloadPolicy::Balanced);
+    let transfers: usize = sched.steps.iter().map(|s| s.transfers.len()).sum();
+    let plan = ExecPlan::compile(&sched, 8);
+    let entries: usize = plan.steps.iter().flatten().map(|r| r.sends.len()).sum();
+    assert_eq!((transfers, entries), (56, 8));
+    let allocs = thread_allocs_during(|| ExecPlan::compile(&sched, 8));
+    assert!(
+        allocs < transfers,
+        "compiling {transfers} transfers into {entries} entries allocated {allocs} times"
+    );
+}
+
 /// Every processor sends `msgs` messages of `msg_bytes` around a ring
 /// for a few supersteps: 4 × `msgs` × `msg_bytes` into the step's arena,
 /// each receiver reading a quarter of it in place.

@@ -7,18 +7,13 @@
 mod common;
 
 use common::arb_machine;
-use hbsp::collectives::plan::PhasePolicy;
 use hbsp::collectives::plan::WorkloadPolicy;
-use hbsp::collectives::reduce::{self, ReduceOp};
 use hbsp::collectives::schedule::{
     execute, share_inits, stage, CommSchedule, ProcInit, ScheduleProgram, ScheduleState,
     ScheduleStep, Staging,
 };
-use hbsp::collectives::verify::{verify, verify_standard_lowerings, Violation};
-use hbsp::collectives::{
-    allgather, alltoall, broadcast, gather, scan, scatter, CollectiveError, DecodeError, Role,
-    Transfer, UnitId,
-};
+use hbsp::collectives::verify::{standard_lowerings, verify, verify_standard_lowerings, Violation};
+use hbsp::collectives::{alltoall, gather, CollectiveError, DecodeError, Role, Transfer, UnitId};
 use hbsp::prelude::*;
 use hbsp::sim::SimError;
 use proptest::prelude::*;
@@ -216,16 +211,20 @@ fn dropped_alltoall_hand_up_is_an_unmatched_receive() {
     let fatal: Vec<Violation> = (verify(&t, &sched, &init, false).into_iter())
         .filter(Violation::is_fatal)
         .collect();
-    let (src, dst) = (ProcId(0), ProcId(2));
-    let (offset, len) = (6, 8);
+    let (src, dst, unit) = (ProcId(0), ProcId(2), UnitId::new(6, 8));
     let unmatched = Violation::UnmatchedReceive {
         step: 1,
         src,
         dst,
-        offset,
-        len,
+        unit,
+        whole_block: true,
     };
     assert_eq!(fatal, [unmatched]);
+    let text = fatal[0].to_string();
+    assert!(
+        text.starts_with("step 1 transfer P0 -> P2 sends block 6 (8 words) that"),
+        "{text}"
+    );
 }
 
 /// The flat all-to-all has no later hop to check, so `verify` passes
@@ -388,119 +387,6 @@ fn without_preflight_the_same_schedule_ends_in_a_typed_error() {
     }
 }
 
-/// One standard lowering on one machine, ready to run: what
-/// `verify_standard_lowerings` lowers, with words that tell every unit
-/// and every rank's partial apart.
-struct Case {
-    name: &'static str,
-    sched: CommSchedule,
-    init: Arc<Vec<ProcInit>>,
-    op: Option<ReduceOp>,
-}
-
-fn standard_cases(t: &MachineTree, n: u64) -> Vec<Case> {
-    let p = t.num_procs();
-    let (root, workload) = (t.fastest_proc(), WorkloadPolicy::Balanced);
-    let items: Vec<u32> = (0..n as u32).map(|i| 7000 + i).collect();
-    let shares = Arc::new(stage(t, Staging::Shares(&items, workload)));
-    let rooted = Arc::new(stage(t, Staging::AtRoot(root, items.clone())));
-    let partials = (0..p).map(|i| vec![1 << i; n as usize]).collect();
-    let accs = Arc::new(stage(t, Staging::Accumulators(partials)));
-    let sizes: Vec<Vec<u64>> = (0..p)
-        .map(|i| (0..p).map(|j| ((i + 2 * j) % 5 + 1) as u64).collect())
-        .collect();
-    let block = |i: usize, j: usize| {
-        (0..sizes[i][j] as usize).map(move |x| (1000 * i + 100 * j + x) as u32)
-    };
-    let blocks = (0..p)
-        .map(|i| (0..p).map(|j| block(i, j).collect()).collect())
-        .collect();
-    let blocks = Arc::new(stage(t, Staging::Blocks(blocks)));
-    let (one, two) = (PhasePolicy::OnePhase, PhasePolicy::TwoPhase);
-    let sum = Some(ReduceOp::Sum);
-    let case = |name, sched, init: &Arc<Vec<ProcInit>>, op| Case {
-        name,
-        sched,
-        init: Arc::clone(init),
-        op,
-    };
-    vec![
-        case(
-            "gather/flat",
-            gather::lower_flat_gather(t, n, root, workload),
-            &shares,
-            None,
-        ),
-        case(
-            "gather/hier",
-            gather::lower_hierarchical_gather(t, n, workload),
-            &shares,
-            None,
-        ),
-        case(
-            "broadcast/flat/one-phase",
-            broadcast::lower_flat_broadcast(t, n, root, one, workload),
-            &rooted,
-            None,
-        ),
-        case(
-            "broadcast/flat/two-phase",
-            broadcast::lower_flat_broadcast(t, n, root, two, workload),
-            &rooted,
-            None,
-        ),
-        case(
-            "broadcast/hier",
-            broadcast::lower_hierarchical_broadcast(t, n, two, two, workload),
-            &rooted,
-            None,
-        ),
-        case(
-            "scatter",
-            scatter::lower_scatter(t, n, root, workload),
-            &rooted,
-            None,
-        ),
-        case(
-            "allgather/flat",
-            allgather::lower_flat_allgather(t, n, workload),
-            &shares,
-            None,
-        ),
-        case(
-            "allgather/hier",
-            allgather::lower_hierarchical_allgather(t, n, workload),
-            &shares,
-            None,
-        ),
-        case(
-            "alltoall/flat",
-            alltoall::lower_alltoall(t, &sizes),
-            &blocks,
-            None,
-        ),
-        case(
-            "alltoall/hier",
-            alltoall::lower_alltoall_hier(t, &sizes),
-            &blocks,
-            None,
-        ),
-        case(
-            "reduce/flat",
-            reduce::lower_flat_reduce(t, n, root),
-            &accs,
-            sum,
-        ),
-        case(
-            "reduce/hier",
-            reduce::lower_hierarchical_reduce(t, n),
-            &accs,
-            sum,
-        ),
-        case("scan", scan::lower_scan(t, n), &accs, sum),
-    ]
-}
-
 /// Every single-transfer edit of `sched` on `p` ranks: dropped,
 /// duplicated in its step, duplicated into the next step when that
 /// step has a barrier, and redirected to each rank that is neither its
@@ -614,14 +500,14 @@ fn mutation_census_pins_what_the_checker_misses() {
         let p = t.num_procs();
         let [sim, threads] =
             [Executor::simulator, Executor::threads].map(|on| on(Arc::clone(&t)).check(false));
-        for (row, case) in table.iter_mut().zip(standard_cases(&t, 24)) {
+        for (row, case) in table.iter_mut().zip(standard_lowerings(&t, 24)) {
             assert_eq!(row.0, case.name);
             let run = |exec: &Executor, sched: CommSchedule| {
                 let prog = ScheduleProgram::new(Arc::new(sched), Arc::clone(&case.init), case.op);
                 execute(exec, &prog).map(|(_, states)| states)
             };
-            let baseline = run(&sim, case.sched.clone()).expect("the lowering runs");
-            each_mutant(&case.sched, p, |m| {
+            let baseline = run(&sim, case.schedule.clone()).expect("the lowering runs");
+            each_mutant(&case.schedule, p, |m| {
                 let fatal = verify(&t, &m, &case.init, case.op.is_some())
                     .iter()
                     .any(Violation::is_fatal);
