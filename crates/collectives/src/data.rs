@@ -10,6 +10,7 @@ use crate::plan::WorkloadPolicy;
 use hbsp_core::{MachineTree, Partition, ProcId, WireWriter};
 use hbsplib::codec;
 use std::fmt;
+use std::ops::Range;
 
 /// A data error met while running a collective: a malformed piece,
 /// bundle or partial payload, or a send whose data never arrived.
@@ -46,6 +47,13 @@ pub enum DecodeError {
     /// A piece or bundle named a unit the plan never sends to the
     /// receiver, so it has no slot for it (a truncated piece is one).
     UnplannedUnit,
+    /// Pieces to reassemble ran past the array their items make up: the
+    /// piece at this offset.
+    PieceOverrun(u32),
+    /// Pieces to reassemble covered this index twice.
+    PieceOverlap(u32),
+    /// Pieces to reassemble left this index uncovered.
+    PieceGap(u32),
 }
 
 impl fmt::Display for DecodeError {
@@ -66,6 +74,11 @@ impl fmt::Display for DecodeError {
             DecodeError::ForeignTag(tag) => write!(f, "message with foreign tag {tag:#x}"),
             DecodeError::NoReduceOp => write!(f, "partial-reduction vector but no ReduceOp"),
             DecodeError::UnplannedUnit => write!(f, "a unit the plan never sends here"),
+            DecodeError::PieceOverrun(at) => {
+                write!(f, "the piece at offset {at} overruns the array")
+            }
+            DecodeError::PieceOverlap(at) => write!(f, "overlapping pieces at index {at}"),
+            DecodeError::PieceGap(at) => write!(f, "gap at index {at}"),
         }
     }
 }
@@ -94,7 +107,7 @@ impl Piece {
     /// Decode from a payload produced by [`Piece::encode`].
     pub fn decode(payload: &[u8]) -> Result<Piece, DecodeError> {
         let (offset, items) = piece_parts(payload)?;
-        let items = codec::decode_u32s(items);
+        let items = codec::decode_u32s(&payload[items]);
         Ok(Piece { offset, items })
     }
 
@@ -130,27 +143,27 @@ pub fn encode_bundle(pieces: &[Piece]) -> Vec<u8> {
 pub fn decode_bundle(payload: &[u8]) -> Result<Vec<Piece>, DecodeError> {
     let mut out = Vec::new();
     walk_bundle(payload, |offset, items| {
-        let items = codec::decode_u32s(items);
+        let items = codec::decode_u32s(&payload[items]);
         out.push(Piece { offset, items });
         Ok(())
     })?;
     Ok(out)
 }
 
-/// A piece payload's offset and item bytes, read in place.
-pub(crate) fn piece_parts(payload: &[u8]) -> Result<(u32, &[u8]), DecodeError> {
-    let items = whole_words(payload)?
-        .get(4..)
-        .ok_or(DecodeError::MissingOffset)?;
-    Ok((word_at(payload, 0), items))
+/// A piece payload's offset and the byte range of its items.
+pub(crate) fn piece_parts(payload: &[u8]) -> Result<(u32, Range<usize>), DecodeError> {
+    match whole_words(payload)?.len() {
+        0 => Err(DecodeError::MissingOffset),
+        len => Ok((word_at(payload, 0), 4..len)),
+    }
 }
 
-/// Hand each piece of a bundle payload to `piece` as its offset and item
-/// bytes, read in place, in wire order: the first error, the layout's or
-/// `piece`'s, ends the walk.
+/// Hand each piece of a bundle payload to `piece` as its offset and the
+/// byte range of its items, in wire order: the first error, the
+/// layout's or `piece`'s, ends the walk.
 pub(crate) fn walk_bundle(
     payload: &[u8],
-    mut piece: impl FnMut(u32, &[u8]) -> Result<(), DecodeError>,
+    mut piece: impl FnMut(u32, Range<usize>) -> Result<(), DecodeError>,
 ) -> Result<(), DecodeError> {
     let words = whole_words(payload)?.len() / 4;
     if words == 0 {
@@ -166,7 +179,7 @@ pub(crate) fn walk_bundle(
         if i > words {
             return Err(DecodeError::TruncatedBody);
         }
-        piece(offset, &payload[4 * (i - len)..4 * i])?;
+        piece(offset, 4 * (i - len)..4 * i)?;
     }
     if i != words {
         return Err(DecodeError::TrailingWords);
@@ -220,29 +233,28 @@ pub fn shares_for(tree: &MachineTree, items: &[u32], workload: WorkloadPolicy) -
 }
 
 /// Reassemble pieces into the global array. Pieces may arrive in any
-/// order; they must tile `0..n` exactly.
-///
-/// # Panics
-/// Panics if the pieces overlap or leave gaps.
-pub fn reassemble(pieces: &[Piece]) -> Vec<u32> {
+/// order; they must tile `0..n` exactly, where `n` is the number of
+/// items they carry. A piece past `n`
+/// ([`DecodeError::PieceOverrun`]), an index covered twice
+/// ([`DecodeError::PieceOverlap`]) or one left uncovered
+/// ([`DecodeError::PieceGap`]) is the typed error, the first in offset
+/// order.
+pub fn reassemble(pieces: &[Piece]) -> Result<Vec<u32>, DecodeError> {
     let n: usize = pieces.iter().map(Piece::len).sum();
-    let mut out = vec![None::<u32>; n];
-    for p in pieces {
-        for (i, &v) in p.items.iter().enumerate() {
-            let slot = p.offset as usize + i;
-            assert!(
-                slot < n,
-                "piece at offset {} overruns the array of {n}",
-                p.offset
-            );
-            assert!(out[slot].is_none(), "overlapping pieces at index {slot}");
-            out[slot] = Some(v);
+    let mut tiles: Vec<&Piece> = pieces.iter().filter(|p| !p.is_empty()).collect();
+    tiles.sort_by_key(|p| p.offset);
+    if let Some(p) = tiles.iter().find(|p| p.offset as usize + p.len() > n) {
+        return Err(DecodeError::PieceOverrun(p.offset));
+    }
+    let mut out = Vec::with_capacity(n);
+    for p in tiles {
+        match (p.offset as usize).cmp(&out.len()) {
+            std::cmp::Ordering::Less => return Err(DecodeError::PieceOverlap(p.offset)),
+            std::cmp::Ordering::Greater => return Err(DecodeError::PieceGap(out.len() as u32)),
+            std::cmp::Ordering::Equal => out.extend_from_slice(&p.items),
         }
     }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, v)| v.unwrap_or_else(|| panic!("gap at index {i}")))
-        .collect()
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -349,7 +361,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         for wl in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
             let shares = shares_for(&t, &items, wl);
-            assert_eq!(reassemble(&shares), items, "{wl:?}");
+            assert_eq!(reassemble(&shares), Ok(items.clone()), "{wl:?}");
         }
     }
 
@@ -363,9 +375,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlapping")]
     fn overlap_detected() {
-        reassemble(&[
+        let pieces = [
             Piece {
                 offset: 0,
                 items: vec![1, 2],
@@ -374,16 +385,15 @@ mod tests {
                 offset: 1,
                 items: vec![9, 9],
             },
-        ]);
+        ];
+        assert_eq!(reassemble(&pieces), Err(DecodeError::PieceOverlap(1)));
     }
 
     #[test]
-    #[should_panic(expected = "overruns")]
     fn gap_detected_as_overrun() {
-        // With piece lengths summing to n, a "gap" necessarily shows up
-        // as an overrun or overlap (pigeonhole); the dedicated gap panic
-        // is defense in depth.
-        reassemble(&[
+        // With piece lengths summing to n, a gap in `0..n` leaves some
+        // piece overlapping another or running past n (pigeonhole).
+        let pieces = [
             Piece {
                 offset: 0,
                 items: vec![1],
@@ -392,6 +402,7 @@ mod tests {
                 offset: 2,
                 items: vec![3],
             },
-        ]);
+        ];
+        assert_eq!(reassemble(&pieces), Err(DecodeError::PieceOverrun(2)));
     }
 }

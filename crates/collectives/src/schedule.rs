@@ -31,10 +31,12 @@ use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
 pub use hbsp_core::schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
 use hbsp_core::{
-    Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SpmdContext, SpmdProgram, StepOutcome,
-    WireWriter,
+    Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SharedPayload, SpmdContext,
+    SpmdProgram, StepOutcome, WireWriter,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
+use std::iter::zip;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The representative (coordinator) processor of a subtree.
@@ -207,11 +209,44 @@ struct Layout {
 }
 
 /// Where a held unit's items live: in place in the program's shared
-/// initial holdings, or at that word of the processor's arena.
-#[derive(Debug, Clone, Copy)]
+/// initial holdings, or in the wire — from that byte on of the payload
+/// its sender posted, which the handle keeps.
+#[derive(Debug, Clone)]
 enum Home {
     Init(usize),
-    Arena(usize),
+    Wire(SharedPayload, usize),
+}
+
+/// A held unit's items, or a run of them: in memory, or as the
+/// little-endian words their sender wrote.
+#[derive(Clone, Copy)]
+enum Items<'a> {
+    Words(&'a [u32]),
+    Wire(&'a [u8]),
+}
+
+impl<'a> Items<'a> {
+    /// The items, decoded.
+    fn words(self) -> impl Iterator<Item = u32> + 'a {
+        let (words, bytes): (&[u32], &[u8]) = match self {
+            Items::Words(words) => (words, &[]),
+            Items::Wire(bytes) => (&[], bytes),
+        };
+        words.iter().copied().chain(codec::read_u32s(bytes))
+    }
+
+    fn write(self, w: &mut WireWriter<'_>) {
+        match self {
+            Items::Words(words) => w.u32s(words),
+            Items::Wire(bytes) => w.bytes(bytes),
+        }
+    }
+}
+
+impl PartialEq for Items<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.words().eq(other.words())
+    }
 }
 
 impl Layout {
@@ -248,18 +283,18 @@ impl Layout {
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleState {
     /// The program's initial holdings and this processor's row in them:
-    /// where [`Home::Init`] units are read in place.
+    /// where [`Home::Init`] units and the initial accumulator are read
+    /// in place.
     init: Arc<Vec<ProcInit>>,
     rank: usize,
     layout: Option<Arc<Layout>>,
     /// This processor's units in the layout.
-    mine: std::ops::Range<usize>,
+    mine: Range<usize>,
     /// Its units are whole blocks ([`CommSchedule::whole_blocks`]).
     whole_blocks: bool,
-    /// Received units' items in order of arrival, with room made at `init`.
-    arena: Vec<u32>,
     /// Per unit of the layout, where its items live if it is held now.
     held: Vec<Option<Home>>,
+    /// The accumulator once a fold wrote it; until then it is `init`'s.
     acc: Option<Vec<u32>>,
     error: Option<DecodeError>,
 }
@@ -268,7 +303,9 @@ pub struct ScheduleState {
 /// wherever the items live.
 impl PartialEq for ScheduleState {
     fn eq(&self, other: &Self) -> bool {
-        self.acc == other.acc && self.error == other.error && self.units().eq(other.units())
+        self.accumulator() == other.accumulator()
+            && self.error == other.error
+            && self.units().eq(other.units())
     }
 }
 
@@ -277,17 +314,21 @@ impl ScheduleState {
         (self.layout.as_ref()).map_or(&[], |l| &l.ids[self.mine.clone()])
     }
 
-    fn items(&self, i: usize) -> &[u32] {
-        match self.held[i] {
-            Some(Home::Init(k)) => &self.init[self.rank].units[k].1,
-            Some(Home::Arena(at)) => &self.arena[at..at + self.ids()[i].len as usize],
-            None => &[],
+    /// Items `r` of the `i`-th unit.
+    fn items(&self, i: usize, r: Range<usize>) -> Items<'_> {
+        match &self.held[i] {
+            Some(Home::Init(k)) => Items::Words(&self.init[self.rank].units[*k].1[r]),
+            Some(Home::Wire(payload, at)) => {
+                Items::Wire(&payload.bytes()[at + 4 * r.start..][..4 * r.len()])
+            }
+            None => Items::Words(&[]),
         }
     }
 
-    fn units(&self) -> impl Iterator<Item = (UnitId, &[u32])> {
+    fn units(&self) -> impl Iterator<Item = (UnitId, Items<'_>)> {
         let ids = self.ids().iter().enumerate();
-        (ids.filter(|&(i, _)| self.held[i].is_some())).map(|(i, &id)| (id, self.items(i)))
+        let held = ids.filter(|&(i, _)| self.held[i].is_some());
+        held.map(|(i, &id)| (id, self.items(i, 0..id.len as usize)))
     }
 
     /// The units currently held, as offset-tagged pieces in id order.
@@ -295,14 +336,15 @@ impl ScheduleState {
         self.units()
             .map(|(id, items)| Piece {
                 offset: id.offset,
-                items: items.to_vec(),
+                items: items.words().collect(),
             })
             .collect()
     }
 
     /// The reduction accumulator, if this schedule carries one.
     pub fn accumulator(&self) -> Option<&[u32]> {
-        self.acc.as_deref()
+        let init = || self.init.get(self.rank)?.acc.as_deref();
+        self.acc.as_deref().or_else(init)
     }
 
     /// The first data error this processor met, if any.
@@ -310,12 +352,12 @@ impl ScheduleState {
         self.error
     }
 
-    /// Hand `uid`'s items to `f` as borrowed slices in item order, as
+    /// Hand `uid`'s items to `f` as borrowed runs in item order, as
     /// [`hbsp_check::cover`] finds them among the held units. Returns
     /// whether `uid` is covered.
-    fn cover<'a>(&'a self, uid: UnitId, mut f: impl FnMut(&'a [u32])) -> bool {
+    fn cover<'a>(&'a self, uid: UnitId, mut f: impl FnMut(Items<'a>)) -> bool {
         let held = |i: usize| self.held[i].is_some();
-        let items = |i, r: std::ops::Range<usize>| f(&self.items(i)[r]);
+        let items = |i, r| f(self.items(i, r));
         hbsp_check::cover(self.ids(), held, !self.whole_blocks, uid, items)
     }
 
@@ -324,7 +366,7 @@ impl ScheduleState {
     /// collective never delivered that data here (a fault upstream).
     pub fn try_unit(&self, uid: UnitId) -> Result<Vec<u32>, DecodeError> {
         let mut out = Vec::with_capacity(uid.len as usize);
-        match self.cover(uid, |s| out.extend_from_slice(s)) {
+        match self.cover(uid, |s| out.extend(s.words())) {
             true => Ok(out),
             false => Err(DecodeError::MissingUnit),
         }
@@ -345,10 +387,11 @@ impl ScheduleState {
         // Partials fold in src order, so a future non-commutative op
         // stays deterministic (today's ops are all commutative).
         let mut partials: Vec<(ProcId, &[u8])> = Vec::new();
-        for m in messages {
+        for (i, m) in messages.iter().enumerate() {
+            let mut store = |o, items| self.store(o, items, || messages.share(i));
             let decoded = match m.tag {
-                TAG_PIECE => piece_parts(m.payload).and_then(|(o, items)| self.store(o, items)),
-                TAG_BUNDLE => walk_bundle(m.payload, |o, items| self.store(o, items)),
+                TAG_PIECE => piece_parts(m.payload).and_then(|(o, items)| store(o, items)),
+                TAG_BUNDLE => walk_bundle(m.payload, store),
                 TAG_PARTIAL => {
                     partials.push((m.src, m.payload));
                     Ok(())
@@ -371,32 +414,40 @@ impl ScheduleState {
         }
     }
 
-    /// Decode a received unit's items straight into the arena, once: a
-    /// unit already held carries the same data and is not written again.
-    fn store(&mut self, offset: u32, items: &[u8]) -> Result<(), DecodeError> {
+    /// Hold a received unit where it lies, bytes `items` of `payload`,
+    /// once: a unit already held carries the same data.
+    fn store(
+        &mut self,
+        offset: u32,
+        items: Range<usize>,
+        payload: impl FnOnce() -> SharedPayload,
+    ) -> Result<(), DecodeError> {
         let len = u32::try_from(items.len() / 4).map_err(|_| DecodeError::UnplannedUnit)?;
         let i = (self.ids().binary_search(&UnitId::new(offset, len)))
             .map_err(|_| DecodeError::UnplannedUnit)?;
         if self.held[i].is_none() {
-            self.held[i] = Some(Home::Arena(self.arena.len()));
-            self.arena.extend(codec::read_u32s(items));
+            self.held[i] = Some(Home::Wire(payload(), items.start));
         }
         Ok(())
     }
 
     /// Fold a partial vector into the accumulator straight off the wire.
+    /// The first fold copies `init` into this rank's own vector, then
+    /// folds in place: faster than one pass writing `init ⊕ partial` to
+    /// fresh memory (performance.md §19).
     fn fold(&mut self, op: ReduceOp, payload: &[u8]) -> Result<(), DecodeError> {
-        let payload = whole_words(payload)?;
-        let Some(acc) = &mut self.acc else {
-            self.acc = Some(codec::decode_u32s(payload));
-            return Ok(());
+        let partial = codec::read_u32s(whole_words(payload)?);
+        let init = (self.init.get(self.rank)).and_then(|i| i.acc.as_deref());
+        let acc = match (&mut self.acc, init) {
+            (Some(acc), _) if acc.len() == partial.len() => acc,
+            (acc @ None, Some(init)) if init.len() == partial.len() => acc.insert(init.to_vec()),
+            (acc @ None, None) => {
+                *acc = Some(partial.collect());
+                return Ok(());
+            }
+            _ => return Err(DecodeError::PartialLength),
         };
-        if payload.len() != 4 * acc.len() {
-            return Err(DecodeError::PartialLength);
-        }
-        for (x, &c) in acc.iter_mut().zip(payload.as_chunks::<4>().0) {
-            *x = op.apply(*x, u32::from_le_bytes(c));
-        }
+        zip(acc, partial).for_each(|(x, y)| *x = op.apply(*x, y));
         Ok(())
     }
 
@@ -406,10 +457,10 @@ impl ScheduleState {
     /// rank's broken fill (`FillLength`), never as a short message.
     fn write(&self, send: &SendEntry, w: &mut WireWriter<'_>) {
         let items = |w: &mut WireWriter<'_>, uid| {
-            let _checked_before_posting = self.cover(uid, |s| w.u32s(s));
+            let _checked_before_posting = self.cover(uid, |s| s.write(w));
         };
         match send.tag {
-            TAG_PARTIAL => w.u32s(self.acc.as_deref().unwrap_or_default()),
+            TAG_PARTIAL => w.u32s(self.accumulator().unwrap_or_default()),
             TAG_PIECE => {
                 w.word(send.units[0].offset);
                 items(w, send.units[0]);
@@ -482,25 +533,20 @@ impl ExecPlan {
     /// order.
     pub fn compile(schedule: &CommSchedule, nprocs: usize) -> ExecPlan {
         let mut steps = vec![vec![ProcStep::default(); nprocs]; schedule.steps.len()];
-        let mut slots = Vec::new();
+        let ranked = |t: &&Transfer| t.src.rank() < nprocs;
+        let transfers = schedule.steps.iter().flat_map(|s| &s.transfers);
+        let slotted = transfers.filter(|t| ranked(t) && t.dst.rank() < nprocs);
+        let mut slots = Vec::with_capacity(slotted.map(|t| t.role.units().len()).sum());
         for (s, step) in schedule.steps.iter().enumerate() {
             for &(pid, units) in step.work.iter().filter(|w| w.0.rank() < nprocs) {
                 steps[s][pid.rank()].charge += units;
             }
-            for t in step.transfers.iter().filter(|t| t.src.rank() < nprocs) {
-                let (tag, words) = match &t.role {
-                    Role::Piece(uid) => (TAG_PIECE, 1 + uid.len as usize),
-                    Role::Bundle(uids) => (
-                        TAG_BUNDLE,
-                        1 + (uids.iter()).map(|u| 2 + u.len as usize).sum::<usize>(),
-                    ),
-                    Role::Partial => (TAG_PARTIAL, t.words as usize),
-                };
-                let (units, wire_len) = (t.role.units(), 4 * words);
+            for (j, t) in step.transfers.iter().enumerate().filter(|(_, t)| ranked(t)) {
+                let (tag, wire_len) = wire(t);
+                let units = t.role.units();
                 if t.dst.rank() < nprocs {
                     slots.extend(units.iter().map(|&u| (t.dst.rank(), u)));
                 }
-                // The unit list is allocated only for a new entry.
                 let sends = &mut steps[s][t.src.rank()].sends;
                 match sends.last_mut() {
                     Some(last)
@@ -508,12 +554,20 @@ impl ExecPlan {
                     {
                         last.dsts.push(t.dst)
                     }
-                    _ => sends.push(SendEntry {
-                        dsts: vec![t.dst],
-                        tag,
-                        wire_len,
-                        units: units.to_vec(),
-                    }),
+                    // A new entry, with room for each destination its
+                    // sender's next transfers give the same payload.
+                    _ => {
+                        let same = |u: &&Transfer| (wire(u), u.role.units()) == (wire(t), units);
+                        let mine = step.transfers[j..].iter().filter(|u| u.src == t.src);
+                        let mut dsts = Vec::with_capacity(mine.take_while(same).count());
+                        dsts.push(t.dst);
+                        sends.push(SendEntry {
+                            dsts,
+                            tag,
+                            wire_len,
+                            units: units.to_vec(),
+                        });
+                    }
                 }
                 // Posted now, absorbed by its destination one step on.
                 if let Some(row) = steps.get_mut(s + 1).and_then(|r| r.get_mut(t.dst.rank())) {
@@ -525,6 +579,19 @@ impl ExecPlan {
         slots.dedup();
         ExecPlan { steps, slots }
     }
+}
+
+/// A transfer's wire tag and payload length in bytes.
+fn wire(t: &Transfer) -> (u32, usize) {
+    let (tag, words) = match &t.role {
+        Role::Piece(uid) => (TAG_PIECE, 1 + uid.len as usize),
+        Role::Bundle(uids) => (
+            TAG_BUNDLE,
+            1 + (uids.iter()).map(|u| 2 + u.len as usize).sum::<usize>(),
+        ),
+        Role::Partial => (TAG_PARTIAL, t.words as usize),
+    };
+    (tag, 4 * words)
 }
 
 /// The one executable form of a collective: a [`CommSchedule`] compiled
@@ -587,17 +654,14 @@ impl SpmdProgram for ScheduleProgram {
     fn init(&self, env: &ProcEnv) -> ScheduleState {
         let (rank, lay) = (env.pid.rank(), &self.layout);
         let mine = lay.at[rank]..lay.at[rank + 1];
-        let (ids, initial) = (&lay.ids[mine.clone()], &lay.initial[mine.clone()]);
-        let slots = ids.iter().zip(initial).filter(|(_, home)| home.is_none());
         ScheduleState {
             init: Arc::clone(&self.init),
             rank,
-            arena: Vec::with_capacity(slots.map(|(id, _)| id.len as usize).sum()),
-            held: initial.to_vec(),
+            held: lay.initial[mine.clone()].to_vec(),
             layout: Some(Arc::clone(&self.layout)),
             mine,
             whole_blocks: self.schedule.holds_blocks(rank),
-            acc: self.init[rank].acc.clone(),
+            acc: None,
             error: None,
         }
     }

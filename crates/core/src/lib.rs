@@ -62,8 +62,8 @@ pub use params::{NodeParams, DEFAULT_G};
 pub use rebuild::{Carved, DegradeError, Degraded, ObservedParams, ReparamError};
 pub use schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
 pub use spmd::{
-    FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv, SpmdContext,
-    SpmdProgram, StepOutcome, SyncScope, WireWriter,
+    FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv,
+    SharedPayload, SpmdContext, SpmdProgram, StepOutcome, SyncScope, WireWriter,
 };
 pub use tree::{MachineTree, Node, NodeKind};
 pub use workload::{apportion, Partition};

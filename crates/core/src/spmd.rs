@@ -167,10 +167,44 @@ impl std::error::Error for FillLength {}
 /// [`MsgBatch::retain`] and [`MsgBatch::truncate_payload`] edit rows
 /// only, and receivers only read. Code that writes into a posted arena
 /// would change what every row sharing those bytes reads.
+///
+/// The arena sits behind a reference count, so a receiver can keep a
+/// payload past its superstep body without copying it
+/// ([`Inbox::share`]), and the rule above also holds while any
+/// [`SharedPayload`] holds the bytes: a batch whose arena is held
+/// starts a new one instead of writing over them — empty, of the same
+/// capacity, when it clears; a copy, when it posts first. An arena
+/// nobody holds is cleared and refilled in place, keeping its
+/// allocation. A clone shares the arena the same way.
 #[derive(Debug, Clone, Default)]
 pub struct MsgBatch {
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
     meta: Vec<MsgMeta>,
+}
+
+/// An owned, read-only handle to one delivered payload: its sender's
+/// arena, kept alive by reference count, and the payload's byte range
+/// in it. What [`Inbox::share`] returns — the bytes stay where the
+/// sender wrote them and outlive the superstep, since the arena's owner
+/// never writes over a held arena ([`MsgBatch`]).
+#[derive(Clone)]
+pub struct SharedPayload {
+    arena: Arc<Vec<u8>>,
+    range: std::ops::Range<usize>,
+}
+
+impl SharedPayload {
+    /// The payload's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.arena[self.range.clone()]
+    }
+}
+
+/// The payload's bytes, not the rest of the arena they live in.
+impl std::fmt::Debug for SharedPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SharedPayload").field(&self.bytes()).finish()
+    }
 }
 
 impl MsgBatch {
@@ -183,7 +217,7 @@ impl MsgBatch {
     /// payload bytes in total.
     pub fn with_capacity(msgs: usize, bytes: usize) -> Self {
         MsgBatch {
-            bytes: Vec::with_capacity(bytes),
+            bytes: Arc::new(Vec::with_capacity(bytes)),
             meta: Vec::with_capacity(msgs),
         }
     }
@@ -216,7 +250,7 @@ impl MsgBatch {
     /// Append a message, copying `payload` into the arena.
     pub fn push(&mut self, src: ProcId, dst: ProcId, tag: u32, payload: &[u8]) {
         let off = self.reserve_payload(payload.len());
-        self.bytes.extend_from_slice(payload);
+        Arc::make_mut(&mut self.bytes).extend_from_slice(payload);
         self.meta.push(MsgMeta {
             src,
             dst,
@@ -249,11 +283,12 @@ impl MsgBatch {
             return Ok(());
         }
         let off = self.reserve_payload(len);
-        self.bytes.reserve(len);
-        fill(&mut WireWriter(&mut self.bytes));
-        let wrote = self.bytes.len() - off as usize;
+        let bytes = Arc::make_mut(&mut self.bytes);
+        bytes.reserve(len);
+        fill(&mut WireWriter(bytes));
+        let wrote = bytes.len() - off as usize;
         if wrote != len {
-            self.bytes.truncate(off as usize);
+            bytes.truncate(off as usize);
             return Err(FillLength {
                 promised: len,
                 wrote,
@@ -290,10 +325,26 @@ impl MsgBatch {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Drop every message but keep both allocations for reuse.
+    /// Drop every message but keep both allocations for reuse — unless
+    /// a [`SharedPayload`] holds the arena, which then stays with its
+    /// holders while the batch starts a new one of the same capacity.
     pub fn clear(&mut self) {
-        self.bytes.clear();
+        match Arc::get_mut(&mut self.bytes) {
+            Some(bytes) => bytes.clear(),
+            None => self.bytes = Arc::new(Vec::with_capacity(self.bytes.capacity())),
+        }
         self.meta.clear();
+    }
+
+    /// Drop every message and free both tables. The arena's reference
+    /// count stays with the batch for its next fill, unless a
+    /// [`SharedPayload`] holds the arena, which then keeps it.
+    pub fn release(&mut self) {
+        match Arc::get_mut(&mut self.bytes) {
+            Some(bytes) => *bytes = Vec::new(),
+            None => self.bytes = Arc::default(),
+        }
+        self.meta = Vec::new();
     }
 
     /// Move every message of `other` onto the end of `self` (two bulk
@@ -306,7 +357,7 @@ impl MsgBatch {
             return;
         }
         let shift = self.reserve_payload(other.bytes.len());
-        self.bytes.extend_from_slice(&other.bytes);
+        Arc::make_mut(&mut self.bytes).extend_from_slice(&other.bytes);
         self.meta.extend(other.meta.iter().map(|m| MsgMeta {
             off: m.off + shift,
             ..*m
@@ -314,14 +365,16 @@ impl MsgBatch {
         other.clear();
     }
 
-    /// An empty batch with room for `times` as many rows as `self` has
-    /// room for, and `times` as many payload bytes as the larger of its
-    /// arena's capacity and `addressed` — what rows address when they
-    /// share bytes ([`MsgBatch::push_with`]): one allocation per table,
-    /// however many doublings `self` took to grow.
-    pub fn empty_like(&self, times: usize, addressed: usize) -> MsgBatch {
-        let bytes = self.bytes.capacity().max(addressed);
-        MsgBatch::with_capacity(times * self.meta.capacity(), times * bytes)
+    /// Give this empty batch room for `times` as many rows as `like`
+    /// has room for, and `times` as many payload bytes as the larger of
+    /// its arena's capacity and `addressed` — what rows address when
+    /// they share bytes ([`MsgBatch::push_with`]): one allocation per
+    /// table, however many doublings `like` took to grow, and the
+    /// arena's reference count the one the batch already has.
+    pub fn reserve_like(&mut self, like: &MsgBatch, times: usize, addressed: usize) {
+        let bytes = like.bytes.capacity().max(addressed);
+        Arc::make_mut(&mut self.bytes).reserve_exact(times * bytes);
+        self.meta.reserve_exact(times * like.meta.capacity());
     }
 
     /// Payload bytes the arena holds without reallocating.
@@ -465,14 +518,31 @@ impl<'a> Inbox<'a> {
         self.rows.is_empty()
     }
 
+    /// The batch row `i` points into, and the row's index in it.
+    fn row(&self, i: usize) -> (&'a MsgBatch, usize) {
+        let (src, k) = self.rows[i];
+        match self.posted {
+            Posted::Shared(batch) => (batch, k as usize),
+            Posted::PerSender(outboxes) => (outboxes[src as usize], k as usize),
+        }
+    }
+
     /// View of message `i` (delivery order), borrowing its sender's
     /// arena.
     pub fn get(&self, i: usize) -> MsgView<'a> {
-        let (src, k) = self.rows[i];
-        match self.posted {
-            Posted::Shared(batch) => batch.get(k as usize),
-            Posted::PerSender(outboxes) => outboxes[src as usize].get(k as usize),
-        }
+        let (batch, k) = self.row(i);
+        batch.get(k)
+    }
+
+    /// An owned handle to message `i`'s payload, valid after this body
+    /// ends: the bytes stay in their sender's arena, which the handle
+    /// keeps, and nothing writes over them while it does ([`MsgBatch`]).
+    pub fn share(&self, i: usize) -> SharedPayload {
+        let (batch, k) = self.row(i);
+        let m = &batch.meta[k];
+        let range = m.off as usize..(m.off + m.len) as usize;
+        let arena = Arc::clone(&batch.bytes);
+        SharedPayload { arena, range }
     }
 
     /// Iterate the messages in delivery order.
@@ -779,7 +849,7 @@ mod tests {
         assert_eq!(gather.get(2).payload, &[0xCC; 2]);
     }
 
-    /// `empty_like(2)` is the simulator's per-run arena: empty, with
+    /// `reserve_like(2)` is the simulator's per-run arena: empty, with
     /// room for twice the messages and bytes of the batch it is built
     /// from, so two of its steps fit without a reallocation.
     #[test]
@@ -789,7 +859,8 @@ mod tests {
             a.push(ProcId(0), ProcId(1), i, &[7; 100]);
         }
         let (msgs, bytes) = (a.meta.capacity(), a.arena_capacity());
-        let mut b = a.empty_like(2, 0);
+        let mut b = MsgBatch::new();
+        b.reserve_like(&a, 2, 0);
         assert!(b.is_empty() && b.arena_len() == 0);
         assert!(b.meta.capacity() >= 2 * msgs && b.arena_capacity() >= 2 * bytes);
         let (room, rows) = (b.arena_capacity(), b.meta.capacity());
@@ -799,7 +870,9 @@ mod tests {
             }
         }
         assert_eq!((b.arena_capacity(), b.meta.capacity()), (room, rows));
-        assert_eq!(MsgBatch::new().empty_like(2, 0).arena_capacity(), 0);
+        b = MsgBatch::new();
+        b.reserve_like(&MsgBatch::new(), 2, 0);
+        assert_eq!(b.arena_capacity(), 0);
     }
 
     #[test]
@@ -910,7 +983,9 @@ mod tests {
         assert!(std::ptr::eq(fanned.get(1).payload, fanned.get(3).payload));
         // Room for what the rows address, where that is more than the
         // arena holds.
-        assert_eq!(fanned.empty_like(2, 4096).arena_capacity(), 8192);
+        let mut like = MsgBatch::new();
+        like.reserve_like(&fanned, 2, 4096);
+        assert_eq!(like.arena_capacity(), 8192);
 
         let mut called = false;
         fanned
@@ -935,6 +1010,51 @@ mod tests {
         for i in [3, 4] {
             assert_eq!(gathered.get(i).payload, alone.get(i - 1).payload, "row {i}");
         }
+    }
+
+    /// A shared payload outlives its batch's refills: an arena a handle
+    /// holds is replaced — by one of the same capacity, with a copy of
+    /// its bytes when the batch posts before it clears — never written
+    /// over, and an arena nobody holds is refilled in place.
+    #[test]
+    fn a_shared_payload_outlives_the_refills_of_its_batch() {
+        let mut b = MsgBatch::with_capacity(4, 64);
+        b.push(ProcId(0), ProcId(1), 1, &[7; 8]);
+        b.push(ProcId(0), ProcId(1), 2, &[8; 4]);
+        let rows = [(0, 1)];
+        let kept = Inbox::shared(&b, &rows).share(0);
+        assert_eq!(format!("{kept:?}"), "SharedPayload([8, 8, 8, 8])");
+        let held = b.get(1).payload.as_ptr();
+        b.clear();
+        b.push(ProcId(0), ProcId(1), 3, &[9; 8]);
+        assert_eq!(b.arena_capacity(), 64, "a new arena of the same capacity");
+        assert_eq!((kept.bytes(), b.get(0).payload), (&[8; 4][..], &[9; 8][..]));
+        assert!(!std::ptr::eq(b.get(0).payload.as_ptr(), held));
+
+        let first = [(0, 0)];
+        let again = Inbox::per_sender(&[&b], &first).share(0);
+        b.push(ProcId(0), ProcId(1), 4, &[5; 4]);
+        assert_eq!(
+            (again.bytes(), b.get(0).payload),
+            (&[9; 8][..], &[9; 8][..])
+        );
+        assert_eq!(b.get(1).payload, &[5; 4]);
+        assert_eq!(kept.bytes(), &[8; 4]);
+
+        drop((kept, again));
+        let arena = b.get(0).payload.as_ptr();
+        b.clear();
+        b.push(ProcId(0), ProcId(1), 5, &[6; 4]);
+        assert!(
+            std::ptr::eq(b.get(0).payload.as_ptr(), arena),
+            "refilled in place"
+        );
+        let last = Inbox::shared(&b, &first).share(0);
+        b.release();
+        assert_eq!(
+            (b.len(), b.arena_capacity(), last.bytes()),
+            (0, 0, &[6; 4][..])
+        );
     }
 
     /// Regression: the bound used to be narrowed with `as u32`, so

@@ -208,6 +208,95 @@ pub fn outbox_pull(kind: BarrierKind, m: Machine, rounds: usize, outboxes: usize
     }
 }
 
+/// A payload kept past its body (`hbsp_core::Inbox::share`), reduced
+/// to its cells: per rank two outbox cells, each naming the arena it
+/// posts into, and per arena a byte cell and a reference count, modelled
+/// with the orderings `std::sync::Arc` uses — a handle's clone is a
+/// `Relaxed` increment, its drop a `Release` decrement (label
+/// `arena.handle.drop`), and the owner's test that nobody else holds
+/// the arena (`Arc::get_mut`) an `Acquire` load (label `arena.unique`).
+/// Every rank posts every step, and in body `s`:
+///
+/// 1. reads the handle it kept in body `s − 1` — a peer's post of step
+///    `s − 2` — asserting the bytes are the ones posted, then drops it;
+/// 2. refills its own outbox of parity `s`, whose last post is the one
+///    its peers kept: in place if it holds the arena alone, else into a
+///    new arena, dropping its own reference (`MsgBatch::clear`);
+/// 3. reads what each peer posted in `s − 1` and keeps a handle to it.
+///
+/// Steps 1 and 2 of one body run on different ranks at once, with no
+/// barrier between a reader's last read of a kept arena and the owner's
+/// test of it: the reference count alone must order them. So the owner
+/// either finds the arena held and leaves it, and the kept bytes read
+/// unchanged, or finds it free after the reader's drop, which then
+/// happens-before its refill. `rounds ≥ 3` refills a parity whose arena
+/// a peer keeps.
+pub fn outbox_retention(kind: BarrierKind, m: Machine, rounds: usize) {
+    use std::sync::atomic::Ordering;
+    use weave::atomic::AtomicUsize;
+    use weave::mutation::resolve;
+    let tree = machine(m);
+    let p = tree.num_procs();
+    let b = Barrier::new(kind, &tree);
+    // Rank `i`'s arenas are `i * per..(i + 1) * per`: its two first,
+    // then one for each refill that may find its arena held.
+    let per = rounds + 3;
+    let bytes: Vec<RacyCell> = (0..p * per).map(|_| RacyCell::new(0)).collect();
+    let refs: Vec<AtomicUsize> = (0..p * per).map(|_| AtomicUsize::new(1)).collect();
+    let out: Vec<[RacyCell; 2]> = (0..p)
+        .map(|i| [0, 1].map(|k| RacyCell::new((i * per + k) as u64)))
+        .collect();
+    let posted = |i: usize, step: usize| (step * p + i + 1) as u64;
+    let tasks: Vec<_> = (0..p)
+        .map(|rank| {
+            let (b, bytes, refs, out) = (&b, &bytes, &refs, &out);
+            move || {
+                let mut fresh = rank * per + 2;
+                let mut kept: Vec<(usize, usize)> = Vec::new();
+                for step in 0..=rounds {
+                    for (src, arena) in kept.drain(..) {
+                        // SAFETY: the handle keeps the arena: its owner
+                        // writes it only once it holds it alone.
+                        let got = unsafe { bytes[arena].read() };
+                        assert_eq!(got, posted(src, step - 2), "kept bytes of P{src}");
+                        refs[arena].fetch_sub(1, resolve("arena.handle.drop", Ordering::Release));
+                    }
+                    // SAFETY: the owner's own cell; its readers of two
+                    // steps ago have arrived at a barrier since.
+                    let mut arena = unsafe { out[rank][step % 2].read() } as usize;
+                    if refs[arena].load(resolve("arena.unique", Ordering::Acquire)) != 1 {
+                        refs[arena].fetch_sub(1, Ordering::Release);
+                        arena = fresh;
+                        fresh += 1;
+                        // SAFETY: as above; the new arena is this
+                        // rank's until the barrier publishes it.
+                        unsafe { out[rank][step % 2].write(arena as u64) };
+                    }
+                    // SAFETY: this rank holds the arena alone.
+                    unsafe { bytes[arena].write(posted(rank, step)) };
+                    if step > 0 {
+                        for (src, cells) in out.iter().enumerate().filter(|&(src, _)| src != rank) {
+                            // SAFETY: phase 3 — shared reads of what
+                            // `src` posted in the step before.
+                            let arena = unsafe { cells[(step - 1) % 2].read() } as usize;
+                            let got = unsafe { bytes[arena].read() };
+                            assert_eq!(got, posted(src, step - 1), "read from P{src}");
+                            refs[arena].fetch_add(1, Ordering::Relaxed);
+                            kept.push((src, arena));
+                        }
+                    }
+                    b.wait_leader(rank, || ());
+                }
+            }
+        })
+        .collect();
+    for r in weave::thread::scope_join(tasks) {
+        if let Err(e) = r {
+            std::panic::resume_unwind(e);
+        }
+    }
+}
+
 /// The watchdog abort protocol, focused on the barrier-internal
 /// happens-before edge it must provide: rank 0 never arrives for
 /// generation 0, so the barrier can never complete and a timed-out

@@ -136,6 +136,22 @@ fn outbox_pull_clustered3_is_clean_exhaustively() {
     outbox_pull_is_clean(BarrierKind::Central, Machine::Clustered3, &cfg);
 }
 
+/// A payload kept past its body on one machine and barrier: four
+/// supersteps, so each rank refills both parities while its peers keep
+/// what it last posted there.
+fn outbox_retention_is_clean(kind: BarrierKind, m: Machine, cfg: &weave::Config) {
+    let out = weave::explore(cfg, || scenarios::outbox_retention(kind, m, 3));
+    report(&format!("outbox retention {kind:?} {m:?} x3"), &out);
+    out.assert_clean("a kept payload against its owner's refills");
+    assert!(out.stats.exhausted, "outbox retention must be exhaustible");
+}
+
+#[test]
+fn outbox_retention_flat2_is_clean_exhaustively() {
+    outbox_retention_is_clean(BarrierKind::Hierarchical, Machine::Flat2, &exhaustive());
+    outbox_retention_is_clean(BarrierKind::Central, Machine::Flat2, &exhaustive());
+}
+
 #[test]
 fn mailbox_circulation_is_clean_exhaustively() {
     let out = weave::explore(&exhaustive(), || scenarios::mailbox_circulation(2, 2));

@@ -161,6 +161,33 @@ fn weakened_arrive_combine_races_an_outbox_refill() {
     assert_names_site(&out, label);
 }
 
+/// The retention scenario: a reader drops a kept handle in the body
+/// where the arena's owner tests whether it may refill that arena in
+/// place, with no barrier between the reader's last read and the test.
+fn outbox_retention_flat2() {
+    scenarios::outbox_retention(BarrierKind::Hierarchical, Machine::Flat2, 3)
+}
+
+#[test]
+fn weakened_handle_drop_races_a_refill() {
+    // A handle's drop (`Arc`'s `Release` decrement) carries the
+    // holder's reads of the arena to the owner that then finds it
+    // free. Relaxed: the owner refills in place, unordered with the
+    // reader's last read of the bytes.
+    let label = "arena.handle.drop";
+    let out = weave::explore(&mutated(label, Ordering::Relaxed), outbox_retention_flat2);
+    assert_names_site(&out, label);
+}
+
+#[test]
+fn weakened_unique_test_races_a_refill() {
+    // The acquire side of the same edge (`Arc::get_mut`'s `Acquire`
+    // load of the count).
+    let label = "arena.unique";
+    let out = weave::explore(&mutated(label, Ordering::Relaxed), outbox_retention_flat2);
+    assert_names_site(&out, label);
+}
+
 #[test]
 fn a_single_outbox_per_rank_is_a_race_with_every_ordering_intact() {
     // Negative control: ignore the parity and the owner's refill in

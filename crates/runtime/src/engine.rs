@@ -143,7 +143,7 @@ impl RunFrame {
                 // access the checker orders against the run's: what makes
                 // this `&mut` true is the pool's acknowledgement edge,
                 // not the borrow checker.
-                *unsafe { slot.outbox(parity) } = MsgBatch::default();
+                unsafe { slot.outbox(parity) }.release();
             }
         }
         let ls = self

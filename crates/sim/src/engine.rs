@@ -190,12 +190,12 @@ impl Simulator {
         // A run that ended in an error left its messages behind; `reset`
         // empties them.
         scratch.reset(self.tree.num_procs());
-        let mut spare = MsgBatch::new();
-        let run = self.supersteps(prog, scratch, &mut spare);
+        let run = self.supersteps(prog, scratch);
         let room = scratch.arena.arena_capacity().max(scratch.addressed);
-        if spare.arena_capacity() > 2 * room {
-            std::mem::swap(&mut scratch.arena, &mut spare);
+        if scratch.spare.arena_capacity() > 2 * room {
+            std::mem::swap(&mut scratch.arena, &mut scratch.spare);
         }
+        scratch.spare.release();
         run
     }
 
@@ -206,7 +206,6 @@ impl Simulator {
         &self,
         prog: &P,
         scratch: &mut Scratch,
-        spare: &mut MsgBatch,
     ) -> Result<(SimOutcome, Vec<P::State>), SimError> {
         let p = self.tree.num_procs();
         let envs: Vec<ProcEnv> = (0..p)
@@ -219,6 +218,7 @@ impl Simulator {
         let mut states: Vec<P::State> = envs.iter().map(|e| prog.init(e)).collect();
         let Scratch {
             arena,
+            spare,
             addressed,
             pull,
             settlement,
@@ -378,6 +378,9 @@ impl Simulator {
 #[derive(Default)]
 struct Scratch {
     arena: MsgBatch,
+    /// The per-run arena: empty between runs, its tables freed, but its
+    /// reference count kept for the next run's first post.
+    spare: MsgBatch,
     /// The most payload bytes the rows of one step posted into `arena`
     /// have addressed, over every run: a byte that several rows share
     /// counts once per row.
@@ -426,7 +429,7 @@ impl SimCtx<'_> {
     fn outbox(&mut self) -> &mut MsgBatch {
         if let Some((kept, addressed)) = self.build_like {
             if self.outbox.is_empty() && self.outbox.arena_capacity() == 0 {
-                *self.outbox = kept.empty_like(2, addressed);
+                self.outbox.reserve_like(kept, 2, addressed);
             }
         }
         self.outbox

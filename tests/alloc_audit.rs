@@ -514,9 +514,10 @@ fn audited_program_is_bit_identical_across_engines() {
 /// sender's units into the engine's outbox arena with no intermediate
 /// buffer, so a processor that only sends allocates nothing once the
 /// arena has grown — a flat broadcast costs its root the same zero
-/// allocations to 7 receivers as to 1 — and a receiver decodes each
-/// unit straight into its slot of the arena sized at `init`, so its
-/// receive step allocates nothing either, for one unit or a bundle of 8.
+/// allocations to 7 receivers as to 1 — and a receiver holds each
+/// unit where it lies in the wire, a handle to the sender's arena in
+/// the unit's slot, so its receive step allocates nothing either, for
+/// one unit or a bundle of 8.
 #[test]
 fn schedule_program_posts_and_receives_in_place() {
     use hbsp_collectives::schedule::{
@@ -593,11 +594,12 @@ fn schedule_program_posts_and_receives_in_place() {
     }
 }
 
-/// `ExecPlan::compile` allocates a unit list for each send entry it
-/// pushes, never for a transfer that joins its sender's last entry: the
-/// flat all-gather on `campus` has 56 transfers and 8 entries (each
-/// rank's piece is posted once, to its seven peers), so its compile
-/// allocates fewer times than it has transfers.
+/// `ExecPlan::compile` allocates per entry, never per transfer or per
+/// destination: the flat all-gather on `campus` has 56 transfers and 8
+/// entries (each rank's piece is posted once, to its seven peers), and
+/// its compile allocates the step tables (3), each rank's send list
+/// (8), each entry's unit list and destination list, sized from its run
+/// of transfers (16), and the slot list once (1).
 #[test]
 fn compile_allocates_a_unit_list_per_entry_not_per_transfer() {
     use hbsp_collectives::{allgather, schedule::ExecPlan, WorkloadPolicy};
@@ -609,9 +611,9 @@ fn compile_allocates_a_unit_list_per_entry_not_per_transfer() {
     let entries: usize = plan.steps.iter().flatten().map(|r| r.sends.len()).sum();
     assert_eq!((transfers, entries), (56, 8));
     let allocs = thread_allocs_during(|| ExecPlan::compile(&sched, 8));
-    assert!(
-        allocs < transfers,
-        "compiling {transfers} transfers into {entries} entries allocated {allocs} times"
+    assert_eq!(
+        allocs, 28,
+        "compiling {transfers} transfers into {entries} entries"
     );
 }
 

@@ -621,3 +621,92 @@ fn a_broken_fill_to_several_destinations_is_that_ranks_panic_on_both_engines() {
         }
     }
 }
+
+/// Received units stay where their senders wrote them, past every
+/// superstep that reuses those arenas. On a ring of four ranks each
+/// sends its own unit on in step 0, relays the unit it received one
+/// step earlier in steps 1 and 2, and sends its own unit again in step
+/// 3: so the units that arrive in step 1 lie in the arenas of step 0,
+/// which steps 2 and 3 post past on both parities, and are read only
+/// after the run. On both engines every rank then reads every unit as
+/// staged, the final states are equal, and a step-0 piece cut to its
+/// offset word is the same typed error.
+#[test]
+fn units_read_in_the_wire_after_both_arenas_are_reused_are_the_staged_words() {
+    use hbsp::collectives::schedule::{
+        CommSchedule, ProcInit, Role, ScheduleState, ScheduleStep, Transfer, UnitId,
+    };
+    use hbsp::collectives::{CollectiveError, DecodeError};
+    const P: usize = 4;
+    const N: u32 = 64;
+    let tree = Arc::new(TreeBuilder::homogeneous(1.0, 10.0, P).unwrap());
+    let unit = |r: usize| UnitId::new(r as u32 * N, N);
+    let items = |r: usize| (0..N).map(|i| 1000 * r as u32 + i).collect::<Vec<u32>>();
+    let mut sched = CommSchedule::new();
+    for s in 0..4 {
+        let mut step = ScheduleStep::at(SyncScope::global(&tree));
+        for r in 0..P {
+            let role = match s {
+                1 | 2 => Role::Bundle(vec![unit((r + P - s) % P)]),
+                _ => Role::Piece(unit(r)),
+            };
+            step.transfers.push(Transfer {
+                src: ProcId(r as u32),
+                dst: ProcId(((r + 1) % P) as u32),
+                words: N as u64,
+                role,
+            });
+        }
+        sched.push(step);
+    }
+    sched.push(ScheduleStep::drain());
+    let init: Vec<ProcInit> = (0..P)
+        .map(|r| ProcInit {
+            units: vec![(unit(r), items(r))],
+            acc: None,
+        })
+        .collect();
+    let prog = ScheduleProgram::new(Arc::new(sched), Arc::new(init), None);
+    let run = |exec: Executor| -> Vec<ScheduleState> {
+        let (outcome, states) = schedule::execute(&exec, &prog).unwrap();
+        assert_eq!(outcome.sim.messages_delivered, 16, "{}", exec.engine_name());
+        for (d, state) in states.iter().enumerate() {
+            for r in 0..P {
+                assert_eq!(state.try_unit(unit(r)), Ok(items(r)), "P{d} reads unit {r}");
+            }
+        }
+        states
+    };
+    let sim = run(Executor::simulator(Arc::clone(&tree)));
+    let thr = run(Executor::threads(Arc::clone(&tree)));
+    assert_eq!(sim, thr);
+    let pieces = |states: &[ScheduleState]| states.iter().map(|s| s.pieces()).collect::<Vec<_>>();
+    assert_eq!(pieces(&sim), pieces(&thr));
+
+    // P1 receives a piece of no items, a unit the plan never sends it,
+    // and goes quiet; the ranks after it on the ring then miss what it
+    // would have relayed.
+    let cut = FaultPlan::new().truncate(ProcId(0), 0, 1);
+    let errors = [Executor::simulator, Executor::threads].map(|on| {
+        let exec = on(Arc::clone(&tree)).faults(cut.clone());
+        let (_, states) = exec.run(&prog).unwrap();
+        let first = schedule::check_states(&states);
+        (
+            first,
+            states.iter().map(ScheduleState::error).collect::<Vec<_>>(),
+        )
+    });
+    assert_eq!(errors[0], errors[1]);
+    let (unplanned, missing) = (
+        Some(DecodeError::UnplannedUnit),
+        Some(DecodeError::MissingUnit),
+    );
+    let (pid, error) = (ProcId(0), DecodeError::MissingUnit);
+    assert_eq!(
+        errors[0],
+        (
+            Err(CollectiveError::Decode { pid, error }),
+            vec![missing, unplanned, missing, missing]
+        )
+    );
+}

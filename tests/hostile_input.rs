@@ -379,3 +379,32 @@ fn collective_inputs_of_the_wrong_shape_are_typed_errors() {
     assert_eq!(scan(vectors(&[1, 1, 1, 1])), shape("vectors", 3, 4));
     assert_eq!(scan(vectors(&[2, 0, 2])), shape("words in a vector", 2, 0));
 }
+
+/// Pieces that do not tile the array they make up — one past its end,
+/// two over one index, or one that leaves a hole — are a typed error
+/// from `reassemble`, never a panic.
+#[test]
+fn pieces_that_do_not_tile_the_array_are_typed_errors() {
+    use hbsp::collectives::{reassemble, DecodeError, Piece};
+    let pieces = |spans: &[(u32, usize)]| -> Vec<Piece> {
+        let piece = |&(offset, len): &(u32, usize)| Piece {
+            offset,
+            items: vec![offset; len],
+        };
+        spans.iter().map(piece).collect()
+    };
+    assert_eq!(
+        reassemble(&pieces(&[(0, 2), (3, 2)])),
+        Err(DecodeError::PieceOverrun(3))
+    );
+    assert_eq!(
+        reassemble(&pieces(&[(2, 2), (0, 3)])),
+        Err(DecodeError::PieceOverlap(2))
+    );
+    assert_eq!(
+        reassemble(&pieces(&[(0, 1), (2, 1), (2, 1)])),
+        Err(DecodeError::PieceGap(1))
+    );
+    let tiled = reassemble(&pieces(&[(3, 1), (0, 3), (2, 0)]));
+    assert_eq!(tiled, Ok(vec![0, 0, 0, 3]));
+}
