@@ -46,6 +46,17 @@ fn place(out: &mut [f64], payload: &[u8]) {
     }
 }
 
+/// A program's pre-flight: the refusal its own input check gives, if
+/// any, as the one finding. The program's first step returns the same
+/// refusal as `StepOutcome::Abort` when it runs unchecked.
+fn preflight(refusal: Option<&'static str>) -> Result<(), hbsp_core::PreflightError> {
+    refusal.map_or(Ok(()), |reason| {
+        Err(hbsp_core::PreflightError {
+            violations: vec![reason.to_string()],
+        })
+    })
+}
+
 /// The simulator on a copy of `tree`: what the modules' tests run on.
 #[cfg(test)]
 fn sim(tree: &hbsp_core::MachineTree) -> hbsplib::Executor {

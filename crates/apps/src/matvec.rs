@@ -30,7 +30,9 @@ pub struct MatVec {
 }
 
 impl MatVec {
-    /// Multiply the `n × m` matrix `a` (row-major) by `x`.
+    /// Multiply the `n × m` matrix `a` (row-major) by `x`. A matrix of
+    /// another size or a vector of another length is refused when the
+    /// program runs: by its pre-flight, or unchecked by its first step.
     pub fn new(
         a: Arc<Vec<f64>>,
         x: Arc<Vec<f64>>,
@@ -38,14 +40,23 @@ impl MatVec {
         m: usize,
         workload: WorkloadPolicy,
     ) -> Self {
-        assert_eq!(a.len(), n * m, "matrix shape mismatch");
-        assert_eq!(x.len(), m, "vector length mismatch");
         MatVec {
             a,
             x,
             n,
             m,
             workload,
+        }
+    }
+
+    /// Why this input cannot be multiplied, if it cannot.
+    fn refusal(&self) -> Option<&'static str> {
+        if self.n.checked_mul(self.m) != Some(self.a.len()) {
+            Some("matrix shape mismatch: the matrix does not hold n × m entries")
+        } else if self.x.len() != self.m {
+            Some("vector length mismatch: the vector does not hold m entries")
+        } else {
+            None
         }
     }
 }
@@ -68,6 +79,10 @@ fn dot(row: impl Iterator<Item = f64>, x: impl Iterator<Item = f64>) -> f64 {
 impl SpmdProgram for MatVec {
     type State = MatVecState;
 
+    fn preflight(&self, _tree: &hbsp_core::MachineTree) -> Result<(), hbsp_core::PreflightError> {
+        crate::preflight(self.refusal())
+    }
+
     fn init(&self, _env: &ProcEnv) -> MatVecState {
         MatVecState::default()
     }
@@ -84,6 +99,9 @@ impl SpmdProgram for MatVec {
             // Scatter row blocks and the vector together, written from
             // `a` and `x` once each.
             0 => {
+                if let Some(reason) = self.refusal() {
+                    return StepOutcome::Abort(reason);
+                }
                 if env.pid == root {
                     let part = partition_for(&env.tree, self.n as u64, self.workload);
                     for j in 0..env.nprocs {
@@ -251,14 +269,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn shape_mismatch_panics() {
-        MatVec::new(
+    fn shape_mismatch_is_refused() {
+        let prog = MatVec::new(
             Arc::new(vec![0.0; 5]),
             Arc::new(vec![0.0; 2]),
             2,
             2,
             WorkloadPolicy::Equal,
         );
+        let exec = sim(&machine());
+        match exec.clone().check(true).run(&prog).map(drop) {
+            Err(SimError::Preflight { message }) => assert!(message.contains("shape mismatch")),
+            other => panic!("expected Preflight, got {other:?}"),
+        }
+        match exec.check(false).run(&prog).map(drop) {
+            Err(SimError::ProgramAborted { step, reason, .. }) => {
+                assert_eq!(step, 0);
+                assert!(reason.contains("shape mismatch"));
+            }
+            other => panic!("expected ProgramAborted, got {other:?}"),
+        }
     }
 }

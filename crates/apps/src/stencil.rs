@@ -30,14 +30,20 @@ pub struct Stencil {
 
 impl Stencil {
     /// Relax `field` for `iterations` sweeps, decomposing by
-    /// `workload`. The first and last cells are fixed boundaries.
+    /// `workload`. The first and last cells are fixed boundaries; a
+    /// field without both is refused when the program runs: by its
+    /// pre-flight, or unchecked by its first step.
     pub fn new(field: Arc<Vec<f64>>, iterations: usize, workload: WorkloadPolicy) -> Self {
-        assert!(field.len() >= 2, "need at least the two boundary cells");
         Stencil {
             field,
             iterations,
             workload,
         }
+    }
+
+    /// Why this field cannot be relaxed, if it cannot.
+    fn refusal(&self) -> Option<&'static str> {
+        (self.field.len() < 2).then_some("a stencil field needs its two boundary cells")
     }
 }
 
@@ -64,11 +70,19 @@ pub struct StencilState {
 impl SpmdProgram for Stencil {
     type State = StencilState;
 
+    fn preflight(&self, _tree: &hbsp_core::MachineTree) -> Result<(), hbsp_core::PreflightError> {
+        crate::preflight(self.refusal())
+    }
+
     fn init(&self, env: &ProcEnv) -> StencilState {
         // Everyone derives its own slice from the shared initial field —
         // deterministic, no scatter needed (mirrors applications whose
-        // input is generated in place).
-        let interior = (self.field.len() - 2) as u64;
+        // input is generated in place). A field without its boundaries
+        // leaves nothing to own; the first step refuses it.
+        let Some(interior) = self.field.len().checked_sub(2) else {
+            return StencilState::default();
+        };
+        let interior = interior as u64;
         let part = partition_for(&env.tree, interior, self.workload);
         let range = part.range(env.pid);
         let offset = 1 + range.start as usize;
@@ -107,6 +121,9 @@ impl SpmdProgram for Stencil {
         state: &mut StencilState,
         ctx: &mut dyn SpmdContext,
     ) -> StepOutcome {
+        if let Some(reason) = self.refusal() {
+            return StepOutcome::Abort(reason);
+        }
         if step < self.iterations {
             // Absorb halos from the previous exchange.
             for m in ctx.messages() {
@@ -216,7 +233,7 @@ pub fn reference_jacobi(field: &[f64], iterations: usize) -> Vec<f64> {
     let n = u.len();
     for _ in 0..iterations {
         let old = u.clone();
-        for i in 1..n - 1 {
+        for i in 1..n.saturating_sub(1) {
             u[i] = 0.5 * (old[i - 1] + old[i + 1]);
         }
     }

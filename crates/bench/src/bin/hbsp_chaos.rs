@@ -260,13 +260,11 @@ fn chaos_run(
         rec_out.recovery_events = rec.report.events.len();
         rec_out.attempts = rec.report.attempts;
         rec_out.steps = rec.outcome.sim.num_steps();
-        let lints = lint_machine(&rec.tree, None);
+        let lints = lint_machine(&rec.tree);
         if !lints.is_empty() {
             rec_out.violation = Some(format!(
                 "degraded tree fails machine lints under plan {plan:?}: {lints:?}"
             ));
-        } else if let Err(e) = rec.tree.validate() {
-            rec_out.violation = Some(format!("degraded tree fails validate: {e}"));
         }
     }
     rec_out

@@ -117,7 +117,7 @@ fn main() {
                 continue;
             }
         };
-        let diags = lint_with_spans(&parsed.tree, parsed.declared_k, &parsed.spans);
+        let diags = lint_with_spans(&parsed);
         for d in &diags {
             match d.span {
                 Some((line, col)) => eprintln!("{file}:{line}:{col}: error: {}", d.violation),

@@ -13,13 +13,8 @@ use hbsplib::Executor;
 use std::sync::Arc;
 
 /// The simulator on a testbed: what every experiment measures on.
-#[expect(
-    clippy::expect_used,
-    reason = "the testbeds build at every p in 1..=10 and every campus L >= 0 \
-              (testbed::tests::testbed_validates_at_every_p, hbsp2_testbed_shape)"
-)]
-fn simulator(built: Result<MachineTree, ModelError>) -> Executor {
-    Executor::simulator(Arc::new(built.expect("testbed builds")))
+fn simulator(built: Result<MachineTree, ModelError>) -> Result<Executor, CollectiveError> {
+    Ok(Executor::simulator(Arc::new(built?)))
 }
 
 /// One point of a Figure-3/4-style plot: processor count, problem size
@@ -41,7 +36,7 @@ fn sweep(
 ) -> Result<Vec<FigurePoint>, CollectiveError> {
     let mut out = Vec::with_capacity(ps.len() * kbs.len());
     for &p in ps {
-        let exec = simulator(testbed(p));
+        let exec = simulator(testbed(p))?;
         for &kb in kbs {
             let items = input_kb(kb);
             out.push(FigurePoint {
@@ -138,7 +133,7 @@ pub fn broadcast_crossover(ps: &[usize], kb: usize) -> Result<Vec<CrossoverRow>,
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &p in ps {
-        let exec = simulator(testbed(p));
+        let exec = simulator(testbed(p))?;
         let tree = exec.tree();
         let root = tree.fastest_proc();
         let one_sim = broadcast::run(&exec, &items, BroadcastPlan::one_phase())?.time;
@@ -230,7 +225,7 @@ pub fn hbsp2_phase_study(l2s: &[f64], kb: usize) -> Result<Vec<Hbsp2PhaseRow>, C
     let n = items.len() as u64;
     let mut rows = Vec::new();
     for &l2 in l2s {
-        let exec = simulator(hbsp2_testbed(l2));
+        let exec = simulator(hbsp2_testbed(l2))?;
         let hier = |top| broadcast::run(&exec, &items, BroadcastPlan::hierarchical(top));
         let one_sim = hier(PhasePolicy::OnePhase)?.time;
         let two_sim = hier(PhasePolicy::TwoPhase)?.time;
@@ -282,7 +277,7 @@ impl AmortizationRow {
 /// must cross the campus links with fewer messages than the flat
 /// gather.
 pub fn hbsp2_amortization(kbs: &[usize], l2: f64) -> Result<Vec<AmortizationRow>, CollectiveError> {
-    let exec = simulator(hbsp2_testbed(l2));
+    let exec = simulator(hbsp2_testbed(l2))?;
     let mut rows = Vec::new();
     for &kb in kbs {
         let items = input_kb(kb);
@@ -377,7 +372,7 @@ pub fn barrier_scope_ablation(
         }
     }
 
-    let exec = simulator(hbsp2_testbed(l2));
+    let exec = simulator(hbsp2_testbed(l2))?;
     let mut rows = Vec::new();
     for &rounds in rounds_list {
         let ring = |scope_level| {
@@ -411,7 +406,7 @@ pub struct AccuracyRow {
 /// the two prediction paths must agree (up to the few header words per
 /// message the closed forms don't count).
 pub fn model_evaluator_agreement(p: usize, kb: usize) -> Result<Vec<(f64, f64)>, CollectiveError> {
-    let tree = simulator(testbed(p)).tree().clone();
+    let tree = Arc::new(testbed(p)?);
     let items = input_kb(kb);
     let n = items.len() as u64;
     let root = tree.fastest_proc();
@@ -441,7 +436,7 @@ impl AccuracyRow {
 /// model *ranks* designs correctly and tracks scale, not that it
 /// predicts absolute microcosts.
 pub fn model_accuracy(p: usize, kb: usize) -> Result<Vec<AccuracyRow>, CollectiveError> {
-    let exec = simulator(testbed(p));
+    let exec = simulator(testbed(p))?;
     let tree = exec.tree();
     let items = input_kb(kb);
     let n = items.len() as u64;
@@ -631,7 +626,9 @@ mod tests {
     #[test]
     fn traced_gather_runs_the_strategy_it_was_asked_for() {
         let recorder = Arc::new(hbsp_obs::Recorder::new());
-        let exec = simulator(hbsp2_testbed(60_000.0)).probe(recorder.clone());
+        let exec = simulator(hbsp2_testbed(60_000.0))
+            .unwrap()
+            .probe(recorder.clone());
         let items = input_kb(10);
         let barriered = |plan| {
             let before = recorder.recorded();

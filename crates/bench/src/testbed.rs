@@ -16,7 +16,7 @@
 //! abilities" — which is what flattens Figure 3(b).
 
 use bytemark::{rank, MachineProfile, Suite};
-use hbsp_core::{topology, MachineTree, ModelError, TreeBuilder};
+use hbsp_core::{topology, MachineId, MachineTree, ModelError, TreeBuilder};
 
 /// Processor counts evaluated in the paper's figures.
 pub const TESTBED_PS: [usize; 5] = [2, 4, 6, 8, 10];
@@ -49,14 +49,17 @@ pub fn ucf_profiles() -> Vec<MachineProfile> {
 /// Build the flat (HBSP^1) testbed from the first `p` profiles:
 /// compute speeds from the `bytemark` indices, `r` from the comm
 /// slowdowns (re-normalized so the subset's fastest communicator is 1,
-/// as the model requires).
+/// as the model requires). `p` is 1..=10: no machine is
+/// [`ModelError::EmptyMachine`], and more than ten is
+/// [`ModelError::NoSuchMachine`] naming the eleventh processor.
 pub fn testbed(p: usize) -> Result<MachineTree, ModelError> {
     let profiles = ucf_profiles();
-    assert!(
-        (1..=profiles.len()).contains(&p),
-        "testbed supports 1..=10 machines, asked for {p}"
-    );
-    let selected = &profiles[..p];
+    if p == 0 {
+        return Err(ModelError::EmptyMachine);
+    }
+    let selected = profiles.get(..p).ok_or(ModelError::NoSuchMachine {
+        id: MachineId::new(0, profiles.len() as u32),
+    })?;
     let suite = Suite::quick();
     let speeds = rank(&suite.indices(selected));
     let min_comm = selected

@@ -188,7 +188,7 @@ pub fn lint_carved(parent: &MachineTree, idx: NodeIdx) -> Vec<Violation> {
         }];
     }
     let carved = parent.carve(idx);
-    lint_machine(&carved.tree, None)
+    lint_machine(&carved.tree)
 }
 
 #[cfg(test)]

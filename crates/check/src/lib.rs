@@ -15,10 +15,13 @@
 //!    the static analogue of "no unmatched receive, no deadlocked barrier";
 //!    [`verify_hrelation`] checks that each step's h, recomputed from its
 //!    transfers, is the h the cost model charges.
-//! 3. **Machine linting** ([`lint_machine`]): the paper's Table-1
-//!    parameter rules (fastest `r = 1`, `c` fractions partition each
-//!    cluster, coordinator fastest in its subtree, positive `L` and `g`,
-//!    declared `k` matches tree height) as span-tagged diagnostics.
+//! 3. **Machine linting** ([`lint_machine`]): every broken Table-1
+//!    invariant `hbsp-core` names (`MachineTree::defects`, whose first
+//!    finding is `validate()`'s error; fastest `r = 1`, `c` fractions
+//!    partition each cluster, positive `L` and `g`, and with
+//!    [`lint_with_spans`] a declared `k` that matches the tree height),
+//!    plus §4's rule that each coordinator is the fastest machine in its
+//!    subtree, as span-tagged diagnostics.
 //! 4. **Job-graph validation** ([`verify_dag`], [`verify_claims`],
 //!    [`lint_carved`]): the multi-tenant scheduler's structural rules —
 //!    `blocked_by` edges form a DAG, concurrent sub-tree claims are

@@ -1,6 +1,6 @@
 //! The typed findings every check layer reports.
 
-use hbsp_core::{Level, MachineId, ProcId, UnitId};
+use hbsp_core::{Level, MachineId, ModelError, ProcId, UnitId};
 use std::fmt;
 
 /// One defect found by a static check.
@@ -163,70 +163,8 @@ pub enum Violation {
     },
 
     // ---- machine files -----------------------------------------------
-    /// `g` must be positive and finite.
-    InvalidG {
-        /// The bad value.
-        g: f64,
-    },
-    /// Every `r` must be finite and at least 1.
-    InvalidR {
-        /// Offending machine.
-        id: MachineId,
-        /// The bad value.
-        r: f64,
-    },
-    /// The fastest processor must be normalized to `r = 1` (Table 1).
-    NonUnitFastestR {
-        /// The actual minimum `r` over the leaves.
-        min_r: f64,
-    },
-    /// A processor's absolute per-word cost `r·g` must be finite.
-    WordCostOverflow {
-        /// Offending processor.
-        id: MachineId,
-        /// Its `r`.
-        r: f64,
-        /// The machine's `g`.
-        g: f64,
-    },
-    /// Every `L` must be finite and non-negative.
-    InvalidL {
-        /// Offending machine.
-        id: MachineId,
-        /// The bad value.
-        l: f64,
-    },
-    /// Every compute speed must lie in `(0, 1]`.
-    InvalidSpeed {
-        /// Offending machine.
-        id: MachineId,
-        /// The bad value.
-        speed: f64,
-    },
-    /// A problem fraction outside `[0, 1]`.
-    InvalidFraction {
-        /// Offending machine.
-        id: MachineId,
-        /// The bad value.
-        c: f64,
-    },
-    /// Children fractions of a cluster do not partition the cluster's
-    /// own fraction (Table 1: `c_{i,j}` sum to 1).
-    FractionSum {
-        /// The cluster whose children disagree.
-        id: MachineId,
-        /// Sum of the children's fractions.
-        sum: f64,
-        /// The cluster's own fraction (1 at the root).
-        expected: f64,
-    },
-    /// A cluster with no children.
-    EmptyCluster {
-        /// Offending cluster.
-        id: MachineId,
-    },
-    /// A machine with no processors at all.
-    EmptyMachine,
+    /// A broken Table-1 invariant, as `MachineTree::defects` names it.
+    Machine(ModelError),
     /// A cluster whose coordinator (fastest-speed representative) is not
     /// the communication-fastest machine in its subtree (§4: "fastest
     /// machine at the root" of every cluster).
@@ -237,14 +175,6 @@ pub enum Violation {
         rep_r: f64,
         /// The minimum `r` in the subtree.
         min_r: f64,
-    },
-    /// The machine file declares `k = N` but the tree has a different
-    /// height.
-    HeightMismatch {
-        /// Declared class.
-        declared: Level,
-        /// Actual tree height.
-        actual: Level,
     },
 
     // ---- job graphs ---------------------------------------------------
@@ -422,56 +352,12 @@ impl fmt::Display for Violation {
                  charges {charged}; the schedule's transfers and its cost accounting drifted \
                  apart"
             ),
-            InvalidG { g } => write!(
-                f,
-                "g = {g}; the bandwidth indicator must be positive and finite"
-            ),
-            InvalidR { id, r } => write!(
-                f,
-                "{id} has r = {r}; communication slowness must be finite and at least 1"
-            ),
-            NonUnitFastestR { min_r } => write!(
-                f,
-                "fastest processor has r = {min_r}; Table 1 normalizes the fastest machine to \
-                 r = 1 — rescale every r by 1/{min_r}"
-            ),
-            WordCostOverflow { id, r, g } => write!(
-                f,
-                "{id} has r = {r:e} and g = {g:e}; its per-word cost r·g is not finite, which the \
-                 model cannot price — lower g or this processor's r"
-            ),
-            InvalidL { id, l } => write!(
-                f,
-                "{id} has L = {l}; barrier cost must be finite and non-negative"
-            ),
-            InvalidSpeed { id, speed } => write!(
-                f,
-                "{id} has speed = {speed}; compute speeds are relative to the fastest machine \
-                 and must lie in (0, 1]"
-            ),
-            InvalidFraction { id, c } => {
-                write!(f, "{id} has c = {c}; problem fractions must lie in [0, 1]")
-            }
-            FractionSum { id, sum, expected } => write!(
-                f,
-                "children of {id} have fractions summing to {sum}, expected {expected}; Table 1 \
-                 requires the c_{{i,j}} of a cluster's members to partition the cluster's share"
-            ),
-            EmptyCluster { id } => write!(
-                f,
-                "{id} is a cluster with no members; remove it or give it children"
-            ),
-            EmptyMachine => write!(f, "machine has no processors"),
+            Machine(e) => write!(f, "{e}"),
             CoordinatorNotFastest { id, rep_r, min_r } => write!(
                 f,
                 "coordinator of {id} has r = {rep_r} but its subtree contains a machine with \
                  r = {min_r}; §4 places the fastest machine at the root of every cluster — \
                  make the fastest member the coordinator"
-            ),
-            HeightMismatch { declared, actual } => write!(
-                f,
-                "file declares k = {declared} but the tree has height {actual}; fix the k \
-                 header or the nesting depth"
             ),
             SelfDependency { job } => write!(
                 f,

@@ -2,7 +2,7 @@
 
 use crate::data::DecodeError;
 use crate::plan::RankOutOfRange;
-use hbsp_core::ProcId;
+use hbsp_core::{ModelError, ProcId};
 use hbsp_sim::SimError;
 use std::fmt;
 
@@ -11,6 +11,8 @@ use std::fmt;
 pub enum CollectiveError {
     /// The engine rejected the program (SPMD violation, step limit, …).
     Sim(SimError),
+    /// The machine to run on does not build.
+    Machine(ModelError),
     /// The plan named a root rank the machine does not have.
     Root(RankOutOfRange),
     /// The input has `got` of `what` where the collective needs `want`
@@ -36,6 +38,7 @@ impl fmt::Display for CollectiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CollectiveError::Sim(e) => write!(f, "engine error: {e}"),
+            CollectiveError::Machine(e) => write!(f, "machine error: {e}"),
             CollectiveError::Root(e) => write!(f, "{e}"),
             CollectiveError::Shape { what, want, got } => {
                 write!(f, "input has {got} {what}, the collective needs {want}")
@@ -65,6 +68,12 @@ pub(crate) fn shape(
 impl From<SimError> for CollectiveError {
     fn from(e: SimError) -> Self {
         CollectiveError::Sim(e)
+    }
+}
+
+impl From<ModelError> for CollectiveError {
+    fn from(e: ModelError) -> Self {
+        CollectiveError::Machine(e)
     }
 }
 

@@ -611,21 +611,15 @@ pub struct ScheduleProgram {
 impl ScheduleProgram {
     /// Compile `schedule` with `init[rank]` as each processor's data;
     /// `op` is required iff the schedule carries [`Role::Partial`]
-    /// transfers.
+    /// transfers. A schedule that does not end in its one drain step is
+    /// refused when the program runs: by the pre-flight's
+    /// `EmptySchedule`, `MissingDrain` or `MisplacedDrain`, or unchecked
+    /// by the step that finds it.
     pub fn new(
         schedule: Arc<CommSchedule>,
         init: Arc<Vec<ProcInit>>,
         op: Option<ReduceOp>,
     ) -> Self {
-        assert!(!schedule.steps.is_empty(), "schedule must have a step");
-        assert!(
-            schedule
-                .steps
-                .iter()
-                .enumerate()
-                .all(|(i, s)| s.scope.is_some() || i + 1 == schedule.steps.len()),
-            "only the final step may be a drain"
-        );
         let plan = ExecPlan::compile(&schedule, init.len());
         let layout = Arc::new(Layout::new(&init, &plan.slots));
         ScheduleProgram {
@@ -673,7 +667,9 @@ impl SpmdProgram for ScheduleProgram {
         state: &mut ScheduleState,
         ctx: &mut dyn SpmdContext,
     ) -> StepOutcome {
-        let mine = &self.plan.steps[step][env.pid.rank()];
+        let Some(mine) = self.plan.steps.get(step).map(|s| &s[env.pid.rank()]) else {
+            return StepOutcome::Abort("the schedule ends without a drain step");
+        };
         if state.error.is_none() {
             state.absorb(self.op, mine.due, ctx.messages());
         }
@@ -700,7 +696,8 @@ impl SpmdProgram for ScheduleProgram {
         }
         match self.schedule.steps[step].scope {
             Some(scope) => StepOutcome::Continue(scope),
-            None => StepOutcome::Done,
+            None if step + 1 == self.schedule.steps.len() => StepOutcome::Done,
+            None => StepOutcome::Abort("a drain step before the schedule's last"),
         }
     }
 

@@ -11,8 +11,9 @@ pub enum ModelError {
     /// at least one machine (a childless node is a processor, not a
     /// cluster).
     EmptyCluster { id: MachineId },
-    /// A relative communication slowness `r < 1`. The fastest machine is
-    /// normalized to `r = 1`, so every `r` must be at least 1.
+    /// A relative communication slowness `r < 1` or not finite. The
+    /// fastest machine is normalized to `r = 1`, so every `r` must be at
+    /// least 1.
     InvalidR { id: MachineId, r: f64 },
     /// No machine in the tree has `r = 1`; the model requires the fastest
     /// machine to be normalized to exactly 1.
@@ -21,7 +22,7 @@ pub enum ModelError {
     /// `r` and `g` are each in range, but their product overflows and has
     /// no meaning in the model.
     WordCostOverflow { id: MachineId, r: f64, g: f64 },
-    /// A negative synchronization cost `L`.
+    /// A negative or non-finite synchronization cost `L`.
     InvalidL { id: MachineId, l: f64 },
     /// A compute speed outside `(0, 1]` (1 = fastest machine).
     InvalidSpeed { id: MachineId, speed: f64 },
@@ -34,7 +35,7 @@ pub enum ModelError {
         sum: f64,
         expected: f64,
     },
-    /// The global bandwidth indicator `g` must be positive.
+    /// The global bandwidth indicator `g` must be positive and finite.
     InvalidG { g: f64 },
     /// A `M_{i,j}` coordinate that does not exist in this tree.
     NoSuchMachine { id: MachineId },
@@ -54,53 +55,66 @@ pub enum ModelError {
     DegeneratePartition { reason: &'static str },
 }
 
+impl ModelError {
+    /// The machine this error names, when it names one.
+    pub fn machine(&self) -> Option<MachineId> {
+        match self {
+            ModelError::EmptyCluster { id }
+            | ModelError::InvalidR { id, .. }
+            | ModelError::WordCostOverflow { id, .. }
+            | ModelError::InvalidL { id, .. }
+            | ModelError::InvalidSpeed { id, .. }
+            | ModelError::InvalidFraction { id, .. }
+            | ModelError::FractionSum { id, .. }
+            | ModelError::NoSuchMachine { id } => Some(*id),
+            _ => None,
+        }
+    }
+}
+
+/// Each machine defect states what is wrong and how to fix it.
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ModelError::EmptyCluster { id } => {
-                write!(f, "cluster {id} has no children")
-            }
-            ModelError::InvalidR { id, r } => {
-                write!(
-                    f,
-                    "machine {id} has r = {r}, but r must be >= 1 (fastest machine = 1)"
-                )
-            }
-            ModelError::NoUnitR { min_r } => {
-                write!(
-                    f,
-                    "no machine has r = 1 (minimum r found: {min_r}); \
-                     normalize so the fastest machine has r = 1"
-                )
-            }
-            ModelError::WordCostOverflow { id, r, g } => {
-                write!(
-                    f,
-                    "machine {id} has r = {r:e}, and its per-word cost r·g with g = {g:e} is not finite"
-                )
-            }
-            ModelError::InvalidL { id, l } => {
-                write!(f, "machine {id} has negative synchronization cost L = {l}")
-            }
-            ModelError::InvalidSpeed { id, speed } => {
-                write!(
-                    f,
-                    "machine {id} has compute speed {speed}, expected within (0, 1]"
-                )
-            }
+            ModelError::EmptyCluster { id } => write!(
+                f,
+                "{id} is a cluster with no members; remove it or give it children"
+            ),
+            ModelError::InvalidR { id, r } => write!(
+                f,
+                "{id} has r = {r}; communication slowness must be finite and at least 1"
+            ),
+            ModelError::NoUnitR { min_r } => write!(
+                f,
+                "fastest processor has r = {min_r}; Table 1 normalizes the fastest machine to \
+                 r = 1 — rescale every r by 1/{min_r}"
+            ),
+            ModelError::WordCostOverflow { id, r, g } => write!(
+                f,
+                "{id} has r = {r:e} and g = {g:e}; its per-word cost r·g is not finite, which the \
+                 model cannot price — lower g or this processor's r"
+            ),
+            ModelError::InvalidL { id, l } => write!(
+                f,
+                "{id} has L = {l}; barrier cost must be finite and non-negative"
+            ),
+            ModelError::InvalidSpeed { id, speed } => write!(
+                f,
+                "{id} has speed = {speed}; compute speeds are relative to the fastest machine \
+                 and must lie in (0, 1]"
+            ),
             ModelError::InvalidFraction { id, c } => {
-                write!(
-                    f,
-                    "machine {id} has problem fraction c = {c}, expected within [0, 1]"
-                )
+                write!(f, "{id} has c = {c}; problem fractions must lie in [0, 1]")
             }
-            ModelError::FractionSum { id, sum, expected } => {
-                write!(
-                    f,
-                    "children of {id} have fractions summing to {sum}, expected {expected}"
-                )
-            }
-            ModelError::InvalidG { g } => write!(f, "bandwidth indicator g = {g} must be > 0"),
+            ModelError::FractionSum { id, sum, expected } => write!(
+                f,
+                "children of {id} have fractions summing to {sum}, expected {expected}; Table 1 \
+                 requires the c_{{i,j}} of a cluster's members to partition the cluster's share"
+            ),
+            ModelError::InvalidG { g } => write!(
+                f,
+                "g = {g}; the bandwidth indicator must be positive and finite"
+            ),
             ModelError::NoSuchMachine { id } => write!(f, "no machine {id} in this tree"),
             ModelError::NoSuchLevel { level, height } => {
                 write!(f, "level {level} exceeds machine height k = {height}")
@@ -108,13 +122,12 @@ impl fmt::Display for ModelError {
             ModelError::Parse { line, col, message } => {
                 write!(f, "topology parse error at {line}:{col}: {message}")
             }
-            ModelError::EmptyMachine => write!(f, "machine tree has no processors"),
-            ModelError::HeightMismatch { declared, actual } => {
-                write!(
-                    f,
-                    "file declares k = {declared} but the machine tree has height {actual}"
-                )
-            }
+            ModelError::EmptyMachine => write!(f, "machine has no processors"),
+            ModelError::HeightMismatch { declared, actual } => write!(
+                f,
+                "file declares k = {declared} but the tree has height {actual}; fix the k \
+                 header or the nesting depth"
+            ),
             ModelError::DegeneratePartition { reason } => {
                 write!(f, "degenerate partition request: {reason}")
             }

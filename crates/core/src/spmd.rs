@@ -630,6 +630,11 @@ pub enum StepOutcome {
     /// This processor is finished. All processors must return `Done` at
     /// the same superstep (SPMD discipline; the engines verify this).
     Done,
+    /// This processor cannot go on: the program's input is malformed,
+    /// for the reason given. The engines end the run with a typed error
+    /// naming the lowest such rank. A program whose `preflight` refuses
+    /// some input returns this when that input runs unchecked.
+    Abort(&'static str),
 }
 
 /// Immutable per-processor environment handed to programs.

@@ -12,9 +12,10 @@
 //! pair     := ("r" | "speed" | "L" | "c") "=" NUMBER
 //! ```
 //!
-//! The optional `k = N` header declares the machine class; [`parse`]
-//! rejects the file if the tree's height disagrees (and `hbsp_check`
-//! lints it as a [`ModelError::HeightMismatch`]-shaped violation).
+//! The optional `k = N` header declares the machine class; a tree of
+//! another height is a [`ModelError::HeightMismatch`]
+//! ([`ParsedMachine::defects`]), which [`parse`] refuses and `hbsp_check`
+//! reports.
 //!
 //! `#` starts a comment to end of line. Example — the paper's Figure 1
 //! machine:
@@ -50,21 +51,15 @@ use std::fmt::Write as _;
 /// it.
 const MAX_NESTING: usize = 128;
 
-/// Parse a machine description into a validated tree. See the module
-/// docs for the grammar. A declared `k` header must match the tree's
-/// height.
+/// Parse a machine description into a validated tree: the first of
+/// [`ParsedMachine::defects`], if any, is the error. See the module docs
+/// for the grammar.
 pub fn parse(input: &str) -> Result<MachineTree, ModelError> {
     let parsed = parse_unvalidated(input)?;
-    parsed.tree.validate()?;
-    if let Some(declared) = parsed.declared_k {
-        if declared != parsed.tree.height() {
-            return Err(ModelError::HeightMismatch {
-                declared,
-                actual: parsed.tree.height(),
-            });
-        }
+    match parsed.defects().into_iter().next() {
+        Some(defect) => Err(defect),
+        None => Ok(parsed.tree),
     }
-    Ok(parsed.tree)
 }
 
 /// The result of [`parse_unvalidated`]: a structurally complete but
@@ -80,6 +75,20 @@ pub struct ParsedMachine {
     /// 1-based `(line, column)` of each node's `proc`/`cluster`
     /// keyword, indexed by node arena order.
     pub spans: Vec<(u32, u32)>,
+}
+
+impl ParsedMachine {
+    /// Every defect of the machine the file describes: the tree's
+    /// ([`MachineTree::defects`]), then a declared `k` that is not the
+    /// tree's height.
+    pub fn defects(&self) -> Vec<ModelError> {
+        let mut out = self.tree.defects();
+        let actual = self.tree.height();
+        if let Some(declared) = self.declared_k.filter(|&k| k != actual) {
+            out.push(ModelError::HeightMismatch { declared, actual });
+        }
+        out
+    }
 }
 
 /// Parse a machine description without validating model invariants.

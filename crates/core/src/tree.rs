@@ -306,76 +306,79 @@ impl MachineTree {
         }
     }
 
-    /// Validate every model invariant:
+    /// Validate every model invariant: `Ok` exactly when [`defects`]
+    /// finds none, else its first finding. A valid tree allocates
+    /// nothing.
     ///
-    /// * `g > 0`;
-    /// * at least one processor;
-    /// * every `r >= 1` and at least one leaf with `r = 1` (the fastest
-    ///   machine is normalized);
-    /// * every processor's absolute per-word cost `r·g` is finite;
-    /// * `L >= 0` everywhere and compute speeds in `(0, 1]`;
-    /// * clusters are non-empty;
-    /// * if fractions are assigned on the children of a cluster, they sum
-    ///   to the cluster's own fraction (root: 1).
+    /// [`defects`]: MachineTree::defects
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.g <= 0.0 || !self.g.is_finite() {
-            return Err(ModelError::InvalidG { g: self.g });
+        self.defects().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every broken model invariant (the paper's Table 1), in this
+    /// order:
+    ///
+    /// * `g > 0` and finite;
+    /// * at least one processor;
+    /// * per node, in arena order: `r >= 1` and finite; a processor's
+    ///   absolute per-word cost `r·g` finite (checked where `r` and `g`
+    ///   each are); `L >= 0` and finite; compute speed in `(0, 1]`;
+    ///   fraction `c` in `[0, 1]`; a cluster has members;
+    /// * some leaf has `r = 1` (the fastest machine is normalized;
+    ///   checked when the minimum is finite);
+    /// * where every member of a cluster has a fraction, they sum to
+    ///   the cluster's own (root: 1).
+    pub fn defects(&self) -> Vec<ModelError> {
+        let mut out = Vec::new();
+        let g = self.g;
+        if g <= 0.0 || !g.is_finite() {
+            out.push(ModelError::InvalidG { g });
         }
         if self.leaves.is_empty() {
-            return Err(ModelError::EmptyMachine);
+            out.push(ModelError::EmptyMachine);
         }
         let mut min_r = f64::INFINITY;
         for node in &self.nodes {
-            let id = node.machine_id;
-            let p = &node.params;
-            if p.r < 1.0 || p.r.is_nan() || !p.r.is_finite() {
-                return Err(ModelError::InvalidR { id, r: p.r });
+            let (id, p) = (node.machine_id, &node.params);
+            if p.r < 1.0 || !p.r.is_finite() {
+                out.push(ModelError::InvalidR { id, r: p.r });
             }
             if node.is_proc() {
                 min_r = min_r.min(p.r);
-                if !(p.r * self.g).is_finite() {
-                    return Err(ModelError::WordCostOverflow {
-                        id,
-                        r: p.r,
-                        g: self.g,
-                    });
+                // Otherwise InvalidR or InvalidG already names the defect.
+                if p.r.is_finite() && g.is_finite() && !(p.r * g).is_finite() {
+                    out.push(ModelError::WordCostOverflow { id, r: p.r, g });
                 }
             }
             if p.l_sync < 0.0 || !p.l_sync.is_finite() {
-                return Err(ModelError::InvalidL { id, l: p.l_sync });
+                out.push(ModelError::InvalidL { id, l: p.l_sync });
             }
             if !(p.speed > 0.0 && p.speed <= 1.0) {
-                return Err(ModelError::InvalidSpeed { id, speed: p.speed });
+                out.push(ModelError::InvalidSpeed { id, speed: p.speed });
             }
-            if let Some(c) = p.c {
-                if !(0.0..=1.0).contains(&c) {
-                    return Err(ModelError::InvalidFraction { id, c });
-                }
+            if let Some(c) = p.c.filter(|c| !(0.0..=1.0).contains(c)) {
+                out.push(ModelError::InvalidFraction { id, c });
             }
             if !node.is_proc() && node.children.is_empty() {
-                return Err(ModelError::EmptyCluster { id });
+                out.push(ModelError::EmptyCluster { id });
             }
         }
-        if (min_r - 1.0).abs() > 1e-9 {
-            return Err(ModelError::NoUnitR { min_r });
+        if min_r.is_finite() && (min_r - 1.0).abs() > 1e-9 {
+            out.push(ModelError::NoUnitR { min_r });
         }
-        // Fraction consistency: children of a cluster must partition the
-        // cluster's fraction when all are assigned.
-        for node in self.nodes.iter().filter(|n| !n.is_proc()) {
+        for node in self.nodes.iter().filter(|n| !n.children.is_empty()) {
+            // `None` when some member has no fraction: nothing to check.
             let fractions = node.children.iter().map(|&c| self.node(c).params.c);
             let Some(sum) = fractions.sum::<Option<f64>>() else {
                 continue;
             };
             let expected = node.params.c.unwrap_or(1.0);
             if (sum - expected).abs() > 1e-6 {
-                return Err(ModelError::FractionSum {
-                    id: node.machine_id,
-                    sum,
-                    expected,
-                });
+                let id = node.machine_id;
+                out.push(ModelError::FractionSum { id, sum, expected });
             }
         }
-        Ok(())
+        out
     }
 }
 

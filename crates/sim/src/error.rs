@@ -36,6 +36,14 @@ pub enum SimError {
     /// broke `send_with`'s promised length (`hbsp_core::FillLength`),
     /// which both engines report this way.
     ProgramPanicked { pid: ProcId, step: usize },
+    /// A processor's body returned `StepOutcome::Abort`: the program
+    /// refused its input (see `SpmdProgram::preflight`, which names the
+    /// same defect before a run when checking is on).
+    ProgramAborted {
+        pid: ProcId,
+        step: usize,
+        reason: &'static str,
+    },
     /// One or more processors never arrived at superstep `step`'s
     /// barrier before the watchdog deadline (a scripted stall, a hung
     /// body, or a `step_deadline` overrun). `missing` names the
@@ -99,6 +107,9 @@ impl fmt::Display for SimError {
             }
             SimError::ProgramPanicked { pid, step } => {
                 write!(f, "processor {pid} panicked during superstep {step}")
+            }
+            SimError::ProgramAborted { pid, step, reason } => {
+                write!(f, "processor {pid} aborted superstep {step}: {reason}")
             }
             SimError::BarrierTimeout { missing, step } => {
                 write!(f, "superstep {step}: barrier timed out waiting for ")?;

@@ -267,13 +267,21 @@ impl Settlement {
 }
 
 /// Check that all processors agreed on what happens after this
-/// superstep. Returns the common scope, or `None` if everyone finished.
+/// superstep. Returns the common scope, or `None` if everyone finished;
+/// a processor that aborted fails the step first.
 fn resolve_outcomes(step: usize, outcomes: &[StepOutcome]) -> Result<Option<SyncScope>, SimError> {
     assert!(!outcomes.is_empty());
-    let done = outcomes
-        .iter()
-        .filter(|o| matches!(o, StepOutcome::Done))
-        .count();
+    let mut done = 0;
+    for (rank, o) in outcomes.iter().enumerate() {
+        match *o {
+            StepOutcome::Abort(reason) => {
+                let pid = ProcId(rank as u32);
+                return Err(SimError::ProgramAborted { pid, step, reason });
+            }
+            StepOutcome::Done => done += 1,
+            StepOutcome::Continue(_) => {}
+        }
+    }
     if done == outcomes.len() {
         return Ok(None);
     }

@@ -388,6 +388,18 @@ fn sync_facade_adds_no_allocations_to_hot_primitives() {
     assert!(!hbsp_runtime::sync::is_modeling());
 }
 
+/// `validate()` runs inside every carve, degrade and
+/// re-parameterisation, so on a valid machine it walks the invariants
+/// without allocating: the list of defects it takes the first of is
+/// never grown.
+#[test]
+fn validating_a_valid_machine_allocates_nothing() {
+    let text = include_str!("../machines/campus.hbsp");
+    let tree = hbsp_core::topology::parse(text).unwrap();
+    let n = thread_allocs_during(|| tree.validate());
+    assert_eq!(n, 0, "validate() on campus allocated {n} times");
+}
+
 /// Arming the flight recorder must not put allocations back on the
 /// per-superstep hot path: its ring is a fixed arena of atomics sized
 /// at arm time, and `on_step` only stores into it. The probe-on run

@@ -327,6 +327,90 @@ proptest! {
     }
 }
 
+/// `validate()` is the lint's first Table-1 finding: `Err(e)` exactly
+/// when the first finding other than §4's coordinator rule, which
+/// validation does not enforce, is `Violation::Machine(e)`. Compared as
+/// printed, so that a NaN field equals itself.
+fn lint_agrees_with_validation(tree: &MachineTree) -> bool {
+    let lints = hbsp::check::lint_machine(tree);
+    let table1 = lints
+        .into_iter()
+        .find(|v| !matches!(v, Violation::CoordinatorNotFastest { .. }));
+    format!("{:?}", tree.validate().err().map(Violation::Machine)) == format!("{table1:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lint_and_validation_agree_on_random_machines(t in arb_machine()) {
+        prop_assert!(lint_agrees_with_validation(&t), "{t}");
+    }
+}
+
+#[test]
+fn lint_and_validation_agree_on_machine_files_and_broken_trees() {
+    let dir = |d: &str| std::fs::read_dir(format!("{}/{d}", env!("CARGO_MANIFEST_DIR")));
+    let files = dir("machines")
+        .unwrap()
+        .chain(dir("machines/broken").unwrap());
+    let paths: Vec<_> = files.map(|f| f.unwrap().path()).collect();
+    let hbsp = paths
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "hbsp"));
+    let mut trees: Vec<(String, MachineTree)> = hbsp
+        .map(|p| {
+            let text = std::fs::read_to_string(p).unwrap();
+            let tree = hbsp::core::topology::parse_unvalidated(&text).unwrap().tree;
+            (p.display().to_string(), tree)
+        })
+        .collect();
+    assert_eq!(trees.len(), 8, "two shipped machines and six broken ones");
+
+    // Hand-broken trees, each on a two-processor cluster.
+    let pair = |g: f64, l: f64, a: NodeParams, b: NodeParams| {
+        let mut t = TreeBuilder::new(g);
+        let root = t.cluster("c", NodeParams::cluster(l));
+        t.child_proc(root, "a", a);
+        t.child_proc(root, "b", b);
+        t.build_unvalidated().unwrap()
+    };
+    let (fast, slow) = (NodeParams::proc(1.0, 1.0), NodeParams::proc(2.0, 0.5));
+    let broken = [
+        ("negative g", pair(-1.0, 5.0, fast, slow)),
+        ("r < 1", pair(1.0, 5.0, NodeParams::proc(0.5, 1.0), fast)),
+        (
+            "NaN speed",
+            pair(1.0, 5.0, fast, NodeParams::proc(2.0, f64::NAN)),
+        ),
+        ("no r = 1", pair(1.0, 5.0, slow, NodeParams::proc(3.0, 0.4))),
+        ("infinite L", pair(1.0, f64::INFINITY, fast, slow)),
+        ("c > 1", pair(1.0, 5.0, fast.with_c(1.5), slow)),
+        (
+            "c sum 0.9",
+            pair(1.0, 5.0, fast.with_c(0.5), slow.with_c(0.4)),
+        ),
+        (
+            "everything",
+            pair(-1.0, -5.0, NodeParams::proc(0.5, 2.0), slow),
+        ),
+    ];
+    trees.extend(broken.map(|(name, t)| (name.to_string(), t)));
+    let mut t = TreeBuilder::new(1.0);
+    let root = t.cluster("root", NodeParams::cluster(5.0));
+    t.child_proc(root, "a", fast);
+    t.child_cluster(root, "hollow", NodeParams::cluster(1.0));
+    trees.push(("empty cluster".into(), t.build_unvalidated().unwrap()));
+
+    for (name, tree) in &trees {
+        assert!(lint_agrees_with_validation(tree), "{name}");
+    }
+    let invalid = trees.iter().filter(|(_, t)| t.validate().is_err()).count();
+    // bad_c_sum, non_unit_r and word_cost_overflow, and every hand-broken
+    // tree; bad_k and wrong_coordinator break rules the tree alone does not.
+    assert_eq!(invalid, 3 + 9);
+}
+
 /// A schedule whose first transfer sends a unit its source never holds:
 /// the pre-flight names the defect before a superstep runs; without it
 /// the run ends in a typed data error.

@@ -142,7 +142,7 @@ proptest! {
                 prop_assert!(a.tree.validate().is_ok());
                 // The degraded machine passes the same static lints the
                 // `hbsp_check` CLI enforces on shipped machine files.
-                prop_assert_eq!(hbsp::check::lint_machine(&a.tree, None), vec![]);
+                prop_assert_eq!(hbsp::check::lint_machine(&a.tree), vec![]);
             }
             (Err(a), Err(b)) => {
                 prop_assert_eq!(&a, &b);

@@ -408,3 +408,87 @@ fn pieces_that_do_not_tile_the_array_are_typed_errors() {
     let tiled = reassemble(&pieces(&[(3, 1), (0, 3), (2, 0)]));
     assert_eq!(tiled, Ok(vec![0, 0, 0, 3]));
 }
+
+/// The experiment drivers on a testbed that does not build — a
+/// processor count outside 1..=10 or a negative campus barrier — return
+/// the machine error instead of panicking.
+#[test]
+fn experiments_on_a_machine_that_does_not_build_are_typed_errors() {
+    use hbsp::bench::experiments::{
+        broadcast_crossover, gather_root_improvement, hbsp2_amortization, hbsp2_phase_study,
+        model_accuracy,
+    };
+    use hbsp::bench::testbed::testbed;
+    use hbsp::collectives::CollectiveError;
+    let eleventh = ModelError::NoSuchMachine {
+        id: MachineId::new(0, 10),
+    };
+    let negative_l = ModelError::InvalidL {
+        id: MachineId::new(2, 0),
+        l: -1.0,
+    };
+    assert_eq!(testbed(0).unwrap_err(), ModelError::EmptyMachine);
+    assert_eq!(testbed(11).unwrap_err(), eleventh);
+    let machine = |e: &ModelError| Some(CollectiveError::Machine(e.clone()));
+    let gather = gather_root_improvement(&[11], &[1]).err();
+    assert_eq!(gather, machine(&eleventh));
+    let crossover = broadcast_crossover(&[0], 1).err();
+    assert_eq!(crossover, machine(&ModelError::EmptyMachine));
+    assert_eq!(model_accuracy(11, 1).err(), machine(&eleventh));
+    assert_eq!(hbsp2_phase_study(&[-1.0], 1).err(), machine(&negative_l));
+    assert_eq!(hbsp2_amortization(&[1], -1.0).err(), machine(&negative_l));
+}
+
+/// Programs whose constructors cannot refuse their input — a schedule
+/// with no steps or with a drain before its last step, a matrix or
+/// vector of the wrong size, a stencil field without its boundaries —
+/// are refused when they run, on both engines: by the pre-flight when
+/// checking is on, and by their first step when it is off.
+#[test]
+fn programs_with_malformed_input_are_refused_on_both_engines() {
+    use hbsp::apps::matvec::MatVec;
+    use hbsp::apps::stencil::Stencil;
+    use hbsp::collectives::plan::WorkloadPolicy;
+    use hbsp::collectives::schedule::{CommSchedule, ProcInit, ScheduleProgram, ScheduleStep};
+
+    fn refused<P: Program>(name: &str, prog: &P, step: usize) {
+        for engine in [Executor::simulator, Executor::threads] {
+            let exec = engine(machine());
+            match exec.clone().check(true).run(prog).map(drop) {
+                Err(SimError::Preflight { .. }) => {}
+                other => panic!("{name}, checked: expected Preflight, got {other:?}"),
+            }
+            match exec.check(false).run(prog).map(drop) {
+                Err(SimError::ProgramAborted { pid, step: at, .. }) => {
+                    assert_eq!((pid, at), (ProcId(0), step), "{name}")
+                }
+                other => panic!("{name}, unchecked: expected ProgramAborted, got {other:?}"),
+            }
+        }
+    }
+
+    let schedule = |steps| {
+        let sched = CommSchedule {
+            steps,
+            ..CommSchedule::default()
+        };
+        let init = vec![ProcInit::default(); 3];
+        ScheduleProgram::new(Arc::new(sched), Arc::new(init), None)
+    };
+    refused("empty schedule", &schedule(vec![]), 0);
+    let global = ScheduleStep::at(SyncScope::Level(1));
+    let early = vec![ScheduleStep::drain(), global, ScheduleStep::drain()];
+    refused("misplaced drain", &schedule(early), 0);
+
+    let equal = WorkloadPolicy::Equal;
+    let matvec = |a: usize, x: usize| {
+        MatVec::new(Arc::new(vec![1.0; a]), Arc::new(vec![1.0; x]), 3, 2, equal)
+    };
+    refused("short matrix", &matvec(5, 2), 0);
+    refused("long vector", &matvec(6, 3), 0);
+    refused(
+        "one-cell field",
+        &Stencil::new(Arc::new(vec![1.0]), 4, equal),
+        0,
+    );
+}

@@ -75,7 +75,7 @@ fn shipped_machines_lint_clean() {
         let text =
             std::fs::read_to_string(format!("{}/{}", env!("CARGO_MANIFEST_DIR"), f)).unwrap();
         let parsed = topology::parse_unvalidated(&text).unwrap();
-        let diags = hbsp::check::lint_with_spans(&parsed.tree, parsed.declared_k, &parsed.spans);
+        let diags = hbsp::check::lint_with_spans(&parsed);
         assert!(diags.is_empty(), "{f}: {diags:?}");
     }
 }
@@ -86,6 +86,7 @@ fn shipped_machines_lint_clean() {
 #[test]
 fn broken_fixtures_name_their_defect() {
     use hbsp::check::Violation;
+    use hbsp::core::ModelError;
 
     let lint = |f: &str| {
         let text = std::fs::read_to_string(format!(
@@ -95,13 +96,13 @@ fn broken_fixtures_name_their_defect() {
         ))
         .unwrap();
         let parsed = topology::parse_unvalidated(&text).unwrap();
-        hbsp::check::lint_with_spans(&parsed.tree, parsed.declared_k, &parsed.spans)
+        hbsp::check::lint_with_spans(&parsed)
     };
 
     let d = lint("bad_c_sum.hbsp");
     assert_eq!(d.len(), 1, "{d:?}");
     assert!(
-        matches!(d[0].violation, Violation::FractionSum { sum, expected, .. }
+        matches!(d[0].violation, Violation::Machine(ModelError::FractionSum { sum, expected, .. })
             if (sum - 0.9).abs() < 1e-9 && expected == 1.0),
         "{d:?}"
     );
@@ -110,7 +111,7 @@ fn broken_fixtures_name_their_defect() {
     let d = lint("non_unit_r.hbsp");
     assert_eq!(d.len(), 1, "{d:?}");
     assert!(
-        matches!(d[0].violation, Violation::NonUnitFastestR { min_r } if min_r == 2.0),
+        matches!(d[0].violation, Violation::Machine(ModelError::NoUnitR { min_r }) if min_r == 2.0),
         "{d:?}"
     );
 
@@ -128,7 +129,7 @@ fn broken_fixtures_name_their_defect() {
     assert_eq!(d.len(), 2, "{d:?}");
     for (diag, r) in d.iter().zip([1e10, 2e10]) {
         assert!(
-            matches!(diag.violation, Violation::WordCostOverflow { r: got, g, .. }
+            matches!(diag.violation, Violation::Machine(ModelError::WordCostOverflow { r: got, g, .. })
                 if got == r && g == 1e300),
             "{d:?}"
         );
@@ -139,10 +140,10 @@ fn broken_fixtures_name_their_defect() {
     assert_eq!(d.len(), 1, "{d:?}");
     assert_eq!(
         d[0].violation,
-        Violation::HeightMismatch {
+        Violation::Machine(ModelError::HeightMismatch {
             declared: 2,
             actual: 1
-        }
+        })
     );
 }
 
@@ -162,7 +163,7 @@ fn undegradable_fixture_is_valid_but_refuses_degradation() {
     ))
     .unwrap();
     let parsed = topology::parse_unvalidated(&text).unwrap();
-    let diags = hbsp::check::lint_with_spans(&parsed.tree, parsed.declared_k, &parsed.spans);
+    let diags = hbsp::check::lint_with_spans(&parsed);
     assert!(
         diags.is_empty(),
         "the fixture itself is lint-clean: {diags:?}"
