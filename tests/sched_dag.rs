@@ -224,20 +224,36 @@ fn placement_fingerprint(rep: &SchedReport) -> u64 {
     h
 }
 
+/// The same FNV-1a over every batch's prediction, observed cost and
+/// drift statistic, bit for bit: a one-ulp change to any of them moves
+/// it, which the re-plan count alone would not show.
+fn prediction_fingerprint(rep: &SchedReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    for b in &rep.batches {
+        fold(b.predicted.to_bits());
+        fold(b.observed().to_bits());
+        let drift = b.drift.as_ref().map(|d| d.mean_abs_rel_error());
+        fold(drift.unwrap_or(f64::INFINITY).to_bits());
+    }
+    h
+}
+
 /// The fixture drain, pinned: what the CI benchmark gates on
-/// (`sched.batches`, `harness.model_time`) plus where every job ran, on
-/// both shipped machines and with the closed loop re-placing on grid3.
-/// Placement may get faster; it may not place differently.
+/// (`sched.batches`, `harness.model_time`) plus where every job ran and
+/// what every batch was predicted to cost, on both shipped machines and
+/// with the closed loop re-placing on grid3. Placement may get faster;
+/// it may not place or predict differently.
 #[test]
 fn fixture_drain_is_pinned_bit_for_bit() {
     let grid3 = "machines/grid3.hbsp";
     #[rustfmt::skip]
     let cases = [
-        (grid3, None, 253, 590925.5564069255, 0, 0x1aae_3a84_bce8_6764),
-        ("machines/campus.hbsp", None, 502, 1295308.894270432, 0, 0x5933_1685_1660_1f69),
-        (grid3, Some(0.05), 253, 596277.164920635, 212, 0x90d9_72ab_fe3b_f713),
+        (grid3, None, 253, 590925.5564069255, 0, 0x1aae_3a84_bce8_6764, 0x4db1_ee01_e4a0_1421),
+        ("machines/campus.hbsp", None, 502, 1295308.894270432, 0, 0x5933_1685_1660_1f69, 0x9215_c6bb_ea3c_5d62),
+        (grid3, Some(0.05), 253, 596277.164920635, 212, 0x90d9_72ab_fe3b_f713, 0xd262_be4c_e2a4_3fe9),
     ];
-    for (path, adapt, batches, makespan, replans, placements) in cases {
+    for (path, adapt, batches, makespan, replans, placements, predictions) in cases {
         let rep = drain_fixture(path, adapt);
         let case = format!("{path}, adapt {adapt:?}");
         assert!(rep.clean(), "{case}");
@@ -247,6 +263,8 @@ fn fixture_drain_is_pinned_bit_for_bit() {
         assert_eq!(bits, f64::to_bits(makespan), "{case}: {}", rep.total_time);
         let fingerprint = placement_fingerprint(&rep);
         assert_eq!(fingerprint, placements, "{case}: {fingerprint:#018x}");
+        let fingerprint = prediction_fingerprint(&rep);
+        assert_eq!(fingerprint, predictions, "{case}: {fingerprint:#018x}");
     }
 }
 
