@@ -172,32 +172,38 @@ pub struct Hbsp2PhaseRow {
 /// hierarchical broadcast: the root coordinator ships the full array to
 /// the `m − 1` other coordinators. Kept here (not in
 /// `hbsp_collectives::predict`) because it prices only the top phase of
-/// the operation — an analysis device for E7, not a whole schedule.
-pub fn hbsp2_top_one_phase(tree: &MachineTree, n: u64) -> CostReport {
-    let (root_r, slowest_coord_r, m, l) = top_level_params(tree);
+/// the operation — an analysis device for E7, not a whole schedule. A
+/// machine without clusters has no top level: `NoSuchLevel`.
+pub fn hbsp2_top_one_phase(tree: &MachineTree, n: u64) -> Result<CostReport, CollectiveError> {
+    let (root_r, slowest_coord_r, m, l) = top_level_params(tree)?;
     let h = (root_r * n as f64 * (m as f64 - 1.0)).max(slowest_coord_r * n as f64);
     let mut rep = CostReport::new();
     rep.push(top_step(tree, tree.height(), h, l));
-    rep
+    Ok(rep)
 }
 
 /// §4.4's closed form for the top-level super²-steps of a two-phase
 /// hierarchical broadcast: scatter pieces to the coordinators, then
-/// all-gather among them.
-pub fn hbsp2_top_two_phase(tree: &MachineTree, n: u64) -> CostReport {
-    let (root_r, slowest_coord_r, m, l) = top_level_params(tree);
+/// all-gather among them. A machine without clusters has no top level:
+/// `NoSuchLevel`.
+pub fn hbsp2_top_two_phase(tree: &MachineTree, n: u64) -> Result<CostReport, CollectiveError> {
+    let (root_r, slowest_coord_r, m, l) = top_level_params(tree)?;
     let piece = n as f64 / m as f64;
     let h1 = (root_r * (n as f64 - piece)).max(slowest_coord_r * piece);
     let h2 = slowest_coord_r * n as f64;
     let mut rep = CostReport::new();
     rep.push(top_step(tree, tree.height(), h1, l));
     rep.push(top_step(tree, tree.height(), h2, l));
-    rep
+    Ok(rep)
 }
 
-fn top_level_params(tree: &MachineTree) -> (f64, f64, usize, f64) {
-    let k = tree.height();
-    assert!(k >= 1, "top-level analysis needs a cluster machine");
+fn top_level_params(tree: &MachineTree) -> Result<(f64, f64, usize, f64), ModelError> {
+    if tree.height() == 0 {
+        return Err(ModelError::NoSuchLevel {
+            level: 1,
+            height: 0,
+        });
+    }
     let root = tree.node(tree.root());
     let root_r = root.params().r;
     let mut slowest = root_r;
@@ -205,7 +211,7 @@ fn top_level_params(tree: &MachineTree) -> (f64, f64, usize, f64) {
         let rep_leaf = tree.node(child).representative();
         slowest = slowest.max(tree.node(rep_leaf).params().r);
     }
-    (root_r, slowest, root.num_children(), root.params().l_sync)
+    Ok((root_r, slowest, root.num_children(), root.params().l_sync))
 }
 
 fn top_step(tree: &MachineTree, level: Level, h: f64, l: f64) -> SuperstepCost {
@@ -229,8 +235,8 @@ pub fn hbsp2_phase_study(l2s: &[f64], kb: usize) -> Result<Vec<Hbsp2PhaseRow>, C
         let hier = |top| broadcast::run(&exec, &items, BroadcastPlan::hierarchical(top));
         let one_sim = hier(PhasePolicy::OnePhase)?.time;
         let two_sim = hier(PhasePolicy::TwoPhase)?.time;
-        let one_pred = hbsp2_top_one_phase(exec.tree(), n).total();
-        let two_pred = hbsp2_top_two_phase(exec.tree(), n).total();
+        let one_pred = hbsp2_top_one_phase(exec.tree(), n)?.total();
+        let two_pred = hbsp2_top_two_phase(exec.tree(), n)?.total();
         rows.push(Hbsp2PhaseRow {
             l2,
             one_sim,

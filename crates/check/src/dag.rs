@@ -34,20 +34,23 @@ use hbsp_core::{MachineTree, NodeIdx};
 /// component, first repeats a job; cycles come sorted.
 pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut blocked_by = vec![Vec::new(); num_jobs];
+    let mut edges = Vec::with_capacity(deps.len());
     for &(job, dep) in deps {
         if job >= num_jobs || dep >= num_jobs {
             out.push(Violation::DependencyOutOfRange { job, dep, num_jobs });
         } else if job == dep {
             out.push(Violation::SelfDependency { job });
         } else {
-            blocked_by[job].push(dep);
+            edges.push((job, dep));
         }
     }
-    for b in &mut blocked_by {
-        b.sort_unstable();
-    }
-    let components = cyclic_components(&blocked_by);
+    // Each job's dependencies, sorted: a run of `edges`, found by search.
+    edges.sort_unstable();
+    let blocked_by = |job: usize| {
+        let run = edges.partition_point(|e| e.0 < job)..edges.partition_point(|e| e.0 <= job);
+        edges[run].iter().map(|e| e.1)
+    };
+    let components = cyclic_components(num_jobs, |v, i| blocked_by(v).nth(i));
     let mut comp = vec![usize::MAX; num_jobs];
     for (c, members) in components.iter().enumerate() {
         members.iter().for_each(|&m| comp[m] = c);
@@ -64,8 +67,8 @@ pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
                 }
                 seen_at[cur] = path.len();
                 path.push(cur);
-                match blocked_by[cur].iter().find(|&&d| comp[d] == c) {
-                    Some(&next) => cur = next,
+                match blocked_by(cur).find(|&d| comp[d] == c) {
+                    Some(next) => cur = next,
                     None => break path,
                 }
             }
@@ -81,11 +84,11 @@ pub fn verify_dag(num_jobs: usize, deps: &[(usize, usize)]) -> Vec<Violation> {
 }
 
 /// The strongly connected components of more than one node of the
-/// graph `succ`, each sorted (Tarjan's algorithm, iterative so that a
-/// long chain of jobs cannot overflow the stack).
-fn cyclic_components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// `n`-node graph whose node `v` has `succ(v, i)` as its `i`-th
+/// successor, each sorted (Tarjan's algorithm, iterative so that a long
+/// chain of jobs cannot overflow the stack).
+fn cyclic_components(n: usize, succ: impl Fn(usize, usize) -> Option<usize>) -> Vec<Vec<usize>> {
     const UNSEEN: usize = usize::MAX;
-    let n = succ.len();
     let (mut index, mut low, mut on_stack) = (vec![UNSEEN; n], vec![0; n], vec![false; n]);
     let (mut stack, mut frames, mut out) = (Vec::new(), Vec::new(), Vec::new());
     let mut next = 0;
@@ -101,7 +104,7 @@ fn cyclic_components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if let Some(&w) = succ[v].get(i) {
+            if let Some(w) = succ(v, i) {
                 let top = frames.len() - 1;
                 frames[top].1 += 1;
                 if index[w] == UNSEEN {
@@ -115,7 +118,11 @@ fn cyclic_components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
             if let Some(&(u, _)) = frames.last() {
                 low[u] = low[u].min(low[v]);
             }
-            if low[v] == index[v] {
+            // A node alone on top of the stack is a component of one.
+            if low[v] == index[v] && stack.last() == Some(&v) {
+                stack.pop();
+                on_stack[v] = false;
+            } else if low[v] == index[v] {
                 let mut members = Vec::new();
                 while let Some(m) = stack.pop() {
                     on_stack[m] = false;
@@ -124,10 +131,8 @@ fn cyclic_components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
                         break;
                     }
                 }
-                if members.len() > 1 {
-                    members.sort_unstable();
-                    out.push(members);
-                }
+                members.sort_unstable();
+                out.push(members);
             }
         }
     }

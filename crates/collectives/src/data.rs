@@ -54,6 +54,8 @@ pub enum DecodeError {
     PieceOverlap(u32),
     /// Pieces to reassemble left this index uncovered.
     PieceGap(u32),
+    /// The schedule names a processor its input has no entry for.
+    NoInput,
 }
 
 impl fmt::Display for DecodeError {
@@ -79,6 +81,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::PieceOverlap(at) => write!(f, "overlapping pieces at index {at}"),
             DecodeError::PieceGap(at) => write!(f, "gap at index {at}"),
+            DecodeError::NoInput => write!(f, "the schedule names a processor with no input"),
         }
     }
 }

@@ -10,8 +10,8 @@
 //! is the same fold counted the way the paper's analyses count
 //! supersteps: a final free drain is omitted, and the total is equal.
 
-use crate::schedule::{step_hrelation, CommSchedule};
-use hbsp_core::{CostModel, MachineTree, SuperstepCost};
+use crate::schedule::CommSchedule;
+use hbsp_core::{step_hrelation_into, CostModel, HRelation, MachineTree, SuperstepCost};
 
 /// One predicted [`SuperstepCost`] per *executed* step of `schedule`,
 /// in execution order. Unlike [`crate::predict::predict`], free drain
@@ -19,12 +19,12 @@ use hbsp_core::{CostModel, MachineTree, SuperstepCost};
 /// the model's claim about the i-th superstep a probe observes when a
 /// [`crate::schedule::ScheduleProgram`] for `schedule` runs.
 pub fn predicted_steps(tree: &MachineTree, schedule: &CommSchedule) -> Vec<SuperstepCost> {
-    let cm = CostModel::new(tree);
+    let (cm, mut hr) = (CostModel::new(tree), HRelation::new());
     schedule
         .steps
         .iter()
         .map(|step| {
-            let hr = step_hrelation(tree, step);
+            step_hrelation_into(tree, step, &mut hr);
             cm.schedule_step(step.scope.map(|s| s.level()), &step.work, &hr)
         })
         .collect()

@@ -25,19 +25,23 @@
 //! closed-form formulas.
 
 use crate::data::{piece_parts, shares_for, walk_bundle, whole_words, DecodeError, Piece};
+use crate::drift::predicted_steps;
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
 use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
+use crate::verify::holdings;
+use hbsp_check::{verify_dataflow, verify_hrelation, verify_schedule};
 pub use hbsp_core::schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
 use hbsp_core::{
-    Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SharedPayload, SpmdContext,
-    SpmdProgram, StepOutcome, WireWriter,
+    CostModel, Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SharedPayload, SpmdContext,
+    SpmdProgram, StepOutcome, SuperstepCost, SyncScope, WireWriter,
 };
 use hbsplib::{codec, ExecOutcome, Executor};
+use std::cell::OnceCell;
 use std::iter::zip;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The representative (coordinator) processor of a subtree.
 #[expect(
@@ -250,20 +254,25 @@ impl PartialEq for Items<'_> {
 }
 
 impl Layout {
-    /// An initial unit also planned to arrive keeps its initial home:
-    /// the same id carries the same data.
-    fn new(init: &[ProcInit], slots: &[(usize, UnitId)]) -> Layout {
-        let units = slots.len() + init.iter().map(|i| i.units.len()).sum::<usize>();
+    /// The layout of `ranks` processors, rank `r` starting with the
+    /// units `init(r)`. An initial unit also planned to arrive keeps its
+    /// initial home: the same id carries the same data.
+    fn new<'a>(
+        ranks: usize,
+        init: impl Fn(usize) -> &'a [(UnitId, Vec<u32>)],
+        slots: &[(usize, UnitId)],
+    ) -> Layout {
+        let units = slots.len() + (0..ranks).map(|r| init(r).len()).sum::<usize>();
         let (mut ids, mut initial) = (Vec::with_capacity(units), Vec::with_capacity(units));
-        let (mut at, mut slots) = (Vec::with_capacity(init.len() + 1), slots.iter().peekable());
-        for (rank, init) in init.iter().enumerate() {
+        let (mut at, mut slots) = (Vec::with_capacity(ranks + 1), slots.iter().peekable());
+        for rank in 0..ranks {
             let start = ids.len();
             at.push(start);
             while let Some(&(_, id)) = slots.next_if(|s| s.0 == rank) {
                 ids.push(id);
                 initial.push(None);
             }
-            for (k, &(id, _)) in init.units.iter().enumerate() {
+            for (k, &(id, _)) in init(rank).iter().enumerate() {
                 match ids[start..].binary_search(&id) {
                     Ok(i) => drop(initial[start + i].get_or_insert(Home::Init(k))),
                     Err(i) => {
@@ -280,7 +289,7 @@ impl Layout {
 
 /// Per-processor execution state: its units, the reduction accumulator,
 /// and the first data error encountered (if any).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ScheduleState {
     /// The program's initial holdings and this processor's row in them:
     /// where [`Home::Init`] units and the initial accumulator are read
@@ -594,6 +603,94 @@ fn wire(t: &Transfer) -> (u32, usize) {
     (tag, 4 * words)
 }
 
+/// A schedule compiled once, rows and unit layout, for the machine a
+/// [`ScheduleProgram`] runs it on, alone or beside a batch's others.
+#[derive(Debug)]
+pub struct Placed {
+    schedule: Arc<CommSchedule>,
+    plan: ExecPlan,
+    layout: Arc<Layout>,
+    /// The machine ranks a placement runs on (a lone program: none).
+    leaves: Vec<ProcId>,
+    /// Its steps priced on the tree it was placed on, drain included.
+    steps: Vec<SuperstepCost>,
+    /// Its fatal findings, verified at the first batch pre-flight.
+    verdict: OnceLock<Vec<String>>,
+}
+
+impl Placed {
+    /// `schedule`, in the local ranks of the processors `leaves` of a
+    /// level-`level` cluster of `tree`, moved to `tree`'s ranks — body
+    /// steps scoped at `level`, the drain keeping only its charges, rank
+    /// `leaves[r]` starting with the units of `init[r]` (as every input
+    /// staged for the placement does) — then compiled and priced.
+    ///
+    /// # Panics
+    /// Panics if `schedule` names a rank past `leaves`, or `init` is
+    /// shorter than `leaves`.
+    pub fn new(
+        tree: &MachineTree,
+        schedule: &CommSchedule,
+        leaves: &[ProcId],
+        level: u32,
+        init: &[ProcInit],
+    ) -> Placed {
+        let (p, body) = (tree.num_procs(), schedule.num_steps().saturating_sub(1));
+        let (at, local) = (
+            |pid: ProcId| leaves[pid.rank()],
+            |r| leaves.iter().position(|pid| pid.rank() == r),
+        );
+        let mut placed = CommSchedule::new();
+        placed.whole_blocks = (0..p)
+            .map(|r| local(r).is_some_and(|l| schedule.holds_blocks(l)))
+            .collect();
+        for (s, step) in schedule.steps.iter().enumerate() {
+            let mut to = ScheduleStep::drain();
+            to.scope = (s < body).then_some(SyncScope::Level(level));
+            to.work = (step.work.iter()).map(|&(pid, w)| (at(pid), w)).collect();
+            for t in step.transfers.iter().filter(|_| s < body) {
+                let mut t = t.clone();
+                (t.src, t.dst) = (at(t.src), at(t.dst));
+                to.transfers.push(t);
+            }
+            placed.push(to);
+        }
+        let units = |r| local(r).map_or(&[][..], |l| &init[l].units[..]);
+        let mut placed = Placed::compile(Arc::new(placed), p, units);
+        (placed.leaves, placed.steps) = (leaves.to_vec(), predicted_steps(tree, &placed.schedule));
+        placed
+    }
+
+    /// Compile `schedule` for `ranks` processors, rank `r` starting with
+    /// the units `init(r)`.
+    fn compile<'a>(
+        schedule: Arc<CommSchedule>,
+        ranks: usize,
+        init: impl Fn(usize) -> &'a [(UnitId, Vec<u32>)],
+    ) -> Placed {
+        let plan = ExecPlan::compile(&schedule, ranks);
+        let layout = Arc::new(Layout::new(ranks, init, &plan.slots));
+        let (leaves, steps, verdict) = (Vec::new(), Vec::new(), OnceLock::new());
+        Placed {
+            schedule,
+            plan,
+            layout,
+            leaves,
+            steps,
+            verdict,
+        }
+    }
+
+    /// Its step at step `step` of a program whose drain is step `last`:
+    /// its body, then nothing until its drain runs there.
+    fn acting(&self, step: usize, last: usize) -> Option<usize> {
+        let body = self.schedule.num_steps().saturating_sub(1);
+        (step < body)
+            .then_some(step)
+            .or((step == last).then_some(body))
+    }
+}
+
 /// The one executable form of a collective: a [`CommSchedule`] compiled
 /// to an [`ExecPlan`], run unchanged on any engine. Each superstep a
 /// processor absorbs what arrived, applies its compute charge, and
@@ -601,10 +698,12 @@ fn wire(t: &Transfer) -> (u32, usize) {
 /// store into the engine's outbox — so the executed cost is, by
 /// construction, the scheduled cost.
 pub struct ScheduleProgram {
-    schedule: Arc<CommSchedule>,
-    plan: ExecPlan,
+    /// Its placements, and per rank the one it runs (`u32::MAX`: none).
+    members: Vec<Arc<Placed>>,
+    owner: Vec<u32>,
+    /// Per step, its barrier scope (`None`: a drain).
+    scopes: Vec<Option<SyncScope>>,
     init: Arc<Vec<ProcInit>>,
-    layout: Arc<Layout>,
     op: Option<ReduceOp>,
 }
 
@@ -614,31 +713,117 @@ impl ScheduleProgram {
     /// transfers. A schedule that does not end in its one drain step is
     /// refused when the program runs: by the pre-flight's
     /// `EmptySchedule`, `MissingDrain` or `MisplacedDrain`, or unchecked
-    /// by the step that finds it.
+    /// by the step that finds it. A rank without an entry in `init`
+    /// starts empty, and is [`DecodeError::NoInput`] if the schedule
+    /// names it.
     pub fn new(
         schedule: Arc<CommSchedule>,
         init: Arc<Vec<ProcInit>>,
         op: Option<ReduceOp>,
     ) -> Self {
-        let plan = ExecPlan::compile(&schedule, init.len());
-        let layout = Arc::new(Layout::new(&init, &plan.slots));
+        let units = |r: usize| &init[r].units[..];
+        let lone = Arc::new(Placed::compile(schedule, init.len(), units));
+        ScheduleProgram::of(vec![lone], vec![0; init.len()], init, op)
+    }
+
+    /// A batch: members side by side on an `nprocs`-processor machine,
+    /// each on its ranks with its input moved there, under one barrier
+    /// per step, `Level(the highest level of a member whose body still
+    /// runs)`, and one drain, where every member's drain charges fall.
+    ///
+    /// The shared barrier is correct: a member placed at level `ℓ` runs
+    /// on a level-`ℓ` cluster, so each of its transfers crosses at a
+    /// level `≤ ℓ`, within every batch step it takes part in, and the
+    /// engines' scope check accepts the batch wherever it accepted the
+    /// members. Unit ids may collide across members, but stores are per
+    /// processor and members' ranks are disjoint (the pre-flight checks
+    /// it), so no processor sees two members' units.
+    pub fn side_by_side(
+        nprocs: usize,
+        members: impl ExactSizeIterator<Item = (Arc<Placed>, Vec<ProcInit>)>,
+        op: Option<ReduceOp>,
+    ) -> Self {
+        let (mut init, mut owner) = (vec![ProcInit::default(); nprocs], vec![u32::MAX; nprocs]);
+        let mut placed = Vec::with_capacity(members.len());
+        for (m, (member, input)) in members.enumerate() {
+            for (pid, input) in zip(&member.leaves, input) {
+                (init[pid.rank()], owner[pid.rank()]) = (input, m as u32);
+            }
+            placed.push(member);
+        }
+        ScheduleProgram::of(placed, owner, Arc::new(init), op)
+    }
+
+    /// Each step closes at its members' highest scope: a drain where no
+    /// member's body runs.
+    fn of(
+        members: Vec<Arc<Placed>>,
+        owner: Vec<u32>,
+        init: Arc<Vec<ProcInit>>,
+        op: Option<ReduceOp>,
+    ) -> Self {
+        let steps = members.iter().map(|m| m.schedule.num_steps()).max();
+        let scope = |s: usize| {
+            members
+                .iter()
+                .filter_map(|m| m.schedule.steps.get(s)?.scope)
+                .max_by_key(|c| c.level())
+        };
+        let scopes = (0..steps.unwrap_or(0)).map(scope).collect();
         ScheduleProgram {
-            schedule,
-            plan,
+            members,
+            owner,
+            scopes,
             init,
-            layout,
             op,
         }
     }
 
-    /// The schedule this program was compiled from.
+    /// The schedule this program was compiled from (a batch's first
+    /// member's, in the machine's ranks).
     pub fn schedule(&self) -> &CommSchedule {
-        &self.schedule
+        &self.members[0].schedule
     }
 
-    /// The compiled per-processor tables the program executes.
+    /// The compiled per-processor tables the program executes (a
+    /// batch's first member's).
     pub fn plan(&self) -> &ExecPlan {
-        &self.plan
+        &self.members[0].plan
+    }
+
+    /// A batch's predicted cost per step, drain included, on `tree`:
+    /// the largest `w` and `h` its members were priced at when placed —
+    /// a max is exact: these are their steps' merged — and its barrier.
+    pub fn predicted(&self, tree: &MachineTree) -> Vec<SuperstepCost> {
+        let (cm, last) = (CostModel::new(tree), self.scopes.len() - 1);
+        let cost = |s: usize, scope: &Option<SyncScope>| {
+            let acting = (self.members.iter()).filter_map(|m| m.steps.get(m.acting(s, last)?));
+            let max = |f: fn(&SuperstepCost) -> f64| acting.clone().map(f).max_by(f64::total_cmp);
+            let (w, h) = (max(|c| c.w).unwrap_or(0.0), max(|c| c.h).unwrap_or(0.0));
+            let level = scope.map_or(tree.height(), |c| c.level());
+            cm.from_aggregates(level, w, h, scope.map_or(0.0, |_| cm.level_sync(level)))
+        };
+        self.scopes
+            .iter()
+            .enumerate()
+            .map(|(s, scope)| cost(s, scope))
+            .collect()
+    }
+
+    /// The placement running `rank`, if any.
+    fn member(&self, rank: usize) -> Option<&Placed> {
+        self.members
+            .get(*self.owner.get(rank)? as usize)
+            .map(|m| &**m)
+    }
+
+    /// `rank`'s row at step `step` of `last + 1`, where its member acts,
+    /// and the messages due to it.
+    fn row(&self, step: usize, last: usize, rank: usize) -> (Option<&ProcStep>, usize) {
+        let member = self.member(rank);
+        let row = |s: usize| member?.plan.steps.get(s)?.get(rank);
+        let acting = member.and_then(|m| row(m.acting(step, last)?));
+        (acting, row(step).map_or(0, |r| r.due))
     }
 }
 
@@ -646,17 +831,24 @@ impl SpmdProgram for ScheduleProgram {
     type State = ScheduleState;
 
     fn init(&self, env: &ProcEnv) -> ScheduleState {
-        let (rank, lay) = (env.pid.rank(), &self.layout);
-        let mine = lay.at[rank]..lay.at[rank + 1];
+        let (rank, pid, member) = (env.pid.rank(), env.pid, self.member(env.pid.rank()));
+        let lay = member.map(|m| &m.layout);
+        let mine = lay.and_then(|l| Some(*l.at.get(rank)?..*l.at.get(rank + 1)?));
+        let mine = mine.unwrap_or(0..0);
+        let names = |s: &ScheduleStep| {
+            s.work.iter().any(|w| w.0 == pid)
+                || s.transfers.iter().any(|t| t.src == pid || t.dst == pid)
+        };
+        let unfed = rank >= self.init.len() && self.schedule().steps.iter().any(names);
         ScheduleState {
             init: Arc::clone(&self.init),
             rank,
-            held: lay.initial[mine.clone()].to_vec(),
-            layout: Some(Arc::clone(&self.layout)),
+            held: lay.map_or(Vec::new(), |l| l.initial[mine.clone()].to_vec()),
+            layout: lay.cloned(),
             mine,
-            whole_blocks: self.schedule.holds_blocks(rank),
+            whole_blocks: member.is_some_and(|m| m.schedule.holds_blocks(rank)),
             acc: None,
-            error: None,
+            error: unfed.then_some(DecodeError::NoInput),
         }
     }
 
@@ -667,17 +859,19 @@ impl SpmdProgram for ScheduleProgram {
         state: &mut ScheduleState,
         ctx: &mut dyn SpmdContext,
     ) -> StepOutcome {
-        let Some(mine) = self.plan.steps.get(step).map(|s| &s[env.pid.rank()]) else {
+        let Some(&scope) = self.scopes.get(step) else {
             return StepOutcome::Abort("the schedule ends without a drain step");
         };
+        let (mine, due) = self.row(step, self.scopes.len() - 1, env.pid.rank());
+        let (charge, sends) = mine.map_or((0.0, &[][..]), |m| (m.charge, &m.sends[..]));
         if state.error.is_none() {
-            state.absorb(self.op, mine.due, ctx.messages());
+            state.absorb(self.op, due, ctx.messages());
         }
         // A send whose data never arrived (a truncated message upstream)
         // is a data error like a malformed payload, and so is a message
         // that never did (`absorb` counts them).
         if state.error.is_none()
-            && !(mine.sends.iter().flat_map(|s| &s.units)).all(|&u| state.cover(u, |_| ()))
+            && !(sends.iter().flat_map(|s| &s.units)).all(|&u| state.cover(u, |_| ()))
         {
             state.error = Some(DecodeError::MissingUnit);
         }
@@ -685,18 +879,18 @@ impl SpmdProgram for ScheduleProgram {
         // superstep protocol, so every rank still reaches Done together
         // and the error can be reported from its final state.
         if state.error.is_none() {
-            if mine.charge != 0.0 {
-                ctx.charge(mine.charge);
+            if charge != 0.0 {
+                ctx.charge(charge);
             }
-            for send in &mine.sends {
+            for send in sends {
                 ctx.send_with(&send.dsts, send.tag, send.wire_len, &mut |w| {
                     state.write(send, w)
                 });
             }
         }
-        match self.schedule.steps[step].scope {
+        match scope {
             Some(scope) => StepOutcome::Continue(scope),
-            None if step + 1 == self.schedule.steps.len() => StepOutcome::Done,
+            None if step + 1 == self.scopes.len() => StepOutcome::Done,
             None => StepOutcome::Abort("a drain step before the schedule's last"),
         }
     }
@@ -705,14 +899,30 @@ impl SpmdProgram for ScheduleProgram {
     /// (structure, dataflow, h-consistency) and reject on any fatal
     /// violation. Engines call this at submit time, so a schedule that
     /// would starve a send or hang a barrier fails loudly with a
-    /// diagnostic instead.
+    /// diagnostic instead. A batch refuses what its members merged would:
+    /// each member's findings (once per placement), and a shared rank.
     fn preflight(&self, tree: &MachineTree) -> Result<(), hbsp_core::PreflightError> {
-        let violations: Vec<String> =
-            crate::verify::verify(tree, &self.schedule, &self.init, self.op.is_some())
-                .into_iter()
-                .filter(|v| v.is_fatal())
-                .map(|v| v.to_string())
-                .collect();
+        let held = OnceCell::new();
+        let fatal = |schedule: &CommSchedule| {
+            let held = held.get_or_init(|| holdings(&self.init));
+            let mut found = verify_schedule(tree, schedule);
+            found.extend(verify_dataflow(tree, schedule, held, self.op.is_some()));
+            found.extend(verify_hrelation(tree, schedule));
+            let fatal = found.into_iter().filter(|v| v.is_fatal());
+            fatal.map(|v| v.to_string()).collect::<Vec<String>>()
+        };
+        // A lone program is verified on whichever machine runs it.
+        let verdict = |m: &Arc<Placed>| match m.leaves.is_empty() {
+            true => fatal(&m.schedule),
+            false => m.verdict.get_or_init(|| fatal(&m.schedule)).clone(),
+        };
+        let mut violations: Vec<String> = self.members.iter().flat_map(verdict).collect();
+        let owns = |(m, p): (usize, &Arc<Placed>)| {
+            p.leaves.iter().all(|l| self.owner[l.rank()] as usize == m)
+        };
+        if !self.members.iter().enumerate().all(owns) {
+            violations.push("two members of the batch share a rank".to_string());
+        }
         if violations.is_empty() {
             Ok(())
         } else {
@@ -837,6 +1047,42 @@ mod tests {
         assert_eq!(outcome.sim.num_steps(), 2);
         assert_eq!(outcome.sim.messages_delivered, 1);
         assert_eq!(states[1].unit(UnitId::new(0, 3)), vec![7, 8, 9]);
+    }
+
+    /// Placements side by side on disjoint ranks run and price as one
+    /// program; two on a shared rank are refused by the pre-flight.
+    #[test]
+    fn a_batch_runs_disjoint_placements_and_refuses_a_shared_rank() {
+        let tree = Arc::new(TreeBuilder::homogeneous(1.0, 10.0, 4).unwrap());
+        let mut sched = CommSchedule::new();
+        let mut step = ScheduleStep::at(SyncScope::Level(1));
+        step.transfers.push(Transfer {
+            src: ProcId(0),
+            dst: ProcId(1),
+            words: 2,
+            role: Role::Piece(UnitId::new(0, 2)),
+        });
+        sched.push(step);
+        sched.push(ScheduleStep::drain());
+        let init = vec![
+            ProcInit {
+                units: vec![unit(0, &[5, 6])],
+                acc: None,
+            },
+            ProcInit::default(),
+        ];
+        let placed = |l: [u32; 2]| Arc::new(Placed::new(&tree, &sched, &l.map(ProcId), 1, &init));
+        let batch = |a: [u32; 2], b: [u32; 2]| {
+            let members = [(placed(a), init.clone()), (placed(b), init.clone())];
+            ScheduleProgram::side_by_side(4, members.into_iter(), None)
+        };
+        let prog = batch([0, 1], [3, 2]);
+        assert_eq!(prog.predicted(&tree), predicted_steps(&tree, &sched));
+        let (_, states) = execute(&Executor::simulator(Arc::clone(&tree)), &prog).unwrap();
+        let got = |rank: usize| states[rank].try_unit(UnitId::new(0, 2));
+        assert_eq!((got(1), got(2)), (Ok(vec![5, 6]), Ok(vec![5, 6])));
+        let shared = batch([0, 1], [1, 2]).preflight(&tree).unwrap_err();
+        assert_eq!(shared.violations, ["two members of the batch share a rank"]);
     }
 
     /// `rep_of`'s invariant: every node of every committed machine is

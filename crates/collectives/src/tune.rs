@@ -209,6 +209,35 @@ pub fn rank_plans(
     kind: CollectiveKind,
     n: u64,
 ) -> Result<Vec<PlanChoice>, TuneError> {
+    let mut ranked = candidates(tree, kind, n)?;
+    if ranked.is_empty() {
+        return Err(TuneError::NoCandidates);
+    }
+    ranked.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+    Ok(ranked)
+}
+
+/// The cheapest plan for `kind` moving `n` words on `tree` by predicted
+/// cost — the scheduler's uniform placement cost query: the first of
+/// the cheapest candidates, which is [`rank_plans`]' first, unranked.
+pub fn best_plan(
+    tree: &MachineTree,
+    kind: CollectiveKind,
+    n: u64,
+) -> Result<PlanChoice, TuneError> {
+    let plans = candidates(tree, kind, n)?.into_iter();
+    plans
+        .min_by(|a, b| a.cost.total_cmp(&b.cost))
+        .ok_or(TuneError::NoCandidates)
+}
+
+/// Lower and price every default candidate for `kind` moving `n` words
+/// on `tree`, in candidate order.
+fn candidates(
+    tree: &MachineTree,
+    kind: CollectiveKind,
+    n: u64,
+) -> Result<Vec<PlanChoice>, TuneError> {
     let p = tree.num_procs();
     if p == 0 {
         return Err(TuneError::NoProcessors);
@@ -304,21 +333,7 @@ pub fn rank_plans(
             ));
         }
     }
-    if ranked.is_empty() {
-        return Err(TuneError::NoCandidates);
-    }
-    ranked.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     Ok(ranked)
-}
-
-/// The cheapest plan for `kind` moving `n` words on `tree` by predicted
-/// cost — the scheduler's uniform placement cost query.
-pub fn best_plan(
-    tree: &MachineTree,
-    kind: CollectiveKind,
-    n: u64,
-) -> Result<PlanChoice, TuneError> {
-    (rank_plans(tree, kind, n)?.into_iter().next()).ok_or(TuneError::NoCandidates)
 }
 
 /// The outcome of re-tuning a mid-job residual plan on a fresh

@@ -15,7 +15,6 @@
 
 use crate::ids::MachineId;
 use crate::tree::MachineTree;
-use std::collections::BTreeMap;
 
 /// Per-machine traffic within one superstep.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,7 +47,9 @@ impl Traffic {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HRelation {
-    traffic: BTreeMap<MachineId, Traffic>,
+    /// The participants in `MachineId` order, each once: a superstep
+    /// has few, so a sorted vector beats a map.
+    traffic: Vec<(MachineId, Traffic)>,
 }
 
 impl HRelation {
@@ -57,23 +58,41 @@ impl HRelation {
         Self::default()
     }
 
+    /// Forget all traffic, keeping room for `participants`.
+    pub(crate) fn reset(&mut self, participants: usize) {
+        self.traffic.clear();
+        self.traffic.reserve(participants);
+    }
+
     /// Record `words` moving from `src` to `dst`. A self-send is legal in
     /// the bookkeeping but, following the paper's implementation note
     /// ("a processor does not send data to itself"), callers normally
     /// skip it.
     pub fn send(&mut self, src: MachineId, dst: MachineId, words: u64) {
-        self.traffic.entry(src).or_default().sent += words;
-        self.traffic.entry(dst).or_default().received += words;
+        self.entry(src).sent += words;
+        self.entry(dst).received += words;
+    }
+
+    fn entry(&mut self, id: MachineId) -> &mut Traffic {
+        let at = match self.traffic.binary_search_by_key(&id, |e| e.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.traffic.insert(at, (id, Traffic::default()));
+                at
+            }
+        };
+        &mut self.traffic[at].1
     }
 
     /// Traffic of one machine (zero if it did not participate).
     pub fn traffic(&self, id: MachineId) -> Traffic {
-        self.traffic.get(&id).copied().unwrap_or_default()
+        let at = self.traffic.binary_search_by_key(&id, |e| e.0);
+        at.map_or_else(|_| Traffic::default(), |at| self.traffic[at].1)
     }
 
-    /// All participants with their traffic.
+    /// All participants with their traffic, in `MachineId` order.
     pub fn participants(&self) -> impl Iterator<Item = (MachineId, Traffic)> + '_ {
-        self.traffic.iter().map(|(&id, &t)| (id, t))
+        self.traffic.iter().copied()
     }
 
     /// The heterogeneous h-relation `max r(id) · h_{id}`, with `r`
@@ -81,7 +100,7 @@ impl HRelation {
     pub fn h(&self, r: impl Fn(MachineId) -> f64) -> f64 {
         self.traffic
             .iter()
-            .map(|(&id, t)| r(id) * t.h() as f64)
+            .map(|&(id, t)| r(id) * t.h() as f64)
             .max_by(f64::total_cmp)
             .unwrap_or(0.0)
     }
@@ -105,7 +124,7 @@ impl HRelation {
     /// The homogeneous (classic BSP) h-relation: `max h_{i,j}` ignoring
     /// machine speeds. Used by the BSP-baseline cost analyses.
     pub fn h_homogeneous(&self) -> u64 {
-        self.traffic.values().map(Traffic::h).max().unwrap_or(0)
+        self.traffic.iter().map(|e| e.1.h()).max().unwrap_or(0)
     }
 
     /// True if no traffic has been recorded.

@@ -60,7 +60,9 @@ pub use hrelation::{hrelation, HRelation, Traffic};
 pub use ids::{Level, MachineId, NodeIdx, ProcId};
 pub use params::{NodeParams, DEFAULT_G};
 pub use rebuild::{Carved, DegradeError, Degraded, ObservedParams, ReparamError};
-pub use schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
+pub use schedule::{
+    step_hrelation, step_hrelation_into, CommSchedule, Role, ScheduleStep, Transfer, UnitId,
+};
 pub use spmd::{
     FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv,
     SharedPayload, SpmdContext, SpmdProgram, StepOutcome, SyncScope, WireWriter,

@@ -165,6 +165,14 @@ impl CommSchedule {
 /// (§5.2: "a processor does not send data to itself").
 pub fn step_hrelation(tree: &MachineTree, step: &ScheduleStep) -> HRelation {
     let mut hr = HRelation::new();
+    step_hrelation_into(tree, step, &mut hr);
+    hr
+}
+
+/// [`step_hrelation`] written into `hr`, whose buffer a fold over a
+/// schedule's steps reuses.
+pub fn step_hrelation_into(tree: &MachineTree, step: &ScheduleStep, hr: &mut HRelation) {
+    hr.reset((2 * step.transfers.len()).min(tree.num_procs()));
     for t in &step.transfers {
         if t.src == t.dst {
             continue;
@@ -175,5 +183,4 @@ pub fn step_hrelation(tree: &MachineTree, step: &ScheduleStep) -> HRelation {
             t.words,
         );
     }
-    hr
 }

@@ -142,7 +142,7 @@ impl Job {
     }
 
     /// The reduction operator this job would impose on a shared batch
-    /// program (one `ReduceOp` per merged program; batches only admit
+    /// program (one `ReduceOp` per batch program; batches only admit
     /// jobs whose operators agree).
     pub(crate) fn op(&self) -> Option<ReduceOp> {
         match &self.work {

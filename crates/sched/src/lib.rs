@@ -20,8 +20,10 @@
 //!    price. The job claims the cheapest adequate sub-tree whose leaves
 //!    are still free; claims within a batch are leaf-disjoint by
 //!    construction and re-checked with [`hbsp_check::verify_claims`].
-//! 3. **Batched admission.** All claims of a round merge into *one*
-//!    program on the shared tree (the `merge` module documents the
+//! 3. **Batched admission.** All claims of a round run as *one*
+//!    program on the shared tree: each placement is compiled for the
+//!    shared tree once, and a round runs its members' compiled rows side
+//!    by side ([`ScheduleProgram::side_by_side`] documents the
 //!    shared-barrier containment argument): per superstep one shared
 //!    barrier at the maximum claimed level, so co-scheduled tenants
 //!    amortize synchronization instead of paying it serially. A round
@@ -39,7 +41,6 @@
 
 pub mod job;
 mod lower;
-mod merge;
 pub mod report;
 
 pub use job::{Job, JobId, JobWork};
@@ -49,9 +50,8 @@ pub use report::{BatchReport, JobReport, SchedError, SchedReport};
 /// `hbsp_collectives` directly.
 pub use hbsp_collectives::CollectiveKind;
 
-use crate::lower::{lower_on, LoweredJob, Placements, Priced};
+use crate::lower::{LoweredJob, Placements, Priced};
 use hbsp_check::{verify_claims, verify_dag};
-use hbsp_collectives::drift::predicted_steps;
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::schedule::ScheduleState;
 use hbsp_collectives::ScheduleProgram;
@@ -141,8 +141,8 @@ impl Scheduler {
     }
 
     /// Drain the job graph: repeatedly place every ready job on the
-    /// cheapest adequate free sub-tree, merge the round's claims into
-    /// one shared-barrier program, and execute it on the chosen engine.
+    /// cheapest adequate free sub-tree, run the round's claims side by
+    /// side as one shared-barrier program on the chosen engine.
     ///
     /// Virtual time is the scheduler's clock: each round advances it by
     /// the round's [`hbsplib::ExecOutcome::total_time`], and the
@@ -212,25 +212,27 @@ impl Scheduler {
         // Ready counts: a job waits on its unfinished dependencies and is
         // ready, in submission order, once none is left.
         let mut waiting: Vec<usize> = self.jobs.iter().map(|j| j.blocked_by.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(i, d) in &edges {
-            dependents[d].push(i);
-        }
+        // A job's dependents: the run of `(job, dependent)` pairs it heads.
+        let mut dependents: Vec<(usize, usize)> = edges.iter().map(|&(i, d)| (d, i)).collect();
+        dependents.sort_unstable();
         let mut ready: BTreeSet<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
+        // Per round, reused: free leaves, the lowered claims and their nodes.
+        let (mut free, mut lowered, mut claims) =
+            (vec![true; p], Vec::<LoweredJob>::new(), Vec::new());
 
         while !ready.is_empty() {
             // Claim phase: ready jobs in submission order each take the
             // cheapest adequate sub-tree whose leaves are still free.
-            let mut free = vec![true; p];
+            free.fill(true);
+            lowered.clear();
             let mut free_leaves = p;
             let mut batch_op: Option<ReduceOp> = None;
-            let mut lowered: Vec<LoweredJob> = Vec::new();
             for &i in &ready {
                 if lowered.len() >= max_batch || free_leaves == 0 {
                     break;
                 }
                 let job = &self.jobs[i];
-                // One ReduceOp per merged program: defer jobs that would
+                // One ReduceOp per batch program: defer jobs that would
                 // impose a different operator to a later round. Skip jobs
                 // needing more leaves than are free — never in an empty
                 // round, where every leaf is.
@@ -269,7 +271,7 @@ impl Scheduler {
                         if batch_op.is_none() {
                             batch_op = job.op();
                         }
-                        lowered.push(lower_on(priced, job, i, idx));
+                        lowered.push(placements.lower(priced, job, i, idx));
                     }
                     // An empty batch means every leaf is free and no op
                     // constraint is active — if the job still fits
@@ -289,19 +291,20 @@ impl Scheduler {
             // Defense in depth: the claim loop's free-leaf bookkeeping
             // should make this vacuous; a violation here is a scheduler
             // bug and must not reach tenant data.
-            let claims: Vec<(usize, NodeIdx)> = lowered.iter().map(|l| (l.job, l.node)).collect();
+            claims.clear();
+            claims.extend(lowered.iter().map(|l| (l.job, l.node)));
             let overlaps = verify_claims(tree, &claims);
             if !overlaps.is_empty() {
                 return Err(SchedError::ClaimOverlap(overlaps));
             }
 
-            let (schedule, init) = merge::merge(tree, &lowered);
-            let schedule = Arc::new(schedule);
+            let members =
+                (lowered.iter_mut()).map(|l| (l.placed.clone(), std::mem::take(&mut l.init)));
+            let prog = ScheduleProgram::side_by_side(p, members, batch_op);
             // Predictions come from the belief: batch drift then
             // measures how wrong the *current* belief is, which is
             // exactly the statistic the loop thresholds.
-            let predicted = predicted_steps(cl.belief(), &schedule);
-            let prog = ScheduleProgram::new(schedule, Arc::new(init), batch_op);
+            let predicted = prog.predicted(cl.belief());
             let names = lowered.iter().map(|l| self.jobs[l.job].name.clone());
             let mut batch = cl
                 .run(&exec, &prog, &predicted, names, |_| {
@@ -309,11 +312,17 @@ impl Scheduler {
                 })
                 .map_err(|(e, bundle)| SchedError::Exec(e, bundle))?;
             let (start, end) = (batch.start, batch.end);
+            let mut states: Vec<Option<ScheduleState>> = std::mem::take(&mut batch.states)
+                .into_iter()
+                .map(Some)
+                .collect();
 
             for l in &lowered {
                 let i = l.job;
                 ready.remove(&i);
-                for &d in &dependents[i] {
+                let run = dependents.partition_point(|e| e.0 < i)
+                    ..dependents.partition_point(|e| e.0 <= i);
+                for &(_, d) in &dependents[run] {
                     waiting[d] -= 1;
                     if waiting[d] == 0 {
                         ready.insert(d);
@@ -322,7 +331,7 @@ impl Scheduler {
                 // Claims are leaf-disjoint: each state has one owner.
                 let leaves = &l.priced.carved.leaves;
                 let job_states: Vec<ScheduleState> = (leaves.iter())
-                    .map(|pid| std::mem::take(&mut batch.states[pid.rank()]))
+                    .filter_map(|pid| states[pid.rank()].take())
                     .collect();
                 if job_states.iter().any(|s| s.error().is_some()) {
                     metrics.failed();
@@ -597,7 +606,7 @@ mod tests {
         assert!(rep.clean());
         assert_ne!(
             rep.jobs[r.0].batch, rep.jobs[m.0].batch,
-            "jobs with different reduce ops must not share a merged program"
+            "jobs with different reduce ops must not share a batch program"
         );
     }
 

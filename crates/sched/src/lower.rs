@@ -1,17 +1,22 @@
 //! Placing and lowering a job. [`Placements`] prices jobs on carved
 //! sub-trees of one belief — each node carved and each (shape, node)
-//! tuned at most once — and [`lower_on`] lowers the winning price, adding
-//! only the job's input data: [`seeded_inits`] under a splitmix mix of
-//! the job's seed and id, so a job graph replays bit-identically on
-//! either engine and across serial/batched admission.
+//! tuned at most once — and [`Placements::lower`] lowers the winning
+//! price. The first lowering of a placement prepares it for the shared
+//! tree once ([`Placed`]: remapped, compiled, laid out and priced);
+//! every lowering adds only the job's input data: [`seeded_inits`]
+//! under a splitmix mix of the job's seed and id, so a job graph
+//! replays bit-identically on either engine and across serial/batched
+//! admission.
 
 use crate::job::{Job, JobWork};
 use hbsp_collectives::predict;
-use hbsp_collectives::schedule::{seeded_inits, ProcInit};
+use hbsp_collectives::schedule::{seeded_inits, Placed, ProcInit};
 use hbsp_collectives::tune::{best_plan, PlanChoice};
 use hbsp_collectives::CommSchedule;
 use hbsp_core::{Carved, MachineTree, NodeIdx, ProcId};
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What a placed job runs, shared with the cache or the submission.
@@ -32,16 +37,8 @@ pub(crate) struct Priced {
     pub carved: Arc<Carved>,
     /// What the job runs there.
     pub program: Program,
-}
-
-impl Priced {
-    /// The job's schedule in carved-local ranks.
-    pub fn schedule(&self) -> &CommSchedule {
-        match &self.program {
-            Program::Tuned(plan, _) => &plan.schedule,
-            Program::Custom(schedule, _) => schedule,
-        }
-    }
+    /// The placement on the shared tree, prepared on first lowering.
+    placed: Rc<OnceCell<Arc<Placed>>>,
 }
 
 /// The placement cache on one belief: carves by node, and prices by job
@@ -75,6 +72,30 @@ impl Placements {
         let priced = entry.or_insert_with(|| fill(&self.belief, &mut self.carves, job, idx));
         priced.as_ref()
     }
+
+    /// Lower `job` (submission index `id`) from its winning price on
+    /// `node`, preparing the placement on first use.
+    pub fn lower(&self, priced: Priced, job: &Job, id: usize, node: NodeIdx) -> LoweredJob {
+        let (init, root, schedule) = match &priced.program {
+            Program::Tuned(plan, n) => {
+                let init = seeded_inits(&priced.carved.tree, plan, *n, job_seed(job.seed, id));
+                (init.0, plan.root, &plan.schedule)
+            }
+            Program::Custom(schedule, init) => ((**init).clone(), None, &**schedule),
+        };
+        let (tree, leaves) = (&self.belief, &priced.carved.leaves);
+        let level = tree.node(node).level();
+        let prepare = || Arc::new(Placed::new(tree, schedule, leaves, level, &init));
+        let placed = priced.placed.get_or_init(prepare).clone();
+        LoweredJob {
+            job: id,
+            node,
+            priced,
+            placed,
+            init,
+            root,
+        }
+    }
 }
 
 /// The one placement site: carve node `idx` (once per belief) and price
@@ -107,12 +128,13 @@ fn fill(
         cost,
         carved,
         program,
+        placed: Rc::default(),
     })
 }
 
-/// One job lowered for the sub-tree it claimed this batch, in
-/// carved-local ranks. Its reduction operator is the batch's: admission
-/// lets only jobs whose `Job::op` agrees share a batch.
+/// One job lowered for the sub-tree it claimed this batch. Its
+/// reduction operator is the batch's: admission lets only jobs whose
+/// `Job::op` agrees share a batch.
 pub(crate) struct LoweredJob {
     /// Index of the job in the scheduler's submission order.
     pub job: usize,
@@ -120,6 +142,9 @@ pub(crate) struct LoweredJob {
     pub node: NodeIdx,
     /// The job's price there: carved machine, program, predicted cost.
     pub priced: Priced,
+    /// Its placement on the shared tree, shared by every job lowered
+    /// there.
+    pub placed: Arc<Placed>,
     /// Initial holdings per carved-local rank.
     pub init: Vec<ProcInit>,
     /// Carved-local root/result rank, for rooted collectives.
@@ -133,25 +158,4 @@ fn job_seed(seed: u64, id: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Lower `job` (submission index `id`) from its winning price on `node`.
-pub(crate) fn lower_on(priced: Priced, job: &Job, id: usize, node: NodeIdx) -> LoweredJob {
-    let (init, root) = match &priced.program {
-        Program::Tuned(plan, n) => {
-            let seed = job_seed(job.seed, id);
-            (
-                seeded_inits(&priced.carved.tree, plan, *n, seed).0,
-                plan.root,
-            )
-        }
-        Program::Custom(_, init) => ((**init).clone(), None),
-    };
-    LoweredJob {
-        job: id,
-        node,
-        priced,
-        init,
-        root,
-    }
 }

@@ -53,7 +53,7 @@ impl JobReport {
 }
 
 /// One admission round: the jobs that shared its barriers and the
-/// predicted-vs-observed cost of the merged program.
+/// predicted-vs-observed cost of the batch program.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Batch index (0-based).
@@ -64,12 +64,12 @@ pub struct BatchReport {
     pub start: f64,
     /// Virtual end time.
     pub end: f64,
-    /// Predicted cost of the merged program on the shared tree.
+    /// Predicted cost of the batch program on the shared tree.
     pub predicted: f64,
-    /// Per-step drift of the merged program: every executed step,
+    /// Per-step drift of the batch program: every executed step,
     /// free drain included, against its prediction on the belief.
     /// `None` only when the engine ran a different number of steps than
-    /// the merged schedule has.
+    /// the batch program has.
     pub drift: Option<DriftReport>,
     /// True when this batch's drift tripped the adaptive threshold and
     /// the scheduler folded its telemetry into the belief tree (later
@@ -105,7 +105,7 @@ pub struct SchedReport {
     /// Causal span tree of the run: one [`hbsp_obs::CausalKind::Batch`]
     /// root per admission round containing one
     /// [`hbsp_obs::CausalKind::Job`] span per member and one
-    /// [`hbsp_obs::CausalKind::Superstep`] span per merged-program
+    /// [`hbsp_obs::CausalKind::Superstep`] span per batch-program
     /// step, all on the scheduler's cumulative virtual clock.
     pub causal: Vec<CausalSpan>,
 }
@@ -194,7 +194,7 @@ pub enum SchedError {
         /// The job.
         job: JobId,
     },
-    /// An engine rejected or failed the merged program. The attached
+    /// An engine rejected or failed the batch program. The attached
     /// [`PostmortemBundle`] (`hbsplib::ClosedLoop::run`) carries the
     /// batch's step records, events, metrics, the batch log up to the
     /// failure, and the causal span tree.

@@ -943,3 +943,37 @@ fn warm_apps_allocate_alike_at_four_times_the_input() {
         );
     }
 }
+
+/// What one drain of the 1000-job fixture on `grid3` allocates on the
+/// simulator, which runs on the calling thread: placement, lowering,
+/// one program per batch, its run and the report. Each placement is
+/// compiled and priced once and its batches run its rows side by side,
+/// and a state moves out of its batch without an empty one built in
+/// its place — so a drain allocates at most two thirds of the 54 655
+/// times it did when every batch was merged into one schedule and
+/// recompiled (read by this test in its debug build; 48 783 in
+/// release).
+#[test]
+fn a_fixture_drain_allocates_two_thirds_of_a_merging_one() {
+    use hbsp::bench::jobfile;
+    use hbsp::sched::{Engine, RunOptions, Scheduler};
+    const MERGING: usize = 54_655;
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = hbsp_core::topology::parse(include_str!("../machines/grid3.hbsp")).unwrap();
+    let (jobs, errors) = jobfile::parse(include_str!("../fixtures/jobs_1000.jobs"));
+    assert!(errors.is_empty());
+    let mut sched = Scheduler::new(Arc::new(tree));
+    for parsed in jobs {
+        sched.submit(parsed.job);
+    }
+    let opts = RunOptions {
+        engine: Engine::Simulator,
+        serial: false,
+        adapt: None,
+    };
+    let allocs = thread_allocs_during(|| assert!(sched.run(&opts).unwrap().clean()));
+    assert!(
+        3 * allocs <= 2 * MERGING,
+        "a fixture drain allocated {allocs} times, more than two thirds of {MERGING}"
+    );
+}

@@ -492,3 +492,70 @@ fn programs_with_malformed_input_are_refused_on_both_engines() {
         0,
     );
 }
+
+/// A schedule program whose input has fewer entries than the machine
+/// has processors: a rank without an entry starts empty, and where the
+/// schedule names it that is a typed error on both engines (the
+/// pre-flight names it `InitMismatch` when checking is on), never a
+/// panic inside the interpreter. A schedule that leaves it alone runs.
+#[test]
+fn a_schedule_input_shorter_than_the_machine_is_a_typed_error() {
+    use hbsp::collectives::data::DecodeError;
+    use hbsp::collectives::schedule::{
+        execute, stage, CommSchedule, ScheduleProgram, ScheduleStep, Staging,
+    };
+    use hbsp::collectives::{gather, CollectiveError, Role, Transfer, UnitId, WorkloadPolicy};
+    let tree = machine();
+    let items: Vec<u32> = (0..12).collect();
+    let mut init = stage(&tree, Staging::Shares(&items, WorkloadPolicy::Equal));
+    init.truncate(2);
+    let init = Arc::new(init);
+    let flat = gather::lower_flat_gather(&tree, 12, ProcId(0), WorkloadPolicy::Equal);
+    let gather = ScheduleProgram::new(Arc::new(flat), Arc::clone(&init), None);
+    let mut pair = CommSchedule::new();
+    let mut step = ScheduleStep::at(SyncScope::Level(1));
+    let (src, dst, words, role) = (ProcId(1), ProcId(0), 4, Role::Piece(UnitId::new(4, 4)));
+    step.transfers.push(Transfer {
+        src,
+        dst,
+        words,
+        role,
+    });
+    pair.push(step);
+    pair.push(ScheduleStep::drain());
+    let pair = ScheduleProgram::new(Arc::new(pair), init, None);
+    for engine in [Executor::simulator, Executor::threads] {
+        let exec = engine(Arc::clone(&tree));
+        let checked = exec.clone().check(true).run(&gather).map(drop);
+        assert!(
+            matches!(checked, Err(SimError::Preflight { .. })),
+            "{checked:?}"
+        );
+        let unfed = CollectiveError::Decode {
+            pid: ProcId(2),
+            error: DecodeError::NoInput,
+        };
+        let unchecked = exec.clone().check(false);
+        assert_eq!(execute(&unchecked, &gather).map(drop), Err(unfed));
+        let (_, states) = execute(&unchecked, &pair).unwrap();
+        assert_eq!(states[0].try_unit(UnitId::new(4, 4)), Ok(vec![4, 5, 6, 7]));
+        assert!(states[2].pieces().is_empty());
+    }
+}
+
+/// The §4.4 top-level closed forms need a top level: on an HBSP^0
+/// machine (one processor) they return the machine error.
+#[test]
+fn top_level_closed_forms_on_a_machine_without_clusters_are_typed_errors() {
+    use hbsp::bench::experiments::{hbsp2_top_one_phase, hbsp2_top_two_phase};
+    use hbsp::collectives::CollectiveError;
+    let mut builder = TreeBuilder::new(1.0);
+    builder.proc_root("lone", NodeParams::proc(1.0, 1.0));
+    let lone = builder.build().unwrap();
+    let no_top = CollectiveError::Machine(ModelError::NoSuchLevel {
+        level: 1,
+        height: 0,
+    });
+    assert_eq!(hbsp2_top_one_phase(&lone, 64).err(), Some(no_top.clone()));
+    assert_eq!(hbsp2_top_two_phase(&lone, 64).err(), Some(no_top));
+}
