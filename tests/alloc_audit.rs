@@ -977,3 +977,45 @@ fn a_fixture_drain_allocates_two_thirds_of_a_merging_one() {
         "a fixture drain allocated {allocs} times, more than two thirds of {MERGING}"
     );
 }
+
+/// What tuning the fixture's collective shapes on `grid3` allocates:
+/// each of the 7 nodes with at least two leaves carved once, and
+/// `best_plan` of each of the 28 distinct `(kind, n)` of
+/// `fixtures/jobs_1000.jobs` on it — the pricing a fixture drain pays
+/// before it claims anything. Counted by this test in its debug build.
+#[test]
+fn tuning_the_fixture_shapes_on_grid3_allocates_within_its_pin() {
+    use hbsp::bench::jobfile;
+    use hbsp::sched::JobWork;
+    use hbsp_collectives::tune::best_plan;
+    const PIN: usize = 12_356;
+    let _serial = AUDIT_LOCK.lock().unwrap();
+    let tree = hbsp_core::topology::parse(include_str!("../machines/grid3.hbsp")).unwrap();
+    let (jobs, errors) = jobfile::parse(include_str!("../fixtures/jobs_1000.jobs"));
+    assert!(errors.is_empty());
+    let mut shapes: Vec<_> = (jobs.iter())
+        .filter_map(|parsed| match parsed.job.work {
+            JobWork::Collective { kind, n } => Some((kind.name(), kind, n)),
+            JobWork::Custom { .. } => None,
+        })
+        .collect();
+    shapes.sort_by_key(|&(name, _, n)| (name, n));
+    shapes.dedup();
+    let nodes: Vec<_> = (tree.nodes().map(|node| node.idx()))
+        .filter(|&idx| tree.subtree_leaves(idx).len() >= 2)
+        .collect();
+    assert_eq!((shapes.len(), nodes.len()), (28, 7));
+    let allocs = thread_allocs_during(|| {
+        for &idx in &nodes {
+            let carved = tree.carve(idx);
+            for &(_, kind, n) in &shapes {
+                std::hint::black_box(best_plan(&carved.tree, kind, n).unwrap());
+            }
+        }
+    });
+    println!("tuning allocations: {allocs}");
+    assert!(
+        allocs <= PIN,
+        "tuning the fixture's shapes allocated {allocs} times, more than {PIN}"
+    );
+}
