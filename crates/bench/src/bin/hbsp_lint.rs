@@ -239,7 +239,7 @@ fn lint_text(path: &Path, text: &str, out: &mut Vec<Violation>) {
                     lineno,
                     format!(
                         "`{name}` called outside the placement cache's `{PLACEMENT_SITE}` — \
-                         read the job's price and plan from `Placements::price`"
+                         read the job's price and plan from `Placements::claim`"
                     ),
                 );
             }

@@ -120,7 +120,7 @@ pub fn validate(jobs: &[ParsedJob]) -> Vec<JobfileError> {
         line: jobs.get(id).map_or(0, |pj| pj.line),
         message,
     };
-    let name = |id: usize| jobs.get(id).map_or("", |pj| pj.job.name.as_str());
+    let name = |id: usize| jobs.get(id).map_or("", |pj| &*pj.job.name);
     let mut errors: Vec<JobfileError> = (jobs.iter().enumerate())
         .filter(|(_, pj)| matches!(pj.job.work, JobWork::Collective { n: 0, .. }))
         .map(|(id, pj)| {

@@ -149,7 +149,6 @@ pub fn verify_claims(tree: &MachineTree, claims: &[(usize, NodeIdx)]) -> Vec<Vio
     let mut out = Vec::new();
     let num_nodes = tree.nodes().count();
     let mut owner: Vec<Option<usize>> = vec![None; tree.num_procs()];
-    let mut leaves = Vec::new();
     for &(job, idx) in claims {
         if idx.index() >= num_nodes {
             out.push(Violation::ClaimOutOfRange {
@@ -159,9 +158,12 @@ pub fn verify_claims(tree: &MachineTree, claims: &[(usize, NodeIdx)]) -> Vec<Vio
             });
             continue;
         }
-        tree.subtree_leaves_into(idx, &mut leaves);
         // Every subtree leaf is a processor, so none is skipped.
-        for pid in leaves.iter().filter_map(|&leaf| tree.node(leaf).proc_id()) {
+        for pid in tree
+            .subtree_leaves(idx)
+            .iter()
+            .filter_map(|&leaf| tree.node(leaf).proc_id())
+        {
             match owner[pid.rank()] {
                 Some(job_a) if job_a != job => out.push(Violation::ClaimOverlap {
                     job_a,

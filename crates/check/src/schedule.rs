@@ -334,7 +334,8 @@ mod tests {
     }
 
     fn units(spans: &[(u32, u32)]) -> Role {
-        Role::Bundle(spans.iter().map(|&(o, l)| UnitId::new(o, l)).collect())
+        let units: Vec<UnitId> = spans.iter().map(|&(o, l)| UnitId::new(o, l)).collect();
+        Role::Bundle(units.into())
     }
 
     fn steps(steps: Vec<ScheduleStep>) -> CommSchedule {

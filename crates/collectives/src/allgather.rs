@@ -26,7 +26,7 @@ pub fn lower_flat_allgather(tree: &MachineTree, n: u64, workload: WorkloadPolicy
             let dst = ProcId(d as u32);
             if dst != src {
                 let unit = share_unit(&partition, src);
-                step.transfers.push(Transfer::bundle(src, dst, vec![unit]));
+                step.transfers.push(Transfer::bundle(src, dst, unit));
             }
         }
     }

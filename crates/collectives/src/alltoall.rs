@@ -32,7 +32,7 @@ pub fn lower_alltoall(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedule {
             if i != j {
                 let (src, dst) = (ProcId(i as u32), ProcId(j as u32));
                 let block = block_unit(p, i, j, words as usize);
-                step.transfers.push(Transfer::bundle(src, dst, vec![block]));
+                step.transfers.push(Transfer::bundle(src, dst, block));
             }
         }
     }
@@ -70,7 +70,7 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
                 coord_of[i] // foreign: hand up (coordinators keep theirs)
             };
             if relay != src {
-                let block = vec![unit(i, j)];
+                let block = unit(i, j);
                 local.transfers.push(Transfer::bundle(src, relay, block));
             }
         }
@@ -112,7 +112,7 @@ pub fn lower_alltoall_hier(tree: &MachineTree, sizes: &[Vec<u64>]) -> CommSchedu
             }
             for (i, _) in coord_of.iter().enumerate().filter(|&(_, &ci)| ci != c) {
                 let block = unit(i, q.rank());
-                fanout.transfers.push(Transfer::bundle(c, q, vec![block]));
+                fanout.transfers.push(Transfer::bundle(c, q, block));
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::plan::{PhasePolicy, RankOutOfRange, RootPolicy, Strategy, WorkloadPol
 use crate::schedule::{
     self, rep_of, share_unit, CommSchedule, ScheduleStep, Staging, Transfer, UnitId,
 };
-use hbsp_core::{apportion, Level, MachineTree, NodeIdx, ProcId, SyncScope};
+use hbsp_core::{apportion_by, Level, MachineTree, NodeIdx, ProcId, SyncScope};
 use hbsp_sim::SimOutcome;
 use hbsplib::Executor;
 
@@ -106,23 +106,6 @@ impl BroadcastPlan {
     }
 }
 
-fn piece_weights(tree: &MachineTree, members: &[ProcId], workload: WorkloadPolicy) -> Vec<f64> {
-    match workload {
-        WorkloadPolicy::Equal => vec![1.0; members.len()],
-        WorkloadPolicy::Balanced => members
-            .iter()
-            .map(|&m| tree.leaf(m).params().speed)
-            .collect(),
-        WorkloadPolicy::CommAware => members
-            .iter()
-            .map(|&m| {
-                let p = tree.leaf(m).params();
-                (p.speed / p.r).sqrt()
-            })
-            .collect(),
-    }
-}
-
 /// One scheduled distribution phase of the hierarchical broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
@@ -158,30 +141,28 @@ fn stage_schedule(k: Level, top_phase: PhasePolicy, cluster_phase: PhasePolicy) 
     stages
 }
 
-/// The processors coordinating the children of `cluster`, in child
-/// order (deduplicated — a processor can represent several levels).
-fn child_reps(tree: &MachineTree, cluster: NodeIdx) -> Vec<ProcId> {
-    let children = tree.node(cluster).children();
-    children.iter().map(|&c| rep_of(tree, c)).collect()
-}
-
-/// The scatter units a two-phase stage deals to `reps`: `n` items
-/// apportioned by the stage's piece weights, in rep order.
-fn cluster_units(
-    tree: &MachineTree,
-    reps: &[ProcId],
+/// The scatter units a two-phase stage deals to the coordinators of
+/// `children`: `n` items apportioned by their piece weights, in child
+/// order.
+fn cluster_units<'a>(
+    tree: &'a MachineTree,
+    children: &'a [NodeIdx],
     n: u64,
     workload: WorkloadPolicy,
-) -> Vec<UnitId> {
-    let weights = piece_weights(tree, reps, workload);
-    let shares = apportion(n, &weights);
-    let mut out = Vec::with_capacity(shares.len());
-    let mut off = 0u64;
-    for s in shares {
-        out.push(UnitId::new(off as u32, s as u32));
-        off += s;
-    }
-    out
+) -> impl Iterator<Item = UnitId> + 'a {
+    let weight = |i: usize| {
+        let p = tree.leaf(rep_of(tree, children[i])).params();
+        match workload {
+            WorkloadPolicy::Equal => 1.0,
+            WorkloadPolicy::Balanced => p.speed,
+            WorkloadPolicy::CommAware => (p.speed / p.r).sqrt(),
+        }
+    };
+    let shares = apportion_by(n, children.len(), weight).into_iter();
+    shares.scan(0u64, |off, s| {
+        *off += s;
+        Some(UnitId::new((*off - s) as u32, s as u32))
+    })
 }
 
 /// Lower a broadcast plan to a communication schedule. Returns the
@@ -230,7 +211,7 @@ pub fn lower_flat_broadcast(
             for &q in &everyone {
                 if q != root {
                     let whole = UnitId::new(0, n as u32);
-                    step.transfers.push(Transfer::bundle(root, q, vec![whole]));
+                    step.transfers.push(Transfer::bundle(root, q, whole));
                 }
             }
             sched.push(step);
@@ -240,7 +221,7 @@ pub fn lower_flat_broadcast(
             let mut scatter = ScheduleStep::at(global);
             for &q in &everyone {
                 if q != root {
-                    let unit = vec![share_unit(&partition, q)];
+                    let unit = share_unit(&partition, q);
                     scatter.transfers.push(Transfer::bundle(root, q, unit));
                 }
             }
@@ -249,7 +230,7 @@ pub fn lower_flat_broadcast(
             for &src in &everyone {
                 for &dst in &everyone {
                     if dst != src {
-                        let unit = vec![share_unit(&partition, src)];
+                        let unit = share_unit(&partition, src);
                         allgather.transfers.push(Transfer::bundle(src, dst, unit));
                     }
                 }
@@ -280,31 +261,24 @@ pub fn lower_hierarchical_broadcast(
             if tree.node(idx).is_proc() {
                 continue;
             }
-            let rep = rep_of(tree, idx);
-            let reps = child_reps(tree, idx);
+            let (rep, children) = (rep_of(tree, idx), tree.node(idx).children());
+            let reps = children.iter().map(|&c| rep_of(tree, c));
+            let units = || cluster_units(tree, children, n, workload);
             match stage {
                 Stage::Full(_) => {
-                    for &q in &reps {
-                        if q != rep {
-                            step.transfers.push(Transfer::bundle(rep, q, vec![full]));
-                        }
+                    for q in reps.filter(|&q| q != rep) {
+                        step.transfers.push(Transfer::bundle(rep, q, full));
                     }
                 }
                 Stage::Scatter(_) => {
-                    for (unit, &q) in cluster_units(tree, &reps, n, workload).iter().zip(&reps) {
-                        if q != rep {
-                            step.transfers.push(Transfer::bundle(rep, q, vec![*unit]));
-                        }
+                    for (unit, q) in units().zip(reps).filter(|&(_, q)| q != rep) {
+                        step.transfers.push(Transfer::bundle(rep, q, unit));
                     }
                 }
                 Stage::AllGather(_) => {
-                    let units = cluster_units(tree, &reps, n, workload);
-                    for (i, &src) in reps.iter().enumerate() {
-                        for &dst in &reps {
-                            if dst != src {
-                                let unit = vec![units[i]];
-                                step.transfers.push(Transfer::bundle(src, dst, unit));
-                            }
+                    for (unit, src) in units().zip(reps.clone()) {
+                        for dst in reps.clone().filter(|&dst| dst != src) {
+                            step.transfers.push(Transfer::bundle(src, dst, unit));
                         }
                     }
                 }

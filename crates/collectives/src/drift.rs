@@ -19,15 +19,21 @@ use hbsp_core::{step_hrelation_into, CostModel, HRelation, MachineTree, Superste
 /// the model's claim about the i-th superstep a probe observes when a
 /// [`crate::schedule::ScheduleProgram`] for `schedule` runs.
 pub fn predicted_steps(tree: &MachineTree, schedule: &CommSchedule) -> Vec<SuperstepCost> {
-    let (cm, mut hr) = (CostModel::new(tree), HRelation::new());
-    schedule
-        .steps
-        .iter()
-        .map(|step| {
-            step_hrelation_into(tree, step, &mut hr);
-            cm.schedule_step(step.scope.map(|s| s.level()), &step.work, &hr)
-        })
-        .collect()
+    step_costs(tree, schedule, &mut HRelation::new()).collect()
+}
+
+/// [`predicted_steps`], each step's h-relation gathered in `hr`: a
+/// caller pricing many schedules passes one buffer to them all.
+pub(crate) fn step_costs<'a>(
+    tree: &'a MachineTree,
+    schedule: &'a CommSchedule,
+    hr: &'a mut HRelation,
+) -> impl Iterator<Item = SuperstepCost> + 'a {
+    let cm = CostModel::new(tree);
+    schedule.steps.iter().map(move |step| {
+        step_hrelation_into(tree, step, hr);
+        cm.schedule_step(step.scope.map(|s| s.level()), &step.work, hr)
+    })
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ pub fn lower_flat_gather(
             continue;
         }
         let unit = schedule::share_unit(&partition, pid);
-        step.transfers.push(Transfer::bundle(pid, root, vec![unit]));
+        step.transfers.push(Transfer::bundle(pid, root, unit));
     }
     let mut sched = CommSchedule::new();
     sched.push(step);

@@ -16,23 +16,30 @@
 //! gap.
 
 use crate::broadcast::lower_flat_broadcast;
-use crate::drift::predicted_steps;
+use crate::drift::step_costs;
 use crate::gather::{lower_flat_gather, lower_hierarchical_gather};
 use crate::plan::{PhasePolicy, WorkloadPolicy};
 use crate::schedule::CommSchedule;
-use hbsp_core::{CostReport, MachineTree, ProcId};
+use hbsp_core::{CostReport, HRelation, MachineTree, ProcId, SuperstepCost};
 
 /// Price a communication schedule under the HBSP^k model: one
 /// [`hbsp_core::SuperstepCost`] per scheduled step, as
-/// [`predicted_steps`] prices them. A final drain step that neither
+/// [`crate::drift::predicted_steps`] prices them. A final drain step that neither
 /// communicates nor computes is free and is omitted, so the report's
 /// step count matches the paper's analyses.
 pub fn predict(tree: &MachineTree, schedule: &CommSchedule) -> CostReport {
-    let mut steps = predicted_steps(tree, schedule);
-    if (schedule.steps.last()).is_some_and(|s| s.scope.is_none() && s.is_free()) {
-        steps.pop();
-    }
-    CostReport::from(steps)
+    CostReport::from(paper_steps(tree, schedule, &mut HRelation::new()).collect::<Vec<_>>())
+}
+
+/// The steps [`predict`] prices, each step's h-relation gathered in
+/// `hr`: all but a final free drain.
+pub(crate) fn paper_steps<'a>(
+    tree: &'a MachineTree,
+    schedule: &'a CommSchedule,
+    hr: &'a mut HRelation,
+) -> impl Iterator<Item = SuperstepCost> + 'a {
+    let free = (schedule.steps.last()).is_some_and(|s| s.scope.is_none() && s.is_free());
+    step_costs(tree, schedule, hr).take(schedule.steps.len() - usize::from(free))
 }
 
 /// §4.2 — flat gather to `root`:

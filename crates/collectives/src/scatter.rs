@@ -24,7 +24,7 @@ pub fn lower_scatter(
         let q = ProcId(j as u32);
         if q != root {
             let unit = share_unit(&partition, q);
-            step.transfers.push(Transfer::bundle(root, q, vec![unit]));
+            step.transfers.push(Transfer::bundle(root, q, unit));
         }
     }
     let mut sched = CommSchedule::new();

@@ -24,7 +24,9 @@
 //! apart — the historic risk of keeping hand-rolled SPMD loops next to
 //! closed-form formulas.
 
-use crate::data::{piece_parts, shares_for, walk_bundle, whole_words, DecodeError, Piece};
+use crate::data::{
+    partition_for, piece_parts, shares_for, walk_bundle, whole_words, DecodeError, Piece,
+};
 use crate::drift::predicted_steps;
 use crate::error::CollectiveError;
 use crate::plan::WorkloadPolicy;
@@ -32,7 +34,9 @@ use crate::reduce::ReduceOp;
 use crate::tune::{CollectiveKind, PlanChoice};
 use crate::verify::holdings;
 use hbsp_check::{verify_dataflow, verify_hrelation, verify_schedule};
-pub use hbsp_core::schedule::{step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId};
+pub use hbsp_core::schedule::{
+    step_hrelation, CommSchedule, Role, ScheduleStep, Transfer, UnitId, Units,
+};
 use hbsp_core::{
     CostModel, Inbox, MachineTree, NodeIdx, Partition, ProcEnv, ProcId, SharedPayload, SpmdContext,
     SpmdProgram, StepOutcome, SuperstepCost, SyncScope, WireWriter,
@@ -148,23 +152,27 @@ pub fn seeded_inits(
     n: u64,
     seed: u64,
 ) -> (Vec<ProcInit>, Option<ReduceOp>) {
-    let words = |seed: u64| -> Vec<u32> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 32) as u32
-            })
-            .collect()
+    // An LCG stream: `len` more words of the stream at `state`.
+    let draw = |state: &mut u64, len: u64| -> Vec<u32> {
+        let step = |_| {
+            *state = (state.wrapping_mul(6364136223846793005)).wrapping_add(1442695040888963407);
+            (*state >> 32) as u32
+        };
+        (0..len).map(step).collect()
     };
+    let words = |seed: u64| draw(&mut (seed | 1), n);
     let p = tree.num_procs() as u64;
-    let array;
     let input = match plan.kind {
         CollectiveKind::Gather | CollectiveKind::Allgather => {
-            array = words(seed);
-            Staging::Shares(&array, plan.workload)
+            // The one stream, continued into each rank's share in rank
+            // order: the array's words, never the array.
+            let (partition, mut state) = (partition_for(tree, n, plan.workload), seed | 1);
+            let mut init = vec![ProcInit::default(); p as usize];
+            for (pid, init) in (0..).map(ProcId).zip(&mut init) {
+                let words = draw(&mut state, partition.share(pid));
+                init.units.push((share_unit(&partition, pid), words));
+            }
+            return (init, None);
         }
         CollectiveKind::Broadcast | CollectiveKind::Scatter => {
             #[expect(
@@ -301,7 +309,8 @@ pub struct ScheduleState {
     mine: Range<usize>,
     /// Its units are whole blocks ([`CommSchedule::whole_blocks`]).
     whole_blocks: bool,
-    /// Per unit of the layout, where its items live if it is held now.
+    /// Per unit of the layout, where its items live if it is held now;
+    /// empty, and read from the layout, where no unit can arrive.
     held: Vec<Option<Home>>,
     /// The accumulator once a fold wrote it; until then it is `init`'s.
     acc: Option<Vec<u32>>,
@@ -323,9 +332,15 @@ impl ScheduleState {
         (self.layout.as_ref()).map_or(&[], |l| &l.ids[self.mine.clone()])
     }
 
+    /// Where the `i`-th unit's items live, if it is held.
+    fn home(&self, i: usize) -> Option<&Home> {
+        let initial = || self.layout.as_ref()?.initial[self.mine.start + i].as_ref();
+        self.held.get(i).map_or_else(initial, Option::as_ref)
+    }
+
     /// Items `r` of the `i`-th unit.
     fn items(&self, i: usize, r: Range<usize>) -> Items<'_> {
-        match &self.held[i] {
+        match self.home(i) {
             Some(Home::Init(k)) => Items::Words(&self.init[self.rank].units[*k].1[r]),
             Some(Home::Wire(payload, at)) => {
                 Items::Wire(&payload.bytes()[at + 4 * r.start..][..4 * r.len()])
@@ -336,7 +351,7 @@ impl ScheduleState {
 
     fn units(&self) -> impl Iterator<Item = (UnitId, Items<'_>)> {
         let ids = self.ids().iter().enumerate();
-        let held = ids.filter(|&(i, _)| self.held[i].is_some());
+        let held = ids.filter(|&(i, _)| self.home(i).is_some());
         held.map(|(i, &id)| (id, self.items(i, 0..id.len as usize)))
     }
 
@@ -365,7 +380,7 @@ impl ScheduleState {
     /// [`hbsp_check::cover`] finds them among the held units. Returns
     /// whether `uid` is covered.
     fn cover<'a>(&'a self, uid: UnitId, mut f: impl FnMut(Items<'a>)) -> bool {
-        let held = |i: usize| self.held[i].is_some();
+        let held = |i: usize| self.home(i).is_some();
         let items = |i, r| f(self.items(i, r));
         hbsp_check::cover(self.ids(), held, !self.whole_blocks, uid, items)
     }
@@ -434,7 +449,7 @@ impl ScheduleState {
         let len = u32::try_from(items.len() / 4).map_err(|_| DecodeError::UnplannedUnit)?;
         let i = (self.ids().binary_search(&UnitId::new(offset, len)))
             .map_err(|_| DecodeError::UnplannedUnit)?;
-        if self.held[i].is_none() {
+        if self.held.get(i).is_some_and(Option::is_none) {
             self.held[i] = Some(Home::Wire(payload(), items.start));
         }
         Ok(())
@@ -625,21 +640,33 @@ impl Placed {
     /// `leaves[r]` starting with the units of `init[r]` (as every input
     /// staged for the placement does) — then compiled and priced.
     ///
-    /// # Panics
-    /// Panics if `schedule` names a rank past `leaves`, or `init` is
-    /// shorter than `leaves`.
+    /// A schedule naming a rank past `leaves`, a leaf past `tree`'s
+    /// ranks or an `init` shorter than `leaves` is the typed
+    /// [`CollectiveError::Shape`].
     pub fn new(
         tree: &MachineTree,
         schedule: &CommSchedule,
         leaves: &[ProcId],
         level: u32,
         init: &[ProcInit],
-    ) -> Placed {
+    ) -> Result<Placed, CollectiveError> {
         let (p, body) = (tree.num_procs(), schedule.num_steps().saturating_sub(1));
-        let (at, local) = (
-            |pid: ProcId| leaves[pid.rank()],
-            |r| leaves.iter().position(|pid| pid.rank() == r),
-        );
+        let shape = |what, want, got| CollectiveError::Shape { what, want, got };
+        let top = leaves.iter().map(|q| q.rank() + 1).max().unwrap_or(0);
+        if top > p {
+            return Err(shape("machine ranks named by the leaves", p, top));
+        } else if init.len() < leaves.len() {
+            return Err(shape("initial holdings", leaves.len(), init.len()));
+        }
+        let at = |pid: ProcId| match leaves.get(pid.rank()) {
+            Some(&at) => Ok(at),
+            None => Err(shape(
+                "ranks named by the schedule",
+                leaves.len(),
+                pid.rank() + 1,
+            )),
+        };
+        let local = |r| leaves.iter().position(|pid| pid.rank() == r);
         let mut placed = CommSchedule::new();
         placed.whole_blocks = (0..p)
             .map(|r| local(r).is_some_and(|l| schedule.holds_blocks(l)))
@@ -647,10 +674,11 @@ impl Placed {
         for (s, step) in schedule.steps.iter().enumerate() {
             let mut to = ScheduleStep::drain();
             to.scope = (s < body).then_some(SyncScope::Level(level));
-            to.work = (step.work.iter()).map(|&(pid, w)| (at(pid), w)).collect();
+            let work = step.work.iter().map(|&(pid, w)| Ok((at(pid)?, w)));
+            to.work = work.collect::<Result<_, CollectiveError>>()?;
             for t in step.transfers.iter().filter(|_| s < body) {
                 let mut t = t.clone();
-                (t.src, t.dst) = (at(t.src), at(t.dst));
+                (t.src, t.dst) = (at(t.src)?, at(t.dst)?);
                 to.transfers.push(t);
             }
             placed.push(to);
@@ -658,7 +686,7 @@ impl Placed {
         let units = |r| local(r).map_or(&[][..], |l| &init[l].units[..]);
         let mut placed = Placed::compile(Arc::new(placed), p, units);
         (placed.leaves, placed.steps) = (leaves.to_vec(), predicted_steps(tree, &placed.schedule));
-        placed
+        Ok(placed)
     }
 
     /// Compile `schedule` for `ranks` processors, rank `r` starting with
@@ -843,7 +871,9 @@ impl SpmdProgram for ScheduleProgram {
         ScheduleState {
             init: Arc::clone(&self.init),
             rank,
-            held: lay.map_or(Vec::new(), |l| l.initial[mine.clone()].to_vec()),
+            held: (lay.map(|l| &l.initial[mine.clone()]))
+                .filter(|homes| homes.iter().any(Option::is_none))
+                .map_or(Vec::new(), <[_]>::to_vec),
             layout: lay.cloned(),
             mine,
             whole_blocks: member.is_some_and(|m| m.schedule.holds_blocks(rank)),
@@ -1071,7 +1101,8 @@ mod tests {
             },
             ProcInit::default(),
         ];
-        let placed = |l: [u32; 2]| Arc::new(Placed::new(&tree, &sched, &l.map(ProcId), 1, &init));
+        let placed =
+            |l: [u32; 2]| Arc::new(Placed::new(&tree, &sched, &l.map(ProcId), 1, &init).unwrap());
         let batch = |a: [u32; 2], b: [u32; 2]| {
             let members = [(placed(a), init.clone()), (placed(b), init.clone())];
             ScheduleProgram::side_by_side(4, members.into_iter(), None)

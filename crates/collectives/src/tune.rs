@@ -12,12 +12,12 @@ use crate::alltoall::{lower_alltoall, lower_alltoall_hier};
 use crate::broadcast::{lower_broadcast, BroadcastPlan};
 use crate::gather::{lower_gather, GatherPlan};
 use crate::plan::{PhasePolicy, RankOutOfRange, RootPolicy, Strategy, WorkloadPolicy};
-use crate::predict::predict;
+use crate::predict::{paper_steps, predict};
 use crate::reduce::{lower_flat_reduce, lower_hierarchical_reduce};
 use crate::scan::lower_scan;
 use crate::scatter::lower_scatter;
 use crate::schedule::CommSchedule;
-use hbsp_core::{MachineTree, ProcId};
+use hbsp_core::{HRelation, MachineTree, ProcId};
 use std::fmt;
 
 /// A candidate broadcast plan with its predicted cost.
@@ -209,7 +209,8 @@ pub fn rank_plans(
     kind: CollectiveKind,
     n: u64,
 ) -> Result<Vec<PlanChoice>, TuneError> {
-    let mut ranked = candidates(tree, kind, n)?;
+    let mut ranked = Vec::new();
+    candidates(tree, kind, n, |plan| ranked.push(plan))?;
     if ranked.is_empty() {
         return Err(TuneError::NoCandidates);
     }
@@ -220,40 +221,45 @@ pub fn rank_plans(
 /// The cheapest plan for `kind` moving `n` words on `tree` by predicted
 /// cost — the scheduler's uniform placement cost query: the first of
 /// the cheapest candidates, which is [`rank_plans`]' first, unranked.
+/// A candidate is dropped as soon as a cheaper one is priced.
 pub fn best_plan(
     tree: &MachineTree,
     kind: CollectiveKind,
     n: u64,
 ) -> Result<PlanChoice, TuneError> {
-    let plans = candidates(tree, kind, n)?.into_iter();
-    plans
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .ok_or(TuneError::NoCandidates)
+    let mut best: Option<PlanChoice> = None;
+    candidates(tree, kind, n, |plan| match &best {
+        Some(b) if plan.cost.total_cmp(&b.cost).is_ge() => {}
+        _ => best = Some(plan),
+    })?;
+    best.ok_or(TuneError::NoCandidates)
 }
 
 /// Lower and price every default candidate for `kind` moving `n` words
-/// on `tree`, in candidate order.
+/// on `tree`, handing each to `keep` in candidate order.
 fn candidates(
     tree: &MachineTree,
     kind: CollectiveKind,
     n: u64,
-) -> Result<Vec<PlanChoice>, TuneError> {
+    mut keep: impl FnMut(PlanChoice),
+) -> Result<(), TuneError> {
     let p = tree.num_procs();
     if p == 0 {
         return Err(TuneError::NoProcessors);
     }
-    let choice = |strategy, workload, schedule, root| {
-        let cost = predict(tree, &schedule).total();
-        PlanChoice {
+    let mut hr = HRelation::new();
+    let mut choice = |strategy, workload, schedule, root| {
+        let steps = paper_steps(tree, &schedule, &mut hr);
+        let cost = steps.map(|c| c.total()).sum();
+        keep(PlanChoice {
             kind,
             strategy,
             workload,
             schedule,
             root,
             cost,
-        }
+        })
     };
-    let mut ranked = Vec::new();
     match kind {
         CollectiveKind::Gather => {
             for plan in [
@@ -262,78 +268,73 @@ fn candidates(
                 GatherPlan::hierarchical(),
             ] {
                 let (sched, root) = lower_gather(tree, n, plan)?;
-                ranked.push(choice(plan.strategy, plan.workload, sched, Some(root)));
+                choice(plan.strategy, plan.workload, sched, Some(root));
             }
         }
         CollectiveKind::Broadcast => {
             for plan in broadcast_candidates() {
                 let (sched, root) = lower_broadcast(tree, n, &plan)?;
-                ranked.push(choice(plan.strategy, plan.workload, sched, Some(root)));
+                choice(plan.strategy, plan.workload, sched, Some(root));
             }
         }
         CollectiveKind::Scatter => {
             let root = RootPolicy::Fastest.resolve(tree)?;
             for workload in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
                 let sched = lower_scatter(tree, n, root, workload);
-                ranked.push(choice(Strategy::Flat, workload, sched, Some(root)));
+                choice(Strategy::Flat, workload, sched, Some(root));
             }
         }
         CollectiveKind::Allgather => {
             for workload in [WorkloadPolicy::Equal, WorkloadPolicy::Balanced] {
                 let sched = lower_flat_allgather(tree, n, workload);
-                ranked.push(choice(Strategy::Flat, workload, sched, None));
+                choice(Strategy::Flat, workload, sched, None);
             }
             let sched = lower_hierarchical_allgather(tree, n, WorkloadPolicy::Equal);
-            ranked.push(choice(
-                Strategy::Hierarchical,
-                WorkloadPolicy::Equal,
-                sched,
-                None,
-            ));
+            choice(Strategy::Hierarchical, WorkloadPolicy::Equal, sched, None);
         }
         CollectiveKind::Alltoall => {
             // Uniform personalized exchange: n words per ordered pair.
             let sizes: Vec<Vec<u64>> = (0..p)
                 .map(|i| (0..p).map(|j| if i == j { 0 } else { n }).collect())
                 .collect();
-            ranked.push(choice(
+            choice(
                 Strategy::Flat,
                 WorkloadPolicy::Equal,
                 lower_alltoall(tree, &sizes),
                 None,
-            ));
-            ranked.push(choice(
+            );
+            choice(
                 Strategy::Hierarchical,
                 WorkloadPolicy::Equal,
                 lower_alltoall_hier(tree, &sizes),
                 None,
-            ));
+            );
         }
         CollectiveKind::Reduce => {
             let root = RootPolicy::Fastest.resolve(tree)?;
-            ranked.push(choice(
+            choice(
                 Strategy::Flat,
                 WorkloadPolicy::Equal,
                 lower_flat_reduce(tree, n, root),
                 Some(root),
-            ));
-            ranked.push(choice(
+            );
+            choice(
                 Strategy::Hierarchical,
                 WorkloadPolicy::Equal,
                 lower_hierarchical_reduce(tree, n),
                 Some(tree.fastest_proc()),
-            ));
+            );
         }
         CollectiveKind::Scan => {
-            ranked.push(choice(
+            choice(
                 Strategy::Flat,
                 WorkloadPolicy::Equal,
                 lower_scan(tree, n),
                 None,
-            ));
+            );
         }
     }
-    Ok(ranked)
+    Ok(())
 }
 
 /// The outcome of re-tuning a mid-job residual plan on a fresh

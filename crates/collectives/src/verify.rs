@@ -210,7 +210,7 @@ mod tests {
             src: first.dst,
             dst: first.dst,
             words: 1,
-            role: Role::Bundle(vec![UnitId::new(0, 1)]),
+            role: Role::Bundle(vec![UnitId::new(0, 1)].into()),
         });
         sched.steps[0].transfers[0].words += 3;
         let items: Vec<u32> = (0..n as u32).collect();
@@ -237,7 +237,7 @@ mod tests {
             src: ProcId(0),
             dst: ProcId(4),
             words: 1,
-            role: Role::Bundle(vec![UnitId::new(0, 1)]),
+            role: Role::Bundle(vec![UnitId::new(0, 1)].into()),
         });
         let sched = CommSchedule {
             steps: vec![step, ScheduleStep::drain()],

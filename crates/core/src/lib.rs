@@ -61,14 +61,14 @@ pub use ids::{Level, MachineId, NodeIdx, ProcId};
 pub use params::{NodeParams, DEFAULT_G};
 pub use rebuild::{Carved, DegradeError, Degraded, ObservedParams, ReparamError};
 pub use schedule::{
-    step_hrelation, step_hrelation_into, CommSchedule, Role, ScheduleStep, Transfer, UnitId,
+    step_hrelation, step_hrelation_into, CommSchedule, Role, ScheduleStep, Transfer, UnitId, Units,
 };
 pub use spmd::{
     FillLength, Inbox, InboxIter, Message, MsgBatch, MsgView, PreflightError, ProcEnv,
     SharedPayload, SpmdContext, SpmdProgram, StepOutcome, SyncScope, WireWriter,
 };
 pub use tree::{MachineTree, Node, NodeKind};
-pub use workload::{apportion, Partition};
+pub use workload::{apportion, apportion_by, Partition};
 
 // The unit tests of `rebuild`'s three entry points, one module per entry
 // point, so each test's name says which one it exercises.
@@ -105,8 +105,8 @@ mod carve {
             assert_eq!(c.tree.height(), 2);
             assert_eq!(c.tree.g(), t.g(), "min_r is already 1 at the root");
             assert_eq!(
-                c.leaves,
-                (0..5).map(ProcId).collect::<Vec<_>>(),
+                *c.leaves,
+                *(0..5).map(ProcId).collect::<Vec<_>>(),
                 "identity rank map"
             );
             for i in 0..5 {
@@ -125,7 +125,7 @@ mod carve {
             c.tree.validate().unwrap();
             assert_eq!(c.tree.num_procs(), 2);
             assert_eq!(c.tree.height(), 1);
-            assert_eq!(c.leaves, vec![ProcId(3), ProcId(4)]);
+            assert_eq!(*c.leaves, [ProcId(3), ProcId(4)]);
             assert_eq!(c.tree.leaf(ProcId(0)).params().r, 1.0, "exactly 1");
             assert_eq!(c.tree.g(), 2.0 * 1.6, "g absorbs the factor");
             // Absolute per-word cost r·g is preserved for every carved leaf.
@@ -171,7 +171,7 @@ mod carve {
             c.tree.validate().unwrap();
             assert_eq!(c.tree.height(), 0);
             assert_eq!(c.tree.num_procs(), 1);
-            assert_eq!(c.leaves, vec![ProcId(4)]);
+            assert_eq!(*c.leaves, [ProcId(4)]);
             assert_eq!(c.tree.leaf(ProcId(0)).params().r, 1.0);
             assert_eq!(c.tree.g(), 2.0 * 3.0);
         }

@@ -54,6 +54,7 @@ use crate::tree::{MachineTree, Node};
 use crate::workload::hierarchical_fractions;
 use crate::NodeParams;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why [`MachineTree::carve`] and [`MachineTree::degrade`] cannot fail
 /// once their own checks passed (see the [module docs](self)).
@@ -69,7 +70,7 @@ pub struct Carved {
     /// Carved rank → original [`ProcId`]: `leaves[j]` is the processor
     /// of the parent machine that plays rank `j` in the carved one.
     /// Carved ranks preserve the parent's relative order.
-    pub leaves: Vec<ProcId>,
+    pub leaves: Arc<[ProcId]>,
 }
 
 impl Carved {
@@ -207,6 +208,7 @@ impl MachineTree {
                 |n| n.params().l_sync,
             )
             .expect(VALID_STAYS_VALID);
+        let leaves = leaves.into();
         Carved { tree, leaves }
     }
 

@@ -40,7 +40,7 @@ pub enum Role {
     /// One or more units bundled as `[count, (offset, len, items…)…]`
     /// (`hbsp_collectives::data::encode_bundle`) — one message per link,
     /// not per origin.
-    Bundle(Vec<UnitId>),
+    Bundle(Units),
     /// The sender's current partial-reduction accumulator, raw `u32`s;
     /// the receiver folds it in with the schedule's reduction operator.
     Partial,
@@ -54,6 +54,49 @@ impl Role {
             Role::Bundle(uids) => uids,
             Role::Partial => &[],
         }
+    }
+}
+
+/// A bundle's units, in wire order: one inline (most bundles carry one)
+/// or several in a vector (never one, so equal units are represented
+/// alike). It reads and prints as the slice of its units.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Units(UnitsRepr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum UnitsRepr {
+    One(UnitId),
+    Many(Vec<UnitId>),
+}
+
+impl std::ops::Deref for Units {
+    type Target = [UnitId];
+    fn deref(&self) -> &[UnitId] {
+        match &self.0 {
+            UnitsRepr::One(uid) => std::slice::from_ref(uid),
+            UnitsRepr::Many(uids) => uids,
+        }
+    }
+}
+
+impl From<UnitId> for Units {
+    fn from(uid: UnitId) -> Self {
+        Units(UnitsRepr::One(uid))
+    }
+}
+
+impl From<Vec<UnitId>> for Units {
+    fn from(uids: Vec<UnitId>) -> Self {
+        match uids[..] {
+            [uid] => Units::from(uid),
+            _ => Units(UnitsRepr::Many(uids)),
+        }
+    }
+}
+
+impl std::fmt::Debug for Units {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -73,9 +116,9 @@ pub struct Transfer {
 
 impl Transfer {
     /// `units` bundled from `src` to `dst`, charged the words they carry.
-    pub fn bundle(src: ProcId, dst: ProcId, units: Vec<UnitId>) -> Self {
-        let words = units.iter().map(|u| u.len as u64).sum();
-        let role = Role::Bundle(units);
+    pub fn bundle(src: ProcId, dst: ProcId, units: impl Into<Units>) -> Self {
+        let role = Role::Bundle(units.into());
+        let words = role.units().iter().map(|u| u.len as u64).sum();
         Transfer {
             src,
             dst,

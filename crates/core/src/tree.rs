@@ -193,34 +193,20 @@ impl MachineTree {
     }
 
     /// All leaf processors in the subtree rooted at `idx`, in `ProcId`
-    /// order.
-    pub fn subtree_leaves(&self, idx: NodeIdx) -> Vec<NodeIdx> {
-        let mut out = Vec::new();
-        self.subtree_leaves_into(idx, &mut out);
-        out
-    }
-
-    /// [`MachineTree::subtree_leaves`] into a caller-owned buffer: the
-    /// buffer is cleared and refilled, so a hot loop (e.g. a scheduler
-    /// probing many candidate sub-trees per admission round) allocates
-    /// only until the buffer's capacity plateaus.
-    pub fn subtree_leaves_into(&self, idx: NodeIdx, out: &mut Vec<NodeIdx>) {
-        out.clear();
-        self.collect_subtree_leaves(idx, out);
-        // Leaves are appended in DFS (left-to-right) order, which the
-        // builder also uses to assign ranks — but sort anyway so the
-        // contract holds for any arena. Unstable sort: allocation-free.
-        out.sort_unstable_by_key(|&n| self.node(n).proc_id);
-    }
-
-    fn collect_subtree_leaves(&self, idx: NodeIdx, out: &mut Vec<NodeIdx>) {
-        let node = self.node(idx);
-        if node.is_proc() {
-            out.push(idx);
-        } else {
-            for &c in &node.children {
-                self.collect_subtree_leaves(c, out);
+    /// order: a slice of [`MachineTree::leaves`]. The builder ranks
+    /// leaves in preorder, so a subtree's leaves hold consecutive ranks,
+    /// from its leftmost leaf's to its rightmost's.
+    pub fn subtree_leaves(&self, idx: NodeIdx) -> &[NodeIdx] {
+        let edge = |pick: fn(&[NodeIdx]) -> Option<&NodeIdx>| {
+            let mut n = self.node(idx);
+            while let Some(&c) = pick(&n.children) {
+                n = self.node(c);
             }
+            n.proc_id.map(ProcId::rank)
+        };
+        match (edge(<[NodeIdx]>::first), edge(<[NodeIdx]>::last)) {
+            (Some(first), Some(last)) => &self.leaves[first..=last],
+            _ => &[],
         }
     }
 

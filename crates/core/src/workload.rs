@@ -32,26 +32,35 @@ use crate::tree::MachineTree;
 /// assert_eq!(shares.iter().sum::<u64>(), 7);
 /// ```
 pub fn apportion(n: u64, weights: &[f64]) -> Vec<u64> {
-    if weights.is_empty() {
+    apportion_by(n, weights.len(), |i| weights[i])
+}
+
+/// [`apportion`] of `len` weights read through `weight`, allocating only
+/// the shares: a place in the remainder order is counted, not sorted —
+/// O(len²) comparisons, cheaper than a buffer for the machines here.
+pub fn apportion_by(n: u64, len: usize, weight: impl Fn(usize) -> f64) -> Vec<u64> {
+    if len == 0 {
         return Vec::new();
     }
-    let total: f64 = weights.iter().sum();
+    let total: f64 = (0..len).map(&weight).sum();
     if total <= 0.0 {
         // Degenerate: fall back to an equal split.
-        return apportion(n, &vec![1.0; weights.len()]);
+        return apportion_by(n, len, (|_| 1.0) as fn(usize) -> f64);
     }
-    let quotas: Vec<f64> = weights.iter().map(|w| n as f64 * w / total).collect();
-    let mut shares: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
-    let assigned: u64 = shares.iter().sum();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
+    let quota = |i| n as f64 * weight(i) / total;
+    let mut shares: Vec<u64> = (0..len).map(|i| quota(i).floor() as u64).collect();
+    let left = (n - shares.iter().sum::<u64>()) as usize;
     // Largest fractional remainder first; ties to the lower index.
-    order.sort_by(|&a, &b| {
-        let fa = quotas[a] - quotas[a].floor();
-        let fb = quotas[b] - quotas[b].floor();
-        fb.total_cmp(&fa).then(a.cmp(&b))
-    });
-    for &i in order.iter().take((n - assigned) as usize) {
-        shares[i] += 1;
+    let frac = |i| quota(i) - quota(i).floor();
+    let place = |i| {
+        let fi = frac(i);
+        let ahead = |j: &usize| frac(*j).total_cmp(&fi).then(i.cmp(j)).is_gt();
+        (0..len).filter(ahead).count()
+    };
+    for (i, share) in shares.iter_mut().enumerate().filter(|_| left > 0) {
+        if place(i) < left {
+            *share += 1;
+        }
     }
     shares
 }
@@ -90,39 +99,40 @@ impl Partition {
                 reason: "zero processors",
             });
         }
-        Ok(Self::from_shares(apportion(n, &vec![1.0; p])))
+        Ok(Self::from_shares(apportion_by(n, p, |_| 1.0)))
     }
 
     /// Balanced workload: shares proportional to `speeds` (the paper's
     /// `c_j` computed from benchmark indices).
     pub fn balanced(n: u64, speeds: &[f64]) -> Result<Self, ModelError> {
-        if speeds.is_empty() {
+        Self::balanced_by(n, speeds.len(), |i| speeds[i])
+    }
+
+    /// [`Partition::balanced`] over `len` weights read through `weight`.
+    fn balanced_by(n: u64, len: usize, weight: impl Fn(usize) -> f64) -> Result<Self, ModelError> {
+        if len == 0 {
             return Err(ModelError::DegeneratePartition {
                 reason: "zero processors",
             });
         }
-        if speeds.iter().any(|&s| s < 0.0 || !s.is_finite()) {
+        if (0..len).map(&weight).any(|s| s < 0.0 || !s.is_finite()) {
             return Err(ModelError::DegeneratePartition {
                 reason: "negative or non-finite speed",
             });
         }
-        if speeds.iter().sum::<f64>() <= 0.0 {
+        if (0..len).map(&weight).sum::<f64>() <= 0.0 {
             return Err(ModelError::DegeneratePartition {
                 reason: "zero total speed",
             });
         }
-        Ok(Self::from_shares(apportion(n, speeds)))
+        Ok(Self::from_shares(apportion_by(n, len, weight)))
     }
 
     /// Balanced workload for the leaves of `tree`, using their compute
     /// speeds as weights (indexed by `ProcId`).
     pub fn balanced_for(tree: &MachineTree, n: u64) -> Result<Self, ModelError> {
-        let speeds: Vec<f64> = tree
-            .leaves()
-            .iter()
-            .map(|&l| tree.node(l).params().speed)
-            .collect();
-        Self::balanced(n, &speeds)
+        let speed = |i: usize| tree.node(tree.leaves()[i]).params().speed;
+        Self::balanced_by(n, tree.num_procs(), speed)
     }
 
     /// Communication-aware balanced workload: weights are the geometric
@@ -135,15 +145,11 @@ impl Partition {
     /// but slow NICs get correspondingly smaller shares. Experiment E10
     /// quantifies the effect.
     pub fn comm_aware_for(tree: &MachineTree, n: u64) -> Result<Self, ModelError> {
-        let weights: Vec<f64> = tree
-            .leaves()
-            .iter()
-            .map(|&l| {
-                let p = tree.node(l).params();
-                (p.speed * (1.0 / p.r)).sqrt()
-            })
-            .collect();
-        Self::balanced(n, &weights)
+        let weight = |i: usize| {
+            let p = tree.node(tree.leaves()[i]).params();
+            (p.speed * (1.0 / p.r)).sqrt()
+        };
+        Self::balanced_by(n, tree.num_procs(), weight)
     }
 
     /// Total number of items.

@@ -492,7 +492,7 @@ impl ClosedLoop {
         exec: &Executor,
         prog: &P,
         predicted: &[SuperstepCost],
-        children: impl IntoIterator<Item = String>,
+        children: impl IntoIterator<Item = Arc<str>>,
         forensics: impl FnOnce(&Recorder) -> (String, Vec<MetricSample>),
     ) -> Result<Observed<P::State>, (SimError, Box<PostmortemBundle>)> {
         let ran = exec.run(prog);

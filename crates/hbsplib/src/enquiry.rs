@@ -35,8 +35,8 @@ impl TreeEnquiry for MachineTree {
         };
         // Every subtree leaf is a processor, so none is skipped.
         self.subtree_leaves(cluster)
-            .into_iter()
-            .filter_map(|l| self.node(l).proc_id())
+            .iter()
+            .filter_map(|&l| self.node(l).proc_id())
             .collect()
     }
 

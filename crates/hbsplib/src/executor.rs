@@ -785,7 +785,7 @@ mod tests {
                 return StepOutcome::Done;
             }
             let cluster = env.tree.cluster_of(env.pid, 1).expect("cluster exists");
-            for leaf in env.tree.subtree_leaves(cluster) {
+            for &leaf in env.tree.subtree_leaves(cluster) {
                 let q = env.tree.node(leaf).proc_id().unwrap();
                 if q != env.pid {
                     ctx.send(q, 0, &[0u8; 4]);

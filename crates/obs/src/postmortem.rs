@@ -386,7 +386,7 @@ fn parse_span(v: &Value) -> Result<CausalSpan, String> {
         id: req_int(v, "id")?,
         parent: opt_int(v, "parent")?,
         kind,
-        label: req_str(v, "label")?,
+        label: req_str(v, "label")?.into(),
         start: req_f64(v, "start")?,
         end: req_f64(v, "end")?,
     })

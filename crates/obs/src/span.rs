@@ -6,6 +6,8 @@
 //! intervals. `hbsp-sim` re-exports these types so existing
 //! `ProcTimeline` users are unaffected.
 
+use std::sync::Arc;
+
 /// What a processor was doing during a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
@@ -114,7 +116,7 @@ pub struct CausalSpan {
     /// Hierarchy level.
     pub kind: CausalKind,
     /// Human-readable label (job name, `segment 3`, `step 17`, ...).
-    pub label: String,
+    pub label: Arc<str>,
     /// Start, in virtual time.
     pub start: f64,
     /// End, in virtual time.
@@ -127,6 +129,8 @@ pub struct CausalSpan {
 #[derive(Debug, Clone, Default)]
 pub struct CausalTree {
     spans: Vec<CausalSpan>,
+    /// `step {i}` at `i`, shared by every superstep span of index `i`.
+    step_labels: Vec<Arc<str>>,
 }
 
 impl CausalTree {
@@ -140,7 +144,7 @@ impl CausalTree {
     pub fn push(
         &mut self,
         kind: CausalKind,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         parent: Option<usize>,
         start: f64,
         end: f64,
@@ -181,9 +185,12 @@ impl CausalTree {
                 .iter()
                 .copied()
                 .fold(f64::NEG_INFINITY, f64::max);
+            for i in self.step_labels.len()..=st.step {
+                self.step_labels.push(format!("step {i}").into());
+            }
             self.push(
                 CausalKind::Superstep,
-                format!("step {}", st.step),
+                self.step_labels[st.step].clone(),
                 parent,
                 offset + start,
                 offset + end,

@@ -66,7 +66,7 @@ pub enum JobWork {
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Human-readable name (reports, traces, job-graph files).
-    pub name: String,
+    pub name: Arc<str>,
     /// What to execute.
     pub work: JobWork,
     /// Smallest acceptable sub-tree, in leaves. Custom jobs need an
@@ -82,7 +82,7 @@ pub struct Job {
 
 impl Job {
     /// A collective job with the default minimum of two processors.
-    pub fn collective(name: impl Into<String>, kind: CollectiveKind, n: u64) -> Job {
+    pub fn collective(name: impl Into<Arc<str>>, kind: CollectiveKind, n: u64) -> Job {
         Job {
             name: name.into(),
             work: JobWork::Collective { kind, n },
@@ -94,7 +94,7 @@ impl Job {
 
     /// A custom pre-lowered job for exactly `init.len()` processors.
     pub fn custom(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         schedule: CommSchedule,
         init: Vec<ProcInit>,
         op: Option<ReduceOp>,

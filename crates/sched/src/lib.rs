@@ -50,12 +50,12 @@ pub use report::{BatchReport, JobReport, SchedError, SchedReport};
 /// `hbsp_collectives` directly.
 pub use hbsp_collectives::CollectiveKind;
 
-use crate::lower::{LoweredJob, Placements, Priced};
+use crate::lower::{LoweredJob, Placements};
 use hbsp_check::{verify_claims, verify_dag};
 use hbsp_collectives::reduce::ReduceOp;
 use hbsp_collectives::schedule::ScheduleState;
 use hbsp_collectives::ScheduleProgram;
-use hbsp_core::{MachineTree, NodeIdx, ProcId};
+use hbsp_core::MachineTree;
 use hbsp_obs::{CausalKind, JobMetrics};
 use hbsp_sim::FaultPlan;
 use hbsplib::{Action, AdaptiveConfig, ClosedLoop, Executor};
@@ -161,29 +161,19 @@ impl Scheduler {
             return Err(SchedError::InvalidGraph(violations));
         }
         for (i, job) in self.jobs.iter().enumerate() {
-            if let JobWork::Custom { schedule, .. } = &job.work {
+            if let JobWork::Custom { schedule, init, .. } = &job.work {
                 let steps = &schedule.steps;
-                let body_ok = steps
-                    .iter()
-                    .enumerate()
-                    .all(|(s, st)| (s + 1 == steps.len()) == st.scope.is_none());
+                let body_ok = steps.iter().enumerate().all(|(s, st)| {
+                    let ends = st.transfers.iter().flat_map(|t| [t.src, t.dst]);
+                    let mut named = st.work.iter().map(|w| w.0).chain(ends);
+                    let last = (s + 1 == steps.len()) == st.scope.is_none();
+                    last && named.all(|q| q.rank() < init.len())
+                });
                 if steps.is_empty() || !body_ok {
                     return Err(SchedError::MalformedCustom { job: JobId(i) });
                 }
             }
         }
-
-        // Every node of the shared tree is a placement candidate: its
-        // index and its leaves' global ranks, ascending, collected once
-        // through a reused scratch buffer (`subtree_leaves_into`).
-        let mut scratch = Vec::new();
-        let candidates: Vec<(NodeIdx, Vec<ProcId>)> = (tree.nodes())
-            .map(|node| {
-                tree.subtree_leaves_into(node.idx(), &mut scratch);
-                let pids = scratch.iter().filter_map(|&l| tree.node(l).proc_id());
-                (node.idx(), pids.collect())
-            })
-            .collect();
 
         let exec = match opts.engine {
             Engine::Simulator => Executor::simulator(tree.clone()),
@@ -225,9 +215,9 @@ impl Scheduler {
             // cheapest adequate sub-tree whose leaves are still free.
             free.fill(true);
             lowered.clear();
-            let mut free_leaves = p;
             let mut batch_op: Option<ReduceOp> = None;
             for &i in &ready {
+                let free_leaves = free.iter().filter(|&&f| f).count();
                 if lowered.len() >= max_batch || free_leaves == 0 {
                     break;
                 }
@@ -242,36 +232,13 @@ impl Scheduler {
                     continue;
                 }
                 // Cheapest price, then fewest leaves, then lowest node.
-                let mut best: Option<(Priced, NodeIdx, &[ProcId])> = None;
-                for (idx, leaves) in &candidates {
-                    let adequate = match job.exact_procs() {
-                        None => leaves.len() >= job.min_procs,
-                        Some(k) => leaves.len() == k,
-                    };
-                    if !adequate || !leaves.iter().all(|pid| free[pid.rank()]) {
-                        continue;
-                    }
-                    let Some(priced) = placements.price(job, i, *idx) else {
-                        continue;
-                    };
-                    let beats = best.as_ref().is_none_or(|(b, b_idx, b_leaves)| {
-                        let tie = (leaves.len(), idx).cmp(&(b_leaves.len(), b_idx));
-                        priced.cost.total_cmp(&b.cost).then(tie).is_lt()
-                    });
-                    if beats {
-                        best = Some((priced.clone(), *idx, leaves));
-                    }
-                }
-                match best {
-                    Some((priced, idx, leaves)) => {
-                        for pid in leaves {
-                            free[pid.rank()] = false;
-                        }
-                        free_leaves -= leaves.len();
+                let claimed = placements.claim(job, i, &mut free).transpose();
+                match claimed.map_err(|_| SchedError::MalformedCustom { job: JobId(i) })? {
+                    Some(l) => {
                         if batch_op.is_none() {
                             batch_op = job.op();
                         }
-                        lowered.push(placements.lower(priced, job, i, idx));
+                        lowered.push(l);
                     }
                     // An empty batch means every leaf is free and no op
                     // constraint is active — if the job still fits
@@ -279,7 +246,7 @@ impl Scheduler {
                     None if lowered.is_empty() => {
                         return Err(SchedError::Unplaceable {
                             job: JobId(i),
-                            name: job.name.clone(),
+                            name: job.name.to_string(),
                             needed: need,
                             available: p,
                         });
@@ -344,7 +311,7 @@ impl Scheduler {
                     batch: batches.len(),
                     node: l.node,
                     machine: tree.node(l.node).machine_id(),
-                    leaves: leaves.clone(),
+                    leaves: Arc::clone(leaves),
                     root: l.root.map(|r| leaves[r.rank()]),
                     predicted: l.priced.cost,
                     start,
@@ -408,7 +375,7 @@ mod tests {
     use super::*;
     use hbsp_collectives::schedule::ProcInit;
     use hbsp_collectives::{CommSchedule, Role, ScheduleStep, Transfer, UnitId};
-    use hbsp_core::{SyncScope, TreeBuilder};
+    use hbsp_core::{ProcId, SyncScope, TreeBuilder};
 
     /// Two unequal LANs under a campus root, 4 processors.
     fn campus_like() -> Arc<MachineTree> {
@@ -511,7 +478,7 @@ mod tests {
         for batch in &rep.batches {
             let mut seen = std::collections::HashSet::new();
             for &id in &batch.jobs {
-                for leaf in &rep.jobs[id.0].leaves {
+                for leaf in rep.jobs[id.0].leaves.iter() {
                     assert!(seen.insert(*leaf), "leaf {leaf} claimed twice in a batch");
                 }
             }
@@ -752,7 +719,7 @@ mod tests {
         assert!(rep.clean());
         // One job span per job, over its batch's window.
         let jobs = rep.causal.iter().filter(|c| c.kind == CausalKind::Job);
-        let spans: Vec<_> = jobs.map(|c| (c.label.as_str(), c.start, c.end)).collect();
+        let spans: Vec<_> = jobs.map(|c| (&*c.label, c.start, c.end)).collect();
         let windows: Vec<_> = (rep.jobs.iter())
             .map(|j| (&*j.name, j.start, j.end))
             .collect();

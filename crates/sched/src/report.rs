@@ -19,7 +19,7 @@ pub struct JobReport {
     /// The job.
     pub id: JobId,
     /// Its submitted name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Admission batch it ran in (0-based).
     pub batch: usize,
     /// Claimed node of the shared tree.
@@ -27,7 +27,7 @@ pub struct JobReport {
     /// The claim's `M_{i,j}` coordinates.
     pub machine: MachineId,
     /// Global ranks of the claimed leaves, in carved-rank order.
-    pub leaves: Vec<ProcId>,
+    pub leaves: Arc<[ProcId]>,
     /// Global rank of the result root, for rooted collectives.
     pub root: Option<ProcId>,
     /// Predicted cost of the job alone on its carved machine.
@@ -188,8 +188,8 @@ pub enum SchedError {
         /// Leaves the whole machine has.
         available: usize,
     },
-    /// A custom job's schedule is structurally invalid (empty, or a
-    /// drain step before the end).
+    /// A custom job's schedule is structurally invalid (empty, a drain
+    /// step before the end, or a rank past its initial holdings).
     MalformedCustom {
         /// The job.
         job: JobId,
@@ -234,7 +234,8 @@ impl fmt::Display for SchedError {
             ),
             SchedError::MalformedCustom { job } => write!(
                 f,
-                "{job} submitted a custom schedule that is empty or has a non-final drain step"
+                "{job} submitted a custom schedule that is empty, has a non-final drain step \
+                 or names a rank past its initial holdings"
             ),
             SchedError::Exec(e, _) => write!(f, "engine error: {e}"),
         }

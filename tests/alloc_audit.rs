@@ -556,7 +556,7 @@ fn schedule_program_posts_and_receives_in_place() {
                 dst: ProcId(dst),
                 words: (units * UNIT) as u64,
                 role: if bundle {
-                    Role::Bundle(ids.clone())
+                    Role::Bundle(ids.clone().into())
                 } else {
                     Role::Piece(ids[0])
                 },
@@ -952,12 +952,17 @@ fn warm_apps_allocate_alike_at_four_times_the_input() {
 /// its place — so a drain allocates at most two thirds of the 54 655
 /// times it did when every batch was merged into one schedule and
 /// recompiled (read by this test in its debug build; 48 783 in
-/// release).
+/// release). Since claims walk a ranked list per job shape, tuning
+/// keeps one h-relation buffer and its best plan only, a one-unit
+/// bundle holds its unit inline, shares are drawn in place and a
+/// report shares its job's name and leaves, a drain allocates 22 903
+/// times (36 334 before): that count is the bound.
 #[test]
 fn a_fixture_drain_allocates_two_thirds_of_a_merging_one() {
     use hbsp::bench::jobfile;
     use hbsp::sched::{Engine, RunOptions, Scheduler};
     const MERGING: usize = 54_655;
+    const LEAN: usize = 22_903;
     let _serial = AUDIT_LOCK.lock().unwrap();
     let tree = hbsp_core::topology::parse(include_str!("../machines/grid3.hbsp")).unwrap();
     let (jobs, errors) = jobfile::parse(include_str!("../fixtures/jobs_1000.jobs"));
@@ -973,8 +978,8 @@ fn a_fixture_drain_allocates_two_thirds_of_a_merging_one() {
     };
     let allocs = thread_allocs_during(|| assert!(sched.run(&opts).unwrap().clean()));
     assert!(
-        3 * allocs <= 2 * MERGING,
-        "a fixture drain allocated {allocs} times, more than two thirds of {MERGING}"
+        3 * allocs <= 2 * MERGING && allocs <= LEAN,
+        "a fixture drain allocated {allocs} times, more than {LEAN}"
     );
 }
 
@@ -982,13 +987,16 @@ fn a_fixture_drain_allocates_two_thirds_of_a_merging_one() {
 /// each of the 7 nodes with at least two leaves carved once, and
 /// `best_plan` of each of the 28 distinct `(kind, n)` of
 /// `fixtures/jobs_1000.jobs` on it — the pricing a fixture drain pays
-/// before it claims anything. Counted by this test in its debug build.
+/// before it claims anything. Counted by this test in its debug build:
+/// 12 356 while each candidate plan was kept, each prediction collected
+/// its steps and built its h-relation and each one-unit bundle boxed its
+/// unit; 4 334 since, the bound.
 #[test]
 fn tuning_the_fixture_shapes_on_grid3_allocates_within_its_pin() {
     use hbsp::bench::jobfile;
     use hbsp::sched::JobWork;
     use hbsp_collectives::tune::best_plan;
-    const PIN: usize = 12_356;
+    const PIN: usize = 4_334;
     let _serial = AUDIT_LOCK.lock().unwrap();
     let tree = hbsp_core::topology::parse(include_str!("../machines/grid3.hbsp")).unwrap();
     let (jobs, errors) = jobfile::parse(include_str!("../fixtures/jobs_1000.jobs"));
@@ -1013,7 +1021,6 @@ fn tuning_the_fixture_shapes_on_grid3_allocates_within_its_pin() {
             }
         }
     });
-    println!("tuning allocations: {allocs}");
     assert!(
         allocs <= PIN,
         "tuning the fixture's shapes allocated {allocs} times, more than {PIN}"

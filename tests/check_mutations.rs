@@ -203,7 +203,7 @@ fn dropped_alltoall_hand_up_is_an_unmatched_receive() {
     .unwrap();
     let (sizes, init) = eight_word_blocks(&t);
     let mut sched = alltoall::lower_alltoall_hier(&t, &sizes);
-    let hand_up = Role::Bundle(vec![UnitId::new(6, 8)]);
+    let hand_up = Role::Bundle(vec![UnitId::new(6, 8)].into());
     let victim = (sched.steps[0].transfers.iter())
         .position(|x| (x.src, x.dst, &x.role) == (ProcId(1), ProcId(0), &hand_up))
         .expect("P1 hands block 1→2 up to P0");

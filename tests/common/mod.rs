@@ -156,8 +156,8 @@ pub fn cluster_peers(env: &ProcEnv, level: u32) -> Vec<ProcId> {
         .expect("scope level never exceeds the tree height");
     env.tree
         .subtree_leaves(cluster)
-        .into_iter()
-        .map(|l| env.tree.node(l).proc_id().expect("leaves are procs"))
+        .iter()
+        .map(|&l| env.tree.node(l).proc_id().expect("leaves are procs"))
         .collect()
 }
 

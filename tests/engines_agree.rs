@@ -647,7 +647,7 @@ fn units_read_in_the_wire_after_both_arenas_are_reused_are_the_staged_words() {
         let mut step = ScheduleStep::at(SyncScope::global(&tree));
         for r in 0..P {
             let role = match s {
-                1 | 2 => Role::Bundle(vec![unit((r + P - s) % P)]),
+                1 | 2 => Role::Bundle(vec![unit((r + P - s) % P)].into()),
                 _ => Role::Piece(unit(r)),
             };
             step.transfers.push(Transfer {

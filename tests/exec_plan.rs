@@ -110,7 +110,7 @@ proptest! {
             step.transfers.push(transfer(u.len as u64, Role::Piece(u)));
             expected.push(piece(u).encode());
         }
-        step.transfers.push(transfer(0, Role::Bundle(wanted.clone())));
+        step.transfers.push(transfer(0, Role::Bundle(wanted.clone().into())));
         expected.push(encode_bundle(&wanted.iter().map(|&u| piece(u)).collect::<Vec<_>>()));
         step.transfers.push(transfer(acc.len() as u64, Role::Partial));
         expected.push(codec::encode_u32s(&acc));
@@ -221,7 +221,7 @@ proptest! {
                         let (units, words) = match &t.role {
                             Role::Piece(u) => (vec![*u], 1 + u.len as usize),
                             Role::Bundle(us) => (
-                                us.clone(),
+                                us.to_vec(),
                                 1 + us.iter().map(|u| 2 + u.len as usize).sum::<usize>(),
                             ),
                             Role::Partial => (Vec::new(), t.words as usize),
@@ -273,7 +273,7 @@ fn one_payload_to_several_destinations_is_one_entry() {
         to(2, 3, Role::Piece(a)),
         to(3, 3, Role::Piece(b)),
         to(1, 3, Role::Piece(a)),
-        to(1, 3, Role::Bundle(vec![a])),
+        to(1, 3, Role::Bundle(vec![a].into())),
         to(2, 4, Role::Partial),
         to(3, 4, Role::Partial),
         to(1, 5, Role::Partial),

@@ -559,3 +559,80 @@ fn top_level_closed_forms_on_a_machine_without_clusters_are_typed_errors() {
     assert_eq!(hbsp2_top_one_phase(&lone, 64).err(), Some(no_top.clone()));
     assert_eq!(hbsp2_top_two_phase(&lone, 64).err(), Some(no_top));
 }
+
+/// A placement that does not fit — a schedule naming a rank past its
+/// leaves, a leaf past the machine, holdings shorter than the leaves —
+/// is a typed error of `Placed::new`, and one that fits runs on both
+/// engines, checked and unchecked. A scheduler refuses the custom job
+/// whose schedule names a rank past its holdings before anything runs,
+/// on either engine.
+#[test]
+fn a_placement_that_does_not_fit_is_a_typed_error() {
+    use hbsp::collectives::schedule::{
+        execute, CommSchedule, Placed, ProcInit, ScheduleProgram, ScheduleStep, Transfer,
+    };
+    use hbsp::collectives::{CollectiveError, Role, UnitId};
+    use hbsp::sched::{Engine, SchedError};
+    let tree = machine();
+    let unit = UnitId::new(0, 4);
+    // Local rank `src` hands `unit` to local rank 0, then a drain.
+    let hand = |src: u32| {
+        let mut step = ScheduleStep::at(SyncScope::Level(1));
+        let (src, dst, words, role) = (ProcId(src), ProcId(0), 4, Role::Piece(unit));
+        step.transfers.push(Transfer {
+            src,
+            dst,
+            words,
+            role,
+        });
+        let steps = vec![step, ScheduleStep::drain()];
+        CommSchedule {
+            steps,
+            ..CommSchedule::default()
+        }
+    };
+    let mut init = vec![ProcInit::default(); 2];
+    init[1].units.push((unit, vec![7, 8, 9, 10]));
+    let leaves = [ProcId(1), ProcId(2)];
+    let shape = |what, want, got| Err(CollectiveError::Shape { what, want, got });
+    let placed = |sched: &CommSchedule, leaves: &[ProcId], init: &[ProcInit]| {
+        Placed::new(&tree, sched, leaves, 1, init).map(drop)
+    };
+    assert_eq!(
+        placed(&hand(2), &leaves, &init),
+        shape("ranks named by the schedule", 2, 3)
+    );
+    assert_eq!(
+        placed(&hand(1), &[ProcId(1), ProcId(5)], &init),
+        shape("machine ranks named by the leaves", 3, 6)
+    );
+    assert_eq!(
+        placed(&hand(1), &leaves, &init[..1]),
+        shape("initial holdings", 2, 1)
+    );
+
+    let fits = Arc::new(Placed::new(&tree, &hand(1), &leaves, 1, &init).unwrap());
+    let members = || [(Arc::clone(&fits), init.clone())].into_iter();
+    for engine in [Executor::simulator, Executor::threads] {
+        for check in [true, false] {
+            let exec = engine(Arc::clone(&tree)).check(check);
+            let prog = ScheduleProgram::side_by_side(3, members(), None);
+            let (_, states) = execute(&exec, &prog).unwrap();
+            assert_eq!(states[1].try_unit(unit), Ok(vec![7, 8, 9, 10]), "{check}");
+        }
+    }
+
+    for engine in [Engine::Simulator, Engine::Threads] {
+        let mut sched = Scheduler::new(machine());
+        let job = sched.submit(Job::custom("past", hand(2), init.clone(), None));
+        let opts = RunOptions {
+            engine,
+            ..RunOptions::default()
+        };
+        let refused = sched.run(&opts).map(drop);
+        assert!(
+            matches!(refused, Err(SchedError::MalformedCustom { job: j }) if j == job),
+            "{refused:?}"
+        );
+    }
+}

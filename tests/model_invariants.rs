@@ -46,7 +46,7 @@ proptest! {
         for (i, &leaf) in tree.leaves().iter().enumerate() {
             prop_assert_eq!(tree.node(leaf).proc_id(), Some(ProcId(i as u32)));
         }
-        let all: Vec<_> = tree.subtree_leaves(tree.root());
+        let all = tree.subtree_leaves(tree.root());
         prop_assert_eq!(all.len(), tree.num_procs());
     }
 

@@ -104,7 +104,7 @@ fn assert_batches_leaf_disjoint(rep: &SchedReport) {
     for batch in &rep.batches {
         let mut seen = HashSet::new();
         for &id in &batch.jobs {
-            for leaf in &rep.jobs[id.0].leaves {
+            for leaf in rep.jobs[id.0].leaves.iter() {
                 assert!(
                     seen.insert(*leaf),
                     "batch {}: leaf {leaf} claimed by two concurrent jobs",
